@@ -43,6 +43,15 @@ impl PayloadSource {
 
     /// Materialize the payload as contiguous bytes (one copy for the region
     /// path — the DMA read; zero for immediate).
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            PayloadSource::Immediate(b) => b,
+            region => region.to_bytes(),
+        }
+    }
+
+    /// [`PayloadSource::into_bytes`] on a borrowed payload (an immediate
+    /// payload costs a refcount bump).
     pub fn to_bytes(&self) -> Bytes {
         match self {
             PayloadSource::Immediate(b) => b.clone(),
@@ -81,6 +90,26 @@ pub struct RmwReply {
     pub region: MemRegion,
     /// Byte offset of the 8-byte slot within `region`.
     pub offset: usize,
+}
+
+/// What a memory-FIFO message says about itself — the header every one of
+/// its packets carries. Short, eager, aggregated-frame, rendezvous-RTS and
+/// channel-offer messages differ only in these values (and in their
+/// payload), never in which code moves them.
+#[derive(Debug, Clone)]
+pub struct FifoHeader {
+    /// Destination node index.
+    pub dst_node: u32,
+    /// Reception FIFO on the destination node.
+    pub rec_fifo: RecFifoId,
+    /// Source context offset stamped into packets.
+    pub src_context: u16,
+    /// Active-message dispatch identifier.
+    pub dispatch: u16,
+    /// Protocol metadata delivered with the message.
+    pub metadata: Bytes,
+    /// Short-tier flag (see [`XferKind::MemoryFifo`]).
+    pub short: bool,
 }
 
 /// The transfer type a descriptor requests.

@@ -5,54 +5,70 @@
 //! the fabric executes descriptors — fragmenting payload into ≤512-byte
 //! packets for memory-FIFO traffic, copying directly into destination
 //! regions for puts, and bouncing remote-gets to the destination's system
-//! FIFO. Without a fault plan, delivery is immediate and reliable (the
-//! torus is lossless); *who* executes a descriptor and in what order is
-//! exactly what the engine modes control, because that is what the paper's
-//! concurrency story is about.
+//! FIFO. *Who* executes a descriptor and in what order is exactly what the
+//! engine modes control, because that is what the paper's concurrency story
+//! is about.
 //!
-//! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), inter-
-//! node traffic instead moves as link-level frames through per-(src, dst)
-//! reliable channels (see [`crate::link`]): the fault injector drops,
-//! corrupts, delays, or kills links; lost frames retransmit with
-//! exponential backoff under [`MuFabric::pump_links`]; killed links force
-//! torus reroutes; and exhausted retry budgets fail completion counters
-//! with a typed [`bgq_hw::DeliveryFault`] instead of hanging pollers.
-//! Every packet additionally carries a link sequence number and a CRC-32C
-//! stamp (on by default even fault-free — the measurable cost of integrity
-//! checking; [`MuFabricBuilder::crc`]`(false)` turns the stamp off).
+//! ## One delivery pipeline
+//!
+//! Every memory-FIFO message — short envelope, eager train, aggregated
+//! frame, rendezvous RTS, channel offer — reaches a reception FIFO through
+//! one function, `deliver_message`, in four stages. The tiers differ in
+//! what the [`FifoHeader`] and the payload *say*, never in which code moves
+//! them:
+//!
+//! ```text
+//!  send_short ─────────┐
+//!  pump_inj / pump_sys ┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
+//!  execute_now ────────┘                                   + DEPOSIT
+//!
+//!  1 one message id, one `fragments()` iterator (the only ≤512-byte
+//!    chunking loop), one `packet_of()` constructor (the only `MuPacket`
+//!    literal, the only CRC stamp), one sampled `mu.*` accounting site
+//!  2 only under a fault plan, only between distinct nodes: one call,
+//!    `link::Reliability::admit`, draws the channel sequence numbers and
+//!    returns `Through` (carry on to 3 on this thread) or `Queue` (the
+//!    frames join the selective-repeat queue in `link.rs`, which calls
+//!    back into `deliver_body` → 3 as each one crosses)
+//!  3 `deposit()`: the installed `Transport` if any, else straight into
+//!    the reception FIFO (`deliver` for one packet, `deliver_batch` for a
+//!    train — a property of the data, never of the tier)
+//!  4 the injection counter is credited here for lossless / `Through`
+//!    messages, by `link.rs`'s cumulative ack for queued frames
+//! ```
+//!
+//! One-sided descriptors (direct put, remote get, rmw) never touch a
+//! reception FIFO; they share stage 2 (same `admit`, same two outcomes)
+//! and `deliver_body`, which applies them to destination memory.
+//!
+//! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), lost
+//! frames retransmit with exponential backoff under
+//! [`MuFabric::pump_links`]; killed links force torus reroutes; and
+//! exhausted retry budgets fail completion counters with a typed
+//! [`bgq_hw::DeliveryFault`] instead of hanging pollers (see
+//! [`crate::link`]). Every packet carries a link sequence number and —
+//! except the lossless fabric's short envelope, which nothing in flight
+//! can touch and nothing downstream reads — a CRC-32C stamp
+//! ([`MuFabricBuilder::crc`]`(false)` turns the stamp off).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bgq_hw::{DeliveryFault, WakeupRegion, WakeupUnit};
-use bgq_torus::packet::MAX_PAYLOAD_BYTES;
-use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
+use bgq_hw::{WakeupRegion, WakeupUnit};
+use bgq_torus::packet::{packets_for, MAX_PAYLOAD_BYTES};
+use bgq_torus::{Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
-use parking_lot::MutexGuard;
 
 use crate::comb::{CombCounters, CombState, RmwLocks};
-use crate::descriptor::{Descriptor, PayloadSource, RmwOp, XferKind};
+use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, RmwOp, XferKind};
 use crate::engine::{self, EngineMode};
-use crate::faults::{link_id, Fate, FaultInjector, FaultPlan, LinkProtocol};
+use crate::faults::{FaultInjector, FaultPlan};
 use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
     INJ_FIFOS_PER_NODE, REC_FIFOS_PER_NODE,
 };
-use crate::link::{
-    fail_body, Channel, Frame, FrameBody, FramePayload, FrameState, RasCounters, RasEvent,
-    RasEventKind, RasRing, Reliability, RoutePlan, RxVerdict, TxState,
-};
-
-/// How a selective-repeat arrival leaves the sender's scan: move to the
-/// next frame, restart from the (new) queue front after a cumulative ack
-/// retired a prefix, or rescan because a SACK re-queued earlier frames for
-/// immediate retransmission.
-enum Arrival {
-    Advance,
-    Restart,
-    FastRetransmit,
-}
-use crate::packet::{packet_crc, MuPacket, PacketPayload};
+use crate::link::{Admit, Channel, FrameBody, RasCounters, RasEvent, RasRing, Reliability};
+use crate::packet::{MuPacket, PacketPayload};
 use crate::transport::Transport;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
@@ -63,14 +79,13 @@ use crate::transport::Transport;
 // different lanes can never collide.
 
 /// Sampling period of the per-message `mu.fifo_messages` /
-/// `mu.packets_injected` / `mu.packets_received` probe updates on the
-/// synchronous delivery path: one message in every
-/// `MU_PACKET_COUNTER_SAMPLE` (deterministically, by the low bits of its
-/// lane-local sequence number) accounts for the whole sample window, so the
-/// counters stay rate-exact while the hot path pays the probe cost only
-/// once per window. `mu.packets_dropped` and `mu.payload_copies` stay
-/// per-event exact — drops are rare and copies are a correctness assertion
-/// in tests. Must be a power of two.
+/// `mu.packets_injected` / `mu.packets_received` probe updates: one
+/// message in every `MU_PACKET_COUNTER_SAMPLE` (deterministically, by the
+/// low bits of its lane-local sequence number) accounts for the whole
+/// sample window, so the counters stay rate-exact while the hot path pays
+/// the probe cost only once per window. `mu.packets_dropped` and
+/// `mu.payload_copies` stay per-event exact — drops are rare and copies
+/// are a correctness assertion in tests. Must be a power of two.
 pub const MU_PACKET_COUNTER_SAMPLE: u64 = 16;
 
 /// Deterministic sample gate: lane-local message sequence numbers increment
@@ -143,7 +158,7 @@ pub(crate) struct NodeMu {
     /// FIFO-routed messages mint from their own FIFO's lane instead.
     pub msg_lane: MsgIdLane,
     /// Fallback link sequence counter for the same `execute_now` path —
-    /// FIFO-routed fault-free packets stamp from their FIFO's counter, and
+    /// FIFO-routed lossless packets stamp from their FIFO's counter, and
     /// reliable channels stamp their own under a fault plan.
     pub link_seq: AtomicU64,
     /// `mu.*` telemetry probes for this node.
@@ -285,10 +300,11 @@ impl MuFabricBuilder {
             plan.validate().expect("invalid fault plan");
             Reliability::new(
                 FaultInjector::new(plan, self.shape),
-                LinkHealth::new(self.shape),
+                self.shape,
                 Arc::clone(&ras),
                 Arc::clone(&ring),
-                nodes.len(),
+                self.transport.clone(),
+                nodes.iter().map(|n| n.counters.packets_dropped.clone()).collect(),
             )
         });
         let comb = self.combining.then(|| CombState::new(self.shape, &self.telemetry));
@@ -366,25 +382,6 @@ impl MuFabric {
 
     fn node(&self, id: u32) -> &NodeMu {
         &self.inner.nodes[id as usize]
-    }
-
-    /// Every reception-FIFO deposit funnels through here: synchronous batch
-    /// delivery on the default fabric, or the installed
-    /// [`Transport`] (which may schedule the deposit on its own clock).
-    #[inline]
-    fn deposit(
-        &self,
-        src_node: u32,
-        dst_node: u32,
-        rec_fifo: RecFifoId,
-        fifo: &Arc<RecFifo>,
-        npackets: u64,
-        make: &mut dyn FnMut(u64) -> MuPacket,
-    ) {
-        match &self.inner.transport {
-            None => fifo.deliver_batch(npackets, make),
-            Some(t) => t.deliver(src_node, dst_node, rec_fifo, fifo, npackets, make),
-        }
     }
 
     /// Deposit whatever the installed transport has due at its current
@@ -480,243 +477,38 @@ impl MuFabric {
         }
     }
 
-    /// Execute a descriptor immediately in the calling thread — the
-    /// `PAMI_Send_immediate` path, which bypasses the injection queue when
-    /// FIFO space is available.
+    /// Execute a descriptor immediately in the calling thread, bypassing
+    /// the injection queues — persistent-channel posts and channel offers.
+    /// Message ids and lossless link sequences come from the node's
+    /// fallback lane.
     pub fn execute_now(&self, src_node: u32, desc: Descriptor) {
-        self.execute(src_node, desc);
+        let src = self.node(src_node);
+        src.counters.descriptors_executed.incr();
+        self.execute_from(src_node, desc, &src.msg_lane, &src.link_seq);
     }
 
     /// Short-tier send on a caller-owned injection FIFO: the whole message
     /// — metadata and payload — is one inline packet envelope, built and
-    /// delivered right here. No descriptor, no fragment loop, no region
-    /// registration, no staging: one message id, one sequence number, one
-    /// CRC stamp, one reception-FIFO deposit. The caller must have
+    /// delivered right here. No descriptor, no region registration, no
+    /// staging: the pipeline with one fragment. The caller must have
     /// established ordering first ([`InjFifo::is_quiescent`]) — bypassing
     /// a non-empty queue would overtake earlier eager traffic.
     ///
     /// `local_done` (if any) is credited synchronously with the payload
-    /// length ([`Descriptor::ZERO_LEN_CREDIT`] for empty payloads) on the
-    /// lossless fabric; under a fault plan the envelope rides the reliable
-    /// channel as a single frame instead, so the counter keeps its
-    /// ack-or-typed-fault semantics and chaos runs exercise the same tier.
-    #[allow(clippy::too_many_arguments)]
+    /// length ([`Descriptor::ZERO_LEN_CREDIT`] for empty payloads) unless
+    /// the envelope had to join a reliable channel's retransmit queue, in
+    /// which case the counter keeps its ack-or-typed-fault semantics.
     pub fn send_short(
         &self,
         src_node: u32,
         fifo: &InjFifo,
-        dst_node: u32,
-        rec_fifo: RecFifoId,
-        src_context: u16,
-        dispatch: u16,
-        metadata: bytes::Bytes,
+        hdr: FifoHeader,
         payload: bytes::Bytes,
         local_done: Option<bgq_hw::Counter>,
     ) {
-        self.send_short_from(
-            src_node,
-            &fifo.lane,
-            &fifo.link_seq,
-            dst_node,
-            rec_fifo,
-            src_context,
-            dispatch,
-            metadata,
-            payload,
-            local_done,
-        );
-    }
-
-    /// [`MuFabric::send_short`] without an injection FIFO — the
-    /// `PAMI_Send_immediate` analogue of [`MuFabric::execute_now`], minting
-    /// ids from the node's fallback lane. Same single-envelope semantics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_short_now(
-        &self,
-        src_node: u32,
-        dst_node: u32,
-        rec_fifo: RecFifoId,
-        src_context: u16,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: bytes::Bytes,
-        local_done: Option<bgq_hw::Counter>,
-    ) {
-        let src = self.node(src_node);
-        self.send_short_from(
-            src_node,
-            &src.msg_lane,
-            &src.link_seq,
-            dst_node,
-            rec_fifo,
-            src_context,
-            dispatch,
-            metadata,
-            payload,
-            local_done,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_short_from(
-        &self,
-        src_node: u32,
-        lane: &MsgIdLane,
-        seq_src: &AtomicU64,
-        dst_node: u32,
-        rec_fifo: RecFifoId,
-        src_context: u16,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: bytes::Bytes,
-        local_done: Option<bgq_hw::Counter>,
-    ) {
-        debug_assert!(payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
-        let len = payload.len();
-        if let Some(rel) = &self.inner.reliability {
-            if dst_node != src_node {
-                let ch = rel.channel(src_node, dst_node);
-                if rel.clean && !rel.health.any_down() && ch.seems_alive() && !ch.has_backlog()
-                {
-                    // Fair-weather short fast path: same single-packet
-                    // synchronous deliver as the lossless tail below, but
-                    // the sequence number comes from the channel's atomic
-                    // (so a run that later installs faults continues the
-                    // same sequence space) and the packet carries the
-                    // reliable path's CRC stamp. This mirrors the generic
-                    // fair-weather bypass in `execute_reliable` minus the
-                    // descriptor round-trip the short tier exists to skip.
-                    let msg_id = lane.next();
-                    let pin = src_context as usize;
-                    let src = self.node(src_node);
-                    let dst = self.node(dst_node);
-                    if counter_sample_hit(msg_id) {
-                        src.counters
-                            .fifo_messages
-                            .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-                        src.counters
-                            .packets_injected
-                            .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-                        dst.counters
-                            .packets_received
-                            .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-                    }
-                    let seq = ch.next_seq.fetch_add(1, Ordering::Relaxed);
-                    let crc = if self.inner.crc {
-                        packet_crc(
-                            src_node,
-                            src_context,
-                            dispatch,
-                            msg_id,
-                            len as u32,
-                            0,
-                            seq,
-                            &metadata,
-                            &payload,
-                        )
-                    } else {
-                        0
-                    };
-                    let mut pkt = Some(MuPacket {
-                        src_node,
-                        src_context,
-                        dispatch,
-                        metadata,
-                        msg_id,
-                        msg_len: len as u32,
-                        offset: 0,
-                        link_seq: seq,
-                        crc,
-                        short: true,
-                        payload: PacketPayload::Inline(payload),
-                    });
-                    self.deposit(src_node, dst_node, rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
-                        pkt.take().expect("short tier is one packet")
-                    });
-                    if let Some(c) = local_done {
-                        c.delivered(if len == 0 {
-                            Descriptor::ZERO_LEN_CREDIT
-                        } else {
-                            len as u64
-                        });
-                    }
-                    return;
-                }
-                // Chaos path: one frame on the reliable channel; the `short`
-                // flag survives in the frame body so the receive side still
-                // sees a short envelope, and drops/kills keep their
-                // exactly-once / typed-fault semantics.
-                let kind =
-                    XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short: true };
-                let desc = Descriptor {
-                    dst_node,
-                    dst_context: 0,
-                    src_context,
-                    routing: Descriptor::default_routing(&kind),
-                    payload: PayloadSource::Immediate(payload),
-                    kind,
-                    inj_counter: local_done,
-                };
-                self.execute_from(src_node, desc, lane, seq_src);
-                return;
-            }
-        }
-        let dst = self.node(dst_node);
-        let msg_id = lane.next();
-        let pin = src_context as usize;
-        if counter_sample_hit(msg_id) {
-            // Source-node lookup only on the sampled window: the unsampled
-            // short send never touches the source slot table at all.
-            let src = self.node(src_node);
-            src.counters
-                .fifo_messages
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            src.counters
-                .packets_injected
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            dst.counters
-                .packets_received
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-        }
-        let seq = seq_src.fetch_add(1, Ordering::Relaxed);
-        // No CRC stamp on the lossless short path: the fabric cannot touch
-        // the packet in flight (faulty fabrics take the reliable branch
-        // above, whose frames carry their own CRC), and nothing on the
-        // lossless receive side consumes the stamp — it would be pure dead
-        // computation on the tier whose whole point is the minimum
-        // per-message cost. A zero stamp reads as "CRC disabled" to
-        // `MuPacket::verify_crc`.
-        let pkt = MuPacket {
-            src_node,
-            src_context,
-            dispatch,
-            metadata,
-            msg_id,
-            msg_len: len as u32,
-            offset: 0,
-            link_seq: seq,
-            crc: 0,
-            short: true,
-            payload: PacketPayload::Inline(payload),
-        };
-        // Single-packet deposit: on the default synchronous fabric this is
-        // a direct `deliver`, with no packet-maker indirection.
-        match &self.inner.transport {
-            None => dst.rec.get(rec_fifo.0).deliver(pkt),
-            Some(t) => {
-                let mut pkt = Some(pkt);
-                t.deliver(src_node, dst_node, rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
-                    pkt.take().expect("short tier is one packet")
-                });
-            }
-        }
-        if let Some(c) = local_done {
-            c.delivered(if len == 0 {
-                Descriptor::ZERO_LEN_CREDIT
-            } else {
-                len as u64
-            });
-        }
+        debug_assert!(hdr.short && payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
+        let payload = PayloadSource::Immediate(payload);
+        self.deliver_message(src_node, &fifo.lane, &fifo.link_seq, hdr, payload, local_done);
     }
 
     /// Drain up to `budget` descriptors from one injection FIFO (inline
@@ -728,7 +520,7 @@ impl MuFabric {
     }
 
     /// Like [`MuFabric::pump_inj`] but on a cached FIFO handle, skipping
-    /// the table lookup (context hot path). Message ids and fault-free link
+    /// the table lookup (context hot path). Message ids and lossless link
     /// sequences come from the FIFO's own lane, and the per-node
     /// `descriptors_executed` counter is updated once for the whole pump
     /// rather than per descriptor.
@@ -812,22 +604,14 @@ impl MuFabric {
         &self.node(node).counters
     }
 
-    /// Execute one descriptor on behalf of `src_node`. This is "the MU
-    /// hardware": it performs the data movement the descriptor asks for.
-    /// With a fault plan installed, inter-node descriptors are decomposed
-    /// into link-level frames on the reliable channel instead (self-sends
-    /// cross no torus link and keep the direct path).
-    pub(crate) fn execute(&self, src_node: u32, desc: Descriptor) {
-        self.node(src_node).counters.descriptors_executed.incr();
-        let src = self.node(src_node);
-        self.execute_from(src_node, desc, &src.msg_lane, &src.link_seq);
-    }
+    // ---- the delivery pipeline -------------------------------------------
 
-    /// Execute with an explicit message-id lane and link-sequence source —
-    /// the FIFO pump paths pass their FIFO's own, keeping the hot path free
-    /// of shared per-node sequence state. Does *not* bump
-    /// `descriptors_executed` (pump callers batch it; `execute` bumps it
-    /// for the immediate path).
+    /// Execute one descriptor on behalf of `src_node` — "the MU hardware":
+    /// perform the data movement the descriptor asks for. `lane` and
+    /// `link_seq` are the message-id mint and lossless link-sequence source
+    /// of whoever injected it (the FIFO pump paths pass their FIFO's own,
+    /// keeping the hot path free of shared per-node sequence state). Does
+    /// *not* bump `descriptors_executed` — pump callers batch it.
     pub(crate) fn execute_from(
         &self,
         src_node: u32,
@@ -835,101 +619,277 @@ impl MuFabric {
         lane: &MsgIdLane,
         link_seq: &AtomicU64,
     ) {
-        // Combinable fetch-adds divert into the combining overlay before
-        // either delivery path: the overlay carries them hop by hop (with
-        // its own seeded dice under a fault plan), so they never enter the
-        // per-(src, dst) link channels.
-        if let Some(comb) = &self.inner.comb {
-            if desc.dst_node != src_node {
-                if let XferKind::Rmw { op: RmwOp::FetchAdd, .. } = &desc.kind {
-                    let Descriptor { dst_node, kind, inj_counter, .. } = desc;
-                    let XferKind::Rmw {
-                        win_key, dst_region, dst_offset, operand, reply, ..
-                    } = kind
-                    else {
-                        unreachable!("matched Rmw above");
-                    };
-                    comb.submit(
-                        src_node,
-                        dst_node,
-                        win_key,
-                        dst_offset,
-                        dst_region,
-                        operand,
-                        reply,
-                        inj_counter,
-                        Descriptor::ZERO_LEN_CREDIT,
-                    );
-                    return;
-                }
-            }
-        }
-        if let Some(rel) = &self.inner.reliability {
-            if desc.dst_node != src_node {
-                self.execute_reliable(rel, src_node, desc, lane);
-                return;
-            }
-        }
-        self.execute_direct(src_node, desc, lane, link_seq);
-    }
-
-    /// The lossless path: immediate, synchronous delivery.
-    fn execute_direct(
-        &self,
-        src_node: u32,
-        desc: Descriptor,
-        lane: &MsgIdLane,
-        link_seq: &AtomicU64,
-    ) {
         let credit = desc.completion_credit();
-        let Descriptor {
-            dst_node,
-            dst_context,
-            src_context,
-            routing,
-            payload,
-            kind,
-            inj_counter,
-        } = desc;
-        // Functional delivery is identical for both routing modes (the
-        // fabric is lossless and in-process); the mode matters to the
-        // timing models and to the ordering contract asserted in tests.
-        let _ = routing;
+        let Descriptor { dst_node, src_context, payload, kind, inj_counter, .. } = desc;
         match kind {
             XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } => {
-                self.deliver_fifo_sync(
+                let hdr = FifoHeader { dst_node, rec_fifo, src_context, dispatch, metadata, short };
+                self.deliver_message(src_node, lane, link_seq, hdr, payload, inj_counter);
+            }
+            // Combinable fetch-adds divert into the combining overlay: it
+            // carries them hop by hop (with its own seeded dice under a
+            // fault plan), so they never enter the per-(src, dst) link
+            // channels.
+            XferKind::Rmw {
+                win_key,
+                dst_region,
+                dst_offset,
+                op: RmwOp::FetchAdd,
+                operand,
+                reply,
+                ..
+            } if self.inner.comb.is_some() && dst_node != src_node => {
+                self.inner.comb.as_ref().expect("guard checked").submit(
                     src_node,
                     dst_node,
-                    src_context,
-                    rec_fifo,
-                    dispatch,
-                    metadata,
-                    payload,
-                    lane,
-                    link_seq,
-                    None,
-                    inj_counter.is_some(),
-                    short,
+                    win_key,
+                    dst_offset,
+                    dst_region,
+                    operand,
+                    reply,
+                    inj_counter,
+                    Descriptor::ZERO_LEN_CREDIT,
                 );
-                let _ = dst_context;
             }
-            XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
-                match &payload {
-                    PayloadSource::Immediate(bytes) => {
-                        dst_region.write(dst_offset, bytes);
-                    }
-                    PayloadSource::Region { region, offset, len } => {
-                        dst_region.copy_from(dst_offset, region, *offset, *len);
-                    }
+            kind => self.deliver_one_sided(src_node, dst_node, kind, payload, inj_counter, credit),
+        }
+    }
+
+    /// The reliable channel a `src_node → dst_node` transfer rides: present
+    /// iff a fault plan is installed and the transfer crosses a link
+    /// (self-sends never do).
+    #[inline]
+    fn reliable_channel(&self, src_node: u32, dst_node: u32) -> Option<(&Reliability, &Channel)> {
+        let rel = self.inner.reliability.as_ref()?;
+        (dst_node != src_node).then(|| (rel, rel.channel(src_node, dst_node)))
+    }
+
+    /// The one way a memory-FIFO message reaches a reception FIFO — the
+    /// four stages drawn in the module docs. Telemetry updates are pinned
+    /// to the sending context's stripe, so contexts flooding from different
+    /// threads never bounce a counter cache line.
+    fn deliver_message(
+        &self,
+        src_node: u32,
+        lane: &MsgIdLane,
+        seq_src: &AtomicU64,
+        hdr: FifoHeader,
+        payload: PayloadSource,
+        inj_counter: Option<bgq_hw::Counter>,
+    ) {
+        // 1. Frame.
+        let msg_id = lane.next();
+        let msg_len = payload.len() as u32;
+        let npackets = packets_for(payload.len()) as u64;
+        let total_credit = if msg_len == 0 { Descriptor::ZERO_LEN_CREDIT } else { msg_len as u64 };
+        let pin = hdr.src_context as usize;
+        // The sender asked for a completion signal, and the MU's contract
+        // is that the counter fires only once the source buffer has been
+        // read — so a region payload is read now, one packet slice at a
+        // time (counted as per-packet copies on the *source* node), and
+        // the buffer is genuinely reusable when the counter fires. With no
+        // counter no correct program can observe *when* the MU reads the
+        // buffer: packets carry zero-copy windows into the source region
+        // and the one payload copy happens at the receiver's deposit.
+        let stage = inj_counter.is_some() && matches!(payload, PayloadSource::Region { .. });
+        if stage {
+            self.node(src_node).counters.payload_copies.add_pinned(pin, npackets);
+        }
+        if counter_sample_hit(msg_id) {
+            let src = &self.node(src_node).counters;
+            src.fifo_messages.add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
+            src.packets_injected.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
+            let dst = &self.node(hdr.dst_node).counters;
+            dst.packets_received.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
+        }
+        let mut frags = fragments(payload, stage);
+
+        // 2. Reliability (only under a fault plan, only across a link).
+        let channel = self.reliable_channel(src_node, hdr.dst_node);
+        let base_seq = match channel {
+            None => seq_src.fetch_add(npackets, Ordering::Relaxed),
+            Some((rel, ch)) => match rel.admit(ch, npackets) {
+                Admit::Through { base_seq } => base_seq,
+                Admit::Queue { base_seq } => {
+                    let bodies = frags.map(|(offset, payload)| {
+                        let credit = if msg_len == 0 { total_credit } else { payload.len() as u64 };
+                        let hdr = hdr.clone();
+                        (credit, FrameBody::Packet { hdr, msg_id, msg_len, offset, payload })
+                    });
+                    rel.enqueue(ch, base_seq, inj_counter, bodies, &self.frame_deposit());
+                    return;
                 }
-                self.node(dst_node).counters.put_bytes_in.add(payload.len() as u64);
+            },
+        };
+
+        // 3. Transport + deposit. The last packet takes the header itself;
+        // earlier ones clone it (a refcount bump on the metadata).
+        let (dst_node, rec_fifo) = (hdr.dst_node, hdr.rec_fifo);
+        let mut hdr = Some(hdr);
+        self.deposit(src_node, dst_node, rec_fifo, npackets, |i| {
+            let (offset, payload) = frags.next().expect("one fragment per packet");
+            let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
+            let hdr = hdr.expect("the header outlives its packets");
+            let seq = base_seq + i;
+            self.packet_of(hdr, src_node, msg_id, msg_len, offset, seq, payload, channel.is_some())
+        });
+
+        // 4. Completion: the source buffer is no longer referenced.
+        if let Some(c) = inj_counter {
+            c.delivered(total_credit);
+        }
+    }
+
+    /// Build one packet and stamp its CRC — the only `MuPacket` literal
+    /// and the only CRC site in the fabric. `on_channel` says the packet
+    /// rides a reliable channel. The lossless fabric's short envelope goes
+    /// unstamped: nothing can touch it in flight, nothing downstream reads
+    /// the stamp, and it is the tier whose whole point is the minimum
+    /// per-message cost (a zero stamp reads as "CRC disabled" to
+    /// [`MuPacket::verify_crc`]). The lossless eager stamp stays because
+    /// the chaos bench's fair-weather budget is calibrated against it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn packet_of(
+        &self,
+        hdr: FifoHeader,
+        src_node: u32,
+        msg_id: u64,
+        msg_len: u32,
+        offset: u32,
+        link_seq: u64,
+        payload: PacketPayload,
+        on_channel: bool,
+    ) -> MuPacket {
+        let FifoHeader { src_context, dispatch, metadata, short, .. } = hdr;
+        let mut pkt = MuPacket {
+            src_node,
+            src_context,
+            dispatch,
+            metadata,
+            msg_id,
+            msg_len,
+            offset,
+            link_seq,
+            crc: 0,
+            short,
+            payload,
+        };
+        if self.inner.crc && (on_channel || !short) {
+            pkt.crc = pkt.compute_crc();
+        }
+        pkt
+    }
+
+    /// Every reception-FIFO deposit funnels through here: the installed
+    /// [`Transport`] (which may schedule the deposit on its own clock), or
+    /// straight into the FIFO — a single `deliver` for a one-packet
+    /// message, one ring claim and one wakeup for a whole train. `make` is
+    /// called once per packet index, in ascending order.
+    #[inline]
+    fn deposit(
+        &self,
+        src_node: u32,
+        dst_node: u32,
+        rec_fifo: RecFifoId,
+        npackets: u64,
+        mut make: impl FnMut(u64) -> MuPacket,
+    ) {
+        let fifo = self.node(dst_node).rec.get(rec_fifo.0);
+        match &self.inner.transport {
+            Some(t) => t.deliver(src_node, dst_node, rec_fifo, fifo, npackets, &mut make),
+            None if npackets == 1 => fifo.deliver(make(0)),
+            None => fifo.deliver_batch(npackets, make),
+        }
+    }
+
+    /// A direct put, remote get or rmw: no reception FIFO, but the same
+    /// reliability stage — one `admit`, the same two outcomes.
+    fn deliver_one_sided(
+        &self,
+        src_node: u32,
+        dst_node: u32,
+        kind: XferKind,
+        payload: PayloadSource,
+        inj_counter: Option<bgq_hw::Counter>,
+        total_credit: u64,
+    ) {
+        let Some((rel, ch)) = self.reliable_channel(src_node, dst_node) else {
+            // Lossless: the whole transfer is one delivery action, applied
+            // now (a put is a single copy).
+            self.deliver_body(src_node, dst_node, 0, total_credit, &whole_body(kind, payload));
+            if let Some(c) = inj_counter {
+                c.delivered(total_credit);
+            }
+            return;
+        };
+        // Frame: a put crosses a faulty link as ≤512-byte windows, each its
+        // own unit of loss and retransmission; a get or an atomic is one
+        // frame (the channel's sequence dedup gives a retransmitted atomic
+        // exactly-once application for free).
+        let bodies: Vec<(u64, FrameBody)> = match kind {
+            XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
+                let empty = payload.is_empty();
+                fragments(payload, false)
+                    .map(|(offset, payload)| {
+                        let credit = if empty { total_credit } else { payload.len() as u64 };
+                        let put = FrameBody::Put {
+                            dst_region: dst_region.clone(),
+                            dst_offset: dst_offset + offset as usize,
+                            payload,
+                            rec_counter: rec_counter.clone(),
+                        };
+                        (credit, put)
+                    })
+                    .collect()
+            }
+            kind => vec![(total_credit, whole_body(kind, payload))],
+        };
+        match rel.admit(ch, bodies.len() as u64) {
+            Admit::Through { base_seq } => {
+                for ((credit, body), seq) in bodies.iter().zip(base_seq..) {
+                    self.deliver_body(src_node, dst_node, seq, *credit, body);
+                }
+                if let Some(c) = inj_counter {
+                    c.delivered(total_credit);
+                }
+            }
+            Admit::Queue { base_seq } => {
+                rel.enqueue(ch, base_seq, inj_counter, bodies.into_iter(), &self.frame_deposit())
+            }
+        }
+    }
+
+    /// [`MuFabric::deliver_body`] as the deposit closure `link.rs` is handed.
+    fn frame_deposit(&self) -> impl Fn(&Channel, u64, u64, &FrameBody) + '_ {
+        move |ch, seq, credit, body| self.deliver_body(ch.src, ch.dst, seq, credit, body)
+    }
+
+    /// Perform one frame body's delivery action at the destination — the
+    /// data crossed the wire — without crediting the source completion
+    /// counter (for queued frames that happens when the cumulative ack
+    /// arrives). It borrows the body because a queued frame stays queued
+    /// until acked, and the clones below are refcount bumps.
+    fn deliver_body(&self, src_node: u32, dst_node: u32, seq: u64, credit: u64, body: &FrameBody) {
+        let dst = self.node(dst_node);
+        match body {
+            FrameBody::Packet { hdr, msg_id, msg_len, offset, payload } => {
+                let (h, p) = (hdr.clone(), payload.clone());
+                let mut pkt =
+                    Some(self.packet_of(h, src_node, *msg_id, *msg_len, *offset, seq, p, true));
+                self.deposit(src_node, dst_node, hdr.rec_fifo, 1, |_| {
+                    pkt.take().expect("one frame, one packet")
+                });
+            }
+            FrameBody::Put { dst_region, dst_offset, payload, rec_counter } => {
+                payload.deposit(dst_region, *dst_offset);
+                dst.counters.put_bytes_in.add(payload.len() as u64);
                 if let Some(c) = rec_counter {
                     c.delivered(credit);
                 }
             }
-            XferKind::RemoteGet { payload: get_desc } => {
-                let dst = self.node(dst_node);
-                dst.sys_inj.queue.push(*get_desc);
+            FrameBody::Get { desc } => {
+                dst.sys_inj.queue.push((**desc).clone());
                 if let Some(w) = dst.sys_wakeup.get() {
                     w.touch();
                 }
@@ -937,186 +897,20 @@ impl MuFabric {
                     dst.engine_wakeup.touch();
                 }
             }
-            XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
+            FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
+                // Exactly-once under retransmission: the channel's receive
+                // verdict discards duplicate sequence numbers before this
+                // runs, so a frame body applies at most once.
                 let prior = self.inner.rmw_locks.apply(
-                    win_key,
-                    &dst_region,
-                    dst_offset,
-                    op,
-                    operand,
-                    compare,
+                    *win_key,
+                    dst_region,
+                    *dst_offset,
+                    *op,
+                    *operand,
+                    *compare,
                 );
                 if let Some(r) = reply {
                     r.region.write(r.offset, &prior.to_le_bytes());
-                }
-            }
-        }
-        if let Some(c) = inj_counter {
-            c.delivered(credit);
-        }
-    }
-
-    /// Fragment a MemoryFifo message into packets and deliver them
-    /// synchronously. Shared by the lossless path and the reliable
-    /// fair-weather fast path — the two differ only in where the message-id
-    /// lane and link-sequence counter live (the injecting FIFO's own on the
-    /// lossless fabric, per-channel under a fault plan) and in who fires
-    /// the injection counter, so both pay an identical per-packet cost:
-    /// CRC stamp + sequence number + fifo deposit. Telemetry updates are
-    /// pinned to the sending context's stripe, so contexts flooding from
-    /// different threads never bounce a counter cache line.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_fifo_sync(
-        &self,
-        src_node: u32,
-        dst_node: u32,
-        src_context: u16,
-        rec_fifo: RecFifoId,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: PayloadSource,
-        lane: &MsgIdLane,
-        seq_src: &AtomicU64,
-        preseq: Option<u64>,
-        stage: bool,
-        short: bool,
-    ) {
-        let msg_len = payload.len();
-        let src = self.node(src_node);
-        let msg_id = lane.next();
-        let pin = src_context as usize;
-        let dst = self.node(dst_node);
-        let fifo = dst.rec.get(rec_fifo.0);
-        let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
-        // Per-message probes are sampled: one message per window accounts
-        // for the whole window (scaled add), so the synchronous hot path
-        // touches the telemetry stripes once every
-        // MU_PACKET_COUNTER_SAMPLE messages instead of per message.
-        if counter_sample_hit(msg_id) {
-            src.counters
-                .fifo_messages
-                .add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            src.counters
-                .packets_injected
-                .add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
-            dst.counters
-                .packets_received
-                .add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
-        }
-        // The fate-peeked cut-through draws its sequence numbers before
-        // rolling the dice; everyone else draws here.
-        let base_seq =
-            preseq.unwrap_or_else(|| seq_src.fetch_add(npackets, Ordering::Relaxed));
-        let crc_on = self.inner.crc;
-        let header = |i: u64| {
-            let off = i as usize * MAX_PAYLOAD_BYTES;
-            let chunk = (msg_len - off).min(MAX_PAYLOAD_BYTES);
-            (off, chunk)
-        };
-        let stamp = |off: usize, link_seq: u64, staged: &[u8]| {
-            if crc_on {
-                packet_crc(
-                    src_node,
-                    src_context,
-                    dispatch,
-                    msg_id,
-                    msg_len as u32,
-                    off as u32,
-                    link_seq,
-                    &metadata,
-                    staged,
-                )
-            } else {
-                0
-            }
-        };
-        match payload {
-            PayloadSource::Immediate(data) => {
-                // Send-immediate already staged the payload in the
-                // descriptor; packets carry refcounted slices of it
-                // and the injection counter fires now — the source
-                // buffer is no longer referenced.
-                self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
-                    let (off, chunk) = header(i);
-                    let seq = base_seq + i;
-                    MuPacket {
-                        src_node,
-                        src_context,
-                        dispatch,
-                        metadata: bytes::Bytes::clone(&metadata),
-                        msg_id,
-                        msg_len: msg_len as u32,
-                        offset: off as u32,
-                        link_seq: seq,
-                        crc: stamp(off, seq, &data[off..off + chunk]),
-                        short,
-                        payload: PacketPayload::Inline(data.slice(off..off + chunk)),
-                    }
-                });
-            }
-            PayloadSource::Region { region, offset: base, len } => {
-                // No whole-message staging buffer in either case:
-                // the message fragments directly from the source
-                // region into per-packet payloads.
-                debug_assert_eq!(len, msg_len);
-                if stage {
-                    // The sender asked for a completion signal, and
-                    // the MU's contract is that the counter hits
-                    // zero only once the source buffer has been
-                    // read — so model the DMA read now, one packet
-                    // slice at a time (counted as per-packet copies
-                    // on the *source* node). The counter fires at
-                    // the tail of this function and the buffer is
-                    // genuinely reusable.
-                    src.counters.payload_copies.add_pinned(pin, npackets);
-                    self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
-                        let (off, chunk) = header(i);
-                        let mut staged = vec![0u8; chunk];
-                        region.read(base + off, &mut staged);
-                        let seq = base_seq + i;
-                        MuPacket {
-                            src_node,
-                            src_context,
-                            dispatch,
-                            metadata: bytes::Bytes::clone(&metadata),
-                            msg_id,
-                            msg_len: msg_len as u32,
-                            offset: off as u32,
-                            link_seq: seq,
-                            crc: stamp(off, seq, &staged),
-                            short,
-                            payload: PacketPayload::Inline(bytes::Bytes::from(staged)),
-                        }
-                    });
-                } else {
-                    // No completion counter exists, so no correct
-                    // program can observe *when* the MU reads the
-                    // buffer (there is no synchronization edge to
-                    // race with): defer the read all the way to the
-                    // receiver's deposit. Packets carry zero-copy
-                    // windows into the source region; the one
-                    // payload copy happens on the destination node.
-                    self.deposit(src_node, dst_node, rec_fifo, fifo, npackets, &mut |i| {
-                        let (off, chunk) = header(i);
-                        let seq = base_seq + i;
-                        MuPacket {
-                            src_node,
-                            src_context,
-                            dispatch,
-                            metadata: bytes::Bytes::clone(&metadata),
-                            msg_id,
-                            msg_len: msg_len as u32,
-                            offset: off as u32,
-                            link_seq: seq,
-                            crc: stamp(off, seq, &[]),
-                            short,
-                            payload: PacketPayload::Region {
-                                region: region.clone(),
-                                offset: base + off,
-                                len: chunk,
-                            },
-                        }
-                    });
                 }
             }
         }
@@ -1157,83 +951,29 @@ impl MuFabric {
     /// lossless fabric has no health table). Returns `false` if the link
     /// was already down.
     pub fn kill_link(&self, node: u32, dir: Dir) -> bool {
-        let rel = self
-            .inner
-            .reliability
-            .as_ref()
-            .expect("kill_link requires a fault plan (MuFabricBuilder::fault_plan)");
-        let at = self.inner.shape.coords_of(node as usize);
-        let peer = self.inner.shape.node_index(self.inner.shape.neighbor(at, dir)) as u32;
-        let newly = rel.health.kill(at, dir);
-        if newly {
-            rel.ras.link_down.add(2);
-            rel.ring.record(RasEvent {
-                tick: rel.tick(node),
-                kind: RasEventKind::LinkDown,
-                src_node: node,
-                dst_node: peer,
-                detail: link_id(node, dir),
-            });
-        }
-        newly
+        let rel = self.inner.reliability.as_ref();
+        rel.expect("kill_link requires a fault plan (MuFabricBuilder::fault_plan)")
+            .set_link(node, dir, false)
     }
 
     /// Administratively revive the physical link out of `node` in direction
     /// `dir` (both directions come back up) — the RAS analogue of reseating
     /// the optical module [`MuFabric::kill_link`] pulled. Requires a fault
-    /// plan. Returns `false` if the link was not down. `ras.link_down`
-    /// stays monotonic (it counts down *events*); recovery is visible
-    /// through the `LinkRevived` RAS event, `LinkHealth::down_count`, and
-    /// the health epoch bump that invalidates cached routes.
+    /// plan. Returns `false` if the link was not down.
     pub fn revive_link(&self, node: u32, dir: Dir) -> bool {
-        let rel = self
-            .inner
-            .reliability
-            .as_ref()
-            .expect("revive_link requires a fault plan (MuFabricBuilder::fault_plan)");
-        let at = self.inner.shape.coords_of(node as usize);
-        let peer = self.inner.shape.node_index(self.inner.shape.neighbor(at, dir)) as u32;
-        let newly = rel.health.revive(at, dir);
-        if newly {
-            rel.ring.record(RasEvent {
-                tick: rel.tick(node),
-                kind: RasEventKind::LinkRevived,
-                src_node: node,
-                dst_node: peer,
-                detail: link_id(node, dir),
-            });
-        }
-        newly
+        let rel = self.inner.reliability.as_ref();
+        rel.expect("revive_link requires a fault plan (MuFabricBuilder::fault_plan)")
+            .set_link(node, dir, true)
     }
 
     /// Clear a dead (src, dst) reliable channel so traffic can flow again
     /// after the underlying failure was repaired — the persistent-channel
-    /// renegotiation hook. Resets the retransmit state (fresh RTO, zero
-    /// retries, route recomputed at the current health epoch on next use)
-    /// and republishes the channel alive. Returns `false` without a fault
-    /// plan, for self-sends, or if the channel was not dead. Frames failed
-    /// by the kill stay failed — revival is forward-looking only.
+    /// renegotiation hook. Returns `false` without a fault plan, for
+    /// self-sends, or if the channel was not dead. Frames failed by the
+    /// kill stay failed — revival is forward-looking only.
     pub fn revive_channel(&self, src_node: u32, dst_node: u32) -> bool {
-        let Some(rel) = &self.inner.reliability else { return false };
-        if src_node == dst_node {
-            return false;
-        }
-        let ch = rel.channel(src_node, dst_node);
-        let mut tx = ch.tx.lock();
-        let Some(fault) = tx.dead.take() else { return false };
-        tx.route = None;
-        // The kill cleared the receiver's reorder buffer; the cursor
-        // re-syncs to the next queued frame on the first pump visit.
-        debug_assert!(ch.rx.lock().buffer.is_empty());
-        ch.publish_alive();
-        rel.ring.record(RasEvent {
-            tick: rel.tick(src_node),
-            kind: RasEventKind::ChannelRevived,
-            src_node,
-            dst_node,
-            detail: fault as u64,
-        });
-        true
+        let rel = self.inner.reliability.as_ref();
+        src_node != dst_node && rel.is_some_and(|r| r.revive_channel(src_node, dst_node))
     }
 
     /// Whether `node` has no frames queued or awaiting retry in its
@@ -1255,1273 +995,64 @@ impl MuFabric {
     /// delivered. No-op without a fault plan.
     ///
     /// Also drives the combining overlay one round (batches move one hop
-    /// toward their root) — combining works with or without a fault plan,
-    /// so this runs before the reliability early-outs.
+    /// toward their root) — combining works with or without a fault plan.
     pub fn pump_links(&self, node: u32, budget: usize) -> usize {
-        let mut comb_events = 0;
-        if let Some(comb) = &self.inner.comb {
-            comb_events = comb.pump(
-                self.inner.reliability.as_ref().map(|r| &r.injector),
-                &self.inner.rmw_locks,
-            );
-        }
-        let Some(rel) = &self.inner.reliability else { return comb_events };
-        if rel.idle(node) {
-            return comb_events;
-        }
-        let now = rel.bump_tick(node);
-        let mut done = 0;
-        for ch in rel.channels_of(node) {
-            if done >= budget {
-                break;
-            }
-            let mut guard = ch.tx.lock();
-            done += self.pump_channel_locked(rel, ch, &mut guard, now, budget - done);
-        }
-        done + comb_events
+        let rel = self.inner.reliability.as_ref();
+        let comb_events = self
+            .inner
+            .comb
+            .as_ref()
+            .map_or(0, |comb| comb.pump(rel.map(|r| &r.injector), &self.inner.rmw_locks));
+        comb_events + rel.map_or(0, |rel| rel.pump(node, budget, &self.frame_deposit()))
     }
+}
 
-    /// Decompose a descriptor into link-level frames, queue them on the
-    /// (src, dst) channel, and attempt immediate transmission (fault-free
-    /// frames deliver synchronously, matching the lossless path's
-    /// observable behavior; lost frames wait for [`MuFabric::pump_links`]).
-    fn execute_reliable(
-        &self,
-        rel: &Reliability,
-        src_node: u32,
-        desc: Descriptor,
-        lane: &MsgIdLane,
-    ) {
-        let total_credit = desc.completion_credit();
-        let Descriptor {
-            dst_node,
-            dst_context: _,
-            src_context,
-            routing: _,
-            payload,
-            kind,
-            inj_counter,
-        } = desc;
-        let ch = rel.channel(src_node, dst_node);
-        // Fair-weather fast path: with a clean plan and every link up a
-        // frame cannot be touched in flight, so it is delivered (and
-        // thereby acked) synchronously without taking the channel lock or
-        // entering the queue — the reliable path's cost at 0% faults is
-        // CRC + sequence numbers + ack bookkeeping, not locks and queue
-        // churn. Sequence numbers come from the channel's atomic, so the
-        // lock exists only for the retransmit queue.
-        let fast =
-            rel.clean && !rel.health.any_down() && ch.seems_alive() && !ch.has_backlog();
-        let kind = match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } if fast => {
-                // Specialized fair-weather fifo path: fragment straight
-                // into `MuPacket`s (no link-frame intermediate) exactly as
-                // the lossless fabric does, drawing sequence numbers from
-                // the channel's atomic so a later fault or kill continues
-                // the same sequence space. Synchronous delivery doubles as
-                // the ack, so the injection counter fires here.
-                self.deliver_fifo_sync(
-                    src_node,
-                    dst_node,
-                    src_context,
-                    rec_fifo,
-                    dispatch,
-                    metadata,
-                    payload,
-                    lane,
-                    &ch.next_seq,
-                    None,
-                    inj_counter.is_some(),
-                    short,
-                );
-                if let Some(c) = inj_counter {
-                    c.delivered(total_credit);
-                }
-                return;
+/// A one-sided descriptor as a single delivery action over its whole
+/// payload.
+fn whole_body(kind: XferKind, payload: PayloadSource) -> FrameBody {
+    match kind {
+        XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
+            FrameBody::Put { dst_region, dst_offset, payload: payload.into(), rec_counter }
+        }
+        XferKind::RemoteGet { payload: desc } => FrameBody::Get { desc },
+        XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
+            FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply }
+        }
+        XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take deliver_message"),
+    }
+}
+
+/// Cut a payload into its ≤512-byte packet fragments, `(message offset,
+/// fragment)` in order — the only place [`MAX_PAYLOAD_BYTES`] chunking is
+/// written. An empty payload is one empty fragment (a zero-byte message is
+/// still one packet). `stage` reads a region payload out now (the DMA read
+/// a completion counter promises); otherwise region fragments are
+/// zero-copy windows into the source. A one-fragment immediate payload is
+/// moved, not sliced: no refcount traffic on the short tier.
+fn fragments(
+    mut payload: PayloadSource,
+    stage: bool,
+) -> impl Iterator<Item = (u32, PacketPayload)> {
+    let len = payload.len();
+    (0..packets_for(len)).map(move |i| {
+        let off = i * MAX_PAYLOAD_BYTES;
+        let chunk = (len - off).min(MAX_PAYLOAD_BYTES);
+        let fragment = match &mut payload {
+            PayloadSource::Immediate(data) if chunk == len => {
+                PacketPayload::Inline(std::mem::take(data))
             }
-            // Fate-peeked cut-through, the selective-repeat analog of the
-            // fair-weather bypass: the fault dice are pure functions of
-            // (link, seq, attempt), so under a hostile plan the sender
-            // draws the message's sequence numbers up front and rolls
-            // every packet's forward fate and reverse ack fate before
-            // committing to the queue. If they all pass — the
-            // overwhelmingly common case at percent-level loss — the
-            // message delivers synchronously exactly as the clean path
-            // does, lock-free; any unlucky die sends the message to the
-            // retransmit queue *under the already-drawn seqs*, so the
-            // pump re-rolls these same dice and records the loss exactly
-            // as if the peek never happened. Either way each seq's dice
-            // are consumed exactly once and the fault plan's statistics
-            // are untouched. Guards: selective repeat only (go-back-N
-            // keeps its committed behavior bit for bit), no kill
-            // schedules (crossing counts must stay exact), every link up
-            // (then the route is the deterministic one, precomputed per
-            // channel), channel alive with an empty queue. The liveness
-            // and backlog hints race a concurrent fault episode by at
-            // most one in-flight message — the same window the clean
-            // bypass already accepts.
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short }
-                if !rel.clean
-                    && rel.injector.protocol() == LinkProtocol::SelectiveRepeat
-                    && !rel.injector.has_kills()
-                    && rel.injector.uniform_thresholds().is_some()
-                    && !rel.health.any_down()
-                    && ch.seems_alive()
-                    && !ch.has_backlog() =>
-            {
-                let npackets = bgq_torus::packet::packets_for(payload.len()) as u64;
-                let base = ch.next_seq.fetch_add(npackets, Ordering::Relaxed);
-                let (pass_thr, ack_thr) = rel
-                    .injector
-                    .uniform_thresholds()
-                    .expect("guard requires a uniform-rate plan");
-                let plan = self.fair_plan(rel, ch);
-                // One finalizer per die: each forward hop must come up
-                // `Pass`, each reverse (ack) hop `Pass` or `Delay` — the
-                // threshold forms of exactly the `decide` calls the pump
-                // would make for these frames.
-                let all_pass = (0..npackets).all(|i| {
-                    let ss = FaultInjector::seq_salt(base + i, 0);
-                    plan.fwd_salts
-                        .iter()
-                        .all(|&ls| FaultInjector::draw(ls, ss) >= pass_thr)
-                        && plan
-                            .rev_salts
-                            .iter()
-                            .all(|&ls| FaultInjector::draw(ls, ss) >= ack_thr)
-                });
-                if all_pass {
-                    self.deliver_fifo_sync(
-                        src_node,
-                        dst_node,
-                        src_context,
-                        rec_fifo,
-                        dispatch,
-                        metadata,
-                        payload,
-                        lane,
-                        &ch.next_seq,
-                        Some(base),
-                        inj_counter.is_some(),
-                        short,
-                    );
-                    if let Some(t) = &self.inner.transport {
-                        for _ in 0..npackets {
-                            t.deliver_control(dst_node, src_node, Self::ACK_WIRE_BYTES);
-                        }
-                    }
-                    if let Some(c) = inj_counter {
-                        c.delivered(total_credit);
-                    }
-                    return;
-                }
-                self.enqueue_fifo_frames(
-                    rel,
-                    ch,
-                    base,
-                    src_node,
-                    dst_node,
-                    src_context,
-                    rec_fifo,
-                    dispatch,
-                    metadata,
-                    payload,
-                    lane,
-                    inj_counter,
-                    total_credit,
-                    short,
-                );
-                return;
+            PayloadSource::Immediate(data) => PacketPayload::Inline(data.slice(off..off + chunk)),
+            PayloadSource::Region { region, offset, .. } if stage => {
+                let mut staged = vec![0u8; chunk];
+                region.read(*offset + off, &mut staged);
+                PacketPayload::Inline(bytes::Bytes::from(staged))
             }
-            // Put/Get on a clean fabric still use the generic lock-free
-            // frame emit below (not message-rate critical).
-            other => other,
-        };
-        let mut guard = if fast { None } else { Some(ch.tx.lock()) };
-        let dead = guard.as_ref().and_then(|g| g.dead);
-        let rto_init = rel.injector.retry().rto_ticks;
-        let mut queued = 0usize;
-        let mut failed = 0u64;
-        {
-        let guard_ref = &mut guard;
-        let mut emit = |credit: u64, body: FrameBody| {
-            if let Some(fault) = dead {
-                // The channel already failed: surface the same fault to
-                // this transfer's counters instead of queueing into a
-                // black hole.
-                failed += fail_body(&body, fault);
-                return;
-            }
-            let seq = ch.next_seq.fetch_add(1, Ordering::Relaxed);
-            let frame = Frame {
-                seq,
-                attempt: 0,
-                state: FrameState::Queued,
-                retries: 0,
-                rto: rto_init,
-                credit,
-                inj_counter: inj_counter.clone(),
-                body,
-            };
-            match guard_ref.as_mut() {
-                None => self.deliver_frame(rel, ch, frame),
-                Some(tx) => {
-                    tx.queue.push_back(frame);
-                    queued += 1;
-                }
+            PayloadSource::Region { region, offset, .. } => {
+                PacketPayload::Region { region: region.clone(), offset: *offset + off, len: chunk }
             }
         };
-        match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } => {
-                let msg_len = payload.len();
-                let src = self.node(src_node);
-                let msg_id = lane.next();
-                src.counters.fifo_messages.incr();
-                let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
-                src.counters.packets_injected.add(npackets);
-                // With a completion counter the DMA read is modeled at
-                // frame creation (as on the direct path) — but the counter
-                // itself fires on link-level ack, so a dead channel can
-                // fail it instead of completing a lost message.
-                let stage = inj_counter.is_some()
-                    && matches!(payload, PayloadSource::Region { .. });
-                if stage {
-                    src.counters.payload_copies.add(npackets);
-                }
-                for i in 0..npackets {
-                    let off = i as usize * MAX_PAYLOAD_BYTES;
-                    let chunk = (msg_len - off).min(MAX_PAYLOAD_BYTES);
-                    let fp = match &payload {
-                        PayloadSource::Immediate(data) => {
-                            FramePayload::Inline(data.slice(off..off + chunk))
-                        }
-                        PayloadSource::Region { region, offset: base, len } => {
-                            debug_assert_eq!(*len, msg_len);
-                            if stage {
-                                let mut staged = vec![0u8; chunk];
-                                region.read(base + off, &mut staged);
-                                FramePayload::Inline(bytes::Bytes::from(staged))
-                            } else {
-                                FramePayload::Region {
-                                    region: region.clone(),
-                                    offset: base + off,
-                                    len: chunk,
-                                }
-                            }
-                        }
-                    };
-                    let credit = if msg_len == 0 { total_credit } else { chunk as u64 };
-                    emit(
-                        credit,
-                        FrameBody::Packet {
-                            rec_fifo,
-                            src_context,
-                            dispatch,
-                            metadata: bytes::Bytes::clone(&metadata),
-                            msg_id,
-                            msg_len: msg_len as u32,
-                            offset: off as u32,
-                            short,
-                            payload: fp,
-                        },
-                    );
-                }
-            }
-            XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
-                let len = payload.len();
-                if len == 0 {
-                    emit(
-                        total_credit,
-                        FrameBody::Put {
-                            dst_region,
-                            dst_offset,
-                            payload: FramePayload::Inline(bytes::Bytes::new()),
-                            rec_counter,
-                        },
-                    );
-                } else {
-                    let nchunks = bgq_torus::packet::packets_for(len) as u64;
-                    for i in 0..nchunks {
-                        let off = i as usize * MAX_PAYLOAD_BYTES;
-                        let chunk = (len - off).min(MAX_PAYLOAD_BYTES);
-                        let fp = match &payload {
-                            PayloadSource::Immediate(data) => {
-                                FramePayload::Inline(data.slice(off..off + chunk))
-                            }
-                            PayloadSource::Region { region, offset: base, .. } => {
-                                FramePayload::Region {
-                                    region: region.clone(),
-                                    offset: base + off,
-                                    len: chunk,
-                                }
-                            }
-                        };
-                        emit(
-                            chunk as u64,
-                            FrameBody::Put {
-                                dst_region: dst_region.clone(),
-                                dst_offset: dst_offset + off,
-                                payload: fp,
-                                rec_counter: rec_counter.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-            XferKind::RemoteGet { payload: get_desc } => {
-                emit(total_credit, FrameBody::Get { desc: get_desc });
-            }
-            XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
-                // One frame per rmw: the channel's sequence dedup gives the
-                // retransmitted atomic exactly-once application for free.
-                emit(
-                    total_credit,
-                    FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply },
-                );
-            }
-        }
-        }
-        if let Some(fault) = dead {
-            if let Some(c) = &inj_counter {
-                failed += c.fail(fault) as u64;
-            }
-            rel.ras.delivery_failures.add(failed);
-            rel.ring.record(RasEvent {
-                tick: rel.tick(src_node),
-                kind: RasEventKind::DeliveryFailure,
-                src_node,
-                dst_node,
-                detail: fault as u64,
-            });
-            return;
-        }
-        if queued > 0 {
-            rel.add_pending(src_node, queued);
-            ch.publish_backlog(true);
-            let now = rel.tick(src_node);
-            let guard = guard.as_mut().expect("slow path holds the channel lock");
-            self.pump_channel_locked(rel, ch, guard, now, usize::MAX);
-        }
-    }
-
-    /// The channel state machine. `now` is the node's link-pump tick;
-    /// `budget` caps deliveries. Dispatches on the plan's
-    /// [`LinkProtocol`]: selective repeat works a window of frames with
-    /// lossy acks, go-back-N reproduces the original front-frame protocol
-    /// for A/B runs. Holding the channel lock across delivery is safe —
-    /// delivery never takes another channel's lock.
-    fn pump_channel_locked(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        guard: &mut MutexGuard<'_, TxState>,
-        now: u64,
-        budget: usize,
-    ) -> usize {
-        let tx: &mut TxState = guard;
-        if tx.dead.is_some() {
-            return 0;
-        }
-        let done = match rel.injector.protocol() {
-            LinkProtocol::SelectiveRepeat => {
-                self.pump_selective_repeat(rel, ch, tx, now, budget)
-            }
-            LinkProtocol::GoBackN => self.pump_go_back_n(rel, ch, tx, now, budget),
-        };
-        if tx.dead.is_none() {
-            ch.publish_backlog(!tx.queue.is_empty());
-        }
-        done
-    }
-
-    /// The channel's deterministic route in hot-path form, built once and
-    /// read lock-free. Only meaningful while every link is up — exactly
-    /// when `healthy_route` returns the deterministic route, so this is
-    /// the same plan `ensure_route` would cache under the lock.
-    fn fair_plan<'a>(&self, rel: &Reliability, ch: &'a Channel) -> &'a Arc<RoutePlan> {
-        ch.fair_plan.get_or_init(|| {
-            let shape = self.inner.shape;
-            let src_c = shape.coords_of(ch.src as usize);
-            let dst_c = shape.coords_of(ch.dst as usize);
-            let route = bgq_torus::det_route(shape, src_c, dst_c);
-            Arc::new(Self::build_route_plan(rel, shape, src_c, dst_c, &route))
-        })
-    }
-
-    /// Resolve a route's coordinate arithmetic and dice keys once, into
-    /// exactly what the per-frame hot path needs.
-    fn build_route_plan(
-        rel: &Reliability,
-        shape: TorusShape,
-        src_c: Coords,
-        dst_c: Coords,
-        route: &[Dir],
-    ) -> RoutePlan {
-        let mut hops = Vec::with_capacity(route.len());
-        let mut fwd_salts = Vec::with_capacity(route.len());
-        let mut at = src_c;
-        for &dir in route {
-            let lid = link_id(shape.node_index(at) as u32, dir);
-            hops.push((lid, at, dir));
-            fwd_salts.push(rel.injector.link_salt(lid));
-            at = shape.neighbor(at, dir);
-        }
-        let mut rev_lids = Vec::with_capacity(route.len());
-        let mut rev_salts = Vec::with_capacity(route.len());
-        let mut rat = dst_c;
-        for &dir in route.iter().rev() {
-            let back = dir.reverse();
-            let lid = link_id(shape.node_index(rat) as u32, back);
-            rev_lids.push(lid);
-            rev_salts.push(rel.injector.link_salt(lid));
-            rat = shape.neighbor(rat, back);
-        }
-        RoutePlan { hops, rev_lids, fwd_salts, rev_salts }
-    }
-
-    /// Queue a MemoryFifo message whose sequence numbers were already
-    /// drawn by the fate-peeked cut-through: one frame per packet,
-    /// carrying the pre-drawn seqs so the pump's dice rolls match the
-    /// peek, then pump the channel inline exactly as the generic slow
-    /// path does after an emit.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_fifo_frames(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        base_seq: u64,
-        src_node: u32,
-        dst_node: u32,
-        src_context: u16,
-        rec_fifo: RecFifoId,
-        dispatch: u16,
-        metadata: bytes::Bytes,
-        payload: PayloadSource,
-        lane: &MsgIdLane,
-        inj_counter: Option<bgq_hw::Counter>,
-        total_credit: u64,
-        short: bool,
-    ) {
-        let msg_len = payload.len();
-        let src = self.node(src_node);
-        let msg_id = lane.next();
-        src.counters.fifo_messages.incr();
-        let npackets = bgq_torus::packet::packets_for(msg_len) as u64;
-        src.counters.packets_injected.add(npackets);
-        let stage = inj_counter.is_some() && matches!(payload, PayloadSource::Region { .. });
-        if stage {
-            src.counters.payload_copies.add(npackets);
-        }
-        let rto_init = rel.injector.retry().rto_ticks;
-        let mut guard = ch.tx.lock();
-        let dead = guard.dead;
-        let mut failed = 0u64;
-        let mut queued = 0usize;
-        for i in 0..npackets {
-            let off = i as usize * MAX_PAYLOAD_BYTES;
-            let chunk = (msg_len - off).min(MAX_PAYLOAD_BYTES);
-            let fp = match &payload {
-                PayloadSource::Immediate(data) => {
-                    FramePayload::Inline(data.slice(off..off + chunk))
-                }
-                PayloadSource::Region { region, offset: base, len } => {
-                    debug_assert_eq!(*len, msg_len);
-                    if stage {
-                        let mut staged = vec![0u8; chunk];
-                        region.read(base + off, &mut staged);
-                        FramePayload::Inline(bytes::Bytes::from(staged))
-                    } else {
-                        FramePayload::Region {
-                            region: region.clone(),
-                            offset: base + off,
-                            len: chunk,
-                        }
-                    }
-                }
-            };
-            let credit = if msg_len == 0 { total_credit } else { chunk as u64 };
-            let body = FrameBody::Packet {
-                rec_fifo,
-                src_context,
-                dispatch,
-                metadata: bytes::Bytes::clone(&metadata),
-                msg_id,
-                msg_len: msg_len as u32,
-                offset: off as u32,
-                short,
-                payload: fp,
-            };
-            if let Some(fault) = dead {
-                // The liveness hint raced a concurrent kill: surface the
-                // fault to this transfer's counters, as the emit path does.
-                failed += fail_body(&body, fault);
-                continue;
-            }
-            let seq = base_seq + i;
-            // A concurrent sender's draw may have reached the queue
-            // first: insert in sequence order, which the pump relies on.
-            let pos = guard.queue.partition_point(|f| f.seq < seq);
-            guard.queue.insert(
-                pos,
-                Frame {
-                    seq,
-                    attempt: 0,
-                    state: FrameState::Queued,
-                    retries: 0,
-                    rto: rto_init,
-                    credit,
-                    inj_counter: inj_counter.clone(),
-                    body,
-                },
-            );
-            queued += 1;
-        }
-        if let Some(fault) = dead {
-            drop(guard);
-            if let Some(c) = &inj_counter {
-                failed += c.fail(fault) as u64;
-            }
-            rel.ras.delivery_failures.add(failed);
-            rel.ring.record(RasEvent {
-                tick: rel.tick(src_node),
-                kind: RasEventKind::DeliveryFailure,
-                src_node,
-                dst_node,
-                detail: fault as u64,
-            });
-            return;
-        }
-        rel.add_pending(src_node, queued);
-        ch.publish_backlog(true);
-        let now = rel.tick(src_node);
-        self.pump_channel_locked(rel, ch, &mut guard, now, usize::MAX);
-    }
-
-    /// Make sure `tx` holds a route computed at the current health epoch.
-    /// Kills the channel (`Unreachable`) and returns `None` when no
-    /// healthy route exists.
-    fn ensure_route(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        tx: &mut TxState,
-        now: u64,
-    ) -> Option<Arc<RoutePlan>> {
-        let epoch = rel.health.epoch();
-        if tx.route.is_none() || tx.route_epoch != epoch {
-            let shape = self.inner.shape;
-            let src_c = shape.coords_of(ch.src as usize);
-            let dst_c = shape.coords_of(ch.dst as usize);
-            match healthy_route(shape, src_c, dst_c, &rel.health) {
-                Some(route) => {
-                    if rel.health.any_down()
-                        && route != bgq_torus::det_route(shape, src_c, dst_c)
-                    {
-                        rel.ras.reroutes.incr();
-                        rel.ring.record(RasEvent {
-                            tick: now,
-                            kind: RasEventKind::Reroute,
-                            src_node: ch.src,
-                            dst_node: ch.dst,
-                            detail: route.len() as u64,
-                        });
-                    }
-                    // Resolve the coordinate arithmetic once: the hot
-                    // path crosses frames (and their acks) against the
-                    // precomputed link ids and dice salts only.
-                    tx.route = Some(Arc::new(Self::build_route_plan(
-                        rel, shape, src_c, dst_c, &route,
-                    )));
-                    tx.route_epoch = epoch;
-                }
-                None => {
-                    self.kill_channel(rel, ch, tx, DeliveryFault::Unreachable, now);
-                    return None;
-                }
-            }
-        }
-        tx.route.clone()
-    }
-
-    /// Walk the route's links with one data frame; kill schedules and
-    /// per-link fates apply, first bad link wins. Returns the frame's fate
-    /// and whether a kill schedule fired (cached route invalidated by the
-    /// caller).
-    fn cross_links(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        route: &RoutePlan,
-        seq: u64,
-        attempt: u32,
-        now: u64,
-    ) -> (Fate, bool) {
-        // Kill schedules are rare; hoist the probe so schedule-free plans
-        // pay one branch per frame instead of a map lookup per hop.
-        let check_kills = rel.injector.has_kills();
-        for &(lid, at, dir) in &route.hops {
-            if check_kills && rel.injector.note_crossing(lid) {
-                if rel.health.kill(at, dir) {
-                    rel.ras.link_down.add(2);
-                    rel.ring.record(RasEvent {
-                        tick: now,
-                        kind: RasEventKind::LinkDown,
-                        src_node: ch.src,
-                        dst_node: ch.dst,
-                        detail: lid,
-                    });
-                }
-                return (Fate::Drop, true);
-            }
-            match rel.injector.decide(lid, seq, attempt) {
-                Fate::Pass => {}
-                f => return (f, false),
-            }
-        }
-        (Fate::Pass, false)
-    }
-
-    /// Ack wire cost charged to the transport seam when an ack crosses the
-    /// reverse route: sequence number + SACK bitmap + CRC, no payload.
-    const ACK_WIRE_BYTES: u64 = 32;
-
-    /// Roll the per-link fate dice for an ack crossing the reverse route
-    /// (destination back to source). Ack crossings never advance kill
-    /// schedules — kill-at-Nth-frame plans count data frames only — but
-    /// they reuse the same deterministic dice keyed by the reverse link
-    /// ids, so replay stays bit-for-bit per seed. A passing ack is charged
-    /// to the transport seam as a control frame.
-    fn ack_crosses(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        route: &RoutePlan,
-        seq: u64,
-        attempt: u32,
-    ) -> bool {
-        if !rel.clean {
-            for &lid in &route.rev_lids {
-                match rel.injector.decide(lid, seq, attempt) {
-                    // A delayed ack still arrives — only loss (drop or
-                    // corruption) forces the sender to probe. Modeled as
-                    // on-time because the in-process protocol has no
-                    // reverse-path event queue to defer it on.
-                    Fate::Pass | Fate::Delay(_) => {}
-                    Fate::Drop | Fate::Corrupt => return false,
-                }
-            }
-        }
-        if let Some(t) = &self.inner.transport {
-            t.deliver_control(ch.dst, ch.src, Self::ACK_WIRE_BYTES);
-        }
-        true
-    }
-
-    /// Retire every frame the cumulative ack through `cum` covers: pop the
-    /// queue prefix and credit the source completion counters. All popped
-    /// frames have already been deposited at the destination.
-    fn retire_through(&self, rel: &Reliability, ch: &Channel, tx: &mut TxState, cum: u64) {
-        let mut n = 0;
-        while let Some(front) = tx.queue.front() {
-            if cum.wrapping_sub(front.seq) >= 1 << 63 {
-                break;
-            }
-            let frame = tx.queue.pop_front().expect("front exists");
-            // The frame's data was delivered (its seq is behind the
-            // receive cursor) even if a probe left it Lost/Delayed/Queued;
-            // only SackHeld bodies are still undelivered, and those sit
-            // above the cursor by construction.
-            debug_assert!(
-                !matches!(frame.state, FrameState::SackHeld),
-                "cumulative ack never covers a reorder-buffered frame"
-            );
-            if let Some(c) = &frame.inj_counter {
-                c.delivered(frame.credit);
-            }
-            n += 1;
-        }
-        if n > 0 {
-            rel.sub_pending(ch.src, n);
-        }
-    }
-
-    /// Process one data-frame arrival at the receiver under selective
-    /// repeat: classify it against the reorder state, deposit what became
-    /// deliverable, and apply the (possibly lost) ack to the sender's
-    /// queue. Returns how the caller's scan should continue.
-    #[allow(clippy::too_many_arguments)]
-    fn sr_arrival(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        tx: &mut TxState,
-        idx: usize,
-        seq: u64,
-        now: u64,
-        ack: bool,
-        done: &mut usize,
-    ) -> Arrival {
-        let verdict = ch.rx.lock().accept(seq);
-        match verdict {
-            RxVerdict::Deliver => {
-                // The data crossed in order: deposit it now, then drain
-                // the consecutive run of buffered successors it unblocked.
-                {
-                    let f = &mut tx.queue[idx];
-                    let (fseq, credit) = (f.seq, f.credit);
-                    self.deliver_body(ch, fseq, credit, &f.body);
-                    f.state = FrameState::AckWait { since: now };
-                }
-                *done += 1;
-                let mut cum = seq;
-                let mut j = idx + 1;
-                while let Some(f) = tx.queue.get(j) {
-                    if f.state != FrameState::SackHeld {
-                        break;
-                    }
-                    let fseq = f.seq;
-                    if !ch.rx.lock().drain_next(fseq) {
-                        break;
-                    }
-                    let f = &mut tx.queue[j];
-                    let credit = f.credit;
-                    self.deliver_body(ch, fseq, credit, &f.body);
-                    f.state = FrameState::AckWait { since: now };
-                    *done += 1;
-                    cum = fseq;
-                    j += 1;
-                }
-                if ack {
-                    self.retire_through(rel, ch, tx, cum);
-                    Arrival::Restart
-                } else {
-                    // Ack lost: the delivered frames stay queued in
-                    // AckWait until an RTO probe re-elicits the
-                    // cumulative ack.
-                    Arrival::Advance
-                }
-            }
-            RxVerdict::Sacked => {
-                rel.ras.reorder_depth.incr();
-                if !ack {
-                    // The selective ack was lost: the sender cannot know
-                    // the receiver holds the data, so the frame must be
-                    // retried (the receiver will answer the duplicate).
-                    tx.queue[idx].state = FrameState::Lost { since: now };
-                    return Arrival::Advance;
-                }
-                tx.queue[idx].state = FrameState::SackHeld;
-                // SACK fast retransmit: the selective ack proves later
-                // data crossed, so earlier lost frames needn't wait out
-                // their RTO. These retransmits are free — they do not
-                // count against the retry budget.
-                let mut any = false;
-                for j in 0..idx {
-                    let f = &mut tx.queue[j];
-                    if matches!(f.state, FrameState::Lost { .. }) {
-                        f.state = FrameState::Queued;
-                        f.attempt += 1;
-                        let fseq = f.seq;
-                        any = true;
-                        rel.ras.retransmits.incr();
-                        rel.ras.sack_retransmits.incr();
-                        rel.ring.record(RasEvent {
-                            tick: now,
-                            kind: RasEventKind::SackRetransmit,
-                            src_node: ch.src,
-                            dst_node: ch.dst,
-                            detail: fseq,
-                        });
-                    }
-                }
-                if any {
-                    Arrival::FastRetransmit
-                } else {
-                    Arrival::Advance
-                }
-            }
-            RxVerdict::DupSacked => {
-                // Receiver already holds it; the re-sent selective ack
-                // settles the frame (or is lost again).
-                tx.queue[idx].state = if ack {
-                    FrameState::SackHeld
-                } else {
-                    FrameState::Lost { since: now }
-                };
-                Arrival::Advance
-            }
-            RxVerdict::Duplicate => {
-                // The receiver delivered this data earlier (the ack was
-                // lost); the probe re-elicits the cumulative ack.
-                tx.queue[idx].state = FrameState::AckWait { since: now };
-                if ack {
-                    let cum = ch.rx.lock().next_expected.wrapping_sub(1);
-                    self.retire_through(rel, ch, tx, cum);
-                    Arrival::Restart
-                } else {
-                    Arrival::Advance
-                }
-            }
-            RxVerdict::Refused => {
-                // Reorder buffer at its high-water mark: drop-newest. Not
-                // a wire fault, so no retry-budget charge.
-                rel.ring.record(RasEvent {
-                    tick: now,
-                    kind: RasEventKind::ReorderEvict,
-                    src_node: ch.src,
-                    dst_node: ch.dst,
-                    detail: seq,
-                });
-                tx.queue[idx].state = FrameState::Lost { since: now };
-                Arrival::Advance
-            }
-        }
-    }
-
-    /// Selective repeat: work up to a window of frames per visit. Each
-    /// transmission rolls per-link fates on the forward route; each
-    /// arrival gets a verdict from the receiver's reorder state and an ack
-    /// that rolls the reverse route's dice (see `crate::link` docs for the
-    /// modeling choices). Blocked frames are skipped, so a lost frame at
-    /// the front never head-of-line-blocks the rest of the window.
-    fn pump_selective_repeat(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        tx: &mut TxState,
-        now: u64,
-        budget: usize,
-    ) -> usize {
-        let retry = rel.injector.retry();
-        let mut done = 0usize;
-        // `sent` counts transmissions this visit; the retry window bounds
-        // it (acks are immediate in-process, so the window is a per-tick
-        // transmission bound rather than an in-flight bound — see
-        // `crate::link` docs).
-        let mut sent = 0usize;
-        // Catch the reorder cursor up past anything the fair-weather path
-        // delivered without touching it.
-        if let Some(front) = tx.queue.front() {
-            ch.rx.lock().sync_to(front.seq);
-        }
-        let mut rescan = true;
-        while rescan && done < budget && sent < retry.window {
-            rescan = false;
-            let mut idx = 0usize;
-            while idx < tx.queue.len()
-                && idx < retry.window
-                && done < budget
-                && sent < retry.window
-            {
-                let (state, seq, attempt) = {
-                    let f = &tx.queue[idx];
-                    (f.state, f.seq, f.attempt)
-                };
-                match state {
-                    FrameState::SackHeld => {
-                        // Parked at the receiver; retires via cumulative
-                        // ack when the gap ahead of it fills.
-                        idx += 1;
-                    }
-                    FrameState::Delayed { until } => {
-                        if now < until {
-                            idx += 1;
-                            continue;
-                        }
-                        // The delayed frame arrives now.
-                        let Some(route) = self.ensure_route(rel, ch, tx, now) else {
-                            return done;
-                        };
-                        let ack = self.ack_crosses(rel, ch, &route, seq, attempt);
-                        match self.sr_arrival(rel, ch, tx, idx, seq, now, ack, &mut done) {
-                            Arrival::Advance => idx += 1,
-                            Arrival::Restart => idx = 0,
-                            Arrival::FastRetransmit => {
-                                rescan = true;
-                                idx += 1;
-                            }
-                        }
-                    }
-                    FrameState::Lost { since } | FrameState::AckWait { since } => {
-                        let (rto, retries) = {
-                            let f = &tx.queue[idx];
-                            (f.rto, f.retries)
-                        };
-                        if now.saturating_sub(since) < rto {
-                            idx += 1;
-                            continue;
-                        }
-                        if retries + 1 > retry.retry_budget {
-                            self.kill_channel(rel, ch, tx, DeliveryFault::Timeout, now);
-                            return done;
-                        }
-                        rel.ras.retransmits.incr();
-                        rel.ring.record(RasEvent {
-                            tick: now,
-                            kind: RasEventKind::Retransmit,
-                            src_node: ch.src,
-                            dst_node: ch.dst,
-                            detail: seq,
-                        });
-                        let f = &mut tx.queue[idx];
-                        f.retries += 1;
-                        f.rto = rto.saturating_mul(2).min(retry.rto_max_ticks);
-                        f.attempt += 1;
-                        f.state = FrameState::Queued;
-                        // Same index re-examined: the frame transmits now.
-                    }
-                    FrameState::Queued => {
-                        sent += 1;
-                        // Fair-weather: a clean plan with all links up
-                        // cannot touch the frame or its ack.
-                        if rel.clean && !rel.health.any_down() {
-                            if let Some(t) = &self.inner.transport {
-                                t.deliver_control(ch.dst, ch.src, Self::ACK_WIRE_BYTES);
-                            }
-                            match self.sr_arrival(rel, ch, tx, idx, seq, now, true, &mut done)
-                            {
-                                Arrival::Advance => idx += 1,
-                                Arrival::Restart => idx = 0,
-                                Arrival::FastRetransmit => {
-                                    rescan = true;
-                                    idx += 1;
-                                }
-                            }
-                            continue;
-                        }
-                        let Some(route) = self.ensure_route(rel, ch, tx, now) else {
-                            return done;
-                        };
-                        let (fate, link_died) =
-                            self.cross_links(rel, ch, &route, seq, attempt, now);
-                        match fate {
-                            Fate::Pass => {
-                                let ack = self.ack_crosses(rel, ch, &route, seq, attempt);
-                                match self
-                                    .sr_arrival(rel, ch, tx, idx, seq, now, ack, &mut done)
-                                {
-                                    Arrival::Advance => idx += 1,
-                                    Arrival::Restart => idx = 0,
-                                    Arrival::FastRetransmit => {
-                                        rescan = true;
-                                        idx += 1;
-                                    }
-                                }
-                            }
-                            Fate::Drop => {
-                                self.node(ch.src).counters.packets_dropped.incr();
-                                rel.ring.record(RasEvent {
-                                    tick: now,
-                                    kind: RasEventKind::PacketDropped,
-                                    src_node: ch.src,
-                                    dst_node: ch.dst,
-                                    detail: seq,
-                                });
-                                if link_died {
-                                    tx.route = None;
-                                }
-                                tx.queue[idx].state = FrameState::Lost { since: now };
-                                idx += 1;
-                            }
-                            Fate::Corrupt => {
-                                rel.ras.crc_errors.incr();
-                                rel.ring.record(RasEvent {
-                                    tick: now,
-                                    kind: RasEventKind::CrcError,
-                                    src_node: ch.src,
-                                    dst_node: ch.dst,
-                                    detail: seq,
-                                });
-                                tx.queue[idx].state = FrameState::Lost { since: now };
-                                idx += 1;
-                            }
-                            Fate::Delay(n) => {
-                                tx.queue[idx].state =
-                                    FrameState::Delayed { until: now + n as u64 };
-                                idx += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        done
-    }
-
-    /// Go-back-N over the front frame: the original protocol, acks modeled
-    /// lossless, kept selectable through [`LinkProtocol::GoBackN`] for A/B
-    /// runs against selective repeat.
-    fn pump_go_back_n(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        tx: &mut TxState,
-        now: u64,
-        budget: usize,
-    ) -> usize {
-        let retry = rel.injector.retry();
-        let mut done = 0;
-        let mut sent = 0usize;
-        while done < budget && sent < retry.window {
-            let Some(front) = tx.queue.front() else { break };
-            let (state, seq, attempt) = (front.state, front.seq, front.attempt);
-            match state {
-                FrameState::Delayed { until } => {
-                    if now < until {
-                        break;
-                    }
-                    let frame = tx.queue.pop_front().expect("front exists");
-                    self.deliver_frame(rel, ch, frame);
-                    rel.sub_pending(ch.src, 1);
-                    done += 1;
-                }
-                FrameState::Lost { since } => {
-                    let (rto, retries) = {
-                        let f = tx.queue.front().expect("front exists");
-                        (f.rto, f.retries)
-                    };
-                    if now.saturating_sub(since) < rto {
-                        break;
-                    }
-                    if retries + 1 > retry.retry_budget {
-                        self.kill_channel(rel, ch, tx, DeliveryFault::Timeout, now);
-                        return done;
-                    }
-                    rel.ras.retransmits.incr();
-                    rel.ring.record(RasEvent {
-                        tick: now,
-                        kind: RasEventKind::Retransmit,
-                        src_node: ch.src,
-                        dst_node: ch.dst,
-                        detail: seq,
-                    });
-                    let front = tx.queue.front_mut().expect("front exists");
-                    front.retries += 1;
-                    front.rto = rto.saturating_mul(2).min(retry.rto_max_ticks);
-                    front.attempt += 1;
-                    front.state = FrameState::Queued;
-                    sent += 1;
-                }
-                FrameState::Queued => {
-                    // Fast path: a clean plan with all links up cannot
-                    // touch this frame.
-                    if rel.clean && !rel.health.any_down() {
-                        let frame = tx.queue.pop_front().expect("front exists");
-                        self.deliver_frame(rel, ch, frame);
-                        rel.sub_pending(ch.src, 1);
-                        done += 1;
-                        sent += 1;
-                        continue;
-                    }
-                    let Some(route) = self.ensure_route(rel, ch, tx, now) else {
-                        return done;
-                    };
-                    // Transmit: walk the route's links; kill schedules and
-                    // per-link fates apply, first bad link wins.
-                    let (fate, link_died) =
-                        self.cross_links(rel, ch, &route, seq, attempt, now);
-                    match fate {
-                        Fate::Pass => {
-                            let frame = tx.queue.pop_front().expect("front exists");
-                            self.deliver_frame(rel, ch, frame);
-                            rel.sub_pending(ch.src, 1);
-                            done += 1;
-                            sent += 1;
-                        }
-                        Fate::Drop => {
-                            self.node(ch.src).counters.packets_dropped.incr();
-                            rel.ring.record(RasEvent {
-                                tick: now,
-                                kind: RasEventKind::PacketDropped,
-                                src_node: ch.src,
-                                dst_node: ch.dst,
-                                detail: seq,
-                            });
-                            if link_died {
-                                tx.route = None;
-                            }
-                            tx.queue.front_mut().expect("front exists").state =
-                                FrameState::Lost { since: now };
-                            break;
-                        }
-                        Fate::Corrupt => {
-                            rel.ras.crc_errors.incr();
-                            rel.ring.record(RasEvent {
-                                tick: now,
-                                kind: RasEventKind::CrcError,
-                                src_node: ch.src,
-                                dst_node: ch.dst,
-                                detail: seq,
-                            });
-                            tx.queue.front_mut().expect("front exists").state =
-                                FrameState::Lost { since: now };
-                            break;
-                        }
-                        Fate::Delay(n) => {
-                            tx.queue.front_mut().expect("front exists").state =
-                                FrameState::Delayed { until: now + n as u64 };
-                            break;
-                        }
-                    }
-                }
-                FrameState::AckWait { .. } | FrameState::SackHeld => {
-                    unreachable!("go-back-N never parks frames in selective-repeat states")
-                }
-            }
-        }
-        done
-    }
-
-    /// Permanently fail a channel: mark it dead, fail every queued frame's
-    /// completion counters with `fault`, and record the RAS event. Pollers
-    /// of those counters observe completion-with-fault, never a hang.
-    fn kill_channel(
-        &self,
-        rel: &Reliability,
-        ch: &Channel,
-        tx: &mut TxState,
-        fault: DeliveryFault,
-        now: u64,
-    ) {
-        tx.dead = Some(fault);
-        ch.publish_dead();
-        ch.publish_backlog(false);
-        let n = tx.queue.len();
-        let mut failed = 0;
-        for f in &tx.queue {
-            failed += f.fail(fault);
-        }
-        tx.queue.clear();
-        // Frames parked in the receiver's reorder buffer died with the
-        // channel (their bodies were still in the queue above).
-        ch.rx.lock().buffer.clear();
-        if n > 0 {
-            rel.sub_pending(ch.src, n);
-        }
-        rel.ras.delivery_failures.add(failed);
-        rel.ring.record(RasEvent {
-            tick: now,
-            kind: RasEventKind::DeliveryFailure,
-            src_node: ch.src,
-            dst_node: ch.dst,
-            detail: fault as u64,
-        });
-    }
-
-    /// Deliver one frame to its destination (the frame "crossed the wire"
-    /// intact) and acknowledge it: credit the source completion counter.
-    /// Go-back-N and fair-weather path: delivery doubles as the ack.
-    fn deliver_frame(&self, rel: &Reliability, ch: &Channel, frame: Frame) {
-        let _ = rel;
-        let Frame { seq, credit, inj_counter, body, .. } = frame;
-        self.deliver_body(ch, seq, credit, &body);
-        if let Some(c) = inj_counter {
-            c.delivered(credit);
-        }
-    }
-
-    /// Deposit one frame body at the destination — the data crossed the
-    /// wire — without crediting the source completion counter (under
-    /// selective repeat that happens when the cumulative ack arrives; see
-    /// [`MuFabric::retire_through`]). Borrows the body because the frame
-    /// stays queued until acked; the clones below are refcount bumps.
-    fn deliver_body(&self, ch: &Channel, seq: u64, credit: u64, body: &FrameBody) {
-        match body {
-            FrameBody::Packet {
-                rec_fifo,
-                src_context,
-                dispatch,
-                metadata,
-                msg_id,
-                msg_len,
-                offset,
-                short,
-                payload,
-            } => {
-                let staged: &[u8] = match payload {
-                    FramePayload::Inline(b) => b,
-                    FramePayload::Region { .. } => &[],
-                };
-                let crc = if self.inner.crc {
-                    packet_crc(
-                        ch.src,
-                        *src_context,
-                        *dispatch,
-                        *msg_id,
-                        *msg_len,
-                        *offset,
-                        seq,
-                        metadata,
-                        staged,
-                    )
-                } else {
-                    0
-                };
-                let pkt_payload = match payload {
-                    FramePayload::Inline(b) => PacketPayload::Inline(b.clone()),
-                    FramePayload::Region { region, offset, len } => {
-                        PacketPayload::Region { region: region.clone(), offset: *offset, len: *len }
-                    }
-                };
-                let dst = self.node(ch.dst);
-                let mut pkt = Some(MuPacket {
-                    src_node: ch.src,
-                    src_context: *src_context,
-                    dispatch: *dispatch,
-                    metadata: metadata.clone(),
-                    msg_id: *msg_id,
-                    msg_len: *msg_len,
-                    offset: *offset,
-                    link_seq: seq,
-                    crc,
-                    short: *short,
-                    payload: pkt_payload,
-                });
-                self.deposit(ch.src, ch.dst, *rec_fifo, dst.rec.get(rec_fifo.0), 1, &mut |_| {
-                    pkt.take().expect("one frame, one packet")
-                });
-                dst.counters.packets_received.incr();
-            }
-            FrameBody::Put { dst_region, dst_offset, payload, rec_counter } => {
-                match payload {
-                    FramePayload::Inline(b) => dst_region.write(*dst_offset, b),
-                    FramePayload::Region { region, offset, len } => {
-                        dst_region.copy_from(*dst_offset, region, *offset, *len);
-                    }
-                }
-                self.node(ch.dst).counters.put_bytes_in.add(payload.len() as u64);
-                if let Some(c) = rec_counter {
-                    c.delivered(credit);
-                }
-            }
-            FrameBody::Get { desc } => {
-                let dst = self.node(ch.dst);
-                dst.sys_inj.queue.push((**desc).clone());
-                if let Some(w) = dst.sys_wakeup.get() {
-                    w.touch();
-                }
-                if matches!(self.inner.mode, EngineMode::Threaded(_)) {
-                    dst.engine_wakeup.touch();
-                }
-            }
-            FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
-                // Exactly-once under retransmission: the channel's receive
-                // verdict discards duplicate sequence numbers before this
-                // runs, so a frame body applies at most once.
-                let prior = self.inner.rmw_locks.apply(
-                    *win_key,
-                    dst_region,
-                    *dst_offset,
-                    *op,
-                    *operand,
-                    *compare,
-                );
-                if let Some(r) = reply {
-                    r.region.write(r.offset, &prior.to_le_bytes());
-                }
-            }
-        }
-    }
+        (off as u32, fragment)
+    })
 }
 
 impl Drop for FabricInner {
@@ -2578,7 +1109,7 @@ mod tests {
         // 1300 bytes → 3 packets (512+512+276).
         let out = MemRegion::zeroed(1300);
         let mut count = 0;
-        while let Some(mut p) = fabric.poll_rec(1, rec) {
+        while let Some(p) = fabric.poll_rec(1, rec) {
             assert!(
                 p.payload.view().is_empty(),
                 "region payload stays in source memory until deposited"
@@ -2633,7 +1164,7 @@ mod tests {
         region.fill(0, 1000, 0xEE);
         let dst = MemRegion::zeroed(1000);
         let mut count = 0;
-        while let Some(mut p) = fabric.poll_rec(1, rec) {
+        while let Some(p) = fabric.poll_rec(1, rec) {
             assert!(!p.payload.view().is_empty(), "DMA staged the bytes at injection");
             let off = p.offset as usize;
             p.payload.deposit(&dst, off);
@@ -2667,7 +1198,7 @@ mod tests {
             "no staging on the source node"
         );
         let dst = MemRegion::zeroed(1000);
-        while let Some(mut p) = fabric.poll_rec(1, rec) {
+        while let Some(p) = fabric.poll_rec(1, rec) {
             assert!(p.payload.view().is_empty(), "bytes still live in source memory");
             let off = p.offset as usize;
             p.payload.deposit(&dst, off);
@@ -2860,6 +1391,7 @@ mod tests {
     // ---- reliability-layer tests ---------------------------------------
 
     use crate::faults::RetryConfig;
+    use crate::link::RasEventKind;
     use bgq_hw::DeliveryFault;
 
     fn reliable_fabric(plan: FaultPlan) -> MuFabric {
@@ -2926,7 +1458,7 @@ mod tests {
         // Exactly-once: every packet arrives once, reassembly is complete.
         let out = MemRegion::zeroed(4096);
         let mut count = 0;
-        while let Some(mut p) = fabric.poll_rec(1, rec) {
+        while let Some(p) = fabric.poll_rec(1, rec) {
             assert!(p.verify_crc());
             let off = p.offset as usize;
             p.payload.deposit(&out, off);
@@ -3248,22 +1780,27 @@ mod tests {
         assert!(fabric.links_idle(0));
     }
 
+    /// A short-flagged header from context 3 of node 0 to `rec` on node 1.
+    fn short_hdr(rec: RecFifoId, dispatch: u16, metadata: &'static [u8]) -> FifoHeader {
+        FifoHeader {
+            dst_node: 1,
+            rec_fifo: rec,
+            src_context: 3,
+            dispatch,
+            metadata: Bytes::from_static(metadata),
+            short: true,
+        }
+    }
+
     #[test]
     fn short_send_is_one_inline_packet_with_synchronous_completion() {
         let fabric = small_fabric();
+        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let done = Counter::new();
         done.add_expected(5);
-        fabric.send_short_now(
-            0,
-            1,
-            rec,
-            3,
-            9,
-            Bytes::from_static(b"md"),
-            Bytes::from_static(b"hello"),
-            Some(done.clone()),
-        );
+        let hello = Bytes::from_static(b"hello");
+        fabric.send_short(0, &inj, short_hdr(rec, 9, b"md"), hello, Some(done.clone()));
         assert!(done.is_complete(), "short-tier completion is synchronous");
         let p = fabric.poll_rec(1, rec).unwrap();
         assert!(p.short, "envelope carries the short-tier flag");
@@ -3273,29 +1810,66 @@ mod tests {
         assert_eq!(p.payload.view(), b"hello");
         assert_eq!(p.msg_len, 5);
         assert_eq!(p.offset, 0);
+        assert_eq!(p.crc, 0, "the lossless short envelope goes unstamped");
         assert!(fabric.poll_rec(1, rec).is_none(), "exactly one packet");
     }
 
     #[test]
     fn short_send_keeps_flag_through_reliable_channel() {
         let fabric = reliable_fabric(FaultPlan::new().seed(7));
+        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let done = Counter::new();
         done.add_expected(4);
-        fabric.send_short_now(
-            0,
-            1,
-            rec,
-            0,
-            5,
-            Bytes::new(),
-            Bytes::from_static(b"shrt"),
-            Some(done.clone()),
-        );
+        let shrt = Bytes::from_static(b"shrt");
+        fabric.send_short(0, &inj, short_hdr(rec, 5, b""), shrt, Some(done.clone()));
         assert!(done.is_complete());
         let p = fabric.poll_rec(1, rec).unwrap();
-        assert!(p.short, "flag survives the fair-weather reliable path");
+        assert!(p.short, "flag survives the admitted-through reliable path");
         assert_eq!(p.payload.view(), b"shrt");
+        assert!(p.crc != 0 && p.verify_crc(), "channel packets are stamped, short or not");
+    }
+
+    #[test]
+    fn hostile_plan_admits_clear_messages_through_and_queues_the_rest() {
+        // The one admission rule under real dice: a message whose every die
+        // passes delivers synchronously, exactly like a clean plan; the
+        // rest queue under the same sequence numbers and the pump recovers
+        // them. Same seed, same split, every message exactly once.
+        let fabric = reliable_fabric(FaultPlan::new().seed(77).drop_rate(0.2).retry(RetryConfig {
+            window: 8,
+            rto_ticks: 1,
+            rto_max_ticks: 4,
+            retry_budget: 64,
+        }));
+        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let (mut through, mut queued) = (0, 0);
+        for i in 0..64u8 {
+            let done = Counter::new();
+            done.add_expected(1);
+            let byte = Bytes::from(vec![i]);
+            fabric.send_short(0, &inj, short_hdr(rec, 1, b""), byte, Some(done.clone()));
+            if done.is_complete() {
+                through += 1;
+            } else {
+                queued += 1;
+                pump_until_complete(&fabric, &done);
+            }
+            assert!(done.is_ok());
+            // Drain the channel so the next message meets no backlog and
+            // the split depends on the dice alone.
+            while !fabric.links_idle(0) {
+                fabric.pump_links(0, usize::MAX);
+            }
+        }
+        assert!(through > 0 && queued > 0, "both outcomes exercised ({through}/{queued})");
+        for i in 0..64u8 {
+            let p = fabric.poll_rec(1, rec).expect("every message arrives");
+            assert_eq!(p.payload.view(), &[i], "in order, exactly once");
+            assert_eq!(p.link_seq, i as u64, "queued or not, one sequence space");
+        }
+        assert!(fabric.poll_rec(1, rec).is_none());
     }
 
     #[test]

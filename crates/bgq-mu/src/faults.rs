@@ -82,28 +82,6 @@ impl Default for RetryConfig {
     }
 }
 
-/// Which retransmit protocol the link channels run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LinkProtocol {
-    /// Selective repeat: per-frame acks with SACK-driven fast retransmit
-    /// and a receiver reorder buffer — only missing frames are re-sent.
-    #[default]
-    SelectiveRepeat,
-    /// Go-back-N: the channel examines only its oldest unacked frame and
-    /// acks are modeled lossless — the pre-selective-repeat behaviour,
-    /// kept selectable for A/B benchmarking.
-    GoBackN,
-}
-
-impl LinkProtocol {
-    fn as_str(&self) -> &'static str {
-        match self {
-            LinkProtocol::SelectiveRepeat => "selective_repeat",
-            LinkProtocol::GoBackN => "go_back_n",
-        }
-    }
-}
-
 /// A per-link override in a [`FaultPlan`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkFault {
@@ -133,9 +111,6 @@ pub struct FaultPlan {
     pub links: Vec<LinkFault>,
     /// Retry-protocol constants.
     pub retry: RetryConfig,
-    /// Retransmit protocol (selective repeat by default; go-back-N kept
-    /// for A/B comparison).
-    pub protocol: LinkProtocol,
     /// Receiver reorder-buffer capacity in frames per channel. `None`
     /// defaults to the retry window — out-of-order frames beyond this
     /// high-water mark are refused (drop-newest) and retransmitted later.
@@ -195,12 +170,6 @@ impl FaultPlan {
         self
     }
 
-    /// Select the retransmit protocol (selective repeat by default).
-    pub fn link_protocol(mut self, protocol: LinkProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
     /// Cap the receiver reorder buffer at `frames` per channel (defaults
     /// to the retry window).
     pub fn reorder_capacity(mut self, frames: usize) -> Self {
@@ -240,7 +209,6 @@ impl FaultPlan {
             ", \"retry\": {{\"window\": {}, \"rto_ticks\": {}, \"rto_max_ticks\": {}, \"retry_budget\": {}}}",
             r.window, r.rto_ticks, r.rto_max_ticks, r.retry_budget
         ));
-        out.push_str(&format!(", \"protocol\": \"{}\"", self.protocol.as_str()));
         if let Some(cap) = self.reorder_capacity {
             out.push_str(&format!(", \"reorder_capacity\": {cap}"));
         }
@@ -301,16 +269,13 @@ impl FaultPlan {
             }
             plan.retry = retry;
         }
-        if let Some(p) = obj.get("protocol") {
-            plan.protocol = match p.as_str() {
-                Some("selective_repeat") => LinkProtocol::SelectiveRepeat,
-                Some("go_back_n") => LinkProtocol::GoBackN,
-                _ => {
-                    return Err(FaultPlanError::Shape(
-                        "protocol must be \"selective_repeat\" or \"go_back_n\"",
-                    ))
-                }
-            };
+        // Plan files written while the protocol was selectable keep
+        // loading as long as they name the one that remains.
+        if obj.get("protocol").is_some_and(|p| p.as_str() != Some("selective_repeat")) {
+            return Err(FaultPlanError::Shape(
+                "protocol: go-back-N was removed (PR 12); \"selective_repeat\" is the only \
+                 link protocol — drop the key",
+            ));
         }
         if let Some(cap) = obj.get("reorder_capacity") {
             plan.reorder_capacity = Some(
@@ -528,11 +493,6 @@ impl FaultInjector {
         self.plan.retry
     }
 
-    /// Which retransmit protocol the channels run.
-    pub fn protocol(&self) -> LinkProtocol {
-        self.plan.protocol
-    }
-
     /// Receiver reorder-buffer capacity in frames.
     pub fn reorder_capacity(&self) -> usize {
         self.plan.effective_reorder_capacity()
@@ -730,7 +690,6 @@ mod tests {
             .link_rates(2, dir, FaultRates { drop: 0.5, corrupt: 0.0, delay: 0.0, delay_ticks: 2 })
             .kill_link_at(3, dir, 128)
             .retry(RetryConfig { window: 32, rto_ticks: 2, rto_max_ticks: 16, retry_budget: 5 })
-            .link_protocol(LinkProtocol::GoBackN)
             .reorder_capacity(12);
         let text = plan.to_json();
         let back = FaultPlan::from_json(&text).expect("round trip parses");
@@ -738,17 +697,29 @@ mod tests {
     }
 
     #[test]
-    fn protocol_and_reorder_capacity_parse_and_default() {
+    fn reorder_capacity_parses_and_defaults() {
         let plan = FaultPlan::from_json("{}").unwrap();
-        assert_eq!(plan.protocol, LinkProtocol::SelectiveRepeat);
         assert_eq!(plan.reorder_capacity, None);
         assert_eq!(plan.effective_reorder_capacity(), plan.retry.window);
-        let plan =
-            FaultPlan::from_json("{\"protocol\": \"go_back_n\", \"reorder_capacity\": 4}").unwrap();
-        assert_eq!(plan.protocol, LinkProtocol::GoBackN);
+        let plan = FaultPlan::from_json("{\"reorder_capacity\": 4}").unwrap();
         assert_eq!(plan.effective_reorder_capacity(), 4);
-        assert!(FaultPlan::from_json("{\"protocol\": \"stop_and_wait\"}").is_err());
         assert!(FaultPlan::from_json("{\"reorder_capacity\": 0}").is_err());
+    }
+
+    #[test]
+    fn removed_protocol_option_fails_loudly_but_old_default_files_load() {
+        // Files written while the protocol was selectable still load when
+        // they name selective repeat...
+        let old = "{\"seed\": 3, \"protocol\": \"selective_repeat\", \"drop\": 0.1}";
+        assert_eq!(FaultPlan::from_json(old).unwrap(), FaultPlan::new().seed(3).drop_rate(0.1));
+        // ...and anything else is a typed error naming the removal, not a
+        // silent fallback to a protocol the file did not ask for.
+        for gone in ["\"go_back_n\"", "\"stop_and_wait\"", "7"] {
+            match FaultPlan::from_json(&format!("{{\"protocol\": {gone}}}")) {
+                Err(FaultPlanError::Shape(why)) => assert!(why.contains("removed"), "{why}"),
+                other => panic!("protocol {gone} must be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,10 @@ pub mod transport;
 pub use batch::{push_record, record_size, BatchRecord, RecordIter};
 pub use bgq_hw::{Counter, DeliveryFault};
 pub use comb::CombCounters;
-pub use descriptor::{Descriptor, PayloadSource, RmwOp, RmwReply, XferKind};
+pub use descriptor::{Descriptor, FifoHeader, PayloadSource, RmwOp, RmwReply, XferKind};
 pub use engine::EngineMode;
 pub use fabric::{MuCounters, MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
-pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, LinkProtocol, RetryConfig};
+pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, RetryConfig};
 pub use link::{RasCounters, RasEvent, RasEventKind, RasObserver, RasRing};
 pub use packet::packet_crc;
 pub use transport::Transport;

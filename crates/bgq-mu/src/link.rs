@@ -12,8 +12,7 @@
 //! completion counters with a typed [`DeliveryFault`] instead of hanging
 //! whoever is polling them.
 //!
-//! The retransmit protocol is **selective repeat** (go-back-N remains
-//! selectable through [`crate::faults::LinkProtocol`] for A/B runs): the
+//! The retransmit protocol is **selective repeat**: the
 //! sender works a window of frames rather than only the oldest one, the
 //! receiver accepts out-of-order arrivals into a bounded reorder buffer
 //! ([`RxState`]) and answers each with a selective ack, and a cumulative
@@ -26,14 +25,13 @@
 //! Deliberate modeling choices, documented because they bound what the
 //! model can show:
 //!
-//! * **Acks are frames too, and they can be lost.** Under selective repeat
-//!   an ack crosses the reverse route and rolls the same per-link fate
+//! * **Acks are frames too, and they can be lost.** An ack crosses the
+//!   reverse route and rolls the same per-link fate
 //!   dice as data; a lost ack leaves the sender's frame in
 //!   [`FrameState::AckWait`] until an RTO-driven probe re-elicits a
 //!   cumulative ack (the receiver discards the duplicate data). Ack
 //!   crossings do not advance kill schedules, so kill-at-Nth-frame plans
-//!   count data frames only. Go-back-N mode keeps the old lossless-ack
-//!   model, bit for bit.
+//!   count data frames only.
 //! * **The reorder buffer is sender-resident.** The simulation's "wire" is
 //!   a function call, so an out-of-order frame's body stays in the sender's
 //!   queue ([`FrameState::SackHeld`]) and is deposited at the destination
@@ -46,23 +44,27 @@
 //!   more exposed, but there is no per-hop buffering — a frame is either
 //!   delivered whole or lost whole.
 //!
-//! The channel state machine itself is driven by
-//! [`crate::fabric::MuFabric::pump_links`]; this module owns the data
-//! structures and the bookkeeping.
+//! This module owns the whole layer — data structures, bookkeeping and
+//! the channel state machine. The fabric ([`crate::fabric`]) enters it at
+//! three points: [`Reliability::admit`] (the pipeline's one admission
+//! decision: straight through, or onto the retransmit queue),
+//! [`Reliability::enqueue`] and [`Reliability::pump`]; what "delivering a
+//! frame" does at the destination is handed in as a [`Deposit`] closure,
+//! so this module never touches a reception FIFO.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_hw::{Counter as HwCounter, DeliveryFault, MemRegion};
-use bgq_torus::{Coords, Dir, LinkHealth};
+use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
-use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::descriptor::{Descriptor, RmwOp, RmwReply};
-use crate::faults::FaultInjector;
-use crate::fifo::RecFifoId;
+use crate::descriptor::{Descriptor, FifoHeader, RmwOp, RmwReply};
+use crate::faults::{link_id, Fate, FaultInjector};
+use crate::packet::PacketPayload;
+use crate::transport::Transport;
 
 /// `ras.*` telemetry probes — the reliability layer's RAS event counters,
 /// registered on the fabric's shared [`Upc`] so `pamistat` exports them
@@ -238,46 +240,17 @@ impl RasRing {
     }
 }
 
-/// A frame's payload: clone-cheap ingredients for rebuilding the delivery
-/// on a retransmit attempt.
-#[derive(Clone)]
-pub(crate) enum FramePayload {
-    /// Bytes staged in the frame.
-    Inline(Bytes),
-    /// Zero-copy window into the source region.
-    Region { region: MemRegion, offset: usize, len: usize },
-}
-
-impl FramePayload {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            FramePayload::Inline(b) => b.len(),
-            FramePayload::Region { len, .. } => *len,
-        }
-    }
-}
-
 /// What delivering a frame does at the destination.
 pub(crate) enum FrameBody {
-    /// One memory-FIFO packet.
-    Packet {
-        rec_fifo: RecFifoId,
-        src_context: u16,
-        dispatch: u16,
-        metadata: Bytes,
-        msg_id: u64,
-        msg_len: u32,
-        offset: u32,
-        /// Short-tier flag, carried so the delivered [`crate::packet::MuPacket`]
-        /// keeps its tier under a fault plan.
-        short: bool,
-        payload: FramePayload,
-    },
-    /// One ≤512-byte window of a direct put.
+    /// One memory-FIFO packet: the message header (what every packet of
+    /// the message says) plus this fragment.
+    Packet { hdr: FifoHeader, msg_id: u64, msg_len: u32, offset: u32, payload: PacketPayload },
+    /// One window of a direct put (≤512 bytes under a fault plan, the whole
+    /// payload on the lossless fabric).
     Put {
         dst_region: MemRegion,
         dst_offset: usize,
-        payload: FramePayload,
+        payload: PacketPayload,
         rec_counter: Option<HwCounter>,
     },
     /// A remote-get request carrying the payload descriptor the
@@ -405,8 +378,7 @@ pub(crate) struct RoutePlan {
 /// Mutable transmit half of a channel, guarded by the channel mutex.
 pub(crate) struct TxState {
     /// Frames awaiting transmission/ack, in sequence order. Selective
-    /// repeat works up to a window of them per pump visit; go-back-N mode
-    /// examines only the front.
+    /// repeat works up to a window of them per pump visit.
     pub queue: VecDeque<Frame>,
     /// Cached healthy route; `None` = recompute before next transmission.
     pub route: Option<Arc<RoutePlan>>,
@@ -485,9 +457,9 @@ impl RxState {
         false
     }
 
-    /// Fast-forward past sequences the fair-weather path delivered without
-    /// touching this state: the oldest unacked queued frame is the oldest
-    /// sequence the receiver could still be missing.
+    /// Fast-forward past sequences that were admitted straight through
+    /// without touching this state: the oldest unacked queued frame is the
+    /// oldest sequence the receiver could still be missing.
     pub(crate) fn sync_to(&mut self, oldest_unacked: u64) {
         let rel = oldest_unacked.wrapping_sub(self.next_expected);
         if rel > 0 && rel < 1 << 63 {
@@ -504,27 +476,26 @@ impl RxState {
 pub(crate) struct Channel {
     pub src: u32,
     pub dst: u32,
-    /// Next frame sequence number to assign. Atomic (not under `tx`) so
-    /// the fair-weather path can stamp sequence numbers without taking
-    /// the channel lock; queued (slow-path) assignment happens under the
-    /// lock and therefore stays in queue order.
-    pub next_seq: AtomicU64,
+    /// Next frame sequence number to assign. Atomic (not under `tx`):
+    /// [`Reliability::admit`] draws a message's sequence numbers before it
+    /// knows whether the channel lock will be needed at all.
+    next_seq: AtomicU64,
     /// Lock-free mirror of [`TxState::dead`] (the authoritative flag,
     /// written under the lock). Lets the fast path skip dead channels
     /// without acquiring the mutex; a racing kill at worst lets one
     /// in-flight frame deliver, which is indistinguishable from the frame
     /// having crossed just before the kill.
     dead_hint: std::sync::atomic::AtomicBool,
-    /// Lock-free mirror of "the queue is non-empty". The fair-weather
-    /// fast path checks it so synchronous sends never overtake frames
-    /// still queued from a fault episode — one relaxed load when clean.
+    /// Lock-free mirror of "the queue is non-empty". Admission checks it
+    /// so straight-through sends never overtake frames still queued from
+    /// a fault episode — one relaxed load when clean.
     backlog_hint: std::sync::atomic::AtomicBool,
     /// The deterministic route in hot-path form, built lazily once per
     /// channel. Valid whenever every link is up (then it is exactly the
-    /// route `ensure_route` would cache); read lock-free by the
-    /// fate-peeked cut-through so the send path under a hostile plan
-    /// never takes the channel mutex for a passing message.
-    pub(crate) fair_plan: std::sync::OnceLock<Arc<RoutePlan>>,
+    /// route `ensure_route` would cache); read lock-free by
+    /// [`Reliability::admit`]'s dice peek, so the send path under a
+    /// hostile plan never takes the channel mutex for a passing message.
+    fair_plan: OnceLock<Arc<RoutePlan>>,
     pub tx: Mutex<TxState>,
     /// Receiver-side reorder tracking. Lock order: `tx` before `rx`,
     /// always.
@@ -539,7 +510,7 @@ impl Channel {
             next_seq: AtomicU64::new(0),
             dead_hint: std::sync::atomic::AtomicBool::new(false),
             backlog_hint: std::sync::atomic::AtomicBool::new(false),
-            fair_plan: std::sync::OnceLock::new(),
+            fair_plan: OnceLock::new(),
             tx: Mutex::new(TxState {
                 queue: VecDeque::new(),
                 route: None,
@@ -555,31 +526,19 @@ impl Channel {
     }
 
     /// Lock-free liveness probe (see `dead_hint`).
-    pub(crate) fn seems_alive(&self) -> bool {
+    fn seems_alive(&self) -> bool {
         !self.dead_hint.load(Ordering::Acquire)
     }
 
     /// Lock-free backlog probe (see `backlog_hint`).
-    pub(crate) fn has_backlog(&self) -> bool {
+    fn has_backlog(&self) -> bool {
         self.backlog_hint.load(Ordering::Relaxed)
     }
 
     /// Publish whether the transmit queue is non-empty; called with the
     /// `tx` lock held whenever the emptiness changes.
-    pub(crate) fn publish_backlog(&self, on: bool) {
+    fn publish_backlog(&self, on: bool) {
         self.backlog_hint.store(on, Ordering::Release);
-    }
-
-    /// Publish the lock-free dead hint; called with the lock held, right
-    /// after [`TxState::dead`] is set.
-    pub(crate) fn publish_dead(&self) {
-        self.dead_hint.store(true, Ordering::Release);
-    }
-
-    /// Clear the dead hint; called with the lock held, right after
-    /// [`TxState::dead`] is cleared by a channel revive.
-    pub(crate) fn publish_alive(&self) {
-        self.dead_hint.store(false, Ordering::Release);
     }
 }
 
@@ -591,7 +550,7 @@ const FLAT_CHANNEL_TABLE_MAX_NODES: usize = 128;
 
 /// Storage for the per-(src, dst) channels.
 ///
-/// The fair-weather send path looks a channel up once per descriptor, so
+/// The send path looks a channel up once per message, so
 /// the lookup cost is on the message-rate critical path under a fault
 /// plan. The dense [`ChannelTable::Flat`] form resolves it with a single
 /// index + one lock-free `OnceLock` read — no chained row lookup, no
@@ -616,14 +575,18 @@ pub(crate) struct Reliability {
     pub ras: Arc<RasCounters>,
     /// RAS event ring.
     pub ring: Arc<RasRing>,
-    /// `true` when the plan injects nothing — the channel pump takes a
-    /// straight-through path (still counting frames, so the fault-free
-    /// protocol overhead is real and measurable).
-    pub clean: bool,
+    /// `true` when the plan injects nothing: [`Reliability::admit`] then
+    /// has zero dice to roll (frames still carry CRC and sequence numbers,
+    /// so the fault-free protocol overhead is real and measurable).
+    clean: bool,
+    shape: TorusShape,
+    /// The fabric's transport seam, charged one control frame per ack.
+    transport: Option<Arc<dyn Transport>>,
+    /// Each source node's `mu.packets_dropped` probe (handles onto the
+    /// fabric's per-node counters), bumped on a `Drop` fate.
+    dropped: Vec<Counter>,
     /// The (src, dst) channel table; see [`ChannelTable`].
     channels: ChannelTable,
-    /// Number of nodes (row width).
-    num_nodes: usize,
     /// Per-source-node link-pump tick.
     ticks: Vec<AtomicU64>,
     /// Per-source-node count of frames queued across its channels (lock
@@ -631,28 +594,61 @@ pub(crate) struct Reliability {
     pending: Vec<AtomicUsize>,
 }
 
+/// The pipeline's deposit step, handed in by the fabric: perform one frame
+/// body's delivery action at the destination — `(channel, seq, credit,
+/// body)`. Called with the channel's `tx` lock held; it must not take
+/// another channel's lock (the fabric's never does).
+pub(crate) type Deposit<'a> = &'a dyn Fn(&Channel, u64, u64, &FrameBody);
+
+/// What [`Reliability::admit`] decided for a message's frames; either way
+/// they own the sequence numbers `base_seq..base_seq + n`.
+pub(crate) enum Admit {
+    /// Nothing can touch these frames or their acks: deposit them now, on
+    /// the sending thread, without the channel lock.
+    Through { base_seq: u64 },
+    /// Hand them to [`Reliability::enqueue`] under the drawn numbers.
+    Queue { base_seq: u64 },
+}
+
+/// How an arrival leaves the sender's scan: move to the next frame,
+/// restart from the (new) queue front after a cumulative ack retired a
+/// prefix, or rescan because a SACK re-queued earlier frames for immediate
+/// retransmission.
+enum Arrival {
+    Advance,
+    Restart,
+    FastRetransmit,
+}
+
+/// Ack wire cost charged to the transport seam when an ack crosses the
+/// reverse route: sequence number + SACK bitmap + CRC, no payload.
+const ACK_WIRE_BYTES: u64 = 32;
+
 impl Reliability {
     pub(crate) fn new(
         injector: FaultInjector,
-        health: LinkHealth,
+        shape: TorusShape,
         ras: Arc<RasCounters>,
         ring: Arc<RasRing>,
-        num_nodes: usize,
+        transport: Option<Arc<dyn Transport>>,
+        dropped: Vec<Counter>,
     ) -> Self {
-        let clean = injector.plan().is_clean();
+        let num_nodes = dropped.len();
         let channels = if num_nodes <= FLAT_CHANNEL_TABLE_MAX_NODES {
             ChannelTable::Flat((0..num_nodes * num_nodes).map(|_| OnceLock::new()).collect())
         } else {
             ChannelTable::Rows((0..num_nodes).map(|_| OnceLock::new()).collect())
         };
         Reliability {
+            clean: injector.plan().is_clean(),
             injector,
-            health,
+            health: LinkHealth::new(shape),
             ras,
             ring,
-            clean,
+            shape,
+            transport,
+            dropped,
             channels,
-            num_nodes,
             ticks: (0..num_nodes).map(|_| AtomicU64::new(0)).collect(),
             pending: (0..num_nodes).map(|_| AtomicUsize::new(0)).collect(),
         }
@@ -662,55 +658,36 @@ impl Reliability {
     /// table this is one index plus one lock-free `OnceLock` read.
     pub(crate) fn channel(&self, src: u32, dst: u32) -> &Channel {
         let cap = self.injector.reorder_capacity();
+        let n = self.pending.len();
         match &self.channels {
-            ChannelTable::Flat(slab) => slab[src as usize * self.num_nodes + dst as usize]
-                .get_or_init(|| Channel::new(src, dst, cap)),
+            ChannelTable::Flat(slab) => {
+                slab[src as usize * n + dst as usize].get_or_init(|| Channel::new(src, dst, cap))
+            }
             ChannelTable::Rows(rows) => {
-                let row = rows[src as usize]
-                    .get_or_init(|| (0..self.num_nodes).map(|_| OnceLock::new()).collect());
+                let row =
+                    rows[src as usize].get_or_init(|| (0..n).map(|_| OnceLock::new()).collect());
                 row[dst as usize].get_or_init(|| Channel::new(src, dst, cap))
             }
         }
     }
 
     /// All channels sourced at `node` (pump order: destination index).
-    pub(crate) fn channels_of(&self, node: u32) -> impl Iterator<Item = &Channel> {
-        let flat = match &self.channels {
-            ChannelTable::Flat(slab) => {
-                let start = node as usize * self.num_nodes;
-                Some(slab[start..start + self.num_nodes].iter().filter_map(OnceLock::get))
-            }
-            ChannelTable::Rows(_) => None,
+    fn channels_of(&self, node: u32) -> impl Iterator<Item = &Channel> {
+        let n = self.pending.len();
+        let row: &[OnceLock<Channel>] = match &self.channels {
+            ChannelTable::Flat(slab) => &slab[node as usize * n..(node as usize + 1) * n],
+            ChannelTable::Rows(rows) => rows[node as usize].get().map_or(&[], |row| &row[..]),
         };
-        let rows = match &self.channels {
-            ChannelTable::Rows(rows) => Some(
-                rows[node as usize]
-                    .get()
-                    .into_iter()
-                    .flat_map(|row| row.iter().filter_map(OnceLock::get)),
-            ),
-            ChannelTable::Flat(_) => None,
-        };
-        flat.into_iter().flatten().chain(rows.into_iter().flatten())
+        row.iter().filter_map(OnceLock::get)
     }
 
-    /// Advance and read `node`'s link-pump tick.
-    pub(crate) fn bump_tick(&self, node: u32) -> u64 {
-        self.ticks[node as usize].fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Current tick without advancing.
-    pub(crate) fn tick(&self, node: u32) -> u64 {
+    /// Current link-pump tick of `node`.
+    fn tick(&self, node: u32) -> u64 {
         self.ticks[node as usize].load(Ordering::Relaxed)
     }
 
-    /// Frame-queued accounting.
-    pub(crate) fn add_pending(&self, node: u32, n: usize) {
-        self.pending[node as usize].fetch_add(n, Ordering::Release);
-    }
-
     /// Frame-retired accounting.
-    pub(crate) fn sub_pending(&self, node: u32, n: usize) {
+    fn sub_pending(&self, node: u32, n: usize) {
         self.pending[node as usize].fetch_sub(n, Ordering::Release);
     }
 
@@ -718,11 +695,589 @@ impl Reliability {
     pub(crate) fn idle(&self, node: u32) -> bool {
         self.pending[node as usize].load(Ordering::Acquire) == 0
     }
+
+    // ---- admission ------------------------------------------------------
+
+    /// The pipeline's one admission decision: draw the sequence numbers of
+    /// a message's `n` frames and say whether they go straight through.
+    /// The rule is the same whatever the plan — channel alive, no backlog
+    /// to overtake, every link up (so the route is the deterministic one),
+    /// and every first-attempt die of these sequence numbers comes up clear
+    /// — and a clean plan is simply the case with zero dice. The dice are
+    /// pure functions of (link, seq, attempt), so peeking consumes nothing:
+    /// frames that queue re-roll the same dice in the pump, and the plan's
+    /// loss statistics are identical either way. The liveness and backlog
+    /// hints race a concurrent fault episode by at most one in-flight
+    /// message, indistinguishable from it having crossed just before.
+    pub(crate) fn admit(&self, ch: &Channel, n: u64) -> Admit {
+        let base_seq = ch.next_seq.fetch_add(n, Ordering::Relaxed);
+        if ch.seems_alive()
+            && !ch.has_backlog()
+            && !self.health.any_down()
+            && self.dice_pass(ch, base_seq, n)
+        {
+            // Synchronous delivery doubles as the ack.
+            self.charge_acks(ch, n);
+            Admit::Through { base_seq }
+        } else {
+            Admit::Queue { base_seq }
+        }
+    }
+
+    /// Whether frames `base..base + n` and their acks all cross the
+    /// deterministic route untouched on the first attempt: each forward
+    /// hop must come up `Pass`, each reverse (ack) hop `Pass` or `Delay` —
+    /// the threshold forms of exactly the `decide` calls the pump would
+    /// make. Kill schedules must count every crossing and per-link rate
+    /// overrides need the full `decide`, so such plans never pass a peek.
+    fn dice_pass(&self, ch: &Channel, base: u64, n: u64) -> bool {
+        if self.clean {
+            return true;
+        }
+        let Some((pass_thr, ack_thr)) = self.injector.uniform_thresholds() else {
+            return false;
+        };
+        if self.injector.has_kills() {
+            return false;
+        }
+        let plan = self.fair_plan(ch);
+        (base..base + n).all(|seq| {
+            let ss = FaultInjector::seq_salt(seq, 0);
+            plan.fwd_salts.iter().all(|&ls| FaultInjector::draw(ls, ss) >= pass_thr)
+                && plan.rev_salts.iter().all(|&ls| FaultInjector::draw(ls, ss) >= ack_thr)
+        })
+    }
+
+    /// Queue a message's frames — `(credit, body)` in message order —
+    /// under the sequence numbers [`Reliability::admit`] drew for them,
+    /// then pump the channel. A dead channel fails their counters with its
+    /// fault instead of queueing into a black hole.
+    pub(crate) fn enqueue(
+        &self,
+        ch: &Channel,
+        base_seq: u64,
+        inj_counter: Option<HwCounter>,
+        bodies: impl Iterator<Item = (u64, FrameBody)>,
+        deposit: Deposit<'_>,
+    ) {
+        let rto = self.injector.retry().rto_ticks;
+        let frames = bodies.zip(base_seq..).map(|((credit, body), seq)| Frame {
+            seq,
+            attempt: 0,
+            state: FrameState::Queued,
+            retries: 0,
+            rto,
+            credit,
+            inj_counter: inj_counter.clone(),
+            body,
+        });
+        let mut guard = ch.tx.lock();
+        let tx: &mut TxState = &mut guard;
+        if let Some(fault) = tx.dead {
+            let failed: u64 = frames.map(|f| f.fail(fault)).sum();
+            self.ras.delivery_failures.add(failed);
+            self.ring.record(RasEvent {
+                tick: self.tick(ch.src),
+                kind: RasEventKind::DeliveryFailure,
+                src_node: ch.src,
+                dst_node: ch.dst,
+                detail: fault as u64,
+            });
+            return;
+        }
+        let before = tx.queue.len();
+        for frame in frames {
+            // A concurrent sender's draw may have reached the queue first:
+            // insert in sequence order, which the pump relies on.
+            let pos = tx.queue.partition_point(|f| f.seq < frame.seq);
+            tx.queue.insert(pos, frame);
+        }
+        self.pending[ch.src as usize].fetch_add(tx.queue.len() - before, Ordering::Release);
+        ch.publish_backlog(true);
+        self.pump_channel(ch, tx, self.tick(ch.src), usize::MAX, deposit);
+    }
+
+    // ---- the channel state machine ----------------------------------------
+
+    /// Pump `node`'s channels: transmit queued frames, fire RTO
+    /// retransmissions, release delayed frames. Each call advances the
+    /// node's link-pump tick (the retry protocol's clock). Returns frames
+    /// deposited.
+    pub(crate) fn pump(&self, node: u32, budget: usize, deposit: Deposit<'_>) -> usize {
+        if self.idle(node) {
+            return 0;
+        }
+        let now = self.ticks[node as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        let mut done = 0;
+        for ch in self.channels_of(node) {
+            if done >= budget {
+                break;
+            }
+            done += self.pump_channel(ch, &mut ch.tx.lock(), now, budget - done, deposit);
+        }
+        done
+    }
+
+    /// Selective repeat over one channel: work up to a window of frames
+    /// per visit. Each transmission rolls per-link fates on the forward
+    /// route; each arrival gets a verdict from the receiver's reorder
+    /// state and an ack that rolls the reverse route's dice (see the module
+    /// docs for the modeling choices). Blocked frames are skipped, so a
+    /// lost frame at the front never head-of-line-blocks the rest of the
+    /// window. `now` is the node's link-pump tick; `budget` caps deposits.
+    fn pump_channel(
+        &self,
+        ch: &Channel,
+        tx: &mut TxState,
+        now: u64,
+        budget: usize,
+        deposit: Deposit<'_>,
+    ) -> usize {
+        if tx.dead.is_some() {
+            return 0;
+        }
+        let retry = self.injector.retry();
+        let mut done = 0usize;
+        // `sent` counts transmissions this visit; the retry window bounds
+        // it (acks are immediate in-process, so the window is a per-tick
+        // transmission bound rather than an in-flight bound).
+        let mut sent = 0usize;
+        // Catch the reorder cursor up past anything admitted straight
+        // through, which never touches it.
+        if let Some(front) = tx.queue.front() {
+            ch.rx.lock().sync_to(front.seq);
+        }
+        let mut rescan = true;
+        while rescan && done < budget && sent < retry.window {
+            rescan = false;
+            let mut idx = 0usize;
+            while idx < tx.queue.len() && idx < retry.window && done < budget && sent < retry.window
+            {
+                let (state, seq, attempt) = {
+                    let f = &tx.queue[idx];
+                    (f.state, f.seq, f.attempt)
+                };
+                match state {
+                    // Parked at the receiver; retires via cumulative ack
+                    // when the gap ahead of it fills.
+                    FrameState::SackHeld => idx += 1,
+                    FrameState::Delayed { until } if now < until => idx += 1,
+                    FrameState::Lost { since } | FrameState::AckWait { since } => {
+                        let (rto, retries) = {
+                            let f = &tx.queue[idx];
+                            (f.rto, f.retries)
+                        };
+                        if now.saturating_sub(since) < rto {
+                            idx += 1;
+                            continue;
+                        }
+                        if retries + 1 > retry.retry_budget {
+                            self.kill_channel(ch, tx, DeliveryFault::Timeout, now);
+                            return done;
+                        }
+                        self.ras.retransmits.incr();
+                        self.record(ch, RasEventKind::Retransmit, now, seq);
+                        let f = &mut tx.queue[idx];
+                        f.retries += 1;
+                        f.rto = rto.saturating_mul(2).min(retry.rto_max_ticks);
+                        f.attempt += 1;
+                        f.state = FrameState::Queued;
+                        // Same index re-examined: the frame transmits now.
+                    }
+                    // A first transmission, or a delayed frame arriving.
+                    FrameState::Queued | FrameState::Delayed { .. } => {
+                        let Some(route) = self.ensure_route(ch, tx, now) else {
+                            return done;
+                        };
+                        if state == FrameState::Queued {
+                            sent += 1;
+                            let lost = match self.cross_links(ch, &route, seq, attempt, now) {
+                                (Fate::Pass, _) => None,
+                                (Fate::Delay(n), _) => {
+                                    Some(FrameState::Delayed { until: now + n as u64 })
+                                }
+                                (Fate::Drop, link_died) => {
+                                    self.dropped[ch.src as usize].incr();
+                                    self.record(ch, RasEventKind::PacketDropped, now, seq);
+                                    if link_died {
+                                        tx.route = None;
+                                    }
+                                    Some(FrameState::Lost { since: now })
+                                }
+                                (Fate::Corrupt, _) => {
+                                    self.ras.crc_errors.incr();
+                                    self.record(ch, RasEventKind::CrcError, now, seq);
+                                    Some(FrameState::Lost { since: now })
+                                }
+                            };
+                            if let Some(state) = lost {
+                                tx.queue[idx].state = state;
+                                idx += 1;
+                                continue;
+                            }
+                        }
+                        let ack = self.ack_crosses(ch, &route, seq, attempt);
+                        match self.arrival(ch, tx, idx, seq, now, ack, &mut done, deposit) {
+                            Arrival::Advance => idx += 1,
+                            Arrival::Restart => idx = 0,
+                            Arrival::FastRetransmit => {
+                                rescan = true;
+                                idx += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if tx.dead.is_none() {
+            ch.publish_backlog(!tx.queue.is_empty());
+        }
+        done
+    }
+
+    /// Process one data-frame arrival at the receiver: classify it against
+    /// the reorder state, deposit what became deliverable, and apply the
+    /// (possibly lost) ack to the sender's queue. Returns how the caller's
+    /// scan should continue.
+    #[allow(clippy::too_many_arguments)]
+    fn arrival(
+        &self,
+        ch: &Channel,
+        tx: &mut TxState,
+        idx: usize,
+        seq: u64,
+        now: u64,
+        ack: bool,
+        done: &mut usize,
+        deposit: Deposit<'_>,
+    ) -> Arrival {
+        let verdict = ch.rx.lock().accept(seq);
+        match verdict {
+            RxVerdict::Deliver => {
+                // The data crossed in order: deposit it now, then drain
+                // the consecutive run of buffered successors it unblocked.
+                let mut cum;
+                let mut j = idx;
+                loop {
+                    let f = &mut tx.queue[j];
+                    deposit(ch, f.seq, f.credit, &f.body);
+                    f.state = FrameState::AckWait { since: now };
+                    *done += 1;
+                    cum = f.seq;
+                    j += 1;
+                    match tx.queue.get(j) {
+                        Some(next)
+                            if next.state == FrameState::SackHeld
+                                && ch.rx.lock().drain_next(next.seq) => {}
+                        _ => break,
+                    }
+                }
+                if ack {
+                    self.retire_through(ch, tx, cum);
+                    Arrival::Restart
+                } else {
+                    // Ack lost: the delivered frames stay queued in
+                    // AckWait until an RTO probe re-elicits the
+                    // cumulative ack.
+                    Arrival::Advance
+                }
+            }
+            RxVerdict::Sacked => {
+                self.ras.reorder_depth.incr();
+                if !ack {
+                    // The selective ack was lost: the sender cannot know
+                    // the receiver holds the data, so the frame must be
+                    // retried (the receiver will answer the duplicate).
+                    tx.queue[idx].state = FrameState::Lost { since: now };
+                    return Arrival::Advance;
+                }
+                tx.queue[idx].state = FrameState::SackHeld;
+                // SACK fast retransmit: the selective ack proves later
+                // data crossed, so earlier lost frames needn't wait out
+                // their RTO. These retransmits are free — they do not
+                // count against the retry budget.
+                let mut any = false;
+                for j in 0..idx {
+                    let f = &mut tx.queue[j];
+                    if matches!(f.state, FrameState::Lost { .. }) {
+                        f.state = FrameState::Queued;
+                        f.attempt += 1;
+                        let fseq = f.seq;
+                        any = true;
+                        self.ras.retransmits.incr();
+                        self.ras.sack_retransmits.incr();
+                        self.record(ch, RasEventKind::SackRetransmit, now, fseq);
+                    }
+                }
+                if any {
+                    Arrival::FastRetransmit
+                } else {
+                    Arrival::Advance
+                }
+            }
+            RxVerdict::DupSacked => {
+                // Receiver already holds it; the re-sent selective ack
+                // settles the frame (or is lost again).
+                tx.queue[idx].state =
+                    if ack { FrameState::SackHeld } else { FrameState::Lost { since: now } };
+                Arrival::Advance
+            }
+            RxVerdict::Duplicate => {
+                // The receiver delivered this data earlier (the ack was
+                // lost); the probe re-elicits the cumulative ack.
+                tx.queue[idx].state = FrameState::AckWait { since: now };
+                if ack {
+                    let cum = ch.rx.lock().next_expected.wrapping_sub(1);
+                    self.retire_through(ch, tx, cum);
+                    Arrival::Restart
+                } else {
+                    Arrival::Advance
+                }
+            }
+            RxVerdict::Refused => {
+                // Reorder buffer at its high-water mark: drop-newest. Not
+                // a wire fault, so no retry-budget charge.
+                self.record(ch, RasEventKind::ReorderEvict, now, seq);
+                tx.queue[idx].state = FrameState::Lost { since: now };
+                Arrival::Advance
+            }
+        }
+    }
+
+    /// Retire every frame the cumulative ack through `cum` covers: pop the
+    /// queue prefix and credit the source completion counters — the
+    /// pipeline's completion stage for queued frames. All popped frames
+    /// have already been deposited at the destination.
+    fn retire_through(&self, ch: &Channel, tx: &mut TxState, cum: u64) {
+        let mut n = 0;
+        while let Some(front) = tx.queue.front() {
+            if cum.wrapping_sub(front.seq) >= 1 << 63 {
+                break;
+            }
+            let frame = tx.queue.pop_front().expect("front exists");
+            // The frame's data was delivered (its seq is behind the
+            // receive cursor) even if a probe left it Lost/Delayed/Queued;
+            // only SackHeld bodies are still undelivered, and those sit
+            // above the cursor by construction.
+            debug_assert!(
+                !matches!(frame.state, FrameState::SackHeld),
+                "cumulative ack never covers a reorder-buffered frame"
+            );
+            if let Some(c) = &frame.inj_counter {
+                c.delivered(frame.credit);
+            }
+            n += 1;
+        }
+        if n > 0 {
+            self.sub_pending(ch.src, n);
+        }
+    }
+
+    /// Record a RAS event on `ch` at tick `now`.
+    fn record(&self, ch: &Channel, kind: RasEventKind, now: u64, detail: u64) {
+        self.ring.record(RasEvent { tick: now, kind, src_node: ch.src, dst_node: ch.dst, detail });
+    }
+
+    // ---- routes and link crossings ------------------------------------------
+
+    /// The channel's deterministic route in hot-path form, built once and
+    /// read lock-free. Only meaningful while every link is up — exactly
+    /// when `healthy_route` returns the deterministic route, so this is
+    /// the same plan `ensure_route` would cache under the lock.
+    fn fair_plan<'a>(&self, ch: &'a Channel) -> &'a Arc<RoutePlan> {
+        ch.fair_plan.get_or_init(|| {
+            let src_c = self.shape.coords_of(ch.src as usize);
+            let dst_c = self.shape.coords_of(ch.dst as usize);
+            let route = bgq_torus::det_route(self.shape, src_c, dst_c);
+            Arc::new(self.build_route_plan(src_c, dst_c, &route))
+        })
+    }
+
+    /// Resolve a route's coordinate arithmetic and dice keys once, into
+    /// exactly what the per-frame hot path needs.
+    fn build_route_plan(&self, src_c: Coords, dst_c: Coords, route: &[Dir]) -> RoutePlan {
+        let shape = self.shape;
+        let mut hops = Vec::with_capacity(route.len());
+        let mut fwd_salts = Vec::with_capacity(route.len());
+        let mut at = src_c;
+        for &dir in route {
+            let lid = link_id(shape.node_index(at) as u32, dir);
+            hops.push((lid, at, dir));
+            fwd_salts.push(self.injector.link_salt(lid));
+            at = shape.neighbor(at, dir);
+        }
+        let mut rev_lids = Vec::with_capacity(route.len());
+        let mut rev_salts = Vec::with_capacity(route.len());
+        let mut rat = dst_c;
+        for &dir in route.iter().rev() {
+            let back = dir.reverse();
+            let lid = link_id(shape.node_index(rat) as u32, back);
+            rev_lids.push(lid);
+            rev_salts.push(self.injector.link_salt(lid));
+            rat = shape.neighbor(rat, back);
+        }
+        RoutePlan { hops, rev_lids, fwd_salts, rev_salts }
+    }
+
+    /// Make sure `tx` holds a route computed at the current health epoch.
+    /// Kills the channel (`Unreachable`) and returns `None` when no
+    /// healthy route exists.
+    fn ensure_route(&self, ch: &Channel, tx: &mut TxState, now: u64) -> Option<Arc<RoutePlan>> {
+        let epoch = self.health.epoch();
+        if tx.route.is_none() || tx.route_epoch != epoch {
+            let shape = self.shape;
+            let src_c = shape.coords_of(ch.src as usize);
+            let dst_c = shape.coords_of(ch.dst as usize);
+            let Some(route) = healthy_route(shape, src_c, dst_c, &self.health) else {
+                self.kill_channel(ch, tx, DeliveryFault::Unreachable, now);
+                return None;
+            };
+            if self.health.any_down() && route != bgq_torus::det_route(shape, src_c, dst_c) {
+                self.ras.reroutes.incr();
+                self.record(ch, RasEventKind::Reroute, now, route.len() as u64);
+            }
+            // Resolve the coordinate arithmetic once: the hot path crosses
+            // frames (and their acks) against the precomputed link ids and
+            // dice salts only.
+            tx.route = Some(Arc::new(self.build_route_plan(src_c, dst_c, &route)));
+            tx.route_epoch = epoch;
+        }
+        tx.route.clone()
+    }
+
+    /// Walk the route's links with one data frame; kill schedules and
+    /// per-link fates apply, first bad link wins. Returns the frame's fate
+    /// and whether a kill schedule fired (cached route invalidated by the
+    /// caller).
+    fn cross_links(
+        &self,
+        ch: &Channel,
+        route: &RoutePlan,
+        seq: u64,
+        attempt: u32,
+        now: u64,
+    ) -> (Fate, bool) {
+        // Kill schedules are rare; hoist the probe so schedule-free plans
+        // pay one branch per frame instead of a map lookup per hop.
+        let check_kills = self.injector.has_kills();
+        for &(lid, at, dir) in &route.hops {
+            if check_kills && self.injector.note_crossing(lid) {
+                if self.health.kill(at, dir) {
+                    self.ras.link_down.add(2);
+                    self.record(ch, RasEventKind::LinkDown, now, lid);
+                }
+                return (Fate::Drop, true);
+            }
+            match self.injector.decide(lid, seq, attempt) {
+                Fate::Pass => {}
+                f => return (f, false),
+            }
+        }
+        (Fate::Pass, false)
+    }
+
+    /// Roll the per-link fate dice for an ack crossing the reverse route
+    /// (destination back to source). Ack crossings never advance kill
+    /// schedules — kill-at-Nth-frame plans count data frames only — but
+    /// they reuse the same deterministic dice keyed by the reverse link
+    /// ids, so replay stays bit-for-bit per seed. A passing ack is charged
+    /// to the transport seam as a control frame.
+    fn ack_crosses(&self, ch: &Channel, route: &RoutePlan, seq: u64, attempt: u32) -> bool {
+        if !self.clean {
+            for &lid in &route.rev_lids {
+                match self.injector.decide(lid, seq, attempt) {
+                    // A delayed ack still arrives — only loss (drop or
+                    // corruption) forces the sender to probe. Modeled as
+                    // on-time because the in-process protocol has no
+                    // reverse-path event queue to defer it on.
+                    Fate::Pass | Fate::Delay(_) => {}
+                    Fate::Drop | Fate::Corrupt => return false,
+                }
+            }
+        }
+        self.charge_acks(ch, 1);
+        true
+    }
+
+    /// Charge `n` acks crossing `ch`'s reverse route to the transport seam
+    /// as control frames (free on the synchronous fabric).
+    fn charge_acks(&self, ch: &Channel, n: u64) {
+        if let Some(t) = &self.transport {
+            for _ in 0..n {
+                t.deliver_control(ch.dst, ch.src, ACK_WIRE_BYTES);
+            }
+        }
+    }
+
+    // ---- channel and link life cycle ----------------------------------------
+
+    /// Permanently fail a channel: mark it dead, fail every queued frame's
+    /// completion counters with `fault`, and record the RAS event. Pollers
+    /// of those counters observe completion-with-fault, never a hang.
+    fn kill_channel(&self, ch: &Channel, tx: &mut TxState, fault: DeliveryFault, now: u64) {
+        tx.dead = Some(fault);
+        ch.dead_hint.store(true, Ordering::Release);
+        ch.publish_backlog(false);
+        let failed: u64 = tx.queue.iter().map(|f| f.fail(fault)).sum();
+        let n = tx.queue.len();
+        tx.queue.clear();
+        // Frames parked in the receiver's reorder buffer died with the
+        // channel (their bodies were still in the queue above).
+        ch.rx.lock().buffer.clear();
+        if n > 0 {
+            self.sub_pending(ch.src, n);
+        }
+        self.ras.delivery_failures.add(failed);
+        self.record(ch, RasEventKind::DeliveryFailure, now, fault as u64);
+    }
+
+    /// Clear a dead (src, dst) channel so traffic can flow again after the
+    /// underlying failure was repaired: fresh retransmit state, route
+    /// recomputed at the current health epoch on next use. Returns `false`
+    /// if the channel was not dead. Frames failed by the kill stay failed.
+    pub(crate) fn revive_channel(&self, src_node: u32, dst_node: u32) -> bool {
+        let ch = self.channel(src_node, dst_node);
+        let mut tx = ch.tx.lock();
+        let Some(fault) = tx.dead.take() else { return false };
+        tx.route = None;
+        // The kill cleared the receiver's reorder buffer; the cursor
+        // re-syncs to the next queued frame on the first pump visit.
+        debug_assert!(ch.rx.lock().buffer.is_empty());
+        ch.dead_hint.store(false, Ordering::Release);
+        self.record(ch, RasEventKind::ChannelRevived, self.tick(src_node), fault as u64);
+        true
+    }
+
+    /// Take the physical link out of `node` in direction `dir` down
+    /// (`up == false`) or back up, both directions at once. Returns whether
+    /// the link's state changed. `ras.link_down` stays monotonic (it counts
+    /// down *events*); recovery is visible through the `LinkRevived` event,
+    /// `LinkHealth::down_count`, and the health epoch bump that invalidates
+    /// cached routes.
+    pub(crate) fn set_link(&self, node: u32, dir: Dir, up: bool) -> bool {
+        let at = self.shape.coords_of(node as usize);
+        let changed = if up { self.health.revive(at, dir) } else { self.health.kill(at, dir) };
+        if changed {
+            if !up {
+                self.ras.link_down.add(2);
+            }
+            self.ring.record(RasEvent {
+                tick: self.tick(node),
+                kind: if up { RasEventKind::LinkRevived } else { RasEventKind::LinkDown },
+                src_node: node,
+                dst_node: self.shape.node_index(self.shape.neighbor(at, dir)) as u32,
+                detail: link_id(node, dir),
+            });
+        }
+        changed
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+    use bytes::Bytes;
 
     #[test]
     fn ras_ring_caps_and_counts_drops() {
@@ -821,9 +1376,25 @@ mod tests {
         assert_eq!(r.next_expected, 5, "sync never moves backwards");
     }
 
+    fn put_desc(rec_counter: Option<HwCounter>) -> Descriptor {
+        use crate::descriptor::{PayloadSource, XferKind};
+        Descriptor {
+            dst_node: 0,
+            dst_context: 0,
+            src_context: 0,
+            routing: bgq_torus::Routing::Dynamic,
+            payload: PayloadSource::Immediate(Bytes::new()),
+            kind: XferKind::DirectPut {
+                dst_region: MemRegion::zeroed(8),
+                dst_offset: 0,
+                rec_counter,
+            },
+            inj_counter: None,
+        }
+    }
+
     #[test]
     fn frame_fail_fails_nested_counters() {
-        use crate::descriptor::{PayloadSource, XferKind};
         let inj = HwCounter::new();
         let rec = HwCounter::new();
         inj.add_expected(8);
@@ -836,21 +1407,7 @@ mod tests {
             rto: 4,
             credit: 8,
             inj_counter: Some(inj.clone()),
-            body: FrameBody::Get {
-                desc: Box::new(Descriptor {
-                    dst_node: 0,
-                    dst_context: 0,
-                    src_context: 0,
-                    routing: bgq_torus::Routing::Dynamic,
-                    payload: PayloadSource::Immediate(Bytes::new()),
-                    kind: XferKind::DirectPut {
-                        dst_region: MemRegion::zeroed(8),
-                        dst_offset: 0,
-                        rec_counter: Some(rec.clone()),
-                    },
-                    inj_counter: None,
-                }),
-            },
+            body: FrameBody::Get { desc: Box::new(put_desc(Some(rec.clone()))) },
         };
         assert_eq!(frame.fail(DeliveryFault::Timeout), 2);
         assert_eq!(inj.fault(), Some(DeliveryFault::Timeout));
@@ -860,20 +1417,23 @@ mod tests {
         assert_eq!(frame.fail(DeliveryFault::Aborted), 0);
     }
 
-    #[test]
-    fn channel_table_rows_fallback_above_flat_threshold() {
-        use crate::faults::FaultPlan;
-        use bgq_torus::TorusShape;
-        let n = (FLAT_CHANNEL_TABLE_MAX_NODES + 8) as u32;
-        let shape = TorusShape::new([n as u16, 1, 1, 1, 1]);
+    fn reliability(nodes: u16) -> Reliability {
+        let shape = TorusShape::new([nodes, 1, 1, 1, 1]);
         let upc = Upc::new();
-        let r = Reliability::new(
+        Reliability::new(
             FaultInjector::new(FaultPlan::new(), shape),
-            LinkHealth::new(shape),
+            shape,
             Arc::new(RasCounters::new(&upc)),
             Arc::new(RasRing::new(16)),
-            n as usize,
-        );
+            None,
+            (0..nodes).map(|_| upc.counter("mu.packets_dropped")).collect(),
+        )
+    }
+
+    #[test]
+    fn channel_table_rows_fallback_above_flat_threshold() {
+        let n = (FLAT_CHANNEL_TABLE_MAX_NODES + 8) as u32;
+        let r = reliability(n as u16);
         assert!(matches!(r.channels, ChannelTable::Rows(_)));
         let a = r.channel(3, n - 1);
         let b = r.channel(3, n - 1);
@@ -883,32 +1443,32 @@ mod tests {
     }
 
     #[test]
-    fn reliability_pending_accounting() {
-        use crate::faults::FaultPlan;
-        use bgq_torus::TorusShape;
-        let shape = TorusShape::new([2, 1, 1, 1, 1]);
-        let upc = Upc::new();
-        let r = Reliability::new(
-            FaultInjector::new(FaultPlan::new(), shape),
-            LinkHealth::new(shape),
-            Arc::new(RasCounters::new(&upc)),
-            Arc::new(RasRing::new(16)),
-            2,
-        );
-        assert!(r.idle(0));
-        r.add_pending(0, 3);
-        assert!(!r.idle(0));
-        assert!(r.idle(1), "per-node accounting");
-        r.sub_pending(0, 3);
-        assert!(r.idle(0));
-        let a = r.channel(0, 1);
-        let b = r.channel(0, 1);
-        assert!(std::ptr::eq(a, b), "channel is created once");
+    fn clean_plan_admits_through_until_a_backlog_or_a_dead_link() {
+        let r = reliability(2);
+        let ch = r.channel(0, 1);
+        assert!(std::ptr::eq(ch, r.channel(0, 1)), "channel is created once");
         assert_eq!(r.channels_of(0).count(), 1);
         assert_eq!(r.channels_of(1).count(), 0);
-        assert_eq!(r.bump_tick(0), 1);
-        assert_eq!(r.bump_tick(0), 2);
-        assert_eq!(r.tick(0), 2);
-        assert_eq!(r.tick(1), 0);
+        // Zero dice to roll: straight through, numbers drawn in order.
+        assert!(matches!(r.admit(ch, 3), Admit::Through { base_seq: 0 }));
+        assert!(matches!(r.admit(ch, 1), Admit::Through { base_seq: 3 }));
+        assert!(r.idle(0));
+        // A down link anywhere sends everything to the queue, which needs
+        // the pump (and a reroute) to move.
+        let dir = bgq_torus::det_route(r.shape, r.shape.coords_of(0), r.shape.coords_of(1))[0];
+        assert!(r.set_link(0, dir, false));
+        let Admit::Queue { base_seq } = r.admit(ch, 2) else {
+            panic!("a down link must queue");
+        };
+        assert_eq!(base_seq, 4, "queued or not, one sequence space");
+        let deposited = std::cell::Cell::new(0);
+        let bodies = (0..2).map(|_| {
+            let desc = Box::new(put_desc(None));
+            (1, FrameBody::Get { desc })
+        });
+        r.enqueue(ch, base_seq, None, bodies, &|_, _, _, _| deposited.set(deposited.get() + 1));
+        assert_eq!(deposited.get(), 2, "enqueue pumps: the detour delivers at once");
+        assert!(r.idle(0), "both frames acked and retired");
+        assert!(!ch.has_backlog());
     }
 }

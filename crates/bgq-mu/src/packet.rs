@@ -3,6 +3,8 @@
 use bgq_hw::MemRegion;
 use bytes::Bytes;
 
+use crate::descriptor::PayloadSource;
+
 /// A packet's payload — either bytes carried in the packet itself or a
 /// zero-copy window into the *source* node's registered memory.
 ///
@@ -13,7 +15,9 @@ use bytes::Bytes;
 /// refcounted window into the source region (standing in for the bytes the
 /// hardware would have placed in the FIFO's packet buffer), and
 /// [`PacketPayload::deposit`] performs the one region-to-destination copy.
-#[derive(Debug)]
+/// Cloning is a refcount bump either way — a frame awaiting its ack keeps
+/// the payload while each (re)transmission's packet carries a clone.
+#[derive(Debug, Clone)]
 pub enum PacketPayload {
     /// Bytes staged in the packet (the `PAMI_Send_immediate` copy-through
     /// path). Shared slices of the message payload; cheap refcount clones.
@@ -24,7 +28,7 @@ pub enum PacketPayload {
         region: MemRegion,
         /// Window offset within `region`.
         offset: usize,
-        /// Window length (≤ 512).
+        /// Window length (≤ 512 inside a packet).
         len: usize,
     },
 }
@@ -62,7 +66,7 @@ impl PacketPayload {
 
     /// Deposit the payload into `dst` at `dst_offset` — the receive-side
     /// copy (exactly one for either variant).
-    pub fn deposit(&mut self, dst: &MemRegion, dst_offset: usize) {
+    pub fn deposit(&self, dst: &MemRegion, dst_offset: usize) {
         match self {
             PacketPayload::Inline(b) => dst.write(dst_offset, b),
             PacketPayload::Region { region, offset, len } => {
@@ -75,6 +79,19 @@ impl PacketPayload {
 impl From<Bytes> for PacketPayload {
     fn from(b: Bytes) -> Self {
         PacketPayload::Inline(b)
+    }
+}
+
+impl From<PayloadSource> for PacketPayload {
+    /// The whole payload as one window (a lossless direct put moves it in
+    /// a single copy).
+    fn from(p: PayloadSource) -> Self {
+        match p {
+            PayloadSource::Immediate(b) => PacketPayload::Inline(b),
+            PayloadSource::Region { region, offset, len } => {
+                PacketPayload::Region { region, offset, len }
+            }
+        }
     }
 }
 
@@ -247,7 +264,7 @@ mod tests {
     fn deposit_copies_window() {
         let src = MemRegion::from_vec((0..32).collect());
         let dst = MemRegion::zeroed(32);
-        let mut p = PacketPayload::Region { region: src, offset: 4, len: 8 };
+        let p = PacketPayload::Region { region: src, offset: 4, len: 8 };
         p.deposit(&dst, 16);
         assert_eq!(&dst.to_vec()[16..24], &(4..12).collect::<Vec<u8>>()[..]);
     }
@@ -267,7 +284,7 @@ mod tests {
     #[test]
     fn inline_deposit_writes_bytes() {
         let dst = MemRegion::zeroed(8);
-        let mut p = PacketPayload::Inline(Bytes::from_static(b"abcd"));
+        let p = PacketPayload::Inline(Bytes::from_static(b"abcd"));
         assert_eq!(p.view(), b"abcd");
         p.deposit(&dst, 2);
         assert_eq!(&dst.to_vec()[2..6], b"abcd");

@@ -15,9 +15,10 @@
 //! hot-path cost of the seam is a single branch on an `Option` that is
 //! `None` in every benchmark gate. A fabric built with
 //! [`crate::fabric::MuFabricBuilder::transport`] hands every reception-FIFO
-//! deposit (fair-weather short envelopes, lossless fragment loops, and
-//! reliable-channel frame arrivals alike) to the transport, which may
-//! deposit immediately, or buffer and schedule — whatever its clock says.
+//! deposit — the third stage of the fabric's one delivery pipeline, so
+//! every tier and every reliable-channel frame arrival alike — to the
+//! transport, which may deposit immediately, or buffer and schedule —
+//! whatever its clock says.
 //!
 //! Direct puts and remote-get bounces stay synchronous: they model DMA into
 //! registered memory, observable only through reception counters, and the
@@ -33,7 +34,8 @@ use crate::packet::MuPacket;
 ///
 /// Implementations must be thread-safe — sends come from every advancing
 /// context. The `make` closure builds the `i`-th packet of one fragmented
-/// message (packets are intentionally not `Clone`; building on demand keeps
+/// message and must be called exactly once per `i`, in ascending order
+/// (packets are intentionally not `Clone`; building on demand keeps
 /// the zero-copy Region windows refcounted, not duplicated). A transport
 /// that buffers packets MUST eventually deposit every one of them into
 /// `fifo` (via [`RecFifo::deliver`] / [`RecFifo::deliver_batch`]) exactly

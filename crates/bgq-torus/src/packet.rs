@@ -62,6 +62,7 @@ pub fn granules(len: usize) -> usize {
 
 /// Number of packets needed to move `len` payload bytes (at least one, so a
 /// zero-byte message still sends a header-only packet).
+#[inline]
 pub fn packets_for(len: usize) -> usize {
     len.div_ceil(MAX_PAYLOAD_BYTES).max(1)
 }

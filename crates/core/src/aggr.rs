@@ -53,14 +53,12 @@ pub struct AggrConfig {
     /// (the policy still decides per destination whether they *do*
     /// aggregate). Default 128 — the short-tier cutoff.
     pub cutoff: usize,
-    /// Frame payload budget in bytes. A frame that fits one short-tier
-    /// packet ([`bgq_torus::packet::MAX_PAYLOAD_BYTES`]) rides it whole on
-    /// the cut-through path; a larger frame rides the eager packet train
-    /// and is reassembled before unbatching. Clamped at machine build to
-    /// 16 packets — it bounds per-destination bucket memory. Default 512
-    /// (one packet): measured on the random-target flood, deeper frames
-    /// lose more to the train's per-packet cost than they win back in
-    /// batch depth, so the default stays on the single-packet fast path.
+    /// Frame payload budget in bytes, 64 ..= one short-tier packet
+    /// ([`bgq_torus::packet::MAX_PAYLOAD_BYTES`], the default): a frame
+    /// rides the short tier whole. [`crate::MachineBuilder::aggregation`]
+    /// rejects anything larger — multi-packet frames lost more to the eager
+    /// train's per-packet cost than they won back in batch depth
+    /// (EXPERIMENTS.md) and were removed.
     pub max_frame: usize,
     /// Age bound: the oldest buffered record waits at most this many
     /// microseconds before `advance` cuts the bucket. A liveness bound for

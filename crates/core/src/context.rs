@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, L2TicketMutex, MemRegion, WakeupRegion, WorkQueue};
 use bgq_mu::{
-    Descriptor, EngineMode, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo, RecFifoId,
-    XferKind,
+    Descriptor, EngineMode, FifoHeader, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo,
+    RecFifoId, XferKind,
 };
 use bgq_upc::{Histogram, Stamp, Upc};
 use bytes::Bytes;
@@ -458,7 +458,10 @@ impl Context {
     /// Latency-optimized short send: the payload is copied immediately into
     /// the message and, when injection resources allow, moved now by the
     /// calling thread (`PAMI_Send_immediate`). Completes locally before
-    /// returning.
+    /// returning. A thin wrapper over [`Context::send`]'s short arm, so it
+    /// keeps per-destination order with every other tier: it queues behind
+    /// earlier traffic still sitting in the destination's injection FIFO
+    /// instead of overtaking it.
     ///
     /// # Errors
     /// [`PamiError::TooLong`] if `payload` exceeds one packet (512 bytes) —
@@ -486,9 +489,9 @@ impl Context {
         let dest = Endpoint { task: self.machine.resolve_task(dest.task), ..dest };
         self.probes.sends_short.incr_pinned(self.offset as usize);
         // One-packet immediates ARE short-tier sends: one inline envelope,
-        // no descriptor, no injection queue — and the delivery outcome
-        // feeds the policy's *short* cost model through the short-flagged
-        // packet instead of polluting the eager one.
+        // and the delivery outcome feeds the policy's *short* cost model
+        // through the short-flagged packet instead of polluting the eager
+        // one.
         let stamp = self.send_stamp();
         let dest_node = self.machine.task_node(dest.task);
         // An immediate must not overtake records already coalescing for
@@ -506,16 +509,9 @@ impl Context {
             return Ok(());
         }
         let rec_fifo = self.rec_fifo_of(dest)?;
-        self.machine.fabric().send_short_now(
-            self.node,
-            dest_node,
-            rec_fifo,
-            self.offset,
-            dispatch,
-            self.envelope_for(stamp, metadata),
-            Bytes::copy_from_slice(payload),
-            None,
-        );
+        let hdr = self.short_header(dest_node, rec_fifo, dispatch, self.envelope_for(stamp, metadata));
+        let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
+        self.send_short_arm(dest, hdr, payload, None);
         Ok(())
     }
 
@@ -629,45 +625,9 @@ impl Context {
         match proto {
             Protocol::Short if len <= bgq_torus::packet::MAX_PAYLOAD_BYTES => {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
-                let fifo = &self.inj_fifos[args.dest.task as usize % self.inj_fifos.len()];
                 let metadata = self.envelope_for(stamp, &args.metadata);
-                if fifo.is_quiescent() {
-                    // Short tier: the destination's pinned FIFO has nothing
-                    // queued and no engine mid-pop, so ordering lets the
-                    // message skip the injection queue entirely — one
-                    // inline envelope, no descriptor, no completion-counter
-                    // allocation, no fragment loop.
-                    self.machine.fabric().send_short(
-                        self.node,
-                        fifo,
-                        dest_node,
-                        rec_fifo,
-                        self.offset,
-                        args.dispatch,
-                        metadata,
-                        args.payload.to_bytes(),
-                        args.local_done,
-                    );
-                } else {
-                    // Earlier traffic is still queued on this FIFO: keep
-                    // the per-destination ordering rule by queueing a
-                    // short-flagged descriptor behind it.
-                    let desc = Descriptor {
-                        dst_node: dest_node,
-                        dst_context: args.dest.context,
-                        src_context: self.offset,
-                        routing: bgq_torus::Routing::Deterministic,
-                        payload: args.payload,
-                        kind: XferKind::MemoryFifo {
-                            rec_fifo,
-                            dispatch: args.dispatch,
-                            metadata,
-                            short: true,
-                        },
-                        inj_counter: args.local_done,
-                    };
-                    self.machine.fabric().inject_handle(self.node, fifo, desc);
-                }
+                let hdr = self.short_header(dest_node, rec_fifo, args.dispatch, metadata);
+                self.send_short_arm(args.dest, hdr, args.payload, args.local_done);
             }
             Protocol::Short | Protocol::Eager => {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
@@ -881,9 +841,9 @@ impl Context {
     }
 
     /// Inject one cut frame: a single short-tier packet under the internal
-    /// [`DISPATCH_AGGR`] id, on the destination's pinned injection FIFO —
-    /// the same FIFO (and, under a fault plan, the same selective-repeat
-    /// channel) direct sends to that destination use, which is what keeps
+    /// [`DISPATCH_AGGR`] id, through the same short arm — the same pinned
+    /// injection FIFO and, under a fault plan, the same selective-repeat
+    /// channel — direct sends to that destination use, which is what keeps
     /// per-(src,dst) order and exactly-once for every record inside.
     /// Failover is resolved at emit time, so a bucket opened before a
     /// failover lands on the standby; an unknown destination drops the
@@ -913,49 +873,9 @@ impl Context {
             return;
         }
         let Ok(rec_fifo) = self.rec_fifo_of(dest) else { return };
-        let fifo = &self.inj_fifos[task as usize % self.inj_fifos.len()];
         let metadata = wire::envelope(self.task, stamp, &hdr);
-        // A frame that fits one short-tier packet rides it whole (with the
-        // cut-through when the FIFO is quiescent); a larger frame rides the
-        // eager packet train and is reassembled before unbatching.
-        let single_packet = frame.payload.len() <= bgq_torus::packet::MAX_PAYLOAD_BYTES;
-        if single_packet && fifo.is_quiescent() {
-            self.machine.fabric().send_short(
-                self.node,
-                fifo,
-                dest_node,
-                rec_fifo,
-                self.offset,
-                DISPATCH_AGGR,
-                metadata,
-                frame.payload,
-                None,
-            );
-        } else {
-            let quiescent = fifo.is_quiescent();
-            let desc = Descriptor {
-                dst_node: dest_node,
-                dst_context: dest.context,
-                src_context: self.offset,
-                routing: bgq_torus::Routing::Deterministic,
-                payload: PayloadSource::Immediate(frame.payload),
-                kind: XferKind::MemoryFifo {
-                    rec_fifo,
-                    dispatch: DISPATCH_AGGR,
-                    metadata,
-                    short: single_packet,
-                },
-                inj_counter: None,
-            };
-            if quiescent {
-                // Multi-packet train with nothing queued ahead of it: the
-                // `PAMI_Send_immediate` path executes the descriptor here,
-                // skipping the queue round trip without overtaking anything.
-                self.machine.fabric().execute_now(self.node, desc);
-            } else {
-                self.machine.fabric().inject_handle(self.node, fifo, desc);
-            }
-        }
+        let hdr = self.short_header(dest_node, rec_fifo, DISPATCH_AGGR, metadata);
+        self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
     }
 
     /// Unbatch one aggregated frame: walk its records and dispatch each
@@ -1028,6 +948,54 @@ impl Context {
             }
         }
         inline
+    }
+
+    /// The header of a short-tier envelope from this context.
+    fn short_header(
+        &self,
+        dst_node: u32,
+        rec_fifo: RecFifoId,
+        dispatch: u16,
+        metadata: Bytes,
+    ) -> FifoHeader {
+        FifoHeader { dst_node, rec_fifo, src_context: self.offset, dispatch, metadata, short: true }
+    }
+
+    /// The short arm — shared by [`Context::send`], [`Context::send_immediate`]
+    /// and aggregated-frame emit: one inline envelope on `dest`'s pinned
+    /// injection FIFO. When that FIFO has nothing queued and no engine
+    /// mid-pop, ordering lets the message skip the injection queue
+    /// entirely — no descriptor, no completion-counter allocation, one
+    /// fragment straight down the fabric's pipeline. Otherwise earlier
+    /// traffic is still queued there, and the per-destination ordering
+    /// rule is kept by queueing a short-flagged descriptor behind it.
+    fn send_short_arm(
+        &self,
+        dest: Endpoint,
+        hdr: FifoHeader,
+        payload: PayloadSource,
+        local_done: Option<Counter>,
+    ) {
+        let fifo = &self.inj_fifos[dest.task as usize % self.inj_fifos.len()];
+        if fifo.is_quiescent() {
+            self.machine.fabric().send_short(self.node, fifo, hdr, payload.into_bytes(), local_done);
+        } else {
+            let desc = Descriptor {
+                dst_node: hdr.dst_node,
+                dst_context: dest.context,
+                src_context: hdr.src_context,
+                routing: bgq_torus::Routing::Deterministic,
+                payload,
+                kind: XferKind::MemoryFifo {
+                    rec_fifo: hdr.rec_fifo,
+                    dispatch: hdr.dispatch,
+                    metadata: hdr.metadata,
+                    short: true,
+                },
+                inj_counter: local_done,
+            };
+            self.machine.fabric().inject_handle(self.node, fifo, desc);
+        }
     }
 
     /// Injection-FIFO pinning: every message to `dest_task` from this
@@ -1348,7 +1316,7 @@ impl Context {
         }
     }
 
-    fn handle_mu_packet(&self, st: &mut AdvanceState, bc: &mut BatchCounters, mut pkt: MuPacket) {
+    fn handle_mu_packet(&self, st: &mut AdvanceState, bc: &mut BatchCounters, pkt: MuPacket) {
         if pkt.is_first() {
             let (src_task, stamp, body) = wire::open_envelope(&pkt.metadata);
             let src = Endpoint { task: src_task, context: pkt.src_context };
@@ -1362,55 +1330,16 @@ impl Context {
                 return;
             }
             if pkt.dispatch == DISPATCH_AGGR {
-                if pkt.is_last() {
-                    // A single-packet frame: unbatch and dispatch every
-                    // record straight from the packet buffer.
-                    let payload = match &pkt.payload {
-                        bgq_mu::PacketPayload::Inline(b) => b.clone(),
-                        _ => Bytes::copy_from_slice(pkt.payload.view()),
-                    };
-                    bc.dispatched += self.unbatch_aggr_frame(
-                        &mut st.handler_memo,
-                        src,
-                        stamp,
-                        &body,
-                        payload,
-                    );
-                    return;
-                }
-                // A multi-packet frame (eager train): stage the packets in
-                // a scratch region and unbatch once the last one lands —
-                // the records need the full contiguous frame.
-                let total = pkt.msg_len as usize;
-                let region = MemRegion::zeroed(total);
-                let pkt_len = pkt.payload.len();
-                pkt.payload.deposit(&region, 0);
-                bc.copies += 1;
-                let hdr = body.clone();
-                let frame_region = region.clone();
-                st.reassembly.insert(
-                    (pkt.src_node, pkt.msg_id),
-                    Reassembly {
-                        region,
-                        base_offset: 0,
-                        remaining: total - pkt_len,
-                        on_complete: Some(Box::new(move |ctx: &Context, res| {
-                            if res.is_ok() {
-                                let payload = Bytes::from(frame_region.to_vec());
-                                ctx.unbatch_aggr_frame(
-                                    &mut None,
-                                    src,
-                                    stamp,
-                                    &hdr,
-                                    payload,
-                                );
-                            }
-                        })),
-                        stamp,
-                        total_len: total,
-                    },
-                );
-                self.pending_internal.fetch_add(1, Ordering::AcqRel);
+                // A frame is always one packet (`MachineBuilder::aggregation`
+                // enforces it): unbatch and dispatch every record straight
+                // from the packet buffer.
+                debug_assert!(pkt.is_last(), "aggregated frames are single packets");
+                let payload = match &pkt.payload {
+                    bgq_mu::PacketPayload::Inline(b) => b.clone(),
+                    _ => Bytes::copy_from_slice(pkt.payload.view()),
+                };
+                bc.dispatched +=
+                    self.unbatch_aggr_frame(&mut st.handler_memo, src, stamp, &body, payload);
                 return;
             }
             let msg = IncomingMsg {

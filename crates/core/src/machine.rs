@@ -346,16 +346,29 @@ impl MachineBuilder {
     /// Enable destination-aware small-message aggregation (`pami::aggr`,
     /// default off): sends the policy routes to [`crate::Protocol::Aggregated`]
     /// append into per-destination coalescing buckets and travel as
-    /// multi-message packet trains. Installing a config also arms the
+    /// multi-record single-packet frames. Installing a config also arms the
     /// policy's aggregation tier: a static-policy build gets a fixed
     /// `cutoff`-byte aggregation tier; an adaptive build gets its
     /// `aggr_cutoff` seeded from `cutoff` (unless the caller's
     /// [`AdaptiveConfig`] already set one), so the arrival-rate EWMA decides
     /// per destination. A custom policy is left alone — it opts in by
     /// returning [`crate::Protocol::Aggregated`] itself.
+    ///
+    /// # Panics
+    /// If `cfg.cutoff` is 0, or `cfg.max_frame` is outside 64 bytes ..= one
+    /// torus packet: multi-packet frames were removed (a measured negative,
+    /// DESIGN.md §15), and a larger budget is rejected here rather than
+    /// silently clamped.
     pub fn aggregation(mut self, cfg: AggrConfig) -> Self {
+        const PACKET: usize = bgq_torus::packet::MAX_PAYLOAD_BYTES;
         assert!(cfg.cutoff >= 1, "aggregation cutoff must be at least 1 byte");
         assert!(cfg.max_frame >= 64, "aggregated frames below 64 bytes cannot amortize anything");
+        assert!(
+            cfg.max_frame <= PACKET,
+            "AggrConfig::max_frame {} exceeds one {PACKET}-byte packet: multi-packet aggregated \
+             frames were removed — a frame is one short-tier packet",
+            cfg.max_frame
+        );
         self.aggregation = Some(cfg);
         self
     }
@@ -376,13 +389,9 @@ impl MachineBuilder {
         let telemetry = self.telemetry.unwrap_or_default();
         let coll_probes = crate::coll::CollProbes::new(&telemetry);
         let coll_registry = crate::coll::CollRegistry::with_builtins();
-        // A frame that fits one short-tier packet rides it whole; a larger
-        // frame rides the eager packet train. Cap the frame budget at a
-        // sane multiple of the packet payload (it bounds per-destination
-        // bucket memory), and keep the record cutoff below the frame so at
-        // least one record always fits.
+        // Keep the record cutoff below the frame so at least one record
+        // always fits.
         let aggregation = self.aggregation.map(|mut cfg| {
-            cfg.max_frame = cfg.max_frame.min(16 * bgq_torus::packet::MAX_PAYLOAD_BYTES);
             cfg.cutoff = cfg.cutoff.min(cfg.max_frame / 2);
             cfg
         });
@@ -673,7 +682,7 @@ impl Machine {
     }
 
     /// The small-message aggregation config (`pami::aggr`), `None` when
-    /// the layer is off. Frame and cutoff budgets already clamped sane.
+    /// the layer is off. The cutoff is already clamped below the frame.
     pub fn aggregation(&self) -> Option<&AggrConfig> {
         self.aggregation.as_ref()
     }
@@ -1049,6 +1058,13 @@ mod tests {
         m.register_endpoint(0, 0, ENDPOINT_CTX_SLOTS as u16, addr);
         assert!(m.endpoint_addr_fast(0, 0, ENDPOINT_CTX_SLOTS as u16).is_none());
         assert!(m.endpoint_addr(0, 0, ENDPOINT_CTX_SLOTS as u16).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-packet aggregated frames were removed")]
+    fn aggregation_rejects_frames_above_one_packet() {
+        let cfg = AggrConfig { max_frame: 2048, ..AggrConfig::default() };
+        let _ = Machine::with_nodes(2).aggregation(cfg);
     }
 
     #[test]

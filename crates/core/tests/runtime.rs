@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use pami::coll::{self, Algorithm};
 use pami::{
-    Client, CollOp, CommThreadPool, Context, Counter, DataType, Endpoint, Geometry, Machine,
-    MemRegion, PayloadSource, Recv, SendArgs, Topology,
+    AggrConfig, Client, CollOp, CommThreadPool, Context, Counter, DataType, Endpoint, FaultPlan,
+    Geometry, Machine, MemRegion, PayloadSource, Recv, SendArgs, Topology,
 };
 use parking_lot::Mutex;
 
@@ -81,6 +81,84 @@ fn send_immediate_rejects_oversized_payload() {
         .context(0)
         .send_immediate(Endpoint::of_task(1), DISPATCH, b"", &big)
         .is_err());
+}
+
+/// How one scripted message of the cross-tier ordering tests is sent; the
+/// static policy picks `send`'s tier from the size.
+#[derive(Clone, Copy, PartialEq)]
+enum Via {
+    /// `send` of 2 KiB: four packets through the injection FIFO.
+    Eager,
+    /// `send` of 24 B: the short tier, or a bucket append with aggregation on.
+    Small,
+    /// `send_immediate` of 24 B.
+    Immediate,
+}
+
+/// Issue `script` from task 0 to task 1 back to back — no `advance` between
+/// the calls, so anything queued stays queued while the later calls run —
+/// and assert the handler sees the messages in issue order. Runs on the
+/// lossless fabric and under a clean fault plan (the reliable channel's
+/// straight-through admission).
+fn assert_cross_tier_order(aggregation: bool, script: &[Via]) {
+    for plan in [None, Some(FaultPlan::new())] {
+        let arm = if plan.is_some() { "clean fault plan" } else { "lossless" };
+        let mut builder = Machine::with_nodes(2);
+        if aggregation {
+            builder = builder.aggregation(AggrConfig::default());
+        }
+        if let Some(plan) = plan {
+            builder = builder.fault_plan(plan);
+        }
+        let machine = builder.build();
+        let c0 = Client::create(&machine, 0, "t", 1);
+        let c1 = Client::create(&machine, 1, "t", 1);
+        let sink = Arc::new(Sink::default());
+        c1.context(0).set_dispatch(DISPATCH, sink.handler());
+        let dest = Endpoint::of_task(1);
+        for (i, via) in script.iter().enumerate() {
+            let tag = i as u8;
+            if *via == Via::Immediate {
+                c0.context(0).send_immediate(dest, DISPATCH, &[tag], &[tag; 24]).unwrap();
+                continue;
+            }
+            let len = if *via == Via::Eager { 2048 } else { 24 };
+            c0.context(0)
+                .send(SendArgs {
+                    dest,
+                    dispatch: DISPATCH,
+                    metadata: vec![tag],
+                    payload: PayloadSource::Immediate(bytes::Bytes::from(vec![tag; len])),
+                    local_done: None,
+                })
+                .unwrap();
+        }
+        while sink.received() < script.len() as u64 {
+            c0.context(0).advance();
+            c1.context(0).advance();
+        }
+        let order: Vec<u8> = sink.messages.lock().iter().map(|m| m.1[0]).collect();
+        let issued: Vec<u8> = (0..script.len() as u8).collect();
+        assert_eq!(order, issued, "{arm}: per-(src,dst) order across tiers");
+    }
+}
+
+#[test]
+fn send_immediate_does_not_overtake_a_queued_eager_send() {
+    assert_cross_tier_order(false, &[Via::Eager, Via::Immediate]);
+}
+
+#[test]
+fn send_immediate_does_not_overtake_buffered_aggregated_records() {
+    assert_cross_tier_order(true, &[Via::Small, Via::Small, Via::Immediate]);
+}
+
+#[test]
+fn send_immediate_does_not_overtake_a_short_send_queued_behind_the_fifo() {
+    // The eager send leaves the FIFO non-quiescent, so the short send
+    // queues behind it as a short-flagged descriptor; the immediate must
+    // queue behind both.
+    assert_cross_tier_order(false, &[Via::Eager, Via::Small, Via::Immediate]);
 }
 
 #[test]
