@@ -1,5 +1,7 @@
 //! Microbenchmarks of the BG/Q substrate primitives PAMI is built on.
 
+use std::hint::black_box;
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench(c: &mut Criterion) {
@@ -34,6 +36,25 @@ fn bench(c: &mut Criterion) {
     let unit = bgq_hw::WakeupUnit::new();
     let region = unit.region();
     g.bench_function("wakeup_touch_unwatched", |b| b.iter(|| region.touch()));
+
+    // The link-CRC kernel over one full packet payload, two ways. In the
+    // fabric every stamp waits for the one before it (the same core builds
+    // the next packet), which `chained` reproduces by seeding each
+    // checksum with the last; `independent` is what a probe that loops
+    // over one buffer reads — the out-of-order core overlaps iterations,
+    // so it flatters a latency-bound kernel several times over.
+    let packet: Vec<u8> = (0..512u32).map(|i| (i * 7 + 3) as u8).collect();
+    g.throughput(Throughput::Bytes(packet.len() as u64));
+    let mut state = !0u32;
+    g.bench_function("crc32c/512B-chained", |b| {
+        b.iter(|| {
+            state = bgq_hw::crc32c::update(state, black_box(&packet));
+            state
+        })
+    });
+    g.bench_function("crc32c/512B-independent", |b| {
+        b.iter(|| bgq_hw::crc32c::update(!0, black_box(&packet)))
+    });
     g.finish();
 }
 

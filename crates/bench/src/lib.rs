@@ -14,6 +14,8 @@
 //!
 //! The `repro` binary prints both, labeled, next to the paper's numbers.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

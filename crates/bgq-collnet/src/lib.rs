@@ -22,6 +22,8 @@
 //! * [`gi`] — the global-interrupt barrier: a few-microsecond,
 //!   zero-payload synchronization across a classroute.
 
+#![forbid(unsafe_code)]
+
 pub mod classroute;
 pub mod combiner;
 pub mod gi;

@@ -22,9 +22,15 @@
 //! * [`cnk`] — the Compute Node Kernel services PAMI depends on: the global
 //!   virtual-address table that lets any process on a node read its peers'
 //!   registered memory, and commthread priority levels.
+//! * [`crc32c`] — the link-CRC kernel: the CPU's CRC-32C instruction where
+//!   there is one, a table-driven fallback where there is not.
+//!
+//! This is the only crate in the workspace that may contain `unsafe`; every
+//! other crate is `#![forbid(unsafe_code)]`.
 
 pub mod cnk;
 pub mod counter;
+pub mod crc32c;
 pub mod l2;
 pub mod memory;
 pub mod mutex;

@@ -1,6 +1,7 @@
-//! Property-based tests of the L2-atomic primitives and the lockless queue.
+//! Property-based tests of the L2-atomic primitives, the lockless queue and
+//! the CRC-32C kernels.
 
-use bgq_hw::{BoundedCounter, Counter, L2Counter, WorkQueue};
+use bgq_hw::{crc32c, BoundedCounter, Counter, L2Counter, WorkQueue};
 use proptest::prelude::*;
 
 proptest! {
@@ -33,6 +34,32 @@ proptest! {
             prop_assert_eq!(q.pop(), Some(v));
         }
         prop_assert_eq!(q.pop(), None);
+    }
+
+    /// The kernel the CPU picks, the portable kernel (called directly, so
+    /// the fallback is exercised on a host that never dispatches to it) and
+    /// an incremental fold over arbitrary splits all agree, at any start
+    /// alignment and any length up to four packet payloads.
+    #[test]
+    fn crc32c_kernels_agree_over_alignments_and_splits(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2056),
+        align in 0usize..8,
+        cuts in proptest::collection::vec(0usize..2049, 0..4),
+        seed in any::<u32>(),
+    ) {
+        let data = &bytes[align.min(bytes.len())..];
+        let want = crc32c::update_portable(seed, data);
+        prop_assert_eq!(crc32c::update(seed, data), want);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        let (mut hw, mut portable, mut from) = (seed, seed, 0);
+        for cut in cuts.into_iter().chain([data.len()]) {
+            hw = crc32c::update(hw, &data[from..cut]);
+            portable = crc32c::update_portable(portable, &data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(hw, want);
+        prop_assert_eq!(portable, want);
     }
 
     /// Bounded increments never exceed the bound, and claims are dense.

@@ -8,41 +8,11 @@
 //! flipping bits, so the CRC's job here is (a) to make the fault-free cost
 //! of integrity checking measurable, and (b) to catch simulation bugs that
 //! mangle packets in flight.
-
-/// Reflected CRC-32C polynomial.
-const POLY: u32 = 0x82F6_3B78;
-
-/// Slicing-by-8 lookup tables: `TABLES[0]` is the classic byte-at-a-time
-/// table; `TABLES[j][b]` advances byte `b` through `j` additional zero
-/// bytes, letting [`Crc32c::update`] fold eight input bytes per iteration
-/// with eight independent loads instead of an eight-deep serial chain.
-const fn make_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[j - 1][i];
-            tables[j][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        j += 1;
-    }
-    tables
-}
-
-static TABLES: [[u32; 256]; 8] = make_tables();
+//!
+//! The arithmetic is [`bgq_hw::crc32c`]: the CPU's CRC-32C instruction
+//! where it has one (the nearest a host comes to BG/Q's checksumming
+//! network hardware), a slicing-by-8 table walk elsewhere. This module is
+//! the seed-and-invert convention around it.
 
 /// Incremental CRC-32C over multiple slices.
 #[derive(Clone, Copy, Debug)]
@@ -61,35 +31,10 @@ impl Crc32c {
         Crc32c(0xFFFF_FFFF)
     }
 
-    /// Fold `data` into the checksum (slicing-by-8: eight bytes per
-    /// iteration, one table load each, no intra-iteration dependency
-    /// chain).
+    /// Fold `data` into the checksum.
     #[inline]
     pub fn update(&mut self, data: &[u8]) {
-        let mut c = self.0;
-        let mut chunks = data.chunks_exact(8);
-        for ch in &mut chunks {
-            let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-            let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-            c = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    /// Fold a little-endian `u64` into the checksum.
-    #[inline]
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
+        self.0 = bgq_hw::crc32c::update(self.0, data);
     }
 
     /// Finish and return the CRC value.

@@ -48,8 +48,7 @@
 //! [`bgq_hw::DeliveryFault`] instead of hanging pollers (see
 //! [`crate::link`]). Every packet carries a link sequence number and —
 //! except the lossless fabric's short envelope, which nothing in flight
-//! can touch and nothing downstream reads — a CRC-32C stamp
-//! ([`MuFabricBuilder::crc`]`(false)` turns the stamp off).
+//! can touch and nothing downstream reads — a CRC-32C stamp.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -172,8 +171,6 @@ pub(crate) struct FabricInner {
     pub rec_fifo_capacity: usize,
     pub mode: EngineMode,
     pub shutdown: Arc<AtomicBool>,
-    /// Whether packets carry a computed CRC-32C stamp.
-    pub crc: bool,
     /// `ras.*` probes — registered even without a fault plan so the report
     /// schema is stable (they just stay zero).
     pub ras: Arc<RasCounters>,
@@ -200,7 +197,6 @@ pub struct MuFabricBuilder {
     rec_fifo_capacity: usize,
     mode: EngineMode,
     telemetry: Upc,
-    crc: bool,
     fault_plan: Option<FaultPlan>,
     ras_ring_capacity: usize,
     transport: Option<Arc<dyn Transport>>,
@@ -231,13 +227,6 @@ impl MuFabricBuilder {
     /// layer). Defaults to a private registry.
     pub fn telemetry(mut self, upc: Upc) -> Self {
         self.telemetry = upc;
-        self
-    }
-
-    /// Whether packets carry a computed CRC-32C stamp (default `true`; the
-    /// chaos bench turns it off to isolate the integrity-check cost).
-    pub fn crc(mut self, on: bool) -> Self {
-        self.crc = on;
         self
     }
 
@@ -315,7 +304,6 @@ impl MuFabricBuilder {
             rec_fifo_capacity: self.rec_fifo_capacity,
             mode: self.mode,
             shutdown: Arc::new(AtomicBool::new(false)),
-            crc: self.crc,
             ras,
             ring,
             reliability,
@@ -346,7 +334,6 @@ impl MuFabric {
             rec_fifo_capacity: 512,
             mode: EngineMode::Inline,
             telemetry: Upc::new(),
-            crc: true,
             fault_plan: None,
             ras_ring_capacity: 1024,
             transport: None,
@@ -745,7 +732,7 @@ impl MuFabric {
     /// rides a reliable channel. The lossless fabric's short envelope goes
     /// unstamped: nothing can touch it in flight, nothing downstream reads
     /// the stamp, and it is the tier whose whole point is the minimum
-    /// per-message cost (a zero stamp reads as "CRC disabled" to
+    /// per-message cost (a zero stamp reads as "unstamped" to
     /// [`MuPacket::verify_crc`]). The lossless eager stamp stays because
     /// the chaos bench's fair-weather budget is calibrated against it.
     #[allow(clippy::too_many_arguments)]
@@ -775,7 +762,7 @@ impl MuFabric {
             short,
             payload,
         };
-        if self.inner.crc && (on_channel || !short) {
+        if on_channel || !short {
             pkt.crc = pkt.compute_crc();
         }
         pkt
@@ -1043,9 +1030,7 @@ fn fragments(
             }
             PayloadSource::Immediate(data) => PacketPayload::Inline(data.slice(off..off + chunk)),
             PayloadSource::Region { region, offset, .. } if stage => {
-                let mut staged = vec![0u8; chunk];
-                region.read(*offset + off, &mut staged);
-                PacketPayload::Inline(bytes::Bytes::from(staged))
+                PacketPayload::Inline(region.read_vec(*offset + off, chunk).into())
             }
             PayloadSource::Region { region, offset, .. } => {
                 PacketPayload::Region { region: region.clone(), offset: *offset + off, len: chunk }

@@ -34,6 +34,8 @@
 //! dynamically-routed path and completes out of order; completion is
 //! observed only through reception counters, never packet order.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod comb;
 pub mod crc;

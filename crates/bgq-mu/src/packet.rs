@@ -128,8 +128,8 @@ pub struct MuPacket {
     /// tracks frames by it.
     pub link_seq: u64,
     /// CRC-32C over the header fields, metadata, and staged payload bytes
-    /// (zero when the fabric is built with CRC disabled). See
-    /// [`MuPacket::verify_crc`].
+    /// (zero on the lossless fabric's short envelope, which goes
+    /// unstamped). See [`MuPacket::verify_crc`].
     pub crc: u32,
     /// Short-tier flag: the packet is a complete message whose metadata and
     /// payload were inlined into a single envelope at the send call — the
@@ -159,14 +159,18 @@ pub fn packet_crc(
     metadata: &[u8],
     staged_payload: &[u8],
 ) -> u32 {
+    // The seven fixed fields are exactly 32 bytes, little-endian, in wire
+    // order: packed once and folded with one kernel call.
+    let mut header = [0u8; 32];
+    header[0..4].copy_from_slice(&src_node.to_le_bytes());
+    header[4..6].copy_from_slice(&src_context.to_le_bytes());
+    header[6..8].copy_from_slice(&dispatch.to_le_bytes());
+    header[8..16].copy_from_slice(&msg_id.to_le_bytes());
+    header[16..20].copy_from_slice(&msg_len.to_le_bytes());
+    header[20..24].copy_from_slice(&offset.to_le_bytes());
+    header[24..32].copy_from_slice(&link_seq.to_le_bytes());
     let mut c = crate::crc::Crc32c::new();
-    c.update(&src_node.to_le_bytes());
-    c.update(&src_context.to_le_bytes());
-    c.update(&dispatch.to_le_bytes());
-    c.update_u64(msg_id);
-    c.update(&msg_len.to_le_bytes());
-    c.update(&offset.to_le_bytes());
-    c.update_u64(link_seq);
+    c.update(&header);
     c.update(metadata);
     c.update(staged_payload);
     c.finish()
@@ -204,9 +208,8 @@ impl MuPacket {
     }
 
     /// Receive-side integrity check: does the carried CRC match the packet
-    /// contents? Always `true` for packets from a fabric built with
-    /// [`crate::fabric::MuFabricBuilder::crc`]`(false)` (stamp is zero and
-    /// verification is skipped).
+    /// contents? A zero stamp marks an unstamped envelope (the lossless
+    /// short tier) and verifies trivially.
     pub fn verify_crc(&self) -> bool {
         self.crc == 0 || self.crc == self.compute_crc()
     }
@@ -278,7 +281,28 @@ mod tests {
         p.dispatch = 0;
         assert!(p.verify_crc());
         p.crc = 0;
-        assert!(p.verify_crc(), "zero stamp means CRC disabled");
+        assert!(p.verify_crc(), "zero stamp means an unstamped envelope");
+    }
+
+    /// The stamp is a wire format: this constant is what the table-walk,
+    /// nine-`update` `packet_crc` of PR 12 computed for the same packet, so
+    /// neither the header packing nor the kernel may change the byte
+    /// stream or the checksum.
+    #[test]
+    fn golden_stamp_is_pinned() {
+        let payload: Vec<u8> = (0..512u32).map(|i| (i * 7 + 3) as u8).collect();
+        let crc = packet_crc(
+            0x0102_0304,
+            0x0506,
+            0x0708,
+            0x1112_1314_1516_1718,
+            2048,
+            512,
+            0x2122_2324_2526_2728,
+            b"pami-golden-metadata",
+            &payload,
+        );
+        assert_eq!(crc, 0x42EE_BD00);
     }
 
     #[test]

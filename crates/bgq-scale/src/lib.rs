@@ -23,6 +23,8 @@
 //! ([`harness::failure_storm`]) that kills links mid-run and checks the
 //! zero-silent-loss property end to end.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod harness;
 

@@ -22,6 +22,8 @@
 //!   used by classroutes and the ten rotated ("10-color") trees used by the
 //!   rectangle broadcast of Figure 10.
 
+#![forbid(unsafe_code)]
+
 pub mod coords;
 pub mod packet;
 pub mod rect;

@@ -259,8 +259,8 @@ fn forced_name(
     }
 }
 
-fn lookup(geom: &Geometry, kind: CollKind, forced: Option<&str>) -> Arc<AlgEntry> {
-    let reg = geom.machine().coll_registry();
+fn lookup(geom: &Geometry, ctx: &Context, kind: CollKind, forced: Option<&str>) -> Arc<AlgEntry> {
+    let reg = ctx.machine().coll_registry();
     match forced {
         Some(name) => reg.forced(kind, name),
         None => reg.select(kind, geom),
@@ -329,7 +329,7 @@ pub fn barrier_with(geom: &Geometry, ctx: &Context, alg: BarrierAlg) {
 }
 
 fn barrier_dispatch(geom: &Geometry, ctx: &Context, forced: Option<&str>) {
-    let machine = geom.machine();
+    let machine = ctx.machine();
     let probes = machine.coll_probes();
     probes.barriers.incr();
     let start = Stamp::now();
@@ -337,7 +337,7 @@ fn barrier_dispatch(geom: &Geometry, ctx: &Context, forced: Option<&str>) {
     // though the barrier itself never touches the board.
     let seq = geom.next_seq(ctx.task());
     if geom.size() > 1 {
-        let entry = lookup(geom, CollKind::Barrier, forced);
+        let entry = lookup(geom, ctx, CollKind::Barrier, forced);
         match entry.exec() {
             AlgExec::Barrier(f) => f(geom, ctx, seq),
             _ => unreachable!("barrier entry with a non-barrier body"),
@@ -369,7 +369,7 @@ fn collnet_barrier(geom: &Geometry, ctx: &Context, _seq: u64) {
         let route = geom
             .route()
             .expect("BarrierAlg::CollNet requires an optimized geometry");
-        let machine = geom.machine();
+        let machine = ctx.machine();
         let done = Counter::new();
         done.add_expected(1);
         machine.collnet().contribute(
@@ -446,7 +446,7 @@ fn broadcast_dispatch(
     offset: usize,
     len: usize,
 ) {
-    let machine = geom.machine();
+    let machine = ctx.machine();
     let probes = machine.coll_probes();
     probes.broadcasts.incr();
     let start = Stamp::now();
@@ -454,7 +454,7 @@ fn broadcast_dispatch(
     // bytes is a no-op but collective ordering must stay aligned).
     let seq = geom.next_seq(ctx.task());
     if geom.size() > 1 && len > 0 {
-        let entry = lookup(geom, CollKind::Broadcast, forced);
+        let entry = lookup(geom, ctx, CollKind::Broadcast, forced);
         match entry.exec() {
             AlgExec::Broadcast(f) => f(geom, ctx, seq, root_rank, region, offset, len),
             _ => unreachable!("broadcast entry with a non-broadcast body"),
@@ -474,7 +474,7 @@ fn hw_broadcast(
     len: usize,
 ) {
     let route = geom.route().expect("hw path requires a classroute");
-    let machine = geom.machine();
+    let machine = ctx.machine();
     let node = ctx.node();
     let group = geom.group(node);
     let me = ctx.task();
@@ -685,7 +685,7 @@ fn allreduce_dispatch(
     op: CollOp,
     dtype: DataType,
 ) {
-    let machine = geom.machine();
+    let machine = ctx.machine();
     let probes = machine.coll_probes();
     probes.allreduces.incr();
     let start = Stamp::now();
@@ -694,7 +694,7 @@ fn allreduce_dispatch(
         if geom.size() == 1 {
             dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
         } else {
-            let entry = lookup(geom, CollKind::Allreduce, forced);
+            let entry = lookup(geom, ctx, CollKind::Allreduce, forced);
             match entry.exec() {
                 AlgExec::Allreduce(f) => f(geom, ctx, seq, src, dst, count, op, dtype),
                 _ => unreachable!("allreduce entry with a non-allreduce body"),
@@ -722,7 +722,7 @@ pub fn reduce(
     op: CollOp,
     dtype: DataType,
 ) {
-    let machine = geom.machine();
+    let machine = ctx.machine();
     let probes = machine.coll_probes();
     probes.reduces.incr();
     let start = Stamp::now();
@@ -734,7 +734,7 @@ pub fn reduce(
         dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
         return;
     }
-    let entry = lookup(geom, CollKind::Reduce, None);
+    let entry = lookup(geom, ctx, CollKind::Reduce, None);
     match entry.exec() {
         AlgExec::Reduce(f) => f(geom, ctx, seq, root_rank, src, dst, count, op, dtype),
         _ => unreachable!("reduce entry with a non-reduce body"),
@@ -761,7 +761,7 @@ fn hw_allreduce(
     dtype: DataType,
 ) {
     let route = geom.route().expect("hw path requires a classroute");
-    let machine = geom.machine();
+    let machine = ctx.machine();
     let node = ctx.node();
     let group = geom.group(node);
     let me = ctx.task();
@@ -1096,13 +1096,13 @@ pub fn gather(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    geom.machine().coll_probes().gathers.incr();
+    ctx.machine().coll_probes().gathers.incr();
     let seq = geom.next_seq(ctx.task());
     if geom.size() == 1 {
         dst.0.copy_from(dst.1, src.0, src.1, blk);
         return;
     }
-    match lookup(geom, CollKind::Gather, None).exec() {
+    match lookup(geom, ctx, CollKind::Gather, None).exec() {
         AlgExec::Block(f) => f(geom, ctx, seq, root_rank, src, dst, blk),
         _ => unreachable!("gather entry with a non-block body"),
     }
@@ -1192,13 +1192,13 @@ pub fn scatter(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    geom.machine().coll_probes().scatters.incr();
+    ctx.machine().coll_probes().scatters.incr();
     let seq = geom.next_seq(ctx.task());
     if geom.size() == 1 {
         dst.0.copy_from(dst.1, src.0, src.1, blk);
         return;
     }
-    match lookup(geom, CollKind::Scatter, None).exec() {
+    match lookup(geom, ctx, CollKind::Scatter, None).exec() {
         AlgExec::Block(f) => f(geom, ctx, seq, root_rank, src, dst, blk),
         _ => unreachable!("scatter entry with a non-block body"),
     }
@@ -1306,14 +1306,14 @@ pub fn allgather(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    geom.machine().coll_probes().allgathers.incr();
+    ctx.machine().coll_probes().allgathers.incr();
     let seq = geom.next_seq(ctx.task());
     let rank = geom.rank_of(ctx.task()).expect("caller is a member");
     dst.0.copy_from(dst.1 + rank * blk, src.0, src.1, blk);
     if geom.size() == 1 {
         return;
     }
-    match lookup(geom, CollKind::Allgather, None).exec() {
+    match lookup(geom, ctx, CollKind::Allgather, None).exec() {
         AlgExec::Exchange(f) => f(geom, ctx, seq, src, dst, blk),
         _ => unreachable!("allgather entry with a non-exchange body"),
     }
@@ -1364,14 +1364,14 @@ pub fn alltoall(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    geom.machine().coll_probes().alltoalls.incr();
+    ctx.machine().coll_probes().alltoalls.incr();
     let seq = geom.next_seq(ctx.task());
     let rank = geom.rank_of(ctx.task()).expect("caller is a member");
     dst.0.copy_from(dst.1 + rank * blk, src.0, src.1 + rank * blk, blk);
     if geom.size() == 1 {
         return;
     }
-    match lookup(geom, CollKind::Alltoall, None).exec() {
+    match lookup(geom, ctx, CollKind::Alltoall, None).exec() {
         AlgExec::Exchange(f) => f(geom, ctx, seq, src, dst, blk),
         _ => unreachable!("alltoall entry with a non-exchange body"),
     }

@@ -10,7 +10,7 @@
 //! [`Geometry::deoptimize`]s — exactly the MPIX scheme of section III.D.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use bgq_collnet::{ClassRoute, ClassRouteError};
 use bgq_hw::{L2Counter, MemRegion};
@@ -139,7 +139,9 @@ struct GeometryRegistry {
 pub struct Geometry {
     id: u32,
     topology: Topology,
-    machine: Arc<Machine>,
+    /// Weak: the machine's shared-state registry owns every geometry, so a
+    /// strong handle here would be a cycle that leaks the whole machine.
+    machine: Weak<Machine>,
     /// Distinct member nodes, ascending; index = GI slot.
     nodes: Vec<u32>,
     groups: HashMap<u32, NodeGroup>,
@@ -178,7 +180,7 @@ impl Geometry {
                 g
             }
         };
-        Self::attach_dispatch(ctx, &machine);
+        Self::attach_dispatch(ctx);
         geometry
     }
 
@@ -218,7 +220,7 @@ impl Geometry {
         Geometry {
             id,
             topology,
-            machine: Arc::clone(machine),
+            machine: Arc::downgrade(machine),
             nodes,
             groups,
             gi,
@@ -230,19 +232,13 @@ impl Geometry {
     }
 
     /// Register the geometry message router on `ctx` (idempotent).
-    fn attach_dispatch(ctx: &Context, machine: &Arc<Machine>) {
-        let machine = Arc::clone(machine);
+    fn attach_dispatch(ctx: &Context) {
         ctx.set_dispatch(
             DISPATCH_GEOMETRY,
-            Arc::new(move |ctx: &Context, msg: &IncomingMsg, first: &[u8]| {
+            Arc::new(|ctx: &Context, msg: &IncomingMsg, first: &[u8]| {
                 let (geom_id, tag) = wire_open(&msg.metadata);
-                let registry: Arc<GeometryRegistry> =
-                    machine.shared_state("pami.geometry.registry", || GeometryRegistry {
-                        map: Mutex::new(HashMap::new()),
-                    });
-                let geometry = Arc::clone(
-                    registry.map.lock().get(&geom_id).expect("geometry message for unknown id"),
-                );
+                let geometry = Geometry::lookup(ctx.machine(), geom_id)
+                    .expect("geometry message for unknown id");
                 let src = msg.src.task;
                 let dst = ctx.task();
                 if first.len() as u64 == msg.len {
@@ -302,9 +298,13 @@ impl Geometry {
         &self.gi
     }
 
-    /// The machine.
-    pub fn machine(&self) -> &Arc<Machine> {
-        &self.machine
+    /// The machine. A geometry is only reachable through a context or
+    /// the registry of a live machine, so the upgrade cannot fail in a
+    /// correct program. The upgrade is an atomic RMW on the machine's one
+    /// strong count, so this is for setup and queries; the collectives
+    /// take the machine from their context instead.
+    pub fn machine(&self) -> Arc<Machine> {
+        self.machine.upgrade().expect("geometry used after its machine was dropped")
     }
 
     /// The node rectangle, if the member nodes form one (a prerequisite for
@@ -328,7 +328,7 @@ impl Geometry {
             return Ok(());
         }
         let rect = self.node_rect.ok_or(ClassRouteError::NotRectangular)?;
-        let r = self.machine.classroutes().allocate(rect, None)?;
+        let r = self.machine().classroutes().allocate(rect, None)?;
         *route = Some(Arc::new(r));
         Ok(())
     }
@@ -338,14 +338,14 @@ impl Geometry {
     /// returned with its availability evaluated *now*, so the answer flips
     /// live with [`Self::optimize`]/[`Self::deoptimize`].
     pub fn algorithms_query(&self) -> Vec<crate::coll::AlgInfo> {
-        self.machine.coll_registry().query(self)
+        self.machine().coll_registry().query(self)
     }
 
     /// Release the classroute ("deoptimize") so another geometry can use
     /// the id. Collectives fall back to the software algorithms.
     pub fn deoptimize(&self) {
         if let Some(route) = self.route.lock().take() {
-            self.machine.classroutes().free(&route);
+            self.machine().classroutes().free(&route);
         }
     }
 

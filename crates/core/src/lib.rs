@@ -67,6 +67,8 @@
 //! assert_eq!(got.load(Ordering::SeqCst), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggr;
 pub mod channel;
 pub mod client;

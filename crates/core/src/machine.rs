@@ -225,7 +225,6 @@ pub struct MachineBuilder {
     inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
     fault_plan: Option<FaultPlan>,
-    packet_crc: bool,
     transport: Option<Arc<dyn bgq_mu::Transport>>,
     telemetry: Option<Upc>,
     combining: bool,
@@ -322,13 +321,6 @@ impl MachineBuilder {
     /// takes precedence over the `PAMI_FAULT_PLAN` environment variable.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Enable/disable per-packet CRC-32C stamping (default on). Turning it
-    /// off isolates the integrity-check cost in benchmarks.
-    pub fn packet_crc(mut self, on: bool) -> Self {
-        self.packet_crc = on;
         self
     }
 
@@ -429,7 +421,6 @@ impl MachineBuilder {
             .engine_mode(self.engine_mode)
             .inj_fifo_capacity(self.inj_fifo_capacity)
             .rec_fifo_capacity(self.rec_fifo_capacity)
-            .crc(self.packet_crc)
             .telemetry(telemetry.clone());
         if let Some(plan) = fault_plan {
             fabric_builder = fabric_builder.fault_plan(plan);
@@ -605,7 +596,6 @@ impl Machine {
             inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
             fault_plan: None,
-            packet_crc: true,
             transport: None,
             telemetry: None,
             combining: false,

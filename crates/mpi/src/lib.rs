@@ -50,6 +50,8 @@
 //! });
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod matching;
 pub mod mpi;

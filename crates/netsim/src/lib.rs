@@ -27,6 +27,8 @@
 //! fall (L2 spill points, eager/rendezvous crossover, commthread speedup
 //! vs PPN), and the scaling exponents.
 
+#![forbid(unsafe_code)]
+
 pub mod coll;
 pub mod config;
 pub mod des;

@@ -21,6 +21,8 @@
 //! same API surface is exported but every type is a zero-sized no-op, so
 //! probes in the PAMI stack compile away entirely.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@
 //! * [`bgq_netsim`] — the discrete-event timing simulator for machine-scale
 //!   experiments.
 
+#![forbid(unsafe_code)]
+
 pub use bgq_collnet;
 pub use bgq_hw;
 pub use bgq_mu;
