@@ -88,7 +88,8 @@ fn request_pool_ablation(c: &mut Criterion) {
                         let alloc = Arc::clone(&alloc);
                         s.spawn(move || {
                             for _ in 0..PER {
-                                let r = alloc.insert(pami_mpi::request::RequestInner::with_flag());
+                                let (r, inner) = alloc.insert(1);
+                                drop(inner);
                                 criterion::black_box(alloc.resolve(r));
                                 alloc.release(r);
                             }

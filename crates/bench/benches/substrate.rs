@@ -55,6 +55,49 @@ fn bench(c: &mut Criterion) {
     g.bench_function("crc32c/512B-independent", |b| {
         b.iter(|| bgq_hw::crc32c::update(!0, black_box(&packet)))
     });
+
+    // What the MPI message path does per message with its three building
+    // blocks — a completion counter, a staged buffer, a request handle —
+    // so the `pamibench` `pami-mpi.*` ledger rows can be reconciled with
+    // their parts (EXPERIMENTS.md).
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("counter/new+clone+drop", |b| {
+        b.iter(|| {
+            let c = bgq_hw::Counter::new();
+            black_box(c.clone()).add_expected(1);
+            c
+        })
+    });
+    for len in [64usize, 512] {
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("bytes/copy_from_slice-{len}B"), |b| {
+            b.iter(|| bytes::Bytes::copy_from_slice(black_box(&packet[..len])))
+        });
+    }
+    // One region read staged two ways: written in place, or read into a
+    // `Vec` that `From<Vec<u8>>` then copies into its own allocation.
+    let region = bgq_hw::MemRegion::from_vec(packet.clone());
+    g.bench_function("bytes/fill-512B", |b| {
+        b.iter(|| bytes::Bytes::init_with(512, |buf| black_box(&region).read(0, buf)))
+    });
+    g.bench_function("bytes/from_vec-512B", |b| {
+        b.iter(|| {
+            let mut staged = vec![0u8; 512];
+            black_box(&region).read(0, &mut staged);
+            bytes::Bytes::from(staged)
+        })
+    });
+    g.throughput(Throughput::Elements(1));
+    let requests = pami_mpi::request::RequestAllocator::shared();
+    g.bench_function("mpi/request-insert+resolve+release", |b| {
+        b.iter(|| {
+            let (req, inner) = requests.insert(1);
+            inner.counter().delivered(1);
+            drop(inner);
+            black_box(requests.resolve(req));
+            requests.release(req)
+        })
+    });
     g.finish();
 }
 

@@ -14,10 +14,8 @@
 //! terminate) and carries the [`DeliveryFault`] for the completion callback
 //! to translate into a typed error.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-
-use crate::l2::L2Counter;
 
 /// Why a transfer tracked by a [`Counter`] will never complete. The MU
 /// analogue of a RAS fatal-event code attached to a message.
@@ -47,54 +45,62 @@ impl DeliveryFault {
 }
 
 /// A shareable completion counter ("hardware" decrements, software polls).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Counter {
-    word: Arc<L2Counter>,
-    /// 0 = healthy; otherwise a `DeliveryFault` discriminant. First failure
-    /// wins — later deliveries/failures cannot clear it.
-    fault: Arc<AtomicU8>,
+    state: Arc<CounterState>,
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The byte word and its fault flag in one allocation. A counter is made
+/// per message (a rendezvous pull, a collective call, every MPI request
+/// until its slab pools it), so unlike the long-lived [`crate::L2Counter`]
+/// words it is not padded out to an L2 line of its own: that made every
+/// `new` a 128-byte-aligned allocation, the refcount shares the word's
+/// line either way, and `msgrate`'s multi-context scaling gate — the one
+/// multi-threaded poller of these — passes with and without the padding.
+#[derive(Debug, Default)]
+struct CounterState {
+    /// Outstanding bytes; the L2 word the MU decrements.
+    word: AtomicU64,
+    /// 0 = healthy; otherwise a `DeliveryFault` discriminant. First failure
+    /// wins — later deliveries/failures cannot clear it.
+    fault: AtomicU8,
 }
 
 impl Counter {
     /// A counter armed at zero (already complete).
     pub fn new() -> Self {
-        Counter { word: Arc::new(L2Counter::new(0)), fault: Arc::new(AtomicU8::new(0)) }
+        Self::default()
     }
 
     /// Arm the counter with `bytes` outstanding. Adding (rather than
     /// storing) lets one counter track several descriptors, as PAMI does
     /// for multi-slice transfers.
     pub fn add_expected(&self, bytes: u64) {
-        self.word.store_add(bytes);
+        self.state.word.fetch_add(bytes, Ordering::AcqRel);
     }
 
     /// Hardware side: record `bytes` delivered.
     pub fn delivered(&self, bytes: u64) {
-        self.word.store_add_signed(-(bytes as i64));
+        self.state.word.fetch_sub(bytes, Ordering::AcqRel);
     }
 
     /// Outstanding byte count.
     pub fn outstanding(&self) -> u64 {
-        self.word.load()
+        self.state.word.load(Ordering::Acquire)
     }
 
     /// RAS side: mark the transfer as permanently failed. First fault wins;
     /// returns `true` if this call recorded the fault.
     pub fn fail(&self, fault: DeliveryFault) -> bool {
-        self.fault
+        self.state
+            .fault
             .compare_exchange(0, fault as u8, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 
     /// The recorded delivery fault, if the transfer failed.
     pub fn fault(&self) -> Option<DeliveryFault> {
-        DeliveryFault::from_u8(self.fault.load(Ordering::Acquire))
+        DeliveryFault::from_u8(self.state.fault.load(Ordering::Acquire))
     }
 
     /// Whether polling should stop: every armed byte delivered, *or* the
@@ -106,6 +112,14 @@ impl Counter {
     /// Completed successfully: all bytes delivered and no fault recorded.
     pub fn is_ok(&self) -> bool {
         self.outstanding() == 0 && self.fault().is_none()
+    }
+
+    /// Whether any clone of this counter is alive besides `self` — a
+    /// descriptor still in flight, a retry queue, a poller. A pooled owner
+    /// (the MPI request slab) re-arms a counter only when this is `false`:
+    /// nobody else can then credit or fail the next transfer by mistake.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.state) > 1
     }
 
     /// Spin until complete (test helper; production code advances contexts
@@ -141,6 +155,16 @@ mod tests {
         c.add_expected(8);
         c2.delivered(8);
         assert!(c.is_complete());
+    }
+
+    #[test]
+    fn shared_while_a_clone_lives() {
+        let c = Counter::new();
+        assert!(!c.is_shared());
+        let c2 = c.clone();
+        assert!(c.is_shared() && c2.is_shared());
+        drop(c2);
+        assert!(!c.is_shared());
     }
 
     #[test]

@@ -109,30 +109,6 @@ impl MemRegion {
         }
     }
 
-    /// Copy `len` bytes from the region at `offset` into a new `Vec` — like
-    /// [`MemRegion::read`] into a fresh buffer, without zero-filling the
-    /// buffer first (the MU's staging read does this once per packet).
-    ///
-    /// # Panics
-    /// If `offset + len` exceeds the region length.
-    pub fn read_vec(&self, offset: usize, len: usize) -> Vec<u8> {
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= self.len),
-            "MemRegion read out of bounds: offset {offset} + len {len} > region {}",
-            self.len
-        );
-        let mut out = Vec::with_capacity(len);
-        // SAFETY: the source range was bounds-checked above; `out` is a
-        // fresh allocation of at least `len` bytes, so it cannot overlap
-        // the region; and the copy initializes exactly the `len` bytes
-        // that `set_len` then exposes.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.base().add(offset), out.as_mut_ptr(), len);
-            out.set_len(len);
-        }
-        out
-    }
-
     /// Copy `len` bytes from `src` (at `src_offset`) into `self` (at
     /// `dst_offset`) without an intermediate buffer — the zero-copy path the
     /// global virtual address space enables for intra-node transfers, and
@@ -174,7 +150,9 @@ impl MemRegion {
 
     /// Snapshot the whole region (test/diagnostic helper).
     pub fn to_vec(&self) -> Vec<u8> {
-        self.read_vec(0, self.len)
+        let mut out = vec![0u8; self.len];
+        self.read(0, &mut out);
+        out
     }
 
     /// Read a little-endian `f64` at `offset` (8-byte granularity payloads
@@ -274,28 +252,6 @@ mod tests {
         let r = MemRegion::zeroed(4);
         let mut buf = [0u8; 8];
         r.read(0, &mut buf);
-    }
-
-    #[test]
-    fn read_vec_matches_read() {
-        let r = MemRegion::from_vec((0..=255).collect());
-        for (offset, len) in [(0, 0), (0, 256), (3, 17), (255, 1), (256, 0)] {
-            let mut want = vec![0u8; len];
-            r.read(offset, &mut want);
-            assert_eq!(r.read_vec(offset, len), want);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "MemRegion read out of bounds: offset 0 + len 8 > region 4")]
-    fn read_vec_out_of_bounds_panics_like_read() {
-        MemRegion::zeroed(4).read_vec(0, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "MemRegion read out of bounds")]
-    fn read_vec_offset_overflow_panics_like_read() {
-        MemRegion::zeroed(4).read_vec(usize::MAX, 2);
     }
 
     #[test]

@@ -51,14 +51,13 @@ impl PayloadSource {
     }
 
     /// [`PayloadSource::into_bytes`] on a borrowed payload (an immediate
-    /// payload costs a refcount bump).
+    /// payload costs a refcount bump; a region is read straight into the
+    /// new buffer).
     pub fn to_bytes(&self) -> Bytes {
         match self {
             PayloadSource::Immediate(b) => b.clone(),
             PayloadSource::Region { region, offset, len } => {
-                let mut buf = vec![0u8; *len];
-                region.read(*offset, &mut buf);
-                Bytes::from(buf)
+                Bytes::init_with(*len, |buf| region.read(*offset, buf))
             }
         }
     }

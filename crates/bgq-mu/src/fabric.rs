@@ -1030,7 +1030,8 @@ fn fragments(
             }
             PayloadSource::Immediate(data) => PacketPayload::Inline(data.slice(off..off + chunk)),
             PayloadSource::Region { region, offset, .. } if stage => {
-                PacketPayload::Inline(region.read_vec(*offset + off, chunk).into())
+                let at = *offset + off;
+                PacketPayload::Inline(bytes::Bytes::init_with(chunk, |buf| region.read(at, buf)))
             }
             PayloadSource::Region { region, offset, .. } => {
                 PacketPayload::Region { region: region.clone(), offset: *offset + off, len: chunk }

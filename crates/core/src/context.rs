@@ -518,7 +518,7 @@ impl Context {
     /// Active-message send. Short messages go eager over the memory-FIFO
     /// path (or the shared-memory inline path on-node); messages above the
     /// eager limit use the rendezvous remote-get protocol (or the
-    /// global-VA single-copy path on-node). `args.local_done` fires once
+    /// global-VA single-copy path on-node). `local_done` fires once
     /// the payload has left the source buffer; under a fault plan it can
     /// instead *fail* with a [`bgq_hw::DeliveryFault`] when the reliability
     /// layer gives up on the destination.
@@ -527,25 +527,44 @@ impl Context {
     /// [`PamiError::Invalid`] for a reserved dispatch id,
     /// [`PamiError::UnknownEndpoint`] when the destination was never
     /// created. Delivery failures are reported asynchronously through
-    /// `args.local_done`, never from this call.
+    /// `local_done`, never from this call.
+    #[inline]
     pub fn send(&self, args: SendArgs) -> PamiResult<()> {
-        if args.dispatch >= DISPATCH_INTERNAL_BASE {
+        let SendArgs { dest, dispatch, metadata, payload, local_done } = args;
+        self.send_with(dest, dispatch, &metadata, payload, local_done)
+    }
+
+    /// [`Context::send`] with the metadata borrowed: for a layer that
+    /// builds a few header bytes on its stack per message (the MPI
+    /// envelope) and would otherwise box them in a `Vec` only to hand them
+    /// over — the bytes are copied into the wire envelope either way.
+    ///
+    /// # Errors
+    /// As for [`Context::send`].
+    pub fn send_with(
+        &self,
+        mut dest: Endpoint,
+        dispatch: u16,
+        metadata: &[u8],
+        payload: PayloadSource,
+        local_done: Option<Counter>,
+    ) -> PamiResult<()> {
+        if dispatch >= DISPATCH_INTERNAL_BASE {
             return Err(PamiError::Invalid("dispatch id in the reserved range"));
         }
         // Endpoint failover remap, ahead of node/FIFO/policy resolution.
-        let mut args = args;
-        args.dest.task = self.machine.resolve_task(args.dest.task);
-        let dest_node = self.machine.task_node(args.dest.task);
+        dest.task = self.machine.resolve_task(dest.task);
+        let dest_node = self.machine.task_node(dest.task);
         if dest_node == self.node {
             // On-node sends never coalesce (the mailbox is already one
             // hop), but they must not overtake a bucket a failover left
             // pointing at this node.
-            self.flush_aggr_conflict(args.dest, dest_node);
+            self.flush_aggr_conflict(dest, dest_node);
             self.probes.sends_shm.incr_pinned(self.offset as usize);
-            return self.send_shm(args);
+            return self.send_shm(dest, dispatch, metadata, payload, local_done);
         }
-        let rec_fifo = self.rec_fifo_of(args.dest)?;
-        let len = args.payload.len();
+        let rec_fifo = self.rec_fifo_of(dest)?;
+        let len = payload.len();
         let mut proto = match self.fixed_thresholds {
             // Destination-independent ladder: pick inline, no virtual call.
             Some((aggr, short, limit)) => {
@@ -559,11 +578,11 @@ impl Context {
                     Protocol::Rendezvous
                 }
             }
-            None => self.machine.policy().select(args.dest.task, len),
+            None => self.machine.policy().select(dest.task, len),
         };
         if proto == Protocol::Aggregated {
             match &self.aggr {
-                Some(aggr) if aggr.record_fits(args.metadata.len(), len) => {
+                Some(aggr) if aggr.record_fits(metadata.len(), len) => {
                     // Append into the destination's coalescing bucket; any
                     // frame the append cuts (fill) is injected here, under
                     // the aggregator lock, so frames leave in cut order.
@@ -571,13 +590,13 @@ impl Context {
                     // is immediate — same credit rule as the inline shm
                     // path.
                     self.probes.sends_aggr.incr_pinned(self.offset as usize);
-                    let key = self.aggr_key(args.dest, dest_node);
+                    let key = self.aggr_key(dest, dest_node);
                     // Borrow the payload bytes in place: the append copies
                     // them into the bucket, so the immediate path needs no
                     // refcount round-trip and the region path materializes
                     // exactly once.
                     let region_copy;
-                    let payload: &[u8] = match &args.payload {
+                    let payload: &[u8] = match &payload {
                         PayloadSource::Immediate(b) => b,
                         other => {
                             region_copy = other.to_bytes();
@@ -586,14 +605,14 @@ impl Context {
                     };
                     let opened = aggr.append(
                         key,
-                        args.dest,
-                        args.dispatch,
-                        &args.metadata,
+                        dest,
+                        dispatch,
+                        metadata,
                         payload,
                         || self.first_hop_class_of(key),
                         |f| self.send_aggr_frame(f),
                     );
-                    if let Some(c) = args.local_done {
+                    if let Some(c) = local_done {
                         c.delivered(if len == 0 { 1 } else { len as u64 });
                     }
                     if opened {
@@ -620,42 +639,42 @@ impl Context {
         }
         // Ordering: a non-aggregated send must not overtake records still
         // coalescing for the same destination — cut that bucket first.
-        self.flush_aggr_conflict(args.dest, dest_node);
+        self.flush_aggr_conflict(dest, dest_node);
         let stamp = self.send_stamp();
         match proto {
             Protocol::Short if len <= bgq_torus::packet::MAX_PAYLOAD_BYTES => {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
-                let metadata = self.envelope_for(stamp, &args.metadata);
-                let hdr = self.short_header(dest_node, rec_fifo, args.dispatch, metadata);
-                self.send_short_arm(args.dest, hdr, args.payload, args.local_done);
+                let metadata = self.envelope_for(stamp, metadata);
+                let hdr = self.short_header(dest_node, rec_fifo, dispatch, metadata);
+                self.send_short_arm(dest, hdr, payload, local_done);
             }
             Protocol::Short | Protocol::Eager => {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
                 let desc = Descriptor {
                     dst_node: dest_node,
-                    dst_context: args.dest.context,
+                    dst_context: dest.context,
                     src_context: self.offset,
                     routing: bgq_torus::Routing::Deterministic,
-                    payload: args.payload,
+                    payload,
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
-                        dispatch: args.dispatch,
-                        metadata: self.envelope_for(stamp, &args.metadata),
+                        dispatch,
+                        metadata: self.envelope_for(stamp, metadata),
                         short: false,
                     },
-                    inj_counter: args.local_done,
+                    inj_counter: local_done,
                 };
-                self.inject_to(args.dest.task, desc);
+                self.inject_to(dest.task, desc);
             }
             Protocol::Rendezvous => {
                 // Rendezvous: register the source, send an RTS; the target
                 // pulls the payload with a remote get.
                 self.probes.sends_rzv.incr_pinned(self.offset as usize);
-                let key = self.machine.rzv_register(args.payload, args.local_done);
-                let rts = wire::rts(args.dispatch, len as u64, key, &args.metadata);
+                let key = self.machine.rzv_register(payload, local_done);
+                let rts = wire::rts(dispatch, len as u64, key, metadata);
                 let desc = Descriptor {
                     dst_node: dest_node,
-                    dst_context: args.dest.context,
+                    dst_context: dest.context,
                     src_context: self.offset,
                     routing: bgq_torus::Routing::Deterministic,
                     payload: PayloadSource::Immediate(Bytes::new()),
@@ -667,7 +686,7 @@ impl Context {
                     },
                     inj_counter: None,
                 };
-                self.inject_to(args.dest.task, desc);
+                self.inject_to(dest.task, desc);
             }
             Protocol::Aggregated => unreachable!("aggregated sends return from the append arm"),
         }
@@ -1048,25 +1067,32 @@ impl Context {
         }
     }
 
-    fn send_shm(&self, args: SendArgs) -> PamiResult<()> {
-        let addr = self.addr_of(args.dest)?;
-        let len = args.payload.len();
+    fn send_shm(
+        &self,
+        dest: Endpoint,
+        dispatch: u16,
+        metadata: &[u8],
+        payload: PayloadSource,
+        local_done: Option<Counter>,
+    ) -> PamiResult<()> {
+        let addr = self.addr_of(dest)?;
+        let len = payload.len();
         let stamp = self.send_stamp();
         // On-node, short, eager and would-be-aggregated are the same
         // inline mailbox path; only rendezvous-class payloads take the
         // global-VA single-copy route.
         let eager = matches!(
-            self.machine.policy().select(args.dest.task, len),
+            self.machine.policy().select(dest.task, len),
             Protocol::Short | Protocol::Eager | Protocol::Aggregated
         );
         let payload = if eager {
-            let bytes = args.payload.to_bytes();
-            if let Some(c) = args.local_done {
+            let bytes = payload.to_bytes();
+            if let Some(c) = local_done {
                 c.delivered(if len == 0 { 1 } else { len as u64 });
             }
             ShmPayload::Inline(bytes)
         } else {
-            match args.payload {
+            match payload {
                 PayloadSource::Region { region, offset, len } => {
                     // Publish the source buffer in the CNK global-VA table;
                     // the receiver resolves and copies directly from it.
@@ -1076,11 +1102,11 @@ impl Context {
                     ShmPayload::GlobalVa {
                         addr: bgq_hw::GlobalAddress { local_rank, region: id, offset },
                         len,
-                        done: args.local_done,
+                        done: local_done,
                     }
                 }
                 PayloadSource::Immediate(b) => {
-                    if let Some(c) = args.local_done {
+                    if let Some(c) = local_done {
                         c.delivered(b.len().max(1) as u64);
                     }
                     ShmPayload::Inline(b)
@@ -1089,8 +1115,8 @@ impl Context {
         };
         addr.mailbox.deliver(ShmMsg {
             src: self.endpoint(),
-            dispatch: args.dispatch,
-            metadata: Bytes::from(args.metadata),
+            dispatch,
+            metadata: Bytes::copy_from_slice(metadata),
             stamp,
             payload,
         });

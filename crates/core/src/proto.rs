@@ -11,7 +11,7 @@
 use bgq_hw::{Counter, GlobalAddress, WakeupRegion, WorkQueue};
 use bgq_mu::PayloadSource;
 use bgq_upc::Stamp;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::endpoint::Endpoint;
 
@@ -220,11 +220,11 @@ pub(crate) mod wire {
     /// the shared process clock and feed it back to the sender's protocol
     /// policy; with telemetry off it serializes as zero.
     pub fn envelope(src_task: u32, stamp: Stamp, user_metadata: &[u8]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(12 + user_metadata.len());
-        buf.put_u32_le(src_task);
-        buf.put_u64_le(stamp.ns());
-        buf.put_slice(user_metadata);
-        buf.freeze()
+        Bytes::init_with(12 + user_metadata.len(), |buf| {
+            buf[..4].copy_from_slice(&src_task.to_le_bytes());
+            buf[4..12].copy_from_slice(&stamp.ns().to_le_bytes());
+            buf[12..].copy_from_slice(user_metadata);
+        })
     }
 
     /// Split an envelope back into (source task, send stamp, user metadata).

@@ -4,14 +4,16 @@
 //! overhead L2 atomic mutex to serialize access to it" because wildcard
 //! receives — common in Blue Gene applications — make parallel receive
 //! queues painful (section IV.A). That is exactly the structure here: one
-//! posted-receive queue plus one unexpected-message queue per rank,
-//! guarded by a single [`L2TicketMutex`]; first-match semantics in queue
-//! order implement the MPI ordering rules, including `ANY_SOURCE` /
-//! `ANY_TAG`.
+//! posted-receive queue plus one unexpected-message queue per rank, inside
+//! a single [`L2TicketMutex`] — the queues are the lock's data, so
+//! [`MatchEngine::lock`] is the only way to them and the only lock a
+//! matching call takes; first-match semantics in queue order implement the
+//! MPI ordering rules, including `ANY_SOURCE` / `ANY_TAG`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use bgq_hw::mutex::L2TicketGuard;
 use bgq_hw::{L2TicketMutex, MemRegion};
 use bgq_upc::{Counter, Histogram, Upc};
 use parking_lot::Mutex;
@@ -33,7 +35,23 @@ pub struct PostedRecv {
     pub request: Arc<RequestInner>,
 }
 
-/// State of an unexpected message's payload.
+/// Where an unexpected message's payload is.
+pub enum Staged {
+    /// The whole message came in its first packet: the bytes, copied out of
+    /// the packet buffer — the message's one allocation.
+    Whole(Box<[u8]>),
+    /// A multi-packet message streaming into a staging region ("a buffer is
+    /// allocated to receive the message"); `state` is shared with the
+    /// deposit completion callback.
+    Streaming {
+        /// The staging buffer.
+        staging: MemRegion,
+        /// Arrival/claim state.
+        state: Arc<Mutex<UnexpectedData>>,
+    },
+}
+
+/// State of a [`Staged::Streaming`] payload.
 pub enum UnexpectedData {
     /// Payload still streaming into the staging buffer.
     Arriving,
@@ -58,10 +76,8 @@ pub struct Unexpected {
     pub comm: u32,
     /// Payload length.
     pub len: usize,
-    /// Staging buffer ("a buffer is allocated to receive the message").
-    pub staging: MemRegion,
-    /// Arrival/claim state, shared with the deposit completion callback.
-    pub state: Arc<Mutex<UnexpectedData>>,
+    /// The payload, or where it is arriving.
+    pub data: Staged,
 }
 
 /// `match.*` telemetry probes: queue traffic, wildcard pressure, and the
@@ -102,16 +118,18 @@ impl MatchProbes {
 
 /// The per-rank matching engine.
 pub struct MatchEngine {
-    /// The L2 atomic mutex serializing queue access.
-    pub lock: L2TicketMutex,
-    queues: Mutex<Queues>,
-    probes: MatchProbes,
+    /// The L2 atomic mutex serializing queue access, and the queues in it.
+    queues: L2TicketMutex<Queues>,
 }
 
-#[derive(Default)]
-struct Queues {
+/// The two queues and their probes: what [`MatchEngine::lock`] guards.
+/// Holding the guard across a match attempt and the enqueue that follows a
+/// miss is what keeps match order consistent — the L2 mutex discipline of
+/// the paper.
+pub struct Queues {
     posted: VecDeque<PostedRecv>,
     unexpected: VecDeque<Unexpected>,
+    probes: MatchProbes,
 }
 
 impl Default for MatchEngine {
@@ -132,27 +150,51 @@ impl MatchEngine {
     /// An empty engine registering its `match.*` probes on `upc`.
     pub fn with_telemetry(upc: &Upc) -> MatchEngine {
         MatchEngine {
-            lock: L2TicketMutex::new(),
-            queues: Mutex::new(Queues::default()),
-            probes: MatchProbes::new(upc),
+            queues: L2TicketMutex::with(Queues {
+                posted: VecDeque::new(),
+                unexpected: VecDeque::new(),
+                probes: MatchProbes::new(upc),
+            }),
         }
     }
 
+    /// Take the receive-queue mutex.
+    pub fn lock(&self) -> L2TicketGuard<'_, Queues> {
+        self.queues.lock()
+    }
+
+    /// Posted receives currently queued.
+    pub fn posted_len(&self) -> usize {
+        self.lock().posted.len()
+    }
+
+    /// Unexpected messages currently queued.
+    pub fn unexpected_len(&self) -> usize {
+        self.lock().unexpected.len()
+    }
+
+    /// Messages that matched a pre-posted receive (fast path count).
+    /// Telemetry-backed: reads 0 when the `telemetry` feature is off.
+    pub fn matched_posted_count(&self) -> u64 {
+        self.lock().probes.matched_posted.value()
+    }
+
+    /// Messages that had to be staged unexpected. Telemetry-backed: reads
+    /// 0 when the `telemetry` feature is off.
+    pub fn unexpected_count(&self) -> u64 {
+        self.lock().probes.unexpected_queued.value()
+    }
+}
+
+impl Queues {
     /// Incoming-message side: find the first posted receive matching
     /// (src, tag, comm) and remove it, or `None` (the caller then stages
-    /// the message as unexpected with [`MatchEngine::add_unexpected`]).
-    ///
-    /// Callers must hold [`MatchEngine::lock`] across this call and any
-    /// related queue mutation to keep match order consistent — the L2
-    /// mutex discipline of the paper.
-    pub fn match_posted(&self, src: i32, tag: Tag, comm: u32) -> Option<PostedRecv> {
-        let mut q = self.queues.lock();
-        let idx = q
-            .posted
-            .iter()
-            .position(|p| p.comm == comm && matches(p.src, p.tag, src, tag))?;
+    /// the message as unexpected with [`Queues::add_unexpected`]).
+    pub fn match_posted(&mut self, src: i32, tag: Tag, comm: u32) -> Option<PostedRecv> {
+        let idx =
+            self.posted.iter().position(|p| p.comm == comm && matches(p.src, p.tag, src, tag))?;
         self.probes.matched_posted.incr();
-        let hit = q.posted.remove(idx);
+        let hit = self.posted.remove(idx);
         if let Some(p) = &hit {
             if p.src == ANY_SOURCE || p.tag == ANY_TAG {
                 self.probes.wildcard_hits.incr();
@@ -162,19 +204,17 @@ impl MatchEngine {
     }
 
     /// Queue a message that matched nothing.
-    pub fn add_unexpected(&self, msg: Unexpected) {
+    pub fn add_unexpected(&mut self, msg: Unexpected) {
         self.probes.unexpected_queued.incr();
-        let mut q = self.queues.lock();
-        q.unexpected.push_back(msg);
-        self.probes.unexpected_depth.record(q.unexpected.len() as u64);
+        self.unexpected.push_back(msg);
+        self.probes.unexpected_depth.record(self.unexpected.len() as u64);
     }
 
     /// Receive-posting side: find the first unexpected message matching the
     /// selector and remove it, or `None` (the caller then posts the
-    /// receive with [`MatchEngine::add_posted`]).
-    pub fn match_unexpected(&self, src: i32, tag: Tag, comm: u32) -> Option<Unexpected> {
-        let mut q = self.queues.lock();
-        let idx = q
+    /// receive with [`Queues::add_posted`]).
+    pub fn match_unexpected(&mut self, src: i32, tag: Tag, comm: u32) -> Option<Unexpected> {
+        let idx = self
             .unexpected
             .iter()
             .position(|u| u.comm == comm && matches(src, tag, u.src, u.tag))?;
@@ -182,47 +222,23 @@ impl MatchEngine {
         if src == ANY_SOURCE || tag == ANY_TAG {
             self.probes.wildcard_hits.incr();
         }
-        q.unexpected.remove(idx)
+        self.unexpected.remove(idx)
     }
 
     /// Queue a receive that matched nothing.
-    pub fn add_posted(&self, recv: PostedRecv) {
+    pub fn add_posted(&mut self, recv: PostedRecv) {
         self.probes.posted_queued.incr();
-        let mut q = self.queues.lock();
-        q.posted.push_back(recv);
-        self.probes.posted_depth.record(q.posted.len() as u64);
+        self.posted.push_back(recv);
+        self.probes.posted_depth.record(self.posted.len() as u64);
     }
 
     /// Probe: the envelope of the first unexpected message matching the
     /// selector, without removing it (`MPI_Probe` support).
     pub fn peek_unexpected(&self, src: i32, tag: Tag, comm: u32) -> Option<Status> {
-        let q = self.queues.lock();
-        q.unexpected
+        self.unexpected
             .iter()
             .find(|u| u.comm == comm && matches(src, tag, u.src, u.tag))
             .map(|u| Status { source: u.src, tag: u.tag, len: u.len })
-    }
-
-    /// Posted receives currently queued.
-    pub fn posted_len(&self) -> usize {
-        self.queues.lock().posted.len()
-    }
-
-    /// Unexpected messages currently queued.
-    pub fn unexpected_len(&self) -> usize {
-        self.queues.lock().unexpected.len()
-    }
-
-    /// Messages that matched a pre-posted receive (fast path count).
-    /// Telemetry-backed: reads 0 when the `telemetry` feature is off.
-    pub fn matched_posted_count(&self) -> u64 {
-        self.probes.matched_posted.value()
-    }
-
-    /// Messages that had to be staged unexpected. Telemetry-backed: reads
-    /// 0 when the `telemetry` feature is off.
-    pub fn unexpected_count(&self) -> u64 {
-        self.probes.unexpected_queued.value()
     }
 }
 
@@ -231,10 +247,17 @@ impl MatchEngine {
 pub fn deliver_unexpected(u: Unexpected, buffer: (MemRegion, usize, usize), req: Arc<RequestInner>) {
     assert!(u.len <= buffer.2, "receive buffer too small: {} < {}", buffer.2, u.len);
     let status = Status { source: u.src, tag: u.tag, len: u.len };
-    let mut state = u.state.lock();
+    let (staging, state) = match u.data {
+        Staged::Whole(bytes) => {
+            buffer.0.write(buffer.1, &bytes);
+            return req.complete_with(status);
+        }
+        Staged::Streaming { staging, state } => (staging, state),
+    };
+    let mut state = state.lock();
     match &*state {
         UnexpectedData::Ready => {
-            buffer.0.copy_from(buffer.1, &u.staging, 0, u.len);
+            buffer.0.copy_from(buffer.1, &staging, 0, u.len);
             drop(state);
             req.complete_with(status);
         }
@@ -255,24 +278,27 @@ mod tests {
             tag,
             comm,
             buffer: (MemRegion::zeroed(8), 0, 8),
-            request: RequestInner::with_flag(),
+            request: RequestInner::armed(1),
         }
     }
 
     fn unexpected(src: i32, tag: Tag, comm: u32) -> Unexpected {
-        Unexpected {
-            src,
-            tag,
-            comm,
-            len: 4,
-            staging: MemRegion::from_vec(vec![1, 2, 3, 4]),
-            state: Arc::new(Mutex::new(UnexpectedData::Ready)),
-        }
+        Unexpected { src, tag, comm, len: 4, data: Staged::Whole(Box::new([1, 2, 3, 4])) }
+    }
+
+    /// A multi-packet message in `state`, its four bytes in the staging
+    /// region.
+    fn streaming(state: UnexpectedData) -> (Unexpected, Arc<Mutex<UnexpectedData>>) {
+        let state = Arc::new(Mutex::new(state));
+        let staging = MemRegion::from_vec(vec![1, 2, 3, 4]);
+        let data = Staged::Streaming { staging, state: Arc::clone(&state) };
+        (Unexpected { data, ..unexpected(1, 2, 0) }, state)
     }
 
     #[test]
     fn first_match_in_post_order() {
         let m = MatchEngine::new();
+        let mut m = m.lock();
         m.add_posted(posted(crate::ANY_SOURCE, 5, 0));
         m.add_posted(posted(2, 5, 0));
         // A message from 2 with tag 5 must match the wildcard first (it was
@@ -287,6 +313,7 @@ mod tests {
     #[test]
     fn communicators_do_not_cross_match() {
         let m = MatchEngine::new();
+        let mut m = m.lock();
         m.add_posted(posted(1, 1, 7));
         assert!(m.match_posted(1, 1, 8).is_none());
         assert!(m.match_posted(1, 1, 7).is_some());
@@ -295,6 +322,7 @@ mod tests {
     #[test]
     fn unexpected_queue_fifo_per_selector() {
         let m = MatchEngine::new();
+        let mut m = m.lock();
         let mut u1 = unexpected(3, 9, 0);
         u1.len = 1;
         m.add_unexpected(u1);
@@ -310,23 +338,22 @@ mod tests {
 
     #[test]
     fn deliver_ready_unexpected_copies_and_completes() {
-        let u = unexpected(1, 2, 0);
-        let buf = MemRegion::zeroed(8);
-        let req = RequestInner::with_flag();
-        deliver_unexpected(u, (buf.clone(), 2, 6), Arc::clone(&req));
-        assert!(req.is_complete());
-        assert_eq!(&buf.to_vec()[2..6], &[1, 2, 3, 4]);
-        let st = req.status.lock().unwrap();
-        assert_eq!(st.len, 4);
-        assert_eq!(st.source, 1);
+        for u in [unexpected(1, 2, 0), streaming(UnexpectedData::Ready).0] {
+            let buf = MemRegion::zeroed(8);
+            let req = RequestInner::armed(1);
+            deliver_unexpected(u, (buf.clone(), 2, 6), Arc::clone(&req));
+            assert!(req.is_complete());
+            assert_eq!(&buf.to_vec()[2..6], &[1, 2, 3, 4]);
+            let st = req.status();
+            assert_eq!(st.len, 4);
+            assert_eq!(st.source, 1);
+        }
     }
 
     #[test]
     fn deliver_arriving_unexpected_claims() {
-        let mut u = unexpected(1, 2, 0);
-        u.state = Arc::new(Mutex::new(UnexpectedData::Arriving));
-        let state = Arc::clone(&u.state);
-        let req = RequestInner::with_flag();
+        let (u, state) = streaming(UnexpectedData::Arriving);
+        let req = RequestInner::armed(1);
         deliver_unexpected(u, (MemRegion::zeroed(8), 0, 8), Arc::clone(&req));
         assert!(!req.is_complete(), "claimed, not yet complete");
         assert!(matches!(&*state.lock(), UnexpectedData::Claimed { .. }));
@@ -337,7 +364,7 @@ mod tests {
     fn overflowing_receive_buffer_panics() {
         let mut u = unexpected(1, 2, 0);
         u.len = 16;
-        u.staging = MemRegion::zeroed(16);
-        deliver_unexpected(u, (MemRegion::zeroed(8), 0, 8), RequestInner::with_flag());
+        u.data = Staged::Whole(Box::new([0; 16]));
+        deliver_unexpected(u, (MemRegion::zeroed(8), 0, 8), RequestInner::armed(1));
     }
 }

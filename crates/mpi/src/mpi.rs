@@ -2,17 +2,20 @@
 //! waitall.
 
 use std::sync::Arc;
+use std::task::Poll;
 
-use bgq_hw::{Counter, L2TicketMutex, MemRegion};
+use bgq_hw::{L2TicketMutex, MemRegion};
 use bgq_mu::PayloadSource;
 use pami::{
-    Client, CommThreadPool, Context, Endpoint, Geometry, LockDiscipline, Machine, Recv, SendArgs,
+    Client, CommThreadPool, Context, Endpoint, Geometry, LockDiscipline, Machine, Recv,
     TaskEnv, Topology,
 };
 use parking_lot::Mutex;
 
 use crate::comm::Comm;
-use crate::matching::{deliver_unexpected, MatchEngine, PostedRecv, Unexpected, UnexpectedData};
+use crate::matching::{
+    deliver_unexpected, MatchEngine, PostedRecv, Staged, Unexpected, UnexpectedData,
+};
 use crate::request::{Request, RequestAllocator, RequestInner};
 use crate::types::{LibFlavor, Status, Tag, ThreadLevel, ANY_SOURCE, ANY_TAG};
 
@@ -154,9 +157,9 @@ impl Mpi {
                 let (src_rank, tag, comm) = unpack_meta(&msg.metadata);
                 let len = msg.len as usize;
                 // The L2 atomic mutex serializes receive-queue access.
-                let _q = shared.matcher.lock.lock();
-                if let Some(posted) = shared.matcher.match_posted(src_rank, tag, comm) {
-                    drop(_q);
+                let mut queues = shared.matcher.lock();
+                if let Some(posted) = queues.match_posted(src_rank, tag, comm) {
+                    drop(queues);
                     assert!(
                         len <= posted.buffer.2,
                         "message of {len} bytes overflows posted receive of {}",
@@ -176,18 +179,20 @@ impl Mpi {
                     };
                 }
                 // No match: stage as unexpected ("an entry is created in the
-                // unexpected queue, and a buffer is allocated").
+                // unexpected queue, and a buffer is allocated"). A message
+                // that is all here is staged in one piece, its bytes the
+                // only allocation; the arrival state machine is for
+                // messages with packets still to come.
+                let mut stage =
+                    |data| queues.add_unexpected(Unexpected { src: src_rank, tag, comm, len, data });
+                if first.len() == len {
+                    stage(Staged::Whole(first.into()));
+                    return Recv::Done;
+                }
                 let staging = MemRegion::zeroed(len);
                 let state = Arc::new(Mutex::new(UnexpectedData::Arriving));
-                shared.matcher.add_unexpected(Unexpected {
-                    src: src_rank,
-                    tag,
-                    comm,
-                    len,
-                    staging: staging.clone(),
-                    state: Arc::clone(&state),
-                });
-                drop(_q);
+                stage(Staged::Streaming { staging: staging.clone(), state: Arc::clone(&state) });
+                drop(queues);
                 let status = Status { source: src_rank, tag, len };
                 let stage2 = staging.clone();
                 Recv::Into {
@@ -282,10 +287,8 @@ impl Mpi {
         let _g = self.call_guard();
         let my_rank = comm.rank();
         let dest_task = comm.task_of(dest);
-        let counter = Counter::new();
-        counter.add_expected(len.max(1) as u64);
-        let request = RequestInner::with_counter(counter.clone());
-        let handle = self.shared.allocator.insert(request);
+        let (handle, request) = self.shared.allocator.insert(len.max(1) as u64);
+        let counter = request.counter().clone();
         let ctx = self.context_for(dest, comm.id());
         let dest_ep = Endpoint {
             task: dest_task,
@@ -298,22 +301,11 @@ impl Mpi {
             // contexts to hand off the work in MPI Isends ... to a
             // communication thread."
             ctx.post(Box::new(move |ctx| {
-                ctx.send(SendArgs {
-                    dest: dest_ep,
-                    dispatch: DISPATCH_MPI_EAGER,
-                    metadata,
-                    payload,
-                    local_done: Some(counter),
-                }).unwrap();
+                ctx.send_with(dest_ep, DISPATCH_MPI_EAGER, &metadata, payload, Some(counter))
+                    .unwrap();
             }));
         } else {
-            ctx.send(SendArgs {
-                dest: dest_ep,
-                dispatch: DISPATCH_MPI_EAGER,
-                metadata,
-                payload,
-                local_done: Some(counter),
-            }).unwrap();
+            ctx.send_with(dest_ep, DISPATCH_MPI_EAGER, &metadata, payload, Some(counter)).unwrap();
         }
         handle
     }
@@ -333,14 +325,13 @@ impl Mpi {
         let _g = self.call_guard();
         debug_assert!(src == ANY_SOURCE || (src as usize) < comm.size());
         debug_assert!(tag >= 0 || tag == ANY_TAG);
-        let request = RequestInner::with_flag();
-        let handle = self.shared.allocator.insert(Arc::clone(&request));
-        let _q = self.shared.matcher.lock.lock();
-        if let Some(unexpected) = self.shared.matcher.match_unexpected(src, tag, comm.id()) {
-            drop(_q);
+        let (handle, request) = self.shared.allocator.insert(1);
+        let mut queues = self.shared.matcher.lock();
+        if let Some(unexpected) = queues.match_unexpected(src, tag, comm.id()) {
+            drop(queues);
             deliver_unexpected(unexpected, (buf.clone(), offset, len), request);
         } else {
-            self.shared.matcher.add_posted(PostedRecv {
+            queues.add_posted(PostedRecv {
                 src,
                 tag,
                 comm: comm.id(),
@@ -371,23 +362,15 @@ impl Mpi {
     /// Non-destructive completion probe (keeps the request live) — what a
     /// poll loop uses between advances.
     pub fn request_complete(&self, req: Request) -> bool {
-        self.shared
-            .allocator
-            .resolve(req)
-            .map(|r| r.is_complete())
-            .unwrap_or(true)
+        self.shared.allocator.is_complete(req).unwrap_or(true)
     }
 
     /// `MPI_Test`.
     pub fn test(&self, req: Request) -> Option<Status> {
         let _g = self.call_guard();
-        let inner = self.shared.allocator.resolve(req).expect("unknown request");
-        if inner.is_complete() {
-            let status = inner.status.lock().unwrap_or_else(Status::none);
-            self.shared.allocator.release(req);
-            Some(status)
-        } else {
-            None
+        match self.shared.allocator.test(req).expect("unknown request") {
+            Poll::Ready(status) => Some(status),
+            Poll::Pending => None,
         }
     }
 
@@ -402,7 +385,8 @@ impl Mpi {
                 std::thread::yield_now();
             }
         }
-        let status = inner.status.lock().unwrap_or_else(Status::none);
+        let status = inner.status();
+        drop(inner);
         let _g = self.call_guard();
         self.shared.allocator.release(req);
         status
@@ -429,10 +413,8 @@ impl Mpi {
             }
             pending.retain(|&i| !resolved[i].is_complete());
         }
-        let statuses = resolved
-            .iter()
-            .map(|r| r.status.lock().unwrap_or_else(Status::none))
-            .collect();
+        let statuses = resolved.iter().map(|r| r.status()).collect();
+        drop(resolved);
         let _g = self.call_guard();
         for r in reqs {
             self.shared.allocator.release(*r);
@@ -539,11 +521,11 @@ fn contiguous_or_list(tasks: &[u32]) -> Topology {
     }
 }
 
-pub(crate) fn pack_meta(src_rank: i32, tag: Tag, comm: u32) -> Vec<u8> {
-    let mut v = Vec::with_capacity(12);
-    v.extend_from_slice(&src_rank.to_le_bytes());
-    v.extend_from_slice(&tag.to_le_bytes());
-    v.extend_from_slice(&comm.to_le_bytes());
+pub(crate) fn pack_meta(src_rank: i32, tag: Tag, comm: u32) -> [u8; 12] {
+    let mut v = [0; 12];
+    v[..4].copy_from_slice(&src_rank.to_le_bytes());
+    v[4..8].copy_from_slice(&tag.to_le_bytes());
+    v[8..].copy_from_slice(&comm.to_le_bytes());
     v
 }
 
@@ -582,8 +564,7 @@ impl Mpi {
     pub fn iprobe(&self, src: i32, tag: Tag, comm: &Comm) -> Option<Status> {
         let _g = self.call_guard();
         self.advance();
-        let _q = self.shared.matcher.lock.lock();
-        self.shared.matcher.peek_unexpected(src, tag, comm.id())
+        self.shared.matcher.lock().peek_unexpected(src, tag, comm.id())
     }
 
     /// `MPI_Probe`: block (advancing) until a matching message is
@@ -606,10 +587,48 @@ mod tests {
 
     #[test]
     fn meta_round_trips() {
-        let m = bytes::Bytes::from(pack_meta(-1, ANY_TAG, 77));
+        let m = bytes::Bytes::copy_from_slice(&pack_meta(-1, ANY_TAG, 77));
         assert_eq!(unpack_meta(&m), (ANY_SOURCE, ANY_TAG, 77));
-        let m = bytes::Bytes::from(pack_meta(12, 34, 0));
+        let m = bytes::Bytes::copy_from_slice(&pack_meta(12, 34, 0));
         assert_eq!(unpack_meta(&m), (12, 34, 0));
+    }
+
+    /// Two ranks on two nodes, both driven by the calling thread.
+    fn two_ranks() -> Vec<Mpi> {
+        let machine = Machine::with_nodes(2).build();
+        (0..2).map(|task| Mpi::init(&machine, task, MpiConfig::default())).collect()
+    }
+
+    #[test]
+    fn a_failed_send_completes_is_released_and_is_not_recycled() {
+        let mpis = two_ranks();
+        let (mpi, world) = (&mpis[0], mpis[0].world());
+        // A rendezvous-sized send nobody pulls: incomplete, its counter
+        // held by the registration — until the reliability layer gives up.
+        let buf = MemRegion::zeroed(1 << 20);
+        let failed = mpi.isend(&buf, 0, buf.len(), 1, 0, world);
+        assert!(!mpi.request_complete(failed));
+        let inner = mpi.shared.allocator.resolve(failed).expect("live");
+        assert!(inner.counter().fail(bgq_hw::DeliveryFault::Timeout));
+        drop(inner);
+        assert!(mpi.request_complete(failed), "a failed send must not hang its waiter");
+        assert_eq!(mpi.test(failed), Some(Status::none()));
+        assert_eq!(mpi.shared.allocator.live(), 0);
+        assert!(mpi.request_complete(failed), "a released handle reads complete");
+        // The slot comes back; the poisoned counter (a fault cannot be
+        // cleared) does not.
+        let next = mpi.isend(&buf, 0, 64, 1, 1, world);
+        let inner = mpi.shared.allocator.resolve(next).expect("live");
+        assert_eq!(inner.counter().fault(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown request")]
+    fn testing_a_released_handle_panics() {
+        let mpis = two_ranks();
+        let req = mpis[0].isend(&MemRegion::zeroed(8), 0, 8, 1, 0, mpis[0].world());
+        assert!(mpis[0].test(req).is_some());
+        mpis[0].test(req);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Property-based tests of the matching engine against a reference model
-//! of the MPI matching rules.
+//! of the MPI matching rules, and of the request slab against a map.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bgq_hw::MemRegion;
-use pami_mpi::matching::{MatchEngine, PostedRecv, Unexpected, UnexpectedData};
-use pami_mpi::request::RequestInner;
-use pami_mpi::{ANY_SOURCE, ANY_TAG};
-use parking_lot::Mutex;
+use pami_mpi::matching::{MatchEngine, PostedRecv, Staged, Unexpected};
+use pami_mpi::request::{RequestAllocator, RequestInner};
+use pami_mpi::{Request, ANY_SOURCE, ANY_TAG};
 use proptest::prelude::*;
 
 /// A reference model: plain vectors with first-match-in-order semantics.
@@ -81,19 +81,12 @@ fn posted(src: i32, tag: i32, comm: u32) -> PostedRecv {
         tag,
         comm,
         buffer: (MemRegion::zeroed(8), 0, 8),
-        request: RequestInner::with_flag(),
+        request: RequestInner::armed(1),
     }
 }
 
 fn unexpected(src: i32, tag: i32, comm: u32) -> Unexpected {
-    Unexpected {
-        src,
-        tag,
-        comm,
-        len: 0,
-        staging: MemRegion::zeroed(0),
-        state: Arc::new(Mutex::new(UnexpectedData::Ready)),
-    }
+    Unexpected { src, tag, comm, len: 0, data: Staged::Whole(Box::new([])) }
 }
 
 proptest! {
@@ -109,14 +102,14 @@ proptest! {
             match op {
                 Op::Arrive(src, tag, comm) => {
                     let model_hit = model.arrive(src, tag, comm);
-                    let _g = engine.lock.lock();
-                    let engine_hit = engine.match_posted(src, tag, comm);
+                    let mut queues = engine.lock();
+                    let engine_hit = queues.match_posted(src, tag, comm);
                     match (model_hit, engine_hit) {
                         (Some(_), Some(hit)) => {
                             prop_assert!(matches(hit.src, hit.tag, src, tag));
                             prop_assert_eq!(hit.comm, comm);
                         }
-                        (None, None) => engine.add_unexpected(unexpected(src, tag, comm)),
+                        (None, None) => queues.add_unexpected(unexpected(src, tag, comm)),
                         (m, e) => {
                             return Err(TestCaseError::fail(format!(
                                 "divergence on arrive: model={m:?} engine_hit={}",
@@ -127,14 +120,14 @@ proptest! {
                 }
                 Op::Post(src, tag, comm) => {
                     let model_hit = model.post(src, tag, comm);
-                    let _g = engine.lock.lock();
-                    let engine_hit = engine.match_unexpected(src, tag, comm);
+                    let mut queues = engine.lock();
+                    let engine_hit = queues.match_unexpected(src, tag, comm);
                     match (model_hit, engine_hit) {
                         (Some(_), Some(hit)) => {
                             prop_assert!(matches(src, tag, hit.src, hit.tag));
                             prop_assert_eq!(hit.comm, comm);
                         }
-                        (None, None) => engine.add_posted(posted(src, tag, comm)),
+                        (None, None) => queues.add_posted(posted(src, tag, comm)),
                         (m, e) => {
                             return Err(TestCaseError::fail(format!(
                                 "divergence on post: model={m:?} engine_hit={}",
@@ -161,23 +154,96 @@ proptest! {
             match op {
                 Op::Arrive(src, tag, comm) => {
                     arrivals += 1;
-                    let _g = engine.lock.lock();
-                    match engine.match_posted(src, tag, comm) {
+                    let mut queues = engine.lock();
+                    match queues.match_posted(src, tag, comm) {
                         Some(_) => matched += 1,
-                        None => engine.add_unexpected(unexpected(src, tag, comm)),
+                        None => queues.add_unexpected(unexpected(src, tag, comm)),
                     }
                 }
                 Op::Post(src, tag, comm) => {
                     posts += 1;
-                    let _g = engine.lock.lock();
-                    match engine.match_unexpected(src, tag, comm) {
+                    let mut queues = engine.lock();
+                    match queues.match_unexpected(src, tag, comm) {
                         Some(_) => matched += 1,
-                        None => engine.add_posted(posted(src, tag, comm)),
+                        None => queues.add_posted(posted(src, tag, comm)),
                     }
                 }
             }
         }
         prop_assert_eq!(engine.unexpected_len() + matched, arrivals);
         prop_assert_eq!(engine.posted_len() + matched, posts);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum SlabOp {
+    Insert,
+    /// Resolve the `n`-th handle ever issued (modulo how many there are),
+    /// live or long released.
+    Resolve(usize),
+    /// Release it, completing it first (so its object is pooled) or not.
+    Release(usize, bool),
+}
+
+fn arb_slab_op() -> impl Strategy<Value = SlabOp> {
+    prop_oneof![
+        Just(SlabOp::Insert),
+        Just(SlabOp::Insert),
+        (0usize..1000).prop_map(SlabOp::Resolve),
+        (0usize..1000, any::<bool>()).prop_map(|(n, done)| SlabOp::Release(n, done)),
+    ]
+}
+
+/// Drive `alloc` and a `HashMap` from handle to object address with the
+/// same operations: a released handle never resolves again — not after its
+/// slot, nor after its pooled object, has gone to a later request — and no
+/// handle is ever issued twice.
+fn slab_matches_map(alloc: &RequestAllocator, ops: &[SlabOp]) -> Result<(), TestCaseError> {
+    let mut model: HashMap<Request, *const RequestInner> = HashMap::new();
+    let mut issued: Vec<Request> = Vec::new();
+    let mut unique: HashSet<Request> = HashSet::new();
+    for op in ops {
+        match *op {
+            SlabOp::Insert => {
+                let (req, inner) = alloc.insert(1);
+                prop_assert!(unique.insert(req), "handle {:?} issued twice", req);
+                prop_assert!(!inner.is_complete(), "a pooled object comes back armed");
+                prop_assert!(
+                    !model.values().any(|&live| live == Arc::as_ptr(&inner)),
+                    "one object behind two live handles"
+                );
+                model.insert(req, Arc::as_ptr(&inner));
+                issued.push(req);
+            }
+            SlabOp::Resolve(n) if !issued.is_empty() => {
+                let req = issued[n % issued.len()];
+                let got = alloc.resolve(req).map(|inner| Arc::as_ptr(&inner));
+                prop_assert_eq!(got, model.get(&req).copied());
+                prop_assert_eq!(alloc.is_complete(req), model.get(&req).map(|_| false));
+            }
+            SlabOp::Release(n, done) if !issued.is_empty() => {
+                let req = issued[n % issued.len()];
+                if done {
+                    if let Some(inner) = alloc.resolve(req) {
+                        inner.counter().delivered(1);
+                    }
+                }
+                prop_assert_eq!(alloc.release(req), model.remove(&req).is_some());
+                prop_assert!(alloc.resolve(req).is_none());
+            }
+            SlabOp::Resolve(_) | SlabOp::Release(..) => {}
+        }
+        prop_assert_eq!(alloc.live(), model.len());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn request_slab_matches_map_model(ops in proptest::collection::vec(arb_slab_op(), 1..300)) {
+        slab_matches_map(&RequestAllocator::shared(), &ops)?;
+        slab_matches_map(&RequestAllocator::sharded(8), &ops)?;
     }
 }
