@@ -26,10 +26,8 @@
 //!
 //! ## Gate
 //!
-//! The `"hotspot_gate"` entry of `ci/scaling_ratchet.json` gates the rate
-//! ratio at the largest point (combined ≥ `hotspot_gate_min_ratio` ×
-//! uncombined). Ships in `report` mode; a human flips it to `enforce`
-//! once the ratio is proven stable on CI hosts.
+//! The rate ratio at the largest point is enforced on every run (exit 1):
+//! combined ≥ [`MIN_RATIO`] × uncombined.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -39,7 +37,9 @@ use pami::{
     Client, Counter, FaultPlan, Machine, MemKey, MemRegion, MemSlot, RmwArgs, RmwOp, WindowRef,
 };
 
-const RATCHET_PATH: &str = "ci/scaling_ratchet.json";
+/// Hot-spot gate: combined vs uncombined root-bound rate at the largest
+/// point.
+const MIN_RATIO: f64 = 4.0;
 
 /// Node counts of the sweep (the acceptance point is the largest).
 const POINTS: [usize; 5] = [4, 8, 16, 32, 64];
@@ -174,23 +174,6 @@ impl Run {
     }
 }
 
-fn hotspot_gate_enforced() -> bool {
-    std::fs::read_to_string(RATCHET_PATH)
-        .map(|s| s.contains("\"hotspot_gate\": \"enforce\""))
-        .unwrap_or(false)
-}
-
-fn hotspot_gate_min_ratio() -> f64 {
-    let Ok(s) = std::fs::read_to_string(RATCHET_PATH) else { return 4.0 };
-    let needle = "\"hotspot_gate_min_ratio\": ";
-    let Some(at) = s.find(needle) else { return 4.0 };
-    s[at + needle.len()..]
-        .split([',', '}'])
-        .next()
-        .and_then(|t| t.trim().parse().ok())
-        .unwrap_or(4.0)
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let points: &[usize] = if quick { &POINTS[..3] } else { &POINTS };
@@ -241,7 +224,7 @@ fn main() {
     if !cfg!(feature = "telemetry") {
         // Packet accounting needs the comb.* counters; without them the
         // combined arm's root packets read zero and the ratio is
-        // meaningless. Report and bow out (report-mode semantics).
+        // meaningless. Report and bow out.
         println!("hotspot: telemetry feature off — root packet accounting unavailable, gate skipped");
         last_ratio = f64::NAN;
     }
@@ -257,18 +240,14 @@ fn main() {
         CHAOS_NODES, CHAOS_SEED, chaos.ops, chaos.retransmits, chaos.dupes_dropped,
     );
 
-    let enforced = hotspot_gate_enforced();
-    let min_ratio = hotspot_gate_min_ratio();
-    let gate_mode = if enforced { "enforce" } else { "report" };
-    let gate_ok = last_ratio.is_nan() || last_ratio >= min_ratio;
+    let gate_ok = last_ratio.is_nan() || last_ratio >= MIN_RATIO;
     let ratio_json =
         if last_ratio.is_nan() { "null".to_string() } else { format!("{last_ratio:.3}") };
 
     let json = format!(
         "{{\n  \"bench\": \"hotspot\",\n  \"points\": {points:?},\n  \
          \"adds_per_task\": {adds},\n  \"root_pkt_ns\": {ROOT_PKT_NS},\n  \
-         \"hotspot_gate_mode\": \"{gate_mode}\",\n  \
-         \"hotspot_gate_min_ratio\": {min_ratio},\n  \
+         \"hotspot_gate_min_ratio\": {MIN_RATIO},\n  \
          \"ratio_at_largest\": {ratio_json},\n  \"hotspot_gate_ok\": {gate_ok},\n  \
          \"chaos_nodes\": {CHAOS_NODES},\n  \"chaos_seed\": {CHAOS_SEED},\n  \
          \"chaos_ops\": {},\n  \"chaos_retransmits\": {},\n  \"chaos_dupes_dropped\": {},\n  \
@@ -281,12 +260,9 @@ fn main() {
     print!("{json}");
     std::fs::write("BENCH_hotspot.json", json).expect("write BENCH_hotspot.json");
 
-    if gate_ok {
-        println!("hotspot gate ({gate_mode}): ok — {last_ratio:.2}x >= {min_ratio}x");
-    } else if enforced {
-        eprintln!("hotspot gate FAILED: combined/uncombined {last_ratio:.2}x < {min_ratio}x");
+    if !gate_ok {
+        eprintln!("hotspot gate FAILED: combined/uncombined {last_ratio:.2}x < {MIN_RATIO}x");
         std::process::exit(1);
-    } else {
-        eprintln!("hotspot gate (report): {last_ratio:.2}x < {min_ratio}x");
     }
+    println!("hotspot gate: ok — {last_ratio:.2}x >= {MIN_RATIO}x");
 }

@@ -28,16 +28,13 @@
 //!
 //! ## Gate
 //!
-//! The `"scale_gate"` entry of `ci/scaling_ratchet.json` gates two curve
-//! shapes: the aggregate rate at the largest point must hold at least
-//! [`RATE_RETENTION`] of the smallest point's rate, and per-endpoint peak
-//! memory at the largest point must not exceed the previous point's by
-//! more than [`MEM_GROWTH_BUDGET`]×. Ships in `report` mode; a human flips
-//! the entry to `enforce` once the curve is proven stable on CI hosts.
+//! Two curve shapes are enforced on every run (exit 1): the aggregate rate
+//! at the largest point must hold at least [`RATE_RETENTION`] of the
+//! smallest point's rate, and per-endpoint peak memory at the largest
+//! point must not exceed the previous point's by more than
+//! [`MEM_GROWTH_BUDGET`]×.
 
 use bgq_scale::{failure_storm, ScaleConfig, ScaleHarness, Scenario};
-
-const RATCHET_PATH: &str = "ci/scaling_ratchet.json";
 
 /// Default endpoint counts (the `--full` flag appends 1M).
 const POINTS: [usize; 4] = [1_000, 10_000, 32_000, 100_000];
@@ -207,13 +204,6 @@ fn measure_point(scenario: Scenario, endpoints: usize, aggregated: bool) -> Resu
     })
 }
 
-/// Whether the `"scale_gate"` ratchet entry is literally `"enforce"`.
-fn scale_gate_enforced() -> bool {
-    std::fs::read_to_string(RATCHET_PATH)
-        .map(|s| s.contains("\"scale_gate\": \"enforce\""))
-        .unwrap_or(false)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -335,15 +325,13 @@ fn main() {
             ));
         }
     }
-    let enforced = scale_gate_enforced();
-    let gate_mode = if enforced { "enforce" } else { "report" };
 
     let body: Vec<String> = curve.iter().map(Point::json).collect();
     let json = format!(
         "{{\n  \"bench\": \"scale\",\n  \"points\": {points:?},\n  \
          \"rate_retention_min\": {RATE_RETENTION},\n  \
          \"mem_growth_budget\": {MEM_GROWTH_BUDGET},\n  \
-         \"scale_gate_mode\": \"{gate_mode}\",\n  \"scale_gate_ok\": {gate_ok},\n  \
+         \"scale_gate_ok\": {gate_ok},\n  \
          \"storm_endpoints\": {STORM_ENDPOINTS},\n  \"storm_seed\": {STORM_SEED},\n  \
          \"storm_sent\": {},\n  \"storm_arrived\": {},\n  \"storm_failed\": {},\n  \
          \"storm_links_killed\": {},\n  \"storm_retransmits\": {},\n  \
@@ -359,18 +347,11 @@ fn main() {
     print!("{json}");
     std::fs::write("BENCH_scale.json", json).expect("write BENCH_scale.json");
 
-    match (enforced, gate_ok) {
-        (_, true) => println!("scale gate ({gate_mode}): ok"),
-        (false, false) => {
-            for d in &gate_detail {
-                eprintln!("scale gate (report): {d}");
-            }
+    if !gate_ok {
+        for d in &gate_detail {
+            eprintln!("scale gate FAILED: {d}");
         }
-        (true, false) => {
-            for d in &gate_detail {
-                eprintln!("scale gate FAILED: {d}");
-            }
-            std::process::exit(1);
-        }
+        std::process::exit(1);
     }
+    println!("scale gate: ok");
 }

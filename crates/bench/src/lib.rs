@@ -20,9 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use pami::{Client, Context, Endpoint, Machine, MemRegion, PayloadSource, Recv, SendArgs, StaticPolicy};
+use pami::{Client, Context, Endpoint, Machine, MemRegion, PayloadSource, Recv, SendArgs};
 use pami_mpi::{LibFlavor, Mpi, MpiConfig, ThreadLevel, ANY_SOURCE};
 
 /// Format a seconds value as microseconds with two decimals.
@@ -299,436 +297,6 @@ pub fn measure_message_rate(series: MeasuredRateSeries, ppn: usize, msgs: usize)
     }
 }
 
-/// Multi-context message rate (the paper's Figure 5 parallelism shape): one
-/// sender client on node 0 with `contexts` PAMI contexts and **one thread
-/// per context**, each flooding its paired receiver context on node 1 with
-/// `msgs` 8-byte messages. Every thread drives exactly its own context pair
-/// — contexts are independent, lock-free channels, so no thread ever takes
-/// a context lock and the aggregate rate scales with hardware threads.
-pub fn measure_message_rate_multi(contexts: usize, msgs: usize) -> f64 {
-    measure_message_rate_multi_stats(contexts, msgs).wall_rate
-}
-
-/// Cumulative on-CPU nanoseconds for the *calling thread*, from
-/// `/proc/thread-self/schedstat` (first field). Returns `None` off Linux or
-/// when the file is unreadable, so callers can degrade to wall-clock rates.
-pub fn thread_cpu_ns() -> Option<u64> {
-    let s = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    s.split_whitespace().next()?.parse().ok()
-}
-
-/// Result of one multi-context rate measurement, with both accounting modes.
-///
-/// On hosts with fewer cores than contexts (CI containers are often 1-core),
-/// the wall-clock aggregate rate *cannot* exceed the single-context rate no
-/// matter how well the software scales — the threads time-slice one core. The
-/// CPU critical-path rate divides total messages by the **maximum per-thread
-/// on-CPU time**: the wall time the run would take given one core per thread,
-/// i.e. the quantity that actually measures software scalability (lock
-/// contention and shared-cache-line traffic inflate per-thread CPU time and
-/// show up here; scheduler time-slicing does not).
-#[derive(Debug, Clone, Copy)]
-pub struct MultiRateStats {
-    pub contexts: usize,
-    pub msgs_per_context: usize,
-    /// Aggregate messages / wall seconds (scheduler-limited on small hosts).
-    pub wall_rate: f64,
-    /// Aggregate messages / max-thread-CPU seconds (`None` if schedstat is
-    /// unavailable on this platform).
-    pub cpu_rate: Option<f64>,
-    /// The critical-path thread's on-CPU nanoseconds for the run.
-    pub max_thread_cpu_ns: Option<u64>,
-}
-
-/// Multi-context message rate with per-thread CPU accounting. Same harness as
-/// [`measure_message_rate_multi`]; each flood thread additionally samples its
-/// own schedstat before and after the run.
-pub fn measure_message_rate_multi_stats(contexts: usize, msgs: usize) -> MultiRateStats {
-    assert!(contexts >= 1);
-    let machine = Machine::with_nodes(2).build();
-    let sender = Client::create(&machine, 0, "mrate", contexts);
-    let receiver = Client::create(&machine, 1, "mrate", contexts);
-    let got: Vec<Arc<AtomicU64>> =
-        (0..contexts).map(|_| Arc::new(AtomicU64::new(0))).collect();
-    for (i, g) in got.iter().enumerate() {
-        let g = Arc::clone(g);
-        receiver.context(i).set_dispatch(
-            1,
-            Arc::new(move |_: &Context, _msg, _first| {
-                g.fetch_add(1, Ordering::Relaxed);
-                Recv::Done
-            }),
-        );
-    }
-    let cpu_deltas: Mutex<Vec<Option<u64>>> = Mutex::new(Vec::with_capacity(contexts));
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for (i, g) in got.iter().enumerate() {
-            let stx = Arc::clone(sender.context(i));
-            let rtx = Arc::clone(receiver.context(i));
-            let g = Arc::clone(g);
-            let cpu_deltas = &cpu_deltas;
-            s.spawn(move || {
-                let cpu0 = thread_cpu_ns();
-                for k in 0..msgs {
-                    stx.send(SendArgs {
-                        dest: Endpoint { task: 1, context: i as u16 },
-                        dispatch: 1,
-                        metadata: Vec::new(),
-                        payload: PayloadSource::Immediate(bytes::Bytes::from_static(&[0u8; 8])),
-                        local_done: None,
-                    }).unwrap();
-                    if k % 16 == 0 {
-                        stx.advance();
-                        rtx.advance();
-                    }
-                }
-                while g.load(Ordering::Relaxed) < msgs as u64 {
-                    stx.advance();
-                    rtx.advance();
-                }
-                let delta = match (cpu0, thread_cpu_ns()) {
-                    (Some(a), Some(b)) => Some(b.saturating_sub(a)),
-                    _ => None,
-                };
-                cpu_deltas.lock().push(delta);
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let total_msgs = (msgs * contexts) as f64;
-    let deltas = cpu_deltas.into_inner();
-    let max_thread_cpu_ns = if deltas.len() == contexts && deltas.iter().all(Option::is_some) {
-        deltas.iter().map(|d| d.unwrap()).max()
-    } else {
-        None
-    };
-    let cpu_rate = max_thread_cpu_ns
-        .filter(|&ns| ns > 0)
-        .map(|ns| total_msgs / (ns as f64 * 1e-9));
-    MultiRateStats {
-        contexts,
-        msgs_per_context: msgs,
-        wall_rate: total_msgs / wall,
-        cpu_rate,
-        max_thread_cpu_ns,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Three-tier ladder: short-tier rate vs forced-eager, persistent channels,
-// learned cutoffs
-// ---------------------------------------------------------------------------
-
-/// Single-context flood 0 → 1 with `len`-byte payloads, counted at the
-/// receiver. Under the default policy a `len` at or below the short cutoff
-/// takes the short tier (one inline packet, no region registration, no
-/// completion counter). With `force_eager` the machine is built with
-/// `StaticPolicy::with_short(0, …)` — the pre-ladder behaviour where the
-/// same payload pays the full eager path — so the pair
-/// `(measure_rate_at_len(128, n, false), measure_rate_at_len(128, n, true))`
-/// is the short-tier speedup at the cutoff.
-pub fn measure_rate_at_len(len: usize, msgs: usize, force_eager: bool) -> f64 {
-    let mut builder = Machine::with_nodes(2);
-    if force_eager {
-        builder = builder.protocol_policy(Arc::new(StaticPolicy::with_short(0, 4096)));
-    }
-    let machine = builder.build();
-    let sender = Client::create(&machine, 0, "tier", 1);
-    let receiver = Client::create(&machine, 1, "tier", 1);
-    let got = Arc::new(AtomicU64::new(0));
-    {
-        let got = Arc::clone(&got);
-        receiver.context(0).set_dispatch(
-            1,
-            Arc::new(move |_: &Context, _msg, _first| {
-                got.fetch_add(1, Ordering::Relaxed);
-                Recv::Done
-            }),
-        );
-    }
-    let payload = bytes::Bytes::from(vec![0u8; len]);
-    let start = Instant::now();
-    for i in 0..msgs {
-        sender
-            .context(0)
-            .send(SendArgs {
-                dest: Endpoint::of_task(1),
-                dispatch: 1,
-                metadata: Vec::new(),
-                payload: PayloadSource::Immediate(payload.clone()),
-                local_done: None,
-            })
-            .unwrap();
-        if i % 16 == 0 {
-            sender.context(0).advance();
-            receiver.context(0).advance();
-        }
-    }
-    while got.load(Ordering::Relaxed) < msgs as u64 {
-        sender.context(0).advance();
-        receiver.context(0).advance();
-    }
-    msgs as f64 / start.elapsed().as_secs_f64()
-}
-
-/// What one fine-grained random-target flood arm measured.
-pub struct AggrRateStats {
-    /// Delivered messages per second.
-    pub rate: f64,
-    /// Coalesced frames injected (`aggr.frames`; 0 on the off arm or with
-    /// telemetry compiled out).
-    pub frames: u64,
-    /// Records that rode those frames (`aggr.batched_msgs`).
-    pub batched: u64,
-}
-
-impl AggrRateStats {
-    /// Mean records per frame; 0 when no frames were cut.
-    pub fn mean_batch(&self) -> f64 {
-        if self.frames > 0 { self.batched as f64 / self.frames as f64 } else { 0.0 }
-    }
-}
-
-/// Fine-grained random-target flood: one sender context sprays 16–64 B
-/// messages over seven destination nodes, target and size drawn from a
-/// fixed LCG so both arms see the identical stream. With `aggregated` the
-/// machine coalesces per destination ([`pami::AggrConfig`] defaults: 128 B
-/// cutoff, 512 B frames, 100 µs age bound); without it the same payloads
-/// ride the short tier one packet each — the TRAM-style A/B. The receiver
-/// contexts are advanced on the sender's cadence either way, so the pair
-/// differs only in the injection path.
-pub fn measure_aggr_rate(aggregated: bool, msgs: usize) -> AggrRateStats {
-    aggr_flood(aggregated, None, msgs).0
-}
-
-/// The same coalesced flood under a seeded hostile plan: frames ride the
-/// selective-repeat channel, so drops and corruption cost whole-frame
-/// retransmits and every record must still land exactly once — asserted
-/// here (the drain over-pumps and re-checks the count), with the RAS
-/// evidence returned so the caller can prove the plan actually bit.
-pub fn measure_aggr_chaos(plan: pami::FaultPlan, msgs: usize) -> (AggrRateStats, ChaosStats) {
-    aggr_flood(true, Some(plan), msgs)
-}
-
-fn aggr_flood(
-    aggregated: bool,
-    plan: Option<pami::FaultPlan>,
-    msgs: usize,
-) -> (AggrRateStats, ChaosStats) {
-    const NODES: usize = 8;
-    let mut builder = Machine::with_nodes(NODES);
-    if aggregated {
-        builder = builder.aggregation(pami::AggrConfig::default());
-    }
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let machine = builder.build();
-    let sender = Client::create(&machine, 0, "aggr", 1);
-    let receivers: Vec<_> =
-        (1..NODES as u32).map(|t| Client::create(&machine, t, "aggr", 1)).collect();
-    let got = Arc::new(AtomicU64::new(0));
-    for r in &receivers {
-        let got = Arc::clone(&got);
-        r.context(0).set_dispatch(
-            1,
-            Arc::new(move |_: &Context, _msg, _first| {
-                got.fetch_add(1, Ordering::Relaxed);
-                Recv::Done
-            }),
-        );
-    }
-    let blob = bytes::Bytes::from(vec![0u8; 64]);
-    let mut lcg: u64 = 0x9E3779B97F4A7C15;
-    let ctx = sender.context(0);
-    let start = Instant::now();
-    for i in 0..msgs {
-        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let dest = 1 + ((lcg >> 33) % (NODES as u64 - 1)) as u32;
-        let len = 16 + ((lcg >> 20) % 49) as usize; // 16..=64 B
-        ctx.send(SendArgs {
-            dest: Endpoint::of_task(dest),
-            dispatch: 1,
-            metadata: Vec::new(),
-            payload: PayloadSource::Immediate(blob.slice(..len)),
-            local_done: None,
-        })
-        .unwrap();
-        if i % 16 == 0 {
-            ctx.advance();
-            for r in &receivers {
-                r.context(0).advance();
-            }
-        }
-    }
-    ctx.flush_aggr();
-    while got.load(Ordering::Relaxed) < msgs as u64 {
-        ctx.advance();
-        for r in &receivers {
-            r.context(0).advance();
-        }
-    }
-    let rate = msgs as f64 / start.elapsed().as_secs_f64();
-    // Exactly-once: keep pumping past completion — a late duplicate (a
-    // retransmitted frame unbatched twice) would push the count over.
-    for _ in 0..64 {
-        ctx.advance();
-        for r in &receivers {
-            r.context(0).advance();
-        }
-    }
-    assert_eq!(got.load(Ordering::Relaxed), msgs as u64, "aggregated flood exactly-once");
-    let snap = machine.telemetry().snapshot();
-    let ras = machine.fabric().ras_counters();
-    let dropped =
-        (0..NODES as u32).map(|n| machine.fabric().counters(n).packets_dropped.value()).sum();
-    (
-        AggrRateStats {
-            rate,
-            frames: snap.counter("aggr.frames"),
-            batched: snap.counter("aggr.batched_msgs"),
-        },
-        ChaosStats {
-            rate,
-            retransmits: ras.retransmits.value(),
-            sack_retransmits: ras.sack_retransmits.value(),
-            crc_errors: ras.crc_errors.value(),
-            packets_dropped: dropped,
-        },
-    )
-}
-
-/// What one persistent-channel halo run measured.
-pub struct PersistentHaloStats {
-    /// Timed iterations (one bidirectional post/post/wait/wait each).
-    pub iters: usize,
-    /// Per-iteration wall time percentiles, nanoseconds.
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-    /// Mean per-iteration wall time, nanoseconds.
-    pub mean_ns: f64,
-    /// Matching-engine events during the timed loop (posted + unexpected
-    /// matches). Persistent traffic is pre-negotiated direct puts, so this
-    /// stays **flat at zero** — the zero-matching claim, measured.
-    pub match_events: u64,
-    /// `ctx.sends_eager` + `ctx.sends_rzv` for the whole run: the
-    /// steady-state exchange never re-enters the protocol ladder.
-    pub ladder_sends: u64,
-}
-
-/// Persistent-channel halo: two nodes pre-negotiate one channel each way,
-/// then run `iters` bidirectional boundary exchanges of `size` bytes —
-/// every iteration is two fixed-descriptor injections and two counter
-/// waits, with zero matching and zero protocol decisions. Returns the
-/// per-iteration latency distribution plus the counters that prove the
-/// zero-* claims (all zeros with telemetry compiled out).
-pub fn measure_persistent_halo(size: usize, iters: usize) -> PersistentHaloStats {
-    let machine = Machine::with_nodes(2).build();
-    let c0 = Client::create(&machine, 0, "halo", 1);
-    let c1 = Client::create(&machine, 1, "halo", 1);
-    let mut a = c0.context(0).channel(Endpoint::of_task(1), size).unwrap();
-    let mut b = c1.context(0).channel(Endpoint::of_task(0), size).unwrap();
-    let data = vec![3u8; size];
-    let mut buf = vec![0u8; size];
-    let mut step = |a: &mut pami::PersistentChannel, b: &mut pami::PersistentChannel| {
-        a.post(&data).unwrap();
-        b.post(&data).unwrap();
-        b.wait(&mut buf).unwrap();
-        a.wait(&mut buf).unwrap();
-    };
-    // Warm-up binds both channels and touches both double-buffer slots.
-    for _ in 0..8 {
-        step(&mut a, &mut b);
-    }
-    let match_before = {
-        let snap = machine.telemetry().snapshot();
-        snap.counter("match.matched_posted") + snap.counter("match.matched_unexpected")
-    };
-    let mut ns: Vec<u64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        step(&mut a, &mut b);
-        ns.push(t.elapsed().as_nanos() as u64);
-    }
-    let mean_ns = ns.iter().sum::<u64>() as f64 / iters as f64;
-    ns.sort_unstable();
-    let pct = |p: f64| ns[((ns.len() - 1) as f64 * p).round() as usize];
-    let snap = machine.telemetry().snapshot();
-    PersistentHaloStats {
-        iters,
-        p50_ns: pct(0.50),
-        p99_ns: pct(0.99),
-        mean_ns,
-        match_events: snap.counter("match.matched_posted")
-            + snap.counter("match.matched_unexpected")
-            - match_before,
-        ladder_sends: snap.counter("ctx.sends_eager") + snap.counter("ctx.sends_rzv"),
-    }
-}
-
-/// Run a mixed windowed stream under the adaptive policy and report the
-/// learned per-destination boundaries: destination 1 sees payload lengths
-/// cycling through 32…512 B (the short/eager signal), destination 2 sees
-/// 16 KiB messages (the eager/rendezvous signal, as in
-/// [`measure_policy_ab`]). Returns
-/// `(short_crossover(dest 1), crossover(dest 2))` after `msgs` windowed
-/// rounds — with telemetry compiled out the adaptive policy never moves, so
-/// both come back at their initial values.
-pub fn measure_adaptive_cutoffs(msgs: usize) -> (usize, usize) {
-    const LENS: [usize; 5] = [32, 64, 128, 256, 512];
-    const LARGE: usize = 16 * 1024;
-    let machine = Machine::with_nodes(3).eager_limit(32 * 1024).adaptive_policy().build();
-    let sender = Client::create(&machine, 0, "cut", 1);
-    let recvs: Vec<Arc<Client>> =
-        (1..3u32).map(|t| Client::create(&machine, t, "cut", 1)).collect();
-    let got = Arc::new(AtomicU64::new(0));
-    for c in &recvs {
-        let got = Arc::clone(&got);
-        let sink = MemRegion::zeroed(LARGE);
-        c.context(0).set_dispatch(
-            1,
-            Arc::new(move |_: &Context, _msg, _first| {
-                let got = Arc::clone(&got);
-                Recv::Into {
-                    region: sink.clone(),
-                    offset: 0,
-                    on_complete: Box::new(move |_, _result| {
-                        got.fetch_add(1, Ordering::Relaxed);
-                    }),
-                }
-            }),
-        );
-    }
-    let small = MemRegion::from_vec(vec![1u8; 512]);
-    let large = MemRegion::from_vec(vec![2u8; LARGE]);
-    for i in 0..msgs {
-        for (dest, region, len) in
-            [(1u32, &small, LENS[i % LENS.len()]), (2u32, &large, LARGE)]
-        {
-            let before = got.load(Ordering::Relaxed);
-            sender
-                .context(0)
-                .send(SendArgs {
-                    dest: Endpoint::of_task(dest),
-                    dispatch: 1,
-                    metadata: Vec::new(),
-                    payload: PayloadSource::Region { region: region.clone(), offset: 0, len },
-                    local_done: None,
-                })
-                .unwrap();
-            while got.load(Ordering::Relaxed) == before {
-                sender.context(0).advance();
-                for c in &recvs {
-                    c.context(0).advance();
-                }
-            }
-        }
-    }
-    let policy = machine.policy();
-    (policy.short_crossover(1), policy.crossover(2))
-}
-
 // ---------------------------------------------------------------------------
 // Protocol-policy A/B: adaptive vs static eager/rendezvous crossover
 // ---------------------------------------------------------------------------
@@ -809,45 +377,6 @@ pub fn measure_policy_ab(adaptive: bool, msgs: usize) -> f64 {
     }
     debug_assert_eq!(got.load(Ordering::Relaxed), total);
     total as f64 / start.elapsed().as_secs_f64()
-}
-
-/// p50/p99 of the context-post → execution handoff, measured over a
-/// commthread pool draining `posts` work items. Returns
-/// `((ctx_p50, ctx_p99), (commthread_p50, commthread_p99))` in
-/// nanoseconds — `ctx.handoff_ns` counts every advancing thread,
-/// `commthread.handoff_ns` only the pool's threads. All zeros with the
-/// `telemetry` feature compiled out.
-pub fn measure_handoff_percentiles(posts: usize) -> ((u64, u64), (u64, u64)) {
-    use pami::CommThreadPool;
-    let machine = Machine::with_nodes(1).build();
-    let client = Client::create(&machine, 0, "handoff", 1);
-    let pool = CommThreadPool::spawn(vec![Arc::clone(client.context(0))], 1);
-    let ran = Arc::new(AtomicU64::new(0));
-    for i in 0..posts {
-        let ran_in = Arc::clone(&ran);
-        client.context(0).post(Box::new(move |_| {
-            ran_in.fetch_add(1, Ordering::Relaxed);
-        }));
-        // Let the pool drain every few posts so the histogram samples both
-        // the parked-wakeup and already-running cases.
-        if i % 8 == 7 {
-            let target = (i + 1) as u64;
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while ran.load(Ordering::Relaxed) < target {
-                assert!(Instant::now() < deadline, "commthread made no progress");
-                std::thread::yield_now();
-            }
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while ran.load(Ordering::Relaxed) < posts as u64 {
-        assert!(Instant::now() < deadline, "commthread made no progress");
-        std::thread::yield_now();
-    }
-    pool.shutdown();
-    let snap = machine.telemetry().snapshot();
-    let pair = |name: &str| snap.histogram(name).map(|h| (h.p50, h.p99)).unwrap_or((0, 0));
-    (pair("ctx.handoff_ns"), pair("commthread.handoff_ns"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1247,7 +776,7 @@ pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBe
 }
 
 // ---------------------------------------------------------------------------
-// telemetry.json parsing (pamistat diff / CI gates)
+// telemetry.json parsing (pamistat show / diff)
 // ---------------------------------------------------------------------------
 
 /// A parsed `telemetry.json` report (the output of
@@ -1394,53 +923,25 @@ pub fn measure_barrier_alg(
 }
 
 // ---------------------------------------------------------------------------
-// Chaos harness: message rate over a fault-injected (or clean-but-reliable)
-// fabric, plus the RAS history the run produced.
+// Chaos harness: the nightly soak's two programs — a flood and a
+// kill-a-node drill over a fault-injected fabric.
 
-/// What one chaos-rate run measured.
+/// What one chaos flood measured.
 pub struct ChaosStats {
     /// Messages per second of wall time.
     pub rate: f64,
     /// `ras.retransmits` after the run (0 when telemetry is compiled out).
     pub retransmits: u64,
-    /// `ras.sack_retransmits` after the run — losses recovered by SACK
-    /// fast retransmit without waiting out an RTO.
-    pub sack_retransmits: u64,
     /// `ras.crc_errors` after the run.
     pub crc_errors: u64,
-    /// `mu.packets_dropped` summed over both nodes.
-    pub packets_dropped: u64,
 }
 
 /// Single-context flood 0 → 1 (8-byte messages, receives handled by a
-/// counting dispatch) over a machine with an optional [`pami::FaultPlan`]
-/// installed. With `None` the fabric runs the bare fast path; with a clean
-/// plan (`FaultPlan::new()`, all rates zero) every packet still pays CRC
-/// stamping, sequence numbers and ack bookkeeping — the delta between those
-/// two is the reliability layer's fair-weather cost. With non-zero rates
-/// the run additionally exercises retransmission, and the returned RAS
-/// counters record how hostile the plan actually was.
-///
-/// `force_eager` pins the flood to the eager protocol (a zero short
-/// crossover). The chaos *gate* arms use it so the clean-plan budget keeps
-/// comparing the machinery it was calibrated against — an 8-byte send
-/// otherwise rides the short tier, whose lossless baseline is so lean that
-/// a fixed percentage budget stops meaning "the reliability layer is
-/// cheap" and starts meaning "CRC arithmetic is free", which it is not.
-/// The short tier's own clean-plan cost is reported (ungated) alongside.
-pub fn measure_chaos_rate(
-    plan: Option<pami::FaultPlan>,
-    msgs: usize,
-    force_eager: bool,
-) -> ChaosStats {
-    let mut builder = Machine::with_nodes(2);
-    if force_eager {
-        builder = builder.protocol_policy(Arc::new(StaticPolicy::with_short(0, 4096)));
-    }
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let machine = builder.build();
+/// counting dispatch) over a machine with `plan` installed. The loop ends
+/// only when every message has arrived; the returned RAS counters record
+/// how hostile the plan actually was.
+pub fn measure_chaos_rate(plan: pami::FaultPlan, msgs: usize) -> ChaosStats {
+    let machine = Machine::with_nodes(2).fault_plan(plan).build();
     let sender = Client::create(&machine, 0, "chaos", 1);
     let receiver = Client::create(&machine, 1, "chaos", 1);
     let got = Arc::new(AtomicU64::new(0));
@@ -1477,17 +978,10 @@ pub fn measure_chaos_rate(
     }
     let rate = msgs as f64 / start.elapsed().as_secs_f64();
     let ras = machine.fabric().ras_counters();
-    ChaosStats {
-        rate,
-        retransmits: ras.retransmits.value(),
-        sack_retransmits: ras.sack_retransmits.value(),
-        crc_errors: ras.crc_errors.value(),
-        packets_dropped: machine.fabric().counters(0).packets_dropped.value()
-            + machine.fabric().counters(1).packets_dropped.value(),
-    }
+    ChaosStats { rate, retransmits: ras.retransmits.value(), crc_errors: ras.crc_errors.value() }
 }
 
-/// What the kill-a-node failover drill measured.
+/// What the kill-a-node failover drill observed.
 pub struct FailoverStats {
     /// Messages delivered at the primary before its node was cut off.
     pub pre_kill: u64,
@@ -1496,13 +990,24 @@ pub struct FailoverStats {
     /// `Unreachable` delivery faults the sender absorbed while the
     /// failover was firing (each one is a resend, not a loss).
     pub unreachable_faults: u64,
+    /// Sends that failed with any other fault. The contract is 0.
+    pub other_faults: u64,
     /// Messages never delivered anywhere. The failover contract is 0.
     pub lost: u64,
-    /// Whether the persistent channel renegotiated onto the standby and
-    /// replayed the step that died with the primary.
+    /// `Machine::resolve_task(1)` after the drill: the standby, 2.
+    pub resolved_task: u32,
+    /// `Machine::failover_generation(1)` after the drill: above 0.
+    pub failover_generation: u64,
+    /// Whether the RAS ring holds the `Unreachable` delivery failure that
+    /// triggered the failover.
+    pub ras_unreachable: bool,
+    /// Whether the pre-kill channel step (`0xA0`) reached the primary.
+    pub primary_step: bool,
+    /// Whether the persistent channel followed the failover: the post into
+    /// the dead channel failed, `renegotiate` re-targeted it at the
+    /// standby, and the standby received both replayed steps (`0xA1`,
+    /// `0xA2`) intact and in order.
     pub channel_replayed: bool,
-    /// Wall-clock seconds for the whole drill.
-    pub secs: f64,
 }
 
 /// Kill-a-node failover drill: flood task 1, cut node 1 off mid-stream,
@@ -1517,47 +1022,47 @@ pub struct FailoverStats {
 /// machine-level failover and the resend lands on the standby. A
 /// persistent channel rides along: one step delivered to the primary
 /// pre-kill, then a post into the dead channel (which must fail), a
-/// `renegotiate()` that follows the failover, and a replay the standby
-/// must receive.
+/// `renegotiate()` that follows the failover, and two replayed steps the
+/// standby must receive.
 ///
-/// Returns counts instead of asserting so the chaos bin can gate on them
-/// and record the numbers in `BENCH_chaos.json`.
+/// Returns what it observed instead of asserting: the soak archives a
+/// failing seed, the `cargo test` drill asserts every field.
 ///
-/// `plan` overrides the fault plan: `None` is the gated drill (a clean
-/// plan — reliability on, no injected loss), `Some` lets the nightly soak
-/// run the same kill-and-drain scenario under a seeded lossy plan, where
-/// the failover must fire *while* retransmission is already absorbing
-/// drops and corruption.
-pub fn measure_failover_drain(msgs: usize, plan: Option<pami::FaultPlan>) -> FailoverStats {
-    use pami::{Counter, DeliveryFault, FaultPlan};
+/// `plan` must be a fault plan, which is what makes links killable and
+/// `Unreachable` faults reportable: a clean one (no rates — reliability
+/// on, no injected loss) for the `cargo test` drill, a seeded lossy one
+/// for the nightly soak, where the failover must fire *while*
+/// retransmission is already absorbing drops and corruption.
+pub fn measure_failover_drain(msgs: usize, plan: pami::FaultPlan) -> FailoverStats {
+    use pami::{Counter, DeliveryFault};
 
     const DISPATCH: u16 = 9;
     const SLOT: usize = 32;
     let pre = (msgs / 2).max(1) as u64;
     let post = (msgs as u64 - pre).max(1);
     let shape = bgq_torus::TorusShape::for_nodes(3);
-    // A clean plan (no rates) turns the reliability layer on, which is
-    // what makes links killable and Unreachable faults reportable.
-    let plan = plan.unwrap_or_else(|| FaultPlan::new().seed(4040));
     let machine = Machine::builder(shape).fault_plan(plan).build();
     machine.register_standby(1, 2);
-    let arrived1 = Arc::new(AtomicU64::new(0));
-    let arrived2 = Arc::new(AtomicU64::new(0));
-    let faults = Arc::new(AtomicU64::new(0));
-    let lost = Arc::new(AtomicU64::new(0));
-    let replayed = Arc::new(AtomicU64::new(0));
+    let cell = || Arc::new(AtomicU64::new(0));
+    let (arrived1, arrived2, faults, other_faults, lost) = (cell(), cell(), cell(), cell(), cell());
+    // What the persistent channel did, one bit per fact.
+    const PRIMARY_GOT_STEP: u64 = 1;
+    const FOLLOWED_FAILOVER: u64 = 2;
+    const STANDBY_GOT_REPLAY: u64 = 4;
+    let channel = cell();
     // 1: primary consumed the channel step; 2: links are dead (standby may
-    // open its channel); 3: sender done, receivers may stop advancing.
-    let stage = Arc::new(AtomicU64::new(0));
-    let (a1, a2, f2, l2, r2, st) = (
+    // open its channel); 3: standby consumed the replay; 4: sender done,
+    // receivers may stop advancing.
+    let stage = cell();
+    let (a1, a2, f2, o2, l2, c2, st) = (
         Arc::clone(&arrived1),
         Arc::clone(&arrived2),
         Arc::clone(&faults),
+        Arc::clone(&other_faults),
         Arc::clone(&lost),
-        Arc::clone(&replayed),
+        Arc::clone(&channel),
         Arc::clone(&stage),
     );
-    let start = Instant::now();
     machine.run(move |env| {
         let client = Client::create(&env.machine, env.task, "failover", 1);
         let ctx = client.context(0);
@@ -1619,9 +1124,11 @@ pub fn measure_failover_drain(msgs: usize, plan: Option<pami::FaultPlan>) -> Fai
                             delivered = true;
                             break;
                         }
-                        if done.fault() == Some(DeliveryFault::Unreachable) {
-                            f2.fetch_add(1, Ordering::SeqCst);
-                        }
+                        let kind = match done.fault() {
+                            Some(DeliveryFault::Unreachable) => &f2,
+                            _ => &o2,
+                        };
+                        kind.fetch_add(1, Ordering::SeqCst);
                     }
                     if !delivered {
                         l2.fetch_add(1, Ordering::SeqCst);
@@ -1630,50 +1137,64 @@ pub fn measure_failover_drain(msgs: usize, plan: Option<pami::FaultPlan>) -> Fai
                 // Channel replay: the post into the dead channel must
                 // fail, the renegotiated channel must reach the standby.
                 // (If renegotiation itself fails the standby's side hangs
-                // in its handshake — the caller bounds the whole drill
-                // with a wall clock, so that surfaces as a failure, not a
-                // wedged bench.)
+                // in its handshake — the soak bounds the whole drill with
+                // a wall clock, so that surfaces as a failure, not a
+                // wedged run.)
                 let dead_post_failed = ch.post(&[0xA1; SLOT]).is_err();
                 st.store(2, Ordering::SeqCst);
-                let renegotiated = ch.renegotiate().is_ok() && ch.peer().task == 2;
-                if renegotiated {
+                if ch.renegotiate().is_ok() && ch.peer().task == 2 {
                     ch.post(&[0xA1; SLOT]).unwrap();
+                    ch.post(&[0xA2; SLOT]).unwrap();
                     if dead_post_failed {
-                        r2.fetch_add(1, Ordering::SeqCst);
+                        c2.fetch_or(FOLLOWED_FAILOVER, Ordering::SeqCst);
                     }
+                    // Dropping the channel destroys the window the standby
+                    // is about to bind against: hold it until the standby
+                    // has consumed the replay.
+                    ctx.advance_until(|| st.load(Ordering::SeqCst) >= 3);
                 }
-                st.store(3, Ordering::SeqCst);
+                st.store(4, Ordering::SeqCst);
             }
             1 => {
                 let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
                 let mut buf = [0u8; SLOT];
-                ch.wait(&mut buf).unwrap();
+                if ch.wait(&mut buf).is_ok() && buf == [0xA0; SLOT] {
+                    c2.fetch_or(PRIMARY_GOT_STEP, Ordering::SeqCst);
+                }
                 st.store(1, Ordering::SeqCst);
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 3);
+                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 4);
             }
             2 => {
                 ctx.advance_until(|| st.load(Ordering::SeqCst) >= 2);
                 let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
                 let mut buf = [0u8; SLOT];
-                if ch.wait(&mut buf).is_ok() && buf == [0xA1; SLOT] {
-                    r2.fetch_add(1, Ordering::SeqCst);
+                let mut step = |want: u8| ch.wait(&mut buf).is_ok() && buf == [want; SLOT];
+                if step(0xA1) && step(0xA2) {
+                    c2.fetch_or(STANDBY_GOT_REPLAY, Ordering::SeqCst);
                 }
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 3);
+                st.store(3, Ordering::SeqCst);
+                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 4);
             }
             _ => unreachable!(),
         }
     });
     let delivered1 = arrived1.load(Ordering::SeqCst);
     let delivered2 = arrived2.load(Ordering::SeqCst);
+    let channel = channel.load(Ordering::SeqCst);
+    let (events, _) = machine.fabric().ras_events();
     FailoverStats {
         pre_kill: delivered1,
         drained: delivered2,
         unreachable_faults: faults.load(Ordering::SeqCst),
+        other_faults: other_faults.load(Ordering::SeqCst),
         lost: lost.load(Ordering::SeqCst) + (pre + post).saturating_sub(delivered1 + delivered2),
-        // Both halves must agree: the sender saw the dead post fail and
-        // renegotiated onto the standby, and the standby received the
-        // replayed step.
-        channel_replayed: replayed.load(Ordering::SeqCst) == 2,
-        secs: start.elapsed().as_secs_f64(),
+        resolved_task: machine.resolve_task(1),
+        failover_generation: machine.failover_generation(1),
+        ras_unreachable: events.iter().any(|e| {
+            matches!(e.kind, pami::RasEventKind::DeliveryFailure)
+                && e.detail == DeliveryFault::Unreachable as u64
+        }),
+        primary_step: channel & PRIMARY_GOT_STEP != 0,
+        channel_replayed: channel & FOLLOWED_FAILOVER != 0 && channel & STANDBY_GOT_REPLAY != 0,
     }
 }

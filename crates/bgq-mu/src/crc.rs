@@ -1,9 +1,9 @@
 //! CRC-32C (Castagnoli) — the per-packet integrity check of the link layer.
 //!
 //! BG/Q's network hardware protects every torus packet with link-level CRCs
-//! and retransmits on mismatch. The simulation stamps a CRC-32C over each
-//! packet's header fields, metadata, and staged payload bytes; the receive
-//! side (and tests) can re-verify with [`crate::packet::MuPacket::verify_crc`].
+//! and retransmits on mismatch. Under a fault plan the simulation stamps a
+//! CRC-32C over each packet's header fields, metadata, and staged payload
+//! bytes; tests re-verify with [`crate::packet::MuPacket::verify_crc`].
 //! Corruption *events* are modeled by the fault injector rather than by
 //! flipping bits, so the CRC's job here is (a) to make the fault-free cost
 //! of integrity checking measurable, and (b) to catch simulation bugs that

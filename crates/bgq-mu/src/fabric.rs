@@ -46,9 +46,8 @@
 //! [`MuFabric::pump_links`]; killed links force torus reroutes; and
 //! exhausted retry budgets fail completion counters with a typed
 //! [`bgq_hw::DeliveryFault`] instead of hanging pollers (see
-//! [`crate::link`]). Every packet carries a link sequence number and —
-//! except the lossless fabric's short envelope, which nothing in flight
-//! can touch and nothing downstream reads — a CRC-32C stamp.
+//! [`crate::link`]). Every packet carries a link sequence number; a
+//! packet that rides a reliable channel also carries a CRC-32C stamp.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -728,13 +727,11 @@ impl MuFabric {
     }
 
     /// Build one packet and stamp its CRC — the only `MuPacket` literal
-    /// and the only CRC site in the fabric. `on_channel` says the packet
-    /// rides a reliable channel. The lossless fabric's short envelope goes
-    /// unstamped: nothing can touch it in flight, nothing downstream reads
-    /// the stamp, and it is the tier whose whole point is the minimum
-    /// per-message cost (a zero stamp reads as "unstamped" to
-    /// [`MuPacket::verify_crc`]). The lossless eager stamp stays because
-    /// the chaos bench's fair-weather budget is calibrated against it.
+    /// and the only CRC site in the fabric. A packet is stamped iff it
+    /// rides a reliable channel (`on_channel`: any fault plan, clean or
+    /// hostile). On a fabric with no plan nothing can touch a packet in
+    /// flight and nothing downstream reads the stamp, so it stays zero,
+    /// which reads as "unstamped" to [`MuPacket::verify_crc`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn packet_of(
@@ -762,7 +759,7 @@ impl MuFabric {
             short,
             payload,
         };
-        if on_channel || !short {
+        if on_channel {
             pkt.crc = pkt.compute_crc();
         }
         pkt
@@ -1786,7 +1783,7 @@ mod tests {
         let done = Counter::new();
         done.add_expected(5);
         let hello = Bytes::from_static(b"hello");
-        fabric.send_short(0, &inj, short_hdr(rec, 9, b"md"), hello, Some(done.clone()));
+        fabric.send_short(0, &inj, short_hdr(rec, 9, b"md"), hello.clone(), Some(done.clone()));
         assert!(done.is_complete(), "short-tier completion is synchronous");
         let p = fabric.poll_rec(1, rec).unwrap();
         assert!(p.short, "envelope carries the short-tier flag");
@@ -1798,6 +1795,11 @@ mod tests {
         assert_eq!(p.offset, 0);
         assert_eq!(p.crc, 0, "the lossless short envelope goes unstamped");
         assert!(fabric.poll_rec(1, rec).is_none(), "exactly one packet");
+        // The eager twin: no plan, no channel, no stamp.
+        fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(hello)));
+        let p = fabric.poll_rec(1, rec).unwrap();
+        assert!(!p.short);
+        assert_eq!(p.crc, 0, "the lossless eager packet goes unstamped");
     }
 
     #[test]

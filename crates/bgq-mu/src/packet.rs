@@ -128,8 +128,8 @@ pub struct MuPacket {
     /// tracks frames by it.
     pub link_seq: u64,
     /// CRC-32C over the header fields, metadata, and staged payload bytes
-    /// (zero on the lossless fabric's short envelope, which goes
-    /// unstamped). See [`MuPacket::verify_crc`].
+    /// (zero on a fabric with no fault plan, whose packets go unstamped).
+    /// See [`MuPacket::verify_crc`].
     pub crc: u32,
     /// Short-tier flag: the packet is a complete message whose metadata and
     /// payload were inlined into a single envelope at the send call — the
@@ -208,8 +208,8 @@ impl MuPacket {
     }
 
     /// Receive-side integrity check: does the carried CRC match the packet
-    /// contents? A zero stamp marks an unstamped envelope (the lossless
-    /// short tier) and verifies trivially.
+    /// contents? A zero stamp marks an unstamped packet (no fault plan, no
+    /// reliable channel) and verifies trivially.
     pub fn verify_crc(&self) -> bool {
         self.crc == 0 || self.crc == self.compute_crc()
     }

@@ -505,149 +505,3 @@ fn tiny_window_cycles_the_sequence_space_exactly_once() {
         .retry(RetryConfig { window: 2, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 64 });
     chaos_exchange(plan, 200, 64);
 }
-
-// ---------------------------------------------------------------------------
-// Endpoint failover
-// ---------------------------------------------------------------------------
-
-/// Kill every link touching node 1 mid-workload and check the unified
-/// recovery path end to end: the dead channel surfaces `Unreachable`, the
-/// RAS observer fires machine-level failover to the registered standby
-/// (task 2), plain sends re-targeted at the standby drain with zero lost
-/// messages, and the persistent channel renegotiates against the standby
-/// and replays the failed step.
-#[test]
-fn node_kill_fails_over_to_standby_with_zero_lost_messages() {
-    const PRE: u64 = 4;
-    const POST: u64 = 4;
-    const SLOT: usize = 32;
-    let shape = bgq_torus::TorusShape::for_nodes(3);
-    let machine = Machine::builder(shape).fault_plan(FaultPlan::new().seed(4040)).build();
-    machine.register_standby(1, 2);
-    let arrived1 = Arc::new(AtomicU64::new(0));
-    let arrived2 = Arc::new(AtomicU64::new(0));
-    // 1 once the primary consumed the pre-kill channel step; 2 once the
-    // links are dead (the standby may open its channel); 3 when task 0 is
-    // done and the receivers may stop advancing.
-    let stage = Arc::new(AtomicU64::new(0));
-    let (a1, a2, st) = (Arc::clone(&arrived1), Arc::clone(&arrived2), Arc::clone(&stage));
-    machine.run(move |env| {
-        let client = Client::create(&env.machine, env.task, "chaos", 1);
-        let ctx = client.context(0);
-        match env.task {
-            1 => {
-                let a = Arc::clone(&a1);
-                ctx.set_dispatch(
-                    DISPATCH,
-                    Arc::new(move |_, _, _| {
-                        a.fetch_add(1, Ordering::SeqCst);
-                        Recv::Done
-                    }),
-                );
-            }
-            2 => {
-                let a = Arc::clone(&a2);
-                ctx.set_dispatch(
-                    DISPATCH,
-                    Arc::new(move |_, _, _| {
-                        a.fetch_add(1, Ordering::SeqCst);
-                        Recv::Done
-                    }),
-                );
-            }
-            _ => {}
-        }
-        env.machine.task_barrier();
-        let send_one = |i: u64| {
-            let done = Counter::new();
-            done.add_expected(64);
-            ctx.send(SendArgs {
-                dest: Endpoint::of_task(1),
-                dispatch: DISPATCH,
-                metadata: i.to_le_bytes().to_vec(),
-                payload: PayloadSource::Immediate(bytes::Bytes::from(vec![i as u8; 64])),
-                local_done: Some(done.clone()),
-            })
-            .unwrap();
-            ctx.advance_until(|| done.is_complete());
-            done
-        };
-        match env.task {
-            0 => {
-                let mut ch = ctx.channel(Endpoint::of_task(1), SLOT).unwrap();
-                for i in 0..PRE {
-                    assert!(send_one(i).is_ok(), "pre-kill sends ride clean links");
-                }
-                ch.post(&[0xA0; SLOT]).unwrap();
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 1);
-                // Cut node 1 off: its own links plus the last hop of every
-                // inbound route.
-                let fab = env.machine.fabric();
-                for dir in bgq_torus::Dir::all() {
-                    fab.kill_link(1, dir);
-                }
-                let c1 = shape.coords_of(1);
-                fab.kill_link(0, bgq_torus::det_route(shape, shape.coords_of(0), c1)[0]);
-                fab.kill_link(2, bgq_torus::det_route(shape, shape.coords_of(2), c1)[0]);
-                // Drain POST more messages, re-sending on fault: the first
-                // attempt dies Unreachable and fires the failover, the
-                // retry lands on the standby.
-                let mut faults = 0u64;
-                for i in PRE..PRE + POST {
-                    loop {
-                        let done = send_one(i);
-                        if done.is_ok() {
-                            break;
-                        }
-                        assert_eq!(done.fault(), Some(DeliveryFault::Unreachable));
-                        faults += 1;
-                        assert!(faults <= 4, "failover must stop the fault storm");
-                    }
-                }
-                assert!(faults >= 1, "the first post-kill send must trip Unreachable");
-                assert_eq!(env.machine.resolve_task(1), 2, "failover must remap task 1");
-                assert!(env.machine.failover_generation(1) > 0);
-                // The channel to the primary is dead; renegotiate follows
-                // the failover to the standby and replays the lost step.
-                let lost = ch.post(&[0xA1; SLOT]);
-                assert!(lost.is_err(), "posting into the dead primary channel must fail");
-                stage.store(2, Ordering::SeqCst);
-                ch.renegotiate().unwrap();
-                assert_eq!(ch.peer().task, 2, "the channel must follow the failover");
-                ch.post(&[0xA1; SLOT]).unwrap();
-                ch.post(&[0xA2; SLOT]).unwrap();
-                stage.store(3, Ordering::SeqCst);
-            }
-            1 => {
-                let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
-                let mut buf = [0u8; SLOT];
-                ch.wait(&mut buf).unwrap();
-                assert_eq!(buf, [0xA0; SLOT], "pre-kill channel step reaches the primary");
-                st.store(1, Ordering::SeqCst);
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 3);
-            }
-            2 => {
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 2);
-                let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
-                let mut buf = [0u8; SLOT];
-                ch.wait(&mut buf).unwrap();
-                assert_eq!(buf, [0xA1; SLOT], "the failed step is replayed to the standby");
-                ch.wait(&mut buf).unwrap();
-                assert_eq!(buf, [0xA2; SLOT]);
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 3);
-            }
-            _ => unreachable!(),
-        }
-    });
-    // Zero lost messages: every logical message is accounted for exactly
-    // once — the pre-kill batch at the primary, the drained batch at the
-    // standby.
-    assert_eq!(arrived1.load(Ordering::SeqCst), PRE, "pre-kill messages landed at the primary");
-    assert_eq!(arrived2.load(Ordering::SeqCst), POST, "post-kill messages drained to the standby");
-    let (events, _) = machine.fabric().ras_events();
-    assert!(
-        events.iter().any(|e| matches!(e.kind, pami::RasEventKind::DeliveryFailure)
-            && e.detail == DeliveryFault::Unreachable as u64),
-        "the failover trigger must be RAS-visible"
-    );
-}

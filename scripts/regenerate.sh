@@ -3,16 +3,11 @@
 #   test_output.txt     — full workspace test run
 #   bench_output.txt    — full Criterion benchmark run
 #   repro_output.txt    — every paper table/figure (measured + modeled)
-#   BENCH_msgrate.json  — MU fast-path message-rate / copy-count record
-#                         (+ protocol-policy A/B, handoff percentiles,
-#                          telemetry.json / telemetry_trace.json)
-#   BENCH_coll.json     — per-phase collective p50s vs the CI baseline
+# (Rates and latencies with a stated noise are `bash benchmark/run.sh run`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo test --workspace 2>&1 | tee test_output.txt
 cargo build --release -p bench
 ./target/release/repro all | tee repro_output.txt
-./target/release/msgrate
-./target/release/collgate --baseline ci/BENCH_coll_baseline.json
 cargo bench --workspace 2>&1 | tee bench_output.txt
