@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment> [--modeled-only]
-//!   experiment ∈ table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 policy all
+//!   experiment ∈ table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 all
 //! ```
 //!
 //! Each experiment prints the paper's published numbers, the timing-model
@@ -28,7 +28,6 @@ fn main() {
         "fig8" => fig8(&params),
         "fig9" => fig9(&params),
         "fig10" => fig10(&params),
-        "policy" => policy_ab(modeled_only),
         "all" => {
             table1(&params, modeled_only);
             table2(&params, modeled_only);
@@ -39,11 +38,10 @@ fn main() {
             fig8(&params);
             fig9(&params);
             fig10(&params);
-            policy_ab(modeled_only);
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("usage: repro [table1|table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|policy|all] [--modeled-only]");
+            eprintln!("usage: repro [table1|table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|all] [--modeled-only]");
             std::process::exit(2);
         }
     }
@@ -238,30 +236,6 @@ fn fig9(params: &MachineParams) {
         );
     }
     println!("paper peaks: 1728MB/s @32MB ppn1 (96%); 1722MB/s @4MB ppn4; 1701MB/s @1MB ppn16");
-}
-
-fn policy_ab(modeled_only: bool) {
-    header("Protocol policy: adaptive vs static eager/rendezvous crossover");
-    println!("mixed 256B + 16KiB streams, 2 destinations, functional stack (host-scaled)");
-    if modeled_only {
-        println!("(measurement skipped: --modeled-only)");
-        return;
-    }
-    let msgs = 3000;
-    let (stat, adap) = (0..3).fold((0.0f64, 0.0f64), |(s, a), _| {
-        (
-            s.max(measure_policy_ab(false, msgs)),
-            a.max(measure_policy_ab(true, msgs)),
-        )
-    });
-    println!("{:<28}{:>12}", "policy", "rate");
-    println!("{:<28}{:>12}", "static crossover", mmps(stat));
-    println!("{:<28}{:>12}", "adaptive per-destination", mmps(adap));
-    if stat > 0.0 {
-        println!("adaptive/static: {:.3}x", adap / stat);
-    }
-    println!("(with the telemetry feature compiled out the adaptive policy degenerates");
-    println!(" to the static crossover and the two arms tie)");
 }
 
 fn fig10(params: &MachineParams) {

@@ -298,88 +298,6 @@ pub fn measure_message_rate(series: MeasuredRateSeries, ppn: usize, msgs: usize)
 }
 
 // ---------------------------------------------------------------------------
-// Protocol-policy A/B: adaptive vs static eager/rendezvous crossover
-// ---------------------------------------------------------------------------
-
-/// Mixed-size protocol-policy A/B over a windowed (latency-bound) request
-/// loop. Task 0 alternates 256 B (unambiguously eager) messages to task 1
-/// with 16 KiB messages to task 2, waiting for each delivery before
-/// posting the next, so per-message completion latency — exactly the
-/// signal the adaptive policy optimises — dominates the measured rate. The
-/// machine's static crossover is 32 KiB, a plausible default for hardware
-/// whose MU moves eager payloads for free, but wrong on this host's
-/// simulated MU: a 16 KiB eager message fragments into a string of staged
-/// packet copies (~2.4x the wall cost of the alternative), while
-/// rendezvous pulls the payload zero-copy after one RTS round trip. The
-/// static policy eats that cost on every large message forever; the
-/// adaptive policy compares eager delivery time against rendezvous round
-/// trips per destination from live telemetry feedback, walks the task-2
-/// crossover down below 16 KiB, and switches the large stream to
-/// rendezvous — while leaving the task-1 crossover (whose small messages
-/// eager serves well) alone. Returns messages per second of wall time,
-/// including the adaptive arm's convergence transient.
-///
-/// With the `telemetry` feature compiled out the adaptive policy degrades
-/// to the static decision (no measurements), so the two rates tie.
-pub fn measure_policy_ab(adaptive: bool, msgs: usize) -> f64 {
-    const SMALL: usize = 256;
-    const LARGE: usize = 16 * 1024;
-    let mut builder = Machine::with_nodes(3).eager_limit(32 * 1024);
-    if adaptive {
-        builder = builder.adaptive_policy();
-    }
-    let machine = builder.build();
-    let sender = Client::create(&machine, 0, "ab", 1);
-    let recvs: Vec<Arc<Client>> =
-        (1..3u32).map(|t| Client::create(&machine, t, "ab", 1)).collect();
-    let got = Arc::new(AtomicU64::new(0));
-    for c in &recvs {
-        let got = Arc::clone(&got);
-        let sink = MemRegion::zeroed(LARGE);
-        c.context(0).set_dispatch(
-            1,
-            Arc::new(move |_: &Context, _msg, _first| {
-                let got = Arc::clone(&got);
-                Recv::Into {
-                    region: sink.clone(),
-                    offset: 0,
-                    on_complete: Box::new(move |_, _result| {
-                        got.fetch_add(1, Ordering::Relaxed);
-                    }),
-                }
-            }),
-        );
-    }
-    let small = MemRegion::from_vec(vec![1u8; SMALL]);
-    let large = MemRegion::from_vec(vec![2u8; LARGE]);
-    let advance_all = |sender: &Arc<Client>, recvs: &[Arc<Client>]| {
-        sender.context(0).advance();
-        for c in recvs {
-            c.context(0).advance();
-        }
-    };
-    let total = (msgs * 2) as u64;
-    let start = Instant::now();
-    for _ in 0..msgs {
-        for (dest, region, len) in [(1u32, &small, SMALL), (2u32, &large, LARGE)] {
-            let before = got.load(Ordering::Relaxed);
-            sender.context(0).send(SendArgs {
-                dest: Endpoint::of_task(dest),
-                dispatch: 1,
-                metadata: Vec::new(),
-                payload: PayloadSource::Region { region: region.clone(), offset: 0, len },
-                local_done: None,
-            }).unwrap();
-            while got.load(Ordering::Relaxed) == before {
-                advance_all(&sender, &recvs);
-            }
-        }
-    }
-    debug_assert_eq!(got.load(Ordering::Relaxed), total);
-    total as f64 / start.elapsed().as_secs_f64()
-}
-
-// ---------------------------------------------------------------------------
 // pamistat: a whole-stack telemetry sample
 // ---------------------------------------------------------------------------
 

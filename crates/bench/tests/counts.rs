@@ -198,7 +198,7 @@ fn region(len: usize) -> PayloadSource {
 /// The pre-ladder policy: no short tier, every small send takes the eager
 /// path.
 fn forced_eager() -> MachineBuilder {
-    Machine::with_nodes(2).protocol_policy(Arc::new(StaticPolicy::with_short(0, 4096)))
+    Machine::with_nodes(2).protocol_policy(StaticPolicy::with_short(0, 4096))
 }
 
 const SENDS: [&str; 3] = ["ctx.sends_short", "ctx.sends_eager", "ctx.sends_rzv"];

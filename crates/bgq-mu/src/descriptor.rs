@@ -107,8 +107,6 @@ pub struct FifoHeader {
     pub dispatch: u16,
     /// Protocol metadata delivered with the message.
     pub metadata: Bytes,
-    /// Short-tier flag (see [`XferKind::MemoryFifo`]).
-    pub short: bool,
 }
 
 /// The transfer type a descriptor requests.
@@ -123,10 +121,6 @@ pub enum XferKind {
         dispatch: u16,
         /// Protocol metadata delivered with the message.
         metadata: Bytes,
-        /// Short-tier flag: the message is one inline packet envelope; the
-        /// receive side dispatches straight from the packet. Survives the
-        /// reliable (fault-plan) path so chaos runs exercise the same tier.
-        short: bool,
     },
     /// RDMA write: payload lands directly in destination memory; the
     /// destination reception counter (if any) is decremented by the byte
@@ -248,7 +242,6 @@ mod tests {
             rec_fifo: RecFifoId(0),
             dispatch: 0,
             metadata: Bytes::new(),
-            short: false,
         };
         let d = Descriptor {
             dst_node: 0,

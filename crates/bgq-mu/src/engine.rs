@@ -139,7 +139,6 @@ mod tests {
                         rec_fifo: rec,
                         dispatch: 0,
                         metadata: Bytes::new(),
-                        short: false,
                     },
                     inj_counter: None,
                 },

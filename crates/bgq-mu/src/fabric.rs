@@ -492,7 +492,7 @@ impl MuFabric {
         payload: bytes::Bytes,
         local_done: Option<bgq_hw::Counter>,
     ) {
-        debug_assert!(hdr.short && payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
+        debug_assert!(payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
         let payload = PayloadSource::Immediate(payload);
         self.deliver_message(src_node, &fifo.lane, &fifo.link_seq, hdr, payload, local_done);
     }
@@ -608,8 +608,8 @@ impl MuFabric {
         let credit = desc.completion_credit();
         let Descriptor { dst_node, src_context, payload, kind, inj_counter, .. } = desc;
         match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata, short } => {
-                let hdr = FifoHeader { dst_node, rec_fifo, src_context, dispatch, metadata, short };
+            XferKind::MemoryFifo { rec_fifo, dispatch, metadata } => {
+                let hdr = FifoHeader { dst_node, rec_fifo, src_context, dispatch, metadata };
                 self.deliver_message(src_node, lane, link_seq, hdr, payload, inj_counter);
             }
             // Combinable fetch-adds divert into the combining overlay: it
@@ -745,7 +745,7 @@ impl MuFabric {
         payload: PacketPayload,
         on_channel: bool,
     ) -> MuPacket {
-        let FifoHeader { src_context, dispatch, metadata, short, .. } = hdr;
+        let FifoHeader { src_context, dispatch, metadata, .. } = hdr;
         let mut pkt = MuPacket {
             src_node,
             src_context,
@@ -756,7 +756,6 @@ impl MuFabric {
             offset,
             link_seq,
             crc: 0,
-            short,
             payload,
         };
         if on_channel {
@@ -1073,7 +1072,6 @@ mod tests {
                 rec_fifo: fifo,
                 dispatch: 7,
                 metadata: Bytes::new(),
-                short: false,
             },
             inj_counter: None,
         }
@@ -1763,7 +1761,7 @@ mod tests {
         assert!(fabric.links_idle(0));
     }
 
-    /// A short-flagged header from context 3 of node 0 to `rec` on node 1.
+    /// A header from context 3 of node 0 to `rec` on node 1.
     fn short_hdr(rec: RecFifoId, dispatch: u16, metadata: &'static [u8]) -> FifoHeader {
         FifoHeader {
             dst_node: 1,
@@ -1771,7 +1769,6 @@ mod tests {
             src_context: 3,
             dispatch,
             metadata: Bytes::from_static(metadata),
-            short: true,
         }
     }
 
@@ -1786,7 +1783,6 @@ mod tests {
         fabric.send_short(0, &inj, short_hdr(rec, 9, b"md"), hello.clone(), Some(done.clone()));
         assert!(done.is_complete(), "short-tier completion is synchronous");
         let p = fabric.poll_rec(1, rec).unwrap();
-        assert!(p.short, "envelope carries the short-tier flag");
         assert_eq!(p.src_context, 3);
         assert_eq!(p.dispatch, 9);
         assert_eq!(&p.metadata[..], b"md");
@@ -1798,7 +1794,6 @@ mod tests {
         // The eager twin: no plan, no channel, no stamp.
         fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(hello)));
         let p = fabric.poll_rec(1, rec).unwrap();
-        assert!(!p.short);
         assert_eq!(p.crc, 0, "the lossless eager packet goes unstamped");
     }
 
@@ -1813,7 +1808,6 @@ mod tests {
         fabric.send_short(0, &inj, short_hdr(rec, 5, b""), shrt, Some(done.clone()));
         assert!(done.is_complete());
         let p = fabric.poll_rec(1, rec).unwrap();
-        assert!(p.short, "flag survives the admitted-through reliable path");
         assert_eq!(p.payload.view(), b"shrt");
         assert!(p.crc != 0 && p.verify_crc(), "channel packets are stamped, short or not");
     }

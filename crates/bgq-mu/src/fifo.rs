@@ -402,7 +402,6 @@ mod tests {
             offset: 0,
             link_seq: 0,
             crc: 0,
-            short: false,
             payload: crate::packet::PacketPayload::Inline(Bytes::new()),
         });
         assert_eq!(region.epoch(), 1);
@@ -429,7 +428,6 @@ mod tests {
             offset: i as u32 * 8,
             link_seq: i,
             crc: 0,
-            short: false,
             payload: crate::packet::PacketPayload::Inline(Bytes::new()),
         });
         assert_eq!(region.epoch(), 0, "no watcher, no touch");
@@ -454,7 +452,6 @@ mod tests {
             offset: i as u32 * 512,
             link_seq: i,
             crc: 0,
-            short: false,
             payload: crate::packet::PacketPayload::Inline(Bytes::new()),
         });
         assert_eq!(region.epoch(), 1, "one wakeup for the whole message");

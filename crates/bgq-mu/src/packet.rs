@@ -131,13 +131,6 @@ pub struct MuPacket {
     /// (zero on a fabric with no fault plan, whose packets go unstamped).
     /// See [`MuPacket::verify_crc`].
     pub crc: u32,
-    /// Short-tier flag: the packet is a complete message whose metadata and
-    /// payload were inlined into a single envelope at the send call — the
-    /// receive side dispatches straight from the packet (no reassembly, no
-    /// matching-queue traffic) and feeds the short-tier cost model instead
-    /// of the eager one. Mirrors the header bit the Charm++ PAMI layers'
-    /// `SHORT_DISPATCH` id encodes.
-    pub short: bool,
     /// This packet's payload (≤ 512 bytes, possibly a zero-copy window).
     pub payload: PacketPayload,
 }
@@ -231,7 +224,6 @@ mod tests {
             offset,
             link_seq: 9,
             crc: packet_crc(0, 0, 0, 1, total, offset, 9, &[], &payload),
-            short: false,
             payload: PacketPayload::Inline(payload),
         }
     }

@@ -270,7 +270,6 @@ mod tests {
             offset: 0,
             link_seq: seq,
             crc: 0,
-            short: true,
             payload: bgq_mu::PacketPayload::Inline(Bytes::from(vec![0u8; len])),
         }
     }

@@ -49,9 +49,9 @@ use crate::endpoint::Endpoint;
 /// [`Aggregator`].
 #[derive(Debug, Clone, Copy)]
 pub struct AggrConfig {
-    /// Payloads at or below this many bytes are eligible for aggregation
-    /// (the policy still decides per destination whether they *do*
-    /// aggregate). Default 128 — the short-tier cutoff.
+    /// Payloads at or below this many bytes aggregate: the bottom rung of
+    /// the machine's [`crate::StaticPolicy`] ladder. Default 128 — the
+    /// short-tier cutoff.
     pub cutoff: usize,
     /// Frame payload budget in bytes, 64 ..= one short-tier packet
     /// ([`bgq_torus::packet::MAX_PAYLOAD_BYTES`], the default): a frame
@@ -63,8 +63,8 @@ pub struct AggrConfig {
     /// Age bound: the oldest buffered record waits at most this many
     /// microseconds before `advance` cuts the bucket. A liveness bound for
     /// straggler records, not a latency promise — latency-sensitive small
-    /// sends belong on the short tier, and the adaptive policy only routes
-    /// high-rate fine-grained streams here. Default 100 µs: tight enough
+    /// sends belong on the short tier (a machine built without
+    /// aggregation). Default 100 µs: tight enough
     /// that a stalled stream drains within the advance cadence, loose
     /// enough that a flood's buckets cut on fill, not on the clock (a
     /// lapsing deadline also knocks every advance off its idle fast path).

@@ -32,7 +32,7 @@ use crate::aggr::{Aggregator, Frame};
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
 use crate::machine::Machine;
-use crate::policy::{ProtoEvent, Protocol};
+use crate::policy::{Protocol, StaticPolicy};
 use crate::proto::{
     wire, SendArgs, ShmMailbox, ShmMsg, ShmPayload, DISPATCH_AGGR, DISPATCH_CHAN_REQ,
     DISPATCH_INTERNAL_BASE, DISPATCH_RZV_RTS,
@@ -109,20 +109,12 @@ struct Reassembly {
     base_offset: usize,
     remaining: usize,
     on_complete: Option<CompletionFn>,
-    /// Send-side stamp from the first packet's envelope; fed back to the
-    /// protocol policy when the last byte lands.
-    stamp: Stamp,
-    total_len: usize,
 }
 
 /// A rendezvous receive waiting on its reception counter.
 struct RzvPending {
     done: Counter,
     on_complete: Option<CompletionFn>,
-    /// RTS send-side stamp — completion minus this is the full rendezvous
-    /// round trip, the policy's rendezvous cost signal.
-    stamp: Stamp,
-    len: usize,
 }
 
 /// One-entry dispatch-handler memo: (dispatch generation, dispatch id,
@@ -249,9 +241,9 @@ pub struct Context {
     /// Bumped by [`Context::set_dispatch`]; invalidates the advance-side
     /// handler memo without the receive path ever taking the dispatch lock.
     dispatch_gen: AtomicU64,
-    /// Pre-serialized wire envelope for the static flood case (zero stamp,
-    /// empty metadata): per-send `Bytes` clone — a refcount bump on
-    /// context-private memory — instead of a 12-byte heap allocation.
+    /// Pre-serialized wire envelope for the flood case (empty metadata):
+    /// per-send `Bytes` clone — a refcount bump on context-private memory —
+    /// instead of a 4-byte heap allocation.
     flood_envelope: Bytes,
     advance_state: Mutex<AdvanceState>,
     /// Number of in-flight internal obligations (reassembly entries plus
@@ -273,15 +265,8 @@ pub struct Context {
     /// runs inside `advance`.
     aggr: Option<Aggregator>,
     user_lock: L2TicketMutex,
-    /// Cached `machine.policy().wants_feedback()`: when `false` (the
-    /// static default) the send path writes a zero stamp and delivery
-    /// never reads the clock or calls `observe` — zero per-message policy
-    /// cost on the hot path.
-    policy_feedback: bool,
-    /// Snapshot of the policy's fixed `(aggr, short, limit)` ladder when it
-    /// is destination-independent (the static default): `send` selects the
-    /// protocol inline without the per-message virtual call.
-    fixed_thresholds: Option<(usize, usize, usize)>,
+    /// The machine's protocol ladder, copied so `send` selects inline.
+    policy: StaticPolicy,
     /// `ctx.*` telemetry probes, registered on the machine's UPC registry.
     probes: CtxProbes,
 }
@@ -338,7 +323,7 @@ impl Context {
             work: WorkQueue::with_capacity(256),
             dispatch: RwLock::new(HashMap::new()),
             dispatch_gen: AtomicU64::new(0),
-            flood_envelope: wire::envelope(task, Stamp::from_ns(0), &[]),
+            flood_envelope: wire::envelope(task, &[]),
             advance_state: Mutex::new(AdvanceState {
                 reassembly: HashMap::new(),
                 rzv_pending: Vec::new(),
@@ -350,8 +335,7 @@ impl Context {
             chan_offers: Mutex::new(HashMap::new()),
             aggr: machine.aggregation().map(|cfg| Aggregator::new(*cfg, machine.telemetry())),
             user_lock: L2TicketMutex::new(),
-            policy_feedback: bgq_upc::ENABLED && machine.policy().wants_feedback(),
-            fixed_thresholds: machine.policy().fixed_thresholds(),
+            policy: *machine.policy(),
             probes: CtxProbes::new(machine.telemetry()),
         })
     }
@@ -487,29 +471,26 @@ impl Context {
         // Endpoint failover: a failed-over destination re-targets its
         // standby (identity — one relaxed load — until a failover fires).
         let dest = Endpoint { task: self.machine.resolve_task(dest.task), ..dest };
-        self.probes.sends_short.incr_pinned(self.offset as usize);
-        // One-packet immediates ARE short-tier sends: one inline envelope,
-        // and the delivery outcome feeds the policy's *short* cost model
-        // through the short-flagged packet instead of polluting the eager
-        // one.
-        let stamp = self.send_stamp();
         let dest_node = self.machine.task_node(dest.task);
         // An immediate must not overtake records already coalescing for
         // the same destination: cut that bucket first (no-op when empty).
         self.flush_aggr_conflict(dest, dest_node);
         if dest_node == self.node {
             let addr = self.addr_of(dest)?;
+            self.probes.sends_shm.incr_pinned(self.offset as usize);
             addr.mailbox.deliver(ShmMsg {
                 src: self.endpoint(),
                 dispatch,
                 metadata: Bytes::copy_from_slice(metadata),
-                stamp,
                 payload: ShmPayload::Inline(Bytes::copy_from_slice(payload)),
             });
             return Ok(());
         }
         let rec_fifo = self.rec_fifo_of(dest)?;
-        let hdr = self.short_header(dest_node, rec_fifo, dispatch, self.envelope_for(stamp, metadata));
+        // One-packet immediates ARE short-tier sends: the same inline
+        // envelope, the same arm, the same probe.
+        self.probes.sends_short.incr_pinned(self.offset as usize);
+        let hdr = self.short_header(dest_node, rec_fifo, dispatch, self.envelope_for(metadata));
         let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
         self.send_short_arm(dest, hdr, payload, None);
         Ok(())
@@ -565,90 +546,70 @@ impl Context {
         }
         let rec_fifo = self.rec_fifo_of(dest)?;
         let len = payload.len();
-        let mut proto = match self.fixed_thresholds {
-            // Destination-independent ladder: pick inline, no virtual call.
-            Some((aggr, short, limit)) => {
-                if aggr > 0 && len <= aggr {
-                    Protocol::Aggregated
-                } else if short > 0 && len <= short {
-                    Protocol::Short
-                } else if len <= limit {
-                    Protocol::Eager
-                } else {
-                    Protocol::Rendezvous
-                }
-            }
-            None => self.machine.policy().select(dest.task, len),
-        };
+        let mut proto = self.policy.select(dest.task, len);
         if proto == Protocol::Aggregated {
-            match &self.aggr {
-                Some(aggr) if aggr.record_fits(metadata.len(), len) => {
-                    // Append into the destination's coalescing bucket; any
-                    // frame the append cuts (fill) is injected here, under
-                    // the aggregator lock, so frames leave in cut order.
-                    // The payload is copied out now, so local completion
-                    // is immediate — same credit rule as the inline shm
-                    // path.
-                    self.probes.sends_aggr.incr_pinned(self.offset as usize);
-                    let key = self.aggr_key(dest, dest_node);
-                    // Borrow the payload bytes in place: the append copies
-                    // them into the bucket, so the immediate path needs no
-                    // refcount round-trip and the region path materializes
-                    // exactly once.
-                    let region_copy;
-                    let payload: &[u8] = match &payload {
-                        PayloadSource::Immediate(b) => b,
-                        other => {
-                            region_copy = other.to_bytes();
-                            &region_copy
-                        }
-                    };
-                    let opened = aggr.append(
-                        key,
-                        dest,
-                        dispatch,
-                        metadata,
-                        payload,
-                        || self.first_hop_class_of(key),
-                        |f| self.send_aggr_frame(f),
-                    );
-                    if let Some(c) = local_done {
-                        c.delivered(if len == 0 { 1 } else { len as u64 });
+            // `MachineBuilder::build` refuses an aggregation rung on a
+            // machine without the layer.
+            let aggr = self.aggr.as_ref().expect("aggregation rung without an aggregator");
+            if aggr.record_fits(metadata.len(), len) {
+                // Append into the destination's coalescing bucket; any
+                // frame the append cuts (fill) is injected here, under the
+                // aggregator lock, so frames leave in cut order. The
+                // payload is copied out now, so local completion is
+                // immediate — same credit rule as the inline shm path.
+                self.probes.sends_aggr.incr_pinned(self.offset as usize);
+                let key = self.aggr_key(dest, dest_node);
+                // Borrow the payload bytes in place: the append copies
+                // them into the bucket, so the immediate path needs no
+                // refcount round-trip and the region path materializes
+                // exactly once.
+                let region_copy;
+                let payload: &[u8] = match &payload {
+                    PayloadSource::Immediate(b) => b,
+                    other => {
+                        region_copy = other.to_bytes();
+                        &region_copy
                     }
-                    if opened {
-                        // First record of a fresh bucket: commthreads park
-                        // on the wakeup region, and one of them (or the
-                        // app's own advance) must run this bucket's
-                        // age-bound flush. Later appends move no deadline
-                        // and skip the wakeup.
-                        self.wakeup.touch();
-                    }
-                    return Ok(());
+                };
+                let opened = aggr.append(
+                    key,
+                    dest,
+                    dispatch,
+                    metadata,
+                    payload,
+                    || self.first_hop_class_of(key),
+                    |f| self.send_aggr_frame(f),
+                );
+                if let Some(c) = local_done {
+                    c.delivered(if len == 0 { 1 } else { len as u64 });
                 }
-                Some(aggr) => {
-                    // Record too big for a frame (oversize metadata): take
-                    // the direct short path. The generic conflict flush
-                    // below keeps it behind the bucket.
-                    aggr.probes.oversize.incr();
-                    proto = Protocol::Short;
+                if opened {
+                    // First record of a fresh bucket: commthreads park on
+                    // the wakeup region, and one of them (or the app's own
+                    // advance) must run this bucket's age-bound flush.
+                    // Later appends move no deadline and skip the wakeup.
+                    self.wakeup.touch();
                 }
-                // A custom policy said "aggregate" on a machine without
-                // the layer: degrade to short.
-                None => proto = Protocol::Short,
+                return Ok(());
             }
+            // Record too big for a frame (oversize metadata): take the
+            // direct short path — the aggregation rung, like the short
+            // one, never exceeds a packet. The generic conflict flush
+            // below keeps it behind the bucket.
+            aggr.probes.oversize.incr();
+            proto = Protocol::Short;
         }
         // Ordering: a non-aggregated send must not overtake records still
         // coalescing for the same destination — cut that bucket first.
         self.flush_aggr_conflict(dest, dest_node);
-        let stamp = self.send_stamp();
         match proto {
-            Protocol::Short if len <= bgq_torus::packet::MAX_PAYLOAD_BYTES => {
+            Protocol::Short => {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
-                let metadata = self.envelope_for(stamp, metadata);
+                let metadata = self.envelope_for(metadata);
                 let hdr = self.short_header(dest_node, rec_fifo, dispatch, metadata);
                 self.send_short_arm(dest, hdr, payload, local_done);
             }
-            Protocol::Short | Protocol::Eager => {
+            Protocol::Eager => {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
                 let desc = Descriptor {
                     dst_node: dest_node,
@@ -659,8 +620,7 @@ impl Context {
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
                         dispatch,
-                        metadata: self.envelope_for(stamp, metadata),
-                        short: false,
+                        metadata: self.envelope_for(metadata),
                     },
                     inj_counter: local_done,
                 };
@@ -681,8 +641,7 @@ impl Context {
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
                         dispatch: DISPATCH_RZV_RTS,
-                        metadata: wire::envelope(self.task, stamp, &rts),
-                        short: false,
+                        metadata: wire::envelope(self.task, &rts),
                     },
                     inj_counter: None,
                 };
@@ -874,7 +833,6 @@ impl Context {
         let task = self.machine.resolve_task(frame.dest.task);
         let dest = Endpoint { task, context: frame.dest.context };
         let dest_node = self.machine.task_node(task);
-        let stamp = self.send_stamp();
         let hdr = crate::aggr::frame_header(frame.count, addressed);
         if dest_node == self.node {
             // Post-failover edge: the bucket's destination now lives on
@@ -885,14 +843,13 @@ impl Context {
                     src: self.endpoint(),
                     dispatch: DISPATCH_AGGR,
                     metadata: Bytes::copy_from_slice(&hdr),
-                    stamp,
                     payload: ShmPayload::Inline(frame.payload),
                 });
             }
             return;
         }
         let Ok(rec_fifo) = self.rec_fifo_of(dest) else { return };
-        let metadata = wire::envelope(self.task, stamp, &hdr);
+        let metadata = wire::envelope(self.task, &hdr);
         let hdr = self.short_header(dest_node, rec_fifo, DISPATCH_AGGR, metadata);
         self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
     }
@@ -906,7 +863,6 @@ impl Context {
         &self,
         memo: &mut Option<HandlerMemo>,
         src: Endpoint,
-        stamp: Stamp,
         hdr: &[u8],
         payload: Bytes,
     ) -> u64 {
@@ -929,7 +885,6 @@ impl Context {
                             src,
                             dispatch: rec.dispatch,
                             metadata: payload.slice(rec.meta_at..meta_end),
-                            stamp,
                             payload: ShmPayload::Inline(
                                 payload.slice(meta_end..meta_end + rec.payload.len()),
                             ),
@@ -977,7 +932,7 @@ impl Context {
         dispatch: u16,
         metadata: Bytes,
     ) -> FifoHeader {
-        FifoHeader { dst_node, rec_fifo, src_context: self.offset, dispatch, metadata, short: true }
+        FifoHeader { dst_node, rec_fifo, src_context: self.offset, dispatch, metadata }
     }
 
     /// The short arm — shared by [`Context::send`], [`Context::send_immediate`]
@@ -987,7 +942,7 @@ impl Context {
     /// entirely — no descriptor, no completion-counter allocation, one
     /// fragment straight down the fabric's pipeline. Otherwise earlier
     /// traffic is still queued there, and the per-destination ordering
-    /// rule is kept by queueing a short-flagged descriptor behind it.
+    /// rule is kept by queueing a descriptor behind it.
     fn send_short_arm(
         &self,
         dest: Endpoint,
@@ -1009,7 +964,6 @@ impl Context {
                     rec_fifo: hdr.rec_fifo,
                     dispatch: hdr.dispatch,
                     metadata: hdr.metadata,
-                    short: true,
                 },
                 inj_counter: local_done,
             };
@@ -1054,16 +1008,15 @@ impl Context {
             .ok_or(PamiError::UnknownEndpoint { task: dest.task, context: dest.context })
     }
 
-    /// Wire envelope for `metadata`. Under a feedback-free policy the stamp
-    /// is always zero, so the empty-metadata envelope is a per-context
-    /// constant — clone the pre-built one instead of serializing 12 bytes
-    /// into a fresh allocation per message.
+    /// Wire envelope for `metadata`. The empty-metadata envelope is a
+    /// per-context constant — clone the pre-built one instead of
+    /// serializing 4 bytes into a fresh allocation per message.
     #[inline]
-    fn envelope_for(&self, stamp: Stamp, metadata: &[u8]) -> Bytes {
-        if metadata.is_empty() && !self.policy_feedback {
+    fn envelope_for(&self, metadata: &[u8]) -> Bytes {
+        if metadata.is_empty() {
             self.flood_envelope.clone()
         } else {
-            wire::envelope(self.task, stamp, metadata)
+            wire::envelope(self.task, metadata)
         }
     }
 
@@ -1077,14 +1030,10 @@ impl Context {
     ) -> PamiResult<()> {
         let addr = self.addr_of(dest)?;
         let len = payload.len();
-        let stamp = self.send_stamp();
         // On-node, short, eager and would-be-aggregated are the same
         // inline mailbox path; only rendezvous-class payloads take the
         // global-VA single-copy route.
-        let eager = matches!(
-            self.machine.policy().select(dest.task, len),
-            Protocol::Short | Protocol::Eager | Protocol::Aggregated
-        );
+        let eager = self.policy.select(dest.task, len) != Protocol::Rendezvous;
         let payload = if eager {
             let bytes = payload.to_bytes();
             if let Some(c) = local_done {
@@ -1117,7 +1066,6 @@ impl Context {
             src: self.endpoint(),
             dispatch,
             metadata: Bytes::copy_from_slice(metadata),
-            stamp,
             payload,
         });
         Ok(())
@@ -1288,13 +1236,6 @@ impl Context {
                         None => Ok(()),
                         Some(fault) => Err(PamiError::from(fault)),
                     };
-                    if result.is_ok() {
-                        self.observe(|| ProtoEvent::RzvComplete {
-                            dest: self.task,
-                            len: pending.len,
-                            ns: pending.stamp.elapsed_ns(),
-                        });
-                    }
                     if let Some(cb) = pending.on_complete {
                         cb(self, result);
                     }
@@ -1317,37 +1258,12 @@ impl Context {
         events
     }
 
-    /// Send-side stamp for the wire envelope: a real clock read only when
-    /// the policy consumes delivery feedback (zero otherwise, and always
-    /// zero-sized with telemetry off).
-    #[inline]
-    fn send_stamp(&self) -> Stamp {
-        if self.policy_feedback {
-            Stamp::now()
-        } else {
-            Stamp::from_ns(0)
-        }
-    }
-
-    /// Feed a delivery outcome back to the machine's protocol policy. The
-    /// policy is machine-wide and the stamp rides the process-global clock,
-    /// so the receiving context can report on the sender's behalf. The
-    /// event is built lazily so the delivery path never reads the clock
-    /// under a feedback-free (static) policy; compiles away entirely with
-    /// telemetry off.
-    #[inline]
-    fn observe(&self, ev: impl FnOnce() -> ProtoEvent) {
-        if self.policy_feedback {
-            self.machine.policy().observe(ev());
-        }
-    }
-
     fn handle_mu_packet(&self, st: &mut AdvanceState, bc: &mut BatchCounters, pkt: MuPacket) {
         if pkt.is_first() {
-            let (src_task, stamp, body) = wire::open_envelope(&pkt.metadata);
+            let (src_task, body) = wire::open_envelope(&pkt.metadata);
             let src = Endpoint { task: src_task, context: pkt.src_context };
             if pkt.dispatch == DISPATCH_RZV_RTS {
-                self.handle_rts(st, bc, src, stamp, &body);
+                self.handle_rts(st, bc, src, &body);
                 return;
             }
             if pkt.dispatch == DISPATCH_CHAN_REQ {
@@ -1365,7 +1281,7 @@ impl Context {
                     _ => Bytes::copy_from_slice(pkt.payload.view()),
                 };
                 bc.dispatched +=
-                    self.unbatch_aggr_frame(&mut st.handler_memo, src, stamp, &body, payload);
+                    self.unbatch_aggr_frame(&mut st.handler_memo, src, &body, payload);
                 return;
             }
             let msg = IncomingMsg {
@@ -1392,18 +1308,6 @@ impl Context {
                         pkt.payload.view().len(),
                         pkt.msg_len
                     );
-                    // The short flag, not the packet count, picks the cost
-                    // model: an exploration-eager single packet must feed
-                    // the eager EWMA, and vice versa.
-                    self.observe(|| {
-                        let (dest, len, ns) =
-                            (self.task, pkt.msg_len as usize, stamp.elapsed_ns());
-                        if pkt.short {
-                            ProtoEvent::ShortDelivered { dest, len, ns }
-                        } else {
-                            ProtoEvent::EagerDelivered { dest, len, ns }
-                        }
-                    });
                 }
                 Recv::Into { region, offset, on_complete } => {
                     // The receive-side copy: packet buffer (or source
@@ -1412,15 +1316,6 @@ impl Context {
                     pkt.payload.deposit(&region, offset);
                     bc.copies += 1;
                     if pkt.is_last() {
-                        self.observe(|| {
-                            let (dest, len, ns) =
-                                (self.task, pkt.msg_len as usize, stamp.elapsed_ns());
-                            if pkt.short {
-                                ProtoEvent::ShortDelivered { dest, len, ns }
-                            } else {
-                                ProtoEvent::EagerDelivered { dest, len, ns }
-                            }
-                        });
                         on_complete(self, Ok(()));
                     } else {
                         reassembly.insert(
@@ -1430,8 +1325,6 @@ impl Context {
                                 base_offset: offset,
                                 remaining: pkt.msg_len as usize - pkt_len,
                                 on_complete: Some(on_complete),
-                                stamp,
-                                total_len: pkt.msg_len as usize,
                             },
                         );
                         self.pending_internal.fetch_add(1, Ordering::AcqRel);
@@ -1452,11 +1345,6 @@ impl Context {
             if entry.remaining == 0 {
                 let mut entry = st.reassembly.remove(&key).expect("entry present");
                 self.pending_internal.fetch_sub(1, Ordering::AcqRel);
-                self.observe(|| ProtoEvent::EagerDelivered {
-                    dest: self.task,
-                    len: entry.total_len,
-                    ns: entry.stamp.elapsed_ns(),
-                });
                 if let Some(cb) = entry.on_complete.take() {
                     cb(self, Ok(()));
                 }
@@ -1469,7 +1357,6 @@ impl Context {
         st: &mut AdvanceState,
         bc: &mut BatchCounters,
         src: Endpoint,
-        stamp: Stamp,
         body: &Bytes,
     ) {
         let (dispatch, len, key, metadata) = wire::open_rts(body);
@@ -1507,12 +1394,7 @@ impl Context {
                     inj_counter: None,
                 };
                 self.inject_to(src.task, get);
-                rzv_pending.push(RzvPending {
-                    done,
-                    on_complete: Some(on_complete),
-                    stamp,
-                    len: len as usize,
-                });
+                rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
                 self.pending_internal.fetch_add(1, Ordering::AcqRel);
             }
         }
@@ -1533,7 +1415,7 @@ impl Context {
             let ShmPayload::Inline(payload) = msg.payload else {
                 panic!("aggregated frames are always inline");
             };
-            self.unbatch_aggr_frame(memo, msg.src, msg.stamp, &msg.metadata, payload);
+            self.unbatch_aggr_frame(memo, msg.src, &msg.metadata, payload);
             return;
         }
         let info = IncomingMsg {
@@ -1543,23 +1425,14 @@ impl Context {
             len: msg.payload.len() as u64,
         };
         let handler = self.resolve_handler(memo, msg.dispatch);
-        let stamp = msg.stamp;
         match msg.payload {
-            ShmPayload::Inline(bytes) => {
-                let msg_len = bytes.len();
-                match handler(self, &info, &bytes) {
-                    Recv::Done => {}
-                    Recv::Into { region, offset, on_complete } => {
-                        region.write(offset, &bytes);
-                        on_complete(self, Ok(()));
-                    }
+            ShmPayload::Inline(bytes) => match handler(self, &info, &bytes) {
+                Recv::Done => {}
+                Recv::Into { region, offset, on_complete } => {
+                    region.write(offset, &bytes);
+                    on_complete(self, Ok(()));
                 }
-                self.observe(|| ProtoEvent::EagerDelivered {
-                    dest: self.task,
-                    len: msg_len,
-                    ns: stamp.elapsed_ns(),
-                });
-            }
+            },
             ShmPayload::GlobalVa { addr, len, done } => {
                 // Resolve the peer's buffer through the CNK global virtual
                 // address table (the message-scoped mapping is withdrawn
@@ -1582,11 +1455,6 @@ impl Context {
                         if let Some(c) = done {
                             c.delivered(len.max(1) as u64);
                         }
-                        self.observe(|| ProtoEvent::RzvComplete {
-                            dest: self.task,
-                            len,
-                            ns: stamp.elapsed_ns(),
-                        });
                         on_complete(self, Ok(()));
                     }
                 }
@@ -1636,7 +1504,6 @@ impl Context {
                 src: self.endpoint(),
                 dispatch: DISPATCH_CHAN_REQ,
                 metadata: Bytes::from(body),
-                stamp: Stamp::from_ns(0),
                 payload: ShmPayload::Inline(Bytes::new()),
             });
             return Ok(());
@@ -1653,8 +1520,7 @@ impl Context {
                 kind: XferKind::MemoryFifo {
                     rec_fifo,
                     dispatch: DISPATCH_CHAN_REQ,
-                    metadata: wire::envelope(self.task, Stamp::from_ns(0), &body),
-                    short: false,
+                    metadata: wire::envelope(self.task, &body),
                 },
                 inj_counter: None,
             },

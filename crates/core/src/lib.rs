@@ -93,9 +93,7 @@ pub use error::{PamiError, PamiResult};
 pub use geometry::Geometry;
 pub use coll::{AlgInfo, CollKind, CollRegistry};
 pub use machine::{Machine, MachineBuilder, MemKey, TaskEnv, WindowRef};
-pub use policy::{
-    AdaptiveConfig, AdaptivePolicy, ProtoEvent, Protocol, ProtocolPolicy, StaticPolicy,
-};
+pub use policy::{Protocol, StaticPolicy};
 pub use proto::{GetArgs, MemSlot, PutArgs, RmwArgs, SendArgs};
 pub use topology::Topology;
 

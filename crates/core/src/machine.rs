@@ -26,7 +26,7 @@ use bgq_upc::Upc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::aggr::AggrConfig;
-use crate::policy::{AdaptiveConfig, AdaptivePolicy, ProtocolPolicy, StaticPolicy, SHORT_CUTOFF};
+use crate::policy::{StaticPolicy, SHORT_CUTOFF};
 use crate::proto::ShmMailbox;
 
 /// Key identifying a registered memory window (one-sided put/get target) or
@@ -202,25 +202,13 @@ impl FailoverState {
     }
 }
 
-/// Which protocol-selection policy a machine is built with.
-enum PolicyChoice {
-    /// Fixed eager/rendezvous crossover at the builder's `eager_limit` —
-    /// today's behaviour, bit for bit.
-    Static,
-    /// Telemetry-driven adaptive crossover seeded from `eager_limit`; the
-    /// optional config overrides the clamps/hysteresis.
-    Adaptive(Option<AdaptiveConfig>),
-    /// Caller-supplied policy object.
-    Custom(Arc<dyn ProtocolPolicy>),
-}
-
 /// Builds a [`Machine`].
 pub struct MachineBuilder {
     shape: TorusShape,
     ppn: usize,
     engine_mode: EngineMode,
     eager_limit: usize,
-    policy: PolicyChoice,
+    policy: Option<StaticPolicy>,
     inj_fifos_per_context: u16,
     inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
@@ -267,34 +255,20 @@ impl MachineBuilder {
         self
     }
 
-    /// Eager/rendezvous crossover in bytes (default 4096). Under the
-    /// default static policy this is the fixed threshold; under
-    /// [`MachineBuilder::adaptive_policy`] it seeds the initial
-    /// per-destination crossover.
+    /// Eager/rendezvous crossover in bytes (default 4096): the top rung of
+    /// the machine's [`StaticPolicy`] ladder. The short rung below it is
+    /// [`SHORT_CUTOFF`] (or this limit, when smaller).
     pub fn eager_limit(mut self, bytes: usize) -> Self {
         self.eager_limit = bytes;
         self
     }
 
-    /// Select the telemetry-driven adaptive eager/rendezvous policy
-    /// (default is static). The crossover starts at `eager_limit` and is
-    /// tuned per destination from live `bgq-upc` readings, clamped and
-    /// damped so it can never diverge. With the `telemetry` feature off it
-    /// degenerates to the static policy.
-    pub fn adaptive_policy(mut self) -> Self {
-        self.policy = PolicyChoice::Adaptive(None);
-        self
-    }
-
-    /// Adaptive policy with explicit tuning parameters.
-    pub fn adaptive_policy_with(mut self, cfg: AdaptiveConfig) -> Self {
-        self.policy = PolicyChoice::Adaptive(Some(cfg));
-        self
-    }
-
-    /// Install a caller-supplied protocol policy object.
-    pub fn protocol_policy(mut self, policy: Arc<dyn ProtocolPolicy>) -> Self {
-        self.policy = PolicyChoice::Custom(policy);
+    /// Install an explicit protocol ladder in place of the one
+    /// [`MachineBuilder::eager_limit`] and [`MachineBuilder::aggregation`]
+    /// derive. A ladder with an aggregation rung needs
+    /// [`MachineBuilder::aggregation`] set as well.
+    pub fn protocol_policy(mut self, policy: StaticPolicy) -> Self {
+        self.policy = Some(policy);
         self
     }
 
@@ -336,15 +310,12 @@ impl MachineBuilder {
     }
 
     /// Enable destination-aware small-message aggregation (`pami::aggr`,
-    /// default off): sends the policy routes to [`crate::Protocol::Aggregated`]
+    /// default off): sends the ladder routes to [`crate::Protocol::Aggregated`]
     /// append into per-destination coalescing buckets and travel as
-    /// multi-record single-packet frames. Installing a config also arms the
-    /// policy's aggregation tier: a static-policy build gets a fixed
-    /// `cutoff`-byte aggregation tier; an adaptive build gets its
-    /// `aggr_cutoff` seeded from `cutoff` (unless the caller's
-    /// [`AdaptiveConfig`] already set one), so the arrival-rate EWMA decides
-    /// per destination. A custom policy is left alone — it opts in by
-    /// returning [`crate::Protocol::Aggregated`] itself.
+    /// multi-record single-packet frames. Installing a config also gives
+    /// the machine's ladder its bottom rung: payloads of at most `cutoff`
+    /// bytes aggregate. A ladder installed with
+    /// [`MachineBuilder::protocol_policy`] is left as given.
     ///
     /// # Panics
     /// If `cfg.cutoff` is 0, or `cfg.max_frame` is outside 64 bytes ..= one
@@ -387,29 +358,17 @@ impl MachineBuilder {
             cfg.cutoff = cfg.cutoff.min(cfg.max_frame / 2);
             cfg
         });
-        let policy: Arc<dyn ProtocolPolicy> = match self.policy {
-            PolicyChoice::Static => match aggregation {
-                Some(cfg) => Arc::new(StaticPolicy::with_aggr(
-                    cfg.cutoff,
-                    SHORT_CUTOFF.min(self.eager_limit),
-                    self.eager_limit,
-                )),
-                None => Arc::new(StaticPolicy::new(self.eager_limit)),
-            },
-            PolicyChoice::Adaptive(cfg) => {
-                let mut cfg = cfg.unwrap_or(AdaptiveConfig {
-                    initial: self.eager_limit,
-                    ..AdaptiveConfig::default()
-                });
-                if let Some(aggr) = aggregation {
-                    if cfg.aggr_cutoff == 0 {
-                        cfg.aggr_cutoff = aggr.cutoff.min(cfg.short_max);
-                    }
-                }
-                Arc::new(AdaptivePolicy::new(cfg, &telemetry))
-            }
-            PolicyChoice::Custom(p) => p,
-        };
+        let policy = self.policy.unwrap_or_else(|| {
+            StaticPolicy::with_aggr(
+                aggregation.map_or(0, |cfg| cfg.cutoff),
+                SHORT_CUTOFF.min(self.eager_limit),
+                self.eager_limit,
+            )
+        });
+        assert!(
+            !policy.aggregates() || aggregation.is_some(),
+            "a protocol ladder with an aggregation rung needs MachineBuilder::aggregation"
+        );
         // Chaos runs: an explicitly installed plan wins; otherwise the
         // PAMI_FAULT_PLAN environment variable (inline JSON or a file
         // path) arms the reliability layer for reproducible runs without
@@ -441,41 +400,16 @@ impl MachineBuilder {
             0
         };
         let failover = Arc::new(FailoverState::new(tasks, cache_slots));
-        // RAS→policy feedback: retransmit and delivery-failure events are
-        // recorded per link (node pair); fan each out to the destination
-        // node's tasks so the per-destination protocol state sees them.
-        // Policies that ignore feedback get a cheap early return. Under
-        // co-simulation oversubscription the fan-out would be thousands of
-        // tasks per event, so it collapses to the node's lead task.
-        // Unreachable channel deaths additionally fire machine-level
+        // A channel that gave up as unreachable fires machine-level
         // endpoint failover for the dead node's tasks.
         {
-            let pol = Arc::clone(&policy);
             let fo = Arc::clone(&failover);
             let ppn = self.ppn as u32;
-            let fanout = if ppn <= 64 { ppn } else { 1 };
             fabric.set_ras_observer(Arc::new(move |ev: &bgq_mu::RasEvent| {
-                use bgq_mu::RasEventKind as K;
-                let (retransmits, sack_retransmits, failures) = match ev.kind {
-                    K::Retransmit => (1, 0, 0),
-                    // SACK fast retransmits and reorder-buffer evictions
-                    // are both "loss recovered without an RTO stall" —
-                    // half-weight trouble in the policy's eyes.
-                    K::SackRetransmit | K::ReorderEvict => (0, 1, 0),
-                    K::DeliveryFailure => (0, 0, 1),
-                    _ => return,
-                };
-                if failures > 0 && ev.detail == bgq_mu::DeliveryFault::Unreachable as u64 {
+                if ev.kind == bgq_mu::RasEventKind::DeliveryFailure
+                    && ev.detail == bgq_mu::DeliveryFault::Unreachable as u64
+                {
                     fo.trigger_range(ev.dst_node * ppn..(ev.dst_node + 1) * ppn);
-                }
-                let first = ev.dst_node * ppn;
-                for task in first..first + fanout {
-                    pol.observe(crate::policy::ProtoEvent::DeliveryTrouble {
-                        dest: task,
-                        retransmits,
-                        sack_retransmits,
-                        failures,
-                    });
                 }
             }));
         }
@@ -530,10 +464,9 @@ pub struct Machine {
     coll_registry: crate::coll::CollRegistry,
     shape: TorusShape,
     ppn: usize,
-    /// Point-to-point protocol selection: every `send` asks this policy
-    /// eager-vs-rendezvous and feeds completion outcomes back. The default
-    /// [`StaticPolicy`] reproduces the old bare `eager_limit` threshold.
-    policy: Arc<dyn ProtocolPolicy>,
+    /// Point-to-point protocol selection: the ladder every context copies
+    /// at creation and consults on every two-sided `send`.
+    policy: StaticPolicy,
     /// Small-message aggregation config (`pami::aggr`), `None` when the
     /// layer is off. Every context builds its own [`crate::aggr::Aggregator`]
     /// from this at creation.
@@ -591,7 +524,7 @@ impl Machine {
             ppn: 1,
             engine_mode: EngineMode::Inline,
             eager_limit: 4096,
-            policy: PolicyChoice::Static,
+            policy: None,
             inj_fifos_per_context: 4,
             inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
@@ -664,10 +597,10 @@ impl Machine {
         &self.coll_probes
     }
 
-    /// The point-to-point protocol-selection policy. `Context::send`
-    /// consults it per message and feeds delivery outcomes back through
-    /// [`ProtocolPolicy::observe`].
-    pub fn policy(&self) -> &Arc<dyn ProtocolPolicy> {
+    /// The point-to-point protocol ladder: what
+    /// `machine.policy().select(dest, len)` names is the protocol
+    /// [`crate::Context::send`] uses for that send off-node.
+    pub fn policy(&self) -> &StaticPolicy {
         &self.policy
     }
 

@@ -10,7 +10,6 @@
 
 use bgq_hw::{Counter, GlobalAddress, WakeupRegion, WorkQueue};
 use bgq_mu::PayloadSource;
-use bgq_upc::Stamp;
 use bytes::Bytes;
 
 use crate::endpoint::Endpoint;
@@ -181,9 +180,6 @@ pub struct ShmMsg {
     pub dispatch: u16,
     /// User metadata (no envelope — shm messages carry the task natively).
     pub metadata: Bytes,
-    /// Send-side timestamp, fed back to the sender's protocol policy on
-    /// delivery. Zero-sized with telemetry off.
-    pub stamp: Stamp,
     /// Payload.
     pub payload: ShmPayload,
 }
@@ -215,24 +211,19 @@ impl ShmMailbox {
 pub(crate) mod wire {
     use super::*;
 
-    /// Prepend the source task and the send-side timestamp to user
-    /// metadata. The stamp lets the receiver measure delivery latency on
-    /// the shared process clock and feed it back to the sender's protocol
-    /// policy; with telemetry off it serializes as zero.
-    pub fn envelope(src_task: u32, stamp: Stamp, user_metadata: &[u8]) -> Bytes {
-        Bytes::init_with(12 + user_metadata.len(), |buf| {
+    /// Prepend the source task to user metadata.
+    pub fn envelope(src_task: u32, user_metadata: &[u8]) -> Bytes {
+        Bytes::init_with(4 + user_metadata.len(), |buf| {
             buf[..4].copy_from_slice(&src_task.to_le_bytes());
-            buf[4..12].copy_from_slice(&stamp.ns().to_le_bytes());
-            buf[12..].copy_from_slice(user_metadata);
+            buf[4..].copy_from_slice(user_metadata);
         })
     }
 
-    /// Split an envelope back into (source task, send stamp, user metadata).
-    pub fn open_envelope(metadata: &Bytes) -> (u32, Stamp, Bytes) {
-        assert!(metadata.len() >= 12, "malformed PAMI envelope");
+    /// Split an envelope back into (source task, user metadata).
+    pub fn open_envelope(metadata: &Bytes) -> (u32, Bytes) {
+        assert!(metadata.len() >= 4, "malformed PAMI envelope");
         let task = u32::from_le_bytes(metadata[..4].try_into().unwrap());
-        let ns = u64::from_le_bytes(metadata[4..12].try_into().unwrap());
-        (task, Stamp::from_ns(ns), metadata.slice(12..))
+        (task, metadata.slice(4..))
     }
 
     /// RTS body: real dispatch, payload length, rendezvous key, then the
@@ -281,22 +272,17 @@ mod tests {
 
     #[test]
     fn envelope_round_trips() {
-        let env = wire::envelope(0xDEAD, Stamp::from_ns(987_654), b"meta");
-        let (task, stamp, meta) = wire::open_envelope(&env);
+        let env = wire::envelope(0xDEAD, b"meta");
+        assert_eq!(env.len(), 4 + b"meta".len());
+        let (task, meta) = wire::open_envelope(&env);
         assert_eq!(task, 0xDEAD);
         assert_eq!(&meta[..], b"meta");
-        // With telemetry on the stamp survives the wire; off, it is zero.
-        if bgq_upc::ENABLED {
-            assert_eq!(stamp.ns(), 987_654);
-        } else {
-            assert_eq!(stamp.ns(), 0);
-        }
     }
 
     #[test]
     fn envelope_with_empty_metadata() {
-        let env = wire::envelope(7, Stamp::now(), b"");
-        let (task, _stamp, meta) = wire::open_envelope(&env);
+        let env = wire::envelope(7, b"");
+        let (task, meta) = wire::open_envelope(&env);
         assert_eq!(task, 7);
         assert!(meta.is_empty());
     }
@@ -320,7 +306,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "malformed")]
     fn truncated_envelope_panics() {
-        wire::open_envelope(&Bytes::from_static(b"abcdefgh"));
+        wire::open_envelope(&Bytes::from_static(b"abc"));
     }
 
     #[test]
@@ -332,7 +318,6 @@ mod tests {
             src: Endpoint::of_task(3),
             dispatch: 1,
             metadata: Bytes::new(),
-            stamp: Stamp::now(),
             payload: ShmPayload::Inline(Bytes::from_static(b"hi")),
         });
         assert_eq!(region.epoch(), 1);

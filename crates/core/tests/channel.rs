@@ -62,25 +62,36 @@ fn short_eager_boundary_is_exact_at_the_cutoff() {
 fn send_immediate_shares_the_short_tier_probe() {
     // `send_immediate` is the short tier: off-node immediates take the
     // same single-packet envelope path and the same `ctx.sends_short`
-    // probe as policy-selected short sends.
-    let machine = Machine::with_nodes(2).build();
-    let c0 = Client::create(&machine, 0, "t", 1);
-    let c1 = Client::create(&machine, 1, "t", 1);
-    let got = Arc::new(AtomicU64::new(0));
-    let got2 = Arc::clone(&got);
-    c1.context(0).set_dispatch(
-        1,
-        Arc::new(move |_ctx, _msg, first| {
-            assert_eq!(first, b"ping");
-            got2.fetch_add(1, Ordering::SeqCst);
-            Recv::Done
-        }),
-    );
-    let before = machine.telemetry().snapshot().counter("ctx.sends_short");
-    c0.context(0).send_immediate(Endpoint::of_task(1), 1, b"", b"ping").unwrap();
-    c1.context(0).advance_until(|| got.load(Ordering::SeqCst) == 1);
-    if cfg!(feature = "telemetry") {
-        assert_eq!(machine.telemetry().snapshot().counter("ctx.sends_short"), before + 1);
+    // probe as policy-selected short sends. On-node (`ppn(2)`: tasks 0 and
+    // 1 share node 0) it is the mailbox delivery `send` counts as
+    // `ctx.sends_shm`.
+    const PROBES: [&str; 2] = ["ctx.sends_short", "ctx.sends_shm"];
+    for (ppn, moved) in [(1, [1, 0]), (2, [0, 1])] {
+        let machine = Machine::with_nodes(2).ppn(ppn).build();
+        let c0 = Client::create(&machine, 0, "t", 1);
+        let c1 = Client::create(&machine, 1, "t", 1);
+        let got = Arc::new(AtomicU64::new(0));
+        let got2 = Arc::clone(&got);
+        c1.context(0).set_dispatch(
+            1,
+            Arc::new(move |_ctx, _msg, first| {
+                assert_eq!(first, b"ping");
+                got2.fetch_add(1, Ordering::SeqCst);
+                Recv::Done
+            }),
+        );
+        let read = || {
+            let snap = machine.telemetry().snapshot();
+            PROBES.map(|name| snap.counter(name))
+        };
+        let before = read();
+        c0.context(0).send_immediate(Endpoint::of_task(1), 1, b"", b"ping").unwrap();
+        c1.context(0).advance_until(|| got.load(Ordering::SeqCst) == 1);
+        if cfg!(feature = "telemetry") {
+            let after = read();
+            let delta = [after[0] - before[0], after[1] - before[1]];
+            assert_eq!(delta, moved, "{PROBES:?} at ppn {ppn}");
+        }
     }
 }
 

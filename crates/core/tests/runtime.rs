@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pami::coll::{self, Algorithm};
 use pami::{
     AggrConfig, Client, CollOp, CommThreadPool, Context, Counter, DataType, Endpoint, FaultPlan,
-    Geometry, Machine, MemRegion, PayloadSource, Recv, SendArgs, Topology,
+    Geometry, Machine, MemRegion, PayloadSource, Protocol, Recv, SendArgs, Topology,
 };
 use parking_lot::Mutex;
 
@@ -156,9 +156,70 @@ fn send_immediate_does_not_overtake_buffered_aggregated_records() {
 #[test]
 fn send_immediate_does_not_overtake_a_short_send_queued_behind_the_fifo() {
     // The eager send leaves the FIFO non-quiescent, so the short send
-    // queues behind it as a short-flagged descriptor; the immediate must
-    // queue behind both.
+    // queues behind it as a descriptor; the immediate must queue behind
+    // both.
     assert_cross_tier_order(false, &[Via::Eager, Via::Small, Via::Immediate]);
+}
+
+#[test]
+fn select_names_the_rung_send_takes() {
+    // What `machine.policy().select(dest, len)` says is what `send` does:
+    // at every size around every threshold, with and without the
+    // aggregation rung, at the default and at a lowered eager limit, the
+    // rung `select` names is the one whose probe the real off-node `send`
+    // moves by exactly one — and the payload arrives intact either way.
+    const RUNGS: [(Protocol, &str); 4] = [
+        (Protocol::Aggregated, "ctx.sends_aggr"),
+        (Protocol::Short, "ctx.sends_short"),
+        (Protocol::Eager, "ctx.sends_eager"),
+        (Protocol::Rendezvous, "ctx.sends_rzv"),
+    ];
+    for (aggregation, eager_limit) in [(false, 4096), (false, 64), (true, 4096), (true, 64)] {
+        let mut builder = Machine::with_nodes(2).eager_limit(eager_limit);
+        if aggregation {
+            builder = builder.aggregation(AggrConfig { cutoff: 64, ..AggrConfig::default() });
+        }
+        let machine = builder.build();
+        let arm = format!("aggregation {aggregation}, eager_limit {eager_limit}");
+        // The ladder is built from the builder's two settings.
+        assert_eq!(machine.policy().select(1, 64) == Protocol::Aggregated, aggregation, "{arm}");
+        assert_eq!(machine.policy().select(1, 65) == Protocol::Rendezvous, eager_limit == 64, "{arm}");
+        let c0 = Client::create(&machine, 0, "t", 1);
+        let c1 = Client::create(&machine, 1, "t", 1);
+        let sink = Arc::new(Sink::default());
+        c1.context(0).set_dispatch(DISPATCH, sink.handler());
+        let read = || {
+            let snap = machine.telemetry().snapshot();
+            RUNGS.map(|(_, probe)| snap.counter(probe))
+        };
+        for (i, len) in [0usize, 1, 64, 65, 128, 129, 512, 4096, 4097].into_iter().enumerate() {
+            let named = machine.policy().select(1, len);
+            let data: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+            let before = read();
+            c0.context(0)
+                .send(SendArgs {
+                    dest: Endpoint::of_task(1),
+                    dispatch: DISPATCH,
+                    metadata: vec![i as u8],
+                    payload: PayloadSource::Immediate(bytes::Bytes::from(data.clone())),
+                    local_done: None,
+                })
+                .unwrap();
+            c0.context(0).flush_aggr();
+            while sink.received() <= i as u64 {
+                c0.context(0).advance();
+                c1.context(0).advance();
+            }
+            assert_eq!(sink.messages.lock()[i].2, data, "{arm}: {len} B arrives intact");
+            if cfg!(feature = "telemetry") {
+                let after = read();
+                for (j, (rung, probe)) in RUNGS.into_iter().enumerate() {
+                    let moved = after[j] - before[j];
+                    assert_eq!(moved, u64::from(rung == named), "{arm}: {probe} at {len} B");
+                }
+            }
+        }
+    }
 }
 
 #[test]

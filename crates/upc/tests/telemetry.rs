@@ -343,7 +343,6 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
                 rec_fifo: rec,
                 dispatch: 7,
                 metadata: bytes::Bytes::new(),
-                short: false,
             },
             inj_counter: Some(done.clone()),
         },
