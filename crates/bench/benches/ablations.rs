@@ -134,8 +134,8 @@ fn barrier_mechanism_ablation(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(std::time::Duration::from_secs(3));
     for (name, alg) in [
-        ("gi_network", pami::coll::BarrierAlg::GlobalInterrupt),
-        ("collective_network", pami::coll::BarrierAlg::CollNet),
+        ("gi_network", pami::coll::names::GI_BARRIER),
+        ("collective_network", pami::coll::names::COLLNET_BARRIER),
     ] {
         g.bench_function(format!("barrier_8nodes_{name}"), |b| {
             b.iter_custom(|n| {

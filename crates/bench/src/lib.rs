@@ -321,7 +321,7 @@ pub fn measure_message_rate(series: MeasuredRateSeries, ppn: usize, msgs: usize)
 /// empty reports (the probes compile to no-ops); the RAS ring is
 /// feature-independent and stays populated.
 pub fn pamistat_sample() -> (String, String, String) {
-    use pami::coll::Algorithm;
+    use pami::coll::names;
     use pami::CommThreadPool;
 
     let machine = Machine::with_nodes(2).ppn(2).build();
@@ -364,8 +364,8 @@ pub fn pamistat_sample() -> (String, String, String) {
         mpi.barrier(&world);
         let src = MemRegion::zeroed(1024);
         let dst = MemRegion::zeroed(1024);
-        mpi.allreduce_with(
-            Algorithm::HwCollNet,
+        mpi.allreduce_named(
+            names::HW_ALLREDUCE,
             (&src, 0),
             (&dst, 0),
             128,
@@ -373,7 +373,7 @@ pub fn pamistat_sample() -> (String, String, String) {
             pami::DataType::Float64,
             &world,
         );
-        mpi.bcast_with(Algorithm::HwCollNet, &src, 0, 1024, 0, &world);
+        mpi.bcast_named(names::HW_BCAST, &src, 0, 1024, 0, &world);
         mpi.barrier(&world);
     });
 
@@ -626,7 +626,7 @@ pub enum CollBench {
 /// Run `rounds` iterations of a collective over `nodes`×`ppn` functional
 /// ranks (one thread each) and return rank 0's average time per operation.
 pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBench) -> Duration {
-    use pami::coll::Algorithm;
+    use pami::coll::names;
     let machine = Machine::with_nodes(nodes).ppn(ppn).build();
     let result = Arc::new(parking_lot::Mutex::new(Duration::ZERO));
     let result2 = Arc::clone(&result);
@@ -643,7 +643,11 @@ pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBe
         if hw {
             world.optimize().expect("world is rectangular");
         }
-        let alg = if hw { Algorithm::HwCollNet } else { Algorithm::SwBinomial };
+        let (allreduce, bcast) = if hw {
+            (names::HW_ALLREDUCE, names::HW_BCAST)
+        } else {
+            (names::SW_ALLREDUCE, names::SW_BCAST)
+        };
         let size = match which {
             CollBench::Barrier => 8,
             CollBench::AllreduceLatency { .. } => 8,
@@ -659,8 +663,8 @@ pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBe
         for _ in 0..rounds {
             match which {
                 CollBench::Barrier => mpi.barrier(&world),
-                CollBench::AllreduceLatency { .. } => mpi.allreduce_with(
-                    alg,
+                CollBench::AllreduceLatency { .. } => mpi.allreduce_named(
+                    allreduce,
                     (&src, 0),
                     (&dst, 0),
                     1,
@@ -668,8 +672,8 @@ pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBe
                     pami::DataType::Float64,
                     &world,
                 ),
-                CollBench::AllreduceBandwidth { size, .. } => mpi.allreduce_with(
-                    alg,
+                CollBench::AllreduceBandwidth { size, .. } => mpi.allreduce_named(
+                    allreduce,
                     (&src, 0),
                     (&dst, 0),
                     size / 8,
@@ -678,7 +682,7 @@ pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBe
                     &world,
                 ),
                 CollBench::Broadcast { size, .. } => {
-                    mpi.bcast_with(alg, &src, 0, size, 0, &world)
+                    mpi.bcast_named(bcast, &src, 0, size, 0, &world)
                 }
                 CollBench::RectBroadcast { size } => mpi.bcast_rect(&src, 0, size, 0, &world),
             }
@@ -809,13 +813,9 @@ pub mod report {
     }
 }
 
-/// Functional barrier timing with an explicit inter-node mechanism (the
+/// Functional barrier timing through a named registry entry (the
 /// GI-vs-collective-network ablation).
-pub fn measure_barrier_alg(
-    nodes: usize,
-    rounds: usize,
-    alg: pami::coll::BarrierAlg,
-) -> Duration {
+pub fn measure_barrier_alg(nodes: usize, rounds: usize, alg: &'static str) -> Duration {
     use pami::{Client, Geometry, Topology};
     let machine = Machine::with_nodes(nodes).build();
     let result = Arc::new(parking_lot::Mutex::new(Duration::ZERO));
@@ -829,7 +829,7 @@ pub fn measure_barrier_alg(
         pami::coll::barrier(&geom, ctx);
         let start = Instant::now();
         for _ in 0..rounds {
-            pami::coll::barrier_with(&geom, ctx, alg);
+            pami::coll::barrier_named(&geom, ctx, alg);
         }
         if env.task == 0 {
             *r2.lock() = start.elapsed() / rounds as u32;

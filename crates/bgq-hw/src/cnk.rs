@@ -3,12 +3,11 @@
 //! Two CNK facilities matter to PAMI (paper section II.D):
 //!
 //! 1. **Commthreads** — special pthreads with extended low/high priority
-//!    levels, reserved for messaging software. The priorities let a
-//!    commthread run uninterrupted during low-level network operations and
-//!    get completely out of the way otherwise. The simulation keeps the
-//!    priority levels as data ([`CommThreadPriority`]) consumed by the
-//!    commthread pool in the `pami` crate, which realizes them with a
-//!    cooperative park/yield discipline.
+//!    levels, reserved for messaging software, so a commthread runs
+//!    uninterrupted during low-level network operations and gets completely
+//!    out of the way otherwise. Nothing here models the priority levels:
+//!    the commthread pool in the `pami` crate gets "out of the way" by
+//!    parking on the wakeup unit.
 //!
 //! 2. **The global virtual address space** — CNK maintains a translation
 //!    table of every process's memory so that any process on a node can read
@@ -22,21 +21,6 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::memory::MemRegion;
-
-/// CNK scheduling levels for commthreads. Plain pthreads sit between the two
-/// extended levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CommThreadPriority {
-    /// "Completely out of the way": the commthread only runs when no
-    /// application thread wants the hardware thread (realized by parking on
-    /// the wakeup unit).
-    ExtendedLow,
-    /// Normal pthread priority.
-    Normal,
-    /// "Without risk of being preempted": bracket short critical network
-    /// operations.
-    ExtendedHigh,
-}
 
 /// A node-wide global virtual address: (process rank on node, region id,
 /// byte offset).
@@ -95,21 +79,6 @@ impl GlobalVa {
             .map(|r| (r, addr.offset))
     }
 
-    /// Copy `len` bytes from one global address to another — the zero-extra-
-    /// copy intra-node path ("a process can read the data from its peers").
-    ///
-    /// # Panics
-    /// If either address does not resolve or the ranges are out of bounds.
-    pub fn copy(&self, dst: GlobalAddress, src: GlobalAddress, len: usize) {
-        let (srk, soff) = self
-            .resolve_addr(src)
-            .expect("GlobalVa copy: unresolved source address");
-        let (drk, doff) = self
-            .resolve_addr(dst)
-            .expect("GlobalVa copy: unresolved destination address");
-        drk.copy_from(doff, &srk, soff, len);
-    }
-
     /// Number of currently published regions on the node.
     pub fn published_count(&self) -> usize {
         self.table.read().regions.len()
@@ -148,31 +117,10 @@ mod tests {
     }
 
     #[test]
-    fn peer_copy_moves_bytes_between_processes() {
-        let va = GlobalVa::new();
-        let src = MemRegion::from_vec((0..16).collect());
-        let dst = MemRegion::zeroed(16);
-        let sid = va.publish(0, src);
-        let did = va.publish(1, dst.clone());
-        va.copy(
-            GlobalAddress { local_rank: 1, region: did, offset: 4 },
-            GlobalAddress { local_rank: 0, region: sid, offset: 0 },
-            8,
-        );
-        assert_eq!(&dst.to_vec()[4..12], &[0, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
     fn shared_table_visible_across_clones() {
         let va = GlobalVa::new();
         let va2 = va.clone();
         let id = va.publish(0, MemRegion::zeroed(4));
         assert!(va2.resolve(0, id).is_some());
-    }
-
-    #[test]
-    fn priority_ordering() {
-        assert!(CommThreadPriority::ExtendedLow < CommThreadPriority::Normal);
-        assert!(CommThreadPriority::Normal < CommThreadPriority::ExtendedHigh);
     }
 }

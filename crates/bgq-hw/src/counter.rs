@@ -121,14 +121,6 @@ impl Counter {
     pub fn is_shared(&self) -> bool {
         Arc::strong_count(&self.state) > 1
     }
-
-    /// Spin until complete (test helper; production code advances contexts
-    /// or parks on a wakeup region instead).
-    pub fn spin_wait(&self) {
-        while !self.is_complete() {
-            std::thread::yield_now();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -188,12 +188,6 @@ impl BoundedCounter {
     pub fn advance_bound(&self, delta: u64) {
         self.bound.fetch_add(delta, Ordering::AcqRel);
     }
-
-    /// Set the bound to an absolute value.
-    #[inline]
-    pub fn set_bound(&self, bound: u64) {
-        self.bound.store(bound, Ordering::Release);
-    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@
 //!   are woken by stores to those regions, instead of polling.
 //! * [`memory`] — registered communication buffers ([`memory::MemRegion`])
 //!   that the simulated MU reads and writes like RDMA hardware.
-//! * [`cnk`] — the Compute Node Kernel services PAMI depends on: the global
+//! * [`cnk`] — the Compute Node Kernel service PAMI depends on: the global
 //!   virtual-address table that lets any process on a node read its peers'
-//!   registered memory, and commthread priority levels.
+//!   registered memory.
 //! * [`crc32c`] — the link-CRC kernel: the CPU's CRC-32C instruction where
 //!   there is one, a table-driven fallback where there is not.
 //!
@@ -37,7 +37,7 @@ pub mod mutex;
 pub mod queue;
 pub mod wakeup;
 
-pub use cnk::{CommThreadPriority, GlobalAddress, GlobalVa};
+pub use cnk::{GlobalAddress, GlobalVa};
 pub use counter::{Counter, DeliveryFault};
 pub use l2::{BoundedCounter, L2Counter};
 pub use memory::MemRegion;

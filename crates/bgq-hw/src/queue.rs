@@ -533,7 +533,7 @@ mod tests {
 
     /// Pin the single-producer/single-consumer fast path — the shape every
     /// context-owned injection FIFO sees after context sharding (one
-    /// producer: the owning context; one consumer: the pumping engine).
+    /// producer: the owning context's `send`; one consumer: its `advance`).
     /// With a ring large enough to never fill, every push must take the
     /// lockless path (zero overflow pushes) while a concurrent consumer
     /// drains in strict FIFO order.

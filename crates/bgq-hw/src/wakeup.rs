@@ -14,7 +14,7 @@
 //! regions parks in [`Waiter::wait`] until any of them has been touched since
 //! it last looked.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,9 +25,6 @@ struct WaiterInner {
     /// Event count; incremented by every touch on a subscribed region.
     pending: Mutex<u64>,
     cv: Condvar,
-    /// Set when the owning thread is inside `wait` — lets tests and the
-    /// commthread scheduler observe that a thread really is suspended.
-    parked: AtomicBool,
 }
 
 struct RegionInner {
@@ -38,7 +35,6 @@ struct RegionInner {
     /// the lock entirely when nobody is subscribed.
     watcher_count: AtomicUsize,
     watchers: Mutex<Vec<Arc<WaiterInner>>>,
-    id: usize,
 }
 
 /// A watched memory region handed out by [`WakeupUnit::region`]. Cloning
@@ -84,41 +80,26 @@ impl WakeupRegion {
     pub fn has_watchers(&self) -> bool {
         self.inner.watcher_count.load(Ordering::Acquire) > 0
     }
-
-    /// Identifier of this region within its unit (diagnostics).
-    pub fn id(&self) -> usize {
-        self.inner.id
-    }
 }
 
 /// One wakeup unit, conventionally one per simulated node.
 #[derive(Default)]
-pub struct WakeupUnit {
-    regions: Mutex<Vec<Arc<RegionInner>>>,
-}
+pub struct WakeupUnit;
 
 impl WakeupUnit {
     /// Create a unit with no regions.
     pub fn new() -> Self {
-        Self::default()
+        WakeupUnit
     }
 
     /// Allocate a new watched region.
     pub fn region(&self) -> WakeupRegion {
-        let mut regions = self.regions.lock();
         let inner = Arc::new(RegionInner {
             epoch: AtomicU64::new(0),
             watcher_count: AtomicUsize::new(0),
             watchers: Mutex::new(Vec::new()),
-            id: regions.len(),
         });
-        regions.push(Arc::clone(&inner));
         WakeupRegion { inner }
-    }
-
-    /// Number of regions allocated so far.
-    pub fn region_count(&self) -> usize {
-        self.regions.lock().len()
     }
 }
 
@@ -166,11 +147,9 @@ impl Waiter {
     /// consumed (≥ 1).
     pub fn wait(&mut self) -> u64 {
         let mut pending = self.inner.pending.lock();
-        self.inner.parked.store(true, Ordering::Release);
         while *pending == self.consumed {
             self.inner.cv.wait(&mut pending);
         }
-        self.inner.parked.store(false, Ordering::Release);
         let events = *pending - self.consumed;
         self.consumed = *pending;
         events
@@ -181,11 +160,9 @@ impl Waiter {
     /// shutdown and priority changes are always observed.
     pub fn wait_timeout(&mut self, timeout: Duration) -> u64 {
         let mut pending = self.inner.pending.lock();
-        self.inner.parked.store(true, Ordering::Release);
         if *pending == self.consumed {
             let _ = self.inner.cv.wait_for(&mut pending, timeout);
         }
-        self.inner.parked.store(false, Ordering::Release);
         let events = *pending - self.consumed;
         self.consumed = *pending;
         events
@@ -198,11 +175,6 @@ impl Waiter {
         let events = *pending - self.consumed;
         self.consumed = *pending;
         events
-    }
-
-    /// Whether the owning thread is currently suspended inside `wait`.
-    pub fn is_parked(&self) -> bool {
-        self.inner.parked.load(Ordering::Acquire)
     }
 }
 

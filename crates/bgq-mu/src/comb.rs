@@ -23,7 +23,10 @@
 //! and retransmits on the next pump; an ack-loss duplicate is modeled by a
 //! ghost copy that re-arrives and is discarded by the receiving station's
 //! seen-set — members are applied exactly once no matter how often the
-//! carrier frame crosses the wire.
+//! carrier frame crosses the wire. A ghost crosses in the pump right after
+//! the one that moved its original, so a station remembers an id for two
+//! pump rounds and no longer; without a fault plan there are no ghosts and
+//! no set is touched.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,9 +167,12 @@ struct Batch {
 #[derive(Default)]
 struct Station {
     batches: Vec<Batch>,
-    /// Ids of batches this station has already accepted — duplicate
-    /// carriers of the same id are discarded (exactly-once).
-    seen: HashSet<u64>,
+    /// Ids of batches this station accepted in the current pump round
+    /// (`[0]`) and the one before (`[1]`) — duplicate carriers of the same
+    /// id are discarded (exactly-once). Two generations suffice: a ghost is
+    /// created in the pump that moves its original and, skipping the dice
+    /// and never held, crosses in the very next one.
+    seen: [HashSet<u64>; 2],
 }
 
 /// The whole overlay: one station per node plus the global bookkeeping
@@ -262,6 +268,10 @@ impl CombState {
         let mut moving: Vec<(u32, Batch)> = Vec::new();
         for (node, station) in self.stations.iter().enumerate() {
             let mut st = station.lock();
+            if injector.is_some() {
+                st.seen.swap(0, 1);
+                st.seen[0].clear();
+            }
             let mut kept = Vec::with_capacity(st.batches.len());
             for mut b in st.batches.drain(..) {
                 if b.hold {
@@ -340,14 +350,16 @@ impl CombState {
                 });
             }
             let mut st = self.stations[next as usize].lock();
-            if st.seen.contains(&batch.id) {
-                // Duplicate carrier of a batch this station already
-                // accepted: discard. Its members ride in the accepted
-                // copy, so nothing is lost and nothing double-applies.
-                self.counters.dupes_dropped.incr();
-                continue;
+            if injector.is_some() {
+                if st.seen.iter().any(|ids| ids.contains(&batch.id)) {
+                    // Duplicate carrier of a batch this station already
+                    // accepted: discard. Its members ride in the accepted
+                    // copy, so nothing is lost and nothing double-applies.
+                    self.counters.dupes_dropped.incr();
+                    continue;
+                }
+                st.seen[0].insert(batch.id);
             }
-            st.seen.insert(batch.id);
             if batch.ghost {
                 continue;
             }
@@ -480,6 +492,46 @@ mod tests {
             assert!(comb.counters.root_applies.value() < total);
             assert_eq!(comb.counters.requests.value(), total);
         }
+    }
+
+    #[test]
+    fn stations_remember_ids_for_two_rounds_however_long_the_storm() {
+        use crate::faults::FaultPlan;
+        const STORMS: u64 = 200;
+        let upc = Upc::new();
+        let comb = CombState::new(shape(), &upc);
+        let locks = RmwLocks::new();
+        let plan = FaultPlan::new().seed(5).drop_rate(0.2).corrupt_rate(0.2);
+        let inj = FaultInjector::new(plan, shape());
+        let region = MemRegion::zeroed(8);
+        let senders = shape().num_nodes() as u32 - 1;
+        let ids = |s: &Mutex<Station>| s.lock().seen.iter().map(HashSet::len).sum::<usize>();
+        let mut remembered = 0;
+        for _ in 0..STORMS {
+            for node in 1..=senders {
+                comb.submit(node, 0, 7, 0, region.clone(), 1, None, None, 1);
+            }
+            let mut guard = 0;
+            while comb.pending() > 0 {
+                comb.pump(Some(&inj), &locks);
+                remembered = remembered.max(comb.stations.iter().map(ids).sum());
+                guard += 1;
+                assert!(guard < 10_000, "combining overlay failed to drain");
+            }
+        }
+        let mut buf = [0u8; 8];
+        region.read(0, &mut buf);
+        assert_eq!(u64::from_le_bytes(buf), STORMS * senders as u64, "exactly once under faults");
+        if cfg!(feature = "telemetry") {
+            assert!(comb.counters.dupes_dropped.value() > 0, "the plan made duplicates");
+        }
+        // A batch is accepted by at most one station per pump, and a storm
+        // has at most one batch per sender in flight: two generations of
+        // that, whatever STORMS is.
+        assert!(
+            remembered <= 2 * senders as usize,
+            "stations remembered {remembered} ids at once over {STORMS} storms"
+        );
     }
 
     #[test]

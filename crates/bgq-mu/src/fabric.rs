@@ -5,9 +5,10 @@
 //! the fabric executes descriptors — fragmenting payload into ≤512-byte
 //! packets for memory-FIFO traffic, copying directly into destination
 //! regions for puts, and bouncing remote-gets to the destination's system
-//! FIFO. *Who* executes a descriptor and in what order is exactly what the
-//! engine modes control, because that is what the paper's concurrency story
-//! is about.
+//! FIFO. An injection FIFO is drained by its owning context's `advance`
+//! and by nothing else, and `bgq-mu` spawns no thread: a descriptor
+//! executes, and its packets are deposited, on the thread that called
+//! `send` (short tier, `execute_now`) or `advance` (everything queued).
 //!
 //! ## One delivery pipeline
 //!
@@ -19,7 +20,7 @@
 //!
 //! ```text
 //!  send_short ─────────┐
-//!  pump_inj / pump_sys ┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
+//!  pump_inj_handle/sys ┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
 //!  execute_now ────────┘                                   + DEPOSIT
 //!
 //!  1 one message id, one `fragments()` iterator (the only ≤512-byte
@@ -46,20 +47,19 @@
 //! [`MuFabric::pump_links`]; killed links force torus reroutes; and
 //! exhausted retry budgets fail completion counters with a typed
 //! [`bgq_hw::DeliveryFault`] instead of hanging pollers (see
-//! [`crate::link`]). Every packet carries a link sequence number; a
-//! packet that rides a reliable channel also carries a CRC-32C stamp.
+//! [`crate::link`]). A packet that rides a reliable channel carries the
+//! channel's link sequence number and a CRC-32C stamp; a lossless packet
+//! carries neither (both fields zero).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use bgq_hw::{WakeupRegion, WakeupUnit};
 use bgq_torus::packet::{packets_for, MAX_PAYLOAD_BYTES};
-use bgq_torus::{Dir, LinkHealth, TorusShape};
+use bgq_torus::{Dir, TorusShape};
 use bgq_upc::{Counter, Upc};
 
 use crate::comb::{CombCounters, CombState, RmwLocks};
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, RmwOp, XferKind};
-use crate::engine::{self, EngineMode};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
@@ -85,6 +85,10 @@ use crate::transport::Transport;
 /// `mu.payload_copies` stay per-event exact — drops are rare and copies
 /// are a correctness assertion in tests. Must be a power of two.
 pub const MU_PACKET_COUNTER_SAMPLE: u64 = 16;
+
+/// Capacity of the RAS event ring; the oldest events drop past it (and
+/// are counted — see [`MuFabric::ras_events`]).
+const RAS_RING_CAPACITY: usize = 1024;
 
 /// Deterministic sample gate: lane-local message sequence numbers increment
 /// by one, so masking the low bits of the message id hits exactly one
@@ -115,7 +119,7 @@ pub struct MuCounters {
     pub put_bytes_in: Counter,
     /// Remote-get requests serviced by this node.
     pub remote_gets_serviced: Counter,
-    /// Descriptors executed by this node's engines.
+    /// Descriptors executed on behalf of this node.
     pub descriptors_executed: Counter,
     /// Payload copies performed on this node: receive-side deposits out of
     /// the reception FIFO, plus source-side per-packet DMA staging when an
@@ -148,17 +152,10 @@ pub(crate) struct NodeMu {
     /// System injection FIFO: remote-get payload descriptors land here for
     /// this node to execute.
     pub sys_inj: Arc<InjFifo>,
-    pub sys_wakeup: OnceLock<WakeupRegion>,
-    /// Wakes this node's engine threads (threaded mode).
-    pub engine_wakeup: WakeupRegion,
     /// Fallback message-id lane ([`crate::fifo::NODE_LANE`]) for
     /// descriptors executed without an injection FIFO (`execute_now`).
     /// FIFO-routed messages mint from their own FIFO's lane instead.
     pub msg_lane: MsgIdLane,
-    /// Fallback link sequence counter for the same `execute_now` path —
-    /// FIFO-routed lossless packets stamp from their FIFO's counter, and
-    /// reliable channels stamp their own under a fault plan.
-    pub link_seq: AtomicU64,
     /// `mu.*` telemetry probes for this node.
     pub counters: MuCounters,
 }
@@ -168,8 +165,6 @@ pub(crate) struct FabricInner {
     pub nodes: Vec<NodeMu>,
     pub inj_fifo_capacity: usize,
     pub rec_fifo_capacity: usize,
-    pub mode: EngineMode,
-    pub shutdown: Arc<AtomicBool>,
     /// `ras.*` probes — registered even without a fault plan so the report
     /// schema is stable (they just stay zero).
     pub ras: Arc<RasCounters>,
@@ -194,10 +189,8 @@ pub struct MuFabricBuilder {
     shape: TorusShape,
     inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
-    mode: EngineMode,
     telemetry: Upc,
     fault_plan: Option<FaultPlan>,
-    ras_ring_capacity: usize,
     transport: Option<Arc<dyn Transport>>,
     combining: bool,
 }
@@ -215,12 +208,6 @@ impl MuFabricBuilder {
         self
     }
 
-    /// Select who pumps injection FIFOs (default [`EngineMode::Inline`]).
-    pub fn engine_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Register the fabric's `mu.*` probes on a shared telemetry registry
     /// (PAMI's `Machine` passes its own so one snapshot covers every
     /// layer). Defaults to a private registry.
@@ -235,12 +222,6 @@ impl MuFabricBuilder {
     /// misuse, not a runtime condition.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Capacity of the RAS event ring (default 1024; oldest events drop).
-    pub fn ras_ring_capacity(mut self, cap: usize) -> Self {
-        self.ras_ring_capacity = cap;
         self
     }
 
@@ -262,9 +243,8 @@ impl MuFabricBuilder {
         self
     }
 
-    /// Build the fabric (and spawn engine threads in threaded mode).
+    /// Build the fabric.
     pub fn build(self) -> MuFabric {
-        let wakeups = WakeupUnit::new();
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
             .map(|node| NodeMu {
                 inj: FifoTable::new(INJ_FIFOS_PER_NODE),
@@ -275,15 +255,12 @@ impl MuFabricBuilder {
                     node as u32,
                     crate::fifo::SYS_LANE,
                 )),
-                sys_wakeup: OnceLock::new(),
-                engine_wakeup: wakeups.region(),
                 msg_lane: MsgIdLane::new(node as u32, crate::fifo::NODE_LANE),
-                link_seq: AtomicU64::new(0),
                 counters: MuCounters::new(&self.telemetry),
             })
             .collect();
         let ras = Arc::new(RasCounters::new(&self.telemetry));
-        let ring = Arc::new(RasRing::new(self.ras_ring_capacity));
+        let ring = Arc::new(RasRing::new(RAS_RING_CAPACITY));
         let reliability = self.fault_plan.map(|plan| {
             plan.validate().expect("invalid fault plan");
             Reliability::new(
@@ -301,8 +278,6 @@ impl MuFabricBuilder {
             nodes,
             inj_fifo_capacity: self.inj_fifo_capacity,
             rec_fifo_capacity: self.rec_fifo_capacity,
-            mode: self.mode,
-            shutdown: Arc::new(AtomicBool::new(false)),
             ras,
             ring,
             reliability,
@@ -310,11 +285,7 @@ impl MuFabricBuilder {
             rmw_locks: RmwLocks::new(),
             comb,
         });
-        let fabric = MuFabric { inner };
-        if let EngineMode::Threaded(n) = self.mode {
-            engine::spawn_engines(&fabric, n);
-        }
-        fabric
+        MuFabric { inner }
     }
 }
 
@@ -331,10 +302,8 @@ impl MuFabric {
             shape,
             inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
-            mode: EngineMode::Inline,
             telemetry: Upc::new(),
             fault_plan: None,
-            ras_ring_capacity: 1024,
             transport: None,
             combining: false,
         }
@@ -361,30 +330,8 @@ impl MuFabric {
         self.inner.nodes.len()
     }
 
-    /// The engine mode the fabric was built with.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.inner.mode
-    }
-
     fn node(&self, id: u32) -> &NodeMu {
         &self.inner.nodes[id as usize]
-    }
-
-    /// Deposit whatever the installed transport has due at its current
-    /// (virtual) time; returns deposits performed. A no-op — zero, no
-    /// locks — on the default synchronous fabric. Pumped alongside the
-    /// system FIFO by the engine loops so threaded-mode fabrics drain a
-    /// scheduling transport without help from the harness.
-    pub fn pump_transport(&self) -> usize {
-        match &self.inner.transport {
-            None => 0,
-            Some(t) => t.pump(),
-        }
-    }
-
-    /// Whether a transport seam is installed (diagnostics).
-    pub fn has_transport(&self) -> bool {
-        self.inner.transport.is_some()
     }
 
     /// Install an observer invoked on every RAS event recorded by the
@@ -408,8 +355,8 @@ impl MuFabric {
         let range = n.allocator.alloc_inj(count)?;
         for id in range.clone() {
             // The FIFO id doubles as its message-id lane, so everything the
-            // owning context needs to send — queue, msg-id mint, link-seq
-            // counter — lives in this one exclusively-owned structure.
+            // owning context needs to send — queue and msg-id mint — lives
+            // in this one exclusively-owned structure.
             n.inj.publish(id, Arc::new(InjFifo::new(self.inner.inj_fifo_capacity, node, id)));
         }
         Some(range.map(InjFifoId).collect())
@@ -441,36 +388,20 @@ impl MuFabric {
         Arc::clone(&self.node(node).sys_inj)
     }
 
-    /// Attach a wakeup region to a node's system FIFO (remote-get arrivals
-    /// touch it). Set at most once per node; later calls are ignored.
-    pub fn set_sys_wakeup(&self, node: u32, region: WakeupRegion) {
-        let _ = self.node(node).sys_wakeup.set(region);
-    }
-
-    /// Queue a descriptor on one of `src_node`'s injection FIFOs.
-    pub fn inject(&self, src_node: u32, fifo: InjFifoId, desc: Descriptor) {
-        let fifo = Arc::clone(self.node(src_node).inj.get(fifo.0));
-        self.inject_handle(src_node, &fifo, desc);
-    }
-
-    /// Queue a descriptor on an injection FIFO the caller already holds a
-    /// handle to — the context hot path, which caches its exclusive FIFO
-    /// handles and skips the table lookup entirely.
-    pub fn inject_handle(&self, src_node: u32, fifo: &InjFifo, desc: Descriptor) {
+    /// Queue a descriptor on an injection FIFO the caller holds a handle
+    /// to (contexts cache their exclusive FIFO handles). Nothing moves
+    /// until the owner pumps the FIFO ([`MuFabric::pump_inj_handle`]).
+    pub fn inject_handle(&self, fifo: &InjFifo, desc: Descriptor) {
         fifo.queue.push(desc);
-        if matches!(self.inner.mode, EngineMode::Threaded(_)) {
-            self.node(src_node).engine_wakeup.touch();
-        }
     }
 
     /// Execute a descriptor immediately in the calling thread, bypassing
     /// the injection queues — persistent-channel posts and channel offers.
-    /// Message ids and lossless link sequences come from the node's
-    /// fallback lane.
+    /// Message ids come from the node's fallback lane.
     pub fn execute_now(&self, src_node: u32, desc: Descriptor) {
         let src = self.node(src_node);
         src.counters.descriptors_executed.incr();
-        self.execute_from(src_node, desc, &src.msg_lane, &src.link_seq);
+        self.execute_from(src_node, desc, &src.msg_lane);
     }
 
     /// Short-tier send on a caller-owned injection FIFO: the whole message
@@ -494,22 +425,14 @@ impl MuFabric {
     ) {
         debug_assert!(payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
         let payload = PayloadSource::Immediate(payload);
-        self.deliver_message(src_node, &fifo.lane, &fifo.link_seq, hdr, payload, local_done);
+        self.deliver_message(src_node, &fifo.lane, hdr, payload, local_done);
     }
 
-    /// Drain up to `budget` descriptors from one injection FIFO (inline
-    /// engine mode: contexts call this from `advance`). Returns descriptors
-    /// executed.
-    pub fn pump_inj(&self, node: u32, fifo: InjFifoId, budget: usize) -> usize {
-        let fifo = Arc::clone(self.node(node).inj.get(fifo.0));
-        self.pump_inj_handle(node, &fifo, budget)
-    }
-
-    /// Like [`MuFabric::pump_inj`] but on a cached FIFO handle, skipping
-    /// the table lookup (context hot path). Message ids and lossless link
-    /// sequences come from the FIFO's own lane, and the per-node
-    /// `descriptors_executed` counter is updated once for the whole pump
-    /// rather than per descriptor.
+    /// Drain up to `budget` descriptors from an injection FIFO the caller
+    /// owns (contexts call this from `advance`); returns descriptors
+    /// executed. Message ids come from the FIFO's own lane, and the
+    /// per-node `descriptors_executed` counter is updated once for the
+    /// whole pump rather than per descriptor.
     pub fn pump_inj_handle(&self, node: u32, fifo: &InjFifo, budget: usize) -> usize {
         let mut done = 0;
         while done < budget {
@@ -531,7 +454,7 @@ impl MuFabric {
             fifo.inflight.fetch_add(1, Ordering::SeqCst);
             match fifo.queue.pop() {
                 Some(desc) => {
-                    self.execute_from(node, desc, &fifo.lane, &fifo.link_seq);
+                    self.execute_from(node, desc, &fifo.lane);
                     fifo.inflight.fetch_sub(1, Ordering::Release);
                     done += 1;
                 }
@@ -555,7 +478,7 @@ impl MuFabric {
         while done < budget {
             match sys.queue.pop() {
                 Some(desc) => {
-                    self.execute_from(node, desc, &sys.lane, &sys.link_seq);
+                    self.execute_from(node, desc, &sys.lane);
                     done += 1;
                 }
                 None => break,
@@ -593,24 +516,18 @@ impl MuFabric {
     // ---- the delivery pipeline -------------------------------------------
 
     /// Execute one descriptor on behalf of `src_node` — "the MU hardware":
-    /// perform the data movement the descriptor asks for. `lane` and
-    /// `link_seq` are the message-id mint and lossless link-sequence source
-    /// of whoever injected it (the FIFO pump paths pass their FIFO's own,
-    /// keeping the hot path free of shared per-node sequence state). Does
-    /// *not* bump `descriptors_executed` — pump callers batch it.
-    pub(crate) fn execute_from(
-        &self,
-        src_node: u32,
-        desc: Descriptor,
-        lane: &MsgIdLane,
-        link_seq: &AtomicU64,
-    ) {
+    /// perform the data movement the descriptor asks for. `lane` is the
+    /// message-id mint of whoever injected it (the FIFO pump paths pass
+    /// their FIFO's own, keeping the hot path free of shared per-node
+    /// sequence state). Does *not* bump `descriptors_executed` — pump
+    /// callers batch it.
+    fn execute_from(&self, src_node: u32, desc: Descriptor, lane: &MsgIdLane) {
         let credit = desc.completion_credit();
         let Descriptor { dst_node, src_context, payload, kind, inj_counter, .. } = desc;
         match kind {
             XferKind::MemoryFifo { rec_fifo, dispatch, metadata } => {
                 let hdr = FifoHeader { dst_node, rec_fifo, src_context, dispatch, metadata };
-                self.deliver_message(src_node, lane, link_seq, hdr, payload, inj_counter);
+                self.deliver_message(src_node, lane, hdr, payload, inj_counter);
             }
             // Combinable fetch-adds divert into the combining overlay: it
             // carries them hop by hop (with its own seeded dice under a
@@ -658,7 +575,6 @@ impl MuFabric {
         &self,
         src_node: u32,
         lane: &MsgIdLane,
-        seq_src: &AtomicU64,
         hdr: FifoHeader,
         payload: PayloadSource,
         inj_counter: Option<bgq_hw::Counter>,
@@ -693,9 +609,9 @@ impl MuFabric {
         // 2. Reliability (only under a fault plan, only across a link).
         let channel = self.reliable_channel(src_node, hdr.dst_node);
         let base_seq = match channel {
-            None => seq_src.fetch_add(npackets, Ordering::Relaxed),
+            None => None,
             Some((rel, ch)) => match rel.admit(ch, npackets) {
-                Admit::Through { base_seq } => base_seq,
+                Admit::Through { base_seq } => Some(base_seq),
                 Admit::Queue { base_seq } => {
                     let bodies = frags.map(|(offset, payload)| {
                         let credit = if msg_len == 0 { total_credit } else { payload.len() as u64 };
@@ -716,8 +632,7 @@ impl MuFabric {
             let (offset, payload) = frags.next().expect("one fragment per packet");
             let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
             let hdr = hdr.expect("the header outlives its packets");
-            let seq = base_seq + i;
-            self.packet_of(hdr, src_node, msg_id, msg_len, offset, seq, payload, channel.is_some())
+            self.packet_of(hdr, src_node, msg_id, msg_len, offset, payload, base_seq.map(|b| b + i))
         });
 
         // 4. Completion: the source buffer is no longer referenced.
@@ -727,11 +642,12 @@ impl MuFabric {
     }
 
     /// Build one packet and stamp its CRC — the only `MuPacket` literal
-    /// and the only CRC site in the fabric. A packet is stamped iff it
-    /// rides a reliable channel (`on_channel`: any fault plan, clean or
-    /// hostile). On a fabric with no plan nothing can touch a packet in
-    /// flight and nothing downstream reads the stamp, so it stays zero,
-    /// which reads as "unstamped" to [`MuPacket::verify_crc`].
+    /// and the only CRC site in the fabric. A packet is numbered and
+    /// stamped iff it rides a reliable channel (`channel_seq`: any fault
+    /// plan, clean or hostile). On a fabric with no plan nothing can touch
+    /// a packet in flight and nothing downstream reads either field, so
+    /// both stay zero, which reads as "unstamped" to
+    /// [`MuPacket::verify_crc`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn packet_of(
@@ -741,9 +657,8 @@ impl MuFabric {
         msg_id: u64,
         msg_len: u32,
         offset: u32,
-        link_seq: u64,
         payload: PacketPayload,
-        on_channel: bool,
+        channel_seq: Option<u64>,
     ) -> MuPacket {
         let FifoHeader { src_context, dispatch, metadata, .. } = hdr;
         let mut pkt = MuPacket {
@@ -754,11 +669,11 @@ impl MuFabric {
             msg_id,
             msg_len,
             offset,
-            link_seq,
+            link_seq: channel_seq.unwrap_or(0),
             crc: 0,
             payload,
         };
-        if on_channel {
+        if channel_seq.is_some() {
             pkt.crc = pkt.compute_crc();
         }
         pkt
@@ -859,7 +774,7 @@ impl MuFabric {
             FrameBody::Packet { hdr, msg_id, msg_len, offset, payload } => {
                 let (h, p) = (hdr.clone(), payload.clone());
                 let mut pkt =
-                    Some(self.packet_of(h, src_node, *msg_id, *msg_len, *offset, seq, p, true));
+                    Some(self.packet_of(h, src_node, *msg_id, *msg_len, *offset, p, Some(seq)));
                 self.deposit(src_node, dst_node, hdr.rec_fifo, 1, |_| {
                     pkt.take().expect("one frame, one packet")
                 });
@@ -873,12 +788,6 @@ impl MuFabric {
             }
             FrameBody::Get { desc } => {
                 dst.sys_inj.queue.push((**desc).clone());
-                if let Some(w) = dst.sys_wakeup.get() {
-                    w.touch();
-                }
-                if matches!(self.inner.mode, EngineMode::Threaded(_)) {
-                    dst.engine_wakeup.touch();
-                }
             }
             FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
                 // Exactly-once under retransmission: the channel's receive
@@ -909,11 +818,6 @@ impl MuFabric {
     /// Whether the reliability layer is active.
     pub fn reliable(&self) -> bool {
         self.inner.reliability.is_some()
-    }
-
-    /// The link-health table (present iff a fault plan is installed).
-    pub fn link_health(&self) -> Option<&LinkHealth> {
-        self.inner.reliability.as_ref().map(|r| &r.health)
     }
 
     /// The `ras.*` probes. Always present so the report schema is stable;
@@ -1037,19 +941,6 @@ fn fragments(
     })
 }
 
-impl Drop for FabricInner {
-    fn drop(&mut self) {
-        // Engine threads hold only a Weak fabric handle plus clones of the
-        // shutdown flag and wakeup regions, so they can never keep the
-        // fabric alive; raising the flag and touching the regions lets them
-        // exit promptly (they also exit on their park timeout).
-        self.shutdown.store(true, Ordering::SeqCst);
-        for n in &self.nodes {
-            n.engine_wakeup.touch();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1097,6 +988,7 @@ mod tests {
             );
             assert_eq!(p.msg_len, 1300);
             assert_eq!(p.dispatch, 7);
+            assert!(p.link_seq == 0 && p.crc == 0, "no plan: unnumbered, unstamped");
             let off = p.offset as usize;
             p.payload.deposit(&out, off);
             count += 1;
@@ -1217,8 +1109,9 @@ mod tests {
         let inj = fabric.alloc_inj_fifos(0, 2).unwrap();
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         for &f in &inj {
-            fabric.inject(0, f, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
-            assert_eq!(fabric.pump_inj(0, f, usize::MAX), 1);
+            let f = fabric.inj_fifo(0, f);
+            fabric.inject_handle(&f, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+            assert_eq!(fabric.pump_inj_handle(0, &f, usize::MAX), 1);
         }
         let a = fabric.poll_rec(1, rec).unwrap();
         let b = fabric.poll_rec(1, rec).unwrap();
@@ -1317,17 +1210,16 @@ mod tests {
     #[test]
     fn inject_then_pump_preserves_order() {
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap()[0];
+        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         for i in 0..20u8 {
-            fabric.inject(
-                0,
-                inj,
+            fabric.inject_handle(
+                &inj,
                 memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![i]))),
             );
         }
         assert!(fabric.poll_rec(1, rec).is_none(), "nothing moves until pumped");
-        assert_eq!(fabric.pump_inj(0, inj, usize::MAX), 20);
+        assert_eq!(fabric.pump_inj_handle(0, &inj, usize::MAX), 20);
         for i in 0..20u8 {
             let p = fabric.poll_rec(1, rec).expect("packet");
             assert_eq!(p.payload.view()[0], i, "in-order delivery");
@@ -1337,13 +1229,13 @@ mod tests {
     #[test]
     fn pump_budget_limits_descriptors() {
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap()[0];
+        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         for _ in 0..10 {
-            fabric.inject(0, inj, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+            fabric.inject_handle(&inj, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         }
-        assert_eq!(fabric.pump_inj(0, inj, 3), 3);
-        assert_eq!(fabric.pump_inj(0, inj, 100), 7);
+        assert_eq!(fabric.pump_inj_handle(0, &inj, 3), 3);
+        assert_eq!(fabric.pump_inj_handle(0, &inj, 100), 7);
     }
 
     #[test]
@@ -1789,12 +1681,12 @@ mod tests {
         assert_eq!(p.payload.view(), b"hello");
         assert_eq!(p.msg_len, 5);
         assert_eq!(p.offset, 0);
-        assert_eq!(p.crc, 0, "the lossless short envelope goes unstamped");
+        assert!(p.link_seq == 0 && p.crc == 0, "the lossless short envelope goes unstamped");
         assert!(fabric.poll_rec(1, rec).is_none(), "exactly one packet");
         // The eager twin: no plan, no channel, no stamp.
         fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(hello)));
         let p = fabric.poll_rec(1, rec).unwrap();
-        assert_eq!(p.crc, 0, "the lossless eager packet goes unstamped");
+        assert!(p.link_seq == 0 && p.crc == 0, "the lossless eager packet goes unstamped");
     }
 
     #[test]

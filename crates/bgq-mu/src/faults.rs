@@ -3,25 +3,23 @@
 //! Real BG/Q links see bit flips and (rarely) outright failures; the
 //! network hardware answers with link-level CRC + retransmit and a RAS
 //! event stream. To exercise that machinery here, a [`FaultPlan`] describes
-//! *what* goes wrong — per-link drop/corrupt/delay probabilities and
-//! kill-at-packet-N schedules — and a [`FaultInjector`] compiled from the
-//! plan decides the fate of every frame crossing a link.
+//! *what* goes wrong — machine-wide drop/corrupt/delay probabilities and
+//! per-link kill-at-packet-N schedules — and a [`FaultInjector`] compiled
+//! from the plan decides the fate of every frame crossing a link.
 //!
 //! Determinism is the whole point: the injector's verdict is a pure hash of
 //! `(seed, link, frame sequence number, attempt)`, so a chaos run replays
 //! identically for the same seed regardless of thread interleaving, and a
 //! retransmitted frame (higher `attempt`) re-rolls the dice instead of
-//! being doomed forever. Plans serialize to/from a small JSON dialect
-//! (hand-rolled — no serde in this workspace) so chaos configurations live
-//! in files and `PAMI_FAULT_PLAN`, not code edits.
+//! being doomed forever. A plan is built in code with the fluent methods
+//! and installed through [`crate::fabric::MuFabricBuilder::fault_plan`] —
+//! the one door.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bgq_torus::{Dir, TorusShape};
-
-use crate::json::{self, Json};
 
 /// Directed-link identifier: `node_index * 10 + Dir::index()`.
 pub type LinkId = u64;
@@ -36,8 +34,9 @@ pub fn link_parts(id: LinkId) -> (u32, Dir) {
     ((id / 10) as u32, Dir::all()[(id % 10) as usize])
 }
 
-/// Per-link fault probabilities. All rates are in `[0, 1]` and are applied
-/// in priority order drop → corrupt → delay on a single uniform draw.
+/// Fault probabilities, the same on every link. All rates are in `[0, 1]`
+/// and are applied in priority order drop → corrupt → delay on a single
+/// uniform draw.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultRates {
     /// Probability a frame is silently dropped.
@@ -82,32 +81,28 @@ impl Default for RetryConfig {
     }
 }
 
-/// A per-link override in a [`FaultPlan`].
+/// A per-link kill schedule in a [`FaultPlan`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkFault {
     /// Node index of the link's source endpoint.
     pub node: u32,
     /// Outgoing direction.
     pub dir: Dir,
-    /// Rates for this link (overrides the plan default when set).
-    pub rates: Option<FaultRates>,
     /// Kill the physical link when the N-th frame crosses it (1-based).
     /// The frame itself is lost; both directions go down.
-    pub kill_at: Option<u64>,
+    pub kill_at: u64,
 }
 
 /// Declarative description of everything that goes wrong in a chaos run:
-/// a seed, machine-wide default rates, per-link overrides and kill
-/// schedules, and the retry-protocol constants. Build one with the fluent
-/// methods, or load it from JSON ([`FaultPlan::from_json`]) or the
-/// `PAMI_FAULT_PLAN` environment variable ([`FaultPlan::from_env`]).
+/// a seed, machine-wide rates, per-link kill schedules, and the
+/// retry-protocol constants. Build one with the fluent methods.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the deterministic fate hash.
     pub seed: u64,
-    /// Default rates for every link without an override.
+    /// Rates on every link.
     pub default_rates: FaultRates,
-    /// Per-link overrides.
+    /// Per-link kill schedules.
     pub links: Vec<LinkFault>,
     /// Retry-protocol constants.
     pub retry: RetryConfig,
@@ -150,17 +145,14 @@ impl FaultPlan {
         self
     }
 
-    /// Override the rates of one directed link.
-    pub fn link_rates(mut self, node: u32, dir: Dir, rates: FaultRates) -> Self {
-        self.link_entry(node, dir).rates = Some(rates);
-        self
-    }
-
     /// Kill the physical link out of `node` in `dir` when its `nth` frame
     /// crosses (1-based; the frame is lost).
     pub fn kill_link_at(mut self, node: u32, dir: Dir, nth: u64) -> Self {
         assert!(nth > 0, "kill_at is 1-based");
-        self.link_entry(node, dir).kill_at = Some(nth);
+        match self.links.iter_mut().find(|l| l.node == node && l.dir == dir) {
+            Some(l) => l.kill_at = nth,
+            None => self.links.push(LinkFault { node, dir, kill_at: nth }),
+        }
         self
     }
 
@@ -177,189 +169,17 @@ impl FaultPlan {
         self
     }
 
-    fn link_entry(&mut self, node: u32, dir: Dir) -> &mut LinkFault {
-        if let Some(i) = self.links.iter().position(|l| l.node == node && l.dir == dir) {
-            &mut self.links[i]
-        } else {
-            self.links.push(LinkFault { node, dir, rates: None, kill_at: None });
-            self.links.last_mut().unwrap()
-        }
-    }
-
     /// Whether the plan injects any fault at all (an all-clean plan still
     /// exercises the reliable-channel protocol, just without retries).
     pub fn is_clean(&self) -> bool {
-        self.default_rates.is_clean()
-            && self.links.iter().all(|l| {
-                l.kill_at.is_none() && l.rates.is_none_or(|r| r.is_clean())
-            })
-    }
-
-    /// Serialize to the JSON dialect accepted by [`FaultPlan::from_json`].
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"seed\": {}", self.seed));
-        let d = &self.default_rates;
-        out.push_str(&format!(
-            ", \"drop\": {}, \"corrupt\": {}, \"delay\": {}, \"delay_ticks\": {}",
-            d.drop, d.corrupt, d.delay, d.delay_ticks
-        ));
-        let r = &self.retry;
-        out.push_str(&format!(
-            ", \"retry\": {{\"window\": {}, \"rto_ticks\": {}, \"rto_max_ticks\": {}, \"retry_budget\": {}}}",
-            r.window, r.rto_ticks, r.rto_max_ticks, r.retry_budget
-        ));
-        if let Some(cap) = self.reorder_capacity {
-            out.push_str(&format!(", \"reorder_capacity\": {cap}"));
-        }
-        out.push_str(", \"links\": [");
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{{\"node\": {}, \"dir\": {}", l.node, l.dir.index()));
-            if let Some(rates) = l.rates {
-                out.push_str(&format!(
-                    ", \"drop\": {}, \"corrupt\": {}, \"delay\": {}, \"delay_ticks\": {}",
-                    rates.drop, rates.corrupt, rates.delay, rates.delay_ticks
-                ));
-            }
-            if let Some(k) = l.kill_at {
-                out.push_str(&format!(", \"kill_at\": {k}"));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parse a plan from JSON. Unknown keys are ignored; missing keys take
-    /// their defaults, so `{}` is the empty plan.
-    pub fn from_json(text: &str) -> Result<FaultPlan, FaultPlanError> {
-        let v = json::parse(text).map_err(FaultPlanError::Parse)?;
-        let obj = v.as_obj().ok_or(FaultPlanError::Shape("top level must be an object"))?;
-        let mut plan = FaultPlan::new();
-        if let Some(s) = obj.get("seed") {
-            plan.seed = s.as_u64().ok_or(FaultPlanError::Shape("seed must be an integer"))?;
-        }
-        plan.default_rates = rates_from(obj, FaultRates::default())?;
-        if let Some(r) = obj.get("retry") {
-            let r = r.as_obj().ok_or(FaultPlanError::Shape("retry must be an object"))?;
-            let mut retry = RetryConfig::default();
-            if let Some(w) = r.get("window") {
-                retry.window = w
-                    .as_u64()
-                    .ok_or(FaultPlanError::Shape("retry.window must be an integer"))?
-                    as usize;
-            }
-            if let Some(t) = r.get("rto_ticks") {
-                retry.rto_ticks =
-                    t.as_u64().ok_or(FaultPlanError::Shape("retry.rto_ticks must be an integer"))?;
-            }
-            if let Some(t) = r.get("rto_max_ticks") {
-                retry.rto_max_ticks = t
-                    .as_u64()
-                    .ok_or(FaultPlanError::Shape("retry.rto_max_ticks must be an integer"))?;
-            }
-            if let Some(b) = r.get("retry_budget") {
-                retry.retry_budget = b
-                    .as_u64()
-                    .ok_or(FaultPlanError::Shape("retry.retry_budget must be an integer"))?
-                    as u32;
-            }
-            plan.retry = retry;
-        }
-        // Plan files written while the protocol was selectable keep
-        // loading as long as they name the one that remains.
-        if obj.get("protocol").is_some_and(|p| p.as_str() != Some("selective_repeat")) {
-            return Err(FaultPlanError::Shape(
-                "protocol: go-back-N was removed (PR 12); \"selective_repeat\" is the only \
-                 link protocol — drop the key",
-            ));
-        }
-        if let Some(cap) = obj.get("reorder_capacity") {
-            plan.reorder_capacity = Some(
-                cap.as_u64()
-                    .ok_or(FaultPlanError::Shape("reorder_capacity must be an integer"))?
-                    as usize,
-            );
-        }
-        if let Some(links) = obj.get("links") {
-            let links =
-                links.as_arr().ok_or(FaultPlanError::Shape("links must be an array"))?;
-            for l in links {
-                let l = l.as_obj().ok_or(FaultPlanError::Shape("link must be an object"))?;
-                let node = l
-                    .get("node")
-                    .and_then(Json::as_u64)
-                    .ok_or(FaultPlanError::Shape("link.node must be an integer"))?
-                    as u32;
-                let dir_idx = l
-                    .get("dir")
-                    .and_then(Json::as_u64)
-                    .ok_or(FaultPlanError::Shape("link.dir must be an integer 0..10"))?;
-                if dir_idx >= 10 {
-                    return Err(FaultPlanError::Shape("link.dir must be an integer 0..10"));
-                }
-                let dir = Dir::all()[dir_idx as usize];
-                let has_rates = ["drop", "corrupt", "delay", "delay_ticks"]
-                    .iter()
-                    .any(|k| l.get(k).is_some());
-                let rates = if has_rates {
-                    Some(rates_from(l, plan.default_rates)?)
-                } else {
-                    None
-                };
-                let kill_at = match l.get("kill_at") {
-                    Some(k) => Some(
-                        k.as_u64()
-                            .filter(|&k| k > 0)
-                            .ok_or(FaultPlanError::Shape("link.kill_at must be a positive integer"))?,
-                    ),
-                    None => None,
-                };
-                plan.links.push(LinkFault { node, dir, rates, kill_at });
-            }
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Load a plan from the `PAMI_FAULT_PLAN` environment variable: inline
-    /// JSON when the value starts with `{`, otherwise a path to a JSON
-    /// file. Returns `Ok(None)` when the variable is unset or empty.
-    pub fn from_env() -> Result<Option<FaultPlan>, FaultPlanError> {
-        let Ok(val) = std::env::var("PAMI_FAULT_PLAN") else { return Ok(None) };
-        let val = val.trim().to_string();
-        if val.is_empty() {
-            return Ok(None);
-        }
-        let text = if val.starts_with('{') {
-            val
-        } else {
-            std::fs::read_to_string(&val).map_err(|e| FaultPlanError::Io(val, e.to_string()))?
-        };
-        FaultPlan::from_json(&text).map(Some)
+        self.default_rates.is_clean() && self.links.is_empty()
     }
 
     /// Sanity-check rates and retry constants.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
-        let check = |r: &FaultRates| -> Result<(), FaultPlanError> {
-            for (name, v) in
-                [("drop", r.drop), ("corrupt", r.corrupt), ("delay", r.delay)]
-            {
-                if !(0.0..=1.0).contains(&v) {
-                    let _ = name;
-                    return Err(FaultPlanError::Shape("rates must be within [0, 1]"));
-                }
-            }
-            Ok(())
-        };
-        check(&self.default_rates)?;
-        for l in &self.links {
-            if let Some(r) = &l.rates {
-                check(r)?;
-            }
+        let r = &self.default_rates;
+        if [r.drop, r.corrupt, r.delay].iter().any(|v| !(0.0..=1.0).contains(v)) {
+            return Err(FaultPlanError::Shape("rates must be within [0, 1]"));
         }
         if self.retry.window == 0 {
             return Err(FaultPlanError::Shape("retry.window must be positive"));
@@ -382,49 +202,22 @@ impl FaultPlan {
     }
 }
 
-/// Why a [`FaultPlan`] could not be loaded.
+/// Why a [`FaultPlan`] is rejected by [`FaultPlan::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultPlanError {
-    /// JSON syntax error.
-    Parse(json::JsonError),
-    /// Structurally valid JSON that doesn't describe a plan.
+    /// A field is outside the range the retry protocol can run with.
     Shape(&'static str),
-    /// The `PAMI_FAULT_PLAN` file could not be read.
-    Io(String, String),
 }
 
 impl fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultPlanError::Parse(e) => write!(f, "fault plan JSON: {e}"),
             FaultPlanError::Shape(s) => write!(f, "fault plan: {s}"),
-            FaultPlanError::Io(path, e) => write!(f, "fault plan file {path}: {e}"),
         }
     }
 }
 
 impl std::error::Error for FaultPlanError {}
-
-fn rates_from(
-    obj: &json::Obj,
-    base: FaultRates,
-) -> Result<FaultRates, FaultPlanError> {
-    let mut rates = base;
-    if let Some(v) = obj.get("drop") {
-        rates.drop = v.as_f64().ok_or(FaultPlanError::Shape("drop must be a number"))?;
-    }
-    if let Some(v) = obj.get("corrupt") {
-        rates.corrupt = v.as_f64().ok_or(FaultPlanError::Shape("corrupt must be a number"))?;
-    }
-    if let Some(v) = obj.get("delay") {
-        rates.delay = v.as_f64().ok_or(FaultPlanError::Shape("delay must be a number"))?;
-    }
-    if let Some(v) = obj.get("delay_ticks") {
-        rates.delay_ticks =
-            v.as_u64().ok_or(FaultPlanError::Shape("delay_ticks must be an integer"))? as u32;
-    }
-    Ok(rates)
-}
 
 /// The fate of one frame crossing one link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -439,25 +232,20 @@ pub enum Fate {
     Delay(u32),
 }
 
-/// Runtime form of a [`FaultPlan`]: per-link compiled rates, kill-schedule
-/// crossing counters, and the deterministic fate hash.
+/// Runtime form of a [`FaultPlan`]: kill-schedule crossing counters and
+/// the deterministic fate hash.
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Links with overridden rates.
-    overrides: HashMap<LinkId, FaultRates>,
     /// Links with a kill schedule: kill threshold and crossing counter.
     kills: HashMap<LinkId, (u64, AtomicU64)>,
-    /// Uniform-plan fate thresholds, precomputed when no link carries a
-    /// rate override: a draw at or above `.0` is `Pass`, at or above `.1`
-    /// is `Pass` or `Delay`. `None` disables the fate-peek fast path
-    /// (per-link rates need the full `decide`).
-    uniform: Option<(f64, f64)>,
+    /// Fate thresholds, precomputed: a draw at or above `.0` is `Pass`, at
+    /// or above `.1` is `Pass` or `Delay`.
+    uniform: (f64, f64),
 }
 
 impl FaultInjector {
     /// Compile a plan. `shape` bounds-checks link node indices.
     pub fn new(plan: FaultPlan, shape: TorusShape) -> Self {
-        let mut overrides = HashMap::new();
         let mut kills = HashMap::new();
         for l in &plan.links {
             assert!(
@@ -466,21 +254,11 @@ impl FaultInjector {
                 l.node,
                 shape.num_nodes()
             );
-            let id = link_id(l.node, l.dir);
-            if let Some(r) = l.rates {
-                overrides.insert(id, r);
-            }
-            if let Some(k) = l.kill_at {
-                kills.insert(id, (k, AtomicU64::new(0)));
-            }
+            kills.insert(link_id(l.node, l.dir), (l.kill_at, AtomicU64::new(0)));
         }
-        let uniform = if overrides.is_empty() {
-            let r = plan.default_rates;
-            Some((r.drop + r.corrupt + r.delay, r.drop + r.corrupt))
-        } else {
-            None
-        };
-        FaultInjector { plan, overrides, kills, uniform }
+        let r = plan.default_rates;
+        let uniform = (r.drop + r.corrupt + r.delay, r.drop + r.corrupt);
+        FaultInjector { plan, kills, uniform }
     }
 
     /// The plan this injector was compiled from.
@@ -521,25 +299,17 @@ impl FaultInjector {
             * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform-plan fate thresholds (`None` when per-link rate overrides
-    /// exist): `draw >= .0` ⇔ `Fate::Pass`; `draw >= .1` ⇔ `Pass` or
-    /// `Delay`.
+    /// The plan's fate thresholds: `draw >= .0` ⇔ `Fate::Pass`;
+    /// `draw >= .1` ⇔ `Pass` or `Delay`.
     #[inline]
-    pub fn uniform_thresholds(&self) -> Option<(f64, f64)> {
+    pub fn uniform_thresholds(&self) -> (f64, f64) {
         self.uniform
     }
 
     /// Decide the fate of frame `seq` crossing `link` on transmission
     /// `attempt` (0 = first try). Pure in its arguments and the seed.
     pub fn decide(&self, link: LinkId, seq: u64, attempt: u32) -> Fate {
-        // The hot path rolls these dice once per link per frame (twice
-        // under selective repeat, which also dices the reverse-route
-        // ack) — skip the map probe entirely for uniform-rate plans.
-        let rates = if self.overrides.is_empty() {
-            self.plan.default_rates
-        } else {
-            self.overrides.get(&link).copied().unwrap_or(self.plan.default_rates)
-        };
+        let rates = self.plan.default_rates;
         if rates.is_clean() {
             return Fate::Pass;
         }
@@ -653,19 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn link_override_beats_default() {
-        let dir = Dir::all()[0];
-        let plan = FaultPlan::new().seed(3).link_rates(
-            1,
-            dir,
-            FaultRates { drop: 1.0, ..FaultRates::default() },
-        );
-        let inj = FaultInjector::new(plan, shape());
-        assert_eq!(inj.decide(link_id(1, dir), 0, 0), Fate::Drop);
-        assert_eq!(inj.decide(link_id(0, dir), 0, 0), Fate::Pass, "other links clean");
-    }
-
-    #[test]
     fn kill_schedule_fires_exactly_once() {
         let dir = Dir::all()[2];
         let plan = FaultPlan::new().kill_link_at(0, dir, 3);
@@ -680,62 +437,25 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let dir = Dir::all()[4];
-        let plan = FaultPlan::new()
-            .seed(99)
-            .drop_rate(0.05)
-            .corrupt_rate(0.01)
-            .delay_rate(0.02, 3)
-            .link_rates(2, dir, FaultRates { drop: 0.5, corrupt: 0.0, delay: 0.0, delay_ticks: 2 })
-            .kill_link_at(3, dir, 128)
-            .retry(RetryConfig { window: 32, rto_ticks: 2, rto_max_ticks: 16, retry_budget: 5 })
-            .reorder_capacity(12);
-        let text = plan.to_json();
-        let back = FaultPlan::from_json(&text).expect("round trip parses");
-        assert_eq!(back, plan);
+    fn validate_rejects_out_of_range_plans() {
+        let retry = |window, rto_ticks, rto_max_ticks| {
+            FaultPlan::new().retry(RetryConfig { window, rto_ticks, rto_max_ticks, retry_budget: 3 })
+        };
+        assert_eq!(FaultPlan::new().validate(), Ok(()), "the empty plan is valid");
+        assert!(FaultPlan::new().drop_rate(1.5).validate().is_err(), "rate > 1 rejected");
+        assert!(FaultPlan::new().delay_rate(-0.1, 2).validate().is_err(), "rate < 0 rejected");
+        assert!(retry(0, 4, 64).validate().is_err(), "zero window rejected");
+        assert!(retry(8, 4, 2).validate().is_err(), "rto_max < rto rejected");
+        assert!(retry(8, 0, 2).validate().is_err(), "zero rto rejected");
+        assert!(FaultPlan::new().reorder_capacity(0).validate().is_err());
     }
 
     #[test]
-    fn reorder_capacity_parses_and_defaults() {
-        let plan = FaultPlan::from_json("{}").unwrap();
+    fn reorder_capacity_defaults_to_the_retry_window() {
+        let plan = FaultPlan::new();
         assert_eq!(plan.reorder_capacity, None);
         assert_eq!(plan.effective_reorder_capacity(), plan.retry.window);
-        let plan = FaultPlan::from_json("{\"reorder_capacity\": 4}").unwrap();
-        assert_eq!(plan.effective_reorder_capacity(), 4);
-        assert!(FaultPlan::from_json("{\"reorder_capacity\": 0}").is_err());
-    }
-
-    #[test]
-    fn removed_protocol_option_fails_loudly_but_old_default_files_load() {
-        // Files written while the protocol was selectable still load when
-        // they name selective repeat...
-        let old = "{\"seed\": 3, \"protocol\": \"selective_repeat\", \"drop\": 0.1}";
-        assert_eq!(FaultPlan::from_json(old).unwrap(), FaultPlan::new().seed(3).drop_rate(0.1));
-        // ...and anything else is a typed error naming the removal, not a
-        // silent fallback to a protocol the file did not ask for.
-        for gone in ["\"go_back_n\"", "\"stop_and_wait\"", "7"] {
-            match FaultPlan::from_json(&format!("{{\"protocol\": {gone}}}")) {
-                Err(FaultPlanError::Shape(why)) => assert!(why.contains("removed"), "{why}"),
-                other => panic!("protocol {gone} must be rejected, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn from_json_defaults_and_rejects() {
-        let empty = FaultPlan::from_json("{}").expect("empty object is the empty plan");
-        assert_eq!(empty, FaultPlan::new());
-        assert!(FaultPlan::from_json("[1,2]").is_err(), "top-level array rejected");
-        assert!(FaultPlan::from_json("{\"drop\": 1.5}").is_err(), "rate > 1 rejected");
-        assert!(
-            FaultPlan::from_json("{\"retry\": {\"window\": 0}}").is_err(),
-            "zero window rejected"
-        );
-        assert!(
-            FaultPlan::from_json("{\"links\": [{\"node\": 0, \"dir\": 10}]}").is_err(),
-            "dir out of range rejected"
-        );
+        assert_eq!(plan.reorder_capacity(4).effective_reorder_capacity(), 4);
     }
 
     #[test]

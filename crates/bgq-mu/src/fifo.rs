@@ -6,12 +6,11 @@
 //! need for locking and critical section protection" (paper section III.E).
 //! [`FifoAllocator`] hands out those exclusive partitions and enforces the
 //! limits; the FIFOs themselves are the lockless [`WorkQueue`] from
-//! `bgq-hw` (injection FIFOs see one producer — the owning context — and
-//! one consumer — the pumping engine; reception FIFOs see many remote
-//! producers and the one owning context as consumer).
+//! `bgq-hw` (injection FIFOs see one producer and one consumer, both the
+//! owning context — `send` queues, `advance` drains; reception FIFOs see
+//! many remote producers and the one owning context as consumer).
 
-
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_hw::{WakeupRegion, WorkQueue};
@@ -83,27 +82,23 @@ pub struct InjFifoId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecFifoId(pub u16);
 
-/// An injection FIFO: descriptors queued by the owning context, drained by
-/// an engine (inline or threaded).
+/// An injection FIFO: descriptors queued by the owning context and drained
+/// by that context's `advance`, nothing else.
 ///
-/// Beyond the descriptor queue, the FIFO owns every sequence counter the
-/// send fast path needs — its message-id lane and its fault-free link
-/// sequence — so draining it touches no per-node shared state: two contexts
-/// pumping their own FIFOs share zero cache lines here.
+/// Beyond the descriptor queue, the FIFO owns the one sequence counter the
+/// send fast path needs — its message-id lane — so draining it touches no
+/// per-node shared state: two contexts pumping their own FIFOs share zero
+/// cache lines here.
 pub struct InjFifo {
     /// Queued descriptors.
     pub queue: WorkQueue<Descriptor>,
     /// Message-id mint for messages sent through this FIFO.
     pub(crate) lane: MsgIdLane,
-    /// Link sequence source for the fault-free fast path (reliable channels
-    /// stamp their own under a fault plan, preserving per-channel
-    /// continuity).
-    pub(crate) link_seq: AtomicU64,
     /// Descriptors popped from `queue` but not yet fully delivered by the
-    /// pumping engine. The short-tier bypass consults this together with
-    /// queue emptiness ([`InjFifo::is_quiescent`]) before injecting a
-    /// message around the FIFO, so bypassing never reorders against a
-    /// descriptor the engine is mid-delivery on.
+    /// pump. The short-tier bypass consults this together with queue
+    /// emptiness ([`InjFifo::is_quiescent`]) before injecting a message
+    /// around the FIFO, so bypassing never reorders against a descriptor
+    /// that is mid-delivery.
     pub(crate) inflight: AtomicU64,
 }
 
@@ -112,12 +107,11 @@ impl InjFifo {
         InjFifo {
             queue: WorkQueue::with_capacity(capacity),
             lane: MsgIdLane::new(node, lane),
-            link_seq: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
         }
     }
 
-    /// `true` when nothing is queued in this FIFO *and* no engine is
+    /// `true` when nothing is queued in this FIFO *and* no pump is
     /// mid-delivery on a descriptor popped from it — the condition under
     /// which a single-packet send may bypass the FIFO without overtaking
     /// earlier traffic to the same destination.
@@ -212,21 +206,15 @@ impl RecFifo {
 /// with [`OnceLock`]: allocation writes a slot exactly once (slot indices
 /// come from the mutex-guarded [`FifoAllocator`], which is not on the hot
 /// path), after which every lookup — packet delivery, `poll_rec`, handle
-/// caching, engine pumps — is a plain atomic load with no lock and no
-/// refcount traffic.
+/// caching — is a plain atomic load with no lock and no refcount traffic.
 pub struct FifoTable<T> {
     slots: Box<[OnceLock<Arc<T>>]>,
-    /// High-water mark of published slots; engines iterate `0..allocated()`.
-    allocated: AtomicU16,
 }
 
 impl<T> FifoTable<T> {
     /// A table with `capacity` (hardware-limit) slots, all unallocated.
     pub fn new(capacity: usize) -> Self {
-        FifoTable {
-            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
-            allocated: AtomicU16::new(0),
-        }
+        FifoTable { slots: (0..capacity).map(|_| OnceLock::new()).collect() }
     }
 
     /// Shared handle to an allocated FIFO.
@@ -241,33 +229,12 @@ impl<T> FifoTable<T> {
             .expect("FIFO id addressed before allocation")
     }
 
-    /// Like [`FifoTable::get`] but `None` for unallocated ids.
-    #[inline]
-    pub fn try_get(&self, id: u16) -> Option<&Arc<T>> {
-        self.slots.get(id as usize).and_then(|s| s.get())
-    }
-
     /// Publish a freshly allocated FIFO at `id`. Caller must own `id` via
     /// the allocator; each slot is written exactly once.
     pub(crate) fn publish(&self, id: u16, fifo: Arc<T>) {
         if self.slots[id as usize].set(fifo).is_err() {
             panic!("FIFO slot {id} allocated twice");
         }
-        // Release-publish the high-water mark after the slot itself so a
-        // reader that observes `allocated > id` also observes the slot.
-        self.allocated.fetch_max(id + 1, Ordering::AcqRel);
-    }
-
-    /// Number of slots published so far (a high-water mark; slots below it
-    /// are all allocated because the allocator hands out dense ranges).
-    #[inline]
-    pub fn allocated(&self) -> usize {
-        self.allocated.load(Ordering::Acquire) as usize
-    }
-
-    /// Hardware slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -464,14 +431,10 @@ mod tests {
     #[test]
     fn fifo_table_publishes_lock_free() {
         let t: FifoTable<u32> = FifoTable::new(8);
-        assert_eq!(t.allocated(), 0);
-        assert_eq!(t.capacity(), 8);
-        assert!(t.try_get(0).is_none());
         t.publish(0, Arc::new(10));
         t.publish(1, Arc::new(11));
-        assert_eq!(t.allocated(), 2);
+        assert_eq!(**t.get(0), 10);
         assert_eq!(**t.get(1), 11);
-        assert!(t.try_get(2).is_none());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! A minimal JSON reader for fault-plan files.
+//! A minimal JSON reader.
 //!
 //! The workspace deliberately carries no serde; this is the smallest
-//! recursive-descent parser that covers the JSON subset fault plans use
-//! (objects, arrays, numbers, strings with basic escapes, booleans, null).
-//! It is strict about syntax but imposes no schema — that lives in
-//! [`crate::faults::FaultPlan::from_json`].
+//! recursive-descent parser that covers objects, arrays, numbers, strings
+//! with basic escapes, booleans and null. It is strict about syntax and
+//! imposes no schema. Its one reader is `benchmark/` (`pamibench`), which
+//! parses its own result files with it; nothing in the workspace does.
 
 use std::fmt;
 

@@ -728,18 +728,16 @@ impl Reliability {
     /// deterministic route untouched on the first attempt: each forward
     /// hop must come up `Pass`, each reverse (ack) hop `Pass` or `Delay` —
     /// the threshold forms of exactly the `decide` calls the pump would
-    /// make. Kill schedules must count every crossing and per-link rate
-    /// overrides need the full `decide`, so such plans never pass a peek.
+    /// make. Kill schedules must count every crossing, so a plan with one
+    /// never passes a peek.
     fn dice_pass(&self, ch: &Channel, base: u64, n: u64) -> bool {
         if self.clean {
             return true;
         }
-        let Some((pass_thr, ack_thr)) = self.injector.uniform_thresholds() else {
-            return false;
-        };
         if self.injector.has_kills() {
             return false;
         }
+        let (pass_thr, ack_thr) = self.injector.uniform_thresholds();
         let plan = self.fair_plan(ch);
         (base..base + n).all(|seq| {
             let ss = FaultInjector::seq_salt(seq, 0);

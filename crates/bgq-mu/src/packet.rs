@@ -123,9 +123,9 @@ pub struct MuPacket {
     pub msg_len: u32,
     /// Offset of this packet's payload within the message.
     pub offset: u32,
-    /// Link-level sequence number: per-node monotonic on the fault-free
-    /// fast path, per-channel under a fault plan. The retransmit protocol
-    /// tracks frames by it.
+    /// Link-level sequence number, per (source, destination) channel: the
+    /// retransmit protocol tracks frames by it. Zero, like the CRC, on a
+    /// fabric with no fault plan — nothing numbers a lossless packet.
     pub link_seq: u64,
     /// CRC-32C over the header fields, metadata, and staged payload bytes
     /// (zero on a fabric with no fault plan, whose packets go unstamped).
@@ -178,11 +178,6 @@ impl MuPacket {
     /// Whether this is the first packet of its message.
     pub fn is_first(&self) -> bool {
         self.offset == 0
-    }
-
-    /// Number of packets the whole message occupies.
-    pub fn packets_in_message(&self) -> usize {
-        bgq_torus::packet::packets_for(self.msg_len as usize)
     }
 
     /// Recompute this packet's CRC from its contents.
@@ -243,7 +238,6 @@ mod tests {
         let p = pkt(0, 0, 0);
         assert!(p.is_first());
         assert!(p.is_last());
-        assert_eq!(p.packets_in_message(), 1);
     }
 
     #[test]

@@ -53,14 +53,6 @@ pub trait Transport: Send + Sync {
         make: &mut dyn FnMut(u64) -> MuPacket,
     );
 
-    /// Deposit whatever is due at the transport's current (virtual) time.
-    /// Called from the engine pump loops ([`crate::engine`]) and from
-    /// [`crate::fabric::MuFabric::pump_transport`]; returns deposits
-    /// performed. The synchronous default has nothing pending.
-    fn pump(&self) -> usize {
-        0
-    }
-
     /// Account one link-layer control frame (a selective-repeat ack/SACK of
     /// `bytes` on the wire) crossing from `src_node` to `dst_node`. Control
     /// frames carry no packets — nothing is deposited — but a scheduling

@@ -197,16 +197,6 @@ impl SpanningTree {
         }
         out
     }
-
-    /// The directed first-hop link the root uses in this tree (None for a
-    /// single-node tree) — colored trees lead with distinct links.
-    pub fn root_first_hop(&self, shape: TorusShape) -> Option<crate::coords::Dir> {
-        let child = self.children[self.rect.member_index(self.root)].first()?;
-        let cc = self.rect.member_coords(*child as usize);
-        crate::coords::Dir::all()
-            .into_iter()
-            .find(|&d| shape.neighbor(self.root, d) == cc)
-    }
 }
 
 #[cfg(test)]

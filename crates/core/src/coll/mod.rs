@@ -1,15 +1,15 @@
 //! Collective operations over geometries.
 //!
-//! Each operation has two paths, selectable with [`Algorithm`]:
+//! Each operation has two paths:
 //!
-//! * **Hardware** (`HwCollNet`): the classroute path of the paper. One
+//! * **Hardware** (`hw-collnet-*`): the classroute path of the paper. One
 //!   leader per node talks to the collective network; the tasks sharing a
 //!   node coordinate through the L2 local barrier and the shared-address
 //!   board — peers post their buffers and read the leader's directly
 //!   through the global virtual address space, the scheme of Figures 3–4
 //!   (parallel local math for allreduce, master-injects/peers-copy for
 //!   broadcast).
-//! * **Software** (`SwBinomial`): binomial trees over PAMI point-to-point
+//! * **Software** (`sw-binomial-*`): binomial trees over PAMI point-to-point
 //!   sends — what non-rectangular (or deoptimized) communicators fall back
 //!   to, and the baseline the hardware path is measured against.
 //!
@@ -17,9 +17,11 @@
 //! algorithm — hardware, software fallback, and layered additions like the
 //! MPI rectangle broadcast — registers an [`AlgEntry`] with an availability
 //! predicate and a cost hint, the public entry points pick the cheapest
-//! available entry, and the `*_with` variants become forced lookups by
-//! name. [`crate::geometry::Geometry::algorithms_query`] exposes the whole
-//! list per geometry (PAMI's `PAMI_Geometry_algorithms_query`).
+//! available entry, and the `*_named` variants force one by its registry
+//! name ([`names`]) — the one forcing door. Forcing a hardware entry on a
+//! geometry without a classroute panics inside the algorithm.
+//! [`crate::geometry::Geometry::algorithms_query`] exposes the whole list
+//! per geometry (PAMI's `PAMI_Geometry_algorithms_query`).
 //!
 //! All operations are blocking and *collective*: every member task must
 //! call them in the same order. Progress is made by advancing the calling
@@ -92,20 +94,6 @@ impl CollProbes {
     }
 }
 
-/// Which implementation a collective uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Hardware when the geometry has a classroute, software otherwise.
-    #[default]
-    Auto,
-    /// Force the collective-network path.
-    ///
-    /// Panics if the geometry is not optimized.
-    HwCollNet,
-    /// Force the software binomial path.
-    SwBinomial,
-}
-
 /// Element size used by reductions (the collective network combines 64-bit
 /// words).
 pub const ELEM: usize = 8;
@@ -122,7 +110,7 @@ const SLOT_RESULT: u32 = 0x4000_0002;
 // Builtin registry entries
 // ---------------------------------------------------------------------------
 
-/// Registry names of the builtin algorithms (stable; `*_with` forcing and
+/// Registry names of the builtin algorithms (stable; `*_named` forcing and
 /// tests refer to these).
 pub mod names {
     pub const GI_BARRIER: &str = "gi-barrier";
@@ -237,28 +225,6 @@ pub(crate) fn register_builtins(reg: &CollRegistry) {
     ));
 }
 
-/// Map an [`Algorithm`] forcing onto a registry name (`None` = auto).
-/// Preserves the pre-registry contract: forcing `HwCollNet` on an
-/// unoptimized geometry panics here, before any lookup.
-fn forced_name(
-    geom: &Geometry,
-    alg: Algorithm,
-    hw: &'static str,
-    sw: &'static str,
-) -> Option<&'static str> {
-    match alg {
-        Algorithm::Auto => None,
-        Algorithm::HwCollNet => {
-            assert!(
-                geom.route().is_some(),
-                "Algorithm::HwCollNet on an unoptimized geometry — call optimize() first"
-            );
-            Some(hw)
-        }
-        Algorithm::SwBinomial => Some(sw),
-    }
-}
-
 fn lookup(geom: &Geometry, ctx: &Context, kind: CollKind, forced: Option<&str>) -> Arc<AlgEntry> {
     let reg = ctx.machine().coll_registry();
     match forced {
@@ -307,24 +273,13 @@ pub fn barrier(geom: &Geometry, ctx: &Context) {
     barrier_dispatch(geom, ctx, None)
 }
 
-/// Which inter-node mechanism a barrier uses (ablation hook: the paper
-/// chose the GI network over collective-network barriers for latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierAlg {
-    /// The global-interrupt network (the paper's choice).
-    #[default]
-    GlobalInterrupt,
-    /// A zero-payload collective-network operation over the classroute
-    /// (requires an optimized geometry).
-    CollNet,
-}
-
-/// Barrier with an explicit inter-node mechanism (forced registry lookup).
-pub fn barrier_with(geom: &Geometry, ctx: &Context, alg: BarrierAlg) {
-    let name = match alg {
-        BarrierAlg::GlobalInterrupt => names::GI_BARRIER,
-        BarrierAlg::CollNet => names::COLLNET_BARRIER,
-    };
+/// Barrier through a named registry entry (ablation hook: the paper chose
+/// [`names::GI_BARRIER`] over [`names::COLLNET_BARRIER`] for latency; the
+/// latter needs an optimized geometry).
+///
+/// # Panics
+/// If no barrier algorithm is registered under `name`.
+pub fn barrier_named(geom: &Geometry, ctx: &Context, name: &str) {
     barrier_dispatch(geom, ctx, Some(name))
 }
 
@@ -368,7 +323,7 @@ fn collnet_barrier(geom: &Geometry, ctx: &Context, _seq: u64) {
     if ctx.task() == group.leader && geom.nodes().len() > 1 {
         let route = geom
             .route()
-            .expect("BarrierAlg::CollNet requires an optimized geometry");
+            .expect("collnet-barrier requires an optimized geometry");
         let machine = ctx.machine();
         let done = Counter::new();
         done.add_expected(1);
@@ -406,22 +361,9 @@ pub fn broadcast(
     broadcast_dispatch(geom, ctx, None, root_rank, region, offset, len)
 }
 
-/// Broadcast with an explicit algorithm choice (forced registry lookup).
-pub fn broadcast_with(
-    geom: &Geometry,
-    ctx: &Context,
-    alg: Algorithm,
-    root_rank: usize,
-    region: &MemRegion,
-    offset: usize,
-    len: usize,
-) {
-    let forced = forced_name(geom, alg, names::HW_BCAST, names::SW_BCAST);
-    broadcast_dispatch(geom, ctx, forced, root_rank, region, offset, len)
-}
-
-/// Broadcast through a named registry entry — how layered algorithms (the
-/// MPI rectangle broadcast) are invoked once registered.
+/// Broadcast through a named registry entry — how a builtin is forced and
+/// how layered algorithms (the MPI rectangle broadcast) are invoked once
+/// registered.
 ///
 /// # Panics
 /// If no broadcast algorithm is registered under `name`.
@@ -639,24 +581,9 @@ pub fn allreduce(
     allreduce_dispatch(geom, ctx, None, src, dst, count, op, dtype)
 }
 
-/// Allreduce with an explicit algorithm choice (forced registry lookup).
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce_with(
-    geom: &Geometry,
-    ctx: &Context,
-    alg: Algorithm,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    count: usize,
-    op: CollOp,
-    dtype: DataType,
-) {
-    let forced = forced_name(geom, alg, names::HW_ALLREDUCE, names::SW_ALLREDUCE);
-    allreduce_dispatch(geom, ctx, forced, src, dst, count, op, dtype)
-}
-
-/// Allreduce through a named registry entry — how layered or experimental
-/// algorithms (the streaming chain pipeline) are invoked explicitly.
+/// Allreduce through a named registry entry — how a builtin is forced and
+/// how layered or experimental algorithms (the streaming chain pipeline)
+/// are invoked explicitly.
 ///
 /// # Panics
 /// If no allreduce algorithm is registered under `name`.

@@ -8,7 +8,7 @@
 //! *availability predicate* over a geometry (the logic the old ad-hoc
 //! `use_hw` checks encoded), a *cost hint*, and the executable body. The
 //! public collective entry points select the cheapest available entry;
-//! `*_with` forcing becomes a lookup by name. Adding an algorithm is now a
+//! forcing (`*_named`) is a lookup by name. Adding an algorithm is a
 //! `register` call instead of another `if` in every operation.
 //!
 //! The registry is machine-wide (one per [`crate::machine::Machine`], like
@@ -218,11 +218,10 @@ impl CollRegistry {
             })
     }
 
-    /// Forced lookup by name (the `*_with` path). Availability is *not*
+    /// Forced lookup by name (the `*_named` path). Availability is *not*
     /// checked here — forcing an unavailable algorithm panics inside the
-    /// algorithm with its own message, exactly as the pre-registry code
-    /// did; callers that want to fall back check
-    /// [`AlgEntry::available`] first.
+    /// algorithm with its own message; callers that want to fall back
+    /// check [`AlgEntry::available`] first.
     ///
     /// # Panics
     /// If no entry of `kind` is registered under `name`.

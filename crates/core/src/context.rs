@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, L2TicketMutex, MemRegion, WakeupRegion, WorkQueue};
 use bgq_mu::{
-    Descriptor, EngineMode, FifoHeader, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo,
+    Descriptor, FifoHeader, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo,
     RecFifoId, XferKind,
 };
 use bgq_upc::{Histogram, Stamp, Upc};
@@ -229,9 +229,6 @@ pub struct Context {
     /// Cached handle to the node's system injection FIFO (emptiness probe
     /// for the idle fast path).
     sys_fifo: Arc<InjFifo>,
-    /// Whether descriptors are executed inline from `advance` (cached from
-    /// the fabric's engine mode).
-    inline_engine: bool,
     mailbox: Arc<ShmMailbox>,
     wakeup: WakeupRegion,
     /// Posted work plus its post-time stamp for handoff-latency telemetry
@@ -295,7 +292,6 @@ impl Context {
             .map(|id| machine.fabric().inj_fifo(node, *id))
             .collect();
         let sys_fifo = machine.fabric().sys_fifo(node);
-        let inline_engine = matches!(machine.fabric().engine_mode(), EngineMode::Inline);
         let mailbox = Arc::new(ShmMailbox::new(512, wakeup.clone()));
         machine.register_endpoint(
             client,
@@ -317,7 +313,6 @@ impl Context {
             inj_ids,
             inj_fifos,
             sys_fifo,
-            inline_engine,
             mailbox,
             wakeup,
             work: WorkQueue::with_capacity(256),
@@ -967,7 +962,7 @@ impl Context {
                 },
                 inj_counter: local_done,
             };
-            self.machine.fabric().inject_handle(self.node, fifo, desc);
+            self.machine.fabric().inject_handle(fifo, desc);
         }
     }
 
@@ -977,7 +972,7 @@ impl Context {
     fn inject_to(&self, dest_task: u32, desc: Descriptor) {
         // Cached-handle injection: no FIFO-table lookup on the send path.
         let fifo = &self.inj_fifos[dest_task as usize % self.inj_fifos.len()];
-        self.machine.fabric().inject_handle(self.node, fifo, desc);
+        self.machine.fabric().inject_handle(fifo, desc);
     }
 
     /// Resolve `dest` to its physical address, typed-error on miss. The
@@ -1109,10 +1104,9 @@ impl Context {
             // treating every pending record as work would put the whole
             // advance walk on the per-send cost of an aggregated flood.
             && self.aggr.as_ref().is_none_or(|a| !a.due_now())
-            && (!self.inline_engine
-                || (self.inj_fifos.iter().all(|f| f.queue.is_empty())
-                    && self.sys_fifo.queue.is_empty()
-                    && self.machine.fabric().links_idle(self.node)))
+            && self.inj_fifos.iter().all(|f| f.queue.is_empty())
+            && self.sys_fifo.queue.is_empty()
+            && self.machine.fabric().links_idle(self.node)
     }
 
     /// Keep advancing (yielding the CPU in between) until `cond` is true.
@@ -1124,17 +1118,14 @@ impl Context {
         }
     }
 
-    /// Whether the context believes it has nothing to do (used by
-    /// commthreads to decide to park). Non-blocking: reads only lock-free
-    /// queue-emptiness probes and the `pending_internal` counter, so a
-    /// commthread can poll it while another thread holds the advance lock.
+    /// Whether the context has nothing left to do: every queue `advance`
+    /// drains is empty *and* no aggregation record is buffered, however
+    /// young (the idle fast path lets those sit until their deadline; a
+    /// quiescent context has none). Non-blocking — lock-free probes only,
+    /// so any thread may ask while another holds the advance lock. Tests
+    /// use it to assert a context was left untouched or fully drained.
     pub fn is_quiescent(&self) -> bool {
-        self.work.is_empty()
-            && self.rec_fifo.is_empty()
-            && self.mailbox.queue.is_empty()
-            && self.pending_internal.load(Ordering::Acquire) == 0
-            && self.aggr.as_ref().is_none_or(|a| a.pending() == 0)
-            && self.machine.fabric().links_idle(self.node)
+        self.observably_idle() && self.aggr.as_ref().is_none_or(|a| a.pending() == 0)
     }
 
     fn advance_locked(&self, st: &mut AdvanceState) -> usize {
@@ -1174,24 +1165,22 @@ impl Context {
             }
         }
 
-        // 2. Pump this context's own injection FIFOs (inline engine mode;
-        //    with threaded engines this finds them empty).
-        if self.inline_engine {
-            for fifo in &self.inj_fifos {
-                events += self.machine.fabric().pump_inj_handle(self.node, fifo, INJ_BUDGET);
-            }
-            // 3. Service the node's system FIFO (remote gets targeting any
-            //    context on this node) and, under a fault plan, the node's
-            //    link channels (retransmit timers, delayed frames); one
-            //    context at a time. Gated on observable work so the common
-            //    (no remote gets, no faults) case costs two lock-free
-            //    emptiness probes, not a try_lock RMW on a mutex cacheline
-            //    shared by every context on the node.
-            if !self.sys_fifo.queue.is_empty() || !self.machine.fabric().links_idle(self.node) {
-                if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
-                    events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);
-                    events += self.machine.fabric().pump_links(self.node, SYS_BUDGET);
-                }
+        // 2. Pump this context's own injection FIFOs: nothing else drains
+        //    them, so a queued descriptor executes here or not at all.
+        for fifo in &self.inj_fifos {
+            events += self.machine.fabric().pump_inj_handle(self.node, fifo, INJ_BUDGET);
+        }
+        // 3. Service the node's system FIFO (remote gets targeting any
+        //    context on this node) and, under a fault plan, the node's
+        //    link channels (retransmit timers, delayed frames); one
+        //    context at a time. Gated on observable work so the common
+        //    (no remote gets, no faults) case costs two lock-free
+        //    emptiness probes, not a try_lock RMW on a mutex cacheline
+        //    shared by every context on the node.
+        if !self.sys_fifo.queue.is_empty() || !self.machine.fabric().links_idle(self.node) {
+            if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
+                events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);
+                events += self.machine.fabric().pump_links(self.node, SYS_BUDGET);
             }
         }
 
@@ -1547,19 +1536,6 @@ impl Context {
     }
 
     // ---- statistics --------------------------------------------------------
-
-    /// Sends initiated through this context, across every protocol
-    /// (telemetry aggregate; 0 with the `telemetry` feature off).
-    pub fn sends_initiated(&self) -> u64 {
-        self.probes.sends_short.value()
-            + self.probes.sends_aggr.value()
-            + self.probes.sends_eager.value()
-            + self.probes.sends_rzv.value()
-            + self.probes.sends_shm.value()
-            + self.probes.puts.value()
-            + self.probes.gets.value()
-            + self.probes.rmws.value()
-    }
 
     /// Messages dispatched (first packets seen) by this context
     /// (telemetry aggregate; 0 with the `telemetry` feature off).

@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use bgq_collnet::{ClassRoute, ClassRouteManager, CollNet, GiBarrier};
 use bgq_hw::{Counter, GlobalVa, MemRegion, WakeupUnit};
-use bgq_mu::{EngineMode, FaultPlan, MuFabric, PayloadSource, RecFifoId};
+use bgq_mu::{FaultPlan, MuFabric, PayloadSource, RecFifoId};
 use bgq_torus::{Rectangle, TorusShape};
 use bgq_upc::Upc;
 use parking_lot::{Mutex, RwLock};
@@ -206,7 +206,6 @@ impl FailoverState {
 pub struct MachineBuilder {
     shape: TorusShape,
     ppn: usize,
-    engine_mode: EngineMode,
     eager_limit: usize,
     policy: Option<StaticPolicy>,
     inj_fifos_per_context: u16,
@@ -249,12 +248,6 @@ impl MachineBuilder {
         self
     }
 
-    /// MU engine mode (default inline).
-    pub fn engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
-    }
-
     /// Eager/rendezvous crossover in bytes (default 4096): the top rung of
     /// the machine's [`StaticPolicy`] ladder. The short rung below it is
     /// [`SHORT_CUTOFF`] (or this limit, when smaller).
@@ -291,8 +284,8 @@ impl MachineBuilder {
 
     /// Install a fault plan: the MU fabric routes every off-node transfer
     /// through the link-level reliability layer (CRC + sequence numbers +
-    /// retransmit) with faults injected per the plan. An explicit plan
-    /// takes precedence over the `PAMI_FAULT_PLAN` environment variable.
+    /// retransmit) with faults injected per the plan. This is the only
+    /// way a machine gets one.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -369,19 +362,11 @@ impl MachineBuilder {
             !policy.aggregates() || aggregation.is_some(),
             "a protocol ladder with an aggregation rung needs MachineBuilder::aggregation"
         );
-        // Chaos runs: an explicitly installed plan wins; otherwise the
-        // PAMI_FAULT_PLAN environment variable (inline JSON or a file
-        // path) arms the reliability layer for reproducible runs without
-        // touching the program.
-        let fault_plan = self.fault_plan.or_else(|| {
-            FaultPlan::from_env().unwrap_or_else(|e| panic!("PAMI_FAULT_PLAN: {e}"))
-        });
         let mut fabric_builder = MuFabric::builder(self.shape)
-            .engine_mode(self.engine_mode)
             .inj_fifo_capacity(self.inj_fifo_capacity)
             .rec_fifo_capacity(self.rec_fifo_capacity)
             .telemetry(telemetry.clone());
-        if let Some(plan) = fault_plan {
+        if let Some(plan) = self.fault_plan {
             fabric_builder = fabric_builder.fault_plan(plan);
         }
         if let Some(transport) = self.transport {
@@ -522,7 +507,6 @@ impl Machine {
         MachineBuilder {
             shape,
             ppn: 1,
-            engine_mode: EngineMode::Inline,
             eager_limit: 4096,
             policy: None,
             inj_fifos_per_context: 4,

@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pami::coll::{self, Algorithm};
+use pami::coll::{self, names};
 use pami::{
     Client, Context, Counter, DeliveryFault, Endpoint, FaultPlan, Geometry, Machine, MemRegion,
     PamiError, PayloadSource, Recv, RetryConfig, SendArgs, Topology,
@@ -194,7 +194,7 @@ fn link_kill_mid_broadcast_completes_via_reroute() {
         } else {
             MemRegion::zeroed(len)
         };
-        coll::broadcast_with(&geom, ctx, Algorithm::SwBinomial, 0, &region, 0, len);
+        coll::broadcast_named(&geom, ctx, names::SW_BCAST, 0, &region, 0, len);
         assert_eq!(region.to_vec(), *payload2, "task {}", env.task);
     });
     if cfg!(feature = "telemetry") {
@@ -345,7 +345,7 @@ fn short_tier_exactly_once_under_drop_and_corrupt() {
 
 /// Run `rounds` summing allreduces (alg as given) on a fault-injected
 /// machine and verify every element on every task each round.
-fn chaos_allreduce(plan: FaultPlan, alg: Algorithm, nodes: usize, ppn: usize, rounds: usize) {
+fn chaos_allreduce(plan: FaultPlan, alg: &'static str, nodes: usize, ppn: usize, rounds: usize) {
     let machine = Machine::builder(bgq_torus::TorusShape::for_nodes(nodes))
         .ppn(ppn)
         .fault_plan(plan)
@@ -356,7 +356,7 @@ fn chaos_allreduce(plan: FaultPlan, alg: Algorithm, nodes: usize, ppn: usize, ro
         env.machine.task_barrier();
         let ctx = client.context(0);
         let geom = world_geometry(ctx);
-        if alg == Algorithm::HwCollNet {
+        if alg == names::HW_ALLREDUCE {
             geom.optimize().expect("world is rectangular");
         }
         for round in 0..rounds {
@@ -365,7 +365,7 @@ fn chaos_allreduce(plan: FaultPlan, alg: Algorithm, nodes: usize, ppn: usize, ro
                 (0..count as i64).map(|i| i * (round as i64 + 1) + env.task as i64).collect();
             let src = MemRegion::from_vec(bgq_collnet::ops::elems::from_i64(&mine));
             let dst = MemRegion::zeroed(count * 8);
-            coll::allreduce_with(
+            coll::allreduce_named(
                 &geom,
                 ctx,
                 alg,
@@ -395,7 +395,7 @@ fn sw_allreduce_phases_survive_drop_and_corrupt() {
     // traffic: every hop crosses the lossy links and must retransmit to a
     // bit-exact sum.
     let plan = FaultPlan::new().seed(31).drop_rate(0.02).corrupt_rate(0.02);
-    chaos_allreduce(plan, Algorithm::SwBinomial, 4, 1, 3);
+    chaos_allreduce(plan, names::SW_ALLREDUCE, 4, 1, 3);
 }
 
 #[test]
@@ -404,7 +404,7 @@ fn hw_allreduce_classroute_survives_drop_and_corrupt() {
     // shared-address intra-node phase ride the lossy MU fabric even
     // though the combine itself rides the collective network.
     let plan = FaultPlan::new().seed(37).drop_rate(0.02).corrupt_rate(0.02);
-    chaos_allreduce(plan, Algorithm::HwCollNet, 2, 2, 3);
+    chaos_allreduce(plan, names::HW_ALLREDUCE, 2, 2, 3);
 }
 
 #[test]
@@ -425,7 +425,7 @@ fn hw_broadcast_classroute_survives_drop_and_corrupt() {
         } else {
             MemRegion::zeroed(len)
         };
-        coll::broadcast_with(&geom, ctx, Algorithm::HwCollNet, 1, &region, 0, len);
+        coll::broadcast_named(&geom, ctx, names::HW_BCAST, 1, &region, 0, len);
         assert_eq!(region.to_vec(), *payload2, "task {}", env.task);
     });
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pami::coll::{self, Algorithm};
+use pami::coll::{self, names};
 use pami::{
     AggrConfig, Client, CollOp, CommThreadPool, Context, Counter, DataType, Endpoint, FaultPlan,
     Geometry, Machine, MemRegion, PayloadSource, Protocol, Recv, SendArgs, Topology,
@@ -245,6 +245,58 @@ fn eager_send_multi_packet_reassembles() {
     c0.context(0).advance_until(|| done.is_complete());
     c1.context(0).advance_until(|| sink.received() == 1);
     assert_eq!(sink.messages.lock()[0].2, data);
+}
+
+/// Task 0 has just called `send` of 2 KiB (eager: a queued descriptor) to
+/// task 1 on another node, and nobody has advanced since.
+fn queued_eager_send() -> (Arc<Machine>, Arc<Client>, Arc<Client>, Arc<Sink>, Counter) {
+    let machine = Machine::with_nodes(2).build();
+    let c0 = Client::create(&machine, 0, "t", 1);
+    let c1 = Client::create(&machine, 1, "t", 1);
+    let sink = Arc::new(Sink::default());
+    c1.context(0).set_dispatch(DISPATCH, sink.handler());
+    let done = Counter::new();
+    done.add_expected(2048);
+    c0.context(0)
+        .send(SendArgs {
+            dest: Endpoint::of_task(1),
+            dispatch: DISPATCH,
+            metadata: vec![],
+            payload: PayloadSource::Immediate(bytes::Bytes::from(vec![9u8; 2048])),
+            local_done: Some(done.clone()),
+        })
+        .unwrap();
+    (machine, c0, c1, sink, done)
+}
+
+#[test]
+fn nothing_moves_until_its_owner_advances() {
+    // An injection FIFO is drained by its owning context's `advance` and by
+    // nothing else: until task 0 advances, its descriptor has not executed,
+    // its counter has not fired and the peer has nothing to dispatch, no
+    // matter how long the peer spins.
+    let (machine, c0, c1, sink, done) = queued_eager_send();
+    let executed = || machine.fabric().counters(0).descriptors_executed.value();
+    for _ in 0..100 {
+        assert_eq!(c1.context(0).advance(), 0, "nothing has reached the peer");
+    }
+    assert!(!done.is_complete() && sink.received() == 0);
+    assert_eq!(executed(), 0);
+    assert!(c0.context(0).advance() > 0, "the owner's advance executes the descriptor");
+    assert!(done.is_complete(), "deposited on the thread that called advance");
+    if cfg!(feature = "telemetry") {
+        assert_eq!(executed(), 1);
+    }
+    c1.context(0).advance_until(|| sink.received() == 1);
+}
+
+#[test]
+fn a_context_with_a_queued_descriptor_is_not_quiescent() {
+    let (_machine, c0, c1, sink, done) = queued_eager_send();
+    assert!(!c0.context(0).is_quiescent(), "a descriptor is queued");
+    c0.context(0).advance_until(|| done.is_complete());
+    c1.context(0).advance_until(|| sink.received() == 1);
+    assert!(c0.context(0).is_quiescent() && c1.context(0).is_quiescent());
 }
 
 #[test]
@@ -606,7 +658,7 @@ fn barrier_synchronizes_all_tasks() {
     });
 }
 
-fn check_broadcast(alg: Algorithm, nodes: usize, ppn: usize, len: usize) {
+fn check_broadcast(alg: &str, nodes: usize, ppn: usize, len: usize) {
     let machine = Machine::with_nodes(nodes).ppn(ppn).build();
     let payload: Arc<Vec<u8>> = Arc::new((0..len).map(|i| (i % 251) as u8).collect());
     machine.run(|env| {
@@ -614,7 +666,7 @@ fn check_broadcast(alg: Algorithm, nodes: usize, ppn: usize, len: usize) {
         env.machine.task_barrier();
         let ctx = client.context(0);
         let geom = world_geometry(ctx);
-        if alg == Algorithm::HwCollNet {
+        if alg == names::HW_BCAST {
             geom.optimize().expect("world is rectangular");
         }
         let region = if env.task == 2 {
@@ -622,27 +674,27 @@ fn check_broadcast(alg: Algorithm, nodes: usize, ppn: usize, len: usize) {
         } else {
             MemRegion::zeroed(len)
         };
-        coll::broadcast_with(&geom, ctx, alg, 2, &region, 0, len);
+        coll::broadcast_named(&geom, ctx, alg, 2, &region, 0, len);
         assert_eq!(region.to_vec(), *payload, "task {}", env.task);
     });
 }
 
 #[test]
 fn hw_broadcast_multi_node_multi_ppn() {
-    check_broadcast(Algorithm::HwCollNet, 2, 2, 100_000);
+    check_broadcast(names::HW_BCAST, 2, 2, 100_000);
 }
 
 #[test]
 fn sw_broadcast_binomial() {
-    check_broadcast(Algorithm::SwBinomial, 4, 1, 10_000);
+    check_broadcast(names::SW_BCAST, 4, 1, 10_000);
 }
 
 #[test]
 fn sw_broadcast_large_uses_rendezvous() {
-    check_broadcast(Algorithm::SwBinomial, 2, 2, 128 * 1024);
+    check_broadcast(names::SW_BCAST, 2, 2, 128 * 1024);
 }
 
-fn check_allreduce(alg: Algorithm, nodes: usize, ppn: usize, count: usize) {
+fn check_allreduce(alg: &str, nodes: usize, ppn: usize, count: usize) {
     let machine = Machine::with_nodes(nodes).ppn(ppn).build();
     let tasks = (nodes * ppn) as i64;
     machine.run(|env| {
@@ -650,13 +702,13 @@ fn check_allreduce(alg: Algorithm, nodes: usize, ppn: usize, count: usize) {
         env.machine.task_barrier();
         let ctx = client.context(0);
         let geom = world_geometry(ctx);
-        if alg == Algorithm::HwCollNet {
+        if alg == names::HW_ALLREDUCE {
             geom.optimize().expect("world is rectangular");
         }
         let mine: Vec<i64> = (0..count as i64).map(|i| i + env.task as i64).collect();
         let src = MemRegion::from_vec(bgq_collnet::ops::elems::from_i64(&mine));
         let dst = MemRegion::zeroed(count * 8);
-        coll::allreduce_with(
+        coll::allreduce_named(
             &geom,
             ctx,
             alg,
@@ -676,23 +728,23 @@ fn check_allreduce(alg: Algorithm, nodes: usize, ppn: usize, count: usize) {
 
 #[test]
 fn hw_allreduce_short() {
-    check_allreduce(Algorithm::HwCollNet, 2, 2, 4);
+    check_allreduce(names::HW_ALLREDUCE, 2, 2, 4);
 }
 
 #[test]
 fn hw_allreduce_long_pipelined() {
     // > PIPELINE_SLICE bytes so the leader contributes several slices.
-    check_allreduce(Algorithm::HwCollNet, 2, 2, 20_000);
+    check_allreduce(names::HW_ALLREDUCE, 2, 2, 20_000);
 }
 
 #[test]
 fn sw_allreduce_binomial() {
-    check_allreduce(Algorithm::SwBinomial, 4, 1, 64);
+    check_allreduce(names::SW_ALLREDUCE, 4, 1, 64);
 }
 
 #[test]
 fn hw_and_sw_allreduce_agree() {
-    for alg in [Algorithm::HwCollNet, Algorithm::SwBinomial] {
+    for alg in [names::HW_ALLREDUCE, names::SW_ALLREDUCE] {
         check_allreduce(alg, 2, 1, 16);
     }
 }
@@ -981,13 +1033,13 @@ fn collnet_barrier_agrees_with_gi_barrier() {
         geom.optimize().unwrap();
         for round in 1..=5u64 {
             counter.fetch_add(1, Ordering::SeqCst);
-            coll::barrier_with(&geom, ctx, coll::BarrierAlg::CollNet);
+            coll::barrier_named(&geom, ctx, names::COLLNET_BARRIER);
             assert_eq!(
                 counter.load(Ordering::SeqCst),
                 round * 4,
                 "collnet barrier released early"
             );
-            coll::barrier_with(&geom, ctx, coll::BarrierAlg::GlobalInterrupt);
+            coll::barrier_named(&geom, ctx, names::GI_BARRIER);
         }
     });
 }
@@ -1014,10 +1066,10 @@ fn axial_topology_communicator_collectives() {
             assert_eq!(geom.size(), 4);
             let src = MemRegion::from_vec(bgq_collnet::ops::elems::from_i64(&[env.task as i64]));
             let dst = MemRegion::zeroed(8);
-            coll::allreduce_with(
+            coll::allreduce_named(
                 &geom,
                 ctx,
-                Algorithm::SwBinomial,
+                names::SW_ALLREDUCE,
                 (&src, 0),
                 (&dst, 0),
                 1,

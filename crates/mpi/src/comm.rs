@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bgq_collnet::ClassRouteError;
 use bgq_hw::MemRegion;
-use pami::coll::{self, Algorithm};
+use pami::coll;
 use pami::{CollOp, Context, DataType, Geometry};
 
 use crate::mpi::Mpi;
@@ -108,11 +108,13 @@ impl Mpi {
         coll::broadcast(comm.geometry(), self.coll_context(), root, buf, offset, len);
     }
 
-    /// `MPI_Bcast` with an explicit algorithm (benchmark control).
+    /// `MPI_Bcast` through a named registry entry (`pami::coll::names`;
+    /// benchmark control). Panics if no broadcast is registered under
+    /// `name`.
     #[allow(clippy::too_many_arguments)]
-    pub fn bcast_with(
+    pub fn bcast_named(
         &self,
-        alg: Algorithm,
+        name: &str,
         buf: &MemRegion,
         offset: usize,
         len: usize,
@@ -120,7 +122,7 @@ impl Mpi {
         comm: &Comm,
     ) {
         let _g = self.call_guard();
-        coll::broadcast_with(comm.geometry(), self.coll_context(), alg, root, buf, offset, len);
+        coll::broadcast_named(comm.geometry(), self.coll_context(), name, root, buf, offset, len);
     }
 
     /// The 10-color rectangle broadcast (Figure 10): stripes the buffer
@@ -151,22 +153,6 @@ impl Mpi {
     ) {
         let _g = self.call_guard();
         coll::allreduce(comm.geometry(), self.coll_context(), src, dst, count, op, dtype);
-    }
-
-    /// `MPI_Allreduce` with an explicit algorithm (benchmark control).
-    #[allow(clippy::too_many_arguments)]
-    pub fn allreduce_with(
-        &self,
-        alg: Algorithm,
-        src: (&MemRegion, usize),
-        dst: (&MemRegion, usize),
-        count: usize,
-        op: CollOp,
-        dtype: DataType,
-        comm: &Comm,
-    ) {
-        let _g = self.call_guard();
-        coll::allreduce_with(comm.geometry(), self.coll_context(), alg, src, dst, count, op, dtype);
     }
 
     /// `MPI_Allreduce` through a named registry entry (e.g.

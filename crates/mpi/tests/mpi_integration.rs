@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use bgq_collnet::ops::elems;
-use pami::coll::Algorithm;
+use pami::coll::names;
 use pami::Machine;
 use pami_mpi::{
     CollOp, DataType, LibFlavor, MemRegion, Mpi, MpiConfig, ThreadLevel, ANY_SOURCE, ANY_TAG,
@@ -283,11 +283,11 @@ fn sw_and_hw_collectives_agree() {
         let world = mpi.world().clone();
         world.optimize().unwrap();
         let me = world.rank() as i64;
-        for alg in [Algorithm::HwCollNet, Algorithm::SwBinomial] {
+        for alg in [names::HW_ALLREDUCE, names::SW_ALLREDUCE] {
             let src = MemRegion::from_vec(elems::from_i64(&[me + 1]));
             let dst = MemRegion::zeroed(8);
-            mpi.allreduce_with(alg, (&src, 0), (&dst, 0), 1, CollOp::Sum, DataType::Int64, &world);
-            assert_eq!(elems::to_i64(&dst.to_vec()), vec![10], "{alg:?}");
+            mpi.allreduce_named(alg, (&src, 0), (&dst, 0), 1, CollOp::Sum, DataType::Int64, &world);
+            assert_eq!(elems::to_i64(&dst.to_vec()), vec![10], "{alg}");
         }
     });
 }

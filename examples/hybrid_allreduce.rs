@@ -12,7 +12,7 @@
 //! ```
 
 use pami_repro::bgq_collnet::ops::elems;
-use pami_repro::pami::coll::Algorithm;
+use pami_repro::pami::coll::names;
 use pami_repro::pami::Machine;
 use pami_repro::pami_mpi::{CollOp, DataType, LibFlavor, MemRegion, Mpi, MpiConfig, ThreadLevel};
 
@@ -53,14 +53,14 @@ fn main() {
         let sw = MemRegion::zeroed(8);
 
         // Hardware path (collective network + shared-address intra-node).
-        mpi.allreduce_with(Algorithm::HwCollNet, (&src, 0), (&hw, 0), 1, CollOp::Sum, DataType::Float64, &world);
+        mpi.allreduce_named(names::HW_ALLREDUCE, (&src, 0), (&hw, 0), 1, CollOp::Sum, DataType::Float64, &world);
         // Software binomial fallback over PAMI point-to-point.
-        mpi.allreduce_with(Algorithm::SwBinomial, (&src, 0), (&sw, 0), 1, CollOp::Sum, DataType::Float64, &world);
+        mpi.allreduce_named(names::SW_ALLREDUCE, (&src, 0), (&sw, 0), 1, CollOp::Sum, DataType::Float64, &world);
         // Streaming chain pipeline (SHArP-style per-hop partial reduction),
         // invoked by registry name.
         let st = MemRegion::zeroed(8);
         mpi.allreduce_named(
-            pami_repro::pami::coll::names::STREAM_ALLREDUCE,
+            names::STREAM_ALLREDUCE,
             (&src, 0), (&st, 0), 1, CollOp::Sum, DataType::Float64, &world,
         );
 

@@ -12,7 +12,7 @@ use pami_repro::pami::{Client, Machine, Recv, SendArgs};
 use pami_repro::pami::{Endpoint, PayloadSource};
 
 fn main() {
-    // A 2-node partition, one process per node, inline MU engines.
+    // A 2-node partition, one process per node.
     let machine = Machine::with_nodes(2).build();
     println!(
         "machine: {} nodes, shape {:?}, {} tasks",

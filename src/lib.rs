@@ -8,7 +8,7 @@
 //! * [`pami_mpi`] — the MPI-flavoured layer built on PAMI ("pamid").
 //! * [`bgq_hw`] — L2 atomics, wakeup unit, memory regions, CNK services.
 //! * [`bgq_torus`] — the 5D torus geometry and packet fabric.
-//! * [`bgq_mu`] — the messaging unit (descriptors, FIFOs, engines).
+//! * [`bgq_mu`] — the messaging unit (descriptors, FIFOs, delivery).
 //! * [`bgq_collnet`] — classroutes, the collective network, the GI barrier.
 //! * [`bgq_netsim`] — the discrete-event timing simulator for machine-scale
 //!   experiments.

@@ -4,7 +4,7 @@
 //! partition.
 
 use pami_repro::bgq_collnet::ops::elems;
-use pami_repro::pami::{coll::Algorithm, Counter, Machine, MemKey, MemRegion, PayloadSource};
+use pami_repro::pami::{coll::names, Counter, Machine, MemKey, MemRegion, PayloadSource};
 use pami_repro::pami_mpi::{CollOp, DataType, Mpi, MpiConfig, ANY_SOURCE, ANY_TAG};
 
 const NODES: usize = 4;
@@ -82,9 +82,9 @@ fn mixed_workload_application() {
 
         // Phase 4: hardware vs software collective agreement on world.
         world.optimize().expect("rectangular world");
-        for alg in [Algorithm::HwCollNet, Algorithm::SwBinomial] {
+        for alg in [names::HW_ALLREDUCE, names::SW_ALLREDUCE] {
             let d = MemRegion::zeroed(8);
-            mpi.allreduce_with(alg, (&src, 0), (&d, 0), 1, CollOp::Max, DataType::Int64, &world);
+            mpi.allreduce_named(alg, (&src, 0), (&d, 0), 1, CollOp::Max, DataType::Int64, &world);
             assert_eq!(elems::to_i64(&d.to_vec()), vec![n as i64 - 1]);
         }
         mpi.barrier(&world);
