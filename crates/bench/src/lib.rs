@@ -462,47 +462,6 @@ pub fn pamistat_sample() -> (String, String, String) {
         out
     };
 
-    // Combining segment: a hot-key fetch-add storm on a combining-enabled
-    // side machine sharing the same UPC registry, so the `comb.*` counters
-    // (requests, merges, root applies, replies) are non-zero in the report.
-    {
-        let comb_machine = Machine::with_nodes(4)
-            .telemetry(machine.telemetry().clone())
-            .combining(true)
-            .build();
-        let word = MemRegion::zeroed(8);
-        let key = comb_machine.create_window(word.clone(), None);
-        let clients: Vec<_> =
-            (0..4).map(|t| Client::create(&comb_machine, t, "stat-comb", 1)).collect();
-        const ADDS_PER_TASK: u64 = 16;
-        let done = pami::Counter::new();
-        done.add_expected(3 * ADDS_PER_TASK);
-        for client in clients.iter().skip(1) {
-            for _ in 0..ADDS_PER_TASK {
-                client
-                    .context(0)
-                    .rmw(pami::RmwArgs {
-                        dest_task: 0,
-                        window: pami::WindowRef::base(key),
-                        op: pami::RmwOp::FetchAdd,
-                        operand: 1,
-                        compare: 0,
-                        result: None,
-                        done: Some(done.clone()),
-                    })
-                    .unwrap();
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !done.is_complete() {
-            assert!(Instant::now() < deadline, "combining overlay made no progress");
-            for client in &clients {
-                client.context(0).advance();
-            }
-        }
-        assert_eq!(word.read_i64(0) as u64, 3 * ADDS_PER_TASK, "hot word sums the storm");
-    }
-
     // Aggregation segment: a fine-grained random-target flood on a
     // coalescing-enabled side machine sharing the same UPC registry, so the
     // `aggr.*` counters (batched records, frames, flush causes, unbatch)

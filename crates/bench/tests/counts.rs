@@ -23,8 +23,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use pami::{
-    AggrConfig, Client, Context, Counter, Endpoint, FaultPlan, Machine, MachineBuilder,
-    PayloadSource, Recv, RetryConfig, SendArgs, StaticPolicy,
+    AggrConfig, Client, Context, Counter, Endpoint, FaultPlan, GetArgs, Machine, MachineBuilder,
+    MemSlot, PamiResult, PayloadSource, PutArgs, Recv, RetryConfig, RmwArgs, SendArgs,
+    StaticPolicy, WindowRef,
 };
 use pami_mpi::{MemRegion, Mpi, MpiConfig, Request, ANY_SOURCE};
 
@@ -279,6 +280,88 @@ fn clean_fault_plan_changes_no_count() {
             let (events, overflowed) = rig.machine.fabric().ras_events();
             assert!(events.is_empty() && overflowed == 0, "RAS ring stays empty");
         }
+    }
+    assert_eq!(one_sided_counts(clean()), one_sided_counts(Machine::with_nodes(2)));
+}
+
+/// What the one-sided program did: `[ctx.puts, ctx.gets, ctx.rmws]`;
+/// `mu.descriptors_executed` while its puts, its gets and its rmws ran;
+/// `ONE_SIDED_MU`; allocations inside the `put`, `get` and `rmw` calls.
+type OneSidedCounts = ([u64; 3], [u64; 3], [u64; 3], [u64; 3]);
+
+const ONE_SIDED_OPS: u64 = 64;
+const ONE_SIDED_LEN: usize = 4096;
+const ONE_SIDED_MU: [&str; 3] =
+    ["mu.packets_injected", "mu.put_bytes_in", "mu.remote_gets_serviced"];
+
+/// The `rma_mix` family from one driver on two nodes: 64 × 4 KiB `put`,
+/// then 64 × 4 KiB `get`, then 64 fetch-adds with a reply slot, each batch
+/// advanced to completion before the next.
+fn one_sided_counts(builder: MachineBuilder) -> OneSidedCounts {
+    let machine = builder.build();
+    let me = Client::create(&machine, 0, "count", 1);
+    let peer = Client::create(&machine, 1, "count", 1);
+    let window = WindowRef::base(machine.create_window(MemRegion::zeroed(ONE_SIDED_LEN), None));
+    let (local, prior) = (MemRegion::zeroed(ONE_SIDED_LEN), MemRegion::zeroed(8));
+    let done = Counter::new();
+    // One batch of `op`: `(descriptors executed, allocations inside the calls)`.
+    let batch = |credit: u64, op: &dyn Fn(Counter) -> PamiResult<()>| {
+        let [before] = counters(&machine, ["mu.descriptors_executed"]);
+        let mut allocs = 0;
+        for _ in 0..ONE_SIDED_OPS {
+            done.add_expected(credit);
+            let (issued, n, _) = allocs_in(|| op(done.clone()));
+            issued.unwrap();
+            allocs += n;
+        }
+        while !done.is_complete() {
+            me.context(0).advance();
+            peer.context(0).advance();
+        }
+        assert!(done.is_ok());
+        let [after] = counters(&machine, ["mu.descriptors_executed"]);
+        (after - before, allocs)
+    };
+    let puts = batch(ONE_SIDED_LEN as u64, &|done| {
+        let (region, len) = (local.clone(), ONE_SIDED_LEN);
+        let payload = PayloadSource::Region { region, offset: 0, len };
+        me.context(0).put(PutArgs { dest_task: 1, window, payload, local_done: Some(done) })
+    });
+    let gets = batch(ONE_SIDED_LEN as u64, &|done| {
+        let dst = MemSlot::base(local.clone());
+        let get = GetArgs { dest_task: 1, window, dst, len: ONE_SIDED_LEN, done: Some(done) };
+        me.context(0).get(get)
+    });
+    let rmws = batch(1, &|done| {
+        let result = Some(MemSlot::base(prior.clone()));
+        let add = RmwArgs::fetch_add(1, window, 1);
+        me.context(0).rmw(RmwArgs { result, done: Some(done), ..add })
+    });
+    assert_eq!(prior.read_i64(0) as u64, ONE_SIDED_OPS - 1, "the last add saw every earlier one");
+    (
+        counters(&machine, ["ctx.puts", "ctx.gets", "ctx.rmws"]),
+        [puts.0, gets.0, rmws.0],
+        counters(&machine, ONE_SIDED_MU),
+        [puts.1, gets.1, rmws.1],
+    )
+}
+
+/// ROADMAP item (b′): the one-sided family as counts. A put or an rmw is
+/// one descriptor; a get is two — the request, and the put-back the
+/// target's system FIFO runs — and none of them is a packet: nothing
+/// reaches a reception FIFO. Time half: `rma_mix`.
+#[test]
+fn one_sided_ops_are_descriptors_not_packets() {
+    const N: u64 = ONE_SIDED_OPS;
+    let bytes = N * ONE_SIDED_LEN as u64;
+    let (calls, descriptors, mu, allocs) = one_sided_counts(Machine::with_nodes(2));
+    // A get boxes the put-back descriptor it carries; nothing else allocates.
+    assert_eq!(allocs, [0, N, 0]);
+    if cfg!(feature = "telemetry") {
+        assert_eq!(calls, [N, N, N]);
+        assert_eq!(descriptors, [N, 2 * N, N]);
+        // Bytes land by put and by put-back; the peer services each get once.
+        assert_eq!(mu, [0, 2 * bytes, N]);
     }
 }
 

@@ -83,7 +83,7 @@ impl MemRegion {
     /// If `offset + src.len()` exceeds the region length.
     pub fn write(&self, offset: usize, src: &[u8]) {
         assert!(
-            offset.checked_add(src.len()).is_some_and(|end| end <= self.len),
+            self.contains(offset, src.len()),
             "MemRegion write out of bounds: offset {offset} + len {} > region {}",
             src.len(),
             self.len
@@ -99,7 +99,7 @@ impl MemRegion {
     /// If `offset + dst.len()` exceeds the region length.
     pub fn read(&self, offset: usize, dst: &mut [u8]) {
         assert!(
-            offset.checked_add(dst.len()).is_some_and(|end| end <= self.len),
+            self.contains(offset, dst.len()),
             "MemRegion read out of bounds: offset {offset} + len {} > region {}",
             dst.len(),
             self.len
@@ -117,14 +117,8 @@ impl MemRegion {
     /// # Panics
     /// On out-of-bounds ranges.
     pub fn copy_from(&self, dst_offset: usize, src: &MemRegion, src_offset: usize, len: usize) {
-        assert!(
-            src_offset.checked_add(len).is_some_and(|end| end <= src.len),
-            "MemRegion copy_from source out of bounds"
-        );
-        assert!(
-            dst_offset.checked_add(len).is_some_and(|end| end <= self.len),
-            "MemRegion copy_from destination out of bounds"
-        );
+        assert!(src.contains(src_offset, len), "MemRegion copy_from source out of bounds");
+        assert!(self.contains(dst_offset, len), "MemRegion copy_from destination out of bounds");
         unsafe {
             if Arc::ptr_eq(&self.storage, &src.storage) {
                 // Same physical pages: tolerate overlap.
@@ -141,10 +135,7 @@ impl MemRegion {
 
     /// Fill `len` bytes at `offset` with `byte`.
     pub fn fill(&self, offset: usize, len: usize, byte: u8) {
-        assert!(
-            offset.checked_add(len).is_some_and(|end| end <= self.len),
-            "MemRegion fill out of bounds"
-        );
+        assert!(self.contains(offset, len), "MemRegion fill out of bounds");
         unsafe { std::ptr::write_bytes(self.base().add(offset), byte, len) }
     }
 
@@ -183,6 +174,20 @@ impl MemRegion {
     /// Whether two handles alias the same storage.
     pub fn same_region(&self, other: &MemRegion) -> bool {
         Arc::ptr_eq(&self.storage, &other.storage)
+    }
+
+    /// The identity [`MemRegion::same_region`] compares, as a number: equal
+    /// for two live handles iff they alias the same storage.
+    #[inline]
+    pub fn storage_id(&self) -> usize {
+        Arc::as_ptr(&self.storage) as usize
+    }
+
+    /// Whether `offset..offset + len` lies inside the region — the bound
+    /// [`MemRegion::read`] and [`MemRegion::write`] panic past.
+    #[inline]
+    pub fn contains(&self, offset: usize, len: usize) -> bool {
+        offset.checked_add(len).is_some_and(|end| end <= self.len)
     }
 }
 

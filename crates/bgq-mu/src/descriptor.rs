@@ -63,14 +63,12 @@ impl PayloadSource {
     }
 }
 
-/// Atomic read-modify-write operation carried by an [`XferKind::Rmw`]
-/// descriptor. All operations act on a 64-bit little-endian word in the
-/// target window and return the prior value.
+/// Atomic read-modify-write operation carried by an [`RmwRequest`]. All
+/// operations act on a 64-bit little-endian word in the target window and
+/// return the prior value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RmwOp {
-    /// `*target += operand`; returns the pre-add value. The only op the
-    /// fabric combines at intermediate hops (addition is associative and
-    /// priors decombine by prefix sum).
+    /// `*target += operand`; returns the pre-add value.
     FetchAdd,
     /// `if *target == compare { *target = operand }`; returns the prior
     /// value (success iff prior == compare).
@@ -89,6 +87,24 @@ pub struct RmwReply {
     pub region: MemRegion,
     /// Byte offset of the 8-byte slot within `region`.
     pub offset: usize,
+}
+
+/// A remote atomic — the one value the descriptor ([`XferKind::Rmw`]) and,
+/// under a fault plan, the link frame carry.
+#[derive(Debug, Clone)]
+pub struct RmwRequest {
+    /// Target region backing the window.
+    pub dst_region: MemRegion,
+    /// Byte offset of the 8-byte word within the region.
+    pub dst_offset: usize,
+    /// The atomic operation.
+    pub op: RmwOp,
+    /// Operand (addend / swap value / min-max candidate).
+    pub operand: u64,
+    /// Comparand for [`RmwOp::CompareSwap`]; ignored otherwise.
+    pub compare: u64,
+    /// Optional slot the prior value is written to.
+    pub reply: Option<RmwReply>,
 }
 
 /// What a memory-FIFO message says about itself — the header every one of
@@ -141,28 +157,10 @@ pub enum XferKind {
         /// Descriptor for the destination to execute.
         payload: Box<Descriptor>,
     },
-    /// Remote atomic: executes `op` atomically against an 8-byte word in
-    /// a registered window on the target node and writes the prior value
-    /// to the caller's reply slot. Fetch-adds may be coalesced at
-    /// intermediate torus hops when the fabric's combining overlay is
-    /// enabled — the (window key, offset) pair is the combining identity.
-    Rmw {
-        /// Key of the target window (combining identity; the resolved
-        /// region rides in `dst_region`).
-        win_key: u64,
-        /// Target region backing the window.
-        dst_region: MemRegion,
-        /// Byte offset of the 8-byte word within the region.
-        dst_offset: usize,
-        /// The atomic operation.
-        op: RmwOp,
-        /// Operand (addend / swap value / min-max candidate).
-        operand: u64,
-        /// Comparand for [`RmwOp::CompareSwap`]; ignored otherwise.
-        compare: u64,
-        /// Optional slot the prior value is written to.
-        reply: Option<RmwReply>,
-    },
+    /// Remote atomic: executes the request's `op` atomically against an
+    /// 8-byte word in a registered window on the target node and writes
+    /// the prior value to the caller's reply slot.
+    Rmw(RmwRequest),
 }
 
 /// A complete injection descriptor.
@@ -200,7 +198,7 @@ impl Descriptor {
     /// for direct-put payload (bandwidth).
     pub fn default_routing(kind: &XferKind) -> Routing {
         match kind {
-            XferKind::MemoryFifo { .. } | XferKind::RemoteGet { .. } | XferKind::Rmw { .. } => {
+            XferKind::MemoryFifo { .. } | XferKind::RemoteGet { .. } | XferKind::Rmw(_) => {
                 Routing::Deterministic
             }
             XferKind::DirectPut { .. } => Routing::Dynamic,

@@ -40,7 +40,8 @@
 //!
 //! One-sided descriptors (direct put, remote get, rmw) never touch a
 //! reception FIFO; they share stage 2 (same `admit`, same two outcomes)
-//! and `deliver_body`, which applies them to destination memory.
+//! and `deliver_body`, which applies them to destination memory — an rmw
+//! under the striped lock of the word it names, its only path.
 //!
 //! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), lost
 //! frames retransmit with exponential backoff under
@@ -58,8 +59,7 @@ use bgq_torus::packet::{packets_for, MAX_PAYLOAD_BYTES};
 use bgq_torus::{Dir, TorusShape};
 use bgq_upc::{Counter, Upc};
 
-use crate::comb::{CombCounters, CombState, RmwLocks};
-use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, RmwOp, XferKind};
+use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, XferKind};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
@@ -67,6 +67,7 @@ use crate::fifo::{
 };
 use crate::link::{Admit, Channel, FrameBody, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
+use crate::rmw::RmwLocks;
 use crate::transport::Transport;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
@@ -177,11 +178,8 @@ pub(crate) struct FabricInner {
     /// every reception-FIFO deposit through the installed transport (the
     /// co-simulation's DES-scheduled delivery).
     pub transport: Option<Arc<dyn Transport>>,
-    /// Striped per-(window, offset) locks making rmw descriptors atomic.
+    /// Striped per-word locks making rmw descriptors atomic.
     pub rmw_locks: RmwLocks,
-    /// In-network combining overlay for hot-key fetch-adds; present iff
-    /// [`MuFabricBuilder::combining`] enabled it.
-    pub comb: Option<CombState>,
 }
 
 /// Configures and builds a [`MuFabric`].
@@ -192,7 +190,6 @@ pub struct MuFabricBuilder {
     telemetry: Upc,
     fault_plan: Option<FaultPlan>,
     transport: Option<Arc<dyn Transport>>,
-    combining: bool,
 }
 
 impl MuFabricBuilder {
@@ -234,15 +231,6 @@ impl MuFabricBuilder {
         self
     }
 
-    /// Enable the in-network combining overlay (default off): fetch-add
-    /// descriptors to the same (window, offset) coalesce at every torus
-    /// hop on the way to the root, which applies the combined addend once
-    /// and decombines the priors by prefix sum. See [`crate::comb`].
-    pub fn combining(mut self, on: bool) -> Self {
-        self.combining = on;
-        self
-    }
-
     /// Build the fabric.
     pub fn build(self) -> MuFabric {
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
@@ -272,7 +260,6 @@ impl MuFabricBuilder {
                 nodes.iter().map(|n| n.counters.packets_dropped.clone()).collect(),
             )
         });
-        let comb = self.combining.then(|| CombState::new(self.shape, &self.telemetry));
         let inner = Arc::new(FabricInner {
             shape: self.shape,
             nodes,
@@ -283,7 +270,6 @@ impl MuFabricBuilder {
             reliability,
             transport: self.transport,
             rmw_locks: RmwLocks::new(),
-            comb,
         });
         MuFabric { inner }
     }
@@ -305,19 +291,7 @@ impl MuFabric {
             telemetry: Upc::new(),
             fault_plan: None,
             transport: None,
-            combining: false,
         }
-    }
-
-    /// Whether the in-network combining overlay is enabled.
-    pub fn combining_enabled(&self) -> bool {
-        self.inner.comb.is_some()
-    }
-
-    /// Live `comb.*` telemetry probes of the combining overlay, when
-    /// enabled.
-    pub fn comb_counters(&self) -> Option<&CombCounters> {
-        self.inner.comb.as_ref().map(|c| &c.counters)
     }
 
     /// The torus shape.
@@ -528,31 +502,6 @@ impl MuFabric {
             XferKind::MemoryFifo { rec_fifo, dispatch, metadata } => {
                 let hdr = FifoHeader { dst_node, rec_fifo, src_context, dispatch, metadata };
                 self.deliver_message(src_node, lane, hdr, payload, inj_counter);
-            }
-            // Combinable fetch-adds divert into the combining overlay: it
-            // carries them hop by hop (with its own seeded dice under a
-            // fault plan), so they never enter the per-(src, dst) link
-            // channels.
-            XferKind::Rmw {
-                win_key,
-                dst_region,
-                dst_offset,
-                op: RmwOp::FetchAdd,
-                operand,
-                reply,
-                ..
-            } if self.inner.comb.is_some() && dst_node != src_node => {
-                self.inner.comb.as_ref().expect("guard checked").submit(
-                    src_node,
-                    dst_node,
-                    win_key,
-                    dst_offset,
-                    dst_region,
-                    operand,
-                    reply,
-                    inj_counter,
-                    Descriptor::ZERO_LEN_CREDIT,
-                );
             }
             kind => self.deliver_one_sided(src_node, dst_node, kind, payload, inj_counter, credit),
         }
@@ -789,19 +738,12 @@ impl MuFabric {
             FrameBody::Get { desc } => {
                 dst.sys_inj.queue.push((**desc).clone());
             }
-            FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
+            FrameBody::Rmw(req) => {
                 // Exactly-once under retransmission: the channel's receive
                 // verdict discards duplicate sequence numbers before this
                 // runs, so a frame body applies at most once.
-                let prior = self.inner.rmw_locks.apply(
-                    *win_key,
-                    dst_region,
-                    *dst_offset,
-                    *op,
-                    *operand,
-                    *compare,
-                );
-                if let Some(r) = reply {
+                let prior = self.inner.rmw_locks.apply(req);
+                if let Some(r) = &req.reply {
                     r.region.write(r.offset, &prior.to_le_bytes());
                 }
             }
@@ -864,33 +806,18 @@ impl MuFabric {
     }
 
     /// Whether `node` has no frames queued or awaiting retry in its
-    /// reliable channels, and no requests in flight in the combining
-    /// overlay (lock-free; contexts use it in their idle check). The
-    /// overlay's pending count is global — any node with combined atomics
-    /// outstanding keeps pumping until the whole overlay drains, which is
-    /// what lets a lone context make progress for everyone.
+    /// reliable channels (lock-free; contexts use it in their idle check).
     pub fn links_idle(&self, node: u32) -> bool {
-        if self.inner.comb.as_ref().is_some_and(|c| c.pending() > 0) {
-            return false;
-        }
         self.inner.reliability.as_ref().is_none_or(|r| r.idle(node))
     }
 
     /// Pump `node`'s reliable channels: transmit queued frames, fire RTO
-    /// retransmissions, release delayed frames. Each call advances the
-    /// node's link-pump tick (the retry protocol's clock). Returns frames
-    /// delivered. No-op without a fault plan.
-    ///
-    /// Also drives the combining overlay one round (batches move one hop
-    /// toward their root) — combining works with or without a fault plan.
+    /// retransmissions. Each call advances the node's link-pump tick (the
+    /// retry protocol's clock). Returns frames delivered. No-op without a
+    /// fault plan.
     pub fn pump_links(&self, node: u32, budget: usize) -> usize {
         let rel = self.inner.reliability.as_ref();
-        let comb_events = self
-            .inner
-            .comb
-            .as_ref()
-            .map_or(0, |comb| comb.pump(rel.map(|r| &r.injector), &self.inner.rmw_locks));
-        comb_events + rel.map_or(0, |rel| rel.pump(node, budget, &self.frame_deposit()))
+        rel.map_or(0, |r| r.pump(node, budget, &self.frame_deposit()))
     }
 }
 
@@ -902,9 +829,7 @@ fn whole_body(kind: XferKind, payload: PayloadSource) -> FrameBody {
             FrameBody::Put { dst_region, dst_offset, payload: payload.into(), rec_counter }
         }
         XferKind::RemoteGet { payload: desc } => FrameBody::Get { desc },
-        XferKind::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply } => {
-            FrameBody::Rmw { win_key, dst_region, dst_offset, op, operand, compare, reply }
-        }
+        XferKind::Rmw(req) => FrameBody::Rmw(req),
         XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take deliver_message"),
     }
 }
@@ -1380,23 +1305,6 @@ mod tests {
         // The event ring is functional regardless of the telemetry feature.
         let (events, _) = fabric.ras_events();
         assert!(events.iter().any(|e| e.kind == RasEventKind::CrcError));
-    }
-
-    #[test]
-    fn delayed_frames_release_after_their_ticks() {
-        let fabric = reliable_fabric(FaultPlan::new().seed(11).delay_rate(1.0, 2));
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        let done = Counter::new();
-        done.add_expected(16);
-        let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![1u8; 16])));
-        desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
-        assert!(!done.is_complete(), "frame held back by the delay fault");
-        assert!(!fabric.links_idle(0));
-        pump_until_complete(&fabric, &done);
-        assert!(done.is_ok());
-        assert!(fabric.poll_rec(1, rec).is_some());
-        assert!(fabric.links_idle(0));
     }
 
     #[test]

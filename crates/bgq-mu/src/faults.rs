@@ -3,7 +3,7 @@
 //! Real BG/Q links see bit flips and (rarely) outright failures; the
 //! network hardware answers with link-level CRC + retransmit and a RAS
 //! event stream. To exercise that machinery here, a [`FaultPlan`] describes
-//! *what* goes wrong — machine-wide drop/corrupt/delay probabilities and
+//! *what* goes wrong — machine-wide drop/corrupt probabilities and
 //! per-link kill-at-packet-N schedules — and a [`FaultInjector`] compiled
 //! from the plan decides the fate of every frame crossing a link.
 //!
@@ -35,29 +35,19 @@ pub fn link_parts(id: LinkId) -> (u32, Dir) {
 }
 
 /// Fault probabilities, the same on every link. All rates are in `[0, 1]`
-/// and are applied in priority order drop → corrupt → delay on a single
-/// uniform draw.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// and are applied in priority order drop → corrupt on a single uniform
+/// draw.
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct FaultRates {
     /// Probability a frame is silently dropped.
     pub drop: f64,
     /// Probability a frame arrives with a failing CRC.
     pub corrupt: f64,
-    /// Probability a frame is held back for [`FaultRates::delay_ticks`].
-    pub delay: f64,
-    /// How many link-pump ticks a delayed frame waits.
-    pub delay_ticks: u32,
-}
-
-impl Default for FaultRates {
-    fn default() -> Self {
-        FaultRates { drop: 0.0, corrupt: 0.0, delay: 0.0, delay_ticks: 2 }
-    }
 }
 
 impl FaultRates {
     fn is_clean(&self) -> bool {
-        self.drop == 0.0 && self.corrupt == 0.0 && self.delay == 0.0
+        self.drop == 0.0 && self.corrupt == 0.0
     }
 }
 
@@ -138,13 +128,6 @@ impl FaultPlan {
         self
     }
 
-    /// Machine-wide delay probability and per-delay duration in ticks.
-    pub fn delay_rate(mut self, rate: f64, ticks: u32) -> Self {
-        self.default_rates.delay = rate;
-        self.default_rates.delay_ticks = ticks;
-        self
-    }
-
     /// Kill the physical link out of `node` in `dir` when its `nth` frame
     /// crosses (1-based; the frame is lost).
     pub fn kill_link_at(mut self, node: u32, dir: Dir, nth: u64) -> Self {
@@ -178,7 +161,7 @@ impl FaultPlan {
     /// Sanity-check rates and retry constants.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         let r = &self.default_rates;
-        if [r.drop, r.corrupt, r.delay].iter().any(|v| !(0.0..=1.0).contains(v)) {
+        if [r.drop, r.corrupt].iter().any(|v| !(0.0..=1.0).contains(v)) {
             return Err(FaultPlanError::Shape("rates must be within [0, 1]"));
         }
         if self.retry.window == 0 {
@@ -228,8 +211,6 @@ pub enum Fate {
     Drop,
     /// Delivered with a failing CRC (receiver discards it).
     Corrupt,
-    /// Held for this many link-pump ticks, then delivered intact.
-    Delay(u32),
 }
 
 /// Runtime form of a [`FaultPlan`]: kill-schedule crossing counters and
@@ -238,9 +219,8 @@ pub struct FaultInjector {
     plan: FaultPlan,
     /// Links with a kill schedule: kill threshold and crossing counter.
     kills: HashMap<LinkId, (u64, AtomicU64)>,
-    /// Fate thresholds, precomputed: a draw at or above `.0` is `Pass`, at
-    /// or above `.1` is `Pass` or `Delay`.
-    uniform: (f64, f64),
+    /// Fate threshold, precomputed: a draw at or above it is `Pass`.
+    pass_threshold: f64,
 }
 
 impl FaultInjector {
@@ -256,9 +236,8 @@ impl FaultInjector {
             );
             kills.insert(link_id(l.node, l.dir), (l.kill_at, AtomicU64::new(0)));
         }
-        let r = plan.default_rates;
-        let uniform = (r.drop + r.corrupt + r.delay, r.drop + r.corrupt);
-        FaultInjector { plan, kills, uniform }
+        let pass_threshold = plan.default_rates.drop + plan.default_rates.corrupt;
+        FaultInjector { plan, kills, pass_threshold }
     }
 
     /// The plan this injector was compiled from.
@@ -299,11 +278,10 @@ impl FaultInjector {
             * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// The plan's fate thresholds: `draw >= .0` ⇔ `Fate::Pass`;
-    /// `draw >= .1` ⇔ `Pass` or `Delay`.
+    /// The plan's fate threshold: `draw >= pass_threshold()` ⇔ `Fate::Pass`.
     #[inline]
-    pub fn uniform_thresholds(&self) -> (f64, f64) {
-        self.uniform
+    pub fn pass_threshold(&self) -> f64 {
+        self.pass_threshold
     }
 
     /// Decide the fate of frame `seq` crossing `link` on transmission
@@ -318,8 +296,6 @@ impl FaultInjector {
             Fate::Drop
         } else if draw < rates.drop + rates.corrupt {
             Fate::Corrupt
-        } else if draw < rates.drop + rates.corrupt + rates.delay {
-            Fate::Delay(rates.delay_ticks.max(1))
         } else {
             Fate::Pass
         }
@@ -443,7 +419,7 @@ mod tests {
         };
         assert_eq!(FaultPlan::new().validate(), Ok(()), "the empty plan is valid");
         assert!(FaultPlan::new().drop_rate(1.5).validate().is_err(), "rate > 1 rejected");
-        assert!(FaultPlan::new().delay_rate(-0.1, 2).validate().is_err(), "rate < 0 rejected");
+        assert!(FaultPlan::new().corrupt_rate(-0.1).validate().is_err(), "rate < 0 rejected");
         assert!(retry(0, 4, 64).validate().is_err(), "zero window rejected");
         assert!(retry(8, 4, 2).validate().is_err(), "rto_max < rto rejected");
         assert!(retry(8, 0, 2).validate().is_err(), "zero rto rejected");

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod comb;
 pub mod crc;
 pub mod descriptor;
 pub mod fabric;
@@ -46,12 +45,14 @@ pub mod fifo;
 pub mod json;
 pub mod link;
 pub mod packet;
+mod rmw;
 pub mod transport;
 
 pub use batch::{push_record, record_size, BatchRecord, RecordIter};
 pub use bgq_hw::{Counter, DeliveryFault};
-pub use comb::CombCounters;
-pub use descriptor::{Descriptor, FifoHeader, PayloadSource, RmwOp, RmwReply, XferKind};
+pub use descriptor::{
+    Descriptor, FifoHeader, PayloadSource, RmwOp, RmwReply, RmwRequest, XferKind,
+};
 pub use fabric::{MuCounters, MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
 pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, RetryConfig};
 pub use link::{RasCounters, RasEvent, RasEventKind, RasObserver, RasRing};

@@ -61,7 +61,7 @@ use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
 use parking_lot::Mutex;
 
-use crate::descriptor::{Descriptor, FifoHeader, RmwOp, RmwReply};
+use crate::descriptor::{Descriptor, FifoHeader, RmwRequest};
 use crate::faults::{link_id, Fate, FaultInjector};
 use crate::packet::PacketPayload;
 use crate::transport::Transport;
@@ -259,15 +259,7 @@ pub(crate) enum FrameBody {
     /// A remote atomic, applied at the destination on delivery; the prior
     /// value is written to the requester's reply slot. The channel's
     /// duplicate suppression makes a retransmitted rmw apply exactly once.
-    Rmw {
-        win_key: u64,
-        dst_region: MemRegion,
-        dst_offset: usize,
-        op: RmwOp,
-        operand: u64,
-        compare: u64,
-        reply: Option<RmwReply>,
-    },
+    Rmw(RmwRequest),
 }
 
 /// Transmission state of a queued frame (selective repeat tracks this per
@@ -279,8 +271,6 @@ pub(crate) enum FrameState {
     /// Transmitted and lost (dropped, corrupted, or refused by a full
     /// reorder buffer); waiting out the RTO that started at this tick.
     Lost { since: u64 },
-    /// In flight but delayed; deliverable at this tick.
-    Delayed { until: u64 },
     /// Data delivered in order at the receiver, but the cumulative ack was
     /// lost; an RTO-driven probe (the receiver discards the duplicate)
     /// re-elicits it, started at this tick.
@@ -725,11 +715,11 @@ impl Reliability {
     }
 
     /// Whether frames `base..base + n` and their acks all cross the
-    /// deterministic route untouched on the first attempt: each forward
-    /// hop must come up `Pass`, each reverse (ack) hop `Pass` or `Delay` —
-    /// the threshold forms of exactly the `decide` calls the pump would
-    /// make. Kill schedules must count every crossing, so a plan with one
-    /// never passes a peek.
+    /// deterministic route untouched on the first attempt: every forward
+    /// hop and every reverse (ack) hop must come up `Pass` — the threshold
+    /// form of exactly the `decide` calls the pump would make. Kill
+    /// schedules must count every crossing, so a plan with one never
+    /// passes a peek.
     fn dice_pass(&self, ch: &Channel, base: u64, n: u64) -> bool {
         if self.clean {
             return true;
@@ -737,12 +727,12 @@ impl Reliability {
         if self.injector.has_kills() {
             return false;
         }
-        let (pass_thr, ack_thr) = self.injector.uniform_thresholds();
+        let pass = self.injector.pass_threshold();
         let plan = self.fair_plan(ch);
         (base..base + n).all(|seq| {
             let ss = FaultInjector::seq_salt(seq, 0);
-            plan.fwd_salts.iter().all(|&ls| FaultInjector::draw(ls, ss) >= pass_thr)
-                && plan.rev_salts.iter().all(|&ls| FaultInjector::draw(ls, ss) >= ack_thr)
+            let mut hops = plan.fwd_salts.iter().chain(&plan.rev_salts);
+            hops.all(|&ls| FaultInjector::draw(ls, ss) >= pass)
         })
     }
 
@@ -798,9 +788,8 @@ impl Reliability {
     // ---- the channel state machine ----------------------------------------
 
     /// Pump `node`'s channels: transmit queued frames, fire RTO
-    /// retransmissions, release delayed frames. Each call advances the
-    /// node's link-pump tick (the retry protocol's clock). Returns frames
-    /// deposited.
+    /// retransmissions. Each call advances the node's link-pump tick (the
+    /// retry protocol's clock). Returns frames deposited.
     pub(crate) fn pump(&self, node: u32, budget: usize, deposit: Deposit<'_>) -> usize {
         if self.idle(node) {
             return 0;
@@ -859,7 +848,6 @@ impl Reliability {
                     // Parked at the receiver; retires via cumulative ack
                     // when the gap ahead of it fills.
                     FrameState::SackHeld => idx += 1,
-                    FrameState::Delayed { until } if now < until => idx += 1,
                     FrameState::Lost { since } | FrameState::AckWait { since } => {
                         let (rto, retries) = {
                             let f = &tx.queue[idx];
@@ -882,37 +870,31 @@ impl Reliability {
                         f.state = FrameState::Queued;
                         // Same index re-examined: the frame transmits now.
                     }
-                    // A first transmission, or a delayed frame arriving.
-                    FrameState::Queued | FrameState::Delayed { .. } => {
+                    FrameState::Queued => {
                         let Some(route) = self.ensure_route(ch, tx, now) else {
                             return done;
                         };
-                        if state == FrameState::Queued {
-                            sent += 1;
-                            let lost = match self.cross_links(ch, &route, seq, attempt, now) {
-                                (Fate::Pass, _) => None,
-                                (Fate::Delay(n), _) => {
-                                    Some(FrameState::Delayed { until: now + n as u64 })
+                        sent += 1;
+                        let lost = match self.cross_links(ch, &route, seq, attempt, now) {
+                            (Fate::Pass, _) => false,
+                            (Fate::Drop, link_died) => {
+                                self.dropped[ch.src as usize].incr();
+                                self.record(ch, RasEventKind::PacketDropped, now, seq);
+                                if link_died {
+                                    tx.route = None;
                                 }
-                                (Fate::Drop, link_died) => {
-                                    self.dropped[ch.src as usize].incr();
-                                    self.record(ch, RasEventKind::PacketDropped, now, seq);
-                                    if link_died {
-                                        tx.route = None;
-                                    }
-                                    Some(FrameState::Lost { since: now })
-                                }
-                                (Fate::Corrupt, _) => {
-                                    self.ras.crc_errors.incr();
-                                    self.record(ch, RasEventKind::CrcError, now, seq);
-                                    Some(FrameState::Lost { since: now })
-                                }
-                            };
-                            if let Some(state) = lost {
-                                tx.queue[idx].state = state;
-                                idx += 1;
-                                continue;
+                                true
                             }
+                            (Fate::Corrupt, _) => {
+                                self.ras.crc_errors.incr();
+                                self.record(ch, RasEventKind::CrcError, now, seq);
+                                true
+                            }
+                        };
+                        if lost {
+                            tx.queue[idx].state = FrameState::Lost { since: now };
+                            idx += 1;
+                            continue;
                         }
                         let ack = self.ack_crosses(ch, &route, seq, attempt);
                         match self.arrival(ch, tx, idx, seq, now, ack, &mut done, deposit) {
@@ -1054,7 +1036,7 @@ impl Reliability {
             }
             let frame = tx.queue.pop_front().expect("front exists");
             // The frame's data was delivered (its seq is behind the
-            // receive cursor) even if a probe left it Lost/Delayed/Queued;
+            // receive cursor) even if a probe left it Lost/Queued;
             // only SackHeld bodies are still undelivered, and those sit
             // above the cursor by construction.
             debug_assert!(
@@ -1183,13 +1165,9 @@ impl Reliability {
     fn ack_crosses(&self, ch: &Channel, route: &RoutePlan, seq: u64, attempt: u32) -> bool {
         if !self.clean {
             for &lid in &route.rev_lids {
-                match self.injector.decide(lid, seq, attempt) {
-                    // A delayed ack still arrives — only loss (drop or
-                    // corruption) forces the sender to probe. Modeled as
-                    // on-time because the in-process protocol has no
-                    // reverse-path event queue to defer it on.
-                    Fate::Pass | Fate::Delay(_) => {}
-                    Fate::Drop | Fate::Corrupt => return false,
+                // Loss of either kind forces the sender to probe.
+                if self.injector.decide(lid, seq, attempt) != Fate::Pass {
+                    return false;
                 }
             }
         }

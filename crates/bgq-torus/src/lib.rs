@@ -33,7 +33,7 @@ pub mod trees;
 pub use coords::{Coords, Dim, Dir, TorusShape, ALL_DIMS, NUM_DIMS, NUM_DIRS};
 pub use packet::{PacketHeader, Routing, HEADER_BYTES, MAX_PAYLOAD_BYTES, PAYLOAD_GRANULE};
 pub use rect::Rectangle;
-pub use route::{det_route, first_hop_class, healthy_route, hop_distance, next_hop, LinkHealth};
+pub use route::{det_route, first_hop_class, healthy_route, hop_distance, LinkHealth};
 pub use trees::{SpanningTree, TreeKind};
 
 /// Raw per-direction link bandwidth, bytes/second (2 GB/s).

@@ -31,9 +31,8 @@ pub fn det_route(shape: TorusShape, src: Coords, dst: Coords) -> Vec<Dir> {
 }
 
 /// The first hop of the deterministic route from `src` to `dst`, and the
-/// node it lands on — `None` when already at the destination. Hop-by-hop
-/// forwarders (the fabric's combining overlay moves coalesced atomics one
-/// hop per pump) use this instead of materializing the whole route.
+/// node it lands on — `None` when already at the destination — without
+/// materializing the whole route.
 pub fn next_hop(shape: TorusShape, src: Coords, dst: Coords) -> Option<(Dir, Coords)> {
     for dim in ALL_DIMS {
         let delta = shape.min_delta(src, dst, dim);
@@ -371,6 +370,20 @@ mod tests {
         let minus = first_hop_class(shape, Coords([0; 5]), Coords([3, 0, 0, 0, 0]));
         assert_eq!(plus, plus_far);
         assert_ne!(plus, minus);
+    }
+
+    #[test]
+    fn next_hop_walks_to_root() {
+        let s = TorusShape::new([4, 2, 2, 1, 1]);
+        let mut at = Coords([3, 1, 1, 0, 0]);
+        let root = Coords([0; 5]);
+        let mut hops = 0;
+        while let Some((_, next)) = next_hop(s, at, root) {
+            at = next;
+            hops += 1;
+            assert!(hops <= 10);
+        }
+        assert_eq!(at, root);
     }
 
     #[test]

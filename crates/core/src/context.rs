@@ -56,6 +56,16 @@ fn on_commthread() -> bool {
     IS_COMMTHREAD.with(|c| c.get())
 }
 
+/// Refuse a one-sided access that would run past its region, at initiation:
+/// queued, it would panic inside whichever thread pumped the descriptor.
+fn within(region: &MemRegion, offset: usize, len: usize) -> PamiResult<()> {
+    if region.contains(offset, len) {
+        Ok(())
+    } else {
+        Err(PamiError::Invalid("one-sided access outside its window"))
+    }
+}
+
 /// Completion callback invoked on the advancing thread. The result is the
 /// transfer's delivery outcome — `Ok(())` on success, `Err` when the
 /// reliability layer failed the transfer (retry budget exhausted,
@@ -652,13 +662,15 @@ impl Context {
     /// read; the window's own counter fires on the target as bytes land.
     ///
     /// # Errors
-    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve.
+    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
+    /// [`PamiError::Invalid`] when the payload would run past its end.
     pub fn put(&self, args: crate::proto::PutArgs) -> PamiResult<()> {
         let crate::proto::PutArgs { dest_task, window, payload, local_done } = args;
         let dest_task = self.machine.resolve_task(dest_task);
         self.probes.puts.incr_pinned(self.offset as usize);
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
+        within(&win.region, window.offset, payload.len())?;
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
             dst_context: 0,
@@ -681,13 +693,17 @@ impl Context {
     /// empty) when the data has landed locally.
     ///
     /// # Errors
-    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve.
+    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
+    /// [`PamiError::Invalid`] when `len` bytes would run past the end of
+    /// the window or of `args.dst`.
     pub fn get(&self, args: crate::proto::GetArgs) -> PamiResult<()> {
         let crate::proto::GetArgs { dest_task, window, dst, len, done } = args;
         let dest_task = self.machine.resolve_task(dest_task);
         self.probes.gets.incr_pinned(self.offset as usize);
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
+        within(&win.region, window.offset, len)?;
+        within(&dst.region, dst.offset, len)?;
         let put_back = Descriptor {
             dst_node: self.node,
             dst_context: self.offset,
@@ -719,16 +735,13 @@ impl Context {
     /// another task's node. The operation applies atomically at the
     /// target; the prior value is written to `args.result` (when given)
     /// and `args.done` fires by [`Descriptor::ZERO_LEN_CREDIT`] once both
-    /// are in place.
-    ///
-    /// With [`crate::MachineBuilder::combining`] enabled, fetch-adds to
-    /// the same (window, offset) coalesce at every torus hop on the way to
-    /// the target — N hot-key requesters reach the root as O(log N)
-    /// combined packets, and each still observes a prior value consistent
-    /// with some serial order (the overlay decombines by prefix sum).
+    /// are in place. The word is atomic as memory: two windows over one
+    /// region name the same words.
     ///
     /// # Errors
-    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve.
+    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
+    /// [`PamiError::Invalid`] when the 8-byte word would run past the end
+    /// of the window or of `args.result`.
     pub fn rmw(&self, args: crate::proto::RmwArgs) -> PamiResult<()> {
         let crate::proto::RmwArgs { dest_task, window, op, operand, compare, result, done } =
             args;
@@ -736,21 +749,24 @@ impl Context {
         self.probes.rmws.incr_pinned(self.offset as usize);
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
+        within(&win.region, window.offset, 8)?;
+        if let Some(slot) = &result {
+            within(&slot.region, slot.offset, 8)?;
+        }
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
             dst_context: 0,
             src_context: self.offset,
             routing: bgq_torus::Routing::Deterministic,
             payload: PayloadSource::Immediate(Bytes::new()),
-            kind: XferKind::Rmw {
-                win_key: window.key.0,
+            kind: XferKind::Rmw(bgq_mu::RmwRequest {
                 dst_region: win.region,
                 dst_offset: window.offset,
                 op,
                 operand,
                 compare,
                 reply: result.map(|s| bgq_mu::RmwReply { region: s.region, offset: s.offset }),
-            },
+            }),
             inj_counter: done,
         };
         self.inject_to(dest_task, desc);
@@ -1172,11 +1188,11 @@ impl Context {
         }
         // 3. Service the node's system FIFO (remote gets targeting any
         //    context on this node) and, under a fault plan, the node's
-        //    link channels (retransmit timers, delayed frames); one
-        //    context at a time. Gated on observable work so the common
-        //    (no remote gets, no faults) case costs two lock-free
-        //    emptiness probes, not a try_lock RMW on a mutex cacheline
-        //    shared by every context on the node.
+        //    link channels (retransmit timers); one context at a time.
+        //    Gated on observable work so the common (no remote gets, no
+        //    faults) case costs two lock-free emptiness probes, not a
+        //    try_lock RMW on a mutex cacheline shared by every context on
+        //    the node.
         if !self.sys_fifo.queue.is_empty() || !self.machine.fabric().links_idle(self.node) {
             if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
                 events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);

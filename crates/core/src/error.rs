@@ -6,9 +6,11 @@
 //! argument of `pami_event_function`. The simulation mirrors both halves:
 //!
 //! * **Initiation errors** — bad arguments, unknown endpoints/windows,
-//!   over-long immediates — return `Err(PamiError)` from the initiating
-//!   call ([`crate::Context::send`], [`crate::Context::send_immediate`],
-//!   [`crate::Context::put`], [`crate::Context::get`]) without touching
+//!   over-long immediates, a one-sided access that would run past the end
+//!   of its window or of its local slot — return `Err(PamiError)` from the
+//!   initiating call ([`crate::Context::send`],
+//!   [`crate::Context::send_immediate`], [`crate::Context::put`],
+//!   [`crate::Context::get`], [`crate::Context::rmw`]) without touching
 //!   the network.
 //! * **Delivery errors** — a reliability-layer channel dying after its
 //!   retry budget, an unreachable destination after link failures — fail
@@ -28,8 +30,8 @@ use bgq_hw::DeliveryFault;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PamiError {
     /// `PAMI_INVAL`: an argument violates the call's contract in a way a
-    /// correct program may probe for (reserved dispatch id, zero-length
-    /// window, …).
+    /// correct program may probe for (reserved dispatch id, a one-sided
+    /// offset outside its window, …).
     Invalid(&'static str),
     /// The payload exceeds what the operation can carry (`send_immediate`
     /// beyond one packet). Callers fall back to [`crate::Context::send`].

@@ -101,7 +101,7 @@ pub use topology::Topology;
 pub use bgq_collnet::{CollOp, DataType};
 pub use bgq_hw::{Counter, DeliveryFault, MemRegion};
 pub use bgq_mu::{
-    CombCounters, FaultPlan, FaultRates, LinkFault, PayloadSource,
-    RasCounters, RasEvent, RasEventKind, RetryConfig, RmwOp,
+    FaultPlan, FaultRates, LinkFault, PayloadSource, RasCounters, RasEvent, RasEventKind,
+    RetryConfig, RmwOp,
 };
 pub use bgq_torus::TorusShape;

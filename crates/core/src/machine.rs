@@ -214,7 +214,6 @@ pub struct MachineBuilder {
     fault_plan: Option<FaultPlan>,
     transport: Option<Arc<dyn bgq_mu::Transport>>,
     telemetry: Option<Upc>,
-    combining: bool,
     aggregation: Option<AggrConfig>,
 }
 
@@ -291,17 +290,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Enable in-network combining of hot-key fetch-adds (default off):
-    /// [`crate::Context::rmw`] fetch-adds to the same (window, offset)
-    /// coalesce at every torus hop toward the target, which applies the
-    /// combined addend once and decombines the prior values by prefix sum.
-    /// Off, every rmw is its own packet — the A/B control the hotspot
-    /// bench compares against.
-    pub fn combining(mut self, on: bool) -> Self {
-        self.combining = on;
-        self
-    }
-
     /// Enable destination-aware small-message aggregation (`pami::aggr`,
     /// default off): sends the ladder routes to [`crate::Protocol::Aggregated`]
     /// append into per-destination coalescing buckets and travel as
@@ -371,9 +359,6 @@ impl MachineBuilder {
         }
         if let Some(transport) = self.transport {
             fabric_builder = fabric_builder.transport(transport);
-        }
-        if self.combining {
-            fabric_builder = fabric_builder.combining(true);
         }
         let fabric = fabric_builder.build();
         let tasks = nodes * self.ppn;
@@ -515,7 +500,6 @@ impl Machine {
             fault_plan: None,
             transport: None,
             telemetry: None,
-            combining: false,
             aggregation: None,
         }
     }
@@ -810,12 +794,6 @@ impl Machine {
     /// Destroy a window.
     pub fn destroy_window(&self, key: MemKey) -> bool {
         self.windows.lock().remove(&key.0).is_some()
-    }
-
-    /// Whether the fabric's in-network combining overlay is enabled
-    /// ([`MachineBuilder::combining`]).
-    pub fn combining_enabled(&self) -> bool {
-        self.fabric.combining_enabled()
     }
 
     pub(crate) fn rzv_register(&self, payload: PayloadSource, local_done: Option<Counter>) -> u64 {

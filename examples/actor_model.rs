@@ -33,9 +33,7 @@ fn chare_task(id: u64) -> u32 {
 }
 
 fn main() {
-    // Combining on: the hot-key phase below funnels every task's fetch-add
-    // through the in-network combining overlay.
-    let machine = Machine::with_nodes(TASKS).combining(true).build();
+    let machine = Machine::with_nodes(TASKS).build();
     let total_chares = (TASKS * CHARES_PER_TASK) as u64;
     let done = Arc::new(AtomicU64::new(0));
     let done2 = Arc::clone(&done);
@@ -152,8 +150,8 @@ fn main() {
 
     let token = done.load(Ordering::Acquire);
     assert_eq!(token, LAPS * total_chares);
-    // Every ticket 0..TASKS was drawn exactly once — the combined
-    // fetch-adds linearized.
+    // Every ticket 0..TASKS was drawn exactly once — the fetch-adds
+    // linearized.
     assert_eq!(tickets.load(Ordering::SeqCst), (1u64 << TASKS) - 1);
     println!("actor_model OK: token made {LAPS} laps over {total_chares} chares (final value {token})");
 }
