@@ -2,9 +2,11 @@
 //!
 //! `chaos --soak [runs] [msgs]` is the nightly mode: it draws fresh fault
 //! seeds from the wall clock, runs each hostile plan under a wall-clock
-//! bound — a point-to-point flood plus a kill-a-node failover drill per
-//! seed — and **never fails the job**: a seed that hangs, panics, loses a
-//! message across the failover, or exhausts its retry budget is instead
+//! bound — a point-to-point flood of mixed short, eager and rendezvous
+//! messages plus a kill-a-node failover drill per seed — and **never fails
+//! the job**: a seed that hangs, panics, delivers a flood message twice or
+//! out of order, loses a message across the failover, or exhausts its
+//! retry budget is instead
 //! appended to `ci/chaos_regression_seeds.jsonl` (one JSON object per
 //! line, tagged with its scenario) so it is archived as a deterministic
 //! regression fixture. `chaos --replay [msgs]` re-runs every archived seed
@@ -36,14 +38,16 @@ fn soak_plan(seed: u64) -> FaultPlan {
 
 /// Run one hostile seed on its own thread with a wall-clock bound, so a
 /// delivery bug that wedges the flood loop (the failure mode worth
-/// archiving) cannot wedge the soak.
+/// archiving) cannot wedge the soak. A message delivered twice, out of
+/// order or with another message's bytes fails the seed too.
 fn bounded_run(seed: u64, msgs: usize, timeout: Duration) -> Result<ChaosStats, &'static str> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(measure_chaos_rate(soak_plan(seed), msgs));
     });
     match rx.recv_timeout(timeout) {
-        Ok(stats) => Ok(stats),
+        Ok(stats) if stats.violations == 0 => Ok(stats),
+        Ok(_) => Err("violation: a message duplicated, reordered, corrupted or failed"),
         Err(RecvTimeoutError::Timeout) => Err("timeout: delivery never completed"),
         Err(RecvTimeoutError::Disconnected) => Err("panic: run aborted"),
     }

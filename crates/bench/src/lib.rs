@@ -811,51 +811,115 @@ pub struct ChaosStats {
     pub retransmits: u64,
     /// `ras.crc_errors` after the run.
     pub crc_errors: u64,
+    /// Messages that broke the stream's contract — dispatched out of send
+    /// order, more than once, with another message's bytes, or failed with
+    /// a delivery fault. The contract is 0.
+    pub violations: u64,
 }
 
-/// Single-context flood 0 → 1 (8-byte messages, receives handled by a
-/// counting dispatch) over a machine with `plan` installed. The loop ends
-/// only when every message has arrived; the returned RAS counters record
-/// how hostile the plan actually was.
+/// Message `i` of the chaos stream is `CHAOS_SIZES[i % 3]` bytes: an 8 B
+/// short-tier send, a 2 KiB eager send of four frames from a region under
+/// a local completion counter, and a 16 KiB rendezvous whose put-back is
+/// 32 frames — so under a lossy plan messages are split between frames
+/// that cross at once and frames that queue.
+const CHAOS_SIZES: [usize; 3] = [8, 2048, 16 * 1024];
+
+/// Chaos-stream messages in flight at once (bounds the buffers).
+const CHAOS_WINDOW: u64 = 64;
+
+/// Single-context flood 0 → 1 of the mixed chaos stream over a machine
+/// with `plan` installed. Every message carries its sequence number in its
+/// first and last eight bytes, and the receiver checks it against the
+/// order in which messages were dispatched, so a duplicate, an overtake or
+/// a tail from another message is a violation. A lost message keeps the
+/// loop from ending, which the soak's wall-clock bound reports. The loop
+/// ends when every message has arrived and the region sends' local
+/// completion has fired (or failed); the returned RAS counters record how
+/// hostile the plan actually was.
 pub fn measure_chaos_rate(plan: pami::FaultPlan, msgs: usize) -> ChaosStats {
     let machine = Machine::with_nodes(2).fault_plan(plan).build();
     let sender = Client::create(&machine, 0, "chaos", 1);
     let receiver = Client::create(&machine, 1, "chaos", 1);
-    let got = Arc::new(AtomicU64::new(0));
+    let [dispatched, arrived, violations] = [0; 3].map(|_| Arc::new(AtomicU64::new(0)));
     {
-        let got = Arc::clone(&got);
+        let (dispatched, arrived, violations) =
+            (Arc::clone(&dispatched), Arc::clone(&arrived), Arc::clone(&violations));
         receiver.context(0).set_dispatch(
             1,
-            Arc::new(move |_: &Context, _msg, _first| {
-                got.fetch_add(1, Ordering::Relaxed);
-                Recv::Done
+            Arc::new(move |_: &Context, msg, first| {
+                let seq = dispatched.fetch_add(1, Ordering::Relaxed);
+                let len = CHAOS_SIZES[seq as usize % CHAOS_SIZES.len()];
+                let (arrived, violations) = (Arc::clone(&arrived), Arc::clone(&violations));
+                // One arrival of message `seq`: its bytes, and whether its
+                // delivery succeeded.
+                let check = move |bytes: &[u8], delivered: bool| {
+                    let mark = seq.to_le_bytes();
+                    let ok = delivered && bytes.len() == len;
+                    let ok = ok && bytes[..8] == mark && bytes[len - 8..] == mark;
+                    violations.fetch_add(!ok as u64, Ordering::Relaxed);
+                    arrived.fetch_add(1, Ordering::Relaxed);
+                };
+                if first.len() as u64 == msg.len {
+                    check(first, true);
+                    return Recv::Done;
+                }
+                let region = MemRegion::zeroed(msg.len as usize);
+                let sink = region.clone();
+                let on_complete = move |_: &Context, result: pami::PamiResult<()>| {
+                    check(&sink.to_vec(), result.is_ok())
+                };
+                Recv::Into { region, offset: 0, on_complete: Box::new(on_complete) }
             }),
         );
     }
-    let start = Instant::now();
-    for i in 0..msgs {
-        sender
-            .context(0)
-            .send(SendArgs {
-                dest: Endpoint::of_task(1),
-                dispatch: 1,
-                metadata: Vec::new(),
-                payload: PayloadSource::Immediate(bytes::Bytes::from_static(&[0u8; 8])),
-                local_done: None,
-            })
-            .unwrap();
-        if i % 16 == 0 {
-            sender.context(0).advance();
-            receiver.context(0).advance();
-        }
-    }
-    while got.load(Ordering::Relaxed) < msgs as u64 {
+    let advance = || {
         sender.context(0).advance();
         receiver.context(0).advance();
+    };
+    // The local completion of every region send.
+    let done = pami::Counter::new();
+    let start = Instant::now();
+    for i in 0..msgs {
+        while i as u64 >= arrived.load(Ordering::Relaxed) + CHAOS_WINDOW && done.fault().is_none()
+        {
+            advance();
+        }
+        let len = CHAOS_SIZES[i % CHAOS_SIZES.len()];
+        let mut body = vec![0u8; len];
+        body[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        body.copy_within(..8, len - 8);
+        let (payload, local_done) = if len == CHAOS_SIZES[0] {
+            (PayloadSource::Immediate(body.into()), None)
+        } else {
+            done.add_expected(len as u64);
+            let region = MemRegion::from_vec(body);
+            (PayloadSource::Region { region, offset: 0, len }, Some(done.clone()))
+        };
+        let dest = Endpoint::of_task(1);
+        let args = SendArgs { dest, dispatch: 1, metadata: Vec::new(), payload, local_done };
+        sender.context(0).send(args).unwrap();
+        if i % 16 == 0 {
+            advance();
+        }
+    }
+    while (arrived.load(Ordering::Relaxed) < msgs as u64 || !done.is_complete())
+        && done.fault().is_none()
+    {
+        advance();
     }
     let rate = msgs as f64 / start.elapsed().as_secs_f64();
+    // A duplicate would turn up in these sweeps.
+    for _ in 0..64 {
+        advance();
+    }
+    let surplus = dispatched.load(Ordering::Relaxed).saturating_sub(msgs as u64);
     let ras = machine.fabric().ras_counters();
-    ChaosStats { rate, retransmits: ras.retransmits.value(), crc_errors: ras.crc_errors.value() }
+    ChaosStats {
+        rate,
+        retransmits: ras.retransmits.value(),
+        crc_errors: ras.crc_errors.value(),
+        violations: violations.load(Ordering::Relaxed) + surplus + done.fault().is_some() as u64,
+    }
 }
 
 /// What the kill-a-node failover drill observed.

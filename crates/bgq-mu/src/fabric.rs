@@ -28,20 +28,22 @@
 //!    literal, the only CRC stamp), one sampled `mu.*` accounting site
 //!  2 only under a fault plan, only between distinct nodes: one call,
 //!    `link::Reliability::admit`, draws the channel sequence numbers and
-//!    returns `Through` (carry on to 3 on this thread) or `Queue` (the
-//!    frames join the selective-repeat queue in `link.rs`, which calls
-//!    back into `deliver_body` → 3 as each one crosses)
-//!  3 `deposit()`: the installed `Transport` if any, else straight into
-//!    the reception FIFO (`deliver` for one packet, `deliver_batch` for a
-//!    train — a property of the data, never of the tier)
-//!  4 the injection counter is credited here for lossless / `Through`
-//!    messages, by `link.rs`'s cumulative ack for queued frames
+//!    says how many packets, from the first, pass every die: those go on
+//!    to 3 on this thread, the rest join the selective-repeat queue in
+//!    `link.rs`, which calls back into `deliver_body` → 3 as each crosses
+//!  3 `deposit()`, once for the packets that went through: the installed
+//!    `Transport` if any, else straight into the reception FIFO (`deliver`
+//!    for one packet, `deliver_batch` for a train — a property of the
+//!    data, never of the tier)
+//!  4 the injection counter is credited here for packets that went
+//!    through, by `link.rs`'s cumulative ack for queued ones
 //! ```
 //!
 //! One-sided descriptors (direct put, remote get, rmw) never touch a
-//! reception FIFO; they share stage 2 (same `admit`, same two outcomes)
-//! and `deliver_body`, which applies them to destination memory — an rmw
-//! under the striped lock of the word it names, its only path.
+//! reception FIFO; they share stage 2 (same `admit`, same split) and
+//! `deliver_body`, which applies them to destination memory — a put's
+//! passing windows as one copy, an rmw under the striped lock of the word
+//! it names, its only path.
 //!
 //! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), lost
 //! frames retransmit with exponential backoff under
@@ -65,7 +67,7 @@ use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
     INJ_FIFOS_PER_NODE, REC_FIFOS_PER_NODE,
 };
-use crate::link::{Admit, Channel, FrameBody, RasCounters, RasEvent, RasRing, Reliability};
+use crate::link::{Channel, FrameBody, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
 use crate::rmw::RmwLocks;
 use crate::transport::Transport;
@@ -555,39 +557,48 @@ impl MuFabric {
         }
         let mut frags = fragments(payload, stage);
 
-        // 2. Reliability (only under a fault plan, only across a link).
+        // 2. Reliability (only under a fault plan, only across a link):
+        // the packets ahead of the first failing die go through.
         let channel = self.reliable_channel(src_node, hdr.dst_node);
-        let base_seq = match channel {
-            None => None,
-            Some((rel, ch)) => match rel.admit(ch, npackets) {
-                Admit::Through { base_seq } => Some(base_seq),
-                Admit::Queue { base_seq } => {
-                    let bodies = frags.map(|(offset, payload)| {
-                        let credit = if msg_len == 0 { total_credit } else { payload.len() as u64 };
-                        let hdr = hdr.clone();
-                        (credit, FrameBody::Packet { hdr, msg_id, msg_len, offset, payload })
-                    });
-                    rel.enqueue(ch, base_seq, inj_counter, bodies, &self.frame_deposit());
-                    return;
-                }
-            },
-        };
+        let admit = channel.map(|(rel, ch)| rel.admit(ch, npackets));
+        let through = admit.map_or(npackets, |a| a.through);
 
         // 3. Transport + deposit. The last packet takes the header itself;
         // earlier ones clone it (a refcount bump on the metadata).
         let (dst_node, rec_fifo) = (hdr.dst_node, hdr.rec_fifo);
         let mut hdr = Some(hdr);
-        self.deposit(src_node, dst_node, rec_fifo, npackets, |i| {
-            let (offset, payload) = frags.next().expect("one fragment per packet");
-            let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
-            let hdr = hdr.expect("the header outlives its packets");
-            self.packet_of(hdr, src_node, msg_id, msg_len, offset, payload, base_seq.map(|b| b + i))
-        });
+        if through > 0 {
+            self.deposit(src_node, dst_node, rec_fifo, through, |i| {
+                let (offset, payload) = frags.next().expect("one fragment per packet");
+                let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
+                let hdr = hdr.expect("the header outlives its packets");
+                let seq = admit.map(|a| a.base_seq + i);
+                self.packet_of(hdr, src_node, msg_id, msg_len, offset, payload, seq)
+            });
+        }
 
         // 4. Completion: the source buffer is no longer referenced.
-        if let Some(c) = inj_counter {
-            c.delivered(total_credit);
+        if through == npackets {
+            if let Some(c) = inj_counter {
+                c.delivered(total_credit);
+            }
+            return;
         }
+        // The packets from the first failing die on join the retransmit
+        // queue and are credited as their acks arrive; the full packets
+        // ahead of them are credited now.
+        let (Some((rel, ch)), Some(admit), Some(hdr)) = (channel, admit, hdr) else {
+            unreachable!("only a reliable channel holds packets back");
+        };
+        if let Some(c) = &inj_counter {
+            c.delivered(through * MAX_PAYLOAD_BYTES as u64);
+        }
+        let bodies = frags.map(move |(offset, payload)| {
+            let credit = if msg_len == 0 { total_credit } else { payload.len() as u64 };
+            let hdr = hdr.clone();
+            (credit, FrameBody::Packet { hdr, msg_id, msg_len, offset, payload })
+        });
+        rel.enqueue(ch, admit.base_seq + through, inj_counter, bodies, &self.frame_deposit());
     }
 
     /// Build one packet and stamp its CRC — the only `MuPacket` literal
@@ -651,7 +662,9 @@ impl MuFabric {
     }
 
     /// A direct put, remote get or rmw: no reception FIFO, but the same
-    /// reliability stage — one `admit`, the same two outcomes.
+    /// reliability stage — one `admit`, whose passing prefix lands as one
+    /// delivery action (a put as a single copy, however many windows it
+    /// spans).
     fn deliver_one_sided(
         &self,
         src_node: u32,
@@ -661,50 +674,61 @@ impl MuFabric {
         inj_counter: Option<bgq_hw::Counter>,
         total_credit: u64,
     ) {
-        let Some((rel, ch)) = self.reliable_channel(src_node, dst_node) else {
-            // Lossless: the whole transfer is one delivery action, applied
-            // now (a put is a single copy).
+        // Frame: a put crosses a faulty link as ≤512-byte windows, each its
+        // own unit of loss and retransmission; a get or an atomic is one
+        // frame (the channel's sequence dedup gives a retransmitted atomic
+        // exactly-once application for free).
+        let channel = self.reliable_channel(src_node, dst_node);
+        let frames = match kind {
+            XferKind::DirectPut { .. } => packets_for(payload.len()) as u64,
+            _ => 1,
+        };
+        let admit = channel.map(|(rel, ch)| rel.admit(ch, frames));
+        let through = admit.map_or(frames, |a| a.through);
+        if through == frames {
             self.deliver_body(src_node, dst_node, 0, total_credit, &whole_body(kind, payload));
             if let Some(c) = inj_counter {
                 c.delivered(total_credit);
             }
             return;
+        }
+        let (Some((rel, ch)), Some(admit)) = (channel, admit) else {
+            unreachable!("only a reliable channel holds frames back");
         };
-        // Frame: a put crosses a faulty link as ≤512-byte windows, each its
-        // own unit of loss and retransmission; a get or an atomic is one
-        // frame (the channel's sequence dedup gives a retransmitted atomic
-        // exactly-once application for free).
-        let bodies: Vec<(u64, FrameBody)> = match kind {
-            XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
-                let empty = payload.is_empty();
-                fragments(payload, false)
-                    .map(|(offset, payload)| {
-                        let credit = if empty { total_credit } else { payload.len() as u64 };
-                        let put = FrameBody::Put {
-                            dst_region: dst_region.clone(),
-                            dst_offset: dst_offset + offset as usize,
-                            payload,
-                            rec_counter: rec_counter.clone(),
-                        };
-                        (credit, put)
-                    })
-                    .collect()
-            }
-            kind => vec![(total_credit, whole_body(kind, payload))],
+        let first_seq = admit.base_seq + through;
+        let XferKind::DirectPut { dst_region, dst_offset, rec_counter } = kind else {
+            let body = std::iter::once((total_credit, whole_body(kind, payload)));
+            rel.enqueue(ch, first_seq, inj_counter, body, &self.frame_deposit());
+            return;
         };
-        match rel.admit(ch, bodies.len() as u64) {
-            Admit::Through { base_seq } => {
-                for ((credit, body), seq) in bodies.iter().zip(base_seq..) {
-                    self.deliver_body(src_node, dst_node, seq, *credit, body);
-                }
-                if let Some(c) = inj_counter {
-                    c.delivered(total_credit);
-                }
-            }
-            Admit::Queue { base_seq } => {
-                rel.enqueue(ch, base_seq, inj_counter, bodies.into_iter(), &self.frame_deposit())
+        // The windows ahead of the first failing die land now, as one; the
+        // rest queue.
+        let at = through as usize * MAX_PAYLOAD_BYTES;
+        let (head, tail) = split_payload(payload, at);
+        if at > 0 {
+            let put = FrameBody::Put {
+                dst_region: dst_region.clone(),
+                dst_offset,
+                payload: head,
+                rec_counter: rec_counter.clone(),
+            };
+            self.deliver_body(src_node, dst_node, admit.base_seq, at as u64, &put);
+            if let Some(c) = &inj_counter {
+                c.delivered(at as u64);
             }
         }
+        let empty = tail.is_empty();
+        let windows = fragments(tail, false).map(move |(offset, payload)| {
+            let credit = if empty { total_credit } else { payload.len() as u64 };
+            let put = FrameBody::Put {
+                dst_region: dst_region.clone(),
+                dst_offset: dst_offset + at + offset as usize,
+                payload,
+                rec_counter: rec_counter.clone(),
+            };
+            (credit, put)
+        });
+        rel.enqueue(ch, first_seq, inj_counter, windows, &self.frame_deposit());
     }
 
     /// [`MuFabric::deliver_body`] as the deposit closure `link.rs` is handed.
@@ -831,6 +855,20 @@ fn whole_body(kind: XferKind, payload: PayloadSource) -> FrameBody {
         XferKind::RemoteGet { payload: desc } => FrameBody::Get { desc },
         XferKind::Rmw(req) => FrameBody::Rmw(req),
         XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take deliver_message"),
+    }
+}
+
+/// A payload cut at byte `at`: the window before it (zero-copy) and the
+/// payload from it on.
+fn split_payload(payload: PayloadSource, at: usize) -> (PacketPayload, PayloadSource) {
+    match payload {
+        PayloadSource::Immediate(data) => {
+            (PacketPayload::Inline(data.slice(..at)), PayloadSource::Immediate(data.slice(at..)))
+        }
+        PayloadSource::Region { region, offset, len } => (
+            PacketPayload::Region { region: region.clone(), offset, len: at },
+            PayloadSource::Region { region, offset: offset + at, len: len - at },
+        ),
     }
 }
 
@@ -1652,6 +1690,113 @@ mod tests {
             assert_eq!(p.link_seq, i as u64, "queued or not, one sequence space");
         }
         assert!(fabric.poll_rec(1, rec).is_none());
+    }
+
+    /// A hostile plan whose first failing die among the first `n` frames of
+    /// the 0 → 1 channel is a data die of frame `k`, `2 ≤ k < n`: the
+    /// earliest seed from 1 up, and its `k`. One frame per pump visit, so a
+    /// call returns having transmitted exactly one queued frame.
+    fn plan_losing_frame(n: u64) -> (FaultPlan, u64) {
+        let shape = TorusShape::new([2, 2, 1, 1, 1]);
+        let (src, dst) = (shape.coords_of(0), shape.coords_of(1));
+        let route = bgq_torus::det_route(shape, src, dst);
+        assert_eq!(route.len(), 1, "nodes 0 and 1 are torus neighbors");
+        let fwd = crate::faults::link_id(0, route[0]);
+        let rev = crate::faults::link_id(1, route[0].reverse());
+        let retry = RetryConfig { window: 1, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 64 };
+        (1..)
+            .find_map(|seed| {
+                let plan = FaultPlan::new().seed(seed).drop_rate(0.05).corrupt_rate(0.05);
+                let dice = FaultInjector::new(plan.clone(), shape);
+                let lost = |lid, seq| dice.decide(lid, seq, 0) != crate::faults::Fate::Pass;
+                let k = (0..n).find(|&seq| lost(fwd, seq) || lost(rev, seq))?;
+                (k >= 2 && lost(fwd, k)).then(|| (plan.retry(retry), k))
+            })
+            .expect("some seed splits the message")
+    }
+
+    /// Frames queued on the 0 → 1 channel.
+    fn queued(fabric: &MuFabric) -> usize {
+        let rel = fabric.inner.reliability.as_ref().expect("a fault plan");
+        rel.channel(0, 1).tx.lock().queue.len()
+    }
+
+    #[test]
+    fn split_message_delivers_the_prefix_now_and_queues_the_tail() {
+        // A 2 KiB eager message: packets 0..k are deposited, as one train,
+        // before `execute_now` returns; packets k..4 wait for the pump.
+        const LEN: usize = 2048;
+        let (plan, k) = plan_losing_frame(4);
+        let fabric = reliable_fabric(plan);
+        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+        let done = Counter::new();
+        done.add_expected(LEN as u64);
+        let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(data.clone())));
+        desc.inj_counter = Some(done.clone());
+        fabric.execute_now(0, desc);
+        let tail = LEN as u64 - k * 512;
+        assert_eq!(done.outstanding(), tail, "the prefix is credited once, on return");
+        assert_eq!(queued(&fabric), 4 - k as usize);
+        let out = MemRegion::zeroed(LEN);
+        let mut seqs = Vec::new();
+        let drain = |seqs: &mut Vec<u64>| {
+            while let Some(p) = fabric.poll_rec(1, rec) {
+                assert!(p.verify_crc());
+                p.payload.deposit(&out, p.offset as usize);
+                seqs.push(p.link_seq);
+            }
+        };
+        drain(&mut seqs);
+        assert_eq!(seqs, (0..k).collect::<Vec<_>>(), "exactly the prefix, in order");
+        pump_until_complete(&fabric, &done);
+        drain(&mut seqs);
+        assert!(done.is_ok() && done.outstanding() == 0, "credited exactly the full length");
+        assert_eq!(seqs, (0..4).collect::<Vec<_>>(), "every packet once, in order");
+        assert_eq!(out.to_vec(), data);
+
+        // A 16 KiB put: the windows ahead of frame k land as one copy, the
+        // other 32 − k queue.
+        const PUT: usize = 16 * 1024;
+        let (plan, k) = plan_losing_frame(32);
+        let fabric = reliable_fabric(plan);
+        let src = MemRegion::from_vec((0..PUT).map(|i| (i % 253) as u8).collect());
+        let dst = MemRegion::zeroed(PUT);
+        let (inj, recd) = (Counter::new(), Counter::new());
+        inj.add_expected(PUT as u64);
+        recd.add_expected(PUT as u64);
+        fabric.execute_now(
+            0,
+            Descriptor {
+                dst_node: 1,
+                dst_context: 0,
+                src_context: 0,
+                routing: bgq_torus::Routing::Dynamic,
+                payload: PayloadSource::Region { region: src.clone(), offset: 0, len: PUT },
+                kind: XferKind::DirectPut {
+                    dst_region: dst.clone(),
+                    dst_offset: 0,
+                    rec_counter: Some(recd.clone()),
+                },
+                inj_counter: Some(inj.clone()),
+            },
+        );
+        let at = k as usize * 512;
+        if cfg!(feature = "telemetry") {
+            assert_eq!(fabric.counters(1).put_bytes_in.value(), at as u64);
+        }
+        assert_eq!(inj.outstanding(), (PUT - at) as u64);
+        assert_eq!(recd.outstanding(), (PUT - at) as u64);
+        assert_eq!(queued(&fabric), 32 - k as usize);
+        let landed = dst.to_vec();
+        assert_eq!(landed[..at], src.to_vec()[..at]);
+        assert!(landed[at..].iter().all(|&b| b == 0), "nothing past the first loss yet");
+        pump_until_complete(&fabric, &recd);
+        pump_until_complete(&fabric, &inj);
+        assert!(inj.is_ok() && inj.outstanding() == 0);
+        assert!(recd.is_ok() && recd.outstanding() == 0);
+        assert_eq!(dst.to_vec(), src.to_vec());
+        assert!(fabric.links_idle(0));
     }
 
     #[test]

@@ -71,6 +71,11 @@ impl Default for RetryConfig {
     }
 }
 
+/// Largest receiver reorder-buffer capacity, in frames, a plan may ask for
+/// (explicitly or through `retry.window`): each channel's receiver keeps
+/// one bit per frame of it.
+const MAX_REORDER_CAPACITY: usize = 1 << 16;
+
 /// A per-link kill schedule in a [`FaultPlan`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkFault {
@@ -174,6 +179,9 @@ impl FaultPlan {
         }
         if self.reorder_capacity == Some(0) {
             return Err(FaultPlanError::Shape("reorder_capacity must be positive"));
+        }
+        if self.effective_reorder_capacity() > MAX_REORDER_CAPACITY {
+            return Err(FaultPlanError::Shape("reorder capacity must be at most 65 536 frames"));
         }
         Ok(())
     }
@@ -424,6 +432,9 @@ mod tests {
         assert!(retry(8, 4, 2).validate().is_err(), "rto_max < rto rejected");
         assert!(retry(8, 0, 2).validate().is_err(), "zero rto rejected");
         assert!(FaultPlan::new().reorder_capacity(0).validate().is_err());
+        assert!(FaultPlan::new().reorder_capacity(1 << 17).validate().is_err());
+        assert!(retry(1 << 17, 4, 64).validate().is_err(), "window bounds the default capacity");
+        assert!(retry(1 << 17, 4, 64).reorder_capacity(64).validate().is_ok());
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //!   a function call, so an out-of-order frame's body stays in the sender's
 //!   queue ([`FrameState::SackHeld`]) and is deposited at the destination
 //!   when the sequence gap fills; the receiver tracks only the held
-//!   sequence numbers, bounded by the plan's reorder capacity. Arrivals
-//!   beyond the high-water mark are refused (drop-newest,
-//!   `RasEventKind::ReorderEvict`) and retransmitted later.
+//!   sequence numbers ([`HeldRing`], one bit each), bounded by the plan's
+//!   reorder capacity. Arrivals beyond the high-water mark are refused
+//!   (drop-newest, `RasEventKind::ReorderEvict`) and retransmitted later.
 //! * **Faults fire on the links of the route.** A frame's fate is decided
 //!   per crossed link (first bad link wins), so longer routes really are
 //!   more exposed, but there is no per-hop buffering — a frame is either
@@ -47,10 +47,12 @@
 //! This module owns the whole layer — data structures, bookkeeping and
 //! the channel state machine. The fabric ([`crate::fabric`]) enters it at
 //! three points: [`Reliability::admit`] (the pipeline's one admission
-//! decision: straight through, or onto the retransmit queue),
-//! [`Reliability::enqueue`] and [`Reliability::pump`]; what "delivering a
-//! frame" does at the destination is handed in as a [`Deposit`] closure,
-//! so this module never touches a reception FIFO.
+//! decision: how many of a message's frames, counted from the first, cross
+//! straight through — every one ahead of the first failing die),
+//! [`Reliability::enqueue`] (the rest, onto the retransmit queue) and
+//! [`Reliability::pump`]; what "delivering a frame" does at the
+//! destination is handed in as a [`Deposit`] closure, so this module never
+//! touches a reception FIFO.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -171,18 +173,17 @@ pub struct RasEvent {
     pub detail: u64,
 }
 
+/// Observer invoked synchronously for every RAS event as it is recorded.
+///
+/// This is the RAS→software feedback hook: `Machine` installs one that
+/// fires endpoint failover when a channel dies `Unreachable`. Observers
+/// run on the control plane (record time, under no ring lock) and must be
+/// cheap and non-reentrant into the link layer.
+pub type RasObserver = Arc<dyn Fn(&RasEvent) + Send + Sync>;
+
 /// Bounded RAS event ring: newest events win, the drop count is kept so an
 /// operator can tell the ring overflowed. The control plane (RAS) is off
 /// the data path, so a mutex is fine here.
-/// Observer invoked synchronously for every RAS event as it is recorded.
-///
-/// This is the RAS→policy feedback hook: `Machine` installs one that feeds
-/// retransmit/delivery-failure deltas into the protocol policy so flaky
-/// destinations shift toward counter-protected rendezvous. Observers run on
-/// the control plane (record time, under no ring lock) and must be cheap
-/// and non-reentrant into the link layer.
-pub type RasObserver = Arc<dyn Fn(&RasEvent) + Send + Sync>;
-
 pub struct RasRing {
     inner: Mutex<RingInner>,
     capacity: usize,
@@ -204,7 +205,7 @@ impl RasRing {
     }
 
     /// Install the event observer. Set-once: later calls are ignored, so a
-    /// machine's policy hook cannot be silently displaced.
+    /// machine's failover hook cannot be silently displaced.
     pub(crate) fn set_observer(&self, obs: RasObserver) {
         let _ = self.observer.set(obs);
     }
@@ -397,6 +398,75 @@ pub(crate) enum RxVerdict {
     Refused,
 }
 
+/// The receiver's reorder buffer: which sequences it holds out of order,
+/// one bit per slot of a ring indexed by `seq mod slots`. Every held
+/// sequence lies in `[next_expected, next_expected + capacity]`
+/// ([`RxState::accept`] refuses anything further ahead), and the ring has
+/// at least `capacity + 1` slots, so no two held sequences share a bit.
+pub(crate) struct HeldRing {
+    words: Box<[u64]>,
+    /// `slots - 1`; `slots` is a power of two, so the index survives the
+    /// wrap of a `u64` sequence.
+    mask: u64,
+    len: usize,
+}
+
+impl HeldRing {
+    fn new(capacity: usize) -> Self {
+        let slots = (capacity + 1).next_power_of_two().max(64);
+        HeldRing { words: vec![0; slots / 64].into(), mask: slots as u64 - 1, len: 0 }
+    }
+
+    /// `seq`'s word index and bit.
+    fn slot(&self, seq: u64) -> (usize, u64) {
+        let s = seq & self.mask;
+        ((s >> 6) as usize, 1 << (s & 63))
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        let (w, bit) = self.slot(seq);
+        self.words[w] & bit != 0
+    }
+
+    fn insert(&mut self, seq: u64) {
+        let (w, bit) = self.slot(seq);
+        debug_assert!(self.words[w] & bit == 0, "held sequences never share a slot");
+        self.words[w] |= bit;
+        self.len += 1;
+    }
+
+    /// Forget `seq`; returns whether it was held.
+    fn remove(&mut self, seq: u64) -> bool {
+        let (w, bit) = self.slot(seq);
+        let held = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        self.len -= held as usize;
+        held
+    }
+
+    /// Sequences held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Keep only the held sequences at or after `to`, given that every
+    /// held sequence is at or after `from`.
+    fn retain_from(&mut self, from: u64, to: u64) {
+        let stale = to.wrapping_sub(from).min(self.mask + 1);
+        for i in 0..stale {
+            if self.len == 0 {
+                return;
+            }
+            self.remove(from.wrapping_add(i));
+        }
+    }
+}
+
 /// Receive half of a channel: the selective-repeat reorder tracking for
 /// the (src, dst) flow. Bounded memory: only sequence numbers are held —
 /// the frame bodies stay in the sender's queue ([`FrameState::SackHeld`])
@@ -405,12 +475,16 @@ pub(crate) struct RxState {
     /// Next in-order sequence the receiver will deposit.
     pub next_expected: u64,
     /// Out-of-order sequences currently held in the reorder buffer.
-    pub buffer: std::collections::HashSet<u64>,
+    pub held: HeldRing,
     /// Reorder-buffer high-water mark in frames.
     pub capacity: usize,
 }
 
 impl RxState {
+    fn new(capacity: usize) -> Self {
+        RxState { next_expected: 0, held: HeldRing::new(capacity), capacity }
+    }
+
     /// Classify one arriving data frame. `Deliver` advances
     /// `next_expected`; the caller deposits the body and then drains
     /// consecutive buffered successors with [`RxState::drain_next`].
@@ -423,24 +497,27 @@ impl RxState {
             // A frame that was sacked earlier (but whose selective ack was
             // lost) can be retransmitted and arrive in order; drop the now
             // stale buffer entry so it doesn't pin capacity.
-            self.buffer.remove(&seq);
+            self.held.remove(seq);
             self.next_expected = self.next_expected.wrapping_add(1);
             return RxVerdict::Deliver;
         }
-        if self.buffer.contains(&seq) {
-            return RxVerdict::DupSacked;
-        }
-        if rel as usize > self.capacity || self.buffer.len() >= self.capacity {
+        if rel as usize > self.capacity {
             return RxVerdict::Refused;
         }
-        self.buffer.insert(seq);
+        if self.held.contains(seq) {
+            return RxVerdict::DupSacked;
+        }
+        if self.held.len() >= self.capacity {
+            return RxVerdict::Refused;
+        }
+        self.held.insert(seq);
         RxVerdict::Sacked
     }
 
     /// Release `seq` from the reorder buffer if it is the next in-order
     /// sequence; returns whether the caller should deposit its body.
     pub(crate) fn drain_next(&mut self, seq: u64) -> bool {
-        if seq == self.next_expected && self.buffer.remove(&seq) {
+        if seq == self.next_expected && self.held.remove(seq) {
             self.next_expected = self.next_expected.wrapping_add(1);
             return true;
         }
@@ -453,9 +530,8 @@ impl RxState {
     pub(crate) fn sync_to(&mut self, oldest_unacked: u64) {
         let rel = oldest_unacked.wrapping_sub(self.next_expected);
         if rel > 0 && rel < 1 << 63 {
+            self.held.retain_from(self.next_expected, oldest_unacked);
             self.next_expected = oldest_unacked;
-            let ne = self.next_expected;
-            self.buffer.retain(|&s| s.wrapping_sub(ne) < 1 << 63);
         }
     }
 }
@@ -507,11 +583,7 @@ impl Channel {
                 route_epoch: 0,
                 dead: None,
             }),
-            rx: Mutex::new(RxState {
-                next_expected: 0,
-                buffer: std::collections::HashSet::new(),
-                capacity: reorder_capacity.max(1),
-            }),
+            rx: Mutex::new(RxState::new(reorder_capacity.max(1))),
         }
     }
 
@@ -590,14 +662,16 @@ pub(crate) struct Reliability {
 /// another channel's lock (the fabric's never does).
 pub(crate) type Deposit<'a> = &'a dyn Fn(&Channel, u64, u64, &FrameBody);
 
-/// What [`Reliability::admit`] decided for a message's frames; either way
-/// they own the sequence numbers `base_seq..base_seq + n`.
-pub(crate) enum Admit {
-    /// Nothing can touch these frames or their acks: deposit them now, on
-    /// the sending thread, without the channel lock.
-    Through { base_seq: u64 },
-    /// Hand them to [`Reliability::enqueue`] under the drawn numbers.
-    Queue { base_seq: u64 },
+/// What [`Reliability::admit`] decided for a message's `n` frames, which
+/// own the sequence numbers `base_seq..base_seq + n`. Nothing can touch
+/// the first `through` of them or their acks: the caller deposits those
+/// now, on the sending thread, without the channel lock. The rest — from
+/// the first frame with a failing die on — go to [`Reliability::enqueue`]
+/// under `base_seq + through`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Admit {
+    pub base_seq: u64,
+    pub through: u64,
 }
 
 /// How an arrival leaves the sender's scan: move to the next frame,
@@ -689,67 +763,66 @@ impl Reliability {
     // ---- admission ------------------------------------------------------
 
     /// The pipeline's one admission decision: draw the sequence numbers of
-    /// a message's `n` frames and say whether they go straight through.
-    /// The rule is the same whatever the plan — channel alive, no backlog
-    /// to overtake, every link up (so the route is the deterministic one),
-    /// and every first-attempt die of these sequence numbers comes up clear
-    /// — and a clean plan is simply the case with zero dice. The dice are
-    /// pure functions of (link, seq, attempt), so peeking consumes nothing:
-    /// frames that queue re-roll the same dice in the pump, and the plan's
-    /// loss statistics are identical either way. The liveness and backlog
-    /// hints race a concurrent fault episode by at most one in-flight
-    /// message, indistinguishable from it having crossed just before.
+    /// a message's `n` frames and say how many, from the first, cross
+    /// straight through — none unless the channel is alive, has no backlog
+    /// to overtake and every link is up (so the route is the deterministic
+    /// one), else every frame ahead of the first with a failing
+    /// first-attempt die (all `n` under a clean plan: zero dice). The dice
+    /// are pure functions of (link, seq, attempt), so peeking consumes
+    /// nothing: queued frames re-roll the same dice in the pump. The
+    /// liveness and backlog hints race a concurrent fault episode by at
+    /// most one in-flight message, indistinguishable from it having
+    /// crossed just before.
     pub(crate) fn admit(&self, ch: &Channel, n: u64) -> Admit {
         let base_seq = ch.next_seq.fetch_add(n, Ordering::Relaxed);
-        if ch.seems_alive()
-            && !ch.has_backlog()
-            && !self.health.any_down()
-            && self.dice_pass(ch, base_seq, n)
-        {
-            // Synchronous delivery doubles as the ack.
-            self.charge_acks(ch, n);
-            Admit::Through { base_seq }
+        let through = if ch.seems_alive() && !ch.has_backlog() && !self.health.any_down() {
+            self.dice_through(ch, base_seq, n)
         } else {
-            Admit::Queue { base_seq }
-        }
+            0
+        };
+        // Synchronous delivery doubles as the ack.
+        self.charge_acks(ch, through);
+        Admit { base_seq, through }
     }
 
-    /// Whether frames `base..base + n` and their acks all cross the
-    /// deterministic route untouched on the first attempt: every forward
-    /// hop and every reverse (ack) hop must come up `Pass` — the threshold
-    /// form of exactly the `decide` calls the pump would make. Kill
-    /// schedules must count every crossing, so a plan with one never
-    /// passes a peek.
-    fn dice_pass(&self, ch: &Channel, base: u64, n: u64) -> bool {
+    /// How many of frames `base..base + n`, from the first, cross the
+    /// deterministic route untouched on the first attempt with their acks:
+    /// every forward hop and every reverse (ack) hop must come up `Pass` —
+    /// the threshold form of exactly the `decide` calls the pump would
+    /// make. Kill schedules must count every crossing, so under a plan
+    /// with one no frame passes a peek.
+    fn dice_through(&self, ch: &Channel, base: u64, n: u64) -> u64 {
         if self.clean {
-            return true;
+            return n;
         }
         if self.injector.has_kills() {
-            return false;
+            return 0;
         }
         let pass = self.injector.pass_threshold();
         let plan = self.fair_plan(ch);
-        (base..base + n).all(|seq| {
+        let first_loss = (base..base + n).position(|seq| {
             let ss = FaultInjector::seq_salt(seq, 0);
             let mut hops = plan.fwd_salts.iter().chain(&plan.rev_salts);
-            hops.all(|&ls| FaultInjector::draw(ls, ss) >= pass)
-        })
+            hops.any(|&ls| FaultInjector::draw(ls, ss) < pass)
+        });
+        first_loss.map_or(n, |k| k as u64)
     }
 
-    /// Queue a message's frames — `(credit, body)` in message order —
-    /// under the sequence numbers [`Reliability::admit`] drew for them,
-    /// then pump the channel. A dead channel fails their counters with its
-    /// fault instead of queueing into a black hole.
+    /// Queue the frames of a message that [`Reliability::admit`] did not
+    /// let through — `(credit, body)` in message order, numbered from
+    /// `first_seq` (its `base_seq + through`) — then pump the channel. A
+    /// dead channel fails their counters with its fault instead of
+    /// queueing into a black hole.
     pub(crate) fn enqueue(
         &self,
         ch: &Channel,
-        base_seq: u64,
+        first_seq: u64,
         inj_counter: Option<HwCounter>,
         bodies: impl Iterator<Item = (u64, FrameBody)>,
         deposit: Deposit<'_>,
     ) {
         let rto = self.injector.retry().rto_ticks;
-        let frames = bodies.zip(base_seq..).map(|((credit, body), seq)| Frame {
+        let frames = bodies.zip(first_seq..).map(|((credit, body), seq)| Frame {
             seq,
             attempt: 0,
             state: FrameState::Queued,
@@ -1199,7 +1272,7 @@ impl Reliability {
         tx.queue.clear();
         // Frames parked in the receiver's reorder buffer died with the
         // channel (their bodies were still in the queue above).
-        ch.rx.lock().buffer.clear();
+        ch.rx.lock().held.clear();
         if n > 0 {
             self.sub_pending(ch.src, n);
         }
@@ -1218,7 +1291,7 @@ impl Reliability {
         tx.route = None;
         // The kill cleared the receiver's reorder buffer; the cursor
         // re-syncs to the next queued frame on the first pump visit.
-        debug_assert!(ch.rx.lock().buffer.is_empty());
+        debug_assert_eq!(ch.rx.lock().held.len(), 0);
         ch.dead_hint.store(false, Ordering::Release);
         self.record(ch, RasEventKind::ChannelRevived, self.tick(src_node), fault as u64);
         true
@@ -1290,7 +1363,7 @@ mod tests {
     }
 
     fn rx(next_expected: u64, capacity: usize) -> RxState {
-        RxState { next_expected, buffer: std::collections::HashSet::new(), capacity }
+        RxState { next_expected, ..RxState::new(capacity) }
     }
 
     #[test]
@@ -1308,7 +1381,7 @@ mod tests {
         assert!(r.drain_next(3));
         assert!(!r.drain_next(4), "nothing buffered at 4");
         assert_eq!(r.next_expected, 4);
-        assert!(r.buffer.is_empty());
+        assert_eq!(r.held.len(), 0);
     }
 
     #[test]
@@ -1326,7 +1399,10 @@ mod tests {
         assert_eq!(r.accept(2), RxVerdict::Sacked);
         assert_eq!(r.accept(3), RxVerdict::Refused, "buffer full: drop-newest");
         assert_eq!(r.accept(100), RxVerdict::Refused, "far beyond the window");
-        assert_eq!(r.buffer.len(), 2);
+        assert_eq!(r.held.len(), 2);
+        // 65 shares held 1's slot in the 64-slot ring; past the window, it
+        // is refused, never mistaken for a re-arrival.
+        assert_eq!(r.accept(65), RxVerdict::Refused);
     }
 
     #[test]
@@ -1345,11 +1421,37 @@ mod tests {
     fn rx_sync_fast_forwards_and_prunes() {
         let mut r = rx(0, 8);
         assert_eq!(r.accept(2), RxVerdict::Sacked);
+        assert_eq!(r.accept(7), RxVerdict::Sacked);
         r.sync_to(5);
         assert_eq!(r.next_expected, 5);
-        assert!(r.buffer.is_empty(), "stale held seq pruned");
+        assert_eq!(r.held.len(), 1, "stale held seq pruned, 7 kept");
+        assert_eq!(r.accept(7), RxVerdict::DupSacked);
         r.sync_to(3);
         assert_eq!(r.next_expected, 5, "sync never moves backwards");
+        // A jump past a whole ring's worth of slots forgets everything.
+        r.sync_to(5 + 1000);
+        assert_eq!(r.held.len(), 0);
+        assert_eq!(r.accept(1006), RxVerdict::Sacked, "no stale bit left behind");
+    }
+
+    #[test]
+    fn held_ring_slots_never_alias_inside_the_window() {
+        // Capacity 64 needs 65 slots, so the ring is 128 wide: the
+        // sequences the receiver may hold at once, `next_expected ..=
+        // next_expected + 64`, never share a bit.
+        let mut r = rx(u64::MAX - 40, 64);
+        assert_eq!(r.held.mask, 127);
+        let held: Vec<u64> = (1..=64).map(|i| r.next_expected.wrapping_add(i)).collect();
+        for &s in &held {
+            assert_eq!(r.accept(s), RxVerdict::Sacked);
+        }
+        assert_eq!(r.held.len(), 64);
+        assert_eq!(r.accept(r.next_expected.wrapping_add(65)), RxVerdict::Refused);
+        assert_eq!(r.accept(r.next_expected), RxVerdict::Deliver);
+        for &s in &held {
+            assert!(r.drain_next(s), "{s} drains in order across the wrap");
+        }
+        assert_eq!(r.held.len(), 0);
     }
 
     fn put_desc(rec_counter: Option<HwCounter>) -> Descriptor {
@@ -1426,16 +1528,15 @@ mod tests {
         assert_eq!(r.channels_of(0).count(), 1);
         assert_eq!(r.channels_of(1).count(), 0);
         // Zero dice to roll: straight through, numbers drawn in order.
-        assert!(matches!(r.admit(ch, 3), Admit::Through { base_seq: 0 }));
-        assert!(matches!(r.admit(ch, 1), Admit::Through { base_seq: 3 }));
+        assert_eq!(r.admit(ch, 3), Admit { base_seq: 0, through: 3 });
+        assert_eq!(r.admit(ch, 1), Admit { base_seq: 3, through: 1 });
         assert!(r.idle(0));
         // A down link anywhere sends everything to the queue, which needs
         // the pump (and a reroute) to move.
         let dir = bgq_torus::det_route(r.shape, r.shape.coords_of(0), r.shape.coords_of(1))[0];
         assert!(r.set_link(0, dir, false));
-        let Admit::Queue { base_seq } = r.admit(ch, 2) else {
-            panic!("a down link must queue");
-        };
+        let Admit { base_seq, through } = r.admit(ch, 2);
+        assert_eq!(through, 0, "a down link must queue");
         assert_eq!(base_seq, 4, "queued or not, one sequence space");
         let deposited = std::cell::Cell::new(0);
         let bodies = (0..2).map(|_| {
