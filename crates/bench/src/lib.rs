@@ -772,7 +772,7 @@ pub mod report {
     }
 }
 
-/// Functional barrier timing through a named registry entry (the
+/// Functional barrier timing through a named algorithm (the
 /// GI-vs-collective-network ablation).
 pub fn measure_barrier_alg(nodes: usize, rounds: usize, alg: &'static str) -> Duration {
     use pami::{Client, Geometry, Topology};

@@ -1,6 +1,6 @@
 //! CI cannot dangle. Nobody here can run GitHub Actions, so what the
 //! workflows, the regenerate script and the verify notes name — binaries,
-//! test targets, files under `ci/`, `repro` experiments — is checked
+//! test targets, examples, files under `ci/`, `repro` experiments — is checked
 //! against the tree instead. The same goes for the options census of
 //! DESIGN.md §17: nobody re-counts a table by hand, so the tree is read.
 
@@ -25,6 +25,7 @@ fn every_named_binary_test_and_ci_path_exists() {
     let bin_source = |bin: &str| read(&format!("crates/bench/src/bin/{bin}.rs"));
     let pamibench = read("benchmark/Cargo.toml").expect("benchmark/Cargo.toml");
     let crates: Vec<_> = entries(&root.join("crates")).into_iter().chain([root.clone()]).collect();
+    let mut ci_examples = Vec::new();
     for file in FILES {
         let text = read(file).unwrap_or_else(|e| panic!("{file}: {e}"));
         // Words, with a "\n" closing each line: a flag that ends a line
@@ -55,6 +56,15 @@ fn every_named_binary_test_and_ci_path_exists() {
                 "{file} names test target `{test}`: no crate has tests/{test}.rs"
             );
         }
+        for example in after("--example") {
+            assert!(
+                root.join(format!("examples/{example}.rs")).exists(),
+                "{file} runs example `{example}`: no examples/{example}.rs"
+            );
+            if file == ".github/workflows/ci.yml" {
+                ci_examples.push(example.to_string());
+            }
+        }
         // A file under `ci/` is committed, or written by a binary this
         // same file runs.
         for path in words.iter().filter(|w| w.starts_with("ci/")) {
@@ -63,6 +73,16 @@ fn every_named_binary_test_and_ci_path_exists() {
             assert!(
                 root.join(path).exists() || written_here(),
                 "{file} names `{path}`: not in the tree, and no binary it runs writes it"
+            );
+        }
+    }
+    // An example is compiled by `cargo test`; CI also runs every one.
+    for path in entries(&root.join("examples")) {
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            let example = path.file_stem().expect("example file").to_string_lossy();
+            assert!(
+                ci_examples.iter().any(|run| *run == example),
+                "examples/{example}.rs: no `cargo run --example {example}` step in ci.yml"
             );
         }
     }

@@ -388,6 +388,122 @@ fn one_sided_ops_are_descriptors_not_packets() {
     }
 }
 
+/// Every way a task sends a point-to-point message: summed, one per
+/// message whichever rung carried it.
+const ALL_SENDS: [&str; 5] =
+    ["ctx.sends_short", "ctx.sends_eager", "ctx.sends_rzv", "ctx.sends_shm", "ctx.sends_aggr"];
+
+/// The long vector of the streaming allreduce: sixteen segments.
+const LONG: usize = 64 * 1024;
+
+/// Messages sent machine-wide by each operation of `passes[0]` on a world
+/// geometry of `nodes` × `ppn` tasks without a classroute, then by each of
+/// `passes[1]` after `optimize()`. An operation is `auto <kind>` (the
+/// unforced entry point), `… 64 KiB`, or an algorithm name, forced where the
+/// kind has a `*_named` door; the rest move 8 B (one element) per block.
+fn collective_sends(
+    nodes: usize,
+    ppn: usize,
+    passes: &[Vec<&'static str>; 2],
+) -> [Vec<(&'static str, u64)>; 2] {
+    use pami::coll::{self, names};
+    use pami::{CollOp, DataType, Geometry, Topology};
+    let machine = Machine::with_nodes(nodes).ppn(ppn).build();
+    let sent = parking_lot::Mutex::new([Vec::new(), Vec::new()]);
+    machine.run(|env| {
+        let client = Client::create(&env.machine, env.task, "coll", 1);
+        env.machine.task_barrier();
+        let ctx = client.context(0);
+        let geom = Geometry::create(ctx, 1, Topology::world(env.machine.num_tasks() as u32));
+        let (src, dst) = (MemRegion::zeroed(geom.size() * LONG), MemRegion::zeroed(geom.size() * LONG));
+        let (src, dst) = ((&src, 0), (&dst, 0));
+        let (sum, int) = (CollOp::Sum, DataType::Int64);
+        let allreduce =
+            |name: &str, count| coll::allreduce_named(&geom, ctx, name, src, dst, count, sum, int);
+        let run = |op: &str| match op {
+            "auto barrier" => coll::barrier(&geom, ctx),
+            "auto broadcast" => coll::broadcast(&geom, ctx, 0, src.0, 0, 8),
+            "auto allreduce" => coll::allreduce(&geom, ctx, src, dst, 1, sum, int),
+            "sw-stream-allreduce 64 KiB" => allreduce(names::STREAM_ALLREDUCE, LONG / 8),
+            names::GI_BARRIER | names::COLLNET_BARRIER => coll::barrier_named(&geom, ctx, op),
+            names::HW_BCAST | names::SW_BCAST => {
+                coll::broadcast_named(&geom, ctx, op, 0, src.0, 0, 8)
+            }
+            names::HW_ALLREDUCE | names::SW_ALLREDUCE | names::STREAM_ALLREDUCE => allreduce(op, 1),
+            names::SW_REDUCE => coll::reduce(&geom, ctx, 0, src, dst, 1, sum, int),
+            names::SW_GATHER => coll::gather(&geom, ctx, 0, src, dst, 8),
+            names::SW_SCATTER => coll::scatter(&geom, ctx, 0, src, dst, 8),
+            names::SW_ALLGATHER => coll::allgather(&geom, ctx, src, dst, 8),
+            names::SW_ALLTOALL => coll::alltoall(&geom, ctx, src, dst, 8),
+            other => panic!("no collective operation {other:?}"),
+        };
+        for (pass, ops) in passes.iter().enumerate() {
+            if pass == 1 {
+                geom.optimize().expect("the world is a rectangle");
+            }
+            for &op in ops {
+                // Nobody sends while the counters are read: every task is
+                // parked or past its last send.
+                env.machine.task_barrier();
+                let before = counters(&env.machine, ALL_SENDS);
+                env.machine.task_barrier();
+                run(op);
+                env.machine.task_barrier();
+                if env.task == 0 {
+                    let after = counters(&env.machine, ALL_SENDS);
+                    sent.lock()[pass].push((op, delta(after, before).iter().sum()));
+                }
+            }
+        }
+    });
+    sent.into_inner()
+}
+
+/// ROADMAP item 3(a), first instalment: what each collective algorithm
+/// sends, as a closed form in the member count N. The collective-network
+/// and GI algorithms send no point-to-point message; a binomial tree sends
+/// N−1, a binomial allreduce two trees, the streaming chain two chains per
+/// 4 KiB segment, a ring allgather and a pairwise alltoall N(N−1). An
+/// unforced call sends what the algorithm auto-selection names for the
+/// geometry's state. DESIGN.md §17 has one red-turning mutation per row.
+#[test]
+fn collectives_send_closed_form_message_counts() {
+    use pami::coll::names;
+    for (nodes, ppn) in [(4, 1), (2, 2)] {
+        let n = (nodes * ppn) as u64;
+        let (tree, two_trees, everyone) = (n - 1, 2 * (n - 1), n * (n - 1));
+        // ⌈len / 4096⌉: the chain cuts a vector into 4 KiB segments.
+        let segments = LONG.div_ceil(4096) as u64;
+        // (operation, unrouted — `None`: it needs a classroute —, routed)
+        let table: [(&str, Option<u64>, u64); 16] = [
+            ("auto barrier", Some(0), 0),
+            (names::GI_BARRIER, Some(0), 0),
+            (names::COLLNET_BARRIER, None, 0),
+            ("auto broadcast", Some(tree), 0),
+            (names::HW_BCAST, None, 0),
+            (names::SW_BCAST, Some(tree), tree),
+            ("auto allreduce", Some(two_trees), 0),
+            (names::HW_ALLREDUCE, None, 0),
+            (names::SW_ALLREDUCE, Some(two_trees), two_trees),
+            (names::STREAM_ALLREDUCE, Some(two_trees), two_trees),
+            ("sw-stream-allreduce 64 KiB", Some(two_trees * segments), two_trees * segments),
+            (names::SW_REDUCE, Some(tree), tree),
+            (names::SW_GATHER, Some(tree), tree),
+            (names::SW_SCATTER, Some(tree), tree),
+            (names::SW_ALLGATHER, Some(everyone), everyone),
+            (names::SW_ALLTOALL, Some(everyone), everyone),
+        ];
+        let telemetry = |sends: u64| if cfg!(feature = "telemetry") { sends } else { 0 };
+        let unrouted = table.iter().filter_map(|&(op, sends, _)| Some((op, telemetry(sends?))));
+        let routed = table.iter().map(|&(op, _, sends)| (op, telemetry(sends)));
+        let want: [Vec<_>; 2] = [unrouted.collect(), routed.collect()];
+        let passes = want.clone().map(|pass| pass.into_iter().map(|(op, _)| op).collect());
+        let got = collective_sends(nodes, ppn, &passes);
+        println!("{nodes} nodes × ppn {ppn}: {got:?}");
+        assert_eq!(got, want, "{nodes} nodes × ppn {ppn}: [unrouted, routed]");
+    }
+}
+
 /// Retired: `chaos`'s 15% hostile budget. The program `chaos` timed — seed
 /// 4242, 1% drop + 1% corrupt, 60 000 × 8 B forced onto the eager path —
 /// delivers every message exactly once and spends 1.077 retransmits per

@@ -13,21 +13,18 @@
 //!   sends — what non-rectangular (or deoptimized) communicators fall back
 //!   to, and the baseline the hardware path is measured against.
 //!
-//! Selection is delegated to the machine's [`CollRegistry`]: every
-//! algorithm — hardware, software fallback, and layered additions like the
-//! MPI rectangle broadcast — registers an [`AlgEntry`] with an availability
-//! predicate and a cost hint, the public entry points pick the cheapest
-//! available entry, and the `*_named` variants force one by its registry
-//! name ([`names`]) — the one forcing door. Forcing a hardware entry on a
+//! Auto-selection is one function, [`select`]: the collective network
+//! while the geometry holds a classroute, software otherwise, the GI
+//! barrier always. The `*_named` variants force an algorithm by its name
+//! ([`names`]) — the one forcing door; forcing a hardware algorithm on a
 //! geometry without a classroute panics inside the algorithm.
-//! [`crate::geometry::Geometry::algorithms_query`] exposes the whole list
-//! per geometry (PAMI's `PAMI_Geometry_algorithms_query`).
+//! [`crate::geometry::Geometry::algorithms_query`] lists every algorithm
+//! with its availability on a geometry (PAMI's
+//! `PAMI_Geometry_algorithms_query`).
 //!
 //! All operations are blocking and *collective*: every member task must
 //! call them in the same order. Progress is made by advancing the calling
 //! context, so they compose with commthreads and other traffic.
-
-use std::sync::Arc;
 
 use bgq_collnet::{CollContribution, CollOp, CollOutput, DataType};
 use bgq_hw::{Counter, MemRegion};
@@ -37,18 +34,39 @@ use bgq_upc::{Histogram, Stamp, Upc};
 use crate::context::Context;
 use crate::geometry::{BoardEntry, Geometry};
 
-pub mod registry;
+/// The collective operation an algorithm implements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CollKind {
+    Barrier,
+    Broadcast,
+    Allreduce,
+    Reduce,
+    Gather,
+    Scatter,
+    Allgather,
+    Alltoall,
+}
 
-pub use registry::{
-    AlgEntry, AlgExec, AlgInfo, AvailFn, AllreduceExec, BarrierExec, BlockExec, BroadcastExec,
-    CollKind, CollRegistry, ExchangeExec, ReduceExec,
-};
+/// One row of an algorithms query — what `PAMI_Geometry_algorithms_query`
+/// returns per geometry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AlgInfo {
+    pub name: &'static str,
+    pub kind: CollKind,
+    /// Whether the algorithm can run on the queried geometry right now.
+    pub available: bool,
+}
+
+/// A broadcast body, `(geom, ctx, seq, root_rank, region, offset, len)`:
+/// what [`broadcast_with`] runs once it has consumed the sequence number
+/// and handled the trivial cases.
+pub type BroadcastBody = fn(&Geometry, &Context, u64, usize, &MemRegion, usize, usize);
 
 /// `coll.*` telemetry probes — per-phase timing of the collective paths
 /// (the UPC-style breakdown the paper uses to attribute Figure 6/7 latency
 /// to local math vs. network contribution vs. result copy). One instance
 /// per [`crate::machine::Machine`], registered at build so repeated
-/// collectives share probes instead of growing the registry.
+/// collectives share probes instead of growing the telemetry registry.
 pub(crate) struct CollProbes {
     pub(crate) barriers: bgq_upc::Counter,
     pub(crate) broadcasts: bgq_upc::Counter,
@@ -107,11 +125,11 @@ const SLOT_NODEBUF: u32 = 0x4000_0001;
 const SLOT_RESULT: u32 = 0x4000_0002;
 
 // ---------------------------------------------------------------------------
-// Builtin registry entries
+// The algorithm list and auto-selection
 // ---------------------------------------------------------------------------
 
-/// Registry names of the builtin algorithms (stable; `*_named` forcing and
-/// tests refer to these).
+/// Names of the built-in algorithms (stable; `*_named` forcing and tests
+/// refer to these).
 pub mod names {
     pub const GI_BARRIER: &str = "gi-barrier";
     pub const COLLNET_BARRIER: &str = "collnet-barrier";
@@ -127,109 +145,59 @@ pub mod names {
     pub const STREAM_ALLREDUCE: &str = "sw-stream-allreduce";
 }
 
-/// Register every algorithm the core crate ships. Cost convention: hardware
-/// paths 10–20 (available only with a classroute), software fallbacks 100
-/// (always available), so auto-selection reproduces the old `use_hw`
-/// decision exactly.
-pub(crate) fn register_builtins(reg: &CollRegistry) {
-    let always: AvailFn = Arc::new(|_: &Geometry| true);
-    let routed: AvailFn = Arc::new(|g: &Geometry| g.route().is_some());
-
-    reg.register(AlgEntry::new(
-        names::GI_BARRIER,
-        CollKind::Barrier,
-        10,
-        always.clone(),
-        AlgExec::Barrier(Arc::new(gi_barrier)),
-    ));
-    reg.register(AlgEntry::new(
-        names::COLLNET_BARRIER,
-        CollKind::Barrier,
-        20,
-        routed.clone(),
-        AlgExec::Barrier(Arc::new(collnet_barrier)),
-    ));
-    reg.register(AlgEntry::new(
-        names::HW_BCAST,
-        CollKind::Broadcast,
-        10,
-        routed.clone(),
-        AlgExec::Broadcast(Arc::new(hw_broadcast)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_BCAST,
-        CollKind::Broadcast,
-        100,
-        always.clone(),
-        AlgExec::Broadcast(Arc::new(sw_broadcast)),
-    ));
-    reg.register(AlgEntry::new(
-        names::HW_ALLREDUCE,
-        CollKind::Allreduce,
-        10,
-        routed,
-        AlgExec::Allreduce(Arc::new(hw_allreduce)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_ALLREDUCE,
-        CollKind::Allreduce,
-        100,
-        always.clone(),
-        AlgExec::Allreduce(Arc::new(sw_allreduce)),
-    ));
-    // Streaming chain allreduce (SHArP-style segment pipeline): cheaper
-    // than the binomial tree on unrouted geometries, still dearer than the
-    // collective network, so auto-selection ranks hw(10) < stream(90) <
-    // binomial(100).
-    reg.register(AlgEntry::new(
-        names::STREAM_ALLREDUCE,
-        CollKind::Allreduce,
-        90,
-        Arc::new(|g: &Geometry| g.size() >= 2),
-        AlgExec::Allreduce(Arc::new(sw_stream_allreduce)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_REDUCE,
-        CollKind::Reduce,
-        100,
-        always.clone(),
-        AlgExec::Reduce(Arc::new(sw_reduce)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_GATHER,
-        CollKind::Gather,
-        100,
-        always.clone(),
-        AlgExec::Block(Arc::new(sw_gather)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_SCATTER,
-        CollKind::Scatter,
-        100,
-        always.clone(),
-        AlgExec::Block(Arc::new(sw_scatter)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_ALLGATHER,
-        CollKind::Allgather,
-        100,
-        always.clone(),
-        AlgExec::Exchange(Arc::new(sw_allgather)),
-    ));
-    reg.register(AlgEntry::new(
-        names::SW_ALLTOALL,
-        CollKind::Alltoall,
-        100,
-        always,
-        AlgExec::Exchange(Arc::new(sw_alltoall)),
-    ));
+fn always(_: &Geometry) -> bool {
+    true
 }
 
-fn lookup(geom: &Geometry, ctx: &Context, kind: CollKind, forced: Option<&str>) -> Arc<AlgEntry> {
-    let reg = ctx.machine().coll_registry();
-    match forced {
-        Some(name) => reg.forced(kind, name),
-        None => reg.select(kind, geom),
+fn routed(geom: &Geometry) -> bool {
+    geom.route().is_some()
+}
+
+fn chain(geom: &Geometry) -> bool {
+    geom.size() >= 2
+}
+
+/// Whether an algorithm can run on a geometry right now.
+type Available = fn(&Geometry) -> bool;
+
+/// Every built-in algorithm with its availability; the classroute-backed
+/// rows answer with route presence, so `optimize` / `deoptimize` flip them
+/// live.
+pub(crate) const ALGORITHMS: [(&str, CollKind, Available); 12] = [
+    (names::GI_BARRIER, CollKind::Barrier, always),
+    (names::COLLNET_BARRIER, CollKind::Barrier, routed),
+    (names::HW_BCAST, CollKind::Broadcast, routed),
+    (names::SW_BCAST, CollKind::Broadcast, always),
+    (names::HW_ALLREDUCE, CollKind::Allreduce, routed),
+    (names::SW_ALLREDUCE, CollKind::Allreduce, always),
+    (names::STREAM_ALLREDUCE, CollKind::Allreduce, chain),
+    (names::SW_REDUCE, CollKind::Reduce, always),
+    (names::SW_GATHER, CollKind::Gather, always),
+    (names::SW_SCATTER, CollKind::Scatter, always),
+    (names::SW_ALLGATHER, CollKind::Allgather, always),
+    (names::SW_ALLTOALL, CollKind::Alltoall, always),
+];
+
+/// Auto-selection: the algorithm an unforced `kind` call runs on `geom`
+/// right now, and the one place that is decided. The collective network
+/// while the geometry holds a classroute; otherwise the binomial broadcast
+/// and the streaming chain allreduce (the binomial one on a geometry of one
+/// member, where no chain exists). The GI barrier always — the paper chose
+/// it over the collective-network barrier for latency — and the one
+/// software algorithm of every other kind.
+pub fn select(kind: CollKind, geom: &Geometry) -> &'static str {
+    match kind {
+        CollKind::Barrier => names::GI_BARRIER,
+        CollKind::Broadcast if routed(geom) => names::HW_BCAST,
+        CollKind::Broadcast => names::SW_BCAST,
+        CollKind::Allreduce if routed(geom) => names::HW_ALLREDUCE,
+        CollKind::Allreduce if chain(geom) => names::STREAM_ALLREDUCE,
+        CollKind::Allreduce => names::SW_ALLREDUCE,
+        CollKind::Reduce => names::SW_REDUCE,
+        CollKind::Gather => names::SW_GATHER,
+        CollKind::Scatter => names::SW_SCATTER,
+        CollKind::Allgather => names::SW_ALLGATHER,
+        CollKind::Alltoall => names::SW_ALLTOALL,
     }
 }
 
@@ -266,36 +234,31 @@ fn wait_board(geom: &Geometry, ctx: &Context, seq: u64, slot: u32) -> BoardEntry
 // ---------------------------------------------------------------------------
 
 /// Barrier over the geometry: L2 local barrier on each node bracketing a GI
-/// barrier across the nodes (paper section IV.B). Auto-selection picks the
-/// GI entry on every geometry — the paper chose the GI network over
-/// collective-network barriers for latency, and the cost hints encode that.
+/// barrier across the nodes (paper section IV.B) — what [`select`] names on
+/// every geometry.
 pub fn barrier(geom: &Geometry, ctx: &Context) {
-    barrier_dispatch(geom, ctx, None)
+    barrier_named(geom, ctx, select(CollKind::Barrier, geom))
 }
 
-/// Barrier through a named registry entry (ablation hook: the paper chose
+/// Barrier through a named algorithm (ablation hook: the paper chose
 /// [`names::GI_BARRIER`] over [`names::COLLNET_BARRIER`] for latency; the
 /// latter needs an optimized geometry).
 ///
 /// # Panics
-/// If no barrier algorithm is registered under `name`.
+/// If no barrier algorithm is named `name`.
 pub fn barrier_named(geom: &Geometry, ctx: &Context, name: &str) {
-    barrier_dispatch(geom, ctx, Some(name))
-}
-
-fn barrier_dispatch(geom: &Geometry, ctx: &Context, forced: Option<&str>) {
     let machine = ctx.machine();
     let probes = machine.coll_probes();
     probes.barriers.incr();
     let start = Stamp::now();
     // Consume a sequence number to keep collective ordering aligned even
     // though the barrier itself never touches the board.
-    let seq = geom.next_seq(ctx.task());
+    geom.next_seq(ctx.task());
     if geom.size() > 1 {
-        let entry = lookup(geom, ctx, CollKind::Barrier, forced);
-        match entry.exec() {
-            AlgExec::Barrier(f) => f(geom, ctx, seq),
-            _ => unreachable!("barrier entry with a non-barrier body"),
+        match name {
+            names::GI_BARRIER => gi_barrier(geom, ctx),
+            names::COLLNET_BARRIER => collnet_barrier(geom, ctx),
+            name => panic!("no barrier algorithm named {name:?}"),
         }
     }
     probes.barrier_ns.record_since(start);
@@ -304,7 +267,7 @@ fn barrier_dispatch(geom: &Geometry, ctx: &Context, forced: Option<&str>) {
 
 /// GI-network barrier body: local barrier, leader arrives at the GI wire,
 /// local barrier.
-fn gi_barrier(geom: &Geometry, ctx: &Context, _seq: u64) {
+fn gi_barrier(geom: &Geometry, ctx: &Context) {
     let group = geom.group(ctx.node());
     local_barrier(geom, ctx);
     if ctx.task() == group.leader && geom.nodes().len() > 1 {
@@ -316,8 +279,8 @@ fn gi_barrier(geom: &Geometry, ctx: &Context, _seq: u64) {
 
 /// Collective-network barrier body: a zero-payload contribution over the
 /// classroute. Panics (leader only, multi-node only) when the geometry has
-/// no route — exactly the pre-registry behaviour.
-fn collnet_barrier(geom: &Geometry, ctx: &Context, _seq: u64) {
+/// no route.
+fn collnet_barrier(geom: &Geometry, ctx: &Context) {
     let group = geom.group(ctx.node());
     local_barrier(geom, ctx);
     if ctx.task() == group.leader && geom.nodes().len() > 1 {
@@ -349,7 +312,8 @@ fn collnet_barrier(geom: &Geometry, ctx: &Context, _seq: u64) {
 // ---------------------------------------------------------------------------
 
 /// Broadcast `len` bytes at (`region`, `offset`) from geometry rank
-/// `root_rank` to the same place on every member (registry auto-selection).
+/// `root_rank` to the same place on every member (the algorithm [`select`]
+/// names).
 pub fn broadcast(
     geom: &Geometry,
     ctx: &Context,
@@ -358,15 +322,13 @@ pub fn broadcast(
     offset: usize,
     len: usize,
 ) {
-    broadcast_dispatch(geom, ctx, None, root_rank, region, offset, len)
+    broadcast_named(geom, ctx, select(CollKind::Broadcast, geom), root_rank, region, offset, len)
 }
 
-/// Broadcast through a named registry entry — how a builtin is forced and
-/// how layered algorithms (the MPI rectangle broadcast) are invoked once
-/// registered.
+/// Broadcast through a named algorithm.
 ///
 /// # Panics
-/// If no broadcast algorithm is registered under `name`.
+/// If no broadcast algorithm is named `name`.
 pub fn broadcast_named(
     geom: &Geometry,
     ctx: &Context,
@@ -376,13 +338,21 @@ pub fn broadcast_named(
     offset: usize,
     len: usize,
 ) {
-    broadcast_dispatch(geom, ctx, Some(name), root_rank, region, offset, len)
+    let body: BroadcastBody = match name {
+        names::HW_BCAST => hw_broadcast,
+        names::SW_BCAST => sw_broadcast,
+        name => panic!("no broadcast algorithm named {name:?}"),
+    };
+    broadcast_with(geom, ctx, body, root_rank, region, offset, len)
 }
 
-fn broadcast_dispatch(
+/// Broadcast through `body` — the shell every broadcast runs in, which is
+/// how a layer above (the MPI rectangle broadcast) brings its own
+/// algorithm and keeps sequencing, `coll.broadcasts` and `coll.bcast_ns`.
+pub fn broadcast_with(
     geom: &Geometry,
     ctx: &Context,
-    forced: Option<&str>,
+    body: BroadcastBody,
     root_rank: usize,
     region: &MemRegion,
     offset: usize,
@@ -396,11 +366,7 @@ fn broadcast_dispatch(
     // bytes is a no-op but collective ordering must stay aligned).
     let seq = geom.next_seq(ctx.task());
     if geom.size() > 1 && len > 0 {
-        let entry = lookup(geom, ctx, CollKind::Broadcast, forced);
-        match entry.exec() {
-            AlgExec::Broadcast(f) => f(geom, ctx, seq, root_rank, region, offset, len),
-            _ => unreachable!("broadcast entry with a non-broadcast body"),
-        }
+        body(geom, ctx, seq, root_rank, region, offset, len);
     }
     probes.bcast_ns.record_since(start);
     machine.telemetry().trace_span("coll.broadcast", start, len as u64);
@@ -567,7 +533,7 @@ fn sw_broadcast(
 // ---------------------------------------------------------------------------
 
 /// Allreduce `count` 8-byte elements from (`src`) into (`dst`) on every
-/// member (registry auto-selection).
+/// member (the algorithm [`select`] names).
 #[allow(clippy::too_many_arguments)]
 pub fn allreduce(
     geom: &Geometry,
@@ -578,34 +544,19 @@ pub fn allreduce(
     op: CollOp,
     dtype: DataType,
 ) {
-    allreduce_dispatch(geom, ctx, None, src, dst, count, op, dtype)
+    let name = select(CollKind::Allreduce, geom);
+    allreduce_named(geom, ctx, name, src, dst, count, op, dtype)
 }
 
-/// Allreduce through a named registry entry — how a builtin is forced and
-/// how layered or experimental algorithms (the streaming chain pipeline)
-/// are invoked explicitly.
+/// Allreduce through a named algorithm.
 ///
 /// # Panics
-/// If no allreduce algorithm is registered under `name`.
+/// If no allreduce algorithm is named `name`.
 #[allow(clippy::too_many_arguments)]
 pub fn allreduce_named(
     geom: &Geometry,
     ctx: &Context,
     name: &str,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    count: usize,
-    op: CollOp,
-    dtype: DataType,
-) {
-    allreduce_dispatch(geom, ctx, Some(name), src, dst, count, op, dtype)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn allreduce_dispatch(
-    geom: &Geometry,
-    ctx: &Context,
-    forced: Option<&str>,
     src: (&MemRegion, usize),
     dst: (&MemRegion, usize),
     count: usize,
@@ -621,10 +572,15 @@ fn allreduce_dispatch(
         if geom.size() == 1 {
             dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
         } else {
-            let entry = lookup(geom, ctx, CollKind::Allreduce, forced);
-            match entry.exec() {
-                AlgExec::Allreduce(f) => f(geom, ctx, seq, src, dst, count, op, dtype),
-                _ => unreachable!("allreduce entry with a non-allreduce body"),
+            match name {
+                names::HW_ALLREDUCE => hw_allreduce(geom, ctx, seq, src, dst, count, op, dtype),
+                names::SW_ALLREDUCE => {
+                    sw_reduce_bcast(geom, ctx, seq, None, src, dst, count, op, dtype)
+                }
+                names::STREAM_ALLREDUCE => {
+                    sw_stream_allreduce(geom, ctx, seq, src, dst, count, op, dtype)
+                }
+                name => panic!("no allreduce algorithm named {name:?}"),
             }
         }
     }
@@ -632,12 +588,12 @@ fn allreduce_dispatch(
     machine.telemetry().trace_span("coll.allreduce", start, (count * ELEM) as u64);
 }
 
-/// Reduce to `root_rank` (registry auto-selection): the result lands in
-/// `dst` on the root; other members' `dst` is untouched.
+/// Reduce to `root_rank` over the binomial tree: the result lands in `dst`
+/// on the root; other members' `dst` is untouched.
 ///
-/// Only the software binomial path registers for reduce: the hardware
-/// reduction would deliver at the route root, so (as the real library does
-/// for mismatched roots) arbitrary-root reduces go through the tree.
+/// There is no hardware reduce: the collective network would deliver at
+/// the route root, so (as the real library does for mismatched roots)
+/// arbitrary-root reduces go through the tree.
 #[allow(clippy::too_many_arguments)]
 pub fn reduce(
     geom: &Geometry,
@@ -654,17 +610,12 @@ pub fn reduce(
     probes.reduces.incr();
     let start = Stamp::now();
     let seq = geom.next_seq(ctx.task());
-    if count == 0 {
-        return;
-    }
-    if geom.size() == 1 {
-        dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
-        return;
-    }
-    let entry = lookup(geom, ctx, CollKind::Reduce, None);
-    match entry.exec() {
-        AlgExec::Reduce(f) => f(geom, ctx, seq, root_rank, src, dst, count, op, dtype),
-        _ => unreachable!("reduce entry with a non-reduce body"),
+    if count > 0 {
+        if geom.size() == 1 {
+            dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
+        } else {
+            sw_reduce_bcast(geom, ctx, seq, Some(root_rank), src, dst, count, op, dtype);
+        }
     }
     probes.reduce_ns.record_since(start);
     machine.telemetry().trace_span("coll.reduce", start, (count * ELEM) as u64);
@@ -800,38 +751,6 @@ fn hw_allreduce(
     if is_leader {
         group.board.clear_seq(seq);
     }
-}
-
-/// Software allreduce body: binomial reduce to relative rank 0, then
-/// binomial broadcast of the result.
-#[allow(clippy::too_many_arguments)]
-fn sw_allreduce(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    count: usize,
-    op: CollOp,
-    dtype: DataType,
-) {
-    sw_reduce_bcast(geom, ctx, seq, None, src, dst, count, op, dtype)
-}
-
-/// Software reduce body: binomial reduce to `root_rank`.
-#[allow(clippy::too_many_arguments)]
-fn sw_reduce(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    root_rank: usize,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    count: usize,
-    op: CollOp,
-    dtype: DataType,
-) {
-    sw_reduce_bcast(geom, ctx, seq, Some(root_rank), src, dst, count, op, dtype)
 }
 
 /// Software fallback: binomial reduce to a root, then (for allreduce)
@@ -1029,10 +948,7 @@ pub fn gather(
         dst.0.copy_from(dst.1, src.0, src.1, blk);
         return;
     }
-    match lookup(geom, ctx, CollKind::Gather, None).exec() {
-        AlgExec::Block(f) => f(geom, ctx, seq, root_rank, src, dst, blk),
-        _ => unreachable!("gather entry with a non-block body"),
-    }
+    sw_gather(geom, ctx, seq, root_rank, src, dst, blk)
 }
 
 fn sw_gather(
@@ -1125,10 +1041,7 @@ pub fn scatter(
         dst.0.copy_from(dst.1, src.0, src.1, blk);
         return;
     }
-    match lookup(geom, ctx, CollKind::Scatter, None).exec() {
-        AlgExec::Block(f) => f(geom, ctx, seq, root_rank, src, dst, blk),
-        _ => unreachable!("scatter entry with a non-block body"),
-    }
+    sw_scatter(geom, ctx, seq, root_rank, src, dst, blk)
 }
 
 fn sw_scatter(
@@ -1240,21 +1153,11 @@ pub fn allgather(
     if geom.size() == 1 {
         return;
     }
-    match lookup(geom, ctx, CollKind::Allgather, None).exec() {
-        AlgExec::Exchange(f) => f(geom, ctx, seq, src, dst, blk),
-        _ => unreachable!("allgather entry with a non-exchange body"),
-    }
+    sw_allgather(geom, ctx, seq, dst, blk)
 }
 
 /// Ring allgather body (the caller has already deposited its own block).
-fn sw_allgather(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    _src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    blk: usize,
-) {
+fn sw_allgather(geom: &Geometry, ctx: &Context, seq: u64, dst: (&MemRegion, usize), blk: usize) {
     let n = geom.size();
     let rank = geom.rank_of(ctx.task()).expect("caller is a member");
     let right = (rank + 1) % n;
@@ -1298,10 +1201,7 @@ pub fn alltoall(
     if geom.size() == 1 {
         return;
     }
-    match lookup(geom, ctx, CollKind::Alltoall, None).exec() {
-        AlgExec::Exchange(f) => f(geom, ctx, seq, src, dst, blk),
-        _ => unreachable!("alltoall entry with a non-exchange body"),
-    }
+    sw_alltoall(geom, ctx, seq, src, dst, blk)
 }
 
 /// Pairwise-exchange alltoall body (the caller has already copied the local

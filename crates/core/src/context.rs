@@ -66,6 +66,17 @@ fn within(region: &MemRegion, offset: usize, len: usize) -> PamiResult<()> {
     }
 }
 
+/// Refuse a region payload whose source range runs past its region, at
+/// initiation, for the same reason as [`within`].
+fn source_within(payload: &PayloadSource) -> PamiResult<()> {
+    match payload {
+        PayloadSource::Region { region, offset, len } if !region.contains(*offset, *len) => {
+            Err(PamiError::Invalid("payload source outside its region"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Completion callback invoked on the advancing thread. The result is the
 /// transfer's delivery outcome — `Ok(())` on success, `Err` when the
 /// reliability layer failed the transfer (retry budget exhausted,
@@ -510,10 +521,10 @@ impl Context {
     /// layer gives up on the destination.
     ///
     /// # Errors
-    /// [`PamiError::Invalid`] for a reserved dispatch id,
-    /// [`PamiError::UnknownEndpoint`] when the destination was never
-    /// created. Delivery failures are reported asynchronously through
-    /// `local_done`, never from this call.
+    /// [`PamiError::Invalid`] for a reserved dispatch id or a region
+    /// payload that runs past its region, [`PamiError::UnknownEndpoint`]
+    /// when the destination was never created. Delivery failures are
+    /// reported asynchronously through `local_done`, never from this call.
     #[inline]
     pub fn send(&self, args: SendArgs) -> PamiResult<()> {
         let SendArgs { dest, dispatch, metadata, payload, local_done } = args;
@@ -538,6 +549,7 @@ impl Context {
         if dispatch >= DISPATCH_INTERNAL_BASE {
             return Err(PamiError::Invalid("dispatch id in the reserved range"));
         }
+        source_within(&payload)?;
         // Endpoint failover remap, ahead of node/FIFO/policy resolution.
         dest.task = self.machine.resolve_task(dest.task);
         let dest_node = self.machine.task_node(dest.task);
@@ -663,7 +675,8 @@ impl Context {
     ///
     /// # Errors
     /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
-    /// [`PamiError::Invalid`] when the payload would run past its end.
+    /// [`PamiError::Invalid`] when the payload would run past its end, or
+    /// past the end of its own source region.
     pub fn put(&self, args: crate::proto::PutArgs) -> PamiResult<()> {
         let crate::proto::PutArgs { dest_task, window, payload, local_done } = args;
         let dest_task = self.machine.resolve_task(dest_task);
@@ -671,6 +684,7 @@ impl Context {
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, payload.len())?;
+        source_within(&payload)?;
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
             dst_context: 0,

@@ -7,9 +7,11 @@
 //!
 //! * **Initiation errors** — bad arguments, unknown endpoints/windows,
 //!   over-long immediates, a one-sided access that would run past the end
-//!   of its window or of its local slot — return `Err(PamiError)` from the
-//!   initiating call ([`crate::Context::send`],
-//!   [`crate::Context::send_immediate`], [`crate::Context::put`],
+//!   of its window or of its local slot, a `send` or `put` whose
+//!   `PayloadSource::Region` runs past its region — return
+//!   `Err(PamiError)` from the initiating call ([`crate::Context::send`],
+//!   [`crate::Context::send_with`], [`crate::Context::send_immediate`],
+//!   [`crate::Context::put`],
 //!   [`crate::Context::get`], [`crate::Context::rmw`]) without touching
 //!   the network.
 //! * **Delivery errors** — a reliability-layer channel dying after its

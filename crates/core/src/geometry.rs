@@ -184,9 +184,9 @@ impl Geometry {
         geometry
     }
 
-    /// Look up an already-created geometry by id. Registered collective
-    /// algorithm bodies receive `&Geometry` and use this to recover the
-    /// shared handle when they need to retain it past the call.
+    /// Look up an already-created geometry by id. Collective algorithm
+    /// bodies receive `&Geometry` and use this to recover the shared handle
+    /// when they need to retain it past the call.
     pub fn lookup(machine: &Arc<Machine>, id: u32) -> Option<Arc<Geometry>> {
         let registry = machine.shared_state("pami.geometry.registry", || GeometryRegistry {
             map: Mutex::new(HashMap::new()),
@@ -334,11 +334,18 @@ impl Geometry {
     }
 
     /// Query the collective algorithm list for this geometry — the
-    /// `PAMI_Geometry_algorithms_query` analogue. Every registered entry is
-    /// returned with its availability evaluated *now*, so the answer flips
-    /// live with [`Self::optimize`]/[`Self::deoptimize`].
+    /// `PAMI_Geometry_algorithms_query` analogue. Every built-in algorithm
+    /// is returned with its availability evaluated *now*, so the answer
+    /// flips live with [`Self::optimize`]/[`Self::deoptimize`].
     pub fn algorithms_query(&self) -> Vec<crate::coll::AlgInfo> {
-        self.machine().coll_registry().query(self)
+        crate::coll::ALGORITHMS
+            .iter()
+            .map(|&(name, kind, available)| crate::coll::AlgInfo {
+                name,
+                kind,
+                available: available(self),
+            })
+            .collect()
     }
 
     /// Release the classroute ("deoptimize") so another geometry can use

@@ -91,7 +91,7 @@ pub use context::{Context, IncomingMsg, Recv};
 pub use endpoint::Endpoint;
 pub use error::{PamiError, PamiResult};
 pub use geometry::Geometry;
-pub use coll::{AlgInfo, CollKind, CollRegistry};
+pub use coll::{AlgInfo, CollKind};
 pub use machine::{Machine, MachineBuilder, MemKey, TaskEnv, WindowRef};
 pub use policy::{Protocol, StaticPolicy};
 pub use proto::{GetArgs, MemSlot, PutArgs, RmwArgs, SendArgs};

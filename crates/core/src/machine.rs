@@ -2,13 +2,12 @@
 //!
 //! A [`Machine`] bundles every substrate one partition offers its tasks:
 //! the MU fabric, per-node wakeup units and CNK global-VA tables, the
-//! classroute manager and collective-network engine, the world classroute
-//! (COMM_WORLD comes up collective-enabled) and the world GI barrier. It
-//! also carries the registries that stand in for things real hardware does
-//! with physical addresses and keys: memory windows for one-sided
-//! operations, the rendezvous source table, and the endpoint address table
-//! that maps (client, task, context) to a node's reception FIFO and
-//! shared-memory mailbox.
+//! classroute manager and the collective-network engine (a geometry takes
+//! a classroute when it is optimized). It also carries the registries that
+//! stand in for things real hardware does with physical addresses and
+//! keys: memory windows for one-sided operations, the rendezvous source
+//! table, and the endpoint address table that maps (client, task, context)
+//! to a node's reception FIFO and shared-memory mailbox.
 //!
 //! Tasks are laid out node-major: task `t` lives on node `t / ppn` as local
 //! rank `t % ppn` — the default BG/Q mapping.
@@ -18,10 +17,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bgq_collnet::{ClassRoute, ClassRouteManager, CollNet, GiBarrier};
+use bgq_collnet::{ClassRouteManager, CollNet};
 use bgq_hw::{Counter, GlobalVa, MemRegion, WakeupUnit};
 use bgq_mu::{FaultPlan, MuFabric, PayloadSource, RecFifoId};
-use bgq_torus::{Rectangle, TorusShape};
+use bgq_torus::TorusShape;
 use bgq_upc::Upc;
 use parking_lot::{Mutex, RwLock};
 
@@ -332,7 +331,6 @@ impl MachineBuilder {
         let nodes = self.shape.num_nodes();
         let telemetry = self.telemetry.unwrap_or_default();
         let coll_probes = crate::coll::CollProbes::new(&telemetry);
-        let coll_registry = crate::coll::CollRegistry::with_builtins();
         // Keep the record cutoff below the frame so at least one record
         // always fits.
         let aggregation = self.aggregation.map(|mut cfg| {
@@ -383,14 +381,9 @@ impl MachineBuilder {
                 }
             }));
         }
-        let classroutes = ClassRouteManager::new(self.shape);
-        let world_route = classroutes
-            .allocate(Rectangle::full(self.shape), None)
-            .expect("fresh machine always has a classroute for COMM_WORLD");
         Arc::new(Machine {
             telemetry,
             coll_probes,
-            coll_registry,
             shape: self.shape,
             ppn: self.ppn,
             policy,
@@ -400,10 +393,8 @@ impl MachineBuilder {
             wakeups: (0..nodes).map(|_| WakeupUnit::new()).collect(),
             global_va: (0..nodes).map(|_| GlobalVa::new()).collect(),
             sys_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
-            classroutes,
+            classroutes: ClassRouteManager::new(self.shape),
             collnet: CollNet::new(),
-            world_route: Arc::new(world_route),
-            world_gi: GiBarrier::new(nodes),
             clients: Mutex::new(HashMap::new()),
             endpoints: RwLock::new(HashMap::new()),
             endpoint_cache: (0..tasks * cache_slots).map(|_| OnceLock::new()).collect(),
@@ -428,10 +419,6 @@ pub struct Machine {
     /// Collective-operation probes (`coll.*`), registered once so repeated
     /// collectives don't grow the registry.
     coll_probes: crate::coll::CollProbes,
-    /// Per-geometry collective algorithm registry: every barrier/broadcast/
-    /// allreduce/… algorithm is a queryable entry with an availability
-    /// predicate and a cost hint; geometries select through it.
-    coll_registry: crate::coll::CollRegistry,
     shape: TorusShape,
     ppn: usize,
     /// Point-to-point protocol selection: the ladder every context copies
@@ -450,8 +437,6 @@ pub struct Machine {
     pub(crate) sys_pump: Vec<Mutex<()>>,
     classroutes: ClassRouteManager,
     collnet: CollNet,
-    world_route: Arc<ClassRoute>,
-    world_gi: GiBarrier,
     clients: Mutex<HashMap<String, u16>>,
     endpoints: RwLock<HashMap<(u16, u32, u16), EndpointAddr>>,
     /// Lock-free send-path view of `endpoints` (client 0, context offsets
@@ -578,13 +563,6 @@ impl Machine {
         self.aggregation.as_ref()
     }
 
-    /// The per-geometry collective algorithm registry (the analogue of
-    /// `PAMI_Geometry_algorithms_query`). Layers above PAMI (MPI's rect
-    /// broadcast) register additional entries here.
-    pub fn coll_registry(&self) -> &crate::coll::CollRegistry {
-        &self.coll_registry
-    }
-
     /// The wakeup unit of `node`.
     pub fn wakeup_unit(&self, node: u32) -> &WakeupUnit {
         &self.wakeups[node as usize]
@@ -603,16 +581,6 @@ impl Machine {
     /// The collective-network engine.
     pub fn collnet(&self) -> &CollNet {
         &self.collnet
-    }
-
-    /// The COMM_WORLD classroute (always programmed).
-    pub fn world_route(&self) -> &Arc<ClassRoute> {
-        &self.world_route
-    }
-
-    /// The world GI barrier (one slot per node).
-    pub fn world_gi(&self) -> &GiBarrier {
-        &self.world_gi
     }
 
     /// Spawn one thread per task running `f`, and join them all. Panics in
@@ -866,10 +834,11 @@ mod tests {
     }
 
     #[test]
-    fn world_route_covers_machine() {
+    fn fresh_machine_leaves_every_user_classroute_free() {
+        use bgq_collnet::{NUM_CLASSROUTES, SYSTEM_RESERVED_ROUTES};
         let m = Machine::with_nodes(8).build();
-        assert_eq!(m.world_route().num_nodes(), 8);
-        assert_eq!(m.world_gi().members(), 8);
+        let free = m.classroutes().available_for(bgq_torus::Rectangle::full(m.shape()));
+        assert_eq!(free, NUM_CLASSROUTES - SYSTEM_RESERVED_ROUTES, "no route held for nobody");
     }
 
     #[test]

@@ -12,14 +12,15 @@
 //!   words, so fetch-adds through both lose no update.
 //! * **Operation semantics** — compare-swap, min and max apply their
 //!   documented rules and return the prior value.
-//! * **Refused at initiation** — a one-sided access outside its window
-//!   is an `Err` from the call, never a panic in someone's `advance`.
+//! * **Refused at initiation** — a one-sided access outside its window,
+//!   or a put or send whose source runs past its region, is an `Err` from
+//!   the call, never a panic in someone's `advance`.
 
 use std::sync::{Arc, OnceLock};
 
 use pami::{
     Client, Counter, FaultPlan, GetArgs, Machine, MemKey, MemRegion, MemSlot, PamiError,
-    PayloadSource, PutArgs, RmwArgs, RmwOp, WindowRef,
+    PayloadSource, PutArgs, RmwArgs, RmwOp, SendArgs, WindowRef,
 };
 
 /// Run `f(task, ctx, key)` on every task of an `n`-task machine whose task
@@ -236,34 +237,62 @@ fn two_windows_over_one_region_lose_no_update() {
 fn out_of_range_one_sided_ops_are_refused_at_initiation() {
     // Queued, each of these would panic "out of bounds" inside whichever
     // thread pumped the descriptor — under a plan with the frame still at
-    // the head of its channel, so every later pump would panic again.
+    // the head of its channel, so every later pump would panic again — or,
+    // for a send's source, inside `send` itself or the peer's `advance`.
     for plan in [None, Some(FaultPlan::new().seed(7))] {
-        let mut builder = Machine::with_nodes(2);
+        // Task 1 shares task 0's node; task 2 is off-node.
+        let mut builder = Machine::with_nodes(2).ppn(2);
         if let Some(plan) = plan {
             builder = builder.fault_plan(plan);
         }
         let machine = builder.build();
         let me = Client::create(&machine, 0, "oob", 1);
-        let peer = Client::create(&machine, 1, "oob", 1);
+        let peers: Vec<_> = (1..4).map(|t| Client::create(&machine, t, "oob", 1)).collect();
+        for peer in &peers {
+            let sink = MemRegion::zeroed(16 * 1024);
+            peer.context(0).set_dispatch(
+                1,
+                Arc::new(move |_: &pami::Context, _, _| pami::Recv::Into {
+                    region: sink.clone(),
+                    offset: 0,
+                    on_complete: Box::new(|_, _| {}),
+                }),
+            );
+        }
         let ctx = me.context(0);
         let key = machine.create_window(MemRegion::zeroed(64), None);
         let local = MemRegion::zeroed(64);
         let refused = Err(PamiError::Invalid("one-sided access outside its window"));
         let payload = PayloadSource::Region { region: local.clone(), offset: 0, len: 8 };
         let window = WindowRef::at(key, 60);
-        let put = PutArgs { dest_task: 1, window, payload, local_done: None };
+        let put = PutArgs { dest_task: 2, window, payload, local_done: None };
         assert_eq!(ctx.put(put), refused, "put past the window");
         // (window offset, local offset): past the window, past the slot,
         // and an offset whose end does not fit a `usize`.
         for (remote, slot) in [(60, 0), (0, 60), (usize::MAX - 3, 0)] {
             let window = WindowRef::at(key, remote);
             let dst = MemSlot { region: local.clone(), offset: slot };
-            let get = GetArgs { dest_task: 1, window, dst: dst.clone(), len: 8, done: None };
+            let get = GetArgs { dest_task: 2, window, dst: dst.clone(), len: 8, done: None };
             assert_eq!(ctx.get(get), refused, "get at {remote} into {slot}");
-            let add = RmwArgs::fetch_add(1, window, 1);
+            let add = RmwArgs::fetch_add(2, window, 1);
             assert_eq!(ctx.rmw(RmwArgs { result: Some(dst), ..add }), refused, "rmw at {remote}");
         }
+        // A source that runs 8 bytes past its region: a put, then a send on
+        // the short, eager and rendezvous rungs and on-node.
+        let past = |len| PayloadSource::Region { region: MemRegion::zeroed(len), offset: 8, len };
+        let unsourced = Err(PamiError::Invalid("payload source outside its region"));
+        let window = WindowRef::base(key);
+        let put = PutArgs { dest_task: 2, window, payload: past(8), local_done: None };
+        assert_eq!(ctx.put(put), unsourced, "put from past its source");
+        for (dest, len) in [(2, 8), (2, 2048), (2, 16 * 1024), (1, 2048)] {
+            let (dest, payload) = (pami::Endpoint::of_task(dest), past(len));
+            let send = SendArgs { dest, dispatch: 1, metadata: Vec::new(), payload, local_done: None };
+            assert_eq!(ctx.send(send), unsourced, "{len} B send to {dest:?}");
+        }
         assert!(ctx.is_quiescent(), "nothing was queued");
-        assert_eq!((ctx.advance(), peer.context(0).advance()), (0, 0), "nothing to pump");
+        assert_eq!(ctx.advance(), 0, "nothing to pump");
+        for peer in &peers {
+            assert_eq!(peer.context(0).advance(), 0, "nothing arrived");
+        }
     }
 }

@@ -766,7 +766,34 @@ fn reduce_delivers_at_root_only() {
         } else {
             assert_eq!(got, -1, "non-root dst untouched");
         }
+        // Trivial calls — nothing to move, or a geometry of one — still
+        // pass through their operation's latency probe.
+        let solo = Geometry::create(ctx, 10 + env.task, Topology::Range {
+            first: env.task,
+            count: 1,
+            stride: 1,
+        });
+        let (sum, int) = (CollOp::Sum, DataType::Int64);
+        for g in [&geom, &solo] {
+            coll::barrier(g, ctx);
+            coll::broadcast(g, ctx, 0, &dst, 0, 0);
+            coll::allreduce(g, ctx, (&src, 0), (&dst, 0), 0, sum, int);
+            coll::reduce(g, ctx, 0, (&src, 0), (&dst, 0), 0, sum, int);
+        }
+        coll::broadcast(&solo, ctx, 0, &dst, 0, 8);
+        coll::allreduce(&solo, ctx, (&src, 0), (&dst, 0), 1, sum, int);
+        coll::reduce(&solo, ctx, 0, (&src, 0), (&dst, 0), 1, sum, int);
     });
+    let snap = machine.telemetry().snapshot();
+    for (calls, probe) in [
+        ("coll.barriers", "coll.barrier_ns"),
+        ("coll.broadcasts", "coll.bcast_ns"),
+        ("coll.allreduces", "coll.allreduce_ns"),
+        ("coll.reduces", "coll.reduce_ns"),
+    ] {
+        let recorded = snap.histogram(probe).map_or(0, |h| h.count);
+        assert_eq!(recorded, snap.counter(calls), "every call of {calls} records {probe}");
+    }
 }
 
 #[test]
@@ -797,30 +824,46 @@ fn optimize_and_deoptimize_rotate_classroutes() {
 }
 
 #[test]
-fn registry_query_matches_use_hw_decision() {
-    // The CollRegistry's availability/cost view must reproduce the old
-    // `use_hw` logic exactly: hardware entries (cost 10–20) appear only
-    // while a classroute is attached, software fallbacks (cost 100) always,
-    // and auto-selection therefore flips hw↔sw on optimize()/deoptimize().
-    use pami::coll::{names, CollKind};
+fn select_and_query_follow_the_classroute() {
+    // Auto-selection and the algorithms query both read the classroute:
+    // hardware rows are available only while one is attached, software
+    // fallbacks always, and `coll::select` flips hw↔sw on
+    // optimize()/deoptimize(), never naming an unavailable algorithm.
+    use pami::coll::{names, select, CollKind};
     let machine = Machine::with_nodes(2).build();
     machine.run(|env| {
         let client = Client::create(&env.machine, env.task, "reg", 1);
         env.machine.task_barrier();
         let ctx = client.context(0);
         let geom = world_geometry(ctx);
-        let reg = env.machine.coll_registry();
 
         let avail = |name: &str| {
             geom.algorithms_query()
                 .into_iter()
                 .find(|i| i.name == name)
                 .map(|i| i.available)
-                .unwrap_or_else(|| panic!("{name} not registered"))
+                .unwrap_or_else(|| panic!("{name} not in algorithms_query"))
+        };
+        let kinds = [
+            CollKind::Barrier,
+            CollKind::Broadcast,
+            CollKind::Allreduce,
+            CollKind::Reduce,
+            CollKind::Gather,
+            CollKind::Scatter,
+            CollKind::Allgather,
+            CollKind::Alltoall,
+        ];
+        let selected_are_available = || {
+            for kind in kinds {
+                let name = select(kind, &geom);
+                assert!(avail(name), "{kind:?}: select named unavailable {name}");
+                let row = geom.algorithms_query().into_iter().find(|i| i.name == name);
+                assert_eq!(row.map(|i| i.kind), Some(kind), "{name} implements {kind:?}");
+            }
         };
 
-        // Unoptimized: software everywhere, hardware unavailable — the old
-        // `use_hw == false` branch.
+        // Unoptimized: software everywhere, hardware unavailable.
         assert!(!avail(names::HW_BCAST));
         assert!(!avail(names::HW_ALLREDUCE));
         assert!(!avail(names::COLLNET_BARRIER));
@@ -828,38 +871,34 @@ fn registry_query_matches_use_hw_decision() {
         assert!(avail(names::SW_ALLREDUCE));
         assert!(avail(names::STREAM_ALLREDUCE));
         assert!(avail(names::GI_BARRIER));
-        assert_eq!(reg.select(CollKind::Broadcast, &geom).name, names::SW_BCAST);
-        // The streaming chain (cost 90) outranks the binomial tree (100) on
-        // unrouted geometries.
-        assert_eq!(reg.select(CollKind::Allreduce, &geom).name, names::STREAM_ALLREDUCE);
-        assert_eq!(reg.select(CollKind::Barrier, &geom).name, names::GI_BARRIER);
+        assert_eq!(select(CollKind::Broadcast, &geom), names::SW_BCAST);
+        // The streaming chain, not the binomial tree, on unrouted geometries.
+        assert_eq!(select(CollKind::Allreduce, &geom), names::STREAM_ALLREDUCE);
+        assert_eq!(select(CollKind::Barrier, &geom), names::GI_BARRIER);
+        selected_are_available();
 
         coll::barrier(&geom, ctx);
         geom.optimize().expect("world is rectangular");
 
-        // Optimized: the hardware entries become available and win on cost
-        // — the old `use_hw == true` branch.
+        // Optimized: the hardware rows become available and are selected.
         assert!(avail(names::HW_BCAST));
         assert!(avail(names::HW_ALLREDUCE));
         assert!(avail(names::COLLNET_BARRIER));
-        assert_eq!(reg.select(CollKind::Broadcast, &geom).name, names::HW_BCAST);
-        assert_eq!(reg.select(CollKind::Allreduce, &geom).name, names::HW_ALLREDUCE);
-        // GI barrier stays cheapest even when the collective network is up,
-        // exactly like the pre-registry dispatcher.
-        assert_eq!(reg.select(CollKind::Barrier, &geom).name, names::GI_BARRIER);
+        assert_eq!(select(CollKind::Broadcast, &geom), names::HW_BCAST);
+        assert_eq!(select(CollKind::Allreduce, &geom), names::HW_ALLREDUCE);
+        // The GI barrier stays selected with the collective network up.
+        assert_eq!(select(CollKind::Barrier, &geom), names::GI_BARRIER);
+        selected_are_available();
 
-        // Software-only kinds never grow a hardware entry.
-        for kind in [
-            CollKind::Reduce,
-            CollKind::Gather,
-            CollKind::Scatter,
-            CollKind::Allgather,
-            CollKind::Alltoall,
+        // Software-only kinds never select a hardware algorithm.
+        for (kind, name) in [
+            (CollKind::Reduce, names::SW_REDUCE),
+            (CollKind::Gather, names::SW_GATHER),
+            (CollKind::Scatter, names::SW_SCATTER),
+            (CollKind::Allgather, names::SW_ALLGATHER),
+            (CollKind::Alltoall, names::SW_ALLTOALL),
         ] {
-            assert!(
-                reg.select(kind, &geom).cost >= 100,
-                "{kind:?} has no hardware path"
-            );
+            assert_eq!(select(kind, &geom), name, "{kind:?} has no hardware path");
         }
 
         coll::barrier(&geom, ctx);
@@ -868,7 +907,8 @@ fn registry_query_matches_use_hw_decision() {
         }
         coll::barrier(&geom, ctx);
         assert!(!avail(names::HW_BCAST));
-        assert_eq!(reg.select(CollKind::Broadcast, &geom).name, names::SW_BCAST);
+        assert_eq!(select(CollKind::Broadcast, &geom), names::SW_BCAST);
+        selected_are_available();
     });
 }
 

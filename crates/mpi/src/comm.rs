@@ -13,9 +13,10 @@ use std::sync::Arc;
 use bgq_collnet::ClassRouteError;
 use bgq_hw::MemRegion;
 use pami::coll;
-use pami::{CollOp, Context, DataType, Geometry};
+use pami::{AlgInfo, CollKind, CollOp, Context, DataType, Geometry};
 
 use crate::mpi::Mpi;
+use crate::rect_bcast;
 
 /// One rank's view of a communicator.
 #[derive(Clone)]
@@ -79,11 +80,17 @@ impl Comm {
     }
 
     /// `MPIX_Comm_algorithms_query`: every collective algorithm the stack
-    /// knows, with availability evaluated against this communicator right
-    /// now — [`Self::optimize`]/[`Self::deoptimize`] flip the hardware
-    /// entries (and the rectangle broadcast) live.
-    pub fn algorithms_query(&self) -> Vec<pami::coll::AlgInfo> {
-        self.geometry.algorithms_query()
+    /// knows — PAMI's built-ins, then the rectangle broadcast — with
+    /// availability evaluated against this communicator right now:
+    /// [`Self::optimize`]/[`Self::deoptimize`] flip the hardware rows live.
+    pub fn algorithms_query(&self) -> Vec<AlgInfo> {
+        let mut algorithms = self.geometry.algorithms_query();
+        algorithms.push(AlgInfo {
+            name: rect_bcast::ALG_RECT_BCAST,
+            kind: CollKind::Broadcast,
+            available: rect_bcast::available(&self.geometry),
+        });
+        algorithms
     }
 
     // ---- collectives (context-explicit, used internally) -------------------
@@ -108,8 +115,8 @@ impl Mpi {
         coll::broadcast(comm.geometry(), self.coll_context(), root, buf, offset, len);
     }
 
-    /// `MPI_Bcast` through a named registry entry (`pami::coll::names`;
-    /// benchmark control). Panics if no broadcast is registered under
+    /// `MPI_Bcast` through a named algorithm (`pami::coll::names`;
+    /// benchmark control). Panics if no broadcast algorithm is named
     /// `name`.
     #[allow(clippy::too_many_arguments)]
     pub fn bcast_named(
@@ -127,17 +134,17 @@ impl Mpi {
 
     /// The 10-color rectangle broadcast (Figure 10): stripes the buffer
     /// over up to ten edge-disjoint spanning trees of the torus for
-    /// aggregate bandwidth approaching ten links.
+    /// aggregate bandwidth approaching ten links. On a single node or an
+    /// irregular node set, the generic [`Mpi::bcast`].
     pub fn bcast_rect(&self, buf: &MemRegion, offset: usize, len: usize, root: usize, comm: &Comm) {
         let _g = self.call_guard();
-        crate::rect_bcast::rect_broadcast(
-            comm.geometry(),
-            self.coll_context(),
-            root,
-            buf,
-            offset,
-            len,
-        );
+        let (geom, ctx) = (comm.geometry(), self.coll_context());
+        if rect_bcast::available(geom) {
+            let body = rect_bcast::rect_broadcast_body;
+            coll::broadcast_with(geom, ctx, body, root, buf, offset, len);
+        } else {
+            coll::broadcast(geom, ctx, root, buf, offset, len);
+        }
     }
 
     /// `MPI_Allreduce` of `count` 8-byte elements.
@@ -155,9 +162,9 @@ impl Mpi {
         coll::allreduce(comm.geometry(), self.coll_context(), src, dst, count, op, dtype);
     }
 
-    /// `MPI_Allreduce` through a named registry entry (e.g.
+    /// `MPI_Allreduce` through a named algorithm (e.g.
     /// `pami::coll::names::STREAM_ALLREDUCE` for the streaming chain
-    /// pipeline). Panics if no allreduce is registered under `name`.
+    /// pipeline). Panics if no allreduce algorithm is named `name`.
     #[allow(clippy::too_many_arguments)]
     pub fn allreduce_named(
         &self,

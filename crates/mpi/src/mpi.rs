@@ -106,9 +106,6 @@ impl Mpi {
             Self::register_dispatch(ctx, &shared);
             crate::rect_bcast::register_dispatch(ctx);
         }
-        // Layer the MPI rectangle broadcast into the machine's collective
-        // registry (idempotent across ranks).
-        crate::rect_bcast::register_alg(machine);
         // "We use the thread level in the MPI_Init_thread call to determine
         // the level of thread parallelism ... If MPI_THREAD_MULTIPLE is
         // requested, communication threads are automatically enabled."

@@ -16,33 +16,27 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, MemRegion};
 use bgq_torus::{Coords, SpanningTree, TorusShape};
-use pami::coll::{AlgEntry, AlgExec, CollKind};
 use pami::geometry::BoardEntry;
-use pami::{Context, Endpoint, Geometry, Machine, PayloadSource, Recv, SendArgs};
+use pami::{Context, Endpoint, Geometry, PayloadSource, Recv, SendArgs};
 use parking_lot::Mutex;
 
 /// Dispatch id used by rectangle-broadcast tree traffic.
 pub const DISPATCH_RECT: u16 = 0x0020;
 
-/// Registry name of the rectangle broadcast — a *layered* algorithm the MPI
-/// layer adds to the PAMI [`pami::coll::CollRegistry`].
-pub const ALG_RECT_BCAST: &str = "rect-bcast";
-
-/// Register the rectangle broadcast in the machine's collective registry
-/// (done by [`crate::mpi::Mpi::init`]; idempotent). Cost 200 keeps it out
-/// of auto-selection — it runs when forced by name ([`Mpi::bcast_rect`]) —
-/// and its availability predicate (a multi-node rectangular geometry) is
-/// what [`Mpi::bcast_rect`] consults to fall back to the generic path.
+/// Name of the rectangle broadcast in [`crate::Comm::algorithms_query`] —
+/// a *layered* algorithm the MPI layer lists beside PAMI's built-ins. It
+/// runs only through [`Mpi::bcast_rect`], never by auto-selection.
 ///
 /// [`Mpi::bcast_rect`]: crate::mpi::Mpi
-pub(crate) fn register_alg(machine: &Arc<Machine>) {
-    machine.coll_registry().register(AlgEntry::new(
-        ALG_RECT_BCAST,
-        CollKind::Broadcast,
-        200,
-        Arc::new(|g: &Geometry| g.nodes().len() > 1 && g.node_rect().is_some()),
-        AlgExec::Broadcast(Arc::new(rect_broadcast_body)),
-    ));
+pub const ALG_RECT_BCAST: &str = "rect-bcast";
+
+/// Whether the rectangle broadcast can run on `geom`: more than one node,
+/// and the nodes form a rectangle (no classroute needed). Elsewhere
+/// [`Mpi::bcast_rect`] falls back to the generic broadcast.
+///
+/// [`Mpi::bcast_rect`]: crate::mpi::Mpi
+pub(crate) fn available(geom: &Geometry) -> bool {
+    geom.nodes().len() > 1 && geom.node_rect().is_some()
 }
 
 /// Number of colors (directed links out of a node).
@@ -240,33 +234,10 @@ fn trees_for(
     })
 }
 
-/// The 10-color rectangle broadcast. Collective over `geom`; consults the
-/// registry entry's availability and falls back to the generic broadcast
-/// when the geometry spans a single node or is not a node rectangle.
-pub fn rect_broadcast(
-    geom: &Arc<Geometry>,
-    ctx: &Arc<Context>,
-    root_rank: usize,
-    region: &MemRegion,
-    offset: usize,
-    len: usize,
-) {
-    let entry = geom
-        .machine()
-        .coll_registry()
-        .forced(CollKind::Broadcast, ALG_RECT_BCAST);
-    if entry.available(geom) {
-        pami::coll::broadcast_named(geom, ctx, ALG_RECT_BCAST, root_rank, region, offset, len);
-    } else {
-        // No torus to stripe over (or irregular nodes): generic path.
-        pami::coll::broadcast(geom, ctx, root_rank, region, offset, len);
-    }
-}
-
-/// The registered broadcast body: stripe over ten spanning trees. Runs with
-/// the sequence number already consumed and trivial cases already handled
-/// by the dispatch wrapper.
-fn rect_broadcast_body(
+/// The broadcast body ([`pami::coll::BroadcastBody`]): stripe over ten
+/// spanning trees. Runs inside [`pami::coll::broadcast_with`], with the
+/// sequence number already consumed and trivial cases already handled.
+pub(crate) fn rect_broadcast_body(
     geom: &Geometry,
     ctx: &Context,
     seq: u64,

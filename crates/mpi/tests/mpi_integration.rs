@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use bgq_collnet::ops::elems;
-use pami::coll::names;
-use pami::Machine;
+use pami::coll::{self, names};
+use pami::{CollKind, Machine};
 use pami_mpi::{
     CollOp, DataType, LibFlavor, MemRegion, Mpi, MpiConfig, ThreadLevel, ANY_SOURCE, ANY_TAG,
 };
@@ -330,11 +330,11 @@ fn rectangle_broadcast_nonzero_root() {
 
 #[test]
 fn algorithms_query_tracks_optimize_state() {
-    // `MPIX_Comm_algorithms_query` through the registry must reproduce the
-    // old `use_hw` decision live: hardware entries flip with
-    // optimize()/deoptimize(), the software fallbacks never disappear, and
-    // the MPI-layer rectangle broadcast is listed with its own availability
-    // (multi-node rectangular communicator, route or not).
+    // `MPIX_Comm_algorithms_query` must track the communicator live:
+    // hardware rows flip with optimize()/deoptimize(), the software
+    // fallbacks never disappear, and the MPI-layer rectangle broadcast is
+    // listed with its own availability (multi-node rectangular
+    // communicator, route or not) while auto-selection never names it.
     run_mpi(4, 1, MpiConfig::default(), |mpi| {
         let world = mpi.world().clone();
         let find = |name: &str| {
@@ -344,6 +344,7 @@ fn algorithms_query_tracks_optimize_state() {
                 .find(|i| i.name == name)
                 .unwrap_or_else(|| panic!("{name} not in algorithms_query"))
         };
+        let selected = || coll::select(CollKind::Broadcast, world.geometry());
         assert!(!find("hw-collnet-bcast").available);
         assert!(!find("hw-collnet-allreduce").available);
         assert!(find("sw-binomial-bcast").available);
@@ -353,18 +354,18 @@ fn algorithms_query_tracks_optimize_state() {
             find("rect-bcast").available,
             "rectangle broadcast only needs a rectangular node set, not a classroute"
         );
-        assert!(
-            find("rect-bcast").cost > find("sw-binomial-bcast").cost,
-            "layered specialist never wins auto-selection"
-        );
+        assert_eq!(find("rect-bcast").kind, CollKind::Broadcast);
+        assert_eq!(selected(), "sw-binomial-bcast", "layered specialist never wins auto-selection");
 
         mpi.barrier(&world);
         world.optimize().expect("world nodes are rectangular");
         assert!(find("hw-collnet-bcast").available);
         assert!(find("hw-collnet-allreduce").available);
         assert!(find("collnet-barrier").available);
-        assert!(
-            find("hw-collnet-bcast").cost < find("sw-binomial-bcast").cost,
+        assert!(find("rect-bcast").available);
+        assert_eq!(
+            selected(),
+            "hw-collnet-bcast",
             "hardware wins auto-selection while the route is attached"
         );
 
@@ -375,6 +376,7 @@ fn algorithms_query_tracks_optimize_state() {
         mpi.barrier(&world);
         assert!(!find("hw-collnet-bcast").available);
         assert!(find("sw-binomial-bcast").available);
+        assert_eq!(selected(), "sw-binomial-bcast");
     });
 }
 

@@ -57,7 +57,7 @@ fn main() {
         // Software binomial fallback over PAMI point-to-point.
         mpi.allreduce_named(names::SW_ALLREDUCE, (&src, 0), (&sw, 0), 1, CollOp::Sum, DataType::Float64, &world);
         // Streaming chain pipeline (SHArP-style per-hop partial reduction),
-        // invoked by registry name.
+        // forced by name.
         let st = MemRegion::zeroed(8);
         mpi.allreduce_named(
             names::STREAM_ALLREDUCE,
