@@ -2,7 +2,7 @@
 //! workflows, the regenerate script and the verify notes name — binaries,
 //! test targets, examples, files under `ci/`, `repro` experiments — is checked
 //! against the tree instead. The same goes for the options census of
-//! DESIGN.md §17: nobody re-counts a table by hand, so the tree is read.
+//! TRIALS.md: nobody re-counts a table by hand, so the tree is read.
 
 use std::path::{Path, PathBuf};
 
@@ -154,7 +154,7 @@ fn every_named_repro_experiment_is_a_match_arm() {
 
 /// Every independently settable value on the machine-construction surface
 /// — builder methods, config fields, environment variables, cargo features,
-/// tool flags — has a row in the options table of DESIGN.md §17, which
+/// tool flags — has a row in the options table of TRIALS.md, which
 /// names the caller that keeps it. Adding an option without writing down
 /// who needs it fails here.
 #[test]
@@ -234,21 +234,21 @@ fn options_census() {
     options.dedup();
     assert!(options.len() >= 40, "the scan found only {} options: {options:?}", options.len());
 
-    let design = read(&root.join("DESIGN.md"));
-    let table: Vec<&str> = design
+    let trials = read(&root.join("TRIALS.md"));
+    let table: Vec<&str> = trials
         .lines()
         .skip_while(|line| !line.starts_with("| option | where |"))
         .take_while(|line| line.starts_with('|'))
         // The row of a deleted option keeps nothing alive.
         .filter(|line| !line.contains("**deleted**"))
         .collect();
-    assert!(table.len() > 2, "DESIGN.md §17 has no `| option | where | …` table");
+    assert!(table.len() > 2, "TRIALS.md has no `| option | where | …` table");
     let table = table.join("\n");
     let missing: Vec<&String> =
         options.iter().filter(|option| !table.contains(&format!("`{option}`"))).collect();
     assert!(
         missing.is_empty(),
-        "options with no row in the census of DESIGN.md §17 (write the row, with the \
+        "options with no row in the census of TRIALS.md (write the row, with the \
          non-test caller that needs a second value — or delete the option): {missing:?}"
     );
 }

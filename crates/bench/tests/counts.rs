@@ -5,7 +5,7 @@
 //! descriptors, packets, copies or seeded RAS events moves only when the
 //! code does. Each test runs one fixed single-driver program, pins the
 //! numbers it produces and asserts the inequality the retired gate stood
-//! for (DESIGN.md §17 has the table and, per test, the one-line mutation
+//! for (TRIALS.md has the table and, per test, the one-line mutation
 //! that turns it red). The time half of every property is a `pamibench`
 //! row.
 //!
@@ -465,7 +465,7 @@ fn collective_sends(
 /// N−1, a binomial allreduce two trees, the streaming chain two chains per
 /// 4 KiB segment, a ring allgather and a pairwise alltoall N(N−1). An
 /// unforced call sends what the algorithm auto-selection names for the
-/// geometry's state. DESIGN.md §17 has one red-turning mutation per row.
+/// geometry's state. TRIALS.md has one red-turning mutation per row.
 #[test]
 fn collectives_send_closed_form_message_counts() {
     use pami::coll::names;

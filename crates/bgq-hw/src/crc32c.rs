@@ -88,7 +88,7 @@ pub fn update_portable(state: u32, data: &[u8]) -> u32 {
 
 /// The instruction kernel: eight bytes, then one byte, at a time down a
 /// single dependent `crc32` chain. Interleaving three chains wins the
-/// isolated bench and lost to this loop on `halo_mixed` (DESIGN.md §17).
+/// isolated bench and lost to this loop on `halo_mixed` (TRIALS.md).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn update_sse42(state: u32, data: &[u8]) -> u32 {

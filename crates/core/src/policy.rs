@@ -8,7 +8,7 @@
 //! thresholds, four comparisons, no state. The machine owns one by value
 //! ([`crate::Machine::policy`]) and every context carries a copy, so
 //! [`StaticPolicy::select`] inlines into [`crate::Context::send`]. Why
-//! there is no feedback-driven policy beside it: DESIGN.md §17.
+//! there is no feedback-driven policy beside it: TRIALS.md.
 
 use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 
