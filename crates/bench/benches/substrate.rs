@@ -33,8 +33,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // Wakeup region touch with no watchers (the common fast path).
-    let unit = bgq_hw::WakeupUnit::new();
-    let region = unit.region();
+    let region = bgq_hw::WakeupRegion::new();
     g.bench_function("wakeup_touch_unwatched", |b| b.iter(|| region.touch()));
 
     // The link-CRC kernel over one full packet payload, two ways. In the

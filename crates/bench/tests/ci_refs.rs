@@ -2,8 +2,10 @@
 //! workflows, the regenerate script and the verify notes name — binaries,
 //! test targets, examples, files under `ci/`, `repro` experiments — is checked
 //! against the tree instead. The same goes for the options census of
-//! TRIALS.md: nobody re-counts a table by hand, so the tree is read.
+//! TRIALS.md and for the substrate crates' `pub` surface: nobody re-counts
+//! either by hand, so the tree is read.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 const FILES: [&str; 4] = [
@@ -250,5 +252,171 @@ fn options_census() {
         missing.is_empty(),
         "options with no row in the census of TRIALS.md (write the row, with the \
          non-test caller that needs a second value — or delete the option): {missing:?}"
+    );
+}
+
+/// The crates below the `pami` / `pami-mpi` façade.
+const SUBSTRATE: [&str; 7] =
+    ["bgq-hw", "bgq-mu", "bgq-torus", "bgq-collnet", "netsim", "upc", "bgq-scale"];
+
+/// Substrate `pub` items that nothing outside their crate names, and why
+/// each stays `pub` all the same.
+const SURFACE_ALLOWLIST: [(&str, &str); 2] = [
+    (
+        "update_portable",
+        "bgq-hw's reference CRC-32C kernel: tests/properties.rs holds the CPU kernel to it \
+         at every alignment and split, on hosts that never dispatch to it",
+    ),
+    (
+        "trace_events",
+        "the merged trace timeline: tests/telemetry.rs checks the trace ring's drop-oldest \
+         wraparound and cross-thread merge through it",
+    ),
+];
+
+/// Every `.rs` file under `dir`, build output skipped.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for path in entries(dir) {
+        if path.is_dir() && !path.ends_with("target") {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn idents(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
+}
+
+/// One `pub` item of a substrate crate's `src/`.
+struct PubItem {
+    name: String,
+    at: String,
+    is_type: bool,
+}
+
+/// The `pub` items `text` declares outside its test modules, and the
+/// signatures that can reach a type without naming it: each `pub fn`'s,
+/// keyed by the fn, and each iterator's `type Item`, keyed by the type the
+/// impl is for.
+fn pub_surface(path: &Path, text: &str) -> (Vec<PubItem>, Vec<(String, String)>) {
+    let lines: Vec<&str> = text.lines().collect();
+    let (mut items, mut signatures, mut impl_for) = (Vec::new(), Vec::new(), String::new());
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i].trim();
+        let at = format!("{}:{}", path.display(), i + 1);
+        // The declaration starting here, up to its body or its `;`.
+        let head = || {
+            let rest = lines[i..lines.len().min(i + 12)].join("\n");
+            rest[..rest.find(['{', ';']).unwrap_or(rest.len())].to_string()
+        };
+        if lines[i] == "#[cfg(test)]" {
+            // A test module: skip to its closing brace.
+            i += lines[i..].iter().position(|l| *l == "}").unwrap_or(0);
+        } else if line.starts_with("impl") {
+            let words: Vec<String> = idents(&head()).map(str::to_string).collect();
+            impl_for = words.iter().skip_while(|w| *w != "for").nth(1).cloned().unwrap_or_default();
+        } else if line.starts_with("type Item ") {
+            signatures.push((impl_for.clone(), head()));
+        } else if line.starts_with("pub use ") {
+            for part in head().split(['{', '}', ',']).map(str::trim) {
+                let leaf = part.rsplit(" as ").next().unwrap().rsplit("::").next().unwrap();
+                if !["", "self", "*"].contains(&leaf) {
+                    items.push(PubItem { name: leaf.to_string(), at: at.clone(), is_type: false });
+                }
+            }
+        } else if line.starts_with("pub ") {
+            let head = head();
+            let mut words = idents(&head).skip(1).skip_while(|w| ["unsafe", "async"].contains(w));
+            let mut kind = words.next().unwrap_or("");
+            if kind == "const" && head.contains("const fn") {
+                kind = words.next().unwrap_or("");
+            }
+            let name = words.next().unwrap_or("").to_string();
+            if kind == "fn" {
+                signatures.push((name.clone(), head.clone()));
+            }
+            // A type alias is expanded where it is used, so no signature
+            // needs it `pub`.
+            let is_type = ["struct", "enum", "trait", "union"].contains(&kind);
+            if is_type || ["fn", "const", "static", "mod", "type"].contains(&kind) {
+                items.push(PubItem { name, at, is_type });
+            }
+        }
+        i += 1;
+    }
+    (items, signatures)
+}
+
+/// rustc cannot call a `pub` item dead, so a substrate crate's `pub` surface
+/// is held here instead. Every `pub` fn, method, const, static, type, trait,
+/// module and re-export in a substrate crate's `src/` (test modules aside)
+/// is named by some `.rs` file outside that crate — another crate, `src/`,
+/// `tests/`, `examples/`, `benchmark/`; the crate's own `tests/` and
+/// `benches/` do not count — or has a row in [`SURFACE_ALLOWLIST`]. A
+/// struct, enum, trait or union also passes when a signature that passes
+/// names it (a `pub fn`'s, or an iterator's `type Item`): rustc's
+/// `private_interfaces` lint would refuse to narrow it. Anything else is
+/// narrowed to `pub(crate)`, and `dead_code` then says whether it is needed
+/// at all.
+#[test]
+fn substrate_surface_census() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    // This file names the allowlist's rows; that keeps nothing alive.
+    files.retain(|path| !path.ends_with("crates/bench/tests/ci_refs.rs"));
+    let sources: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            (path.strip_prefix(&root).expect("under the root").to_path_buf(), text)
+        })
+        .collect();
+    let allowed = |name: &str| SURFACE_ALLOWLIST.iter().any(|(row, _)| *row == name);
+    let (mut scanned, mut missing, mut rows) = (0, Vec::new(), HashSet::new());
+    for krate in SUBSTRATE {
+        let home = Path::new("crates").join(krate);
+        let outside: HashSet<&str> = sources
+            .iter()
+            .filter(|(path, _)| !path.starts_with(&home))
+            .flat_map(|(_, text)| idents(text))
+            .collect();
+        let named = |name: &str| outside.contains(name) || allowed(name);
+        let (mut items, mut signatures) = (Vec::new(), Vec::new());
+        for (path, text) in sources.iter().filter(|(path, _)| path.starts_with(home.join("src"))) {
+            let (declared, reaching) = pub_surface(path, text);
+            items.extend(declared);
+            signatures.extend(reaching);
+        }
+        let reached = |ty: &str| {
+            signatures.iter().any(|(key, sig)| named(key) && idents(sig).any(|w| w == ty))
+        };
+        for item in &items {
+            let kept = named(&item.name) || (item.is_type && reached(&item.name));
+            if !kept {
+                missing.push(format!("{krate}: `{}` ({})", item.name, item.at));
+            }
+            if allowed(&item.name) && !outside.contains(item.name.as_str()) {
+                rows.insert(item.name.clone());
+            }
+        }
+        scanned += items.len();
+    }
+    assert!(scanned > 300, "the scan found only {scanned} substrate `pub` items");
+    for (row, _) in SURFACE_ALLOWLIST {
+        let why = "no such item, or named outside its crate";
+        assert!(rows.contains(row), "SURFACE_ALLOWLIST row `{row}`: {why}");
+    }
+    assert!(
+        missing.is_empty(),
+        "substrate `pub` items that nothing outside their crate names (narrow each to \
+         `pub(crate)` and let `dead_code` judge it, or give it a row with a reason in \
+         SURFACE_ALLOWLIST):\n{}",
+        missing.join("\n")
     );
 }

@@ -23,7 +23,7 @@ pub const SYSTEM_RESERVED_ROUTES: usize = 2;
 
 /// A classroute identifier (0..16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClassRouteId(pub u8);
+pub(crate) struct ClassRouteId(pub u8);
 
 /// Why classroute allocation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl std::error::Error for ClassRouteError {}
 #[derive(Debug, Clone)]
 pub struct ClassRoute {
     /// Route id, identical on every member node.
-    pub id: ClassRouteId,
+    pub(crate) id: ClassRouteId,
     /// Member node set.
     pub rect: Rectangle,
     /// Tree root (where reductions complete).

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use bgq_hw::WakeupRegion;
 use parking_lot::Mutex;
 
 /// Token returned by [`GiBarrier::arrive`]; pass to
@@ -25,7 +24,6 @@ pub struct GiPhase(u64);
 struct GiState {
     arrived: usize,
     generation: u64,
-    wakeups: Vec<WakeupRegion>,
 }
 
 /// A barrier across the nodes of one classroute.
@@ -44,11 +42,7 @@ impl GiBarrier {
         assert!(members > 0, "a barrier needs at least one member");
         GiBarrier {
             members,
-            state: Arc::new(Mutex::new(GiState {
-                arrived: 0,
-                generation: 0,
-                wakeups: Vec::new(),
-            })),
+            state: Arc::new(Mutex::new(GiState { arrived: 0, generation: 0 })),
         }
     }
 
@@ -57,14 +51,8 @@ impl GiBarrier {
         self.members
     }
 
-    /// Register a wakeup region to be touched on every release.
-    pub fn add_wakeup(&self, region: WakeupRegion) {
-        self.state.lock().wakeups.push(region);
-    }
-
     /// Signal this node's arrival; returns the phase to poll. The caller
-    /// that completes the barrier releases everyone (and touches registered
-    /// wakeup regions).
+    /// that completes the barrier releases everyone.
     pub fn arrive(&self) -> GiPhase {
         let mut s = self.state.lock();
         let phase = GiPhase(s.generation);
@@ -72,9 +60,6 @@ impl GiBarrier {
         if s.arrived == self.members {
             s.arrived = 0;
             s.generation += 1;
-            for w in &s.wakeups {
-                w.touch();
-            }
         }
         phase
     }
@@ -82,17 +67,6 @@ impl GiBarrier {
     /// Whether the barrier generation `phase` belongs to has been released.
     pub fn is_released(&self, phase: GiPhase) -> bool {
         self.state.lock().generation > phase.0
-    }
-
-    /// Arrive and spin until release (helper for drivers without their own
-    /// progress loop).
-    pub fn arrive_and_wait(&self) {
-        let phase = self.arrive();
-        while !self.is_released(phase) {
-            // Yield rather than pure-spin: single-core hosts must let the
-            // other members run.
-            std::thread::yield_now();
-        }
     }
 
     /// Completed barrier generations so far.
@@ -137,18 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn wakeups_touched_on_release() {
-        let unit = bgq_hw::WakeupUnit::new();
-        let region = unit.region();
-        let b = GiBarrier::new(2);
-        b.add_wakeup(region.clone());
-        b.arrive();
-        assert_eq!(region.epoch(), 0);
-        b.arrive();
-        assert_eq!(region.epoch(), 1);
-    }
-
-    #[test]
     fn many_threads_many_rounds() {
         const MEMBERS: usize = 8;
         const ROUNDS: usize = 200;
@@ -160,7 +122,12 @@ mod tests {
                 let hits = Arc::clone(&hits);
                 s.spawn(move || {
                     for r in 0..ROUNDS as u64 {
-                        b.arrive_and_wait();
+                        let phase = b.arrive();
+                        while !b.is_released(phase) {
+                            // Yield: a single-core host must let the other
+                            // members run.
+                            std::thread::yield_now();
+                        }
                         // After release of round r, the generation is at
                         // least r+1 — a member can never observe an older
                         // one.

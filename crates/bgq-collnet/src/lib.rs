@@ -15,7 +15,7 @@
 //! * [`classroute`] — classroute allocation against the 16-routes-per-node
 //!   hardware limit (minus system-reserved routes): the scarcity that forces
 //!   PAMI's optimize/deoptimize scheme.
-//! * [`combiner`] — the collective engine: every participating node
+//! * [`CollNet`] — the collective engine: every participating node
 //!   contributes its operand slice; the network combines and RDMA-writes
 //!   the result into each node's destination buffer, decrementing its
 //!   reception counter.
@@ -25,12 +25,13 @@
 #![forbid(unsafe_code)]
 
 pub mod classroute;
-pub mod combiner;
+mod combiner;
 pub mod gi;
 pub mod ops;
 
-pub use classroute::{ClassRoute, ClassRouteError, ClassRouteId, ClassRouteManager,
-    NUM_CLASSROUTES, SYSTEM_RESERVED_ROUTES};
+pub use classroute::{
+    ClassRoute, ClassRouteError, ClassRouteManager, NUM_CLASSROUTES, SYSTEM_RESERVED_ROUTES,
+};
 pub use combiner::{CollContribution, CollNet, CollOutput};
-pub use gi::{GiBarrier, GiPhase};
-pub use ops::{combine, CollOp, DataType, ELEM_BYTES};
+pub use gi::GiBarrier;
+pub use ops::{combine, CollOp, DataType};

@@ -6,7 +6,7 @@
 //! inputs and the local contribution.
 
 /// Element size: the network combines 64-bit words.
-pub const ELEM_BYTES: usize = 8;
+pub(crate) const ELEM_BYTES: usize = 8;
 
 /// Arithmetic the routers can perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,7 +129,8 @@ pub mod elems {
     }
 
     /// Unpack a byte buffer into doubles.
-    pub fn to_f64(b: &[u8]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn to_f64(b: &[u8]) -> Vec<f64> {
         b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
     }
 

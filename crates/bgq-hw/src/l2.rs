@@ -16,10 +16,11 @@ use crossbeam::utils::CachePadded;
 
 /// A 64-bit word serviced by the (simulated) L2 atomic unit.
 ///
-/// Mirrors the BG/Q "L2 atomic" operation set on a single counter word:
-/// load-increment, load-decrement, load-clear, store, store-add, store-max.
-/// Each counter is cache-padded, as the real words would live in distinct L2
-/// lines to avoid slice contention.
+/// Carries the BG/Q "L2 atomic" operations this stack uses on a single
+/// counter word: load, load-increment, store-add. (The hardware has more —
+/// load-decrement, load-clear, store, store-max, store-or — and nothing here
+/// issues them.) Each counter is cache-padded, as the real words would live
+/// in distinct L2 lines to avoid slice contention.
 #[derive(Debug, Default)]
 pub struct L2Counter {
     word: CachePadded<AtomicU64>,
@@ -45,61 +46,12 @@ impl L2Counter {
         self.word.fetch_add(1, Ordering::AcqRel)
     }
 
-    /// BG/Q `load-decrement`: returns the value *before* the decrement.
-    #[inline]
-    pub fn load_decrement(&self) -> u64 {
-        self.word.fetch_sub(1, Ordering::AcqRel)
-    }
-
-    /// BG/Q `load-clear`: returns the previous value and zeroes the word.
-    #[inline]
-    pub fn load_clear(&self) -> u64 {
-        self.word.swap(0, Ordering::AcqRel)
-    }
-
-    /// Plain atomic store.
-    #[inline]
-    pub fn store(&self, value: u64) {
-        self.word.store(value, Ordering::Release)
-    }
-
     /// BG/Q `store-add`: adds `delta` without returning a value.
     #[inline]
-    pub fn store_add(&self, delta: u64) {
+    pub(crate) fn store_add(&self, delta: u64) {
         self.word.fetch_add(delta, Ordering::AcqRel);
     }
-
-    /// BG/Q `store-add` with a signed delta (used by messaging byte counters
-    /// which the MU decrements as packets arrive).
-    #[inline]
-    pub fn store_add_signed(&self, delta: i64) {
-        if delta >= 0 {
-            self.word.fetch_add(delta as u64, Ordering::AcqRel);
-        } else {
-            self.word.fetch_sub(delta.unsigned_abs(), Ordering::AcqRel);
-        }
-    }
-
-    /// BG/Q `store-max`: keeps the maximum of the current value and `value`.
-    #[inline]
-    pub fn store_max(&self, value: u64) {
-        self.word.fetch_max(value, Ordering::AcqRel);
-    }
-
-    /// BG/Q `store-or`: bitwise OR (used for flag words).
-    #[inline]
-    pub fn store_or(&self, bits: u64) {
-        self.word.fetch_or(bits, Ordering::AcqRel);
-    }
 }
-
-/// Sentinel the BG/Q hardware returns when a bounded operation fails.
-///
-/// The real unit returns `0x8000_0000_0000_0000` from a bounded
-/// load-increment whose value has reached its bound; the Rust API surfaces
-/// that case as `None`, but the constant is kept public because protocol
-/// code sizes its windows around it in the original library.
-pub const L2_BOUNDED_FAIL: u64 = 0x8000_0000_0000_0000;
 
 /// A counter with a *bounded increment* operation — the primitive PAMI uses
 /// to allocate slots in fixed-size lockless queues.
@@ -154,7 +106,7 @@ impl BoundedCounter {
     /// success, so pre-loading the bound preserves the hardware's
     /// one-transaction semantics.
     #[inline]
-    pub fn bounded_add(&self, n: u64) -> Option<std::ops::Range<u64>> {
+    pub(crate) fn bounded_add(&self, n: u64) -> Option<std::ops::Range<u64>> {
         if n == 0 {
             return None;
         }
@@ -185,7 +137,7 @@ impl BoundedCounter {
 
     /// Raise the bound by `delta` slots (consumer side, after freeing slots).
     #[inline]
-    pub fn advance_bound(&self, delta: u64) {
+    pub(crate) fn advance_bound(&self, delta: u64) {
         self.bound.fetch_add(delta, Ordering::AcqRel);
     }
 }
@@ -200,45 +152,6 @@ mod tests {
         let c = L2Counter::new(7);
         assert_eq!(c.load_increment(), 7);
         assert_eq!(c.load(), 8);
-    }
-
-    #[test]
-    fn load_decrement_returns_previous() {
-        let c = L2Counter::new(3);
-        assert_eq!(c.load_decrement(), 3);
-        assert_eq!(c.load(), 2);
-    }
-
-    #[test]
-    fn load_clear_zeroes() {
-        let c = L2Counter::new(55);
-        assert_eq!(c.load_clear(), 55);
-        assert_eq!(c.load(), 0);
-    }
-
-    #[test]
-    fn store_max_keeps_maximum() {
-        let c = L2Counter::new(10);
-        c.store_max(4);
-        assert_eq!(c.load(), 10);
-        c.store_max(19);
-        assert_eq!(c.load(), 19);
-    }
-
-    #[test]
-    fn store_add_signed_decrements() {
-        let c = L2Counter::new(100);
-        c.store_add_signed(-30);
-        assert_eq!(c.load(), 70);
-        c.store_add_signed(5);
-        assert_eq!(c.load(), 75);
-    }
-
-    #[test]
-    fn store_or_sets_bits() {
-        let c = L2Counter::new(0b0001);
-        c.store_or(0b0110);
-        assert_eq!(c.load(), 0b0111);
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //!   are woken by stores to those regions, instead of polling.
 //! * [`memory`] — registered communication buffers ([`memory::MemRegion`])
 //!   that the simulated MU reads and writes like RDMA hardware.
-//! * [`cnk`] — the Compute Node Kernel service PAMI depends on: the global
-//!   virtual-address table that lets any process on a node read its peers'
-//!   registered memory.
+//! * [`GlobalVa`] — the Compute Node Kernel service PAMI depends on: the
+//!   global virtual-address table that lets any process on a node read its
+//!   peers' registered memory.
 //! * [`crc32c`] — the link-CRC kernel: the CPU's CRC-32C instruction where
 //!   there is one, a table-driven fallback where there is not.
 //!
 //! This is the only crate in the workspace that may contain `unsafe`; every
 //! other crate is `#![forbid(unsafe_code)]`.
 
-pub mod cnk;
+mod cnk;
 pub mod counter;
 pub mod crc32c;
 pub mod l2;
@@ -43,4 +43,4 @@ pub use l2::{BoundedCounter, L2Counter};
 pub use memory::MemRegion;
 pub use mutex::L2TicketMutex;
 pub use queue::WorkQueue;
-pub use wakeup::{WakeupRegion, WakeupUnit, Waiter};
+pub use wakeup::{WakeupRegion, Waiter};

@@ -128,7 +128,7 @@ impl<T> WorkQueue<T> {
 
     /// Push `n` items produced by `make(i)` (for `i` in `0..n`), claiming as
     /// many ring slots as possible with a *single* bounded-increment
-    /// ([`BoundedCounter::bounded_add`]) instead of one per item. Items that
+    /// (`BoundedCounter::bounded_add`) instead of one per item. Items that
     /// do not fit the ring divert to the overflow list, in order. Returns how
     /// many items took the lockless ring path.
     ///
@@ -169,19 +169,6 @@ impl<T> WorkQueue<T> {
             self.overflow_pushes.store_add(n - ring as u64);
         }
         ring
-    }
-
-    /// Batch push from an exact-size iterator; see
-    /// [`WorkQueue::push_batch_with`]. Returns how many items took the
-    /// lockless ring path.
-    pub fn push_batch<I>(&self, items: I) -> usize
-    where
-        I: IntoIterator<Item = T>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let mut items = items.into_iter();
-        let n = items.len() as u64;
-        self.push_batch_with(n, |_| items.next().expect("iterator shorter than len()"))
     }
 
     fn push_overflow(&self, item: T) {
@@ -414,7 +401,7 @@ mod tests {
     #[test]
     fn push_batch_fits_ring() {
         let q = WorkQueue::with_capacity(8);
-        assert_eq!(q.push_batch((0..5u64).collect::<Vec<_>>()), 5);
+        assert_eq!(q.push_batch_with(5, |i| i), 5);
         assert_eq!(q.overflow_pushes(), 0);
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(16, &mut out), 5);
@@ -426,20 +413,20 @@ mod tests {
     fn push_batch_splits_across_ring_and_overflow_in_order() {
         let q = WorkQueue::with_capacity(4);
         // 7 items into a 4-slot ring: 4 lockless, 3 overflow.
-        assert_eq!(q.push_batch((0..7u64).collect::<Vec<_>>()), 4);
+        assert_eq!(q.push_batch_with(7, |i| i), 4);
         assert_eq!(q.overflow_pushes(), 3);
         assert_eq!(q.len(), 7);
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(7, &mut out), 7);
         assert_eq!(out, (0..7).collect::<Vec<_>>());
         // Overflow drained: next batch is lockless again.
-        assert_eq!(q.push_batch((10..12u64).collect::<Vec<_>>()), 2);
+        assert_eq!(q.push_batch_with(2, |i| 10 + i), 2);
     }
 
     #[test]
     fn pop_batch_respects_max_and_mixes_with_pop() {
         let q = WorkQueue::with_capacity(8);
-        q.push_batch((0..6u64).collect::<Vec<_>>());
+        q.push_batch_with(6, |i| i);
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(2, &mut out), 2);
         assert_eq!(q.pop(), Some(2));
@@ -454,7 +441,7 @@ mod tests {
         q.push(0u64);
         q.push(1);
         q.push(2); // engages overflow
-        assert_eq!(q.push_batch((3..6u64).collect::<Vec<_>>()), 0, "diverts while overflow active");
+        assert_eq!(q.push_batch_with(3, |i| 3 + i), 0, "diverts while overflow active");
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(16, &mut out), 6);
         assert_eq!(out, (0..6).collect::<Vec<_>>());
@@ -466,7 +453,7 @@ mod tests {
         let q = WorkQueue::with_capacity(4);
         let mut out = Vec::new();
         for lap in 0..200u64 {
-            assert_eq!(q.push_batch((lap * 3..lap * 3 + 3).collect::<Vec<_>>()), 3);
+            assert_eq!(q.push_batch_with(3, |i| lap * 3 + i), 3);
             out.clear();
             assert_eq!(q.pop_batch(4, &mut out), 3);
             assert_eq!(out, vec![lap * 3, lap * 3 + 1, lap * 3 + 2]);

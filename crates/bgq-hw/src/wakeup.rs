@@ -8,11 +8,11 @@
 //! instruction and consume no resources until a producer stores into the
 //! watched region.
 //!
-//! The simulation keeps the same programming model: a [`WakeupUnit`] hands
-//! out [`WakeupRegion`]s; writers call [`WakeupRegion::touch`] after storing
-//! to the memory the region covers; a [`Waiter`] subscribed to one or more
-//! regions parks in [`Waiter::wait`] until any of them has been touched since
-//! it last looked.
+//! The simulation keeps the same programming model: a [`WakeupRegion`]
+//! stands for one watched range of memory; writers call
+//! [`WakeupRegion::touch`] after storing to the memory it covers; a
+//! [`Waiter`] subscribed to one or more regions parks in [`Waiter::wait`]
+//! until any of them has been touched since it last looked.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,6 +27,7 @@ struct WaiterInner {
     cv: Condvar,
 }
 
+#[derive(Default)]
 struct RegionInner {
     /// Monotone count of touches, readable without subscribing.
     epoch: AtomicU64,
@@ -37,14 +38,19 @@ struct RegionInner {
     watchers: Mutex<Vec<Arc<WaiterInner>>>,
 }
 
-/// A watched memory region handed out by [`WakeupUnit::region`]. Cloning
-/// shares the underlying watch — producers each hold a clone.
-#[derive(Clone)]
+/// A watched memory region. Cloning shares the underlying watch —
+/// producers each hold a clone.
+#[derive(Clone, Default)]
 pub struct WakeupRegion {
     inner: Arc<RegionInner>,
 }
 
 impl WakeupRegion {
+    /// A new region, untouched and watched by nobody.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Signal that memory covered by this region has been written. Wakes
     /// every subscribed [`Waiter`]. Cheap when nobody is subscribed: one
     /// atomic increment and one atomic load — the watcher lock is only
@@ -79,27 +85,6 @@ impl WakeupRegion {
     #[inline]
     pub fn has_watchers(&self) -> bool {
         self.inner.watcher_count.load(Ordering::Acquire) > 0
-    }
-}
-
-/// One wakeup unit, conventionally one per simulated node.
-#[derive(Default)]
-pub struct WakeupUnit;
-
-impl WakeupUnit {
-    /// Create a unit with no regions.
-    pub fn new() -> Self {
-        WakeupUnit
-    }
-
-    /// Allocate a new watched region.
-    pub fn region(&self) -> WakeupRegion {
-        let inner = Arc::new(RegionInner {
-            epoch: AtomicU64::new(0),
-            watcher_count: AtomicUsize::new(0),
-            watchers: Mutex::new(Vec::new()),
-        });
-        WakeupRegion { inner }
     }
 }
 
@@ -143,7 +128,7 @@ impl Waiter {
     }
 
     /// Suspend until any subscribed region is touched (or has been touched
-    /// since the last `wait`/`consume_events`). Returns the number of events
+    /// since the last `wait`). Returns the number of events
     /// consumed (≥ 1).
     pub fn wait(&mut self) -> u64 {
         let mut pending = self.inner.pending.lock();
@@ -163,15 +148,6 @@ impl Waiter {
         if *pending == self.consumed {
             let _ = self.inner.cv.wait_for(&mut pending, timeout);
         }
-        let events = *pending - self.consumed;
-        self.consumed = *pending;
-        events
-    }
-
-    /// Consume any pending events without blocking; returns how many there
-    /// were.
-    pub fn consume_events(&mut self) -> u64 {
-        let pending = self.inner.pending.lock();
         let events = *pending - self.consumed;
         self.consumed = *pending;
         events
@@ -198,8 +174,7 @@ mod tests {
 
     #[test]
     fn touch_increments_epoch() {
-        let unit = WakeupUnit::new();
-        let region = unit.region();
+        let region = WakeupRegion::new();
         assert_eq!(region.epoch(), 0);
         region.touch();
         region.touch();
@@ -208,8 +183,7 @@ mod tests {
 
     #[test]
     fn wait_returns_after_touch() {
-        let unit = WakeupUnit::new();
-        let region = unit.region();
+        let region = WakeupRegion::new();
         let mut waiter = Waiter::new();
         waiter.subscribe(&region);
         let r2 = region.clone();
@@ -224,8 +198,7 @@ mod tests {
 
     #[test]
     fn pre_wait_touches_are_not_lost() {
-        let unit = WakeupUnit::new();
-        let region = unit.region();
+        let region = WakeupRegion::new();
         let mut waiter = Waiter::new();
         waiter.subscribe(&region);
         region.touch();
@@ -238,8 +211,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_without_events() {
-        let unit = WakeupUnit::new();
-        let region = unit.region();
+        let region = WakeupRegion::new();
         let mut waiter = Waiter::new();
         waiter.subscribe(&region);
         assert_eq!(waiter.wait_timeout(Duration::from_millis(10)), 0);
@@ -247,9 +219,8 @@ mod tests {
 
     #[test]
     fn multiple_regions_any_touch_wakes() {
-        let unit = WakeupUnit::new();
-        let a = unit.region();
-        let b = unit.region();
+        let a = WakeupRegion::new();
+        let b = WakeupRegion::new();
         let mut waiter = Waiter::new();
         waiter.subscribe(&a);
         waiter.subscribe(&b);
@@ -264,8 +235,7 @@ mod tests {
 
     #[test]
     fn unsubscribed_waiter_does_not_leak_notifications() {
-        let unit = WakeupUnit::new();
-        let region = unit.region();
+        let region = WakeupRegion::new();
         {
             let mut waiter = Waiter::new();
             waiter.subscribe(&region);
@@ -280,8 +250,7 @@ mod tests {
     fn many_producers_one_waiter_sees_all_events() {
         const PRODUCERS: usize = 4;
         const TOUCHES: u64 = 1000;
-        let unit = WakeupUnit::new();
-        let region = unit.region();
+        let region = WakeupRegion::new();
         let mut waiter = Waiter::new();
         waiter.subscribe(&region);
         let mut handles = Vec::new();

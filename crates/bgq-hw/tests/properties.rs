@@ -63,6 +63,8 @@ proptest! {
     }
 
     /// Bounded increments never exceed the bound, and claims are dense.
+    /// (Reopening slots is the consumer's `advance_bound`, crate-private and
+    /// exercised here through every `WorkQueue` pop.)
     #[test]
     fn bounded_counter_claims_are_dense(bound in 0u64..200, extra in 1u64..50) {
         let c = BoundedCounter::new(0, bound);
@@ -77,17 +79,10 @@ proptest! {
             prop_assert_eq!(*v, i as u64);
         }
         prop_assert!(c.bounded_increment().is_none());
-        // Raising the bound reopens exactly the new slots.
-        c.advance_bound(extra);
-        let mut more = 0;
-        while c.bounded_increment().is_some() {
-            more += 1;
-        }
-        prop_assert_eq!(more, extra);
     }
 
-    /// Batched push/pop against the same VecDeque model: `push_batch` and
-    /// `pop_batch` interleaved with single-item operations preserve FIFO
+    /// Batched push/pop against the same VecDeque model: `push_batch_with`
+    /// (the call `RecFifo::deliver_batch` makes) and `pop_batch` interleaved with single-item operations preserve FIFO
     /// order and lose nothing, across ring capacities small enough to force
     /// the overflow path mid-batch.
     #[test]
@@ -109,9 +104,9 @@ proptest! {
                 1 => {
                     // Batch push, size chosen to straddle the ring capacity.
                     let n = (seq as usize % (capacity + 3)) + 1;
-                    let items: Vec<u32> = (seq..seq + n as u32).collect();
-                    q.push_batch(items.clone());
-                    model.extend(items);
+                    let base = seq;
+                    q.push_batch_with(n as u64, |i| base + i as u32);
+                    model.extend(base..base + n as u32);
                     seq += n as u32;
                 }
                 2 => {
@@ -139,24 +134,16 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// L2 counter arithmetic is a plain register under sequential use.
+    /// L2 counter arithmetic is a plain register under sequential use:
+    /// each load-increment returns the value before it.
     #[test]
-    fn l2_counter_sequential_semantics(start in 0u64..1000, deltas in proptest::collection::vec(0i64..100, 0..50)) {
+    fn l2_counter_sequential_semantics(start in 0u64..1000, n in 0usize..50) {
         let c = L2Counter::new(start);
-        let mut model = start;
-        for d in deltas {
-            if d % 3 == 0 {
-                prop_assert_eq!(c.load_increment(), model);
-                model += 1;
-            } else if d % 3 == 1 {
-                c.store_add(d as u64);
-                model += d as u64;
-            } else {
-                c.store_max(d as u64);
-                model = model.max(d as u64);
-            }
+        for model in start..start + n as u64 {
             prop_assert_eq!(c.load(), model);
+            prop_assert_eq!(c.load_increment(), model);
         }
+        prop_assert_eq!(c.load(), start + n as u64);
     }
 
     /// Completion counters balance: armed == delivered ⇒ complete, with
@@ -195,9 +182,7 @@ fn workqueue_mixed_batch_producers_preserve_order() {
                         if (i / 7).is_multiple_of(2) {
                             // Batch of up to 5 (clipped at PER).
                             let n = 5.min(PER - i);
-                            let batch: Vec<(u8, u32)> =
-                                (i..i + n).map(|k| (p, k)).collect();
-                            q.push_batch(batch);
+                            q.push_batch_with(u64::from(n), |k| (p, i + k as u32));
                             i += n;
                         } else {
                             q.push((p, i));

@@ -25,9 +25,9 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Fixed header bytes of an unaddressed record.
-pub const RECORD_HDR_BYTES: usize = 6;
+pub(crate) const RECORD_HDR_BYTES: usize = 6;
 /// Fixed header bytes of an addressed record (adds dst task + context).
-pub const RECORD_HDR_BYTES_ADDRESSED: usize = 12;
+pub(crate) const RECORD_HDR_BYTES_ADDRESSED: usize = 12;
 
 /// Size one record occupies in a frame.
 #[inline]

@@ -3,11 +3,12 @@
 //! BG/Q's network hardware protects every torus packet with link-level CRCs
 //! and retransmits on mismatch. Under a fault plan the simulation stamps a
 //! CRC-32C over each packet's header fields, metadata, and staged payload
-//! bytes; tests re-verify with [`crate::packet::MuPacket::verify_crc`].
-//! Corruption *events* are modeled by the fault injector rather than by
-//! flipping bits, so the CRC's job here is (a) to make the fault-free cost
-//! of integrity checking measurable, and (b) to catch simulation bugs that
-//! mangle packets in flight.
+//! bytes, and no receive-side code compares the stamp. Corruption is the
+//! fault injector's `Fate::Corrupt`, decided (and counted, as
+//! `ras.crc_errors`) in `link.rs` rather than by flipping bits. The stamp
+//! stands for the cost of the check BG/Q does in network hardware — the
+//! `pamibench` ledger row `bgq-mu.crc32c_ns_per_512B`; only tests re-verify
+//! it.
 //!
 //! The arithmetic is [`bgq_hw::crc32c`]: the CPU's CRC-32C instruction
 //! where it has one (the nearest a host comes to BG/Q's checksumming
@@ -16,7 +17,7 @@
 
 /// Incremental CRC-32C over multiple slices.
 #[derive(Clone, Copy, Debug)]
-pub struct Crc32c(u32);
+pub(crate) struct Crc32c(u32);
 
 impl Default for Crc32c {
     fn default() -> Self {

@@ -3,7 +3,6 @@
 
 use bgq_hw::Counter;
 use bgq_hw::MemRegion;
-use bgq_torus::Routing;
 use bytes::Bytes;
 
 use crate::fifo::RecFifoId;
@@ -168,13 +167,6 @@ pub enum XferKind {
 pub struct Descriptor {
     /// Destination node index within the partition.
     pub dst_node: u32,
-    /// Routing mode: deterministic (dimension-ordered, delivery in
-    /// injection order — required for memory-FIFO traffic that feeds MPI
-    /// matching) or dynamic (any minimal path, used by RDMA payload for
-    /// bandwidth; completion observed only through counters).
-    pub routing: Routing,
-    /// Destination context offset (reception-FIFO and addressing hint).
-    pub dst_context: u16,
     /// Source context offset stamped into packets.
     pub src_context: u16,
     /// Payload to move.
@@ -193,20 +185,8 @@ impl Descriptor {
     /// empty messages).
     pub const ZERO_LEN_CREDIT: u64 = 1;
 
-    /// The routing mode PAMI uses for this transfer kind: deterministic
-    /// for memory-FIFO and remote-get control traffic (ordering), dynamic
-    /// for direct-put payload (bandwidth).
-    pub fn default_routing(kind: &XferKind) -> Routing {
-        match kind {
-            XferKind::MemoryFifo { .. } | XferKind::RemoteGet { .. } | XferKind::Rmw(_) => {
-                Routing::Deterministic
-            }
-            XferKind::DirectPut { .. } => Routing::Dynamic,
-        }
-    }
-
     /// Completion credit for this descriptor's payload.
-    pub fn completion_credit(&self) -> u64 {
+    pub(crate) fn completion_credit(&self) -> u64 {
         let len = self.payload.len() as u64;
         if len == 0 {
             Self::ZERO_LEN_CREDIT
@@ -236,31 +216,17 @@ mod tests {
 
     #[test]
     fn zero_len_descriptor_still_credits_completion() {
-        let kind = XferKind::MemoryFifo {
-            rec_fifo: RecFifoId(0),
-            dispatch: 0,
-            metadata: Bytes::new(),
-        };
         let d = Descriptor {
             dst_node: 0,
-            dst_context: 0,
             src_context: 0,
-            routing: Descriptor::default_routing(&kind),
             payload: PayloadSource::Immediate(Bytes::new()),
-            kind,
+            kind: XferKind::MemoryFifo {
+                rec_fifo: RecFifoId(0),
+                dispatch: 0,
+                metadata: Bytes::new(),
+            },
             inj_counter: None,
         };
         assert_eq!(d.completion_credit(), Descriptor::ZERO_LEN_CREDIT);
-        assert_eq!(d.routing, Routing::Deterministic);
-    }
-
-    #[test]
-    fn rdma_payload_routes_dynamically() {
-        let put = XferKind::DirectPut {
-            dst_region: MemRegion::zeroed(8),
-            dst_offset: 0,
-            rec_counter: None,
-        };
-        assert_eq!(Descriptor::default_routing(&put), Routing::Dynamic);
     }
 }

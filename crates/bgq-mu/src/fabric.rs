@@ -217,7 +217,7 @@ impl MuFabricBuilder {
 
     /// Install a fault plan: inter-node traffic moves through reliable
     /// link-level channels and the plan's drops/corruption/kills apply.
-    /// Panics on an invalid plan ([`FaultPlan::validate`]) — builder
+    /// Panics on an invalid plan (`FaultPlan::validate`) — builder
     /// misuse, not a runtime condition.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -469,7 +469,8 @@ impl MuFabric {
     }
 
     /// Pull the next packet from a reception FIFO (owning context only).
-    pub fn poll_rec(&self, node: u32, fifo: RecFifoId) -> Option<MuPacket> {
+    #[cfg(test)]
+    pub(crate) fn poll_rec(&self, node: u32, fifo: RecFifoId) -> Option<MuPacket> {
         self.node(node).rec.get(fifo.0).poll()
     }
 
@@ -606,8 +607,7 @@ impl MuFabric {
     /// stamped iff it rides a reliable channel (`channel_seq`: any fault
     /// plan, clean or hostile). On a fabric with no plan nothing can touch
     /// a packet in flight and nothing downstream reads either field, so
-    /// both stay zero, which reads as "unstamped" to
-    /// [`MuPacket::verify_crc`].
+    /// both stay zero ("unstamped").
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn packet_of(
@@ -918,9 +918,7 @@ mod tests {
     fn memfifo_desc(dst: u32, fifo: RecFifoId, payload: PayloadSource) -> Descriptor {
         Descriptor {
             dst_node: dst,
-            dst_context: 0,
             src_context: 0,
-            routing: bgq_torus::Routing::Deterministic,
             payload,
             kind: XferKind::MemoryFifo {
                 rec_fifo: fifo,
@@ -1108,9 +1106,7 @@ mod tests {
             0,
             Descriptor {
                 dst_node: 1,
-                dst_context: 0,
                 src_context: 0,
-                routing: bgq_torus::Routing::Dynamic,
                 payload: PayloadSource::Region { region: src, offset: 10, len: 50 },
                 kind: XferKind::DirectPut {
                     dst_region: dst.clone(),
@@ -1138,9 +1134,7 @@ mod tests {
         done.add_expected(64);
         let put_back = Descriptor {
             dst_node: 0,
-            dst_context: 0,
             src_context: 0,
-            routing: bgq_torus::Routing::Dynamic,
             payload: PayloadSource::Region { region: remote, offset: 0, len: 64 },
             kind: XferKind::DirectPut {
                 dst_region: local.clone(),
@@ -1153,9 +1147,7 @@ mod tests {
             0,
             Descriptor {
                 dst_node: 1,
-                dst_context: 0,
                 src_context: 0,
-                routing: bgq_torus::Routing::Deterministic,
                 payload: PayloadSource::Immediate(Bytes::new()),
                 kind: XferKind::RemoteGet { payload: Box::new(put_back) },
                 inj_counter: None,
@@ -1481,9 +1473,7 @@ mod tests {
             0,
             Descriptor {
                 dst_node: 1,
-                dst_context: 0,
                 src_context: 0,
-                routing: bgq_torus::Routing::Dynamic,
                 payload: PayloadSource::Region { region: src.clone(), offset: 0, len: 200 },
                 kind: XferKind::DirectPut {
                     dst_region: dst.clone(),
@@ -1505,16 +1495,12 @@ mod tests {
             0,
             Descriptor {
                 dst_node: 1,
-                dst_context: 0,
                 src_context: 0,
-                routing: bgq_torus::Routing::Deterministic,
                 payload: PayloadSource::Immediate(Bytes::new()),
                 kind: XferKind::RemoteGet {
                     payload: Box::new(Descriptor {
                         dst_node: 0,
-                        dst_context: 0,
                         src_context: 0,
-                        routing: bgq_torus::Routing::Dynamic,
                         payload: PayloadSource::Region { region: remote, offset: 0, len: 64 },
                         kind: XferKind::DirectPut {
                             dst_region: local.clone(),
@@ -1769,9 +1755,7 @@ mod tests {
             0,
             Descriptor {
                 dst_node: 1,
-                dst_context: 0,
                 src_context: 0,
-                routing: bgq_torus::Routing::Dynamic,
                 payload: PayloadSource::Region { region: src.clone(), offset: 0, len: PUT },
                 kind: XferKind::DirectPut {
                     dst_region: dst.clone(),

@@ -4,7 +4,7 @@
 //! network hardware answers with link-level CRC + retransmit and a RAS
 //! event stream. To exercise that machinery here, a [`FaultPlan`] describes
 //! *what* goes wrong — machine-wide drop/corrupt probabilities and
-//! per-link kill-at-packet-N schedules — and a [`FaultInjector`] compiled
+//! per-link kill-at-packet-N schedules — and a `FaultInjector` compiled
 //! from the plan decides the fate of every frame crossing a link.
 //!
 //! Determinism is the whole point: the injector's verdict is a pure hash of
@@ -22,16 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bgq_torus::{Dir, TorusShape};
 
 /// Directed-link identifier: `node_index * 10 + Dir::index()`.
-pub type LinkId = u64;
+pub(crate) type LinkId = u64;
 
 /// Compute a [`LinkId`] from a node index and outgoing direction.
-pub fn link_id(node: u32, dir: Dir) -> LinkId {
+pub(crate) fn link_id(node: u32, dir: Dir) -> LinkId {
     node as u64 * 10 + dir.index() as u64
-}
-
-/// Split a [`LinkId`] back into (node index, direction).
-pub fn link_parts(id: LinkId) -> (u32, Dir) {
-    ((id / 10) as u32, Dir::all()[(id % 10) as usize])
 }
 
 /// Fault probabilities, the same on every link. All rates are in `[0, 1]`
@@ -159,12 +154,12 @@ impl FaultPlan {
 
     /// Whether the plan injects any fault at all (an all-clean plan still
     /// exercises the reliable-channel protocol, just without retries).
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.default_rates.is_clean() && self.links.is_empty()
     }
 
     /// Sanity-check rates and retry constants.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
+    pub(crate) fn validate(&self) -> Result<(), FaultPlanError> {
         let r = &self.default_rates;
         if [r.drop, r.corrupt].iter().any(|v| !(0.0..=1.0).contains(v)) {
             return Err(FaultPlanError::Shape("rates must be within [0, 1]"));
@@ -188,14 +183,14 @@ impl FaultPlan {
 
     /// Effective receiver reorder-buffer capacity (explicit or the retry
     /// window).
-    pub fn effective_reorder_capacity(&self) -> usize {
+    pub(crate) fn effective_reorder_capacity(&self) -> usize {
         self.reorder_capacity.unwrap_or(self.retry.window).max(1)
     }
 }
 
 /// Why a [`FaultPlan`] is rejected by [`FaultPlan::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultPlanError {
+pub(crate) enum FaultPlanError {
     /// A field is outside the range the retry protocol can run with.
     Shape(&'static str),
 }
@@ -212,7 +207,7 @@ impl std::error::Error for FaultPlanError {}
 
 /// The fate of one frame crossing one link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fate {
+pub(crate) enum Fate {
     /// Delivered intact.
     Pass,
     /// Silently lost.
@@ -223,7 +218,7 @@ pub enum Fate {
 
 /// Runtime form of a [`FaultPlan`]: kill-schedule crossing counters and
 /// the deterministic fate hash.
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     /// Links with a kill schedule: kill threshold and crossing counter.
     kills: HashMap<LinkId, (u64, AtomicU64)>,
@@ -268,13 +263,13 @@ impl FaultInjector {
     /// commutes — so route plans precompute this once per link and the
     /// per-frame fate peek pays a single finalizer per die.
     #[inline]
-    pub fn link_salt(&self, link: LinkId) -> u64 {
+    pub(crate) fn link_salt(&self, link: LinkId) -> u64 {
         self.plan.seed.wrapping_add(mix(link ^ 0x9E37_79B9_7F4A_7C15))
     }
 
     /// Per-(seq, attempt) half of the dice key; see [`Self::link_salt`].
     #[inline]
-    pub fn seq_salt(seq: u64, attempt: u32) -> u64 {
+    pub(crate) fn seq_salt(seq: u64, attempt: u32) -> u64 {
         mix(seq ^ 0xBF58_476D_1CE4_E5B9)
             .wrapping_add(mix(attempt as u64 ^ 0x94D0_49BB_1331_11EB))
     }
@@ -288,13 +283,13 @@ impl FaultInjector {
 
     /// The plan's fate threshold: `draw >= pass_threshold()` ⇔ `Fate::Pass`.
     #[inline]
-    pub fn pass_threshold(&self) -> f64 {
+    pub(crate) fn pass_threshold(&self) -> f64 {
         self.pass_threshold
     }
 
     /// Decide the fate of frame `seq` crossing `link` on transmission
     /// `attempt` (0 = first try). Pure in its arguments and the seed.
-    pub fn decide(&self, link: LinkId, seq: u64, attempt: u32) -> Fate {
+    pub(crate) fn decide(&self, link: LinkId, seq: u64, attempt: u32) -> Fate {
         let rates = self.plan.default_rates;
         if rates.is_clean() {
             return Fate::Pass;
@@ -311,7 +306,7 @@ impl FaultInjector {
 
     /// Record a frame crossing `link`; returns `true` exactly once, when
     /// the crossing count reaches the link's kill threshold.
-    pub fn note_crossing(&self, link: LinkId) -> bool {
+    pub(crate) fn note_crossing(&self, link: LinkId) -> bool {
         match self.kills.get(&link) {
             None => false,
             Some((kill_at, count)) => {
@@ -321,7 +316,7 @@ impl FaultInjector {
     }
 
     /// Whether any link carries a kill schedule (cheap pre-check).
-    pub fn has_kills(&self) -> bool {
+    pub(crate) fn has_kills(&self) -> bool {
         !self.kills.is_empty()
     }
 }
@@ -443,16 +438,6 @@ mod tests {
         assert_eq!(plan.reorder_capacity, None);
         assert_eq!(plan.effective_reorder_capacity(), plan.retry.window);
         assert_eq!(plan.reorder_capacity(4).effective_reorder_capacity(), 4);
-    }
-
-    #[test]
-    fn link_id_round_trips() {
-        for node in 0..8u32 {
-            for dir in Dir::all() {
-                let id = link_id(node, dir);
-                assert_eq!(link_parts(id), (node, dir));
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (32 per core) and 272 MU reception FIFOs (16 per core)" — enough that
 //! PAMI can give every context *exclusive* FIFOs, "thereby eliminating any
 //! need for locking and critical section protection" (paper section III.E).
-//! [`FifoAllocator`] hands out those exclusive partitions and enforces the
+//! `FifoAllocator` hands out those exclusive partitions and enforces the
 //! limits; the FIFOs themselves are the lockless [`WorkQueue`] from
 //! `bgq-hw` (injection FIFOs see one producer and one consumer, both the
 //! owning context — `send` queues, `advance` drains; reception FIFOs see
@@ -20,7 +20,7 @@ use crate::descriptor::Descriptor;
 use crate::packet::MuPacket;
 
 /// MU injection FIFOs per node (17 cores × 32).
-pub const INJ_FIFOS_PER_NODE: usize = 544;
+pub(crate) const INJ_FIFOS_PER_NODE: usize = 544;
 
 /// MU reception FIFOs per node (17 cores × 16).
 pub const REC_FIFOS_PER_NODE: usize = 272;
@@ -31,25 +31,25 @@ pub const REC_FIFOS_PER_NODE: usize = 272;
 /// fallback) — so every lane mints ids from its *own* atomic and two lanes
 /// can never collide, which is what lets contexts send without touching a
 /// shared per-node sequence counter.
-pub const LANE_SHIFT: u32 = 30;
+pub(crate) const LANE_SHIFT: u32 = 30;
 
 /// Mask for the per-lane sequence bits (ids recycle after 2^30 messages per
 /// lane, by which point no packet of the old message can still be in
 /// flight).
-pub const LANE_SEQ_MASK: u64 = (1u64 << LANE_SHIFT) - 1;
+pub(crate) const LANE_SEQ_MASK: u64 = (1u64 << LANE_SHIFT) - 1;
 
 /// Reserved lane id for the per-node *system* injection FIFO.
-pub const SYS_LANE: u16 = 1022;
+pub(crate) const SYS_LANE: u16 = 1022;
 
 /// Reserved lane id for the per-node fallback (descriptors executed without
 /// going through an injection FIFO — the `execute_now` path).
-pub const NODE_LANE: u16 = 1023;
+pub(crate) const NODE_LANE: u16 = 1023;
 
 /// A message-id mint: composes `node | lane` high bits (fixed at creation)
 /// with a private sequence counter. Each injection FIFO owns one, so the
 /// send hot path touches only state owned by the injecting context — no
 /// cross-context cache-line bouncing on a shared per-node counter.
-pub struct MsgIdLane {
+pub(crate) struct MsgIdLane {
     /// `node << 40 | lane << 30`, precomputed.
     base: u64,
     /// Next sequence number. Public so tests can force near-wrap values.
@@ -207,7 +207,7 @@ impl RecFifo {
 /// come from the mutex-guarded [`FifoAllocator`], which is not on the hot
 /// path), after which every lookup — packet delivery, `poll_rec`, handle
 /// caching — is a plain atomic load with no lock and no refcount traffic.
-pub struct FifoTable<T> {
+pub(crate) struct FifoTable<T> {
     slots: Box<[OnceLock<Arc<T>>]>,
 }
 
@@ -239,7 +239,7 @@ impl<T> FifoTable<T> {
 }
 
 /// Tracks per-node FIFO allocation against the hardware limits.
-pub struct FifoAllocator {
+pub(crate) struct FifoAllocator {
     inj_next: Mutex<u16>,
     rec_next: Mutex<u16>,
     inj_limit: u16,
@@ -265,7 +265,7 @@ impl FifoAllocator {
 
     /// Claim `count` consecutive injection FIFOs; `None` once the node's
     /// 544 are exhausted.
-    pub fn alloc_inj(&self, count: u16) -> Option<std::ops::Range<u16>> {
+    pub(crate) fn alloc_inj(&self, count: u16) -> Option<std::ops::Range<u16>> {
         let mut next = self.inj_next.lock();
         let end = next.checked_add(count)?;
         if end > self.inj_limit {
@@ -278,7 +278,7 @@ impl FifoAllocator {
 
     /// Claim `count` consecutive reception FIFOs; `None` once the node's
     /// 272 are exhausted.
-    pub fn alloc_rec(&self, count: u16) -> Option<std::ops::Range<u16>> {
+    pub(crate) fn alloc_rec(&self, count: u16) -> Option<std::ops::Range<u16>> {
         let mut next = self.rec_next.lock();
         let end = next.checked_add(count)?;
         if end > self.rec_limit {
@@ -287,16 +287,6 @@ impl FifoAllocator {
         let start = *next;
         *next = end;
         Some(start..end)
-    }
-
-    /// Injection FIFOs still unclaimed.
-    pub fn inj_remaining(&self) -> u16 {
-        self.inj_limit - *self.inj_next.lock()
-    }
-
-    /// Reception FIFOs still unclaimed.
-    pub fn rec_remaining(&self) -> u16 {
-        self.rec_limit - *self.rec_next.lock()
     }
 }
 
@@ -313,8 +303,6 @@ mod tests {
         assert_eq!(a.alloc_inj(1), None);
         assert_eq!(a.alloc_rec(4), Some(0..4));
         assert_eq!(a.alloc_rec(1), None);
-        assert_eq!(a.inj_remaining(), 0);
-        assert_eq!(a.rec_remaining(), 0);
     }
 
     #[test]
@@ -344,14 +332,15 @@ mod tests {
     #[test]
     fn default_allocator_matches_hardware_counts() {
         let a = FifoAllocator::default();
-        assert_eq!(a.inj_remaining(), 544);
-        assert_eq!(a.rec_remaining(), 272);
+        assert_eq!(a.alloc_inj(544), Some(0..544));
+        assert_eq!(a.alloc_inj(1), None);
+        assert_eq!(a.alloc_rec(272), Some(0..272));
+        assert_eq!(a.alloc_rec(1), None);
     }
 
     #[test]
     fn rec_fifo_delivery_touches_wakeup() {
-        let unit = bgq_hw::WakeupUnit::new();
-        let region = unit.region();
+        let region = bgq_hw::WakeupRegion::new();
         // A subscribed waiter is what makes delivery touch the region —
         // with nobody watching, delivery skips the wakeup entirely.
         let mut waiter = bgq_hw::Waiter::new();
@@ -381,8 +370,7 @@ mod tests {
         // Polling-mode receivers (no parked waiter) must not pay the epoch
         // RMW per packet: delivery without a subscriber leaves the region
         // untouched.
-        let unit = bgq_hw::WakeupUnit::new();
-        let region = unit.region();
+        let region = bgq_hw::WakeupRegion::new();
         let fifo = RecFifo::new(16);
         fifo.set_wakeup(region.clone());
         fifo.deliver_batch(2, |i| MuPacket {
@@ -403,8 +391,7 @@ mod tests {
 
     #[test]
     fn batch_delivery_touches_wakeup_once() {
-        let unit = bgq_hw::WakeupUnit::new();
-        let region = unit.region();
+        let region = bgq_hw::WakeupRegion::new();
         let mut waiter = bgq_hw::Waiter::new();
         waiter.subscribe(&region);
         let fifo = RecFifo::new(16);

@@ -48,18 +48,14 @@ pub mod packet;
 mod rmw;
 pub mod transport;
 
-pub use batch::{push_record, record_size, BatchRecord, RecordIter};
+pub use batch::{push_record, record_size, RecordIter};
 pub use bgq_hw::{Counter, DeliveryFault};
 pub use descriptor::{
     Descriptor, FifoHeader, PayloadSource, RmwOp, RmwReply, RmwRequest, XferKind,
 };
-pub use fabric::{MuCounters, MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
-pub use faults::{Fate, FaultInjector, FaultPlan, FaultPlanError, FaultRates, LinkFault, RetryConfig};
-pub use link::{RasCounters, RasEvent, RasEventKind, RasObserver, RasRing};
-pub use packet::packet_crc;
+pub use fabric::{MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
+pub use faults::{FaultPlan, FaultRates, LinkFault, RetryConfig};
+pub use link::{RasCounters, RasEvent, RasEventKind};
 pub use transport::Transport;
-pub use fifo::{
-    FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
-    INJ_FIFOS_PER_NODE, LANE_SEQ_MASK, LANE_SHIFT, NODE_LANE, REC_FIFOS_PER_NODE, SYS_LANE,
-};
+pub use fifo::{InjFifo, InjFifoId, RecFifo, RecFifoId, REC_FIFOS_PER_NODE};
 pub use packet::{MuPacket, PacketPayload};

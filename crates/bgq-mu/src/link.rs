@@ -179,12 +179,12 @@ pub struct RasEvent {
 /// fires endpoint failover when a channel dies `Unreachable`. Observers
 /// run on the control plane (record time, under no ring lock) and must be
 /// cheap and non-reentrant into the link layer.
-pub type RasObserver = Arc<dyn Fn(&RasEvent) + Send + Sync>;
+pub(crate) type RasObserver = Arc<dyn Fn(&RasEvent) + Send + Sync>;
 
 /// Bounded RAS event ring: newest events win, the drop count is kept so an
 /// operator can tell the ring overflowed. The control plane (RAS) is off
 /// the data path, so a mutex is fine here.
-pub struct RasRing {
+pub(crate) struct RasRing {
     inner: Mutex<RingInner>,
     capacity: usize,
     observer: OnceLock<RasObserver>,
@@ -227,17 +227,6 @@ impl RasRing {
     pub fn snapshot(&self) -> (Vec<RasEvent>, u64) {
         let g = self.inner.lock();
         (g.events.iter().cloned().collect(), g.dropped)
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
-    }
-
-    /// Whether no event has been recorded (and none dropped).
-    pub fn is_empty(&self) -> bool {
-        let g = self.inner.lock();
-        g.events.is_empty() && g.dropped == 0
     }
 }
 
@@ -1331,7 +1320,7 @@ mod tests {
     #[test]
     fn ras_ring_caps_and_counts_drops() {
         let ring = RasRing::new(3);
-        assert!(ring.is_empty());
+        assert_eq!(ring.snapshot().0.len(), 0);
         for i in 0..5 {
             ring.record(RasEvent {
                 tick: i,
@@ -1346,8 +1335,6 @@ mod tests {
         assert_eq!(dropped, 2);
         assert_eq!(events[0].detail, 2, "oldest surviving event");
         assert_eq!(events[2].detail, 4, "newest event");
-        assert_eq!(ring.len(), 3);
-        assert!(!ring.is_empty());
     }
 
     #[test]
@@ -1458,9 +1445,7 @@ mod tests {
         use crate::descriptor::{PayloadSource, XferKind};
         Descriptor {
             dst_node: 0,
-            dst_context: 0,
             src_context: 0,
-            routing: bgq_torus::Routing::Dynamic,
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::DirectPut {
                 dst_region: MemRegion::zeroed(8),

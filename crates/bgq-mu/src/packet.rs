@@ -129,7 +129,7 @@ pub struct MuPacket {
     pub link_seq: u64,
     /// CRC-32C over the header fields, metadata, and staged payload bytes
     /// (zero on a fabric with no fault plan, whose packets go unstamped).
-    /// See [`MuPacket::verify_crc`].
+    /// Nothing on the receive side compares it: see [`crate::crc`].
     pub crc: u32,
     /// This packet's payload (≤ 512 bytes, possibly a zero-copy window).
     pub payload: PacketPayload,
@@ -141,7 +141,7 @@ pub struct MuPacket {
 /// (real hardware checksums them on the wire; here the in-process copy is
 /// the wire).
 #[allow(clippy::too_many_arguments)]
-pub fn packet_crc(
+pub(crate) fn packet_crc(
     src_node: u32,
     src_context: u16,
     dispatch: u16,
@@ -181,7 +181,7 @@ impl MuPacket {
     }
 
     /// Recompute this packet's CRC from its contents.
-    pub fn compute_crc(&self) -> u32 {
+    pub(crate) fn compute_crc(&self) -> u32 {
         packet_crc(
             self.src_node,
             self.src_context,
@@ -195,10 +195,11 @@ impl MuPacket {
         )
     }
 
-    /// Receive-side integrity check: does the carried CRC match the packet
+    /// Test-side integrity check: does the carried CRC match the packet
     /// contents? A zero stamp marks an unstamped packet (no fault plan, no
     /// reliable channel) and verifies trivially.
-    pub fn verify_crc(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn verify_crc(&self) -> bool {
         self.crc == 0 || self.crc == self.compute_crc()
     }
 }

@@ -59,7 +59,7 @@ struct Shard {
 }
 
 /// A DES-clocked [`Transport`]: deposits are scheduled at modeled arrival
-/// times and performed by [`VirtualFabric::pump_node`] when the shared
+/// times and performed by `VirtualFabric::pump_node` when the shared
 /// virtual clock reaches them.
 pub struct VirtualFabric {
     shape: TorusShape,
@@ -110,7 +110,7 @@ impl VirtualFabric {
     /// Move the virtual clock forward to `ns` (monotonic: earlier values
     /// are ignored). Deposits due at or before the new time become
     /// eligible for [`VirtualFabric::pump_node`].
-    pub fn advance_clock_to(&self, ns: u64) {
+    pub(crate) fn advance_clock_to(&self, ns: u64) {
         self.now_ns.fetch_max(ns, Ordering::AcqRel);
     }
 
@@ -118,7 +118,7 @@ impl VirtualFabric {
     /// and return the new time; `None` when nothing is in flight. The
     /// harness calls this when every context is idle — virtual time skips
     /// straight to the next event, the classic DES fast-forward.
-    pub fn advance_clock_to_next(&self) -> Option<u64> {
+    pub(crate) fn advance_clock_to_next(&self) -> Option<u64> {
         let mut min_t = f64::INFINITY;
         for shard in &self.shards {
             if let Some(t) = shard.lock().engine.peek_time() {
@@ -136,7 +136,7 @@ impl VirtualFabric {
     /// Deposit every delivery for `node` due at or before the current
     /// virtual time; returns messages deposited. Meant to be called by the
     /// worker that owns `node`, so FIFO deposits stay on one thread.
-    pub fn pump_node(&self, node: u32) -> usize {
+    pub(crate) fn pump_node(&self, node: u32) -> usize {
         let limit = self.now_ns.load(Ordering::Acquire) as f64 * 1e-9;
         let mut shard = self.shards[node as usize].lock();
         let mut done = 0usize;
@@ -156,7 +156,7 @@ impl VirtualFabric {
     }
 
     /// Whether any scheduled delivery is still undeposited.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.in_flight.load(Ordering::Acquire) == 0
     }
 
@@ -168,7 +168,7 @@ impl VirtualFabric {
 
     /// (control frames charged, control bytes charged): the reverse-path
     /// ack/SACK traffic the reliability layer put on the virtual wire.
-    pub fn control_stats(&self) -> (u64, u64) {
+    pub(crate) fn control_stats(&self) -> (u64, u64) {
         (
             self.control_frames.load(Ordering::Relaxed),
             self.control_bytes.load(Ordering::Relaxed),

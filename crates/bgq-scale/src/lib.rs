@@ -29,4 +29,4 @@ pub mod fabric;
 pub mod harness;
 
 pub use fabric::VirtualFabric;
-pub use harness::{failure_storm, ScaleConfig, ScaleHarness, ScaleStats, Scenario, StormStats};
+pub use harness::{failure_storm, ScaleConfig, ScaleHarness, Scenario};

@@ -3,10 +3,10 @@
 use std::fmt;
 
 /// Number of torus dimensions on BG/Q.
-pub const NUM_DIMS: usize = 5;
+pub(crate) const NUM_DIMS: usize = 5;
 
 /// Number of directed links out of a node.
-pub const NUM_DIRS: usize = 2 * NUM_DIMS;
+pub(crate) const NUM_DIRS: usize = 2 * NUM_DIMS;
 
 /// A torus dimension. BG/Q labels them A through E.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,7 +32,7 @@ impl Dim {
     ///
     /// # Panics
     /// If `i >= 5`.
-    pub fn from_index(i: usize) -> Dim {
+    pub(crate) fn from_index(i: usize) -> Dim {
         ALL_DIMS[i]
     }
 }
@@ -221,7 +221,7 @@ impl TorusShape {
     /// Signed minimal hop displacement from `a` to `b` along `dim`
     /// (positive means the "+" direction is shortest; ties choose "+",
     /// matching the deterministic router).
-    pub fn min_delta(self, a: Coords, b: Coords, dim: Dim) -> i32 {
+    pub(crate) fn min_delta(self, a: Coords, b: Coords, dim: Dim) -> i32 {
         let e = self.extent(dim) as i32;
         let raw = (b.get(dim) as i32 - a.get(dim) as i32).rem_euclid(e);
         if raw * 2 <= e {

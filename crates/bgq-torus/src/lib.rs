@@ -30,18 +30,11 @@ pub mod rect;
 pub mod route;
 pub mod trees;
 
-pub use coords::{Coords, Dim, Dir, TorusShape, ALL_DIMS, NUM_DIMS, NUM_DIRS};
-pub use packet::{PacketHeader, Routing, HEADER_BYTES, MAX_PAYLOAD_BYTES, PAYLOAD_GRANULE};
+pub use coords::{Coords, Dim, Dir, TorusShape, ALL_DIMS};
+pub use packet::{HEADER_BYTES, MAX_PAYLOAD_BYTES};
 pub use rect::Rectangle;
 pub use route::{det_route, first_hop_class, healthy_route, hop_distance, LinkHealth};
 pub use trees::{SpanningTree, TreeKind};
-
-/// Raw per-direction link bandwidth, bytes/second (2 GB/s).
-pub const LINK_RAW_BW: f64 = 2.0e9;
-
-/// Achievable application-payload bandwidth per link direction after header
-/// and protocol overheads (1.8 GB/s — 90% of raw).
-pub const LINK_PAYLOAD_BW: f64 = 1.8e9;
 
 /// Number of torus links out of a node (5 dimensions × 2 directions).
 pub const LINKS_PER_NODE: usize = 10;

@@ -1,12 +1,9 @@
 //! The BG/Q torus packet format.
 //!
 //! "Each packet has a 32 byte header and up to 512 bytes of payload, in 32B
-//! increments" (paper section II.B). The header identifies the destination,
-//! the routing mode, and — for memory-FIFO packets — which reception FIFO
-//! receives the payload. The messaging-unit crate wraps this with its own
-//! per-packet metadata; the timing simulator uses only the arithmetic.
-
-use crate::coords::Coords;
+//! increments" (paper section II.B). This module keeps the arithmetic of
+//! that format — packets per message and bytes on the wire; the
+//! messaging-unit crate carries its own per-packet metadata.
 
 /// Packet header size in bytes.
 pub const HEADER_BYTES: usize = 32;
@@ -15,48 +12,10 @@ pub const HEADER_BYTES: usize = 32;
 pub const MAX_PAYLOAD_BYTES: usize = 512;
 
 /// Payload is carried in 32-byte granules.
-pub const PAYLOAD_GRANULE: usize = 32;
-
-/// Routing mode carried in the header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Routing {
-    /// Dimension-ordered; delivery order matches injection order for a
-    /// (source, destination) pair. Used by eager data and rendezvous
-    /// headers to preserve MPI ordering.
-    #[default]
-    Deterministic,
-    /// Any minimal path; higher bandwidth, unordered. Used by rendezvous
-    /// payload.
-    Dynamic,
-}
-
-/// The torus-level packet header (the modeled subset of the 32 bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketHeader {
-    /// Source node index within the partition.
-    pub src_node: u32,
-    /// Destination node index within the partition.
-    pub dst_node: u32,
-    /// Routing mode.
-    pub routing: Routing,
-    /// Destination reception FIFO (memory-FIFO packets) — RDMA packets
-    /// bypass reception FIFOs and carry `None`.
-    pub reception_fifo: Option<u16>,
-    /// Payload bytes carried (≤ [`MAX_PAYLOAD_BYTES`], rounded up to
-    /// [`PAYLOAD_GRANULE`] on the wire).
-    pub payload_bytes: u16,
-}
-
-impl PacketHeader {
-    /// Bytes this packet occupies on a link: header plus payload rounded up
-    /// to the 32-byte granule.
-    pub fn wire_bytes(&self) -> usize {
-        HEADER_BYTES + granules(self.payload_bytes as usize) * PAYLOAD_GRANULE
-    }
-}
+pub(crate) const PAYLOAD_GRANULE: usize = 32;
 
 /// Payload granule count for `len` bytes.
-pub fn granules(len: usize) -> usize {
+pub(crate) fn granules(len: usize) -> usize {
     len.div_ceil(PAYLOAD_GRANULE)
 }
 
@@ -78,16 +37,6 @@ pub fn wire_bytes_for(len: usize) -> usize {
         total += HEADER_BYTES + granules(tail) * PAYLOAD_GRANULE;
     }
     total
-}
-
-/// Helper carried by fabric tests: a destination expressed either as node
-/// index or coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRef {
-    /// Partition-relative node index.
-    Index(u32),
-    /// Torus coordinates.
-    Coords(Coords),
 }
 
 #[cfg(test)]
@@ -125,14 +74,8 @@ mod tests {
 
     #[test]
     fn header_wire_bytes() {
-        let h = PacketHeader {
-            src_node: 0,
-            dst_node: 1,
-            routing: Routing::Deterministic,
-            reception_fifo: Some(0),
-            payload_bytes: 100,
-        };
-        assert_eq!(h.wire_bytes(), 32 + 4 * 32);
+        // A 100-byte packet: its 32-byte header plus four 32-byte granules.
+        assert_eq!(wire_bytes_for(100), HEADER_BYTES + 4 * PAYLOAD_GRANULE);
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl Rectangle {
 
     /// The smallest rectangle containing every coordinate in `coords`;
     /// `None` for an empty slice.
-    pub fn bounding(coords: &[Coords]) -> Option<Rectangle> {
+    pub(crate) fn bounding(coords: &[Coords]) -> Option<Rectangle> {
         let first = *coords.first()?;
         let mut lo = first.0;
         let mut hi = first.0;

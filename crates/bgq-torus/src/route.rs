@@ -1,14 +1,13 @@
 //! Routing on the 5D torus.
 //!
-//! Two routing modes matter to PAMI (paper sections II.B and III.E):
-//!
-//! * **Deterministic (dimension-ordered)** routing delivers all packets of a
-//!   (source, destination) pair over the same path, so packets arrive in
-//!   injection order. Eager messages and rendezvous headers use it so that
-//!   MPI matching sees sends in order.
-//! * **Dynamic** routing lets packets take any minimal path; the data
-//!   packets of a rendezvous transfer use it for bandwidth. Only its hop
-//!   count and path diversity matter to the models here.
+//! BG/Q has two routing modes (paper sections II.B and III.E).
+//! **Deterministic (dimension-ordered)** routing delivers all packets of a
+//! (source, destination) pair over the same path, so packets arrive in
+//! injection order; eager messages and rendezvous headers use it so that
+//! MPI matching sees sends in order. **Dynamic** routing lets the data
+//! packets of a rendezvous transfer take any minimal path for bandwidth.
+//! This module models the deterministic mode only, and the fabric delivers
+//! every (source, destination) pair in injection order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU16, AtomicUsize, Ordering};
@@ -33,7 +32,7 @@ pub fn det_route(shape: TorusShape, src: Coords, dst: Coords) -> Vec<Dir> {
 /// The first hop of the deterministic route from `src` to `dst`, and the
 /// node it lands on — `None` when already at the destination — without
 /// materializing the whole route.
-pub fn next_hop(shape: TorusShape, src: Coords, dst: Coords) -> Option<(Dir, Coords)> {
+pub(crate) fn next_hop(shape: TorusShape, src: Coords, dst: Coords) -> Option<(Dir, Coords)> {
     for dim in ALL_DIMS {
         let delta = shape.min_delta(src, dst, dim);
         if delta != 0 {
@@ -71,45 +70,13 @@ pub fn walk(shape: TorusShape, src: Coords, route: &[Dir]) -> Coords {
     route.iter().fold(src, |c, &dir| shape.neighbor(c, dir))
 }
 
-/// Number of distinct minimal paths between two nodes (multinomial of the
-/// per-dimension hop counts) — the path diversity dynamic routing can
-/// exploit. Saturates at `u64::MAX`.
-pub fn minimal_path_count(shape: TorusShape, src: Coords, dst: Coords) -> u64 {
-    let deltas: Vec<u64> = ALL_DIMS
-        .iter()
-        .map(|&d| shape.min_delta(src, dst, d).unsigned_abs() as u64)
-        .filter(|&d| d > 0)
-        .collect();
-    let total: u64 = deltas.iter().sum();
-    // multinomial(total; d1, d2, ...) computed incrementally.
-    let mut count: u64 = 1;
-    let mut n = 0u64;
-    for d in deltas {
-        for k in 1..=d {
-            n += 1;
-            count = count.saturating_mul(n) / k;
-        }
-    }
-    debug_assert!(total == n);
-    count.max(1)
-}
-
-/// The ten neighbors of a node, one per directed link — Figure 5's message
-/// rate benchmark spreads peers across all ten links, and Table 3 adds
-/// neighbors one link at a time. Neighbors may coincide for extents ≤ 2;
-/// the returned list preserves link order and may contain duplicates, which
-/// callers dedupe if they need distinct nodes.
-pub fn link_neighbors(shape: TorusShape, src: Coords) -> Vec<Coords> {
-    Dir::all().iter().map(|&d| shape.neighbor(src, d)).collect()
-}
-
 /// Link-health table: one bit per directed link, marking torus links the
 /// RAS layer has declared dead. BG/Q's network unit kept exactly this kind
 /// of state — the link-level retry hardware escalated a persistently failing
 /// link to a RAS event, and the torus routed around it until a service
 /// action replaced the optical module.
 ///
-/// Concurrency: readers ([`LinkHealth::is_up`], [`healthy_route`]) are
+/// Concurrency: readers (`LinkHealth::is_up`, [`healthy_route`]) are
 /// lock-free `Relaxed` loads on the hot path; [`LinkHealth::kill`] is rare
 /// (a RAS event) and uses `fetch_or`. A cheap global `any_down` counter lets
 /// the fault-free fast path skip the per-node mask entirely.
@@ -158,7 +125,7 @@ impl LinkHealth {
     }
 
     /// Is the outgoing link of `node` in direction `dir` up?
-    pub fn is_up(&self, node: Coords, dir: Dir) -> bool {
+    pub(crate) fn is_up(&self, node: Coords, dir: Dir) -> bool {
         let idx = self.shape.node_index(node);
         self.down[idx].load(Ordering::Relaxed) & (1 << dir.index()) == 0
     }
@@ -210,29 +177,8 @@ impl LinkHealth {
         }
     }
 
-    /// Every dead directed link, as `(node, dir)` pairs in node order.
-    pub fn downed_links(&self) -> Vec<(Coords, Dir)> {
-        let mut out = Vec::new();
-        if !self.any_down() {
-            return out;
-        }
-        for (idx, mask) in self.down.iter().enumerate() {
-            let mask = mask.load(Ordering::Relaxed);
-            if mask == 0 {
-                continue;
-            }
-            let node = self.shape.coords_of(idx);
-            for dir in Dir::all() {
-                if mask & (1 << dir.index()) != 0 {
-                    out.push((node, dir));
-                }
-            }
-        }
-        out
-    }
-
     /// Does `route`, walked from `src`, cross only healthy links?
-    pub fn route_is_healthy(&self, src: Coords, route: &[Dir]) -> bool {
+    pub(crate) fn route_is_healthy(&self, src: Coords, route: &[Dir]) -> bool {
         if !self.any_down() {
             return true;
         }
@@ -387,42 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn minimal_path_count_multinomial() {
-        let shape = TorusShape::new([8, 8, 1, 1, 1]);
-        // 2 hops in A, 1 in B: 3!/2!1! = 3 minimal paths.
-        assert_eq!(
-            minimal_path_count(shape, Coords([0; 5]), Coords([2, 1, 0, 0, 0])),
-            3
-        );
-        // Single dimension: exactly one minimal path.
-        assert_eq!(
-            minimal_path_count(shape, Coords([0; 5]), Coords([3, 0, 0, 0, 0])),
-            1
-        );
-        // Self: one (empty) path.
-        assert_eq!(minimal_path_count(shape, Coords([0; 5]), Coords([0; 5])), 1);
-    }
-
-    #[test]
-    fn link_neighbors_has_ten_entries_distinct_on_big_torus() {
-        let shape = TorusShape::new([4, 4, 4, 4, 4]);
-        let n = link_neighbors(shape, Coords([1, 1, 1, 1, 1]));
-        assert_eq!(n.len(), 10);
-        let mut dedup = n.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10, "all ten link peers distinct on 4^5");
-        for peer in n {
-            assert_eq!(hop_distance(shape, Coords([1, 1, 1, 1, 1]), peer), 1);
-        }
-    }
-
-    #[test]
     fn link_health_starts_all_up() {
         let shape = TorusShape::new([3, 3, 2, 2, 2]);
         let health = LinkHealth::new(shape);
         assert!(!health.any_down());
-        assert!(health.downed_links().is_empty());
         for node in shape.iter() {
             for dir in Dir::all() {
                 assert!(health.is_up(node, dir));
@@ -442,7 +356,6 @@ mod tests {
         assert!(!health.is_up(node, dir));
         let peer = shape.neighbor(node, dir);
         assert!(!health.is_up(peer, dir.reverse()));
-        assert_eq!(health.downed_links().len(), 2);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub enum TreeKind {
 }
 
 /// Maximum number of colors (directed links out of a node).
-pub const NUM_COLORS: u8 = 10;
+pub(crate) const NUM_COLORS: u8 = 10;
 
 /// A rooted spanning tree over the members of a [`Rectangle`].
 #[derive(Debug, Clone)]
@@ -171,19 +171,9 @@ impl SpanningTree {
             .collect()
     }
 
-    /// Hop depth of `c` below the root.
-    pub fn depth_of(&self, c: Coords) -> u16 {
-        self.depth[self.rect.member_index(c)]
-    }
-
     /// Deepest leaf depth — the latency-determining height of the tree.
     pub fn max_depth(&self) -> u16 {
         self.depth.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Maximum children under one node (fan-out determines combine cost).
-    pub fn max_fanout(&self) -> usize {
-        self.children.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Members in BFS (root-first) order — the delivery order of a
@@ -202,6 +192,11 @@ impl SpanningTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hops from `c` up to the root, walked through `parent_of`.
+    fn depth(tree: &SpanningTree, c: Coords) -> u16 {
+        std::iter::successors(Some(c), |&at| tree.parent_of(at)).count() as u16 - 1
+    }
 
     fn assert_spanning(shape: TorusShape, tree: &SpanningTree) {
         // Every node reaches the root through finitely many parents.
@@ -229,7 +224,7 @@ mod tests {
         let root = Coords([1, 1, 0, 0, 0]);
         let tree = SpanningTree::build(shape, rect, root, TreeKind::DimOrdered(ALL_DIMS));
         assert_spanning(shape, &tree);
-        assert_eq!(tree.depth_of(root), 0);
+        assert_eq!(tree.parent_of(root), None);
     }
 
     #[test]
@@ -242,8 +237,9 @@ mod tests {
             let manhattan: u16 = (0..5)
                 .map(|d| (c.0[d] as i32 - root.0[d] as i32).unsigned_abs() as u16)
                 .sum();
-            assert_eq!(tree.depth_of(c), manhattan, "at {c}");
+            assert_eq!(depth(&tree, c), manhattan, "at {c}");
         }
+        assert_eq!(tree.max_depth(), 4, "the corners are 2 + 2 hops out");
     }
 
     #[test]
@@ -295,11 +291,11 @@ mod tests {
         let plus = SpanningTree::build(shape, rect, root, TreeKind::Colored(0));
         // "+"-chain: node at coordinate k has depth k.
         for k in 0..6u16 {
-            assert_eq!(plus.depth_of(Coords([k, 0, 0, 0, 0])), k);
+            assert_eq!(depth(&plus, Coords([k, 0, 0, 0, 0])), k);
         }
         let minus = SpanningTree::build(shape, rect, root, TreeKind::Colored(5));
         for k in 1..6u16 {
-            assert_eq!(minus.depth_of(Coords([k, 0, 0, 0, 0])), 6 - k);
+            assert_eq!(depth(&minus, Coords([k, 0, 0, 0, 0])), 6 - k);
         }
     }
 
@@ -321,15 +317,5 @@ mod tests {
         let shape = TorusShape::new([4, 4, 1, 1, 1]);
         let rect = Rectangle::new(Coords([0, 0, 0, 0, 0]), Coords([1, 1, 0, 0, 0]));
         SpanningTree::build(shape, rect, Coords([3, 3, 0, 0, 0]), TreeKind::DimOrdered(ALL_DIMS));
-    }
-
-    #[test]
-    fn max_depth_and_fanout_reported() {
-        let shape = TorusShape::new([4, 4, 1, 1, 1]);
-        let rect = Rectangle::full(shape);
-        let tree =
-            SpanningTree::build(shape, rect, Coords([0; 5]), TreeKind::DimOrdered(ALL_DIMS));
-        assert!(tree.max_depth() >= 3);
-        assert!(tree.max_fanout() >= 1);
     }
 }

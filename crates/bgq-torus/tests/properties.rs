@@ -1,8 +1,8 @@
 //! Property-based tests of torus geometry, routing, and spanning trees.
 
 use bgq_torus::packet::{packets_for, wire_bytes_for, HEADER_BYTES, MAX_PAYLOAD_BYTES};
-use bgq_torus::route::{det_route, hop_distance, link_neighbors, minimal_path_count, walk};
-use bgq_torus::trees::{SpanningTree, TreeKind, NUM_COLORS};
+use bgq_torus::route::{det_route, hop_distance, walk};
+use bgq_torus::trees::{SpanningTree, TreeKind};
 use bgq_torus::{Coords, Rectangle, TorusShape, ALL_DIMS};
 use proptest::prelude::*;
 
@@ -41,20 +41,6 @@ proptest! {
         // Distance is symmetric and within the diameter.
         prop_assert_eq!(hop_distance(shape, src, dst), hop_distance(shape, dst, src));
         prop_assert!(hop_distance(shape, src, dst) <= shape.diameter());
-        prop_assert!(minimal_path_count(shape, src, dst) >= 1);
-    }
-
-    /// Link neighbors are all at distance ≤ 1 and cover every torus
-    /// direction.
-    #[test]
-    fn link_neighbors_are_adjacent(shape in arb_shape(), seed in any::<u64>()) {
-        let n = shape.num_nodes();
-        let src = shape.coords_of((seed % n as u64) as usize);
-        let peers = link_neighbors(shape, src);
-        prop_assert_eq!(peers.len(), 10);
-        for p in peers {
-            prop_assert!(hop_distance(shape, src, p) <= 1);
-        }
     }
 
     /// Every rectangle's member indexing is a bijection.
@@ -81,7 +67,7 @@ proptest! {
     /// Every tree kind spans its rectangle: unique root, acyclic parent
     /// chains, single-hop edges.
     #[test]
-    fn spanning_trees_span(shape in arb_shape(), color in 0u8..NUM_COLORS, seed in any::<u64>()) {
+    fn spanning_trees_span(shape in arb_shape(), color in 0u8..10, seed in any::<u64>()) {
         let rect = Rectangle::full(shape);
         let root = shape.coords_of((seed % shape.num_nodes() as u64) as usize);
         for kind in [TreeKind::DimOrdered(ALL_DIMS), TreeKind::Colored(color)] {

@@ -180,9 +180,7 @@ impl PersistentChannel {
         let peer_node = self.ctx.machine().task_node(self.peer.task);
         let slots = [0usize, 1].map(|slot| Descriptor {
             dst_node: peer_node,
-            dst_context: self.peer.context,
             src_context: self.ctx.offset(),
-            routing: bgq_torus::Routing::Dynamic,
             payload: PayloadSource::Region {
                 region: send_region.clone(),
                 offset: slot * self.size,

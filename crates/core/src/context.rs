@@ -297,7 +297,7 @@ impl Context {
         offset: u16,
     ) -> Arc<Context> {
         let node = machine.task_node(task);
-        let wakeup = machine.wakeup_unit(node).region();
+        let wakeup = WakeupRegion::new();
         let rec_fifo_id = machine
             .fabric()
             .alloc_rec_fifos(node, 1)
@@ -630,9 +630,7 @@ impl Context {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
                 let desc = Descriptor {
                     dst_node: dest_node,
-                    dst_context: dest.context,
                     src_context: self.offset,
-                    routing: bgq_torus::Routing::Deterministic,
                     payload,
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
@@ -651,9 +649,7 @@ impl Context {
                 let rts = wire::rts(dispatch, len as u64, key, metadata);
                 let desc = Descriptor {
                     dst_node: dest_node,
-                    dst_context: dest.context,
                     src_context: self.offset,
-                    routing: bgq_torus::Routing::Deterministic,
                     payload: PayloadSource::Immediate(Bytes::new()),
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
@@ -687,9 +683,7 @@ impl Context {
         source_within(&payload)?;
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
-            dst_context: 0,
             src_context: self.offset,
-            routing: bgq_torus::Routing::Dynamic,
             payload,
             kind: XferKind::DirectPut {
                 dst_region: win.region,
@@ -720,9 +714,7 @@ impl Context {
         within(&dst.region, dst.offset, len)?;
         let put_back = Descriptor {
             dst_node: self.node,
-            dst_context: self.offset,
             src_context: self.offset,
-            routing: bgq_torus::Routing::Dynamic,
             payload: PayloadSource::Region { region: win.region, offset: window.offset, len },
             kind: XferKind::DirectPut {
                 dst_region: dst.region,
@@ -733,9 +725,7 @@ impl Context {
         };
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
-            dst_context: 0,
             src_context: self.offset,
-            routing: bgq_torus::Routing::Deterministic,
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::RemoteGet { payload: Box::new(put_back) },
             inj_counter: None,
@@ -769,9 +759,7 @@ impl Context {
         }
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
-            dst_context: 0,
             src_context: self.offset,
-            routing: bgq_torus::Routing::Deterministic,
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::Rmw(bgq_mu::RmwRequest {
                 dst_region: win.region,
@@ -981,9 +969,7 @@ impl Context {
         } else {
             let desc = Descriptor {
                 dst_node: hdr.dst_node,
-                dst_context: dest.context,
                 src_context: hdr.src_context,
-                routing: bgq_torus::Routing::Deterministic,
                 payload,
                 kind: XferKind::MemoryFifo {
                     rec_fifo: hdr.rec_fifo,
@@ -1392,9 +1378,7 @@ impl Context {
                 let src_node = self.machine.task_node(src.task);
                 let put_back = Descriptor {
                     dst_node: self.node,
-                    dst_context: self.offset,
                     src_context: self.offset,
-                    routing: bgq_torus::Routing::Dynamic,
                     payload: entry.payload,
                     kind: XferKind::DirectPut {
                         dst_region: region,
@@ -1405,9 +1389,7 @@ impl Context {
                 };
                 let get = Descriptor {
                     dst_node: src_node,
-                    dst_context: src.context,
                     src_context: self.offset,
-                    routing: bgq_torus::Routing::Deterministic,
                     payload: PayloadSource::Immediate(Bytes::new()),
                     kind: XferKind::RemoteGet { payload: Box::new(put_back) },
                     inj_counter: None,
@@ -1532,9 +1514,7 @@ impl Context {
             self.node,
             Descriptor {
                 dst_node: dest_node,
-                dst_context: dest.context,
                 src_context: self.offset,
-                routing: bgq_torus::Routing::Deterministic,
                 payload: PayloadSource::Immediate(Bytes::new()),
                 kind: XferKind::MemoryFifo {
                     rec_fifo,

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_collnet::{ClassRouteManager, CollNet};
-use bgq_hw::{Counter, GlobalVa, MemRegion, WakeupUnit};
+use bgq_hw::{Counter, GlobalVa, MemRegion};
 use bgq_mu::{FaultPlan, MuFabric, PayloadSource, RecFifoId};
 use bgq_torus::TorusShape;
 use bgq_upc::Upc;
@@ -390,7 +390,6 @@ impl MachineBuilder {
             aggregation,
             inj_fifos_per_context: self.inj_fifos_per_context,
             fabric,
-            wakeups: (0..nodes).map(|_| WakeupUnit::new()).collect(),
             global_va: (0..nodes).map(|_| GlobalVa::new()).collect(),
             sys_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
             classroutes: ClassRouteManager::new(self.shape),
@@ -430,7 +429,6 @@ pub struct Machine {
     aggregation: Option<AggrConfig>,
     pub(crate) inj_fifos_per_context: u16,
     pub(crate) fabric: MuFabric,
-    wakeups: Vec<WakeupUnit>,
     global_va: Vec<GlobalVa>,
     /// Per-node guard so only one context at a time services the node's
     /// system FIFO (remote gets) in inline engine mode.
@@ -561,11 +559,6 @@ impl Machine {
     /// the layer is off. The cutoff is already clamped below the frame.
     pub fn aggregation(&self) -> Option<&AggrConfig> {
         self.aggregation.as_ref()
-    }
-
-    /// The wakeup unit of `node`.
-    pub fn wakeup_unit(&self, node: u32) -> &WakeupUnit {
-        &self.wakeups[node as usize]
     }
 
     /// The CNK global-VA table of `node`.
@@ -895,7 +888,7 @@ mod tests {
     fn endpoint_cache_mirrors_registry() {
         let m = Machine::with_nodes(2).ppn(2).build();
         assert!(m.endpoint_addr_fast(0, 1, 0).is_none(), "nothing registered yet");
-        let wake = m.wakeup_unit(0).region();
+        let wake = bgq_hw::WakeupRegion::new();
         let addr = EndpointAddr {
             rec_fifo: m.fabric().alloc_rec_fifos(0, 1).unwrap()[0],
             mailbox: Arc::new(ShmMailbox::new(8, wake)),

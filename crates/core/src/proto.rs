@@ -311,8 +311,7 @@ mod tests {
 
     #[test]
     fn mailbox_delivery_touches_wakeup() {
-        let unit = bgq_hw::WakeupUnit::new();
-        let region = unit.region();
+        let region = bgq_hw::WakeupRegion::new();
         let mb = ShmMailbox::new(8, region.clone());
         mb.deliver(ShmMsg {
             src: Endpoint::of_task(3),

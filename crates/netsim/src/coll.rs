@@ -2,10 +2,10 @@
 //!
 //! Latency figures (6, 7) run the event-driven tree simulation over the
 //! actual classroute spanning tree of the node count. Throughput figures
-//! (8, 9, 10) use the closed-form pipeline expression — validated against
-//! the DES on small trees by the tests here — combined with the
-//! [`crate::memsys`] working-set model that produces the high-PPN
-//! falloffs.
+//! (8, 9, 10) use a closed-form pipeline expression (serialization plus
+//! store-and-forward depth, the depth term checked against the DES tree
+//! walk by the tests here) combined with the `memsys` working-set model
+//! that produces the high-PPN falloffs.
 
 use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 use bgq_torus::{Coords, Rectangle, SpanningTree, TorusShape, TreeKind, ALL_DIMS};
@@ -16,7 +16,7 @@ use crate::tree_sim;
 
 /// The classroute tree over an `nodes`-node partition (root at the
 /// low corner, canonical dimension order).
-pub fn world_tree(nodes: usize) -> SpanningTree {
+pub(crate) fn world_tree(nodes: usize) -> SpanningTree {
     let shape = TorusShape::for_nodes(nodes);
     SpanningTree::build(
         shape,
@@ -68,8 +68,7 @@ pub fn allreduce_latency(params: &MachineParams, nodes: usize, ppn: usize) -> f6
 // ---------------------------------------------------------------------------
 
 /// Closed-form completion time of a packet-pipelined broadcast of `size`
-/// bytes down `tree`: serialization plus store-and-forward depth. Matches
-/// [`tree_sim::pipeline_broadcast`] (see tests).
+/// bytes down `tree`: serialization plus store-and-forward depth.
 fn pipeline_time(params: &MachineParams, tree: &SpanningTree, size: f64) -> f64 {
     let st = packet_time(params);
     let slices = (size / MAX_PAYLOAD_BYTES as f64).ceil();
@@ -153,19 +152,20 @@ mod tests {
     const MB: usize = 1024 * 1024;
     const KB: usize = 1024;
 
+    /// The closed form's store-and-forward depth term is the event-driven
+    /// tree walk's: with nothing to serialize, a broadcast is the down half
+    /// of a signal round trip at the same per-hop cost.
     #[test]
     fn closed_form_matches_des_on_small_trees() {
         let params = p();
-        let tree = world_tree(32);
-        let size = 64.0 * 1024.0;
-        let st = packet_time(&params);
-        let slices = (size / MAX_PAYLOAD_BYTES as f64).ceil() as u32;
-        let des = tree_sim::pipeline_broadcast(&tree, slices, st, params.hop_latency);
-        let closed = pipeline_time(&params, &tree, size);
-        assert!(
-            (des - closed).abs() / closed < 0.02,
-            "DES {des} vs closed form {closed}"
-        );
+        let hop = params.hop_latency + packet_time(&params);
+        for nodes in [2, 8, 32] {
+            let tree = world_tree(nodes);
+            let des = tree_sim::signal_round_trip(&tree, hop) / 2.0;
+            let closed = pipeline_time(&params, &tree, 0.0);
+            assert!(closed > 0.0);
+            assert!((des - closed).abs() / closed < 1e-9, "{nodes} nodes: DES {des} vs {closed}");
+        }
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl Default for MachineParams {
 }
 
 impl MachineParams {
-    /// Payload efficiency of the wire format (≈ 0.9).
-    pub fn payload_efficiency(&self) -> f64 {
-        self.link_payload_bw / self.link_raw_bw
-    }
-
     /// Cost of the intra-node L2 barrier at `ppn` processes (0 at ppn = 1).
     pub fn local_barrier(&self, ppn: usize) -> f64 {
         if ppn <= 1 {
@@ -149,13 +144,13 @@ impl MachineParams {
     /// Commthreads available to each of `ppn` processes (the paper: "with
     /// one MPI process per node we can have up to sixteen contexts and
     /// sixteen acceleration communication threads").
-    pub fn commthreads_per_process(&self, ppn: usize) -> usize {
+    pub(crate) fn commthreads_per_process(&self, ppn: usize) -> usize {
         ((self.hw_threads - ppn) / ppn).min(16)
     }
 
     /// Message-rate speedup from commthreads at `ppn` (≈2.4× at ppn = 1,
     /// shrinking as free hardware threads per process shrink).
-    pub fn commthread_speedup(&self, ppn: usize) -> f64 {
+    pub(crate) fn commthread_speedup(&self, ppn: usize) -> f64 {
         let c = self.commthreads_per_process(ppn) as f64;
         1.0 + self.commthread_gain * c / (c + self.commthread_knee)
     }
@@ -168,7 +163,7 @@ mod tests {
     #[test]
     fn efficiency_is_ninety_percent() {
         let p = MachineParams::default();
-        assert!((p.payload_efficiency() - 0.9).abs() < 1e-9);
+        assert!((p.link_payload_bw / p.link_raw_bw - 0.9).abs() < 1e-9);
     }
 
     #[test]

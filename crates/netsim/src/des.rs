@@ -2,8 +2,8 @@
 //!
 //! Entities schedule [`Event`]s at absolute times; the engine pops them in
 //! time order and hands them to the model's handler, which may schedule
-//! more. Time is `f64` seconds. The tree simulations ([`crate::tree_sim`])
-//! are built on this engine.
+//! more. Time is `f64` seconds. The tree simulation of `coll`'s latency
+//! models and `bgq-scale`'s virtual fabric run on this engine.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -74,13 +74,6 @@ impl<T: PartialEq> Engine<T> {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Event { time, seq, payload });
-    }
-
-    /// Schedule `payload` `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, payload: T) {
-        debug_assert!(delay >= 0.0);
-        let time = self.now + delay;
-        self.schedule(time, payload);
     }
 
     /// Pop the next event, advancing time.
@@ -195,16 +188,5 @@ mod tests {
         assert_eq!(e.next_due(1.5), None);
         assert_eq!(e.next_due(10.0).unwrap().payload, 2);
         assert_eq!(e.next_due(10.0), None, "empty engine yields nothing");
-    }
-
-    #[test]
-    fn schedule_in_uses_current_time() {
-        let mut e: Engine<&'static str> = Engine::new();
-        e.schedule(2.0, "a");
-        e.next();
-        e.schedule_in(0.5, "b");
-        let ev = e.next().unwrap();
-        assert_eq!(ev.payload, "b");
-        assert!((ev.time - 2.5).abs() < 1e-12);
     }
 }

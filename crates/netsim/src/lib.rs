@@ -11,10 +11,9 @@
 //!
 //! * [`config::MachineParams`] — every constant, documented, adjustable.
 //! * [`des`] — a small discrete-event engine used by the tree simulations.
-//! * [`tree_sim`] — event-driven propagation of barrier signals, combine
-//!   trees, and pipelined slices over real spanning trees from
-//!   `bgq-torus`.
-//! * [`memsys`] — the L2/DDR working-set model behind the high-PPN
+//! * `tree_sim` — event-driven propagation of barrier and combine signals
+//!   over real spanning trees from `bgq-torus`.
+//! * `memsys` — the L2/DDR working-set model behind the high-PPN
 //!   throughput falloffs of Figures 8–10.
 //! * [`p2p`] — Table 1/2 latency composition, Table 3 neighbor throughput,
 //!   and the Figure 5 message-rate model.
@@ -32,8 +31,8 @@
 pub mod coll;
 pub mod config;
 pub mod des;
-pub mod memsys;
+mod memsys;
 pub mod p2p;
-pub mod tree_sim;
+mod tree_sim;
 
 pub use config::MachineParams;

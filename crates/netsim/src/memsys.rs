@@ -10,7 +10,7 @@ use crate::config::MachineParams;
 
 /// Which memory level a working set runs from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
+pub(crate) enum Residency {
     /// Fits in the 32 MB L2.
     L2,
     /// Spills to DDR.
@@ -18,7 +18,7 @@ pub enum Residency {
 }
 
 /// Residency of a `working_set`-byte footprint.
-pub fn residency(params: &MachineParams, working_set: f64) -> Residency {
+pub(crate) fn residency(params: &MachineParams, working_set: f64) -> Residency {
     if working_set <= params.l2_capacity {
         Residency::L2
     } else {
@@ -28,7 +28,7 @@ pub fn residency(params: &MachineParams, working_set: f64) -> Residency {
 
 /// Aggregate copy bandwidth available to intra-node buffer movement given
 /// the working set.
-pub fn copy_bw(params: &MachineParams, working_set: f64) -> f64 {
+pub(crate) fn copy_bw(params: &MachineParams, working_set: f64) -> f64 {
     match residency(params, working_set) {
         Residency::L2 => params.l2_copy_bw,
         Residency::Ddr => params.ddr_copy_bw,
@@ -37,19 +37,19 @@ pub fn copy_bw(params: &MachineParams, working_set: f64) -> f64 {
 
 /// Working set of an allreduce at `ppn` processes with `size`-byte buffers:
 /// every process's input and output plus the node accumulation buffer.
-pub fn allreduce_working_set(size: f64, ppn: usize) -> f64 {
+pub(crate) fn allreduce_working_set(size: f64, ppn: usize) -> f64 {
     size * (2.0 * ppn as f64 + 2.0)
 }
 
 /// Working set of a broadcast: the master's buffer plus each peer's copy
 /// (read + write streams).
-pub fn broadcast_working_set(size: f64, ppn: usize) -> f64 {
+pub(crate) fn broadcast_working_set(size: f64, ppn: usize) -> f64 {
     size * 2.0 * ppn as f64
 }
 
 /// Intra-node bytes moved to fan a `size`-byte result out to `ppn`
 /// processes (peers read the master's buffer and write their own).
-pub fn fanout_bytes(size: f64, ppn: usize) -> f64 {
+pub(crate) fn fanout_bytes(size: f64, ppn: usize) -> f64 {
     if ppn <= 1 {
         0.0
     } else {

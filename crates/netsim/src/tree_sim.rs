@@ -1,18 +1,11 @@
 //! Event-driven propagation over spanning trees.
 //!
-//! Three tree traversals cover the collective models:
-//!
-//! * [`signal_round_trip`] — a GI barrier: signals combine *up* the tree
-//!   (each node fires once all children have) and a release broadcasts
-//!   *down*; the result is the wall time of the full round trip.
-//! * [`pipeline_broadcast`] — a payload striped into slices streams down
-//!   the tree, store-and-forward per slice with hardware multicast to all
-//!   children (the classroute/collective-network behaviour).
-//! * [`pipeline_combine_broadcast`] — allreduce: slices combine up the tree
-//!   and broadcast back down, pipelined.
-//!
-//! These run on the [`crate::des`] engine over real [`SpanningTree`]s, so
-//! irregular shapes (deep 2×…, shallow 8×8×…) are timed faithfully.
+//! [`signal_round_trip`] times a GI barrier or a one-element combine:
+//! signals combine *up* the tree (each node fires once all children have)
+//! and a release broadcasts *down*; the result is the wall time of the full
+//! round trip. It runs on the [`crate::des`] engine over real
+//! [`SpanningTree`]s, so irregular shapes (deep 2×…, shallow 8×8×…) are
+//! timed faithfully.
 
 use bgq_torus::{Coords, SpanningTree};
 
@@ -22,8 +15,8 @@ use crate::des::Engine;
 enum Ev {
     /// Up-phase: a node's subtree is complete.
     UpReady(u32),
-    /// Down-phase: release/slice arrival at a node.
-    Down(u32, u32),
+    /// Down-phase: release arrival at a node.
+    Down(u32),
 }
 
 fn index_of(tree: &SpanningTree, c: Coords) -> u32 {
@@ -33,7 +26,7 @@ fn index_of(tree: &SpanningTree, c: Coords) -> u32 {
 /// Simulate an up-then-down signal round trip (the GI barrier): returns the
 /// time from all leaves firing at t=0 to the last node receiving the
 /// release. `hop` is the per-hop propagation latency.
-pub fn signal_round_trip(tree: &SpanningTree, hop: f64) -> f64 {
+pub(crate) fn signal_round_trip(tree: &SpanningTree, hop: f64) -> f64 {
     let n = tree.num_nodes();
     let mut missing: Vec<usize> = vec![0; n];
     let mut parent: Vec<Option<u32>> = vec![None; n];
@@ -67,7 +60,7 @@ pub fn signal_round_trip(tree: &SpanningTree, hop: f64) -> f64 {
     engine.drive(|t, ev, out| match ev {
         Ev::UpReady(i) => {
             if i == root {
-                out.push((t, Ev::Down(i, 0)));
+                out.push((t, Ev::Down(i)));
             } else if let Some(p) = parent[i as usize] {
                 missing[p as usize] -= 1;
                 if missing[p as usize] == 0 {
@@ -75,118 +68,14 @@ pub fn signal_round_trip(tree: &SpanningTree, hop: f64) -> f64 {
                 }
             }
         }
-        Ev::Down(i, _) => {
+        Ev::Down(i) => {
             last_down = last_down.max(t);
             for &ch in &child_table[i as usize] {
-                out.push((t + hop, Ev::Down(ch, 0)));
+                out.push((t + hop, Ev::Down(ch)));
             }
         }
     });
     last_down
-}
-
-/// Simulate a broadcast of `slices` back-to-back slices (each taking
-/// `slice_time` seconds of link occupancy) streaming down the tree with
-/// per-hop latency `hop` and hardware multicast to children. Returns the
-/// time at which the last node holds the last slice.
-pub fn pipeline_broadcast(tree: &SpanningTree, slices: u32, slice_time: f64, hop: f64) -> f64 {
-    if slices == 0 {
-        return 0.0;
-    }
-    let n = tree.num_nodes();
-    let mut child_table: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for c in tree.bfs_order() {
-        child_table[index_of(tree, c) as usize] =
-            tree.children_of(c).iter().map(|ch| index_of(tree, *ch)).collect();
-    }
-    let root = index_of(tree, tree.root());
-    let mut engine: Engine<Ev> = Engine::new();
-    for s in 0..slices {
-        // The root injects slice s after the previous slice has been
-        // serialized onto its links.
-        engine.schedule((s + 1) as f64 * slice_time, Ev::Down(root, s));
-    }
-    let mut finish: f64 = 0.0;
-    engine.drive(|t, ev, out| {
-        if let Ev::Down(i, s) = ev {
-            finish = finish.max(t);
-            for &ch in &child_table[i as usize] {
-                // Store-and-forward: a child holds the slice one hop plus
-                // one slice serialization later.
-                out.push((t + hop + slice_time, Ev::Down(ch, s)));
-            }
-        }
-    });
-    finish
-}
-
-/// Simulate a pipelined allreduce: slices combine up the tree (a parent
-/// needs all children's slice s before forwarding it) and the results
-/// broadcast back down. Returns the completion time of the last slice at
-/// the last node.
-pub fn pipeline_combine_broadcast(
-    tree: &SpanningTree,
-    slices: u32,
-    slice_time: f64,
-    hop: f64,
-) -> f64 {
-    if slices == 0 {
-        return 0.0;
-    }
-    let n = tree.num_nodes();
-    let mut parent: Vec<Option<u32>> = vec![None; n];
-    let mut child_table: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for c in tree.bfs_order() {
-        let i = index_of(tree, c) as usize;
-        parent[i] = tree.parent_of(c).map(|p| index_of(tree, p));
-        child_table[i] = tree.children_of(c).iter().map(|ch| index_of(tree, *ch)).collect();
-    }
-    let root = index_of(tree, tree.root());
-    // missing[i][s] contributions outstanding for slice s at node i.
-    let mut missing: Vec<Vec<usize>> = (0..n)
-        .map(|i| vec![child_table[i].len(); slices as usize])
-        .collect();
-
-    #[derive(Debug, Clone, PartialEq)]
-    enum ArEv {
-        Up(u32, u32),
-        Down(u32, u32),
-    }
-
-    let mut engine: Engine<ArEv> = Engine::new();
-    // Every node's own contribution of slice s is ready after it has read/
-    // packed s slices locally (serialized injection).
-    for i in 0..n as u32 {
-        for s in 0..slices {
-            if missing[i as usize][s as usize] == 0 {
-                engine.schedule((s + 1) as f64 * slice_time, ArEv::Up(i, s));
-            }
-        }
-    }
-    let mut finish: f64 = 0.0;
-    engine.drive(|t, ev, out| match ev {
-        ArEv::Up(i, s) => {
-            if i == root {
-                out.push((t, ArEv::Down(i, s)));
-            } else if let Some(p) = parent[i as usize] {
-                let m = &mut missing[p as usize][s as usize];
-                *m = m.saturating_sub(1);
-                if *m == 0 {
-                    // Parent had its own contribution ready by construction
-                    // (local readiness is the (s+1)·slice_time floor, which
-                    // the child path already exceeds).
-                    out.push((t + hop + slice_time, ArEv::Up(p, s)));
-                }
-            }
-        }
-        ArEv::Down(i, s) => {
-            finish = finish.max(t);
-            for &ch in &child_table[i as usize] {
-                out.push((t + hop + slice_time, ArEv::Down(ch, s)));
-            }
-        }
-    });
-    finish
 }
 
 #[cfg(test)]
@@ -216,45 +105,11 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_pipeline_latency_and_bandwidth_terms() {
-        let (_s, tree) = line_tree(4);
-        // Line of 4, root at 0, max depth 2 (bidirectional chain 0→1→2 and
-        // 0→3? No: bidirectional within box: 1,2,3 all > 0 so chain 0→1→2→3,
-        // depth 3.
-        let hop = 5e-9;
-        let st = 1e-6;
-        let t = pipeline_broadcast(&tree, 10, st, hop);
-        // Last slice leaves root at 10·st; traverses 3 hops, each adding
-        // hop + st.
-        let expect = 10.0 * st + 3.0 * (hop + st);
-        assert!((t - expect).abs() < 1e-12, "got {t}, want {expect}");
-    }
-
-    #[test]
-    fn combine_broadcast_exceeds_broadcast() {
-        let shape = TorusShape::new([4, 4, 2, 1, 1]);
-        let rect = Rectangle::full(shape);
-        let tree = SpanningTree::build(shape, rect, Coords([0; 5]), TreeKind::DimOrdered(ALL_DIMS));
-        let b = pipeline_broadcast(&tree, 8, 1e-6, 40e-9);
-        let ar = pipeline_combine_broadcast(&tree, 8, 1e-6, 40e-9);
-        assert!(ar > b, "allreduce {ar} must cost more than broadcast {b}");
-    }
-
-    #[test]
     fn deeper_trees_take_longer() {
         let (_s, t8) = line_tree(8);
         let (_s, t16) = line_tree(16);
         let a = signal_round_trip(&t8, 10e-9);
         let b = signal_round_trip(&t16, 10e-9);
         assert!(b > a);
-    }
-
-    #[test]
-    fn more_slices_scale_bandwidth_term_linearly() {
-        let (_s, tree) = line_tree(4);
-        let t1 = pipeline_broadcast(&tree, 10, 1e-6, 0.0);
-        let t2 = pipeline_broadcast(&tree, 20, 1e-6, 0.0);
-        // Doubling slices adds exactly 10 slice times.
-        assert!((t2 - t1 - 10.0 * 1e-6).abs() < 1e-12);
     }
 }

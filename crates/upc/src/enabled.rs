@@ -1,8 +1,6 @@
 //! Real (telemetry-on) implementation of the UPC primitives.
 
-use crate::{
-    bucket_index, bucket_upper_bound, HistSummary, Snapshot, TraceEvent, TracePhase, HIST_BUCKETS,
-};
+use crate::{bucket_index, bucket_upper_bound, HistSummary, Snapshot, TraceEvent, HIST_BUCKETS};
 use crossbeam::utils::CachePadded;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -60,18 +58,9 @@ impl Stamp {
         self.ns
     }
 
-    /// Rehydrate a stamp from a raw nanosecond reading previously obtained
-    /// with [`Stamp::ns`] — used to carry timestamps across a wire format
-    /// (the PAMI envelope stamps sends so receivers can measure delivery
-    /// latency on the shared process clock).
-    #[inline]
-    pub fn from_ns(ns: u64) -> Self {
-        Stamp { ns }
-    }
-
     /// Nanoseconds elapsed since this stamp was taken.
     #[inline]
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         now_ns().saturating_sub(self.ns)
     }
 }
@@ -294,14 +283,6 @@ impl Histogram {
         self.cell.max.load(Ordering::Relaxed)
     }
 
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.cell.buckets[i].load(Ordering::Relaxed)
-    }
-
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.cell.load_raw().quantile(q)
-    }
-
     pub fn summary(&self) -> HistSummary {
         self.cell.load_raw().summary()
     }
@@ -387,11 +368,6 @@ impl TraceRing {
 thread_local! {
     /// Registry-id → ring map for the current thread (tiny, linear scan).
     static THREAD_RINGS: RefCell<Vec<(u64, Arc<TraceRing>)>> = const { RefCell::new(Vec::new()) };
-
-    /// Per-thread trace-ring capacity override (see
-    /// [`Upc::set_thread_trace_capacity`]). Consulted once, when the thread
-    /// lazily creates its ring.
-    static THREAD_TRACE_CAP: RefCell<Option<usize>> = const { RefCell::new(None) };
 }
 
 // -- registry ---------------------------------------------------------------
@@ -423,17 +399,12 @@ impl Default for Upc {
 }
 
 impl Upc {
+    /// A registry whose per-thread trace rings hold 4096 events each.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAP)
-    }
-
-    /// `cap` is rounded up to a power of two (min 8) — per-thread ring size.
-    pub fn with_trace_capacity(cap: usize) -> Self {
-        let cap = cap.max(8).next_power_of_two();
         Upc {
             inner: Arc::new(Inner {
                 id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
-                trace_cap: cap,
+                trace_cap: DEFAULT_TRACE_CAP,
                 counters: Mutex::new(Vec::new()),
                 histograms: Mutex::new(Vec::new()),
                 names: Mutex::new(Vec::new()),
@@ -481,16 +452,6 @@ impl Upc {
         }
     }
 
-    /// Override the trace-ring capacity for the *calling thread* (rounded
-    /// up to a power of two, min 8). Takes effect when the thread lazily
-    /// creates its ring — i.e. call it before the thread's first
-    /// `trace_instant`/`trace_span`; an existing ring keeps its size. Lets
-    /// a chatty commthread carry a deep ring while worker threads stay
-    /// small. `None` reverts to the registry default for future rings.
-    pub fn set_thread_trace_capacity(&self, cap: Option<usize>) {
-        THREAD_TRACE_CAP.with(|c| *c.borrow_mut() = cap.map(|n| n.max(8).next_power_of_two()));
-    }
-
     fn ring(&self) -> Arc<TraceRing> {
         let id = self.inner.id;
         THREAD_RINGS.with(|rings| {
@@ -498,38 +459,18 @@ impl Upc {
             if let Some((_, r)) = rings.iter().find(|(rid, _)| *rid == id) {
                 return r.clone();
             }
-            let cap = THREAD_TRACE_CAP
-                .with(|c| *c.borrow())
-                .unwrap_or(self.inner.trace_cap);
-            let r = Arc::new(TraceRing::new(thread_slot() as u64, cap));
+            let r = Arc::new(TraceRing::new(thread_slot() as u64, self.inner.trace_cap));
             self.inner.rings.lock().unwrap().push(r.clone());
             rings.push((id, r.clone()));
             r
         })
     }
 
-    #[inline]
-    fn encode_w0(name_id: u64, ph: TracePhase) -> u64 {
-        let phb = match ph {
-            TracePhase::Span => 0u64,
-            TracePhase::Instant => 1u64,
-        };
-        name_id | (phb << 32)
-    }
-
-    /// Record an instantaneous event on the calling thread's ring.
-    pub fn trace_instant(&self, name: &'static str, arg: u64) {
-        let id = self.intern(name);
-        self.ring()
-            .push([Self::encode_w0(id, TracePhase::Instant), now_ns(), 0, arg]);
-    }
-
     /// Record a complete span from `start` to now.
     pub fn trace_span(&self, name: &'static str, start: Stamp, arg: u64) {
         let id = self.intern(name);
         let dur = start.elapsed_ns();
-        self.ring()
-            .push([Self::encode_w0(id, TracePhase::Span), start.ns(), dur, arg]);
+        self.ring().push([id, start.ns(), dur, arg]);
     }
 
     /// Aggregate every registered counter and histogram, summing instances
@@ -575,16 +516,9 @@ impl Upc {
             let mut slots = ring.read_all();
             slots.sort_by_key(|(idx, _)| *idx);
             for (_, w) in slots {
-                let name_id = (w[0] & 0xffff_ffff) as usize;
-                let ph = if (w[0] >> 32) & 1 == 1 {
-                    TracePhase::Instant
-                } else {
-                    TracePhase::Span
-                };
-                let name = names.get(name_id).copied().unwrap_or("?");
+                let name = names.get(w[0] as usize).copied().unwrap_or("?");
                 events.push(TraceEvent {
                     name,
-                    ph,
                     ts_ns: w[1],
                     dur_ns: w[2],
                     tid: ring.tid,

@@ -12,7 +12,7 @@
 //!   snapshot time, so the hot path never contends.
 //! * [`Histogram`] — HDR-style power-of-two-bucket latency histogram (65
 //!   buckets covering the full `u64` range) with p50/p99/max summaries.
-//! * Trace ring — a per-thread SPSC ring buffer of events (fixed capacity,
+//! * Trace ring — a per-thread SPSC ring buffer of spans (fixed capacity,
 //!   drop-oldest) written with a seqlock per slot so a reader on any thread
 //!   can merge a consistent timeline and export it as chrome://tracing JSON.
 //!
@@ -44,8 +44,9 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of a bucket (used when reporting quantiles).
+#[cfg(any(feature = "telemetry", test))]
 #[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         1..=63 => (1u64 << i) - 1,
@@ -55,8 +56,9 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 /// Inclusive lower bound of a bucket (used for intra-bucket interpolation
 /// when reporting quantiles).
+#[cfg(any(feature = "telemetry", test))]
 #[inline]
-pub fn bucket_lower_bound(i: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         1..=64 => 1u64 << (i - 1),
@@ -128,19 +130,6 @@ impl Snapshot {
             .sum()
     }
 
-    /// Distinct layer prefixes that have at least one non-zero counter.
-    pub fn live_layers(&self) -> Vec<String> {
-        let mut layers: Vec<String> = self
-            .counters
-            .iter()
-            .filter(|(_, v)| *v > 0)
-            .filter_map(|(n, _)| n.split('.').next().map(str::to_owned))
-            .collect();
-        layers.sort();
-        layers.dedup();
-        layers
-    }
-
     /// Render the `pamistat`-style report JSON (hand-rolled; no serde in the
     /// offline workspace).
     pub fn report_json(&self) -> String {
@@ -178,21 +167,12 @@ impl Snapshot {
 // Trace events (always compiled)
 // ---------------------------------------------------------------------------
 
-/// Event phase, mirroring the chrome://tracing phases we emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// A complete span (`ph: "X"`, with duration).
-    Span,
-    /// An instantaneous event (`ph: "i"`).
-    Instant,
-}
-
-/// One merged trace event. Timestamps are nanoseconds from a process-global
-/// epoch, so events from different threads interleave on one clock.
+/// One merged trace event: a complete span (chrome://tracing `ph: "X"`).
+/// Timestamps are nanoseconds from a process-global epoch, so events from
+/// different threads interleave on one clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub name: &'static str,
-    pub ph: TracePhase,
     pub ts_ns: u64,
     pub dur_ns: u64,
     pub tid: u64,
@@ -201,36 +181,22 @@ pub struct TraceEvent {
 
 /// Serialize events to chrome://tracing's JSON object format
 /// (`chrome://tracing` / Perfetto both load it). Timestamps are microseconds.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        match e.ph {
-            TracePhase::Span => {
-                let _ = write!(
-                    out,
-                    "\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"v\":{}}}}}",
-                    escape_json(e.name),
-                    e.tid,
-                    e.ts_ns as f64 / 1000.0,
-                    e.dur_ns as f64 / 1000.0,
-                    e.arg
-                );
-            }
-            TracePhase::Instant => {
-                let _ = write!(
-                    out,
-                    "\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"args\":{{\"v\":{}}}}}",
-                    escape_json(e.name),
-                    e.tid,
-                    e.ts_ns as f64 / 1000.0,
-                    e.arg
-                );
-            }
-        }
+        let _ = write!(
+            out,
+            "\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"v\":{}}}}}",
+            escape_json(e.name),
+            e.tid,
+            e.ts_ns as f64 / 1000.0,
+            e.dur_ns as f64 / 1000.0,
+            e.arg
+        );
     }
     out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
     out
@@ -304,7 +270,6 @@ mod tests {
     fn chrome_json_shape() {
         let evs = [TraceEvent {
             name: "barrier",
-            ph: TracePhase::Span,
             ts_ns: 1500,
             dur_ns: 3000,
             tid: 7,

@@ -19,16 +19,6 @@ impl Stamp {
     pub fn ns(&self) -> u64 {
         0
     }
-
-    #[inline(always)]
-    pub fn elapsed_ns(&self) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn from_ns(_ns: u64) -> Self {
-        Stamp
-    }
 }
 
 /// Zero-sized no-op counter.
@@ -81,16 +71,6 @@ impl Histogram {
     }
 
     #[inline(always)]
-    pub fn bucket_count(&self, _i: usize) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn quantile(&self, _q: f64) -> u64 {
-        0
-    }
-
-    #[inline(always)]
     pub fn summary(&self) -> crate::HistSummary {
         crate::HistSummary::default()
     }
@@ -103,11 +83,6 @@ pub struct Upc;
 impl Upc {
     #[inline(always)]
     pub fn new() -> Self {
-        Upc
-    }
-
-    #[inline(always)]
-    pub fn with_trace_capacity(_cap: usize) -> Self {
         Upc
     }
 
@@ -130,12 +105,6 @@ impl Upc {
     pub fn now_ns(&self) -> u64 {
         0
     }
-
-    #[inline(always)]
-    pub fn set_thread_trace_capacity(&self, _cap: Option<usize>) {}
-
-    #[inline(always)]
-    pub fn trace_instant(&self, _name: &'static str, _arg: u64) {}
 
     #[inline(always)]
     pub fn trace_span(&self, _name: &'static str, _start: Stamp, _arg: u64) {}

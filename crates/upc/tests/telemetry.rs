@@ -7,7 +7,7 @@
 //! nothing to check beyond "it compiles", which the workspace build covers.
 #![cfg(feature = "telemetry")]
 
-use bgq_upc::{bucket_index, TracePhase, Upc};
+use bgq_upc::{bucket_index, Upc};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ proptest! {
 }
 
 /// Values at 2^k−1, 2^k, 2^k+1 land in the documented buckets, and the
-/// quantile walk respects the observed max.
+/// summary's quantile walk respects the observed max.
 #[test]
 fn histogram_bucket_boundaries() {
     let upc = Upc::new();
@@ -89,8 +89,8 @@ fn histogram_bucket_boundaries() {
     h.record(0);
     h.record(1);
     // Bucket 0: just the value 0. Bucket 1: just the value 1 (2^1 - 1 = 1).
-    assert_eq!(h.bucket_count(0), 1);
-    assert_eq!(h.bucket_count(bucket_index(1)), 2); // the 1 and 2^1-1 records
+    assert_eq!(bucket_index(0), 0);
+    assert_eq!(bucket_index(1), 1);
     for k in 2..64u32 {
         let v = 1u64 << k;
         // 2^k-1 falls in bucket k; 2^k and 2^k+1 fall in bucket k+1.
@@ -98,15 +98,11 @@ fn histogram_bucket_boundaries() {
         assert_eq!(bucket_index(v), k as usize + 1);
         assert_eq!(bucket_index(v + 1), k as usize + 1);
     }
-    // Each bucket k in 2..=63 received exactly: 2^k-1 (one record) plus
-    // 2^(k-1) and 2^(k-1)+1 (two records) = 3.
-    for k in 2..64usize {
-        assert_eq!(h.bucket_count(k), 3, "bucket {k}");
-    }
-    assert_eq!(h.bucket_count(64), 2); // 2^63 and 2^63+1
+    assert_eq!(bucket_index(u64::MAX), 64);
+    assert_eq!(h.count(), 3 * 63 + 2);
     assert_eq!(h.max(), (1u64 << 63) + 1);
-    assert!(h.quantile(1.0) <= h.max());
-    assert!(h.quantile(0.5) <= h.quantile(0.99));
+    let s = h.summary();
+    assert!(s.p50 <= s.p99 && s.p99 <= s.max);
 }
 
 #[test]
@@ -137,17 +133,14 @@ fn histogram_quantiles_interpolate_within_bucket() {
     for v in 2048..4096u64 {
         h.record(v);
     }
-    let p50 = h.quantile(0.5);
-    let p99 = h.quantile(0.99);
-    assert!((3060..=3080).contains(&p50), "p50 = {p50}");
-    assert!((4060..=4095).contains(&p99), "p99 = {p99}");
-    assert!(p50 <= p99);
-    assert!(h.quantile(1.0) <= h.max());
+    let s = h.summary();
+    assert!((3060..=3080).contains(&s.p50), "p50 = {}", s.p50);
+    assert!((4060..=4095).contains(&s.p99), "p99 = {}", s.p99);
+    assert!(s.p50 <= s.p99 && s.p99 <= s.max);
     // A single-value histogram reports that value (hi clamped by max).
     let one = upc.histogram("one");
     one.record(7);
-    assert_eq!(one.quantile(0.5), 7);
-    assert_eq!(one.quantile(0.99), 7);
+    assert_eq!((one.summary().p50, one.summary().p99), (7, 7));
 }
 
 /// Pinned-stripe counters: exact totals under concurrent writers sharing a
@@ -178,18 +171,28 @@ fn counter_pinned_stripes_are_exact() {
     assert_eq!(c.value(), 60_000);
 }
 
+/// A thread's ring capacity: what survives of a burst far larger than any
+/// ring.
+fn ring_capacity(upc: &Upc) -> usize {
+    for i in 0..1u64 << 16 {
+        upc.trace_span("probe", upc.stamp(), i);
+    }
+    upc.trace_events().len()
+}
+
 /// Wraparound drops the oldest events: after pushing `3*cap` spans into a
 /// ring of capacity `cap`, exactly the newest `cap` survive, in order, and
 /// the merged timeline is timestamp-monotonic.
 #[test]
 fn trace_ring_wraparound_drop_oldest() {
-    let cap = 16usize;
-    let upc = Upc::with_trace_capacity(cap);
+    let cap = ring_capacity(&Upc::new());
+    assert!(cap.is_power_of_two() && cap < 1 << 16, "ring capacity {cap}");
+    let upc = Upc::new();
     let total = 3 * cap as u64;
     for i in 0..total {
         // Distinct args identify events; timestamps come from the real clock
         // and are non-decreasing because one thread records sequentially.
-        upc.trace_instant("wrap", i);
+        upc.trace_span("wrap", upc.stamp(), i);
     }
     let events = upc.trace_events();
     assert_eq!(events.len(), cap, "ring keeps exactly `cap` newest events");
@@ -199,14 +202,13 @@ fn trace_ring_wraparound_drop_oldest() {
     for w in events.windows(2) {
         assert!(w[0].ts_ns <= w[1].ts_ns, "merged timeline is monotonic");
     }
-    assert!(events.iter().all(|e| e.ph == TracePhase::Instant));
 }
 
 /// Events recorded from several threads merge into one monotonic timeline
 /// with per-thread ids, and spans keep their start/duration pairing.
 #[test]
 fn trace_merge_across_threads_is_monotonic() {
-    let upc = Upc::with_trace_capacity(64);
+    let upc = Upc::new();
     let mut handles = Vec::new();
     for t in 0..4u64 {
         let upc = upc.clone();
@@ -240,11 +242,11 @@ fn trace_merge_across_threads_is_monotonic() {
 /// appears in `report_json()` (the `telemetry.json` body) even when zero.
 #[test]
 fn trace_dropped_surfaces_in_report() {
-    let cap = 8usize;
-    let upc = Upc::with_trace_capacity(cap);
+    let cap = ring_capacity(&Upc::new());
+    let upc = Upc::new();
     let total = 4 * cap as u64;
     for i in 0..total {
-        upc.trace_instant("drop", i);
+        upc.trace_span("drop", upc.stamp(), i);
     }
     let snap = upc.snapshot();
     let expect = total - cap as u64;
@@ -259,28 +261,25 @@ fn trace_dropped_surfaces_in_report() {
         "drop counter is in the report JSON: {json}"
     );
 
-    // A thread that raises its own ring capacity above the registry default
-    // keeps all its events — the aggregate drop count does not move.
+    // Another thread's ring is its own: events that fit it drop nothing.
     let upc2 = upc.clone();
     std::thread::spawn(move || {
-        upc2.set_thread_trace_capacity(Some(4 * 32));
         for i in 0..32u64 {
-            upc2.trace_instant("keep", i);
+            upc2.trace_span("keep", upc2.stamp(), i);
         }
     })
     .join()
     .unwrap();
-    let snap2 = upc.snapshot();
     assert_eq!(
-        snap2.counter("upc.trace_dropped"),
+        upc.snapshot().counter("upc.trace_dropped"),
         expect,
-        "per-thread capacity override prevents drops on that thread"
+        "a second thread's ring does not lap the first's"
     );
 
     // And a fresh registry that never overflows still reports the counter,
     // pinned at zero, so dashboards can rely on its presence.
-    let quiet = Upc::with_trace_capacity(64);
-    quiet.trace_instant("once", 1);
+    let quiet = Upc::new();
+    quiet.trace_span("once", quiet.stamp(), 1);
     assert!(quiet.report_json().contains("\"upc.trace_dropped\": 0"));
 }
 
@@ -300,7 +299,7 @@ fn report_json_round_trip_shape() {
     assert!(json.contains("\"ctx.sends_eager\": 1"));
     assert!(json.contains("\"coll.barrier_ns\""));
     let snap = upc.snapshot();
-    assert_eq!(snap.live_layers(), vec!["ctx".to_owned(), "mu".to_owned()]);
+    assert_eq!((snap.layer_total("mu"), snap.layer_total("ctx")), (7, 1));
 }
 
 /// `mu.packets_dropped` is *live*, not a registered-but-never-incremented
@@ -331,9 +330,7 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
         0,
         Descriptor {
             dst_node: 1,
-            dst_context: 0,
             src_context: 0,
-            routing: bgq_torus::Routing::Deterministic,
             payload: PayloadSource::Region {
                 region: bgq_hw::MemRegion::from_vec(vec![7u8; 4096]),
                 offset: 0,
@@ -365,7 +362,7 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
         snap.counter("ras.retransmits") > 0,
         "recovery from drops costs retransmits"
     );
-    assert!(snap.live_layers().contains(&"ras".to_owned()), "ras.* family is registered");
+    assert!(snap.layer_total("ras") > 0, "ras.* family is registered");
     let json = snap.report_json();
     assert!(json.contains("\"mu.packets_dropped\""), "drop counter is in the report: {json}");
     assert!(json.contains("\"ras.retransmits\""), "ras family is in the report: {json}");
