@@ -251,6 +251,21 @@ fn short_tier_skips_the_descriptor_the_eager_path_pays() {
     }
 }
 
+/// A rendezvous `send` makes one allocation: its RTS body, written once
+/// into the buffer the packet carries. Registering the source allocates
+/// nothing once the table has grown. Time half: `halo_mixed`'s 16 KiB
+/// sends.
+#[test]
+fn rendezvous_send_allocates_once() {
+    const N: u64 = 256;
+    let policy = StaticPolicy::with_short(128, 2048);
+    let mut rig = Rig::new(Machine::with_nodes(2).protocol_policy(policy));
+    let counts = flood_counts(&mut rig, N, &region(4096));
+    // Three descriptors per send — the RTS, the target's remote get and
+    // the put-back it carries — and one packet, the RTS.
+    assert_eq!(counts, expect([0, 0, N], [3 * N, N, 0], N));
+}
+
 /// Retired: `chaos`'s 5% fair-weather budget. A clean plan (reliability
 /// on, no faults) changes no count on either tier, records nothing, and
 /// leaves nothing waiting for an ack — the CRC stamp is the only work it

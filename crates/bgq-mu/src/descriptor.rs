@@ -118,6 +118,9 @@ pub struct FifoHeader {
     pub rec_fifo: RecFifoId,
     /// Source context offset stamped into packets.
     pub src_context: u16,
+    /// Originating task stamped into packets (a node hosts several tasks,
+    /// so the source node alone does not name the sender).
+    pub src_task: u32,
     /// Active-message dispatch identifier.
     pub dispatch: u16,
     /// Protocol metadata delivered with the message.
@@ -132,6 +135,8 @@ pub enum XferKind {
     MemoryFifo {
         /// Reception FIFO on the destination node.
         rec_fifo: RecFifoId,
+        /// Originating task stamped into packets.
+        src_task: u32,
         /// Active-message dispatch identifier.
         dispatch: u16,
         /// Protocol metadata delivered with the message.
@@ -222,6 +227,7 @@ mod tests {
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::MemoryFifo {
                 rec_fifo: RecFifoId(0),
+                src_task: 0,
                 dispatch: 0,
                 metadata: Bytes::new(),
             },

@@ -12,7 +12,7 @@
 //!
 //! ## One delivery pipeline
 //!
-//! Every memory-FIFO message — short envelope, eager train, aggregated
+//! Every memory-FIFO message — short packet, eager train, aggregated
 //! frame, rendezvous RTS, channel offer — reaches a reception FIFO through
 //! one function, `deliver_message`, in four stages. The tiers differ in
 //! what the [`FifoHeader`] and the payload *say*, never in which code moves
@@ -381,7 +381,7 @@ impl MuFabric {
     }
 
     /// Short-tier send on a caller-owned injection FIFO: the whole message
-    /// — metadata and payload — is one inline packet envelope, built and
+    /// — header, metadata and payload — is one inline packet, built and
     /// delivered right here. No descriptor, no region registration, no
     /// staging: the pipeline with one fragment. The caller must have
     /// established ordering first ([`InjFifo::is_quiescent`]) — bypassing
@@ -389,7 +389,7 @@ impl MuFabric {
     ///
     /// `local_done` (if any) is credited synchronously with the payload
     /// length ([`Descriptor::ZERO_LEN_CREDIT`] for empty payloads) unless
-    /// the envelope had to join a reliable channel's retransmit queue, in
+    /// the packet had to join a reliable channel's retransmit queue, in
     /// which case the counter keeps its ack-or-typed-fault semantics.
     pub fn send_short(
         &self,
@@ -502,8 +502,9 @@ impl MuFabric {
         let credit = desc.completion_credit();
         let Descriptor { dst_node, src_context, payload, kind, inj_counter, .. } = desc;
         match kind {
-            XferKind::MemoryFifo { rec_fifo, dispatch, metadata } => {
-                let hdr = FifoHeader { dst_node, rec_fifo, src_context, dispatch, metadata };
+            XferKind::MemoryFifo { rec_fifo, src_task, dispatch, metadata } => {
+                let hdr =
+                    FifoHeader { dst_node, rec_fifo, src_context, src_task, dispatch, metadata };
                 self.deliver_message(src_node, lane, hdr, payload, inj_counter);
             }
             kind => self.deliver_one_sided(src_node, dst_node, kind, payload, inj_counter, credit),
@@ -620,10 +621,11 @@ impl MuFabric {
         payload: PacketPayload,
         channel_seq: Option<u64>,
     ) -> MuPacket {
-        let FifoHeader { src_context, dispatch, metadata, .. } = hdr;
+        let FifoHeader { src_context, src_task, dispatch, metadata, .. } = hdr;
         let mut pkt = MuPacket {
             src_node,
             src_context,
+            src_task,
             dispatch,
             metadata,
             msg_id,
@@ -922,6 +924,7 @@ mod tests {
             payload,
             kind: XferKind::MemoryFifo {
                 rec_fifo: fifo,
+                src_task: 0,
                 dispatch: 7,
                 metadata: Bytes::new(),
             },
@@ -1585,12 +1588,13 @@ mod tests {
         assert!(fabric.links_idle(0));
     }
 
-    /// A header from context 3 of node 0 to `rec` on node 1.
+    /// A header from context 3 of task 2 on node 0 to `rec` on node 1.
     fn short_hdr(rec: RecFifoId, dispatch: u16, metadata: &'static [u8]) -> FifoHeader {
         FifoHeader {
             dst_node: 1,
             rec_fifo: rec,
             src_context: 3,
+            src_task: 2,
             dispatch,
             metadata: Bytes::from_static(metadata),
         }
@@ -1613,12 +1617,30 @@ mod tests {
         assert_eq!(p.payload.view(), b"hello");
         assert_eq!(p.msg_len, 5);
         assert_eq!(p.offset, 0);
-        assert!(p.link_seq == 0 && p.crc == 0, "the lossless short envelope goes unstamped");
+        assert!(p.link_seq == 0 && p.crc == 0, "the lossless short packet goes unstamped");
         assert!(fabric.poll_rec(1, rec).is_none(), "exactly one packet");
         // The eager twin: no plan, no channel, no stamp.
         fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(hello)));
         let p = fabric.poll_rec(1, rec).unwrap();
         assert!(p.link_seq == 0 && p.crc == 0, "the lossless eager packet goes unstamped");
+    }
+
+    #[test]
+    fn short_packet_carries_its_origin_in_the_header() {
+        // The source task is a header field, not a metadata prefix: the
+        // metadata arrives as the sender's bytes, and empty metadata as
+        // `Bytes::new()`.
+        let fabric = small_fabric();
+        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        fabric.send_short(0, &inj, short_hdr(rec, 4, b""), Bytes::from_static(b"x"), None);
+        fabric.send_short(0, &inj, short_hdr(rec, 4, b"meta"), Bytes::new(), None);
+        let empty = fabric.poll_rec(1, rec).unwrap();
+        assert_eq!((empty.src_node, empty.src_task, empty.src_context), (0, 2, 3));
+        assert_eq!(empty.metadata, Bytes::new());
+        let meta = fabric.poll_rec(1, rec).unwrap();
+        assert_eq!(meta.src_task, 2);
+        assert_eq!(&meta.metadata[..], b"meta", "no prefix to strip");
     }
 
     #[test]

@@ -351,6 +351,7 @@ mod tests {
         fifo.deliver(MuPacket {
             src_node: 0,
             src_context: 0,
+            src_task: 0,
             dispatch: 1,
             metadata: Bytes::new(),
             msg_id: 1,
@@ -376,6 +377,7 @@ mod tests {
         fifo.deliver_batch(2, |i| MuPacket {
             src_node: 0,
             src_context: 0,
+            src_task: 0,
             dispatch: 1,
             metadata: Bytes::new(),
             msg_id: 4,
@@ -399,6 +401,7 @@ mod tests {
         fifo.deliver_batch(3, |i| MuPacket {
             src_node: 0,
             src_context: 0,
+            src_task: 0,
             dispatch: 1,
             metadata: Bytes::new(),
             msg_id: 9,

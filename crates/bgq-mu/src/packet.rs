@@ -98,12 +98,13 @@ impl From<PayloadSource> for PacketPayload {
 /// A memory-FIFO packet: the unit software pulls out of a reception FIFO.
 ///
 /// The real packet is a 32-byte header plus ≤512 bytes of payload; the
-/// header carries the source, a software dispatch identifier, and enough
-/// message bookkeeping for the protocol layer to reassemble multi-packet
-/// messages. Dispatch metadata is shared across a message's packets (PAMI
-/// sends it in the first packet; the simulation clones the handle — a cheap
-/// refcount bump — onto every packet, which avoids modeling out-of-order
-/// header arrival while preserving per-packet payload granularity).
+/// header carries the source (node, context and task), a software dispatch
+/// identifier, and enough message bookkeeping for the protocol layer to
+/// reassemble multi-packet messages. Dispatch metadata is shared across a
+/// message's packets (PAMI sends it in the first packet; the simulation
+/// clones the handle — a cheap refcount bump — onto every packet, which
+/// avoids modeling out-of-order header arrival while preserving
+/// per-packet payload granularity).
 ///
 /// Packets are intentionally not `Clone`: each one owns its payload window.
 #[derive(Debug)]
@@ -113,6 +114,9 @@ pub struct MuPacket {
     /// Source context offset within the source node (lets the destination
     /// side address replies; part of PAMI's endpoint addressing).
     pub src_context: u16,
+    /// Originating task: with several processes per node the source node
+    /// does not name the sender, so the task rides the header.
+    pub src_task: u32,
     /// Software dispatch identifier — selects the active-message handler.
     pub dispatch: u16,
     /// Protocol metadata (matching bits, rendezvous handles, …).
@@ -139,7 +143,9 @@ pub struct MuPacket {
 /// [`PacketPayload::Region`] windows contribute only through `msg_len` /
 /// `offset`, since their bytes never leave source memory in the simulation
 /// (real hardware checksums them on the wire; here the in-process copy is
-/// the wire).
+/// the wire). `src_task` is folded in just ahead of the metadata, as four
+/// little-endian bytes, so the stamped stream is the one a packet whose
+/// metadata began with the source task would give.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn packet_crc(
     src_node: u32,
@@ -149,6 +155,7 @@ pub(crate) fn packet_crc(
     msg_len: u32,
     offset: u32,
     link_seq: u64,
+    src_task: u32,
     metadata: &[u8],
     staged_payload: &[u8],
 ) -> u32 {
@@ -164,6 +171,7 @@ pub(crate) fn packet_crc(
     header[24..32].copy_from_slice(&link_seq.to_le_bytes());
     let mut c = crate::crc::Crc32c::new();
     c.update(&header);
+    c.update(&src_task.to_le_bytes());
     c.update(metadata);
     c.update(staged_payload);
     c.finish()
@@ -190,6 +198,7 @@ impl MuPacket {
             self.msg_len,
             self.offset,
             self.link_seq,
+            self.src_task,
             &self.metadata,
             self.payload.view(),
         )
@@ -213,13 +222,14 @@ mod tests {
         MuPacket {
             src_node: 0,
             src_context: 0,
+            src_task: 0,
             dispatch: 0,
             metadata: Bytes::new(),
             msg_id: 1,
             msg_len: total,
             offset,
             link_seq: 9,
-            crc: packet_crc(0, 0, 0, 1, total, offset, 9, &[], &payload),
+            crc: packet_crc(0, 0, 0, 1, total, offset, 9, 0, &[], &payload),
             payload: PacketPayload::Inline(payload),
         }
     }
@@ -268,13 +278,15 @@ mod tests {
         p.dispatch = 0;
         assert!(p.verify_crc());
         p.crc = 0;
-        assert!(p.verify_crc(), "zero stamp means an unstamped envelope");
+        assert!(p.verify_crc(), "zero stamp means an unstamped packet");
     }
 
     /// The stamp is a wire format: this constant is what the table-walk,
     /// nine-`update` `packet_crc` of PR 12 computed for the same packet, so
     /// neither the header packing nor the kernel may change the byte
-    /// stream or the checksum.
+    /// stream or the checksum. That packet's metadata was
+    /// `b"pami-golden-metadata"`; its first four bytes now travel as the
+    /// header's `src_task`, which the stamp folds in at the same place.
     #[test]
     fn golden_stamp_is_pinned() {
         let payload: Vec<u8> = (0..512u32).map(|i| (i * 7 + 3) as u8).collect();
@@ -286,10 +298,44 @@ mod tests {
             2048,
             512,
             0x2122_2324_2526_2728,
-            b"pami-golden-metadata",
+            u32::from_le_bytes(*b"pami"),
+            b"-golden-metadata",
             &payload,
         );
         assert_eq!(crc, 0x42EE_BD00);
+    }
+
+    /// The stamp of a packet from task `T` with metadata `M` is the stamp
+    /// of a packet with no task field and metadata `T.to_le_bytes() ++ M`
+    /// — the stream the stamp covered when the task rode in the metadata —
+    /// so seeded fault histories and the golden stamp stay where they were.
+    #[test]
+    fn src_task_stamps_as_a_metadata_prefix() {
+        let without_task = |metadata: &[u8], payload: &[u8]| {
+            let mut header = Vec::with_capacity(32);
+            header.extend_from_slice(&0x0A0B_0C0Du32.to_le_bytes());
+            header.extend_from_slice(&7u16.to_le_bytes());
+            header.extend_from_slice(&0x0101u16.to_le_bytes());
+            header.extend_from_slice(&99u64.to_le_bytes());
+            header.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            header.extend_from_slice(&0u32.to_le_bytes());
+            header.extend_from_slice(&5u64.to_le_bytes());
+            let mut c = crate::crc::Crc32c::new();
+            c.update(&header);
+            c.update(metadata);
+            c.update(payload);
+            c.finish()
+        };
+        for task in [0, 1, 0xDEAD, u32::MAX] {
+            for metadata in [&b""[..], b"m", b"twelve bytes"] {
+                let prefixed = [&task.to_le_bytes()[..], metadata].concat();
+                let payload = b"payload";
+                let len = payload.len() as u32;
+                let stamp =
+                    packet_crc(0x0A0B_0C0D, 7, 0x0101, 99, len, 0, 5, task, metadata, payload);
+                assert_eq!(stamp, without_task(&prefixed, payload), "task {task:#x}, {metadata:?}");
+            }
+        }
     }
 
     #[test]

@@ -255,6 +255,7 @@ mod tests {
         MuPacket {
             src_node: src,
             src_context: 0,
+            src_task: 0,
             dispatch: 0,
             metadata: Bytes::new(),
             msg_id: seq,

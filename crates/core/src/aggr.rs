@@ -2,7 +2,7 @@
 //!
 //! The paper's own accounting says per-message *software* overhead, not
 //! wire bytes, bounds fine-grained message rate: every small send pays one
-//! envelope, one injection, one packet, one reception-FIFO pop. This module
+//! header, one injection, one packet, one reception-FIFO pop. This module
 //! amortizes that cost the way TRAM and combining networks do — merge
 //! traffic that shares a path. Sends below the aggregation cutoff destined
 //! for the same endpoint append into a per-destination *coalescing bucket*;
@@ -473,7 +473,7 @@ impl Aggregator {
     }
 }
 
-/// Frame header carried in the packet envelope's metadata body: record
+/// Frame header carried as the frame packet's metadata: record
 /// count (u16 LE) + addressing mode (u8, 1 = node-bucket records carry
 /// their own endpoint).
 pub(crate) fn frame_header(count: u16, addressed: bool) -> [u8; 3] {

@@ -2,7 +2,7 @@
 //! fixed-descriptor message passing.
 //!
 //! The paper's protocol ladder pays a per-message software cost even on
-//! its fastest rungs: a protocol decision, an envelope build, a dispatch
+//! its fastest rungs: a protocol decision, a header build, a dispatch
 //! lookup at the receiver. Regular communication patterns (halo
 //! exchanges, pipelined stencils) send the *same size to the same peer
 //! every iteration*, so all of that work can be hoisted out of the loop.

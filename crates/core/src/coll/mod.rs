@@ -828,7 +828,7 @@ fn sw_reduce_bcast(
 /// Segment size of the streaming chain allreduce. Small enough that a
 /// long vector pipelines (rank 0 is filling segment `s+1` while the tail
 /// of the chain still reduces segment `s`), large enough to amortize the
-/// per-message envelope.
+/// per-message header.
 pub const STREAM_SEGMENT: usize = 4096;
 
 /// Tag for a streaming-allreduce segment. Streaming owns class nibble 6;

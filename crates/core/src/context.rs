@@ -189,7 +189,7 @@ struct CtxProbes {
     /// Events processed across all `advance` calls.
     advance_events: bgq_upc::Counter,
     /// Sends by protocol. The short tier and `send_immediate` share one
-    /// probe — they are the same envelope path.
+    /// probe — they are the same one-packet path.
     sends_short: bgq_upc::Counter,
     /// Sends appended into aggregation buckets (`pami::aggr`).
     sends_aggr: bgq_upc::Counter,
@@ -259,10 +259,6 @@ pub struct Context {
     /// Bumped by [`Context::set_dispatch`]; invalidates the advance-side
     /// handler memo without the receive path ever taking the dispatch lock.
     dispatch_gen: AtomicU64,
-    /// Pre-serialized wire envelope for the flood case (empty metadata):
-    /// per-send `Bytes` clone — a refcount bump on context-private memory —
-    /// instead of a 4-byte heap allocation.
-    flood_envelope: Bytes,
     advance_state: Mutex<AdvanceState>,
     /// Number of in-flight internal obligations (reassembly entries plus
     /// pending rendezvous receives). Written only under `advance_state`;
@@ -339,7 +335,6 @@ impl Context {
             work: WorkQueue::with_capacity(256),
             dispatch: RwLock::new(HashMap::new()),
             dispatch_gen: AtomicU64::new(0),
-            flood_envelope: wire::envelope(task, &[]),
             advance_state: Mutex::new(AdvanceState {
                 reassembly: HashMap::new(),
                 rzv_pending: Vec::new(),
@@ -504,9 +499,10 @@ impl Context {
         }
         let rec_fifo = self.rec_fifo_of(dest)?;
         // One-packet immediates ARE short-tier sends: the same inline
-        // envelope, the same arm, the same probe.
+        // packet, the same arm, the same probe.
         self.probes.sends_short.incr_pinned(self.offset as usize);
-        let hdr = self.short_header(dest_node, rec_fifo, dispatch, self.envelope_for(metadata));
+        let metadata = Bytes::copy_from_slice(metadata);
+        let hdr = self.short_header(dest_node, rec_fifo, dispatch, metadata);
         let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
         self.send_short_arm(dest, hdr, payload, None);
         Ok(())
@@ -534,7 +530,8 @@ impl Context {
     /// [`Context::send`] with the metadata borrowed: for a layer that
     /// builds a few header bytes on its stack per message (the MPI
     /// envelope) and would otherwise box them in a `Vec` only to hand them
-    /// over — the bytes are copied into the wire envelope either way.
+    /// over — the bytes are copied into the message's own buffer either
+    /// way (no buffer when there are none).
     ///
     /// # Errors
     /// As for [`Context::send`].
@@ -622,7 +619,7 @@ impl Context {
         match proto {
             Protocol::Short => {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
-                let metadata = self.envelope_for(metadata);
+                let metadata = Bytes::copy_from_slice(metadata);
                 let hdr = self.short_header(dest_node, rec_fifo, dispatch, metadata);
                 self.send_short_arm(dest, hdr, payload, local_done);
             }
@@ -634,8 +631,9 @@ impl Context {
                     payload,
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
+                        src_task: self.task,
                         dispatch,
-                        metadata: self.envelope_for(metadata),
+                        metadata: Bytes::copy_from_slice(metadata),
                     },
                     inj_counter: local_done,
                 };
@@ -646,15 +644,15 @@ impl Context {
                 // pulls the payload with a remote get.
                 self.probes.sends_rzv.incr_pinned(self.offset as usize);
                 let key = self.machine.rzv_register(payload, local_done);
-                let rts = wire::rts(dispatch, len as u64, key, metadata);
                 let desc = Descriptor {
                     dst_node: dest_node,
                     src_context: self.offset,
                     payload: PayloadSource::Immediate(Bytes::new()),
                     kind: XferKind::MemoryFifo {
                         rec_fifo,
+                        src_task: self.task,
                         dispatch: DISPATCH_RZV_RTS,
-                        metadata: wire::envelope(self.task, &rts),
+                        metadata: wire::rts(dispatch, len as u64, key, metadata),
                     },
                     inj_counter: None,
                 };
@@ -862,7 +860,7 @@ impl Context {
             return;
         }
         let Ok(rec_fifo) = self.rec_fifo_of(dest) else { return };
-        let metadata = wire::envelope(self.task, &hdr);
+        let metadata = Bytes::copy_from_slice(&hdr);
         let hdr = self.short_header(dest_node, rec_fifo, DISPATCH_AGGR, metadata);
         self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
     }
@@ -937,7 +935,7 @@ impl Context {
         inline
     }
 
-    /// The header of a short-tier envelope from this context.
+    /// The header of a short-tier packet from this context.
     fn short_header(
         &self,
         dst_node: u32,
@@ -945,11 +943,12 @@ impl Context {
         dispatch: u16,
         metadata: Bytes,
     ) -> FifoHeader {
-        FifoHeader { dst_node, rec_fifo, src_context: self.offset, dispatch, metadata }
+        let (src_context, src_task) = (self.offset, self.task);
+        FifoHeader { dst_node, rec_fifo, src_context, src_task, dispatch, metadata }
     }
 
     /// The short arm — shared by [`Context::send`], [`Context::send_immediate`]
-    /// and aggregated-frame emit: one inline envelope on `dest`'s pinned
+    /// and aggregated-frame emit: one inline packet on `dest`'s pinned
     /// injection FIFO. When that FIFO has nothing queued and no engine
     /// mid-pop, ordering lets the message skip the injection queue
     /// entirely — no descriptor, no completion-counter allocation, one
@@ -973,6 +972,7 @@ impl Context {
                 payload,
                 kind: XferKind::MemoryFifo {
                     rec_fifo: hdr.rec_fifo,
+                    src_task: hdr.src_task,
                     dispatch: hdr.dispatch,
                     metadata: hdr.metadata,
                 },
@@ -993,7 +993,7 @@ impl Context {
 
     /// Resolve `dest` to its physical address, typed-error on miss. The
     /// machine's dense endpoint cache answers without the registry RwLock;
-    /// only out-of-envelope endpoints (clients beyond the first, context
+    /// only endpoints outside it (clients beyond the first, context
     /// offsets ≥ 16, very large machines) fall back to the map.
     fn addr_of(&self, dest: Endpoint) -> PamiResult<crate::machine::EndpointAddr> {
         if let Some(addr) = self.machine.endpoint_addr_fast(self.client, dest.task, dest.context) {
@@ -1017,18 +1017,6 @@ impl Context {
             .endpoint_addr(self.client, dest.task, dest.context)
             .map(|a| a.rec_fifo)
             .ok_or(PamiError::UnknownEndpoint { task: dest.task, context: dest.context })
-    }
-
-    /// Wire envelope for `metadata`. The empty-metadata envelope is a
-    /// per-context constant — clone the pre-built one instead of
-    /// serializing 4 bytes into a fresh allocation per message.
-    #[inline]
-    fn envelope_for(&self, metadata: &[u8]) -> Bytes {
-        if metadata.is_empty() {
-            self.flood_envelope.clone()
-        } else {
-            wire::envelope(self.task, metadata)
-        }
     }
 
     fn send_shm(
@@ -1263,36 +1251,36 @@ impl Context {
         events
     }
 
-    fn handle_mu_packet(&self, st: &mut AdvanceState, bc: &mut BatchCounters, pkt: MuPacket) {
+    fn handle_mu_packet(&self, st: &mut AdvanceState, bc: &mut BatchCounters, mut pkt: MuPacket) {
         if pkt.is_first() {
-            let (src_task, body) = wire::open_envelope(&pkt.metadata);
-            let src = Endpoint { task: src_task, context: pkt.src_context };
+            let src = Endpoint { task: pkt.src_task, context: pkt.src_context };
             if pkt.dispatch == DISPATCH_RZV_RTS {
-                self.handle_rts(st, bc, src, &body);
+                self.handle_rts(st, bc, src, &pkt.metadata);
                 return;
             }
             if pkt.dispatch == DISPATCH_CHAN_REQ {
-                self.handle_chan_req(src, &body);
+                self.handle_chan_req(src, &pkt.metadata);
                 bc.dispatched += 1;
                 return;
             }
             if pkt.dispatch == DISPATCH_AGGR {
                 // A frame is always one packet (`MachineBuilder::aggregation`
                 // enforces it): unbatch and dispatch every record straight
-                // from the packet buffer.
+                // from the packet buffer, which is moved, not shared.
                 debug_assert!(pkt.is_last(), "aggregated frames are single packets");
-                let payload = match &pkt.payload {
-                    bgq_mu::PacketPayload::Inline(b) => b.clone(),
-                    _ => Bytes::copy_from_slice(pkt.payload.view()),
+                let bgq_mu::PacketPayload::Inline(payload) = pkt.payload else {
+                    panic!("aggregated frames are always inline");
                 };
                 bc.dispatched +=
-                    self.unbatch_aggr_frame(&mut st.handler_memo, src, &body, payload);
+                    self.unbatch_aggr_frame(&mut st.handler_memo, src, &pkt.metadata, payload);
                 return;
             }
+            // The packet is owned: its metadata moves into the message
+            // (empty metadata is the static empty buffer — no refcount).
             let msg = IncomingMsg {
                 src,
                 dispatch: pkt.dispatch,
-                metadata: body,
+                metadata: std::mem::take(&mut pkt.metadata),
                 len: pkt.msg_len as u64,
             };
             bc.dispatched += 1;
@@ -1403,9 +1391,9 @@ impl Context {
 
     fn handle_shm(&self, memo: &mut Option<HandlerMemo>, msg: ShmMsg) {
         if msg.dispatch == DISPATCH_CHAN_REQ {
-            // On-node channel offers ride the mailbox with the body as raw
-            // metadata (no envelope — shm messages carry the source
-            // endpoint natively).
+            // On-node channel offers ride the mailbox with the body as the
+            // metadata; shm messages carry the source endpoint beside it,
+            // as MU packets do in their header.
             self.handle_chan_req(msg.src, &msg.metadata);
             return;
         }
@@ -1496,7 +1484,7 @@ impl Context {
     /// Send a persistent-channel buffer offer to `dest` over the system
     /// lane (mailbox on-node, an internal-dispatch memory-FIFO message
     /// off-node).
-    pub(crate) fn send_chan_offer(&self, dest: Endpoint, body: Vec<u8>) -> PamiResult<()> {
+    pub(crate) fn send_chan_offer(&self, dest: Endpoint, body: Bytes) -> PamiResult<()> {
         let dest = Endpoint { task: self.machine.resolve_task(dest.task), ..dest };
         let dest_node = self.machine.task_node(dest.task);
         if dest_node == self.node {
@@ -1504,7 +1492,7 @@ impl Context {
             addr.mailbox.deliver(ShmMsg {
                 src: self.endpoint(),
                 dispatch: DISPATCH_CHAN_REQ,
-                metadata: Bytes::from(body),
+                metadata: body,
                 payload: ShmPayload::Inline(Bytes::new()),
             });
             return Ok(());
@@ -1518,8 +1506,9 @@ impl Context {
                 payload: PayloadSource::Immediate(Bytes::new()),
                 kind: XferKind::MemoryFifo {
                     rec_fifo,
+                    src_task: self.task,
                     dispatch: DISPATCH_CHAN_REQ,
-                    metadata: wire::envelope(self.task, &body),
+                    metadata: body,
                 },
                 inj_counter: None,
             },

@@ -14,7 +14,7 @@ use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 
 /// Default short/eager crossover in bytes — the Charm++ PAMI machine
 /// layer's `SHORT_CUTOFF 128`: payloads at or below it inline into a single
-/// packet envelope with no region setup and no completion counter.
+/// packet with no region setup and no completion counter.
 pub const SHORT_CUTOFF: usize = 128;
 
 /// Which wire protocol a send uses.
@@ -26,7 +26,7 @@ pub enum Protocol {
     /// overhead. Only ever selected for payloads at or below the
     /// aggregation cutoff.
     Aggregated,
-    /// Metadata and payload inline into one packet envelope — no region
+    /// Metadata and payload inline into one packet — no region
     /// registration, no completion counter, no fragment loop; the receive
     /// side dispatches straight from the packet.
     Short,

@@ -1,11 +1,12 @@
-//! Protocol plumbing shared by the MU and shared-memory devices: message
-//! envelopes, the shared-memory mailbox, and the send argument bundle.
+//! Protocol plumbing shared by the MU and shared-memory devices: internal
+//! message bodies, the shared-memory mailbox, and the send argument bundle.
 //!
-//! Wire format note: MU packets carry a PAMI *envelope* in their metadata —
-//! the source task (packets only know the source node, and with multiple
-//! processes per node the task must travel with the message) followed by
-//! the user's dispatch metadata. Rendezvous RTS messages additionally carry
-//! the real dispatch id, total length, and the rendezvous key under an
+//! Wire format note: an MU packet's metadata is the user's dispatch
+//! metadata and nothing else. The source task travels in the packet
+//! header (`bgq_mu::MuPacket::src_task`) beside the source node and
+//! context — with several processes per node the node alone does not name
+//! the sender. Rendezvous RTS messages carry the real dispatch id, total
+//! length, and the rendezvous key ahead of the user metadata, under an
 //! internal dispatch id.
 
 use bgq_hw::{Counter, GlobalAddress, WakeupRegion, WorkQueue};
@@ -178,7 +179,7 @@ pub struct ShmMsg {
     pub src: Endpoint,
     /// Dispatch id.
     pub dispatch: u16,
-    /// User metadata (no envelope — shm messages carry the task natively).
+    /// User metadata (the source endpoint rides beside it in `src`).
     pub metadata: Bytes,
     /// Payload.
     pub payload: ShmPayload,
@@ -207,34 +208,20 @@ impl ShmMailbox {
     }
 }
 
-/// Envelope/RTS wire helpers.
+/// RTS and channel-offer wire helpers. Each body is written once, in
+/// place, into the buffer the packet carries.
 pub(crate) mod wire {
     use super::*;
 
-    /// Prepend the source task to user metadata.
-    pub fn envelope(src_task: u32, user_metadata: &[u8]) -> Bytes {
-        Bytes::init_with(4 + user_metadata.len(), |buf| {
-            buf[..4].copy_from_slice(&src_task.to_le_bytes());
-            buf[4..].copy_from_slice(user_metadata);
-        })
-    }
-
-    /// Split an envelope back into (source task, user metadata).
-    pub fn open_envelope(metadata: &Bytes) -> (u32, Bytes) {
-        assert!(metadata.len() >= 4, "malformed PAMI envelope");
-        let task = u32::from_le_bytes(metadata[..4].try_into().unwrap());
-        (task, metadata.slice(4..))
-    }
-
     /// RTS body: real dispatch, payload length, rendezvous key, then the
     /// user metadata.
-    pub fn rts(dispatch: u16, len: u64, key: u64, user_metadata: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(18 + user_metadata.len());
-        buf.extend_from_slice(&dispatch.to_le_bytes());
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(&key.to_le_bytes());
-        buf.extend_from_slice(user_metadata);
-        buf
+    pub fn rts(dispatch: u16, len: u64, key: u64, user_metadata: &[u8]) -> Bytes {
+        Bytes::init_with(18 + user_metadata.len(), |buf| {
+            buf[..2].copy_from_slice(&dispatch.to_le_bytes());
+            buf[2..10].copy_from_slice(&len.to_le_bytes());
+            buf[10..18].copy_from_slice(&key.to_le_bytes());
+            buf[18..].copy_from_slice(user_metadata);
+        })
     }
 
     /// Parse an RTS body.
@@ -248,12 +235,12 @@ pub(crate) mod wire {
 
     /// Persistent-channel offer body: pairing ordinal, slot size, and the
     /// offering side's receive-window key.
-    pub fn chan_req(ordinal: u64, size: u64, mem_key: u64) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(24);
-        buf.extend_from_slice(&ordinal.to_le_bytes());
-        buf.extend_from_slice(&size.to_le_bytes());
-        buf.extend_from_slice(&mem_key.to_le_bytes());
-        buf
+    pub fn chan_req(ordinal: u64, size: u64, mem_key: u64) -> Bytes {
+        Bytes::init_with(24, |buf| {
+            buf[..8].copy_from_slice(&ordinal.to_le_bytes());
+            buf[8..16].copy_from_slice(&size.to_le_bytes());
+            buf[16..].copy_from_slice(&mem_key.to_le_bytes());
+        })
     }
 
     /// Parse a persistent-channel offer body into (ordinal, size, mem_key).
@@ -271,25 +258,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn envelope_round_trips() {
-        let env = wire::envelope(0xDEAD, b"meta");
-        assert_eq!(env.len(), 4 + b"meta".len());
-        let (task, meta) = wire::open_envelope(&env);
-        assert_eq!(task, 0xDEAD);
-        assert_eq!(&meta[..], b"meta");
-    }
-
-    #[test]
-    fn envelope_with_empty_metadata() {
-        let env = wire::envelope(7, b"");
-        let (task, meta) = wire::open_envelope(&env);
-        assert_eq!(task, 7);
-        assert!(meta.is_empty());
-    }
-
-    #[test]
     fn rts_round_trips() {
-        let body = Bytes::from(wire::rts(42, 1 << 33, 0xABCD, b"user"));
+        let body = wire::rts(42, 1 << 33, 0xABCD, b"user");
         let (dispatch, len, key, meta) = wire::open_rts(&body);
         assert_eq!(dispatch, 42);
         assert_eq!(len, 1 << 33);
@@ -299,14 +269,8 @@ mod tests {
 
     #[test]
     fn chan_req_round_trips() {
-        let body = Bytes::from(wire::chan_req(3, 4096, 0x55AA));
+        let body = wire::chan_req(3, 4096, 0x55AA);
         assert_eq!(wire::open_chan_req(&body), (3, 4096, 0x55AA));
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed")]
-    fn truncated_envelope_panics() {
-        wire::open_envelope(&Bytes::from_static(b"abc"));
     }
 
     #[test]

@@ -223,6 +223,75 @@ fn select_names_the_rung_send_takes() {
 }
 
 #[test]
+fn every_tier_names_the_sending_task_at_ppn_2() {
+    // Tasks 0 and 1 share node 0, so the source node cannot tell them
+    // apart: only the origin task in the packet header can. Both send to
+    // task 2 on node 1 down every off-node path — `send_immediate`, short,
+    // eager, rendezvous, and with aggregation on the aggregated rung in
+    // place of short — with 0, 1 and 12 bytes of metadata (12 is MPI's
+    // `pack_meta`). Every arrival names its sender and carries its
+    // metadata byte for byte.
+    const SIZES: [usize; 3] = [64, 2048, 16 * 1024];
+    for aggregation in [false, true] {
+        let mut builder = Machine::with_nodes(2).ppn(2);
+        if aggregation {
+            builder = builder.aggregation(AggrConfig::default());
+        }
+        let machine = builder.build();
+        let clients: Vec<_> = (0..4).map(|t| Client::create(&machine, t, "t", 1)).collect();
+        let sink = Arc::new(Sink::default());
+        clients[2].context(0).set_dispatch(DISPATCH, sink.handler());
+        let dest = Endpoint::of_task(2);
+        let mut expected: Vec<Delivered> = Vec::new();
+        for sender in [0u32, 1] {
+            let ctx = clients[sender as usize].context(0);
+            for meta_len in [0usize, 1, 12] {
+                // Path 0 is `send_immediate`, paths 1.. are `send` of each size.
+                for path in 0..=SIZES.len() {
+                    let tag = (sender as usize * 64 + meta_len * 4 + path) as u8;
+                    let metadata: Vec<u8> = (0..meta_len).map(|b| tag ^ (b as u8 + 1)).collect();
+                    let len = if path == 0 { 24 } else { SIZES[path - 1] };
+                    let payload: Vec<u8> = (0..len).map(|b| tag.wrapping_add(b as u8)).collect();
+                    if path == 0 {
+                        ctx.send_immediate(dest, DISPATCH, &metadata, &payload).unwrap();
+                    } else {
+                        ctx.send(SendArgs {
+                            dest,
+                            dispatch: DISPATCH,
+                            metadata: metadata.clone(),
+                            payload: PayloadSource::Immediate(bytes::Bytes::from(payload.clone())),
+                            local_done: None,
+                        })
+                        .unwrap();
+                    }
+                    expected.push((Endpoint::of_task(sender), metadata, payload));
+                }
+            }
+            ctx.flush_aggr();
+        }
+        while sink.received() < expected.len() as u64 {
+            for client in &clients {
+                client.context(0).advance();
+            }
+        }
+        // A payload's first byte is its message's tag: pair arrivals with
+        // sends by it.
+        let mut got = sink.messages.lock().clone();
+        got.sort_by_key(|m| m.2[0]);
+        expected.sort_by_key(|m| m.2[0]);
+        assert_eq!(got.len(), expected.len(), "aggregation {aggregation}: every message once");
+        for (g, e) in got.iter().zip(&expected) {
+            let what = format!("aggregation {aggregation}, message {:#04x}", e.2[0]);
+            assert_eq!((g.0, &g.1), (e.0, &e.1), "{what}: origin and metadata");
+            assert!(g.2 == e.2, "{what}: payload");
+        }
+        if aggregation && cfg!(feature = "telemetry") {
+            assert_eq!(machine.telemetry().snapshot().counter("ctx.sends_aggr"), 6);
+        }
+    }
+}
+
+#[test]
 fn eager_send_multi_packet_reassembles() {
     let machine = Machine::with_nodes(2).build();
     let c0 = Client::create(&machine, 0, "t", 1);

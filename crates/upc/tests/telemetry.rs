@@ -338,6 +338,7 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
             },
             kind: XferKind::MemoryFifo {
                 rec_fifo: rec,
+                src_task: 0,
                 dispatch: 7,
                 metadata: bytes::Bytes::new(),
             },
