@@ -1,14 +1,15 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro <experiment> [--modeled-only]
+//! repro <experiment>
 //!   experiment ∈ table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 all
 //! ```
 //!
-//! Each experiment prints the paper's published numbers, the timing-model
-//! values at paper scale (`modeled`), and — where a laptop can host the
-//! functional stack — real wall-clock numbers from this workspace's
-//! PAMI/MPI implementation (`measured`, host-scaled configuration).
+//! Each experiment prints the paper's published numbers and the
+//! timing-model values at paper scale (`modeled`). Tables 2 and 3 add
+//! wall-clock numbers from this workspace's MPI stack on a host-scaled
+//! configuration (`measured`). Table 1's and Figure 5's host numbers are
+//! `pamibench`'s `pingpong_short`, `flood_short` and `mpi_exchange` rows.
 
 use bgq_netsim::{coll, p2p, MachineParams};
 use pami_bench::*;
@@ -16,23 +17,22 @@ use pami_bench::*;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
-    let modeled_only = args.iter().any(|a| a == "--modeled-only");
     let params = MachineParams::default();
     match experiment {
-        "table1" => table1(&params, modeled_only),
-        "table2" => table2(&params, modeled_only),
-        "table3" => table3(&params, modeled_only),
-        "fig5" => fig5(&params, modeled_only),
+        "table1" => table1(&params),
+        "table2" => table2(&params),
+        "table3" => table3(&params),
+        "fig5" => fig5(&params),
         "fig6" => fig6(&params),
         "fig7" => fig7(&params),
         "fig8" => fig8(&params),
         "fig9" => fig9(&params),
         "fig10" => fig10(&params),
         "all" => {
-            table1(&params, modeled_only);
-            table2(&params, modeled_only);
-            table3(&params, modeled_only);
-            fig5(&params, modeled_only);
+            table1(&params);
+            table2(&params);
+            table3(&params);
+            fig5(&params);
             fig6(&params);
             fig7(&params);
             fig8(&params);
@@ -41,7 +41,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("usage: repro [table1|table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|all] [--modeled-only]");
+            eprintln!("usage: repro [table1|table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|all]");
             std::process::exit(2);
         }
     }
@@ -52,9 +52,9 @@ fn header(title: &str) {
     println!("=== {title} ===");
 }
 
-fn table1(params: &MachineParams, modeled_only: bool) {
+fn table1(params: &MachineParams) {
     header("Table 1: PAMI half round trip, 0B message");
-    println!("{:<22}{:>12}{:>12}{:>14}", "call", "paper", "modeled", "measured");
+    println!("{:<22}{:>12}{:>12}", "call", "paper", "modeled");
     for (label, imm, paper) in [
         ("PAMI_Send_immediate", true, 1.18e-6),
         ("PAMI_Send", false, 1.32e-6),
@@ -64,16 +64,11 @@ fn table1(params: &MachineParams, modeled_only: bool) {
         } else {
             p2p::pami_send_latency(params, 0)
         };
-        let measured = if modeled_only {
-            "-".to_string()
-        } else {
-            us(measure_pami_half_rtt(imm, 0, 2000).as_secs_f64())
-        };
-        println!("{:<22}{:>12}{:>12}{:>14}", label, us(paper), us(modeled), measured);
+        println!("{:<22}{:>12}{:>12}", label, us(paper), us(modeled));
     }
 }
 
-fn table2(params: &MachineParams, modeled_only: bool) {
+fn table2(params: &MachineParams) {
     header("Table 2: MPI half round trip, 0B message");
     println!(
         "{:<52}{:>10}{:>10}{:>12}",
@@ -97,16 +92,12 @@ fn table2(params: &MachineParams, modeled_only: bool) {
             },
             0,
         );
-        let measured = if modeled_only {
-            "-".to_string()
-        } else {
-            us(measure_mpi_half_rtt(row, 1000).as_secs_f64())
-        };
+        let measured = us(measure_mpi_half_rtt(row, 1000).as_secs_f64());
         println!("{:<52}{:>10}{:>10}{:>12}", row.label(), us(paper), us(modeled), measured);
     }
 }
 
-fn table3(params: &MachineParams, modeled_only: bool) {
+fn table3(params: &MachineParams) {
     header("Table 3: MPI neighbor send+receive throughput, 1MB messages");
     println!(
         "{:<12}{:>14}{:>14}{:>14}{:>14}{:>16}{:>16}",
@@ -116,7 +107,7 @@ fn table3(params: &MachineParams, modeled_only: bool) {
     for (k, pe, pr) in paper {
         let me = p2p::eager_neighbor_throughput(params, k, 1 << 20);
         let mr = p2p::rendezvous_neighbor_throughput(params, k, 1 << 20);
-        let (meas_e, meas_r) = if modeled_only || k > 4 {
+        let (meas_e, meas_r) = if k > 4 {
             // The host machine cannot place 10 neighbors on distinct links;
             // the functional run covers k ≤ 4.
             ("-".to_string(), "-".to_string())
@@ -139,7 +130,7 @@ fn table3(params: &MachineParams, modeled_only: bool) {
     }
 }
 
-fn fig5(params: &MachineParams, modeled_only: bool) {
+fn fig5(params: &MachineParams) {
     header("Figure 5: message rate on 32 nodes (MMPS)");
     println!(
         "{:<6}{:>12}{:>12}{:>16}{:>18}",
@@ -161,17 +152,6 @@ fn fig5(params: &MachineParams, modeled_only: bool) {
         println!("{:<6}{:>12}{:>12}{:>16}{:>18}", ppn, mmps(pami), mmps(mpi), ct, wild);
     }
     println!("paper peaks: PAMI 107 MMPS @32ppn; MPI 22.9 MMPS @32ppn; best commthread 18.7 MMPS @16ppn; 2.4x speedup @1ppn");
-    if !modeled_only {
-        println!();
-        println!("measured (functional stack, 2 nodes, host-scaled):");
-        println!("{:<6}{:>12}{:>12}{:>14}", "ppn", "PAMI", "MPI", "MPI(wildcard)");
-        for ppn in [1usize, 2, 4] {
-            let pami = measure_message_rate(MeasuredRateSeries::Pami, ppn, 3000);
-            let mpi = measure_message_rate(MeasuredRateSeries::MpiNamed, ppn, 3000);
-            let wild = measure_message_rate(MeasuredRateSeries::MpiWildcard, ppn, 3000);
-            println!("{:<6}{:>12}{:>12}{:>14}", ppn, mmps(pami), mmps(mpi), mmps(wild));
-        }
-    }
 }
 
 fn fig6(params: &MachineParams) {

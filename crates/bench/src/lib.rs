@@ -1,18 +1,12 @@
-//! Measurement harnesses for the paper's tables and figures.
+//! Harnesses behind the tool binaries: `repro`'s two measured tables,
+//! `pamistat`'s whole-stack sample, and the chaos flood and failover drill.
 //!
-//! Every experiment has up to two modes:
-//!
-//! * **measured** — runs the functional PAMI/MPI stack of this workspace on
-//!   a host-scaled configuration (a few nodes, a few processes) and
-//!   reports real wall-clock numbers. Software-structure effects (PAMI vs
-//!   MPI overhead, eager vs rendezvous copies, lock disciplines) show up
-//!   here. On a single-core host, effects that need hardware parallelism
-//!   (commthread speedups) do not.
-//! * **modeled** — evaluates the `bgq-netsim` timing models at the paper's
-//!   scale (2048 nodes, 32 ppn, ten links), reproducing the shape of every
-//!   curve.
-//!
-//! The `repro` binary prints both, labeled, next to the paper's numbers.
+//! `repro` prints every paper table and figure from the `bgq-netsim`
+//! timing models at the paper's scale (2048 nodes, 32 ppn, ten links).
+//! Tables 2 and 3 also get a **measured** column: the functional MPI stack
+//! of this workspace on a host-scaled configuration (two to five nodes),
+//! timed by wall clock. Those columns reach no verdict; rates and
+//! latencies with a stated noise are `pamibench`'s.
 
 #![forbid(unsafe_code)]
 
@@ -36,67 +30,6 @@ pub fn mbs(bw: f64) -> String {
 /// Format a messages/second value as millions of messages per second.
 pub fn mmps(rate: f64) -> String {
     format!("{:.2}MMPS", rate / 1e6)
-}
-
-// ---------------------------------------------------------------------------
-// Table 1 (measured): PAMI half round trip
-// ---------------------------------------------------------------------------
-
-/// Functional PAMI ping-pong between two nodes, driven from one thread for
-/// reproducible timing. Returns the average half-round-trip time.
-pub fn measure_pami_half_rtt(immediate: bool, payload: usize, iters: u32) -> Duration {
-    let machine = Machine::with_nodes(2).build();
-    let c0 = Client::create(&machine, 0, "bench", 1);
-    let c1 = Client::create(&machine, 1, "bench", 1);
-    let pings = Arc::new(AtomicU64::new(0));
-    let pongs = Arc::new(AtomicU64::new(0));
-    let count = |cell: &Arc<AtomicU64>| {
-        let cell = Arc::clone(cell);
-        let f: pami::context::DispatchFn = Arc::new(move |_: &Context, msg, first| {
-            assert_eq!(first.len() as u64, msg.len);
-            cell.fetch_add(1, Ordering::Relaxed);
-            Recv::Done
-        });
-        f
-    };
-    c1.context(0).set_dispatch(1, count(&pings));
-    c0.context(0).set_dispatch(1, count(&pongs));
-    let data = vec![0u8; payload];
-
-    let send = |ctx: &Arc<Context>, dest: u32| {
-        if immediate {
-            ctx.send_immediate(Endpoint::of_task(dest), 1, b"", &data).unwrap();
-        } else {
-            ctx.send(SendArgs {
-                dest: Endpoint::of_task(dest),
-                dispatch: 1,
-                metadata: Vec::new(),
-                payload: PayloadSource::Immediate(bytes::Bytes::copy_from_slice(&data)),
-                local_done: None,
-            }).unwrap();
-        }
-    };
-
-    let run_iters = |iters: u64, timed: bool| -> Duration {
-        let base_ping = pings.load(Ordering::Relaxed);
-        let base_pong = pongs.load(Ordering::Relaxed);
-        let start = Instant::now();
-        for i in 1..=iters {
-            send(c0.context(0), 1);
-            while pings.load(Ordering::Relaxed) < base_ping + i {
-                c0.context(0).advance();
-                c1.context(0).advance();
-            }
-            send(c1.context(0), 0);
-            while pongs.load(Ordering::Relaxed) < base_pong + i {
-                c1.context(0).advance();
-                c0.context(0).advance();
-            }
-        }
-        if timed { start.elapsed() } else { Duration::ZERO }
-    };
-    run_iters(100, false);
-    run_iters(iters as u64, true) / (2 * iters)
 }
 
 // ---------------------------------------------------------------------------
@@ -182,119 +115,6 @@ pub fn measure_mpi_half_rtt(row: Table2Row, iters: u32) -> Duration {
         total += round(true);
     }
     total / (2 * iters)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 5 (measured): message rate
-// ---------------------------------------------------------------------------
-
-/// Which functional message-rate series to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeasuredRateSeries {
-    /// Raw PAMI sends, counted at the receiver.
-    Pami,
-    /// MPI isend/irecv with explicit source ranks.
-    MpiNamed,
-    /// MPI with ANY_SOURCE receives.
-    MpiWildcard,
-}
-
-/// Host-scaled message-rate benchmark: `ppn` sender ranks on node 0 flood
-/// paired receiver ranks on node 1 with `msgs` 8-byte messages each
-/// (receives pre-posted, Sequoia-style). All ranks are driven round-robin
-/// by this thread; the result is messages per second of wall time.
-pub fn measure_message_rate(series: MeasuredRateSeries, ppn: usize, msgs: usize) -> f64 {
-    let machine = Machine::with_nodes(2).ppn(ppn).build();
-    match series {
-        MeasuredRateSeries::Pami => {
-            let clients: Vec<Arc<Client>> =
-                (0..2 * ppn).map(|t| Client::create(&machine, t as u32, "rate", 1)).collect();
-            let got = Arc::new(AtomicU64::new(0));
-            for c in &clients[ppn..] {
-                let got = Arc::clone(&got);
-                c.context(0).set_dispatch(
-                    1,
-                    Arc::new(move |_: &Context, _msg, _first| {
-                        got.fetch_add(1, Ordering::Relaxed);
-                        Recv::Done
-                    }),
-                );
-            }
-            let start = Instant::now();
-            for i in 0..msgs {
-                for (s, sender) in clients[..ppn].iter().enumerate() {
-                    sender.context(0).send(SendArgs {
-                        dest: Endpoint::of_task((ppn + s) as u32),
-                        dispatch: 1,
-                        metadata: Vec::new(),
-                        payload: PayloadSource::Immediate(bytes::Bytes::from_static(&[0u8; 8])),
-                        local_done: None,
-                    }).unwrap();
-                }
-                if i % 16 == 0 {
-                    for c in &clients {
-                        c.context(0).advance();
-                    }
-                }
-            }
-            while got.load(Ordering::Relaxed) < (msgs * ppn) as u64 {
-                for c in &clients {
-                    c.context(0).advance();
-                }
-            }
-            (msgs * ppn) as f64 / start.elapsed().as_secs_f64()
-        }
-        MeasuredRateSeries::MpiNamed | MeasuredRateSeries::MpiWildcard => {
-            let wildcard = series == MeasuredRateSeries::MpiWildcard;
-            let ranks: Vec<Mpi> = (0..2 * ppn)
-                .map(|t| Mpi::init(&machine, t as u32, MpiConfig::default()))
-                .collect();
-            let bufs: Vec<MemRegion> =
-                (0..2 * ppn).map(|_| MemRegion::zeroed(8 * msgs)).collect();
-            // Pre-post all receives (the paper adds a barrier "to eliminate
-            // unexpected messages").
-            let mut reqs: Vec<Vec<pami_mpi::Request>> = Vec::new();
-            for r in 0..ppn {
-                let mpi = &ranks[ppn + r];
-                let world = mpi.world().clone();
-                let src = if wildcard { ANY_SOURCE } else { r as i32 };
-                reqs.push(
-                    (0..msgs)
-                        .map(|i| mpi.irecv(&bufs[ppn + r], i * 8, 8, src, i as i32, &world))
-                        .collect(),
-                );
-            }
-            let start = Instant::now();
-            let mut send_reqs = Vec::new();
-            for (s, rank) in ranks.iter().take(ppn).enumerate() {
-                let world = rank.world().clone();
-                for i in 0..msgs {
-                    send_reqs.push((s, rank.isend(&bufs[s], i * 8, 8, ppn + s, i as i32, &world)));
-                }
-            }
-            loop {
-                let mut done = true;
-                for (r, rs) in reqs.iter().enumerate() {
-                    let mpi = &ranks[ppn + r];
-                    mpi.advance();
-                    if rs.iter().any(|req| !mpi.request_complete(*req)) {
-                        done = false;
-                    }
-                }
-                for rank in ranks.iter().take(ppn) {
-                    rank.advance();
-                }
-                if done {
-                    break;
-                }
-            }
-            let rate = (msgs * ppn) as f64 / start.elapsed().as_secs_f64();
-            for (s, req) in send_reqs {
-                ranks[s].wait(req);
-            }
-            rate
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -564,99 +384,6 @@ pub fn measure_neighbor_throughput(k: usize, size: usize, eager: bool, reps: usi
 }
 
 // ---------------------------------------------------------------------------
-// Figures 6–10 (measured): collective latency/throughput at host scale
-// ---------------------------------------------------------------------------
-
-/// Which collective to measure functionally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollBench {
-    /// `MPI_Barrier` (Figure 6).
-    Barrier,
-    /// Single-double `MPI_Allreduce` (Figure 7); hardware path if true.
-    AllreduceLatency { hw: bool },
-    /// `size`-byte `MPI_Allreduce` (Figure 8).
-    AllreduceBandwidth { size: usize, hw: bool },
-    /// `size`-byte `MPI_Bcast` over the collective network (Figure 9).
-    Broadcast { size: usize, hw: bool },
-    /// `size`-byte 10-color rectangle broadcast (Figure 10).
-    RectBroadcast { size: usize },
-}
-
-/// Run `rounds` iterations of a collective over `nodes`×`ppn` functional
-/// ranks (one thread each) and return rank 0's average time per operation.
-pub fn measure_collective(nodes: usize, ppn: usize, rounds: usize, which: CollBench) -> Duration {
-    use pami::coll::names;
-    let machine = Machine::with_nodes(nodes).ppn(ppn).build();
-    let result = Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let result2 = Arc::clone(&result);
-    machine.run(move |env| {
-        let mpi = Mpi::init(&env.machine, env.task, MpiConfig::default());
-        env.machine.task_barrier();
-        let world = mpi.world().clone();
-        let hw = match which {
-            CollBench::AllreduceLatency { hw }
-            | CollBench::AllreduceBandwidth { hw, .. }
-            | CollBench::Broadcast { hw, .. } => hw,
-            _ => true,
-        };
-        if hw {
-            world.optimize().expect("world is rectangular");
-        }
-        let (allreduce, bcast) = if hw {
-            (names::HW_ALLREDUCE, names::HW_BCAST)
-        } else {
-            (names::SW_ALLREDUCE, names::SW_BCAST)
-        };
-        let size = match which {
-            CollBench::Barrier => 8,
-            CollBench::AllreduceLatency { .. } => 8,
-            CollBench::AllreduceBandwidth { size, .. }
-            | CollBench::Broadcast { size, .. }
-            | CollBench::RectBroadcast { size } => size,
-        };
-        let src = MemRegion::zeroed(size);
-        let dst = MemRegion::zeroed(size);
-        // Warm + synchronize.
-        mpi.barrier(&world);
-        let start = Instant::now();
-        for _ in 0..rounds {
-            match which {
-                CollBench::Barrier => mpi.barrier(&world),
-                CollBench::AllreduceLatency { .. } => mpi.allreduce_named(
-                    allreduce,
-                    (&src, 0),
-                    (&dst, 0),
-                    1,
-                    pami::CollOp::Sum,
-                    pami::DataType::Float64,
-                    &world,
-                ),
-                CollBench::AllreduceBandwidth { size, .. } => mpi.allreduce_named(
-                    allreduce,
-                    (&src, 0),
-                    (&dst, 0),
-                    size / 8,
-                    pami::CollOp::Sum,
-                    pami::DataType::Float64,
-                    &world,
-                ),
-                CollBench::Broadcast { size, .. } => {
-                    mpi.bcast_named(bcast, &src, 0, size, 0, &world)
-                }
-                CollBench::RectBroadcast { size } => mpi.bcast_rect(&src, 0, size, 0, &world),
-            }
-        }
-        let elapsed = start.elapsed() / rounds as u32;
-        if world.rank() == 0 {
-            *result2.lock() = elapsed;
-        }
-        mpi.barrier(&world);
-    });
-    let out = *result.lock();
-    out
-}
-
-// ---------------------------------------------------------------------------
 // telemetry.json parsing (pamistat show / diff)
 // ---------------------------------------------------------------------------
 
@@ -770,33 +497,6 @@ pub mod report {
         }
         out
     }
-}
-
-/// Functional barrier timing through a named algorithm (the
-/// GI-vs-collective-network ablation).
-pub fn measure_barrier_alg(nodes: usize, rounds: usize, alg: &'static str) -> Duration {
-    use pami::{Client, Geometry, Topology};
-    let machine = Machine::with_nodes(nodes).build();
-    let result = Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let r2 = Arc::clone(&result);
-    machine.run(move |env| {
-        let client = Client::create(&env.machine, env.task, "bar", 1);
-        env.machine.task_barrier();
-        let ctx = client.context(0);
-        let geom = Geometry::create(ctx, 1, Topology::world(env.machine.num_tasks() as u32));
-        geom.optimize().expect("world rectangular");
-        pami::coll::barrier(&geom, ctx);
-        let start = Instant::now();
-        for _ in 0..rounds {
-            pami::coll::barrier_named(&geom, ctx, alg);
-        }
-        if env.task == 0 {
-            *r2.lock() = start.elapsed() / rounds as u32;
-        }
-        pami::coll::barrier(&geom, ctx);
-    });
-    let out = *result.lock();
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 //! CI cannot dangle. Nobody here can run GitHub Actions, so what the
 //! workflows, the regenerate script and the verify notes name — binaries,
-//! test targets, examples, files under `ci/`, `repro` experiments — is checked
-//! against the tree instead. The same goes for the options census of
-//! TRIALS.md and for the substrate crates' `pub` surface: nobody re-counts
-//! either by hand, so the tree is read.
+//! benches, test targets, examples, files under `ci/`, `repro` experiments
+//! and flags — is checked against the tree instead. The same goes for the
+//! options census of TRIALS.md, the substrate crates' `pub` surface and
+//! every manifest's dependencies: nobody re-counts them by hand, so the
+//! tree is read.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -20,6 +21,23 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
     listing.map(|entry| entry.expect("directory entry").path()).collect()
 }
 
+/// The words of `text`, with a "\n" closing each line: a flag that ends a
+/// line (`-- --test`) takes no argument.
+fn command_words(text: &str) -> Vec<&str> {
+    text.lines()
+        .flat_map(|line| line.split_whitespace().chain(["\n"]))
+        .flat_map(|w| w.split(['`', '\'', '"', '(', ')']))
+        .map(|w| w.trim_end_matches(['.', ',', ';', ':']))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// The argument of every `flag` in `words` that takes one.
+fn after<'a>(words: &'a [&'a str], flag: &'static str) -> impl Iterator<Item = &'a str> {
+    let takes_arg = move |pair: &&[&str]| pair[0] == flag && pair[1] != "\n";
+    words.windows(2).filter(takes_arg).map(|pair| pair[1])
+}
+
 #[test]
 fn every_named_binary_test_and_ci_path_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -30,35 +48,23 @@ fn every_named_binary_test_and_ci_path_exists() {
     let mut ci_examples = Vec::new();
     for file in FILES {
         let text = read(file).unwrap_or_else(|e| panic!("{file}: {e}"));
-        // Words, with a "\n" closing each line: a flag that ends a line
-        // (`-- --test`) takes no argument.
-        let words: Vec<&str> = text
-            .lines()
-            .flat_map(|line| line.split_whitespace().chain(["\n"]))
-            .flat_map(|w| w.split(['`', '\'', '"', '(', ')']))
-            .map(|w| w.trim_end_matches(['.', ',', ';', ':']))
-            .filter(|w| !w.is_empty())
-            .collect();
-        let after = |flag: &'static str| {
-            let takes_arg = move |pair: &&[&str]| pair[0] == flag && pair[1] != "\n";
-            words.windows(2).filter(takes_arg).map(|pair| pair[1])
-        };
+        let words = command_words(&text);
         let run_directly =
             words.iter().filter_map(|w| w.trim_start_matches("./").strip_prefix("target/release/"));
-        let bins: Vec<&str> = after("--bin").chain(run_directly).collect();
+        let bins: Vec<&str> = after(&words, "--bin").chain(run_directly).collect();
         for bin in &bins {
             assert!(
                 bin_source(bin).is_ok() || pamibench.contains(&format!("name = \"{bin}\"")),
                 "{file} names binary `{bin}`: no crates/bench/src/bin/{bin}.rs"
             );
         }
-        for test in after("--test") {
+        for test in after(&words, "--test") {
             assert!(
                 crates.iter().any(|dir| dir.join(format!("tests/{test}.rs")).exists()),
                 "{file} names test target `{test}`: no crate has tests/{test}.rs"
             );
         }
-        for example in after("--example") {
+        for example in after(&words, "--example") {
             assert!(
                 root.join(format!("examples/{example}.rs")).exists(),
                 "{file} runs example `{example}`: no examples/{example}.rs"
@@ -90,10 +96,35 @@ fn every_named_binary_test_and_ci_path_exists() {
     }
 }
 
+/// `--bench <name>` in the four files above, README.md or EXPERIMENTS.md
+/// is a `[[bench]]` target of `crates/bench/Cargo.toml`, so a deleted bench
+/// cannot stay advertised.
+#[test]
+fn every_named_bench_is_a_bench_target() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |path: &str| {
+        std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let manifest = read("crates/bench/Cargo.toml");
+    let stanzas = manifest.split("[[bench]]\nname = \"").skip(1);
+    let targets: Vec<&str> = stanzas.filter_map(|rest| Some(rest.split_once('"')?.0)).collect();
+    assert!(!targets.is_empty(), "crates/bench/Cargo.toml has no [[bench]] target");
+    for file in FILES.into_iter().chain(["README.md", "EXPERIMENTS.md"]) {
+        for bench in after(&command_words(&read(file)), "--bench") {
+            assert!(
+                targets.contains(&bench),
+                "{file} names `--bench {bench}`: not a [[bench]] of crates/bench/Cargo.toml \
+                 ({targets:?})"
+            );
+        }
+    }
+}
+
 /// `repro <experiment>`: wherever a command names one — the four files
-/// above, README.md, the fenced blocks of EXPERIMENTS.md — the experiment
-/// is an arm of `repro.rs`'s `match`, so removing or renaming one cannot
-/// leave the regenerate script or "Reproducing this file" dangling.
+/// above, README.md, DESIGN.md, the fenced blocks of EXPERIMENTS.md — the
+/// experiment is an arm of `repro.rs`'s `match`, and every `--flag` after
+/// it is one `repro.rs` parses. Removing or renaming either cannot leave
+/// the regenerate script or "Reproducing this file" dangling.
 #[test]
 fn every_named_repro_experiment_is_a_match_arm() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -120,7 +151,7 @@ fn every_named_repro_experiment_is_a_match_arm() {
     };
     let texts = FILES
         .into_iter()
-        .chain(["README.md"])
+        .chain(["README.md", "DESIGN.md"])
         .map(|file| (file, read(file)))
         .chain([("EXPERIMENTS.md", fenced_only(read("EXPERIMENTS.md")))]);
     let mut checked = 0;
@@ -135,12 +166,21 @@ fn every_named_repro_experiment_is_a_match_arm() {
                 if command.strip_prefix("target/release/").unwrap_or(command) != "repro" {
                     continue;
                 }
+                // The arguments run to a pipe. `[--a|--b]` offers two flags,
+                // and a bare `--` is cargo's separator.
+                let args: Vec<&str> = words.by_ref().take_while(|arg| *arg != "|").collect();
+                let flags = args.iter().flat_map(|arg| arg.trim_matches(['[', ']']).split('|'));
+                for flag in flags.filter(|flag| flag.starts_with("--") && flag.len() > 2) {
+                    assert!(
+                        source.contains(&format!("\"{flag}\"")),
+                        "{file} passes `repro {flag}`: repro.rs parses no such flag"
+                    );
+                }
                 // The experiment is the first argument that is neither a
-                // `--flag` nor a `<placeholder>`; a pipe ends the command.
-                let experiment = words
-                    .by_ref()
-                    .take_while(|arg| *arg != "|")
-                    .find(|arg| !arg.starts_with("--") && !arg.starts_with('<'));
+                // flag nor a `<placeholder>`.
+                let experiment = args
+                    .into_iter()
+                    .find(|arg| !arg.starts_with("--") && !arg.starts_with(['<', '[']));
                 if let Some(name) = experiment {
                     assert!(
                         arms.contains(&name),
@@ -418,5 +458,71 @@ fn substrate_surface_census() {
          `pub(crate)` and let `dead_code` judge it, or give it a row with a reason in \
          SURFACE_ALLOWLIST):\n{}",
         missing.join("\n")
+    );
+}
+
+/// Manifest dependencies that no source of their crate names, and why each
+/// stays: every row lies inside `pamibench`'s dependency graph, so pruning it
+/// rewrites `benchmark/Cargo.lock`, which changes only with `benchmark/`.
+const DEPENDENCY_ALLOWLIST: [(&str, &str, &str); 6] = [
+    ("bgq-collnet", "crossbeam", "pamibench → pami → bgq-collnet"),
+    ("bgq-mu", "crossbeam", "pamibench → bgq-mu"),
+    ("bgq-torus", "crossbeam", "pamibench → bgq-torus"),
+    ("bgq-torus", "parking_lot", "pamibench → bgq-torus"),
+    ("pami", "crossbeam", "pamibench → pami"),
+    ("pami-mpi", "crossbeam", "pamibench → pami-mpi"),
+];
+
+/// Every dependency a workspace manifest declares is named by some `.rs`
+/// file of that crate's `src/`, `tests/`, `benches/` or `examples/`, or is
+/// forwarded to by one of its `[features]` (as `"bgq-mu/telemetry"` keeps
+/// `bench`'s `bgq-mu`), or has a row in [`DEPENDENCY_ALLOWLIST`]. An edge
+/// nothing uses costs build time and misstates what the crate needs.
+#[test]
+fn every_dependency_is_named() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut edges, mut unnamed) = (0, Vec::new());
+    for dir in entries(&root.join("crates")).into_iter().chain([root.clone()]) {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest");
+        let package = manifest.lines().find_map(|line| line.strip_prefix("name = \""));
+        let package = package.and_then(|name| name.split_once('"')).expect("package name").0;
+        let (mut section, mut deps, mut forwarded) = ("", Vec::new(), HashSet::new());
+        for line in manifest.lines() {
+            if line.starts_with('[') {
+                section = line;
+            } else if section.ends_with("dependencies]") && !section.contains("workspace") {
+                let key = line.split(['.', ' ', '=']).next().unwrap_or("");
+                deps.extend(Some(key).filter(|key| !key.is_empty() && !key.starts_with('#')));
+            } else if section == "[features]" {
+                for quoted in line.split('"').skip(1).step_by(2) {
+                    forwarded.extend(quoted.trim_start_matches("dep:").split(['/', '?']).next());
+                }
+            }
+        }
+        let mut files = Vec::new();
+        for sub in ["src", "tests", "benches", "examples"].map(|sub| dir.join(sub)) {
+            if sub.is_dir() {
+                rust_files(&sub, &mut files);
+            }
+        }
+        // This file names the allowlist's rows; that keeps nothing alive.
+        files.retain(|path| !path.ends_with("crates/bench/tests/ci_refs.rs"));
+        let texts: Vec<String> = files.iter().map(|f| std::fs::read_to_string(f).unwrap()).collect();
+        let named: HashSet<&str> = texts.iter().flat_map(|text| idents(text)).collect();
+        edges += deps.len();
+        let used = |dep: &&str| named.contains(dep.replace('-', "_").as_str()) || forwarded.contains(dep);
+        unnamed.extend(deps.into_iter().filter(|dep| !used(dep)).map(|dep| format!("{package}: {dep}")));
+    }
+    assert!(edges > 40, "the scan found only {edges} manifest dependencies");
+    for (krate, dep, _) in DEPENDENCY_ALLOWLIST {
+        let row = format!("{krate}: {dep}");
+        assert!(unnamed.contains(&row), "DEPENDENCY_ALLOWLIST row `{row}`: no such edge, or named");
+        unnamed.retain(|edge| *edge != row);
+    }
+    assert!(
+        unnamed.is_empty(),
+        "manifest dependencies that no source of their crate names (delete the edge, or give \
+         it a row with a reason in DEPENDENCY_ALLOWLIST):\n{}",
+        unnamed.join("\n")
     );
 }
