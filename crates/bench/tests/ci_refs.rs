@@ -2,9 +2,9 @@
 //! workflows, the regenerate script and the verify notes name — binaries,
 //! benches, test targets, examples, files under `ci/`, `repro` experiments
 //! and flags — is checked against the tree instead. The same goes for the
-//! options census of TRIALS.md, the substrate crates' `pub` surface and
-//! every manifest's dependencies: nobody re-counts them by hand, so the
-//! tree is read.
+//! options census of TRIALS.md, the substrate crates' `pub` surface, every
+//! manifest's dependencies and the code names DESIGN.md points at: nobody
+//! re-counts them by hand, so the tree is read.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -458,6 +458,76 @@ fn substrate_surface_census() {
          `pub(crate)` and let `dead_code` judge it, or give it a row with a reason in \
          SURFACE_ALLOWLIST):\n{}",
         missing.join("\n")
+    );
+}
+
+/// Names DESIGN.md keeps as history, and the change that removed each
+/// from the tree.
+const RETIRED_NAMES: [(&str, &str); 11] = [
+    ("put_raw", "tuple-taking put shim, deprecated for one PR, deleted with aggregation"),
+    ("get_raw", "tuple-taking get shim, deprecated for one PR, deleted with aggregation"),
+    ("read_vec", "`MemRegion::read_vec`, deleted in ISSUE 15 with its last caller"),
+    ("with_flag", "`RequestInner::with_flag`, folded into `armed(credit)` in ISSUE 15"),
+    ("with_counter", "`RequestInner::with_counter`, folded into `armed(credit)` in ISSUE 15"),
+    ("scaling_gate", "`msgrate`'s multi-context gate, retired with `msgrate` in ISSUE 17"),
+    ("multi_context_rate", "a `scaling_gate` operand, retired with `msgrate` in ISSUE 17"),
+    ("single_context_rate", "a `scaling_gate` operand, retired with `msgrate` in ISSUE 17"),
+    ("short_rate", "a `short_gate` operand, retired with `msgrate` in ISSUE 17"),
+    ("alloc_budget", "`crates/mpi/tests/alloc_budget.rs`, moved into `counts.rs` in ISSUE 17"),
+    ("win_key", "the window key that picked the rmw lock stripe, dropped in ISSUE 20"),
+];
+
+/// Every backticked lowercase name with an `_` in DESIGN.md — a code span
+/// split into identifiers, so `Machine::resolve_task` checks
+/// `resolve_task` — is a word of some `.rs`, `.toml`, `.yml` or `.sh` file
+/// of the tree (`vendor/` and build output aside), a file stem, or a
+/// [`RETIRED_NAMES`] row. A rename or a deletion cannot leave the design
+/// document pointing at nothing, and a row cannot outlive its mention.
+#[test]
+fn design_names_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut pending, mut known) = (entries(&root), HashSet::new());
+    while let Some(path) = pending.pop() {
+        let name = path.file_name().expect("entry name").to_string_lossy();
+        if path.is_dir() {
+            if !["target", "vendor", ".git"].contains(&name.as_ref()) {
+                pending.extend(entries(&path));
+            }
+            continue;
+        }
+        known.extend(path.file_stem().map(|stem| stem.to_string_lossy().into_owned()));
+        let ext = path.extension().map(|ext| ext.to_string_lossy());
+        if ext.is_some_and(|ext| ["rs", "toml", "yml", "sh"].contains(&ext.as_ref())) {
+            let mut text = std::fs::read_to_string(&path).unwrap_or_default();
+            if path.ends_with("crates/bench/tests/ci_refs.rs") {
+                // This file names the allowlist's rows; that keeps nothing alive.
+                let rows = text.find("const RETIRED_NAMES").expect("the allowlist");
+                let end = rows + text[rows..].find("];").expect("the allowlist's end");
+                text.replace_range(rows..end, "");
+            }
+            known.extend(idents(&text).map(str::to_string));
+        }
+    }
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let spans = design.split('`').skip(1).step_by(2);
+    let named: std::collections::BTreeSet<&str> = spans
+        .flat_map(idents)
+        .filter(|word| word.contains('_') && !word.chars().any(char::is_uppercase))
+        .collect();
+    assert!(named.len() > 150, "the scan found only {} names in DESIGN.md", named.len());
+    for (row, _) in RETIRED_NAMES {
+        assert!(
+            named.contains(row) && !known.contains(row),
+            "RETIRED_NAMES row `{row}`: DESIGN.md no longer names it, or the tree still does"
+        );
+    }
+    let retired = |name: &&str| RETIRED_NAMES.iter().any(|(row, _)| row == name);
+    let dangling: Vec<&str> =
+        named.into_iter().filter(|name| !known.contains(*name) && !retired(name)).collect();
+    assert!(
+        dangling.is_empty(),
+        "DESIGN.md names what the tree does not (fix the pointer, or give a removed name a \
+         RETIRED_NAMES row saying which change removed it): {dangling:?}"
     );
 }
 

@@ -33,7 +33,7 @@ pub mod trees;
 pub use coords::{Coords, Dim, Dir, TorusShape, ALL_DIMS};
 pub use packet::{HEADER_BYTES, MAX_PAYLOAD_BYTES};
 pub use rect::Rectangle;
-pub use route::{det_route, first_hop_class, healthy_route, hop_distance, LinkHealth};
+pub use route::{det_route, healthy_route, hop_distance, LinkHealth};
 pub use trees::{SpanningTree, TreeKind};
 
 /// Number of torus links out of a node (5 dimensions × 2 directions).

@@ -29,33 +29,6 @@ pub fn det_route(shape: TorusShape, src: Coords, dst: Coords) -> Vec<Dir> {
     hops
 }
 
-/// The first hop of the deterministic route from `src` to `dst`, and the
-/// node it lands on — `None` when already at the destination — without
-/// materializing the whole route.
-pub(crate) fn next_hop(shape: TorusShape, src: Coords, dst: Coords) -> Option<(Dir, Coords)> {
-    for dim in ALL_DIMS {
-        let delta = shape.min_delta(src, dst, dim);
-        if delta != 0 {
-            let dir = Dir { dim, plus: delta >= 0 };
-            return Some((dir, shape.neighbor(src, dir)));
-        }
-    }
-    None
-}
-
-/// Dense class index of the first dimension-ordered hop from `src` toward
-/// `dst`: `0` when the nodes coincide, else `1 + Dir::index()` of the first
-/// hop. Traffic sharing a class leaves `src` on the same physical link, so
-/// senders flushing several coalescing buckets at once (`pami::aggr`) order
-/// the flush by class — frames that share the first link go out
-/// back-to-back, the TRAM-style first-hop grouping.
-pub fn first_hop_class(shape: TorusShape, src: Coords, dst: Coords) -> u8 {
-    match next_hop(shape, src, dst) {
-        None => 0,
-        Some((dir, _)) => 1 + dir.index() as u8,
-    }
-}
-
 /// Minimal hop count between two nodes.
 pub fn hop_distance(shape: TorusShape, src: Coords, dst: Coords) -> u32 {
     ALL_DIMS
@@ -295,41 +268,6 @@ mod tests {
         let c = Coords([1, 2, 0, 1, 2]);
         assert_eq!(hop_distance(shape, c, c), 0);
         assert!(det_route(shape, c, c).is_empty());
-    }
-
-    #[test]
-    fn first_hop_class_matches_route_head() {
-        let shape = TorusShape::new([4, 3, 2, 5, 2]);
-        let src = Coords([1, 0, 1, 2, 0]);
-        for dst in shape.iter() {
-            let class = first_hop_class(shape, src, dst);
-            let route = det_route(shape, src, dst);
-            match route.first() {
-                None => assert_eq!(class, 0, "self maps to class 0"),
-                Some(&dir) => assert_eq!(class, 1 + dir.index() as u8, "dst {dst:?}"),
-            }
-        }
-        // Destinations sharing a first hop share a class; the two directions
-        // of one dimension do not.
-        let plus = first_hop_class(shape, Coords([0; 5]), Coords([1, 0, 0, 0, 0]));
-        let plus_far = first_hop_class(shape, Coords([0; 5]), Coords([1, 2, 1, 0, 1]));
-        let minus = first_hop_class(shape, Coords([0; 5]), Coords([3, 0, 0, 0, 0]));
-        assert_eq!(plus, plus_far);
-        assert_ne!(plus, minus);
-    }
-
-    #[test]
-    fn next_hop_walks_to_root() {
-        let s = TorusShape::new([4, 2, 2, 1, 1]);
-        let mut at = Coords([3, 1, 1, 0, 0]);
-        let root = Coords([0; 5]);
-        let mut hops = 0;
-        while let Some((_, next)) = next_hop(s, at, root) {
-            at = next;
-            hops += 1;
-            assert!(hops <= 10);
-        }
-        assert_eq!(at, root);
     }
 
     #[test]

@@ -119,11 +119,6 @@ struct Bucket {
     /// Aggregator-clock ns when the first record landed — the age-bound
     /// reference and the added-latency measurement origin.
     opened_ns: u64,
-    /// Dimension-ordered first-hop class of the frame destination. A pure
-    /// function of src/dst torus coordinates, so it is computed once when
-    /// the key first opens a bucket and the flush paths group by it
-    /// without re-deriving coordinates per cut.
-    class: u8,
 }
 
 /// Bucket-map hasher: one multiply-mix per written word. The keys are peer
@@ -277,13 +272,8 @@ impl Aggregator {
             && self.now_ns() >= self.deadline_ns.load(Ordering::Relaxed)
     }
 
-    fn fresh_bucket(&self, class: u8) -> Bucket {
-        Bucket {
-            buf: BytesMut::with_capacity(self.cfg.max_frame),
-            count: 0,
-            opened_ns: 0,
-            class,
-        }
+    fn fresh_bucket(&self) -> Bucket {
+        Bucket { buf: BytesMut::with_capacity(self.cfg.max_frame), count: 0, opened_ns: 0 }
     }
 
     /// Whether a record of this shape can ride a frame at all.
@@ -293,8 +283,7 @@ impl Aggregator {
     }
 
     fn cut(&self, bucket: &mut Bucket, dest: Endpoint, cause: FlushCause) -> Frame {
-        let fresh = self.fresh_bucket(bucket.class);
-        let cut = std::mem::replace(bucket, fresh);
+        let cut = std::mem::replace(bucket, self.fresh_bucket());
         // Same single-writer-under-lock pattern as `append`.
         self.pending
             .store(self.pending.load(Ordering::Relaxed) - cut.count as usize, Ordering::Release);
@@ -327,15 +316,12 @@ impl Aggregator {
     /// Append one record to `key`'s bucket, emitting any frame the append
     /// cuts (the bucket that could not fit the record, and/or the bucket
     /// the record filled to the brim). `dest` is the record's own endpoint
-    /// — recorded per record only in node-bucket (addressed) mode. `class`
-    /// supplies the key's first-hop class; it is invoked only when the key
-    /// opens its first bucket. Returns whether this append *opened* a
-    /// bucket (started a fresh age deadline) — the caller's cue to wake a
-    /// parked commthread; subsequent appends move no deadline and need no
-    /// wakeup.
+    /// — recorded per record only in node-bucket (addressed) mode. Returns
+    /// whether this append *opened* a bucket (started a fresh age
+    /// deadline) — the caller's cue to wake a parked commthread;
+    /// subsequent appends move no deadline and need no wakeup.
     ///
     /// The caller must have checked [`Aggregator::record_fits`].
-    #[allow(clippy::too_many_arguments)] // one argument per record field; a struct would be built just to be destructured
     pub(crate) fn append(
         &self,
         key: Endpoint,
@@ -343,18 +329,12 @@ impl Aggregator {
         dispatch: u16,
         metadata: &[u8],
         payload: &[u8],
-        class: impl FnOnce() -> u8,
         mut emit: impl FnMut(Frame),
     ) -> bool {
         let addressed = self.cfg.node_buckets;
         let rec = batch::record_size(addressed, metadata.len(), payload.len());
         let mut st = self.state.lock();
-        let bucket = match st.buckets.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.fresh_bucket(class()))
-            }
-        };
+        let bucket = st.buckets.entry(key).or_insert_with(|| self.fresh_bucket());
         if bucket.buf.len() + rec > self.cfg.max_frame {
             let frame = self.cut(bucket, key, FlushCause::Fill);
             emit(frame);
@@ -406,27 +386,25 @@ impl Aggregator {
         }
     }
 
-    /// Cut every bucket whose oldest record has aged past the bound.
-    /// Buckets are emitted grouped by their cached first-hop class, so
-    /// frames sharing their first link leave back-to-back. Recomputes the
-    /// shared age deadline over whatever stays open — which also heals
-    /// the stale-early value fill/conflict cuts leave behind. Returns
-    /// frames emitted.
+    /// Cut every bucket whose oldest record has aged past the bound, in
+    /// destination order. Recomputes the shared age deadline over whatever
+    /// stays open — which also heals the stale-early value fill/conflict
+    /// cuts leave behind. Returns frames emitted.
     pub(crate) fn flush_due(&self, mut emit: impl FnMut(Frame)) -> usize {
         if self.pending() == 0 {
             return 0;
         }
         let now = self.now_ns();
         let mut st = self.state.lock();
-        let mut due: Vec<(u8, Endpoint)> = st
+        let mut due: Vec<Endpoint> = st
             .buckets
             .iter()
             .filter(|(_, b)| b.count > 0 && now.saturating_sub(b.opened_ns) >= self.age_ns)
-            .map(|(&k, b)| (b.class, k))
+            .map(|(&k, _)| k)
             .collect();
-        due.sort_unstable_by_key(|&(c, k)| (c, k.task, k.context));
+        due.sort_unstable();
         let mut emitted = 0;
-        for (_, key) in due {
+        for key in due {
             // Cut-and-remove: an idle destination should not keep a map
             // entry (or its buffer) alive forever.
             if let Some(mut bucket) = st.buckets.remove(&key) {
@@ -447,21 +425,17 @@ impl Aggregator {
     }
 
     /// Cut every open bucket now ([`crate::Context::flush_aggr`]), in
-    /// first-hop-class order.
+    /// destination order.
     pub(crate) fn flush_all(&self, mut emit: impl FnMut(Frame)) -> usize {
         if self.pending() == 0 {
             return 0;
         }
         let mut st = self.state.lock();
-        let mut keys: Vec<(u8, Endpoint)> = st
-            .buckets
-            .iter()
-            .filter(|(_, b)| b.count > 0)
-            .map(|(&k, b)| (b.class, k))
-            .collect();
-        keys.sort_unstable_by_key(|&(c, k)| (c, k.task, k.context));
+        let mut keys: Vec<Endpoint> =
+            st.buckets.iter().filter(|(_, b)| b.count > 0).map(|(&k, _)| k).collect();
+        keys.sort_unstable();
         let mut emitted = 0;
-        for (_, key) in keys {
+        for key in keys {
             if let Some(mut bucket) = st.buckets.remove(&key) {
                 let frame = self.cut(&mut bucket, key, FlushCause::Explicit);
                 emit(frame);
@@ -512,7 +486,7 @@ mod tests {
         // 6-byte header + 24-byte payload = 30 bytes/record: the 4th
         // append (120 > 100) cuts the first three.
         for i in 0..4u8 {
-            a.append(ep(1), ep(1), 5, b"", &[i; 24], || 0, |f| frames.push(f));
+            a.append(ep(1), ep(1), 5, b"", &[i; 24], |f| frames.push(f));
         }
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].count, 3);
@@ -534,9 +508,9 @@ mod tests {
         let mut frames = Vec::new();
         // Two 30-byte records fill the 60-byte frame to the brim: the
         // second append cuts without waiting for a third.
-        a.append(ep(1), ep(1), 5, b"", &[0; 24], || 0, |f| frames.push(f));
+        a.append(ep(1), ep(1), 5, b"", &[0; 24], |f| frames.push(f));
         assert!(frames.is_empty());
-        a.append(ep(1), ep(1), 5, b"", &[1; 24], || 0, |f| frames.push(f));
+        a.append(ep(1), ep(1), 5, b"", &[1; 24], |f| frames.push(f));
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].count, 2);
         assert_eq!(a.pending(), 0);
@@ -547,8 +521,8 @@ mod tests {
         let upc = Upc::new();
         let a = Aggregator::new(AggrConfig::default(), &upc);
         let mut frames = Vec::new();
-        a.append(ep(1), ep(1), 5, b"", b"aa", || 0, |f| frames.push(f));
-        a.append(ep(2), ep(2), 5, b"", b"bb", || 0, |f| frames.push(f));
+        a.append(ep(1), ep(1), 5, b"", b"aa", |f| frames.push(f));
+        a.append(ep(2), ep(2), 5, b"", b"bb", |f| frames.push(f));
         assert!(a.flush_conflict(ep(1), |f| frames.push(f)));
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].dest, ep(1));
@@ -558,20 +532,20 @@ mod tests {
     }
 
     #[test]
-    fn age_flush_respects_bound_and_orders_by_class() {
+    fn age_flush_respects_bound_and_orders_by_destination() {
         let upc = Upc::new();
         let a = Aggregator::new(
             AggrConfig { cutoff: 64, max_frame: 512, age_us: 0, node_buckets: false },
             &upc,
         );
         let mut frames = Vec::new();
-        // age_us = 0: everything is due at once; the class recorded at
-        // append time makes the emission order observable.
-        a.append(ep(3), ep(3), 5, b"", b"x", || 3, |f| frames.push(f));
-        a.append(ep(1), ep(1), 5, b"", b"y", || 1, |f| frames.push(f));
+        // age_us = 0: everything is due at once, and leaves in endpoint
+        // order whatever the append order.
+        a.append(ep(3), ep(3), 5, b"", b"x", |f| frames.push(f));
+        a.append(ep(1), ep(1), 5, b"", b"y", |f| frames.push(f));
         let n = a.flush_due(|f| frames.push(f));
         assert_eq!(n, 2);
-        assert_eq!(frames[0].dest, ep(1), "lower class first");
+        assert_eq!(frames[0].dest, ep(1), "lower endpoint first");
         assert_eq!(frames[1].dest, ep(3));
         assert!(frames.iter().all(|f| f.cause == FlushCause::Age));
         assert_eq!(a.pending(), 0);
@@ -580,7 +554,7 @@ mod tests {
             AggrConfig { age_us: 10_000_000, ..AggrConfig::default() },
             &upc,
         );
-        a.append(ep(1), ep(1), 5, b"", b"z", || 0, |_| panic!("no cut on append"));
+        a.append(ep(1), ep(1), 5, b"", b"z", |_| panic!("no cut on append"));
         assert_eq!(a.flush_due(|_| panic!("not due yet")), 0);
         assert_eq!(a.pending(), 1);
     }
@@ -593,13 +567,13 @@ mod tests {
             &upc,
         );
         assert!(!a.due_now(), "nothing buffered");
-        let opened = a.append(ep(1), ep(1), 5, b"", b"x", || 0, |_| panic!("no cut"));
+        let opened = a.append(ep(1), ep(1), 5, b"", b"x", |_| panic!("no cut"));
         assert!(opened, "first record opens the bucket");
-        let opened = a.append(ep(1), ep(1), 5, b"", b"y", || 0, |_| panic!("no cut"));
+        let opened = a.append(ep(1), ep(1), 5, b"", b"y", |_| panic!("no cut"));
         assert!(!opened, "second record rides the open bucket");
         assert!(!a.due_now(), "deadline far in the future");
         let a = Aggregator::new(AggrConfig { age_us: 0, ..AggrConfig::default() }, &upc);
-        a.append(ep(1), ep(1), 5, b"", b"x", || 0, |_| panic!("no cut"));
+        a.append(ep(1), ep(1), 5, b"", b"x", |_| panic!("no cut"));
         assert!(a.due_now(), "a zero age bound is immediately due");
         let mut frames = Vec::new();
         a.flush_due(|f| frames.push(f));
@@ -613,7 +587,7 @@ mod tests {
         let a = Aggregator::new(AggrConfig::default(), &upc);
         let mut frames = Vec::new();
         for t in 0..5u32 {
-            a.append(ep(t), ep(t), 2, b"m", b"pp", || 0, |f| frames.push(f));
+            a.append(ep(t), ep(t), 2, b"m", b"pp", |f| frames.push(f));
         }
         assert_eq!(a.flush_all(|f| frames.push(f)), 5);
         assert_eq!(frames.len(), 5);
@@ -628,12 +602,8 @@ mod tests {
         let a = Aggregator::new(AggrConfig { node_buckets: true, ..Default::default() }, &upc);
         let lead = ep(4);
         let mut frames = Vec::new();
-        a.append(lead, Endpoint { task: 4, context: 1 }, 9, b"", b"one", || 0, |f| {
-            frames.push(f)
-        });
-        a.append(lead, Endpoint { task: 5, context: 0 }, 9, b"", b"two", || 0, |f| {
-            frames.push(f)
-        });
+        a.append(lead, Endpoint { task: 4, context: 1 }, 9, b"", b"one", |f| frames.push(f));
+        a.append(lead, Endpoint { task: 5, context: 0 }, 9, b"", b"two", |f| frames.push(f));
         a.flush_all(|f| frames.push(f));
         assert_eq!(frames.len(), 1);
         let recs: Vec<_> =

@@ -29,11 +29,13 @@ impl Client {
     /// communication contexts.
     ///
     /// Every task intending to communicate over this client must create it
-    /// — with the same context count — before any task sends (the endpoint
-    /// table is filled at creation).
+    /// before any task sends (each context publishes its address into the
+    /// client's endpoint table when it is created), and every task must
+    /// ask for the same context count.
     ///
     /// # Panics
-    /// If the node has too few MU FIFOs left for the requested contexts.
+    /// If an earlier task created `name` with a different context count, or
+    /// the node has too few MU FIFOs left for the requested contexts.
     pub fn create(
         machine: &Arc<Machine>,
         task: u32,
@@ -41,9 +43,9 @@ impl Client {
         num_contexts: usize,
     ) -> Arc<Client> {
         assert!(num_contexts >= 1, "a client needs at least one context");
-        let id = machine.client_id(name);
+        let (id, endpoints) = machine.client(name, num_contexts);
         let contexts = (0..num_contexts as u16)
-            .map(|offset| Context::create(machine, id, task, offset))
+            .map(|offset| Context::create(machine, &endpoints, task, offset))
             .collect();
         Arc::new(Client {
             machine: Arc::clone(machine),
@@ -116,6 +118,14 @@ mod tests {
         let mpi = Client::create(&machine, 0, "MPI", 1);
         let upc = Client::create(&machine, 0, "UPC", 1);
         assert_ne!(mpi.id(), upc.id());
+    }
+
+    #[test]
+    #[should_panic(expected = "created with 3 contexts, but an earlier task created it with 2")]
+    fn context_count_mismatch_across_tasks_panics_naming_both() {
+        let machine = Machine::with_nodes(2).build();
+        let _c0 = Client::create(&machine, 0, "x", 2);
+        let _c1 = Client::create(&machine, 1, "x", 3);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::aggr::{Aggregator, Frame};
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
-use crate::machine::Machine;
+use crate::machine::{EndpointAddr, EndpointTable, Machine};
 use crate::policy::{Protocol, StaticPolicy};
 use crate::proto::{
     wire, SendArgs, ShmMailbox, ShmMsg, ShmPayload, DISPATCH_AGGR, DISPATCH_CHAN_REQ,
@@ -237,7 +237,9 @@ impl CtxProbes {
 /// A PAMI communication context.
 pub struct Context {
     machine: Arc<Machine>,
-    client: u16,
+    /// The client's endpoint table, shared with every other context of the
+    /// client: destinations resolve here, never through the machine.
+    endpoints: Arc<EndpointTable>,
     task: u32,
     offset: u16,
     node: u32,
@@ -288,7 +290,7 @@ pub struct Context {
 impl Context {
     pub(crate) fn create(
         machine: &Arc<Machine>,
-        client: u16,
+        endpoints: &Arc<EndpointTable>,
         task: u32,
         offset: u16,
     ) -> Arc<Context> {
@@ -310,18 +312,9 @@ impl Context {
             .collect();
         let sys_fifo = machine.fabric().sys_fifo(node);
         let mailbox = Arc::new(ShmMailbox::new(512, wakeup.clone()));
-        machine.register_endpoint(
-            client,
-            task,
-            offset,
-            crate::machine::EndpointAddr {
-                rec_fifo: rec_fifo_id,
-                mailbox: Arc::clone(&mailbox),
-            },
-        );
-        Arc::new(Context {
+        let ctx = Arc::new(Context {
             machine: Arc::clone(machine),
-            client,
+            endpoints: Arc::clone(endpoints),
             task,
             offset,
             node,
@@ -348,7 +341,9 @@ impl Context {
             user_lock: L2TicketMutex::new(),
             policy: *machine.policy(),
             probes: CtxProbes::new(machine.telemetry()),
-        })
+        });
+        ctx.publish_as(ctx.endpoint());
+        ctx
     }
 
     // ---- identity --------------------------------------------------------
@@ -378,18 +373,12 @@ impl Context {
         Endpoint { task: self.task, context: self.offset }
     }
 
-    /// Numeric client id (registry key component).
-    pub(crate) fn client_id(&self) -> u16 {
-        self.client
-    }
-
-    /// This context's physical address — what the endpoint table maps to.
-    /// Virtual endpoints alias it ([`Machine::register_virtual_endpoint`]).
-    pub(crate) fn endpoint_addr(&self) -> crate::machine::EndpointAddr {
-        crate::machine::EndpointAddr {
-            rec_fifo: self.rec_fifo_id,
-            mailbox: Arc::clone(&self.mailbox),
-        }
+    /// Publish this context's reception FIFO and mailbox as `ep`'s address
+    /// in the client's endpoint table: its own endpoint at creation, or a
+    /// virtual endpoint aliasing it ([`Machine::register_virtual_endpoint`]).
+    pub(crate) fn publish_as(&self, ep: Endpoint) {
+        let addr = EndpointAddr { rec_fifo: self.rec_fifo_id, mailbox: Arc::clone(&self.mailbox) };
+        self.endpoints.set(ep, addr);
     }
 
     /// The wakeup region covering this context's queues (commthreads park
@@ -486,8 +475,8 @@ impl Context {
         // An immediate must not overtake records already coalescing for
         // the same destination: cut that bucket first (no-op when empty).
         self.flush_aggr_conflict(dest, dest_node);
+        let addr = self.endpoints.get(dest)?;
         if dest_node == self.node {
-            let addr = self.addr_of(dest)?;
             self.probes.sends_shm.incr_pinned(self.offset as usize);
             addr.mailbox.deliver(ShmMsg {
                 src: self.endpoint(),
@@ -497,12 +486,11 @@ impl Context {
             });
             return Ok(());
         }
-        let rec_fifo = self.rec_fifo_of(dest)?;
         // One-packet immediates ARE short-tier sends: the same inline
         // packet, the same arm, the same probe.
         self.probes.sends_short.incr_pinned(self.offset as usize);
         let metadata = Bytes::copy_from_slice(metadata);
-        let hdr = self.short_header(dest_node, rec_fifo, dispatch, metadata);
+        let hdr = self.short_header(dest_node, addr.rec_fifo, dispatch, metadata);
         let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
         self.send_short_arm(dest, hdr, payload, None);
         Ok(())
@@ -558,7 +546,7 @@ impl Context {
             self.probes.sends_shm.incr_pinned(self.offset as usize);
             return self.send_shm(dest, dispatch, metadata, payload, local_done);
         }
-        let rec_fifo = self.rec_fifo_of(dest)?;
+        let rec_fifo = self.endpoints.get(dest)?.rec_fifo;
         let len = payload.len();
         let mut proto = self.policy.select(dest.task, len);
         if proto == Protocol::Aggregated {
@@ -585,15 +573,8 @@ impl Context {
                         &region_copy
                     }
                 };
-                let opened = aggr.append(
-                    key,
-                    dest,
-                    dispatch,
-                    metadata,
-                    payload,
-                    || self.first_hop_class_of(key),
-                    |f| self.send_aggr_frame(f),
-                );
+                let opened =
+                    aggr.append(key, dest, dispatch, metadata, payload, |f| self.send_aggr_frame(f));
                 if let Some(c) = local_done {
                     c.delivered(if len == 0 { 1 } else { len as u64 });
                 }
@@ -776,8 +757,7 @@ impl Context {
     // ---- aggregation ------------------------------------------------------
 
     /// Cut every open coalescing bucket now and inject the frames
-    /// (`pami::aggr`'s explicit flush). Frames leave grouped by the
-    /// dimension-ordered first hop of their destination. Returns the
+    /// (`pami::aggr`'s explicit flush), in destination order. Returns the
     /// number of frames injected; 0 when aggregation is off or idle.
     pub fn flush_aggr(&self) -> usize {
         match &self.aggr {
@@ -793,8 +773,8 @@ impl Context {
 
     /// The bucket key a send to `dest` coalesces under: the endpoint
     /// itself, or — in node-bucket (TRAM intermediate) mode — the lead
-    /// endpoint of the destination node, so every task behind the same
-    /// dimension-ordered first hop shares one bucket.
+    /// endpoint of the destination node, so every task on that node shares
+    /// one bucket.
     fn aggr_key(&self, dest: Endpoint, dest_node: u32) -> Endpoint {
         match &self.aggr {
             Some(a) if a.config().node_buckets => {
@@ -817,18 +797,6 @@ impl Context {
         }
     }
 
-    /// Dimension-ordered first-hop class of the route to `dest` — the
-    /// TRAM-style grouping key for flush emission order.
-    fn first_hop_class_of(&self, dest: Endpoint) -> u8 {
-        let shape = self.machine.shape();
-        let dst_node = self.machine.task_node(self.machine.resolve_task(dest.task));
-        bgq_torus::first_hop_class(
-            shape,
-            shape.coords_of(self.node as usize),
-            shape.coords_of(dst_node as usize),
-        )
-    }
-
     /// Inject one cut frame: a single short-tier packet under the internal
     /// [`DISPATCH_AGGR`] id, through the same short arm — the same pinned
     /// injection FIFO and, under a fault plan, the same selective-repeat
@@ -845,23 +813,21 @@ impl Context {
         let dest = Endpoint { task, context: frame.dest.context };
         let dest_node = self.machine.task_node(task);
         let hdr = crate::aggr::frame_header(frame.count, addressed);
+        let Ok(addr) = self.endpoints.get(dest) else { return };
         if dest_node == self.node {
             // Post-failover edge: the bucket's destination now lives on
             // this node. The frame rides the mailbox; `handle_shm`
             // unbatches it.
-            if let Ok(addr) = self.addr_of(dest) {
-                addr.mailbox.deliver(ShmMsg {
-                    src: self.endpoint(),
-                    dispatch: DISPATCH_AGGR,
-                    metadata: Bytes::copy_from_slice(&hdr),
-                    payload: ShmPayload::Inline(frame.payload),
-                });
-            }
+            addr.mailbox.deliver(ShmMsg {
+                src: self.endpoint(),
+                dispatch: DISPATCH_AGGR,
+                metadata: Bytes::copy_from_slice(&hdr),
+                payload: ShmPayload::Inline(frame.payload),
+            });
             return;
         }
-        let Ok(rec_fifo) = self.rec_fifo_of(dest) else { return };
         let metadata = Bytes::copy_from_slice(&hdr);
-        let hdr = self.short_header(dest_node, rec_fifo, DISPATCH_AGGR, metadata);
+        let hdr = self.short_header(dest_node, addr.rec_fifo, DISPATCH_AGGR, metadata);
         self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
     }
 
@@ -890,7 +856,7 @@ impl Context {
                 {
                     // A sibling endpoint's record: one mailbox hop.
                     let dest = Endpoint { task, context };
-                    if let Ok(addr) = self.addr_of(dest) {
+                    if let Ok(addr) = self.endpoints.get(dest) {
                         let meta_end = rec.meta_at + rec.metadata.len();
                         addr.mailbox.deliver(ShmMsg {
                             src,
@@ -991,34 +957,6 @@ impl Context {
         self.machine.fabric().inject_handle(fifo, desc);
     }
 
-    /// Resolve `dest` to its physical address, typed-error on miss. The
-    /// machine's dense endpoint cache answers without the registry RwLock;
-    /// only endpoints outside it (clients beyond the first, context
-    /// offsets ≥ 16, very large machines) fall back to the map.
-    fn addr_of(&self, dest: Endpoint) -> PamiResult<crate::machine::EndpointAddr> {
-        if let Some(addr) = self.machine.endpoint_addr_fast(self.client, dest.task, dest.context) {
-            return Ok(addr.clone());
-        }
-        self.machine
-            .endpoint_addr(self.client, dest.task, dest.context)
-            .ok_or(PamiError::UnknownEndpoint { task: dest.task, context: dest.context })
-    }
-
-    /// Resolve just the destination's reception FIFO id — the only piece of
-    /// the address the off-node eager/rendezvous path needs. Cache hits are
-    /// one index + acquire load and copy out a plain id: no lock, no hash,
-    /// and no `Arc` refcount RMW on a cacheline shared with other senders.
-    #[inline]
-    fn rec_fifo_of(&self, dest: Endpoint) -> PamiResult<RecFifoId> {
-        if let Some(addr) = self.machine.endpoint_addr_fast(self.client, dest.task, dest.context) {
-            return Ok(addr.rec_fifo);
-        }
-        self.machine
-            .endpoint_addr(self.client, dest.task, dest.context)
-            .map(|a| a.rec_fifo)
-            .ok_or(PamiError::UnknownEndpoint { task: dest.task, context: dest.context })
-    }
-
     fn send_shm(
         &self,
         dest: Endpoint,
@@ -1027,7 +965,7 @@ impl Context {
         payload: PayloadSource,
         local_done: Option<Counter>,
     ) -> PamiResult<()> {
-        let addr = self.addr_of(dest)?;
+        let addr = self.endpoints.get(dest)?;
         let len = payload.len();
         // On-node, short, eager and would-be-aggregated are the same
         // inline mailbox path; only rendezvous-class payloads take the
@@ -1161,8 +1099,8 @@ impl Context {
 
         // 1b. Aggregation age bound: when the earliest open bucket's µs
         //     budget has lapsed (one lock-free probe + one clock read),
-        //     cut due buckets grouped by first-hop class so the frames are
-        //     injected (and pumped just below) this advance.
+        //     cut due buckets so the frames are injected (and pumped just
+        //     below) this advance.
         if let Some(aggr) = &self.aggr {
             if aggr.due_now() {
                 events += aggr.flush_due(|f| self.send_aggr_frame(f));
@@ -1487,8 +1425,8 @@ impl Context {
     pub(crate) fn send_chan_offer(&self, dest: Endpoint, body: Bytes) -> PamiResult<()> {
         let dest = Endpoint { task: self.machine.resolve_task(dest.task), ..dest };
         let dest_node = self.machine.task_node(dest.task);
+        let addr = self.endpoints.get(dest)?;
         if dest_node == self.node {
-            let addr = self.addr_of(dest)?;
             addr.mailbox.deliver(ShmMsg {
                 src: self.endpoint(),
                 dispatch: DISPATCH_CHAN_REQ,
@@ -1497,7 +1435,6 @@ impl Context {
             });
             return Ok(());
         }
-        let rec_fifo = self.rec_fifo_of(dest)?;
         self.machine.fabric().execute_now(
             self.node,
             Descriptor {
@@ -1505,7 +1442,7 @@ impl Context {
                 src_context: self.offset,
                 payload: PayloadSource::Immediate(Bytes::new()),
                 kind: XferKind::MemoryFifo {
-                    rec_fifo,
+                    rec_fifo: addr.rec_fifo,
                     src_task: self.task,
                     dispatch: DISPATCH_CHAN_REQ,
                     metadata: body,

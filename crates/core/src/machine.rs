@@ -5,16 +5,20 @@
 //! classroute manager and the collective-network engine (a geometry takes
 //! a classroute when it is optimized). It also carries the registries that
 //! stand in for things real hardware does with physical addresses and
-//! keys: memory windows for one-sided operations, the rendezvous source
-//! table, and the endpoint address table that maps (client, task, context)
-//! to a node's reception FIFO and shared-memory mailbox.
+//! keys — memory windows for one-sided operations and the rendezvous
+//! source table — and allocates each client's endpoint table, which maps
+//! (task, context) to a node's reception FIFO and shared-memory mailbox.
+//! Every context of the client holds that table and reads it in place;
+//! the machine only hands it out. Every task must create a client with
+//! the same context count, and the machine checks it when the client is
+//! created.
 //!
 //! Tasks are laid out node-major: task `t` lives on node `t / ppn` as local
 //! rank `t % ppn` — the default BG/Q mapping.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_collnet::{ClassRouteManager, CollNet};
@@ -25,6 +29,8 @@ use bgq_upc::Upc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::aggr::AggrConfig;
+use crate::endpoint::Endpoint;
+use crate::error::{PamiError, PamiResult};
 use crate::policy::{StaticPolicy, SHORT_CUTOFF};
 use crate::proto::ShmMailbox;
 
@@ -75,30 +81,57 @@ pub(crate) struct RzvEntry {
 
 /// Where an endpoint physically lives — filled in when its context is
 /// created.
-#[derive(Clone)]
 pub(crate) struct EndpointAddr {
     pub rec_fifo: RecFifoId,
     pub mailbox: Arc<ShmMailbox>,
 }
 
-/// Dense endpoint-address cache sizing. Endpoints are written once (at
-/// context creation, [`Machine::register_endpoint`] asserts no re-register)
-/// and never removed, so a `OnceLock` slab indexed by
-/// `task * ENDPOINT_CTX_SLOTS + context` resolves the send-path lookup with
-/// one acquire load — no `RwLock`, no hash, no `Arc` clone. The slab covers
-/// the first client and context offsets below [`ENDPOINT_CTX_SLOTS`] on
-/// machines up to [`ENDPOINT_CACHE_MAX_TASKS`] tasks; everything else falls
-/// back to the registry map.
-const ENDPOINT_CACHE_MAX_TASKS: usize = 4096;
-/// Beyond [`ENDPOINT_CACHE_MAX_TASKS`] the cache narrows to one context
-/// slot per task instead of disappearing: a 100K-endpoint co-simulation
-/// pays 16 bytes per endpoint, not 16 slots × 16 bytes — the O(1)
-/// per-endpoint budget the scale harness enforces. Above this bound the
-/// slab is dropped entirely and everything goes through the registry map.
-const ENDPOINT_CACHE_MAX_TASKS_SPARSE: usize = 1 << 20;
-/// Context offsets per task covered by the dense cache (16 = one per BG/Q
-/// core-thread pair, the paper's max contexts-per-process sweep).
-pub(crate) const ENDPOINT_CTX_SLOTS: usize = 16;
+/// One client's endpoint addresses: `num_tasks × contexts` write-once slots
+/// at `task * contexts + context`, allocated when the client name is first
+/// seen ([`Machine::client`]) and shared by every context of the client.
+/// A slot is set when its context (or a virtual endpoint aliasing one) is
+/// created and never changes — failover remaps the task before the
+/// lookup, not the slot — so resolving an endpoint is one bounds check,
+/// one index and one acquire load: no lock, no hash, no refcount.
+pub(crate) struct EndpointTable {
+    contexts: usize,
+    slots: Box<[OnceLock<EndpointAddr>]>,
+}
+
+impl EndpointTable {
+    fn new(tasks: usize, contexts: usize) -> Self {
+        EndpointTable { contexts, slots: (0..tasks * contexts).map(|_| OnceLock::new()).collect() }
+    }
+
+    fn slot(&self, dest: Endpoint) -> Option<&OnceLock<EndpointAddr>> {
+        let context = usize::from(dest.context);
+        if context >= self.contexts {
+            // Past the client's count: must not alias the next task's slots.
+            return None;
+        }
+        self.slots.get(dest.task as usize * self.contexts + context)
+    }
+
+    /// `dest`'s address; [`PamiError::UnknownEndpoint`] when it was never
+    /// created.
+    #[inline]
+    pub(crate) fn get(&self, dest: Endpoint) -> PamiResult<&EndpointAddr> {
+        self.slot(dest)
+            .and_then(OnceLock::get)
+            .ok_or(PamiError::UnknownEndpoint { task: dest.task, context: dest.context })
+    }
+
+    /// Publish `dest`'s address.
+    ///
+    /// # Panics
+    /// If `dest` is outside the table or was already published.
+    pub(crate) fn set(&self, dest: Endpoint, addr: EndpointAddr) {
+        let slot = self.slot(dest).unwrap_or_else(|| {
+            panic!("endpoint {dest} is outside its client's {}-context table", self.contexts)
+        });
+        assert!(slot.set(addr).is_ok(), "endpoint {dest} registered twice");
+    }
+}
 
 /// Machine-level endpoint failover. When the RAS layer reports a channel
 /// gave up with [`bgq_mu::DeliveryFault::Unreachable`] (no route — the node
@@ -119,22 +152,14 @@ pub(crate) struct FailoverState {
     active: RwLock<HashMap<u32, (u32, u64)>>,
     /// Global failover generation; 0 = never fired (the zero-cost gate).
     generation: AtomicU64,
-    /// Staleness side-table parallel to the machine's endpoint cache: the
-    /// `OnceLock` slab is write-once, so a failed-over task's slots are
-    /// marked stale here and `endpoint_addr_fast` declines them (checked
-    /// only when `generation != 0`, keeping the clean path branch-free).
-    slot_stale: Box<[AtomicBool]>,
-    cache_slots: usize,
 }
 
 impl FailoverState {
-    fn new(tasks: usize, cache_slots: usize) -> Self {
+    fn new() -> Self {
         FailoverState {
             standbys: Mutex::new(HashMap::new()),
             active: RwLock::new(HashMap::new()),
             generation: AtomicU64::new(0),
-            slot_stale: (0..tasks * cache_slots).map(|_| AtomicBool::new(false)).collect(),
-            cache_slots,
         }
     }
 
@@ -155,13 +180,6 @@ impl FailoverState {
         }
         let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         active.insert(primary, (standby, gen));
-        drop(active);
-        let base = primary as usize * self.cache_slots;
-        if let Some(slots) = self.slot_stale.get(base..base + self.cache_slots) {
-            for slot in slots {
-                slot.store(true, Ordering::Release);
-            }
-        }
         Some(standby)
     }
 
@@ -195,10 +213,6 @@ impl FailoverState {
         }
         self.active.read().get(&task).map_or(0, |&(_, gen)| gen)
     }
-
-    fn slot_is_stale(&self, idx: usize) -> bool {
-        self.slot_stale.get(idx).is_some_and(|b| b.load(Ordering::Acquire))
-    }
 }
 
 /// Builds a [`Machine`].
@@ -230,7 +244,7 @@ impl MachineBuilder {
     /// should use [`MachineBuilder::ppn`], which keeps the BG/Q limit.
     pub fn oversubscribed_ppn(mut self, ppn: usize) -> Self {
         assert!(
-            (1..=ENDPOINT_CACHE_MAX_TASKS_SPARSE).contains(&ppn),
+            (1..=1 << 20).contains(&ppn),
             "oversubscribed ppn must be 1..=2^20"
         );
         self.ppn = ppn;
@@ -359,15 +373,7 @@ impl MachineBuilder {
             fabric_builder = fabric_builder.transport(transport);
         }
         let fabric = fabric_builder.build();
-        let tasks = nodes * self.ppn;
-        let cache_slots = if tasks <= ENDPOINT_CACHE_MAX_TASKS {
-            ENDPOINT_CTX_SLOTS
-        } else if tasks <= ENDPOINT_CACHE_MAX_TASKS_SPARSE {
-            1
-        } else {
-            0
-        };
-        let failover = Arc::new(FailoverState::new(tasks, cache_slots));
+        let failover = Arc::new(FailoverState::new());
         // A channel that gave up as unreachable fires machine-level
         // endpoint failover for the dead node's tasks.
         {
@@ -394,10 +400,7 @@ impl MachineBuilder {
             sys_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
             classroutes: ClassRouteManager::new(self.shape),
             collnet: CollNet::new(),
-            clients: Mutex::new(HashMap::new()),
-            endpoints: RwLock::new(HashMap::new()),
-            endpoint_cache: (0..tasks * cache_slots).map(|_| OnceLock::new()).collect(),
-            cache_slots,
+            clients: Mutex::new(Vec::new()),
             failover,
             windows: Mutex::new(HashMap::new()),
             rzv: Mutex::new(HashMap::new()),
@@ -435,16 +438,9 @@ pub struct Machine {
     pub(crate) sys_pump: Vec<Mutex<()>>,
     classroutes: ClassRouteManager,
     collnet: CollNet,
-    clients: Mutex<HashMap<String, u16>>,
-    endpoints: RwLock<HashMap<(u16, u32, u16), EndpointAddr>>,
-    /// Lock-free send-path view of `endpoints` (client 0, context offsets
-    /// below `cache_slots`): a `task * cache_slots + context` slab.
-    endpoint_cache: Box<[OnceLock<EndpointAddr>]>,
-    /// Context slots per task in `endpoint_cache`: [`ENDPOINT_CTX_SLOTS`]
-    /// up to [`ENDPOINT_CACHE_MAX_TASKS`] tasks, 1 up to
-    /// [`ENDPOINT_CACHE_MAX_TASKS_SPARSE`] (context 0 only — the co-sim
-    /// envelope), 0 beyond (registry map only).
-    cache_slots: usize,
+    /// Client names and endpoint tables, indexed by client id. Touched
+    /// only when a client is created and by [`Machine::endpoint_slots`].
+    clients: Mutex<Vec<(String, Arc<EndpointTable>)>>,
     /// Endpoint failover registry (standbys, active remaps, generations).
     /// `Arc` because the fabric's RAS observer holds a clone — it must
     /// outlive neither and is installed before the machine exists.
@@ -610,92 +606,51 @@ impl Machine {
 
     // ---- registries -----------------------------------------------------
 
-    /// Numeric id for a client name, allocating on first sight. Clients of
-    /// the same name on different tasks are the same network instance.
-    pub(crate) fn client_id(&self, name: &str) -> u16 {
+    /// The client `name`: its id and endpoint table, allocated with
+    /// `contexts` slots per task when the name is first seen. Clients of the
+    /// same name on different tasks are the same network instance.
+    ///
+    /// # Panics
+    /// If an earlier task created `name` with a different context count.
+    pub(crate) fn client(&self, name: &str, contexts: usize) -> (u16, Arc<EndpointTable>) {
         let mut clients = self.clients.lock();
-        let next = clients.len() as u16;
-        *clients.entry(name.to_string()).or_insert(next)
-    }
-
-    pub(crate) fn register_endpoint(
-        &self,
-        client: u16,
-        task: u32,
-        context: u16,
-        addr: EndpointAddr,
-    ) {
-        let prev = self.endpoints.write().insert((client, task, context), addr.clone());
-        assert!(prev.is_none(), "endpoint ({client},{task},{context}) registered twice");
-        // Publish into the dense cache too (write-once by the assert above).
-        if client == 0 && (context as usize) < self.cache_slots {
-            let idx = task as usize * self.cache_slots + context as usize;
-            if let Some(slot) = self.endpoint_cache.get(idx) {
-                let _ = slot.set(addr);
-            }
+        if let Some(id) = clients.iter().position(|(seen, _)| seen == name) {
+            let table = &clients[id].1;
+            assert!(
+                table.contexts == contexts,
+                "client {name:?} created with {contexts} contexts, but an earlier task \
+                 created it with {}: every task must use the same context count",
+                table.contexts
+            );
+            return (id as u16, Arc::clone(table));
         }
+        let table = Arc::new(EndpointTable::new(self.num_tasks(), contexts));
+        clients.push((name.to_string(), Arc::clone(&table)));
+        (clients.len() as u16 - 1, table)
     }
 
-    /// Register a *virtual* endpoint: (client, `task`, `context`) resolves
-    /// to the reception FIFO and mailbox of an existing real context, `ctx`.
-    /// The co-simulation harness uses this to multiplex thousands of
-    /// simulated ranks onto one advancing context per node — traffic
-    /// addressed to the virtual endpoint lands in `ctx`'s queues, and the
-    /// scenario demultiplexes by metadata. `ctx` must live on the node that
-    /// owns `task` (node-major layout), or delivery timing would be wrong.
+    /// Register a *virtual* endpoint: (`task`, `context`) of `ctx`'s client
+    /// resolves to the reception FIFO and mailbox of an existing real
+    /// context, `ctx`. The co-simulation harness uses this to multiplex
+    /// thousands of simulated ranks onto one advancing context per node —
+    /// traffic addressed to the virtual endpoint lands in `ctx`'s queues,
+    /// and the scenario demultiplexes by metadata. `ctx` must live on the
+    /// node that owns `task` (node-major layout), or delivery timing would
+    /// be wrong.
     pub fn register_virtual_endpoint(&self, task: u32, context: u16, ctx: &crate::Context) {
         assert_eq!(
             self.task_node(task),
             ctx.node(),
             "virtual endpoint must alias a context on its own node"
         );
-        self.register_endpoint(ctx.client_id(), task, context, ctx.endpoint_addr());
+        ctx.publish_as(Endpoint { task, context });
     }
 
-    /// Resolve an endpoint's physical address. `None` when the endpoint
-    /// was never created — surfaced to callers as
-    /// [`crate::PamiError::UnknownEndpoint`] rather than a panic.
-    pub(crate) fn endpoint_addr(
-        &self,
-        client: u16,
-        task: u32,
-        context: u16,
-    ) -> Option<EndpointAddr> {
-        self.endpoints.read().get(&(client, task, context)).cloned()
-    }
-
-    /// Lock-free endpoint resolution through the dense cache: one index
-    /// computation plus one acquire load, returning a *reference* (no `Arc`
-    /// refcount traffic on the sender's hot path). `None` means "not in the
-    /// cache" — absent *or* outside the cached (client, context, machine
-    /// size) envelope — and callers fall back to [`Machine::endpoint_addr`].
-    #[inline]
-    pub(crate) fn endpoint_addr_fast(
-        &self,
-        client: u16,
-        task: u32,
-        context: u16,
-    ) -> Option<&EndpointAddr> {
-        if client != 0 || context as usize >= self.cache_slots {
-            return None;
-        }
-        let idx = task as usize * self.cache_slots + context as usize;
-        // The slab is write-once, so failover invalidates by side table:
-        // a stale slot (its task failed over) declines into the registry
-        // path. One relaxed load guards the check in fair weather.
-        if self.failover.generation.load(Ordering::Relaxed) != 0
-            && self.failover.slot_is_stale(idx)
-        {
-            return None;
-        }
-        self.endpoint_cache.get(idx).and_then(OnceLock::get)
-    }
-
-    /// Context slots per task in the dense endpoint cache (test hook for
-    /// the O(1)-per-endpoint sizing policy).
+    /// Endpoint-table slots summed over every client (test hook for the
+    /// one-slot-per-endpoint-per-client sizing).
     #[doc(hidden)]
-    pub fn endpoint_cache_geometry(&self) -> (usize, usize) {
-        (self.endpoint_cache.len(), self.cache_slots)
+    pub fn endpoint_slots(&self) -> usize {
+        self.clients.lock().iter().map(|(_, table)| table.slots.len()).sum()
     }
 
     // ---- endpoint failover ----------------------------------------------
@@ -849,11 +804,12 @@ mod tests {
     #[test]
     fn client_ids_stable_by_name() {
         let m = Machine::with_nodes(1).build();
-        let a = m.client_id("MPI");
-        let b = m.client_id("UPC");
-        let a2 = m.client_id("MPI");
+        let (a, table) = m.client("MPI", 1);
+        let (b, _) = m.client("UPC", 1);
+        let (a2, table2) = m.client("MPI", 1);
         assert_eq!(a, a2);
         assert_ne!(a, b);
+        assert!(Arc::ptr_eq(&table, &table2), "one table per client name");
     }
 
     #[test]
@@ -882,29 +838,6 @@ mod tests {
         let m = Machine::with_nodes(1).build();
         let _a: Arc<Mutex<u32>> = m.shared_state("x", || Mutex::new(1));
         let _b: Arc<Mutex<String>> = m.shared_state("x", || Mutex::new(String::new()));
-    }
-
-    #[test]
-    fn endpoint_cache_mirrors_registry() {
-        let m = Machine::with_nodes(2).ppn(2).build();
-        assert!(m.endpoint_addr_fast(0, 1, 0).is_none(), "nothing registered yet");
-        let wake = bgq_hw::WakeupRegion::new();
-        let addr = EndpointAddr {
-            rec_fifo: m.fabric().alloc_rec_fifos(0, 1).unwrap()[0],
-            mailbox: Arc::new(ShmMailbox::new(8, wake)),
-        };
-        m.register_endpoint(0, 1, 0, addr.clone());
-        let fast = m.endpoint_addr_fast(0, 1, 0).expect("dense cache hit");
-        let slow = m.endpoint_addr(0, 1, 0).expect("registry hit");
-        assert_eq!(fast.rec_fifo, slow.rec_fifo);
-        assert!(Arc::ptr_eq(&fast.mailbox, &slow.mailbox));
-        // Outside the cached envelope: registry only, fast path declines.
-        m.register_endpoint(1, 1, 0, addr.clone());
-        assert!(m.endpoint_addr_fast(1, 1, 0).is_none());
-        assert!(m.endpoint_addr(1, 1, 0).is_some());
-        m.register_endpoint(0, 0, ENDPOINT_CTX_SLOTS as u16, addr);
-        assert!(m.endpoint_addr_fast(0, 0, ENDPOINT_CTX_SLOTS as u16).is_none());
-        assert!(m.endpoint_addr(0, 0, ENDPOINT_CTX_SLOTS as u16).is_some());
     }
 
     #[test]

@@ -280,6 +280,11 @@ fn initiation_errors_are_typed_and_do_not_touch_the_network() {
             assert_eq!(err, PamiError::UnknownEndpoint { task: 99, context: 0 });
             assert_eq!(err.code(), "PAMI_INVAL");
             assert!(!err.is_delivery());
+            // An offset past the client's context count is unknown too,
+            // not an alias of the next task's endpoint.
+            let past = Endpoint { task: 0, context: 1 };
+            let err = ctx.send_immediate(past, DISPATCH, b"", b"x").unwrap_err();
+            assert_eq!(err, PamiError::UnknownEndpoint { task: 0, context: 1 });
             // Reserved dispatch range is rejected at initiation.
             let err = ctx.send_immediate(Endpoint::of_task(1), 0xFF00, b"", b"x").unwrap_err();
             assert!(matches!(err, PamiError::Invalid(_)));
@@ -311,7 +316,8 @@ fn initiation_errors_are_typed_and_do_not_touch_the_network() {
                 .unwrap_err();
             assert_eq!(err, PamiError::UnknownWindow(0xDEAD));
         }
-        env.machine.task_barrier();
+        // No closing barrier: task 1 has nothing left to do, and a failed
+        // check above must fail the run, not strand task 1 at a barrier.
     });
 }
 

@@ -1,19 +1,19 @@
 //! O(1)-per-endpoint invariants at co-simulation scale.
 //!
 //! The bgq-scale harness multiplexes up to a million virtual endpoints
-//! onto a handful of real contexts; the runtime structures whose size is
-//! keyed by *task count* must grow linearly (one slot per task), and the
-//! structures keyed by *context count* must not grow with task count at
-//! all. These tests pin both properties at 100K registered virtual
-//! endpoints, so an accidental `tasks × ENDPOINT_CTX_SLOTS` (or worse)
-//! blow-up in a future change fails fast instead of surfacing as an OOM
+//! onto a handful of real contexts; each client's endpoint table must cost
+//! exactly one slot per endpoint it can address (tasks × that client's
+//! context count), and the structures keyed by *context count* must not
+//! grow with task count at all. These tests pin both properties at 100K
+//! registered virtual endpoints, so a table sized by anything but the
+//! client's own context count fails fast instead of surfacing as an OOM
 //! in the scale bench.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use pami::{Client, Endpoint, Machine, PayloadSource, Recv, SendArgs};
+use pami::{Client, Context, Endpoint, Machine, PayloadSource, Recv, SendArgs};
 
 /// Build a machine with `tasks` tasks over `nodes` nodes, one lead context
 /// per node, every non-lead task registered as a virtual endpoint aliasing
@@ -39,20 +39,14 @@ fn oversubscribed(nodes: usize, tasks: usize) -> (Arc<Machine>, Vec<Arc<Client>>
 
 #[test]
 fn endpoint_table_is_one_slot_per_task_at_scale() {
-    // Above 4096 tasks the endpoint cache must collapse to one context
-    // slot per task: 100K tasks -> exactly 100K slots, not 100K × 16.
+    // A 1-context client over 100K tasks: exactly 100K slots.
     let (machine, _clients) = oversubscribed(4, 100_000);
-    let (slots, per_task) = machine.endpoint_cache_geometry();
-    assert_eq!(per_task, 1, "sparse regime must use one context slot per task");
-    assert_eq!(slots, 100_000, "endpoint table must be exactly one slot per task");
+    assert_eq!(machine.endpoint_slots(), 100_000, "one slot per endpoint");
 }
 
 #[test]
 fn endpoint_table_growth_is_linear_not_superlinear() {
-    let slots_at = |tasks: usize| {
-        let (machine, _clients) = oversubscribed(4, tasks);
-        machine.endpoint_cache_geometry().0
-    };
+    let slots_at = |tasks: usize| oversubscribed(4, tasks).0.endpoint_slots();
     let small = slots_at(10_000);
     let large = slots_at(100_000);
     assert_eq!(
@@ -63,13 +57,13 @@ fn endpoint_table_growth_is_linear_not_superlinear() {
 }
 
 #[test]
-fn dense_regime_keeps_the_full_context_fan_out() {
-    // Small machines stay in the dense regime: 16 context slots per task,
-    // so multi-context clients hit the lock-free fast path.
+fn each_client_table_is_tasks_times_its_context_count() {
     let machine = Machine::with_nodes(2).ppn(4).build();
-    let (slots, per_task) = machine.endpoint_cache_geometry();
-    assert_eq!(per_task, 16);
-    assert_eq!(slots, 8 * 16);
+    assert_eq!(machine.endpoint_slots(), 0, "no client, no table");
+    let _one = Client::create(&machine, 0, "one", 1);
+    assert_eq!(machine.endpoint_slots(), 8, "8 tasks x 1 context");
+    let _wide = Client::create(&machine, 0, "wide", 16);
+    assert_eq!(machine.endpoint_slots(), 8 + 8 * 16, "a second table, 8 tasks x 16 contexts");
 }
 
 #[test]
@@ -78,7 +72,7 @@ fn matching_state_is_per_context_not_per_endpoint() {
     // distinct virtual endpoints must land in the lead contexts' matching
     // state without any per-endpoint queue growth. Exercise a spread of
     // destinations across the whole task range and verify delivery — the
-    // memory claim is pinned by the geometry tests above; this pins the
+    // memory claim is pinned by the slot-count tests above; this pins the
     // functional claim that virtual endpoints share their lead's queues.
     const TASKS: usize = 100_000;
     const NODES: usize = 4;
@@ -120,4 +114,43 @@ fn matching_state_is_per_context_not_per_endpoint() {
         assert!(spins < 1_000_000, "virtual-endpoint delivery stalled");
     }
     assert_eq!(arrived.load(Ordering::Relaxed), expected);
+}
+
+#[test]
+fn second_client_and_the_last_of_272_contexts_deliver() {
+    // Resolution is the same at every client id and every offset: the
+    // 272-context client is the machine's second, and its offset 271 —
+    // the node's last reception FIFO — is addressed off-node and on-node.
+    const WIDE: usize = bgq_mu::REC_FIFOS_PER_NODE;
+    let machine = Machine::with_nodes(3).inj_fifos_per_context(1).fifo_capacities(8, 8).build();
+    let first = Client::create(&machine, 2, "first", 1);
+    let wide: Vec<_> = (0..2).map(|task| Client::create(&machine, task, "wide", WIDE)).collect();
+    assert_eq!((first.id(), wide[0].id()), (0, 1));
+    let arrived = Arc::new(AtomicU64::new(0));
+    let lasts: Vec<&Arc<Context>> = wide.iter().map(|c| c.context(WIDE - 1)).collect();
+    for ctx in &lasts {
+        let arrived = Arc::clone(&arrived);
+        ctx.set_dispatch(
+            9,
+            Arc::new(move |_, _, _| {
+                arrived.fetch_add(1, Ordering::Relaxed);
+                Recv::Done
+            }),
+        );
+    }
+    let last = (WIDE - 1) as u16;
+    for task in [1, 0] {
+        wide[0]
+            .context(0)
+            .send_immediate(Endpoint { task, context: last }, 9, b"", b"wide")
+            .expect("the last offset of a second client resolves");
+    }
+    let mut spins = 0u64;
+    while arrived.load(Ordering::Relaxed) < 2 {
+        for ctx in &lasts {
+            ctx.advance();
+        }
+        spins += 1;
+        assert!(spins < 1_000_000, "delivery to offset {last} stalled");
+    }
 }
