@@ -3,8 +3,9 @@
 //! benches, test targets, examples, files under `ci/`, `repro` experiments
 //! and flags — is checked against the tree instead. The same goes for the
 //! options census of TRIALS.md, the substrate crates' `pub` surface, every
-//! manifest's dependencies and the code names DESIGN.md points at: nobody
-//! re-counts them by hand, so the tree is read.
+//! manifest's dependencies, the code names DESIGN.md points at and the
+//! locked or hashed fields of `Machine`: nobody re-counts them by hand, so
+//! the tree is read.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -528,6 +529,63 @@ fn design_names_resolve() {
         dangling.is_empty(),
         "DESIGN.md names what the tree does not (fix the pointer, or give a removed name a \
          RETIRED_NAMES row saying which change removed it): {dangling:?}"
+    );
+}
+
+/// Fields of `struct Machine` that hold a lock or a hash map, and why each
+/// is off the message path of a context.
+const MACHINE_SHARED_STATE: [(&str, &str); 5] = [
+    ("clients", "client creation only: each context then holds its client's endpoint table"),
+    ("sys_pump", "per node, and `advance` skips it while the system FIFO and links are idle"),
+    (
+        "shared",
+        "set-up registry: geometries and MPI collectives fetch their shared structures \
+         through it, never a point-to-point or one-sided call",
+    ),
+    ("init_fence", "set-up barrier: `task_barrier` parks threads before communication"),
+    ("rzv", "ROADMAP item 2, still open: every rendezvous send registers and takes under it"),
+];
+
+/// ROADMAP item 2: a context consults no machine-wide lock or hash on its
+/// message path. Every field of `struct Machine` whose type names `Mutex<`,
+/// `RwLock<` or `HashMap<` has a [`MACHINE_SHARED_STATE`] row saying why it
+/// is off that path, and every row names such a field. This holds the
+/// structure; how often a run takes each lock is not counted here.
+#[test]
+fn machine_shared_state_census() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = std::fs::read_to_string(root.join("crates/core/src/machine.rs")).expect("machine.rs");
+    let start = text.find("pub struct Machine {").expect("struct Machine");
+    let body = &text[start..start + text[start..].find("\n}\n").expect("its closing brace")];
+    let fields: Vec<(&str, &str)> = body
+        .lines()
+        .skip(1)
+        .map(str::trim)
+        .filter(|line| !line.starts_with("//"))
+        .filter_map(|line| line.split_once(": "))
+        .map(|(name, ty)| (name.rsplit(' ').next().expect("field name"), ty))
+        .collect();
+    assert!(fields.len() > 15, "the scan found only {} fields of `Machine`", fields.len());
+    let guarded: Vec<&str> = fields
+        .iter()
+        .filter(|(_, ty)| ["Mutex<", "RwLock<", "HashMap<"].iter().any(|g| ty.contains(g)))
+        .map(|(name, _)| *name)
+        .collect();
+    for (row, _) in MACHINE_SHARED_STATE {
+        assert!(
+            guarded.contains(&row),
+            "MACHINE_SHARED_STATE row `{row}`: `Machine` has no such locked or hashed field"
+        );
+    }
+    let unexplained: Vec<&str> = guarded
+        .into_iter()
+        .filter(|name| MACHINE_SHARED_STATE.iter().all(|(row, _)| row != name))
+        .collect();
+    assert!(
+        unexplained.is_empty(),
+        "`Machine` fields behind a lock or a hash with no MACHINE_SHARED_STATE row (keep the \
+         state off the message path and write the row, or give it a lock-free shape): \
+         {unexplained:?}"
     );
 }
 

@@ -665,9 +665,9 @@ impl Context {
             src_context: self.offset,
             payload,
             kind: XferKind::DirectPut {
-                dst_region: win.region,
+                dst_region: win.region.clone(),
                 dst_offset: window.offset,
-                rec_counter: win.counter,
+                rec_counter: win.counter.clone(),
             },
             inj_counter: local_done,
         };
@@ -694,7 +694,7 @@ impl Context {
         let put_back = Descriptor {
             dst_node: self.node,
             src_context: self.offset,
-            payload: PayloadSource::Region { region: win.region, offset: window.offset, len },
+            payload: PayloadSource::Region { region: win.region.clone(), offset: window.offset, len },
             kind: XferKind::DirectPut {
                 dst_region: dst.region,
                 dst_offset: dst.offset,
@@ -741,7 +741,7 @@ impl Context {
             src_context: self.offset,
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::Rmw(bgq_mu::RmwRequest {
-                dst_region: win.region,
+                dst_region: win.region.clone(),
                 dst_offset: window.offset,
                 op,
                 operand,

@@ -5,8 +5,10 @@
 //! classroute manager and the collective-network engine (a geometry takes
 //! a classroute when it is optimized). It also carries the registries that
 //! stand in for things real hardware does with physical addresses and
-//! keys — memory windows for one-sided operations and the rendezvous
-//! source table — and allocates each client's endpoint table, which maps
+//! keys: the window table one-sided operations resolve their target in
+//! (write-once slots read in place, no lock; a destroyed window is
+//! tombstoned until the machine drops) and the rendezvous source table (a
+//! locked map). It allocates each client's endpoint table, which maps
 //! (task, context) to a node's reception FIFO and shared-memory mailbox.
 //! Every context of the client holds that table and reads it in place;
 //! the machine only hands it out. Every task must create a client with
@@ -18,7 +20,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_collnet::{ClassRouteManager, CollNet};
@@ -66,12 +68,79 @@ impl WindowRef {
 
 /// A registered one-sided window: the target region plus the counter remote
 /// puts decrement.
-#[derive(Clone)]
 pub struct Window {
     /// Target memory.
     pub region: MemRegion,
     /// Reception counter (remote puts decrement it by bytes written).
     pub counter: Option<Counter>,
+}
+
+/// Slots in a [`WindowTable`]'s first chunk; chunk `c` holds
+/// `FIRST_CHUNK << c`.
+const FIRST_CHUNK: u64 = 64;
+
+/// Chunks a [`WindowTable`] can grow to: `64 × (2^32 − 1)` windows.
+const WINDOW_CHUNKS: usize = 32;
+
+/// One minted window and whether it is still live.
+struct WindowSlot {
+    window: Window,
+    live: AtomicBool,
+}
+
+/// Every window the machine ever registered, by key: an append-only table
+/// of doubling chunks of write-once slots, key `k` in slot `k - 1`. The
+/// table mints its own keys, so a slot is set exactly once, by the thread
+/// that minted its key, before the key is returned. Resolving a key is an
+/// index and two acquire loads (the chunk, then the slot) and borrows the
+/// window in place: no lock, no hash, no refcount. Destroying a window
+/// clears its `live` flag; keys are never reused, so a destroyed key stays
+/// unknown, and the tombstoned window is released with the machine.
+struct WindowTable {
+    next: AtomicU64,
+    chunks: [OnceLock<Box<[OnceLock<WindowSlot>]>>; WINDOW_CHUNKS],
+}
+
+impl WindowTable {
+    fn new() -> Self {
+        WindowTable { next: AtomicU64::new(1), chunks: std::array::from_fn(|_| OnceLock::new()) }
+    }
+
+    /// The chunk and index of `key`'s slot: chunk `c` starts at slot
+    /// `FIRST_CHUNK × (2^c − 1)`. `None` for key 0 and keys too large to
+    /// index.
+    fn locate(key: u64) -> Option<(usize, usize)> {
+        let n = key.checked_sub(1)?.checked_add(FIRST_CHUNK)?;
+        let chunk = n.ilog2() - FIRST_CHUNK.ilog2();
+        Some((chunk as usize, (n - (FIRST_CHUNK << chunk)) as usize))
+    }
+
+    fn slot(&self, key: u64) -> Option<&WindowSlot> {
+        let (chunk, index) = Self::locate(key)?;
+        self.chunks.get(chunk)?.get()?[index].get()
+    }
+
+    fn insert(&self, window: Window) -> u64 {
+        let key = self.next.fetch_add(1, Ordering::Relaxed);
+        let (chunk, index) = Self::locate(key).expect("window keys start at 1");
+        let slots = self.chunks.get(chunk).expect("window table full").get_or_init(|| {
+            (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect()
+        });
+        let fresh = slots[index].set(WindowSlot { window, live: AtomicBool::new(true) });
+        assert!(fresh.is_ok(), "window key {key} minted twice");
+        key
+    }
+
+    fn get(&self, key: u64) -> Option<&Window> {
+        // `live` only ever goes true → false, so a relaxed read never sees
+        // a destroyed window come back; the window itself was published
+        // by the slot's acquire.
+        self.slot(key).filter(|slot| slot.live.load(Ordering::Relaxed)).map(|slot| &slot.window)
+    }
+
+    fn remove(&self, key: u64) -> bool {
+        self.slot(key).is_some_and(|slot| slot.live.swap(false, Ordering::Relaxed))
+    }
 }
 
 pub(crate) struct RzvEntry {
@@ -402,7 +471,7 @@ impl MachineBuilder {
             collnet: CollNet::new(),
             clients: Mutex::new(Vec::new()),
             failover,
-            windows: Mutex::new(HashMap::new()),
+            windows: WindowTable::new(),
             rzv: Mutex::new(HashMap::new()),
             next_key: AtomicU64::new(1),
             shared: Mutex::new(HashMap::new()),
@@ -445,8 +514,11 @@ pub struct Machine {
     /// `Arc` because the fabric's RAS observer holds a clone — it must
     /// outlive neither and is installed before the machine exists.
     failover: Arc<FailoverState>,
-    windows: Mutex<HashMap<u64, Window>>,
+    /// One-sided windows, resolved in place by every `put`, `get` and
+    /// `rmw`.
+    windows: WindowTable,
     rzv: Mutex<HashMap<u64, RzvEntry>>,
+    /// Mints rendezvous keys.
     next_key: AtomicU64,
     /// Named shared state for layers built on PAMI (geometry registries,
     /// MPI node boards, …): the stand-in for structures those layers would
@@ -690,30 +762,27 @@ impl Machine {
         self.failover.generation_of(task)
     }
 
-    fn fresh_key(&self) -> u64 {
-        self.next_key.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Register a one-sided window; remote tasks address it by the returned
     /// key (the analogue of exchanging `PAMI_Memregion` handles).
     pub fn create_window(&self, region: MemRegion, counter: Option<Counter>) -> MemKey {
-        let key = self.fresh_key();
-        self.windows.lock().insert(key, Window { region, counter });
-        MemKey(key)
+        MemKey(self.windows.insert(Window { region, counter }))
     }
 
-    /// Resolve a window key.
-    pub fn window(&self, key: MemKey) -> Option<Window> {
-        self.windows.lock().get(&key.0).cloned()
+    /// Resolve a window key, borrowing the window in place; `None` for a key
+    /// never minted or already destroyed.
+    #[inline]
+    pub fn window(&self, key: MemKey) -> Option<&Window> {
+        self.windows.get(key.0)
     }
 
-    /// Destroy a window.
+    /// Destroy a window: its key resolves to nothing from now on. `false`
+    /// when the key was never minted or was already destroyed.
     pub fn destroy_window(&self, key: MemKey) -> bool {
-        self.windows.lock().remove(&key.0).is_some()
+        self.windows.remove(key.0)
     }
 
     pub(crate) fn rzv_register(&self, payload: PayloadSource, local_done: Option<Counter>) -> u64 {
-        let key = self.fresh_key();
+        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
         self.rzv.lock().insert(key, RzvEntry { payload, local_done });
         key
     }
@@ -820,7 +889,69 @@ mod tests {
         let win = m.window(key).expect("window resolves");
         assert!(win.region.same_region(&region));
         assert!(m.destroy_window(key));
-        assert!(m.window(key).is_none());
+        assert!(m.window(key).is_none(), "a destroyed key is unknown");
+        assert!(!m.destroy_window(key), "a destroyed key cannot be destroyed again");
+        let next = m.create_window(MemRegion::zeroed(64), None);
+        assert_ne!(next, key, "keys are never reused");
+        assert!(m.window(key).is_none(), "the destroyed key stays unknown");
+    }
+
+    #[test]
+    fn window_keys_resolve_on_both_sides_of_chunk_boundaries() {
+        let m = Machine::with_nodes(1).build();
+        let regions: Vec<MemRegion> = (0..200).map(|_| MemRegion::zeroed(8)).collect();
+        for (i, region) in regions.iter().enumerate() {
+            assert_eq!(m.create_window(region.clone(), None), MemKey(i as u64 + 1));
+        }
+        // Chunk 0 holds keys 1..=64, chunk 1 keys 65..=192, chunk 2 from 193.
+        for key in [1, 63, 64, 65, 66, 191, 192, 193, 194, 200] {
+            let win = m.window(MemKey(key)).unwrap_or_else(|| panic!("key {key} resolves"));
+            assert!(win.region.same_region(&regions[key as usize - 1]), "key {key}'s own region");
+        }
+    }
+
+    #[test]
+    fn unminted_keys_resolve_to_nothing() {
+        let m = Machine::with_nodes(1).build();
+        let key = m.create_window(MemRegion::zeroed(8), None);
+        assert_eq!(key, MemKey(1));
+        // Key 0, a key too large to index, an unminted key in the allocated
+        // first chunk, and one in a chunk never allocated.
+        for key in [0, u64::MAX, 2, 1_000] {
+            assert!(m.window(MemKey(key)).is_none(), "key {key} was never minted");
+            assert!(!m.destroy_window(MemKey(key)), "key {key} cannot be destroyed");
+        }
+    }
+
+    #[test]
+    fn concurrent_minting_publishes_distinct_resolvable_keys() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 300;
+        let m = Machine::with_nodes(1).build();
+        let (tx, rx) = std::sync::mpsc::channel::<(MemKey, MemRegion)>();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                let (m, tx) = (&m, tx.clone());
+                s.spawn(move || {
+                    for _ in 0..PER_THREAD {
+                        let region = MemRegion::zeroed(8);
+                        tx.send((m.create_window(region.clone(), None), region)).unwrap();
+                    }
+                });
+            }
+            drop(tx);
+            let m = &m;
+            s.spawn(move || {
+                let mut seen = std::collections::HashSet::new();
+                for (key, region) in rx {
+                    let win = m.window(key).unwrap_or_else(|| panic!("{key:?} resolves"));
+                    assert!(win.region.same_region(&region), "{key:?} resolves to its own region");
+                    assert!(seen.insert(key), "{key:?} minted twice");
+                }
+                // 1 200 keys span chunks 0..=4: four chunk boundaries crossed.
+                assert_eq!(seen.len(), THREADS * PER_THREAD);
+            });
+        });
     }
 
     #[test]

@@ -288,33 +288,36 @@ fn initiation_errors_are_typed_and_do_not_touch_the_network() {
             // Reserved dispatch range is rejected at initiation.
             let err = ctx.send_immediate(Endpoint::of_task(1), 0xFF00, b"", b"x").unwrap_err();
             assert!(matches!(err, PamiError::Invalid(_)));
-            // One-sided against a window that was never created.
-            let bogus = pami::MemKey(0xDEAD);
-            let err = ctx
-                .put(pami::PutArgs {
-                    dest_task: 1,
-                    window: pami::WindowRef::base(bogus),
-                    payload: PayloadSource::Immediate(bytes::Bytes::from(vec![1u8; 8])),
-                    local_done: None,
-                })
-                .unwrap_err();
-            assert_eq!(err, PamiError::UnknownWindow(0xDEAD));
-            let dst = MemRegion::zeroed(8);
-            let err = ctx
-                .get(pami::GetArgs {
-                    dest_task: 1,
-                    window: pami::WindowRef::base(bogus),
-                    dst: pami::MemSlot::base(dst),
-                    len: 8,
-                    done: None,
-                })
-                .unwrap_err();
-            assert_eq!(err, PamiError::UnknownWindow(0xDEAD));
-            // Rmw against the same bogus window surfaces the same typed error.
-            let err = ctx
-                .rmw(pami::RmwArgs::fetch_add(1, pami::WindowRef::base(bogus), 1))
-                .unwrap_err();
-            assert_eq!(err, PamiError::UnknownWindow(0xDEAD));
+            // One-sided against a window that was never created, and
+            // against one that was created and destroyed.
+            let destroyed = env.machine.create_window(MemRegion::zeroed(8), None);
+            assert!(env.machine.destroy_window(destroyed));
+            for key in [pami::MemKey(0xDEAD), destroyed] {
+                let err = ctx
+                    .put(pami::PutArgs {
+                        dest_task: 1,
+                        window: pami::WindowRef::base(key),
+                        payload: PayloadSource::Immediate(bytes::Bytes::from(vec![1u8; 8])),
+                        local_done: None,
+                    })
+                    .unwrap_err();
+                assert_eq!(err, PamiError::UnknownWindow(key.0));
+                let dst = MemRegion::zeroed(8);
+                let err = ctx
+                    .get(pami::GetArgs {
+                        dest_task: 1,
+                        window: pami::WindowRef::base(key),
+                        dst: pami::MemSlot::base(dst),
+                        len: 8,
+                        done: None,
+                    })
+                    .unwrap_err();
+                assert_eq!(err, PamiError::UnknownWindow(key.0));
+                // Rmw against the same window surfaces the same typed error.
+                let err =
+                    ctx.rmw(pami::RmwArgs::fetch_add(1, pami::WindowRef::base(key), 1)).unwrap_err();
+                assert_eq!(err, PamiError::UnknownWindow(key.0));
+            }
         }
         // No closing barrier: task 1 has nothing left to do, and a failed
         // check above must fail the run, not strand task 1 at a barrier.
