@@ -251,12 +251,12 @@ fn short_tier_skips_the_descriptor_the_eager_path_pays() {
     }
 }
 
-/// A rendezvous `send` makes one allocation: its RTS body, written once
-/// into the buffer the packet carries. Registering the source allocates
-/// nothing once the table has grown. Time half: `halo_mixed`'s 16 KiB
-/// sends.
+/// A rendezvous `send` makes one allocation on either transport: its RTS
+/// body, written once into the buffer the packet or mailbox message
+/// carries. Parking the source allocates nothing once the sending
+/// context's table has grown. Time half: `halo_mixed`'s 16 KiB sends.
 #[test]
-fn rendezvous_send_allocates_once() {
+fn rendezvous_send_allocates_once_on_either_transport() {
     const N: u64 = 256;
     let policy = StaticPolicy::with_short(128, 2048);
     let mut rig = Rig::new(Machine::with_nodes(2).protocol_policy(policy));
@@ -264,6 +264,15 @@ fn rendezvous_send_allocates_once() {
     // Three descriptors per send — the RTS, the target's remote get and
     // the put-back it carries — and one packet, the RTS.
     assert_eq!(counts, expect([0, 0, N], [3 * N, N, 0], N));
+    // On-node the RTS rides the mailbox and the target copies straight out
+    // of the parked source: no MU traffic at all.
+    let mut rig = Rig::new(Machine::with_nodes(1).ppn(2).protocol_policy(policy));
+    let shm_before = counters(&rig.machine, ["ctx.sends_shm"]);
+    let counts = flood_counts(&mut rig, N, &region(4096));
+    let shm = delta(counters(&rig.machine, ["ctx.sends_shm"]), shm_before);
+    assert_eq!(counts, expect([0; 3], [0; 3], N));
+    // `flood_counts` floods twice: a warm-up, then the measured flood.
+    assert_eq!(shm, [if cfg!(feature = "telemetry") { 2 * N } else { 0 }]);
 }
 
 /// Retired: `chaos`'s 5% fair-weather budget. A clean plan (reliability

@@ -1,5 +1,5 @@
 //! Simulated Blue Gene/Q node-level hardware: the L2 atomic unit, the wakeup
-//! unit, registered memory regions, and the CNK shared-address-space model.
+//! unit, registered memory regions and the link-CRC kernel.
 //!
 //! The Blue Gene/Q compute chip implements atomic operations (load-increment,
 //! store-add, bounded-increment, ...) directly in the L2 cache, reachable
@@ -18,17 +18,16 @@
 //! * [`wakeup`] — the wakeup unit: threads wait on watched memory regions and
 //!   are woken by stores to those regions, instead of polling.
 //! * [`memory`] — registered communication buffers ([`memory::MemRegion`])
-//!   that the simulated MU reads and writes like RDMA hardware.
-//! * [`GlobalVa`] — the Compute Node Kernel service PAMI depends on: the
-//!   global virtual-address table that lets any process on a node read its
-//!   peers' registered memory.
+//!   that the simulated MU reads and writes like RDMA hardware. A region
+//!   handle is also the CNK global virtual address: any process on a node
+//!   that holds one reads its peer's memory directly, with no translation
+//!   table in between.
 //! * [`crc32c`] — the link-CRC kernel: the CPU's CRC-32C instruction where
 //!   there is one, a table-driven fallback where there is not.
 //!
 //! This is the only crate in the workspace that may contain `unsafe`; every
 //! other crate is `#![forbid(unsafe_code)]`.
 
-mod cnk;
 pub mod counter;
 pub mod crc32c;
 pub mod l2;
@@ -37,7 +36,6 @@ pub mod mutex;
 pub mod queue;
 pub mod wakeup;
 
-pub use cnk::{GlobalAddress, GlobalVa};
 pub use counter::{Counter, DeliveryFault};
 pub use l2::{BoundedCounter, L2Counter};
 pub use memory::MemRegion;

@@ -34,7 +34,7 @@ use crate::error::{PamiError, PamiResult};
 use crate::machine::{EndpointAddr, EndpointTable, Machine};
 use crate::policy::{Protocol, StaticPolicy};
 use crate::proto::{
-    wire, SendArgs, ShmMailbox, ShmMsg, ShmPayload, DISPATCH_AGGR, DISPATCH_CHAN_REQ,
+    wire, RzvEntry, RzvSources, SendArgs, ShmMailbox, ShmMsg, DISPATCH_AGGR, DISPATCH_CHAN_REQ,
     DISPATCH_INTERNAL_BASE, DISPATCH_RZV_RTS,
 };
 
@@ -253,6 +253,9 @@ pub struct Context {
     /// for the idle fast path).
     sys_fifo: Arc<InjFifo>,
     mailbox: Arc<ShmMailbox>,
+    /// Sources of this context's rendezvous sends, parked until the target
+    /// takes them ([`RzvSources`]).
+    pub(crate) rzv: Arc<RzvSources>,
     wakeup: WakeupRegion,
     /// Posted work plus its post-time stamp for handoff-latency telemetry
     /// (the stamp is zero-sized with telemetry off).
@@ -324,6 +327,7 @@ impl Context {
             inj_fifos,
             sys_fifo,
             mailbox,
+            rzv: Arc::default(),
             wakeup,
             work: WorkQueue::with_capacity(256),
             dispatch: RwLock::new(HashMap::new()),
@@ -373,11 +377,16 @@ impl Context {
         Endpoint { task: self.task, context: self.offset }
     }
 
-    /// Publish this context's reception FIFO and mailbox as `ep`'s address
-    /// in the client's endpoint table: its own endpoint at creation, or a
-    /// virtual endpoint aliasing it ([`Machine::register_virtual_endpoint`]).
+    /// Publish this context's reception FIFO, mailbox and rendezvous
+    /// sources as `ep`'s address in the client's endpoint table: its own
+    /// endpoint at creation, or a virtual endpoint aliasing it
+    /// ([`Machine::register_virtual_endpoint`]).
     pub(crate) fn publish_as(&self, ep: Endpoint) {
-        let addr = EndpointAddr { rec_fifo: self.rec_fifo_id, mailbox: Arc::clone(&self.mailbox) };
+        let addr = EndpointAddr {
+            rec_fifo: self.rec_fifo_id,
+            mailbox: Arc::clone(&self.mailbox),
+            rzv: Arc::clone(&self.rzv),
+        };
         self.endpoints.set(ep, addr);
     }
 
@@ -482,7 +491,7 @@ impl Context {
                 src: self.endpoint(),
                 dispatch,
                 metadata: Bytes::copy_from_slice(metadata),
-                payload: ShmPayload::Inline(Bytes::copy_from_slice(payload)),
+                payload: Bytes::copy_from_slice(payload),
             });
             return Ok(());
         }
@@ -498,11 +507,12 @@ impl Context {
 
     /// Active-message send. Short messages go eager over the memory-FIFO
     /// path (or the shared-memory inline path on-node); messages above the
-    /// eager limit use the rendezvous remote-get protocol (or the
-    /// global-VA single-copy path on-node). `local_done` fires once
-    /// the payload has left the source buffer; under a fault plan it can
-    /// instead *fail* with a [`bgq_hw::DeliveryFault`] when the reliability
-    /// layer gives up on the destination.
+    /// eager limit park their source and send an RTS, and the target pulls
+    /// the payload (a remote get off-node, one copy out of the source
+    /// on-node). `local_done` fires once the payload has left the source
+    /// buffer; under a fault plan it can instead *fail* with a
+    /// [`bgq_hw::DeliveryFault`] when the reliability layer gives up on the
+    /// destination.
     ///
     /// # Errors
     /// [`PamiError::Invalid`] for a reserved dispatch id or a region
@@ -543,7 +553,6 @@ impl Context {
             // hop), but they must not overtake a bucket a failover left
             // pointing at this node.
             self.flush_aggr_conflict(dest, dest_node);
-            self.probes.sends_shm.incr_pinned(self.offset as usize);
             return self.send_shm(dest, dispatch, metadata, payload, local_done);
         }
         let rec_fifo = self.endpoints.get(dest)?.rec_fifo;
@@ -621,10 +630,10 @@ impl Context {
                 self.inject_to(dest.task, desc);
             }
             Protocol::Rendezvous => {
-                // Rendezvous: register the source, send an RTS; the target
+                // Rendezvous: park the source, send an RTS; the target
                 // pulls the payload with a remote get.
                 self.probes.sends_rzv.incr_pinned(self.offset as usize);
-                let key = self.machine.rzv_register(payload, local_done);
+                let key = self.rzv.park(RzvEntry { payload, local_done });
                 let desc = Descriptor {
                     dst_node: dest_node,
                     src_context: self.offset,
@@ -655,11 +664,11 @@ impl Context {
     pub fn put(&self, args: crate::proto::PutArgs) -> PamiResult<()> {
         let crate::proto::PutArgs { dest_task, window, payload, local_done } = args;
         let dest_task = self.machine.resolve_task(dest_task);
-        self.probes.puts.incr_pinned(self.offset as usize);
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, payload.len())?;
         source_within(&payload)?;
+        self.probes.puts.incr_pinned(self.offset as usize);
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
             src_context: self.offset,
@@ -686,11 +695,11 @@ impl Context {
     pub fn get(&self, args: crate::proto::GetArgs) -> PamiResult<()> {
         let crate::proto::GetArgs { dest_task, window, dst, len, done } = args;
         let dest_task = self.machine.resolve_task(dest_task);
-        self.probes.gets.incr_pinned(self.offset as usize);
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, len)?;
         within(&dst.region, dst.offset, len)?;
+        self.probes.gets.incr_pinned(self.offset as usize);
         let put_back = Descriptor {
             dst_node: self.node,
             src_context: self.offset,
@@ -729,13 +738,13 @@ impl Context {
         let crate::proto::RmwArgs { dest_task, window, op, operand, compare, result, done } =
             args;
         let dest_task = self.machine.resolve_task(dest_task);
-        self.probes.rmws.incr_pinned(self.offset as usize);
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, 8)?;
         if let Some(slot) = &result {
             within(&slot.region, slot.offset, 8)?;
         }
+        self.probes.rmws.incr_pinned(self.offset as usize);
         let desc = Descriptor {
             dst_node: self.machine.task_node(dest_task),
             src_context: self.offset,
@@ -822,7 +831,7 @@ impl Context {
                 src: self.endpoint(),
                 dispatch: DISPATCH_AGGR,
                 metadata: Bytes::copy_from_slice(&hdr),
-                payload: ShmPayload::Inline(frame.payload),
+                payload: frame.payload,
             });
             return;
         }
@@ -862,9 +871,7 @@ impl Context {
                             src,
                             dispatch: rec.dispatch,
                             metadata: payload.slice(rec.meta_at..meta_end),
-                            payload: ShmPayload::Inline(
-                                payload.slice(meta_end..meta_end + rec.payload.len()),
-                            ),
+                            payload: payload.slice(meta_end..meta_end + rec.payload.len()),
                         });
                         forwarded += 1;
                     }
@@ -915,8 +922,8 @@ impl Context {
 
     /// The short arm — shared by [`Context::send`], [`Context::send_immediate`]
     /// and aggregated-frame emit: one inline packet on `dest`'s pinned
-    /// injection FIFO. When that FIFO has nothing queued and no engine
-    /// mid-pop, ordering lets the message skip the injection queue
+    /// injection FIFO. When that FIFO has nothing queued and no descriptor
+    /// mid-delivery, ordering lets the message skip the injection queue
     /// entirely — no descriptor, no completion-counter allocation, one
     /// fragment straight down the fabric's pipeline. Otherwise earlier
     /// traffic is still queued there, and the per-destination ordering
@@ -957,6 +964,10 @@ impl Context {
         self.machine.fabric().inject_handle(fifo, desc);
     }
 
+    /// The on-node send: an inline copy through `dest`'s mailbox, or —
+    /// for a rendezvous-class payload — the source parked here and an RTS
+    /// through the mailbox, which the target answers with one copy out of
+    /// the source ([`Context::handle_rts`]).
     fn send_shm(
         &self,
         dest: Endpoint,
@@ -966,45 +977,27 @@ impl Context {
         local_done: Option<Counter>,
     ) -> PamiResult<()> {
         let addr = self.endpoints.get(dest)?;
+        self.probes.sends_shm.incr_pinned(self.offset as usize);
         let len = payload.len();
         // On-node, short, eager and would-be-aggregated are the same
-        // inline mailbox path; only rendezvous-class payloads take the
-        // global-VA single-copy route.
-        let eager = self.policy.select(dest.task, len) != Protocol::Rendezvous;
-        let payload = if eager {
-            let bytes = payload.to_bytes();
+        // inline mailbox path.
+        let msg = if self.policy.select(dest.task, len) == Protocol::Rendezvous {
+            let key = self.rzv.park(RzvEntry { payload, local_done });
+            ShmMsg {
+                src: self.endpoint(),
+                dispatch: DISPATCH_RZV_RTS,
+                metadata: wire::rts(dispatch, len as u64, key, metadata),
+                payload: Bytes::new(),
+            }
+        } else {
+            let payload = payload.to_bytes();
             if let Some(c) = local_done {
                 c.delivered(if len == 0 { 1 } else { len as u64 });
             }
-            ShmPayload::Inline(bytes)
-        } else {
-            match payload {
-                PayloadSource::Region { region, offset, len } => {
-                    // Publish the source buffer in the CNK global-VA table;
-                    // the receiver resolves and copies directly from it.
-                    let local_rank = self.machine.task_local_rank(self.task);
-                    let va = self.machine.global_va(self.node);
-                    let id = va.publish(local_rank, region);
-                    ShmPayload::GlobalVa {
-                        addr: bgq_hw::GlobalAddress { local_rank, region: id, offset },
-                        len,
-                        done: local_done,
-                    }
-                }
-                PayloadSource::Immediate(b) => {
-                    if let Some(c) = local_done {
-                        c.delivered(b.len().max(1) as u64);
-                    }
-                    ShmPayload::Inline(b)
-                }
-            }
+            let metadata = Bytes::copy_from_slice(metadata);
+            ShmMsg { src: self.endpoint(), dispatch, metadata, payload }
         };
-        addr.mailbox.deliver(ShmMsg {
-            src: self.endpoint(),
-            dispatch,
-            metadata: Bytes::copy_from_slice(metadata),
-            payload,
-        });
+        addr.mailbox.deliver(msg);
         Ok(())
     }
 
@@ -1144,7 +1137,7 @@ impl Context {
         for _ in 0..RECV_BUDGET {
             match self.mailbox.queue.pop() {
                 Some(msg) => {
-                    self.handle_shm(&mut st.handler_memo, msg);
+                    self.handle_shm(st, msg);
                     bc.dispatched += 1;
                     events += 1;
                 }
@@ -1193,7 +1186,8 @@ impl Context {
         if pkt.is_first() {
             let src = Endpoint { task: pkt.src_task, context: pkt.src_context };
             if pkt.dispatch == DISPATCH_RZV_RTS {
-                self.handle_rts(st, bc, src, &pkt.metadata);
+                self.handle_rts(st, src, &pkt.metadata);
+                bc.dispatched += 1;
                 return;
             }
             if pkt.dispatch == DISPATCH_CHAN_REQ {
@@ -1283,109 +1277,87 @@ impl Context {
         }
     }
 
-    fn handle_rts(
-        &self,
-        st: &mut AdvanceState,
-        bc: &mut BatchCounters,
-        src: Endpoint,
-        body: &Bytes,
-    ) {
+    /// An RTS from `src`, off-node or on-node: take the source it names out
+    /// of the sending context's table and pull it into the buffer the
+    /// handler names — with a remote get off-node, with one copy straight
+    /// out of the source on-node (CNK's aliasing of a peer's memory).
+    fn handle_rts(&self, st: &mut AdvanceState, src: Endpoint, body: &Bytes) {
         let (dispatch, len, key, metadata) = wire::open_rts(body);
         let msg = IncomingMsg { src, dispatch, metadata, len };
-        bc.dispatched += 1;
         let AdvanceState { handler_memo, rzv_pending, .. } = st;
         let handler = self.resolve_handler(handler_memo, dispatch);
-        match handler(self, &msg, &[]) {
-            Recv::Done => panic!("rendezvous arrival of {len} bytes cannot be Recv::Done"),
-            Recv::Into { region, offset, on_complete } => {
-                let entry = self.machine.rzv_take(key);
-                let done = Counter::new();
-                done.add_expected(len.max(1));
-                let src_node = self.machine.task_node(src.task);
-                let put_back = Descriptor {
-                    dst_node: self.node,
-                    src_context: self.offset,
-                    payload: entry.payload,
-                    kind: XferKind::DirectPut {
-                        dst_region: region,
-                        dst_offset: offset,
-                        rec_counter: Some(done.clone()),
-                    },
-                    inj_counter: entry.local_done,
-                };
-                let get = Descriptor {
-                    dst_node: src_node,
-                    src_context: self.offset,
-                    payload: PayloadSource::Immediate(Bytes::new()),
-                    kind: XferKind::RemoteGet { payload: Box::new(put_back) },
-                    inj_counter: None,
-                };
-                self.inject_to(src.task, get);
-                rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
-                self.pending_internal.fetch_add(1, Ordering::AcqRel);
+        let Recv::Into { region, offset, on_complete } = handler(self, &msg, &[]) else {
+            panic!("rendezvous arrival of {len} bytes cannot be Recv::Done");
+        };
+        let source = self.endpoints.get(src).expect("an RTS from an unknown endpoint");
+        let entry = source.rzv.take(key);
+        let src_node = self.machine.task_node(src.task);
+        if src_node == self.node {
+            match entry.payload {
+                PayloadSource::Immediate(bytes) => region.write(offset, &bytes),
+                PayloadSource::Region { region: from, offset: at, len: bytes } => {
+                    region.copy_from(offset, &from, at, bytes);
+                }
             }
+            if let Some(c) = entry.local_done {
+                c.delivered(len.max(1));
+            }
+            on_complete(self, Ok(()));
+            return;
         }
+        let done = Counter::new();
+        done.add_expected(len.max(1));
+        let put_back = Descriptor {
+            dst_node: self.node,
+            src_context: self.offset,
+            payload: entry.payload,
+            kind: XferKind::DirectPut {
+                dst_region: region,
+                dst_offset: offset,
+                rec_counter: Some(done.clone()),
+            },
+            inj_counter: entry.local_done,
+        };
+        let get = Descriptor {
+            dst_node: src_node,
+            src_context: self.offset,
+            payload: PayloadSource::Immediate(Bytes::new()),
+            kind: XferKind::RemoteGet { payload: Box::new(put_back) },
+            inj_counter: None,
+        };
+        self.inject_to(src.task, get);
+        rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
+        self.pending_internal.fetch_add(1, Ordering::AcqRel);
     }
 
-    fn handle_shm(&self, memo: &mut Option<HandlerMemo>, msg: ShmMsg) {
-        if msg.dispatch == DISPATCH_CHAN_REQ {
-            // On-node channel offers ride the mailbox with the body as the
-            // metadata; shm messages carry the source endpoint beside it,
-            // as MU packets do in their header.
-            self.handle_chan_req(msg.src, &msg.metadata);
-            return;
-        }
-        if msg.dispatch == DISPATCH_AGGR {
-            // An aggregated frame delivered through the mailbox (node-
-            // bucket forwarding never nests, so this is the post-failover
-            // on-node emit path): the header rides the metadata field.
-            let ShmPayload::Inline(payload) = msg.payload else {
-                panic!("aggregated frames are always inline");
-            };
-            self.unbatch_aggr_frame(memo, msg.src, &msg.metadata, payload);
-            return;
-        }
-        let info = IncomingMsg {
-            src: msg.src,
-            dispatch: msg.dispatch,
-            metadata: msg.metadata,
-            len: msg.payload.len() as u64,
-        };
-        let handler = self.resolve_handler(memo, msg.dispatch);
-        match msg.payload {
-            ShmPayload::Inline(bytes) => match handler(self, &info, &bytes) {
-                Recv::Done => {}
-                Recv::Into { region, offset, on_complete } => {
-                    region.write(offset, &bytes);
-                    on_complete(self, Ok(()));
-                }
-            },
-            ShmPayload::GlobalVa { addr, len, done } => {
-                // Resolve the peer's buffer through the CNK global virtual
-                // address table (the message-scoped mapping is withdrawn
-                // after the copy).
-                let va = self.machine.global_va(self.node);
-                let (src_region, src_off) = va
-                    .resolve_addr(addr)
-                    .expect("global-VA payload withdrawn before delivery");
-                match handler(self, &info, &[]) {
-                    Recv::Done => {
-                        assert_eq!(len, 0, "Recv::Done on unread {len}-byte global-VA payload");
-                        if let Some(c) = done {
-                            c.delivered(1);
-                        }
-                    }
+    /// One mailbox message. Internal dispatch ids carry their body in the
+    /// metadata, as MU packets do; the source endpoint rides beside it in
+    /// `src`, as it does in an MU packet's header.
+    fn handle_shm(&self, st: &mut AdvanceState, msg: ShmMsg) {
+        match msg.dispatch {
+            DISPATCH_RZV_RTS => self.handle_rts(st, msg.src, &msg.metadata),
+            DISPATCH_CHAN_REQ => self.handle_chan_req(msg.src, &msg.metadata),
+            // An aggregated frame through the mailbox (node-bucket
+            // forwarding never nests, so this is the post-failover on-node
+            // emit path): the header rides the metadata.
+            DISPATCH_AGGR => {
+                self.unbatch_aggr_frame(&mut st.handler_memo, msg.src, &msg.metadata, msg.payload);
+            }
+            dispatch => {
+                let info = IncomingMsg {
+                    src: msg.src,
+                    dispatch,
+                    metadata: msg.metadata,
+                    len: msg.payload.len() as u64,
+                };
+                let handler = self.resolve_handler(&mut st.handler_memo, dispatch);
+                match handler(self, &info, &msg.payload) {
+                    Recv::Done => {}
                     Recv::Into { region, offset, on_complete } => {
-                        // The single-copy path: read the peer's memory
-                        // through the global virtual address space.
-                        region.copy_from(offset, &src_region, src_off, len);
-                        if let Some(c) = done {
-                            c.delivered(len.max(1) as u64);
-                        }
+                        region.write(offset, &msg.payload);
                         on_complete(self, Ok(()));
                     }
                 }
-                va.unpublish(addr.local_rank, addr.region);
             }
         }
     }
@@ -1431,7 +1403,7 @@ impl Context {
                 src: self.endpoint(),
                 dispatch: DISPATCH_CHAN_REQ,
                 metadata: body,
-                payload: ShmPayload::Inline(Bytes::new()),
+                payload: Bytes::new(),
             });
             return Ok(());
         }

@@ -1,15 +1,14 @@
 //! The simulated BG/Q partition a PAMI job runs on.
 //!
 //! A [`Machine`] bundles every substrate one partition offers its tasks:
-//! the MU fabric, per-node wakeup units and CNK global-VA tables, the
-//! classroute manager and the collective-network engine (a geometry takes
-//! a classroute when it is optimized). It also carries the registries that
-//! stand in for things real hardware does with physical addresses and
-//! keys: the window table one-sided operations resolve their target in
+//! the MU fabric, the classroute manager and the collective-network engine
+//! (a geometry takes a classroute when it is optimized). It also carries
+//! the window table one-sided operations resolve their target in, standing
+//! in for the physical addresses real hardware embeds in descriptors
 //! (write-once slots read in place, no lock; a destroyed window is
-//! tombstoned until the machine drops) and the rendezvous source table (a
-//! locked map). It allocates each client's endpoint table, which maps
-//! (task, context) to a node's reception FIFO and shared-memory mailbox.
+//! tombstoned until the machine drops). It allocates each client's
+//! endpoint table, which maps (task, context) to a node's reception FIFO,
+//! a shared-memory mailbox and the context's rendezvous source table.
 //! Every context of the client holds that table and reads it in place;
 //! the machine only hands it out. Every task must create a client with
 //! the same context count, and the machine checks it when the client is
@@ -24,8 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_collnet::{ClassRouteManager, CollNet};
-use bgq_hw::{Counter, GlobalVa, MemRegion};
-use bgq_mu::{FaultPlan, MuFabric, PayloadSource, RecFifoId};
+use bgq_hw::{Counter, MemRegion};
+use bgq_mu::{FaultPlan, MuFabric, RecFifoId};
 use bgq_torus::TorusShape;
 use bgq_upc::Upc;
 use parking_lot::{Mutex, RwLock};
@@ -34,11 +33,11 @@ use crate::aggr::AggrConfig;
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
 use crate::policy::{StaticPolicy, SHORT_CUTOFF};
-use crate::proto::ShmMailbox;
+use crate::proto::{RzvSources, ShmMailbox};
 
-/// Key identifying a registered memory window (one-sided put/get target) or
-/// a rendezvous source. Stands in for the RDMA keys/physical addresses the
-/// real MU embeds in descriptors.
+/// Key identifying a registered memory window (one-sided put/get target).
+/// Stands in for the RDMA keys/physical addresses the real MU embeds in
+/// descriptors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemKey(pub u64);
 
@@ -143,16 +142,14 @@ impl WindowTable {
     }
 }
 
-pub(crate) struct RzvEntry {
-    pub payload: PayloadSource,
-    pub local_done: Option<Counter>,
-}
-
 /// Where an endpoint physically lives — filled in when its context is
 /// created.
 pub(crate) struct EndpointAddr {
     pub rec_fifo: RecFifoId,
     pub mailbox: Arc<ShmMailbox>,
+    /// The context's rendezvous sources: a target takes the source an RTS
+    /// names through the sender's address.
+    pub rzv: Arc<RzvSources>,
 }
 
 /// One client's endpoint addresses: `num_tasks × contexts` write-once slots
@@ -465,15 +462,12 @@ impl MachineBuilder {
             aggregation,
             inj_fifos_per_context: self.inj_fifos_per_context,
             fabric,
-            global_va: (0..nodes).map(|_| GlobalVa::new()).collect(),
             sys_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
             classroutes: ClassRouteManager::new(self.shape),
             collnet: CollNet::new(),
             clients: Mutex::new(Vec::new()),
             failover,
             windows: WindowTable::new(),
-            rzv: Mutex::new(HashMap::new()),
-            next_key: AtomicU64::new(1),
             shared: Mutex::new(HashMap::new()),
             init_fence: (Mutex::new((0, 0)), parking_lot::Condvar::new()),
         })
@@ -501,9 +495,8 @@ pub struct Machine {
     aggregation: Option<AggrConfig>,
     pub(crate) inj_fifos_per_context: u16,
     pub(crate) fabric: MuFabric,
-    global_va: Vec<GlobalVa>,
     /// Per-node guard so only one context at a time services the node's
-    /// system FIFO (remote gets) in inline engine mode.
+    /// system FIFO (remote gets) and link channels.
     pub(crate) sys_pump: Vec<Mutex<()>>,
     classroutes: ClassRouteManager,
     collnet: CollNet,
@@ -517,9 +510,6 @@ pub struct Machine {
     /// One-sided windows, resolved in place by every `put`, `get` and
     /// `rmw`.
     windows: WindowTable,
-    rzv: Mutex<HashMap<u64, RzvEntry>>,
-    /// Mints rendezvous keys.
-    next_key: AtomicU64,
     /// Named shared state for layers built on PAMI (geometry registries,
     /// MPI node boards, …): the stand-in for structures those layers would
     /// place in CNK shared memory.
@@ -627,11 +617,6 @@ impl Machine {
     /// the layer is off. The cutoff is already clamped below the frame.
     pub fn aggregation(&self) -> Option<&AggrConfig> {
         self.aggregation.as_ref()
-    }
-
-    /// The CNK global-VA table of `node`.
-    pub fn global_va(&self, node: u32) -> &GlobalVa {
-        &self.global_va[node as usize]
     }
 
     /// The classroute manager.
@@ -779,19 +764,6 @@ impl Machine {
     /// when the key was never minted or was already destroyed.
     pub fn destroy_window(&self, key: MemKey) -> bool {
         self.windows.remove(key.0)
-    }
-
-    pub(crate) fn rzv_register(&self, payload: PayloadSource, local_done: Option<Counter>) -> u64 {
-        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
-        self.rzv.lock().insert(key, RzvEntry { payload, local_done });
-        key
-    }
-
-    pub(crate) fn rzv_take(&self, key: u64) -> RzvEntry {
-        self.rzv
-            .lock()
-            .remove(&key)
-            .expect("rendezvous source looked up twice or never registered")
     }
 
     /// Block until every task of the machine has called this — the job

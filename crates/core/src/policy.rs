@@ -33,8 +33,10 @@ pub enum Protocol {
     /// Payload travels with the message (memory-FIFO packets off-node,
     /// inline mailbox copy on-node).
     Eager,
-    /// An RTS travels; the target pulls the payload (remote get off-node,
-    /// global-VA single-copy read on-node).
+    /// The sender parks the source in its own context's table and an RTS
+    /// travels (reception FIFO off-node, mailbox on-node); the target takes
+    /// the source and pulls it (a remote get off-node, one copy straight
+    /// out of the source on-node).
     Rendezvous,
 }
 

@@ -1,17 +1,22 @@
 //! Protocol plumbing shared by the MU and shared-memory devices: internal
-//! message bodies, the shared-memory mailbox, and the send argument bundle.
+//! message bodies, the shared-memory mailbox, the rendezvous source table
+//! and the send argument bundle.
 //!
 //! Wire format note: an MU packet's metadata is the user's dispatch
 //! metadata and nothing else. The source task travels in the packet
 //! header (`bgq_mu::MuPacket::src_task`) beside the source node and
 //! context — with several processes per node the node alone does not name
-//! the sender. Rendezvous RTS messages carry the real dispatch id, total
+//! the sender. A rendezvous RTS carries the real dispatch id, total
 //! length, and the rendezvous key ahead of the user metadata, under an
-//! internal dispatch id.
+//! internal dispatch id, over either transport (reception FIFO off-node,
+//! mailbox on-node). The key names a slot, and that slot's generation, in
+//! the *sending context's* `RzvSources`; the message's source endpoint
+//! names the context. Nothing machine- or node-wide is consulted.
 
-use bgq_hw::{Counter, GlobalAddress, WakeupRegion, WorkQueue};
+use bgq_hw::{Counter, WakeupRegion, WorkQueue};
 use bgq_mu::PayloadSource;
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use crate::endpoint::Endpoint;
 
@@ -138,38 +143,69 @@ impl RmwArgs {
     }
 }
 
-/// How a shared-memory message carries its payload.
-pub enum ShmPayload {
-    /// Short path: payload copied into the message (one copy in, one copy
-    /// out — the L2-cache bounce the paper's intra-node eager path takes).
-    Inline(Bytes),
-    /// Large path: a *global virtual address* of the source buffer,
-    /// published in the node's CNK translation table; the receiver
-    /// resolves it and copies directly from the peer's memory (exactly one
-    /// copy). `done` is the sender's completion counter, decremented by
-    /// the receiver after the copy.
-    GlobalVa {
-        /// The published source address.
-        addr: GlobalAddress,
-        /// Payload length.
-        len: usize,
-        /// Sender completion, fired by the receiver.
-        done: Option<Counter>,
-    },
+/// A parked rendezvous source: the payload the target pulls and the
+/// sender's local-completion counter, credited once the bytes have moved.
+pub(crate) struct RzvEntry {
+    pub payload: PayloadSource,
+    pub local_done: Option<Counter>,
 }
 
-impl ShmPayload {
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        match self {
-            ShmPayload::Inline(b) => b.len(),
-            ShmPayload::GlobalVa { len, .. } => *len,
-        }
+/// One context's parked rendezvous sources: a slot vector plus a free
+/// list, under the context's own lock. A key is `generation << 32 | slot`;
+/// taking a source bumps its slot's generation, so a key is good for
+/// exactly one take even after the slot is reused. No hash, and no
+/// allocation per send once the vector has grown.
+#[derive(Default)]
+pub(crate) struct RzvSources {
+    slots: Mutex<Slots>,
+}
+
+#[derive(Default)]
+struct Slots {
+    entries: Vec<(u32, Option<RzvEntry>)>,
+    free: Vec<u32>,
+}
+
+impl RzvSources {
+    /// Park `entry` until the target takes it; returns the RTS key.
+    pub(crate) fn park(&self, entry: RzvEntry) -> u64 {
+        let mut slots = self.slots.lock();
+        let slot = match slots.free.pop() {
+            Some(slot) => slot,
+            None => {
+                slots.entries.push((0, None));
+                u32::try_from(slots.entries.len() - 1).expect("rendezvous source slots exhausted")
+            }
+        };
+        let (generation, parked) = &mut slots.entries[slot as usize];
+        *parked = Some(entry);
+        u64::from(*generation) << 32 | u64::from(slot)
     }
 
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Take the source `key` names, freeing its slot.
+    ///
+    /// # Panics
+    /// If `key` was already taken, or never parked here.
+    pub(crate) fn take(&self, key: u64) -> RzvEntry {
+        let (generation, slot) = ((key >> 32) as u32, key as u32);
+        let mut slots = self.slots.lock();
+        let entry = match slots.entries.get_mut(slot as usize) {
+            Some((current, parked)) if *current == generation => {
+                *current = current.wrapping_add(1);
+                parked.take()
+            }
+            _ => None,
+        };
+        let entry = entry.expect("rendezvous source taken twice or never parked");
+        slots.free.push(slot);
+        entry
+    }
+
+    /// Sources parked and not yet taken.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        let slots = self.slots.lock();
+        slots.entries.len() - slots.free.len()
     }
 }
 
@@ -181,8 +217,10 @@ pub struct ShmMsg {
     pub dispatch: u16,
     /// User metadata (the source endpoint rides beside it in `src`).
     pub metadata: Bytes,
-    /// Payload.
-    pub payload: ShmPayload,
+    /// Payload, copied in by the sender (the L2-cache bounce the paper's
+    /// intra-node eager path takes). Empty for an RTS or a channel offer,
+    /// whose body rides in `metadata`.
+    pub payload: Bytes,
 }
 
 /// A context's shared-memory reception queue: the lockless structure "each
@@ -281,11 +319,102 @@ mod tests {
             src: Endpoint::of_task(3),
             dispatch: 1,
             metadata: Bytes::new(),
-            payload: ShmPayload::Inline(Bytes::from_static(b"hi")),
+            payload: Bytes::from_static(b"hi"),
         });
         assert_eq!(region.epoch(), 1);
         let msg = mb.queue.pop().expect("message queued");
         assert_eq!(msg.src.task, 3);
         assert_eq!(msg.payload.len(), 2);
+    }
+
+    fn source(len: usize) -> RzvEntry {
+        let payload = PayloadSource::Immediate(Bytes::from(vec![7u8; len]));
+        RzvEntry { payload, local_done: None }
+    }
+
+    #[test]
+    fn parked_source_round_trips() {
+        let table = RzvSources::default();
+        let key = table.park(source(3));
+        assert_eq!(table.parked(), 1);
+        let entry = table.take(key);
+        assert_eq!(entry.payload.len(), 3);
+        assert_eq!(table.parked(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rendezvous source taken twice or never parked")]
+    fn second_take_of_a_key_panics() {
+        let table = RzvSources::default();
+        let key = table.park(source(1));
+        table.take(key);
+        table.take(key);
+    }
+
+    #[test]
+    #[should_panic(expected = "rendezvous source taken twice or never parked")]
+    fn reused_slot_refuses_its_old_key() {
+        let table = RzvSources::default();
+        let old = table.park(source(1));
+        table.take(old);
+        let new = table.park(source(2));
+        assert_eq!(new as u32, old as u32, "a freed slot is reused");
+        assert_ne!(new, old, "under a new generation");
+        table.take(old);
+    }
+
+    /// Every 16 KiB rendezvous — on-node through the mailbox, off-node
+    /// through the reception FIFO — leaves its sender's table empty once
+    /// it completes, and a refused send parks nothing.
+    #[test]
+    fn sources_are_taken_on_both_transports_and_a_refused_send_parks_none() {
+        use crate::{Client, Machine, Recv, SendArgs};
+        const LEN: usize = 16 * 1024;
+        // Tasks 0 and 1 share node 0; task 2 is on node 1.
+        let machine = Machine::with_nodes(2).ppn(2).build();
+        let clients: Vec<_> = (0..3).map(|t| Client::create(&machine, t, "rzv", 1)).collect();
+        let sink = bgq_hw::MemRegion::zeroed(LEN);
+        for client in &clients[1..] {
+            let sink = sink.clone();
+            client.context(0).set_dispatch(
+                1,
+                std::sync::Arc::new(move |_, _, _| Recv::Into {
+                    region: sink.clone(),
+                    offset: 0,
+                    on_complete: Box::new(|_, result| result.unwrap()),
+                }),
+            );
+        }
+        let sender = clients[0].context(0);
+        for dest in [1, 2] {
+            let done = Counter::new();
+            done.add_expected(LEN as u64);
+            let payload = bgq_hw::MemRegion::from_vec(vec![dest as u8; LEN]);
+            sender
+                .send(SendArgs {
+                    dest: Endpoint::of_task(dest),
+                    dispatch: 1,
+                    metadata: Vec::new(),
+                    payload: PayloadSource::Region { region: payload, offset: 0, len: LEN },
+                    local_done: Some(done.clone()),
+                })
+                .unwrap();
+            assert_eq!(sender.rzv.parked(), 1, "task {dest}: the source is parked until taken");
+            while !done.is_complete() {
+                sender.advance();
+                clients[dest as usize].context(0).advance();
+            }
+            assert_eq!(sender.rzv.parked(), 0, "task {dest}: the source was taken");
+            assert_eq!(sink.to_vec(), vec![dest as u8; LEN]);
+        }
+        let refused = sender.send(SendArgs {
+            dest: Endpoint { task: 0, context: 1 },
+            dispatch: 1,
+            metadata: Vec::new(),
+            payload: PayloadSource::Immediate(Bytes::from(vec![0u8; LEN])),
+            local_done: None,
+        });
+        assert!(refused.is_err());
+        assert_eq!(sender.rzv.parked(), 0, "a refused send parks nothing");
     }
 }

@@ -318,6 +318,34 @@ fn initiation_errors_are_typed_and_do_not_touch_the_network() {
                     ctx.rmw(pami::RmwArgs::fetch_add(1, pami::WindowRef::base(key), 1)).unwrap_err();
                 assert_eq!(err, PamiError::UnknownWindow(key.0));
             }
+            // A rendezvous-sized send to an on-node endpoint that was never
+            // created is refused before it parks or counts anything.
+            let err = ctx
+                .send(SendArgs {
+                    dest: past,
+                    dispatch: DISPATCH,
+                    metadata: Vec::new(),
+                    payload: PayloadSource::Immediate(bytes::Bytes::from(vec![0u8; 16 * 1024])),
+                    local_done: None,
+                })
+                .unwrap_err();
+            assert_eq!(err, PamiError::UnknownEndpoint { task: 0, context: 1 });
+            // A refused initiation moves no probe.
+            if cfg!(feature = "telemetry") {
+                let snap = env.machine.telemetry().snapshot();
+                for probe in [
+                    "ctx.sends_short",
+                    "ctx.sends_aggr",
+                    "ctx.sends_eager",
+                    "ctx.sends_rzv",
+                    "ctx.sends_shm",
+                    "ctx.puts",
+                    "ctx.gets",
+                    "ctx.rmws",
+                ] {
+                    assert_eq!(snap.counter(probe), 0, "{probe} counted a refused call");
+                }
+            }
         }
         // No closing barrier: task 1 has nothing left to do, and a failed
         // check above must fail the run, not strand task 1 at a barrier.

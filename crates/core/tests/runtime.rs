@@ -469,7 +469,7 @@ fn rendezvous_send_pulls_large_payload() {
 }
 
 #[test]
-fn shm_inline_and_global_va_paths() {
+fn on_node_inline_and_rendezvous_paths() {
     let machine = Machine::with_nodes(1).ppn(2).build();
     let c0 = Client::create(&machine, 0, "t", 1);
     let c1 = Client::create(&machine, 1, "t", 1);
@@ -484,7 +484,8 @@ fn shm_inline_and_global_va_paths() {
         payload: PayloadSource::Immediate(bytes::Bytes::from_static(b"short")),
         local_done: None,
     }).unwrap();
-    // Global-VA (large) path: single copy from the source region.
+    // Rendezvous (large) path: an RTS through the mailbox, then a single
+    // copy out of the source region.
     let len = 64 * 1024;
     let data: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
     let done = Counter::new();

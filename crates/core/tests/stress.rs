@@ -365,33 +365,3 @@ fn context_fifo_ownership_under_concurrent_flood() {
         assert_eq!(g.load(Ordering::Relaxed), MSGS as u64, "context {i} message count");
     }
 }
-
-#[test]
-fn global_va_table_is_message_scoped() {
-    // Large intra-node sends publish the source buffer in the CNK
-    // global-VA table; delivery must withdraw the mapping.
-    let machine = Machine::with_nodes(1).ppn(2).build();
-    let c0 = Client::create(&machine, 0, "s", 1);
-    let c1 = Client::create(&machine, 1, "s", 1);
-    let count = Arc::new(AtomicU64::new(0));
-    let bytes = Arc::new(AtomicU64::new(0));
-    c1.context(0).set_dispatch(1, counting_handler(&count, &bytes));
-    const LEN: usize = 64 * 1024;
-    let done = Counter::new();
-    done.add_expected(LEN as u64);
-    c0.context(0).send(SendArgs {
-        dest: Endpoint::of_task(1),
-        dispatch: 1,
-        metadata: vec![],
-        payload: PayloadSource::Region {
-            region: MemRegion::from_vec(vec![9; LEN]),
-            offset: 0,
-            len: LEN,
-        },
-        local_done: Some(done.clone()),
-    }).unwrap();
-    assert_eq!(machine.global_va(0).published_count(), 1, "mapping published");
-    c1.context(0).advance_until(|| done.is_complete());
-    assert_eq!(machine.global_va(0).published_count(), 0, "mapping withdrawn");
-    assert_eq!(bytes.load(Ordering::Relaxed), LEN as u64);
-}

@@ -6,7 +6,7 @@
 //!
 //! * [`pami`] — the Parallel Active Messaging Interface itself.
 //! * [`pami_mpi`] — the MPI-flavoured layer built on PAMI ("pamid").
-//! * [`bgq_hw`] — L2 atomics, wakeup unit, memory regions, CNK services.
+//! * [`bgq_hw`] — L2 atomics, wakeup unit, memory regions, link CRC.
 //! * [`bgq_torus`] — the 5D torus geometry and packet fabric.
 //! * [`bgq_mu`] — the messaging unit (descriptors, FIFOs, delivery).
 //! * [`bgq_collnet`] — classroutes, the collective network, the GI barrier.
