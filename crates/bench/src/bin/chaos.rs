@@ -3,15 +3,13 @@
 //! `chaos --soak [runs] [msgs]` is the nightly mode: it draws fresh fault
 //! seeds from the wall clock, runs each hostile plan under a wall-clock
 //! bound — a point-to-point flood of mixed short, eager and rendezvous
-//! messages plus a kill-a-node failover drill per seed — and **never fails
-//! the job**: a seed that hangs, panics, delivers a flood message twice or
-//! out of order, loses a message across the failover, or exhausts its
-//! retry budget is instead
-//! appended to `ci/chaos_regression_seeds.jsonl` (one JSON object per
-//! line, tagged with its scenario) so it is archived as a deterministic
-//! regression fixture. `chaos --replay [msgs]` re-runs every archived seed
-//! under its recorded scenario and exits non-zero if any still fails,
-//! which is how a fix proves itself against the whole graveyard.
+//! messages per seed — and **never fails the job**: a seed that hangs,
+//! panics, delivers a message twice or out of order, or exhausts its retry
+//! budget is instead appended to `ci/chaos_regression_seeds.jsonl` (one
+//! JSON object per line) so it is archived as a deterministic regression
+//! fixture. `chaos --replay [msgs]` re-runs every archived seed and exits
+//! non-zero if any still fails, which is how a fix proves itself against
+//! the whole graveyard.
 //!
 //! The fair-weather and hostile budgets this binary used to time are
 //! exact counts in `crates/bench/tests/counts.rs`; their time halves are
@@ -21,7 +19,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use pami::{FaultPlan, RetryConfig};
-use pami_bench::{measure_chaos_rate, measure_failover_drain, ChaosStats};
+use pami_bench::{measure_chaos_rate, ChaosStats};
 
 /// Archived failing soak seeds (JSON lines, committed as fixtures).
 const SEED_FILE: &str = "ci/chaos_regression_seeds.jsonl";
@@ -53,61 +51,24 @@ fn bounded_run(seed: u64, msgs: usize, timeout: Duration) -> Result<ChaosStats, 
     }
 }
 
-/// One kill-a-node failover drill under a seeded *lossy* plan, bounded the
-/// same way: the failover has to fire while retransmission is already
-/// absorbing drops and corruption. Fails on any lost message or a channel
-/// that never replayed, same contract as the clean-plan drill in
-/// `crates/bench/tests/counts.rs`.
-fn bounded_failover(seed: u64, msgs: usize, timeout: Duration) -> Result<(), &'static str> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(measure_failover_drain(msgs, soak_plan(seed)));
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(f) if f.lost == 0 && f.drained > 0 && f.channel_replayed => Ok(()),
-        Ok(f) if f.lost > 0 => Err("failover: messages lost"),
-        Ok(_) => Err("failover: channel never replayed"),
-        Err(RecvTimeoutError::Timeout) => Err("timeout: drain never completed"),
-        Err(RecvTimeoutError::Disconnected) => Err("panic: run aborted"),
-    }
-}
-
-/// Message count of one soak failover drill — small, because the drill
-/// sends one message at a time and what it probes (the kill, the drain to
-/// the standby, the channel replay) happens once per run regardless.
-const FAILOVER_SOAK_MSGS: usize = 64;
-
-/// `(seed, scenario)` pairs already archived in [`SEED_FILE`], in file
-/// order. Lines without a `"scenario"` tag predate the failover arm and
-/// replay as floods.
-fn archived_seeds() -> Vec<(u64, String)> {
+/// Seeds already archived in [`SEED_FILE`], in file order.
+fn archived_seeds() -> Vec<u64> {
     let Ok(text) = std::fs::read_to_string(SEED_FILE) else { return Vec::new() };
     text.lines()
         .filter_map(|line| {
             let pos = line.find("\"seed\": ")? + "\"seed\": ".len();
-            let seed = line[pos..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .ok()?;
-            let scenario = if line.contains("\"scenario\": \"failover\"") {
-                "failover"
-            } else {
-                "flood"
-            };
-            Some((seed, scenario.to_owned()))
+            line[pos..].chars().take_while(|c| c.is_ascii_digit()).collect::<String>().parse().ok()
         })
         .collect()
 }
 
 /// Append one failing seed to [`SEED_FILE`] (unless already archived).
-fn archive_seed(known: &[(u64, String)], seed: u64, scenario: &str, msgs: usize, outcome: &str) {
-    if known.iter().any(|(s, sc)| *s == seed && sc == scenario) {
+fn archive_seed(known: &[u64], seed: u64, msgs: usize, outcome: &str) {
+    if known.contains(&seed) {
         return;
     }
     let line = format!(
-        "{{\"seed\": {seed}, \"scenario\": \"{scenario}\", \"msgs\": {msgs}, \
+        "{{\"seed\": {seed}, \"msgs\": {msgs}, \
          \"drop_rate\": 0.01, \"corrupt_rate\": 0.01, \"outcome\": \"{outcome}\"}}\n"
     );
     use std::io::Write as _;
@@ -116,7 +77,7 @@ fn archive_seed(known: &[(u64, String)], seed: u64, scenario: &str, msgs: usize,
         .and_then(|()| std::fs::OpenOptions::new().create(true).append(true).open(SEED_FILE))
         .and_then(|mut f| f.write_all(line.as_bytes()));
     match appended {
-        Ok(()) => eprintln!("soak: archived {scenario} seed {seed} in {SEED_FILE}"),
+        Ok(()) => eprintln!("soak: archived seed {seed} in {SEED_FILE}"),
         Err(e) => eprintln!("soak: could not archive seed {seed}: {e}"),
     }
 }
@@ -142,18 +103,7 @@ fn soak(runs: usize, msgs: usize) {
             Err(outcome) => {
                 failures += 1;
                 eprintln!("soak {i}/{runs} seed {seed}: FAILED ({outcome})");
-                archive_seed(&known, seed, "flood", msgs, outcome);
-            }
-        }
-        // The failover scenario soaks alongside the flood: same seed (the
-        // drill is a different machine shape, so the dice sequences do
-        // not overlap), lossy plan, kill-and-drain contract.
-        match bounded_failover(seed, FAILOVER_SOAK_MSGS, Duration::from_secs(120)) {
-            Ok(()) => println!("soak {i}/{runs} seed {seed}: failover ok"),
-            Err(outcome) => {
-                failures += 1;
-                eprintln!("soak {i}/{runs} seed {seed}: failover FAILED ({outcome})");
-                archive_seed(&known, seed, "failover", FAILOVER_SOAK_MSGS, outcome);
+                archive_seed(&known, seed, msgs, outcome);
             }
         }
     }
@@ -170,25 +120,15 @@ fn replay(msgs: usize) {
         return;
     }
     let mut failing = 0usize;
-    for (seed, scenario) in &seeds {
-        let outcome = match scenario.as_str() {
-            "failover" => {
-                bounded_failover(*seed, FAILOVER_SOAK_MSGS, Duration::from_secs(120)).map(|()| {
-                    format!("replay seed {seed} (failover): ok")
-                })
-            }
-            _ => bounded_run(*seed, msgs, Duration::from_secs(120)).map(|stats| {
-                format!(
-                    "replay seed {seed}: ok ({:.0} msg/s, {} retransmits)",
-                    stats.rate, stats.retransmits
-                )
-            }),
-        };
-        match outcome {
-            Ok(line) => println!("{line}"),
+    for &seed in &seeds {
+        match bounded_run(seed, msgs, Duration::from_secs(120)) {
+            Ok(stats) => println!(
+                "replay seed {seed}: ok ({:.0} msg/s, {} retransmits)",
+                stats.rate, stats.retransmits
+            ),
             Err(why) => {
                 failing += 1;
-                eprintln!("replay seed {seed} ({scenario}): still FAILING ({why})");
+                eprintln!("replay seed {seed}: still FAILING ({why})");
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Harnesses behind the tool binaries: `repro`'s two measured tables,
-//! `pamistat`'s whole-stack sample, and the chaos flood and failover drill.
+//! `pamistat`'s whole-stack sample, and the chaos flood.
 //!
 //! `repro` prints every paper table and figure from the `bgq-netsim`
 //! timing models at the paper's scale (2048 nodes, 32 ppn, ten links).
@@ -619,223 +619,5 @@ pub fn measure_chaos_rate(plan: pami::FaultPlan, msgs: usize) -> ChaosStats {
         retransmits: ras.retransmits.value(),
         crc_errors: ras.crc_errors.value(),
         violations: violations.load(Ordering::Relaxed) + surplus + done.fault().is_some() as u64,
-    }
-}
-
-/// What the kill-a-node failover drill observed.
-pub struct FailoverStats {
-    /// Messages delivered at the primary before its node was cut off.
-    pub pre_kill: u64,
-    /// Messages drained to the standby after the kill.
-    pub drained: u64,
-    /// `Unreachable` delivery faults the sender absorbed while the
-    /// failover was firing (each one is a resend, not a loss).
-    pub unreachable_faults: u64,
-    /// Sends that failed with any other fault. The contract is 0.
-    pub other_faults: u64,
-    /// Messages never delivered anywhere. The failover contract is 0.
-    pub lost: u64,
-    /// `Machine::resolve_task(1)` after the drill: the standby, 2.
-    pub resolved_task: u32,
-    /// `Machine::failover_generation(1)` after the drill: above 0.
-    pub failover_generation: u64,
-    /// Whether the RAS ring holds the `Unreachable` delivery failure that
-    /// triggered the failover.
-    pub ras_unreachable: bool,
-    /// Whether the pre-kill channel step (`0xA0`) reached the primary.
-    pub primary_step: bool,
-    /// Whether the persistent channel followed the failover: the post into
-    /// the dead channel failed, `renegotiate` re-targeted it at the
-    /// standby, and the standby received both replayed steps (`0xA1`,
-    /// `0xA2`) intact and in order.
-    pub channel_replayed: bool,
-}
-
-/// Kill-a-node failover drill: flood task 1, cut node 1 off mid-stream,
-/// and verify traffic drains to the registered standby (task 2) with zero
-/// lost messages.
-///
-/// Three nodes, one task each. Task 0 sends `msgs` 64-byte messages one at
-/// a time (each with a completion counter, so an `Unreachable` fault is
-/// observed per message and answered with a resend). Halfway through, node
-/// 1 loses every link — its own plus the last hop of each inbound route.
-/// The first post-kill send dies `Unreachable`; the RAS observer fires the
-/// machine-level failover and the resend lands on the standby. A
-/// persistent channel rides along: one step delivered to the primary
-/// pre-kill, then a post into the dead channel (which must fail), a
-/// `renegotiate()` that follows the failover, and two replayed steps the
-/// standby must receive.
-///
-/// Returns what it observed instead of asserting: the soak archives a
-/// failing seed, the `cargo test` drill asserts every field.
-///
-/// `plan` must be a fault plan, which is what makes links killable and
-/// `Unreachable` faults reportable: a clean one (no rates — reliability
-/// on, no injected loss) for the `cargo test` drill, a seeded lossy one
-/// for the nightly soak, where the failover must fire *while*
-/// retransmission is already absorbing drops and corruption.
-pub fn measure_failover_drain(msgs: usize, plan: pami::FaultPlan) -> FailoverStats {
-    use pami::{Counter, DeliveryFault};
-
-    const DISPATCH: u16 = 9;
-    const SLOT: usize = 32;
-    let pre = (msgs / 2).max(1) as u64;
-    let post = (msgs as u64 - pre).max(1);
-    let shape = bgq_torus::TorusShape::for_nodes(3);
-    let machine = Machine::builder(shape).fault_plan(plan).build();
-    machine.register_standby(1, 2);
-    let cell = || Arc::new(AtomicU64::new(0));
-    let (arrived1, arrived2, faults, other_faults, lost) = (cell(), cell(), cell(), cell(), cell());
-    // What the persistent channel did, one bit per fact.
-    const PRIMARY_GOT_STEP: u64 = 1;
-    const FOLLOWED_FAILOVER: u64 = 2;
-    const STANDBY_GOT_REPLAY: u64 = 4;
-    let channel = cell();
-    // 1: primary consumed the channel step; 2: links are dead (standby may
-    // open its channel); 3: standby consumed the replay; 4: sender done,
-    // receivers may stop advancing.
-    let stage = cell();
-    let (a1, a2, f2, o2, l2, c2, st) = (
-        Arc::clone(&arrived1),
-        Arc::clone(&arrived2),
-        Arc::clone(&faults),
-        Arc::clone(&other_faults),
-        Arc::clone(&lost),
-        Arc::clone(&channel),
-        Arc::clone(&stage),
-    );
-    machine.run(move |env| {
-        let client = Client::create(&env.machine, env.task, "failover", 1);
-        let ctx = client.context(0);
-        let counted = |cell: &Arc<AtomicU64>| {
-            let cell = Arc::clone(cell);
-            let f: pami::context::DispatchFn = Arc::new(move |_: &Context, _, _| {
-                cell.fetch_add(1, Ordering::SeqCst);
-                Recv::Done
-            });
-            f
-        };
-        match env.task {
-            1 => ctx.set_dispatch(DISPATCH, counted(&a1)),
-            2 => ctx.set_dispatch(DISPATCH, counted(&a2)),
-            _ => {}
-        }
-        env.machine.task_barrier();
-        let send_one = || {
-            let done = Counter::new();
-            done.add_expected(64);
-            ctx.send(SendArgs {
-                dest: Endpoint::of_task(1),
-                dispatch: DISPATCH,
-                metadata: Vec::new(),
-                payload: PayloadSource::Immediate(bytes::Bytes::from_static(&[0u8; 64])),
-                local_done: Some(done.clone()),
-            })
-            .unwrap();
-            ctx.advance_until(|| done.is_complete());
-            done
-        };
-        match env.task {
-            0 => {
-                let mut ch = ctx.channel(Endpoint::of_task(1), SLOT).unwrap();
-                for _ in 0..pre {
-                    if !send_one().is_ok() {
-                        l2.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                ch.post(&[0xA0; SLOT]).unwrap();
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 1);
-                // Cut node 1 off: its own links plus the last hop of every
-                // inbound route.
-                let fab = env.machine.fabric();
-                for dir in bgq_torus::Dir::all() {
-                    fab.kill_link(1, dir);
-                }
-                let c1 = shape.coords_of(1);
-                fab.kill_link(0, bgq_torus::det_route(shape, shape.coords_of(0), c1)[0]);
-                fab.kill_link(2, bgq_torus::det_route(shape, shape.coords_of(2), c1)[0]);
-                // Drain the rest, resending on fault; the retry bound
-                // converts a failover that never fires into lost counts
-                // instead of a hang.
-                for _ in 0..post {
-                    let mut delivered = false;
-                    for _ in 0..8 {
-                        let done = send_one();
-                        if done.is_ok() {
-                            delivered = true;
-                            break;
-                        }
-                        let kind = match done.fault() {
-                            Some(DeliveryFault::Unreachable) => &f2,
-                            _ => &o2,
-                        };
-                        kind.fetch_add(1, Ordering::SeqCst);
-                    }
-                    if !delivered {
-                        l2.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                // Channel replay: the post into the dead channel must
-                // fail, the renegotiated channel must reach the standby.
-                // (If renegotiation itself fails the standby's side hangs
-                // in its handshake — the soak bounds the whole drill with
-                // a wall clock, so that surfaces as a failure, not a
-                // wedged run.)
-                let dead_post_failed = ch.post(&[0xA1; SLOT]).is_err();
-                st.store(2, Ordering::SeqCst);
-                if ch.renegotiate().is_ok() && ch.peer().task == 2 {
-                    ch.post(&[0xA1; SLOT]).unwrap();
-                    ch.post(&[0xA2; SLOT]).unwrap();
-                    if dead_post_failed {
-                        c2.fetch_or(FOLLOWED_FAILOVER, Ordering::SeqCst);
-                    }
-                    // Dropping the channel destroys the window the standby
-                    // is about to bind against: hold it until the standby
-                    // has consumed the replay.
-                    ctx.advance_until(|| st.load(Ordering::SeqCst) >= 3);
-                }
-                st.store(4, Ordering::SeqCst);
-            }
-            1 => {
-                let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
-                let mut buf = [0u8; SLOT];
-                if ch.wait(&mut buf).is_ok() && buf == [0xA0; SLOT] {
-                    c2.fetch_or(PRIMARY_GOT_STEP, Ordering::SeqCst);
-                }
-                st.store(1, Ordering::SeqCst);
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 4);
-            }
-            2 => {
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 2);
-                let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
-                let mut buf = [0u8; SLOT];
-                let mut step = |want: u8| ch.wait(&mut buf).is_ok() && buf == [want; SLOT];
-                if step(0xA1) && step(0xA2) {
-                    c2.fetch_or(STANDBY_GOT_REPLAY, Ordering::SeqCst);
-                }
-                st.store(3, Ordering::SeqCst);
-                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 4);
-            }
-            _ => unreachable!(),
-        }
-    });
-    let delivered1 = arrived1.load(Ordering::SeqCst);
-    let delivered2 = arrived2.load(Ordering::SeqCst);
-    let channel = channel.load(Ordering::SeqCst);
-    let (events, _) = machine.fabric().ras_events();
-    FailoverStats {
-        pre_kill: delivered1,
-        drained: delivered2,
-        unreachable_faults: faults.load(Ordering::SeqCst),
-        other_faults: other_faults.load(Ordering::SeqCst),
-        lost: lost.load(Ordering::SeqCst) + (pre + post).saturating_sub(delivered1 + delivered2),
-        resolved_task: machine.resolve_task(1),
-        failover_generation: machine.failover_generation(1),
-        ras_unreachable: events.iter().any(|e| {
-            matches!(e.kind, pami::RasEventKind::DeliveryFailure)
-                && e.detail == DeliveryFault::Unreachable as u64
-        }),
-        primary_step: channel & PRIMARY_GOT_STEP != 0,
-        channel_replayed: channel & FOLLOWED_FAILOVER != 0 && channel & STANDBY_GOT_REPLAY != 0,
     }
 }

@@ -464,7 +464,7 @@ fn substrate_surface_census() {
 
 /// Names DESIGN.md keeps as history, and the change that removed each
 /// from the tree.
-const RETIRED_NAMES: [(&str, &str); 11] = [
+const RETIRED_NAMES: [(&str, &str); 15] = [
     ("put_raw", "tuple-taking put shim, deprecated for one PR, deleted with aggregation"),
     ("get_raw", "tuple-taking get shim, deprecated for one PR, deleted with aggregation"),
     ("read_vec", "`MemRegion::read_vec`, deleted in ISSUE 15 with its last caller"),
@@ -476,11 +476,15 @@ const RETIRED_NAMES: [(&str, &str); 11] = [
     ("short_rate", "a `short_gate` operand, retired with `msgrate` in ISSUE 17"),
     ("alloc_budget", "`crates/mpi/tests/alloc_budget.rs`, moved into `counts.rs` in ISSUE 17"),
     ("win_key", "the window key that picked the rmw lock stripe, dropped in ISSUE 20"),
+    ("register_standby", "endpoint failover's standby registration, deleted with failover"),
+    ("resolve_task", "endpoint failover's per-send task remap, deleted with failover"),
+    ("failover_generation", "endpoint failover's remap generation, deleted with failover"),
+    ("measure_failover_drain", "the kill-a-node failover drill, deleted with failover"),
 ];
 
 /// Every backticked lowercase name with an `_` in DESIGN.md — a code span
-/// split into identifiers, so `Machine::resolve_task` checks
-/// `resolve_task` — is a word of some `.rs`, `.toml`, `.yml` or `.sh` file
+/// split into identifiers, so `Machine::task_node` checks
+/// `task_node` — is a word of some `.rs`, `.toml`, `.yml` or `.sh` file
 /// of the tree (`vendor/` and build output aside), a file stem, or a
 /// [`RETIRED_NAMES`] row. A rename or a deletion cannot leave the design
 /// document pointing at nothing, and a row cannot outlive its mention.
@@ -535,7 +539,7 @@ fn design_names_resolve() {
 /// Fields of `struct Machine`, and of the `machine.rs` structs its fields
 /// name (as `field.subfield`), that hold a lock or a hash map, and why
 /// each is off the message path of a context.
-const MACHINE_SHARED_STATE: [(&str, &str); 6] = [
+const MACHINE_SHARED_STATE: [(&str, &str); 4] = [
     ("clients", "client creation only: each context then holds its client's endpoint table"),
     ("sys_pump", "per node, and `advance` skips it while the system FIFO and links are idle"),
     (
@@ -544,12 +548,6 @@ const MACHINE_SHARED_STATE: [(&str, &str); 6] = [
          through it, never a point-to-point or one-sided call",
     ),
     ("init_fence", "set-up barrier: `task_barrier` parks threads before communication"),
-    ("failover.standbys", "touched by standby registration and failover trigger only"),
-    (
-        "failover.active",
-        "ROADMAP item 2: `resolve_task` reads it, one `RwLock` read and a hash, on every send \
-         once any failover has fired; the fair-weather cost is one relaxed load",
-    ),
 ];
 
 /// `(name, type)` of every field of `struct {name}` in `text`, `None` when
@@ -581,7 +579,7 @@ fn machine_shared_state_census() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let text = std::fs::read_to_string(root.join("crates/core/src/machine.rs")).expect("machine.rs");
     let fields = struct_fields(&text, "Machine").expect("struct Machine");
-    assert!(fields.len() > 15, "the scan found only {} fields of `Machine`", fields.len());
+    assert_eq!(fields.len(), 15, "the scan found {} fields of `Machine`", fields.len());
     let locked = |ty: &str| ["Mutex<", "RwLock<", "HashMap<"].iter().any(|g| ty.contains(g));
     let mut guarded: Vec<String> = Vec::new();
     let mut inner_structs = 0;
@@ -596,7 +594,7 @@ fn machine_shared_state_census() {
             guarded.extend(inner_guarded.map(|(sub, _)| format!("{name}.{sub}")));
         }
     }
-    assert!(inner_structs >= 3, "the scan looked inside only {inner_structs} structs");
+    assert_eq!(inner_structs, 2, "the scan looked inside {inner_structs} structs");
     for (row, _) in MACHINE_SHARED_STATE {
         assert!(
             guarded.iter().any(|name| name == row),

@@ -811,20 +811,6 @@ fn chaos_soak_stream_arrives_exactly_once_in_order() {
     }
 }
 
-/// The kill-a-node drill under a clean plan: every field of the contract.
-#[test]
-fn node_kill_fails_over_to_standby_with_zero_lost_messages() {
-    let f = pami_bench::measure_failover_drain(8, FaultPlan::new().seed(4040));
-    assert_eq!((f.pre_kill, f.drained, f.lost), (4, 4, 0), "primary gets 4, standby the rest");
-    assert!((1..=4).contains(&f.unreachable_faults), "first send trips, failover ends the storm");
-    assert_eq!(f.other_faults, 0, "a dead node fails sends as Unreachable, nothing else");
-    assert_eq!(f.resolved_task, 2, "failover must remap task 1");
-    assert!(f.failover_generation > 0);
-    assert!(f.ras_unreachable, "the failover trigger must be RAS-visible");
-    assert!(f.primary_step, "pre-kill channel step reaches the primary");
-    assert!(f.channel_replayed, "dead post fails, channel follows, standby gets both steps");
-}
-
 /// One ping-pong program's cost per half round trip: allocations,
 /// `mu.descriptors_executed`, `mu.packets_injected` and `match.*` events.
 type HalfRoundTrip = [u64; 4];

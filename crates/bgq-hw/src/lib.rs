@@ -6,8 +6,8 @@
 //! through aliased addresses. PAMI builds all of its lockless machinery on
 //! those operations. This crate reproduces that toolbox in portable Rust:
 //!
-//! * [`l2`] — the atomic operations themselves ([`l2::L2Counter`],
-//!   [`l2::BoundedCounter`]) with the exact semantics PAMI relies on,
+//! * L2 atomics — the atomic operations themselves ([`L2Counter`],
+//!   [`BoundedCounter`]) with the exact semantics PAMI relies on,
 //!   including the *bounded increment* used to claim slots in fixed-size
 //!   queues.
 //! * [`mutex`] — the "low overhead L2 atomic mutex" (a ticket lock built from
@@ -30,7 +30,7 @@
 
 pub mod counter;
 pub mod crc32c;
-pub mod l2;
+mod l2;
 pub mod memory;
 pub mod mutex;
 pub mod queue;

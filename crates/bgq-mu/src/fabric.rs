@@ -310,16 +310,6 @@ impl MuFabric {
         &self.inner.nodes[id as usize]
     }
 
-    /// Install an observer invoked on every RAS event recorded by the
-    /// reliability layer (retransmits, link kills, delivery failures, …) —
-    /// the RAS→software feedback hook. Set at most once, before traffic
-    /// flows; later calls are ignored. The callback runs on the thread that
-    /// detected the event, possibly while link-channel locks are held: it
-    /// must be cheap and must not call back into the fabric.
-    pub fn set_ras_observer(&self, observer: crate::link::RasObserver) {
-        self.inner.ring.set_observer(observer);
-    }
-
     /// Allocate `count` exclusive injection FIFOs on `node`; `None` when the
     /// node's 544 are exhausted.
     ///

@@ -173,21 +173,12 @@ pub struct RasEvent {
     pub detail: u64,
 }
 
-/// Observer invoked synchronously for every RAS event as it is recorded.
-///
-/// This is the RAS→software feedback hook: `Machine` installs one that
-/// fires endpoint failover when a channel dies `Unreachable`. Observers
-/// run on the control plane (record time, under no ring lock) and must be
-/// cheap and non-reentrant into the link layer.
-pub(crate) type RasObserver = Arc<dyn Fn(&RasEvent) + Send + Sync>;
-
 /// Bounded RAS event ring: newest events win, the drop count is kept so an
 /// operator can tell the ring overflowed. The control plane (RAS) is off
 /// the data path, so a mutex is fine here.
 pub(crate) struct RasRing {
     inner: Mutex<RingInner>,
     capacity: usize,
-    observer: OnceLock<RasObserver>,
 }
 
 struct RingInner {
@@ -200,21 +191,11 @@ impl RasRing {
         RasRing {
             inner: Mutex::new(RingInner { events: VecDeque::new(), dropped: 0 }),
             capacity: capacity.max(1),
-            observer: OnceLock::new(),
         }
-    }
-
-    /// Install the event observer. Set-once: later calls are ignored, so a
-    /// machine's failover hook cannot be silently displaced.
-    pub(crate) fn set_observer(&self, obs: RasObserver) {
-        let _ = self.observer.set(obs);
     }
 
     /// Append an event, evicting the oldest past capacity.
     pub fn record(&self, ev: RasEvent) {
-        if let Some(obs) = self.observer.get() {
-            obs(&ev);
-        }
         let mut g = self.inner.lock();
         if g.events.len() == self.capacity {
             g.events.pop_front();

@@ -71,16 +71,7 @@ struct Bound {
 /// the pairing and flow-control contract.
 pub struct PersistentChannel {
     ctx: Arc<Context>,
-    /// The peer as the application named it — the stable identity the
-    /// failover generation is tracked against.
-    origin: Endpoint,
-    /// The live peer: `origin`, or its standby once machine-level endpoint
-    /// failover fired and [`Self::renegotiate`] re-targeted the channel.
     peer: Endpoint,
-    /// [`crate::machine::Machine::failover_generation`] of `origin.task`
-    /// when the channel last (re)negotiated; a mismatch at `renegotiate`
-    /// means the peer moved and the channel must follow.
-    peer_gen: u64,
     /// Slot size: every message on the channel is exactly this long.
     size: usize,
     /// Pairing ordinal (n-th channel from this context to `peer`).
@@ -114,22 +105,15 @@ impl PersistentChannel {
         if size == 0 {
             return Err(PamiError::Invalid("persistent channel slot size must be non-zero"));
         }
-        // A peer that already failed over is targeted at its standby from
-        // the start; the generation snapshot lets later failovers be
-        // detected in `renegotiate`.
-        let peer_gen = ctx.machine().failover_generation(peer.task);
-        let live = Endpoint { task: ctx.machine().resolve_task(peer.task), ..peer };
-        let ordinal = ctx.next_chan_ordinal(live);
+        let ordinal = ctx.next_chan_ordinal(peer);
         let recv_region = MemRegion::zeroed(2 * size);
         let recv_counter = Counter::new();
         let recv_key =
             ctx.machine().create_window(recv_region.clone(), Some(recv_counter.clone()));
-        ctx.send_chan_offer(live, wire::chan_req(ordinal, size as u64, recv_key.0))?;
+        ctx.send_chan_offer(peer, wire::chan_req(ordinal, size as u64, recv_key.0))?;
         Ok(PersistentChannel {
             ctx: Arc::clone(ctx),
-            origin: peer,
-            peer: live,
-            peer_gen,
+            peer,
             size,
             ordinal,
             recv_region,
@@ -140,12 +124,6 @@ impl PersistentChannel {
             post_step: 0,
             wait_step: 0,
         })
-    }
-
-    /// The live peer endpoint: the one named at creation, or its standby
-    /// once endpoint failover re-targeted the channel.
-    pub fn peer(&self) -> Endpoint {
-        self.peer
     }
 
     /// The channel's fixed message size in bytes.
@@ -274,21 +252,8 @@ impl PersistentChannel {
     /// windows and counters, and run the handshake again under a fresh
     /// pairing ordinal. Both sides must renegotiate (in the same relative
     /// order) for the new ordinals to pair.
-    ///
-    /// If machine-level endpoint failover moved the peer since the last
-    /// (re)negotiation, the channel follows: the handshake re-runs against
-    /// the standby endpoint, whose per-peer ordinal counter starts fresh —
-    /// the standby is assumed to be a new endpoint with no prior channel
-    /// history toward this context, so creation-order pairing restarts
-    /// cleanly on both sides.
     pub fn renegotiate(&mut self) -> PamiResult<()> {
         let machine = self.ctx.machine();
-        let gen = machine.failover_generation(self.origin.task);
-        if gen != self.peer_gen {
-            self.peer_gen = gen;
-            self.peer =
-                Endpoint { task: machine.resolve_task(self.origin.task), ..self.origin };
-        }
         let peer_node = machine.task_node(self.peer.task);
         // Idempotent: false just means the channel was never (or is no
         // longer) marked dead.

@@ -477,13 +477,7 @@ impl Context {
         if dispatch >= DISPATCH_INTERNAL_BASE {
             return Err(PamiError::Invalid("dispatch id in the reserved range"));
         }
-        // Endpoint failover: a failed-over destination re-targets its
-        // standby (identity — one relaxed load — until a failover fires).
-        let dest = Endpoint { task: self.machine.resolve_task(dest.task), ..dest };
         let dest_node = self.machine.task_node(dest.task);
-        // An immediate must not overtake records already coalescing for
-        // the same destination: cut that bucket first (no-op when empty).
-        self.flush_aggr_conflict(dest, dest_node);
         let addr = self.endpoints.get(dest)?;
         if dest_node == self.node {
             self.probes.sends_shm.incr_pinned(self.offset as usize);
@@ -495,6 +489,9 @@ impl Context {
             });
             return Ok(());
         }
+        // An immediate must not overtake records already coalescing for
+        // the same destination: cut that bucket first (no-op when empty).
+        self.flush_aggr_conflict(dest, dest_node);
         // One-packet immediates ARE short-tier sends: the same inline
         // packet, the same arm, the same probe.
         self.probes.sends_short.incr_pinned(self.offset as usize);
@@ -535,7 +532,7 @@ impl Context {
     /// As for [`Context::send`].
     pub fn send_with(
         &self,
-        mut dest: Endpoint,
+        dest: Endpoint,
         dispatch: u16,
         metadata: &[u8],
         payload: PayloadSource,
@@ -545,14 +542,9 @@ impl Context {
             return Err(PamiError::Invalid("dispatch id in the reserved range"));
         }
         source_within(&payload)?;
-        // Endpoint failover remap, ahead of node/FIFO/policy resolution.
-        dest.task = self.machine.resolve_task(dest.task);
         let dest_node = self.machine.task_node(dest.task);
         if dest_node == self.node {
-            // On-node sends never coalesce (the mailbox is already one
-            // hop), but they must not overtake a bucket a failover left
-            // pointing at this node.
-            self.flush_aggr_conflict(dest, dest_node);
+            // On-node sends never coalesce: the mailbox is already one hop.
             return self.send_shm(dest, dispatch, metadata, payload, local_done);
         }
         let rec_fifo = self.endpoints.get(dest)?.rec_fifo;
@@ -653,24 +645,37 @@ impl Context {
         Ok(())
     }
 
+    /// Node of the task a one-sided call targets, refusing a task the
+    /// machine does not have: queued, its descriptor would panic inside
+    /// whichever thread pumped it.
+    fn target_node(&self, task: u32) -> PamiResult<u32> {
+        if (task as usize) < self.machine.num_tasks() {
+            Ok(self.machine.task_node(task))
+        } else {
+            Err(PamiError::UnknownEndpoint { task, context: 0 })
+        }
+    }
+
     /// One-sided put into a registered window on another task's node — an
     /// RDMA write. `args.local_done` fires when the source bytes have been
     /// read; the window's own counter fires on the target as bytes land.
     ///
     /// # Errors
-    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
+    /// [`PamiError::UnknownEndpoint`] when `args.dest_task` is not a task
+    /// of the machine; [`PamiError::UnknownWindow`] when `args.window` does
+    /// not resolve;
     /// [`PamiError::Invalid`] when the payload would run past its end, or
     /// past the end of its own source region.
     pub fn put(&self, args: crate::proto::PutArgs) -> PamiResult<()> {
         let crate::proto::PutArgs { dest_task, window, payload, local_done } = args;
-        let dest_task = self.machine.resolve_task(dest_task);
+        let dst_node = self.target_node(dest_task)?;
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, payload.len())?;
         source_within(&payload)?;
         self.probes.puts.incr_pinned(self.offset as usize);
         let desc = Descriptor {
-            dst_node: self.machine.task_node(dest_task),
+            dst_node,
             src_context: self.offset,
             payload,
             kind: XferKind::DirectPut {
@@ -689,12 +694,14 @@ impl Context {
     /// empty) when the data has landed locally.
     ///
     /// # Errors
-    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
+    /// [`PamiError::UnknownEndpoint`] when `args.dest_task` is not a task
+    /// of the machine; [`PamiError::UnknownWindow`] when `args.window` does
+    /// not resolve;
     /// [`PamiError::Invalid`] when `len` bytes would run past the end of
     /// the window or of `args.dst`.
     pub fn get(&self, args: crate::proto::GetArgs) -> PamiResult<()> {
         let crate::proto::GetArgs { dest_task, window, dst, len, done } = args;
-        let dest_task = self.machine.resolve_task(dest_task);
+        let dst_node = self.target_node(dest_task)?;
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, len)?;
@@ -712,7 +719,7 @@ impl Context {
             inj_counter: None,
         };
         let desc = Descriptor {
-            dst_node: self.machine.task_node(dest_task),
+            dst_node,
             src_context: self.offset,
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::RemoteGet { payload: Box::new(put_back) },
@@ -731,13 +738,15 @@ impl Context {
     /// region name the same words.
     ///
     /// # Errors
-    /// [`PamiError::UnknownWindow`] when `args.window` does not resolve;
+    /// [`PamiError::UnknownEndpoint`] when `args.dest_task` is not a task
+    /// of the machine; [`PamiError::UnknownWindow`] when `args.window` does
+    /// not resolve;
     /// [`PamiError::Invalid`] when the 8-byte word would run past the end
     /// of the window or of `args.result`.
     pub fn rmw(&self, args: crate::proto::RmwArgs) -> PamiResult<()> {
         let crate::proto::RmwArgs { dest_task, window, op, operand, compare, result, done } =
             args;
-        let dest_task = self.machine.resolve_task(dest_task);
+        let dst_node = self.target_node(dest_task)?;
         let win =
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, 8)?;
@@ -746,7 +755,7 @@ impl Context {
         }
         self.probes.rmws.incr_pinned(self.offset as usize);
         let desc = Descriptor {
-            dst_node: self.machine.task_node(dest_task),
+            dst_node,
             src_context: self.offset,
             payload: PayloadSource::Immediate(Bytes::new()),
             kind: XferKind::Rmw(bgq_mu::RmwRequest {
@@ -811,31 +820,15 @@ impl Context {
     /// injection FIFO and, under a fault plan, the same selective-repeat
     /// channel — direct sends to that destination use, which is what keeps
     /// per-(src,dst) order and exactly-once for every record inside.
-    /// Failover is resolved at emit time, so a bucket opened before a
-    /// failover lands on the standby; an unknown destination drops the
-    /// frame (its records were accepted against an endpoint that no longer
-    /// exists).
+    /// Buckets are only opened for off-node destinations, so a frame never
+    /// takes the mailbox; an unknown destination drops the frame.
     fn send_aggr_frame(&self, frame: Frame) {
         let addressed =
             self.aggr.as_ref().expect("frame emitted without an aggregator").config().node_buckets;
-        let task = self.machine.resolve_task(frame.dest.task);
-        let dest = Endpoint { task, context: frame.dest.context };
-        let dest_node = self.machine.task_node(task);
-        let hdr = crate::aggr::frame_header(frame.count, addressed);
+        let dest = frame.dest;
+        let dest_node = self.machine.task_node(dest.task);
         let Ok(addr) = self.endpoints.get(dest) else { return };
-        if dest_node == self.node {
-            // Post-failover edge: the bucket's destination now lives on
-            // this node. The frame rides the mailbox; `handle_shm`
-            // unbatches it.
-            addr.mailbox.deliver(ShmMsg {
-                src: self.endpoint(),
-                dispatch: DISPATCH_AGGR,
-                metadata: Bytes::copy_from_slice(&hdr),
-                payload: frame.payload,
-            });
-            return;
-        }
-        let metadata = Bytes::copy_from_slice(&hdr);
+        let metadata = Bytes::copy_from_slice(&crate::aggr::frame_header(frame.count, addressed));
         let hdr = self.short_header(dest_node, addr.rec_fifo, DISPATCH_AGGR, metadata);
         self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
     }
@@ -1337,12 +1330,6 @@ impl Context {
         match msg.dispatch {
             DISPATCH_RZV_RTS => self.handle_rts(st, msg.src, &msg.metadata),
             DISPATCH_CHAN_REQ => self.handle_chan_req(msg.src, &msg.metadata),
-            // An aggregated frame through the mailbox (node-bucket
-            // forwarding never nests, so this is the post-failover on-node
-            // emit path): the header rides the metadata.
-            DISPATCH_AGGR => {
-                self.unbatch_aggr_frame(&mut st.handler_memo, msg.src, &msg.metadata, msg.payload);
-            }
             dispatch => {
                 let info = IncomingMsg {
                     src: msg.src,
@@ -1395,7 +1382,6 @@ impl Context {
     /// lane (mailbox on-node, an internal-dispatch memory-FIFO message
     /// off-node).
     pub(crate) fn send_chan_offer(&self, dest: Endpoint, body: Bytes) -> PamiResult<()> {
-        let dest = Endpoint { task: self.machine.resolve_task(dest.task), ..dest };
         let dest_node = self.machine.task_node(dest.task);
         let addr = self.endpoints.get(dest)?;
         if dest_node == self.node {

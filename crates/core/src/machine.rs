@@ -27,7 +27,7 @@ use bgq_hw::{Counter, MemRegion};
 use bgq_mu::{FaultPlan, MuFabric, RecFifoId};
 use bgq_torus::TorusShape;
 use bgq_upc::Upc;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::aggr::AggrConfig;
 use crate::endpoint::Endpoint;
@@ -156,8 +156,7 @@ pub(crate) struct EndpointAddr {
 /// at `task * contexts + context`, allocated when the client name is first
 /// seen ([`Machine::client`]) and shared by every context of the client.
 /// A slot is set when its context (or a virtual endpoint aliasing one) is
-/// created and never changes — failover remaps the task before the
-/// lookup, not the slot — so resolving an endpoint is one bounds check,
+/// created and never changes, so resolving an endpoint is one bounds check,
 /// one index and one acquire load: no lock, no hash, no refcount.
 pub(crate) struct EndpointTable {
     contexts: usize,
@@ -196,88 +195,6 @@ impl EndpointTable {
             panic!("endpoint {dest} is outside its client's {}-context table", self.contexts)
         });
         assert!(slot.set(addr).is_ok(), "endpoint {dest} registered twice");
-    }
-}
-
-/// Machine-level endpoint failover. When the RAS layer reports a channel
-/// gave up with [`bgq_mu::DeliveryFault::Unreachable`] (no route — the node
-/// is cut off), traffic addressed to that node's tasks re-targets their
-/// registered *standby* tasks: [`Machine::resolve_task`] remaps the
-/// destination at the top of every send path, and the per-task failover
-/// generation lets higher layers ([`crate::PersistentChannel`]) detect the
-/// remap and renegotiate against the standby.
-///
-/// The fair-weather cost is one relaxed load: `generation == 0` means no
-/// failover ever fired and every lookup is identity. Only after the first
-/// trigger do lookups consult the `active` map.
-pub(crate) struct FailoverState {
-    /// Standbys registered ahead of time: primary task → standby task.
-    standbys: Mutex<HashMap<u32, u32>>,
-    /// Failovers that fired: primary task → (standby task, generation at
-    /// which the remap took effect).
-    active: RwLock<HashMap<u32, (u32, u64)>>,
-    /// Global failover generation; 0 = never fired (the zero-cost gate).
-    generation: AtomicU64,
-}
-
-impl FailoverState {
-    fn new() -> Self {
-        FailoverState {
-            standbys: Mutex::new(HashMap::new()),
-            active: RwLock::new(HashMap::new()),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    fn register(&self, primary: u32, standby: u32) {
-        self.standbys.lock().insert(primary, standby);
-    }
-
-    /// Fire failover for `primary` if a standby is registered. Idempotent:
-    /// re-triggering an already-active mapping does not bump generations,
-    /// so repeated Unreachable events from draining traffic are free.
-    fn trigger(&self, primary: u32) -> Option<u32> {
-        let standby = *self.standbys.lock().get(&primary)?;
-        let mut active = self.active.write();
-        if let Some(&(cur, _)) = active.get(&primary) {
-            if cur == standby {
-                return Some(standby);
-            }
-        }
-        let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        active.insert(primary, (standby, gen));
-        Some(standby)
-    }
-
-    /// Fire failover for every registered primary in `tasks` (one lock of
-    /// the standby table, so a node-death event over an oversubscribed
-    /// node's 2^20 tasks doesn't take 2^20 locks). Free when no standby
-    /// was ever registered.
-    fn trigger_range(&self, tasks: std::ops::Range<u32>) {
-        let primaries: Vec<u32> = {
-            let standbys = self.standbys.lock();
-            if standbys.is_empty() {
-                return;
-            }
-            standbys.keys().copied().filter(|t| tasks.contains(t)).collect()
-        };
-        for primary in primaries {
-            self.trigger(primary);
-        }
-    }
-
-    fn resolve(&self, task: u32) -> u32 {
-        if self.generation.load(Ordering::Relaxed) == 0 {
-            return task;
-        }
-        self.active.read().get(&task).map_or(task, |&(standby, _)| standby)
-    }
-
-    fn generation_of(&self, task: u32) -> u64 {
-        if self.generation.load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        self.active.read().get(&task).map_or(0, |&(_, gen)| gen)
     }
 }
 
@@ -439,20 +356,6 @@ impl MachineBuilder {
             fabric_builder = fabric_builder.transport(transport);
         }
         let fabric = fabric_builder.build();
-        let failover = Arc::new(FailoverState::new());
-        // A channel that gave up as unreachable fires machine-level
-        // endpoint failover for the dead node's tasks.
-        {
-            let fo = Arc::clone(&failover);
-            let ppn = self.ppn as u32;
-            fabric.set_ras_observer(Arc::new(move |ev: &bgq_mu::RasEvent| {
-                if ev.kind == bgq_mu::RasEventKind::DeliveryFailure
-                    && ev.detail == bgq_mu::DeliveryFault::Unreachable as u64
-                {
-                    fo.trigger_range(ev.dst_node * ppn..(ev.dst_node + 1) * ppn);
-                }
-            }));
-        }
         Arc::new(Machine {
             telemetry,
             coll_probes,
@@ -466,7 +369,6 @@ impl MachineBuilder {
             classroutes: ClassRouteManager::new(self.shape),
             collnet: CollNet::new(),
             clients: Mutex::new(Vec::new()),
-            failover,
             windows: WindowTable::new(),
             shared: Mutex::new(HashMap::new()),
             init_fence: (Mutex::new((0, 0)), parking_lot::Condvar::new()),
@@ -503,10 +405,6 @@ pub struct Machine {
     /// Client names and endpoint tables, indexed by client id. Touched
     /// only when a client is created and by [`Machine::endpoint_slots`].
     clients: Mutex<Vec<(String, Arc<EndpointTable>)>>,
-    /// Endpoint failover registry (standbys, active remaps, generations).
-    /// `Arc` because the fabric's RAS observer holds a clone — it must
-    /// outlive neither and is installed before the machine exists.
-    failover: Arc<FailoverState>,
     /// One-sided windows, resolved in place by every `put`, `get` and
     /// `rmw`.
     windows: WindowTable,
@@ -708,43 +606,6 @@ impl Machine {
     #[doc(hidden)]
     pub fn endpoint_slots(&self) -> usize {
         self.clients.lock().iter().map(|(_, table)| table.slots.len()).sum()
-    }
-
-    // ---- endpoint failover ----------------------------------------------
-
-    /// Register `standby` as the failover target for `primary`: if the
-    /// reliability layer ever reports `primary`'s node unreachable (a
-    /// channel died with [`bgq_mu::DeliveryFault::Unreachable`]), sends
-    /// addressed to `primary` re-target `standby` from then on. The standby
-    /// must be a live task with its own contexts; it is assumed fresh — no
-    /// prior persistent-channel history with the peers it inherits.
-    pub fn register_standby(&self, primary: u32, standby: u32) {
-        let tasks = self.num_tasks() as u32;
-        assert!(primary < tasks && standby < tasks, "standby registration out of range");
-        assert_ne!(primary, standby, "a task cannot stand by for itself");
-        self.failover.register(primary, standby);
-    }
-
-    /// Fire failover of `primary` now (operator action / tests — the RAS
-    /// observer calls the same path on Unreachable). Returns the standby
-    /// traffic was re-targeted to, `None` when no standby is registered.
-    pub fn failover(&self, primary: u32) -> Option<u32> {
-        self.failover.trigger(primary)
-    }
-
-    /// The live task for `task`: itself in fair weather (one relaxed load),
-    /// or its standby once failover fired. Send paths call this at the top
-    /// so endpoint, node, and FIFO resolution all follow the remap.
-    pub fn resolve_task(&self, task: u32) -> u32 {
-        self.failover.resolve(task)
-    }
-
-    /// Monotone failover generation for `task`: 0 until its first failover,
-    /// then the global generation at which its current remap took effect.
-    /// [`crate::PersistentChannel`] snapshots this at creation and
-    /// renegotiates when it moves.
-    pub fn failover_generation(&self, task: u32) -> u64 {
-        self.failover.generation_of(task)
     }
 
     /// Register a one-sided window; remote tasks address it by the returned

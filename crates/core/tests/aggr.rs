@@ -14,8 +14,6 @@
 //!   `flush_aggr`, and conflict flush each fire when they should.
 //! * **Equivalence** — aggregation on and off deliver byte-identical
 //!   streams in identical order; only the packet count changes.
-//! * **Failover** — buckets opened before a failover land on the standby,
-//!   because frame destinations resolve at emit time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -286,7 +284,7 @@ fn explicit_flush_drains_every_bucket() {
 }
 
 // ---------------------------------------------------------------------------
-// Faults: exactly-once and failover
+// Faults: exactly-once
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -324,71 +322,6 @@ fn heavier_chaos_still_exactly_once_and_deterministic() {
     if cfg!(feature = "telemetry") {
         assert!(a.0 > 0 || a.1 > 0, "a 5%/3% plan must actually bite");
     }
-}
-
-#[test]
-fn bucket_opened_before_failover_flushes_to_the_standby() {
-    // Records buffered against task 1, failover fires, then the flush:
-    // the frame's destination resolves at emit time, so the whole bucket
-    // lands on standby task 2 — no records are stranded on the dead
-    // primary's address.
-    const MSGS: usize = 5;
-    let shape = bgq_torus::TorusShape::for_nodes(3);
-    let machine = Machine::builder(shape).aggregation(AggrConfig::default()).build();
-    machine.register_standby(1, 2);
-    let standby_got = Arc::new(AtomicU64::new(0));
-    let primary_got = Arc::new(AtomicU64::new(0));
-    let (sg, pg) = (Arc::clone(&standby_got), Arc::clone(&primary_got));
-    machine.run(move |env| {
-        let client = Client::create(&env.machine, env.task, "aggr", 1);
-        let ctx = client.context(0);
-        match env.task {
-            1 => {
-                let got = Arc::clone(&pg);
-                ctx.set_dispatch(
-                    DISPATCH,
-                    Arc::new(move |_, _, _| {
-                        got.fetch_add(1, Ordering::SeqCst);
-                        Recv::Done
-                    }),
-                );
-            }
-            2 => {
-                let got = Arc::clone(&sg);
-                ctx.set_dispatch(
-                    DISPATCH,
-                    Arc::new(move |_, msg, payload| {
-                        let i = u64::from_le_bytes(msg.metadata[..8].try_into().unwrap());
-                        assert_eq!(payload, &pattern(i as usize, 32)[..]);
-                        got.fetch_add(1, Ordering::SeqCst);
-                        Recv::Done
-                    }),
-                );
-            }
-            _ => {}
-        }
-        env.machine.task_barrier();
-        if env.task == 0 {
-            for i in 0..MSGS {
-                ctx.send(SendArgs {
-                    dest: Endpoint::of_task(1),
-                    dispatch: DISPATCH,
-                    metadata: (i as u64).to_le_bytes().to_vec(),
-                    payload: PayloadSource::Immediate(bytes::Bytes::from(pattern(i, 32))),
-                    local_done: None,
-                })
-                .unwrap();
-            }
-            assert_eq!(ctx.aggr_pending(), MSGS, "nothing injected before the failover");
-            assert_eq!(env.machine.failover(1), Some(2), "operator failover fires");
-            assert_eq!(ctx.flush_aggr(), 1, "the whole bucket leaves as one frame");
-            ctx.advance_until(|| sg.load(Ordering::SeqCst) == MSGS as u64);
-        } else {
-            ctx.advance_until(|| sg.load(Ordering::SeqCst) == MSGS as u64);
-        }
-    });
-    assert_eq!(standby_got.load(Ordering::SeqCst), MSGS as u64, "standby received the bucket");
-    assert_eq!(primary_got.load(Ordering::SeqCst), 0, "the dead primary saw nothing");
 }
 
 // ---------------------------------------------------------------------------

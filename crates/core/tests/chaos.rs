@@ -13,6 +13,9 @@
 //!   heisenbug.
 //! * **Reroute** — killing the link the deterministic route uses moves
 //!   traffic to a detour mid-collective; the collective still completes.
+//! * **Dead destination** — cutting a node off fails each send to it once,
+//!   typed [`DeliveryFault::Unreachable`], while sends to a live node still
+//!   arrive exactly once.
 //! * **Bounded failure** — an exhausted retry budget fails the transfer's
 //!   completion counter with [`DeliveryFault::Timeout`] instead of hanging
 //!   `advance`, and the typed initiation surface ([`PamiError`]) rejects
@@ -204,6 +207,141 @@ fn link_kill_mid_broadcast_completes_via_reroute() {
     }
 }
 
+/// Sends to task 1 before the kill, and to each of tasks 1 and 2 after it.
+const KILL_PRE: u64 = 4;
+const KILL_POST: u64 = 8;
+
+/// The reliability layer's whole contract for a dead node, under `plan`.
+/// Three nodes, one task each. Task 0 sends [`KILL_PRE`] 64-byte messages
+/// to task 1 and one persistent-channel step, then cuts node 1 off — its
+/// own links plus the last hop of each inbound route — and sends
+/// [`KILL_POST`] messages to task 1 interleaved with as many to task 2,
+/// each awaited on its own counter. Every send to the dead task fails its
+/// counter once, typed `Unreachable`; every send to the live one is
+/// delivered once; a channel post into the dead task errs; RAS records it.
+fn node_kill_contract(plan: FaultPlan) {
+    const SLOT: usize = 32;
+    let shape = bgq_torus::TorusShape::for_nodes(3);
+    let machine = Machine::builder(shape).fault_plan(plan).build();
+    let cell = || Arc::new(AtomicU64::new(0));
+    let arrived = [cell(), cell()];
+    let (pre_ok, unreachable, live_ok, failed_counters, channel_step) =
+        (cell(), cell(), cell(), cell(), cell());
+    // 1: task 1 consumed the channel step; 2: task 0 is done.
+    let stage = cell();
+    let dead_post = Arc::new(parking_lot::Mutex::new(Ok(())));
+    let (arr, pre, unr, live, failed, step_ok, st, dp) = (
+        arrived.clone(),
+        Arc::clone(&pre_ok),
+        Arc::clone(&unreachable),
+        Arc::clone(&live_ok),
+        Arc::clone(&failed_counters),
+        Arc::clone(&channel_step),
+        Arc::clone(&stage),
+        Arc::clone(&dead_post),
+    );
+    machine.run(move |env| {
+        let client = Client::create(&env.machine, env.task, "chaos", 1);
+        let ctx = client.context(0);
+        if env.task > 0 {
+            let got = Arc::clone(&arr[env.task as usize - 1]);
+            ctx.set_dispatch(
+                DISPATCH,
+                Arc::new(move |_, _, _| {
+                    got.fetch_add(1, Ordering::SeqCst);
+                    Recv::Done
+                }),
+            );
+        }
+        env.machine.task_barrier();
+        match env.task {
+            0 => {
+                let send = |task: u32| {
+                    let done = Counter::new();
+                    done.add_expected(64);
+                    ctx.send(SendArgs {
+                        dest: Endpoint::of_task(task),
+                        dispatch: DISPATCH,
+                        metadata: Vec::new(),
+                        payload: PayloadSource::Immediate(bytes::Bytes::from_static(&[0u8; 64])),
+                        local_done: Some(done.clone()),
+                    })
+                    .unwrap();
+                    ctx.advance_until(|| done.is_complete());
+                    done
+                };
+                let mut ch = ctx.channel(Endpoint::of_task(1), SLOT).unwrap();
+                for _ in 0..KILL_PRE {
+                    pre.fetch_add(send(1).is_ok() as u64, Ordering::SeqCst);
+                }
+                let _ = ch.post(&[0xA0; SLOT]);
+                // Kill with nothing unacked, so every counter the kill fails
+                // belongs to a post-kill send.
+                let fab = env.machine.fabric();
+                ctx.advance_until(|| st.load(Ordering::SeqCst) >= 1 && fab.links_idle(0));
+                for dir in bgq_torus::Dir::all() {
+                    fab.kill_link(1, dir);
+                }
+                let c1 = shape.coords_of(1);
+                fab.kill_link(0, bgq_torus::det_route(shape, shape.coords_of(0), c1)[0]);
+                fab.kill_link(2, bgq_torus::det_route(shape, shape.coords_of(2), c1)[0]);
+                let failures = || fab.ras_counters().delivery_failures.value();
+                let before = failures();
+                for _ in 0..KILL_POST {
+                    let dead = send(1).fault() == Some(DeliveryFault::Unreachable);
+                    unr.fetch_add(dead as u64, Ordering::SeqCst);
+                    live.fetch_add(send(2).is_ok() as u64, Ordering::SeqCst);
+                }
+                failed.store(failures() - before, Ordering::SeqCst);
+                *dp.lock() = ch.post(&[0xA1; SLOT]);
+                st.store(2, Ordering::SeqCst);
+            }
+            1 => {
+                let mut ch = ctx.channel(Endpoint::of_task(0), SLOT).unwrap();
+                let mut step = [0u8; SLOT];
+                let got = ch.wait(&mut step).is_ok() && step == [0xA0; SLOT];
+                step_ok.store(got as u64, Ordering::SeqCst);
+                st.store(1, Ordering::SeqCst);
+            }
+            _ => {}
+        }
+        ctx.advance_until(|| st.load(Ordering::SeqCst) >= 2);
+        // A duplicate would turn up in these sweeps.
+        for _ in 0..64 {
+            ctx.advance();
+        }
+    });
+    let load = |cell: &AtomicU64| cell.load(Ordering::SeqCst);
+    assert_eq!(load(&pre_ok), KILL_PRE, "pre-kill sends to task 1 complete clean");
+    assert_eq!(load(&arrived[0]), KILL_PRE, "task 1 got each pre-kill send once, nothing after");
+    assert_eq!(load(&unreachable), KILL_POST, "each post-kill send to task 1 fails Unreachable");
+    assert_eq!(load(&live_ok), KILL_POST, "each send to task 2 completes clean");
+    assert_eq!(load(&arrived[1]), KILL_POST, "task 2 got each send once");
+    if cfg!(feature = "telemetry") {
+        assert_eq!(load(&failed_counters), KILL_POST, "one failed counter per dead send");
+    }
+    assert_eq!(load(&channel_step), 1, "the pre-kill channel step reaches task 1");
+    let dead_post = *dead_post.lock();
+    assert_eq!(dead_post, Err(PamiError::Unreachable), "a post into the dead channel errs");
+    let (events, _) = machine.fabric().ras_events();
+    assert!(
+        events.iter().any(|e| e.kind == pami::RasEventKind::DeliveryFailure
+            && e.dst_node == 1
+            && e.detail == DeliveryFault::Unreachable as u64),
+        "the Unreachable delivery failure is RAS-visible"
+    );
+}
+
+#[test]
+fn node_kill_fails_each_send_to_the_dead_task_once_as_unreachable() {
+    node_kill_contract(FaultPlan::new().seed(4040));
+}
+
+#[test]
+fn node_kill_under_drop_and_corrupt_keeps_the_unreachable_contract() {
+    node_kill_contract(FaultPlan::new().seed(4041).drop_rate(0.01).corrupt_rate(0.01));
+}
+
 #[test]
 fn retry_budget_exhaustion_surfaces_timeout_without_hanging_advance() {
     // Every frame 0 -> 1 is dropped and the budget is tiny: the send must
@@ -318,6 +456,33 @@ fn initiation_errors_are_typed_and_do_not_touch_the_network() {
                     ctx.rmw(pami::RmwArgs::fetch_add(1, pami::WindowRef::base(key), 1)).unwrap_err();
                 assert_eq!(err, PamiError::UnknownWindow(key.0));
             }
+            // One-sided calls to a task the machine does not have, against
+            // a live window: typed at initiation, not a panic inside the
+            // next `advance`.
+            let window =
+                pami::WindowRef::base(env.machine.create_window(MemRegion::zeroed(8), None));
+            let unknown = PamiError::UnknownEndpoint { task: 99, context: 0 };
+            let err = ctx
+                .put(pami::PutArgs {
+                    dest_task: 99,
+                    window,
+                    payload: PayloadSource::Immediate(bytes::Bytes::from(vec![1u8; 8])),
+                    local_done: None,
+                })
+                .unwrap_err();
+            assert_eq!(err, unknown);
+            let err = ctx
+                .get(pami::GetArgs {
+                    dest_task: 99,
+                    window,
+                    dst: pami::MemSlot::base(MemRegion::zeroed(8)),
+                    len: 8,
+                    done: None,
+                })
+                .unwrap_err();
+            assert_eq!(err, unknown);
+            assert_eq!(ctx.rmw(pami::RmwArgs::fetch_add(99, window, 1)).unwrap_err(), unknown);
+            ctx.advance();
             // A rendezvous-sized send to an on-node endpoint that was never
             // created is refused before it parks or counts anything.
             let err = ctx
