@@ -5,11 +5,10 @@
 //!   experiment ∈ table1 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 all
 //! ```
 //!
-//! Each experiment prints the paper's published numbers and the
-//! timing-model values at paper scale (`modeled`). Tables 2 and 3 add
-//! wall-clock numbers from this workspace's MPI stack on a host-scaled
-//! configuration (`measured`). Table 1's and Figure 5's host numbers are
-//! `pamibench`'s `pingpong_short`, `flood_short` and `mpi_exchange` rows.
+//! Each experiment prints the paper's published numbers beside the
+//! timing-model values at paper scale (`modeled`). Tables 1–2 and Figure 5
+//! also name the `pamibench` workload that runs the host analog; nothing
+//! here reads a clock.
 
 use bgq_netsim::{coll, p2p, MachineParams};
 use pami_bench::*;
@@ -52,106 +51,68 @@ fn header(title: &str) {
     println!("=== {title} ===");
 }
 
+/// A modeled cell as printed: its value, `fit`, or `-` (EXPERIMENTS.md
+/// has every cell's error).
+fn modeled(cell: &p2p::Cell, format: fn(f64) -> String) -> String {
+    match cell.modeled {
+        p2p::Modeled::Fit(v) => format!("{} fit", format(v)),
+        p2p::Modeled::Predicted(v) => format(v),
+        p2p::Modeled::Missed { .. } | p2p::Modeled::NoCount => "-".to_string(),
+    }
+}
+
+/// Tables 1–2 and Figure 5: paper, model and the host analog per cell.
+fn cell_table(first: &str, width: usize, cells: &[p2p::Cell], format: fn(f64) -> String) {
+    println!("{first:<width$}{:>12}{:>14}   host analog", "paper", "modeled");
+    for cell in cells {
+        println!(
+            "{:<width$}{:>12}{:>14}   {}",
+            cell.label,
+            format(cell.paper),
+            modeled(cell, format),
+            cell.host.unwrap_or("-"),
+        );
+    }
+    println!(
+        "modeled: a x sum(exact count x host unit cost), a fit on the `fit` cell; \
+         `-`: no count, or off the paper by more than {:.0}%",
+        p2p::STOP_RULE * 100.0
+    );
+}
+
 fn table1(params: &MachineParams) {
     header("Table 1: PAMI half round trip, 0B message");
-    println!("{:<22}{:>12}{:>12}", "call", "paper", "modeled");
-    for (label, imm, paper) in [
-        ("PAMI_Send_immediate", true, 1.18e-6),
-        ("PAMI_Send", false, 1.32e-6),
-    ] {
-        let modeled = if imm {
-            p2p::pami_send_immediate_latency(params, 0)
-        } else {
-            p2p::pami_send_latency(params, 0)
-        };
-        println!("{:<22}{:>12}{:>12}", label, us(paper), us(modeled));
-    }
+    cell_table("call", 22, &p2p::table1(params), us);
 }
 
 fn table2(params: &MachineParams) {
     header("Table 2: MPI half round trip, 0B message");
-    println!(
-        "{:<52}{:>10}{:>10}{:>12}",
-        "configuration", "paper", "modeled", "measured"
-    );
-    let rows = [
-        (Table2Row { thread_optimized: false, thread_multiple: false, commthreads: false }, 1.95e-6),
-        (Table2Row { thread_optimized: false, thread_multiple: true, commthreads: false }, 2.28e-6),
-        (Table2Row { thread_optimized: false, thread_multiple: true, commthreads: true }, 8.7e-6),
-        (Table2Row { thread_optimized: true, thread_multiple: true, commthreads: false }, 2.96e-6),
-        (Table2Row { thread_optimized: true, thread_multiple: true, commthreads: true }, 3.25e-6),
-        (Table2Row { thread_optimized: true, thread_multiple: false, commthreads: false }, 2.5e-6),
-    ];
-    for (row, paper) in rows {
-        let modeled = p2p::mpi_latency(
-            params,
-            p2p::MpiLatencyConfig {
-                thread_optimized: row.thread_optimized,
-                thread_multiple: row.thread_multiple,
-                commthreads: row.commthreads,
-            },
-            0,
-        );
-        let measured = us(measure_mpi_half_rtt(row, 1000).as_secs_f64());
-        println!("{:<52}{:>10}{:>10}{:>12}", row.label(), us(paper), us(modeled), measured);
-    }
+    cell_table("configuration", 52, &p2p::table2(params), us);
 }
 
 fn table3(params: &MachineParams) {
     header("Table 3: MPI neighbor send+receive throughput, 1MB messages");
     println!(
-        "{:<12}{:>14}{:>14}{:>14}{:>14}{:>16}{:>16}",
-        "neighbors", "paper eager", "paper rzv", "model eager", "model rzv", "measured eager", "measured rzv"
+        "{:<12}{:>14}{:>14}{:>14}{:>14}",
+        "neighbors", "paper eager", "paper rzv", "model eager", "model rzv"
     );
     let paper = [(1, 3267.0, 3333.0), (2, 3360.0, 6625.0), (4, 6676.0, 13139.0), (10, 8467.0, 32355.0)];
     for (k, pe, pr) in paper {
-        let me = p2p::eager_neighbor_throughput(params, k, 1 << 20);
-        let mr = p2p::rendezvous_neighbor_throughput(params, k, 1 << 20);
-        let (meas_e, meas_r) = if k > 4 {
-            // The host machine cannot place 10 neighbors on distinct links;
-            // the functional run covers k ≤ 4.
-            ("-".to_string(), "-".to_string())
-        } else {
-            (
-                mbs(measure_neighbor_throughput(k, 1 << 20, true, 4)),
-                mbs(measure_neighbor_throughput(k, 1 << 20, false, 4)),
-            )
-        };
         println!(
-            "{:<12}{:>14}{:>14}{:>14}{:>14}{:>16}{:>16}",
+            "{:<12}{:>14}{:>14}{:>14}{:>14}",
             k,
             format!("{pe:.0}MB/s"),
             format!("{pr:.0}MB/s"),
-            mbs(me),
-            mbs(mr),
-            meas_e,
-            meas_r
+            mbs(p2p::eager_neighbor_throughput(params, k, 1 << 20)),
+            mbs(p2p::rendezvous_neighbor_throughput(params, k, 1 << 20)),
         );
     }
 }
 
 fn fig5(params: &MachineParams) {
     header("Figure 5: message rate on 32 nodes (MMPS)");
-    println!(
-        "{:<6}{:>12}{:>12}{:>16}{:>18}",
-        "ppn", "PAMI", "MPI", "MPI+commthr", "MPI+commthr(wild)"
-    );
-    for ppn in [1usize, 2, 4, 8, 16, 32] {
-        let pami = p2p::message_rate(params, p2p::RateSeries::Pami, ppn);
-        let mpi = p2p::message_rate(params, p2p::RateSeries::Mpi, ppn);
-        let (ct, wild) = if ppn <= 16 {
-            (
-                mmps(p2p::message_rate(params, p2p::RateSeries::MpiCommthreads, ppn)),
-                mmps(p2p::message_rate(params, p2p::RateSeries::MpiCommthreadsWildcard, ppn)),
-            )
-        } else {
-            // "Right now, we do not enable communication threads at 32
-            // processes per node."
-            ("-".to_string(), "-".to_string())
-        };
-        println!("{:<6}{:>12}{:>12}{:>16}{:>18}", ppn, mmps(pami), mmps(mpi), ct, wild);
-    }
-    println!("paper peaks: PAMI 107 MMPS @32ppn; MPI 22.9 MMPS @32ppn; best commthread 18.7 MMPS @16ppn; 2.4x speedup @1ppn");
+    cell_table("series", 28, &p2p::figure5(params), mmps);
+    println!("paper: commthreads speed MPI up 2.4x at 1 ppn and are off at 32 ppn");
 }
 
 fn fig6(params: &MachineParams) {

@@ -1,12 +1,10 @@
-//! Harnesses behind the tool binaries: `repro`'s two measured tables,
-//! `pamistat`'s whole-stack sample, and the chaos flood.
+//! Harnesses behind the tool binaries: `repro`'s formatters, `pamistat`'s
+//! whole-stack sample and its report parser, and the chaos flood.
 //!
 //! `repro` prints every paper table and figure from the `bgq-netsim`
-//! timing models at the paper's scale (2048 nodes, 32 ppn, ten links).
-//! Tables 2 and 3 also get a **measured** column: the functional MPI stack
-//! of this workspace on a host-scaled configuration (two to five nodes),
-//! timed by wall clock. Those columns reach no verdict; rates and
-//! latencies with a stated noise are `pamibench`'s.
+//! timing models at the paper's scale (2048 nodes, 32 ppn, ten links) and
+//! reads no clock; rates and latencies with a stated noise are
+//! `pamibench`'s.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pami::{Client, Context, Endpoint, Machine, MemRegion, PayloadSource, Recv, SendArgs};
-use pami_mpi::{LibFlavor, Mpi, MpiConfig, ThreadLevel, ANY_SOURCE};
+use pami_mpi::{Mpi, MpiConfig, ANY_SOURCE};
 
 /// Format a seconds value as microseconds with two decimals.
 pub fn us(t: f64) -> String {
@@ -30,91 +28,6 @@ pub fn mbs(bw: f64) -> String {
 /// Format a messages/second value as millions of messages per second.
 pub fn mmps(rate: f64) -> String {
     format!("{:.2}MMPS", rate / 1e6)
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 (measured): MPI half round trip per configuration
-// ---------------------------------------------------------------------------
-
-/// A Table 2 configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Table2Row {
-    /// Thread-optimized (vs classic) library.
-    pub thread_optimized: bool,
-    /// MPI_THREAD_MULTIPLE (vs SINGLE).
-    pub thread_multiple: bool,
-    /// Commthreads enabled.
-    pub commthreads: bool,
-}
-
-impl Table2Row {
-    /// Human-readable row label.
-    pub fn label(&self) -> String {
-        format!(
-            "{:<11} / {:<15} / commthread {}",
-            if self.thread_optimized { "Thread Opt." } else { "Classic" },
-            if self.thread_multiple { "Thread Multiple" } else { "Thread Single" },
-            if self.commthreads { "enabled" } else { "disabled" },
-        )
-    }
-
-    fn config(&self) -> MpiConfig {
-        MpiConfig {
-            flavor: if self.thread_optimized {
-                LibFlavor::ThreadOptimized
-            } else {
-                LibFlavor::Classic
-            },
-            thread_level: if self.thread_multiple {
-                ThreadLevel::Multiple
-            } else {
-                ThreadLevel::Single
-            },
-            contexts: 1,
-            commthreads: Some(usize::from(self.commthreads)),
-        }
-    }
-}
-
-/// Functional MPI ping-pong (8-byte payload) for a Table 2 configuration;
-/// both ranks driven from the calling thread.
-pub fn measure_mpi_half_rtt(row: Table2Row, iters: u32) -> Duration {
-    let machine = Machine::with_nodes(2).build();
-    let mpi0 = Mpi::init(&machine, 0, row.config());
-    let mpi1 = Mpi::init(&machine, 1, row.config());
-    let w0 = mpi0.world().clone();
-    let w1 = mpi1.world().clone();
-    let buf0 = MemRegion::zeroed(8);
-    let buf1 = MemRegion::zeroed(8);
-
-    let round = |timed: bool| -> Duration {
-        let start = Instant::now();
-        let r1 = mpi1.irecv(&buf1, 0, 8, 0, 1, &w1);
-        let s0 = mpi0.isend(&buf0, 0, 8, 1, 1, &w0);
-        while !mpi1.request_complete(r1) {
-            mpi0.advance();
-            mpi1.advance();
-        }
-        mpi1.test(r1);
-        mpi0.wait(s0);
-        let r0 = mpi0.irecv(&buf0, 0, 8, 1, 2, &w0);
-        let s1 = mpi1.isend(&buf1, 0, 8, 0, 2, &w1);
-        while !mpi0.request_complete(r0) {
-            mpi1.advance();
-            mpi0.advance();
-        }
-        mpi0.test(r0);
-        mpi1.wait(s1);
-        if timed { start.elapsed() } else { Duration::ZERO }
-    };
-    for _ in 0..50 {
-        round(false);
-    }
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        total += round(true);
-    }
-    total / (2 * iters)
 }
 
 // ---------------------------------------------------------------------------
@@ -330,57 +243,6 @@ pub fn pamistat_sample() -> (String, String, String) {
 
     let upc = machine.telemetry();
     (upc.report_json(), upc.chrome_trace_json(), ras_lines)
-}
-
-// ---------------------------------------------------------------------------
-// Table 3 (measured): neighbor throughput
-// ---------------------------------------------------------------------------
-
-/// Functional bidirectional neighbor exchange: the reference task 0
-/// exchanges `size`-byte messages with `k` neighbor tasks (each on its own
-/// node); returns aggregate send+receive bytes per second at the
-/// reference. `eager` selects the protocol by moving the eager limit.
-pub fn measure_neighbor_throughput(k: usize, size: usize, eager: bool, reps: usize) -> f64 {
-    let nodes = (k + 1).max(2);
-    let machine = Machine::with_nodes(nodes)
-        .eager_limit(if eager { usize::MAX / 2 } else { 1024 })
-        .build();
-    let ranks: Vec<Mpi> =
-        (0..nodes).map(|t| Mpi::init(&machine, t as u32, MpiConfig::default())).collect();
-    let world = ranks[0].world().clone();
-    let send_buf: Vec<MemRegion> = (0..nodes).map(|_| MemRegion::zeroed(size)).collect();
-    let recv_buf: Vec<MemRegion> = (0..nodes).map(|_| MemRegion::zeroed(size)).collect();
-
-    let start = Instant::now();
-    for rep in 0..reps {
-        let tag = rep as i32;
-        let mut reqs = Vec::new();
-        for n in 1..=k {
-            reqs.push((0, ranks[0].irecv(&recv_buf[0], 0, size, n as i32, tag, &world)));
-            reqs.push((0, ranks[0].isend(&send_buf[0], 0, size, n, tag, &world)));
-            let wn = ranks[n].world().clone();
-            reqs.push((n, ranks[n].irecv(&recv_buf[n], 0, size, 0, tag, &wn)));
-            reqs.push((n, ranks[n].isend(&send_buf[n], 0, size, 0, tag, &wn)));
-        }
-        loop {
-            let mut done = true;
-            for (owner, req) in &reqs {
-                if !ranks[*owner].request_complete(*req) {
-                    done = false;
-                }
-            }
-            for r in ranks.iter().take(k + 1) {
-                r.advance();
-            }
-            if done {
-                break;
-            }
-        }
-        for (owner, req) in reqs {
-            ranks[owner].wait(req);
-        }
-    }
-    (2 * k * size * reps) as f64 / start.elapsed().as_secs_f64()
 }
 
 // ---------------------------------------------------------------------------

@@ -464,7 +464,7 @@ fn substrate_surface_census() {
 
 /// Names DESIGN.md keeps as history, and the change that removed each
 /// from the tree.
-const RETIRED_NAMES: [(&str, &str); 15] = [
+const RETIRED_NAMES: [(&str, &str); 16] = [
     ("put_raw", "tuple-taking put shim, deprecated for one PR, deleted with aggregation"),
     ("get_raw", "tuple-taking get shim, deprecated for one PR, deleted with aggregation"),
     ("read_vec", "`MemRegion::read_vec`, deleted in ISSUE 15 with its last caller"),
@@ -480,6 +480,7 @@ const RETIRED_NAMES: [(&str, &str); 15] = [
     ("resolve_task", "endpoint failover's per-send task remap, deleted with failover"),
     ("failover_generation", "endpoint failover's remap generation, deleted with failover"),
     ("measure_failover_drain", "the kill-a-node failover drill, deleted with failover"),
+    ("eager_limit", "`MachineBuilder::eager_limit`, deleted with `repro table3`'s measured arms"),
 ];
 
 /// Every backticked lowercase name with an `_` in DESIGN.md — a code span

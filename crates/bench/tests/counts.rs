@@ -811,26 +811,83 @@ fn chaos_soak_stream_arrives_exactly_once_in_order() {
     }
 }
 
-/// One ping-pong program's cost per half round trip: allocations,
-/// `mu.descriptors_executed`, `mu.packets_injected` and `match.*` events.
-type HalfRoundTrip = [u64; 4];
+/// A ping-pong between tasks 0 and 1 of a two-node machine: one round
+/// trip per call.
+type PingPong = (Arc<Machine>, Box<dyn FnMut()>);
 
-/// `ROUND_TRIPS` round trips of `ping` / `pong` (after a warm-up of 64,
-/// so every sampled packet window is whole), divided down to one half.
-fn per_half_round_trip(machine: &Machine, mut round_trip: impl FnMut()) -> HalfRoundTrip {
+/// PAMI, 1 B each way: `send_immediate`, or `send` of an immediate payload.
+fn pami_ping_pong(immediate: bool) -> PingPong {
+    let machine = Machine::with_nodes(2).build();
+    let ends = [0, 1].map(|t| Client::create(&machine, t, "pp", 1));
+    let got = Arc::new(AtomicU64::new(0));
+    for end in &ends {
+        let got = Arc::clone(&got);
+        end.context(0).set_dispatch(
+            1,
+            Arc::new(move |_: &Context, _, _| {
+                got.fetch_add(1, Ordering::Relaxed);
+                Recv::Done
+            }),
+        );
+    }
+    let round_trip = move || {
+        for (from, to) in [(0, 1), (1, 0)] {
+            let want = got.load(Ordering::Relaxed) + 1;
+            let ctx = ends[from].context(0);
+            let dest = Endpoint::of_task(to as u32);
+            if immediate {
+                ctx.send_immediate(dest, 1, b"", b"x").unwrap();
+            } else {
+                let payload = PayloadSource::Immediate(Bytes::from_static(b"x"));
+                let metadata = Vec::new();
+                ctx.send(SendArgs { dest, dispatch: 1, metadata, payload, local_done: None })
+                    .unwrap();
+            }
+            while got.load(Ordering::Relaxed) < want {
+                ctx.advance();
+                ends[to].context(0).advance();
+            }
+        }
+    };
+    (machine, Box::new(round_trip))
+}
+
+/// MPI, 8 B each way: the receiver posts an `irecv`, the sender `send`s,
+/// the receiver advances to completion and `test`s.
+fn mpi_ping_pong() -> PingPong {
+    let machine = Machine::with_nodes(2).build();
+    let ends = [0, 1].map(|t| Mpi::init(&machine, t, MpiConfig::default()));
+    let bufs = [0, 1].map(|_| MemRegion::zeroed(8));
+    let round_trip = move || {
+        for (from, to) in [(0, 1), (1, 0)] {
+            let (tx, rx) = (&ends[from], &ends[to]);
+            let r = rx.irecv(&bufs[to], 0, 8, from as i32, 1, rx.world());
+            tx.send(&bufs[from], 0, 8, to, 1, tx.world());
+            while !rx.request_complete(r) {
+                rx.advance();
+            }
+            rx.test(r);
+        }
+    };
+    (machine, Box::new(round_trip))
+}
+
+/// `ROUND_TRIPS` round trips (after a warm-up of 64, so every sampled
+/// packet window is whole) and what `read` and the allocator count over
+/// them, divided down to one half. Slot 0 of `read`'s array is for the
+/// allocations.
+fn per_half_round_trip<const N: usize>(
+    (machine, mut round_trip): PingPong,
+    read: impl Fn(&Machine) -> [u64; N],
+) -> [u64; N] {
     const ROUND_TRIPS: u64 = 1024;
-    const NAMES: [&str; 2] = ["mu.descriptors_executed", "mu.packets_injected"];
     for _ in 0..64 {
         round_trip();
     }
-    let read = || {
-        let [descriptors, packets] = counters(machine, NAMES);
-        [0, descriptors, packets, machine.telemetry().snapshot().layer_total("match")]
-    };
-    let before = read();
+    let before = read(&machine);
     let ((), allocs, _) = allocs_in(|| (0..ROUND_TRIPS).for_each(|_| round_trip()));
-    let mut after = read();
-    after[0] = allocs;
+    let mut after = read(&machine);
+    after[0] += allocs;
     delta(after, before).map(|n| {
         assert_eq!(n % (2 * ROUND_TRIPS), 0, "a whole number per half round trip");
         n / (2 * ROUND_TRIPS)
@@ -841,52 +898,18 @@ fn per_half_round_trip(machine: &Machine, mut round_trip: impl FnMut()) -> HalfR
 /// round trip > 1.05 × PAMI's" over 600 timed round trips. The ordering is
 /// structural — MPI is PAMI's short tier plus a request and a match — so
 /// it is held as counts: a 1 B `send_immediate` ping-pong against an 8 B
-/// MPI `send` / `irecv` ping-pong on two nodes. Time half: `pingpong_short`
-/// against `mpi_exchange`.
+/// MPI `send` / `irecv` ping-pong on two nodes, per half round trip
+/// `[allocations, mu.descriptors_executed, mu.packets_injected, match.*
+/// events]`. Time half: `pingpong_short` against `mpi_exchange`.
 #[test]
 fn mpi_half_round_trip_is_pamis_plus_a_match() {
-    let pami = {
-        let machine = Machine::with_nodes(2).build();
-        let ends = [0, 1].map(|t| Client::create(&machine, t, "pp", 1));
-        let got = Arc::new(AtomicU64::new(0));
-        for end in &ends {
-            let got = Arc::clone(&got);
-            end.context(0).set_dispatch(
-                1,
-                Arc::new(move |_: &Context, _, _| {
-                    got.fetch_add(1, Ordering::Relaxed);
-                    Recv::Done
-                }),
-            );
-        }
-        per_half_round_trip(&machine, || {
-            for (from, to) in [(0, 1), (1, 0)] {
-                let want = got.load(Ordering::Relaxed) + 1;
-                let ctx = ends[from].context(0);
-                ctx.send_immediate(Endpoint::of_task(to as u32), 1, b"", b"x").unwrap();
-                while got.load(Ordering::Relaxed) < want {
-                    ctx.advance();
-                    ends[to].context(0).advance();
-                }
-            }
-        })
+    let read = |machine: &Machine| {
+        let [descriptors, packets] =
+            counters(machine, ["mu.descriptors_executed", "mu.packets_injected"]);
+        [0, descriptors, packets, machine.telemetry().snapshot().layer_total("match")]
     };
-    let mpi = {
-        let machine = Machine::with_nodes(2).build();
-        let ends = [0, 1].map(|t| Mpi::init(&machine, t, MpiConfig::default()));
-        let bufs = [0, 1].map(|_| MemRegion::zeroed(8));
-        per_half_round_trip(&machine, || {
-            for (from, to) in [(0, 1), (1, 0)] {
-                let (tx, rx) = (&ends[from], &ends[to]);
-                let r = rx.irecv(&bufs[to], 0, 8, from as i32, 1, rx.world());
-                tx.send(&bufs[from], 0, 8, to, 1, tx.world());
-                while !rx.request_complete(r) {
-                    rx.advance();
-                }
-                rx.test(r);
-            }
-        })
-    };
+    let pami = per_half_round_trip(pami_ping_pong(true), read);
+    let mpi = per_half_round_trip(mpi_ping_pong(), read);
     // Both ride the short tier: no descriptor, one packet. PAMI copies the
     // immediate payload; MPI adds its request and posts and matches the
     // receive.
@@ -894,6 +917,47 @@ fn mpi_half_round_trip_is_pamis_plus_a_match() {
     assert_eq!(pami, telemetry([1, 0, 1, 0]));
     assert_eq!(mpi, telemetry([2, 0, 1, 2]));
     assert!(mpi.iter().zip(pami).all(|(&m, p)| m >= p) && mpi[0] > pami[0]);
+}
+
+/// The counts `bgq_netsim::p2p` composes Tables 1–2 and Figure 5 from,
+/// held to the live stack: per half round trip of Table 1's two PAMI calls
+/// and of an MPI ping-pong, and per message of a PAMI flood,
+/// `[sends, receives, deliveries]` — `ctx.sends_*`, MPI receives posted or
+/// matched from the unexpected queue, and `ctx.advance_events`.
+#[test]
+fn software_counts_are_the_live_stacks() {
+    use bgq_netsim::p2p::counts::{DELIVERIES, RECEIVES, SENDS};
+    const NAMES: [&str; 8] = [
+        "ctx.sends_short",
+        "ctx.sends_eager",
+        "ctx.sends_rzv",
+        "ctx.sends_aggr",
+        "ctx.sends_shm",
+        "match.posted_queued",
+        "match.matched_unexpected",
+        "ctx.advance_events",
+    ];
+    let read = |machine: &Machine| {
+        let n = counters(machine, NAMES);
+        [0, n[..5].iter().sum(), n[5] + n[6], n[7]]
+    };
+    let telemetry = |n: [u64; 3]| if cfg!(feature = "telemetry") { n } else { [0; 3] };
+    for (call, immediate) in [("send_immediate", true), ("send", false)] {
+        let [_, counts @ ..] = per_half_round_trip(pami_ping_pong(immediate), read);
+        assert_eq!(counts, telemetry([SENDS, 0, DELIVERIES]), "PAMI {call}");
+    }
+    let [_, counts @ ..] = per_half_round_trip(mpi_ping_pong(), read);
+    assert_eq!(counts, telemetry([SENDS, RECEIVES, DELIVERIES]), "MPI");
+
+    // Figure 5's flood: 8 B sends to one peer at `flood_short`'s cadence.
+    const MSGS: u64 = 1024;
+    let mut rig = Rig::new(Machine::with_nodes(2));
+    let payload = immediate(8);
+    rig.flood(64, &payload);
+    let before = read(&rig.machine);
+    rig.flood(MSGS, &payload);
+    let [_, counts @ ..] = delta(read(&rig.machine), before);
+    assert_eq!(counts, telemetry([SENDS, 0, DELIVERIES].map(|n| n * MSGS)), "PAMI flood");
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use crate::aggr::AggrConfig;
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
-use crate::policy::{StaticPolicy, SHORT_CUTOFF};
+use crate::policy::{StaticPolicy, EAGER_CUTOFF, SHORT_CUTOFF};
 use crate::proto::{RzvSources, ShmMailbox};
 
 /// Key identifying a registered memory window (one-sided put/get target).
@@ -202,7 +202,6 @@ impl EndpointTable {
 pub struct MachineBuilder {
     shape: TorusShape,
     ppn: usize,
-    eager_limit: usize,
     policy: Option<StaticPolicy>,
     inj_fifos_per_context: u16,
     inj_fifo_capacity: usize,
@@ -243,17 +242,10 @@ impl MachineBuilder {
         self
     }
 
-    /// Eager/rendezvous crossover in bytes (default 4096): the top rung of
-    /// the machine's [`StaticPolicy`] ladder. The short rung below it is
-    /// [`SHORT_CUTOFF`] (or this limit, when smaller).
-    pub fn eager_limit(mut self, bytes: usize) -> Self {
-        self.eager_limit = bytes;
-        self
-    }
-
-    /// Install an explicit protocol ladder in place of the one
-    /// [`MachineBuilder::eager_limit`] and [`MachineBuilder::aggregation`]
-    /// derive. A ladder with an aggregation rung needs
+    /// Install an explicit protocol ladder in place of the default one:
+    /// [`SHORT_CUTOFF`] and [`EAGER_CUTOFF`], with an aggregation rung when
+    /// [`MachineBuilder::aggregation`] is set. The one door to another
+    /// ladder, used by tests; a ladder with an aggregation rung needs
     /// [`MachineBuilder::aggregation`] set as well.
     pub fn protocol_policy(mut self, policy: StaticPolicy) -> Self {
         self.policy = Some(policy);
@@ -337,8 +329,8 @@ impl MachineBuilder {
         let policy = self.policy.unwrap_or_else(|| {
             StaticPolicy::with_aggr(
                 aggregation.map_or(0, |cfg| cfg.cutoff),
-                SHORT_CUTOFF.min(self.eager_limit),
-                self.eager_limit,
+                SHORT_CUTOFF,
+                EAGER_CUTOFF,
             )
         });
         assert!(
@@ -431,7 +423,6 @@ impl Machine {
         MachineBuilder {
             shape,
             ppn: 1,
-            eager_limit: 4096,
             policy: None,
             inj_fifos_per_context: 4,
             inj_fifo_capacity: 128,

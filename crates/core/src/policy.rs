@@ -17,6 +17,10 @@ use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 /// packet with no region setup and no completion counter.
 pub const SHORT_CUTOFF: usize = 128;
 
+/// Eager/rendezvous crossover of the machine's ladder in bytes — the same
+/// layer's `EAGER_CUTOFF 4096`: larger payloads go rendezvous.
+pub const EAGER_CUTOFF: usize = 4096;
+
 /// Which wire protocol a send uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {

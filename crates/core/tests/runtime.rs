@@ -5,9 +5,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pami::coll::{self, names};
+use pami::policy::EAGER_CUTOFF;
 use pami::{
     AggrConfig, Client, CollOp, CommThreadPool, Context, Counter, DataType, Endpoint, FaultPlan,
-    Geometry, Machine, MemRegion, PayloadSource, Protocol, Recv, SendArgs, Topology,
+    Geometry, Machine, MemRegion, PayloadSource, Protocol, Recv, SendArgs, StaticPolicy, Topology,
 };
 use parking_lot::Mutex;
 
@@ -174,16 +175,20 @@ fn select_names_the_rung_send_takes() {
         (Protocol::Eager, "ctx.sends_eager"),
         (Protocol::Rendezvous, "ctx.sends_rzv"),
     ];
-    for (aggregation, eager_limit) in [(false, 4096), (false, 64), (true, 4096), (true, 64)] {
-        let mut builder = Machine::with_nodes(2).eager_limit(eager_limit);
+    for (aggregation, limit) in [(false, 4096), (false, 64), (true, 4096), (true, 64)] {
+        let mut builder = Machine::with_nodes(2);
         if aggregation {
             builder = builder.aggregation(AggrConfig { cutoff: 64, ..AggrConfig::default() });
         }
+        if limit < EAGER_CUTOFF {
+            let aggr = if aggregation { 64 } else { 0 };
+            builder = builder.protocol_policy(StaticPolicy::with_aggr(aggr, limit, limit));
+        }
         let machine = builder.build();
-        let arm = format!("aggregation {aggregation}, eager_limit {eager_limit}");
-        // The ladder is built from the builder's two settings.
+        let arm = format!("aggregation {aggregation}, limit {limit}");
+        // The ladder is the default one, or the one installed.
         assert_eq!(machine.policy().select(1, 64) == Protocol::Aggregated, aggregation, "{arm}");
-        assert_eq!(machine.policy().select(1, 65) == Protocol::Rendezvous, eager_limit == 64, "{arm}");
+        assert_eq!(machine.policy().select(1, 65) == Protocol::Rendezvous, limit == 64, "{arm}");
         let c0 = Client::create(&machine, 0, "t", 1);
         let c1 = Client::create(&machine, 1, "t", 1);
         let sink = Arc::new(Sink::default());

@@ -4,7 +4,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pami::{Client, Context, Counter, Endpoint, Machine, MemRegion, PayloadSource, Recv, SendArgs};
+use pami::{
+    Client, Context, Counter, Endpoint, Machine, MemRegion, PayloadSource, Recv, SendArgs,
+    StaticPolicy,
+};
 
 fn counting_handler(count: &Arc<AtomicU64>, bytes: &Arc<AtomicU64>) -> pami::context::DispatchFn {
     let count = Arc::clone(count);
@@ -79,7 +82,7 @@ fn reception_fifo_overflow_engages_and_recovers() {
 
 #[test]
 fn eager_rendezvous_boundary_is_exact() {
-    let machine = Machine::with_nodes(2).eager_limit(1000).build();
+    let machine = Machine::with_nodes(2).protocol_policy(StaticPolicy::new(1000)).build();
     let c0 = Client::create(&machine, 0, "s", 1);
     let c1 = Client::create(&machine, 1, "s", 1);
     let count = Arc::new(AtomicU64::new(0));
@@ -116,7 +119,7 @@ fn eager_rendezvous_boundary_is_exact() {
 
 #[test]
 fn many_concurrent_rendezvous_transfers() {
-    let machine = Machine::with_nodes(2).eager_limit(512).build();
+    let machine = Machine::with_nodes(2).protocol_policy(StaticPolicy::new(512)).build();
     let c0 = Client::create(&machine, 0, "s", 1);
     let c1 = Client::create(&machine, 1, "s", 1);
     let count = Arc::new(AtomicU64::new(0));

@@ -81,6 +81,23 @@ fn ping_pong_threadopt_multiple() {
 }
 
 #[test]
+fn ping_pong_threadopt_single() {
+    // The last of Table 2's six configurations: the thread-optimized
+    // library at MPI_THREAD_SINGLE, no commthreads.
+    run_mpi(
+        2,
+        1,
+        MpiConfig {
+            flavor: LibFlavor::ThreadOptimized,
+            thread_level: ThreadLevel::Single,
+            contexts: 1,
+            commthreads: Some(0),
+        },
+        ping_pong,
+    );
+}
+
+#[test]
 fn ping_pong_threadopt_commthreads() {
     run_mpi(2, 1, MpiConfig::thread_optimized(2), ping_pong);
 }

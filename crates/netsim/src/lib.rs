@@ -1,13 +1,11 @@
-//! Discrete-event timing models of BG/Q messaging at machine scale.
+//! Timing models of BG/Q messaging at machine scale.
 //!
 //! The functional crates (`pami`, `pami-mpi`) run the real software on a
 //! simulated node count a laptop can host. The *scale-dependent* results of
-//! the paper — 2048-node collective latencies, link-limited throughput
-//! curves, message-rate scaling with processes per node — are set by
-//! hardware constants (1.8 GB/s payload per link direction, tree depths,
-//! L2/DDR copy bandwidth, per-message software costs). This crate models
-//! those with the constants the paper states or implies, so every table and
-//! figure of the evaluation can be regenerated in shape at full scale:
+//! the paper — 2048-node collective latencies and link-limited throughput
+//! curves — are set by hardware constants (1.8 GB/s payload per link
+//! direction, tree depths, L2/DDR copy bandwidth). This crate models those
+//! with the constants the paper states or implies, at full scale:
 //!
 //! * [`config::MachineParams`] — every constant, documented, adjustable.
 //! * [`des`] — a small discrete-event engine used by the tree simulations.
@@ -15,16 +13,17 @@
 //!   over real spanning trees from `bgq-torus`.
 //! * `memsys` — the L2/DDR working-set model behind the high-PPN
 //!   throughput falloffs of Figures 8–10.
-//! * [`p2p`] — Table 1/2 latency composition, Table 3 neighbor throughput,
-//!   and the Figure 5 message-rate model.
+//! * [`p2p`] — Tables 1–2 and Figure 5 as exact counts × host unit costs
+//!   under one fitted factor, and Table 3's neighbor throughput.
 //! * [`coll`] — Figures 6–10: barrier and allreduce latency vs nodes,
 //!   allreduce/broadcast throughput vs size, and the 10-color rectangle
 //!   broadcast.
 //!
-//! Absolute agreement with the paper is *calibration*; what the models are
-//! built to preserve without tuning is the shape: who wins, where knees
-//! fall (L2 spill points, eager/rendezvous crossover, commthread speedup
-//! vs PPN), and the scaling exponents.
+//! Software cost is not a constant of this crate. [`p2p`] predicts Tables
+//! 1–2 and Figure 5 from counts of the functional stack and host costs of
+//! one recorded run, fit once, and shows a cell only where the prediction
+//! holds; the collectives' software constants are still calibrated
+//! ([`config`]).
 
 #![forbid(unsafe_code)]
 

@@ -1,67 +1,257 @@
 //! Point-to-point models: Tables 1–3 and Figure 5.
+//!
+//! Tables 1–2 and Figure 5 are the paper's accounting of software cost,
+//! and they get one composition: an operation's software time is
+//! `a × Σ countᵢ × unitᵢ`.
+//!
+//! * Each count is an exact count of what one message does in the
+//!   functional stack ([`counts`]), held to the live stack by
+//!   `crates/bench/tests/counts.rs`.
+//! * Each unit is a per-layer row of one recorded `pamibench` run
+//!   (`ledger`; EXPERIMENTS.md names the run).
+//! * `a`, A2 seconds per host nanosecond, is fit once, on Table 1's
+//!   `PAMI_Send_immediate` (`fit_factor`).
+//!
+//! A cell that no count covers, or whose prediction misses the paper by
+//! more than [`STOP_RULE`], is not modeled ([`Modeled`]). Table 3 is link
+//! bandwidth and copy rate, from hardware constants alone.
 
 use bgq_torus::packet::wire_bytes_for;
 
 use crate::config::MachineParams;
 
 // ---------------------------------------------------------------------------
-// Tables 1 & 2 — half-round-trip latency composition
+// Tables 1–2 and Figure 5 — exact counts × host unit costs
 // ---------------------------------------------------------------------------
+
+/// A modeled cell may miss the paper by this fraction at most; fixed
+/// before the fit was run (TRIALS.md).
+pub const STOP_RULE: f64 = 0.20;
+
+/// Exact counts per message: per half round trip of a one-message
+/// ping-pong, and per message of a flood. `counts.rs`'s
+/// `software_counts_are_the_live_stacks` holds each to the stack.
+pub mod counts {
+    /// Sends the library makes into a PAMI context (`ctx.sends_*`): the
+    /// `send` or `send_immediate` call itself, or the one inside MPI's
+    /// `isend`.
+    pub const SENDS: u64 = 1;
+    /// MPI receives: each `irecv` either posts (`match.posted_queued`) or
+    /// takes its message from the unexpected queue
+    /// (`match.matched_unexpected`).
+    pub const RECEIVES: u64 = 1;
+    /// Messages a context's `advance` dispatches (`ctx.advance_events`).
+    pub const DELIVERIES: u64 = 1;
+    /// MPI requests, one per `isend` and per `irecv`; one `test` (or
+    /// `wait`) retires each.
+    pub(crate) const REQUESTS: u64 = SENDS + RECEIVES;
+}
+
+/// One host unit cost: a per-layer row of the recorded `pamibench` run.
+#[derive(Clone, Copy)]
+struct Unit {
+    /// The row's value: nanoseconds per timed call, on the benchmark's
+    /// reference clock.
+    ns: f64,
+    /// Messages one timed call handles: 1 for a send or a receive, the
+    /// messages one advance dispatches for an advance row.
+    messages: f64,
+}
+
+impl Unit {
+    /// Host nanoseconds per message.
+    fn ns_per_message(&self) -> f64 {
+        self.ns / self.messages
+    }
+}
+
+/// The unit costs: the traced pass of one `bash benchmark/run.sh run`
+/// (EXPERIMENTS.md, "The software ledger"). Each is named by its workload
+/// and row as `pamibench` prints them.
+mod ledger {
+    use super::Unit;
+
+    /// `pingpong_short` `pami.send_immediate_ns`: `PAMI_Send_immediate`,
+    /// 32 B.
+    pub(super) const SEND_IMMEDIATE: Unit = Unit { ns: 80.15, messages: 1.0 };
+    /// `pingpong_short` `pami.send_ns`: `PAMI_Send`, 32 B, on the short
+    /// tier.
+    pub(super) const SEND: Unit = Unit { ns: 69.74, messages: 1.0 };
+    /// `pingpong_short` `pami.advance_ns`: a ping-pong's busy advance
+    /// dispatches its one message.
+    pub(super) const DELIVER: Unit = Unit { ns: 87.18, messages: 1.0 };
+    /// `flood_short` `pami.send_ns`: `PAMI_Send`, 8 B, in a flood.
+    pub(super) const FLOOD_SEND: Unit = Unit { ns: 66.88, messages: 1.0 };
+    /// `flood_short` `pami.advance_ns`: a busy advance dispatches
+    /// `pami.events_per_advance` 7.97 ÷ `pami.advance_useful_share` 0.50
+    /// messages.
+    pub(super) const FLOOD_DELIVER: Unit = Unit { ns: 311.93, messages: 15.95 };
+    /// `mpi_exchange` `pami-mpi.isend_ns`: MPI `isend`, 64 B.
+    pub(super) const MPI_ISEND: Unit = Unit { ns: 181.72, messages: 1.0 };
+    /// `mpi_exchange` `pami-mpi.irecv_ns`: MPI `irecv`, half posted and
+    /// half matched from the unexpected queue.
+    pub(super) const MPI_IRECV: Unit = Unit { ns: 92.97, messages: 1.0 };
+    /// `mpi_exchange` `pami-mpi.test_ns`: MPI `test` of a complete
+    /// request, which retires it.
+    pub(super) const MPI_TEST: Unit = Unit { ns: 28.15, messages: 1.0 };
+    /// `mpi_exchange` `pami-mpi.advance_ns`: one rank's MPI advance
+    /// dispatches `pami.events_per_advance` 37.89 messages.
+    pub(super) const MPI_DELIVER: Unit = Unit { ns: 5856.20, messages: 37.89 };
+}
+
+/// Host software time (ns) of `terms`: Σ count × unit.
+fn host_ns(terms: &[(u64, Unit)]) -> f64 {
+    terms.iter().map(|&(n, unit)| n as f64 * unit.ns_per_message()).sum()
+}
+
+/// A PAMI message: one send of `send`'s kind, one delivery.
+fn pami_message(send: Unit, deliver: Unit) -> [(u64, Unit); 2] {
+    [(counts::SENDS, send), (counts::DELIVERIES, deliver)]
+}
+
+/// An MPI message: an `isend`, an `irecv`, a `test` per request and a
+/// delivery, at `mpi_exchange`'s units.
+fn mpi_message() -> [(u64, Unit); 4] {
+    [
+        (counts::SENDS, ledger::MPI_ISEND),
+        (counts::RECEIVES, ledger::MPI_IRECV),
+        (counts::REQUESTS, ledger::MPI_TEST),
+        (counts::DELIVERIES, ledger::MPI_DELIVER),
+    ]
+}
 
 /// Network time of an `len`-byte message over `hops` torus hops.
 fn wire_time(params: &MachineParams, len: usize, hops: u32) -> f64 {
     hops as f64 * params.hop_latency + wire_bytes_for(len) as f64 / params.link_raw_bw
 }
 
-/// PAMI_Send_immediate half round trip for an `len`-byte message between
-/// nearest neighbors (Table 1, row 1: 1.18 µs at 0 B).
-pub fn pami_send_immediate_latency(params: &MachineParams, len: usize) -> f64 {
-    params.pami_immediate_sw + wire_time(params, len, 1)
+/// Table 1's `PAMI_Send_immediate` half round trip (s), the fitted cell.
+const PAPER_SEND_IMMEDIATE: f64 = 1.18e-6;
+
+/// `a`: A2 seconds per host nanosecond, fit so that Table 1's
+/// `PAMI_Send_immediate` half round trip — its software plus the 0 B wire
+/// time between nearest neighbors — is the paper's 1.18 µs.
+fn fit_factor(params: &MachineParams) -> f64 {
+    let software = host_ns(&pami_message(ledger::SEND_IMMEDIATE, ledger::DELIVER));
+    (PAPER_SEND_IMMEDIATE - wire_time(params, 0, 1)) / software
 }
 
-/// PAMI_Send (queued descriptor) half round trip (Table 1, row 2: 1.32 µs).
-pub fn pami_send_latency(params: &MachineParams, len: usize) -> f64 {
-    pami_send_immediate_latency(params, len) + params.pami_send_queue_extra
+/// Half round trip (s) of a 0 B message between nearest neighbors.
+fn half_round_trip(params: &MachineParams, terms: &[(u64, Unit)]) -> f64 {
+    fit_factor(params) * host_ns(terms) + wire_time(params, 0, 1)
 }
 
-/// The Table 2 configuration axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MpiLatencyConfig {
-    /// Classic (global-lock) or thread-optimized library.
-    pub thread_optimized: bool,
-    /// MPI_THREAD_MULTIPLE (vs SINGLE).
-    pub thread_multiple: bool,
-    /// Commthreads enabled.
-    pub commthreads: bool,
+/// Node message rate (messages/s) of `ppn` processes, each paying one
+/// message's software per message it sends.
+fn node_rate(params: &MachineParams, terms: &[(u64, Unit)], ppn: usize) -> f64 {
+    ppn as f64 / (fit_factor(params) * host_ns(terms))
 }
 
-/// MPI half-round-trip latency for a 0-byte message (Table 2).
-///
-/// Composition: the PAMI send path, plus matching/request overheads, plus
-/// the locking costs of the chosen configuration. The classic library with
-/// commthreads pays the context-lock contention penalty the paper measured
-/// as 8.7 µs.
-pub fn mpi_latency(params: &MachineParams, cfg: MpiLatencyConfig, len: usize) -> f64 {
-    let mut t = pami_send_latency(params, len) + params.mpi_match_overhead;
-    if cfg.thread_optimized {
-        // Memory-synchronization costs paid at any thread level, plus the
-        // receive-queue mutex at MPI_THREAD_MULTIPLE.
-        t += params.mpi_threadopt_sync;
-        if cfg.thread_multiple {
-            t += params.mpi_global_lock * 1.4;
-        }
-        if cfg.commthreads {
-            t += params.threadopt_commthread_extra;
-        }
-    } else {
-        if cfg.thread_multiple {
-            t += params.mpi_global_lock;
-        }
-        if cfg.commthreads {
-            t += params.classic_commthread_penalty;
+/// What the model says of one paper cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Modeled {
+    /// The fitted cell: the paper's value by construction.
+    Fit(f64),
+    /// A prediction within [`STOP_RULE`] of the paper.
+    Predicted(f64),
+    /// A prediction that misses the paper by more than [`STOP_RULE`];
+    /// `error` is signed and relative to the paper. Not printed.
+    Missed { value: f64, error: f64 },
+    /// No exact count covers the cell.
+    NoCount,
+}
+
+impl Modeled {
+    /// A prediction of `value` for a cell the paper puts at `paper`,
+    /// under the stop rule.
+    fn judge(value: f64, paper: f64) -> Modeled {
+        let error = (value - paper) / paper;
+        if error.abs() <= STOP_RULE {
+            Modeled::Predicted(value)
+        } else {
+            Modeled::Missed { value, error }
         }
     }
-    t
+}
+
+/// One cell of Table 1, Table 2 or Figure 5.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    /// The row, as the paper names it.
+    pub label: &'static str,
+    /// The paper's value: seconds for a latency, messages/s for a rate.
+    pub paper: f64,
+    /// What the model says of it.
+    pub modeled: Modeled,
+    /// The `pamibench` workload that runs the host analog, if one does.
+    pub host: Option<&'static str>,
+}
+
+/// Table 1: PAMI half round trip, 0 B.
+pub fn table1(params: &MachineParams) -> [Cell; 2] {
+    let imm = pami_message(ledger::SEND_IMMEDIATE, ledger::DELIVER);
+    let send = pami_message(ledger::SEND, ledger::DELIVER);
+    [
+        Cell {
+            label: "PAMI_Send_immediate",
+            paper: PAPER_SEND_IMMEDIATE,
+            modeled: Modeled::Fit(half_round_trip(params, &imm)),
+            host: Some("pingpong_short"),
+        },
+        Cell {
+            label: "PAMI_Send",
+            paper: 1.32e-6,
+            modeled: Modeled::judge(half_round_trip(params, &send), 1.32e-6),
+            host: Some("pingpong_short"),
+        },
+    ]
+}
+
+/// Table 2: MPI half round trip, 0 B, for the six library
+/// configurations. Only the classic library at `MPI_THREAD_SINGLE`
+/// without commthreads takes no lock; the other five wait for lock counts
+/// (ROADMAP items 4 and 7(a)).
+pub fn table2(params: &MachineParams) -> [Cell; 6] {
+    let locked = |label, paper| Cell { label, paper, modeled: Modeled::NoCount, host: None };
+    [
+        Cell {
+            label: "Classic     / Thread Single   / commthread disabled",
+            paper: 1.95e-6,
+            modeled: Modeled::judge(half_round_trip(params, &mpi_message()), 1.95e-6),
+            host: Some("mpi_exchange"),
+        },
+        locked("Classic     / Thread Multiple / commthread disabled", 2.28e-6),
+        locked("Classic     / Thread Multiple / commthread enabled", 8.7e-6),
+        locked("Thread Opt. / Thread Multiple / commthread disabled", 2.96e-6),
+        locked("Thread Opt. / Thread Multiple / commthread enabled", 3.25e-6),
+        locked("Thread Opt. / Thread Single   / commthread disabled", 2.5e-6),
+    ]
+}
+
+/// Figure 5: node message rate on 32 nodes at the points the paper
+/// quotes. The commthread series waits for lock counts.
+pub fn figure5(params: &MachineParams) -> [Cell; 3] {
+    let pami = pami_message(ledger::FLOOD_SEND, ledger::FLOOD_DELIVER);
+    [
+        Cell {
+            label: "PAMI, 32 ppn",
+            paper: 107e6,
+            modeled: Modeled::judge(node_rate(params, &pami, 32), 107e6),
+            host: Some("flood_short"),
+        },
+        Cell {
+            label: "MPI, 32 ppn",
+            paper: 22.9e6,
+            modeled: Modeled::judge(node_rate(params, &mpi_message(), 32), 22.9e6),
+            host: Some("mpi_exchange"),
+        },
+        Cell {
+            label: "MPI + commthreads, 16 ppn",
+            paper: 18.7e6,
+            modeled: Modeled::NoCount,
+            host: None,
+        },
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -87,41 +277,6 @@ pub fn eager_neighbor_throughput(params: &MachineParams, k: usize, size: usize) 
     link_limited.min(receiver_ceiling)
 }
 
-// ---------------------------------------------------------------------------
-// Figure 5 — message rate
-// ---------------------------------------------------------------------------
-
-/// Which message-rate series to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RateSeries {
-    /// The PAMI benchmark: each process floods a peer over its own context.
-    Pami,
-    /// The modified Sequoia benchmark over the classic MPI library,
-    /// receives pre-posted with explicit source ranks.
-    Mpi,
-    /// Thread-optimized MPI with commthreads, explicit sources.
-    MpiCommthreads,
-    /// Thread-optimized MPI with commthreads, ANY_SOURCE wildcard receives.
-    MpiCommthreadsWildcard,
-}
-
-/// Aggregate node message rate (messages/second) at `ppn` processes per
-/// node (Figure 5).
-pub fn message_rate(params: &MachineParams, series: RateSeries, ppn: usize) -> f64 {
-    let per_process = match series {
-        RateSeries::Pami => 1.0 / params.pami_msg_cost,
-        RateSeries::Mpi => 1.0 / params.mpi_msg_cost,
-        RateSeries::MpiCommthreads => {
-            params.commthread_speedup(ppn) / params.mpi_threadopt_msg_cost
-        }
-        RateSeries::MpiCommthreadsWildcard => {
-            params.commthread_speedup(ppn) * params.wildcard_penalty
-                / params.mpi_threadopt_msg_cost
-        }
-    };
-    (ppn as f64 * per_process).min(params.mu_message_cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,51 +287,32 @@ mod tests {
 
     #[test]
     fn table1_shape_and_scale() {
-        let imm = pami_send_immediate_latency(&p(), 0);
-        let send = pami_send_latency(&p(), 0);
-        assert!(imm < send, "send-immediate is the faster path");
-        // Within 15% of the published 1.18/1.32 µs.
-        assert!((imm - 1.18e-6).abs() / 1.18e-6 < 0.15, "imm {imm}");
-        assert!((send - 1.32e-6).abs() / 1.32e-6 < 0.15, "send {send}");
+        let [imm, send] = table1(&p());
+        let Modeled::Fit(fit) = imm.modeled else { panic!("{imm:?}") };
+        assert!((fit - imm.paper).abs() < 1e-15, "the fit reproduces its own cell");
+        // A prediction within the stop rule, on the wrong side of the
+        // fitted cell: the host's `send` is the cheaper call
+        // (EXPERIMENTS.md, Table 1's note).
+        let Modeled::Predicted(v) = send.modeled else { panic!("{send:?}") };
+        assert!((v - send.paper).abs() / send.paper <= STOP_RULE);
+        assert!(v < fit);
     }
 
     #[test]
-    fn table2_ordering_matches_paper() {
-        let params = p();
-        let classic_single = mpi_latency(
-            &params,
-            MpiLatencyConfig { thread_optimized: false, thread_multiple: false, commthreads: false },
-            0,
-        );
-        let classic_multiple = mpi_latency(
-            &params,
-            MpiLatencyConfig { thread_optimized: false, thread_multiple: true, commthreads: false },
-            0,
-        );
-        let classic_commthread = mpi_latency(
-            &params,
-            MpiLatencyConfig { thread_optimized: false, thread_multiple: true, commthreads: true },
-            0,
-        );
-        let opt_multiple = mpi_latency(
-            &params,
-            MpiLatencyConfig { thread_optimized: true, thread_multiple: true, commthreads: false },
-            0,
-        );
-        let opt_commthread = mpi_latency(
-            &params,
-            MpiLatencyConfig { thread_optimized: true, thread_multiple: true, commthreads: true },
-            0,
-        );
-        // Paper: 1.95 < 2.28 < 8.7 (classic) and 2.96 < 3.25 (thread-opt);
-        // thread-opt beats classic once commthreads are on.
-        assert!(classic_single < classic_multiple);
-        assert!(classic_multiple < opt_multiple);
-        assert!(opt_multiple < opt_commthread);
-        assert!(opt_commthread < classic_commthread);
-        assert!(classic_commthread > 7e-6, "contention penalty dominates");
-        // MPI always costs more than raw PAMI.
-        assert!(classic_single > pami_send_latency(&params, 0));
+    fn every_other_cell_prints_a_dash() {
+        // The recorded run's verdicts: each counted cell misses by far more
+        // than the stop rule, so a re-recorded ledger that flips one has to
+        // say so here and in EXPERIMENTS.md.
+        let missed = |cell: Cell| match cell.modeled {
+            Modeled::Missed { error, .. } => error,
+            other => panic!("{}: {other:?}", cell.label),
+        };
+        let [classic_single, locked @ ..] = table2(&p());
+        assert!(missed(classic_single) > 0.5, "MPI over-predicted");
+        assert!(locked.iter().all(|c| c.modeled == Modeled::NoCount && c.host.is_none()));
+        let [pami, mpi, commthreads] = figure5(&p());
+        assert!(missed(pami) < -0.4 && missed(mpi) < -0.4, "both rates under-predicted");
+        assert_eq!(commthreads.modeled, Modeled::NoCount);
     }
 
     #[test]
@@ -202,39 +338,6 @@ mod tests {
         let r1 = rendezvous_neighbor_throughput(&params, 1, size);
         let e1 = eager_neighbor_throughput(&params, 1, size);
         assert!((r1 - e1).abs() / r1 < 0.05);
-    }
-
-    #[test]
-    fn figure5_shapes() {
-        let params = p();
-        // PAMI ≫ MPI at every ppn.
-        for ppn in [1usize, 2, 4, 8, 16, 32] {
-            assert!(
-                message_rate(&params, RateSeries::Pami, ppn)
-                    > 3.0 * message_rate(&params, RateSeries::Mpi, ppn)
-            );
-        }
-        // Paper endpoints: PAMI ≈ 107 MMPS at ppn=32, MPI ≈ 22.9 MMPS.
-        let pami32 = message_rate(&params, RateSeries::Pami, 32);
-        assert!((pami32 - 107e6).abs() / 107e6 < 0.15, "pami32 {pami32}");
-        let mpi32 = message_rate(&params, RateSeries::Mpi, 32);
-        assert!((mpi32 - 22.9e6).abs() / 22.9e6 < 0.15, "mpi32 {mpi32}");
-        // Commthread speedup ≈ 2.4× at ppn=1 and shrinks with ppn.
-        let s1 = message_rate(&params, RateSeries::MpiCommthreads, 1)
-            / message_rate(&params, RateSeries::Mpi, 1);
-        assert!(s1 > 1.9 && s1 < 2.6, "speedup at ppn=1: {s1}");
-        let s16 = message_rate(&params, RateSeries::MpiCommthreads, 16)
-            / message_rate(&params, RateSeries::Mpi, 16);
-        assert!(s16 < s1, "speedup shrinks with ppn");
-        assert!(s16 > 1.2, "but still helps at ppn=16");
-        // Best commthread rate lands near the paper's 18.7 MMPS at ppn=16.
-        let best = message_rate(&params, RateSeries::MpiCommthreads, 16);
-        assert!((best - 18.7e6).abs() / 18.7e6 < 0.25, "best {best}");
-        // Wildcards cost rate.
-        assert!(
-            message_rate(&params, RateSeries::MpiCommthreadsWildcard, 8)
-                < message_rate(&params, RateSeries::MpiCommthreads, 8)
-        );
     }
 }
 

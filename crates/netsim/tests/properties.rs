@@ -39,43 +39,6 @@ proptest! {
         prop_assert!(rc >= 0.9 * bc);
     }
 
-    /// Message-rate model: PAMI dominates MPI at every PPN; adding
-    /// commthreads never hurts the thread-optimized rate by more than the
-    /// coordination overhead; rates scale with PPN until the MU cap.
-    #[test]
-    fn message_rate_orderings(ppn_exp in 0u32..6) {
-        let p = MachineParams::default();
-        let ppn = 1usize << ppn_exp;
-        let pami = p2p::message_rate(&p, p2p::RateSeries::Pami, ppn);
-        let mpi = p2p::message_rate(&p, p2p::RateSeries::Mpi, ppn);
-        let ct = p2p::message_rate(&p, p2p::RateSeries::MpiCommthreads, ppn);
-        let wild = p2p::message_rate(&p, p2p::RateSeries::MpiCommthreadsWildcard, ppn);
-        prop_assert!(pami > mpi);
-        prop_assert!(ct > mpi, "commthreads help the rate");
-        prop_assert!(wild < ct, "wildcards cost rate");
-        prop_assert!(pami <= p.mu_message_cap);
-    }
-
-    /// Table 1/2 latency compositions are positive, finite, and ordered
-    /// for any message size up to the eager range.
-    #[test]
-    fn latency_composition_sane(len in 0usize..4096) {
-        let p = MachineParams::default();
-        let imm = p2p::pami_send_immediate_latency(&p, len);
-        let send = p2p::pami_send_latency(&p, len);
-        prop_assert!(imm.is_finite() && imm > 0.0);
-        prop_assert!(send > imm);
-        let mpi = p2p::mpi_latency(
-            &p,
-            p2p::MpiLatencyConfig { thread_optimized: false, thread_multiple: false, commthreads: false },
-            len,
-        );
-        prop_assert!(mpi > send);
-        // Larger payloads never reduce latency.
-        let bigger = p2p::pami_send_latency(&p, len + 512);
-        prop_assert!(bigger >= send);
-    }
-
     /// All-to-all bandwidth grows with torus dimensionality for a fixed
     /// node count (power-of-two shapes).
     #[test]

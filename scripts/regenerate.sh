@@ -2,8 +2,7 @@
 # Regenerate every artifact EXPERIMENTS.md records:
 #   test_output.txt     — full workspace test run
 #   bench_output.txt    — the `substrate` Criterion bench (building blocks)
-#   repro_output.txt    — every paper table/figure (modeled; Tables 2–3
-#                         also measured on the host)
+#   repro_output.txt    — every paper table/figure from the timing models
 # (Rates and latencies with a stated noise are `bash benchmark/run.sh run`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
