@@ -464,7 +464,7 @@ fn substrate_surface_census() {
 
 /// Names DESIGN.md keeps as history, and the change that removed each
 /// from the tree.
-const RETIRED_NAMES: [(&str, &str); 16] = [
+const RETIRED_NAMES: [(&str, &str); 20] = [
     ("put_raw", "tuple-taking put shim, deprecated for one PR, deleted with aggregation"),
     ("get_raw", "tuple-taking get shim, deprecated for one PR, deleted with aggregation"),
     ("read_vec", "`MemRegion::read_vec`, deleted in ISSUE 15 with its last caller"),
@@ -481,6 +481,10 @@ const RETIRED_NAMES: [(&str, &str); 16] = [
     ("failover_generation", "endpoint failover's remap generation, deleted with failover"),
     ("measure_failover_drain", "the kill-a-node failover drill, deleted with failover"),
     ("eager_limit", "`MachineBuilder::eager_limit`, deleted with `repro table3`'s measured arms"),
+    ("deliver_body", "per-frame delivery, replaced by `deliver_frames` and the message queue"),
+    ("whole_body", "a one-sided descriptor as a frame body, replaced by `delivery_of`"),
+    ("split_payload", "a put's head/tail split, deleted with the per-frame frame bodies"),
+    ("fail_body", "a frame body's counter failure, folded into `Message::fail`"),
 ];
 
 /// Every backticked lowercase name with an `_` in DESIGN.md — a code span

@@ -1148,3 +1148,18 @@ fn steady_state_message_path_stays_inside_its_allocation_budget() {
         assert_eq!(over, 0, "{name}: an over-aligned allocation in steady state");
     }
 }
+
+/// What recovery allocates: the `halo_lossy` step of
+/// `lossy_halo_history`, 100 steps of seed 1, counted on the one thread
+/// that drives it. A message queued behind a loss is one retransmit-queue
+/// entry whose payload is staged, when its counter asks, in one buffer;
+/// the frames behind the loss add protocol state to a ring and allocate
+/// nothing of their own. When a queued frame owned its own copy of its
+/// message's header, counters and staged window, the same run made
+/// 20 334 allocations (19 962 with telemetry compiled out).
+#[test]
+fn lossy_halo_allocations_are_pinned() {
+    let ((_, ring), allocs, _) = allocs_in(|| lossy_halo_history(1, 100));
+    println!("lossy halo, seed 1, 100 steps: {allocs} allocations, ring {ring}");
+    assert_eq!(allocs, if cfg!(feature = "telemetry") { 19_413 } else { 19_041 });
+}

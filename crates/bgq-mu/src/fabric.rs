@@ -23,15 +23,19 @@
 //!  pump_inj_handle/sys ┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
 //!  execute_now ────────┘                                   + DEPOSIT
 //!
-//!  1 one message id, one `fragments()` iterator (the only ≤512-byte
-//!    chunking loop), one `packet_of()` constructor (the only `MuPacket`
-//!    literal, the only CRC stamp), one sampled `mu.*` accounting site
+//!  1 one message id, one `packet_of()` constructor (the only `MuPacket`
+//!    literal, the only CRC stamp), one sampled `mu.*` accounting site;
+//!    `fragments()` cuts a message that goes through whole, a held-back
+//!    one is cut by its `link::Message`'s frame windows
 //!  2 only under a fault plan, only between distinct nodes: one call,
 //!    `link::Reliability::admit`, draws the channel sequence numbers and
-//!    says how many packets, from the first, pass every die: those go on
-//!    to 3 on this thread, the rest join the selective-repeat queue in
-//!    `link.rs`, which calls back into `deliver_body` → 3 as each crosses
-//!  3 `deposit()`, once for the packets that went through: the installed
+//!    says how many packets, from the first, pass every die. If all do,
+//!    they go on to 3 on this thread; else the message joins the
+//!    selective-repeat queue in `link.rs` whole, as one `Message`:
+//!    `deliver_frames` → 3 lands the packets ahead of the loss now, and
+//!    `link.rs` calls it back for each run of the rest that crosses in
+//!    order
+//!  3 `deposit()`, once per run of packets that went through: the installed
 //!    `Transport` if any, else straight into the reception FIFO (`deliver`
 //!    for one packet, `deliver_batch` for a train — a property of the
 //!    data, never of the tier)
@@ -41,8 +45,8 @@
 //!
 //! One-sided descriptors (direct put, remote get, rmw) never touch a
 //! reception FIFO; they share stage 2 (same `admit`, same split) and
-//! `deliver_body`, which applies them to destination memory — a put's
-//! passing windows as one copy, an rmw under the striped lock of the word
+//! `deliver_frames`, which applies them to destination memory — a run of
+//! a put's windows as one copy, an rmw under the striped lock of the word
 //! it names, its only path.
 //!
 //! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), lost
@@ -54,6 +58,7 @@
 //! channel's link sequence number and a CRC-32C stamp; a lossless packet
 //! carries neither (both fields zero).
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -67,7 +72,7 @@ use crate::fifo::{
     FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
     INJ_FIFOS_PER_NODE, REC_FIFOS_PER_NODE,
 };
-use crate::link::{Channel, FrameBody, RasCounters, RasEvent, RasRing, Reliability};
+use crate::link::{Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
 use crate::rmw::RmwLocks;
 use crate::transport::Transport;
@@ -547,50 +552,58 @@ impl MuFabric {
             let dst = &self.node(hdr.dst_node).counters;
             dst.packets_received.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
         }
-        let mut frags = fragments(payload, stage);
 
         // 2. Reliability (only under a fault plan, only across a link):
         // the packets ahead of the first failing die go through.
         let channel = self.reliable_channel(src_node, hdr.dst_node);
         let admit = channel.map(|(rel, ch)| rel.admit(ch, npackets));
         let through = admit.map_or(npackets, |a| a.through);
+        if through < npackets {
+            // Held back from the first failing die on: the message goes to
+            // the retransmit queue whole, read once if it must be staged.
+            let payload =
+                if stage { PayloadSource::Immediate(payload.into_bytes()) } else { payload };
+            let packet = Delivery::Packet { hdr, msg_id, msg_len };
+            let base_seq = admit.map_or(0, |a| a.base_seq);
+            let msg = Message::new(base_seq, npackets, packet, payload, total_credit, inj_counter);
+            self.cut_through(channel, msg, through);
+            return;
+        }
 
         // 3. Transport + deposit. The last packet takes the header itself;
         // earlier ones clone it (a refcount bump on the metadata).
+        let mut frags = fragments(payload, stage);
         let (dst_node, rec_fifo) = (hdr.dst_node, hdr.rec_fifo);
         let mut hdr = Some(hdr);
-        if through > 0 {
-            self.deposit(src_node, dst_node, rec_fifo, through, |i| {
-                let (offset, payload) = frags.next().expect("one fragment per packet");
-                let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
-                let hdr = hdr.expect("the header outlives its packets");
-                let seq = admit.map(|a| a.base_seq + i);
-                self.packet_of(hdr, src_node, msg_id, msg_len, offset, payload, seq)
-            });
-        }
+        self.deposit(src_node, dst_node, rec_fifo, npackets, |i| {
+            let (offset, payload) = frags.next().expect("one fragment per packet");
+            let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
+            let hdr = hdr.expect("the header outlives its packets");
+            let seq = admit.map(|a| a.base_seq.wrapping_add(i));
+            self.packet_of(hdr, src_node, msg_id, msg_len, offset, payload, seq)
+        });
 
         // 4. Completion: the source buffer is no longer referenced.
-        if through == npackets {
-            if let Some(c) = inj_counter {
-                c.delivered(total_credit);
-            }
-            return;
+        if let Some(c) = inj_counter {
+            c.delivered(total_credit);
         }
-        // The packets from the first failing die on join the retransmit
-        // queue and are credited as their acks arrive; the full packets
-        // ahead of them are credited now.
-        let (Some((rel, ch)), Some(admit), Some(hdr)) = (channel, admit, hdr) else {
-            unreachable!("only a reliable channel holds packets back");
+    }
+
+    /// A message [`Reliability::admit`] held back from frame `through` on:
+    /// its frames ahead of that land now, as one delivery, and are credited
+    /// at once; the message joins the retransmit queue for the rest, whose
+    /// cumulative acks credit them.
+    fn cut_through(&self, channel: Option<(&Reliability, &Channel)>, msg: Message, through: u64) {
+        let Some((rel, ch)) = channel else {
+            unreachable!("only a reliable channel holds frames back");
         };
-        if let Some(c) = &inj_counter {
-            c.delivered(through * MAX_PAYLOAD_BYTES as u64);
+        if through > 0 {
+            self.deliver_frames(ch.src, ch.dst, &msg, 0..through);
+            if let Some(c) = &msg.inj_counter {
+                c.delivered(msg.credit_of(0..through));
+            }
         }
-        let bodies = frags.map(move |(offset, payload)| {
-            let credit = if msg_len == 0 { total_credit } else { payload.len() as u64 };
-            let hdr = hdr.clone();
-            (credit, FrameBody::Packet { hdr, msg_id, msg_len, offset, payload })
-        });
-        rel.enqueue(ch, admit.base_seq + through, inj_counter, bodies, &self.frame_deposit());
+        rel.enqueue(ch, msg, through, &self.frame_deposit());
     }
 
     /// Build one packet and stamp its CRC — the only `MuPacket` literal
@@ -677,87 +690,66 @@ impl MuFabric {
         };
         let admit = channel.map(|(rel, ch)| rel.admit(ch, frames));
         let through = admit.map_or(frames, |a| a.through);
-        if through == frames {
-            self.deliver_body(src_node, dst_node, 0, total_credit, &whole_body(kind, payload));
-            if let Some(c) = inj_counter {
-                c.delivered(total_credit);
-            }
+        let base_seq = admit.map_or(0, |a| a.base_seq);
+        let msg =
+            Message::new(base_seq, frames, delivery_of(kind), payload, total_credit, inj_counter);
+        if through < frames {
+            self.cut_through(channel, msg, through);
             return;
         }
-        let (Some((rel, ch)), Some(admit)) = (channel, admit) else {
-            unreachable!("only a reliable channel holds frames back");
-        };
-        let first_seq = admit.base_seq + through;
-        let XferKind::DirectPut { dst_region, dst_offset, rec_counter } = kind else {
-            let body = std::iter::once((total_credit, whole_body(kind, payload)));
-            rel.enqueue(ch, first_seq, inj_counter, body, &self.frame_deposit());
-            return;
-        };
-        // The windows ahead of the first failing die land now, as one; the
-        // rest queue.
-        let at = through as usize * MAX_PAYLOAD_BYTES;
-        let (head, tail) = split_payload(payload, at);
-        if at > 0 {
-            let put = FrameBody::Put {
-                dst_region: dst_region.clone(),
-                dst_offset,
-                payload: head,
-                rec_counter: rec_counter.clone(),
-            };
-            self.deliver_body(src_node, dst_node, admit.base_seq, at as u64, &put);
-            if let Some(c) = &inj_counter {
-                c.delivered(at as u64);
-            }
+        self.deliver_frames(src_node, dst_node, &msg, 0..frames);
+        if let Some(c) = msg.inj_counter {
+            c.delivered(total_credit);
         }
-        let empty = tail.is_empty();
-        let windows = fragments(tail, false).map(move |(offset, payload)| {
-            let credit = if empty { total_credit } else { payload.len() as u64 };
-            let put = FrameBody::Put {
-                dst_region: dst_region.clone(),
-                dst_offset: dst_offset + at + offset as usize,
-                payload,
-                rec_counter: rec_counter.clone(),
-            };
-            (credit, put)
-        });
-        rel.enqueue(ch, first_seq, inj_counter, windows, &self.frame_deposit());
     }
 
-    /// [`MuFabric::deliver_body`] as the deposit closure `link.rs` is handed.
-    fn frame_deposit(&self) -> impl Fn(&Channel, u64, u64, &FrameBody) + '_ {
-        move |ch, seq, credit, body| self.deliver_body(ch.src, ch.dst, seq, credit, body)
+    /// [`MuFabric::deliver_frames`] as the deposit closure `link.rs` is
+    /// handed.
+    fn frame_deposit(&self) -> impl Fn(&Channel, &Message, Range<u64>) + '_ {
+        move |ch, msg, frames| self.deliver_frames(ch.src, ch.dst, msg, frames)
     }
 
-    /// Perform one frame body's delivery action at the destination — the
-    /// data crossed the wire — without crediting the source completion
-    /// counter (for queued frames that happens when the cumulative ack
-    /// arrives). It borrows the body because a queued frame stays queued
-    /// until acked, and the clones below are refcount bumps.
-    fn deliver_body(&self, src_node: u32, dst_node: u32, seq: u64, credit: u64, body: &FrameBody) {
+    /// Deliver frames `frames` of `msg` at the destination — the data
+    /// crossed the wire — as one action: a run of packets as one
+    /// `deposit`, a run of put windows as one copy. Does not credit the
+    /// source completion counter (for queued frames the cumulative ack
+    /// does). It borrows the message because a queued one stays queued
+    /// until acked; the clones below are refcount bumps.
+    fn deliver_frames(&self, src_node: u32, dst_node: u32, msg: &Message, frames: Range<u64>) {
         let dst = self.node(dst_node);
-        match body {
-            FrameBody::Packet { hdr, msg_id, msg_len, offset, payload } => {
-                let (h, p) = (hdr.clone(), payload.clone());
-                let mut pkt =
-                    Some(self.packet_of(h, src_node, *msg_id, *msg_len, *offset, p, Some(seq)));
-                self.deposit(src_node, dst_node, hdr.rec_fifo, 1, |_| {
-                    pkt.take().expect("one frame, one packet")
+        match &msg.delivery {
+            Delivery::Packet { hdr, msg_id, msg_len } => {
+                let first = frames.start;
+                self.deposit(src_node, dst_node, hdr.rec_fifo, frames.end - first, |i| {
+                    let bytes = msg.window(first + i..first + i + 1);
+                    let offset = bytes.start as u32;
+                    let payload = window(&msg.payload, bytes);
+                    let seq = Some(msg.seq(first + i));
+                    self.packet_of(hdr.clone(), src_node, *msg_id, *msg_len, offset, payload, seq)
                 });
             }
-            FrameBody::Put { dst_region, dst_offset, payload, rec_counter } => {
-                payload.deposit(dst_region, *dst_offset);
-                dst.counters.put_bytes_in.add(payload.len() as u64);
+            Delivery::Put { dst_region, dst_offset, rec_counter } => {
+                let bytes = msg.window(frames.clone());
+                let len = bytes.len();
+                let at = dst_offset + bytes.start;
+                match &msg.payload {
+                    PayloadSource::Immediate(data) => dst_region.write(at, &data[bytes]),
+                    PayloadSource::Region { region, offset, .. } => {
+                        dst_region.copy_from(at, region, offset + bytes.start, len);
+                    }
+                }
+                dst.counters.put_bytes_in.add(len as u64);
                 if let Some(c) = rec_counter {
-                    c.delivered(credit);
+                    c.delivered(msg.credit_of(frames));
                 }
             }
-            FrameBody::Get { desc } => {
+            Delivery::Get(desc) => {
                 dst.sys_inj.queue.push((**desc).clone());
             }
-            FrameBody::Rmw(req) => {
+            Delivery::Rmw(req) => {
                 // Exactly-once under retransmission: the channel's receive
                 // verdict discards duplicate sequence numbers before this
-                // runs, so a frame body applies at most once.
+                // runs, so a frame applies at most once.
                 let prior = self.inner.rmw_locks.apply(req);
                 if let Some(r) = &req.reply {
                     r.region.write(r.offset, &prior.to_le_bytes());
@@ -837,30 +829,28 @@ impl MuFabric {
     }
 }
 
-/// A one-sided descriptor as a single delivery action over its whole
-/// payload.
-fn whole_body(kind: XferKind, payload: PayloadSource) -> FrameBody {
+/// A one-sided descriptor's delivery action.
+fn delivery_of(kind: XferKind) -> Delivery {
     match kind {
         XferKind::DirectPut { dst_region, dst_offset, rec_counter } => {
-            FrameBody::Put { dst_region, dst_offset, payload: payload.into(), rec_counter }
+            Delivery::Put { dst_region, dst_offset, rec_counter }
         }
-        XferKind::RemoteGet { payload: desc } => FrameBody::Get { desc },
-        XferKind::Rmw(req) => FrameBody::Rmw(req),
+        XferKind::RemoteGet { payload: desc } => Delivery::Get(desc),
+        XferKind::Rmw(req) => Delivery::Rmw(req),
         XferKind::MemoryFifo { .. } => unreachable!("memory-FIFO messages take deliver_message"),
     }
 }
 
-/// A payload cut at byte `at`: the window before it (zero-copy) and the
-/// payload from it on.
-fn split_payload(payload: PayloadSource, at: usize) -> (PacketPayload, PayloadSource) {
+/// Bytes `bytes` of a payload as a packet payload: a refcounted slice of
+/// an immediate payload, a zero-copy window into a region.
+fn window(payload: &PayloadSource, bytes: Range<usize>) -> PacketPayload {
     match payload {
-        PayloadSource::Immediate(data) => {
-            (PacketPayload::Inline(data.slice(..at)), PayloadSource::Immediate(data.slice(at..)))
-        }
-        PayloadSource::Region { region, offset, len } => (
-            PacketPayload::Region { region: region.clone(), offset, len: at },
-            PayloadSource::Region { region, offset: offset + at, len: len - at },
-        ),
+        PayloadSource::Immediate(data) => PacketPayload::Inline(data.slice(bytes)),
+        PayloadSource::Region { region, offset, .. } => PacketPayload::Region {
+            region: region.clone(),
+            offset: offset + bytes.start,
+            len: bytes.len(),
+        },
     }
 }
 
@@ -883,14 +873,11 @@ fn fragments(
             PayloadSource::Immediate(data) if chunk == len => {
                 PacketPayload::Inline(std::mem::take(data))
             }
-            PayloadSource::Immediate(data) => PacketPayload::Inline(data.slice(off..off + chunk)),
             PayloadSource::Region { region, offset, .. } if stage => {
                 let at = *offset + off;
                 PacketPayload::Inline(bytes::Bytes::init_with(chunk, |buf| region.read(at, buf)))
             }
-            PayloadSource::Region { region, offset, .. } => {
-                PacketPayload::Region { region: region.clone(), offset: *offset + off, len: chunk }
-            }
+            payload => window(payload, off..off + chunk),
         };
         (off as u32, fragment)
     })
@@ -1716,7 +1703,7 @@ mod tests {
     /// Frames queued on the 0 → 1 channel.
     fn queued(fabric: &MuFabric) -> usize {
         let rel = fabric.inner.reliability.as_ref().expect("a fault plan");
-        rel.channel(0, 1).tx.lock().queue.len()
+        rel.channel(0, 1).tx.lock().frames.len()
     }
 
     #[test]

@@ -33,11 +33,11 @@
 //!   crossings do not advance kill schedules, so kill-at-Nth-frame plans
 //!   count data frames only.
 //! * **The reorder buffer is sender-resident.** The simulation's "wire" is
-//!   a function call, so an out-of-order frame's body stays in the sender's
-//!   queue ([`FrameState::SackHeld`]) and is deposited at the destination
-//!   when the sequence gap fills; the receiver tracks only the held
-//!   sequence numbers ([`HeldRing`], one bit each), bounded by the plan's
-//!   reorder capacity. Arrivals beyond the high-water mark are refused
+//!   a function call, so an out-of-order frame's data stays with its
+//!   [`Message`] in the sender's queue ([`FrameState::SackHeld`]) and is
+//!   deposited at the destination when the sequence gap fills; the
+//!   receiver tracks only the held sequence numbers ([`HeldRing`], one bit
+//!   each), bounded by the plan's reorder capacity. Arrivals beyond the high-water mark are refused
 //!   (drop-newest, `RasEventKind::ReorderEvict`) and retransmitted later.
 //! * **Faults fire on the links of the route.** A frame's fate is decided
 //!   per crossed link (first bad link wins), so longer routes really are
@@ -50,22 +50,31 @@
 //! decision: how many of a message's frames, counted from the first, cross
 //! straight through — every one ahead of the first failing die),
 //! [`Reliability::enqueue`] (the rest, onto the retransmit queue) and
-//! [`Reliability::pump`]; what "delivering a frame" does at the
-//! destination is handed in as a [`Deposit`] closure, so this module never
-//! touches a reception FIFO.
+//! [`Reliability::pump`].
+//!
+//! The retransmit queue holds **messages, not frames**: a queued
+//! [`Message`] stores its delivery, payload and completion counter once,
+//! and each of its queued frames adds only its protocol state (a
+//! [`Frame`] in [`TxState::frames`]). Every protocol decision and every RAS
+//! event is per frame; delivery and crediting are per message. A run of
+//! frames the receiver takes in order is delivered as "frames `a..b` of
+//! message `m`" — one [`Deposit`] call handed in by the fabric, so this
+//! module never touches a reception FIFO — and a cumulative ack credits
+//! each message it retires frames of with one counter update.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgq_hw::{Counter as HwCounter, DeliveryFault, MemRegion};
+use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
 use parking_lot::Mutex;
 
-use crate::descriptor::{Descriptor, FifoHeader, RmwRequest};
+use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, RmwRequest};
 use crate::faults::{link_id, Fate, FaultInjector};
-use crate::packet::PacketPayload;
 use crate::transport::Transport;
 
 /// `ras.*` telemetry probes — the reliability layer's RAS event counters,
@@ -211,26 +220,93 @@ impl RasRing {
     }
 }
 
-/// What delivering a frame does at the destination.
-pub(crate) enum FrameBody {
-    /// One memory-FIFO packet: the message header (what every packet of
-    /// the message says) plus this fragment.
-    Packet { hdr: FifoHeader, msg_id: u64, msg_len: u32, offset: u32, payload: PacketPayload },
-    /// One window of a direct put (≤512 bytes under a fault plan, the whole
-    /// payload on the lossless fabric).
-    Put {
-        dst_region: MemRegion,
-        dst_offset: usize,
-        payload: PacketPayload,
-        rec_counter: Option<HwCounter>,
-    },
+/// What delivering a message's frames does at the destination. Stored
+/// once per message, however many frames it spans.
+pub(crate) enum Delivery {
+    /// Memory-FIFO packets: the message header (what every packet of the
+    /// message says); frame `i` is the packet at message offset `i * 512`.
+    Packet { hdr: FifoHeader, msg_id: u64, msg_len: u32 },
+    /// A direct put: frame `i` is the payload's window from `i * 512`,
+    /// landing at `dst_offset + i * 512` of `dst_region`.
+    Put { dst_region: MemRegion, dst_offset: usize, rec_counter: Option<HwCounter> },
     /// A remote-get request carrying the payload descriptor the
     /// destination injects on our behalf.
-    Get { desc: Box<Descriptor> },
+    Get(Box<Descriptor>),
     /// A remote atomic, applied at the destination on delivery; the prior
     /// value is written to the requester's reply slot. The channel's
     /// duplicate suppression makes a retransmitted rmw apply exactly once.
     Rmw(RmwRequest),
+}
+
+/// One transfer as the reliability layer holds it: its delivery, its
+/// payload and its source completion counter, each stored once, over
+/// frames `0..frames` numbered from `base_seq`. The frames ahead of its
+/// first failing die cross at admission; the rest wait in
+/// [`TxState::frames`] until cumulative acks retire them.
+pub(crate) struct Message {
+    /// Channel sequence number of frame 0.
+    base_seq: u64,
+    /// Frames the message spans.
+    frames: u64,
+    /// The delivery action.
+    pub delivery: Delivery,
+    /// The payload; frame `i` carries its bytes from `i * 512`.
+    pub payload: PayloadSource,
+    /// Completion credit of the whole message: the payload length, or
+    /// [`Descriptor::ZERO_LEN_CREDIT`] for an empty one.
+    credit: u64,
+    /// Source-side completion counter.
+    pub inj_counter: Option<HwCounter>,
+    /// Frames `0..retired` are delivered and credited: the ones that
+    /// crossed at admission, then each run a cumulative ack retired.
+    retired: u64,
+}
+
+impl Message {
+    pub(crate) fn new(
+        base_seq: u64,
+        frames: u64,
+        delivery: Delivery,
+        payload: PayloadSource,
+        credit: u64,
+        inj_counter: Option<HwCounter>,
+    ) -> Self {
+        Message { base_seq, frames, delivery, payload, credit, inj_counter, retired: 0 }
+    }
+
+    /// Channel sequence number of frame `i`.
+    pub(crate) fn seq(&self, i: u64) -> u64 {
+        self.base_seq.wrapping_add(i)
+    }
+
+    /// The payload bytes frames `frames` carry.
+    pub(crate) fn window(&self, frames: Range<u64>) -> Range<usize> {
+        let len = self.payload.len();
+        let at = |i: u64| (i as usize * MAX_PAYLOAD_BYTES).min(len);
+        at(frames.start)..at(frames.end)
+    }
+
+    /// Completion credit of frames `frames`: their bytes, or the whole
+    /// message's credit for all of it (an empty payload still credits).
+    pub(crate) fn credit_of(&self, frames: Range<u64>) -> u64 {
+        if frames.start == 0 && frames.end == self.frames {
+            return self.credit;
+        }
+        self.window(frames).len() as u64
+    }
+
+    /// Fail every completion counter this message carries (including the
+    /// counters buried in a remote-get's payload descriptor) — called when
+    /// the channel dies so pollers see completion-with-fault instead of a
+    /// hang. Returns how many counters were newly failed.
+    pub(crate) fn fail(&self, fault: DeliveryFault) -> u64 {
+        let inj = self.inj_counter.as_ref().map_or(0, |c| c.fail(fault) as u64);
+        inj + match &self.delivery {
+            Delivery::Put { rec_counter: Some(c), .. } => c.fail(fault) as u64,
+            Delivery::Get(desc) => fail_descriptor(desc, fault),
+            _ => 0,
+        }
+    }
 }
 
 /// Transmission state of a queued frame (selective repeat tracks this per
@@ -252,7 +328,8 @@ pub(crate) enum FrameState {
     SackHeld,
 }
 
-/// One frame in a channel: a unit of link-level (re)transmission.
+/// One queued frame's protocol state: the unit of link-level
+/// (re)transmission. What it carries belongs to its [`Message`].
 pub(crate) struct Frame {
     /// Channel-local sequence number (fate-hash input, receiver tracking).
     pub seq: u64,
@@ -267,35 +344,13 @@ pub(crate) struct Frame {
     /// This frame's current retransmit timeout in ticks (per-frame
     /// exponential backoff).
     pub rto: u64,
-    /// Bytes credited to `inj_counter` when the frame is acknowledged.
-    pub credit: u64,
-    /// Source-side completion counter share.
-    pub inj_counter: Option<HwCounter>,
-    /// The delivery action.
-    pub body: FrameBody,
 }
 
-impl Frame {
-    /// Fail every completion counter this frame carries (including the
-    /// counters buried in a remote-get's payload descriptor) — called when
-    /// the channel dies so pollers see completion-with-fault instead of a
-    /// hang. Returns how many counters were newly failed.
-    pub(crate) fn fail(&self, fault: DeliveryFault) -> u64 {
-        let mut failed = 0;
-        if let Some(c) = &self.inj_counter {
-            failed += c.fail(fault) as u64;
-        }
-        failed + fail_body(&self.body, fault)
-    }
-}
-
-/// Fail the destination-side counters a frame body carries.
-pub(crate) fn fail_body(body: &FrameBody, fault: DeliveryFault) -> u64 {
-    match body {
-        FrameBody::Put { rec_counter: Some(c), .. } => c.fail(fault) as u64,
-        FrameBody::Get { desc } => fail_descriptor(desc, fault),
-        _ => 0,
-    }
+/// Whether sequence `a` comes before `b` in the channel's wrapping
+/// sequence space: every queued or held sequence lies within far less
+/// than half of it of every other.
+fn seq_before(a: u64, b: u64) -> bool {
+    (a.wrapping_sub(b) as i64) < 0
 }
 
 /// Recursively fail the counters a descriptor carries.
@@ -340,7 +395,13 @@ pub(crate) struct RoutePlan {
 pub(crate) struct TxState {
     /// Frames awaiting transmission/ack, in sequence order. Selective
     /// repeat works up to a window of them per pump visit.
-    pub queue: VecDeque<Frame>,
+    pub frames: VecDeque<Frame>,
+    /// The messages those frames belong to, in sequence order; one leaves
+    /// when the cumulative ack covers its last frame.
+    pub msgs: VecDeque<Message>,
+    /// How many of `frames` are [`FrameState::Lost`]: a SACK has nothing
+    /// to fast-retransmit while it is 0.
+    lost: usize,
     /// Cached healthy route; `None` = recompute before next transmission.
     pub route: Option<Arc<RoutePlan>>,
     /// [`LinkHealth::epoch`] the cached route was computed at; a newer
@@ -348,6 +409,38 @@ pub(crate) struct TxState {
     pub route_epoch: usize,
     /// Set when the channel failed permanently; new frames fail on push.
     pub dead: Option<DeliveryFault>,
+}
+
+impl TxState {
+    /// Move frame `idx` to `state`, keeping `lost` in step.
+    fn set_state(&mut self, idx: usize, state: FrameState) {
+        let lost = |s: FrameState| matches!(s, FrameState::Lost { .. }) as usize;
+        let f = &mut self.frames[idx];
+        self.lost = self.lost + lost(state) - lost(f.state);
+        f.state = state;
+    }
+
+    /// Index in `msgs` of the message frame `seq` belongs to.
+    fn msg_of(&self, seq: u64) -> usize {
+        self.msgs.partition_point(|m| !seq_before(seq, m.base_seq)) - 1
+    }
+
+    /// Deliver the queued frames `run` — consecutive sequences the receiver
+    /// took in order — with one `deposit` call per message the run touches.
+    fn deposit_run(&self, ch: &Channel, run: Range<usize>, deposit: Deposit<'_>) {
+        let mut seq = self.frames[run.start].seq;
+        let mut left = run.len() as u64;
+        let mut m = self.msg_of(seq);
+        while left > 0 {
+            let msg = &self.msgs[m];
+            let a = seq.wrapping_sub(msg.base_seq);
+            let b = msg.frames.min(a + left);
+            deposit(ch, msg, a..b);
+            seq = seq.wrapping_add(b - a);
+            left -= b - a;
+            m += 1;
+        }
+    }
 }
 
 /// What the receiver said about one arriving data frame.
@@ -439,7 +532,7 @@ impl HeldRing {
 
 /// Receive half of a channel: the selective-repeat reorder tracking for
 /// the (src, dst) flow. Bounded memory: only sequence numbers are held —
-/// the frame bodies stay in the sender's queue ([`FrameState::SackHeld`])
+/// the frames' data stays in the sender's queue ([`FrameState::SackHeld`])
 /// until the gap fills. Locked after `tx`, never before.
 pub(crate) struct RxState {
     /// Next in-order sequence the receiver will deposit.
@@ -456,7 +549,7 @@ impl RxState {
     }
 
     /// Classify one arriving data frame. `Deliver` advances
-    /// `next_expected`; the caller deposits the body and then drains
+    /// `next_expected`; the caller deposits the frame and then drains
     /// consecutive buffered successors with [`RxState::drain_next`].
     pub(crate) fn accept(&mut self, seq: u64) -> RxVerdict {
         let rel = seq.wrapping_sub(self.next_expected);
@@ -485,7 +578,7 @@ impl RxState {
     }
 
     /// Release `seq` from the reorder buffer if it is the next in-order
-    /// sequence; returns whether the caller should deposit its body.
+    /// sequence; returns whether the caller should deposit that frame.
     pub(crate) fn drain_next(&mut self, seq: u64) -> bool {
         if seq == self.next_expected && self.held.remove(seq) {
             self.next_expected = self.next_expected.wrapping_add(1);
@@ -548,7 +641,9 @@ impl Channel {
             backlog_hint: std::sync::atomic::AtomicBool::new(false),
             fair_plan: OnceLock::new(),
             tx: Mutex::new(TxState {
-                queue: VecDeque::new(),
+                frames: VecDeque::new(),
+                msgs: VecDeque::new(),
+                lost: 0,
                 route: None,
                 route_epoch: 0,
                 dead: None,
@@ -626,11 +721,11 @@ pub(crate) struct Reliability {
     pending: Vec<AtomicUsize>,
 }
 
-/// The pipeline's deposit step, handed in by the fabric: perform one frame
-/// body's delivery action at the destination — `(channel, seq, credit,
-/// body)`. Called with the channel's `tx` lock held; it must not take
-/// another channel's lock (the fabric's never does).
-pub(crate) type Deposit<'a> = &'a dyn Fn(&Channel, u64, u64, &FrameBody);
+/// The pipeline's deposit step, handed in by the fabric: deliver frames
+/// `a..b` of a message at the destination — `(channel, message, a..b)`.
+/// Called with the channel's `tx` lock held; it must not take another
+/// channel's lock (the fabric's never does).
+pub(crate) type Deposit<'a> = &'a dyn Fn(&Channel, &Message, Range<u64>);
 
 /// What [`Reliability::admit`] decided for a message's `n` frames, which
 /// own the sequence numbers `base_seq..base_seq + n`. Nothing can touch
@@ -770,43 +865,30 @@ impl Reliability {
         }
         let pass = self.injector.pass_threshold();
         let plan = self.fair_plan(ch);
-        let first_loss = (base..base + n).position(|seq| {
-            let ss = FaultInjector::seq_salt(seq, 0);
+        let first_loss = (0..n).position(|i| {
+            let ss = FaultInjector::seq_salt(base.wrapping_add(i), 0);
             let mut hops = plan.fwd_salts.iter().chain(&plan.rev_salts);
             hops.any(|&ls| FaultInjector::draw(ls, ss) < pass)
         });
         first_loss.map_or(n, |k| k as u64)
     }
 
-    /// Queue the frames of a message that [`Reliability::admit`] did not
-    /// let through — `(credit, body)` in message order, numbered from
-    /// `first_seq` (its `base_seq + through`) — then pump the channel. A
-    /// dead channel fails their counters with its fault instead of
-    /// queueing into a black hole.
+    /// Queue frames `through..` of `msg` — the ones [`Reliability::admit`]
+    /// did not let through — then pump the channel. The message is stored
+    /// once; each queued frame adds only its protocol state. A dead channel
+    /// fails the message's counters with its fault instead of queueing into
+    /// a black hole.
     pub(crate) fn enqueue(
         &self,
         ch: &Channel,
-        first_seq: u64,
-        inj_counter: Option<HwCounter>,
-        bodies: impl Iterator<Item = (u64, FrameBody)>,
+        mut msg: Message,
+        through: u64,
         deposit: Deposit<'_>,
     ) {
-        let rto = self.injector.retry().rto_ticks;
-        let frames = bodies.zip(first_seq..).map(|((credit, body), seq)| Frame {
-            seq,
-            attempt: 0,
-            state: FrameState::Queued,
-            retries: 0,
-            rto,
-            credit,
-            inj_counter: inj_counter.clone(),
-            body,
-        });
         let mut guard = ch.tx.lock();
         let tx: &mut TxState = &mut guard;
         if let Some(fault) = tx.dead {
-            let failed: u64 = frames.map(|f| f.fail(fault)).sum();
-            self.ras.delivery_failures.add(failed);
+            self.ras.delivery_failures.add(msg.fail(fault));
             self.ring.record(RasEvent {
                 tick: self.tick(ch.src),
                 kind: RasEventKind::DeliveryFailure,
@@ -816,14 +898,27 @@ impl Reliability {
             });
             return;
         }
-        let before = tx.queue.len();
-        for frame in frames {
-            // A concurrent sender's draw may have reached the queue first:
-            // insert in sequence order, which the pump relies on.
-            let pos = tx.queue.partition_point(|f| f.seq < frame.seq);
-            tx.queue.insert(pos, frame);
+        msg.retired = through;
+        let rto = self.injector.retry().rto_ticks;
+        let first = msg.seq(through);
+        let frames = (through..msg.frames).map(|i| Frame {
+            seq: msg.seq(i),
+            attempt: 0,
+            state: FrameState::Queued,
+            retries: 0,
+            rto,
+        });
+        let queued = (msg.frames - through) as usize;
+        // A concurrent sender's draw may have reached the queue first:
+        // insert in sequence order, which the pump relies on.
+        let at = tx.frames.partition_point(|f| seq_before(f.seq, first));
+        tx.frames.reserve(queued);
+        for (k, frame) in frames.enumerate() {
+            tx.frames.insert(at + k, frame);
         }
-        self.pending[ch.src as usize].fetch_add(tx.queue.len() - before, Ordering::Release);
+        let m = tx.msgs.partition_point(|m| seq_before(m.base_seq, first));
+        tx.msgs.insert(m, msg);
+        self.pending[ch.src as usize].fetch_add(queued, Ordering::Release);
         ch.publish_backlog(true);
         self.pump_channel(ch, tx, self.tick(ch.src), usize::MAX, deposit);
     }
@@ -874,28 +969,27 @@ impl Reliability {
         let mut sent = 0usize;
         // Catch the reorder cursor up past anything admitted straight
         // through, which never touches it.
-        if let Some(front) = tx.queue.front() {
+        if let Some(front) = tx.frames.front() {
             ch.rx.lock().sync_to(front.seq);
         }
+        // One route plan per visit, resolved again only when a kill
+        // schedule drops the cached one or the health epoch moves.
+        let mut route: Option<Arc<RoutePlan>> = None;
         let mut rescan = true;
         while rescan && done < budget && sent < retry.window {
             rescan = false;
             let mut idx = 0usize;
-            while idx < tx.queue.len() && idx < retry.window && done < budget && sent < retry.window
+            while idx < tx.frames.len()
+                && idx < retry.window
+                && done < budget
+                && sent < retry.window
             {
-                let (state, seq, attempt) = {
-                    let f = &tx.queue[idx];
-                    (f.state, f.seq, f.attempt)
-                };
+                let Frame { seq, attempt, state, retries, rto } = tx.frames[idx];
                 match state {
                     // Parked at the receiver; retires via cumulative ack
                     // when the gap ahead of it fills.
                     FrameState::SackHeld => idx += 1,
                     FrameState::Lost { since } | FrameState::AckWait { since } => {
-                        let (rto, retries) = {
-                            let f = &tx.queue[idx];
-                            (f.rto, f.retries)
-                        };
                         if now.saturating_sub(since) < rto {
                             idx += 1;
                             continue;
@@ -906,40 +1000,43 @@ impl Reliability {
                         }
                         self.ras.retransmits.incr();
                         self.record(ch, RasEventKind::Retransmit, now, seq);
-                        let f = &mut tx.queue[idx];
+                        tx.set_state(idx, FrameState::Queued);
+                        let f = &mut tx.frames[idx];
                         f.retries += 1;
                         f.rto = rto.saturating_mul(2).min(retry.rto_max_ticks);
                         f.attempt += 1;
-                        f.state = FrameState::Queued;
                         // Same index re-examined: the frame transmits now.
                     }
                     FrameState::Queued => {
-                        let Some(route) = self.ensure_route(ch, tx, now) else {
+                        if route.is_none() || tx.route_epoch != self.health.epoch() {
+                            route = self.ensure_route(ch, tx, now);
+                        }
+                        let Some(plan) = route.as_deref() else {
                             return done;
                         };
                         sent += 1;
-                        let lost = match self.cross_links(ch, &route, seq, attempt, now) {
-                            (Fate::Pass, _) => false,
-                            (Fate::Drop, link_died) => {
+                        let (fate, link_died) = self.cross_links(ch, plan, seq, attempt, now);
+                        match fate {
+                            Fate::Pass => {}
+                            Fate::Drop => {
                                 self.dropped[ch.src as usize].incr();
                                 self.record(ch, RasEventKind::PacketDropped, now, seq);
-                                if link_died {
-                                    tx.route = None;
-                                }
-                                true
                             }
-                            (Fate::Corrupt, _) => {
+                            Fate::Corrupt => {
                                 self.ras.crc_errors.incr();
                                 self.record(ch, RasEventKind::CrcError, now, seq);
-                                true
                             }
-                        };
-                        if lost {
-                            tx.queue[idx].state = FrameState::Lost { since: now };
+                        }
+                        if fate != Fate::Pass {
+                            if link_died {
+                                tx.route = None;
+                                route = None;
+                            }
+                            tx.set_state(idx, FrameState::Lost { since: now });
                             idx += 1;
                             continue;
                         }
-                        let ack = self.ack_crosses(ch, &route, seq, attempt);
+                        let ack = self.ack_crosses(ch, plan, seq, attempt);
                         match self.arrival(ch, tx, idx, seq, now, ack, &mut done, deposit) {
                             Arrival::Advance => idx += 1,
                             Arrival::Restart => idx = 0,
@@ -953,7 +1050,7 @@ impl Reliability {
             }
         }
         if tx.dead.is_none() {
-            ch.publish_backlog(!tx.queue.is_empty());
+            ch.publish_backlog(!tx.frames.is_empty());
         }
         done
     }
@@ -977,26 +1074,26 @@ impl Reliability {
         let verdict = ch.rx.lock().accept(seq);
         match verdict {
             RxVerdict::Deliver => {
-                // The data crossed in order: deposit it now, then drain
-                // the consecutive run of buffered successors it unblocked.
-                let mut cum;
-                let mut j = idx;
-                loop {
-                    let f = &mut tx.queue[j];
-                    deposit(ch, f.seq, f.credit, &f.body);
-                    f.state = FrameState::AckWait { since: now };
-                    *done += 1;
-                    cum = f.seq;
-                    j += 1;
-                    match tx.queue.get(j) {
-                        Some(next)
-                            if next.state == FrameState::SackHeld
-                                && ch.rx.lock().drain_next(next.seq) => {}
-                        _ => break,
+                // The data crossed in order, and so did the consecutive run
+                // of buffered successors it unblocked: deposit the run, one
+                // call per message.
+                let end = {
+                    let mut rx = ch.rx.lock();
+                    let mut end = idx + 1;
+                    while tx.frames.get(end).is_some_and(|next| {
+                        next.state == FrameState::SackHeld && rx.drain_next(next.seq)
+                    }) {
+                        end += 1;
                     }
+                    end
+                };
+                tx.deposit_run(ch, idx..end, deposit);
+                for f in tx.frames.range_mut(idx..end) {
+                    f.state = FrameState::AckWait { since: now };
                 }
+                *done += end - idx;
                 if ack {
-                    self.retire_through(ch, tx, cum);
+                    self.retire_through(ch, tx, tx.frames[end - 1].seq);
                     Arrival::Restart
                 } else {
                     // Ack lost: the delivered frames stay queued in
@@ -1011,19 +1108,22 @@ impl Reliability {
                     // The selective ack was lost: the sender cannot know
                     // the receiver holds the data, so the frame must be
                     // retried (the receiver will answer the duplicate).
-                    tx.queue[idx].state = FrameState::Lost { since: now };
+                    tx.set_state(idx, FrameState::Lost { since: now });
                     return Arrival::Advance;
                 }
-                tx.queue[idx].state = FrameState::SackHeld;
+                tx.set_state(idx, FrameState::SackHeld);
                 // SACK fast retransmit: the selective ack proves later
                 // data crossed, so earlier lost frames needn't wait out
                 // their RTO. These retransmits are free — they do not
                 // count against the retry budget.
                 let mut any = false;
                 for j in 0..idx {
-                    let f = &mut tx.queue[j];
-                    if matches!(f.state, FrameState::Lost { .. }) {
-                        f.state = FrameState::Queued;
+                    if tx.lost == 0 {
+                        break;
+                    }
+                    if matches!(tx.frames[j].state, FrameState::Lost { .. }) {
+                        tx.set_state(j, FrameState::Queued);
+                        let f = &mut tx.frames[j];
                         f.attempt += 1;
                         let fseq = f.seq;
                         any = true;
@@ -1041,14 +1141,15 @@ impl Reliability {
             RxVerdict::DupSacked => {
                 // Receiver already holds it; the re-sent selective ack
                 // settles the frame (or is lost again).
-                tx.queue[idx].state =
+                let state =
                     if ack { FrameState::SackHeld } else { FrameState::Lost { since: now } };
+                tx.set_state(idx, state);
                 Arrival::Advance
             }
             RxVerdict::Duplicate => {
                 // The receiver delivered this data earlier (the ack was
                 // lost); the probe re-elicits the cumulative ack.
-                tx.queue[idx].state = FrameState::AckWait { since: now };
+                tx.set_state(idx, FrameState::AckWait { since: now });
                 if ack {
                     let cum = ch.rx.lock().next_expected.wrapping_sub(1);
                     self.retire_through(ch, tx, cum);
@@ -1061,38 +1162,53 @@ impl Reliability {
                 // Reorder buffer at its high-water mark: drop-newest. Not
                 // a wire fault, so no retry-budget charge.
                 self.record(ch, RasEventKind::ReorderEvict, now, seq);
-                tx.queue[idx].state = FrameState::Lost { since: now };
+                tx.set_state(idx, FrameState::Lost { since: now });
                 Arrival::Advance
             }
         }
     }
 
     /// Retire every frame the cumulative ack through `cum` covers: pop the
-    /// queue prefix and credit the source completion counters — the
-    /// pipeline's completion stage for queued frames. All popped frames
-    /// have already been deposited at the destination.
+    /// queue prefix and credit each message's retired frames to its source
+    /// completion counter in one update — the pipeline's completion stage
+    /// for queued frames. All popped frames have already been deposited at
+    /// the destination.
     fn retire_through(&self, ch: &Channel, tx: &mut TxState, cum: u64) {
         let mut n = 0;
-        while let Some(front) = tx.queue.front() {
-            if cum.wrapping_sub(front.seq) >= 1 << 63 {
+        while let Some(front) = tx.frames.front() {
+            if seq_before(cum, front.seq) {
                 break;
             }
-            let frame = tx.queue.pop_front().expect("front exists");
             // The frame's data was delivered (its seq is behind the
             // receive cursor) even if a probe left it Lost/Queued;
-            // only SackHeld bodies are still undelivered, and those sit
+            // only SackHeld frames are still undelivered, and those sit
             // above the cursor by construction.
             debug_assert!(
-                !matches!(frame.state, FrameState::SackHeld),
+                front.state != FrameState::SackHeld,
                 "cumulative ack never covers a reorder-buffered frame"
             );
-            if let Some(c) = &frame.inj_counter {
-                c.delivered(frame.credit);
-            }
+            let frame = tx.frames.pop_front().expect("front exists");
+            tx.lost -= matches!(frame.state, FrameState::Lost { .. }) as usize;
             n += 1;
         }
-        if n > 0 {
-            self.sub_pending(ch.src, n);
+        if n == 0 {
+            return;
+        }
+        self.sub_pending(ch.src, n);
+        // The popped frames are the oldest queued ones: the unretired
+        // prefix of the oldest messages.
+        let mut left = n as u64;
+        while left > 0 {
+            let msg = tx.msgs.front_mut().expect("every queued frame has its message");
+            let k = left.min(msg.frames - msg.retired);
+            if let Some(c) = &msg.inj_counter {
+                c.delivered(msg.credit_of(msg.retired..msg.retired + k));
+            }
+            msg.retired += k;
+            left -= k;
+            if msg.retired == msg.frames {
+                tx.msgs.pop_front();
+            }
         }
     }
 
@@ -1237,11 +1353,13 @@ impl Reliability {
         tx.dead = Some(fault);
         ch.dead_hint.store(true, Ordering::Release);
         ch.publish_backlog(false);
-        let failed: u64 = tx.queue.iter().map(|f| f.fail(fault)).sum();
-        let n = tx.queue.len();
-        tx.queue.clear();
+        let failed: u64 = tx.msgs.iter().map(|m| m.fail(fault)).sum();
+        let n = tx.frames.len();
+        tx.frames.clear();
+        tx.msgs.clear();
+        tx.lost = 0;
         // Frames parked in the receiver's reorder buffer died with the
-        // channel (their bodies were still in the queue above).
+        // channel (their messages were still queued above).
         ch.rx.lock().held.clear();
         if n > 0 {
             self.sub_pending(ch.src, n);
@@ -1295,7 +1413,7 @@ impl Reliability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlan;
+    use crate::faults::{FaultPlan, RetryConfig};
     use bytes::Bytes;
 
     #[test]
@@ -1443,35 +1561,53 @@ mod tests {
         let rec = HwCounter::new();
         inj.add_expected(8);
         rec.add_expected(8);
-        let frame = Frame {
-            seq: 0,
-            attempt: 0,
-            state: FrameState::Queued,
-            retries: 0,
-            rto: 4,
-            credit: 8,
-            inj_counter: Some(inj.clone()),
-            body: FrameBody::Get { desc: Box::new(put_desc(Some(rec.clone()))) },
-        };
-        assert_eq!(frame.fail(DeliveryFault::Timeout), 2);
+        let get = Delivery::Get(Box::new(put_desc(Some(rec.clone()))));
+        let msg =
+            Message::new(0, 1, get, PayloadSource::Immediate(Bytes::new()), 1, Some(inj.clone()));
+        assert_eq!(msg.fail(DeliveryFault::Timeout), 2);
         assert_eq!(inj.fault(), Some(DeliveryFault::Timeout));
         assert_eq!(rec.fault(), Some(DeliveryFault::Timeout));
         assert!(inj.is_complete() && rec.is_complete());
         // Idempotent: already-failed counters don't double count.
-        assert_eq!(frame.fail(DeliveryFault::Aborted), 0);
+        assert_eq!(msg.fail(DeliveryFault::Aborted), 0);
     }
 
     fn reliability(nodes: u16) -> Reliability {
+        reliability_under(nodes, FaultPlan::new())
+    }
+
+    fn reliability_under(nodes: u16, plan: FaultPlan) -> Reliability {
         let shape = TorusShape::new([nodes, 1, 1, 1, 1]);
         let upc = Upc::new();
         Reliability::new(
-            FaultInjector::new(FaultPlan::new(), shape),
+            FaultInjector::new(plan, shape),
             shape,
             Arc::new(RasCounters::new(&upc)),
             Arc::new(RasRing::new(16)),
             None,
             (0..nodes).map(|_| upc.counter("mu.packets_dropped")).collect(),
         )
+    }
+
+    /// A `len`-byte put from sequence `base_seq` on: one frame per 512
+    /// bytes.
+    fn put_msg(
+        base_seq: u64,
+        len: usize,
+        inj: Option<HwCounter>,
+        rec: Option<HwCounter>,
+    ) -> Message {
+        let frames = bgq_torus::packet::packets_for(len) as u64;
+        let put =
+            Delivery::Put { dst_region: MemRegion::zeroed(len), dst_offset: 0, rec_counter: rec };
+        let payload = PayloadSource::Immediate(Bytes::from(vec![7; len]));
+        Message::new(base_seq, frames, put, payload, len as u64, inj)
+    }
+
+    /// Take down the deterministic route's first link out of node 0.
+    fn down_first_link(r: &Reliability) {
+        let dir = bgq_torus::det_route(r.shape, r.shape.coords_of(0), r.shape.coords_of(1))[0];
+        assert!(r.set_link(0, dir, false));
     }
 
     #[test]
@@ -1499,19 +1635,153 @@ mod tests {
         assert!(r.idle(0));
         // A down link anywhere sends everything to the queue, which needs
         // the pump (and a reroute) to move.
-        let dir = bgq_torus::det_route(r.shape, r.shape.coords_of(0), r.shape.coords_of(1))[0];
-        assert!(r.set_link(0, dir, false));
+        down_first_link(&r);
         let Admit { base_seq, through } = r.admit(ch, 2);
         assert_eq!(through, 0, "a down link must queue");
         assert_eq!(base_seq, 4, "queued or not, one sequence space");
         let deposited = std::cell::Cell::new(0);
-        let bodies = (0..2).map(|_| {
-            let desc = Box::new(put_desc(None));
-            (1, FrameBody::Get { desc })
+        let msg = put_msg(base_seq, 1024, None, None);
+        r.enqueue(ch, msg, 0, &|_, _, frames| {
+            deposited.set(deposited.get() + frames.end - frames.start)
         });
-        r.enqueue(ch, base_seq, None, bodies, &|_, _, _, _| deposited.set(deposited.get() + 1));
         assert_eq!(deposited.get(), 2, "enqueue pumps: the detour delivers at once");
         assert!(r.idle(0), "both frames acked and retired");
         assert!(!ch.has_backlog());
+    }
+
+    #[test]
+    fn retransmit_queue_wraps_the_sequence_space() {
+        // A 4-frame message numbered across the wrap of the u64 sequence
+        // space, queued behind a down link: it must keep its order, land
+        // every frame once and credit its counter exactly.
+        let r = reliability(2);
+        let ch = r.channel(0, 1);
+        let start = u64::MAX - 2;
+        ch.next_seq.store(start, Ordering::Relaxed);
+        ch.rx.lock().next_expected = start;
+        down_first_link(&r);
+        let Admit { base_seq, through } = r.admit(ch, 4);
+        assert_eq!((base_seq, through), (start, 0));
+        let inj = HwCounter::new();
+        inj.add_expected(2048);
+        let seqs = std::cell::RefCell::new(Vec::new());
+        let msg = put_msg(base_seq, 2048, Some(inj.clone()), None);
+        r.enqueue(ch, msg, 0, &|_, m, frames| seqs.borrow_mut().extend(frames.map(|i| m.seq(i))));
+        assert_eq!(*seqs.borrow(), [u64::MAX - 2, u64::MAX - 1, u64::MAX, 0]);
+        assert!(inj.is_ok() && inj.outstanding() == 0, "credited exactly once, in full");
+        assert!(r.idle(0));
+        assert_eq!(ch.rx.lock().next_expected, 1);
+    }
+
+    #[test]
+    fn a_message_retired_across_several_acks_credits_exactly_its_bytes() {
+        // Behind a down link each frame crosses and retires on its own
+        // cumulative ack: three partial credits that sum to the message.
+        let r = reliability(2);
+        let ch = r.channel(0, 1);
+        down_first_link(&r);
+        let Admit { base_seq, .. } = r.admit(ch, 3);
+        let inj = HwCounter::new();
+        inj.add_expected(1300);
+        let seen = std::cell::RefCell::new(Vec::new());
+        let msg = put_msg(base_seq, 1300, Some(inj.clone()), None);
+        r.enqueue(ch, msg, 0, &|_, _, _| seen.borrow_mut().push(inj.outstanding()));
+        assert_eq!(*seen.borrow(), [1300, 788, 276], "outstanding at each frame's deposit");
+        assert!(inj.is_ok() && inj.outstanding() == 0);
+        assert!(r.channel(0, 1).tx.lock().msgs.is_empty(), "the message left with its last frame");
+    }
+
+    #[test]
+    fn a_kill_fails_each_counter_once() {
+        // Two queued puts share one source counter and have a destination
+        // counter each; the channel dies with frames of both queued.
+        let retry = RetryConfig { window: 64, rto_ticks: 1, rto_max_ticks: 2, retry_budget: 8 };
+        let r = reliability_under(2, FaultPlan::new().seed(5).drop_rate(1.0).retry(retry));
+        let ch = r.channel(0, 1);
+        let inj = HwCounter::new();
+        let recs = [HwCounter::new(), HwCounter::new()];
+        for rec in &recs {
+            inj.add_expected(1024);
+            rec.add_expected(1024);
+            let Admit { base_seq, through } = r.admit(ch, 2);
+            assert_eq!(through, 0, "every die fails");
+            let msg = put_msg(base_seq, 1024, Some(inj.clone()), Some(rec.clone()));
+            r.enqueue(ch, msg, 0, &|_, _, _| panic!("nothing crosses"));
+        }
+        assert_eq!(ch.tx.lock().frames.len(), 4);
+        // No route left: the next retransmission finds the destination
+        // unreachable.
+        for dim_plus in [true, false] {
+            r.set_link(0, Dir { dim: bgq_torus::Dim::A, plus: dim_plus }, false);
+        }
+        while !r.idle(0) {
+            r.pump(0, usize::MAX, &|_, _, _| panic!("nothing crosses"));
+        }
+        assert_eq!(inj.fault(), Some(DeliveryFault::Unreachable));
+        assert!(recs.iter().all(|rec| rec.fault() == Some(DeliveryFault::Unreachable)));
+        if cfg!(feature = "telemetry") {
+            assert_eq!(r.ras.delivery_failures.value(), 3, "counters, not frames or messages");
+        }
+        let (events, _) = r.ring.snapshot();
+        let failures = events.iter().filter(|e| e.kind == RasEventKind::DeliveryFailure);
+        assert_eq!(failures.count(), 1, "one channel death");
+    }
+
+    /// A plan under which, of the first 32 frames of the 0 → 1 channel at
+    /// attempt 0, exactly one die fails: the forward die of frame `k < 31`,
+    /// whose second attempt then crosses with its ack. The earliest such
+    /// seed from 1 up, and its `k`.
+    fn plan_losing_only_window() -> (FaultPlan, u64) {
+        let shape = TorusShape::new([2, 1, 1, 1, 1]);
+        let route = bgq_torus::det_route(shape, shape.coords_of(0), shape.coords_of(1));
+        let fwd = link_id(0, route[0]);
+        let rev = link_id(1, route[0].reverse());
+        (1..)
+            .find_map(|seed| {
+                let plan = FaultPlan::new().seed(seed).drop_rate(0.01).corrupt_rate(0.01);
+                let dice = FaultInjector::new(plan.clone(), shape);
+                let lost = |lid, seq, attempt| dice.decide(lid, seq, attempt) != Fate::Pass;
+                let fwd_lost: Vec<u64> = (0..32).filter(|&seq| lost(fwd, seq, 0)).collect();
+                let k = *fwd_lost.first()?;
+                let clean = fwd_lost.len() == 1
+                    && k < 31
+                    && (0..32).all(|seq| !lost(rev, seq, 0))
+                    && !lost(fwd, k, 1)
+                    && !lost(rev, k, 1);
+                clean.then_some((plan, k))
+            })
+            .expect("some seed loses exactly one window")
+    }
+
+    #[test]
+    fn a_queued_put_tail_lands_as_one_deposit() {
+        // Window k of a 32-window put is lost on its way out; the windows
+        // after it cross and wait in the reorder buffer, and the SACK
+        // retransmit of k releases all of them: one deposit of 32 − k
+        // frames, not 32 − k deposits.
+        let (plan, k) = plan_losing_only_window();
+        let r = reliability_under(2, plan);
+        let ch = r.channel(0, 1);
+        let Admit { base_seq, through } = r.admit(ch, 32);
+        assert_eq!((base_seq, through), (0, k), "the windows ahead of k cross at admission");
+        let (inj, rec) = (HwCounter::new(), HwCounter::new());
+        inj.add_expected(16 * 1024);
+        let calls = std::cell::RefCell::new(Vec::new());
+        let msg = put_msg(base_seq, 16 * 1024, Some(inj.clone()), Some(rec));
+        r.enqueue(ch, msg, through, &|_, _, frames| {
+            calls.borrow_mut().push((frames.start, frames.end))
+        });
+        assert_eq!(*calls.borrow(), [(k, 32)], "frames k..32 in one call");
+        assert_eq!(inj.outstanding(), k * 512, "acks credit the queued frames, not the prefix");
+        assert!(r.idle(0));
+        let (events, _) = r.ring.snapshot();
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+        let losses = count(RasEventKind::PacketDropped) + count(RasEventKind::CrcError);
+        assert_eq!((losses, count(RasEventKind::SackRetransmit)), (1, 1));
+        assert_eq!(count(RasEventKind::Retransmit), 0, "no RTO fired");
+        if cfg!(feature = "telemetry") {
+            assert_eq!(r.ras.reorder_depth.value(), 32 - k - 1);
+            assert_eq!(r.ras.sack_retransmits.value(), 1);
+        }
     }
 }

@@ -3,8 +3,6 @@
 use bgq_hw::MemRegion;
 use bytes::Bytes;
 
-use crate::descriptor::PayloadSource;
-
 /// A packet's payload — either bytes carried in the packet itself or a
 /// zero-copy window into the *source* node's registered memory.
 ///
@@ -15,8 +13,8 @@ use crate::descriptor::PayloadSource;
 /// refcounted window into the source region (standing in for the bytes the
 /// hardware would have placed in the FIFO's packet buffer), and
 /// [`PacketPayload::deposit`] performs the one region-to-destination copy.
-/// Cloning is a refcount bump either way — a frame awaiting its ack keeps
-/// the payload while each (re)transmission's packet carries a clone.
+/// Cloning is a refcount bump either way — a message awaiting its acks
+/// keeps its payload while each delivered packet carries a window of it.
 #[derive(Debug, Clone)]
 pub enum PacketPayload {
     /// Bytes staged in the packet (the `PAMI_Send_immediate` copy-through
@@ -79,19 +77,6 @@ impl PacketPayload {
 impl From<Bytes> for PacketPayload {
     fn from(b: Bytes) -> Self {
         PacketPayload::Inline(b)
-    }
-}
-
-impl From<PayloadSource> for PacketPayload {
-    /// The whole payload as one window (a lossless direct put moves it in
-    /// a single copy).
-    fn from(p: PayloadSource) -> Self {
-        match p {
-            PayloadSource::Immediate(b) => PacketPayload::Inline(b),
-            PayloadSource::Region { region, offset, len } => {
-                PacketPayload::Region { region, offset, len }
-            }
-        }
     }
 }
 
