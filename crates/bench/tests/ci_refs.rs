@@ -464,7 +464,7 @@ fn substrate_surface_census() {
 
 /// Names DESIGN.md keeps as history, and the change that removed each
 /// from the tree.
-const RETIRED_NAMES: [(&str, &str); 20] = [
+const RETIRED_NAMES: [(&str, &str); 24] = [
     ("put_raw", "tuple-taking put shim, deprecated for one PR, deleted with aggregation"),
     ("get_raw", "tuple-taking get shim, deprecated for one PR, deleted with aggregation"),
     ("read_vec", "`MemRegion::read_vec`, deleted in ISSUE 15 with its last caller"),
@@ -485,6 +485,10 @@ const RETIRED_NAMES: [(&str, &str); 20] = [
     ("whole_body", "a one-sided descriptor as a frame body, replaced by `delivery_of`"),
     ("split_payload", "a put's head/tail split, deleted with the per-frame frame bodies"),
     ("fail_body", "a frame body's counter failure, folded into `Message::fail`"),
+    ("inject_handle", "queued a descriptor on an injection FIFO; `MuFabric::inject` executes it"),
+    ("pump_inj_handle", "drained an injection FIFO in `advance`; nothing is queued any more"),
+    ("execute_now", "the node-lane bypass for channel traffic, folded into `MuFabric::inject`"),
+    ("sync_to", "inferred the receive cursor from the queue front; replaced by `RxState::resolve`"),
 ];
 
 /// Every backticked lowercase name with an `_` in DESIGN.md — a code span

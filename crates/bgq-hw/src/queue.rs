@@ -518,9 +518,9 @@ mod tests {
         assert_eq!(q.total_pushes(), PRODUCERS * BATCHES * BATCH);
     }
 
-    /// Pin the single-producer/single-consumer fast path — the shape every
-    /// context-owned injection FIFO sees after context sharding (one
-    /// producer: the owning context's `send`; one consumer: its `advance`).
+    /// Pin the single-producer/single-consumer fast path — the shape a
+    /// reception FIFO fed by one peer sees after context sharding (one
+    /// producer: that peer's `send`; one consumer: the owner's `advance`).
     /// With a ring large enough to never fill, every push must take the
     /// lockless path (zero overflow pushes) while a concurrent consumer
     /// drains in strict FIFO order.

@@ -190,6 +190,14 @@ impl Descriptor {
     /// empty messages).
     pub const ZERO_LEN_CREDIT: u64 = 1;
 
+    /// A memory-FIFO message's descriptor: `hdr` says where it goes and
+    /// what each of its packets carries.
+    pub fn fifo(hdr: FifoHeader, payload: PayloadSource, inj_counter: Option<Counter>) -> Self {
+        let FifoHeader { dst_node, rec_fifo, src_context, src_task, dispatch, metadata } = hdr;
+        let kind = XferKind::MemoryFifo { rec_fifo, src_task, dispatch, metadata };
+        Descriptor { dst_node, src_context, payload, kind, inj_counter }
+    }
+
     /// Completion credit for this descriptor's payload.
     pub(crate) fn completion_credit(&self) -> u64 {
         let len = self.payload.len() as u64;

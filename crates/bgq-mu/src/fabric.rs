@@ -5,10 +5,12 @@
 //! the fabric executes descriptors — fragmenting payload into ≤512-byte
 //! packets for memory-FIFO traffic, copying directly into destination
 //! regions for puts, and bouncing remote-gets to the destination's system
-//! FIFO. An injection FIFO is drained by its owning context's `advance`
-//! and by nothing else, and `bgq-mu` spawns no thread: a descriptor
-//! executes, and its packets are deposited, on the thread that called
-//! `send` (short tier, `execute_now`) or `advance` (everything queued).
+//! FIFO. As on the MU, nothing sits between injection and the wire, and
+//! `bgq-mu` spawns no thread: a descriptor executes, and its packets are
+//! deposited, on the thread that injects it ([`MuFabric::inject`],
+//! [`MuFabric::send_short`]). The one queue on the send side is each
+//! node's system FIFO, which the target's `advance` drains
+//! ([`MuFabric::pump_sys`]).
 //!
 //! ## One delivery pipeline
 //!
@@ -19,9 +21,9 @@
 //! them:
 //!
 //! ```text
-//!  send_short ─────────┐
-//!  pump_inj_handle/sys ┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
-//!  execute_now ────────┘                                   + DEPOSIT
+//!  send_short ─┐
+//!  inject ─────┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
+//!  pump_sys ───┘                                   + DEPOSIT
 //!
 //!  1 one message id, one `packet_of()` constructor (the only `MuPacket`
 //!    literal, the only CRC stamp), one sampled `mu.*` accounting site;
@@ -59,9 +61,9 @@
 //! carries neither (both fields zero).
 
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use bgq_hw::WorkQueue;
 use bgq_torus::packet::{packets_for, MAX_PAYLOAD_BYTES};
 use bgq_torus::{Dir, TorusShape};
 use bgq_upc::{Counter, Upc};
@@ -69,8 +71,8 @@ use bgq_upc::{Counter, Upc};
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, XferKind};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fifo::{
-    FifoAllocator, FifoTable, InjFifo, InjFifoId, MsgIdLane, RecFifo, RecFifoId,
-    INJ_FIFOS_PER_NODE, REC_FIFOS_PER_NODE,
+    FifoAllocator, FifoTable, InjFifo, MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE,
+    SYS_FIFO_CAPACITY, SYS_LANE,
 };
 use crate::link::{Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
@@ -79,10 +81,9 @@ use crate::transport::Transport;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
 // 30 | seq`, where the lane is the injection FIFO the message went through
-// (or a reserved software lane — see [`crate::fifo::SYS_LANE`] /
-// [`crate::fifo::NODE_LANE`]). Each lane owns its sequence counter, so the
-// send hot path never touches a shared per-node atomic and ids from
-// different lanes can never collide.
+// (or the system FIFO's reserved lane, [`crate::fifo::SYS_LANE`]). Each
+// lane owns its sequence counter, so the send hot path never touches a
+// shared per-node atomic and ids from different lanes can never collide.
 
 /// Sampling period of the per-message `mu.fifo_messages` /
 /// `mu.packets_injected` / `mu.packets_received` probe updates: one
@@ -152,18 +153,14 @@ impl MuCounters {
 }
 
 pub(crate) struct NodeMu {
-    /// Lock-free FIFO tables sized to the hardware limits (544/272):
+    /// Lock-free reception-FIFO table sized to the hardware limit (272):
     /// delivery, polling, and handle lookup are plain atomic loads.
-    pub inj: FifoTable<InjFifo>,
     pub rec: FifoTable<RecFifo>,
     pub allocator: FifoAllocator,
     /// System injection FIFO: remote-get payload descriptors land here for
-    /// this node to execute.
-    pub sys_inj: Arc<InjFifo>,
-    /// Fallback message-id lane ([`crate::fifo::NODE_LANE`]) for
-    /// descriptors executed without an injection FIFO (`execute_now`).
-    /// FIFO-routed messages mint from their own FIFO's lane instead.
-    pub msg_lane: MsgIdLane,
+    /// this node to execute, with ids from its own lane.
+    pub sys_inj: Arc<WorkQueue<Descriptor>>,
+    pub sys_lane: MsgIdLane,
     /// `mu.*` telemetry probes for this node.
     pub counters: MuCounters,
 }
@@ -171,7 +168,6 @@ pub(crate) struct NodeMu {
 pub(crate) struct FabricInner {
     pub shape: TorusShape,
     pub nodes: Vec<NodeMu>,
-    pub inj_fifo_capacity: usize,
     pub rec_fifo_capacity: usize,
     /// `ras.*` probes — registered even without a fault plan so the report
     /// schema is stable (they just stay zero).
@@ -192,7 +188,6 @@ pub(crate) struct FabricInner {
 /// Configures and builds a [`MuFabric`].
 pub struct MuFabricBuilder {
     shape: TorusShape,
-    inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
     telemetry: Upc,
     fault_plan: Option<FaultPlan>,
@@ -200,12 +195,6 @@ pub struct MuFabricBuilder {
 }
 
 impl MuFabricBuilder {
-    /// Ring capacity of each injection FIFO before overflow (default 128).
-    pub fn inj_fifo_capacity(mut self, cap: usize) -> Self {
-        self.inj_fifo_capacity = cap;
-        self
-    }
-
     /// Ring capacity of each reception FIFO before overflow (default 512).
     pub fn rec_fifo_capacity(mut self, cap: usize) -> Self {
         self.rec_fifo_capacity = cap;
@@ -242,15 +231,10 @@ impl MuFabricBuilder {
     pub fn build(self) -> MuFabric {
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
             .map(|node| NodeMu {
-                inj: FifoTable::new(INJ_FIFOS_PER_NODE),
                 rec: FifoTable::new(REC_FIFOS_PER_NODE),
                 allocator: FifoAllocator::default(),
-                sys_inj: Arc::new(InjFifo::new(
-                    self.inj_fifo_capacity,
-                    node as u32,
-                    crate::fifo::SYS_LANE,
-                )),
-                msg_lane: MsgIdLane::new(node as u32, crate::fifo::NODE_LANE),
+                sys_inj: Arc::new(WorkQueue::with_capacity(SYS_FIFO_CAPACITY)),
+                sys_lane: MsgIdLane::new(node as u32, SYS_LANE),
                 counters: MuCounters::new(&self.telemetry),
             })
             .collect();
@@ -270,7 +254,6 @@ impl MuFabricBuilder {
         let inner = Arc::new(FabricInner {
             shape: self.shape,
             nodes,
-            inj_fifo_capacity: self.inj_fifo_capacity,
             rec_fifo_capacity: self.rec_fifo_capacity,
             ras,
             ring,
@@ -293,7 +276,6 @@ impl MuFabric {
     pub fn builder(shape: TorusShape) -> MuFabricBuilder {
         MuFabricBuilder {
             shape,
-            inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
             telemetry: Upc::new(),
             fault_plan: None,
@@ -316,21 +298,13 @@ impl MuFabric {
     }
 
     /// Allocate `count` exclusive injection FIFOs on `node`; `None` when the
-    /// node's 544 are exhausted.
-    ///
-    /// The allocator mutex serializes the id claim (allocation is not a hot
-    /// path); the claimed slots are then published into the lock-free table,
-    /// race-free because ranges are disjoint.
-    pub fn alloc_inj_fifos(&self, node: u32, count: u16) -> Option<Vec<InjFifoId>> {
-        let n = self.node(node);
-        let range = n.allocator.alloc_inj(count)?;
-        for id in range.clone() {
-            // The FIFO id doubles as its message-id lane, so everything the
-            // owning context needs to send — queue and msg-id mint — lives
-            // in this one exclusively-owned structure.
-            n.inj.publish(id, Arc::new(InjFifo::new(self.inner.inj_fifo_capacity, node, id)));
-        }
-        Some(range.map(InjFifoId).collect())
+    /// node's 544 are exhausted. The allocator mutex serializes the id
+    /// claim (allocation is not a hot path). The caller owns what it gets:
+    /// a FIFO id doubles as its message-id lane, the one thing a context
+    /// needs to send, so nothing else ever looks a FIFO up.
+    pub fn alloc_inj_fifos(&self, node: u32, count: u16) -> Option<Vec<InjFifo>> {
+        let range = self.node(node).allocator.alloc_inj(count)?;
+        Some(range.map(|id| InjFifo::new(node, id)).collect())
     }
 
     /// Allocate `count` exclusive reception FIFOs on `node`.
@@ -348,39 +322,31 @@ impl MuFabric {
         Arc::clone(self.node(node).rec.get(id.0))
     }
 
-    /// Direct handle to an injection FIFO.
-    pub fn inj_fifo(&self, node: u32, id: InjFifoId) -> Arc<InjFifo> {
-        Arc::clone(self.node(node).inj.get(id.0))
-    }
-
     /// Handle to a node's *system* injection FIFO (contexts cache it to
     /// observe remote-get backlog without going through the fabric).
-    pub fn sys_fifo(&self, node: u32) -> Arc<InjFifo> {
+    pub fn sys_fifo(&self, node: u32) -> Arc<WorkQueue<Descriptor>> {
         Arc::clone(&self.node(node).sys_inj)
     }
 
-    /// Queue a descriptor on an injection FIFO the caller holds a handle
-    /// to (contexts cache their exclusive FIFO handles). Nothing moves
-    /// until the owner pumps the FIFO ([`MuFabric::pump_inj_handle`]).
-    pub fn inject_handle(&self, fifo: &InjFifo, desc: Descriptor) {
-        fifo.queue.push(desc);
-    }
-
-    /// Execute a descriptor immediately in the calling thread, bypassing
-    /// the injection queues — persistent-channel posts and channel offers.
-    /// Message ids come from the node's fallback lane.
-    pub fn execute_now(&self, src_node: u32, desc: Descriptor) {
-        let src = self.node(src_node);
-        src.counters.descriptors_executed.incr();
-        self.execute_from(src_node, desc, &src.msg_lane);
+    /// The injection door: execute `desc` now, on the calling thread, with
+    /// its message id minted from `fifo`'s lane — an injection FIFO the
+    /// caller owns (each context owns its own). When this returns the
+    /// descriptor has moved: its packets sit in the destination's
+    /// reception FIFO, a put's bytes in the window, a get's put-back in the
+    /// target's system FIFO, an rmw applied — or, under a fault plan, the
+    /// frames that did not cross wait in their channel's retransmit queue.
+    /// Per-destination order is the order of the calls.
+    pub fn inject(&self, src_node: u32, fifo: &InjFifo, desc: Descriptor) {
+        let pin = desc.src_context as usize;
+        self.node(src_node).counters.descriptors_executed.incr_pinned(pin);
+        self.execute_from(src_node, desc, &fifo.lane);
     }
 
     /// Short-tier send on a caller-owned injection FIFO: the whole message
     /// — header, metadata and payload — is one inline packet, built and
     /// delivered right here. No descriptor, no region registration, no
-    /// staging: the pipeline with one fragment. The caller must have
-    /// established ordering first ([`InjFifo::is_quiescent`]) — bypassing
-    /// a non-empty queue would overtake earlier eager traffic.
+    /// staging: the pipeline with one fragment. It takes the same lane as
+    /// [`MuFabric::inject`], so the two interleave in call order.
     ///
     /// `local_done` (if any) is credited synchronously with the payload
     /// length ([`Descriptor::ZERO_LEN_CREDIT`] for empty payloads) unless
@@ -399,64 +365,22 @@ impl MuFabric {
         self.deliver_message(src_node, &fifo.lane, hdr, payload, local_done);
     }
 
-    /// Drain up to `budget` descriptors from an injection FIFO the caller
-    /// owns (contexts call this from `advance`); returns descriptors
-    /// executed. Message ids come from the FIFO's own lane, and the
-    /// per-node `descriptors_executed` counter is updated once for the
-    /// whole pump rather than per descriptor.
-    pub fn pump_inj_handle(&self, node: u32, fifo: &InjFifo, budget: usize) -> usize {
-        let mut done = 0;
-        while done < budget {
-            // Empty pre-check before the `inflight` bracket: an advance
-            // loop sweeps every FIFO the context owns, and on an idle FIFO
-            // the sweep must cost emptiness loads, not a SeqCst RMW. Racing
-            // a producer here is benign — we skip the round exactly as a
-            // bracketed pop returning `None` would.
-            if fifo.queue.is_empty() {
-                break;
-            }
-            // Bracket the pop-execute window in `inflight` so the short
-            // tier's queue-bypass stays ordered: the bypasser only skips
-            // the queue when `is_quiescent()` — and if it observes the
-            // queue empty after our pop (release store, acquired by its
-            // emptiness check), this increment is already visible, so it
-            // falls back to the queued path instead of overtaking a
-            // descriptor that is mid-execution.
-            fifo.inflight.fetch_add(1, Ordering::SeqCst);
-            match fifo.queue.pop() {
-                Some(desc) => {
-                    self.execute_from(node, desc, &fifo.lane);
-                    fifo.inflight.fetch_sub(1, Ordering::Release);
-                    done += 1;
-                }
-                None => {
-                    fifo.inflight.fetch_sub(1, Ordering::Release);
-                    break;
-                }
-            }
-        }
-        if done > 0 {
-            self.node(node).counters.descriptors_executed.add(done as u64);
-        }
-        done
-    }
-
     /// Execute up to `budget` system-FIFO descriptors (remote-get service).
     /// Counters are batched per call, not per descriptor.
     pub fn pump_sys(&self, node: u32, budget: usize) -> usize {
-        let sys = Arc::clone(&self.node(node).sys_inj);
+        let n = self.node(node);
         let mut done = 0;
         while done < budget {
-            match sys.queue.pop() {
+            match n.sys_inj.pop() {
                 Some(desc) => {
-                    self.execute_from(node, desc, &sys.lane);
+                    self.execute_from(node, desc, &n.sys_lane);
                     done += 1;
                 }
                 None => break,
             }
         }
         if done > 0 {
-            let c = &self.node(node).counters;
+            let c = &n.counters;
             c.remote_gets_serviced.add(done as u64);
             c.descriptors_executed.add(done as u64);
         }
@@ -489,10 +413,10 @@ impl MuFabric {
 
     /// Execute one descriptor on behalf of `src_node` — "the MU hardware":
     /// perform the data movement the descriptor asks for. `lane` is the
-    /// message-id mint of whoever injected it (the FIFO pump paths pass
-    /// their FIFO's own, keeping the hot path free of shared per-node
-    /// sequence state). Does *not* bump `descriptors_executed` — pump
-    /// callers batch it.
+    /// message-id mint of whoever injected it (an injection FIFO's own, or
+    /// the system FIFO's, keeping the hot path free of shared per-node
+    /// sequence state). Does *not* bump `descriptors_executed` — callers
+    /// count (`pump_sys` once per batch).
     fn execute_from(&self, src_node: u32, desc: Descriptor, lane: &MsgIdLane) {
         let credit = desc.completion_credit();
         let Descriptor { dst_node, src_context, payload, kind, inj_counter, .. } = desc;
@@ -697,7 +621,14 @@ impl MuFabric {
             self.cut_through(channel, msg, through);
             return;
         }
-        self.deliver_frames(src_node, dst_node, &msg, 0..frames);
+        match msg.delivery {
+            // Delivered once and dropped: the request hands its put-back
+            // over instead of the clone a queued request must make.
+            Delivery::Get(desc) => {
+                self.node(dst_node).sys_inj.push(*desc);
+            }
+            _ => self.deliver_frames(src_node, dst_node, &msg, 0..frames),
+        }
         if let Some(c) = msg.inj_counter {
             c.delivered(total_credit);
         }
@@ -743,8 +674,9 @@ impl MuFabric {
                     c.delivered(msg.credit_of(frames));
                 }
             }
+            // A queued request stays queued until acked: it lends a copy.
             Delivery::Get(desc) => {
-                dst.sys_inj.queue.push((**desc).clone());
+                dst.sys_inj.push((**desc).clone());
             }
             Delivery::Rmw(req) => {
                 // Exactly-once under retransmission: the channel's receive
@@ -894,19 +826,34 @@ mod tests {
         MuFabric::builder(TorusShape::new([2, 2, 1, 1, 1])).build()
     }
 
+    /// A direct put of `payload` into `dst` at `at`, on node `to`.
+    fn put(
+        to: u32,
+        payload: PayloadSource,
+        (dst, at): (&MemRegion, usize),
+        rec_counter: Option<Counter>,
+        inj_counter: Option<Counter>,
+    ) -> Descriptor {
+        let kind = XferKind::DirectPut { dst_region: dst.clone(), dst_offset: at, rec_counter };
+        Descriptor { dst_node: to, src_context: 0, payload, kind, inj_counter }
+    }
+
+    /// A remote get served by node `from`, which injects `put_back`.
+    fn get(from: u32, put_back: Descriptor) -> Descriptor {
+        let kind = XferKind::RemoteGet { payload: Box::new(put_back) };
+        let payload = PayloadSource::Immediate(Bytes::new());
+        Descriptor { dst_node: from, src_context: 0, payload, kind, inj_counter: None }
+    }
+
+    /// Inject `desc` from `src` through an injection FIFO of its own.
+    fn execute(fabric: &MuFabric, src: u32, desc: Descriptor) {
+        fabric.inject(src, &fabric.alloc_inj_fifos(src, 1).unwrap()[0], desc);
+    }
+
     fn memfifo_desc(dst: u32, fifo: RecFifoId, payload: PayloadSource) -> Descriptor {
-        Descriptor {
-            dst_node: dst,
-            src_context: 0,
-            payload,
-            kind: XferKind::MemoryFifo {
-                rec_fifo: fifo,
-                src_task: 0,
-                dispatch: 7,
-                metadata: Bytes::new(),
-            },
-            inj_counter: None,
-        }
+        let (dst_node, rec_fifo, metadata) = (dst, fifo, Bytes::new());
+        let hdr = FifoHeader { dst_node, rec_fifo, src_context: 0, src_task: 0, dispatch: 7, metadata };
+        Descriptor::fifo(hdr, payload, None)
     }
 
     #[test]
@@ -915,10 +862,7 @@ mod tests {
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let data: Vec<u8> = (0..1300).map(|i| (i % 251) as u8).collect();
         let region = MemRegion::from_vec(data.clone());
-        fabric.execute_now(
-            0,
-            memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1300 }),
-        );
+        execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1300 }));
         // 1300 bytes → 3 packets (512+512+276).
         let out = MemRegion::zeroed(1300);
         let mut count = 0;
@@ -968,7 +912,7 @@ mod tests {
             PayloadSource::Region { region: region.clone(), offset: 0, len: 1000 },
         );
         desc.inj_counter = Some(local_done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         assert!(
             local_done.is_complete(),
             "sender completion must not wait for receiver deposits"
@@ -1002,10 +946,7 @@ mod tests {
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let data: Vec<u8> = (0..1000).map(|i| (i % 201) as u8).collect();
         let region = MemRegion::from_vec(data.clone());
-        fabric.execute_now(
-            0,
-            memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1000 }),
-        );
+        execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1000 }));
         assert_eq!(
             fabric.counters(0).payload_copies.value(),
             0,
@@ -1023,25 +964,22 @@ mod tests {
     #[test]
     fn msg_ids_keep_node_bits_clean_of_sequence_overflow() {
         let fabric = small_fabric();
+        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        // Force the fallback lane's sequence counter near the wrap boundary.
-        fabric.inner.nodes[0]
-            .msg_lane
-            .msg_seq
-            .store(crate::fifo::LANE_SEQ_MASK, Ordering::Relaxed);
+        // Force the lane's sequence counter near the wrap boundary.
+        inj.lane.msg_seq.store(crate::fifo::LANE_SEQ_MASK, std::sync::atomic::Ordering::Relaxed);
         for _ in 0..2 {
-            fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+            fabric.inject(0, &inj, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         }
         let a = fabric.poll_rec(1, rec).unwrap();
         let b = fabric.poll_rec(1, rec).unwrap();
         assert_eq!(a.msg_id >> 40, 0, "node 0 in high bits");
         assert_eq!(b.msg_id >> 40, 0, "sequence wrap must not leak into node bits");
         assert_ne!(a.msg_id, b.msg_id);
-        // Both ids sit on the NODE fallback lane (execute_now bypasses
-        // injection FIFOs).
+        // Both ids sit on the injecting FIFO's lane.
         let lane_of = |id: u64| (id >> crate::fifo::LANE_SHIFT) & 0x3ff;
-        assert_eq!(lane_of(a.msg_id), crate::fifo::NODE_LANE as u64);
-        assert_eq!(lane_of(b.msg_id), crate::fifo::NODE_LANE as u64);
+        assert_eq!(lane_of(a.msg_id), 0);
+        assert_eq!(lane_of(b.msg_id), 0);
     }
 
     #[test]
@@ -1049,16 +987,14 @@ mod tests {
         let fabric = small_fabric();
         let inj = fabric.alloc_inj_fifos(0, 2).unwrap();
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        for &f in &inj {
-            let f = fabric.inj_fifo(0, f);
-            fabric.inject_handle(&f, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
-            assert_eq!(fabric.pump_inj_handle(0, &f, usize::MAX), 1);
+        for f in &inj {
+            fabric.inject(0, f, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         }
         let a = fabric.poll_rec(1, rec).unwrap();
         let b = fabric.poll_rec(1, rec).unwrap();
         let lane_of = |id: u64| (id >> crate::fifo::LANE_SHIFT) & 0x3ff;
-        assert_eq!(lane_of(a.msg_id), inj[0].0 as u64, "first message on FIFO 0's lane");
-        assert_eq!(lane_of(b.msg_id), inj[1].0 as u64, "second message on FIFO 1's lane");
+        assert_eq!(lane_of(a.msg_id), inj[0].id().0 as u64, "first message on FIFO 0's lane");
+        assert_eq!(lane_of(b.msg_id), inj[1].id().0 as u64, "second message on FIFO 1's lane");
         assert_ne!(a.msg_id, b.msg_id, "same per-lane seq (0), distinct lanes");
     }
 
@@ -1066,7 +1002,7 @@ mod tests {
     fn zero_byte_message_delivers_one_packet() {
         let fabric = small_fabric();
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+        execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         let p = fabric.poll_rec(1, rec).expect("one packet");
         assert_eq!(p.msg_len, 0);
         assert!(p.is_first() && p.is_last());
@@ -1082,20 +1018,8 @@ mod tests {
         let rec = Counter::new();
         inj.add_expected(50);
         rec.add_expected(50);
-        fabric.execute_now(
-            0,
-            Descriptor {
-                dst_node: 1,
-                src_context: 0,
-                payload: PayloadSource::Region { region: src, offset: 10, len: 50 },
-                kind: XferKind::DirectPut {
-                    dst_region: dst.clone(),
-                    dst_offset: 25,
-                    rec_counter: Some(rec.clone()),
-                },
-                inj_counter: Some(inj.clone()),
-            },
-        );
+        let payload = PayloadSource::Region { region: src, offset: 10, len: 50 };
+        execute(&fabric, 0, put(1, payload, (&dst, 25), Some(rec.clone()), Some(inj.clone())));
         assert!(inj.is_complete());
         assert!(rec.is_complete());
         assert_eq!(&dst.to_vec()[25..75], &(10..60).collect::<Vec<u8>>()[..]);
@@ -1112,27 +1036,8 @@ mod tests {
         let local = MemRegion::zeroed(64);
         let done = Counter::new();
         done.add_expected(64);
-        let put_back = Descriptor {
-            dst_node: 0,
-            src_context: 0,
-            payload: PayloadSource::Region { region: remote, offset: 0, len: 64 },
-            kind: XferKind::DirectPut {
-                dst_region: local.clone(),
-                dst_offset: 0,
-                rec_counter: Some(done.clone()),
-            },
-            inj_counter: None,
-        };
-        fabric.execute_now(
-            0,
-            Descriptor {
-                dst_node: 1,
-                src_context: 0,
-                payload: PayloadSource::Immediate(Bytes::new()),
-                kind: XferKind::RemoteGet { payload: Box::new(put_back) },
-                inj_counter: None,
-            },
-        );
+        let payload = PayloadSource::Region { region: remote, offset: 0, len: 64 };
+        execute(&fabric, 0, get(1, put(0, payload, (&local, 0), Some(done.clone()), None)));
         assert!(!done.is_complete(), "no data until node 1 services the get");
         assert_eq!(fabric.pump_sys(1, 16), 1);
         assert!(done.is_complete());
@@ -1143,34 +1048,29 @@ mod tests {
     }
 
     #[test]
-    fn inject_then_pump_preserves_order() {
+    fn injection_order_is_arrival_order() {
+        // A descriptor moves inside `inject` — nothing pumps below — so the
+        // calls' order is the arrival order: eager trains and short packets
+        // alike, on one lane.
         let fabric = small_fabric();
-        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         for i in 0..20u8 {
-            fabric.inject_handle(
-                &inj,
-                memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![i]))),
-            );
+            if i % 2 == 0 {
+                let train = PayloadSource::Immediate(Bytes::from(vec![i; 1000]));
+                fabric.inject(0, &inj, memfifo_desc(1, rec, train));
+            } else {
+                let hdr = short_hdr(rec, 7, b"");
+                fabric.send_short(0, &inj, hdr, Bytes::from(vec![i]), None);
+            }
         }
-        assert!(fabric.poll_rec(1, rec).is_none(), "nothing moves until pumped");
-        assert_eq!(fabric.pump_inj_handle(0, &inj, usize::MAX), 20);
         for i in 0..20u8 {
-            let p = fabric.poll_rec(1, rec).expect("packet");
-            assert_eq!(p.payload.view()[0], i, "in-order delivery");
+            for _ in 0..if i % 2 == 0 { 2 } else { 1 } {
+                let p = fabric.poll_rec(1, rec).expect("packet");
+                assert_eq!(p.payload.view()[0], i, "in-order delivery");
+            }
         }
-    }
-
-    #[test]
-    fn pump_budget_limits_descriptors() {
-        let fabric = small_fabric();
-        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        for _ in 0..10 {
-            fabric.inject_handle(&inj, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
-        }
-        assert_eq!(fabric.pump_inj_handle(0, &inj, 3), 3);
-        assert_eq!(fabric.pump_inj_handle(0, &inj, 100), 7);
+        assert!(fabric.poll_rec(1, rec).is_none());
     }
 
     #[test]
@@ -1187,10 +1087,7 @@ mod tests {
     fn self_send_loops_back() {
         let fabric = small_fabric();
         let rec = fabric.alloc_rec_fifos(0, 1).unwrap()[0];
-        fabric.execute_now(
-            0,
-            memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"self"))),
-        );
+        execute(&fabric, 0, memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"self"))));
         let p = fabric.poll_rec(0, rec).unwrap();
         assert_eq!(p.payload.view(), b"self");
         assert_eq!(p.src_node, 0);
@@ -1222,10 +1119,7 @@ mod tests {
         let fabric = reliable_fabric(FaultPlan::new().seed(7));
         assert!(fabric.reliable());
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        fabric.execute_now(
-            0,
-            memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"hello"))),
-        );
+        execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"hello"))));
         // No pump_links needed: a fault-free frame delivers synchronously,
         // exactly like the lossless path.
         let p = fabric.poll_rec(1, rec).expect("synchronous delivery");
@@ -1260,7 +1154,7 @@ mod tests {
             },
         );
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok(), "all frames eventually acked");
         // Exactly-once: every packet arrives once, reassembly is complete.
@@ -1301,7 +1195,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![5u8; 2048])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok());
         let mut count = 0;
@@ -1332,7 +1226,7 @@ mod tests {
         done.add_expected(100);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![9u8; 100])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         pump_until_complete(&fabric, &done);
         assert_eq!(done.fault(), Some(DeliveryFault::Timeout));
         assert!(done.is_complete(), "failed counters still read complete");
@@ -1348,7 +1242,7 @@ mod tests {
         late.add_expected(4);
         let mut desc2 = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![0u8; 4])));
         desc2.inj_counter = Some(late.clone());
-        fabric.execute_now(0, desc2);
+        execute(&fabric, 0, desc2);
         assert_eq!(late.fault(), Some(DeliveryFault::Timeout));
     }
 
@@ -1369,7 +1263,7 @@ mod tests {
         done.add_expected(64);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![3u8; 64])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok(), "delivered via the detour");
         let p = fabric.poll_rec(1, rec).expect("rerouted packet");
@@ -1399,7 +1293,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![8u8; 1024])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         pump_until_complete(&fabric, &done);
         assert!(done.is_ok());
         let mut count = 0;
@@ -1432,7 +1326,7 @@ mod tests {
         done.add_expected(8);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![0u8; 8])));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         pump_until_complete(&fabric, &done);
         assert_eq!(done.fault(), Some(DeliveryFault::Unreachable));
     }
@@ -1449,20 +1343,8 @@ mod tests {
         let dst = MemRegion::zeroed(200);
         let recd = Counter::new();
         recd.add_expected(200);
-        fabric.execute_now(
-            0,
-            Descriptor {
-                dst_node: 1,
-                src_context: 0,
-                payload: PayloadSource::Region { region: src.clone(), offset: 0, len: 200 },
-                kind: XferKind::DirectPut {
-                    dst_region: dst.clone(),
-                    dst_offset: 0,
-                    rec_counter: Some(recd.clone()),
-                },
-                inj_counter: None,
-            },
-        );
+        let payload = PayloadSource::Region { region: src.clone(), offset: 0, len: 200 };
+        execute(&fabric, 0, put(1, payload, (&dst, 0), Some(recd.clone()), None));
         pump_until_complete(&fabric, &recd);
         assert!(recd.is_ok());
         assert_eq!(dst.to_vec(), src.to_vec());
@@ -1471,28 +1353,8 @@ mod tests {
         let local = MemRegion::zeroed(64);
         let got = Counter::new();
         got.add_expected(64);
-        fabric.execute_now(
-            0,
-            Descriptor {
-                dst_node: 1,
-                src_context: 0,
-                payload: PayloadSource::Immediate(Bytes::new()),
-                kind: XferKind::RemoteGet {
-                    payload: Box::new(Descriptor {
-                        dst_node: 0,
-                        src_context: 0,
-                        payload: PayloadSource::Region { region: remote, offset: 0, len: 64 },
-                        kind: XferKind::DirectPut {
-                            dst_region: local.clone(),
-                            dst_offset: 0,
-                            rec_counter: Some(got.clone()),
-                        },
-                        inj_counter: None,
-                    }),
-                },
-                inj_counter: None,
-            },
-        );
+        let payload = PayloadSource::Region { region: remote, offset: 0, len: 64 };
+        execute(&fabric, 0, get(1, put(0, payload, (&local, 0), Some(got.clone()), None)));
         for _ in 0..10_000 {
             if got.is_complete() {
                 break;
@@ -1524,7 +1386,7 @@ mod tests {
                     PayloadSource::Immediate(Bytes::from(vec![i; 1024])),
                 );
                 desc.inj_counter = Some(done.clone());
-                fabric.execute_now(0, desc);
+                execute(&fabric, 0, desc);
                 pump_until_complete(&fabric, &done);
                 assert!(done.is_ok());
             }
@@ -1556,10 +1418,7 @@ mod tests {
     fn self_sends_bypass_the_reliability_layer() {
         let fabric = reliable_fabric(FaultPlan::new().seed(6).drop_rate(1.0));
         let rec = fabric.alloc_rec_fifos(0, 1).unwrap()[0];
-        fabric.execute_now(
-            0,
-            memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"loop"))),
-        );
+        execute(&fabric, 0, memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"loop"))));
         let p = fabric.poll_rec(0, rec).expect("self-sends never traverse links");
         assert_eq!(p.payload.view(), b"loop");
         assert!(fabric.links_idle(0));
@@ -1580,7 +1439,7 @@ mod tests {
     #[test]
     fn short_send_is_one_inline_packet_with_synchronous_completion() {
         let fabric = small_fabric();
-        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let done = Counter::new();
         done.add_expected(5);
@@ -1597,7 +1456,7 @@ mod tests {
         assert!(p.link_seq == 0 && p.crc == 0, "the lossless short packet goes unstamped");
         assert!(fabric.poll_rec(1, rec).is_none(), "exactly one packet");
         // The eager twin: no plan, no channel, no stamp.
-        fabric.execute_now(0, memfifo_desc(1, rec, PayloadSource::Immediate(hello)));
+        execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Immediate(hello)));
         let p = fabric.poll_rec(1, rec).unwrap();
         assert!(p.link_seq == 0 && p.crc == 0, "the lossless eager packet goes unstamped");
     }
@@ -1608,7 +1467,7 @@ mod tests {
         // metadata arrives as the sender's bytes, and empty metadata as
         // `Bytes::new()`.
         let fabric = small_fabric();
-        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         fabric.send_short(0, &inj, short_hdr(rec, 4, b""), Bytes::from_static(b"x"), None);
         fabric.send_short(0, &inj, short_hdr(rec, 4, b"meta"), Bytes::new(), None);
@@ -1623,7 +1482,7 @@ mod tests {
     #[test]
     fn short_send_keeps_flag_through_reliable_channel() {
         let fabric = reliable_fabric(FaultPlan::new().seed(7));
-        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let done = Counter::new();
         done.add_expected(4);
@@ -1647,7 +1506,7 @@ mod tests {
             rto_max_ticks: 4,
             retry_budget: 64,
         }));
-        let inj = fabric.inj_fifo(0, fabric.alloc_inj_fifos(0, 1).unwrap()[0]);
+        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
         let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
         let (mut through, mut queued) = (0, 0);
         for i in 0..64u8 {
@@ -1709,7 +1568,7 @@ mod tests {
     #[test]
     fn split_message_delivers_the_prefix_now_and_queues_the_tail() {
         // A 2 KiB eager message: packets 0..k are deposited, as one train,
-        // before `execute_now` returns; packets k..4 wait for the pump.
+        // before `inject` returns; packets k..4 wait for the pump.
         const LEN: usize = 2048;
         let (plan, k) = plan_losing_frame(4);
         let fabric = reliable_fabric(plan);
@@ -1719,7 +1578,7 @@ mod tests {
         done.add_expected(LEN as u64);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(data.clone())));
         desc.inj_counter = Some(done.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         let tail = LEN as u64 - k * 512;
         assert_eq!(done.outstanding(), tail, "the prefix is credited once, on return");
         assert_eq!(queued(&fabric), 4 - k as usize);
@@ -1750,20 +1609,8 @@ mod tests {
         let (inj, recd) = (Counter::new(), Counter::new());
         inj.add_expected(PUT as u64);
         recd.add_expected(PUT as u64);
-        fabric.execute_now(
-            0,
-            Descriptor {
-                dst_node: 1,
-                src_context: 0,
-                payload: PayloadSource::Region { region: src.clone(), offset: 0, len: PUT },
-                kind: XferKind::DirectPut {
-                    dst_region: dst.clone(),
-                    dst_offset: 0,
-                    rec_counter: Some(recd.clone()),
-                },
-                inj_counter: Some(inj.clone()),
-            },
-        );
+        let payload = PayloadSource::Region { region: src.clone(), offset: 0, len: PUT };
+        execute(&fabric, 0, put(1, payload, (&dst, 0), Some(recd.clone()), Some(inj.clone())));
         let at = k as usize * 512;
         if cfg!(feature = "telemetry") {
             assert_eq!(fabric.counters(1).put_bytes_in.value(), at as u64);
@@ -1799,7 +1646,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"die")));
         desc.inj_counter = Some(doomed.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         assert_eq!(
             doomed.fault(),
             Some(DeliveryFault::Unreachable),
@@ -1816,7 +1663,7 @@ mod tests {
         let mut desc =
             memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"yay")));
         desc.inj_counter = Some(ok.clone());
-        fabric.execute_now(0, desc);
+        execute(&fabric, 0, desc);
         assert!(ok.is_ok(), "revived channel delivers again");
         let p = fabric.poll_rec(1, rec).unwrap();
         assert_eq!(p.payload.view(), b"yay");

@@ -5,10 +5,12 @@
 //! PAMI can give every context *exclusive* FIFOs, "thereby eliminating any
 //! need for locking and critical section protection" (paper section III.E).
 //! `FifoAllocator` hands out those exclusive partitions and enforces the
-//! limits; the FIFOs themselves are the lockless [`WorkQueue`] from
-//! `bgq-hw` (injection FIFOs see one producer and one consumer, both the
-//! owning context — `send` queues, `advance` drains; reception FIFOs see
-//! many remote producers and the one owning context as consumer).
+//! limits. An injection FIFO holds nothing: the MU moves a descriptor the
+//! moment it is written, so here a descriptor executes on the thread that
+//! injects it and the FIFO is the message-id lane it mints from. Reception
+//! FIFOs are the lockless [`WorkQueue`] from `bgq-hw`, with many remote
+//! producers and the one owning context as consumer; so is each node's
+//! system FIFO, which queues the remote gets the node services for others.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -16,7 +18,6 @@ use std::sync::{Arc, OnceLock};
 use bgq_hw::{WakeupRegion, WorkQueue};
 use parking_lot::Mutex;
 
-use crate::descriptor::Descriptor;
 use crate::packet::MuPacket;
 
 /// MU injection FIFOs per node (17 cores × 32).
@@ -27,10 +28,10 @@ pub const REC_FIFOS_PER_NODE: usize = 272;
 
 /// Bits of a message id that hold the per-lane sequence number. The id
 /// layout is `node << 40 | lane << 30 | seq`, where `lane` identifies the
-/// message-id source (an injection FIFO, the system FIFO, or the node
-/// fallback) — so every lane mints ids from its *own* atomic and two lanes
-/// can never collide, which is what lets contexts send without touching a
-/// shared per-node sequence counter.
+/// message-id source (an injection FIFO or the system FIFO) — so every
+/// lane mints ids from its *own* atomic and two lanes can never collide,
+/// which is what lets contexts send without touching a shared per-node
+/// sequence counter.
 pub(crate) const LANE_SHIFT: u32 = 30;
 
 /// Mask for the per-lane sequence bits (ids recycle after 2^30 messages per
@@ -41,9 +42,8 @@ pub(crate) const LANE_SEQ_MASK: u64 = (1u64 << LANE_SHIFT) - 1;
 /// Reserved lane id for the per-node *system* injection FIFO.
 pub(crate) const SYS_LANE: u16 = 1022;
 
-/// Reserved lane id for the per-node fallback (descriptors executed without
-/// going through an injection FIFO — the `execute_now` path).
-pub(crate) const NODE_LANE: u16 = 1023;
+/// Ring capacity of a node's system FIFO before its overflow list engages.
+pub(crate) const SYS_FIFO_CAPACITY: usize = 128;
 
 /// A message-id mint: composes `node | lane` high bits (fixed at creation)
 /// with a private sequence counter. Each injection FIFO owns one, so the
@@ -58,7 +58,7 @@ pub(crate) struct MsgIdLane {
 
 impl MsgIdLane {
     /// A lane for `node`. `lane` must fit in 10 bits (hardware FIFO ids are
-    /// 0..544; 1022/1023 are the reserved software lanes).
+    /// 0..544; 1022 is the system FIFO's).
     pub fn new(node: u32, lane: u16) -> Self {
         debug_assert!(lane < 1024, "lane must fit in 10 bits");
         MsgIdLane {
@@ -82,42 +82,27 @@ pub struct InjFifoId(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecFifoId(pub u16);
 
-/// An injection FIFO: descriptors queued by the owning context and drained
-/// by that context's `advance`, nothing else.
+/// An injection FIFO: the message-id lane of the context that owns it.
 ///
-/// Beyond the descriptor queue, the FIFO owns the one sequence counter the
-/// send fast path needs — its message-id lane — so draining it touches no
-/// per-node shared state: two contexts pumping their own FIFOs share zero
-/// cache lines here.
+/// Nothing is ever queued here — a descriptor executes on the thread that
+/// injects it ([`crate::MuFabric::inject`]) — so what the FIFO owns is the
+/// one sequence counter the send path needs: injecting touches no
+/// per-node shared state, and two contexts sending through their own FIFOs
+/// share zero cache lines here.
 pub struct InjFifo {
-    /// Queued descriptors.
-    pub queue: WorkQueue<Descriptor>,
+    id: InjFifoId,
     /// Message-id mint for messages sent through this FIFO.
     pub(crate) lane: MsgIdLane,
-    /// Descriptors popped from `queue` but not yet fully delivered by the
-    /// pump. The short-tier bypass consults this together with queue
-    /// emptiness ([`InjFifo::is_quiescent`]) before injecting a message
-    /// around the FIFO, so bypassing never reorders against a descriptor
-    /// that is mid-delivery.
-    pub(crate) inflight: AtomicU64,
 }
 
 impl InjFifo {
-    pub(crate) fn new(capacity: usize, node: u32, lane: u16) -> Self {
-        InjFifo {
-            queue: WorkQueue::with_capacity(capacity),
-            lane: MsgIdLane::new(node, lane),
-            inflight: AtomicU64::new(0),
-        }
+    pub(crate) fn new(node: u32, id: u16) -> Self {
+        InjFifo { id: InjFifoId(id), lane: MsgIdLane::new(node, id) }
     }
 
-    /// `true` when nothing is queued in this FIFO *and* no pump is
-    /// mid-delivery on a descriptor popped from it — the condition under
-    /// which a single-packet send may bypass the FIFO without overtaking
-    /// earlier traffic to the same destination.
-    #[inline]
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty() && self.inflight.load(Ordering::Acquire) == 0
+    /// This FIFO's id within its node.
+    pub fn id(&self) -> InjFifoId {
+        self.id
     }
 }
 
@@ -199,10 +184,10 @@ impl RecFifo {
     }
 }
 
-/// Fixed-size, lock-free table of a node's FIFOs.
+/// Fixed-size, lock-free table of a node's reception FIFOs.
 ///
-/// The MU's FIFO count is a hardware constant (544 injection / 272
-/// reception per node), so the table is a fixed array of slots published
+/// The MU's FIFO count is a hardware constant (272 reception per node),
+/// so the table is a fixed array of slots published
 /// with [`OnceLock`]: allocation writes a slot exactly once (slot indices
 /// come from the mutex-guarded [`FifoAllocator`], which is not on the hot
 /// path), after which every lookup — packet delivery, `poll_rec`, handle
@@ -319,14 +304,14 @@ mod tests {
             assert_eq!(id >> 40, 3, "node bits intact");
         }
         // Sequence wrap stays inside the lane bits.
-        let c = MsgIdLane::new(5, NODE_LANE);
+        let c = MsgIdLane::new(5, SYS_LANE);
         c.msg_seq.store(LANE_SEQ_MASK, Ordering::Relaxed);
         let x = c.next();
         let y = c.next();
         assert_eq!(x >> 40, 5);
         assert_eq!(y >> 40, 5, "wrap must not leak into node bits");
         assert_ne!(x, y);
-        assert_eq!((x >> LANE_SHIFT) & 0x3ff, NODE_LANE as u64);
+        assert_eq!((x >> LANE_SHIFT) & 0x3ff, SYS_LANE as u64);
     }
 
     #[test]

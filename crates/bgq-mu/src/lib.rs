@@ -22,15 +22,16 @@
 //!   into the destination reception FIFO (waking its wakeup region), applies
 //!   direct puts to destination memory and decrements reception counters,
 //!   and queues remote-get payload descriptors on the destination's system
-//!   injection FIFO. Descriptors execute when the owning context
-//!   advances: the hardware MU's message engines run asynchronously to the
-//!   cores, and here that asynchrony comes from commthreads calling
-//!   `advance` (the `pami` crate), never from a thread of this crate's own.
+//!   injection FIFO. A descriptor executes when it is injected, on the
+//!   injecting thread, as the hardware MU starts moving data the moment one
+//!   is written; the receive side's asynchrony comes from commthreads
+//!   calling `advance` (the `pami` crate), never from a thread of this
+//!   crate's own.
 //!
 //! Ordering: one (source context → destination) pair always uses the same
-//! injection FIFO (PAMI pins it by destination) and packets of a FIFO are
-//! executed in order, so memory-FIFO packets arrive in injection order —
-//! the property MPI matching relies on. Direct-put payload takes the
+//! injection FIFO (PAMI pins it by destination) and each descriptor has
+//! moved before its injection returns, so memory-FIFO packets arrive in
+//! injection order — the property MPI matching relies on. Direct-put payload takes the
 //! dynamically-routed path and completes out of order; completion is
 //! observed only through reception counters, never packet order.
 

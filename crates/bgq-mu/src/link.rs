@@ -425,20 +425,54 @@ impl TxState {
         self.msgs.partition_point(|m| !seq_before(seq, m.base_seq)) - 1
     }
 
-    /// Deliver the queued frames `run` — consecutive sequences the receiver
-    /// took in order — with one `deposit` call per message the run touches.
+    /// Deliver queued frames `start..end`, which the receiver just took in
+    /// order, and the run of reorder-buffered successors that releases:
+    /// deposit them and leave them awaiting the cumulative ack. Returns
+    /// the end of the run.
+    fn deliver_from(
+        &mut self,
+        ch: &Channel,
+        start: usize,
+        mut end: usize,
+        now: u64,
+        deposit: Deposit<'_>,
+    ) -> usize {
+        {
+            let mut rx = ch.rx.lock();
+            while self.frames.get(end).is_some_and(|f| {
+                f.state == FrameState::SackHeld && rx.drain_next(f.seq)
+            }) {
+                end += 1;
+            }
+        }
+        if end > start {
+            self.deposit_run(ch, start..end, deposit);
+            for f in self.frames.range_mut(start..end) {
+                f.state = FrameState::AckWait { since: now };
+            }
+        }
+        end
+    }
+
+    /// Deliver the queued frames `run` — sequences the receiver took in
+    /// order — with one `deposit` call per stretch of consecutive frames of
+    /// one message. The run skips the sequences that crossed at admission
+    /// (they are not queued), so a stretch ends at a gap as well as at a
+    /// message boundary.
     fn deposit_run(&self, ch: &Channel, run: Range<usize>, deposit: Deposit<'_>) {
-        let mut seq = self.frames[run.start].seq;
-        let mut left = run.len() as u64;
-        let mut m = self.msg_of(seq);
-        while left > 0 {
-            let msg = &self.msgs[m];
-            let a = seq.wrapping_sub(msg.base_seq);
-            let b = msg.frames.min(a + left);
+        let mut idx = run.start;
+        while idx < run.end {
+            let msg = &self.msgs[self.msg_of(self.frames[idx].seq)];
+            let a = self.frames[idx].seq.wrapping_sub(msg.base_seq);
+            let mut b = a + 1;
+            while b < msg.frames
+                && idx + ((b - a) as usize) < run.end
+                && self.frames[idx + (b - a) as usize].seq == msg.seq(b)
+            {
+                b += 1;
+            }
             deposit(ch, msg, a..b);
-            seq = seq.wrapping_add(b - a);
-            left -= b - a;
-            m += 1;
+            idx += (b - a) as usize;
         }
     }
 }
@@ -516,18 +550,6 @@ impl HeldRing {
         self.words.fill(0);
         self.len = 0;
     }
-
-    /// Keep only the held sequences at or after `to`, given that every
-    /// held sequence is at or after `from`.
-    fn retain_from(&mut self, from: u64, to: u64) {
-        let stale = to.wrapping_sub(from).min(self.mask + 1);
-        for i in 0..stale {
-            if self.len == 0 {
-                return;
-            }
-            self.remove(from.wrapping_add(i));
-        }
-    }
 }
 
 /// Receive half of a channel: the selective-repeat reorder tracking for
@@ -535,17 +557,54 @@ impl HeldRing {
 /// the frames' data stays in the sender's queue ([`FrameState::SackHeld`])
 /// until the gap fills. Locked after `tx`, never before.
 pub(crate) struct RxState {
-    /// Next in-order sequence the receiver will deposit.
+    /// Next in-order sequence the receiver will deposit. Every sequence
+    /// below it was deposited — by the pump, or at admission — or failed
+    /// with its channel; the cursor never passes one still in flight.
     pub next_expected: u64,
     /// Out-of-order sequences currently held in the reorder buffer.
     pub held: HeldRing,
     /// Reorder-buffer high-water mark in frames.
     pub capacity: usize,
+    /// Runs `(start, end)` of sequences that crossed at admission (or
+    /// failed) ahead of the cursor, waiting for it to reach them: a run
+    /// lands here only when a concurrent sender drew the sequences before
+    /// it and has not admitted or queued them yet.
+    resolved: Vec<(u64, u64)>,
 }
 
 impl RxState {
     fn new(capacity: usize) -> Self {
-        RxState { next_expected: 0, held: HeldRing::new(capacity), capacity }
+        RxState {
+            next_expected: 0,
+            held: HeldRing::new(capacity),
+            capacity,
+            resolved: Vec::new(),
+        }
+    }
+
+    /// Move the cursor to `to`, then on across every resolved run that
+    /// starts where it stands.
+    fn advance_to(&mut self, to: u64) {
+        self.next_expected = to;
+        while let Some(i) = self.resolved.iter().position(|&(a, _)| a == self.next_expected) {
+            self.next_expected = self.resolved.swap_remove(i).1;
+        }
+    }
+
+    /// Sequences `start..end` will never arrive through the pump: they
+    /// crossed at admission, or failed with their channel. The cursor
+    /// passes them explicitly — at once if it stands at `start`, else when
+    /// it gets there — and a run's part behind the cursor is already
+    /// accounted for.
+    pub(crate) fn resolve(&mut self, start: u64, end: u64) {
+        if start == end || !seq_before(self.next_expected, end) {
+            return;
+        }
+        if seq_before(start, self.next_expected) || start == self.next_expected {
+            self.advance_to(end);
+        } else {
+            self.resolved.push((start, end));
+        }
     }
 
     /// Classify one arriving data frame. `Deliver` advances
@@ -561,7 +620,7 @@ impl RxState {
             // lost) can be retransmitted and arrive in order; drop the now
             // stale buffer entry so it doesn't pin capacity.
             self.held.remove(seq);
-            self.next_expected = self.next_expected.wrapping_add(1);
+            self.advance_to(seq.wrapping_add(1));
             return RxVerdict::Deliver;
         }
         if rel as usize > self.capacity {
@@ -581,21 +640,10 @@ impl RxState {
     /// sequence; returns whether the caller should deposit that frame.
     pub(crate) fn drain_next(&mut self, seq: u64) -> bool {
         if seq == self.next_expected && self.held.remove(seq) {
-            self.next_expected = self.next_expected.wrapping_add(1);
+            self.advance_to(seq.wrapping_add(1));
             return true;
         }
         false
-    }
-
-    /// Fast-forward past sequences that were admitted straight through
-    /// without touching this state: the oldest unacked queued frame is the
-    /// oldest sequence the receiver could still be missing.
-    pub(crate) fn sync_to(&mut self, oldest_unacked: u64) {
-        let rel = oldest_unacked.wrapping_sub(self.next_expected);
-        if rel > 0 && rel < 1 << 63 {
-            self.held.retain_from(self.next_expected, oldest_unacked);
-            self.next_expected = oldest_unacked;
-        }
     }
 }
 
@@ -837,7 +885,9 @@ impl Reliability {
     /// nothing: queued frames re-roll the same dice in the pump. The
     /// liveness and backlog hints race a concurrent fault episode by at
     /// most one in-flight message, indistinguishable from it having
-    /// crossed just before.
+    /// crossed just before. The frames let through are resolved at the
+    /// receiver here, explicitly: a concurrent sender's pump must not
+    /// infer them from its own queue.
     pub(crate) fn admit(&self, ch: &Channel, n: u64) -> Admit {
         let base_seq = ch.next_seq.fetch_add(n, Ordering::Relaxed);
         let through = if ch.seems_alive() && !ch.has_backlog() && !self.health.any_down() {
@@ -845,6 +895,9 @@ impl Reliability {
         } else {
             0
         };
+        if through > 0 {
+            ch.rx.lock().resolve(base_seq, base_seq.wrapping_add(through));
+        }
         // Synchronous delivery doubles as the ack.
         self.charge_acks(ch, through);
         Admit { base_seq, through }
@@ -888,6 +941,7 @@ impl Reliability {
         let mut guard = ch.tx.lock();
         let tx: &mut TxState = &mut guard;
         if let Some(fault) = tx.dead {
+            ch.rx.lock().resolve(msg.seq(through), msg.seq(msg.frames));
             self.ras.delivery_failures.add(msg.fail(fault));
             self.ring.record(RasEvent {
                 tick: self.tick(ch.src),
@@ -962,16 +1016,11 @@ impl Reliability {
             return 0;
         }
         let retry = self.injector.retry();
-        let mut done = 0usize;
         // `sent` counts transmissions this visit; the retry window bounds
         // it (acks are immediate in-process, so the window is a per-tick
         // transmission bound rather than an in-flight bound).
         let mut sent = 0usize;
-        // Catch the reorder cursor up past anything admitted straight
-        // through, which never touches it.
-        if let Some(front) = tx.frames.front() {
-            ch.rx.lock().sync_to(front.seq);
-        }
+        let mut done = self.release_held(ch, tx, now, deposit);
         // One route plan per visit, resolved again only when a kill
         // schedule drops the cached one or the health epoch moves.
         let mut route: Option<Arc<RoutePlan>> = None;
@@ -1055,6 +1104,27 @@ impl Reliability {
         done
     }
 
+    /// Deposit the run of reorder-buffered frames the receive cursor has
+    /// reached since the last visit — admission moves it too
+    /// ([`RxState::resolve`]) — and retire them on the cumulative ack that
+    /// movement releases. Returns frames deposited.
+    fn release_held(
+        &self,
+        ch: &Channel,
+        tx: &mut TxState,
+        now: u64,
+        deposit: Deposit<'_>,
+    ) -> usize {
+        let cursor = ch.rx.lock().next_expected;
+        let start = tx.frames.partition_point(|f| seq_before(f.seq, cursor));
+        let end = tx.deliver_from(ch, start, start, now, deposit);
+        if end > start {
+            self.charge_acks(ch, 1);
+            self.retire_through(ch, tx, tx.frames[end - 1].seq);
+        }
+        end - start
+    }
+
     /// Process one data-frame arrival at the receiver: classify it against
     /// the reorder state, deposit what became deliverable, and apply the
     /// (possibly lost) ack to the sender's queue. Returns how the caller's
@@ -1075,22 +1145,8 @@ impl Reliability {
         match verdict {
             RxVerdict::Deliver => {
                 // The data crossed in order, and so did the consecutive run
-                // of buffered successors it unblocked: deposit the run, one
-                // call per message.
-                let end = {
-                    let mut rx = ch.rx.lock();
-                    let mut end = idx + 1;
-                    while tx.frames.get(end).is_some_and(|next| {
-                        next.state == FrameState::SackHeld && rx.drain_next(next.seq)
-                    }) {
-                        end += 1;
-                    }
-                    end
-                };
-                tx.deposit_run(ch, idx..end, deposit);
-                for f in tx.frames.range_mut(idx..end) {
-                    f.state = FrameState::AckWait { since: now };
-                }
+                // of buffered successors it unblocked.
+                let end = tx.deliver_from(ch, idx, idx + 1, now, deposit);
                 *done += end - idx;
                 if ack {
                     self.retire_through(ch, tx, tx.frames[end - 1].seq);
@@ -1354,13 +1410,20 @@ impl Reliability {
         ch.dead_hint.store(true, Ordering::Release);
         ch.publish_backlog(false);
         let failed: u64 = tx.msgs.iter().map(|m| m.fail(fault)).sum();
+        {
+            // Frames parked in the receiver's reorder buffer died with the
+            // channel (their messages were still queued above), and the
+            // cursor passes every sequence the kill failed.
+            let mut rx = ch.rx.lock();
+            rx.held.clear();
+            for m in &tx.msgs {
+                rx.resolve(m.seq(m.retired), m.seq(m.frames));
+            }
+        }
         let n = tx.frames.len();
         tx.frames.clear();
         tx.msgs.clear();
         tx.lost = 0;
-        // Frames parked in the receiver's reorder buffer died with the
-        // channel (their messages were still queued above).
-        ch.rx.lock().held.clear();
         if n > 0 {
             self.sub_pending(ch.src, n);
         }
@@ -1377,8 +1440,8 @@ impl Reliability {
         let mut tx = ch.tx.lock();
         let Some(fault) = tx.dead.take() else { return false };
         tx.route = None;
-        // The kill cleared the receiver's reorder buffer; the cursor
-        // re-syncs to the next queued frame on the first pump visit.
+        // The kill cleared the receiver's reorder buffer and moved the
+        // cursor past every frame it failed.
         debug_assert_eq!(ch.rx.lock().held.len(), 0);
         ch.dead_hint.store(false, Ordering::Release);
         self.record(ch, RasEventKind::ChannelRevived, self.tick(src_node), fault as u64);
@@ -1504,20 +1567,24 @@ mod tests {
     }
 
     #[test]
-    fn rx_sync_fast_forwards_and_prunes() {
+    fn rx_cursor_passes_resolved_runs_only_when_it_reaches_them() {
         let mut r = rx(0, 8);
-        assert_eq!(r.accept(2), RxVerdict::Sacked);
-        assert_eq!(r.accept(7), RxVerdict::Sacked);
-        r.sync_to(5);
-        assert_eq!(r.next_expected, 5);
-        assert_eq!(r.held.len(), 1, "stale held seq pruned, 7 kept");
-        assert_eq!(r.accept(7), RxVerdict::DupSacked);
-        r.sync_to(3);
-        assert_eq!(r.next_expected, 5, "sync never moves backwards");
-        // A jump past a whole ring's worth of slots forgets everything.
-        r.sync_to(5 + 1000);
-        assert_eq!(r.held.len(), 0);
-        assert_eq!(r.accept(1006), RxVerdict::Sacked, "no stale bit left behind");
+        // 4..6 crossed at admission while 0..4 are still in flight.
+        r.resolve(4, 6);
+        assert_eq!(r.next_expected, 0, "a run ahead of the cursor waits");
+        assert_eq!(r.accept(6), RxVerdict::Sacked);
+        r.resolve(0, 3);
+        assert_eq!(r.accept(3), RxVerdict::Deliver);
+        assert_eq!(r.next_expected, 6, "3 delivers, the cursor crosses 4..6 and stops at 6");
+        assert!(r.drain_next(6));
+        // A run (partly) behind the cursor is already accounted for.
+        r.resolve(5, 9);
+        assert_eq!(r.next_expected, 9);
+        // Runs wrap the sequence space like everything else.
+        let mut r = rx(u64::MAX - 1, 8);
+        r.resolve(1, 3);
+        r.resolve(u64::MAX - 1, 1);
+        assert_eq!(r.next_expected, 3);
     }
 
     #[test]
@@ -1671,6 +1738,53 @@ mod tests {
         assert!(inj.is_ok() && inj.outstanding() == 0, "credited exactly once, in full");
         assert!(r.idle(0));
         assert_eq!(ch.rx.lock().next_expected, 1);
+    }
+
+    /// A plan under which, at attempt 0 on the 0 → 1 channel, the dice of
+    /// sequences `from..from + 6` fail for exactly `lost` (forward or ack
+    /// hop) and pass for the rest: the earliest such seed from 1 up.
+    fn plan_losing_seqs(from: u64, lost: &[u64]) -> FaultPlan {
+        let shape = TorusShape::new([2, 1, 1, 1, 1]);
+        let route = bgq_torus::det_route(shape, shape.coords_of(0), shape.coords_of(1));
+        let (fwd, rev) = (link_id(0, route[0]), link_id(1, route[0].reverse()));
+        (1..)
+            .map(|seed| FaultPlan::new().seed(seed).drop_rate(0.2))
+            .find(|plan| {
+                let dice = FaultInjector::new(plan.clone(), shape);
+                let pass = |seq| [fwd, rev].iter().all(|&l| dice.decide(l, seq, 0) == Fate::Pass);
+                (from..from + 6).all(|seq| pass(seq) != lost.contains(&seq))
+            })
+            .expect("some seed loses exactly those sequences")
+    }
+
+    #[test]
+    fn a_concurrent_senders_tail_delivers_exactly_once() {
+        // Two senders share the 0 → 1 channel, replayed on one thread:
+        // A admits 10..14 and crosses 10..12; B admits 14..16, queues and
+        // pumps before A has queued its tail; then A queues 12..14. B's pump
+        // must not take A's unqueued tail for delivered.
+        let retry = RetryConfig { window: 64, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 64 };
+        let r = reliability_under(2, plan_losing_seqs(10, &[12, 14]).retry(retry));
+        let ch = r.channel(0, 1);
+        ch.next_seq.store(10, Ordering::Relaxed);
+        ch.rx.lock().next_expected = 10;
+        let landed = std::cell::RefCell::new(vec![0u32; 16]);
+        let land = |m: &Message, frames: Range<u64>| {
+            frames.for_each(|i| landed.borrow_mut()[m.seq(i) as usize] += 1);
+        };
+        let a = r.admit(ch, 4);
+        assert_eq!(a, Admit { base_seq: 10, through: 2 });
+        let a_msg = put_msg(a.base_seq, 2048, None, None);
+        land(&a_msg, 0..a.through);
+        let b = r.admit(ch, 2);
+        assert_eq!(b, Admit { base_seq: 14, through: 0 });
+        r.enqueue(ch, put_msg(b.base_seq, 1024, None, None), 0, &|_, m, f| land(m, f));
+        r.enqueue(ch, a_msg, a.through, &|_, m, f| land(m, f));
+        while !r.idle(0) {
+            r.pump(0, usize::MAX, &|_, m, f| land(m, f));
+        }
+        assert_eq!(landed.borrow()[10..], [1; 6], "every frame of both senders, once");
+        assert_eq!(ch.rx.lock().next_expected, 16);
     }
 
     #[test]

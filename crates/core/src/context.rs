@@ -12,7 +12,9 @@
 //! `try_lock` and simply make no progress (higher software either pins
 //! threads to contexts, posts work with [`Context::post`], or brackets
 //! shared use with [`Context::lock`]). Sends are initiated lock-free from
-//! any thread: they only push onto MPSC queues.
+//! any thread: a descriptor executes on the thread that injects it, as the
+//! MU starts moving data the moment one is written, and what it deposits
+//! lands on MPSC queues.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -21,8 +23,8 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, L2TicketMutex, MemRegion, WakeupRegion, WorkQueue};
 use bgq_mu::{
-    Descriptor, FifoHeader, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo,
-    RecFifoId, XferKind,
+    Descriptor, FifoHeader, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo, RecFifoId,
+    XferKind,
 };
 use bgq_upc::{Histogram, Stamp, Upc};
 use bytes::Bytes;
@@ -57,7 +59,8 @@ fn on_commthread() -> bool {
 }
 
 /// Refuse a one-sided access that would run past its region, at initiation:
-/// queued, it would panic inside whichever thread pumped the descriptor.
+/// executed, it would panic inside the copy (or, for a get, inside
+/// whichever target thread serviced it).
 fn within(region: &MemRegion, offset: usize, len: usize) -> PamiResult<()> {
     if region.contains(offset, len) {
         Ok(())
@@ -172,7 +175,6 @@ struct BatchCounters {
 /// Per-advance budgets: how many items of each kind one `advance` call
 /// processes before returning (keeps latency fair across devices).
 const WORK_BUDGET: usize = 16;
-const INJ_BUDGET: usize = 32;
 const SYS_BUDGET: usize = 32;
 const RECV_BUDGET: usize = 64;
 
@@ -245,13 +247,12 @@ pub struct Context {
     node: u32,
     rec_fifo_id: RecFifoId,
     rec_fifo: Arc<RecFifo>,
-    inj_ids: Vec<InjFifoId>,
-    /// Cached handles to this context's exclusive injection FIFOs —
-    /// initiation and pumping never re-consult the fabric's FIFO table.
-    inj_fifos: Vec<Arc<InjFifo>>,
+    /// This context's exclusive injection FIFOs: the message-id lanes it
+    /// mints from, owned here and never looked up.
+    inj_fifos: Vec<InjFifo>,
     /// Cached handle to the node's system injection FIFO (emptiness probe
     /// for the idle fast path).
-    sys_fifo: Arc<InjFifo>,
+    sys_fifo: Arc<WorkQueue<Descriptor>>,
     mailbox: Arc<ShmMailbox>,
     /// Sources of this context's rendezvous sends, parked until the target
     /// takes them ([`RzvSources`]).
@@ -305,14 +306,10 @@ impl Context {
             .unwrap_or_else(|| panic!("node {node} out of MU reception FIFOs"))[0];
         let rec_fifo = machine.fabric().rec_fifo(node, rec_fifo_id);
         rec_fifo.set_wakeup(wakeup.clone());
-        let inj_ids = machine
+        let inj_fifos = machine
             .fabric()
             .alloc_inj_fifos(node, machine.inj_fifos_per_context)
             .unwrap_or_else(|| panic!("node {node} out of MU injection FIFOs"));
-        let inj_fifos: Vec<Arc<InjFifo>> = inj_ids
-            .iter()
-            .map(|id| machine.fabric().inj_fifo(node, *id))
-            .collect();
         let sys_fifo = machine.fabric().sys_fifo(node);
         let mailbox = Arc::new(ShmMailbox::new(512, wakeup.clone()));
         let ctx = Arc::new(Context {
@@ -323,7 +320,6 @@ impl Context {
             node,
             rec_fifo_id,
             rec_fifo,
-            inj_ids,
             inj_fifos,
             sys_fifo,
             mailbox,
@@ -449,12 +445,11 @@ impl Context {
     }
 
     /// Latency-optimized short send: the payload is copied immediately into
-    /// the message and, when injection resources allow, moved now by the
-    /// calling thread (`PAMI_Send_immediate`). Completes locally before
-    /// returning. A thin wrapper over [`Context::send`]'s short arm, so it
-    /// keeps per-destination order with every other tier: it queues behind
-    /// earlier traffic still sitting in the destination's injection FIFO
-    /// instead of overtaking it.
+    /// the message and moved now by the calling thread
+    /// (`PAMI_Send_immediate`). Completes locally before returning. A thin
+    /// wrapper over [`Context::send`]'s short arm, so it keeps
+    /// per-destination order with every other tier: every tier moves its
+    /// message inside the call, so call order is arrival order.
     ///
     /// # Errors
     /// [`PamiError::TooLong`] if `payload` exceeds one packet (512 bytes) —
@@ -496,7 +491,7 @@ impl Context {
         // packet, the same arm, the same probe.
         self.probes.sends_short.incr_pinned(self.offset as usize);
         let metadata = Bytes::copy_from_slice(metadata);
-        let hdr = self.short_header(dest_node, addr.rec_fifo, dispatch, metadata);
+        let hdr = self.fifo_header(dest_node, addr.rec_fifo, dispatch, metadata);
         let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
         self.send_short_arm(dest, hdr, payload, None);
         Ok(())
@@ -602,43 +597,24 @@ impl Context {
             Protocol::Short => {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
                 let metadata = Bytes::copy_from_slice(metadata);
-                let hdr = self.short_header(dest_node, rec_fifo, dispatch, metadata);
+                let hdr = self.fifo_header(dest_node, rec_fifo, dispatch, metadata);
                 self.send_short_arm(dest, hdr, payload, local_done);
             }
             Protocol::Eager => {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
-                let desc = Descriptor {
-                    dst_node: dest_node,
-                    src_context: self.offset,
-                    payload,
-                    kind: XferKind::MemoryFifo {
-                        rec_fifo,
-                        src_task: self.task,
-                        dispatch,
-                        metadata: Bytes::copy_from_slice(metadata),
-                    },
-                    inj_counter: local_done,
-                };
-                self.inject_to(dest.task, desc);
+                let metadata = Bytes::copy_from_slice(metadata);
+                let hdr = self.fifo_header(dest_node, rec_fifo, dispatch, metadata);
+                self.inject(dest.task, Descriptor::fifo(hdr, payload, local_done));
             }
             Protocol::Rendezvous => {
                 // Rendezvous: park the source, send an RTS; the target
                 // pulls the payload with a remote get.
                 self.probes.sends_rzv.incr_pinned(self.offset as usize);
                 let key = self.rzv.park(RzvEntry { payload, local_done });
-                let desc = Descriptor {
-                    dst_node: dest_node,
-                    src_context: self.offset,
-                    payload: PayloadSource::Immediate(Bytes::new()),
-                    kind: XferKind::MemoryFifo {
-                        rec_fifo,
-                        src_task: self.task,
-                        dispatch: DISPATCH_RZV_RTS,
-                        metadata: wire::rts(dispatch, len as u64, key, metadata),
-                    },
-                    inj_counter: None,
-                };
-                self.inject_to(dest.task, desc);
+                let rts = wire::rts(dispatch, len as u64, key, metadata);
+                let hdr = self.fifo_header(dest_node, rec_fifo, DISPATCH_RZV_RTS, rts);
+                let empty = PayloadSource::Immediate(Bytes::new());
+                self.inject(dest.task, Descriptor::fifo(hdr, empty, None));
             }
             Protocol::Aggregated => unreachable!("aggregated sends return from the append arm"),
         }
@@ -646,8 +622,8 @@ impl Context {
     }
 
     /// Node of the task a one-sided call targets, refusing a task the
-    /// machine does not have: queued, its descriptor would panic inside
-    /// whichever thread pumped it.
+    /// machine does not have: executed, its descriptor would panic inside
+    /// the fabric.
     fn target_node(&self, task: u32) -> PamiResult<u32> {
         if (task as usize) < self.machine.num_tasks() {
             Ok(self.machine.task_node(task))
@@ -685,7 +661,7 @@ impl Context {
             },
             inj_counter: local_done,
         };
-        self.inject_to(dest_task, desc);
+        self.inject(dest_task, desc);
         Ok(())
     }
 
@@ -725,7 +701,7 @@ impl Context {
             kind: XferKind::RemoteGet { payload: Box::new(put_back) },
             inj_counter: None,
         };
-        self.inject_to(dest_task, desc);
+        self.inject(dest_task, desc);
         Ok(())
     }
 
@@ -768,7 +744,7 @@ impl Context {
             }),
             inj_counter: done,
         };
-        self.inject_to(dest_task, desc);
+        self.inject(dest_task, desc);
         Ok(())
     }
 
@@ -829,7 +805,7 @@ impl Context {
         let dest_node = self.machine.task_node(dest.task);
         let Ok(addr) = self.endpoints.get(dest) else { return };
         let metadata = Bytes::copy_from_slice(&crate::aggr::frame_header(frame.count, addressed));
-        let hdr = self.short_header(dest_node, addr.rec_fifo, DISPATCH_AGGR, metadata);
+        let hdr = self.fifo_header(dest_node, addr.rec_fifo, DISPATCH_AGGR, metadata);
         self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
     }
 
@@ -901,8 +877,8 @@ impl Context {
         inline
     }
 
-    /// The header of a short-tier packet from this context.
-    fn short_header(
+    /// The header of a memory-FIFO message from this context.
+    fn fifo_header(
         &self,
         dst_node: u32,
         rec_fifo: RecFifoId,
@@ -915,12 +891,8 @@ impl Context {
 
     /// The short arm — shared by [`Context::send`], [`Context::send_immediate`]
     /// and aggregated-frame emit: one inline packet on `dest`'s pinned
-    /// injection FIFO. When that FIFO has nothing queued and no descriptor
-    /// mid-delivery, ordering lets the message skip the injection queue
-    /// entirely — no descriptor, no completion-counter allocation, one
-    /// fragment straight down the fabric's pipeline. Otherwise earlier
-    /// traffic is still queued there, and the per-destination ordering
-    /// rule is kept by queueing a descriptor behind it.
+    /// injection FIFO — no descriptor, no completion-counter allocation,
+    /// one fragment straight down the fabric's pipeline.
     fn send_short_arm(
         &self,
         dest: Endpoint,
@@ -928,33 +900,22 @@ impl Context {
         payload: PayloadSource,
         local_done: Option<Counter>,
     ) {
-        let fifo = &self.inj_fifos[dest.task as usize % self.inj_fifos.len()];
-        if fifo.is_quiescent() {
-            self.machine.fabric().send_short(self.node, fifo, hdr, payload.into_bytes(), local_done);
-        } else {
-            let desc = Descriptor {
-                dst_node: hdr.dst_node,
-                src_context: hdr.src_context,
-                payload,
-                kind: XferKind::MemoryFifo {
-                    rec_fifo: hdr.rec_fifo,
-                    src_task: hdr.src_task,
-                    dispatch: hdr.dispatch,
-                    metadata: hdr.metadata,
-                },
-                inj_counter: local_done,
-            };
-            self.machine.fabric().inject_handle(fifo, desc);
-        }
+        let fifo = self.inj_fifo(dest.task);
+        self.machine.fabric().send_short(self.node, fifo, hdr, payload.into_bytes(), local_done);
     }
 
     /// Injection-FIFO pinning: every message to `dest_task` from this
     /// context uses the same FIFO, "so that the same FIFO is used every
-    /// time for a given destination" — the ordering rule.
-    fn inject_to(&self, dest_task: u32, desc: Descriptor) {
-        // Cached-handle injection: no FIFO-table lookup on the send path.
-        let fifo = &self.inj_fifos[dest_task as usize % self.inj_fifos.len()];
-        self.machine.fabric().inject_handle(fifo, desc);
+    /// time for a given destination" — its message ids come from one lane.
+    #[inline]
+    fn inj_fifo(&self, dest_task: u32) -> &InjFifo {
+        &self.inj_fifos[dest_task as usize % self.inj_fifos.len()]
+    }
+
+    /// The injection door: `desc` moves now, on the calling thread, through
+    /// `dest_task`'s pinned FIFO ([`bgq_mu::MuFabric::inject`]).
+    pub(crate) fn inject(&self, dest_task: u32, desc: Descriptor) {
+        self.machine.fabric().inject(self.node, self.inj_fifo(dest_task), desc);
     }
 
     /// The on-node send: an inline copy through `dest`'s mailbox, or —
@@ -996,11 +957,13 @@ impl Context {
 
     // ---- progress ---------------------------------------------------------
 
-    /// Advance this context: run posted work, pump injection, service the
-    /// node's system FIFO, dispatch received MU packets and shared-memory
-    /// messages, and fire completed rendezvous callbacks. Returns the
-    /// number of events processed. Concurrent calls are safe; the loser
-    /// makes no progress and returns 0.
+    /// Advance this context: run posted work, service the node's system
+    /// FIFO and link channels, dispatch received MU packets and
+    /// shared-memory messages, and fire completed rendezvous callbacks.
+    /// There is no injection to pump: every descriptor moved inside the
+    /// call that injected it. Returns the number of events processed.
+    /// Concurrent calls are safe; the loser makes no progress and
+    /// returns 0.
     pub fn advance(&self) -> usize {
         // Empty fast path: when every queue this context drains is
         // observably empty, return without taking the advance lock at all —
@@ -1032,8 +995,7 @@ impl Context {
             // treating every pending record as work would put the whole
             // advance walk on the per-send cost of an aggregated flood.
             && self.aggr.as_ref().is_none_or(|a| !a.due_now())
-            && self.inj_fifos.iter().all(|f| f.queue.is_empty())
-            && self.sys_fifo.queue.is_empty()
+            && self.sys_fifo.is_empty()
             && self.machine.fabric().links_idle(self.node)
     }
 
@@ -1085,34 +1047,28 @@ impl Context {
 
         // 1b. Aggregation age bound: when the earliest open bucket's µs
         //     budget has lapsed (one lock-free probe + one clock read),
-        //     cut due buckets so the frames are injected (and pumped just
-        //     below) this advance.
+        //     cut due buckets; each frame moves as it is injected.
         if let Some(aggr) = &self.aggr {
             if aggr.due_now() {
                 events += aggr.flush_due(|f| self.send_aggr_frame(f));
             }
         }
 
-        // 2. Pump this context's own injection FIFOs: nothing else drains
-        //    them, so a queued descriptor executes here or not at all.
-        for fifo in &self.inj_fifos {
-            events += self.machine.fabric().pump_inj_handle(self.node, fifo, INJ_BUDGET);
-        }
-        // 3. Service the node's system FIFO (remote gets targeting any
+        // 2. Service the node's system FIFO (remote gets targeting any
         //    context on this node) and, under a fault plan, the node's
         //    link channels (retransmit timers); one context at a time.
         //    Gated on observable work so the common (no remote gets, no
         //    faults) case costs two lock-free emptiness probes, not a
         //    try_lock RMW on a mutex cacheline shared by every context on
         //    the node.
-        if !self.sys_fifo.queue.is_empty() || !self.machine.fabric().links_idle(self.node) {
+        if !self.sys_fifo.is_empty() || !self.machine.fabric().links_idle(self.node) {
             if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
                 events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);
                 events += self.machine.fabric().pump_links(self.node, SYS_BUDGET);
             }
         }
 
-        // 4. MU reception, drained in one queue transaction: the batch
+        // 3. MU reception, drained in one queue transaction: the batch
         //    claim publishes the consumer cursor (and re-opens producer
         //    ring space) once per advance instead of once per packet, so
         //    a flood ping-pongs the producer-shared cachelines per batch.
@@ -1126,7 +1082,7 @@ impl Context {
         events += received;
         st.rec_scratch = batch;
 
-        // 5. Shared-memory mailbox.
+        // 4. Shared-memory mailbox.
         for _ in 0..RECV_BUDGET {
             match self.mailbox.queue.pop() {
                 Some(msg) => {
@@ -1138,7 +1094,7 @@ impl Context {
             }
         }
 
-        // 6. Rendezvous receive completions (poll the counters).
+        // 5. Rendezvous receive completions (poll the counters).
         if !st.rzv_pending.is_empty() {
             let mut i = 0;
             while i < st.rzv_pending.len() {
@@ -1318,7 +1274,7 @@ impl Context {
             kind: XferKind::RemoteGet { payload: Box::new(put_back) },
             inj_counter: None,
         };
-        self.inject_to(src.task, get);
+        self.inject(src.task, get);
         rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
         self.pending_internal.fetch_add(1, Ordering::AcqRel);
     }
@@ -1378,9 +1334,9 @@ impl Context {
         ordinal
     }
 
-    /// Send a persistent-channel buffer offer to `dest` over the system
-    /// lane (mailbox on-node, an internal-dispatch memory-FIFO message
-    /// off-node).
+    /// Send a persistent-channel buffer offer to `dest` on the internal
+    /// dispatch lane (mailbox on-node, an internal-dispatch memory-FIFO
+    /// message off-node).
     pub(crate) fn send_chan_offer(&self, dest: Endpoint, body: Bytes) -> PamiResult<()> {
         let dest_node = self.machine.task_node(dest.task);
         let addr = self.endpoints.get(dest)?;
@@ -1393,21 +1349,9 @@ impl Context {
             });
             return Ok(());
         }
-        self.machine.fabric().execute_now(
-            self.node,
-            Descriptor {
-                dst_node: dest_node,
-                src_context: self.offset,
-                payload: PayloadSource::Immediate(Bytes::new()),
-                kind: XferKind::MemoryFifo {
-                    rec_fifo: addr.rec_fifo,
-                    src_task: self.task,
-                    dispatch: DISPATCH_CHAN_REQ,
-                    metadata: body,
-                },
-                inj_counter: None,
-            },
-        );
+        let hdr = self.fifo_header(dest_node, addr.rec_fifo, DISPATCH_CHAN_REQ, body);
+        let empty = PayloadSource::Immediate(Bytes::new());
+        self.inject(dest.task, Descriptor::fifo(hdr, empty, None));
         Ok(())
     }
 
@@ -1449,8 +1393,8 @@ impl Context {
     }
 
     /// This context's exclusive injection FIFO ids (diagnostics).
-    pub fn inj_fifo_ids(&self) -> &[InjFifoId] {
-        &self.inj_ids
+    pub fn inj_fifo_ids(&self) -> Vec<InjFifoId> {
+        self.inj_fifos.iter().map(InjFifo::id).collect()
     }
 
     /// This context's shared-memory mailbox (exposed for tests).

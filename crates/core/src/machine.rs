@@ -204,7 +204,6 @@ pub struct MachineBuilder {
     ppn: usize,
     policy: Option<StaticPolicy>,
     inj_fifos_per_context: u16,
-    inj_fifo_capacity: usize,
     rec_fifo_capacity: usize,
     fault_plan: Option<FaultPlan>,
     transport: Option<Arc<dyn bgq_mu::Transport>>,
@@ -260,12 +259,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Ring capacities of the MU FIFOs before the overflow path engages
-    /// (defaults 128/512) — stress tests shrink these to exercise the
-    /// mutex-guarded overflow queues.
-    pub fn fifo_capacities(mut self, inj: usize, rec: usize) -> Self {
-        self.inj_fifo_capacity = inj;
-        self.rec_fifo_capacity = rec;
+    /// Ring capacity of each MU reception FIFO before the overflow path
+    /// engages (default 512) — stress tests shrink it to exercise the
+    /// mutex-guarded overflow queue.
+    pub fn rec_fifo_capacity(mut self, cap: usize) -> Self {
+        self.rec_fifo_capacity = cap;
         self
     }
 
@@ -338,7 +336,6 @@ impl MachineBuilder {
             "a protocol ladder with an aggregation rung needs MachineBuilder::aggregation"
         );
         let mut fabric_builder = MuFabric::builder(self.shape)
-            .inj_fifo_capacity(self.inj_fifo_capacity)
             .rec_fifo_capacity(self.rec_fifo_capacity)
             .telemetry(telemetry.clone());
         if let Some(plan) = self.fault_plan {
@@ -425,7 +422,6 @@ impl Machine {
             ppn: 1,
             policy: None,
             inj_fifos_per_context: 4,
-            inj_fifo_capacity: 128,
             rec_fifo_capacity: 512,
             fault_plan: None,
             transport: None,

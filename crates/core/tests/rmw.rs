@@ -235,10 +235,10 @@ fn two_windows_over_one_region_lose_no_update() {
 
 #[test]
 fn out_of_range_one_sided_ops_are_refused_at_initiation() {
-    // Queued, each of these would panic "out of bounds" inside whichever
-    // thread pumped the descriptor — under a plan with the frame still at
-    // the head of its channel, so every later pump would panic again — or,
-    // for a send's source, inside `send` itself or the peer's `advance`.
+    // Executed, each of these would panic "out of bounds" inside the call,
+    // inside the target's `advance` (a get's put-back) or, under a plan
+    // with the frame queued at the head of its channel, inside every later
+    // pump.
     for plan in [None, Some(FaultPlan::new().seed(7))] {
         // Task 1 shares task 0's node; task 2 is off-node.
         let mut builder = Machine::with_nodes(2).ppn(2);

@@ -88,7 +88,7 @@ fn send_immediate_rejects_oversized_payload() {
 /// static policy picks `send`'s tier from the size.
 #[derive(Clone, Copy, PartialEq)]
 enum Via {
-    /// `send` of 2 KiB: four packets through the injection FIFO.
+    /// `send` of 2 KiB: an eager descriptor, four packets.
     Eager,
     /// `send` of 24 B: the short tier, or a bucket append with aggregation on.
     Small,
@@ -97,8 +97,8 @@ enum Via {
 }
 
 /// Issue `script` from task 0 to task 1 back to back — no `advance` between
-/// the calls, so anything queued stays queued while the later calls run —
-/// and assert the handler sees the messages in issue order. Runs on the
+/// the calls, so anything buffered stays buffered while the later calls
+/// run — and assert the handler sees the messages in issue order. Runs on the
 /// lossless fabric and under a clean fault plan (the reliable channel's
 /// straight-through admission).
 fn assert_cross_tier_order(aggregation: bool, script: &[Via]) {
@@ -156,9 +156,9 @@ fn send_immediate_does_not_overtake_buffered_aggregated_records() {
 
 #[test]
 fn send_immediate_does_not_overtake_a_short_send_queued_behind_the_fifo() {
-    // The eager send leaves the FIFO non-quiescent, so the short send
-    // queues behind it as a descriptor; the immediate must queue behind
-    // both.
+    // Three tiers to one destination, in call order: each moves inside its
+    // call, so the immediate lands behind the eager train and the short
+    // packet.
     assert_cross_tier_order(false, &[Via::Eager, Via::Small, Via::Immediate]);
 }
 
@@ -321,9 +321,9 @@ fn eager_send_multi_packet_reassembles() {
     assert_eq!(sink.messages.lock()[0].2, data);
 }
 
-/// Task 0 has just called `send` of 2 KiB (eager: a queued descriptor) to
-/// task 1 on another node, and nobody has advanced since.
-fn queued_eager_send() -> (Arc<Machine>, Arc<Client>, Arc<Client>, Arc<Sink>, Counter) {
+/// Task 0 has just called `send` of 2 KiB (eager: one descriptor, four
+/// packets) to task 1 on another node, and nobody has advanced since.
+fn eager_send() -> (Arc<Machine>, Arc<Client>, Arc<Client>, Arc<Sink>, Counter) {
     let machine = Machine::with_nodes(2).build();
     let c0 = Client::create(&machine, 0, "t", 1);
     let c1 = Client::create(&machine, 1, "t", 1);
@@ -344,33 +344,32 @@ fn queued_eager_send() -> (Arc<Machine>, Arc<Client>, Arc<Client>, Arc<Sink>, Co
 }
 
 #[test]
-fn nothing_moves_until_its_owner_advances() {
-    // An injection FIFO is drained by its owning context's `advance` and by
-    // nothing else: until task 0 advances, its descriptor has not executed,
-    // its counter has not fired and the peer has nothing to dispatch, no
-    // matter how long the peer spins.
-    let (machine, c0, c1, sink, done) = queued_eager_send();
+fn a_descriptor_moves_on_the_thread_that_injects_it() {
+    // As on the MU, nothing sits between injection and the wire: when
+    // `send` returns, its descriptor has executed, its counter has fired
+    // and the packets wait in the peer's reception FIFO. The owner's next
+    // `advance` has nothing to execute; the peer's first dispatches the
+    // message.
+    let (machine, c0, c1, sink, done) = eager_send();
     let executed = || machine.fabric().counters(0).descriptors_executed.value();
-    for _ in 0..100 {
-        assert_eq!(c1.context(0).advance(), 0, "nothing has reached the peer");
-    }
-    assert!(!done.is_complete() && sink.received() == 0);
-    assert_eq!(executed(), 0);
-    assert!(c0.context(0).advance() > 0, "the owner's advance executes the descriptor");
-    assert!(done.is_complete(), "deposited on the thread that called advance");
-    if cfg!(feature = "telemetry") {
-        assert_eq!(executed(), 1);
-    }
-    c1.context(0).advance_until(|| sink.received() == 1);
+    let telemetry = |n: u64| if cfg!(feature = "telemetry") { n } else { 0 };
+    assert!(done.is_complete(), "deposited on the thread that called send");
+    assert_eq!(executed(), telemetry(1));
+    assert_eq!(c0.context(0).advance(), 0, "the owner's advance executes nothing");
+    assert_eq!(executed(), telemetry(1));
+    assert_eq!(sink.received(), 0, "nothing is dispatched before the peer advances");
+    assert!(c1.context(0).advance() > 0);
+    assert_eq!(sink.received(), 1, "the peer's first advance dispatches the message");
 }
 
 #[test]
-fn a_context_with_a_queued_descriptor_is_not_quiescent() {
-    let (_machine, c0, c1, sink, done) = queued_eager_send();
-    assert!(!c0.context(0).is_quiescent(), "a descriptor is queued");
-    c0.context(0).advance_until(|| done.is_complete());
-    c1.context(0).advance_until(|| sink.received() == 1);
-    assert!(c0.context(0).is_quiescent() && c1.context(0).is_quiescent());
+fn a_context_with_an_undispatched_arrival_is_not_quiescent() {
+    let (_machine, c0, c1, sink, _done) = eager_send();
+    assert!(c0.context(0).is_quiescent(), "the sender holds nothing");
+    assert!(!c1.context(0).is_quiescent(), "an arrival waits to be dispatched");
+    c1.context(0).advance();
+    assert_eq!(sink.received(), 1);
+    assert!(c1.context(0).is_quiescent());
 }
 
 #[test]
@@ -639,7 +638,7 @@ fn commthreads_make_progress_while_app_thread_sleeps() {
     );
     let done = Counter::new();
     done.add_expected(1);
-    // Post the send as a work item — the commthread injects and pumps it.
+    // Post the send as a work item — the commthread's advance runs it.
     let ctx0 = Arc::clone(c0.context(0));
     ctx0.post(Box::new(move |ctx| {
         ctx.send(SendArgs {

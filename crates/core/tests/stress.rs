@@ -37,7 +37,7 @@ fn counting_handler(count: &Arc<AtomicU64>, bytes: &Arc<AtomicU64>) -> pami::con
 fn reception_fifo_overflow_engages_and_recovers() {
     // Tiny ring: a burst of messages far beyond capacity must all arrive
     // via the overflow queue, in order.
-    let machine = Machine::with_nodes(2).fifo_capacities(4, 4).build();
+    let machine = Machine::with_nodes(2).rec_fifo_capacity(4).build();
     let c0 = Client::create(&machine, 0, "s", 1);
     let c1 = Client::create(&machine, 1, "s", 1);
     let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -58,8 +58,6 @@ fn reception_fifo_overflow_engages_and_recovers() {
             payload: PayloadSource::Immediate(bytes::Bytes::new()),
             local_done: None,
         }).unwrap();
-        // Pump the sender so packets pile into the tiny reception ring.
-        c0.context(0).advance();
     }
     // Drive both sides to delivery (the semantic signal — telemetry
     // counters read zero when the feature is compiled out).
@@ -315,7 +313,7 @@ fn context_fifo_ownership_under_concurrent_flood() {
             let ctx = client.context(i);
             assert!(rec.insert(ctx.rec_fifo_id()), "reception FIFO shared by two contexts");
             for id in ctx.inj_fifo_ids() {
-                assert!(inj.insert(*id), "injection FIFO shared by two contexts");
+                assert!(inj.insert(id), "injection FIFO shared by two contexts");
             }
         }
     }

@@ -94,8 +94,8 @@ impl RequestInner {
     }
 
     /// Whether the object can serve another operation: nobody else holds
-    /// it or its counter (a descriptor still queued, a retry channel, a
-    /// waiter), and the counter finished clean — a fault can never be
+    /// it or its counter (a retransmit queue, a parked rendezvous source,
+    /// a waiter), and the counter finished clean — a fault can never be
     /// cleared, so a failed request is dropped, not pooled.
     fn recyclable(self: &Arc<Self>) -> bool {
         Arc::strong_count(self) == 1 && !self.counter.is_shared() && self.counter.is_ok()

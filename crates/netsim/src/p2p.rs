@@ -73,30 +73,30 @@ mod ledger {
 
     /// `pingpong_short` `pami.send_immediate_ns`: `PAMI_Send_immediate`,
     /// 32 B.
-    pub(super) const SEND_IMMEDIATE: Unit = Unit { ns: 80.15, messages: 1.0 };
+    pub(super) const SEND_IMMEDIATE: Unit = Unit { ns: 107.14, messages: 1.0 };
     /// `pingpong_short` `pami.send_ns`: `PAMI_Send`, 32 B, on the short
     /// tier.
-    pub(super) const SEND: Unit = Unit { ns: 69.74, messages: 1.0 };
+    pub(super) const SEND: Unit = Unit { ns: 88.06, messages: 1.0 };
     /// `pingpong_short` `pami.advance_ns`: a ping-pong's busy advance
     /// dispatches its one message.
-    pub(super) const DELIVER: Unit = Unit { ns: 87.18, messages: 1.0 };
+    pub(super) const DELIVER: Unit = Unit { ns: 100.64, messages: 1.0 };
     /// `flood_short` `pami.send_ns`: `PAMI_Send`, 8 B, in a flood.
-    pub(super) const FLOOD_SEND: Unit = Unit { ns: 66.88, messages: 1.0 };
+    pub(super) const FLOOD_SEND: Unit = Unit { ns: 78.59, messages: 1.0 };
     /// `flood_short` `pami.advance_ns`: a busy advance dispatches
     /// `pami.events_per_advance` 7.97 ÷ `pami.advance_useful_share` 0.50
     /// messages.
-    pub(super) const FLOOD_DELIVER: Unit = Unit { ns: 311.93, messages: 15.95 };
+    pub(super) const FLOOD_DELIVER: Unit = Unit { ns: 395.09, messages: 15.95 };
     /// `mpi_exchange` `pami-mpi.isend_ns`: MPI `isend`, 64 B.
-    pub(super) const MPI_ISEND: Unit = Unit { ns: 181.72, messages: 1.0 };
+    pub(super) const MPI_ISEND: Unit = Unit { ns: 193.92, messages: 1.0 };
     /// `mpi_exchange` `pami-mpi.irecv_ns`: MPI `irecv`, half posted and
     /// half matched from the unexpected queue.
-    pub(super) const MPI_IRECV: Unit = Unit { ns: 92.97, messages: 1.0 };
+    pub(super) const MPI_IRECV: Unit = Unit { ns: 97.07, messages: 1.0 };
     /// `mpi_exchange` `pami-mpi.test_ns`: MPI `test` of a complete
     /// request, which retires it.
-    pub(super) const MPI_TEST: Unit = Unit { ns: 28.15, messages: 1.0 };
+    pub(super) const MPI_TEST: Unit = Unit { ns: 29.61, messages: 1.0 };
     /// `mpi_exchange` `pami-mpi.advance_ns`: one rank's MPI advance
     /// dispatches `pami.events_per_advance` 37.89 messages.
-    pub(super) const MPI_DELIVER: Unit = Unit { ns: 5856.20, messages: 37.89 };
+    pub(super) const MPI_DELIVER: Unit = Unit { ns: 6081.36, messages: 37.89 };
 }
 
 /// Host software time (ns) of `terms`: Σ count × unit.
@@ -301,14 +301,15 @@ mod tests {
     #[test]
     fn every_other_cell_prints_a_dash() {
         // The recorded run's verdicts: each counted cell misses by far more
-        // than the stop rule, so a re-recorded ledger that flips one has to
-        // say so here and in EXPERIMENTS.md.
+        // than the stop rule (MPI +44.5%, the rates −46.5% and −49.4%), so
+        // a re-recorded ledger that flips one has to say so here and in
+        // EXPERIMENTS.md.
         let missed = |cell: Cell| match cell.modeled {
             Modeled::Missed { error, .. } => error,
             other => panic!("{}: {other:?}", cell.label),
         };
         let [classic_single, locked @ ..] = table2(&p());
-        assert!(missed(classic_single) > 0.5, "MPI over-predicted");
+        assert!(missed(classic_single) > 0.4, "MPI over-predicted");
         assert!(locked.iter().all(|c| c.modeled == Modeled::NoCount && c.host.is_none()));
         let [pami, mpi, commthreads] = figure5(&p());
         assert!(missed(pami) < -0.4 && missed(mpi) < -0.4, "both rates under-predicted");

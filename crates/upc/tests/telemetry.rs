@@ -326,8 +326,10 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
     let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
     let done = bgq_hw::Counter::new();
     done.add_expected(4096);
-    fabric.execute_now(
+    let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
+    fabric.inject(
         0,
+        &inj,
         Descriptor {
             dst_node: 1,
             src_context: 0,

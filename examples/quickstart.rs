@@ -61,9 +61,8 @@ fn main() {
                 payload: PayloadSource::Immediate(bytes::Bytes::from_static(b"pong-me")),
                 local_done: None,
             }).unwrap();
-            // Drive our own context so the injection FIFO drains; both
-            // sides advance until the receiver has dispatched both
-            // messages.
+            // Both messages moved inside their `send` calls; both sides
+            // advance until the receiver has dispatched them.
             ctx.advance_until(|| received2.load(Ordering::SeqCst) == 2);
         } else {
             // Advance until both messages have been dispatched.
