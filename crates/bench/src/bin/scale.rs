@@ -1,4 +1,5 @@
-//! Scale bench: endpoint-count curves for the bgq-scale co-simulation.
+//! Scale bench: endpoint-count curves for the bgq-scale co-simulation,
+//! which runs the real PAMI stack over the synchronous MU fabric.
 //!
 //! Emits `BENCH_scale.json` in the repo root with, per endpoint count and
 //! scenario (incast, all-to-all, and — at [`AGGR_MIN_ENDPOINTS`] endpoints
@@ -9,8 +10,6 @@
 //! * per-endpoint peak memory (VmHWM of an isolated child process divided
 //!   by the endpoint count),
 //! * p50/p99 `Context::advance` latency over the run,
-//! * virtual (DES) time and event count, so modeled network cost is
-//!   visible next to host cost,
 //!
 //! plus one seeded failure-storm arm asserting the zero-silent-loss
 //! property (every message arrives or fails its counter with a typed
@@ -64,8 +63,6 @@ struct Point {
     sent: u64,
     arrived: u64,
     wall_s: f64,
-    virtual_s: f64,
-    des_events: u64,
     msg_rate: f64,
     advance_p50_ns: u64,
     advance_p99_ns: u64,
@@ -86,8 +83,8 @@ impl Point {
     fn json(&self) -> String {
         format!(
             "    {{\"scenario\": \"{}\", \"endpoints\": {}, \"nodes\": {}, \"sent\": {}, \
-             \"arrived\": {}, \"wall_s\": {:.3}, \"virtual_s\": {:.9}, \"des_events\": {}, \
-             \"msg_rate\": {:.1}, \"advance_p50_ns\": {}, \"advance_p99_ns\": {}, \
+             \"arrived\": {}, \"wall_s\": {:.3}, \"msg_rate\": {:.1}, \
+             \"advance_p50_ns\": {}, \"advance_p99_ns\": {}, \
              \"rss_peak_bytes\": {}, \"rss_per_endpoint_bytes\": {:.1}, \
              \"aggr_frames\": {}, \"aggr_batched\": {}, \"aggr_mean_batch\": {:.2}}}",
             self.scenario,
@@ -96,8 +93,6 @@ impl Point {
             self.sent,
             self.arrived,
             self.wall_s,
-            self.virtual_s,
-            self.des_events,
             self.msg_rate,
             self.advance_p50_ns,
             self.advance_p99_ns,
@@ -138,16 +133,14 @@ fn run_child(scenario: Scenario, endpoints: usize, aggregated: bool) {
     assert_eq!(stats.sent, stats.arrived, "lost messages on a clean fabric");
     println!(
         "SCALE_POINT scenario={} endpoints={} nodes={} sent={} arrived={} wall_s={:.6} \
-         virtual_s={:.9} des_events={} msg_rate={:.1} advance_p50_ns={} advance_p99_ns={} \
-         rss_peak_bytes={} aggr_frames={} aggr_batched={}",
+         msg_rate={:.1} advance_p50_ns={} advance_p99_ns={} rss_peak_bytes={} aggr_frames={} \
+         aggr_batched={}",
         stats.scenario,
         stats.endpoints,
         stats.nodes,
         stats.sent,
         stats.arrived,
         stats.wall_s,
-        stats.virtual_s,
-        stats.des_events,
         stats.msg_rate,
         stats.advance_p50_ns,
         stats.advance_p99_ns,
@@ -193,8 +186,6 @@ fn measure_point(scenario: Scenario, endpoints: usize, aggregated: bool) -> Resu
         sent: get("sent")?.parse().map_err(|e| format!("sent: {e}"))?,
         arrived: get("arrived")?.parse().map_err(|e| format!("arrived: {e}"))?,
         wall_s: get("wall_s")?.parse().map_err(|e| format!("wall_s: {e}"))?,
-        virtual_s: get("virtual_s")?.parse().map_err(|e| format!("virtual_s: {e}"))?,
-        des_events: get("des_events")?.parse().map_err(|e| format!("des_events: {e}"))?,
         msg_rate: get("msg_rate")?.parse().map_err(|e| format!("msg_rate: {e}"))?,
         advance_p50_ns: get("advance_p50_ns")?.parse().map_err(|e| format!("p50: {e}"))?,
         advance_p99_ns: get("advance_p99_ns")?.parse().map_err(|e| format!("p99: {e}"))?,

@@ -22,8 +22,8 @@
 //!
 //! ```text
 //!  send_short ─┐
-//!  inject ─────┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 TRANSPORT ──► 4 COMPLETION
-//!  pump_sys ───┘                                   + DEPOSIT
+//!  inject ─────┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 DEPOSIT ──► 4 COMPLETION
+//!  pump_sys ───┘
 //!
 //!  1 one message id, one `packet_of()` constructor (the only `MuPacket`
 //!    literal, the only CRC stamp), one sampled `mu.*` accounting site;
@@ -37,10 +37,10 @@
 //!    `deliver_frames` → 3 lands the packets ahead of the loss now, and
 //!    `link.rs` calls it back for each run of the rest that crosses in
 //!    order
-//!  3 `deposit()`, once per run of packets that went through: the installed
-//!    `Transport` if any, else straight into the reception FIFO (`deliver`
-//!    for one packet, `deliver_batch` for a train — a property of the
-//!    data, never of the tier)
+//!  3 `deposit()`, once per run of packets that went through, straight
+//!    into the reception FIFO on this thread (`deliver` for one packet,
+//!    `deliver_batch` for a train — a property of the data, never of the
+//!    tier)
 //!  4 the injection counter is credited here for packets that went
 //!    through, by `link.rs`'s cumulative ack for queued ones
 //! ```
@@ -77,7 +77,6 @@ use crate::fifo::{
 use crate::link::{Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
 use crate::rmw::RmwLocks;
-use crate::transport::Transport;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
 // 30 | seq`, where the lane is the injection FIFO the message went through
@@ -176,11 +175,6 @@ pub(crate) struct FabricInner {
     pub ring: Arc<RasRing>,
     /// The reliability layer; present iff a fault plan was installed.
     pub reliability: Option<Reliability>,
-    /// The packet transport seam ([`crate::transport`]): `None` keeps the
-    /// synchronous deposit path (one branch of overhead); `Some` routes
-    /// every reception-FIFO deposit through the installed transport (the
-    /// co-simulation's DES-scheduled delivery).
-    pub transport: Option<Arc<dyn Transport>>,
     /// Striped per-word locks making rmw descriptors atomic.
     pub rmw_locks: RmwLocks,
 }
@@ -191,7 +185,6 @@ pub struct MuFabricBuilder {
     rec_fifo_capacity: usize,
     telemetry: Upc,
     fault_plan: Option<FaultPlan>,
-    transport: Option<Arc<dyn Transport>>,
 }
 
 impl MuFabricBuilder {
@@ -218,15 +211,6 @@ impl MuFabricBuilder {
         self
     }
 
-    /// Install a packet transport ([`crate::transport::Transport`]): every
-    /// reception-FIFO deposit is handed to it instead of being performed
-    /// synchronously. The co-simulation harness installs a DES-scheduled
-    /// transport here; without one the fabric behaves exactly as before.
-    pub fn transport(mut self, transport: Arc<dyn Transport>) -> Self {
-        self.transport = Some(transport);
-        self
-    }
-
     /// Build the fabric.
     pub fn build(self) -> MuFabric {
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
@@ -247,7 +231,6 @@ impl MuFabricBuilder {
                 self.shape,
                 Arc::clone(&ras),
                 Arc::clone(&ring),
-                self.transport.clone(),
                 nodes.iter().map(|n| n.counters.packets_dropped.clone()).collect(),
             )
         });
@@ -258,7 +241,6 @@ impl MuFabricBuilder {
             ras,
             ring,
             reliability,
-            transport: self.transport,
             rmw_locks: RmwLocks::new(),
         });
         MuFabric { inner }
@@ -279,7 +261,6 @@ impl MuFabric {
             rec_fifo_capacity: 512,
             telemetry: Upc::new(),
             fault_plan: None,
-            transport: None,
         }
     }
 
@@ -494,12 +475,12 @@ impl MuFabric {
             return;
         }
 
-        // 3. Transport + deposit. The last packet takes the header itself;
+        // 3. Deposit. The last packet takes the header itself;
         // earlier ones clone it (a refcount bump on the metadata).
         let mut frags = fragments(payload, stage);
         let (dst_node, rec_fifo) = (hdr.dst_node, hdr.rec_fifo);
         let mut hdr = Some(hdr);
-        self.deposit(src_node, dst_node, rec_fifo, npackets, |i| {
+        self.deposit(dst_node, rec_fifo, npackets, |i| {
             let (offset, payload) = frags.next().expect("one fragment per packet");
             let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
             let hdr = hdr.expect("the header outlives its packets");
@@ -568,25 +549,23 @@ impl MuFabric {
         pkt
     }
 
-    /// Every reception-FIFO deposit funnels through here: the installed
-    /// [`Transport`] (which may schedule the deposit on its own clock), or
-    /// straight into the FIFO — a single `deliver` for a one-packet
-    /// message, one ring claim and one wakeup for a whole train. `make` is
-    /// called once per packet index, in ascending order.
+    /// Every reception-FIFO deposit funnels through here, straight into
+    /// the FIFO — a single `deliver` for a one-packet message, one ring
+    /// claim and one wakeup for a whole train. `make` is called once per
+    /// packet index, in ascending order.
     #[inline]
     fn deposit(
         &self,
-        src_node: u32,
         dst_node: u32,
         rec_fifo: RecFifoId,
         npackets: u64,
         mut make: impl FnMut(u64) -> MuPacket,
     ) {
         let fifo = self.node(dst_node).rec.get(rec_fifo.0);
-        match &self.inner.transport {
-            Some(t) => t.deliver(src_node, dst_node, rec_fifo, fifo, npackets, &mut make),
-            None if npackets == 1 => fifo.deliver(make(0)),
-            None => fifo.deliver_batch(npackets, make),
+        if npackets == 1 {
+            fifo.deliver(make(0));
+        } else {
+            fifo.deliver_batch(npackets, make);
         }
     }
 
@@ -651,7 +630,7 @@ impl MuFabric {
         match &msg.delivery {
             Delivery::Packet { hdr, msg_id, msg_len } => {
                 let first = frames.start;
-                self.deposit(src_node, dst_node, hdr.rec_fifo, frames.end - first, |i| {
+                self.deposit(dst_node, hdr.rec_fifo, frames.end - first, |i| {
                     let bytes = msg.window(first + i..first + i + 1);
                     let offset = bytes.start as u32;
                     let payload = window(&msg.payload, bytes);

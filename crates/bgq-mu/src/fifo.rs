@@ -117,10 +117,8 @@ pub struct RecFifo {
 }
 
 impl RecFifo {
-    /// A standalone FIFO of the given capacity. Public so out-of-crate
-    /// [`crate::transport::Transport`] implementations can be exercised
-    /// against a bare FIFO without building a whole fabric.
-    pub fn new(capacity: usize) -> Self {
+    /// A standalone FIFO of the given capacity.
+    pub(crate) fn new(capacity: usize) -> Self {
         RecFifo {
             queue: WorkQueue::with_capacity(capacity),
             wakeup: OnceLock::new(),
@@ -137,7 +135,7 @@ impl RecFifo {
     /// Deliver a packet (fabric side): enqueue and wake any watcher. The
     /// touch is skipped — one atomic load — while no waiter is subscribed,
     /// so a polling-mode receiver never pays the epoch RMW per packet.
-    pub fn deliver(&self, packet: MuPacket) {
+    pub(crate) fn deliver(&self, packet: MuPacket) {
         self.queue.push(packet);
         if let Some(w) = self.wakeup.get() {
             if w.has_watchers() {
@@ -149,10 +147,8 @@ impl RecFifo {
     /// Deliver `n` packets produced by `make` in one ring claim
     /// ([`WorkQueue::push_batch_with`]) with a single wakeup touch — the
     /// whole-message delivery path: an N-packet message costs one atomic
-    /// claim and one wakeup, not N of each. Public so out-of-crate
-    /// [`crate::transport::Transport`] implementations can deposit buffered
-    /// messages with the same single-claim cost.
-    pub fn deliver_batch<F>(&self, n: u64, make: F)
+    /// claim and one wakeup, not N of each.
+    pub(crate) fn deliver_batch<F>(&self, n: u64, make: F)
     where
         F: FnMut(u64) -> MuPacket,
     {
@@ -173,7 +169,7 @@ impl RecFifo {
     /// ([`WorkQueue::pop_batch`]): all ready packets are claimed with a
     /// single head publish and a single bound advance, so the drain side
     /// touches the producer-shared cachelines once per batch instead of
-    /// once per packet — the receive mirror of [`RecFifo::deliver_batch`].
+    /// once per packet — the receive mirror of `RecFifo::deliver_batch`.
     pub fn poll_batch(&self, max: usize, out: &mut Vec<MuPacket>) -> usize {
         self.queue.pop_batch(max, out)
     }

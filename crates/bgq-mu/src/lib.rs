@@ -47,7 +47,6 @@ pub mod json;
 pub mod link;
 pub mod packet;
 mod rmw;
-pub mod transport;
 
 pub use batch::{push_record, record_size, RecordIter};
 pub use bgq_hw::{Counter, DeliveryFault};
@@ -57,6 +56,5 @@ pub use descriptor::{
 pub use fabric::{MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
 pub use faults::{FaultPlan, FaultRates, LinkFault, RetryConfig};
 pub use link::{RasCounters, RasEvent, RasEventKind};
-pub use transport::Transport;
 pub use fifo::{InjFifo, InjFifoId, RecFifo, RecFifoId, REC_FIFOS_PER_NODE};
 pub use packet::{MuPacket, PacketPayload};

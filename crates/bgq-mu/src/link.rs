@@ -75,7 +75,6 @@ use parking_lot::Mutex;
 
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, RmwRequest};
 use crate::faults::{link_id, Fate, FaultInjector};
-use crate::transport::Transport;
 
 /// `ras.*` telemetry probes — the reliability layer's RAS event counters,
 /// registered on the fabric's shared [`Upc`] so `pamistat` exports them
@@ -755,8 +754,6 @@ pub(crate) struct Reliability {
     /// so the fault-free protocol overhead is real and measurable).
     clean: bool,
     shape: TorusShape,
-    /// The fabric's transport seam, charged one control frame per ack.
-    transport: Option<Arc<dyn Transport>>,
     /// Each source node's `mu.packets_dropped` probe (handles onto the
     /// fabric's per-node counters), bumped on a `Drop` fate.
     dropped: Vec<Counter>,
@@ -797,17 +794,12 @@ enum Arrival {
     FastRetransmit,
 }
 
-/// Ack wire cost charged to the transport seam when an ack crosses the
-/// reverse route: sequence number + SACK bitmap + CRC, no payload.
-const ACK_WIRE_BYTES: u64 = 32;
-
 impl Reliability {
     pub(crate) fn new(
         injector: FaultInjector,
         shape: TorusShape,
         ras: Arc<RasCounters>,
         ring: Arc<RasRing>,
-        transport: Option<Arc<dyn Transport>>,
         dropped: Vec<Counter>,
     ) -> Self {
         let num_nodes = dropped.len();
@@ -823,7 +815,6 @@ impl Reliability {
             ras,
             ring,
             shape,
-            transport,
             dropped,
             channels,
             ticks: (0..num_nodes).map(|_| AtomicU64::new(0)).collect(),
@@ -898,8 +889,6 @@ impl Reliability {
         if through > 0 {
             ch.rx.lock().resolve(base_seq, base_seq.wrapping_add(through));
         }
-        // Synchronous delivery doubles as the ack.
-        self.charge_acks(ch, through);
         Admit { base_seq, through }
     }
 
@@ -1085,7 +1074,7 @@ impl Reliability {
                             idx += 1;
                             continue;
                         }
-                        let ack = self.ack_crosses(ch, plan, seq, attempt);
+                        let ack = self.ack_crosses(plan, seq, attempt);
                         match self.arrival(ch, tx, idx, seq, now, ack, &mut done, deposit) {
                             Arrival::Advance => idx += 1,
                             Arrival::Restart => idx = 0,
@@ -1119,7 +1108,6 @@ impl Reliability {
         let start = tx.frames.partition_point(|f| seq_before(f.seq, cursor));
         let end = tx.deliver_from(ch, start, start, now, deposit);
         if end > start {
-            self.charge_acks(ch, 1);
             self.retire_through(ch, tx, tx.frames[end - 1].seq);
         }
         end - start
@@ -1375,9 +1363,8 @@ impl Reliability {
     /// (destination back to source). Ack crossings never advance kill
     /// schedules — kill-at-Nth-frame plans count data frames only — but
     /// they reuse the same deterministic dice keyed by the reverse link
-    /// ids, so replay stays bit-for-bit per seed. A passing ack is charged
-    /// to the transport seam as a control frame.
-    fn ack_crosses(&self, ch: &Channel, route: &RoutePlan, seq: u64, attempt: u32) -> bool {
+    /// ids, so replay stays bit-for-bit per seed.
+    fn ack_crosses(&self, route: &RoutePlan, seq: u64, attempt: u32) -> bool {
         if !self.clean {
             for &lid in &route.rev_lids {
                 // Loss of either kind forces the sender to probe.
@@ -1386,18 +1373,7 @@ impl Reliability {
                 }
             }
         }
-        self.charge_acks(ch, 1);
         true
-    }
-
-    /// Charge `n` acks crossing `ch`'s reverse route to the transport seam
-    /// as control frames (free on the synchronous fabric).
-    fn charge_acks(&self, ch: &Channel, n: u64) {
-        if let Some(t) = &self.transport {
-            for _ in 0..n {
-                t.deliver_control(ch.dst, ch.src, ACK_WIRE_BYTES);
-            }
-        }
     }
 
     // ---- channel and link life cycle ----------------------------------------
@@ -1651,7 +1627,6 @@ mod tests {
             shape,
             Arc::new(RasCounters::new(&upc)),
             Arc::new(RasRing::new(16)),
-            None,
             (0..nodes).map(|_| upc.counter("mu.packets_dropped")).collect(),
         )
     }

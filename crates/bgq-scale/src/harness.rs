@@ -6,10 +6,12 @@
 //! FIFO and mailbox ([`Machine::register_virtual_endpoint`]), so the send
 //! path resolves virtual destinations exactly like real ones while the
 //! per-endpoint footprint stays at one endpoint-table slot. A handful of OS
-//! workers cooperatively pump their nodes: deposit due DES arrivals, drain
-//! the context (`advance`), issue the scenario's next send window, then
-//! rendezvous on a barrier while worker 0 fast-forwards the virtual clock
-//! to the next pending arrival.
+//! workers cooperatively pump their nodes over the synchronous MU fabric
+//! (a send deposits into the destination's reception FIFO on the sending
+//! thread). A round is: drain each owned context (`advance`), issue the
+//! scenario's next send window, then rendezvous on a barrier while worker
+//! 0 counts arrivals. The barrier paces the senders against the incast
+//! receiver and gives worker 0 a consistent count to stop on.
 //!
 //! Scenarios:
 //! * [`Scenario::Incast`] — every endpoint sends to one hot endpoint
@@ -26,13 +28,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use bgq_netsim::MachineParams;
 use bgq_torus::{Dir, TorusShape};
 use pami::{
     Client, Context, Counter, Endpoint, FaultPlan, Machine, PayloadSource, Recv, SendArgs,
 };
-
-use crate::fabric::VirtualFabric;
 
 /// Dispatch id the harness registers on every lead context.
 const DISPATCH: u16 = 7;
@@ -123,10 +122,6 @@ pub struct ScaleStats {
     pub arrived: u64,
     /// Wall-clock seconds of the run loop.
     pub wall_s: f64,
-    /// Final virtual (DES) time in seconds.
-    pub virtual_s: f64,
-    /// DES delivery events processed.
-    pub des_events: u64,
     /// Aggregate wall-clock message rate (arrived / wall_s).
     pub msg_rate: f64,
     /// Advance-latency percentiles over sampled `Context::advance` calls,
@@ -168,13 +163,11 @@ struct NodeState {
     issued: u64,
 }
 
-/// The co-simulation harness: a real machine with a [`VirtualFabric`]
-/// transport, one lead context per node, and every other task registered
-/// as a virtual endpoint.
+/// The co-simulation harness: a real machine, one lead context per node,
+/// and every other task registered as a virtual endpoint.
 pub struct ScaleHarness {
     cfg: ScaleConfig,
     machine: Arc<Machine>,
-    vf: Arc<VirtualFabric>,
     nodes: usize,
     ppn: usize,
     /// Lead clients (kept alive for their contexts), one per node.
@@ -189,10 +182,7 @@ impl ScaleHarness {
         let nodes = (cfg.endpoints / ENDPOINTS_PER_NODE_TARGET).clamp(2, 64);
         let ppn = cfg.endpoints.div_ceil(nodes);
         let shape = TorusShape::for_nodes(nodes);
-        let vf = VirtualFabric::new(shape, MachineParams::default());
-        let mut builder = Machine::builder(shape)
-            .oversubscribed_ppn(ppn)
-            .transport(vf.clone() as Arc<dyn bgq_mu::Transport>);
+        let mut builder = Machine::builder(shape).oversubscribed_ppn(ppn);
         if cfg.aggregation {
             // Node-bucket (TRAM intermediate) mode: with thousands of
             // virtual endpoints per node, per-endpoint buckets would see
@@ -224,7 +214,7 @@ impl ScaleHarness {
             }
             clients.push(client);
         }
-        ScaleHarness { cfg, machine, vf, nodes, ppn, clients, arrived }
+        ScaleHarness { cfg, machine, nodes, ppn, clients, arrived }
     }
 
     /// Virtual endpoints instantiated (config rounded up to `nodes × ppn`).
@@ -297,7 +287,6 @@ impl ScaleHarness {
                     loop {
                         let mut progressed = false;
                         for st in owned.iter_mut() {
-                            progressed |= this.vf.pump_node(st.node) > 0;
                             // Drain the context; sample the advance cost.
                             loop {
                                 let sample = advances.is_multiple_of(16);
@@ -351,12 +340,8 @@ impl ScaleHarness {
                         if w == 0 {
                             let arrived: u64 =
                                 this.arrived.iter().map(|c| c.0.load(Ordering::Relaxed)).sum();
-                            if arrived == total_msgs && this.vf.is_idle() {
+                            if arrived == total_msgs {
                                 done.store(true, Ordering::Release);
-                            } else {
-                                // Fast-forward virtual time to the next
-                                // arrival so the next round has work.
-                                this.vf.advance_clock_to_next();
                             }
                         }
                         barrier.wait();
@@ -369,10 +354,9 @@ impl ScaleHarness {
                         stall_rounds = if any_progress { 0 } else { stall_rounds + 1 };
                         assert!(
                             stall_rounds < 10_000,
-                            "scale run stalled: sent={} arrived={} in-flight={}",
+                            "scale run stalled: sent={} arrived={}",
                             sent.load(Ordering::Relaxed),
                             this.arrived.iter().map(|c| c.0.load(Ordering::Relaxed)).sum::<u64>(),
-                            !this.vf.is_idle(),
                         );
                     }
                 }));
@@ -383,7 +367,6 @@ impl ScaleHarness {
         });
         let wall_s = start.elapsed().as_secs_f64();
         let arrived: u64 = self.arrived.iter().map(|c| c.0.load(Ordering::Relaxed)).sum();
-        let (_, _, des_events) = self.vf.stats();
         let mut samples: Vec<u64> = all_samples.into_iter().flatten().collect();
         samples.sort_unstable();
         let pct = |p: f64| -> u64 {
@@ -407,8 +390,6 @@ impl ScaleHarness {
             sent: sent.load(Ordering::Relaxed),
             arrived,
             wall_s,
-            virtual_s: self.vf.now_ns() as f64 * 1e-9,
-            des_events,
             msg_rate: arrived as f64 / wall_s.max(1e-9),
             advance_p50_ns: pct(0.50),
             advance_p99_ns: pct(0.99),
@@ -435,8 +416,6 @@ pub struct StormStats {
     /// SACK fast retransmits: losses recovered from selective-ack
     /// feedback without waiting out an RTO.
     pub sack_retransmits: u64,
-    /// Link-layer control frames (acks/SACKs) charged on the DES clock.
-    pub control_frames: u64,
     /// The zero-silent-loss property: every message accounted for.
     pub zero_lost: bool,
 }
@@ -450,7 +429,6 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
     const PAYLOAD: usize = 256;
     let ppn = endpoints.div_ceil(NODES);
     let shape = TorusShape::for_nodes(NODES);
-    let vf = VirtualFabric::new(shape, MachineParams::default());
     // Background drop noise everywhere, plus four links killed mid-run
     // (staggered crossing counts so the kills land while traffic flows).
     let mut plan = FaultPlan::new().seed(seed).drop_rate(0.01);
@@ -459,7 +437,6 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
     }
     let machine = Machine::builder(shape)
         .oversubscribed_ppn(ppn)
-        .transport(vf.clone() as Arc<dyn bgq_mu::Transport>)
         .fault_plan(plan)
         .build();
     let arrived = Arc::new(AtomicU64::new(0));
@@ -511,17 +488,17 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
             sent += 1;
             // Interleave pumping so kills land mid-traffic, not after.
             if sent.is_multiple_of(64) {
-                storm_pump(&vf, &ctxs);
+                storm_pump(&ctxs);
             }
         }
     }
     // Drain: pump until every counter resolves (delivered or failed) and
-    // the DES holds nothing. Bounded so a reliability bug fails loudly.
+    // no context has work left. Bounded so a reliability bug fails loudly.
     let mut rounds = 0u32;
     loop {
-        let worked = storm_pump(&vf, &ctxs);
+        let worked = storm_pump(&ctxs);
         let resolved = counters.iter().all(|c| c.is_complete());
-        if resolved && vf.is_idle() && !worked {
+        if resolved && !worked {
             break;
         }
         rounds += 1;
@@ -539,7 +516,6 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
         .iter()
         .filter(|e| matches!(e.kind, pami::RasEventKind::SackRetransmit))
         .count() as u64;
-    let control_frames = vf.control_stats().0;
     let arrived = arrived.load(Ordering::Relaxed);
     StormStats {
         sent,
@@ -548,7 +524,6 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
         links_killed,
         retransmits,
         sack_retransmits,
-        control_frames,
         // Nothing vanished: every send is accounted for as an arrival or a
         // typed counter fault. (A frame delivered but unacknowledged when
         // its channel dies legitimately counts on both sides, so the sum
@@ -557,17 +532,12 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
     }
 }
 
-/// One storm pump round: deposit due arrivals, advance every context once,
-/// fast-forward the clock when everything stalls. Returns whether any work
-/// happened.
-fn storm_pump(vf: &Arc<VirtualFabric>, ctxs: &[Arc<Context>]) -> bool {
+/// One storm pump round: advance every context once. Returns whether any
+/// work happened.
+fn storm_pump(ctxs: &[Arc<Context>]) -> bool {
     let mut worked = false;
     for ctx in ctxs {
-        worked |= vf.pump_node(ctx.node()) > 0;
         worked |= ctx.advance() > 0;
-    }
-    if !worked {
-        worked = vf.advance_clock_to_next().is_some();
     }
     worked
 }
@@ -591,8 +561,6 @@ mod tests {
         assert_eq!(stats.endpoints, 4096);
         assert_eq!(stats.sent, 8192);
         assert_eq!(stats.arrived, 8192, "every incast message must arrive");
-        assert!(stats.virtual_s > 0.0, "virtual time must advance");
-        assert!(stats.des_events > 0, "delivery must ride the DES");
     }
 
     #[test]
@@ -638,19 +606,21 @@ mod tests {
         }
     }
 
+    /// The storm's whole history is a function of its seed: every message
+    /// arrives, two kills fire, and 1% drop noise costs exactly these
+    /// recoveries (4 RTO retransmits, 13 SACK fast retransmits).
     #[test]
     fn failure_storm_loses_nothing() {
         let stats = failure_storm(1024, 0xBADC0FFE);
-        assert_eq!(stats.sent, 1024);
         assert!(stats.zero_lost, "silent loss: {stats:?}");
-        assert!(stats.links_killed > 0, "the kill schedule must fire");
-        assert!(
-            stats.retransmits + stats.sack_retransmits > 0,
-            "1% drop noise over 1024 eager messages must cost retransmits"
+        let history = (
+            stats.sent,
+            stats.arrived,
+            stats.failed,
+            stats.links_killed,
+            stats.retransmits,
+            stats.sack_retransmits,
         );
-        assert!(
-            stats.control_frames > 0,
-            "selective-repeat acks must ride the DES clock: {stats:?}"
-        );
+        assert_eq!(history, (1024, 1024, 0, 2, 4, 13), "storm history moved: {stats:?}");
     }
 }

@@ -206,7 +206,6 @@ pub struct MachineBuilder {
     inj_fifos_per_context: u16,
     rec_fifo_capacity: usize,
     fault_plan: Option<FaultPlan>,
-    transport: Option<Arc<dyn bgq_mu::Transport>>,
     telemetry: Option<Upc>,
     aggregation: Option<AggrConfig>,
 }
@@ -229,15 +228,6 @@ impl MachineBuilder {
             "oversubscribed ppn must be 1..=2^20"
         );
         self.ppn = ppn;
-        self
-    }
-
-    /// Install a packet transport on the MU fabric: every reception-FIFO
-    /// deposit is handed to it instead of being performed synchronously.
-    /// The co-simulation seam — `bgq-scale` installs a DES-clocked
-    /// `VirtualFabric` here so delivery order follows virtual link timing.
-    pub fn transport(mut self, transport: Arc<dyn bgq_mu::Transport>) -> Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -341,9 +331,6 @@ impl MachineBuilder {
         if let Some(plan) = self.fault_plan {
             fabric_builder = fabric_builder.fault_plan(plan);
         }
-        if let Some(transport) = self.transport {
-            fabric_builder = fabric_builder.transport(transport);
-        }
         let fabric = fabric_builder.build();
         Arc::new(Machine {
             telemetry,
@@ -424,7 +411,6 @@ impl Machine {
             inj_fifos_per_context: 4,
             rec_fifo_capacity: 512,
             fault_plan: None,
-            transport: None,
             telemetry: None,
             aggregation: None,
         }

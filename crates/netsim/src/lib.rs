@@ -8,7 +8,8 @@
 //! with the constants the paper states or implies, at full scale:
 //!
 //! * [`config::MachineParams`] — every constant, documented, adjustable.
-//! * [`des`] — a small discrete-event engine used by the tree simulations.
+//! * `des` (crate-private) — a small discrete-event engine used by the tree
+//!   simulations.
 //! * `tree_sim` — event-driven propagation of barrier and combine signals
 //!   over real spanning trees from `bgq-torus`.
 //! * `memsys` — the L2/DDR working-set model behind the high-PPN
@@ -29,7 +30,7 @@
 
 pub mod coll;
 pub mod config;
-pub mod des;
+pub(crate) mod des;
 mod memsys;
 pub mod p2p;
 mod tree_sim;

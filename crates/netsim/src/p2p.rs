@@ -7,8 +7,8 @@
 //! * Each count is an exact count of what one message does in the
 //!   functional stack ([`counts`]), held to the live stack by
 //!   `crates/bench/tests/counts.rs`.
-//! * Each unit is a per-layer row of one recorded `pamibench` run
-//!   (`ledger`; EXPERIMENTS.md names the run).
+//! * Each unit is a per-layer row of recorded `pamibench` runs, the
+//!   median of three (`ledger`; EXPERIMENTS.md names the runs).
 //! * `a`, A2 seconds per host nanosecond, is fit once, on Table 1's
 //!   `PAMI_Send_immediate` (`fit_factor`).
 //!
@@ -65,38 +65,38 @@ impl Unit {
     }
 }
 
-/// The unit costs: the traced pass of one `bash benchmark/run.sh run`
-/// (EXPERIMENTS.md, "The software ledger"). Each is named by its workload
-/// and row as `pamibench` prints them.
+/// The unit costs: each row the median of the traced passes of three
+/// `bash benchmark/run.sh run`s (EXPERIMENTS.md, "The software ledger").
+/// Each is named by its workload and row as `pamibench` prints them.
 mod ledger {
     use super::Unit;
 
     /// `pingpong_short` `pami.send_immediate_ns`: `PAMI_Send_immediate`,
     /// 32 B.
-    pub(super) const SEND_IMMEDIATE: Unit = Unit { ns: 107.14, messages: 1.0 };
+    pub(super) const SEND_IMMEDIATE: Unit = Unit { ns: 91.57, messages: 1.0 };
     /// `pingpong_short` `pami.send_ns`: `PAMI_Send`, 32 B, on the short
     /// tier.
-    pub(super) const SEND: Unit = Unit { ns: 88.06, messages: 1.0 };
+    pub(super) const SEND: Unit = Unit { ns: 82.62, messages: 1.0 };
     /// `pingpong_short` `pami.advance_ns`: a ping-pong's busy advance
     /// dispatches its one message.
-    pub(super) const DELIVER: Unit = Unit { ns: 100.64, messages: 1.0 };
+    pub(super) const DELIVER: Unit = Unit { ns: 91.56, messages: 1.0 };
     /// `flood_short` `pami.send_ns`: `PAMI_Send`, 8 B, in a flood.
-    pub(super) const FLOOD_SEND: Unit = Unit { ns: 78.59, messages: 1.0 };
+    pub(super) const FLOOD_SEND: Unit = Unit { ns: 75.25, messages: 1.0 };
     /// `flood_short` `pami.advance_ns`: a busy advance dispatches
     /// `pami.events_per_advance` 7.97 ÷ `pami.advance_useful_share` 0.50
     /// messages.
-    pub(super) const FLOOD_DELIVER: Unit = Unit { ns: 395.09, messages: 15.95 };
+    pub(super) const FLOOD_DELIVER: Unit = Unit { ns: 481.19, messages: 15.95 };
     /// `mpi_exchange` `pami-mpi.isend_ns`: MPI `isend`, 64 B.
-    pub(super) const MPI_ISEND: Unit = Unit { ns: 193.92, messages: 1.0 };
+    pub(super) const MPI_ISEND: Unit = Unit { ns: 191.81, messages: 1.0 };
     /// `mpi_exchange` `pami-mpi.irecv_ns`: MPI `irecv`, half posted and
     /// half matched from the unexpected queue.
-    pub(super) const MPI_IRECV: Unit = Unit { ns: 97.07, messages: 1.0 };
+    pub(super) const MPI_IRECV: Unit = Unit { ns: 100.51, messages: 1.0 };
     /// `mpi_exchange` `pami-mpi.test_ns`: MPI `test` of a complete
     /// request, which retires it.
-    pub(super) const MPI_TEST: Unit = Unit { ns: 29.61, messages: 1.0 };
+    pub(super) const MPI_TEST: Unit = Unit { ns: 27.19, messages: 1.0 };
     /// `mpi_exchange` `pami-mpi.advance_ns`: one rank's MPI advance
     /// dispatches `pami.events_per_advance` 37.89 messages.
-    pub(super) const MPI_DELIVER: Unit = Unit { ns: 6081.36, messages: 37.89 };
+    pub(super) const MPI_DELIVER: Unit = Unit { ns: 6212.82, messages: 37.89 };
 }
 
 /// Host software time (ns) of `terms`: Σ count × unit.
@@ -300,8 +300,8 @@ mod tests {
 
     #[test]
     fn every_other_cell_prints_a_dash() {
-        // The recorded run's verdicts: each counted cell misses by far more
-        // than the stop rule (MPI +44.5%, the rates −46.5% and −49.4%), so
+        // The recorded ledger's verdicts: each counted cell misses by far more
+        // than the stop rule (MPI +63.6%, the rates −53.8% and −55.4%), so
         // a re-recorded ledger that flips one has to say so here and in
         // EXPERIMENTS.md.
         let missed = |cell: Cell| match cell.modeled {
