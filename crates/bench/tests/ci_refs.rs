@@ -302,11 +302,21 @@ const SUBSTRATE: [&str; 7] =
 
 /// Substrate `pub` items that nothing outside their crate names, and why
 /// each stays `pub` all the same.
-const SURFACE_ALLOWLIST: [(&str, &str); 2] = [
+const SURFACE_ALLOWLIST: [(&str, &str); 4] = [
     (
         "update_portable",
         "bgq-hw's reference CRC-32C kernel: tests/properties.rs holds the CPU kernel to it \
          at every alignment and split, on hosts that never dispatch to it",
+    ),
+    (
+        "parent_of",
+        "a spanning tree's parent walk: bgq-torus's tests/properties.rs checks through it that \
+         every tree kind reaches its root from every member in single hops",
+    ),
+    (
+        "bfs_order",
+        "a spanning tree's member order: bgq-torus's tests/properties.rs checks through it that \
+         every tree kind covers its rectangle",
     ),
     (
         "trace_events",
@@ -588,7 +598,7 @@ fn machine_shared_state_census() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let text = std::fs::read_to_string(root.join("crates/core/src/machine.rs")).expect("machine.rs");
     let fields = struct_fields(&text, "Machine").expect("struct Machine");
-    assert_eq!(fields.len(), 15, "the scan found {} fields of `Machine`", fields.len());
+    assert_eq!(fields.len(), 14, "the scan found {} fields of `Machine`", fields.len());
     let locked = |ty: &str| ["Mutex<", "RwLock<", "HashMap<"].iter().any(|g| ty.contains(g));
     let mut guarded: Vec<String> = Vec::new();
     let mut inner_structs = 0;

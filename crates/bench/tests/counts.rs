@@ -1234,10 +1234,12 @@ fn steady_state_message_path_stays_inside_its_allocation_budget() {
 /// nothing of their own. When a queued frame owned its own copy of its
 /// message's header, counters and staged window, the same run made
 /// 20 334 allocations (19 962 with telemetry compiled out). The count
-/// includes building the machine.
+/// includes building the machine; while each of its 8 contexts allocated a
+/// set of injection FIFOs and a one-element list of reception FIFO ids, it
+/// was 16 more: 19 369 (18 997).
 #[test]
 fn lossy_halo_allocations_are_pinned() {
     let ((_, ring, _), allocs, _) = allocs_in(|| lossy_halo_history(1, 100));
     println!("lossy halo, seed 1, 100 steps: {allocs} allocations, ring {ring}");
-    assert_eq!(allocs, if cfg!(feature = "telemetry") { 19_369 } else { 18_997 });
+    assert_eq!(allocs, if cfg!(feature = "telemetry") { 19_353 } else { 18_981 });
 }

@@ -1,7 +1,9 @@
 //! The MU fabric: every node's MU plus packet delivery between them.
 //!
 //! A [`MuFabric`] owns one simulated MU per node. Software (a PAMI context)
-//! allocates exclusive FIFOs, injects [`Descriptor`]s, and pumps progress;
+//! allocates an exclusive reception FIFO with its message-id lane
+//! ([`MuFabric::alloc_rec_fifo`]), injects [`Descriptor`]s on that lane,
+//! and pumps progress;
 //! the fabric executes descriptors — fragmenting payload into ≤512-byte
 //! packets for memory-FIFO traffic, copying directly into destination
 //! regions for puts, and bouncing remote-gets to the destination's system
@@ -71,16 +73,15 @@ use bgq_upc::{Counter, Upc};
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, XferKind};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fifo::{
-    FifoAllocator, FifoTable, InjFifo, MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE,
-    SYS_FIFO_CAPACITY, SYS_LANE,
+    FifoTable, MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE, SYS_FIFO_CAPACITY, SYS_LANE,
 };
 use crate::link::{Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
 use crate::rmw::RmwLocks;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
-// 30 | seq`, where the lane is the injection FIFO the message went through
-// (or the system FIFO's reserved lane, [`crate::fifo::SYS_LANE`]). Each
+// 30 | seq`, where the lane is the sending context's reception FIFO id (or
+// the system FIFO's reserved lane, [`crate::fifo::SYS_LANE`]). Each
 // lane owns its sequence counter, so the send hot path never touches a
 // shared per-node atomic and ids from different lanes can never collide.
 
@@ -155,7 +156,6 @@ pub(crate) struct NodeMu {
     /// Lock-free reception-FIFO table sized to the hardware limit (272):
     /// delivery, polling, and handle lookup are plain atomic loads.
     pub rec: FifoTable<RecFifo>,
-    pub allocator: FifoAllocator,
     /// System injection FIFO: remote-get payload descriptors land here for
     /// this node to execute, with ids from its own lane.
     pub sys_inj: Arc<WorkQueue<Descriptor>>,
@@ -216,7 +216,6 @@ impl MuFabricBuilder {
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
             .map(|node| NodeMu {
                 rec: FifoTable::new(REC_FIFOS_PER_NODE),
-                allocator: FifoAllocator::default(),
                 sys_inj: Arc::new(WorkQueue::with_capacity(SYS_FIFO_CAPACITY)),
                 sys_lane: MsgIdLane::new(node as u32, SYS_LANE),
                 counters: MuCounters::new(&self.telemetry),
@@ -278,24 +277,16 @@ impl MuFabric {
         &self.inner.nodes[id as usize]
     }
 
-    /// Allocate `count` exclusive injection FIFOs on `node`; `None` when the
-    /// node's 544 are exhausted. The allocator mutex serializes the id
-    /// claim (allocation is not a hot path). The caller owns what it gets:
-    /// a FIFO id doubles as its message-id lane, the one thing a context
-    /// needs to send, so nothing else ever looks a FIFO up.
-    pub fn alloc_inj_fifos(&self, node: u32, count: u16) -> Option<Vec<InjFifo>> {
-        let range = self.node(node).allocator.alloc_inj(count)?;
-        Some(range.map(|id| InjFifo::new(node, id)).collect())
-    }
-
-    /// Allocate `count` exclusive reception FIFOs on `node`.
-    pub fn alloc_rec_fifos(&self, node: u32, count: u16) -> Option<Vec<RecFifoId>> {
+    /// Allocate an exclusive reception FIFO on `node`, together with the
+    /// message-id lane its owner sends from (the lane's id is the FIFO's,
+    /// so no two owners on a node share one); `None` when the node's 272
+    /// are exhausted. A mutex serializes the id claim (allocation is not a
+    /// hot path).
+    pub fn alloc_rec_fifo(&self, node: u32) -> Option<(RecFifoId, MsgIdLane)> {
         let n = self.node(node);
-        let range = n.allocator.alloc_rec(count)?;
-        for id in range.clone() {
-            n.rec.publish(id, Arc::new(RecFifo::new(self.inner.rec_fifo_capacity)));
-        }
-        Some(range.map(RecFifoId).collect())
+        let id = n.rec.claim()?;
+        n.rec.publish(id, Arc::new(RecFifo::new(self.inner.rec_fifo_capacity)));
+        Some((RecFifoId(id), MsgIdLane::new(node, id)))
     }
 
     /// Direct handle to a reception FIFO (contexts cache this).
@@ -310,23 +301,23 @@ impl MuFabric {
     }
 
     /// The injection door: execute `desc` now, on the calling thread, with
-    /// its message id minted from `fifo`'s lane — an injection FIFO the
-    /// caller owns (each context owns its own). When this returns the
-    /// descriptor has moved: its packets sit in the destination's
-    /// reception FIFO, a put's bytes in the window, a get's put-back in the
-    /// target's system FIFO, an rmw applied — or, under a fault plan, the
-    /// frames that did not cross wait in their channel's retransmit queue.
+    /// its message id minted from `lane` — the caller's own (each context
+    /// owns one). When this returns the descriptor has moved: its packets
+    /// sit in the destination's reception FIFO, a put's bytes in the
+    /// window, a get's put-back in the target's system FIFO, an rmw applied
+    /// — or, under a fault plan, the frames that did not cross wait in
+    /// their channel's retransmit queue.
     /// Per-destination order is the order of the calls.
-    pub fn inject(&self, src_node: u32, fifo: &InjFifo, desc: Descriptor) {
+    pub fn inject(&self, src_node: u32, lane: &MsgIdLane, desc: Descriptor) {
         let pin = desc.src_context as usize;
         self.node(src_node).counters.descriptors_executed.incr_pinned(pin);
-        self.execute_from(src_node, desc, &fifo.lane);
+        self.execute_from(src_node, desc, lane);
     }
 
-    /// Short-tier send on a caller-owned injection FIFO: the whole message
-    /// — header, metadata and payload — is one inline packet, built and
-    /// delivered right here. No descriptor, no region registration, no
-    /// staging: the pipeline with one fragment. It takes the same lane as
+    /// Short-tier send on the caller's lane: the whole message — header,
+    /// metadata and payload — is one inline packet, built and delivered
+    /// right here. No descriptor, no region registration, no staging: the
+    /// pipeline with one fragment. It takes the same lane as
     /// [`MuFabric::inject`], so the two interleave in call order.
     ///
     /// `local_done` (if any) is credited synchronously with the payload
@@ -336,14 +327,14 @@ impl MuFabric {
     pub fn send_short(
         &self,
         src_node: u32,
-        fifo: &InjFifo,
+        lane: &MsgIdLane,
         hdr: FifoHeader,
         payload: bytes::Bytes,
         local_done: Option<bgq_hw::Counter>,
     ) {
         debug_assert!(payload.len() <= MAX_PAYLOAD_BYTES, "short tier is one packet");
         let payload = PayloadSource::Immediate(payload);
-        self.deliver_message(src_node, &fifo.lane, hdr, payload, local_done);
+        self.deliver_message(src_node, lane, hdr, payload, local_done);
     }
 
     /// Execute up to `budget` system-FIFO descriptors (remote-get service).
@@ -394,8 +385,8 @@ impl MuFabric {
 
     /// Execute one descriptor on behalf of `src_node` — "the MU hardware":
     /// perform the data movement the descriptor asks for. `lane` is the
-    /// message-id mint of whoever injected it (an injection FIFO's own, or
-    /// the system FIFO's, keeping the hot path free of shared per-node
+    /// message-id mint of whoever injected it (a context's own, or the
+    /// system FIFO's, keeping the hot path free of shared per-node
     /// sequence state). Does *not* bump `descriptors_executed` — callers
     /// count (`pump_sys` once per batch).
     fn execute_from(&self, src_node: u32, desc: Descriptor, lane: &MsgIdLane) {
@@ -824,9 +815,9 @@ mod tests {
         Descriptor { dst_node: from, src_context: 0, payload, kind, inj_counter: None }
     }
 
-    /// Inject `desc` from `src` through an injection FIFO of its own.
+    /// Inject `desc` from `src` on a lane of its own.
     fn execute(fabric: &MuFabric, src: u32, desc: Descriptor) {
-        fabric.inject(src, &fabric.alloc_inj_fifos(src, 1).unwrap()[0], desc);
+        fabric.inject(src, &fabric.alloc_rec_fifo(src).unwrap().1, desc);
     }
 
     fn memfifo_desc(dst: u32, fifo: RecFifoId, payload: PayloadSource) -> Descriptor {
@@ -838,7 +829,7 @@ mod tests {
     #[test]
     fn memory_fifo_message_fragments_and_reassembles() {
         let fabric = small_fabric();
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let data: Vec<u8> = (0..1300).map(|i| (i % 251) as u8).collect();
         let region = MemRegion::from_vec(data.clone());
         execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1300 }));
@@ -881,7 +872,7 @@ mod tests {
         // injection: local completion never depends on receiver progress,
         // and the buffer is genuinely reusable once the counter fires.
         let fabric = small_fabric();
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let region = MemRegion::from_vec(vec![7u8; 1000]);
         let local_done = Counter::new();
         local_done.add_expected(1000);
@@ -922,7 +913,7 @@ mod tests {
         // deposit: packets carry windows, not bytes — zero source-side
         // copies.
         let fabric = small_fabric();
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let data: Vec<u8> = (0..1000).map(|i| (i % 201) as u8).collect();
         let region = MemRegion::from_vec(data.clone());
         execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Region { region, offset: 0, len: 1000 }));
@@ -942,45 +933,54 @@ mod tests {
 
     #[test]
     fn msg_ids_keep_node_bits_clean_of_sequence_overflow() {
+        use crate::fifo::{LANE_SEQ_MASK, LANE_SHIFT};
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        // Force the lane's sequence counter near the wrap boundary.
-        inj.lane.msg_seq.store(crate::fifo::LANE_SEQ_MASK, std::sync::atomic::Ordering::Relaxed);
-        for _ in 0..2 {
-            fabric.inject(0, &inj, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+        let (own, lane) = fabric.alloc_rec_fifo(3).unwrap();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
+        // Start the lane three messages short of the wrap and send an eager
+        // train of two-packet messages across it.
+        lane.msg_seq.store(LANE_SEQ_MASK - 2, std::sync::atomic::Ordering::Relaxed);
+        for i in 0..6u8 {
+            let train = PayloadSource::Immediate(Bytes::from(vec![i; 1000]));
+            fabric.inject(3, &lane, memfifo_desc(1, rec, train));
         }
-        let a = fabric.poll_rec(1, rec).unwrap();
-        let b = fabric.poll_rec(1, rec).unwrap();
-        assert_eq!(a.msg_id >> 40, 0, "node 0 in high bits");
-        assert_eq!(b.msg_id >> 40, 0, "sequence wrap must not leak into node bits");
-        assert_ne!(a.msg_id, b.msg_id);
-        // Both ids sit on the injecting FIFO's lane.
-        let lane_of = |id: u64| (id >> crate::fifo::LANE_SHIFT) & 0x3ff;
-        assert_eq!(lane_of(a.msg_id), 0);
-        assert_eq!(lane_of(b.msg_id), 0);
+        let mut seqs = Vec::new();
+        for i in 0..6u8 {
+            let (a, b) = (fabric.poll_rec(1, rec).unwrap(), fabric.poll_rec(1, rec).unwrap());
+            assert_eq!((a.payload.view()[0], b.payload.view()[0]), (i, i), "in-order arrival");
+            assert_eq!(a.msg_id, b.msg_id, "one id per message");
+            assert_eq!(a.msg_id >> 40, 3, "sequence wrap must not leak into node bits");
+            assert_eq!((a.msg_id >> LANE_SHIFT) & 0x3ff, own.0 as u64, "on the sender's lane");
+            seqs.push(a.msg_id & LANE_SEQ_MASK);
+        }
+        let m = LANE_SEQ_MASK;
+        assert_eq!(seqs, [m - 2, m - 1, m, 0, 1, 2], "distinct ids across the wrap");
+        assert!(fabric.poll_rec(1, rec).is_none());
     }
 
     #[test]
     fn fifo_routed_messages_mint_ids_on_their_own_lane() {
+        // Two allocations on one node: each mints on its own lane, whose id
+        // is its reception FIFO's.
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 2).unwrap();
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        for f in &inj {
-            fabric.inject(0, f, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
+        let owners: Vec<_> = (0..2).map(|_| fabric.alloc_rec_fifo(0).unwrap()).collect();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
+        for (_, lane) in &owners {
+            fabric.inject(0, lane, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         }
         let a = fabric.poll_rec(1, rec).unwrap();
         let b = fabric.poll_rec(1, rec).unwrap();
         let lane_of = |id: u64| (id >> crate::fifo::LANE_SHIFT) & 0x3ff;
-        assert_eq!(lane_of(a.msg_id), inj[0].id().0 as u64, "first message on FIFO 0's lane");
-        assert_eq!(lane_of(b.msg_id), inj[1].id().0 as u64, "second message on FIFO 1's lane");
+        assert_ne!(owners[0].0, owners[1].0);
+        assert_eq!(lane_of(a.msg_id), owners[0].0 .0 as u64, "first owner's FIFO id");
+        assert_eq!(lane_of(b.msg_id), owners[1].0 .0 as u64, "second owner's FIFO id");
         assert_ne!(a.msg_id, b.msg_id, "same per-lane seq (0), distinct lanes");
     }
 
     #[test]
     fn zero_byte_message_delivers_one_packet() {
         let fabric = small_fabric();
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::new())));
         let p = fabric.poll_rec(1, rec).expect("one packet");
         assert_eq!(p.msg_len, 0);
@@ -1032,15 +1032,15 @@ mod tests {
         // calls' order is the arrival order: eager trains and short packets
         // alike, on one lane.
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let (_, lane) = fabric.alloc_rec_fifo(0).unwrap();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         for i in 0..20u8 {
             if i % 2 == 0 {
                 let train = PayloadSource::Immediate(Bytes::from(vec![i; 1000]));
-                fabric.inject(0, &inj, memfifo_desc(1, rec, train));
+                fabric.inject(0, &lane, memfifo_desc(1, rec, train));
             } else {
                 let hdr = short_hdr(rec, 7, b"");
-                fabric.send_short(0, &inj, hdr, Bytes::from(vec![i]), None);
+                fabric.send_short(0, &lane, hdr, Bytes::from(vec![i]), None);
             }
         }
         for i in 0..20u8 {
@@ -1055,17 +1055,17 @@ mod tests {
     #[test]
     fn fifo_allocation_is_per_node_and_bounded() {
         let fabric = small_fabric();
-        assert!(fabric.alloc_inj_fifos(0, 544).is_some());
-        assert!(fabric.alloc_inj_fifos(0, 1).is_none(), "node 0 exhausted");
-        assert!(fabric.alloc_inj_fifos(1, 32).is_some(), "node 1 unaffected");
-        assert!(fabric.alloc_rec_fifos(0, 272).is_some());
-        assert!(fabric.alloc_rec_fifos(0, 1).is_none());
+        for _ in 0..REC_FIFOS_PER_NODE {
+            assert!(fabric.alloc_rec_fifo(0).is_some());
+        }
+        assert!(fabric.alloc_rec_fifo(0).is_none(), "node 0 exhausted");
+        assert!(fabric.alloc_rec_fifo(1).is_some(), "node 1 unaffected");
     }
 
     #[test]
     fn self_send_loops_back() {
         let fabric = small_fabric();
-        let rec = fabric.alloc_rec_fifos(0, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(0).unwrap().0;
         execute(&fabric, 0, memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"self"))));
         let p = fabric.poll_rec(0, rec).unwrap();
         assert_eq!(p.payload.view(), b"self");
@@ -1097,7 +1097,7 @@ mod tests {
     fn clean_fault_plan_stays_synchronous_and_stamps_crc() {
         let fabric = reliable_fabric(FaultPlan::new().seed(7));
         assert!(fabric.reliable());
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         execute(&fabric, 0, memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from_static(b"hello"))));
         // No pump_links needed: a fault-free frame delivers synchronously,
         // exactly like the lossless path.
@@ -1119,7 +1119,7 @@ mod tests {
                 .drop_rate(0.25)
                 .retry(RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 64 }),
         );
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let data: Vec<u8> = (0..4096).map(|i| (i % 239) as u8).collect();
         let done = Counter::new();
         done.add_expected(4096);
@@ -1168,7 +1168,7 @@ mod tests {
                 .corrupt_rate(0.3)
                 .retry(RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 64 }),
         );
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let done = Counter::new();
         done.add_expected(2048);
         let mut desc =
@@ -1200,7 +1200,7 @@ mod tests {
                 .drop_rate(1.0)
                 .retry(RetryConfig { window: 4, rto_ticks: 1, rto_max_ticks: 2, retry_budget: 3 }),
         );
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let done = Counter::new();
         done.add_expected(100);
         let mut desc = memfifo_desc(1, rec, PayloadSource::Immediate(Bytes::from(vec![9u8; 100])));
@@ -1228,7 +1228,7 @@ mod tests {
     #[test]
     fn killed_link_reroutes_and_still_delivers() {
         let fabric = reliable_fabric(FaultPlan::new().seed(5));
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         // Kill the link det_route would use for 0 -> 1.
         let shape = TorusShape::new([2, 2, 1, 1, 1]);
         let hops = bgq_torus::det_route(shape, shape.coords_of(0), shape.coords_of(1));
@@ -1266,7 +1266,7 @@ mod tests {
                 .kill_link_at(0, first, 2)
                 .retry(RetryConfig { window: 4, rto_ticks: 1, rto_max_ticks: 2, retry_budget: 8 }),
         );
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let done = Counter::new();
         done.add_expected(1024);
         let mut desc =
@@ -1294,7 +1294,7 @@ mod tests {
     #[test]
     fn unreachable_destination_fails_with_unreachable() {
         let fabric = reliable_fabric(FaultPlan::new().seed(2));
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         // Sever every usable link out of node 0 (dims C/D/E have size 1).
         for dir in bgq_torus::ALL_DIMS.iter().flat_map(|&d| {
             [bgq_torus::Dir { dim: d, plus: true }, bgq_torus::Dir { dim: d, plus: false }]
@@ -1355,7 +1355,7 @@ mod tests {
                     RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 64 },
                 ),
             );
-            let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+            let rec = fabric.alloc_rec_fifo(1).unwrap().0;
             for i in 0..5u8 {
                 let done = Counter::new();
                 done.add_expected(1024);
@@ -1396,7 +1396,7 @@ mod tests {
     #[test]
     fn self_sends_bypass_the_reliability_layer() {
         let fabric = reliable_fabric(FaultPlan::new().seed(6).drop_rate(1.0));
-        let rec = fabric.alloc_rec_fifos(0, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(0).unwrap().0;
         execute(&fabric, 0, memfifo_desc(0, rec, PayloadSource::Immediate(Bytes::from_static(b"loop"))));
         let p = fabric.poll_rec(0, rec).expect("self-sends never traverse links");
         assert_eq!(p.payload.view(), b"loop");
@@ -1418,12 +1418,12 @@ mod tests {
     #[test]
     fn short_send_is_one_inline_packet_with_synchronous_completion() {
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let (_, lane) = fabric.alloc_rec_fifo(0).unwrap();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let done = Counter::new();
         done.add_expected(5);
         let hello = Bytes::from_static(b"hello");
-        fabric.send_short(0, &inj, short_hdr(rec, 9, b"md"), hello.clone(), Some(done.clone()));
+        fabric.send_short(0, &lane, short_hdr(rec, 9, b"md"), hello.clone(), Some(done.clone()));
         assert!(done.is_complete(), "short-tier completion is synchronous");
         let p = fabric.poll_rec(1, rec).unwrap();
         assert_eq!(p.src_context, 3);
@@ -1446,10 +1446,10 @@ mod tests {
         // metadata arrives as the sender's bytes, and empty metadata as
         // `Bytes::new()`.
         let fabric = small_fabric();
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
-        fabric.send_short(0, &inj, short_hdr(rec, 4, b""), Bytes::from_static(b"x"), None);
-        fabric.send_short(0, &inj, short_hdr(rec, 4, b"meta"), Bytes::new(), None);
+        let (_, lane) = fabric.alloc_rec_fifo(0).unwrap();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
+        fabric.send_short(0, &lane, short_hdr(rec, 4, b""), Bytes::from_static(b"x"), None);
+        fabric.send_short(0, &lane, short_hdr(rec, 4, b"meta"), Bytes::new(), None);
         let empty = fabric.poll_rec(1, rec).unwrap();
         assert_eq!((empty.src_node, empty.src_task, empty.src_context), (0, 2, 3));
         assert_eq!(empty.metadata, Bytes::new());
@@ -1461,12 +1461,12 @@ mod tests {
     #[test]
     fn short_send_keeps_flag_through_reliable_channel() {
         let fabric = reliable_fabric(FaultPlan::new().seed(7));
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let (_, lane) = fabric.alloc_rec_fifo(0).unwrap();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let done = Counter::new();
         done.add_expected(4);
         let shrt = Bytes::from_static(b"shrt");
-        fabric.send_short(0, &inj, short_hdr(rec, 5, b""), shrt, Some(done.clone()));
+        fabric.send_short(0, &lane, short_hdr(rec, 5, b""), shrt, Some(done.clone()));
         assert!(done.is_complete());
         let p = fabric.poll_rec(1, rec).unwrap();
         assert_eq!(p.payload.view(), b"shrt");
@@ -1485,14 +1485,14 @@ mod tests {
             rto_max_ticks: 4,
             retry_budget: 64,
         }));
-        let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let (_, lane) = fabric.alloc_rec_fifo(0).unwrap();
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let (mut through, mut queued) = (0, 0);
         for i in 0..64u8 {
             let done = Counter::new();
             done.add_expected(1);
             let byte = Bytes::from(vec![i]);
-            fabric.send_short(0, &inj, short_hdr(rec, 1, b""), byte, Some(done.clone()));
+            fabric.send_short(0, &lane, short_hdr(rec, 1, b""), byte, Some(done.clone()));
             if done.is_complete() {
                 through += 1;
             } else {
@@ -1551,7 +1551,7 @@ mod tests {
         const LEN: usize = 2048;
         let (plan, k) = plan_losing_frame(4);
         let fabric = reliable_fabric(plan);
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
         let done = Counter::new();
         done.add_expected(LEN as u64);
@@ -1613,7 +1613,7 @@ mod tests {
         let fabric = MuFabric::builder(TorusShape::new([2, 1, 1, 1, 1]))
             .fault_plan(FaultPlan::new().seed(1))
             .build();
-        let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+        let rec = fabric.alloc_rec_fifo(1).unwrap().0;
         let xp = bgq_torus::Dir { dim: bgq_torus::Dim::A, plus: true };
         let xm = bgq_torus::Dir { dim: bgq_torus::Dim::A, plus: false };
         // Sever every route from node 0 to node 1 (a 2-node torus only has

@@ -1,16 +1,18 @@
-//! Injection and reception FIFOs, with BG/Q's per-node resource limits.
+//! Reception FIFOs and message-id lanes, with BG/Q's per-node limit.
 //!
 //! "BG/Q architecture provides an extensive array of 544 MU injection FIFOs
 //! (32 per core) and 272 MU reception FIFOs (16 per core)" — enough that
 //! PAMI can give every context *exclusive* FIFOs, "thereby eliminating any
 //! need for locking and critical section protection" (paper section III.E).
-//! `FifoAllocator` hands out those exclusive partitions and enforces the
-//! limits. An injection FIFO holds nothing: the MU moves a descriptor the
-//! moment it is written, so here a descriptor executes on the thread that
-//! injects it and the FIFO is the message-id lane it mints from. Reception
-//! FIFOs are the lockless [`WorkQueue`] from `bgq-hw`, with many remote
-//! producers and the one owning context as consumer; so is each node's
-//! system FIFO, which queues the remote gets the node services for others.
+//! Here a descriptor executes on the thread that injects it, as the MU
+//! moves one the moment it is written, so nothing is ever queued for
+//! injection: what a context needs to send is only a [`MsgIdLane`] of its
+//! own. The fabric hands one out with each reception FIFO (`FifoTable`
+//! enforces the limit of 272), so a context's lane id is its reception
+//! FIFO's id. Reception FIFOs are the lockless [`WorkQueue`] from `bgq-hw`,
+//! with many remote producers and the one owning context as consumer; so is
+//! each node's system FIFO, which queues the remote gets the node services
+//! for others.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -20,18 +22,15 @@ use parking_lot::Mutex;
 
 use crate::packet::MuPacket;
 
-/// MU injection FIFOs per node (17 cores × 32).
-pub(crate) const INJ_FIFOS_PER_NODE: usize = 544;
-
 /// MU reception FIFOs per node (17 cores × 16).
 pub const REC_FIFOS_PER_NODE: usize = 272;
 
 /// Bits of a message id that hold the per-lane sequence number. The id
 /// layout is `node << 40 | lane << 30 | seq`, where `lane` identifies the
-/// message-id source (an injection FIFO or the system FIFO) — so every
-/// lane mints ids from its *own* atomic and two lanes can never collide,
-/// which is what lets contexts send without touching a shared per-node
-/// sequence counter.
+/// message-id source (a context's reception FIFO id, or the system FIFO's
+/// reserved lane) — so every lane mints ids from its *own* atomic and two
+/// lanes can never collide, which is what lets contexts send without
+/// touching a shared per-node sequence counter.
 pub(crate) const LANE_SHIFT: u32 = 30;
 
 /// Mask for the per-lane sequence bits (ids recycle after 2^30 messages per
@@ -39,27 +38,35 @@ pub(crate) const LANE_SHIFT: u32 = 30;
 /// flight).
 pub(crate) const LANE_SEQ_MASK: u64 = (1u64 << LANE_SHIFT) - 1;
 
-/// Reserved lane id for the per-node *system* injection FIFO.
+/// Reserved lane id for the per-node *system* FIFO; context lanes are
+/// reception FIFO ids, all below [`REC_FIFOS_PER_NODE`].
 pub(crate) const SYS_LANE: u16 = 1022;
 
 /// Ring capacity of a node's system FIFO before its overflow list engages.
 pub(crate) const SYS_FIFO_CAPACITY: usize = 128;
 
 /// A message-id mint: composes `node | lane` high bits (fixed at creation)
-/// with a private sequence counter. Each injection FIFO owns one, so the
-/// send hot path touches only state owned by the injecting context — no
-/// cross-context cache-line bouncing on a shared per-node counter.
-pub(crate) struct MsgIdLane {
+/// with a private sequence counter. Each context owns one, handed out with
+/// its reception FIFO ([`crate::MuFabric::alloc_rec_fifo`]), so the send
+/// hot path touches only state owned by the injecting context — no
+/// cross-context cache-line bouncing on a shared per-node counter. The
+/// counter is atomic because an application thread and a commthread may
+/// drive one context at once.
+///
+/// A lane recycles its ids after 2^30 messages. A message's id is live only
+/// until it is deposited (lossless) or acked or failed (lossy, within
+/// `retry_budget` × `rto_max_ticks` pumps), far shorter than a wrap takes.
+pub struct MsgIdLane {
     /// `node << 40 | lane << 30`, precomputed.
     base: u64,
-    /// Next sequence number. Public so tests can force near-wrap values.
-    pub msg_seq: AtomicU64,
+    /// Next sequence number (tests force near-wrap values).
+    pub(crate) msg_seq: AtomicU64,
 }
 
 impl MsgIdLane {
-    /// A lane for `node`. `lane` must fit in 10 bits (hardware FIFO ids are
-    /// 0..544; 1022 is the system FIFO's).
-    pub fn new(node: u32, lane: u16) -> Self {
+    /// A lane for `node`. `lane` must fit in 10 bits (reception FIFO ids
+    /// are 0..272; 1022 is the system FIFO's).
+    pub(crate) fn new(node: u32, lane: u16) -> Self {
         debug_assert!(lane < 1024, "lane must fit in 10 bits");
         MsgIdLane {
             base: ((node as u64) << 40) | ((lane as u64) << LANE_SHIFT),
@@ -69,42 +76,14 @@ impl MsgIdLane {
 
     /// Mint the next message id on this lane.
     #[inline]
-    pub fn next(&self) -> u64 {
+    pub(crate) fn next(&self) -> u64 {
         self.base | (self.msg_seq.fetch_add(1, Ordering::Relaxed) & LANE_SEQ_MASK)
     }
 }
 
-/// Identifier of an injection FIFO within its node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct InjFifoId(pub u16);
-
 /// Identifier of a reception FIFO within its node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecFifoId(pub u16);
-
-/// An injection FIFO: the message-id lane of the context that owns it.
-///
-/// Nothing is ever queued here — a descriptor executes on the thread that
-/// injects it ([`crate::MuFabric::inject`]) — so what the FIFO owns is the
-/// one sequence counter the send path needs: injecting touches no
-/// per-node shared state, and two contexts sending through their own FIFOs
-/// share zero cache lines here.
-pub struct InjFifo {
-    id: InjFifoId,
-    /// Message-id mint for messages sent through this FIFO.
-    pub(crate) lane: MsgIdLane,
-}
-
-impl InjFifo {
-    pub(crate) fn new(node: u32, id: u16) -> Self {
-        InjFifo { id: InjFifoId(id), lane: MsgIdLane::new(node, id) }
-    }
-
-    /// This FIFO's id within its node.
-    pub fn id(&self) -> InjFifoId {
-        self.id
-    }
-}
 
 /// A reception FIFO plus its optional wakeup region (commthreads park on it
 /// while the FIFO is empty).
@@ -185,17 +164,30 @@ impl RecFifo {
 /// The MU's FIFO count is a hardware constant (272 reception per node),
 /// so the table is a fixed array of slots published
 /// with [`OnceLock`]: allocation writes a slot exactly once (slot indices
-/// come from the mutex-guarded [`FifoAllocator`], which is not on the hot
-/// path), after which every lookup — packet delivery, `poll_rec`, handle
+/// come from [`FifoTable::claim`], whose mutex is not on the hot path),
+/// after which every lookup — packet delivery, `poll_rec`, handle
 /// caching — is a plain atomic load with no lock and no refcount traffic.
 pub(crate) struct FifoTable<T> {
     slots: Box<[OnceLock<Arc<T>>]>,
+    /// The next unclaimed slot.
+    next: Mutex<u16>,
 }
 
 impl<T> FifoTable<T> {
     /// A table with `capacity` (hardware-limit) slots, all unallocated.
     pub fn new(capacity: usize) -> Self {
-        FifoTable { slots: (0..capacity).map(|_| OnceLock::new()).collect() }
+        FifoTable { slots: (0..capacity).map(|_| OnceLock::new()).collect(), next: Mutex::new(0) }
+    }
+
+    /// Claim the next slot id; `None` once all `capacity` are taken.
+    pub fn claim(&self) -> Option<u16> {
+        let mut next = self.next.lock();
+        let id = *next;
+        if id as usize == self.slots.len() {
+            return None;
+        }
+        *next += 1;
+        Some(id)
     }
 
     /// Shared handle to an allocated FIFO.
@@ -219,58 +211,6 @@ impl<T> FifoTable<T> {
     }
 }
 
-/// Tracks per-node FIFO allocation against the hardware limits.
-pub(crate) struct FifoAllocator {
-    inj_next: Mutex<u16>,
-    rec_next: Mutex<u16>,
-    inj_limit: u16,
-    rec_limit: u16,
-}
-
-impl Default for FifoAllocator {
-    fn default() -> Self {
-        Self::new(INJ_FIFOS_PER_NODE as u16, REC_FIFOS_PER_NODE as u16)
-    }
-}
-
-impl FifoAllocator {
-    /// An allocator with explicit limits (tests shrink them).
-    pub fn new(inj_limit: u16, rec_limit: u16) -> Self {
-        FifoAllocator {
-            inj_next: Mutex::new(0),
-            rec_next: Mutex::new(0),
-            inj_limit,
-            rec_limit,
-        }
-    }
-
-    /// Claim `count` consecutive injection FIFOs; `None` once the node's
-    /// 544 are exhausted.
-    pub(crate) fn alloc_inj(&self, count: u16) -> Option<std::ops::Range<u16>> {
-        let mut next = self.inj_next.lock();
-        let end = next.checked_add(count)?;
-        if end > self.inj_limit {
-            return None;
-        }
-        let start = *next;
-        *next = end;
-        Some(start..end)
-    }
-
-    /// Claim `count` consecutive reception FIFOs; `None` once the node's
-    /// 272 are exhausted.
-    pub(crate) fn alloc_rec(&self, count: u16) -> Option<std::ops::Range<u16>> {
-        let mut next = self.rec_next.lock();
-        let end = next.checked_add(count)?;
-        if end > self.rec_limit {
-            return None;
-        }
-        let start = *next;
-        *next = end;
-        Some(start..end)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,12 +218,9 @@ mod tests {
 
     #[test]
     fn allocator_enforces_limits() {
-        let a = FifoAllocator::new(8, 4);
-        assert_eq!(a.alloc_inj(5), Some(0..5));
-        assert_eq!(a.alloc_inj(3), Some(5..8));
-        assert_eq!(a.alloc_inj(1), None);
-        assert_eq!(a.alloc_rec(4), Some(0..4));
-        assert_eq!(a.alloc_rec(1), None);
+        let t: FifoTable<u32> = FifoTable::new(4);
+        assert_eq!((0..4).map(|_| t.claim()).collect::<Vec<_>>(), [0, 1, 2, 3].map(Some));
+        assert_eq!(t.claim(), None);
     }
 
     #[test]
@@ -312,11 +249,13 @@ mod tests {
 
     #[test]
     fn default_allocator_matches_hardware_counts() {
-        let a = FifoAllocator::default();
-        assert_eq!(a.alloc_inj(544), Some(0..544));
-        assert_eq!(a.alloc_inj(1), None);
-        assert_eq!(a.alloc_rec(272), Some(0..272));
-        assert_eq!(a.alloc_rec(1), None);
+        // Every reception FIFO id the node can hand out is a context lane,
+        // and none of them reaches the system FIFO's.
+        let t: FifoTable<RecFifo> = FifoTable::new(REC_FIFOS_PER_NODE);
+        let last = (0..REC_FIFOS_PER_NODE).map(|_| t.claim().unwrap()).last();
+        assert_eq!(last, Some(271));
+        assert!(last.unwrap() < SYS_LANE);
+        assert_eq!(t.claim(), None);
     }
 
     #[test]

@@ -9,29 +9,29 @@
 //! packets carrying a payload descriptor that the destination MU injects on
 //! the requester's behalf (paper section II.C).
 //!
-//! The simulation keeps all of those moving parts:
+//! The simulation models them as follows:
 //!
 //! * [`descriptor::Descriptor`] — what software injects; payload comes from
 //!   a registered [`bgq_hw::MemRegion`] or from immediate bytes
 //!   (`PAMI_Send_immediate`'s copy-through path).
-//! * [`fifo`] — injection and reception FIFOs with the per-node 544/272
-//!   resource accounting that lets PAMI give every context an exclusive,
-//!   lock-free partition.
+//! * [`fifo`] — reception FIFOs with the per-node limit of 272, each handed
+//!   out with the message-id lane its owner sends from: the exclusive,
+//!   lock-free partition PAMI gives every context.
 //! * [`fabric::MuFabric`] — the nodes plus delivery: executing a descriptor
 //!   fragments payload into ≤512-byte packets, pushes memory-FIFO packets
 //!   into the destination reception FIFO (waking its wakeup region), applies
 //!   direct puts to destination memory and decrements reception counters,
 //!   and queues remote-get payload descriptors on the destination's system
-//!   injection FIFO. A descriptor executes when it is injected, on the
+//!   FIFO. A descriptor executes when it is injected, on the
 //!   injecting thread, as the hardware MU starts moving data the moment one
 //!   is written; the receive side's asynchrony comes from commthreads
 //!   calling `advance` (the `pami` crate), never from a thread of this
 //!   crate's own.
 //!
-//! Ordering: one (source context → destination) pair always uses the same
-//! injection FIFO (PAMI pins it by destination) and each descriptor has
-//! moved before its injection returns, so memory-FIFO packets arrive in
-//! injection order — the property MPI matching relies on. Direct-put payload takes the
+//! Ordering: a context injects on its one lane and each descriptor has
+//! moved before its injection returns, so memory-FIFO packets from one
+//! context to one destination arrive in injection order — the property MPI
+//! matching relies on. Direct-put payload takes the
 //! dynamically-routed path and completes out of order; completion is
 //! observed only through reception counters, never packet order.
 
@@ -56,5 +56,5 @@ pub use descriptor::{
 pub use fabric::{MuFabric, MuFabricBuilder, MU_PACKET_COUNTER_SAMPLE};
 pub use faults::{FaultPlan, FaultRates, LinkFault, RetryConfig};
 pub use link::{RasCounters, RasEvent, RasEventKind};
-pub use fifo::{InjFifo, InjFifoId, RecFifo, RecFifoId, REC_FIFOS_PER_NODE};
+pub use fifo::{MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE};
 pub use packet::{MuPacket, PacketPayload};

@@ -13,8 +13,8 @@
 //!
 //! Correctness invariants, argued in DESIGN.md §15:
 //!
-//! * **Per-(src,dst) ordering** — a bucket's frame travels the same pinned
-//!   injection FIFO (and, under a fault plan, the same selective-repeat
+//! * **Per-(src,dst) ordering** — a bucket's frame travels the same
+//!   message-id lane (and, under a fault plan, the same selective-repeat
 //!   channel) as direct sends to that destination, and the send path
 //!   *conflict-flushes* a destination's bucket before any non-aggregated
 //!   send to it, so records never overtake or lag neighbouring traffic.

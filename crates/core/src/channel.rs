@@ -200,7 +200,7 @@ impl PersistentChannel {
         let bound = self.bound.as_ref().expect("ensure_bound succeeded");
         bound.send_region.write(slot * self.size, data);
         self.send_counter.add_expected(self.size as u64);
-        self.ctx.inject(self.peer.task, bound.slots[slot].clone());
+        self.ctx.inject(bound.slots[slot].clone());
         self.post_step += 1;
         // The put executed inside `inject` (or died trying): a fault raised
         // by it surfaces here, not on the next call.

@@ -133,10 +133,9 @@ mod tests {
         let machine = Machine::with_nodes(1).build();
         let _c = Client::create(&machine, 0, "greedy", 8);
         // 8 contexts × 1 rec fifo: the node must have handed out 8.
-        let stats_remaining = machine
-            .fabric()
-            .alloc_rec_fifos(0, (bgq_mu::REC_FIFOS_PER_NODE - 8) as u16);
-        assert!(stats_remaining.is_some(), "exactly 8 consumed so far");
-        assert!(machine.fabric().alloc_rec_fifos(0, 1).is_none());
+        for _ in 8..bgq_mu::REC_FIFOS_PER_NODE {
+            assert!(machine.fabric().alloc_rec_fifo(0).is_some(), "exactly 8 consumed so far");
+        }
+        assert!(machine.fabric().alloc_rec_fifo(0).is_none());
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! "Messaging operations are initiated and progressed in the context
 //! independent of other co-existing contexts" (paper section III.B). Each
-//! context owns, exclusively: a slice of the node's MU injection FIFOs
-//! (destinations pinned across them by hash, preserving MPI ordering), one
-//! MU reception FIFO, a shared-memory mailbox, a lock-free work queue for
-//! cross-thread handoff, and a wakeup region commthreads park on.
+//! context owns, exclusively: one MU reception FIFO and the message-id lane
+//! it sends every message from (one lane keeps each destination's messages
+//! in call order, preserving MPI ordering), a shared-memory mailbox, a
+//! lock-free work queue for cross-thread handoff, and a wakeup region
+//! commthreads park on.
 //!
 //! Thread contract, mirrored from the paper: [`Context::advance`] is
 //! single-threaded per context — concurrent calls are detected with a
@@ -23,8 +24,7 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, L2TicketMutex, MemRegion, WakeupRegion, WorkQueue};
 use bgq_mu::{
-    Descriptor, FifoHeader, InjFifo, InjFifoId, MuPacket, PayloadSource, RecFifo, RecFifoId,
-    XferKind,
+    Descriptor, FifoHeader, MsgIdLane, MuPacket, PayloadSource, RecFifo, RecFifoId, XferKind,
 };
 use bgq_upc::{Histogram, Stamp, Upc};
 use bytes::Bytes;
@@ -247,9 +247,9 @@ pub struct Context {
     node: u32,
     rec_fifo_id: RecFifoId,
     rec_fifo: Arc<RecFifo>,
-    /// This context's exclusive injection FIFOs: the message-id lanes it
-    /// mints from, owned here and never looked up.
-    inj_fifos: Vec<InjFifo>,
+    /// The message-id lane every message from this context mints from,
+    /// handed out with its reception FIFO and owned here alone.
+    lane: MsgIdLane,
     /// Cached handle to the node's system injection FIFO (emptiness probe
     /// for the idle fast path).
     sys_fifo: Arc<WorkQueue<Descriptor>>,
@@ -300,16 +300,12 @@ impl Context {
     ) -> Arc<Context> {
         let node = machine.task_node(task);
         let wakeup = WakeupRegion::new();
-        let rec_fifo_id = machine
+        let (rec_fifo_id, lane) = machine
             .fabric()
-            .alloc_rec_fifos(node, 1)
-            .unwrap_or_else(|| panic!("node {node} out of MU reception FIFOs"))[0];
+            .alloc_rec_fifo(node)
+            .unwrap_or_else(|| panic!("node {node} out of MU reception FIFOs"));
         let rec_fifo = machine.fabric().rec_fifo(node, rec_fifo_id);
         rec_fifo.set_wakeup(wakeup.clone());
-        let inj_fifos = machine
-            .fabric()
-            .alloc_inj_fifos(node, machine.inj_fifos_per_context)
-            .unwrap_or_else(|| panic!("node {node} out of MU injection FIFOs"));
         let sys_fifo = machine.fabric().sys_fifo(node);
         let mailbox = Arc::new(ShmMailbox::new(512, wakeup.clone()));
         let ctx = Arc::new(Context {
@@ -320,7 +316,7 @@ impl Context {
             node,
             rec_fifo_id,
             rec_fifo,
-            inj_fifos,
+            lane,
             sys_fifo,
             mailbox,
             rzv: Arc::default(),
@@ -493,7 +489,7 @@ impl Context {
         let metadata = Bytes::copy_from_slice(metadata);
         let hdr = self.fifo_header(dest_node, addr.rec_fifo, dispatch, metadata);
         let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
-        self.send_short_arm(dest, hdr, payload, None);
+        self.send_short_arm(hdr, payload, None);
         Ok(())
     }
 
@@ -598,13 +594,13 @@ impl Context {
                 self.probes.sends_short.incr_pinned(self.offset as usize);
                 let metadata = Bytes::copy_from_slice(metadata);
                 let hdr = self.fifo_header(dest_node, rec_fifo, dispatch, metadata);
-                self.send_short_arm(dest, hdr, payload, local_done);
+                self.send_short_arm(hdr, payload, local_done);
             }
             Protocol::Eager => {
                 self.probes.sends_eager.incr_pinned(self.offset as usize);
                 let metadata = Bytes::copy_from_slice(metadata);
                 let hdr = self.fifo_header(dest_node, rec_fifo, dispatch, metadata);
-                self.inject(dest.task, Descriptor::fifo(hdr, payload, local_done));
+                self.inject(Descriptor::fifo(hdr, payload, local_done));
             }
             Protocol::Rendezvous => {
                 // Rendezvous: park the source, send an RTS; the target
@@ -614,7 +610,7 @@ impl Context {
                 let rts = wire::rts(dispatch, len as u64, key, metadata);
                 let hdr = self.fifo_header(dest_node, rec_fifo, DISPATCH_RZV_RTS, rts);
                 let empty = PayloadSource::Immediate(Bytes::new());
-                self.inject(dest.task, Descriptor::fifo(hdr, empty, None));
+                self.inject(Descriptor::fifo(hdr, empty, None));
             }
             Protocol::Aggregated => unreachable!("aggregated sends return from the append arm"),
         }
@@ -661,7 +657,7 @@ impl Context {
             },
             inj_counter: local_done,
         };
-        self.inject(dest_task, desc);
+        self.inject(desc);
         Ok(())
     }
 
@@ -701,7 +697,7 @@ impl Context {
             kind: XferKind::RemoteGet { payload: Box::new(put_back) },
             inj_counter: None,
         };
-        self.inject(dest_task, desc);
+        self.inject(desc);
         Ok(())
     }
 
@@ -744,7 +740,7 @@ impl Context {
             }),
             inj_counter: done,
         };
-        self.inject(dest_task, desc);
+        self.inject(desc);
         Ok(())
     }
 
@@ -792,10 +788,10 @@ impl Context {
     }
 
     /// Inject one cut frame: a single short-tier packet under the internal
-    /// [`DISPATCH_AGGR`] id, through the same short arm — the same pinned
-    /// injection FIFO and, under a fault plan, the same selective-repeat
-    /// channel — direct sends to that destination use, which is what keeps
-    /// per-(src,dst) order and exactly-once for every record inside.
+    /// [`DISPATCH_AGGR`] id, through the same short arm — the same lane
+    /// and, under a fault plan, the same selective-repeat channel — direct
+    /// sends to that destination use, which is what keeps per-(src,dst)
+    /// order and exactly-once for every record inside.
     /// Buckets are only opened for off-node destinations, so a frame never
     /// takes the mailbox; an unknown destination drops the frame.
     fn send_aggr_frame(&self, frame: Frame) {
@@ -806,7 +802,7 @@ impl Context {
         let Ok(addr) = self.endpoints.get(dest) else { return };
         let metadata = Bytes::copy_from_slice(&crate::aggr::frame_header(frame.count, addressed));
         let hdr = self.fifo_header(dest_node, addr.rec_fifo, DISPATCH_AGGR, metadata);
-        self.send_short_arm(dest, hdr, PayloadSource::Immediate(frame.payload), None);
+        self.send_short_arm(hdr, PayloadSource::Immediate(frame.payload), None);
     }
 
     /// Unbatch one aggregated frame: walk its records and dispatch each
@@ -890,32 +886,18 @@ impl Context {
     }
 
     /// The short arm — shared by [`Context::send`], [`Context::send_immediate`]
-    /// and aggregated-frame emit: one inline packet on `dest`'s pinned
-    /// injection FIFO — no descriptor, no completion-counter allocation,
-    /// one fragment straight down the fabric's pipeline.
-    fn send_short_arm(
-        &self,
-        dest: Endpoint,
-        hdr: FifoHeader,
-        payload: PayloadSource,
-        local_done: Option<Counter>,
-    ) {
-        let fifo = self.inj_fifo(dest.task);
-        self.machine.fabric().send_short(self.node, fifo, hdr, payload.into_bytes(), local_done);
+    /// and aggregated-frame emit: one inline packet on this context's lane —
+    /// no descriptor, no completion-counter allocation, one fragment
+    /// straight down the fabric's pipeline.
+    fn send_short_arm(&self, hdr: FifoHeader, payload: PayloadSource, local_done: Option<Counter>) {
+        let payload = payload.into_bytes();
+        self.machine.fabric().send_short(self.node, &self.lane, hdr, payload, local_done);
     }
 
-    /// Injection-FIFO pinning: every message to `dest_task` from this
-    /// context uses the same FIFO, "so that the same FIFO is used every
-    /// time for a given destination" — its message ids come from one lane.
-    #[inline]
-    fn inj_fifo(&self, dest_task: u32) -> &InjFifo {
-        &self.inj_fifos[dest_task as usize % self.inj_fifos.len()]
-    }
-
-    /// The injection door: `desc` moves now, on the calling thread, through
-    /// `dest_task`'s pinned FIFO ([`bgq_mu::MuFabric::inject`]).
-    pub(crate) fn inject(&self, dest_task: u32, desc: Descriptor) {
-        self.machine.fabric().inject(self.node, self.inj_fifo(dest_task), desc);
+    /// The injection door: `desc` moves now, on the calling thread, with
+    /// its id from this context's lane ([`bgq_mu::MuFabric::inject`]).
+    pub(crate) fn inject(&self, desc: Descriptor) {
+        self.machine.fabric().inject(self.node, &self.lane, desc);
     }
 
     /// The on-node send: an inline copy through `dest`'s mailbox, or —
@@ -1274,7 +1256,7 @@ impl Context {
             kind: XferKind::RemoteGet { payload: Box::new(put_back) },
             inj_counter: None,
         };
-        self.inject(src.task, get);
+        self.inject(get);
         rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
         self.pending_internal.fetch_add(1, Ordering::AcqRel);
     }
@@ -1351,7 +1333,7 @@ impl Context {
         }
         let hdr = self.fifo_header(dest_node, addr.rec_fifo, DISPATCH_CHAN_REQ, body);
         let empty = PayloadSource::Immediate(Bytes::new());
-        self.inject(dest.task, Descriptor::fifo(hdr, empty, None));
+        self.inject(Descriptor::fifo(hdr, empty, None));
         Ok(())
     }
 
@@ -1390,11 +1372,6 @@ impl Context {
     /// The reception FIFO id (diagnostics).
     pub fn rec_fifo_id(&self) -> RecFifoId {
         self.rec_fifo_id
-    }
-
-    /// This context's exclusive injection FIFO ids (diagnostics).
-    pub fn inj_fifo_ids(&self) -> Vec<InjFifoId> {
-        self.inj_fifos.iter().map(InjFifo::id).collect()
     }
 
     /// This context's shared-memory mailbox (exposed for tests).

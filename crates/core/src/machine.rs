@@ -203,7 +203,6 @@ pub struct MachineBuilder {
     shape: TorusShape,
     ppn: usize,
     policy: Option<StaticPolicy>,
-    inj_fifos_per_context: u16,
     rec_fifo_capacity: usize,
     fault_plan: Option<FaultPlan>,
     telemetry: Option<Upc>,
@@ -238,14 +237,6 @@ impl MachineBuilder {
     /// [`MachineBuilder::aggregation`] set as well.
     pub fn protocol_policy(mut self, policy: StaticPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Injection FIFOs reserved per context (default 4); destinations are
-    /// pinned across them by hash.
-    pub fn inj_fifos_per_context(mut self, n: u16) -> Self {
-        assert!(n >= 1);
-        self.inj_fifos_per_context = n;
         self
     }
 
@@ -339,7 +330,6 @@ impl MachineBuilder {
             ppn: self.ppn,
             policy,
             aggregation,
-            inj_fifos_per_context: self.inj_fifos_per_context,
             fabric,
             sys_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
             classroutes: ClassRouteManager::new(self.shape),
@@ -371,7 +361,6 @@ pub struct Machine {
     /// layer is off. Every context builds its own [`crate::aggr::Aggregator`]
     /// from this at creation.
     aggregation: Option<AggrConfig>,
-    pub(crate) inj_fifos_per_context: u16,
     pub(crate) fabric: MuFabric,
     /// Per-node guard so only one context at a time services the node's
     /// system FIFO (remote gets) and link channels.
@@ -408,7 +397,6 @@ impl Machine {
             shape,
             ppn: 1,
             policy: None,
-            inj_fifos_per_context: 4,
             rec_fifo_capacity: 512,
             fault_plan: None,
             telemetry: None,

@@ -8,7 +8,7 @@
 //!   and across the aggregated/direct protocol boundary (conflict flush)
 //!   arrive in send order.
 //! * **Exactly-once under faults** — an aggregated frame is one short-tier
-//!   packet on the destination's pinned FIFO, so drop/corrupt plans cost
+//!   packet on the sending context's one lane, so drop/corrupt plans cost
 //!   retransmits of whole frames, never duplicate or lost records.
 //! * **Flush policy** — fill, age-bound (on the advance clock), explicit
 //!   `flush_aggr`, and conflict flush each fire when they should.

@@ -122,7 +122,7 @@ fn second_client_and_the_last_of_272_contexts_deliver() {
     // 272-context client is the machine's second, and its offset 271 —
     // the node's last reception FIFO — is addressed off-node and on-node.
     const WIDE: usize = bgq_mu::REC_FIFOS_PER_NODE;
-    let machine = Machine::with_nodes(3).inj_fifos_per_context(1).rec_fifo_capacity(8).build();
+    let machine = Machine::with_nodes(3).rec_fifo_capacity(8).build();
     let first = Client::create(&machine, 2, "first", 1);
     let wide: Vec<_> = (0..2).map(|task| Client::create(&machine, task, "wide", WIDE)).collect();
     assert_eq!((first.id(), wide[0].id()), (0, 1));

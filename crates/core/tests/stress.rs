@@ -152,34 +152,21 @@ fn many_concurrent_rendezvous_transfers() {
 
 #[test]
 fn fifo_exhaustion_panics_with_message() {
-    // Injection FIFOs run out first: 544 per node at 4 per context allows
-    // 136 contexts; the 137th must fail loudly.
+    // A context takes one reception FIFO and nothing else of the MU's, so
+    // the node's 272 reception FIFOs bound it: 272 contexts fit and the
+    // 273rd must fail loudly.
     let machine = Machine::with_nodes(1).build();
-    let _fits = Client::create(&machine, 0, "greedy", 136);
+    let _fits = Client::create(&machine, 0, "greedy", 272);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _one_too_many = Client::create(&machine, 0, "greedy2", 1);
     }));
-    let err = result.expect_err("the 137th context must fail");
+    let err = result.expect_err("the 273rd context must fail");
     let msg = err
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_default();
-    assert!(msg.contains("injection FIFOs"), "unhelpful panic: {msg}");
-
-    // With 1 injection FIFO per context, reception FIFOs (272) bind first.
-    let machine2 = Machine::with_nodes(1).inj_fifos_per_context(1).build();
-    let _fits2 = Client::create(&machine2, 0, "greedy", 272);
-    let result2 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _one_too_many = Client::create(&machine2, 0, "greedy2", 1);
-    }));
-    let err2 = result2.expect_err("the 273rd context must fail");
-    let msg2 = err2
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err2.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(msg2.contains("reception FIFOs"), "unhelpful panic: {msg2}");
+    assert!(msg.contains("reception FIFOs"), "unhelpful panic: {msg}");
 }
 
 #[test]
@@ -293,7 +280,7 @@ fn zero_and_max_payload_sizes() {
 #[test]
 fn context_fifo_ownership_under_concurrent_flood() {
     // The context-sharding contract: every context owns an exclusive
-    // reception FIFO and an exclusive set of injection FIFOs, and traffic
+    // reception FIFO and the message-id lane that shares its id, and traffic
     // addressed to context i is delivered by context i's advance and no
     // other. Eight context pairs flood concurrently; each message carries
     // its intended destination context in the metadata, and every handler
@@ -305,16 +292,13 @@ fn context_fifo_ownership_under_concurrent_flood() {
     let receiver = Client::create(&machine, 1, "own", CONTEXTS);
 
     // FIFO allocations are per-node resources: within each client, no two
-    // contexts may share a reception FIFO or an injection FIFO.
+    // contexts may share a reception FIFO, so none shares a message-id lane
+    // (a lane's id is its FIFO's).
     for client in [&sender, &receiver] {
         let mut rec = std::collections::HashSet::new();
-        let mut inj = std::collections::HashSet::new();
         for i in 0..CONTEXTS {
             let ctx = client.context(i);
             assert!(rec.insert(ctx.rec_fifo_id()), "reception FIFO shared by two contexts");
-            for id in ctx.inj_fifo_ids() {
-                assert!(inj.insert(id), "injection FIFO shared by two contexts");
-            }
         }
     }
 

@@ -1,10 +1,9 @@
 //! Collective models at machine scale: Figures 6–10.
 //!
-//! Latency figures (6, 7) run the event-driven tree simulation over the
-//! actual classroute spanning tree of the node count. Throughput figures
-//! (8, 9, 10) use a closed-form pipeline expression (serialization plus
-//! store-and-forward depth, the depth term checked against the DES tree
-//! walk by the tests here) combined with the `memsys` working-set model
+//! Latency figures (6, 7) time a signal round trip over the actual
+//! classroute spanning tree of the node count. Throughput figures (8, 9,
+//! 10) use a closed-form pipeline expression (serialization plus
+//! store-and-forward depth) combined with the `memsys` working-set model
 //! that produces the high-PPN falloffs.
 
 use bgq_torus::packet::MAX_PAYLOAD_BYTES;
@@ -12,7 +11,6 @@ use bgq_torus::{Coords, Rectangle, SpanningTree, TorusShape, TreeKind, ALL_DIMS}
 
 use crate::config::MachineParams;
 use crate::memsys;
-use crate::tree_sim;
 
 /// The classroute tree over an `nodes`-node partition (root at the
 /// low corner, canonical dimension order).
@@ -24,6 +22,14 @@ pub(crate) fn world_tree(nodes: usize) -> SpanningTree {
         Coords([0; 5]),
         TreeKind::DimOrdered(ALL_DIMS),
     )
+}
+
+/// An up-then-down signal round trip over `tree` (a GI barrier, or a
+/// one-element combine): signals combine up from every leaf at once and a
+/// release broadcasts down. With a constant per-hop latency `hop` and no
+/// contention, the deepest leaf sets both halves: `2 × max_depth × hop`.
+fn signal_round_trip(tree: &SpanningTree, hop: f64) -> f64 {
+    2.0 * tree.max_depth() as f64 * hop
 }
 
 /// Wire time of one full packet (payload granularity of the pipelines).
@@ -41,7 +47,7 @@ fn packet_time(params: &MachineParams) -> f64 {
 pub fn barrier_latency(params: &MachineParams, nodes: usize, ppn: usize) -> f64 {
     let tree = world_tree(nodes);
     params.coll_sw_base
-        + tree_sim::signal_round_trip(&tree, params.gi_hop_latency)
+        + signal_round_trip(&tree, params.gi_hop_latency)
         + params.local_barrier(ppn)
 }
 
@@ -54,7 +60,7 @@ pub fn barrier_latency(params: &MachineParams, nodes: usize, ppn: usize) -> f64 
 /// parallel local math hiding part of the software cost at ppn > 1.
 pub fn allreduce_latency(params: &MachineParams, nodes: usize, ppn: usize) -> f64 {
     let tree = world_tree(nodes);
-    let round_trip = tree_sim::signal_round_trip(&tree, params.collective_hop_latency);
+    let round_trip = signal_round_trip(&tree, params.collective_hop_latency);
     let hidden = params.allreduce_parallel_hide * (1.0 - 1.0 / ppn as f64);
     params.coll_sw_base
         + round_trip
@@ -152,20 +158,18 @@ mod tests {
     const MB: usize = 1024 * 1024;
     const KB: usize = 1024;
 
-    /// The closed form's store-and-forward depth term is the event-driven
-    /// tree walk's: with nothing to serialize, a broadcast is the down half
-    /// of a signal round trip at the same per-hop cost.
     #[test]
-    fn closed_form_matches_des_on_small_trees() {
-        let params = p();
-        let hop = params.hop_latency + packet_time(&params);
-        for nodes in [2, 8, 32] {
-            let tree = world_tree(nodes);
-            let des = tree_sim::signal_round_trip(&tree, hop) / 2.0;
-            let closed = pipeline_time(&params, &tree, 0.0);
-            assert!(closed > 0.0);
-            assert!((des - closed).abs() / closed < 1e-9, "{nodes} nodes: DES {des} vs {closed}");
-        }
+    fn signal_round_trip_on_a_line() {
+        // A line of 5 from the end node: depth 4 up + 4 down = 8 hops.
+        let shape = TorusShape::new([5, 1, 1, 1, 1]);
+        let tree = SpanningTree::build(
+            shape,
+            Rectangle::full(shape),
+            Coords([0; 5]),
+            TreeKind::DimOrdered(ALL_DIMS),
+        );
+        let t = signal_round_trip(&tree, 10e-9);
+        assert!((t - 8.0 * 10e-9).abs() < 1e-12, "got {t}");
     }
 
     #[test]

@@ -8,10 +8,6 @@
 //! with the constants the paper states or implies, at full scale:
 //!
 //! * [`config::MachineParams`] — every constant, documented, adjustable.
-//! * `des` (crate-private) — a small discrete-event engine used by the tree
-//!   simulations.
-//! * `tree_sim` — event-driven propagation of barrier and combine signals
-//!   over real spanning trees from `bgq-torus`.
 //! * `memsys` — the L2/DDR working-set model behind the high-PPN
 //!   throughput falloffs of Figures 8–10.
 //! * [`p2p`] — Tables 1–2 and Figure 5 as exact counts × host unit costs
@@ -30,9 +26,7 @@
 
 pub mod coll;
 pub mod config;
-pub(crate) mod des;
 mod memsys;
 pub mod p2p;
-mod tree_sim;
 
 pub use config::MachineParams;

@@ -323,13 +323,13 @@ fn mu_packets_dropped_counter_is_live_under_fault_injection() {
                 .retry(RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 64 }),
         )
         .build();
-    let rec = fabric.alloc_rec_fifos(1, 1).unwrap()[0];
+    let rec = fabric.alloc_rec_fifo(1).unwrap().0;
     let done = bgq_hw::Counter::new();
     done.add_expected(4096);
-    let inj = fabric.alloc_inj_fifos(0, 1).unwrap().remove(0);
+    let (_, lane) = fabric.alloc_rec_fifo(0).unwrap();
     fabric.inject(
         0,
-        &inj,
+        &lane,
         Descriptor {
             dst_node: 1,
             src_context: 0,

@@ -125,12 +125,11 @@ fn rectangle_broadcast_matches_collnet_broadcast() {
 #[test]
 fn fifo_budget_supports_many_contexts_per_node() {
     // 16 contexts per task (the 1-ppn configuration of the paper) fits
-    // comfortably in the 544/272 FIFO budget.
+    // comfortably in the node's 272 reception FIFOs.
     let machine = Machine::with_nodes(2).build();
     machine.run(|env| {
         let client = pami_repro::pami::Client::create(&env.machine, env.task, "many", 16);
         env.machine.task_barrier();
         assert_eq!(client.num_contexts(), 16);
-        // Each context pinned injection FIFOs: 16 × 4 = 64 of 544 used.
     });
 }
