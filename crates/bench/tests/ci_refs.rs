@@ -474,7 +474,7 @@ fn substrate_surface_census() {
 
 /// Names DESIGN.md keeps as history, and the change that removed each
 /// from the tree.
-const RETIRED_NAMES: [(&str, &str); 24] = [
+const RETIRED_NAMES: [(&str, &str); 26] = [
     ("put_raw", "tuple-taking put shim, deprecated for one PR, deleted with aggregation"),
     ("get_raw", "tuple-taking get shim, deprecated for one PR, deleted with aggregation"),
     ("read_vec", "`MemRegion::read_vec`, deleted in ISSUE 15 with its last caller"),
@@ -499,6 +499,8 @@ const RETIRED_NAMES: [(&str, &str); 24] = [
     ("pump_inj_handle", "drained an injection FIFO in `advance`; nothing is queued any more"),
     ("execute_now", "the node-lane bypass for channel traffic, folded into `MuFabric::inject`"),
     ("sync_to", "inferred the receive cursor from the queue front; replaced by `RxState::resolve`"),
+    ("sys_fifo", "a node's queue of put-backs for its `advance`; a get is served as it arrives"),
+    ("pump_sys", "ran the system FIFO's put-backs in `advance`; deleted with the queue"),
 ];
 
 /// Every backticked lowercase name with an `_` in DESIGN.md — a code span
@@ -560,7 +562,7 @@ fn design_names_resolve() {
 /// each is off the message path of a context.
 const MACHINE_SHARED_STATE: [(&str, &str); 4] = [
     ("clients", "client creation only: each context then holds its client's endpoint table"),
-    ("sys_pump", "per node, and `advance` skips it while the system FIFO and links are idle"),
+    ("link_pump", "per node, and `advance` skips it while the node's links are idle"),
     (
         "shared",
         "set-up registry: geometries and MPI collectives fetch their shared structures \

@@ -155,8 +155,10 @@ pub enum XferKind {
         rec_counter: Option<Counter>,
     },
     /// RDMA read: carries a payload descriptor that the destination MU
-    /// injects into its own system FIFO — usually a [`XferKind::DirectPut`]
-    /// aimed back at the requester (the rendezvous "remote get").
+    /// executes the moment the request arrives, on the delivering thread
+    /// and with no software on the destination involved — usually a
+    /// [`XferKind::DirectPut`] aimed back at the requester (the rendezvous
+    /// "remote get").
     RemoteGet {
         /// Descriptor for the destination to execute.
         payload: Box<Descriptor>,

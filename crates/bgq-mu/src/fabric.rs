@@ -6,13 +6,13 @@
 //! and pumps progress;
 //! the fabric executes descriptors — fragmenting payload into ≤512-byte
 //! packets for memory-FIFO traffic, copying directly into destination
-//! regions for puts, and bouncing remote-gets to the destination's system
-//! FIFO. As on the MU, nothing sits between injection and the wire, and
-//! `bgq-mu` spawns no thread: a descriptor executes, and its packets are
-//! deposited, on the thread that injects it ([`MuFabric::inject`],
-//! [`MuFabric::send_short`]). The one queue on the send side is each
-//! node's system FIFO, which the target's `advance` drains
-//! ([`MuFabric::pump_sys`]).
+//! regions for puts, and serving a remote get at its target the moment the
+//! request arrives. As on the MU, nothing sits between injection and the
+//! wire, and `bgq-mu` spawns no thread: a descriptor executes, and its
+//! packets are deposited, on the thread that injects it
+//! ([`MuFabric::inject`], [`MuFabric::send_short`]); a get's put-back
+//! executes on the thread that delivers the request, minting from the
+//! target node's own lane, and no software on the target runs for it.
 //!
 //! ## One delivery pipeline
 //!
@@ -25,7 +25,7 @@
 //! ```text
 //!  send_short ─┐
 //!  inject ─────┼─► 1 FRAME ──► 2 RELIABILITY ──► 3 DEPOSIT ──► 4 COMPLETION
-//!  pump_sys ───┘
+//!  serve_get ──┘
 //!
 //!  1 one message id, one `packet_of()` constructor (the only `MuPacket`
 //!    literal, the only CRC stamp), one sampled `mu.*` accounting site;
@@ -51,7 +51,12 @@
 //! reception FIFO; they share stage 2 (same `admit`, same split) and
 //! `deliver_frames`, which applies them to destination memory — a run of
 //! a put's windows as one copy, an rmw under the striped lock of the word
-//! it names, its only path.
+//! it names, its only path. A remote get's request, once delivered, has its
+//! target execute the put-back it carries (`serve_get`) from the target's
+//! own lane. A request delivered by `link.rs` arrives under its channel's
+//! `tx` lock, and a put-back takes the reverse channel's locks, so those
+//! put-backs wait in a per-thread list until the `link.rs` call that
+//! delivered them returns, and are served then in arrival order.
 //!
 //! With a [`FaultPlan`] installed ([`MuFabricBuilder::fault_plan`]), lost
 //! frames retransmit with exponential backoff under
@@ -62,28 +67,28 @@
 //! channel's link sequence number and a CRC-32C stamp; a lossless packet
 //! carries neither (both fields zero).
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-use bgq_hw::WorkQueue;
 use bgq_torus::packet::{packets_for, MAX_PAYLOAD_BYTES};
 use bgq_torus::{Dir, TorusShape};
 use bgq_upc::{Counter, Upc};
 
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, XferKind};
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::fifo::{
-    FifoTable, MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE, SYS_FIFO_CAPACITY, SYS_LANE,
-};
+use crate::fifo::{FifoTable, MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE, SYS_LANE};
 use crate::link::{Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
 use crate::rmw::RmwLocks;
 
 // Message ids are minted by per-lane [`MsgIdLane`]s: `node << 40 | lane <<
 // 30 | seq`, where the lane is the sending context's reception FIFO id (or
-// the system FIFO's reserved lane, [`crate::fifo::SYS_LANE`]). Each
-// lane owns its sequence counter, so the send hot path never touches a
-// shared per-node atomic and ids from different lanes can never collide.
+// the reserved lane a node serves remote gets from,
+// [`crate::fifo::SYS_LANE`]). Each lane owns its sequence counter, so the
+// send hot path never touches a shared per-node atomic and ids from
+// different lanes can never collide.
 
 /// Sampling period of the per-message `mu.fifo_messages` /
 /// `mu.packets_injected` / `mu.packets_received` probe updates: one
@@ -98,6 +103,15 @@ pub const MU_PACKET_COUNTER_SAMPLE: u64 = 16;
 /// Capacity of the RAS event ring; the oldest events drop past it (and
 /// are counted — see [`MuFabric::ras_events`]).
 const RAS_RING_CAPACITY: usize = 1024;
+
+thread_local! {
+    /// Put-backs of remote-get requests that `link.rs` delivered on this
+    /// thread under a channel lock, each with the node that serves it,
+    /// waiting for that call to return ([`MuFabric::serve_put_backs`]).
+    /// One list per thread, reused, so serving a get allocates nothing.
+    static PUT_BACKS: RefCell<VecDeque<(u32, Descriptor)>> =
+        const { RefCell::new(VecDeque::new()) };
+}
 
 /// Deterministic sample gate: lane-local message sequence numbers increment
 /// by one, so masking the low bits of the message id hits exactly one
@@ -156,9 +170,8 @@ pub(crate) struct NodeMu {
     /// Lock-free reception-FIFO table sized to the hardware limit (272):
     /// delivery, polling, and handle lookup are plain atomic loads.
     pub rec: FifoTable<RecFifo>,
-    /// System injection FIFO: remote-get payload descriptors land here for
-    /// this node to execute, with ids from its own lane.
-    pub sys_inj: Arc<WorkQueue<Descriptor>>,
+    /// The lane the put-backs of the remote gets this node serves mint
+    /// their ids from.
     pub sys_lane: MsgIdLane,
     /// `mu.*` telemetry probes for this node.
     pub counters: MuCounters,
@@ -216,7 +229,6 @@ impl MuFabricBuilder {
         let nodes: Vec<NodeMu> = (0..self.shape.num_nodes())
             .map(|node| NodeMu {
                 rec: FifoTable::new(REC_FIFOS_PER_NODE),
-                sys_inj: Arc::new(WorkQueue::with_capacity(SYS_FIFO_CAPACITY)),
                 sys_lane: MsgIdLane::new(node as u32, SYS_LANE),
                 counters: MuCounters::new(&self.telemetry),
             })
@@ -294,19 +306,13 @@ impl MuFabric {
         Arc::clone(self.node(node).rec.get(id.0))
     }
 
-    /// Handle to a node's *system* injection FIFO (contexts cache it to
-    /// observe remote-get backlog without going through the fabric).
-    pub fn sys_fifo(&self, node: u32) -> Arc<WorkQueue<Descriptor>> {
-        Arc::clone(&self.node(node).sys_inj)
-    }
-
     /// The injection door: execute `desc` now, on the calling thread, with
     /// its message id minted from `lane` — the caller's own (each context
     /// owns one). When this returns the descriptor has moved: its packets
     /// sit in the destination's reception FIFO, a put's bytes in the
-    /// window, a get's put-back in the target's system FIFO, an rmw applied
-    /// — or, under a fault plan, the frames that did not cross wait in
-    /// their channel's retransmit queue.
+    /// window, a get's data pulled back by the put-back its target
+    /// executed, an rmw applied — or, under a fault plan, the frames that
+    /// did not cross wait in their channel's retransmit queue.
     /// Per-destination order is the order of the calls.
     pub fn inject(&self, src_node: u32, lane: &MsgIdLane, desc: Descriptor) {
         let pin = desc.src_context as usize;
@@ -337,28 +343,6 @@ impl MuFabric {
         self.deliver_message(src_node, lane, hdr, payload, local_done);
     }
 
-    /// Execute up to `budget` system-FIFO descriptors (remote-get service).
-    /// Counters are batched per call, not per descriptor.
-    pub fn pump_sys(&self, node: u32, budget: usize) -> usize {
-        let n = self.node(node);
-        let mut done = 0;
-        while done < budget {
-            match n.sys_inj.pop() {
-                Some(desc) => {
-                    self.execute_from(node, desc, &n.sys_lane);
-                    done += 1;
-                }
-                None => break,
-            }
-        }
-        if done > 0 {
-            let c = &n.counters;
-            c.remote_gets_serviced.add(done as u64);
-            c.descriptors_executed.add(done as u64);
-        }
-        done
-    }
-
     /// Pull the next packet from a reception FIFO (owning context only).
     #[cfg(test)]
     pub(crate) fn poll_rec(&self, node: u32, fifo: RecFifoId) -> Option<MuPacket> {
@@ -386,9 +370,9 @@ impl MuFabric {
     /// Execute one descriptor on behalf of `src_node` — "the MU hardware":
     /// perform the data movement the descriptor asks for. `lane` is the
     /// message-id mint of whoever injected it (a context's own, or the
-    /// system FIFO's, keeping the hot path free of shared per-node
-    /// sequence state). Does *not* bump `descriptors_executed` — callers
-    /// count (`pump_sys` once per batch).
+    /// serving node's for a put-back, keeping the hot path free of shared
+    /// per-node sequence state). Does *not* bump `descriptors_executed` —
+    /// callers count.
     fn execute_from(&self, src_node: u32, desc: Descriptor, lane: &MsgIdLane) {
         let credit = desc.completion_credit();
         let Descriptor { dst_node, src_context, payload, kind, inj_counter, .. } = desc;
@@ -500,6 +484,32 @@ impl MuFabric {
             }
         }
         rel.enqueue(ch, msg, through, &self.frame_deposit());
+        self.serve_put_backs();
+    }
+
+    /// Serve a remote get at its target `node`: execute the put-back the
+    /// request carried, here, on the delivering thread, from the node's
+    /// own lane — the MU answers a get in hardware, with no software on
+    /// the target involved. Kept out of line: `execute_from` re-enters
+    /// itself through here, and with the cycle inlined the `pamibench`
+    /// workloads that never issue a get read 4–5% lower (EXPERIMENTS.md,
+    /// "A remote get is served as it arrives").
+    #[inline(never)]
+    fn serve_get(&self, node: u32, put_back: Descriptor) {
+        let n = self.node(node);
+        let pin = put_back.src_context as usize;
+        n.counters.remote_gets_serviced.incr_pinned(pin);
+        n.counters.descriptors_executed.incr_pinned(pin);
+        self.execute_from(node, put_back, &n.sys_lane);
+    }
+
+    /// Serve the put-backs `link.rs` delivered on this thread, oldest
+    /// first, until none is left: one served here may queue a request
+    /// whose delivery adds another.
+    fn serve_put_backs(&self) {
+        while let Some((node, put_back)) = PUT_BACKS.with(|q| q.borrow_mut().pop_front()) {
+            self.serve_get(node, put_back);
+        }
     }
 
     /// Build one packet and stamp its CRC — the only `MuPacket` literal
@@ -594,9 +604,7 @@ impl MuFabric {
         match msg.delivery {
             // Delivered once and dropped: the request hands its put-back
             // over instead of the clone a queued request must make.
-            Delivery::Get(desc) => {
-                self.node(dst_node).sys_inj.push(*desc);
-            }
+            Delivery::Get(desc) => self.serve_get(dst_node, *desc),
             _ => self.deliver_frames(src_node, dst_node, &msg, 0..frames),
         }
         if let Some(c) = msg.inj_counter {
@@ -644,9 +652,11 @@ impl MuFabric {
                     c.delivered(msg.credit_of(frames));
                 }
             }
-            // A queued request stays queued until acked: it lends a copy.
+            // Delivered under the channel's lock (only a queued request
+            // comes here), which the put-back must not run inside; the
+            // request stays queued until acked, so it lends a copy.
             Delivery::Get(desc) => {
-                dst.sys_inj.push((**desc).clone());
+                PUT_BACKS.with(|q| q.borrow_mut().push_back((dst_node, (**desc).clone())));
             }
             Delivery::Rmw(req) => {
                 // Exactly-once under retransmission: the channel's receive
@@ -726,8 +736,10 @@ impl MuFabric {
     /// retry protocol's clock). Returns frames delivered. No-op without a
     /// fault plan.
     pub fn pump_links(&self, node: u32, budget: usize) -> usize {
-        let rel = self.inner.reliability.as_ref();
-        rel.map_or(0, |r| r.pump(node, budget, &self.frame_deposit()))
+        let Some(rel) = self.inner.reliability.as_ref() else { return 0 };
+        let done = rel.pump(node, budget, &self.frame_deposit());
+        self.serve_put_backs();
+        done
     }
 }
 
@@ -1017,12 +1029,12 @@ mod tests {
         done.add_expected(64);
         let payload = PayloadSource::Region { region: remote, offset: 0, len: 64 };
         execute(&fabric, 0, get(1, put(0, payload, (&local, 0), Some(done.clone()), None)));
-        assert!(!done.is_complete(), "no data until node 1 services the get");
-        assert_eq!(fabric.pump_sys(1, 16), 1);
-        assert!(done.is_complete());
+        // Node 1 served the get inside `inject`: nothing of it is left to run.
+        assert!(done.is_complete(), "the data landed before inject returned");
         assert_eq!(local.to_vec(), (100..164).collect::<Vec<u8>>());
         if cfg!(feature = "telemetry") {
             assert_eq!(fabric.counters(1).remote_gets_serviced.value(), 1);
+            assert_eq!(fabric.counters(1).descriptors_executed.value(), 1, "the put-back");
         }
     }
 
@@ -1339,11 +1351,64 @@ mod tests {
                 break;
             }
             fabric.pump_links(0, usize::MAX);
-            fabric.pump_sys(1, 16);
             fabric.pump_links(1, usize::MAX);
         }
         assert!(got.is_ok(), "remote get completed under loss");
         assert_eq!(local.to_vec(), vec![4u8; 64]);
+    }
+
+    #[test]
+    fn crossed_gets_under_loss_complete_from_two_threads() {
+        // Nodes 0 and 1 each pull 2 000 × 4 KiB out of the other under 30%
+        // drop, each driven by a thread of its own. A put-back runs on the
+        // thread that delivers its request, so every channel has two
+        // senders — its node's own thread and the peer's, serving gets —
+        // and put-backs the peer queued wait for this node's pump. Neither
+        // thread may deadlock the other, and every byte lands once.
+        const GETS: usize = 2_000;
+        const LEN: usize = 4096;
+        let retry = RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 1_000 };
+        let fabric = reliable_fabric(FaultPlan::new().seed(17).drop_rate(0.3).retry(retry));
+        let memory: Vec<MemRegion> = (0..2u8)
+            .map(|n| MemRegion::from_vec((0..GETS * LEN).map(|i| (i % 251) as u8 ^ n).collect()))
+            .collect();
+        let locals: Vec<MemRegion> = (0..2).map(|_| MemRegion::zeroed(GETS * LEN)).collect();
+        let dones: Vec<Counter> = (0..2).map(|_| Counter::new()).collect();
+        for done in &dones {
+            done.add_expected((GETS * LEN) as u64);
+        }
+        let (finished, watchdog) = std::sync::mpsc::channel();
+        for node in 0..2u32 {
+            let (fabric, dones, finished) = (fabric.clone(), dones.clone(), finished.clone());
+            let remote = memory[1 - node as usize].clone();
+            let local = locals[node as usize].clone();
+            std::thread::spawn(move || {
+                let lane = fabric.alloc_rec_fifo(node).unwrap().1;
+                let done = &dones[node as usize];
+                for i in 0..GETS {
+                    let (region, offset) = (remote.clone(), i * LEN);
+                    let payload = PayloadSource::Region { region, offset, len: LEN };
+                    let put_back = put(node, payload, (&local, i * LEN), Some(done.clone()), None);
+                    fabric.inject(node, &lane, get(1 - node, put_back));
+                    fabric.pump_links(node, usize::MAX);
+                }
+                while !dones.iter().all(Counter::is_complete) {
+                    fabric.pump_links(node, usize::MAX);
+                }
+                finished.send(node).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            let timeout = std::time::Duration::from_secs(20);
+            watchdog.recv_timeout(timeout).expect("crossed gets deadlocked or stalled");
+        }
+        assert!(dones.iter().all(Counter::is_ok), "no channel gave up");
+        assert_eq!(locals[0].to_vec(), memory[1].to_vec());
+        assert_eq!(locals[1].to_vec(), memory[0].to_vec());
+        if cfg!(feature = "telemetry") {
+            assert_eq!(fabric.counters(0).remote_gets_serviced.value(), GETS as u64);
+            assert_eq!(fabric.counters(1).remote_gets_serviced.value(), GETS as u64);
+        }
     }
 
     #[test]

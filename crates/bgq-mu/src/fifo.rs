@@ -10,9 +10,9 @@
 //! own. The fabric hands one out with each reception FIFO (`FifoTable`
 //! enforces the limit of 272), so a context's lane id is its reception
 //! FIFO's id. Reception FIFOs are the lockless [`WorkQueue`] from `bgq-hw`,
-//! with many remote producers and the one owning context as consumer; so is
-//! each node's system FIFO, which queues the remote gets the node services
-//! for others.
+//! with many remote producers and the one owning context as consumer. A
+//! remote get needs no FIFO at its target: the fabric executes its put-back
+//! as the request arrives, minting from the node's reserved lane.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -27,10 +27,10 @@ pub const REC_FIFOS_PER_NODE: usize = 272;
 
 /// Bits of a message id that hold the per-lane sequence number. The id
 /// layout is `node << 40 | lane << 30 | seq`, where `lane` identifies the
-/// message-id source (a context's reception FIFO id, or the system FIFO's
-/// reserved lane) — so every lane mints ids from its *own* atomic and two
-/// lanes can never collide, which is what lets contexts send without
-/// touching a shared per-node sequence counter.
+/// message-id source (a context's reception FIFO id, or the lane a node
+/// serves remote gets from) — so every lane mints ids from its *own*
+/// atomic and two lanes can never collide, which is what lets contexts
+/// send without touching a shared per-node sequence counter.
 pub(crate) const LANE_SHIFT: u32 = 30;
 
 /// Mask for the per-lane sequence bits (ids recycle after 2^30 messages per
@@ -38,12 +38,10 @@ pub(crate) const LANE_SHIFT: u32 = 30;
 /// flight).
 pub(crate) const LANE_SEQ_MASK: u64 = (1u64 << LANE_SHIFT) - 1;
 
-/// Reserved lane id for the per-node *system* FIFO; context lanes are
-/// reception FIFO ids, all below [`REC_FIFOS_PER_NODE`].
+/// Reserved lane id the put-backs of the remote gets a node serves mint
+/// from; context lanes are reception FIFO ids, all below
+/// [`REC_FIFOS_PER_NODE`].
 pub(crate) const SYS_LANE: u16 = 1022;
-
-/// Ring capacity of a node's system FIFO before its overflow list engages.
-pub(crate) const SYS_FIFO_CAPACITY: usize = 128;
 
 /// A message-id mint: composes `node | lane` high bits (fixed at creation)
 /// with a private sequence counter. Each context owns one, handed out with
@@ -65,7 +63,7 @@ pub struct MsgIdLane {
 
 impl MsgIdLane {
     /// A lane for `node`. `lane` must fit in 10 bits (reception FIFO ids
-    /// are 0..272; 1022 is the system FIFO's).
+    /// are 0..272; 1022 serves remote gets).
     pub(crate) fn new(node: u32, lane: u16) -> Self {
         debug_assert!(lane < 1024, "lane must fit in 10 bits");
         MsgIdLane {
@@ -250,7 +248,7 @@ mod tests {
     #[test]
     fn default_allocator_matches_hardware_counts() {
         // Every reception FIFO id the node can hand out is a context lane,
-        // and none of them reaches the system FIFO's.
+        // and none of them reaches the lane remote gets are served from.
         let t: FifoTable<RecFifo> = FifoTable::new(REC_FIFOS_PER_NODE);
         let last = (0..REC_FIFOS_PER_NODE).map(|_| t.claim().unwrap()).last();
         assert_eq!(last, Some(271));

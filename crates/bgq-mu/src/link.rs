@@ -314,9 +314,10 @@ impl Message {
 pub(crate) enum FrameState {
     /// Not yet transmitted at the current attempt.
     Queued,
-    /// Transmitted and lost (dropped, corrupted, or refused by a full
-    /// reorder buffer); waiting out the RTO that started at this tick.
-    Lost { since: u64 },
+    /// Transmitted and lost (dropped, corrupted, or — `refused` — turned
+    /// away by a full reorder buffer); waiting out the RTO that started at
+    /// tick `since`.
+    Lost { since: u64, refused: bool },
     /// Data delivered in order at the receiver, but the cumulative ack was
     /// lost; an RTO-driven probe (the receiver discards the duplicate)
     /// re-elicits it, started at this tick.
@@ -337,8 +338,8 @@ pub(crate) struct Frame {
     /// Where the frame is in the transmit state machine.
     pub state: FrameState,
     /// RTO-driven retransmissions consumed by this frame (counts against
-    /// the retry budget; SACK-driven fast retransmits are free — they are
-    /// evidence the path works).
+    /// the retry budget; SACK-driven fast retransmits and retries after a
+    /// refusal are free — evidence the path works).
     pub retries: u32,
     /// This frame's current retransmit timeout in ticks (per-frame
     /// exponential backoff).
@@ -716,27 +717,8 @@ impl Channel {
     }
 }
 
-/// Machines up to this many nodes use the dense one-level channel table
-/// (n² `OnceLock<Channel>` slots ≈ a few MB at the threshold); larger
-/// machines fall back to lazily-allocated per-source rows so an idle
-/// source costs one pointer.
-const FLAT_CHANNEL_TABLE_MAX_NODES: usize = 128;
-
-/// Storage for the per-(src, dst) channels.
-///
-/// The send path looks a channel up once per message, so
-/// the lookup cost is on the message-rate critical path under a fault
-/// plan. The dense [`ChannelTable::Flat`] form resolves it with a single
-/// index + one lock-free `OnceLock` read — no chained row lookup, no
-/// hashing, no refcount traffic.
-enum ChannelTable {
-    /// One `src * n + dst`-indexed slab (small machines — the common bench
-    /// and test shape).
-    Flat(Box<[OnceLock<Channel>]>),
-    /// Per-source rows allocated on first use (large machines, where a
-    /// dense n² slab would waste memory on never-used pairs).
-    Rows(Vec<OnceLock<Box<[OnceLock<Channel>]>>>),
-}
+/// One source node's channels, indexed by destination.
+type ChannelRow = Box<[OnceLock<Channel>]>;
 
 /// Everything the reliability layer owns, hung off the fabric when a fault
 /// plan is installed.
@@ -757,8 +739,11 @@ pub(crate) struct Reliability {
     /// Each source node's `mu.packets_dropped` probe (handles onto the
     /// fabric's per-node counters), bumped on a `Drop` fate.
     dropped: Vec<Counter>,
-    /// The (src, dst) channel table; see [`ChannelTable`].
-    channels: ChannelTable,
+    /// The (src, dst) channels: one row per source node, allocated on the
+    /// source's first send, so an idle source costs one pointer and a
+    /// large machine never pays for the n² pairs it does not use. A
+    /// lookup is two lock-free `OnceLock` reads.
+    channels: Box<[OnceLock<ChannelRow>]>,
     /// Per-source-node link-pump tick.
     ticks: Vec<AtomicU64>,
     /// Per-source-node count of frames queued across its channels (lock
@@ -803,11 +788,6 @@ impl Reliability {
         dropped: Vec<Counter>,
     ) -> Self {
         let num_nodes = dropped.len();
-        let channels = if num_nodes <= FLAT_CHANNEL_TABLE_MAX_NODES {
-            ChannelTable::Flat((0..num_nodes * num_nodes).map(|_| OnceLock::new()).collect())
-        } else {
-            ChannelTable::Rows((0..num_nodes).map(|_| OnceLock::new()).collect())
-        };
         Reliability {
             clean: injector.plan().is_clean(),
             injector,
@@ -816,36 +796,24 @@ impl Reliability {
             ring,
             shape,
             dropped,
-            channels,
+            channels: (0..num_nodes).map(|_| OnceLock::new()).collect(),
             ticks: (0..num_nodes).map(|_| AtomicU64::new(0)).collect(),
             pending: (0..num_nodes).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// The channel from `src` to `dst`, created on first use. On the dense
-    /// table this is one index plus one lock-free `OnceLock` read.
+    /// The channel from `src` to `dst`, created on first use.
     pub(crate) fn channel(&self, src: u32, dst: u32) -> &Channel {
+        let n = self.channels.len();
+        let new_row = || (0..n).map(|_| OnceLock::new()).collect();
+        let row = self.channels[src as usize].get_or_init(new_row);
         let cap = self.injector.reorder_capacity();
-        let n = self.pending.len();
-        match &self.channels {
-            ChannelTable::Flat(slab) => {
-                slab[src as usize * n + dst as usize].get_or_init(|| Channel::new(src, dst, cap))
-            }
-            ChannelTable::Rows(rows) => {
-                let row =
-                    rows[src as usize].get_or_init(|| (0..n).map(|_| OnceLock::new()).collect());
-                row[dst as usize].get_or_init(|| Channel::new(src, dst, cap))
-            }
-        }
+        row[dst as usize].get_or_init(|| Channel::new(src, dst, cap))
     }
 
     /// All channels sourced at `node` (pump order: destination index).
     fn channels_of(&self, node: u32) -> impl Iterator<Item = &Channel> {
-        let n = self.pending.len();
-        let row: &[OnceLock<Channel>] = match &self.channels {
-            ChannelTable::Flat(slab) => &slab[node as usize * n..(node as usize + 1) * n],
-            ChannelTable::Rows(rows) => rows[node as usize].get().map_or(&[], |row| &row[..]),
-        };
+        let row = self.channels[node as usize].get().map_or(&[][..], |row| &row[..]);
         row.iter().filter_map(OnceLock::get)
     }
 
@@ -1027,12 +995,16 @@ impl Reliability {
                     // Parked at the receiver; retires via cumulative ack
                     // when the gap ahead of it fills.
                     FrameState::SackHeld => idx += 1,
-                    FrameState::Lost { since } | FrameState::AckWait { since } => {
+                    FrameState::Lost { since, .. } | FrameState::AckWait { since } => {
                         if now.saturating_sub(since) < rto {
                             idx += 1;
                             continue;
                         }
-                        if retries + 1 > retry.retry_budget {
+                        // A refusal is the receiver's congestion, not a
+                        // wire fault: it backs off like a loss but is not
+                        // charged to the retry budget.
+                        let charged = !matches!(state, FrameState::Lost { refused: true, .. });
+                        if charged && retries + 1 > retry.retry_budget {
                             self.kill_channel(ch, tx, DeliveryFault::Timeout, now);
                             return done;
                         }
@@ -1040,7 +1012,7 @@ impl Reliability {
                         self.record(ch, RasEventKind::Retransmit, now, seq);
                         tx.set_state(idx, FrameState::Queued);
                         let f = &mut tx.frames[idx];
-                        f.retries += 1;
+                        f.retries += charged as u32;
                         f.rto = rto.saturating_mul(2).min(retry.rto_max_ticks);
                         f.attempt += 1;
                         // Same index re-examined: the frame transmits now.
@@ -1070,7 +1042,7 @@ impl Reliability {
                                 tx.route = None;
                                 route = None;
                             }
-                            tx.set_state(idx, FrameState::Lost { since: now });
+                            tx.set_state(idx, FrameState::Lost { since: now, refused: false });
                             idx += 1;
                             continue;
                         }
@@ -1152,7 +1124,7 @@ impl Reliability {
                     // The selective ack was lost: the sender cannot know
                     // the receiver holds the data, so the frame must be
                     // retried (the receiver will answer the duplicate).
-                    tx.set_state(idx, FrameState::Lost { since: now });
+                    tx.set_state(idx, FrameState::Lost { since: now, refused: false });
                     return Arrival::Advance;
                 }
                 tx.set_state(idx, FrameState::SackHeld);
@@ -1185,8 +1157,11 @@ impl Reliability {
             RxVerdict::DupSacked => {
                 // Receiver already holds it; the re-sent selective ack
                 // settles the frame (or is lost again).
-                let state =
-                    if ack { FrameState::SackHeld } else { FrameState::Lost { since: now } };
+                let state = if ack {
+                    FrameState::SackHeld
+                } else {
+                    FrameState::Lost { since: now, refused: false }
+                };
                 tx.set_state(idx, state);
                 Arrival::Advance
             }
@@ -1206,7 +1181,7 @@ impl Reliability {
                 // Reorder buffer at its high-water mark: drop-newest. Not
                 // a wire fault, so no retry-budget charge.
                 self.record(ch, RasEventKind::ReorderEvict, now, seq);
-                tx.set_state(idx, FrameState::Lost { since: now });
+                tx.set_state(idx, FrameState::Lost { since: now, refused: true });
                 Arrival::Advance
             }
         }
@@ -1654,14 +1629,19 @@ mod tests {
 
     #[test]
     fn channel_table_rows_fallback_above_flat_threshold() {
-        let n = (FLAT_CHANNEL_TABLE_MAX_NODES + 8) as u32;
-        let r = reliability(n as u16);
-        assert!(matches!(r.channels, ChannelTable::Rows(_)));
-        let a = r.channel(3, n - 1);
-        let b = r.channel(3, n - 1);
-        assert!(std::ptr::eq(a, b), "channel is created once");
-        assert_eq!(r.channels_of(3).count(), 1);
-        assert_eq!(r.channels_of(4).count(), 0);
+        // One table for every machine size: a row per source, allocated on
+        // its first channel. Checked at the smallest machine and at one
+        // past where a dense n² table used to stop.
+        for n in [2u32, 136] {
+            let r = reliability(n as u16);
+            let a = r.channel(0, n - 1);
+            let b = r.channel(0, n - 1);
+            assert!(std::ptr::eq(a, b), "channel is created once");
+            assert_eq!((a.src, a.dst), (0, n - 1));
+            assert_eq!(r.channels_of(0).count(), 1);
+            assert_eq!(r.channels_of(1).count(), 0);
+            assert!(r.channels[1].get().is_none(), "an idle source has no row");
+        }
     }
 
     #[test]
@@ -1760,6 +1740,44 @@ mod tests {
         }
         assert_eq!(landed.borrow()[10..], [1; 6], "every frame of both senders, once");
         assert_eq!(ch.rx.lock().next_expected, 16);
+    }
+
+    #[test]
+    fn a_refused_frame_is_not_charged_to_the_retry_budget() {
+        // Two senders share the 0 → 1 channel behind a down link, replayed
+        // on one thread: A draws 10..14 and has not queued them yet; B's
+        // 14..16 sit past the 2-frame reorder buffer, so the receiver
+        // refuses them on every retransmission for 1 000 pumps. The wire
+        // loses nothing, so the channel must not die of it: once A
+        // queues, every frame of both lands once.
+        let retry = RetryConfig { window: 2, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 64 };
+        let r = reliability_under(2, FaultPlan::new().retry(retry));
+        let ch = r.channel(0, 1);
+        ch.next_seq.store(10, Ordering::Relaxed);
+        ch.rx.lock().next_expected = 10;
+        down_first_link(&r);
+        let landed = std::cell::RefCell::new(vec![0u32; 16]);
+        let land = |_: &Channel, m: &Message, frames: Range<u64>| {
+            frames.for_each(|i| landed.borrow_mut()[m.seq(i) as usize] += 1);
+        };
+        let counters = [HwCounter::new(), HwCounter::new()];
+        counters[0].add_expected(2048);
+        counters[1].add_expected(1024);
+        let a = r.admit(ch, 4);
+        let b = r.admit(ch, 2);
+        assert_eq!((a.through, b.through), (0, 0), "a down link queues everything");
+        r.enqueue(ch, put_msg(b.base_seq, 1024, Some(counters[1].clone()), None), 0, &land);
+        for _ in 0..1_000 {
+            r.pump(0, usize::MAX, &land);
+        }
+        assert_eq!(ch.tx.lock().dead, None, "refusals alone never exhaust the budget");
+        assert_eq!(landed.borrow()[10..], [0; 6], "nothing crosses ahead of A's frames");
+        r.enqueue(ch, put_msg(a.base_seq, 2048, Some(counters[0].clone()), None), 0, &land);
+        while !r.idle(0) {
+            r.pump(0, usize::MAX, &land);
+        }
+        assert_eq!(landed.borrow()[10..], [1; 6], "every frame of both senders, once");
+        assert!(counters.iter().all(|c| c.is_ok() && c.outstanding() == 0));
     }
 
     #[test]

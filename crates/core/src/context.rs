@@ -175,7 +175,7 @@ struct BatchCounters {
 /// Per-advance budgets: how many items of each kind one `advance` call
 /// processes before returning (keeps latency fair across devices).
 const WORK_BUDGET: usize = 16;
-const SYS_BUDGET: usize = 32;
+const LINK_BUDGET: usize = 32;
 const RECV_BUDGET: usize = 64;
 
 /// Per-context `ctx.*` telemetry probes (plus the `commthread.handoff_ns`
@@ -250,9 +250,6 @@ pub struct Context {
     /// The message-id lane every message from this context mints from,
     /// handed out with its reception FIFO and owned here alone.
     lane: MsgIdLane,
-    /// Cached handle to the node's system injection FIFO (emptiness probe
-    /// for the idle fast path).
-    sys_fifo: Arc<WorkQueue<Descriptor>>,
     mailbox: Arc<ShmMailbox>,
     /// Sources of this context's rendezvous sends, parked until the target
     /// takes them ([`RzvSources`]).
@@ -306,7 +303,6 @@ impl Context {
             .unwrap_or_else(|| panic!("node {node} out of MU reception FIFOs"));
         let rec_fifo = machine.fabric().rec_fifo(node, rec_fifo_id);
         rec_fifo.set_wakeup(wakeup.clone());
-        let sys_fifo = machine.fabric().sys_fifo(node);
         let mailbox = Arc::new(ShmMailbox::new(512, wakeup.clone()));
         let ctx = Arc::new(Context {
             machine: Arc::clone(machine),
@@ -317,7 +313,6 @@ impl Context {
             rec_fifo_id,
             rec_fifo,
             lane,
-            sys_fifo,
             mailbox,
             rzv: Arc::default(),
             wakeup,
@@ -977,7 +972,6 @@ impl Context {
             // treating every pending record as work would put the whole
             // advance walk on the per-send cost of an aggregated flood.
             && self.aggr.as_ref().is_none_or(|a| !a.due_now())
-            && self.sys_fifo.is_empty()
             && self.machine.fabric().links_idle(self.node)
     }
 
@@ -1036,17 +1030,14 @@ impl Context {
             }
         }
 
-        // 2. Service the node's system FIFO (remote gets targeting any
-        //    context on this node) and, under a fault plan, the node's
-        //    link channels (retransmit timers); one context at a time.
-        //    Gated on observable work so the common (no remote gets, no
-        //    faults) case costs two lock-free emptiness probes, not a
+        // 2. Under a fault plan, pump the node's link channels (retransmit
+        //    timers), one context at a time. Gated on observable work so
+        //    the common (no faults) case costs one lock-free probe, not a
         //    try_lock RMW on a mutex cacheline shared by every context on
         //    the node.
-        if !self.sys_fifo.is_empty() || !self.machine.fabric().links_idle(self.node) {
-            if let Some(_guard) = self.machine.sys_pump[self.node as usize].try_lock() {
-                events += self.machine.fabric().pump_sys(self.node, SYS_BUDGET);
-                events += self.machine.fabric().pump_links(self.node, SYS_BUDGET);
+        if !self.machine.fabric().links_idle(self.node) {
+            if let Some(_guard) = self.machine.link_pump[self.node as usize].try_lock() {
+                events += self.machine.fabric().pump_links(self.node, LINK_BUDGET);
             }
         }
 

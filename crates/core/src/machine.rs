@@ -331,7 +331,7 @@ impl MachineBuilder {
             policy,
             aggregation,
             fabric,
-            sys_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
+            link_pump: (0..nodes).map(|_| Mutex::new(())).collect(),
             classroutes: ClassRouteManager::new(self.shape),
             collnet: CollNet::new(),
             clients: Mutex::new(Vec::new()),
@@ -362,9 +362,9 @@ pub struct Machine {
     /// from this at creation.
     aggregation: Option<AggrConfig>,
     pub(crate) fabric: MuFabric,
-    /// Per-node guard so only one context at a time services the node's
-    /// system FIFO (remote gets) and link channels.
-    pub(crate) sys_pump: Vec<Mutex<()>>,
+    /// Per-node guard so only one context at a time pumps the node's link
+    /// channels.
+    pub(crate) link_pump: Vec<Mutex<()>>,
     classroutes: ClassRouteManager,
     collnet: CollNet,
     /// Client names and endpoint tables, indexed by client id. Touched

@@ -457,8 +457,9 @@ fn rendezvous_send_pulls_large_payload() {
         payload: PayloadSource::Region { region, offset: 0, len },
         local_done: Some(done.clone()),
     }).unwrap();
-    // Both sides must advance: the RTS goes 0→1, the remote get 1→0, the
-    // put executes on node 0.
+    // The receiver's advance takes the RTS 0→1 and issues the remote get
+    // 1→0; node 0 serves its put-back inside that call, with no advance of
+    // its own.
     while sink.received() < 1 || !done.is_complete() {
         c0.context(0).advance();
         c1.context(0).advance();
