@@ -2,7 +2,7 @@
 //! which runs the real PAMI stack over the synchronous MU fabric.
 //!
 //! Emits `BENCH_scale.json` in the repo root with, per endpoint count and
-//! scenario (incast, all-to-all, and — at [`AGGR_MIN_ENDPOINTS`] endpoints
+//! scenario (incast, all-to-all, and — at `AGGR_MIN_ENDPOINTS` endpoints
 //! and up — all-to-all with TRAM-style per-destination coalescing, whose
 //! points carry the batch telemetry `aggr_frames`/`aggr_mean_batch`):
 //!
@@ -28,10 +28,10 @@
 //! ## Gate
 //!
 //! Two curve shapes are enforced on every run (exit 1): the aggregate rate
-//! at the largest point must hold at least [`RATE_RETENTION`] of the
+//! at the largest point must hold at least `RATE_RETENTION` of the
 //! smallest point's rate, and per-endpoint peak memory at the largest
 //! point must not exceed the previous point's by more than
-//! [`MEM_GROWTH_BUDGET`]×.
+//! `MEM_GROWTH_BUDGET`×.
 
 use bgq_scale::{failure_storm, ScaleConfig, ScaleHarness, Scenario};
 

@@ -498,7 +498,7 @@ const RETIRED_NAMES: [(&str, &str); 26] = [
     ("inject_handle", "queued a descriptor on an injection FIFO; `MuFabric::inject` executes it"),
     ("pump_inj_handle", "drained an injection FIFO in `advance`; nothing is queued any more"),
     ("execute_now", "the node-lane bypass for channel traffic, folded into `MuFabric::inject`"),
-    ("sync_to", "inferred the receive cursor from the queue front; replaced by `RxState::resolve`"),
+    ("sync_to", "inferred the receive cursor from the queue front; the channel's one lock moves it"),
     ("sys_fifo", "a node's queue of put-backs for its `advance`; a get is served as it arrives"),
     ("pump_sys", "ran the system FIFO's put-backs in `advance`; deleted with the queue"),
 ];

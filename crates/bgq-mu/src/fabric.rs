@@ -32,13 +32,14 @@
 //!    `fragments()` cuts a message that goes through whole, a held-back
 //!    one is cut by its `link::Message`'s frame windows
 //!  2 only under a fault plan, only between distinct nodes: one call,
-//!    `link::Reliability::admit`, draws the channel sequence numbers and
-//!    says how many packets, from the first, pass every die. If all do,
-//!    they go on to 3 on this thread; else the message joins the
-//!    selective-repeat queue in `link.rs` whole, as one `Message`:
-//!    `deliver_frames` → 3 lands the packets ahead of the loss now, and
-//!    `link.rs` calls it back for each run of the rest that crosses in
-//!    order
+//!    `link::Reliability::admit`, takes the channel's one lock, draws the
+//!    channel sequence numbers and says how many packets, from the first,
+//!    pass every die. If all do, it unlocks and they go on to 3 on this
+//!    thread; else it keeps the lock, `deliver_frames` → 3 lands the
+//!    packets ahead of the loss under it, and the message joins the
+//!    selective-repeat queue in `link.rs` whole, as one `Message`, before
+//!    any other sender can draw; `link.rs` calls `deliver_frames` back for
+//!    each run of the rest that crosses in order
 //!  3 `deposit()`, once per run of packets that went through, straight
 //!    into the reception FIFO on this thread (`deliver` for one packet,
 //!    `deliver_batch` for a train — a property of the data, never of the
@@ -79,7 +80,7 @@ use bgq_upc::{Counter, Upc};
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, XferKind};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::fifo::{FifoTable, MsgIdLane, RecFifo, RecFifoId, REC_FIFOS_PER_NODE, SYS_LANE};
-use crate::link::{Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
+use crate::link::{Admit, Channel, Delivery, Message, RasCounters, RasEvent, RasRing, Reliability};
 use crate::packet::{MuPacket, PacketPayload};
 use crate::rmw::RmwLocks;
 
@@ -437,16 +438,16 @@ impl MuFabric {
         // the packets ahead of the first failing die go through.
         let channel = self.reliable_channel(src_node, hdr.dst_node);
         let admit = channel.map(|(rel, ch)| rel.admit(ch, npackets));
-        let through = admit.map_or(npackets, |a| a.through);
-        if through < npackets {
+        let base_seq = admit.as_ref().map(|a| a.base_seq);
+        if admit.as_ref().is_some_and(|a| a.through < npackets) {
             // Held back from the first failing die on: the message goes to
             // the retransmit queue whole, read once if it must be staged.
             let payload =
                 if stage { PayloadSource::Immediate(payload.into_bytes()) } else { payload };
             let packet = Delivery::Packet { hdr, msg_id, msg_len };
-            let base_seq = admit.map_or(0, |a| a.base_seq);
-            let msg = Message::new(base_seq, npackets, packet, payload, total_credit, inj_counter);
-            self.cut_through(channel, msg, through);
+            let seq = base_seq.unwrap_or(0);
+            let msg = Message::new(seq, npackets, packet, payload, total_credit, inj_counter);
+            self.cut_through(channel, admit, msg);
             return;
         }
 
@@ -459,7 +460,7 @@ impl MuFabric {
             let (offset, payload) = frags.next().expect("one fragment per packet");
             let hdr = if i + 1 == npackets { hdr.take() } else { hdr.clone() };
             let hdr = hdr.expect("the header outlives its packets");
-            let seq = admit.map(|a| a.base_seq.wrapping_add(i));
+            let seq = base_seq.map(|s| s.wrapping_add(i));
             self.packet_of(hdr, src_node, msg_id, msg_len, offset, payload, seq)
         });
 
@@ -470,20 +471,26 @@ impl MuFabric {
     }
 
     /// A message [`Reliability::admit`] held back from frame `through` on:
-    /// its frames ahead of that land now, as one delivery, and are credited
-    /// at once; the message joins the retransmit queue for the rest, whose
-    /// cumulative acks credit them.
-    fn cut_through(&self, channel: Option<(&Reliability, &Channel)>, msg: Message, through: u64) {
-        let Some((rel, ch)) = channel else {
+    /// under the channel lock `admit` kept, its frames ahead of that land
+    /// now, as one delivery, and are credited at once; the message joins
+    /// the retransmit queue for the rest, whose cumulative acks credit them.
+    fn cut_through(
+        &self,
+        channel: Option<(&Reliability, &Channel)>,
+        admit: Option<Admit<'_>>,
+        msg: Message,
+    ) {
+        let (Some((rel, ch)), Some(admit)) = (channel, admit) else {
             unreachable!("only a reliable channel holds frames back");
         };
+        let through = admit.through;
         if through > 0 {
             self.deliver_frames(ch.src, ch.dst, &msg, 0..through);
             if let Some(c) = &msg.inj_counter {
                 c.delivered(msg.credit_of(0..through));
             }
         }
-        rel.enqueue(ch, msg, through, &self.frame_deposit());
+        rel.enqueue(ch, admit, msg, &self.frame_deposit());
         self.serve_put_backs();
     }
 
@@ -593,12 +600,11 @@ impl MuFabric {
             _ => 1,
         };
         let admit = channel.map(|(rel, ch)| rel.admit(ch, frames));
-        let through = admit.map_or(frames, |a| a.through);
-        let base_seq = admit.map_or(0, |a| a.base_seq);
+        let base_seq = admit.as_ref().map_or(0, |a| a.base_seq);
         let msg =
             Message::new(base_seq, frames, delivery_of(kind), payload, total_credit, inj_counter);
-        if through < frames {
-            self.cut_through(channel, msg, through);
+        if admit.as_ref().is_some_and(|a| a.through < frames) {
+            self.cut_through(channel, admit, msg);
             return;
         }
         match msg.delivery {
@@ -1408,6 +1414,58 @@ mod tests {
         if cfg!(feature = "telemetry") {
             assert_eq!(fabric.counters(0).remote_gets_serviced.value(), GETS as u64);
             assert_eq!(fabric.counters(1).remote_gets_serviced.value(), GETS as u64);
+        }
+    }
+
+    #[test]
+    fn two_lanes_share_a_lossy_channel_from_two_threads() {
+        // Two lanes on node 0 each put 2 000 × 4 KiB into node 1 under 30%
+        // drop, each from a thread of its own that also pumps node 0: two
+        // real senders admitting and queueing on the 0 → 1 channel while
+        // the other pumps it. Every byte lands once and no counter faults.
+        const PUTS: usize = 2_000;
+        const LEN: usize = 4096;
+        let retry = RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 4, retry_budget: 1_000 };
+        let fabric = reliable_fabric(FaultPlan::new().seed(23).drop_rate(0.3).retry(retry));
+        let sources: Vec<MemRegion> = (0..2u8)
+            .map(|l| MemRegion::from_vec((0..PUTS * LEN).map(|i| (i % 251) as u8 ^ l).collect()))
+            .collect();
+        let targets: Vec<MemRegion> = (0..2).map(|_| MemRegion::zeroed(PUTS * LEN)).collect();
+        // Per lane: the source counter (credited by acks) and the
+        // destination counter (credited by deposits; a second deposit of
+        // any window would wrap it).
+        let counters: Vec<[Counter; 2]> = (0..2).map(|_| [Counter::new(), Counter::new()]).collect();
+        counters.iter().flatten().for_each(|c| c.add_expected((PUTS * LEN) as u64));
+        let (finished, watchdog) = std::sync::mpsc::channel();
+        for l in 0..2 {
+            let (fabric, finished) = (fabric.clone(), finished.clone());
+            let (source, target) = (sources[l].clone(), targets[l].clone());
+            let [inj, rec] = counters[l].clone();
+            std::thread::spawn(move || {
+                let lane = fabric.alloc_rec_fifo(0).unwrap().1;
+                for i in 0..PUTS {
+                    let (region, offset) = (source.clone(), i * LEN);
+                    let payload = PayloadSource::Region { region, offset, len: LEN };
+                    let (rec, inj) = (Some(rec.clone()), Some(inj.clone()));
+                    fabric.inject(0, &lane, put(1, payload, (&target, i * LEN), rec, inj));
+                    fabric.pump_links(0, usize::MAX);
+                }
+                while !inj.is_complete() {
+                    fabric.pump_links(0, usize::MAX);
+                }
+                finished.send(l).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            let timeout = std::time::Duration::from_secs(20);
+            watchdog.recv_timeout(timeout).expect("two senders on one channel stalled");
+        }
+        assert!(counters.iter().flatten().all(Counter::is_ok), "each credited exactly, none failed");
+        for (target, source) in targets.iter().zip(&sources) {
+            assert_eq!(target.to_vec(), source.to_vec());
+        }
+        if cfg!(feature = "telemetry") {
+            assert_eq!(fabric.counters(1).put_bytes_in.value(), (2 * PUTS * LEN) as u64);
         }
     }
 

@@ -5,8 +5,8 @@
 //! sliding-window retransmit on CRC failure, and a RAS event when a link
 //! retries persistently or dies. This module is the software model of that
 //! layer for the simulated fabric: when a [`crate::faults::FaultPlan`] is
-//! installed, traffic between distinct nodes moves as [`Frame`]s through a
-//! per-(src, dst) [`Channel`] that delivers in order, retransmits lost or
+//! installed, traffic between distinct nodes moves as frames through a
+//! per-(src, dst) `Channel` that delivers in order, retransmits lost or
 //! corrupted frames with exponential backoff, reroutes around killed links,
 //! and — when the retry budget runs out — fails the outstanding transfers'
 //! completion counters with a typed [`DeliveryFault`] instead of hanging
@@ -15,12 +15,19 @@
 //! The retransmit protocol is **selective repeat**: the
 //! sender works a window of frames rather than only the oldest one, the
 //! receiver accepts out-of-order arrivals into a bounded reorder buffer
-//! ([`RxState`]) and answers each with a selective ack, and a cumulative
+//! (`RxState`) and answers each with a selective ack, and a cumulative
 //! ack covering every in-order-delivered frame retires whole prefixes of
 //! the queue at once. A selective ack for a later frame doubles as SACK
 //! information: any earlier frame the sender knows to be lost is
 //! retransmitted immediately (`ras.sack_retransmits`) instead of waiting
 //! out its RTO.
+//!
+//! Each channel has **one lock**, like the BG/Q link's retry unit, which
+//! numbers and queues packets one at a time. Under it a sender draws its
+//! frames' sequence numbers, the receive cursor moves past the frames that
+//! cross at admission, and the rest join the retransmit queue before any
+//! other sender can draw or pump: no sequence number is ever drawn without
+//! being either past the cursor or queued.
 //!
 //! Deliberate modeling choices, documented because they bound what the
 //! model can show:
@@ -28,17 +35,18 @@
 //! * **Acks are frames too, and they can be lost.** An ack crosses the
 //!   reverse route and rolls the same per-link fate
 //!   dice as data; a lost ack leaves the sender's frame in
-//!   [`FrameState::AckWait`] until an RTO-driven probe re-elicits a
+//!   `FrameState::AckWait` until an RTO-driven probe re-elicits a
 //!   cumulative ack (the receiver discards the duplicate data). Ack
 //!   crossings do not advance kill schedules, so kill-at-Nth-frame plans
 //!   count data frames only.
 //! * **The reorder buffer is sender-resident.** The simulation's "wire" is
 //!   a function call, so an out-of-order frame's data stays with its
-//!   [`Message`] in the sender's queue ([`FrameState::SackHeld`]) and is
+//!   message in the sender's queue (`FrameState::SackHeld`) and is
 //!   deposited at the destination when the sequence gap fills; the
-//!   receiver tracks only the held sequence numbers ([`HeldRing`], one bit
-//!   each), bounded by the plan's reorder capacity. Arrivals beyond the high-water mark are refused
-//!   (drop-newest, `RasEventKind::ReorderEvict`) and retransmitted later.
+//!   receiver tracks only the held sequence numbers (`HeldRing`, one bit
+//!   each), bounded by the plan's reorder capacity. Arrivals beyond the
+//!   high-water mark are refused (drop-newest,
+//!   [`RasEventKind::ReorderEvict`]) and retransmitted later.
 //! * **Faults fire on the links of the route.** A frame's fate is decided
 //!   per crossed link (first bad link wins), so longer routes really are
 //!   more exposed, but there is no per-hop buffering — a frame is either
@@ -46,21 +54,21 @@
 //!
 //! This module owns the whole layer — data structures, bookkeeping and
 //! the channel state machine. The fabric ([`crate::fabric`]) enters it at
-//! three points: [`Reliability::admit`] (the pipeline's one admission
+//! three points: `Reliability::admit` (the pipeline's one admission
 //! decision: how many of a message's frames, counted from the first, cross
 //! straight through — every one ahead of the first failing die),
-//! [`Reliability::enqueue`] (the rest, onto the retransmit queue) and
-//! [`Reliability::pump`].
+//! `Reliability::enqueue` (the rest, onto the retransmit queue, under the
+//! lock `admit` kept) and `Reliability::pump`.
 //!
 //! The retransmit queue holds **messages, not frames**: a queued
-//! [`Message`] stores its delivery, payload and completion counter once,
-//! and each of its queued frames adds only its protocol state (a
-//! [`Frame`] in [`TxState::frames`]). Every protocol decision and every RAS
-//! event is per frame; delivery and crediting are per message. A run of
-//! frames the receiver takes in order is delivered as "frames `a..b` of
-//! message `m`" — one [`Deposit`] call handed in by the fabric, so this
-//! module never touches a reception FIFO — and a cumulative ack credits
-//! each message it retires frames of with one counter update.
+//! `Message` stores its delivery, payload and completion counter once,
+//! and each of its queued frames adds only its protocol state (a `Frame`
+//! in `TxState::frames`). Every protocol decision and every RAS event is
+//! per frame; delivery and crediting are per message. A run of frames the
+//! receiver takes in order is delivered as "frames `a..b` of message `m`"
+//! — one `Deposit` call handed in by the fabric, so this module never
+//! touches a reception FIFO — and a cumulative ack credits each message
+//! it retires frames of with one counter update.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -71,7 +79,7 @@ use bgq_hw::{Counter as HwCounter, DeliveryFault, MemRegion};
 use bgq_torus::packet::MAX_PAYLOAD_BYTES;
 use bgq_torus::{healthy_route, Coords, Dir, LinkHealth, TorusShape};
 use bgq_upc::{Counter, Upc};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::descriptor::{Descriptor, FifoHeader, PayloadSource, RmwRequest};
 use crate::faults::{link_id, Fate, FaultInjector};
@@ -372,7 +380,7 @@ pub(crate) fn fail_descriptor(desc: &Descriptor, fault: DeliveryFault) -> u64 {
 }
 
 /// A healthy route, precomputed into exactly what the per-frame hot path
-/// needs: forward hops with their link ids resolved (for kill schedules
+/// needs: forward hops with their link ids looked up (for kill schedules
 /// and fate dice) and the reverse-route link ids (for ack dice under
 /// selective repeat). Built once per route computation so crossing a
 /// frame does no coordinate arithmetic and no allocation — the cached
@@ -391,8 +399,12 @@ pub(crate) struct RoutePlan {
     pub rev_salts: Vec<u64>,
 }
 
-/// Mutable transmit half of a channel, guarded by the channel mutex.
+/// A channel's whole mutable state, guarded by its one mutex.
 pub(crate) struct TxState {
+    /// Next frame sequence number to draw.
+    next_seq: u64,
+    /// The receiver's reorder tracking.
+    rx: RxState,
     /// Frames awaiting transmission/ack, in sequence order. Selective
     /// repeat works up to a window of them per pump visit.
     pub frames: VecDeque<Frame>,
@@ -437,13 +449,12 @@ impl TxState {
         now: u64,
         deposit: Deposit<'_>,
     ) -> usize {
+        while self
+            .frames
+            .get(end)
+            .is_some_and(|f| f.state == FrameState::SackHeld && self.rx.drain_next(f.seq))
         {
-            let mut rx = ch.rx.lock();
-            while self.frames.get(end).is_some_and(|f| {
-                f.state == FrameState::SackHeld && rx.drain_next(f.seq)
-            }) {
-                end += 1;
-            }
+            end += 1;
         }
         if end > start {
             self.deposit_run(ch, start..end, deposit);
@@ -555,56 +566,22 @@ impl HeldRing {
 /// Receive half of a channel: the selective-repeat reorder tracking for
 /// the (src, dst) flow. Bounded memory: only sequence numbers are held —
 /// the frames' data stays in the sender's queue ([`FrameState::SackHeld`])
-/// until the gap fills. Locked after `tx`, never before.
+/// until the gap fills.
 pub(crate) struct RxState {
     /// Next in-order sequence the receiver will deposit. Every sequence
     /// below it was deposited — by the pump, or at admission — or failed
-    /// with its channel; the cursor never passes one still in flight.
+    /// with its channel. With the transmit queue empty it is the next
+    /// sequence to draw.
     pub next_expected: u64,
     /// Out-of-order sequences currently held in the reorder buffer.
     pub held: HeldRing,
     /// Reorder-buffer high-water mark in frames.
     pub capacity: usize,
-    /// Runs `(start, end)` of sequences that crossed at admission (or
-    /// failed) ahead of the cursor, waiting for it to reach them: a run
-    /// lands here only when a concurrent sender drew the sequences before
-    /// it and has not admitted or queued them yet.
-    resolved: Vec<(u64, u64)>,
 }
 
 impl RxState {
     fn new(capacity: usize) -> Self {
-        RxState {
-            next_expected: 0,
-            held: HeldRing::new(capacity),
-            capacity,
-            resolved: Vec::new(),
-        }
-    }
-
-    /// Move the cursor to `to`, then on across every resolved run that
-    /// starts where it stands.
-    fn advance_to(&mut self, to: u64) {
-        self.next_expected = to;
-        while let Some(i) = self.resolved.iter().position(|&(a, _)| a == self.next_expected) {
-            self.next_expected = self.resolved.swap_remove(i).1;
-        }
-    }
-
-    /// Sequences `start..end` will never arrive through the pump: they
-    /// crossed at admission, or failed with their channel. The cursor
-    /// passes them explicitly — at once if it stands at `start`, else when
-    /// it gets there — and a run's part behind the cursor is already
-    /// accounted for.
-    pub(crate) fn resolve(&mut self, start: u64, end: u64) {
-        if start == end || !seq_before(self.next_expected, end) {
-            return;
-        }
-        if seq_before(start, self.next_expected) || start == self.next_expected {
-            self.advance_to(end);
-        } else {
-            self.resolved.push((start, end));
-        }
+        RxState { next_expected: 0, held: HeldRing::new(capacity), capacity }
     }
 
     /// Classify one arriving data frame. `Deliver` advances
@@ -620,7 +597,7 @@ impl RxState {
             // lost) can be retransmitted and arrive in order; drop the now
             // stale buffer entry so it doesn't pin capacity.
             self.held.remove(seq);
-            self.advance_to(seq.wrapping_add(1));
+            self.next_expected = seq.wrapping_add(1);
             return RxVerdict::Deliver;
         }
         if rel as usize > self.capacity {
@@ -640,7 +617,7 @@ impl RxState {
     /// sequence; returns whether the caller should deposit that frame.
     pub(crate) fn drain_next(&mut self, seq: u64) -> bool {
         if seq == self.next_expected && self.held.remove(seq) {
-            self.advance_to(seq.wrapping_add(1));
+            self.next_expected = seq.wrapping_add(1);
             return true;
         }
         false
@@ -653,30 +630,10 @@ impl RxState {
 pub(crate) struct Channel {
     pub src: u32,
     pub dst: u32,
-    /// Next frame sequence number to assign. Atomic (not under `tx`):
-    /// [`Reliability::admit`] draws a message's sequence numbers before it
-    /// knows whether the channel lock will be needed at all.
-    next_seq: AtomicU64,
-    /// Lock-free mirror of [`TxState::dead`] (the authoritative flag,
-    /// written under the lock). Lets the fast path skip dead channels
-    /// without acquiring the mutex; a racing kill at worst lets one
-    /// in-flight frame deliver, which is indistinguishable from the frame
-    /// having crossed just before the kill.
-    dead_hint: std::sync::atomic::AtomicBool,
-    /// Lock-free mirror of "the queue is non-empty". Admission checks it
-    /// so straight-through sends never overtake frames still queued from
-    /// a fault episode — one relaxed load when clean.
-    backlog_hint: std::sync::atomic::AtomicBool,
-    /// The deterministic route in hot-path form, built lazily once per
-    /// channel. Valid whenever every link is up (then it is exactly the
-    /// route `ensure_route` would cache); read lock-free by
-    /// [`Reliability::admit`]'s dice peek, so the send path under a
-    /// hostile plan never takes the channel mutex for a passing message.
-    fair_plan: OnceLock<Arc<RoutePlan>>,
+    /// Everything that changes: the sequence counter, both halves of the
+    /// protocol and the cached route. Admission, queueing and the pump
+    /// all run under it.
     pub tx: Mutex<TxState>,
-    /// Receiver-side reorder tracking. Lock order: `tx` before `rx`,
-    /// always.
-    pub rx: Mutex<RxState>,
 }
 
 impl Channel {
@@ -684,11 +641,9 @@ impl Channel {
         Channel {
             src,
             dst,
-            next_seq: AtomicU64::new(0),
-            dead_hint: std::sync::atomic::AtomicBool::new(false),
-            backlog_hint: std::sync::atomic::AtomicBool::new(false),
-            fair_plan: OnceLock::new(),
             tx: Mutex::new(TxState {
+                next_seq: 0,
+                rx: RxState::new(reorder_capacity.max(1)),
                 frames: VecDeque::new(),
                 msgs: VecDeque::new(),
                 lost: 0,
@@ -696,24 +651,7 @@ impl Channel {
                 route_epoch: 0,
                 dead: None,
             }),
-            rx: Mutex::new(RxState::new(reorder_capacity.max(1))),
         }
-    }
-
-    /// Lock-free liveness probe (see `dead_hint`).
-    fn seems_alive(&self) -> bool {
-        !self.dead_hint.load(Ordering::Acquire)
-    }
-
-    /// Lock-free backlog probe (see `backlog_hint`).
-    fn has_backlog(&self) -> bool {
-        self.backlog_hint.load(Ordering::Relaxed)
-    }
-
-    /// Publish whether the transmit queue is non-empty; called with the
-    /// `tx` lock held whenever the emptiness changes.
-    fn publish_backlog(&self, on: bool) {
-        self.backlog_hint.store(on, Ordering::Release);
     }
 }
 
@@ -753,20 +691,23 @@ pub(crate) struct Reliability {
 
 /// The pipeline's deposit step, handed in by the fabric: deliver frames
 /// `a..b` of a message at the destination — `(channel, message, a..b)`.
-/// Called with the channel's `tx` lock held; it must not take another
+/// Called with the channel's lock held; it must not take another
 /// channel's lock (the fabric's never does).
 pub(crate) type Deposit<'a> = &'a dyn Fn(&Channel, &Message, Range<u64>);
 
 /// What [`Reliability::admit`] decided for a message's `n` frames, which
 /// own the sequence numbers `base_seq..base_seq + n`. Nothing can touch
 /// the first `through` of them or their acks: the caller deposits those
-/// now, on the sending thread, without the channel lock. The rest — from
-/// the first frame with a failing die on — go to [`Reliability::enqueue`]
-/// under `base_seq + through`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Admit {
+/// now, on the sending thread. When all `n` pass, the channel is already
+/// unlocked. Otherwise `Admit` keeps the channel's lock: the caller lands
+/// the prefix under it and hands it to [`Reliability::enqueue`] with the
+/// rest — from the first frame with a failing die on — so no other sender
+/// draws or pumps in between.
+pub(crate) struct Admit<'a> {
     pub base_seq: u64,
     pub through: u64,
+    /// The channel's lock, held iff `through < n`.
+    held: Option<MutexGuard<'a, TxState>>,
 }
 
 /// How an arrival leaves the sender's scan: move to the next frame,
@@ -834,30 +775,31 @@ impl Reliability {
 
     // ---- admission ------------------------------------------------------
 
-    /// The pipeline's one admission decision: draw the sequence numbers of
-    /// a message's `n` frames and say how many, from the first, cross
-    /// straight through — none unless the channel is alive, has no backlog
-    /// to overtake and every link is up (so the route is the deterministic
-    /// one), else every frame ahead of the first with a failing
-    /// first-attempt die (all `n` under a clean plan: zero dice). The dice
-    /// are pure functions of (link, seq, attempt), so peeking consumes
-    /// nothing: queued frames re-roll the same dice in the pump. The
-    /// liveness and backlog hints race a concurrent fault episode by at
-    /// most one in-flight message, indistinguishable from it having
-    /// crossed just before. The frames let through are resolved at the
-    /// receiver here, explicitly: a concurrent sender's pump must not
-    /// infer them from its own queue.
-    pub(crate) fn admit(&self, ch: &Channel, n: u64) -> Admit {
-        let base_seq = ch.next_seq.fetch_add(n, Ordering::Relaxed);
-        let through = if ch.seems_alive() && !ch.has_backlog() && !self.health.any_down() {
-            self.dice_through(ch, base_seq, n)
+    /// The pipeline's one admission decision, under the channel's lock:
+    /// draw the sequence numbers of a message's `n` frames and say how
+    /// many, from the first, cross straight through — none unless the
+    /// channel is alive, has no queued frame to overtake and every link is
+    /// up (so the route is the deterministic one), else every frame ahead
+    /// of the first with a failing first-attempt die (all `n` under a clean
+    /// plan: zero dice). The dice are pure functions of (link, seq,
+    /// attempt), so peeking consumes nothing: queued frames re-roll the
+    /// same dice in the pump. The receive cursor moves past the frames let
+    /// through; with the queue empty it stands at `base_seq`, and the
+    /// assert holds that.
+    pub(crate) fn admit<'a>(&self, ch: &'a Channel, n: u64) -> Admit<'a> {
+        let mut tx = ch.tx.lock();
+        let base_seq = tx.next_seq;
+        tx.next_seq = base_seq.wrapping_add(n);
+        let through = if tx.dead.is_none() && tx.frames.is_empty() && !self.health.any_down() {
+            self.dice_through(ch, &mut tx, base_seq, n)
         } else {
             0
         };
         if through > 0 {
-            ch.rx.lock().resolve(base_seq, base_seq.wrapping_add(through));
+            assert_eq!(tx.rx.next_expected, base_seq, "admission overtook queued frames");
+            tx.rx.next_expected = base_seq.wrapping_add(through);
         }
-        Admit { base_seq, through }
+        Admit { base_seq, through, held: (through < n).then_some(tx) }
     }
 
     /// How many of frames `base..base + n`, from the first, cross the
@@ -865,8 +807,9 @@ impl Reliability {
     /// every forward hop and every reverse (ack) hop must come up `Pass` —
     /// the threshold form of exactly the `decide` calls the pump would
     /// make. Kill schedules must count every crossing, so under a plan
-    /// with one no frame passes a peek.
-    fn dice_through(&self, ch: &Channel, base: u64, n: u64) -> u64 {
+    /// with one no frame passes a peek. Called with every link up, so the
+    /// channel's cached route is the deterministic one.
+    fn dice_through(&self, ch: &Channel, tx: &mut TxState, base: u64, n: u64) -> u64 {
         if self.clean {
             return n;
         }
@@ -874,7 +817,7 @@ impl Reliability {
             return 0;
         }
         let pass = self.injector.pass_threshold();
-        let plan = self.fair_plan(ch);
+        let Some(plan) = self.ensure_route(ch, tx, self.tick(ch.src)) else { return 0 };
         let first_loss = (0..n).position(|i| {
             let ss = FaultInjector::seq_salt(base.wrapping_add(i), 0);
             let mut hops = plan.fwd_salts.iter().chain(&plan.rev_salts);
@@ -883,22 +826,22 @@ impl Reliability {
         first_loss.map_or(n, |k| k as u64)
     }
 
-    /// Queue frames `through..` of `msg` — the ones [`Reliability::admit`]
-    /// did not let through — then pump the channel. The message is stored
-    /// once; each queued frame adds only its protocol state. A dead channel
-    /// fails the message's counters with its fault instead of queueing into
-    /// a black hole.
+    /// Queue frames `admit.through..` of `msg` — the ones
+    /// [`Reliability::admit`] held back — under the lock it kept, then pump
+    /// the channel. The message is stored once; each queued frame adds only
+    /// its protocol state. A dead channel fails the message's counters with
+    /// its fault instead of queueing into a black hole.
     pub(crate) fn enqueue(
         &self,
         ch: &Channel,
+        admit: Admit<'_>,
         mut msg: Message,
-        through: u64,
         deposit: Deposit<'_>,
     ) {
-        let mut guard = ch.tx.lock();
+        let through = admit.through;
+        let mut guard = admit.held.expect("a held-back message keeps its channel locked");
         let tx: &mut TxState = &mut guard;
         if let Some(fault) = tx.dead {
-            ch.rx.lock().resolve(msg.seq(through), msg.seq(msg.frames));
             self.ras.delivery_failures.add(msg.fail(fault));
             self.ring.record(RasEvent {
                 tick: self.tick(ch.src),
@@ -911,26 +854,16 @@ impl Reliability {
         }
         msg.retired = through;
         let rto = self.injector.retry().rto_ticks;
-        let first = msg.seq(through);
-        let frames = (through..msg.frames).map(|i| Frame {
+        tx.frames.extend((through..msg.frames).map(|i| Frame {
             seq: msg.seq(i),
             attempt: 0,
             state: FrameState::Queued,
             retries: 0,
             rto,
-        });
+        }));
         let queued = (msg.frames - through) as usize;
-        // A concurrent sender's draw may have reached the queue first:
-        // insert in sequence order, which the pump relies on.
-        let at = tx.frames.partition_point(|f| seq_before(f.seq, first));
-        tx.frames.reserve(queued);
-        for (k, frame) in frames.enumerate() {
-            tx.frames.insert(at + k, frame);
-        }
-        let m = tx.msgs.partition_point(|m| seq_before(m.base_seq, first));
-        tx.msgs.insert(m, msg);
+        tx.msgs.push_back(msg);
         self.pending[ch.src as usize].fetch_add(queued, Ordering::Release);
-        ch.publish_backlog(true);
         self.pump_channel(ch, tx, self.tick(ch.src), usize::MAX, deposit);
     }
 
@@ -977,8 +910,8 @@ impl Reliability {
         // it (acks are immediate in-process, so the window is a per-tick
         // transmission bound rather than an in-flight bound).
         let mut sent = 0usize;
-        let mut done = self.release_held(ch, tx, now, deposit);
-        // One route plan per visit, resolved again only when a kill
+        let mut done = 0;
+        // One route plan per visit, computed again only when a kill
         // schedule drops the cached one or the health epoch moves.
         let mut route: Option<Arc<RoutePlan>> = None;
         let mut rescan = true;
@@ -1059,30 +992,7 @@ impl Reliability {
                 }
             }
         }
-        if tx.dead.is_none() {
-            ch.publish_backlog(!tx.frames.is_empty());
-        }
         done
-    }
-
-    /// Deposit the run of reorder-buffered frames the receive cursor has
-    /// reached since the last visit — admission moves it too
-    /// ([`RxState::resolve`]) — and retire them on the cumulative ack that
-    /// movement releases. Returns frames deposited.
-    fn release_held(
-        &self,
-        ch: &Channel,
-        tx: &mut TxState,
-        now: u64,
-        deposit: Deposit<'_>,
-    ) -> usize {
-        let cursor = ch.rx.lock().next_expected;
-        let start = tx.frames.partition_point(|f| seq_before(f.seq, cursor));
-        let end = tx.deliver_from(ch, start, start, now, deposit);
-        if end > start {
-            self.retire_through(ch, tx, tx.frames[end - 1].seq);
-        }
-        end - start
     }
 
     /// Process one data-frame arrival at the receiver: classify it against
@@ -1101,8 +1011,7 @@ impl Reliability {
         done: &mut usize,
         deposit: Deposit<'_>,
     ) -> Arrival {
-        let verdict = ch.rx.lock().accept(seq);
-        match verdict {
+        match tx.rx.accept(seq) {
             RxVerdict::Deliver => {
                 // The data crossed in order, and so did the consecutive run
                 // of buffered successors it unblocked.
@@ -1170,7 +1079,7 @@ impl Reliability {
                 // lost); the probe re-elicits the cumulative ack.
                 tx.set_state(idx, FrameState::AckWait { since: now });
                 if ack {
-                    let cum = ch.rx.lock().next_expected.wrapping_sub(1);
+                    let cum = tx.rx.next_expected.wrapping_sub(1);
                     self.retire_through(ch, tx, cum);
                     Arrival::Restart
                 } else {
@@ -1237,19 +1146,6 @@ impl Reliability {
     }
 
     // ---- routes and link crossings ------------------------------------------
-
-    /// The channel's deterministic route in hot-path form, built once and
-    /// read lock-free. Only meaningful while every link is up — exactly
-    /// when `healthy_route` returns the deterministic route, so this is
-    /// the same plan `ensure_route` would cache under the lock.
-    fn fair_plan<'a>(&self, ch: &'a Channel) -> &'a Arc<RoutePlan> {
-        ch.fair_plan.get_or_init(|| {
-            let src_c = self.shape.coords_of(ch.src as usize);
-            let dst_c = self.shape.coords_of(ch.dst as usize);
-            let route = bgq_torus::det_route(self.shape, src_c, dst_c);
-            Arc::new(self.build_route_plan(src_c, dst_c, &route))
-        })
-    }
 
     /// Resolve a route's coordinate arithmetic and dice keys once, into
     /// exactly what the per-frame hot path needs.
@@ -1358,19 +1254,7 @@ impl Reliability {
     /// of those counters observe completion-with-fault, never a hang.
     fn kill_channel(&self, ch: &Channel, tx: &mut TxState, fault: DeliveryFault, now: u64) {
         tx.dead = Some(fault);
-        ch.dead_hint.store(true, Ordering::Release);
-        ch.publish_backlog(false);
         let failed: u64 = tx.msgs.iter().map(|m| m.fail(fault)).sum();
-        {
-            // Frames parked in the receiver's reorder buffer died with the
-            // channel (their messages were still queued above), and the
-            // cursor passes every sequence the kill failed.
-            let mut rx = ch.rx.lock();
-            rx.held.clear();
-            for m in &tx.msgs {
-                rx.resolve(m.seq(m.retired), m.seq(m.frames));
-            }
-        }
         let n = tx.frames.len();
         tx.frames.clear();
         tx.msgs.clear();
@@ -1391,10 +1275,11 @@ impl Reliability {
         let mut tx = ch.tx.lock();
         let Some(fault) = tx.dead.take() else { return false };
         tx.route = None;
-        // The kill cleared the receiver's reorder buffer and moved the
-        // cursor past every frame it failed.
-        debug_assert_eq!(ch.rx.lock().held.len(), 0);
-        ch.dead_hint.store(false, Ordering::Release);
+        // Every sequence drawn and not yet delivered when the channel died,
+        // or drawn since, failed: the receiver forgets the frames it held
+        // and its cursor passes them all.
+        tx.rx.held.clear();
+        tx.rx.next_expected = tx.next_seq;
         self.record(ch, RasEventKind::ChannelRevived, self.tick(src_node), fault as u64);
         true
     }
@@ -1518,27 +1403,6 @@ mod tests {
     }
 
     #[test]
-    fn rx_cursor_passes_resolved_runs_only_when_it_reaches_them() {
-        let mut r = rx(0, 8);
-        // 4..6 crossed at admission while 0..4 are still in flight.
-        r.resolve(4, 6);
-        assert_eq!(r.next_expected, 0, "a run ahead of the cursor waits");
-        assert_eq!(r.accept(6), RxVerdict::Sacked);
-        r.resolve(0, 3);
-        assert_eq!(r.accept(3), RxVerdict::Deliver);
-        assert_eq!(r.next_expected, 6, "3 delivers, the cursor crosses 4..6 and stops at 6");
-        assert!(r.drain_next(6));
-        // A run (partly) behind the cursor is already accounted for.
-        r.resolve(5, 9);
-        assert_eq!(r.next_expected, 9);
-        // Runs wrap the sequence space like everything else.
-        let mut r = rx(u64::MAX - 1, 8);
-        r.resolve(1, 3);
-        r.resolve(u64::MAX - 1, 1);
-        assert_eq!(r.next_expected, 3);
-    }
-
-    #[test]
     fn held_ring_slots_never_alias_inside_the_window() {
         // Capacity 64 needs 65 slots, so the ring is 128 wide: the
         // sequences the receiver may hold at once, `next_expected ..=
@@ -1651,24 +1515,28 @@ mod tests {
         assert!(std::ptr::eq(ch, r.channel(0, 1)), "channel is created once");
         assert_eq!(r.channels_of(0).count(), 1);
         assert_eq!(r.channels_of(1).count(), 0);
-        // Zero dice to roll: straight through, numbers drawn in order.
-        assert_eq!(r.admit(ch, 3), Admit { base_seq: 0, through: 3 });
-        assert_eq!(r.admit(ch, 1), Admit { base_seq: 3, through: 1 });
+        // Zero dice to roll: straight through, numbers drawn in order, and
+        // the channel unlocked again.
+        let shape = |a: Admit| (a.base_seq, a.through, a.held.is_some());
+        assert_eq!(shape(r.admit(ch, 3)), (0, 3, false));
+        assert_eq!(shape(r.admit(ch, 1)), (3, 1, false));
+        assert_eq!(ch.tx.lock().rx.next_expected, 4, "the cursor passed every frame");
         assert!(r.idle(0));
         // A down link anywhere sends everything to the queue, which needs
         // the pump (and a reroute) to move.
         down_first_link(&r);
-        let Admit { base_seq, through } = r.admit(ch, 2);
-        assert_eq!(through, 0, "a down link must queue");
-        assert_eq!(base_seq, 4, "queued or not, one sequence space");
+        let admit = r.admit(ch, 2);
+        assert_eq!(admit.through, 0, "a down link must queue");
+        assert_eq!(admit.base_seq, 4, "queued or not, one sequence space");
+        assert!(ch.tx.try_lock().is_none(), "held back, the channel stays locked");
         let deposited = std::cell::Cell::new(0);
-        let msg = put_msg(base_seq, 1024, None, None);
-        r.enqueue(ch, msg, 0, &|_, _, frames| {
+        let msg = put_msg(admit.base_seq, 1024, None, None);
+        r.enqueue(ch, admit, msg, &|_, _, frames| {
             deposited.set(deposited.get() + frames.end - frames.start)
         });
         assert_eq!(deposited.get(), 2, "enqueue pumps: the detour delivers at once");
         assert!(r.idle(0), "both frames acked and retired");
-        assert!(!ch.has_backlog());
+        assert!(ch.tx.lock().frames.is_empty());
     }
 
     #[test]
@@ -1679,26 +1547,32 @@ mod tests {
         let r = reliability(2);
         let ch = r.channel(0, 1);
         let start = u64::MAX - 2;
-        ch.next_seq.store(start, Ordering::Relaxed);
-        ch.rx.lock().next_expected = start;
+        {
+            let mut tx = ch.tx.lock();
+            tx.next_seq = start;
+            tx.rx.next_expected = start;
+        }
         down_first_link(&r);
-        let Admit { base_seq, through } = r.admit(ch, 4);
-        assert_eq!((base_seq, through), (start, 0));
+        let admit = r.admit(ch, 4);
+        assert_eq!((admit.base_seq, admit.through), (start, 0));
         let inj = HwCounter::new();
         inj.add_expected(2048);
         let seqs = std::cell::RefCell::new(Vec::new());
-        let msg = put_msg(base_seq, 2048, Some(inj.clone()), None);
-        r.enqueue(ch, msg, 0, &|_, m, frames| seqs.borrow_mut().extend(frames.map(|i| m.seq(i))));
+        let msg = put_msg(start, 2048, Some(inj.clone()), None);
+        r.enqueue(ch, admit, msg, &|_, m, frames| {
+            seqs.borrow_mut().extend(frames.map(|i| m.seq(i)))
+        });
         assert_eq!(*seqs.borrow(), [u64::MAX - 2, u64::MAX - 1, u64::MAX, 0]);
         assert!(inj.is_ok() && inj.outstanding() == 0, "credited exactly once, in full");
         assert!(r.idle(0));
-        assert_eq!(ch.rx.lock().next_expected, 1);
+        assert_eq!(ch.tx.lock().rx.next_expected, 1);
     }
 
-    /// A plan under which, at attempt 0 on the 0 → 1 channel, the dice of
-    /// sequences `from..from + 6` fail for exactly `lost` (forward or ack
-    /// hop) and pass for the rest: the earliest such seed from 1 up.
-    fn plan_losing_seqs(from: u64, lost: &[u64]) -> FaultPlan {
+    /// A plan under which, on the 0 → 1 channel, the forward die of
+    /// sequence `lost` fails at attempt 0 and every other die of
+    /// `from..from + 6` passes at attempts 0 and 1: the earliest such seed
+    /// from 1 up.
+    fn plan_losing_once(from: u64, lost: u64) -> FaultPlan {
         let shape = TorusShape::new([2, 1, 1, 1, 1]);
         let route = bgq_torus::det_route(shape, shape.coords_of(0), shape.coords_of(1));
         let (fwd, rev) = (link_id(0, route[0]), link_id(1, route[0].reverse()));
@@ -1706,78 +1580,53 @@ mod tests {
             .map(|seed| FaultPlan::new().seed(seed).drop_rate(0.2))
             .find(|plan| {
                 let dice = FaultInjector::new(plan.clone(), shape);
-                let pass = |seq| [fwd, rev].iter().all(|&l| dice.decide(l, seq, 0) == Fate::Pass);
-                (from..from + 6).all(|seq| pass(seq) != lost.contains(&seq))
+                let passes = |lid, seq, attempt| dice.decide(lid, seq, attempt) == Fate::Pass;
+                (from..from + 6).all(|seq| {
+                    (0..2).all(|attempt| {
+                        let lost_here = seq == lost && attempt == 0;
+                        passes(fwd, seq, attempt) != lost_here && passes(rev, seq, attempt)
+                    })
+                })
             })
-            .expect("some seed loses exactly those sequences")
-    }
-
-    #[test]
-    fn a_concurrent_senders_tail_delivers_exactly_once() {
-        // Two senders share the 0 → 1 channel, replayed on one thread:
-        // A admits 10..14 and crosses 10..12; B admits 14..16, queues and
-        // pumps before A has queued its tail; then A queues 12..14. B's pump
-        // must not take A's unqueued tail for delivered.
-        let retry = RetryConfig { window: 64, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 64 };
-        let r = reliability_under(2, plan_losing_seqs(10, &[12, 14]).retry(retry));
-        let ch = r.channel(0, 1);
-        ch.next_seq.store(10, Ordering::Relaxed);
-        ch.rx.lock().next_expected = 10;
-        let landed = std::cell::RefCell::new(vec![0u32; 16]);
-        let land = |m: &Message, frames: Range<u64>| {
-            frames.for_each(|i| landed.borrow_mut()[m.seq(i) as usize] += 1);
-        };
-        let a = r.admit(ch, 4);
-        assert_eq!(a, Admit { base_seq: 10, through: 2 });
-        let a_msg = put_msg(a.base_seq, 2048, None, None);
-        land(&a_msg, 0..a.through);
-        let b = r.admit(ch, 2);
-        assert_eq!(b, Admit { base_seq: 14, through: 0 });
-        r.enqueue(ch, put_msg(b.base_seq, 1024, None, None), 0, &|_, m, f| land(m, f));
-        r.enqueue(ch, a_msg, a.through, &|_, m, f| land(m, f));
-        while !r.idle(0) {
-            r.pump(0, usize::MAX, &|_, m, f| land(m, f));
-        }
-        assert_eq!(landed.borrow()[10..], [1; 6], "every frame of both senders, once");
-        assert_eq!(ch.rx.lock().next_expected, 16);
+            .expect("some seed loses exactly that die")
     }
 
     #[test]
     fn a_refused_frame_is_not_charged_to_the_retry_budget() {
-        // Two senders share the 0 → 1 channel behind a down link, replayed
-        // on one thread: A draws 10..14 and has not queued them yet; B's
-        // 14..16 sit past the 2-frame reorder buffer, so the receiver
-        // refuses them on every retransmission for 1 000 pumps. The wire
-        // loses nothing, so the channel must not die of it: once A
-        // queues, every frame of both lands once.
-        let retry = RetryConfig { window: 2, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 64 };
-        let r = reliability_under(2, FaultPlan::new().retry(retry));
+        // A 6-frame put from sequence 10 on, behind a one-frame reorder
+        // buffer with no retry budget at all. Frame 10 is lost; 11 parks
+        // in the buffer and SACK-retransmits 10 for free; 12..16 arrive
+        // too far ahead and are refused. The wire lost one frame and the
+        // SACK recovered it, so the refusals' retransmits must not kill
+        // the channel: every frame lands once and the counter completes.
+        let retry = RetryConfig { window: 8, rto_ticks: 1, rto_max_ticks: 8, retry_budget: 0 };
+        let plan = plan_losing_once(10, 10).retry(retry).reorder_capacity(1);
+        let r = reliability_under(2, plan);
         let ch = r.channel(0, 1);
-        ch.next_seq.store(10, Ordering::Relaxed);
-        ch.rx.lock().next_expected = 10;
-        down_first_link(&r);
+        {
+            let mut tx = ch.tx.lock();
+            tx.next_seq = 10;
+            tx.rx.next_expected = 10;
+        }
         let landed = std::cell::RefCell::new(vec![0u32; 16]);
         let land = |_: &Channel, m: &Message, frames: Range<u64>| {
             frames.for_each(|i| landed.borrow_mut()[m.seq(i) as usize] += 1);
         };
-        let counters = [HwCounter::new(), HwCounter::new()];
-        counters[0].add_expected(2048);
-        counters[1].add_expected(1024);
-        let a = r.admit(ch, 4);
-        let b = r.admit(ch, 2);
-        assert_eq!((a.through, b.through), (0, 0), "a down link queues everything");
-        r.enqueue(ch, put_msg(b.base_seq, 1024, Some(counters[1].clone()), None), 0, &land);
-        for _ in 0..1_000 {
-            r.pump(0, usize::MAX, &land);
-        }
-        assert_eq!(ch.tx.lock().dead, None, "refusals alone never exhaust the budget");
-        assert_eq!(landed.borrow()[10..], [0; 6], "nothing crosses ahead of A's frames");
-        r.enqueue(ch, put_msg(a.base_seq, 2048, Some(counters[0].clone()), None), 0, &land);
+        let inj = HwCounter::new();
+        inj.add_expected(3072);
+        let admit = r.admit(ch, 6);
+        assert_eq!((admit.base_seq, admit.through), (10, 0), "frame 10's die fails");
+        r.enqueue(ch, admit, put_msg(10, 3072, Some(inj.clone()), None), &land);
         while !r.idle(0) {
             r.pump(0, usize::MAX, &land);
         }
-        assert_eq!(landed.borrow()[10..], [1; 6], "every frame of both senders, once");
-        assert!(counters.iter().all(|c| c.is_ok() && c.outstanding() == 0));
+        assert_eq!(ch.tx.lock().dead, None, "refusals alone never exhaust the budget");
+        assert_eq!(landed.borrow()[10..], [1; 6], "every frame, once");
+        assert!(inj.is_ok() && inj.outstanding() == 0);
+        let (events, _) = r.ring.snapshot();
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(RasEventKind::SackRetransmit), 1);
+        assert_eq!(count(RasEventKind::ReorderEvict), 4, "12..16 refused once each");
     }
 
     #[test]
@@ -1787,12 +1636,12 @@ mod tests {
         let r = reliability(2);
         let ch = r.channel(0, 1);
         down_first_link(&r);
-        let Admit { base_seq, .. } = r.admit(ch, 3);
+        let admit = r.admit(ch, 3);
         let inj = HwCounter::new();
         inj.add_expected(1300);
         let seen = std::cell::RefCell::new(Vec::new());
-        let msg = put_msg(base_seq, 1300, Some(inj.clone()), None);
-        r.enqueue(ch, msg, 0, &|_, _, _| seen.borrow_mut().push(inj.outstanding()));
+        let msg = put_msg(admit.base_seq, 1300, Some(inj.clone()), None);
+        r.enqueue(ch, admit, msg, &|_, _, _| seen.borrow_mut().push(inj.outstanding()));
         assert_eq!(*seen.borrow(), [1300, 788, 276], "outstanding at each frame's deposit");
         assert!(inj.is_ok() && inj.outstanding() == 0);
         assert!(r.channel(0, 1).tx.lock().msgs.is_empty(), "the message left with its last frame");
@@ -1810,10 +1659,10 @@ mod tests {
         for rec in &recs {
             inj.add_expected(1024);
             rec.add_expected(1024);
-            let Admit { base_seq, through } = r.admit(ch, 2);
-            assert_eq!(through, 0, "every die fails");
-            let msg = put_msg(base_seq, 1024, Some(inj.clone()), Some(rec.clone()));
-            r.enqueue(ch, msg, 0, &|_, _, _| panic!("nothing crosses"));
+            let admit = r.admit(ch, 2);
+            assert_eq!(admit.through, 0, "every die fails");
+            let msg = put_msg(admit.base_seq, 1024, Some(inj.clone()), Some(rec.clone()));
+            r.enqueue(ch, admit, msg, &|_, _, _| panic!("nothing crosses"));
         }
         assert_eq!(ch.tx.lock().frames.len(), 4);
         // No route left: the next retransmission finds the destination
@@ -1869,13 +1718,13 @@ mod tests {
         let (plan, k) = plan_losing_only_window();
         let r = reliability_under(2, plan);
         let ch = r.channel(0, 1);
-        let Admit { base_seq, through } = r.admit(ch, 32);
-        assert_eq!((base_seq, through), (0, k), "the windows ahead of k cross at admission");
+        let admit = r.admit(ch, 32);
+        assert_eq!((admit.base_seq, admit.through), (0, k), "the windows ahead of k cross");
         let (inj, rec) = (HwCounter::new(), HwCounter::new());
         inj.add_expected(16 * 1024);
         let calls = std::cell::RefCell::new(Vec::new());
-        let msg = put_msg(base_seq, 16 * 1024, Some(inj.clone()), Some(rec));
-        r.enqueue(ch, msg, through, &|_, _, frames| {
+        let msg = put_msg(0, 16 * 1024, Some(inj.clone()), Some(rec));
+        r.enqueue(ch, admit, msg, &|_, _, frames| {
             calls.borrow_mut().push((frames.start, frames.end))
         });
         assert_eq!(*calls.borrow(), [(k, 32)], "frames k..32 in one call");

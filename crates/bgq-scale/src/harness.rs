@@ -497,8 +497,8 @@ pub fn failure_storm(endpoints: usize, seed: u64) -> StormStats {
     let mut rounds = 0u32;
     loop {
         let worked = storm_pump(&ctxs);
-        let resolved = counters.iter().all(|c| c.is_complete());
-        if resolved && !worked {
+        let settled = counters.iter().all(|c| c.is_complete());
+        if settled && !worked {
             break;
         }
         rounds += 1;

@@ -8,7 +8,7 @@
 //! for the same endpoint append into a per-destination *coalescing bucket*;
 //! a full bucket (or an aged or explicitly flushed one) is injected as one
 //! multi-message MU packet train ([`bgq_mu::batch`]) under the internal
-//! [`crate::proto::DISPATCH_AGGR`] dispatch id. The receiving context
+//! `DISPATCH_AGGR` dispatch id. The receiving context
 //! unbatches and dispatches each record through its handler memo.
 //!
 //! Correctness invariants, argued in DESIGN.md §15:
@@ -46,7 +46,7 @@ use crate::endpoint::Endpoint;
 
 /// Aggregation-layer tuning. Installed machine-wide with
 /// [`crate::MachineBuilder::aggregation`]; every context then owns one
-/// [`Aggregator`].
+/// `Aggregator`.
 #[derive(Debug, Clone, Copy)]
 pub struct AggrConfig {
     /// Payloads at or below this many bytes aggregate: the bottom rung of

@@ -10,7 +10,7 @@
 //!
 //! 1. **Handshake (once)** — each side registers a double-buffered
 //!    receive window and advertises it to the peer over the existing
-//!    internal-dispatch lane ([`crate::proto::DISPATCH_CHAN_REQ`]).
+//!    internal-dispatch lane (`DISPATCH_CHAN_REQ`).
 //!    Channels pair in per-peer creation order: the n-th channel this
 //!    context opens to a peer binds to the n-th the peer opens back.
 //! 2. **Steady state (every message)** — [`PersistentChannel::post`] is a
@@ -46,7 +46,7 @@ use crate::machine::MemKey;
 use crate::proto::wire;
 
 /// A buffer offer received from a peer (the body of a
-/// [`crate::proto::DISPATCH_CHAN_REQ`] message): the peer's slot size and
+/// `DISPATCH_CHAN_REQ` message): the peer's slot size and
 /// its registered receive-window key.
 #[derive(Debug, Clone, Copy)]
 pub struct ChanOffer {

@@ -141,6 +141,14 @@ struct RzvPending {
     on_complete: Option<CompletionFn>,
 }
 
+/// The result a rendezvous pull's completed counter reports. A failed
+/// counter still reads complete — that is what keeps the step-5 poll (and
+/// `advance`) from hanging when the reliability layer gives up on the
+/// pull — and its fault becomes the callback's typed result.
+fn pull_result(done: &Counter) -> Result<(), PamiError> {
+    done.fault().map_or(Ok(()), |fault| Err(PamiError::from(fault)))
+}
+
 /// One-entry dispatch-handler memo: (dispatch generation, dispatch id,
 /// handler). Lives in the advance state, so it is only ever touched by the
 /// single advancing thread.
@@ -152,7 +160,7 @@ struct AdvanceState {
     reassembly: HashMap<(u32, u64), Reassembly>,
     /// Rendezvous receives waiting on their reception counters.
     rzv_pending: Vec<RzvPending>,
-    /// Last handler resolved on the receive path. Flood traffic dispatches
+    /// Last handler looked up on the receive path. Flood traffic dispatches
     /// the same id back to back; the memo turns the per-message
     /// RwLock + hash + `Arc` clone into one atomic generation check.
     handler_memo: Option<HandlerMemo>,
@@ -1074,16 +1082,8 @@ impl Context {
                 if st.rzv_pending[i].done.is_complete() {
                     let pending = st.rzv_pending.swap_remove(i);
                     self.pending_internal.fetch_sub(1, Ordering::AcqRel);
-                    // A failed counter still reads complete — that is what
-                    // keeps this poll (and advance) from hanging when the
-                    // reliability layer gives up on the pull. The fault
-                    // becomes the callback's typed result.
-                    let result = match pending.done.fault() {
-                        None => Ok(()),
-                        Some(fault) => Err(PamiError::from(fault)),
-                    };
                     if let Some(cb) = pending.on_complete {
-                        cb(self, result);
+                        cb(self, pull_result(&pending.done));
                     }
                     events += 1;
                 } else {
@@ -1248,6 +1248,12 @@ impl Context {
             inj_counter: None,
         };
         self.inject(get);
+        // On a lossless fabric the put-back has landed inside that call;
+        // only a reliable channel still holding the pull leaves it open.
+        if done.is_complete() {
+            on_complete(self, pull_result(&done));
+            return;
+        }
         rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
         self.pending_internal.fetch_add(1, Ordering::AcqRel);
     }

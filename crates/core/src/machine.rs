@@ -370,7 +370,7 @@ pub struct Machine {
     /// Client names and endpoint tables, indexed by client id. Touched
     /// only when a client is created and by [`Machine::endpoint_slots`].
     clients: Mutex<Vec<(String, Arc<EndpointTable>)>>,
-    /// One-sided windows, resolved in place by every `put`, `get` and
+    /// One-sided windows, looked up in place by every `put`, `get` and
     /// `rmw`.
     windows: WindowTable,
     /// Named shared state for layers built on PAMI (geometry registries,

@@ -20,7 +20,7 @@
 //!   triple always uses one ordered channel while different destinations
 //!   spread across contexts.
 //! * **Two-phase waitall** ([`mpi::Mpi::waitall`]): request handles are
-//!   resolved (the "hash" phase, overlapped with the completion-counter
+//!   looked up (the "hash" phase, overlapped with the completion-counter
 //!   cache misses) and only the incomplete ones are polled.
 //! * **Collectives** ([`comm::Comm`]): GI + L2 barrier, shared-address
 //!   broadcast and allreduce over classroutes, the 10-color rectangle

@@ -395,23 +395,23 @@ impl Mpi {
     /// incomplete ones; phase two polls only those while driving progress.
     pub fn waitall(&self, reqs: &[Request]) -> Vec<Status> {
         // Phase 1: resolve + first completion check.
-        let resolved: Vec<Arc<RequestInner>> = {
+        let inners: Vec<Arc<RequestInner>> = {
             let _g = self.call_guard();
             reqs.iter()
                 .map(|r| self.shared.allocator.resolve(*r).expect("unknown request"))
                 .collect()
         };
         let mut pending: Vec<usize> =
-            (0..resolved.len()).filter(|&i| !resolved[i].is_complete()).collect();
+            (0..inners.len()).filter(|&i| !inners[i].is_complete()).collect();
         // Phase 2: poll the pending list.
         while !pending.is_empty() {
             if self.advance() == 0 {
                 std::thread::yield_now();
             }
-            pending.retain(|&i| !resolved[i].is_complete());
+            pending.retain(|&i| !inners[i].is_complete());
         }
-        let statuses = resolved.iter().map(|r| r.status()).collect();
-        drop(resolved);
+        let statuses = inners.iter().map(|r| r.status()).collect();
+        drop(inners);
         let _g = self.call_guard();
         for r in reqs {
             self.shared.allocator.release(*r);

@@ -27,7 +27,7 @@ use crate::types::Status;
 
 /// Internal request object. Every request completes through its byte
 /// counter: PAMI credits a send's as the payload leaves the buffer, and a
-/// receive's is armed with one unit that [`RequestInner::complete_with`]
+/// receive's is armed with one unit that `RequestInner::complete_with`
 /// credits after it has stored the status.
 pub struct RequestInner {
     counter: Counter,

@@ -91,7 +91,7 @@ impl CounterCell {
 
 /// Lock-free event counter: cache-padded per-thread stripes aggregated at
 /// read time. `add` is a couple of nanoseconds and never contends for the
-/// first [`STRIPES`] threads in the process.
+/// first `STRIPES` threads in the process.
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<CounterCell>,
@@ -120,12 +120,12 @@ impl Counter {
     /// owning context id) rather than by thread arrival order.
     ///
     /// Thread-slot striping degrades when many short-lived bench threads
-    /// burn through the first [`STRIPES`] slots and later workers pile onto
+    /// burn through the first `STRIPES` slots and later workers pile onto
     /// the shared overflow cell; pinning by a stable small id keeps each
     /// context on its own cache-padded stripe regardless of which thread
     /// advances it. Two pins can map to the same stripe (`pin % STRIPES`),
     /// so this uses a real `fetch_add` — still uncontended in the common
-    /// case of ≤ [`STRIPES`] contexts per counter.
+    /// case of ≤ `STRIPES` contexts per counter.
     #[inline]
     pub fn add_pinned(&self, pin: usize, n: u64) {
         self.cell.stripes[pin & (STRIPES - 1)].fetch_add(n, Ordering::Relaxed);
