@@ -302,16 +302,11 @@ const SUBSTRATE: [&str; 7] =
 
 /// Substrate `pub` items that nothing outside their crate names, and why
 /// each stays `pub` all the same.
-const SURFACE_ALLOWLIST: [(&str, &str); 4] = [
+const SURFACE_ALLOWLIST: [(&str, &str); 3] = [
     (
         "update_portable",
         "bgq-hw's reference CRC-32C kernel: tests/properties.rs holds the CPU kernel to it \
          at every alignment and split, on hosts that never dispatch to it",
-    ),
-    (
-        "parent_of",
-        "a spanning tree's parent walk: bgq-torus's tests/properties.rs checks through it that \
-         every tree kind reaches its root from every member in single hops",
     ),
     (
         "bfs_order",
@@ -565,8 +560,8 @@ const MACHINE_SHARED_STATE: [(&str, &str); 4] = [
     ("link_pump", "per node, and `advance` skips it while the node's links are idle"),
     (
         "shared",
-        "set-up registry: geometries and MPI collectives fetch their shared structures \
-         through it, never a point-to-point or one-sided call",
+        "set-up registry: `Geometry::create` and `comm_split` fetch their shared structures \
+         through it; no message, collective or point-to-point, reaches it",
     ),
     ("init_fence", "set-up barrier: `task_barrier` parks threads before communication"),
 ];
@@ -633,6 +628,58 @@ fn machine_shared_state_census() {
          state off the message path and write the row, or give it a lock-free shape): \
          {unexplained:?}"
     );
+}
+
+/// Whether `line` shifts left an operand named `seq` or `…_seq`, bare,
+/// parenthesized or cast.
+fn shifts_seq(line: &str) -> bool {
+    line.match_indices("<<").any(|(at, _)| {
+        let operand = line[..at].trim_end().trim_end_matches(')').trim_end();
+        let operand = match operand.rsplit_once(" as ") {
+            Some((value, ty)) if ty.chars().all(|c| c.is_alphanumeric()) => value,
+            _ => operand,
+        };
+        let name = operand.rsplit(|c: char| !(c.is_alphanumeric() || c == '_')).next();
+        name.is_some_and(|name| name == "seq" || name.ends_with("_seq"))
+    })
+}
+
+/// A software collective's tag has one layout, written once in
+/// `pami::coll::tag` with the sequence number, class and step in bits of
+/// their own. Packed by hand, the ring allgather's step 64 once ran into
+/// the class field and matched step 0's tag. No source outside that
+/// function shifts a sequence number.
+#[test]
+fn one_constructor_builds_every_collective_tag() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let (mut inside, mut outside) = (0, Vec::new());
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let at = path.strip_prefix(&root).expect("under the root").display().to_string();
+        let mut in_tag = false;
+        for (i, line) in text.lines().enumerate() {
+            if at.ends_with("core/src/coll/mod.rs") && line.starts_with("pub fn tag(") {
+                in_tag = true;
+            }
+            if shifts_seq(line) {
+                if in_tag {
+                    inside += 1;
+                } else {
+                    outside.push(format!("{at}:{}", i + 1));
+                }
+            }
+            in_tag &= line != "}";
+        }
+    }
+    assert!(
+        outside.is_empty(),
+        "sequence numbers shifted outside `pami::coll::tag` (build the tag with it): {outside:?}"
+    );
+    assert_eq!(inside, 1, "the scan found {inside} sequence shifts inside `pami::coll::tag`");
 }
 
 /// Manifest dependencies that no source of their crate names, and why each

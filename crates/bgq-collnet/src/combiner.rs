@@ -12,13 +12,13 @@
 //! [`CollNet`] reproduces exactly that contract. Contributions on the same
 //! classroute are matched by arrival order per node (hardware serializes
 //! collective ops per route the same way); the last contribution performs
-//! the combine-completion: writing results and firing counters/wakeups.
+//! the combine-completion: writing results and crediting counters.
 //! Long operations are pipelined by issuing one contribution per slice,
 //! which is literally what PAMI's long-allreduce does (Figure 4).
 
 use std::collections::HashMap;
 
-use bgq_hw::{Counter, MemRegion, WakeupRegion};
+use bgq_hw::{Counter, MemRegion};
 use bgq_torus::Coords;
 use parking_lot::Mutex;
 
@@ -35,14 +35,12 @@ pub struct CollOutput {
     /// Reception counter decremented by the result length (by 1 for
     /// barriers).
     pub counter: Option<Counter>,
-    /// Wakeup region touched on delivery (parked commthreads resume).
-    pub wakeup: Option<WakeupRegion>,
 }
 
 impl CollOutput {
-    /// An output with no counter or wakeup (tests, simple callers).
+    /// An output with no counter (tests, simple callers).
     pub fn plain(region: MemRegion, offset: usize) -> Self {
-        CollOutput { region, offset, counter: None, wakeup: None }
+        CollOutput { region, offset, counter: None }
     }
 
     fn complete(&self, data: Option<&[u8]>, credit: u64) {
@@ -51,9 +49,6 @@ impl CollOutput {
         }
         if let Some(c) = &self.counter {
             c.delivered(credit);
-        }
-        if let Some(w) = &self.wakeup {
-            w.touch();
         }
     }
 }
@@ -70,17 +65,6 @@ pub enum CollContribution {
         data: Vec<u8>,
         /// Where the result lands on this node.
         output: CollOutput,
-    },
-    /// Reduce: contribute `data`; only the root passes an output.
-    Reduce {
-        /// Combine operation.
-        op: CollOp,
-        /// Element type.
-        dtype: DataType,
-        /// This node's operand.
-        data: Vec<u8>,
-        /// Result destination (root only).
-        output: Option<CollOutput>,
     },
     /// Broadcast: the root contributes `Some(data)`; everyone receiving
     /// passes an output.
@@ -107,9 +91,6 @@ impl CollContribution {
             CollContribution::Allreduce { op, dtype, data, .. } => {
                 OpSignature::Allreduce(*op, *dtype, data.len())
             }
-            CollContribution::Reduce { op, dtype, data, .. } => {
-                OpSignature::Reduce(*op, *dtype, data.len())
-            }
             CollContribution::Broadcast { len, .. } => OpSignature::Broadcast(*len),
             CollContribution::Barrier { .. } => OpSignature::Barrier,
         }
@@ -119,7 +100,6 @@ impl CollContribution {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpSignature {
     Allreduce(CollOp, DataType, usize),
-    Reduce(CollOp, DataType, usize),
     Broadcast(usize),
     Barrier,
 }
@@ -128,7 +108,7 @@ struct OpState {
     signature: OpSignature,
     expected: usize,
     received: usize,
-    /// Running combine (allreduce/reduce) or broadcast payload.
+    /// Running combine (allreduce) or broadcast payload.
     acc: Option<Vec<u8>>,
     outputs: Vec<CollOutput>,
 }
@@ -161,7 +141,7 @@ impl CollNet {
     /// Calls on one node are matched to calls on the other members in
     /// per-node program order, like the hardware serializes a route. The
     /// contribution completes immediately if this is the last arrival;
-    /// completion is observed through the members' counters/wakeups.
+    /// completion is observed through the members' counters.
     ///
     /// Returns the operation sequence number (diagnostics).
     ///
@@ -209,15 +189,6 @@ impl CollNet {
                 }
                 state.outputs.push(output);
             }
-            CollContribution::Reduce { op, dtype, data, output } => {
-                match &mut state.acc {
-                    Some(acc) => combine(op, dtype, acc, &data),
-                    None => state.acc = Some(data),
-                }
-                if let Some(out) = output {
-                    state.outputs.push(out);
-                }
-            }
             CollContribution::Broadcast { data, output, .. } => {
                 if let Some(d) = data {
                     assert!(
@@ -248,7 +219,7 @@ impl CollNet {
 
     fn complete(&self, seq: u64, route: &ClassRoute, state: OpState) {
         let (data, credit): (Option<&[u8]>, u64) = match state.signature {
-            OpSignature::Allreduce(..) | OpSignature::Reduce(..) => {
+            OpSignature::Allreduce(..) => {
                 let acc = state.acc.as_deref().expect("reduction has operands");
                 (Some(acc), acc.len().max(1) as u64)
             }
@@ -306,7 +277,6 @@ mod tests {
                         region: outs[i as usize].clone(),
                         offset: 0,
                         counter: Some(counters[i as usize].clone()),
-                        wakeup: None,
                     },
                 },
             );
@@ -315,27 +285,6 @@ mod tests {
             assert!(c.is_complete());
             assert_eq!(elems::to_f64(&out.to_vec()), vec![6.0, 60.0]);
         }
-    }
-
-    #[test]
-    fn reduce_delivers_only_to_root() {
-        let (_mgr, route) = route4();
-        let net = CollNet::new();
-        let root_out = MemRegion::zeroed(8);
-        for i in 0..4u16 {
-            let output = (i == 0).then(|| CollOutput::plain(root_out.clone(), 0));
-            net.contribute(
-                &route,
-                node(i),
-                CollContribution::Reduce {
-                    op: CollOp::Max,
-                    dtype: DataType::Int64,
-                    data: elems::from_i64(&[i as i64 * 7 - 3]),
-                    output,
-                },
-            );
-        }
-        assert_eq!(elems::to_i64(&root_out.to_vec()), vec![18]);
     }
 
     #[test]
@@ -384,7 +333,6 @@ mod tests {
                         region: MemRegion::zeroed(0),
                         offset: 0,
                         counter: Some(counters[i as usize].clone()),
-                        wakeup: None,
                     }),
                 },
             );
@@ -398,7 +346,6 @@ mod tests {
                     region: MemRegion::zeroed(0),
                     offset: 0,
                     counter: Some(counters[3].clone()),
-                    wakeup: None,
                 }),
             },
         );

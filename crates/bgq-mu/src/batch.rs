@@ -22,7 +22,7 @@
 //! Keeping the codec next to [`crate::packet::MuPacket`] keeps every wire
 //! layout the fabric moves in one crate.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 /// Fixed header bytes of an unaddressed record.
 pub(crate) const RECORD_HDR_BYTES: usize = 6;
@@ -71,8 +71,7 @@ pub fn push_record(
     buf.put_slice(payload);
 }
 
-/// Borrowed view of one record in a batched frame — the zero-refcount
-/// counterpart of [`BatchRecord`] for the hot unbatch path, which
+/// Borrowed view of one record in a batched frame: the unbatch path
 /// dispatches handlers straight from the frame buffer and only
 /// materializes owned bytes for the records it must forward.
 #[derive(Debug)]
@@ -96,7 +95,9 @@ pub struct RecordView<'a> {
 /// `f` once per record in frame order.
 ///
 /// # Panics
-/// On a malformed frame (truncated record), like [`RecordIter`].
+/// On a malformed frame (truncated record) — batched frames ride
+/// CRC-checked reliable channels, so truncation is a logic error, not a
+/// wire fault.
 pub fn walk_records<'a>(
     data: &'a [u8],
     count: u16,
@@ -132,79 +133,23 @@ pub fn walk_records<'a>(
     }
 }
 
-/// One sub-message recovered from a batched frame. Metadata and payload are
-/// zero-copy slices of the frame's `Bytes`.
-#[derive(Debug, Clone)]
-pub struct BatchRecord {
-    /// Destination endpoint as (task, context) — `None` on unaddressed
-    /// frames (the record is for the receiving context).
-    pub dest: Option<(u32, u16)>,
-    /// Active-message dispatch id.
-    pub dispatch: u16,
-    /// Sub-message metadata.
-    pub metadata: Bytes,
-    /// Sub-message payload.
-    pub payload: Bytes,
-}
-
-/// Walks the records of a batched frame.
-///
-/// # Panics
-/// On a malformed frame (truncated record) — batched frames ride CRC-checked
-/// reliable channels, so truncation is a logic error, not a wire fault.
-pub struct RecordIter {
-    data: Bytes,
-    off: usize,
-    remaining: u16,
-    addressed: bool,
-}
-
-impl RecordIter {
-    /// Iterate `count` records (`addressed` per the frame header's mode).
-    pub fn new(data: Bytes, count: u16, addressed: bool) -> RecordIter {
-        RecordIter { data, off: 0, remaining: count, addressed }
-    }
-
-    #[inline]
-    fn u16_at(&self, at: usize) -> u16 {
-        u16::from_le_bytes(self.data[at..at + 2].try_into().unwrap())
-    }
-}
-
-impl Iterator for RecordIter {
-    type Item = BatchRecord;
-
-    fn next(&mut self) -> Option<BatchRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let mut at = self.off;
-        let hdr = if self.addressed { RECORD_HDR_BYTES_ADDRESSED } else { RECORD_HDR_BYTES };
-        assert!(self.data.len() >= at + hdr, "truncated batched frame");
-        let dest = self.addressed.then(|| {
-            let task = u32::from_le_bytes(self.data[at..at + 4].try_into().unwrap());
-            let context = self.u16_at(at + 4);
-            (task, context)
-        });
-        if self.addressed {
-            at += 6;
-        }
-        let dispatch = self.u16_at(at);
-        let meta_len = self.u16_at(at + 2) as usize;
-        let payload_len = self.u16_at(at + 4) as usize;
-        at += 6;
-        assert!(self.data.len() >= at + meta_len + payload_len, "truncated batched frame");
-        let metadata = self.data.slice(at..at + meta_len);
-        let payload = self.data.slice(at + meta_len..at + meta_len + payload_len);
-        self.off = at + meta_len + payload_len;
-        Some(BatchRecord { dest, dispatch, metadata, payload })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A record as owned `(dest, dispatch, metadata, payload)`.
+    type Owned = (Option<(u32, u16)>, u16, Vec<u8>, Vec<u8>);
+
+    /// Every record of `frame`, decoded by [`walk_records`].
+    fn walk(frame: &[u8], count: u16, addressed: bool) -> Vec<Owned> {
+        let mut records = Vec::new();
+        walk_records(frame, count, addressed, |r| {
+            // The offset view must slice back to the same bytes.
+            assert_eq!(&frame[r.meta_at..r.meta_at + r.metadata.len()], r.metadata);
+            records.push((r.dest, r.dispatch, r.metadata.to_vec(), r.payload.to_vec()));
+        });
+        records
+    }
 
     #[test]
     fn unaddressed_records_round_trip() {
@@ -212,17 +157,11 @@ mod tests {
         push_record(&mut buf, None, 7, b"m1", b"payload-one");
         push_record(&mut buf, None, 9, b"", b"p2");
         push_record(&mut buf, None, 1, b"meta-three", b"");
-        let recs: Vec<BatchRecord> = RecordIter::new(buf.freeze(), 3, false).collect();
+        let recs = walk(&buf, 3, false);
         assert_eq!(recs.len(), 3);
-        assert_eq!(recs[0].dispatch, 7);
-        assert_eq!(&recs[0].metadata[..], b"m1");
-        assert_eq!(&recs[0].payload[..], b"payload-one");
-        assert!(recs[0].dest.is_none());
-        assert_eq!(recs[1].dispatch, 9);
-        assert!(recs[1].metadata.is_empty());
-        assert_eq!(&recs[1].payload[..], b"p2");
-        assert_eq!(&recs[2].metadata[..], b"meta-three");
-        assert!(recs[2].payload.is_empty());
+        assert_eq!(recs[0], (None, 7, b"m1".to_vec(), b"payload-one".to_vec()));
+        assert_eq!(recs[1], (None, 9, Vec::new(), b"p2".to_vec()));
+        assert_eq!(recs[2], (None, 1, b"meta-three".to_vec(), Vec::new()));
     }
 
     #[test]
@@ -230,30 +169,9 @@ mod tests {
         let mut buf = BytesMut::new();
         push_record(&mut buf, Some((42, 3)), 5, b"hdr", b"data");
         push_record(&mut buf, Some((1000, 0)), 6, b"", b"x");
-        let recs: Vec<BatchRecord> = RecordIter::new(buf.freeze(), 2, true).collect();
-        assert_eq!(recs[0].dest, Some((42, 3)));
-        assert_eq!(recs[0].dispatch, 5);
-        assert_eq!(&recs[0].payload[..], b"data");
-        assert_eq!(recs[1].dest, Some((1000, 0)));
-    }
-
-    #[test]
-    fn walk_records_matches_the_iterator() {
-        let mut buf = BytesMut::new();
-        push_record(&mut buf, Some((42, 3)), 5, b"hdr", b"data");
-        push_record(&mut buf, Some((1000, 0)), 6, b"", b"x");
-        let frame = buf.freeze();
-        type Flat = (Option<(u32, u16)>, u16, Vec<u8>, Vec<u8>);
-        let mut views: Vec<Flat> = Vec::new();
-        walk_records(&frame, 2, true, |r| {
-            // The offset view must slice back to the same bytes.
-            assert_eq!(&frame[r.meta_at..r.meta_at + r.metadata.len()], r.metadata);
-            views.push((r.dest, r.dispatch, r.metadata.to_vec(), r.payload.to_vec()));
-        });
-        let iterated: Vec<_> = RecordIter::new(frame.clone(), 2, true)
-            .map(|r| (r.dest, r.dispatch, r.metadata.to_vec(), r.payload.to_vec()))
-            .collect();
-        assert_eq!(views, iterated);
+        let recs = walk(&buf, 2, true);
+        assert_eq!(recs[0], (Some((42, 3)), 5, b"hdr".to_vec(), b"data".to_vec()));
+        assert_eq!(recs[1], (Some((1000, 0)), 6, Vec::new(), b"x".to_vec()));
     }
 
     #[test]
@@ -272,8 +190,7 @@ mod tests {
         push_record(&mut buf, None, 1, b"", b"a");
         push_record(&mut buf, None, 2, b"", b"b");
         // Count says one record: the second is simply not walked.
-        let recs: Vec<BatchRecord> = RecordIter::new(buf.freeze(), 1, false).collect();
-        assert_eq!(recs.len(), 1);
+        assert_eq!(walk(&buf, 1, false).len(), 1);
     }
 
     #[test]
@@ -281,7 +198,6 @@ mod tests {
     fn truncated_frame_panics() {
         let mut buf = BytesMut::new();
         push_record(&mut buf, None, 1, b"", b"abcdef");
-        let data = buf.freeze().slice(..7); // cut mid-payload
-        let _ = RecordIter::new(data, 1, false).count();
+        walk(&buf[..7], 1, false); // cut mid-payload
     }
 }

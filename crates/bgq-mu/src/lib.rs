@@ -48,7 +48,7 @@ pub mod link;
 pub mod packet;
 mod rmw;
 
-pub use batch::{push_record, record_size, RecordIter};
+pub use batch::{push_record, record_size};
 pub use bgq_hw::{Counter, DeliveryFault};
 pub use descriptor::{
     Descriptor, FifoHeader, PayloadSource, RmwOp, RmwReply, RmwRequest, XferKind,

@@ -464,9 +464,17 @@ pub(crate) fn open_frame_header(body: &[u8]) -> (u16, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgq_mu::batch::{walk_records, RecordView};
 
     fn ep(task: u32) -> Endpoint {
         Endpoint { task, context: 0 }
+    }
+
+    /// `f` of every record of `frame`, decoded by the receive path's walker.
+    fn walk<T>(frame: &Frame, addressed: bool, f: impl Fn(RecordView) -> T) -> Vec<T> {
+        let mut out = Vec::new();
+        walk_records(&frame.payload, frame.count, addressed, |r| out.push(f(r)));
+        out
     }
 
     #[test]
@@ -492,10 +500,9 @@ mod tests {
         assert_eq!(frames[0].count, 3);
         assert_eq!(frames[0].cause, FlushCause::Fill);
         assert_eq!(a.pending(), 1, "the record that forced the cut stays buffered");
-        let recs: Vec<_> =
-            bgq_mu::RecordIter::new(frames[0].payload.clone(), 3, false).collect();
-        assert_eq!(recs.len(), 3);
-        assert_eq!(&recs[2].payload[..], &[2u8; 24]);
+        let payloads = walk(&frames[0], false, |r| r.payload.to_vec());
+        assert_eq!(payloads.len(), 3);
+        assert_eq!(payloads[2], [2u8; 24]);
     }
 
     #[test]
@@ -606,10 +613,7 @@ mod tests {
         a.append(lead, Endpoint { task: 5, context: 0 }, 9, b"", b"two", |f| frames.push(f));
         a.flush_all(|f| frames.push(f));
         assert_eq!(frames.len(), 1);
-        let recs: Vec<_> =
-            bgq_mu::RecordIter::new(frames[0].payload.clone(), frames[0].count, true).collect();
-        assert_eq!(recs[0].dest, Some((4, 1)));
-        assert_eq!(recs[1].dest, Some((5, 0)));
+        assert_eq!(walk(&frames[0], true, |r| r.dest), [Some((4, 1)), Some((5, 0))]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use bgq_mu::PayloadSource;
 use bgq_upc::{Histogram, Stamp, Upc};
 
 use crate::context::Context;
-use crate::geometry::{BoardEntry, Geometry};
+use crate::geometry::{BoardEntry, Geometry, NodeGroup};
 
 /// The collective operation an algorithm implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,10 +57,54 @@ pub struct AlgInfo {
     pub available: bool,
 }
 
-/// A broadcast body, `(geom, ctx, seq, root_rank, region, offset, len)`:
-/// what [`broadcast_with`] runs once it has consumed the sequence number
-/// and handled the trivial cases.
-pub type BroadcastBody = fn(&Geometry, &Context, u64, usize, &MemRegion, usize, usize);
+/// The leader half of a broadcast, `(geom, ctx, seq, root_rank, src, dst,
+/// len)`: what each node's leader runs inside [`broadcast_with`] to leave
+/// the `len` bytes in its own buffer `dst`. `src` is the root's buffer on
+/// the root's node (the leader's own when it is the root) and `None` on
+/// every other node; the node's other tasks copy from `dst` afterwards.
+pub type BroadcastBody =
+    fn(&Geometry, &Context, u64, usize, Option<(&MemRegion, usize)>, (&MemRegion, usize), usize);
+
+/// What a software-collective message carries: the middle field of its
+/// [`tag`].
+#[derive(Debug, Clone, Copy)]
+pub enum Class {
+    /// A broadcast tree's payload; step: the tree (0, or a multicolor
+    /// broadcast's color).
+    Broadcast,
+    /// A binomial reduce's partial result; step: the tree level.
+    Reduce,
+    /// A binomial gather's subtree; step: the tree level.
+    Gather,
+    /// A binomial scatter's subtree; step: the tree level.
+    Scatter,
+    /// A ring allgather's block; step: the ring step.
+    Allgather,
+    /// A pairwise alltoall's block; step: the exchange step.
+    Alltoall,
+    /// A streaming allreduce's partial going up the chain; step: the
+    /// segment.
+    ChainUp,
+    /// A streaming allreduce's result coming down the chain; step: the
+    /// segment.
+    ChainDown,
+}
+
+/// Bits of a [`tag`] below the sequence number: 4 of class, 28 of step.
+const STEP_BITS: u32 = 28;
+
+/// The tag of one software-collective message — the one place its layout
+/// is written. Sequence number, class and step each own their bits, so
+/// two messages between the same pair of tasks share a tag only when all
+/// three agree (matching in `recv_sw` is exact on task, tag and source).
+/// The sequence number keeps its low 32 bits.
+///
+/// # Panics
+/// If `step` does not fit its 28 bits.
+pub fn tag(seq: u64, class: Class, step: usize) -> u64 {
+    assert!(step < 1 << STEP_BITS, "collective step {step} overflows its tag field");
+    seq << 32 | (class as u64) << STEP_BITS | step as u64
+}
 
 /// `coll.*` telemetry probes — per-phase timing of the collective paths
 /// (the UPC-style breakdown the paper uses to attribute Figure 6/7 latency
@@ -108,6 +152,23 @@ impl CollProbes {
             allreduce_local_ns: upc.histogram("coll.allreduce.local_ns"),
             allreduce_network_ns: upc.histogram("coll.allreduce.network_ns"),
             bcast_network_ns: upc.histogram("coll.bcast.network_ns"),
+        }
+    }
+
+    /// The call counter of `kind`, with the latency histogram and trace
+    /// span name of the four kinds that are timed.
+    fn of(&self, kind: CollKind) -> (&bgq_upc::Counter, Option<(&Histogram, &'static str)>) {
+        match kind {
+            CollKind::Barrier => (&self.barriers, Some((&self.barrier_ns, "coll.barrier"))),
+            CollKind::Broadcast => (&self.broadcasts, Some((&self.bcast_ns, "coll.broadcast"))),
+            CollKind::Allreduce => {
+                (&self.allreduces, Some((&self.allreduce_ns, "coll.allreduce")))
+            }
+            CollKind::Reduce => (&self.reduces, Some((&self.reduce_ns, "coll.reduce"))),
+            CollKind::Gather => (&self.gathers, None),
+            CollKind::Scatter => (&self.scatters, None),
+            CollKind::Allgather => (&self.allgathers, None),
+            CollKind::Alltoall => (&self.alltoalls, None),
         }
     }
 }
@@ -201,6 +262,24 @@ pub fn select(kind: CollKind, geom: &Geometry) -> &'static str {
     }
 }
 
+
+/// The shell every collective runs in: count the call, take the
+/// geometry's next sequence number — every member consumes one per call,
+/// trivial or not, which is what keeps their calls matched — and run
+/// `body` on it. A timed kind then records its latency and a trace span
+/// of `bytes`.
+fn run(geom: &Geometry, ctx: &Context, kind: CollKind, bytes: usize, body: impl FnOnce(u64)) {
+    let machine = ctx.machine();
+    let (calls, timed) = machine.coll_probes().of(kind);
+    calls.incr();
+    let start = Stamp::now();
+    body(geom.next_seq(ctx.task()));
+    if let Some((latency, span)) = timed {
+        latency.record_since(start);
+        machine.telemetry().trace_span(span, start, bytes as u64);
+    }
+}
+
 fn local_barrier(geom: &Geometry, ctx: &Context) {
     let group = geom.group(ctx.node());
     if group.tasks.len() == 1 {
@@ -210,22 +289,55 @@ fn local_barrier(geom: &Geometry, ctx: &Context) {
     ctx.advance_until(|| group.barrier.is_released(generation));
 }
 
-fn entry_region(entry: BoardEntry) -> (MemRegion, usize, usize) {
-    match entry {
-        BoardEntry::Region { region, offset, len } => (region, offset, len),
-        BoardEntry::Data(_) => panic!("expected a region board entry"),
+/// The buffer a member of `group` posted under `slot` before a local
+/// barrier the caller has since passed.
+fn posted(group: &NodeGroup, seq: u64, slot: u32) -> (MemRegion, usize) {
+    match group.board.get(seq, slot) {
+        Some(BoardEntry::Region { region, offset, .. }) => (region, offset),
+        _ => panic!("board slot {slot:#x} not posted before the local barrier"),
     }
 }
 
-fn wait_board(geom: &Geometry, ctx: &Context, seq: u64, slot: u32) -> BoardEntry {
+/// The peers-copy tail of a node collective (Figure 4): the leader posts
+/// its result buffer `dst`, and after the local barrier every other task
+/// that does not already hold the result copies it straight out of the
+/// leader's buffer (global VA). The second barrier keeps that buffer
+/// alive until all have copied; then the leader clears the board.
+fn peers_copy(
+    geom: &Geometry,
+    ctx: &Context,
+    seq: u64,
+    holds: bool,
+    dst: (&MemRegion, usize),
+    len: usize,
+) {
     let group = geom.group(ctx.node());
-    loop {
-        if let Some(e) = group.board.get(seq, slot) {
-            return e;
-        }
-        if ctx.advance() == 0 {
-            std::thread::yield_now();
-        }
+    let is_leader = ctx.task() == group.leader;
+    if is_leader {
+        let result = BoardEntry::Region { region: dst.0.clone(), offset: dst.1, len };
+        group.board.post(seq, SLOT_RESULT, result);
+    }
+    local_barrier(geom, ctx);
+    if !is_leader && !holds {
+        let (src, src_off) = posted(group, seq, SLOT_RESULT);
+        dst.0.copy_from(dst.1, &src, src_off, len);
+    }
+    local_barrier(geom, ctx);
+    if is_leader {
+        group.board.clear_seq(seq);
+    }
+}
+
+/// The span of relative rank `relative`'s subtree in a binomial tree rooted
+/// at relative rank 0: its lowest set bit (at the root, the power of two
+/// at or above `n`). The subtree is ranks `relative..relative + span` cut
+/// at `n`, the children are `relative + m` for the powers of two `m` below
+/// the span, and the parent is `relative − span`.
+fn subtree_span(relative: usize, n: usize) -> usize {
+    if relative == 0 {
+        n.next_power_of_two()
+    } else {
+        1 << relative.trailing_zeros()
     }
 }
 
@@ -247,22 +359,15 @@ pub fn barrier(geom: &Geometry, ctx: &Context) {
 /// # Panics
 /// If no barrier algorithm is named `name`.
 pub fn barrier_named(geom: &Geometry, ctx: &Context, name: &str) {
-    let machine = ctx.machine();
-    let probes = machine.coll_probes();
-    probes.barriers.incr();
-    let start = Stamp::now();
-    // Consume a sequence number to keep collective ordering aligned even
-    // though the barrier itself never touches the board.
-    geom.next_seq(ctx.task());
-    if geom.size() > 1 {
-        match name {
-            names::GI_BARRIER => gi_barrier(geom, ctx),
-            names::COLLNET_BARRIER => collnet_barrier(geom, ctx),
-            name => panic!("no barrier algorithm named {name:?}"),
+    run(geom, ctx, CollKind::Barrier, geom.size(), |_| {
+        if geom.size() > 1 {
+            match name {
+                names::GI_BARRIER => gi_barrier(geom, ctx),
+                names::COLLNET_BARRIER => collnet_barrier(geom, ctx),
+                name => panic!("no barrier algorithm named {name:?}"),
+            }
         }
-    }
-    probes.barrier_ns.record_since(start);
-    machine.telemetry().trace_span("coll.barrier", start, geom.size() as u64);
+    })
 }
 
 /// GI-network barrier body: local barrier, leader arrives at the GI wire,
@@ -298,7 +403,6 @@ fn collnet_barrier(geom: &Geometry, ctx: &Context) {
                     region: MemRegion::zeroed(0),
                     offset: 0,
                     counter: Some(done.clone()),
-                    wakeup: None,
                 }),
             },
         );
@@ -338,147 +442,110 @@ pub fn broadcast_named(
     offset: usize,
     len: usize,
 ) {
-    let body: BroadcastBody = match name {
-        names::HW_BCAST => hw_broadcast,
-        names::SW_BCAST => sw_broadcast,
+    match name {
+        names::HW_BCAST => {
+            // Every member fails on a geometry without a route, not only
+            // the leaders that would contribute.
+            assert!(geom.route().is_some(), "hw path requires a classroute");
+            broadcast_with(geom, ctx, hw_broadcast, root_rank, region, offset, len)
+        }
+        names::SW_BCAST => run(geom, ctx, CollKind::Broadcast, len, |seq| {
+            if geom.size() > 1 && len > 0 {
+                sw_broadcast(geom, ctx, seq, root_rank, region, offset, len)
+            }
+        }),
         name => panic!("no broadcast algorithm named {name:?}"),
-    };
-    broadcast_with(geom, ctx, body, root_rank, region, offset, len)
+    }
 }
 
-/// Broadcast through `body` — the shell every broadcast runs in, which is
-/// how a layer above (the MPI rectangle broadcast) brings its own
-/// algorithm and keeps sequencing, `coll.broadcasts` and `coll.bcast_ns`.
+/// Broadcast with `leader` as every node leader's network phase, inside
+/// the one node scheme of Figure 4: a root that is not its node's leader
+/// shares its buffer with the leader, the leaders run `leader`, and the
+/// other tasks copy the result out of their leader's buffer. This is how
+/// `hw-collnet-bcast` runs, and how a layer above brings its own network
+/// phase (the MPI rectangle broadcast) and keeps sequencing,
+/// `coll.broadcasts` and `coll.bcast_ns`.
 pub fn broadcast_with(
     geom: &Geometry,
     ctx: &Context,
-    body: BroadcastBody,
+    leader: BroadcastBody,
     root_rank: usize,
     region: &MemRegion,
     offset: usize,
     len: usize,
 ) {
-    let machine = ctx.machine();
-    let probes = machine.coll_probes();
-    probes.broadcasts.incr();
-    let start = Stamp::now();
-    // Consume the sequence number even for trivial cases (MPI_Bcast of zero
-    // bytes is a no-op but collective ordering must stay aligned).
-    let seq = geom.next_seq(ctx.task());
-    if geom.size() > 1 && len > 0 {
-        body(geom, ctx, seq, root_rank, region, offset, len);
-    }
-    probes.bcast_ns.record_since(start);
-    machine.telemetry().trace_span("coll.broadcast", start, len as u64);
+    run(geom, ctx, CollKind::Broadcast, len, |seq| {
+        if geom.size() == 1 || len == 0 {
+            return;
+        }
+        let group = geom.group(ctx.node());
+        let me = ctx.task();
+        let root_task = geom.topology().task_at(root_rank);
+        let on_root_node = ctx.machine().task_node(root_task) == ctx.node();
+        if me == root_task && me != group.leader {
+            let root = BoardEntry::Region { region: region.clone(), offset, len };
+            group.board.post(seq, SLOT_ROOT, root);
+        }
+        local_barrier(geom, ctx);
+        if me == group.leader {
+            let shared = (on_root_node && me != root_task).then(|| posted(group, seq, SLOT_ROOT));
+            let src = match &shared {
+                Some((root_region, root_offset)) => Some((root_region, *root_offset)),
+                None => on_root_node.then_some((region, offset)),
+            };
+            leader(geom, ctx, seq, root_rank, src, (region, offset), len);
+        }
+        peers_copy(geom, ctx, seq, me == root_task, (region, offset), len);
+    })
 }
 
+/// `hw-collnet-bcast`'s leader half: in pipeline slices, the root's
+/// leader injects the buffer into the collective network and every other
+/// leader contributes an empty slot of the same length; the network
+/// writes each slice into every leader's `dst`.
 fn hw_broadcast(
     geom: &Geometry,
     ctx: &Context,
-    seq: u64,
-    root_rank: usize,
-    region: &MemRegion,
-    offset: usize,
+    _seq: u64,
+    _root_rank: usize,
+    src: Option<(&MemRegion, usize)>,
+    dst: (&MemRegion, usize),
     len: usize,
 ) {
     let route = geom.route().expect("hw path requires a classroute");
     let machine = ctx.machine();
-    let node = ctx.node();
-    let group = geom.group(node);
-    let me = ctx.task();
-    let root_task = geom.topology().task_at(root_rank);
-    let root_node = machine.task_node(root_task);
-    let is_leader = me == group.leader;
-
-    // A non-leader root shares its buffer so the leader can inject from it.
-    if me == root_task && !is_leader {
-        group.board.post(
-            seq,
-            SLOT_ROOT,
-            BoardEntry::Region { region: region.clone(), offset, len },
+    let net_start = Stamp::now();
+    let coords = machine.shape().coords_of(ctx.node() as usize);
+    let done = Counter::new();
+    done.add_expected(len as u64);
+    for at in (0..len).step_by(PIPELINE_SLICE) {
+        let chunk = (len - at).min(PIPELINE_SLICE);
+        let data = src.map(|(region, offset)| {
+            let mut data = vec![0u8; chunk];
+            region.read(offset + at, &mut data);
+            data
+        });
+        machine.collnet().contribute(
+            &route,
+            coords,
+            CollContribution::Broadcast {
+                data,
+                len: chunk,
+                output: Some(CollOutput {
+                    region: dst.0.clone(),
+                    offset: dst.1 + at,
+                    counter: Some(done.clone()),
+                }),
+            },
         );
     }
-    local_barrier(geom, ctx);
-
-    if is_leader {
-        let net_start = Stamp::now();
-        let coords = machine.shape().coords_of(node as usize);
-        let done = Counter::new();
-        done.add_expected(len as u64);
-        if node == root_node {
-            // Master injects; data comes from the root's buffer (its own,
-            // or read through the global VA from the posted region).
-            let (src_region, src_off) = if me == root_task {
-                (region.clone(), offset)
-            } else {
-                let (r, o, l) = entry_region(wait_board(geom, ctx, seq, SLOT_ROOT));
-                assert_eq!(l, len, "root posted a different length");
-                (r, o)
-            };
-            let mut sent = 0usize;
-            while sent < len {
-                let chunk = (len - sent).min(PIPELINE_SLICE);
-                let mut data = vec![0u8; chunk];
-                src_region.read(src_off + sent, &mut data);
-                machine.collnet().contribute(
-                    &route,
-                    coords,
-                    CollContribution::Broadcast {
-                        data: Some(data),
-                        len: chunk,
-                        output: Some(CollOutput {
-                            region: region.clone(),
-                            offset: offset + sent,
-                            counter: Some(done.clone()),
-                            wakeup: None,
-                        }),
-                    },
-                );
-                sent += chunk;
-            }
-        } else {
-            let mut recvd = 0usize;
-            while recvd < len {
-                let chunk = (len - recvd).min(PIPELINE_SLICE);
-                machine.collnet().contribute(
-                    &route,
-                    coords,
-                    CollContribution::Broadcast {
-                        data: None,
-                        len: chunk,
-                        output: Some(CollOutput {
-                            region: region.clone(),
-                            offset: offset + recvd,
-                            counter: Some(done.clone()),
-                            wakeup: None,
-                        }),
-                    },
-                );
-                recvd += chunk;
-            }
-        }
-        ctx.advance_until(|| done.is_complete());
-        let probes = machine.coll_probes();
-        probes.bcast_network_ns.record_since(net_start);
-        machine.telemetry().trace_span("coll.bcast.network", net_start, len as u64);
-        group.board.post(
-            seq,
-            SLOT_RESULT,
-            BoardEntry::Region { region: region.clone(), offset, len },
-        );
-    }
-    local_barrier(geom, ctx);
-    if !is_leader && me != root_task {
-        // Peers copy straight out of the master's buffer (global VA).
-        let (src, src_off, _) = entry_region(wait_board(geom, ctx, seq, SLOT_RESULT));
-        region.copy_from(offset, &src, src_off, len);
-    }
-    local_barrier(geom, ctx);
-    if is_leader {
-        group.board.clear_seq(seq);
-    }
+    ctx.advance_until(|| done.is_complete());
+    machine.coll_probes().bcast_network_ns.record_since(net_start);
+    machine.telemetry().trace_span("coll.bcast.network", net_start, len as u64);
 }
 
+/// `sw-binomial-bcast`: every member receives from its binomial parent
+/// and forwards to its children.
 fn sw_broadcast(
     geom: &Geometry,
     ctx: &Context,
@@ -491,33 +558,21 @@ fn sw_broadcast(
     let n = geom.size();
     let rank = geom.rank_of(ctx.task()).expect("caller is a member");
     let relative = (rank + n - root_rank) % n;
-    let tag = seq << 8;
-
-    // Find the reception point.
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            let parent = (relative - mask + root_rank) % n;
-            let data = geom.recv_sw(ctx, parent, tag);
-            assert_eq!(data.len(), len, "sw broadcast length mismatch");
-            region.write(offset, &data);
-            break;
-        }
-        mask <<= 1;
+    let span = subtree_span(relative, n);
+    let tag = tag(seq, Class::Broadcast, 0);
+    if relative != 0 {
+        let data = geom.recv_sw(ctx, (relative - span + root_rank) % n, tag);
+        assert_eq!(data.len(), len, "sw broadcast length mismatch");
+        region.write(offset, &data);
     }
-    if relative == 0 {
-        mask = n.next_power_of_two();
-    }
-    // Forward down the tree.
-    mask >>= 1;
     let done = Counter::new();
+    let mut mask = span >> 1;
     while mask > 0 {
-        if relative & (mask - 1) == 0 && relative + mask < n {
-            let child = (relative + mask + root_rank) % n;
+        if relative + mask < n {
             done.add_expected(len.max(1) as u64);
             geom.send_sw(
                 ctx,
-                child,
+                (relative + mask + root_rank) % n,
                 tag,
                 PayloadSource::Region { region: region.clone(), offset, len },
                 Some(done.clone()),
@@ -563,29 +618,24 @@ pub fn allreduce_named(
     op: CollOp,
     dtype: DataType,
 ) {
-    let machine = ctx.machine();
-    let probes = machine.coll_probes();
-    probes.allreduces.incr();
-    let start = Stamp::now();
-    let seq = geom.next_seq(ctx.task());
-    if count > 0 {
-        if geom.size() == 1 {
-            dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
-        } else {
-            match name {
-                names::HW_ALLREDUCE => hw_allreduce(geom, ctx, seq, src, dst, count, op, dtype),
-                names::SW_ALLREDUCE => {
-                    sw_reduce_bcast(geom, ctx, seq, None, src, dst, count, op, dtype)
-                }
-                names::STREAM_ALLREDUCE => {
-                    sw_stream_allreduce(geom, ctx, seq, src, dst, count, op, dtype)
-                }
-                name => panic!("no allreduce algorithm named {name:?}"),
-            }
+    run(geom, ctx, CollKind::Allreduce, count * ELEM, |seq| {
+        if count == 0 {
+            return;
         }
-    }
-    probes.allreduce_ns.record_since(start);
-    machine.telemetry().trace_span("coll.allreduce", start, (count * ELEM) as u64);
+        if geom.size() == 1 {
+            return dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
+        }
+        match name {
+            names::HW_ALLREDUCE => hw_allreduce(geom, ctx, seq, src, dst, count, op, dtype),
+            names::SW_ALLREDUCE => {
+                sw_reduce_bcast(geom, ctx, seq, None, src, dst, count, op, dtype)
+            }
+            names::STREAM_ALLREDUCE => {
+                sw_stream_allreduce(geom, ctx, seq, src, dst, count, op, dtype)
+            }
+            name => panic!("no allreduce algorithm named {name:?}"),
+        }
+    })
 }
 
 /// Reduce to `root_rank` over the binomial tree: the result lands in `dst`
@@ -605,20 +655,15 @@ pub fn reduce(
     op: CollOp,
     dtype: DataType,
 ) {
-    let machine = ctx.machine();
-    let probes = machine.coll_probes();
-    probes.reduces.incr();
-    let start = Stamp::now();
-    let seq = geom.next_seq(ctx.task());
-    if count > 0 {
-        if geom.size() == 1 {
-            dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
-        } else {
-            sw_reduce_bcast(geom, ctx, seq, Some(root_rank), src, dst, count, op, dtype);
+    run(geom, ctx, CollKind::Reduce, count * ELEM, |seq| {
+        if count == 0 {
+            return;
         }
-    }
-    probes.reduce_ns.record_since(start);
-    machine.telemetry().trace_span("coll.reduce", start, (count * ELEM) as u64);
+        if geom.size() == 1 {
+            return dst.0.copy_from(dst.1, src.0, src.1, count * ELEM);
+        }
+        sw_reduce_bcast(geom, ctx, seq, Some(root_rank), src, dst, count, op, dtype)
+    })
 }
 
 /// Split `count` elements into `parts` contiguous ranges; returns the
@@ -650,45 +695,28 @@ fn hw_allreduce(
 
     // Every member publishes its input; the leader publishes the node
     // accumulation buffer.
-    group.board.post(
-        seq,
-        slot,
-        BoardEntry::Region { region: src.0.clone(), offset: src.1, len },
-    );
-    let _nodebuf = if ppn > 1 {
-        let buf = MemRegion::zeroed(len);
-        if is_leader {
-            group.board.post(
-                seq,
-                SLOT_NODEBUF,
-                BoardEntry::Region { region: buf.clone(), offset: 0, len },
-            );
-        }
-        Some(buf)
-    } else {
-        None
-    };
+    group.board.post(seq, slot, BoardEntry::Region { region: src.0.clone(), offset: src.1, len });
+    if is_leader && ppn > 1 {
+        let nodebuf = MemRegion::zeroed(len);
+        group.board.post(seq, SLOT_NODEBUF, BoardEntry::Region { region: nodebuf, offset: 0, len });
+    }
     local_barrier(geom, ctx);
 
     // Parallel local math: each member combines everyone's input over its
     // slice of elements and deposits into the node buffer (Figure 3).
     let local_start = Stamp::now();
     let node_src: (MemRegion, usize) = if ppn > 1 {
-        let (buf, buf_off, _) = entry_region(wait_board(geom, ctx, seq, SLOT_NODEBUF));
+        let (buf, buf_off) = posted(group, seq, SLOT_NODEBUF);
         let (lo, hi) = partition(count, ppn, slot as usize);
         if hi > lo {
             let byte_lo = lo * ELEM;
             let bytes = (hi - lo) * ELEM;
             let mut acc = vec![0u8; bytes];
-            let (r0, o0, _) = entry_region(
-                group.board.get(seq, 0).expect("slot 0 posted before barrier"),
-            );
+            let (r0, o0) = posted(group, seq, 0);
             r0.read(o0 + byte_lo, &mut acc);
             let mut contrib = vec![0u8; bytes];
             for p in 1..ppn as u32 {
-                let (rp, op_, _) = entry_region(
-                    group.board.get(seq, p).expect("all slots posted before barrier"),
-                );
+                let (rp, op_) = posted(group, seq, p);
                 rp.read(op_ + byte_lo, &mut contrib);
                 bgq_collnet::combine(op, dtype, &mut acc, &contrib);
             }
@@ -710,11 +738,9 @@ fn hw_allreduce(
         done.add_expected(len as u64);
         // Pipelined network contributions, in slice order (Figure 4: "the
         // ordering of injection is maintained across all the masters").
-        let mut sent = 0usize;
-        while sent < len {
-            let chunk = (len - sent).min(PIPELINE_SLICE);
-            let mut data = vec![0u8; chunk];
-            node_src.0.read(node_src.1 + sent, &mut data);
+        for at in (0..len).step_by(PIPELINE_SLICE) {
+            let mut data = vec![0u8; (len - at).min(PIPELINE_SLICE)];
+            node_src.0.read(node_src.1 + at, &mut data);
             machine.collnet().contribute(
                 &route,
                 coords,
@@ -724,33 +750,18 @@ fn hw_allreduce(
                     data,
                     output: CollOutput {
                         region: dst.0.clone(),
-                        offset: dst.1 + sent,
+                        offset: dst.1 + at,
                         counter: Some(done.clone()),
-                        wakeup: None,
                     },
                 },
             );
-            sent += chunk;
         }
         ctx.advance_until(|| done.is_complete());
         let probes = machine.coll_probes();
         probes.allreduce_network_ns.record_since(net_start);
         machine.telemetry().trace_span("coll.allreduce.network", net_start, len as u64);
-        group.board.post(
-            seq,
-            SLOT_RESULT,
-            BoardEntry::Region { region: dst.0.clone(), offset: dst.1, len },
-        );
     }
-    local_barrier(geom, ctx);
-    if !is_leader {
-        let (r, o, _) = entry_region(wait_board(geom, ctx, seq, SLOT_RESULT));
-        dst.0.copy_from(dst.1, &r, o, len);
-    }
-    local_barrier(geom, ctx);
-    if is_leader {
-        group.board.clear_seq(seq);
-    }
+    peers_copy(geom, ctx, seq, false, dst, len);
 }
 
 /// Software fallback: binomial reduce to a root, then (for allreduce)
@@ -773,55 +784,36 @@ fn sw_reduce_bcast(
     let relative = (rank + n - root) % n;
     let len = count * ELEM;
 
-    // Binomial reduce toward relative rank 0.
+    // Binomial reduce toward relative rank 0: fold in each child's
+    // subtree, then hand the partial to the parent.
     let mut acc = vec![0u8; len];
     src.0.read(src.1, &mut acc);
+    let span = subtree_span(relative, n);
+    let level = |mask: usize| tag(seq, Class::Reduce, mask.trailing_zeros() as usize);
     let mut mask = 1usize;
-    let mut level = 0u64;
-    let mut sent = false;
-    while mask < n {
-        let tag = (seq << 8) | (1 << 4) | level;
-        if relative & mask != 0 {
-            let parent = (relative - mask + root) % n;
-            let done = Counter::new();
-            done.add_expected(len.max(1) as u64);
-            let send_region = MemRegion::from_vec(acc.clone());
-            geom.send_sw(
-                ctx,
-                parent,
-                tag,
-                PayloadSource::Region { region: send_region, offset: 0, len },
-                Some(done.clone()),
-            );
-            ctx.advance_until(|| done.is_complete());
-            sent = true;
-            break;
-        }
-        let partner = relative + mask;
-        if partner < n {
-            let data = geom.recv_sw(ctx, (partner + root) % n, tag);
-            assert_eq!(data.len(), len);
-            bgq_collnet::combine(op, dtype, &mut acc, &data);
-        }
+    while mask < span && relative + mask < n {
+        let data = geom.recv_sw(ctx, (relative + mask + root) % n, level(mask));
+        assert_eq!(data.len(), len);
+        bgq_collnet::combine(op, dtype, &mut acc, &data);
         mask <<= 1;
-        level += 1;
     }
-
-    match root_rank {
-        Some(_) => {
-            // Reduce: result at the root only.
-            if relative == 0 {
-                dst.0.write(dst.1, &acc);
-            }
-            let _ = sent;
-        }
-        None => {
-            // Allreduce: root broadcasts the result.
-            if relative == 0 {
-                dst.0.write(dst.1, &acc);
-            }
-            sw_broadcast(geom, ctx, seq, root, dst.0, dst.1, len);
-        }
+    if relative != 0 {
+        let done = Counter::new();
+        done.add_expected(len.max(1) as u64);
+        geom.send_sw(
+            ctx,
+            (relative - span + root) % n,
+            level(span),
+            PayloadSource::Region { region: MemRegion::from_vec(acc), offset: 0, len },
+            Some(done.clone()),
+        );
+        ctx.advance_until(|| done.is_complete());
+    } else {
+        dst.0.write(dst.1, &acc);
+    }
+    // Allreduce: the root broadcasts the result.
+    if root_rank.is_none() {
+        sw_broadcast(geom, ctx, seq, root, dst.0, dst.1, len);
     }
 }
 
@@ -830,16 +822,6 @@ fn sw_reduce_bcast(
 /// of the chain still reduces segment `s`), large enough to amortize the
 /// per-message header.
 pub const STREAM_SEGMENT: usize = 4096;
-
-/// Tag for a streaming-allreduce segment. Streaming owns class nibble 6;
-/// the segment index lives *above* the class nibble (bit 8 up) and the
-/// sequence number above that, so concurrent segments between the same
-/// pair of ranks never collide in the `recv_sw` store — unlike the
-/// binomial layout, whose 4-bit level field would wrap at 16 segments.
-/// Bit 0 separates the reduce (up) and broadcast (down) directions.
-fn stream_tag(seq: u64, seg: usize, down: bool) -> u64 {
-    (seq << 32) | ((seg as u64) << 8) | (6 << 4) | u64::from(down)
-}
 
 /// Streaming chain allreduce (SHArP-style in-network reduction, done in
 /// software): the buffer is cut into [`STREAM_SEGMENT`]-byte segments and
@@ -884,22 +866,21 @@ fn sw_stream_allreduce(
     // Reduce sweep up the chain. Rank n−1 completes each segment and
     // immediately starts it back down, overlapping the two sweeps.
     for seg in 0..nseg {
+        let (up, down) = (tag(seq, Class::ChainUp, seg), tag(seq, Class::ChainDown, seg));
         let off = seg * STREAM_SEGMENT;
         let seg_len = STREAM_SEGMENT.min(len - off);
         let mut part = vec![0u8; seg_len];
         src.0.read(src.1 + off, &mut part);
         if rank > 0 {
-            let upstream = geom.recv_sw(ctx, rank - 1, stream_tag(seq, seg, false));
+            let upstream = geom.recv_sw(ctx, rank - 1, up);
             assert_eq!(upstream.len(), seg_len, "streaming segment length mismatch");
             bgq_collnet::combine(op, dtype, &mut part, &upstream);
         }
         if rank < n - 1 {
-            expected += send_seg(rank + 1, stream_tag(seq, seg, false), part);
+            expected += send_seg(rank + 1, up, part);
         } else {
             dst.0.write(dst.1 + off, &part);
-            if n > 1 {
-                expected += send_seg(rank - 1, stream_tag(seq, seg, true), part);
-            }
+            expected += send_seg(rank - 1, down, part);
         }
     }
 
@@ -907,11 +888,11 @@ fn sw_stream_allreduce(
     // right neighbor, land it, forward left.
     if rank < n - 1 {
         for seg in 0..nseg {
-            let off = seg * STREAM_SEGMENT;
-            let result = geom.recv_sw(ctx, rank + 1, stream_tag(seq, seg, true));
-            dst.0.write(dst.1 + off, &result);
+            let down = tag(seq, Class::ChainDown, seg);
+            let result = geom.recv_sw(ctx, rank + 1, down);
+            dst.0.write(dst.1 + seg * STREAM_SEGMENT, &result);
             if rank > 0 {
-                expected += send_seg(rank - 1, stream_tag(seq, seg, true), result);
+                expected += send_seg(rank - 1, down, result);
             }
         }
     }
@@ -942,87 +923,41 @@ pub fn gather(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    ctx.machine().coll_probes().gathers.incr();
-    let seq = geom.next_seq(ctx.task());
-    if geom.size() == 1 {
-        dst.0.copy_from(dst.1, src.0, src.1, blk);
-        return;
-    }
-    sw_gather(geom, ctx, seq, root_rank, src, dst, blk)
-}
-
-fn sw_gather(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    root_rank: usize,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    blk: usize,
-) {
-    let n = geom.size();
-    let rank = geom.rank_of(ctx.task()).expect("caller is a member");
-    let relative = (rank + n - root_rank) % n;
-
-    // Accumulate my subtree's blocks (relative block x at offset x·blk).
-    let mut subtree = 1usize;
-    {
+    run(geom, ctx, CollKind::Gather, 0, |seq| {
+        let n = geom.size();
+        let rank = geom.rank_of(ctx.task()).expect("caller is a member");
+        let relative = (rank + n - root_rank) % n;
+        let span = subtree_span(relative, n);
+        let level = |mask: usize| tag(seq, Class::Gather, mask.trailing_zeros() as usize);
+        // My subtree's blocks, relative block x at (x − relative)·blk.
+        let subtree = span.min(n - relative);
+        let accum = MemRegion::zeroed(subtree * blk);
+        accum.copy_from(0, src.0, src.1, blk);
         let mut mask = 1usize;
-        while mask < n {
-            if relative & mask != 0 {
-                break;
-            }
-            if relative + mask < n {
-                subtree += (n - relative - mask).min(mask);
-            }
+        while mask < span && relative + mask < n {
+            let data = geom.recv_sw(ctx, (relative + mask + root_rank) % n, level(mask));
+            assert_eq!(data.len(), mask.min(n - relative - mask) * blk, "gather subtree size");
+            accum.write(mask * blk, &data);
             mask <<= 1;
         }
-    }
-    let accum = MemRegion::zeroed(subtree * blk);
-    accum.copy_from(0, src.0, src.1, blk);
-
-    let mut mask = 1usize;
-    let mut level = 0u64;
-    loop {
-        let tag = (seq << 8) | (2 << 4) | level;
-        if relative & mask != 0 {
-            // Send my accumulated subtree to my parent and stop.
-            let parent = (relative - mask + root_rank) % n;
-            let done = Counter::new();
-            done.add_expected((subtree * blk).max(1) as u64);
-            geom.send_sw(
-                ctx,
-                parent,
-                tag,
-                PayloadSource::Region { region: accum.clone(), offset: 0, len: subtree * blk },
-                Some(done.clone()),
-            );
-            ctx.advance_until(|| done.is_complete());
-            break;
+        if relative == 0 {
+            // Unrotate: relative block x belongs to absolute rank (x+root)%n.
+            for x in 0..n {
+                dst.0.copy_from(dst.1 + (x + root_rank) % n * blk, &accum, x * blk, blk);
+            }
+            return;
         }
-        if mask >= n {
-            break;
-        }
-        let child = relative + mask;
-        if child < n {
-            let child_blocks = (n - child).min(mask);
-            let data = geom.recv_sw(ctx, (child + root_rank) % n, tag);
-            assert_eq!(data.len(), child_blocks * blk, "gather subtree size");
-            accum.write((child - relative) * blk, &data);
-        }
-        mask <<= 1;
-        level += 1;
-    }
-
-    if relative == 0 {
-        // Unrotate: relative block x belongs to absolute rank (x+root)%n.
-        for x in 0..n {
-            let abs = (x + root_rank) % n;
-            let mut tmp = vec![0u8; blk];
-            accum.read(x * blk, &mut tmp);
-            dst.0.write(dst.1 + abs * blk, &tmp);
-        }
-    }
+        let done = Counter::new();
+        done.add_expected((subtree * blk).max(1) as u64);
+        geom.send_sw(
+            ctx,
+            (relative - span + root_rank) % n,
+            level(span),
+            PayloadSource::Region { region: accum, offset: 0, len: subtree * blk },
+            Some(done.clone()),
+        );
+        ctx.advance_until(|| done.is_complete());
+    })
 }
 
 /// Scatter `blk` bytes per rank from `root`'s `src` (laid out by rank) into
@@ -1035,105 +970,44 @@ pub fn scatter(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    ctx.machine().coll_probes().scatters.incr();
-    let seq = geom.next_seq(ctx.task());
-    if geom.size() == 1 {
-        dst.0.copy_from(dst.1, src.0, src.1, blk);
-        return;
-    }
-    sw_scatter(geom, ctx, seq, root_rank, src, dst, blk)
-}
-
-fn sw_scatter(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    root_rank: usize,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    blk: usize,
-) {
-    let n = geom.size();
-    let rank = geom.rank_of(ctx.task()).expect("caller is a member");
-    let relative = (rank + n - root_rank) % n;
-
-    // Receive my subtree's blocks from my parent (root starts with all,
-    // rotated so relative block x is at x·blk).
-    #[allow(clippy::needless_late_init)] // else-branch assigns inside a loop and returns
-    let accum;
-    let mut recv_mask = n.next_power_of_two();
-    if relative == 0 {
-        let buf = MemRegion::zeroed(n * blk);
-        for x in 0..n {
-            let abs = (x + root_rank) % n;
-            let mut tmp = vec![0u8; blk];
-            src.0.read(src.1 + abs * blk, &mut tmp);
-            buf.write(x * blk, &tmp);
-        }
-        accum = buf;
-    } else {
-        let mut mask = 1usize;
-        let mut level = 0u64;
-        while mask < n {
-            if relative & mask != 0 {
-                let parent = (relative - mask + root_rank) % n;
-                let tag = (seq << 8) | (3 << 4) | level;
-                let data = geom.recv_sw(ctx, parent, tag);
-                let buf = MemRegion::from_vec(data);
-                recv_mask = mask;
-                accum = buf;
-                // Forward sub-blocks to my children below.
-                scatter_forward(geom, ctx, seq, root_rank, relative, recv_mask, &accum, blk);
-                dst.0.copy_from(dst.1, &accum, 0, blk);
-                return;
+    run(geom, ctx, CollKind::Scatter, 0, |seq| {
+        let n = geom.size();
+        let rank = geom.rank_of(ctx.task()).expect("caller is a member");
+        let relative = (rank + n - root_rank) % n;
+        let span = subtree_span(relative, n);
+        let level = |mask: usize| tag(seq, Class::Scatter, mask.trailing_zeros() as usize);
+        // My subtree's blocks, relative block x at (x − relative)·blk: the
+        // root rotates its buffer, everyone else receives from its parent.
+        let accum = if relative == 0 {
+            let accum = MemRegion::zeroed(n * blk);
+            for x in 0..n {
+                accum.copy_from(x * blk, src.0, src.1 + (x + root_rank) % n * blk, blk);
             }
-            mask <<= 1;
-            level += 1;
+            accum
+        } else {
+            MemRegion::from_vec(geom.recv_sw(ctx, (relative - span + root_rank) % n, level(span)))
+        };
+        let done = Counter::new();
+        let mut mask = span >> 1;
+        while mask > 0 {
+            let child = relative + mask;
+            if child < n {
+                let blocks = mask.min(n - child);
+                let (offset, len) = (mask * blk, blocks * blk);
+                done.add_expected(len.max(1) as u64);
+                geom.send_sw(
+                    ctx,
+                    (child + root_rank) % n,
+                    level(mask),
+                    PayloadSource::Region { region: accum.clone(), offset, len },
+                    Some(done.clone()),
+                );
+            }
+            mask >>= 1;
         }
-        unreachable!("non-root rank has a set bit");
-    }
-    scatter_forward(geom, ctx, seq, root_rank, relative, recv_mask, &accum, blk);
-    dst.0.copy_from(dst.1, &accum, 0, blk);
-}
-
-/// Send each child its slice of `accum` (which holds relative blocks
-/// [relative, relative + extent)).
-#[allow(clippy::too_many_arguments)] // mirrors the recursive scatter state
-fn scatter_forward(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    root_rank: usize,
-    relative: usize,
-    top_mask: usize,
-    accum: &MemRegion,
-    blk: usize,
-) {
-    let n = geom.size();
-    let done = Counter::new();
-    let mut mask = top_mask >> 1;
-    while mask > 0 {
-        let child = relative + mask;
-        if child < n {
-            let child_blocks = (n - child).min(mask);
-            let level = mask.trailing_zeros() as u64;
-            let tag = (seq << 8) | (3 << 4) | level;
-            done.add_expected((child_blocks * blk).max(1) as u64);
-            geom.send_sw(
-                ctx,
-                (child + root_rank) % n,
-                tag,
-                PayloadSource::Region {
-                    region: accum.clone(),
-                    offset: (child - relative) * blk,
-                    len: child_blocks * blk,
-                },
-                Some(done.clone()),
-            );
-        }
-        mask >>= 1;
-    }
-    ctx.advance_until(|| done.is_complete());
+        ctx.advance_until(|| done.is_complete());
+        dst.0.copy_from(dst.1, &accum, 0, blk);
+    })
 }
 
 /// Allgather: every member contributes `blk` bytes and receives all `n`
@@ -1146,41 +1020,31 @@ pub fn allgather(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    ctx.machine().coll_probes().allgathers.incr();
-    let seq = geom.next_seq(ctx.task());
-    let rank = geom.rank_of(ctx.task()).expect("caller is a member");
-    dst.0.copy_from(dst.1 + rank * blk, src.0, src.1, blk);
-    if geom.size() == 1 {
-        return;
-    }
-    sw_allgather(geom, ctx, seq, dst, blk)
-}
-
-/// Ring allgather body (the caller has already deposited its own block).
-fn sw_allgather(geom: &Geometry, ctx: &Context, seq: u64, dst: (&MemRegion, usize), blk: usize) {
-    let n = geom.size();
-    let rank = geom.rank_of(ctx.task()).expect("caller is a member");
-    let right = (rank + 1) % n;
-    let left = (rank + n - 1) % n;
-    for step in 0..n - 1 {
-        let tag = (seq << 8) | (4 << 4) | step as u64;
-        // Forward the block that originated `step` ranks to my left.
-        let outgoing = (rank + n - step) % n;
-        let done = Counter::new();
-        done.add_expected(blk.max(1) as u64);
-        geom.send_sw(
-            ctx,
-            right,
-            tag,
-            PayloadSource::Region { region: dst.0.clone(), offset: dst.1 + outgoing * blk, len: blk },
-            Some(done.clone()),
-        );
-        let data = geom.recv_sw(ctx, left, tag);
-        assert_eq!(data.len(), blk);
-        let incoming = (rank + n - step - 1) % n;
-        dst.0.write(dst.1 + incoming * blk, &data);
-        ctx.advance_until(|| done.is_complete());
-    }
+    run(geom, ctx, CollKind::Allgather, 0, |seq| {
+        let n = geom.size();
+        let rank = geom.rank_of(ctx.task()).expect("caller is a member");
+        dst.0.copy_from(dst.1 + rank * blk, src.0, src.1, blk);
+        let (right, left) = ((rank + 1) % n, (rank + n - 1) % n);
+        for step in 0..n - 1 {
+            let tag = tag(seq, Class::Allgather, step);
+            // Forward the block that originated `step` ranks to my left.
+            let outgoing = dst.1 + (rank + n - step) % n * blk;
+            let done = Counter::new();
+            done.add_expected(blk.max(1) as u64);
+            geom.send_sw(
+                ctx,
+                right,
+                tag,
+                PayloadSource::Region { region: dst.0.clone(), offset: outgoing, len: blk },
+                Some(done.clone()),
+            );
+            let data = geom.recv_sw(ctx, left, tag);
+            assert_eq!(data.len(), blk);
+            let incoming = (rank + n - step - 1) % n;
+            dst.0.write(dst.1 + incoming * blk, &data);
+            ctx.advance_until(|| done.is_complete());
+        }
+    })
 }
 
 /// Alltoall: member `i`'s block `j` (at `j·blk` in `src`) lands at block
@@ -1194,44 +1058,26 @@ pub fn alltoall(
     dst: (&MemRegion, usize),
     blk: usize,
 ) {
-    ctx.machine().coll_probes().alltoalls.incr();
-    let seq = geom.next_seq(ctx.task());
-    let rank = geom.rank_of(ctx.task()).expect("caller is a member");
-    dst.0.copy_from(dst.1 + rank * blk, src.0, src.1 + rank * blk, blk);
-    if geom.size() == 1 {
-        return;
-    }
-    sw_alltoall(geom, ctx, seq, src, dst, blk)
-}
-
-/// Pairwise-exchange alltoall body (the caller has already copied the local
-/// block).
-fn sw_alltoall(
-    geom: &Geometry,
-    ctx: &Context,
-    seq: u64,
-    src: (&MemRegion, usize),
-    dst: (&MemRegion, usize),
-    blk: usize,
-) {
-    let n = geom.size();
-    let rank = geom.rank_of(ctx.task()).expect("caller is a member");
-    for step in 1..n {
-        let to = (rank + step) % n;
-        let from = (rank + n - step) % n;
-        let tag = (seq << 8) | (5 << 4) | step as u64;
-        let done = Counter::new();
-        done.add_expected(blk.max(1) as u64);
-        geom.send_sw(
-            ctx,
-            to,
-            tag,
-            PayloadSource::Region { region: src.0.clone(), offset: src.1 + to * blk, len: blk },
-            Some(done.clone()),
-        );
-        let data = geom.recv_sw(ctx, from, tag);
-        assert_eq!(data.len(), blk);
-        dst.0.write(dst.1 + from * blk, &data);
-        ctx.advance_until(|| done.is_complete());
-    }
+    run(geom, ctx, CollKind::Alltoall, 0, |seq| {
+        let n = geom.size();
+        let rank = geom.rank_of(ctx.task()).expect("caller is a member");
+        dst.0.copy_from(dst.1 + rank * blk, src.0, src.1 + rank * blk, blk);
+        for step in 1..n {
+            let (to, from) = ((rank + step) % n, (rank + n - step) % n);
+            let tag = tag(seq, Class::Alltoall, step);
+            let done = Counter::new();
+            done.add_expected(blk.max(1) as u64);
+            geom.send_sw(
+                ctx,
+                to,
+                tag,
+                PayloadSource::Region { region: src.0.clone(), offset: src.1 + to * blk, len: blk },
+                Some(done.clone()),
+            );
+            let data = geom.recv_sw(ctx, from, tag);
+            assert_eq!(data.len(), blk);
+            dst.0.write(dst.1 + from * blk, &data);
+            ctx.advance_until(|| done.is_complete());
+        }
+    })
 }

@@ -180,19 +180,8 @@ impl Geometry {
                 g
             }
         };
-        Self::attach_dispatch(ctx);
+        Self::attach_dispatch(ctx, registry);
         geometry
-    }
-
-    /// Look up an already-created geometry by id. Collective algorithm
-    /// bodies receive `&Geometry` and use this to recover the shared handle
-    /// when they need to retain it past the call.
-    pub fn lookup(machine: &Arc<Machine>, id: u32) -> Option<Arc<Geometry>> {
-        let registry = machine.shared_state("pami.geometry.registry", || GeometryRegistry {
-            map: Mutex::new(HashMap::new()),
-        });
-        let map = registry.map.lock();
-        map.get(&id).cloned()
     }
 
     fn build(machine: &Arc<Machine>, id: u32, topology: Topology) -> Geometry {
@@ -231,14 +220,16 @@ impl Geometry {
         }
     }
 
-    /// Register the geometry message router on `ctx` (idempotent).
-    fn attach_dispatch(ctx: &Context) {
+    /// Register the geometry message router on `ctx` (idempotent). The
+    /// router holds `registry`, so a message finds its geometry there and
+    /// never through the machine's shared-state registry.
+    fn attach_dispatch(ctx: &Context, registry: Arc<GeometryRegistry>) {
         ctx.set_dispatch(
             DISPATCH_GEOMETRY,
-            Arc::new(|ctx: &Context, msg: &IncomingMsg, first: &[u8]| {
+            Arc::new(move |ctx: &Context, msg: &IncomingMsg, first: &[u8]| {
                 let (geom_id, tag) = wire_open(&msg.metadata);
-                let geometry = Geometry::lookup(ctx.machine(), geom_id)
-                    .expect("geometry message for unknown id");
+                let geometry = registry.map.lock().get(&geom_id).cloned();
+                let geometry = geometry.expect("geometry message for unknown id");
                 let src = msg.src.task;
                 let dst = ctx.task();
                 if first.len() as u64 == msg.len {
@@ -369,9 +360,10 @@ impl Geometry {
 
     // ---- software-collective point-to-point helpers ----------------------
 
-    /// Send `payload` to geometry member `dst_rank` tagged `tag` (software
-    /// collective path).
-    pub(crate) fn send_sw(
+    /// Send `payload` to geometry member `dst_rank` tagged `tag`
+    /// ([`crate::coll::tag`]): the one way a collective's bytes move
+    /// between tasks.
+    pub fn send_sw(
         &self,
         ctx: &Context,
         dst_rank: usize,
@@ -391,8 +383,9 @@ impl Geometry {
     }
 
     /// Receive the message tagged `tag` from geometry member `src_rank`,
-    /// advancing `ctx` until it arrives.
-    pub(crate) fn recv_sw(&self, ctx: &Context, src_rank: usize, tag: u64) -> Vec<u8> {
+    /// advancing `ctx` until it arrives; one that arrived earlier waits in
+    /// the geometry's receive store.
+    pub fn recv_sw(&self, ctx: &Context, src_rank: usize, tag: u64) -> Vec<u8> {
         let src_task = self.topology.task_at(src_rank);
         let key = (ctx.task(), tag, src_task);
         loop {

@@ -2,7 +2,9 @@
 //! protocol path, one-sided operations, commthreads, and collectives.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 
 use pami::coll::{self, names};
 use pami::policy::EAGER_CUTOFF;
@@ -1082,6 +1084,55 @@ fn allgather_ring_delivers_everywhere() {
             );
         }
     });
+}
+
+/// The ring's 65 steps on 66 tasks once shared tags: step 64, packed into
+/// the class field, came out as step 0's. A task that advances its
+/// context before it enters the call (as a commthread or other traffic
+/// does) then stored step 64's block over step 0's, took the wrong block 0
+/// and waited for step 64 forever. The watchdog turns that hang into a
+/// failure.
+#[test]
+fn allgather_ring_survives_a_late_rank_past_64_steps() {
+    let (done, finished) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let machine = Machine::with_nodes(33).ppn(2).build();
+        machine.run(|env| {
+            let client = Client::create(&env.machine, env.task, "coll", 1);
+            env.machine.task_barrier();
+            let ctx = client.context(0);
+            let geom = world_geometry(ctx);
+            let (n, blk) = (geom.size(), 8);
+            if env.task == 1 {
+                // Task 0 sends all n − 1 steps without waiting on task 1:
+                // take every one of them (an event each) before the call.
+                let mut events = 0;
+                while events < n - 1 {
+                    match ctx.advance() {
+                        0 => std::thread::yield_now(),
+                        k => events += k,
+                    }
+                }
+            }
+            let src = MemRegion::from_vec(vec![env.task as u8 + 7; blk]);
+            let dst = MemRegion::zeroed(n * blk);
+            coll::allgather(&geom, ctx, (&src, 0), (&dst, 0), blk);
+            let v = dst.to_vec();
+            for r in 0..n {
+                assert!(
+                    v[r * blk..(r + 1) * blk].iter().all(|&b| b == r as u8 + 7),
+                    "task {}: block {r} wrong",
+                    env.task
+                );
+            }
+        });
+        done.send(()).ok();
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(20));
+    assert!(!matches!(waited, Err(RecvTimeoutError::Timeout)), "watchdog: allgather hung for 20 s");
+    if let Err(panic) = run.join() {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 #[test]

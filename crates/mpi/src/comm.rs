@@ -140,8 +140,7 @@ impl Mpi {
         let _g = self.call_guard();
         let (geom, ctx) = (comm.geometry(), self.coll_context());
         if rect_bcast::available(geom) {
-            let body = rect_bcast::rect_broadcast_body;
-            coll::broadcast_with(geom, ctx, body, root, buf, offset, len);
+            coll::broadcast_with(geom, ctx, rect_bcast::leader_half, root, buf, offset, len);
         } else {
             coll::broadcast(geom, ctx, root, buf, offset, len);
         }

@@ -104,7 +104,6 @@ impl Mpi {
         });
         for ctx in client.contexts() {
             Self::register_dispatch(ctx, &shared);
-            crate::rect_bcast::register_dispatch(ctx);
         }
         // "We use the thread level in the MPI_Init_thread call to determine
         // the level of thread parallelism ... If MPI_THREAD_MULTIPLE is

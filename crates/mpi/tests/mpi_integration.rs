@@ -3,6 +3,7 @@
 //! management, and collectives including the rectangle broadcast.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bgq_collnet::ops::elems;
 use pami::coll::{self, names};
@@ -342,6 +343,37 @@ fn rectangle_broadcast_nonzero_root() {
         };
         mpi.bcast_rect(&buf, 0, len, 3, &world);
         assert_eq!(buf.to_vec(), vec![0x5A; len], "rank {me}");
+    });
+}
+
+/// Leaders that advance before they enter the call hold their slices
+/// before they want them, and a 3-byte buffer leaves seven of the ten
+/// colors empty: the paths a rectangle broadcast takes when a slice
+/// arrives early, or a color has nothing to carry.
+#[test]
+fn rectangle_broadcast_with_late_leaders_and_empty_colors() {
+    run_mpi(8, 2, MpiConfig::default(), |mpi| {
+        let world = mpi.world().clone();
+        let me = world.rank();
+        for len in [3, 10 * 4096 + 7] {
+            if me == 6 || me == 10 {
+                let until = Instant::now() + Duration::from_millis(100);
+                while Instant::now() < until {
+                    if mpi.advance() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            let pattern = |i: usize| (i % 253) as u8 ^ len as u8;
+            let buf = if me == 5 {
+                MemRegion::from_vec((0..len).map(pattern).collect())
+            } else {
+                MemRegion::zeroed(len)
+            };
+            mpi.bcast_rect(&buf, 0, len, 5, &world);
+            let v = buf.to_vec();
+            assert!(v.iter().enumerate().all(|(i, &b)| b == pattern(i)), "rank {me}, len {len}");
+        }
     });
 }
 
