@@ -559,9 +559,9 @@ const MACHINE_SHARED_STATE: [(&str, &str); 4] = [
     ("clients", "client creation only: each context then holds its client's endpoint table"),
     ("link_pump", "per node, and `advance` skips it while the node's links are idle"),
     (
-        "shared",
-        "set-up registry: `Geometry::create` and `comm_split` fetch their shared structures \
-         through it; no message, collective or point-to-point, reaches it",
+        "geometries",
+        "set-up only: `Geometry::create` looks a geometry up once per member, and no message \
+         reaches it",
     ),
     ("init_fence", "set-up barrier: `task_barrier` parks threads before communication"),
 ];

@@ -34,13 +34,16 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Allocations aligned beyond what `malloc` gives for free.
     static OVER_ALIGNED: Cell<u64> = const { Cell::new(0) };
 }
 
 impl Counting {
-    fn note(layout: Layout) {
+    fn note(layout: Layout, bytes: usize) {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + bytes as u64));
         if layout.align() > 16 {
             OVER_ALIGNED.with(|c| c.set(c.get() + 1));
         }
@@ -53,7 +56,7 @@ impl Counting {
 // allocates and is valid for the whole life of a thread.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout);
+        Self::note(layout, layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -64,13 +67,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout);
+        Self::note(layout, layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note(layout);
+        Self::note(layout, new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -84,6 +87,13 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let before = (ALLOCS.with(Cell::get), OVER_ALIGNED.with(Cell::get));
     let out = f();
     (out, ALLOCS.with(Cell::get) - before.0, OVER_ALIGNED.with(Cell::get) - before.1)
+}
+
+/// Heap bytes `f` asked for on this thread.
+fn bytes_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +534,67 @@ fn collectives_send_closed_form_message_counts() {
         let got = collective_sends(nodes, ppn, &passes);
         println!("{nodes} nodes × ppn {ppn}: {got:?}");
         assert_eq!(got, want, "{nodes} nodes × ppn {ppn}: [unrouted, routed]");
+    }
+}
+
+/// Heap bytes each member's thread asked for inside one `op` — a 64 KiB
+/// `sw-binomial-bcast` from rank 0, or a ring `allgather` of 64 KiB blocks
+/// — on a world geometry of four nodes, after one warm-up call of the
+/// same: `(member, bytes, messages received)`.
+fn collective_receive_bytes(op: &'static str) -> Vec<(u32, u64, u64)> {
+    use pami::coll::{self, names};
+    use pami::{Geometry, Topology};
+    let machine = Machine::with_nodes(4).build();
+    let seen = parking_lot::Mutex::new(Vec::new());
+    machine.run(|env| {
+        let client = Client::create(&env.machine, env.task, "coll", 1);
+        env.machine.task_barrier();
+        let ctx = client.context(0);
+        let geom = Geometry::create(ctx, 1, Topology::world(env.machine.num_tasks() as u32));
+        let n = geom.size();
+        let (src, dst) = (MemRegion::zeroed(LONG), MemRegion::zeroed(n * LONG));
+        let run = || match op {
+            names::SW_BCAST => coll::broadcast_named(&geom, ctx, op, 0, &dst, 0, LONG),
+            names::SW_ALLGATHER => coll::allgather(&geom, ctx, (&src, 0), (&dst, 0), LONG),
+            other => panic!("no receive-side count for {other:?}"),
+        };
+        let received = match op {
+            names::SW_BCAST => u64::from(env.task != 0),
+            _ => n as u64 - 1,
+        };
+        run();
+        env.machine.task_barrier();
+        let ((), bytes) = bytes_in(run);
+        seen.lock().push((env.task, bytes, received));
+    });
+    let mut seen = seen.into_inner();
+    seen.sort_unstable();
+    seen
+}
+
+/// A software collective's receive lands in the buffer its caller posted:
+/// a receiving member's thread allocates no heap byte per payload byte,
+/// only a fixed amount per message (the router's completion closure, a
+/// rendezvous pull's counter and descriptors). Measured on a 64 KiB
+/// binomial broadcast and a ring allgather of 64 KiB blocks, where a
+/// staging region per message would show as a whole byte per byte.
+#[test]
+fn a_posted_collective_receive_allocates_no_byte_per_payload_byte() {
+    use pami::coll::names;
+    /// Heap bytes a member may ask for per message it receives.
+    const PER_MESSAGE: u64 = 512;
+    for op in [names::SW_BCAST, names::SW_ALLGATHER] {
+        let seen = collective_receive_bytes(op);
+        println!("{op}: (member, heap bytes, messages received) {seen:?}");
+        for (member, bytes, received) in seen {
+            let payload = received * LONG as u64;
+            assert!(
+                bytes <= PER_MESSAGE * received.max(1),
+                "{op}: member {member} asked for {bytes} heap bytes receiving {payload} payload \
+                 bytes ({:.2} per byte)",
+                bytes as f64 / payload.max(1) as f64
+            );
+        }
     }
 }
 

@@ -138,14 +138,12 @@ impl PersistentChannel {
         if self.bound.is_some() {
             return Ok(());
         }
-        let offer = loop {
-            if let Some(offer) = self.ctx.take_chan_offer(self.peer, self.ordinal) {
-                break offer;
-            }
-            if self.ctx.advance() == 0 {
-                std::thread::yield_now();
-            }
-        };
+        let mut offer = None;
+        self.ctx.advance_until(|| {
+            offer = self.ctx.take_chan_offer(self.peer, self.ordinal);
+            offer.is_some()
+        });
+        let offer = offer.expect("the peer's offer");
         if offer.size != self.size as u64 {
             return Err(PamiError::Invalid("persistent channel size mismatch with peer"));
         }

@@ -28,7 +28,6 @@
 
 use bgq_collnet::{CollContribution, CollOp, CollOutput, DataType};
 use bgq_hw::{Counter, MemRegion};
-use bgq_mu::PayloadSource;
 use bgq_upc::{Histogram, Stamp, Upc};
 
 use crate::context::Context;
@@ -96,7 +95,8 @@ const STEP_BITS: u32 = 28;
 /// The tag of one software-collective message — the one place its layout
 /// is written. Sequence number, class and step each own their bits, so
 /// two messages between the same pair of tasks share a tag only when all
-/// three agree (matching in `recv_sw` is exact on task, tag and source).
+/// three agree (a posted receive matches exactly on geometry, tag and
+/// source: [`Geometry::post_recv`]).
 /// The sequence number keeps its low 32 bits.
 ///
 /// # Panics
@@ -560,23 +560,16 @@ fn sw_broadcast(
     let relative = (rank + n - root_rank) % n;
     let span = subtree_span(relative, n);
     let tag = tag(seq, Class::Broadcast, 0);
-    if relative != 0 {
-        let data = geom.recv_sw(ctx, (relative - span + root_rank) % n, tag);
-        assert_eq!(data.len(), len, "sw broadcast length mismatch");
-        region.write(offset, &data);
-    }
     let done = Counter::new();
+    if relative != 0 {
+        geom.post_recv(ctx, (relative - span + root_rank) % n, tag, region, offset, len, &done);
+        ctx.advance_until(|| done.is_complete());
+    }
     let mut mask = span >> 1;
     while mask > 0 {
         if relative + mask < n {
-            done.add_expected(len.max(1) as u64);
-            geom.send_sw(
-                ctx,
-                (relative + mask + root_rank) % n,
-                tag,
-                PayloadSource::Region { region: region.clone(), offset, len },
-                Some(done.clone()),
-            );
+            let child = (relative + mask + root_rank) % n;
+            geom.send_sw(ctx, child, tag, region, offset, len, &done);
         }
         mask >>= 1;
     }
@@ -784,29 +777,29 @@ fn sw_reduce_bcast(
     let relative = (rank + n - root) % n;
     let len = count * ELEM;
 
-    // Binomial reduce toward relative rank 0: fold in each child's
-    // subtree, then hand the partial to the parent.
+    // Binomial reduce toward relative rank 0: the children's partials land
+    // in one scratch region and fold into this member's input in child
+    // order, and the result goes to the parent.
     let mut acc = vec![0u8; len];
     src.0.read(src.1, &mut acc);
     let span = subtree_span(relative, n);
     let level = |mask: usize| tag(seq, Class::Reduce, mask.trailing_zeros() as usize);
-    let mut mask = 1usize;
-    while mask < span && relative + mask < n {
-        let data = geom.recv_sw(ctx, (relative + mask + root) % n, level(mask));
-        assert_eq!(data.len(), len);
-        bgq_collnet::combine(op, dtype, &mut acc, &data);
-        mask <<= 1;
+    let children = (0..usize::BITS)
+        .map(|bit| 1usize << bit)
+        .take_while(|&mask| mask < span && relative + mask < n);
+    let scratch = MemRegion::zeroed(children.clone().count() * len);
+    let done = Counter::new();
+    for (i, mask) in children.enumerate() {
+        let child = (relative + mask + root) % n;
+        geom.post_recv(ctx, child, level(mask), &scratch, i * len, len, &done);
+    }
+    ctx.advance_until(|| done.is_complete());
+    for partial in scratch.to_vec().chunks_exact(len) {
+        bgq_collnet::combine(op, dtype, &mut acc, partial);
     }
     if relative != 0 {
-        let done = Counter::new();
-        done.add_expected(len.max(1) as u64);
-        geom.send_sw(
-            ctx,
-            (relative - span + root) % n,
-            level(span),
-            PayloadSource::Region { region: MemRegion::from_vec(acc), offset: 0, len },
-            Some(done.clone()),
-        );
+        let parent = (relative - span + root) % n;
+        geom.send_sw(ctx, parent, level(span), &MemRegion::from_vec(acc), 0, len, &done);
         ctx.advance_until(|| done.is_complete());
     } else {
         dst.0.write(dst.1, &acc);
@@ -846,58 +839,50 @@ fn sw_stream_allreduce(
     let rank = geom.rank_of(ctx.task()).expect("caller is a member");
     let len = count * ELEM;
     let nseg = len.div_ceil(STREAM_SEGMENT);
+    let segment = |seg: usize| (seg * STREAM_SEGMENT, STREAM_SEGMENT.min(len - seg * STREAM_SEGMENT));
     // One completion counter covers every send this rank issues across both
     // directions; segments stay in flight back-to-back and we drain once.
-    let sent = Counter::new();
-    let mut expected = 0u64;
-    let send_seg = |dst_rank: usize, tag: u64, data: Vec<u8>| {
-        let seg_len = data.len();
-        let region = MemRegion::from_vec(data);
-        geom.send_sw(
-            ctx,
-            dst_rank,
-            tag,
-            PayloadSource::Region { region, offset: 0, len: seg_len },
-            Some(sent.clone()),
-        );
-        seg_len as u64
-    };
+    let (sent, got) = (Counter::new(), Counter::new());
 
-    // Reduce sweep up the chain. Rank n−1 completes each segment and
-    // immediately starts it back down, overlapping the two sweeps.
+    // Reduce sweep up the chain: each upstream partial lands in one
+    // scratch segment and folds into this rank's own. Rank n−1 completes
+    // each segment in `dst` and immediately starts it back down,
+    // overlapping the two sweeps.
+    let upstream = MemRegion::zeroed(if rank > 0 { STREAM_SEGMENT.min(len) } else { 0 });
+    let mut folded = vec![0u8; upstream.len()];
     for seg in 0..nseg {
         let (up, down) = (tag(seq, Class::ChainUp, seg), tag(seq, Class::ChainDown, seg));
-        let off = seg * STREAM_SEGMENT;
-        let seg_len = STREAM_SEGMENT.min(len - off);
+        let (off, seg_len) = segment(seg);
         let mut part = vec![0u8; seg_len];
         src.0.read(src.1 + off, &mut part);
         if rank > 0 {
-            let upstream = geom.recv_sw(ctx, rank - 1, up);
-            assert_eq!(upstream.len(), seg_len, "streaming segment length mismatch");
-            bgq_collnet::combine(op, dtype, &mut part, &upstream);
+            geom.post_recv(ctx, rank - 1, up, &upstream, 0, seg_len, &got);
+            ctx.advance_until(|| got.is_complete());
+            upstream.read(0, &mut folded[..seg_len]);
+            bgq_collnet::combine(op, dtype, &mut part, &folded[..seg_len]);
         }
         if rank < n - 1 {
-            expected += send_seg(rank + 1, up, part);
+            geom.send_sw(ctx, rank + 1, up, &MemRegion::from_vec(part), 0, seg_len, &sent);
         } else {
             dst.0.write(dst.1 + off, &part);
-            expected += send_seg(rank - 1, down, part);
+            geom.send_sw(ctx, rank - 1, down, dst.0, dst.1 + off, seg_len, &sent);
         }
     }
 
-    // Broadcast sweep back down: receive the finished segment from the
-    // right neighbor, land it, forward left.
+    // Broadcast sweep back down: the finished segment from the right
+    // neighbor lands in `dst` and is forwarded left from there.
     if rank < n - 1 {
         for seg in 0..nseg {
             let down = tag(seq, Class::ChainDown, seg);
-            let result = geom.recv_sw(ctx, rank + 1, down);
-            dst.0.write(dst.1 + seg * STREAM_SEGMENT, &result);
+            let (off, seg_len) = segment(seg);
+            geom.post_recv(ctx, rank + 1, down, dst.0, dst.1 + off, seg_len, &got);
+            ctx.advance_until(|| got.is_complete());
             if rank > 0 {
-                expected += send_seg(rank - 1, down, result);
+                geom.send_sw(ctx, rank - 1, down, dst.0, dst.1 + off, seg_len, &sent);
             }
         }
     }
 
-    sent.add_expected(expected);
     ctx.advance_until(|| sent.is_complete());
 }
 
@@ -931,15 +916,18 @@ pub fn gather(
         let level = |mask: usize| tag(seq, Class::Gather, mask.trailing_zeros() as usize);
         // My subtree's blocks, relative block x at (x − relative)·blk.
         let subtree = span.min(n - relative);
+        // Each child's subtree lands at its place in `accum`.
         let accum = MemRegion::zeroed(subtree * blk);
         accum.copy_from(0, src.0, src.1, blk);
+        let done = Counter::new();
         let mut mask = 1usize;
         while mask < span && relative + mask < n {
-            let data = geom.recv_sw(ctx, (relative + mask + root_rank) % n, level(mask));
-            assert_eq!(data.len(), mask.min(n - relative - mask) * blk, "gather subtree size");
-            accum.write(mask * blk, &data);
+            let child = (relative + mask + root_rank) % n;
+            let len = mask.min(n - relative - mask) * blk;
+            geom.post_recv(ctx, child, level(mask), &accum, mask * blk, len, &done);
             mask <<= 1;
         }
+        ctx.advance_until(|| done.is_complete());
         if relative == 0 {
             // Unrotate: relative block x belongs to absolute rank (x+root)%n.
             for x in 0..n {
@@ -947,15 +935,8 @@ pub fn gather(
             }
             return;
         }
-        let done = Counter::new();
-        done.add_expected((subtree * blk).max(1) as u64);
-        geom.send_sw(
-            ctx,
-            (relative - span + root_rank) % n,
-            level(span),
-            PayloadSource::Region { region: accum, offset: 0, len: subtree * blk },
-            Some(done.clone()),
-        );
+        let parent = (relative - span + root_rank) % n;
+        geom.send_sw(ctx, parent, level(span), &accum, 0, subtree * blk, &done);
         ctx.advance_until(|| done.is_complete());
     })
 }
@@ -978,30 +959,23 @@ pub fn scatter(
         let level = |mask: usize| tag(seq, Class::Scatter, mask.trailing_zeros() as usize);
         // My subtree's blocks, relative block x at (x − relative)·blk: the
         // root rotates its buffer, everyone else receives from its parent.
-        let accum = if relative == 0 {
-            let accum = MemRegion::zeroed(n * blk);
+        let accum = MemRegion::zeroed(span.min(n - relative) * blk);
+        let done = Counter::new();
+        if relative == 0 {
             for x in 0..n {
                 accum.copy_from(x * blk, src.0, src.1 + (x + root_rank) % n * blk, blk);
             }
-            accum
         } else {
-            MemRegion::from_vec(geom.recv_sw(ctx, (relative - span + root_rank) % n, level(span)))
-        };
-        let done = Counter::new();
+            let parent = (relative - span + root_rank) % n;
+            geom.post_recv(ctx, parent, level(span), &accum, 0, accum.len(), &done);
+            ctx.advance_until(|| done.is_complete());
+        }
         let mut mask = span >> 1;
         while mask > 0 {
             let child = relative + mask;
             if child < n {
-                let blocks = mask.min(n - child);
-                let (offset, len) = (mask * blk, blocks * blk);
-                done.add_expected(len.max(1) as u64);
-                geom.send_sw(
-                    ctx,
-                    (child + root_rank) % n,
-                    level(mask),
-                    PayloadSource::Region { region: accum.clone(), offset, len },
-                    Some(done.clone()),
-                );
+                let len = mask.min(n - child) * blk;
+                geom.send_sw(ctx, (child + root_rank) % n, level(mask), &accum, mask * blk, len, &done);
             }
             mask >>= 1;
         }
@@ -1025,23 +999,19 @@ pub fn allgather(
         let rank = geom.rank_of(ctx.task()).expect("caller is a member");
         dst.0.copy_from(dst.1 + rank * blk, src.0, src.1, blk);
         let (right, left) = ((rank + 1) % n, (rank + n - 1) % n);
-        for step in 0..n - 1 {
-            let tag = tag(seq, Class::Allgather, step);
-            // Forward the block that originated `step` ranks to my left.
-            let outgoing = dst.1 + (rank + n - step) % n * blk;
-            let done = Counter::new();
-            done.add_expected(blk.max(1) as u64);
-            geom.send_sw(
-                ctx,
-                right,
-                tag,
-                PayloadSource::Region { region: dst.0.clone(), offset: outgoing, len: blk },
-                Some(done.clone()),
-            );
-            let data = geom.recv_sw(ctx, left, tag);
-            assert_eq!(data.len(), blk);
-            let incoming = (rank + n - step - 1) % n;
-            dst.0.write(dst.1 + incoming * blk, &data);
+        // Step s forwards the block that originated s ranks to my left and
+        // takes in the one from s + 1 ranks, into its place in `dst`. Every
+        // step is posted before the first send, with a counter of its own
+        // that its send shares.
+        let block = |step: usize| dst.1 + (rank + n - step) % n * blk;
+        let steps: Vec<(u64, Counter)> = (0..n - 1)
+            .map(|step| (tag(seq, Class::Allgather, step), Counter::new()))
+            .collect();
+        for (step, (tag, done)) in steps.iter().enumerate() {
+            geom.post_recv(ctx, left, *tag, dst.0, block(step + 1), blk, done);
+        }
+        for (step, (tag, done)) in steps.iter().enumerate() {
+            geom.send_sw(ctx, right, *tag, dst.0, block(step), blk, done);
             ctx.advance_until(|| done.is_complete());
         }
     })
@@ -1062,22 +1032,19 @@ pub fn alltoall(
         let n = geom.size();
         let rank = geom.rank_of(ctx.task()).expect("caller is a member");
         dst.0.copy_from(dst.1 + rank * blk, src.0, src.1 + rank * blk, blk);
+        // Every step's block is posted into its place in `dst` before the
+        // first send, and one counter covers every receive and send.
+        let done = Counter::new();
         for step in 1..n {
-            let (to, from) = ((rank + step) % n, (rank + n - step) % n);
+            let from = (rank + n - step) % n;
             let tag = tag(seq, Class::Alltoall, step);
-            let done = Counter::new();
-            done.add_expected(blk.max(1) as u64);
-            geom.send_sw(
-                ctx,
-                to,
-                tag,
-                PayloadSource::Region { region: src.0.clone(), offset: src.1 + to * blk, len: blk },
-                Some(done.clone()),
-            );
-            let data = geom.recv_sw(ctx, from, tag);
-            assert_eq!(data.len(), blk);
-            dst.0.write(dst.1 + from * blk, &data);
-            ctx.advance_until(|| done.is_complete());
+            geom.post_recv(ctx, from, tag, dst.0, dst.1 + from * blk, blk, &done);
         }
+        for step in 1..n {
+            let to = (rank + step) % n;
+            let tag = tag(seq, Class::Alltoall, step);
+            geom.send_sw(ctx, to, tag, src.0, src.1 + to * blk, blk, &done);
+        }
+        ctx.advance_until(|| done.is_complete());
     })
 }

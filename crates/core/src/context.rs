@@ -33,6 +33,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::aggr::{Aggregator, Frame};
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
+use crate::geometry::CollRecvs;
 use crate::machine::{EndpointAddr, EndpointTable, Machine};
 use crate::policy::{Protocol, StaticPolicy};
 use crate::proto::{
@@ -262,6 +263,8 @@ pub struct Context {
     /// Sources of this context's rendezvous sends, parked until the target
     /// takes them ([`RzvSources`]).
     pub(crate) rzv: Arc<RzvSources>,
+    /// This context's software-collective receives ([`CollRecvs`]).
+    pub(crate) coll_recvs: Mutex<CollRecvs>,
     wakeup: WakeupRegion,
     /// Posted work plus its post-time stamp for handoff-latency telemetry
     /// (the stamp is zero-sized with telemetry off).
@@ -323,6 +326,7 @@ impl Context {
             lane,
             mailbox,
             rzv: Arc::default(),
+            coll_recvs: Mutex::default(),
             wakeup,
             work: WorkQueue::with_capacity(256),
             dispatch: RwLock::new(HashMap::new()),
@@ -942,9 +946,9 @@ impl Context {
 
     // ---- progress ---------------------------------------------------------
 
-    /// Advance this context: run posted work, service the node's system
-    /// FIFO and link channels, dispatch received MU packets and
-    /// shared-memory messages, and fire completed rendezvous callbacks.
+    /// Advance this context: run posted work, flush aged aggregation
+    /// buckets, pump the node's link channels, dispatch received MU packets
+    /// and shared-memory messages, and fire completed rendezvous callbacks.
     /// There is no injection to pump: every descriptor moved inside the
     /// call that injected it. Returns the number of events processed.
     /// Concurrent calls are safe; the loser makes no progress and

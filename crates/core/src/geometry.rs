@@ -13,12 +13,15 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use bgq_collnet::{ClassRoute, ClassRouteError};
-use bgq_hw::{L2Counter, MemRegion};
+use bgq_hw::{Counter, L2Counter, MemRegion};
+use bgq_mu::PayloadSource;
 use bgq_torus::Rectangle;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::context::{Context, IncomingMsg, Recv};
+use crate::endpoint::Endpoint;
+use crate::error::PamiResult;
 use crate::machine::Machine;
 use crate::proto::SendArgs;
 use crate::topology::Topology;
@@ -130,16 +133,12 @@ impl NodeGroup {
     }
 }
 
-struct GeometryRegistry {
-    map: Mutex<HashMap<u32, Arc<Geometry>>>,
-}
-
 /// A task group plus its collective machinery. Shared (one `Arc`) by every
 /// member task; create collectively with [`Geometry::create`].
 pub struct Geometry {
     id: u32,
     topology: Topology,
-    /// Weak: the machine's shared-state registry owns every geometry, so a
+    /// Weak: the machine's geometry registry owns every geometry, so a
     /// strong handle here would be a cycle that leaks the whole machine.
     machine: Weak<Machine>,
     /// Distinct member nodes, ascending; index = GI slot.
@@ -151,36 +150,26 @@ pub struct Geometry {
     route: Mutex<Option<Arc<ClassRoute>>>,
     /// Per-task next collective sequence number.
     seqs: Mutex<HashMap<u32, u64>>,
-    /// Software-collective receive store: (dst task, tag, src task) → data.
-    sw_store: Mutex<HashMap<(u32, u64, u32), Vec<u8>>>,
 }
 
 impl Geometry {
     /// Create (or look up) geometry `id` over `topology`, attaching the
     /// collective dispatch to `ctx`. Collective: every member task calls
     /// this with the same id and an equivalent topology before using the
-    /// geometry.
+    /// geometry, and runs its collectives on a context of `ctx`'s offset
+    /// ([`Geometry::post_recv`]).
     pub fn create(ctx: &Context, id: u32, topology: Topology) -> Arc<Geometry> {
-        let machine = Arc::clone(ctx.machine());
-        let registry = machine.shared_state("pami.geometry.registry", || GeometryRegistry {
-            map: Mutex::new(HashMap::new()),
-        });
-        let geometry = {
-            let mut map = registry.map.lock();
-            if let Some(existing) = map.get(&id) {
-                assert_eq!(
-                    existing.topology.size(),
-                    topology.size(),
-                    "geometry {id} re-created with a different topology"
-                );
-                Arc::clone(existing)
-            } else {
-                let g = Arc::new(Self::build(&machine, id, topology));
-                map.insert(id, Arc::clone(&g));
-                g
-            }
-        };
-        Self::attach_dispatch(ctx, registry);
+        let machine = ctx.machine();
+        let size = topology.size();
+        let geometry = Arc::clone(
+            machine
+                .geometries
+                .lock()
+                .entry(id)
+                .or_insert_with(|| Arc::new(Self::build(machine, id, topology))),
+        );
+        assert_eq!(geometry.size(), size, "geometry {id} re-created with a different topology");
+        ctx.set_dispatch(DISPATCH_GEOMETRY, Arc::new(route));
         geometry
     }
 
@@ -216,42 +205,7 @@ impl Geometry {
             node_rect,
             route: Mutex::new(None),
             seqs: Mutex::new(HashMap::new()),
-            sw_store: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Register the geometry message router on `ctx` (idempotent). The
-    /// router holds `registry`, so a message finds its geometry there and
-    /// never through the machine's shared-state registry.
-    fn attach_dispatch(ctx: &Context, registry: Arc<GeometryRegistry>) {
-        ctx.set_dispatch(
-            DISPATCH_GEOMETRY,
-            Arc::new(move |ctx: &Context, msg: &IncomingMsg, first: &[u8]| {
-                let (geom_id, tag) = wire_open(&msg.metadata);
-                let geometry = registry.map.lock().get(&geom_id).cloned();
-                let geometry = geometry.expect("geometry message for unknown id");
-                let src = msg.src.task;
-                let dst = ctx.task();
-                if first.len() as u64 == msg.len {
-                    // Whole payload available inline: stash now.
-                    geometry.sw_store.lock().insert((dst, tag, src), first.to_vec());
-                    return Recv::Done;
-                }
-                let region = MemRegion::zeroed(msg.len as usize);
-                let stash_region = region.clone();
-                Recv::Into {
-                    region,
-                    offset: 0,
-                    on_complete: Box::new(move |ctx2: &Context, result| {
-                        result.expect("geometry control message failed delivery");
-                        geometry
-                            .sw_store
-                            .lock()
-                            .insert((ctx2.task(), tag, src), stash_region.to_vec());
-                    }),
-                }
-            }),
-        );
     }
 
     /// Geometry id.
@@ -290,9 +244,9 @@ impl Geometry {
     }
 
     /// The machine. A geometry is only reachable through a context or
-    /// the registry of a live machine, so the upgrade cannot fail in a
-    /// correct program. The upgrade is an atomic RMW on the machine's one
-    /// strong count, so this is for setup and queries; the collectives
+    /// the geometry registry of a live machine, so the upgrade cannot fail
+    /// in a correct program. The upgrade is an atomic RMW on the machine's
+    /// one strong count, so this is for setup and queries; the collectives
     /// take the machine from their context instead.
     pub fn machine(&self) -> Arc<Machine> {
         self.machine.upgrade().expect("geometry used after its machine was dropped")
@@ -358,45 +312,136 @@ impl Geometry {
         v
     }
 
-    // ---- software-collective point-to-point helpers ----------------------
+    // ---- software-collective point-to-point ------------------------------
 
-    /// Send `payload` to geometry member `dst_rank` tagged `tag`
-    /// ([`crate::coll::tag`]): the one way a collective's bytes move
-    /// between tasks.
+    /// Send the `len` bytes at (`region`, `offset`) to geometry member
+    /// `dst_rank`, tagged `tag` ([`crate::coll::tag`]): the one way a
+    /// collective's bytes move between tasks. `done` is armed with the
+    /// `len.max(1)` the send's local completion credits; wait on it with
+    /// [`Context::advance_until`] before reusing the bytes. The message
+    /// goes to the member's context of `ctx`'s offset.
+    #[allow(clippy::too_many_arguments)]
     pub fn send_sw(
         &self,
         ctx: &Context,
         dst_rank: usize,
         tag: u64,
-        payload: bgq_mu::PayloadSource,
-        local_done: Option<bgq_hw::Counter>,
+        region: &MemRegion,
+        offset: usize,
+        len: usize,
+        done: &Counter,
     ) {
-        let dest_task = self.topology.task_at(dst_rank);
+        done.add_expected(len.max(1) as u64);
         ctx.send(SendArgs {
-            dest: crate::endpoint::Endpoint::of_task(dest_task),
+            dest: Endpoint { task: self.topology.task_at(dst_rank), context: ctx.offset() },
             dispatch: DISPATCH_GEOMETRY,
             metadata: wire_make(self.id, tag),
-            payload,
-            local_done,
+            payload: PayloadSource::Region { region: region.clone(), offset, len },
+            local_done: Some(done.clone()),
         })
         .expect("software-collective send to a geometry member");
     }
 
-    /// Receive the message tagged `tag` from geometry member `src_rank`,
-    /// advancing `ctx` until it arrives; one that arrived earlier waits in
-    /// the geometry's receive store.
-    pub fn recv_sw(&self, ctx: &Context, src_rank: usize, tag: u64) -> Vec<u8> {
-        let src_task = self.topology.task_at(src_rank);
-        let key = (ctx.task(), tag, src_task);
-        loop {
-            if let Some(data) = self.sw_store.lock().remove(&key) {
-                return data;
-            }
-            if ctx.advance() == 0 {
-                std::thread::yield_now();
-            }
+    /// Post the receive of the `len`-byte message tagged `tag` from member
+    /// `src_rank` into (`region`, `offset`), arming `done` with the
+    /// `len.max(1)` its landing credits, as [`Geometry::send_sw`] does. A
+    /// message that arrived first is copied off `ctx`'s early list now.
+    ///
+    /// The post lives on `ctx`, and [`Geometry::send_sw`] addresses the
+    /// destination's context of the sender's offset, so every member runs
+    /// a geometry's collectives on contexts of one offset — the one
+    /// [`Geometry::create`] attached the router to (MPI: context 0).
+    ///
+    /// # Panics
+    /// On `ctx`'s advancing thread, when the message is not `len` bytes
+    /// or its delivery failed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn post_recv(
+        &self,
+        ctx: &Context,
+        src_rank: usize,
+        tag: u64,
+        region: &MemRegion,
+        offset: usize,
+        len: usize,
+        done: &Counter,
+    ) {
+        done.add_expected(len.max(1) as u64);
+        let key = (self.id, tag, self.topology.task_at(src_rank));
+        let post = Posted { region: region.clone(), offset, len, done: done.clone() };
+        let mut recvs = ctx.coll_recvs.lock();
+        match recvs.early.remove(&key) {
+            Some(early) => post.land(&early),
+            None => assert!(recvs.posted.insert(key, post).is_none(), "a receive posted twice"),
         }
     }
+}
+
+/// A posted receive: where its message's bytes go, and what they credit.
+struct Posted {
+    region: MemRegion,
+    offset: usize,
+    len: usize,
+    done: Counter,
+}
+
+impl Posted {
+    /// Take the message's bytes from `early`, the region it arrived in.
+    fn land(self, early: &MemRegion) {
+        assert_eq!(early.len(), self.len, "software-collective message of the wrong length");
+        self.region.copy_from(self.offset, early, 0, self.len);
+        self.done.delivered(self.len.max(1) as u64);
+    }
+}
+
+/// One context's software-collective receives, keyed by (geometry id,
+/// tag, source task): what it posted, and what arrived first (MPI's
+/// unexpected queue). Only the owning context touches it — its router on
+/// the advancing thread and its own [`Geometry::post_recv`]s — the owner
+/// rule of its rendezvous sources, so no software-collective message
+/// takes a lock wider than its receiving context.
+#[derive(Default)]
+pub(crate) struct CollRecvs {
+    posted: HashMap<(u32, u64, u32), Posted>,
+    early: HashMap<(u32, u64, u32), MemRegion>,
+}
+
+/// The geometry message router ([`DISPATCH_GEOMETRY`]). It resolves no
+/// geometry: it matches the arrival in the receiving context's own
+/// [`CollRecvs`]. A message that finds its post is copied from the packet
+/// or deposited (a rendezvous: pulled) straight into the posted region.
+/// One that finds none is deposited into a region of its own, which a
+/// post made meanwhile takes when it completes, and the early list holds
+/// otherwise.
+fn route(ctx: &Context, msg: &IncomingMsg, first: &[u8]) -> Recv {
+    let (geom_id, tag) = wire_open(&msg.metadata);
+    let key = (geom_id, tag, msg.src.task);
+    let len = msg.len as usize;
+    let posted = ctx.coll_recvs.lock().posted.remove(&key);
+    if let Some(Posted { region, offset, len: want, done }) = posted {
+        assert_eq!(len, want, "software-collective message of the wrong length");
+        if first.len() == len {
+            region.write(offset, first);
+            done.delivered(len.max(1) as u64);
+            return Recv::Done;
+        }
+        let on_complete = Box::new(move |_: &Context, result: PamiResult<()>| {
+            result.expect("software-collective message failed delivery");
+            done.delivered(len.max(1) as u64);
+        });
+        return Recv::Into { region, offset, on_complete };
+    }
+    let early = MemRegion::zeroed(len);
+    let region = early.clone();
+    let on_complete = Box::new(move |ctx: &Context, result: PamiResult<()>| {
+        result.expect("software-collective message failed delivery");
+        let mut recvs = ctx.coll_recvs.lock();
+        match recvs.posted.remove(&key) {
+            Some(post) => post.land(&early),
+            None => assert!(recvs.early.insert(key, early).is_none(), "a message arrived twice"),
+        }
+    });
+    Recv::Into { region, offset: 0, on_complete }
 }
 
 fn wire_make(geom_id: u32, tag: u64) -> Vec<u8> {
@@ -416,6 +461,116 @@ fn wire_open(metadata: &Bytes) -> (u32, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::policy::{StaticPolicy, SHORT_CUTOFF};
+
+    const TAG: u64 = 7;
+
+    /// Task 0 sends to task 1 over the world geometry, on two nodes, and
+    /// this thread drives both.
+    struct Pair {
+        clients: Vec<Arc<Client>>,
+        geom: Arc<Geometry>,
+    }
+
+    impl Pair {
+        /// A pair whose eager path carries messages up to `eager` bytes.
+        fn new(eager: usize) -> Pair {
+            let policy = StaticPolicy::with_short(SHORT_CUTOFF, eager);
+            let machine = Machine::with_nodes(2).protocol_policy(policy).build();
+            let clients: Vec<_> = (0..2).map(|t| Client::create(&machine, t, "geom", 1)).collect();
+            let geom = Geometry::create(clients[0].context(0), 1, Topology::world(2));
+            Geometry::create(clients[1].context(0), 1, Topology::world(2));
+            Pair { clients, geom }
+        }
+
+        fn receiver(&self) -> &Context {
+            self.clients[1].context(0)
+        }
+
+        fn send(&self, payload: &[u8]) {
+            let (region, sent) = (MemRegion::from_vec(payload.to_vec()), Counter::new());
+            self.geom.send_sw(self.clients[0].context(0), 1, TAG, &region, 0, region.len(), &sent);
+            assert!(sent.is_ok(), "a lossless send completes inside its call");
+        }
+
+        fn post(&self, region: &MemRegion, done: &Counter) {
+            self.geom.post_recv(self.receiver(), 0, TAG, region, 0, region.len(), done);
+        }
+
+        /// (posted receives, early arrivals) on the receiving context.
+        fn table(&self) -> (usize, usize) {
+            let recvs = self.receiver().coll_recvs.lock();
+            (recvs.posted.len(), recvs.early.len())
+        }
+
+        /// `done` is credited exactly once (a second credit would wrap its
+        /// word), `region` holds `payload` and nothing lands there again,
+        /// and the receiving context's table is empty.
+        fn check(&self, order: &str, region: &MemRegion, done: &Counter, payload: &[u8]) {
+            for _ in 0..8 {
+                if done.is_complete() {
+                    break;
+                }
+                self.receiver().advance();
+            }
+            assert!(done.is_ok(), "{order}: credited once ({} outstanding)", done.outstanding());
+            assert!(region.to_vec() == payload, "{order}: the bytes land in the posted region");
+            region.fill(0, region.len(), 0xEE);
+            for _ in 0..8 {
+                self.receiver().advance();
+            }
+            assert!(region.to_vec().iter().all(|&b| b == 0xEE), "{order}: landed twice");
+            assert!(done.is_ok(), "{order}: credited twice");
+            assert_eq!(self.table(), (0, 0), "{order}: posted table and early list");
+        }
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 % 251) as u8).collect()
+    }
+
+    /// The four orders a posted receive and its message can meet in,
+    /// driven on one thread. The last is what a commthread advancing the
+    /// receiving context can make of a collective's post: the message's
+    /// reassembly spans two `advance` calls (80 packets, 64 per call), the
+    /// post lands between them, and the completed message must go to the
+    /// post rather than the early list.
+    #[test]
+    fn a_posted_receive_lands_once_in_every_arrival_order() {
+        let cases: [(&str, usize, usize); 4] = [
+            ("post, then arrival", 4096, 2000),
+            ("single-packet arrival, then post", 4096, 100),
+            ("multi-packet arrival, then post", 4096, 2000),
+            ("post mid-reassembly", 64 * 1024, 40 * 1024),
+        ];
+        for (order, eager, len) in cases {
+            let pair = Pair::new(eager);
+            let (payload, region, done) = (pattern(len), MemRegion::zeroed(len), Counter::new());
+            match order {
+                "post, then arrival" => {
+                    pair.post(&region, &done);
+                    assert_eq!(pair.table(), (1, 0), "{order}: posted");
+                    pair.send(&payload);
+                }
+                "post mid-reassembly" => {
+                    pair.send(&payload);
+                    pair.receiver().advance();
+                    assert!(!pair.receiver().is_quiescent(), "{order}: still reassembling");
+                    assert_eq!(pair.table(), (0, 0), "{order}: nothing early yet");
+                    pair.post(&region, &done);
+                    assert_eq!(pair.table(), (1, 0), "{order}: posted");
+                }
+                _ => {
+                    pair.send(&payload);
+                    pair.receiver().advance();
+                    assert_eq!(pair.table(), (0, 1), "{order}: early");
+                    pair.post(&region, &done);
+                }
+            }
+            pair.check(order, &region, &done, &payload);
+        }
+    }
 
     #[test]
     fn local_barrier_generations() {

@@ -17,7 +17,6 @@
 //! Tasks are laid out node-major: task `t` lives on node `t / ppn` as local
 //! rank `t % ppn` — the default BG/Q mapping.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -336,7 +335,7 @@ impl MachineBuilder {
             collnet: CollNet::new(),
             clients: Mutex::new(Vec::new()),
             windows: WindowTable::new(),
-            shared: Mutex::new(HashMap::new()),
+            geometries: Mutex::new(HashMap::new()),
             init_fence: (Mutex::new((0, 0)), parking_lot::Condvar::new()),
         })
     }
@@ -373,10 +372,9 @@ pub struct Machine {
     /// One-sided windows, looked up in place by every `put`, `get` and
     /// `rmw`.
     windows: WindowTable,
-    /// Named shared state for layers built on PAMI (geometry registries,
-    /// MPI node boards, …): the stand-in for structures those layers would
-    /// place in CNK shared memory.
-    shared: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
+    /// Every geometry by id, found by [`crate::Geometry::create`] once per
+    /// member and never by a message.
+    pub(crate) geometries: Mutex<HashMap<u32, Arc<crate::Geometry>>>,
     /// Blocking all-task rendezvous used as an initialization fence.
     init_fence: (Mutex<(usize, u64)>, parking_lot::Condvar),
 }
@@ -610,24 +608,6 @@ impl Machine {
             }
         }
     }
-
-    /// Get-or-create a named piece of machine-wide shared state (the
-    /// CNK-shared-memory stand-in higher layers coordinate through).
-    pub fn shared_state<T, F>(&self, key: &str, init: F) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let mut shared = self.shared.lock();
-        if let Some(existing) = shared.get(key) {
-            return Arc::clone(existing).downcast::<T>().unwrap_or_else(|_| {
-                panic!("shared_state key {key:?} requested with two different types")
-            });
-        }
-        let value: Arc<T> = Arc::new(init());
-        shared.insert(key.to_string(), Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
-        value
-    }
 }
 
 #[cfg(test)]
@@ -746,23 +726,6 @@ mod tests {
                 assert_eq!(seen.len(), THREADS * PER_THREAD);
             });
         });
-    }
-
-    #[test]
-    fn shared_state_returns_same_instance() {
-        let m = Machine::with_nodes(1).build();
-        let a: Arc<Mutex<u32>> = m.shared_state("x", || Mutex::new(1));
-        let b: Arc<Mutex<u32>> = m.shared_state("x", || Mutex::new(99));
-        *a.lock() += 1;
-        assert_eq!(*b.lock(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "two different types")]
-    fn shared_state_type_mismatch_panics() {
-        let m = Machine::with_nodes(1).build();
-        let _a: Arc<Mutex<u32>> = m.shared_state("x", || Mutex::new(1));
-        let _b: Arc<Mutex<String>> = m.shared_state("x", || Mutex::new(String::new()));
     }
 
     #[test]

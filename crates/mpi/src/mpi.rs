@@ -7,7 +7,7 @@ use std::task::Poll;
 use bgq_hw::{L2TicketMutex, MemRegion};
 use bgq_mu::PayloadSource;
 use pami::{
-    Client, CommThreadPool, Context, Endpoint, Geometry, LockDiscipline, Machine, Recv,
+    coll, Client, CommThreadPool, Context, Endpoint, Geometry, LockDiscipline, Machine, Recv,
     TaskEnv, Topology,
 };
 use parking_lot::Mutex;
@@ -355,6 +355,16 @@ impl Mpi {
         events
     }
 
+    /// Keep advancing this rank's contexts (yielding the CPU in between)
+    /// until `cond` is true: how `wait`, `waitall` and `probe` block.
+    fn advance_until(&self, mut cond: impl FnMut() -> bool) {
+        while !cond() {
+            if self.advance() == 0 {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// Non-destructive completion probe (keeps the request live) — what a
     /// poll loop uses between advances.
     pub fn request_complete(&self, req: Request) -> bool {
@@ -376,11 +386,7 @@ impl Mpi {
             let _g = self.call_guard();
             self.shared.allocator.resolve(req).expect("unknown request")
         };
-        while !inner.is_complete() {
-            if self.advance() == 0 {
-                std::thread::yield_now();
-            }
-        }
+        self.advance_until(|| inner.is_complete());
         let status = inner.status();
         drop(inner);
         let _g = self.call_guard();
@@ -403,12 +409,10 @@ impl Mpi {
         let mut pending: Vec<usize> =
             (0..inners.len()).filter(|&i| !inners[i].is_complete()).collect();
         // Phase 2: poll the pending list.
-        while !pending.is_empty() {
-            if self.advance() == 0 {
-                std::thread::yield_now();
-            }
+        self.advance_until(|| {
             pending.retain(|&i| !inners[i].is_complete());
-        }
+            pending.is_empty()
+        });
         let statuses = inners.iter().map(|r| r.status()).collect();
         drop(inners);
         let _g = self.call_guard();
@@ -444,35 +448,25 @@ impl Mpi {
     /// communicator (or `None` for color < 0, the `MPI_UNDEFINED` case).
     pub fn comm_split(&self, comm: &Comm, color: i32, key: i32) -> Option<Comm> {
         let seq = comm.geometry().next_seq(self.task());
-        // Exchange (rank, color, key) through machine shared state — the
-        // stand-in for the allgather MPICH does here.
-        let board: Arc<Mutex<std::collections::HashMap<usize, (i32, i32)>>> = self
-            .machine()
-            .shared_state(&format!("mpi.split.{}.{}", comm.id(), seq), Default::default);
-        board.lock().insert(comm.rank(), (color, key));
-        // Wait until every member posted.
-        let n = comm.size();
-        while board.lock().len() < n {
-            if self.advance() == 0 {
-                std::thread::yield_now();
-            }
-        }
-        let snapshot = board.lock().clone();
+        // Every member's (color, key), by rank: the allgather MPICH does
+        // here.
+        let mine = MemRegion::from_vec([color.to_le_bytes(), key.to_le_bytes()].concat());
+        let all = MemRegion::zeroed(comm.size() * 8);
+        coll::allgather(comm.geometry(), self.coll_context(), (&mine, 0), (&all, 0), 8);
+        let all = all.to_vec();
+        let word = |at: usize| i32::from_le_bytes(all[at..at + 4].try_into().expect("4 bytes"));
+        let members = (0..comm.size()).map(|rank| (rank, word(8 * rank), word(8 * rank + 4)));
         if color < 0 {
             comm.barrier_ctx(self.client.context(0));
             return None;
         }
         // Members of my color, ordered by (key, old rank).
-        let mut members: Vec<(i32, usize)> = snapshot
-            .iter()
-            .filter(|(_, (c, _))| *c == color)
-            .map(|(rank, (_, k))| (*k, *rank))
-            .collect();
-        members.sort_unstable();
-        let tasks: Vec<u32> = members.iter().map(|(_, r)| comm.task_of(*r)).collect();
+        let mut mine: Vec<(i32, usize)> =
+            members.clone().filter(|&(_, c, _)| c == color).map(|(rank, _, k)| (k, rank)).collect();
+        mine.sort_unstable();
+        let tasks: Vec<u32> = mine.iter().map(|(_, r)| comm.task_of(*r)).collect();
         // Distinct colors in ascending order give a deterministic id.
-        let mut colors: Vec<i32> =
-            snapshot.values().map(|(c, _)| *c).filter(|c| *c >= 0).collect();
+        let mut colors: Vec<i32> = members.map(|(_, c, _)| c).filter(|c| *c >= 0).collect();
         colors.sort_unstable();
         colors.dedup();
         let color_idx = colors.iter().position(|c| *c == color).unwrap() as u32;
@@ -566,14 +560,12 @@ impl Mpi {
     /// `MPI_Probe`: block (advancing) until a matching message is
     /// available.
     pub fn probe(&self, src: i32, tag: Tag, comm: &Comm) -> Status {
-        loop {
-            if let Some(st) = self.iprobe(src, tag, comm) {
-                return st;
-            }
-            if self.advance() == 0 {
-                std::thread::yield_now();
-            }
-        }
+        let mut found = None;
+        self.advance_until(|| {
+            found = self.iprobe(src, tag, comm);
+            found.is_some()
+        });
+        found.expect("a matching message")
     }
 }
 

@@ -8,7 +8,7 @@
 //! rotated dimension order and the *c*-th directed link leading): every
 //! node leader receives the slice from its parent's leader and forwards it
 //! to its children's leaders, over the geometry's software point-to-point
-//! ([`Geometry::send_sw`] / [`Geometry::recv_sw`]). That is the leader
+//! ([`Geometry::post_recv`] / [`Geometry::send_sw`]). That is the leader
 //! half; the node around it — the root shares its buffer with its leader,
 //! the other tasks copy from theirs — is [`pami::coll::broadcast_with`]'s.
 
@@ -16,7 +16,7 @@ use bgq_hw::{Counter, MemRegion};
 use bgq_torus::trees::TreeKind;
 use bgq_torus::{Coords, SpanningTree};
 use pami::coll::{self, Class};
-use pami::{Context, Geometry, PayloadSource};
+use pami::{Context, Geometry};
 
 /// Name of the rectangle broadcast in [`crate::Comm::algorithms_query`] —
 /// a *layered* algorithm the MPI layer lists beside PAMI's built-ins. It
@@ -43,10 +43,10 @@ fn slice_bounds(len: usize, color: usize) -> (usize, usize) {
 }
 
 /// The leader half ([`pami::coll::BroadcastBody`]): for each color in
-/// turn, receive its slice from the tree parent's leader (the root's node
-/// has it already), then send it to the children's leaders. A leader never
-/// waits on a child, so taking the colors in order cannot deadlock. Empty
-/// slices send nothing.
+/// turn, receive its slice into its place in `dst` from the tree parent's
+/// leader (the root's node has it already), then send it from there to the
+/// children's leaders. A leader never waits on a child, so taking the
+/// colors in order cannot deadlock. Empty slices send nothing.
 pub(crate) fn leader_half(
     geom: &Geometry,
     ctx: &Context,
@@ -71,8 +71,7 @@ pub(crate) fn leader_half(
             dst.0.copy_from(dst.1, region, offset, len);
         }
     }
-    let sent = Counter::new();
-    let mut expected = 0;
+    let (got, sent) = (Counter::new(), Counter::new());
     for color in 0..COLORS {
         let (lo, hi) = slice_bounds(len, color);
         if lo == hi {
@@ -81,16 +80,13 @@ pub(crate) fn leader_half(
         let tree = SpanningTree::build(shape, rect, root, TreeKind::Colored(color as u8));
         let tag = coll::tag(seq, Class::Broadcast, color);
         if let Some(parent) = tree.parent_of(here) {
-            dst.0.write(dst.1 + lo, &geom.recv_sw(ctx, leader_of(parent), tag));
+            geom.post_recv(ctx, leader_of(parent), tag, dst.0, dst.1 + lo, hi - lo, &got);
+            ctx.advance_until(|| got.is_complete());
         }
         for child in tree.children_of(here) {
-            expected += (hi - lo) as u64;
-            let (region, offset) = (dst.0.clone(), dst.1 + lo);
-            let slice = PayloadSource::Region { region, offset, len: hi - lo };
-            geom.send_sw(ctx, leader_of(child), tag, slice, Some(sent.clone()));
+            geom.send_sw(ctx, leader_of(child), tag, dst.0, dst.1 + lo, hi - lo, &sent);
         }
     }
-    sent.add_expected(expected);
     ctx.advance_until(|| sent.is_complete());
 }
 

@@ -1,6 +1,6 @@
 //! A machine must be freed when its last user lets go of it.
 //!
-//! `Mpi::init` creates the world geometry, which the machine's shared-state
+//! `Mpi::init` creates the world geometry, which the machine's geometry
 //! registry owns; a strong `Arc<Machine>` inside the geometry made that a
 //! reference cycle, and every machine that ever hosted an MPI rank leaked
 //! (about 1.2 MB each in `pamibench`'s `mpi_exchange`).

@@ -78,10 +78,7 @@ fn main() {
             done: Some(got_back.clone()),
         })
         .unwrap();
-        while !got_back.is_complete() {
-            ctx.advance();
-            std::thread::yield_now();
-        }
+        ctx.advance_until(|| got_back.is_complete());
         assert_eq!(fetch.read_i64(0), 1000 + me as i64, "round-tripped through the window");
 
         mpi.barrier(&world);
