@@ -97,6 +97,21 @@ fn bench(c: &mut Criterion) {
             requests.release(req)
         })
     });
+
+    // What one telemetry probe write costs on the calling thread's own
+    // stripe (DESIGN.md §7): the ledger's probe-cost rows. The recorded
+    // values vary in magnitude, so `record` spreads over its buckets.
+    let upc = bgq_upc::Upc::new();
+    let probe = upc.counter("bench.counter");
+    g.bench_function("upc/counter-add", |b| b.iter(|| probe.add(black_box(1))));
+    let hist = upc.histogram("bench.histogram");
+    let mut v = 0u64;
+    g.bench_function("upc/histogram-record", |b| {
+        b.iter(|| {
+            v = v.wrapping_add(0x9E37_79B9);
+            hist.record(black_box(v >> (v & 63)))
+        })
+    });
     g.finish();
 }
 

@@ -560,8 +560,8 @@ const MACHINE_SHARED_STATE: [(&str, &str); 4] = [
     ("link_pump", "per node, and `advance` skips it while the node's links are idle"),
     (
         "geometries",
-        "set-up only: `Geometry::create` looks a geometry up once per member, and no message \
-         reaches it",
+        "set-up only: `Geometry::create` looks a geometry up once per member and forgets the \
+         dead ones; the members' handles own each geometry, and no message reaches it",
     ),
     ("init_fence", "set-up barrier: `task_barrier` parks threads before communication"),
 ];

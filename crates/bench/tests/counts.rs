@@ -825,8 +825,12 @@ fn aggregation_sends_a_tenth_of_the_packets() {
     let never = AggrConfig { age_us: 3_600_000_000, ..AggrConfig::default() };
     let (on, on_allocs) = scatter(Machine::with_nodes(8).aggregation(never));
     let (off, off_allocs) = scatter(Machine::with_nodes(8));
-    // A frame buffer per cut frame, plus its growth: 0.37 per message.
-    assert_eq!((on_allocs, off_allocs), (6139, 0));
+    // Two per frame cut inside `send` (its one payload copy and its header
+    // metadata), plus the seven buckets' buffers and two bucket-map
+    // growths, once: 0.19 per message. With the probes compiled in, one
+    // more: the thread's stripe of `aggr.added_latency_ns`, allocated on
+    // its first record.
+    assert_eq!((on_allocs, off_allocs), (3091 + u64::from(bgq_upc::ENABLED), 0));
     if cfg!(feature = "telemetry") {
         // One short-tier packet per frame, 10.58 records in each; without
         // aggregation one short-tier packet per message.

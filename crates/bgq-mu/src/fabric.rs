@@ -316,8 +316,7 @@ impl MuFabric {
     /// did not cross wait in their channel's retransmit queue.
     /// Per-destination order is the order of the calls.
     pub fn inject(&self, src_node: u32, lane: &MsgIdLane, desc: Descriptor) {
-        let pin = desc.src_context as usize;
-        self.node(src_node).counters.descriptors_executed.incr_pinned(pin);
+        self.node(src_node).counters.descriptors_executed.incr();
         self.execute_from(src_node, desc, lane);
     }
 
@@ -352,10 +351,9 @@ impl MuFabric {
 
     /// Record `n` receive-side payload copies on `node` (contexts deposit
     /// packet payloads into destination memory and flush the count once per
-    /// `advance` call). `pin` stripes the counter by the caller's context
-    /// id so concurrent contexts never share a counter cell.
-    pub fn note_payload_copies(&self, node: u32, pin: usize, n: u64) {
-        self.node(node).counters.payload_copies.add_pinned(pin, n);
+    /// `advance` call).
+    pub fn note_payload_copies(&self, node: u32, n: u64) {
+        self.node(node).counters.payload_copies.add(n);
     }
 
     /// Live `mu.*` telemetry probes for `node`. Read a single probe with
@@ -397,8 +395,8 @@ impl MuFabric {
     }
 
     /// The one way a memory-FIFO message reaches a reception FIFO — the
-    /// four stages drawn in the module docs. Telemetry updates are pinned
-    /// to the sending context's stripe, so contexts flooding from different
+    /// four stages drawn in the module docs. Telemetry updates land on the
+    /// calling thread's own stripe, so contexts flooding from different
     /// threads never bounce a counter cache line.
     fn deliver_message(
         &self,
@@ -413,7 +411,6 @@ impl MuFabric {
         let msg_len = payload.len() as u32;
         let npackets = packets_for(payload.len()) as u64;
         let total_credit = if msg_len == 0 { Descriptor::ZERO_LEN_CREDIT } else { msg_len as u64 };
-        let pin = hdr.src_context as usize;
         // The sender asked for a completion signal, and the MU's contract
         // is that the counter fires only once the source buffer has been
         // read — so a region payload is read now, one packet slice at a
@@ -424,14 +421,14 @@ impl MuFabric {
         // and the one payload copy happens at the receiver's deposit.
         let stage = inj_counter.is_some() && matches!(payload, PayloadSource::Region { .. });
         if stage {
-            self.node(src_node).counters.payload_copies.add_pinned(pin, npackets);
+            self.node(src_node).counters.payload_copies.add(npackets);
         }
         if counter_sample_hit(msg_id) {
             let src = &self.node(src_node).counters;
-            src.fifo_messages.add_pinned(pin, MU_PACKET_COUNTER_SAMPLE);
-            src.packets_injected.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
+            src.fifo_messages.add(MU_PACKET_COUNTER_SAMPLE);
+            src.packets_injected.add(npackets * MU_PACKET_COUNTER_SAMPLE);
             let dst = &self.node(hdr.dst_node).counters;
-            dst.packets_received.add_pinned(pin, npackets * MU_PACKET_COUNTER_SAMPLE);
+            dst.packets_received.add(npackets * MU_PACKET_COUNTER_SAMPLE);
         }
 
         // 2. Reliability (only under a fault plan, only across a link):
@@ -504,9 +501,8 @@ impl MuFabric {
     #[inline(never)]
     fn serve_get(&self, node: u32, put_back: Descriptor) {
         let n = self.node(node);
-        let pin = put_back.src_context as usize;
-        n.counters.remote_gets_serviced.incr_pinned(pin);
-        n.counters.descriptors_executed.incr_pinned(pin);
+        n.counters.remote_gets_serviced.incr();
+        n.counters.descriptors_executed.incr();
         self.execute_from(node, put_back, &n.sys_lane);
     }
 

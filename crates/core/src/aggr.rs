@@ -283,16 +283,19 @@ impl Aggregator {
     }
 
     fn cut(&self, bucket: &mut Bucket, dest: Endpoint, cause: FlushCause) -> Frame {
-        let cut = std::mem::replace(bucket, self.fresh_bucket());
+        // The bucket keeps its buffer: the frame is its one copy.
+        let count = std::mem::take(&mut bucket.count);
+        let payload = Bytes::copy_from_slice(&bucket.buf);
+        bucket.buf.clear();
         // Same single-writer-under-lock pattern as `append`.
         self.pending
-            .store(self.pending.load(Ordering::Relaxed) - cut.count as usize, Ordering::Release);
+            .store(self.pending.load(Ordering::Relaxed) - count as usize, Ordering::Release);
         self.probes.frames.incr();
-        self.probes.frame_bytes.add(cut.buf.len() as u64);
+        self.probes.frame_bytes.add(payload.len() as u64);
         // One striped-counter add per frame instead of one per record: the
         // count is exact once every open bucket has been flushed, which is
         // the only point (post-drain) the benches and tests read it.
-        self.probes.batched.add(u64::from(cut.count));
+        self.probes.batched.add(u64::from(count));
         match cause {
             FlushCause::Fill => self.probes.flush_fill.incr(),
             FlushCause::Age => self.probes.flush_age.incr(),
@@ -307,10 +310,10 @@ impl Aggregator {
             let tick = self.lat_tick.load(Ordering::Relaxed);
             self.lat_tick.store(tick.wrapping_add(1), Ordering::Relaxed);
             if tick & 15 == 0 {
-                self.probes.added_latency_ns.record(self.now_ns().saturating_sub(cut.opened_ns));
+                self.probes.added_latency_ns.record(self.now_ns().saturating_sub(bucket.opened_ns));
             }
         }
-        Frame { dest, count: cut.count, payload: cut.buf.freeze(), cause }
+        Frame { dest, count, payload, cause }
     }
 
     /// Append one record to `key`'s bucket, emitting any frame the append

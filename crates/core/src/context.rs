@@ -478,7 +478,7 @@ impl Context {
         let dest_node = self.machine.task_node(dest.task);
         let addr = self.endpoints.get(dest)?;
         if dest_node == self.node {
-            self.probes.sends_shm.incr_pinned(self.offset as usize);
+            self.probes.sends_shm.incr();
             addr.mailbox.deliver(ShmMsg {
                 src: self.endpoint(),
                 dispatch,
@@ -492,7 +492,7 @@ impl Context {
         self.flush_aggr_conflict(dest, dest_node);
         // One-packet immediates ARE short-tier sends: the same inline
         // packet, the same arm, the same probe.
-        self.probes.sends_short.incr_pinned(self.offset as usize);
+        self.probes.sends_short.incr();
         let metadata = Bytes::copy_from_slice(metadata);
         let hdr = self.fifo_header(dest_node, addr.rec_fifo, dispatch, metadata);
         let payload = PayloadSource::Immediate(Bytes::copy_from_slice(payload));
@@ -558,7 +558,7 @@ impl Context {
                 // aggregator lock, so frames leave in cut order. The
                 // payload is copied out now, so local completion is
                 // immediate — same credit rule as the inline shm path.
-                self.probes.sends_aggr.incr_pinned(self.offset as usize);
+                self.probes.sends_aggr.incr();
                 let key = self.aggr_key(dest, dest_node);
                 // Borrow the payload bytes in place: the append copies
                 // them into the bucket, so the immediate path needs no
@@ -598,13 +598,13 @@ impl Context {
         self.flush_aggr_conflict(dest, dest_node);
         match proto {
             Protocol::Short => {
-                self.probes.sends_short.incr_pinned(self.offset as usize);
+                self.probes.sends_short.incr();
                 let metadata = Bytes::copy_from_slice(metadata);
                 let hdr = self.fifo_header(dest_node, rec_fifo, dispatch, metadata);
                 self.send_short_arm(hdr, payload, local_done);
             }
             Protocol::Eager => {
-                self.probes.sends_eager.incr_pinned(self.offset as usize);
+                self.probes.sends_eager.incr();
                 let metadata = Bytes::copy_from_slice(metadata);
                 let hdr = self.fifo_header(dest_node, rec_fifo, dispatch, metadata);
                 self.inject(Descriptor::fifo(hdr, payload, local_done));
@@ -612,7 +612,7 @@ impl Context {
             Protocol::Rendezvous => {
                 // Rendezvous: park the source, send an RTS; the target
                 // pulls the payload with a remote get.
-                self.probes.sends_rzv.incr_pinned(self.offset as usize);
+                self.probes.sends_rzv.incr();
                 let key = self.rzv.park(RzvEntry { payload, local_done });
                 let rts = wire::rts(dispatch, len as u64, key, metadata);
                 let hdr = self.fifo_header(dest_node, rec_fifo, DISPATCH_RZV_RTS, rts);
@@ -652,7 +652,7 @@ impl Context {
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, payload.len())?;
         source_within(&payload)?;
-        self.probes.puts.incr_pinned(self.offset as usize);
+        self.probes.puts.incr();
         let desc = Descriptor {
             dst_node,
             src_context: self.offset,
@@ -685,7 +685,7 @@ impl Context {
             self.machine.window(window.key).ok_or(PamiError::UnknownWindow(window.key.0))?;
         within(&win.region, window.offset, len)?;
         within(&dst.region, dst.offset, len)?;
-        self.probes.gets.incr_pinned(self.offset as usize);
+        self.probes.gets.incr();
         let put_back = Descriptor {
             dst_node: self.node,
             src_context: self.offset,
@@ -732,7 +732,7 @@ impl Context {
         if let Some(slot) = &result {
             within(&slot.region, slot.offset, 8)?;
         }
-        self.probes.rmws.incr_pinned(self.offset as usize);
+        self.probes.rmws.incr();
         let desc = Descriptor {
             dst_node,
             src_context: self.offset,
@@ -920,7 +920,7 @@ impl Context {
         local_done: Option<Counter>,
     ) -> PamiResult<()> {
         let addr = self.endpoints.get(dest)?;
-        self.probes.sends_shm.incr_pinned(self.offset as usize);
+        self.probes.sends_shm.incr();
         let len = payload.len();
         // On-node, short, eager and would-be-aggregated are the same
         // inline mailbox path.
@@ -957,17 +957,16 @@ impl Context {
         // Empty fast path: when every queue this context drains is
         // observably empty, return without taking the advance lock at all —
         // the polling-loop cost the paper's latency numbers depend on.
-        let pin = self.offset as usize;
-        self.probes.advance_calls.incr_pinned(pin);
+        self.probes.advance_calls.incr();
         if self.observably_idle() {
-            self.probes.idle_fastpath_hits.incr_pinned(pin);
+            self.probes.idle_fastpath_hits.incr();
             return 0;
         }
         let Some(mut st) = self.advance_state.try_lock() else {
             return 0;
         };
         let events = self.advance_locked(&mut st);
-        self.probes.advance_events.add_pinned(pin, events as u64);
+        self.probes.advance_events.add(events as u64);
         events
     }
 
@@ -1008,7 +1007,6 @@ impl Context {
 
     fn advance_locked(&self, st: &mut AdvanceState) -> usize {
         let mut events = 0usize;
-        let pin = self.offset as usize;
         let mut bc = BatchCounters::default();
 
         // 1. Posted work (commthread handoff path). The handoff latency —
@@ -1030,7 +1028,7 @@ impl Context {
             }
         }
         if work_done > 0 {
-            self.probes.work_items.add_pinned(pin, work_done);
+            self.probes.work_items.add(work_done);
         }
 
         // 1b. Aggregation age bound: when the earliest open bucket's µs
@@ -1099,10 +1097,10 @@ impl Context {
         // Flush the advance-batched counters: one striped add per probe per
         // advance call instead of a shared-counter RMW per packet.
         if bc.dispatched > 0 {
-            self.probes.messages_dispatched.add_pinned(pin, bc.dispatched);
+            self.probes.messages_dispatched.add(bc.dispatched);
         }
         if bc.copies > 0 {
-            self.machine.fabric().note_payload_copies(self.node, pin, bc.copies);
+            self.machine.fabric().note_payload_copies(self.node, bc.copies);
         }
 
         events

@@ -138,8 +138,8 @@ impl NodeGroup {
 pub struct Geometry {
     id: u32,
     topology: Topology,
-    /// Weak: the machine's geometry registry owns every geometry, so a
-    /// strong handle here would be a cycle that leaks the whole machine.
+    /// Weak: the members' handles own a geometry, and a communicator
+    /// handle must not keep the whole machine alive.
     machine: Weak<Machine>,
     /// Distinct member nodes, ascending; index = GI slot.
     nodes: Vec<u32>,
@@ -161,13 +161,20 @@ impl Geometry {
     pub fn create(ctx: &Context, id: u32, topology: Topology) -> Arc<Geometry> {
         let machine = ctx.machine();
         let size = topology.size();
-        let geometry = Arc::clone(
-            machine
-                .geometries
-                .lock()
-                .entry(id)
-                .or_insert_with(|| Arc::new(Self::build(machine, id, topology))),
-        );
+        let geometry = {
+            let mut registry = machine.geometries.lock();
+            match registry.get(&id).and_then(Weak::upgrade) {
+                Some(live) => live,
+                None => {
+                    // Forget the geometries whose handles are all gone,
+                    // so a split or dup in a loop keeps the map bounded.
+                    registry.retain(|_, g| g.strong_count() > 0);
+                    let built = Arc::new(Self::build(machine, id, topology));
+                    registry.insert(id, Arc::downgrade(&built));
+                    built
+                }
+            }
+        };
         assert_eq!(geometry.size(), size, "geometry {id} re-created with a different topology");
         ctx.set_dispatch(DISPATCH_GEOMETRY, Arc::new(route));
         geometry
@@ -243,11 +250,11 @@ impl Geometry {
         &self.gi
     }
 
-    /// The machine. A geometry is only reachable through a context or
-    /// the geometry registry of a live machine, so the upgrade cannot fail
-    /// in a correct program. The upgrade is an atomic RMW on the machine's
-    /// one strong count, so this is for setup and queries; the collectives
-    /// take the machine from their context instead.
+    /// The machine. A geometry is used through the contexts of a live
+    /// machine, so the upgrade cannot fail in a correct program. The
+    /// upgrade is an atomic RMW on the machine's one strong count, so this
+    /// is for setup and queries; the collectives take the machine from
+    /// their context instead.
     pub fn machine(&self) -> Arc<Machine> {
         self.machine.upgrade().expect("geometry used after its machine was dropped")
     }

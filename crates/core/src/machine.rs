@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use bgq_collnet::{ClassRouteManager, CollNet};
 use bgq_hw::{Counter, MemRegion};
@@ -372,9 +372,10 @@ pub struct Machine {
     /// One-sided windows, looked up in place by every `put`, `get` and
     /// `rmw`.
     windows: WindowTable,
-    /// Every geometry by id, found by [`crate::Geometry::create`] once per
-    /// member and never by a message.
-    pub(crate) geometries: Mutex<HashMap<u32, Arc<crate::Geometry>>>,
+    /// Every live geometry by id, found by [`crate::Geometry::create`] once
+    /// per member and never by a message. The members' handles own each
+    /// geometry; `create` forgets the dead ones.
+    pub(crate) geometries: Mutex<HashMap<u32, Weak<crate::Geometry>>>,
     /// Blocking all-task rendezvous used as an initialization fence.
     init_fence: (Mutex<(usize, u64)>, parking_lot::Condvar),
 }
@@ -565,6 +566,14 @@ impl Machine {
     #[doc(hidden)]
     pub fn endpoint_slots(&self) -> usize {
         self.clients.lock().iter().map(|(_, table)| table.slots.len()).sum()
+    }
+
+    /// Geometry registry entries, dead ones included until the next
+    /// [`crate::Geometry::create`] forgets them (test hook for the
+    /// registry's bound).
+    #[doc(hidden)]
+    pub fn geometry_entries(&self) -> usize {
+        self.geometries.lock().len()
     }
 
     /// Register a one-sided window; remote tasks address it by the returned

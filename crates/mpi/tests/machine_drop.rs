@@ -1,9 +1,10 @@
 //! A machine must be freed when its last user lets go of it.
 //!
 //! `Mpi::init` creates the world geometry, which the machine's geometry
-//! registry owns; a strong `Arc<Machine>` inside the geometry made that a
-//! reference cycle, and every machine that ever hosted an MPI rank leaked
-//! (about 1.2 MB each in `pamibench`'s `mpi_exchange`).
+//! registry once owned; a strong `Arc<Machine>` inside the geometry made
+//! that a reference cycle, and every machine that ever hosted an MPI rank
+//! leaked (about 1.2 MB each in `pamibench`'s `mpi_exchange`). Nor may the
+//! registry keep a communicator's geometry once its handles are gone.
 
 use std::sync::Arc;
 
@@ -56,4 +57,25 @@ fn machine_is_freed_after_mpi_ranks_are_dropped() {
         alive.upgrade().is_none(),
         "the machine outlived every handle to it: something it owns still holds an Arc<Machine>"
     );
+}
+
+/// Every `comm_dup` (a `comm_split`) registers a geometry; one whose
+/// communicator every rank has dropped is forgotten by the next
+/// registration, so 200 dups in a loop leave the registry holding the live
+/// world and the live dup, not all 201.
+#[test]
+fn dropped_communicators_leave_the_geometry_registry() {
+    let machine = Machine::with_nodes(2).build();
+    machine.run(|env| {
+        let mpi = Mpi::init(&env.machine, env.task, MpiConfig::default());
+        env.machine.task_barrier();
+        for i in 0..200 {
+            let dup = mpi.comm_dup(mpi.world());
+            // No rank can register the next dup before this one has
+            // entered that dup's allgather, so the count is exact here.
+            assert_eq!(env.machine.geometry_entries(), 2, "dup {i}: world + this dup");
+            drop(dup);
+        }
+        mpi.barrier(mpi.world());
+    });
 }

@@ -2,31 +2,96 @@
 
 use crate::{bucket_index, bucket_upper_bound, HistSummary, Snapshot, TraceEvent, HIST_BUCKETS};
 use crossbeam::utils::CachePadded;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Number of exclusive per-thread stripes per counter. The first `STRIPES`
-/// threads to touch telemetry each own one stripe and bump it with a non-RMW
-/// relaxed load+store (exact, because a stripe has exactly one writer);
-/// threads beyond that share an overflow cell via `fetch_add`.
+/// Number of thread-owned stripes per counter and histogram. Each live
+/// thread that touches telemetry owns one slot, and with it one stripe of
+/// every probe, which it bumps with a plain relaxed load + store (exact,
+/// because a stripe has exactly one writer). A thread hands its slot back
+/// when it exits; threads beyond `STRIPES` live ones share an overflow cell
+/// through an RMW.
 const STRIPES: usize = 16;
 
 const DEFAULT_TRACE_CAP: usize = 4096;
 
-// -- process-global thread slots and epoch ----------------------------------
+// -- thread slots and epoch -------------------------------------------------
 
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// `SLOT` before the thread's first bump.
+const UNASSIGNED: usize = usize::MAX;
 
-thread_local! {
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
+/// Slots never handed out yet, then the ones exited threads handed back.
+/// Taking and returning a slot under this lock orders the old owner's last
+/// store before the new owner's first load of the same stripe.
+static SLOTS: Mutex<SlotPool> = Mutex::new(SlotPool { next: 0, free: Vec::new() });
+
+struct SlotPool {
+    next: usize,
+    free: Vec<usize>,
 }
 
+/// Owns the thread's slot; its destructor hands the slot back at thread
+/// exit and points later bumps (other TLS destructors) at the overflow cell.
+struct SlotGuard(usize);
+
+impl SlotGuard {
+    fn acquire() -> Self {
+        let mut pool = SLOTS.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = match pool.free.pop() {
+            Some(slot) => slot,
+            None if pool.next < STRIPES => {
+                pool.next += 1;
+                pool.next - 1
+            }
+            None => STRIPES,
+        };
+        SlotGuard(slot)
+    }
+}
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        SLOT.set(STRIPES);
+        if self.0 < STRIPES {
+            SLOTS.lock().unwrap_or_else(|e| e.into_inner()).free.push(self.0);
+        }
+    }
+}
+
+thread_local! {
+    /// The hot-path copy of the thread's slot: a `const` cell with no
+    /// destructor, so reading it is one thread-local load and stays valid
+    /// while other TLS destructors run.
+    static SLOT: Cell<usize> = const { Cell::new(UNASSIGNED) };
+    static GUARD: SlotGuard = SlotGuard::acquire();
+    /// Thread id stamped on trace events: unique for the process's life,
+    /// unlike a slot, which a later thread may reuse.
+    static TRACE_TID: u64 = NEXT_TRACE_TID.fetch_add(1, Ordering::Relaxed);
+}
+
+static NEXT_TRACE_TID: AtomicU64 = AtomicU64::new(0);
+
+/// The calling thread's stripe index, or `STRIPES` for the overflow cell.
 #[inline]
 fn thread_slot() -> usize {
-    THREAD_SLOT.with(|s| *s)
+    let slot = SLOT.get();
+    if slot != UNASSIGNED {
+        slot
+    } else {
+        assign_slot()
+    }
+}
+
+#[cold]
+fn assign_slot() -> usize {
+    // Fails only once the guard is destroyed, when `SLOT` already reads
+    // `STRIPES`; a bump that lands then is counted in the overflow cell.
+    let slot = GUARD.try_with(|g| g.0).unwrap_or(STRIPES);
+    SLOT.set(slot);
+    slot
 }
 
 fn epoch() -> Instant {
@@ -89,9 +154,10 @@ impl CounterCell {
     }
 }
 
-/// Lock-free event counter: cache-padded per-thread stripes aggregated at
-/// read time. `add` is a couple of nanoseconds and never contends for the
-/// first `STRIPES` threads in the process.
+/// Lock-free event counter: one cache-padded stripe per live thread,
+/// aggregated at read time. `add` is a plain relaxed load + store on the
+/// calling thread's own stripe — no RMW, no shared line — for the first
+/// `STRIPES` live threads in the process.
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<CounterCell>,
@@ -100,14 +166,11 @@ pub struct Counter {
 impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
-        let slot = thread_slot();
-        if slot < STRIPES {
-            // Exclusive stripe: single writer, so a non-RMW relaxed
-            // load+store is exact and avoids the locked-bus RMW cost.
-            let s = &*self.cell.stripes[slot];
-            s.store(s.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
-        } else {
-            self.cell.overflow.fetch_add(n, Ordering::Relaxed);
+        match self.cell.stripes.get(thread_slot()) {
+            Some(s) => s.store(s.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed),
+            None => {
+                self.cell.overflow.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -116,51 +179,39 @@ impl Counter {
         self.add(1);
     }
 
-    /// Bump the counter on the stripe selected by `pin` (typically the
-    /// owning context id) rather than by thread arrival order.
-    ///
-    /// Thread-slot striping degrades when many short-lived bench threads
-    /// burn through the first `STRIPES` slots and later workers pile onto
-    /// the shared overflow cell; pinning by a stable small id keeps each
-    /// context on its own cache-padded stripe regardless of which thread
-    /// advances it. Two pins can map to the same stripe (`pin % STRIPES`),
-    /// so this uses a real `fetch_add` — still uncontended in the common
-    /// case of ≤ `STRIPES` contexts per counter.
-    #[inline]
-    pub fn add_pinned(&self, pin: usize, n: u64) {
-        self.cell.stripes[pin & (STRIPES - 1)].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// [`Counter::add_pinned`] by one.
-    #[inline]
-    pub fn incr_pinned(&self, pin: usize) {
-        self.add_pinned(pin, 1);
-    }
-
     /// Aggregate the stripes. Safe to call concurrently with writers; the
     /// result is exact once writers have quiesced.
     pub fn value(&self) -> u64 {
         self.cell.sum()
     }
+
+    /// What the shared overflow cell holds: bumps from threads that found
+    /// no free slot, or ran after handing theirs back.
+    #[cfg(test)]
+    fn overflow(&self) -> u64 {
+        self.cell.overflow.load(Ordering::Relaxed)
+    }
 }
 
 // -- histograms -------------------------------------------------------------
 
-struct HistCell {
+/// One thread's share of a histogram. The stripe's owner writes it with
+/// plain load + store pairs; the overflow stripe takes RMWs.
+struct HistStripe {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl HistCell {
-    fn new() -> Self {
-        HistCell {
+impl HistStripe {
+    fn new() -> Box<CachePadded<Self>> {
+        Box::new(CachePadded::new(HistStripe {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-        }
+        }))
     }
 
     fn load_raw(&self) -> RawHist {
@@ -170,6 +221,27 @@ impl HistCell {
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A stripe is allocated on its slot's first `record`, so a histogram
+/// nobody records into holds `STRIPES + 1` empty cells and no stripe.
+struct HistCell {
+    stripes: [OnceLock<Box<CachePadded<HistStripe>>>; STRIPES],
+    overflow: OnceLock<Box<CachePadded<HistStripe>>>,
+}
+
+impl HistCell {
+    fn new() -> Self {
+        HistCell { stripes: std::array::from_fn(|_| OnceLock::new()), overflow: OnceLock::new() }
+    }
+
+    fn load_raw(&self) -> RawHist {
+        let mut raw = RawHist::zero();
+        for s in self.stripes.iter().chain([&self.overflow]).filter_map(OnceLock::get) {
+            raw.merge(&s.load_raw());
+        }
+        raw
     }
 }
 
@@ -248,8 +320,9 @@ impl RawHist {
 }
 
 /// Power-of-two-bucket latency histogram (HDR-style): bucket 0 holds the
-/// value 0, bucket `k` holds `[2^(k-1), 2^k-1]`. Recording is four relaxed
-/// RMWs — cheap enough for per-operation latencies off the per-packet path.
+/// value 0, bucket `k` holds `[2^(k-1), 2^k-1]`. Recording writes the
+/// calling thread's own stripe with plain stores — bucket, count, sum and,
+/// when it grew, max — so it is cheap enough for per-operation latencies.
 #[derive(Clone)]
 pub struct Histogram {
     cell: Arc<HistCell>,
@@ -258,11 +331,27 @@ pub struct Histogram {
 impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
-        let c = &self.cell;
-        c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        let bump = |a: &AtomicU64, n: u64| {
+            a.store(a.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed)
+        };
+        match self.cell.stripes.get(thread_slot()) {
+            Some(stripe) => {
+                let s = stripe.get_or_init(HistStripe::new);
+                bump(&s.buckets[bucket_index(v)], 1);
+                bump(&s.count, 1);
+                bump(&s.sum, v);
+                if v > s.max.load(Ordering::Relaxed) {
+                    s.max.store(v, Ordering::Relaxed);
+                }
+            }
+            None => {
+                let s = self.cell.overflow.get_or_init(HistStripe::new);
+                s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+                s.count.fetch_add(1, Ordering::Relaxed);
+                s.sum.fetch_add(v, Ordering::Relaxed);
+                s.max.fetch_max(v, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Record the nanoseconds elapsed since `start`.
@@ -272,19 +361,25 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
+        self.cell.load_raw().count
     }
 
     pub fn sum(&self) -> u64 {
-        self.cell.sum.load(Ordering::Relaxed)
+        self.cell.load_raw().sum
     }
 
     pub fn max(&self) -> u64 {
-        self.cell.max.load(Ordering::Relaxed)
+        self.cell.load_raw().max
     }
 
     pub fn summary(&self) -> HistSummary {
         self.cell.load_raw().summary()
+    }
+
+    /// Records that landed in the shared overflow stripe.
+    #[cfg(test)]
+    fn overflow(&self) -> u64 {
+        self.cell.overflow.get().map_or(0, |s| s.count.load(Ordering::Relaxed))
     }
 }
 
@@ -459,7 +554,7 @@ impl Upc {
             if let Some((_, r)) = rings.iter().find(|(rid, _)| *rid == id) {
                 return r.clone();
             }
-            let r = Arc::new(TraceRing::new(thread_slot() as u64, self.inner.trace_cap));
+            let r = Arc::new(TraceRing::new(TRACE_TID.with(|t| *t), self.inner.trace_cap));
             self.inner.rings.lock().unwrap().push(r.clone());
             rings.push((id, r.clone()));
             r
@@ -538,5 +633,90 @@ impl Upc {
     /// `pamistat`-style aggregate report.
     pub fn report_json(&self) -> String {
         self.snapshot().report_json()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Held by the tests that fill or count on the process-wide slot pool,
+    /// so the test harness's parallel threads cannot drain it under them.
+    static POOL: Mutex<()> = Mutex::new(());
+
+    /// Short-lived threads, one after another, hand their slots back: twice
+    /// `STRIPES` of them never reach the overflow cell, and the sums are
+    /// exact. Without the hand-back the threads past the 16th would share
+    /// the overflow cell.
+    #[test]
+    fn sequential_threads_reuse_slots() {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+        let upc = Upc::new();
+        let c = upc.counter("seq.count");
+        let h = upc.histogram("seq.hist");
+        for t in 0..2 * STRIPES as u64 {
+            let (c, h) = (c.clone(), h.clone());
+            std::thread::spawn(move || {
+                c.add(t + 1);
+                h.record(t);
+            })
+            .join()
+            .unwrap();
+        }
+        let n = 2 * STRIPES as u64;
+        assert_eq!(c.value(), n * (n + 1) / 2);
+        assert_eq!((h.count(), h.sum(), h.max()), (n, n * (n - 1) / 2, n - 1));
+        assert_eq!((c.overflow(), h.overflow()), (0, 0));
+    }
+
+    /// More live threads than stripes: the ones past the last free slot
+    /// share the overflow cell, and nothing is lost.
+    #[test]
+    fn live_threads_past_stripes_share_overflow() {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+        let upc = Upc::new();
+        let c = upc.counter("live.count");
+        let threads = STRIPES + 4;
+        let both = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    both.wait();
+                    for _ in 0..1000 {
+                        c.incr();
+                    }
+                    // Every thread holds its slot until all have bumped.
+                    both.wait();
+                });
+            }
+        });
+        assert_eq!(c.value(), threads as u64 * 1000);
+        assert!(c.overflow() >= 4 * 1000, "overflow {}", c.overflow());
+    }
+
+    /// A bump from a TLS destructor that runs after the thread's slot went
+    /// back is still counted (in the overflow cell).
+    #[test]
+    fn late_tls_destructor_bump_is_counted() {
+        struct BumpOnExit(Counter);
+        impl Drop for BumpOnExit {
+            fn drop(&mut self) {
+                self.0.incr();
+            }
+        }
+        thread_local! {
+            static LATE: RefCell<Option<BumpOnExit>> = const { RefCell::new(None) };
+        }
+        let upc = Upc::new();
+        let c = upc.counter("late.count");
+        let c2 = c.clone();
+        std::thread::spawn(move || {
+            // Registered before the slot guard, so destroyed after it.
+            LATE.with(|l| *l.borrow_mut() = Some(BumpOnExit(c2.clone())));
+            c2.incr();
+        })
+        .join()
+        .unwrap();
+        assert_eq!(c.value(), 2);
     }
 }

@@ -5,13 +5,15 @@
 //!
 //! Three primitives, all lock-free on the record path:
 //!
-//! * [`Counter`] — cache-padded, per-thread striped cells. Threads that own an
-//!   exclusive stripe bump it with a non-RMW relaxed `load + store` (a single
-//!   writer per stripe makes this exact); late-arriving threads beyond the
-//!   stripe count share one overflow cell via `fetch_add`. Reads aggregate at
+//! * [`Counter`] — cache-padded cells striped by thread. Each live thread
+//!   owns one stripe slot, taken on its first bump and handed back when it
+//!   exits, and bumps its stripe with a non-RMW relaxed `load + store` (a
+//!   single writer per stripe makes this exact); threads beyond the stripe
+//!   count share one overflow cell via `fetch_add`. Reads aggregate at
 //!   snapshot time, so the hot path never contends.
 //! * [`Histogram`] — HDR-style power-of-two-bucket latency histogram (65
-//!   buckets covering the full `u64` range) with p50/p99/max summaries.
+//!   buckets covering the full `u64` range) with p50/p99/max summaries, on
+//!   the same thread-owned stripes (each allocated on its first record).
 //! * Trace ring — a per-thread SPSC ring buffer of spans (fixed capacity,
 //!   drop-oldest) written with a seqlock per slot so a reader on any thread
 //!   can merge a consistent timeline and export it as chrome://tracing JSON.

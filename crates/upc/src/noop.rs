@@ -33,12 +33,6 @@ impl Counter {
     pub fn incr(&self) {}
 
     #[inline(always)]
-    pub fn add_pinned(&self, _pin: usize, _n: u64) {}
-
-    #[inline(always)]
-    pub fn incr_pinned(&self, _pin: usize) {}
-
-    #[inline(always)]
     pub fn value(&self) -> u64 {
         0
     }
