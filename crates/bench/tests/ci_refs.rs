@@ -595,7 +595,7 @@ fn machine_shared_state_census() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let text = std::fs::read_to_string(root.join("crates/core/src/machine.rs")).expect("machine.rs");
     let fields = struct_fields(&text, "Machine").expect("struct Machine");
-    assert_eq!(fields.len(), 14, "the scan found {} fields of `Machine`", fields.len());
+    assert_eq!(fields.len(), 15, "the scan found {} fields of `Machine`", fields.len());
     let locked = |ty: &str| ["Mutex<", "RwLock<", "HashMap<"].iter().any(|g| ty.contains(g));
     let mut guarded: Vec<String> = Vec::new();
     let mut inner_structs = 0;

@@ -9,10 +9,13 @@
 //! A [`PersistentChannel`] does exactly that:
 //!
 //! 1. **Handshake (once)** — each side registers a double-buffered
-//!    receive window and advertises it to the peer over the existing
-//!    internal-dispatch lane (`DISPATCH_CHAN_REQ`).
-//!    Channels pair in per-peer creation order: the n-th channel this
-//!    context opens to a peer binds to the n-th the peer opens back.
+//!    receive window and sends the peer a 16-byte offer (slot size,
+//!    window key) as a tagged message, tagged with the pairing ordinal in
+//!    the channels' own space (`u32::MAX`). Channels pair in per-peer
+//!    creation order: the n-th channel this context opens to a peer binds
+//!    to the n-th the peer opens back. The first `post` or `wait` posts
+//!    the receive for the peer's offer and advances until it lands,
+//!    whether it arrived first or not.
 //! 2. **Steady state (every message)** — [`PersistentChannel::post`] is a
 //!    slot write plus the injection of a *pre-built* direct-put
 //!    descriptor: no protocol selection, no matching, no completion
@@ -38,23 +41,19 @@ use std::sync::Arc;
 
 use bgq_hw::{Counter, MemRegion};
 use bgq_mu::{Descriptor, PayloadSource, XferKind};
+use bytes::Bytes;
 
 use crate::context::Context;
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
 use crate::machine::MemKey;
-use crate::proto::wire;
 
-/// A buffer offer received from a peer (the body of a
-/// `DISPATCH_CHAN_REQ` message): the peer's slot size and
-/// its registered receive-window key.
-#[derive(Debug, Clone, Copy)]
-pub struct ChanOffer {
-    /// Peer's slot size in bytes.
-    pub size: u64,
-    /// Peer's receive-window key.
-    pub mem_key: MemKey,
-}
+/// The tag space channel offers are matched in; no geometry may take it
+/// as its id.
+pub(crate) const CHANNEL_SPACE: u32 = u32::MAX;
+
+/// An offer's bytes: the slot size, then the receive-window key.
+const OFFER_LEN: usize = 16;
 
 /// The peer-dependent half of a channel, built lazily once the peer's
 /// offer arrives.
@@ -85,7 +84,7 @@ pub struct PersistentChannel {
     /// Injection counter shared by every `post`: credited when payload
     /// bytes leave `send_region`, failed (typed) when the channel dies.
     send_counter: Counter,
-    /// Peer half; `None` until the peer's offer is claimed.
+    /// Peer half; `None` until the peer's offer has landed.
     bound: Option<Bound>,
     /// Next step to post / wait (independent cursors).
     post_step: u64,
@@ -110,8 +109,7 @@ impl PersistentChannel {
         let recv_counter = Counter::new();
         let recv_key =
             ctx.machine().create_window(recv_region.clone(), Some(recv_counter.clone()));
-        ctx.send_chan_offer(peer, wire::chan_req(ordinal, size as u64, recv_key.0))?;
-        Ok(PersistentChannel {
+        let channel = PersistentChannel {
             ctx: Arc::clone(ctx),
             peer,
             size,
@@ -123,7 +121,9 @@ impl PersistentChannel {
             bound: None,
             post_step: 0,
             wait_step: 0,
-        })
+        };
+        channel.offer()?;
+        Ok(channel)
     }
 
     /// The channel's fixed message size in bytes.
@@ -131,27 +131,34 @@ impl PersistentChannel {
         self.size
     }
 
-    /// Complete the handshake if it has not completed yet: claim the
-    /// peer's offer (advancing the context until it arrives) and pre-build
+    /// Send the peer this side's offer: the slot size and the receive
+    /// window's key, tagged with the pairing ordinal.
+    fn offer(&self) -> PamiResult<()> {
+        let mut body = [0; OFFER_LEN];
+        body[..8].copy_from_slice(&(self.size as u64).to_le_bytes());
+        body[8..].copy_from_slice(&self.recv_key.0.to_le_bytes());
+        let body = PayloadSource::Immediate(Bytes::copy_from_slice(&body));
+        self.ctx.send_tagged(self.peer, CHANNEL_SPACE, self.ordinal, body, None)
+    }
+
+    /// Complete the handshake if it has not completed yet: receive the
+    /// peer's offer (advancing the context until it lands) and pre-build
     /// the two per-slot descriptors.
     fn ensure_bound(&mut self) -> PamiResult<()> {
         if self.bound.is_some() {
             return Ok(());
         }
-        let mut offer = None;
-        self.ctx.advance_until(|| {
-            offer = self.ctx.take_chan_offer(self.peer, self.ordinal);
-            offer.is_some()
-        });
-        let offer = offer.expect("the peer's offer");
-        if offer.size != self.size as u64 {
+        let (offer, landed) = (MemRegion::zeroed(OFFER_LEN), Counter::new());
+        self.ctx.post_tagged(CHANNEL_SPACE, self.ordinal, self.peer, &offer, 0, OFFER_LEN, &landed);
+        self.ctx.advance_until(|| landed.is_complete());
+        let mut body = [0; OFFER_LEN];
+        offer.read(0, &mut body);
+        let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+        if word(0) != self.size as u64 {
             return Err(PamiError::Invalid("persistent channel size mismatch with peer"));
         }
-        let window = self
-            .ctx
-            .machine()
-            .window(offer.mem_key)
-            .ok_or(PamiError::UnknownWindow(offer.mem_key.0))?;
+        let key = MemKey(word(8));
+        let window = self.ctx.machine().window(key).ok_or(PamiError::UnknownWindow(key.0))?;
         let send_region = MemRegion::zeroed(2 * self.size);
         let peer_node = self.ctx.machine().task_node(self.peer.task);
         let slots = [0usize, 1].map(|slot| Descriptor {
@@ -264,13 +271,61 @@ impl PersistentChannel {
         self.bound = None;
         self.post_step = 0;
         self.wait_step = 0;
-        self.ctx
-            .send_chan_offer(self.peer, wire::chan_req(self.ordinal, self.size as u64, self.recv_key.0))
+        self.offer()
     }
 }
 
 impl Drop for PersistentChannel {
     fn drop(&mut self) {
         self.ctx.machine().destroy_window(self.recv_key);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, Machine};
+
+    /// One step each way on a bound pair.
+    fn step(a: &mut PersistentChannel, b: &mut PersistentChannel, fill: u8) {
+        let mut got = [0; 8];
+        a.post(&[fill; 8]).unwrap();
+        b.wait(&mut got).unwrap();
+        assert_eq!(got, [fill; 8]);
+        b.post(&[!fill; 8]).unwrap();
+        a.wait(&mut got).unwrap();
+        assert_eq!(got, [!fill; 8]);
+    }
+
+    /// An offer lands whether it arrives before its channel is opened
+    /// (the early list holds it) or after the bind's post, off-node and
+    /// on-node, and again after both sides renegotiate in the other
+    /// order. Each bind leaves its context's table empty.
+    #[test]
+    fn offers_land_in_every_order_and_leave_the_table_empty() {
+        for (nodes, ppn) in [(2, 1), (1, 2)] {
+            let machine = Machine::with_nodes(nodes).ppn(ppn).build();
+            let clients: Vec<_> = (0..2).map(|t| Client::create(&machine, t, "chan", 1)).collect();
+            let (ctx_a, ctx_b) = (clients[0].context(0), clients[1].context(0));
+            let mut a = ctx_a.channel(Endpoint::of_task(1), 8).unwrap();
+            ctx_b.advance();
+            assert_eq!(ctx_b.tagged_table(), (0, 1), "{nodes}x{ppn}: a's offer waits early");
+            let mut b = ctx_b.channel(Endpoint::of_task(0), 8).unwrap();
+            a.ensure_bound().unwrap();
+            assert_eq!(ctx_a.tagged_table(), (0, 0), "{nodes}x{ppn}: a bound on its post");
+            b.ensure_bound().unwrap();
+            assert_eq!(ctx_b.tagged_table(), (0, 0), "{nodes}x{ppn}: b bound from early");
+            step(&mut a, &mut b, 1);
+
+            b.renegotiate().unwrap();
+            ctx_a.advance();
+            assert_eq!(ctx_a.tagged_table(), (0, 1), "{nodes}x{ppn}: b's new offer waits early");
+            a.renegotiate().unwrap();
+            b.ensure_bound().unwrap();
+            assert_eq!(ctx_b.tagged_table(), (0, 0), "{nodes}x{ppn}: b rebound on its post");
+            a.ensure_bound().unwrap();
+            assert_eq!(ctx_a.tagged_table(), (0, 0), "{nodes}x{ppn}: a rebound from early");
+            step(&mut a, &mut b, 2);
+        }
     }
 }

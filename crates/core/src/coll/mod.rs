@@ -293,8 +293,8 @@ fn local_barrier(geom: &Geometry, ctx: &Context) {
 /// barrier the caller has since passed.
 fn posted(group: &NodeGroup, seq: u64, slot: u32) -> (MemRegion, usize) {
     match group.board.get(seq, slot) {
-        Some(BoardEntry::Region { region, offset, .. }) => (region, offset),
-        _ => panic!("board slot {slot:#x} not posted before the local barrier"),
+        Some(BoardEntry { region, offset, .. }) => (region, offset),
+        None => panic!("board slot {slot:#x} not posted before the local barrier"),
     }
 }
 
@@ -314,7 +314,7 @@ fn peers_copy(
     let group = geom.group(ctx.node());
     let is_leader = ctx.task() == group.leader;
     if is_leader {
-        let result = BoardEntry::Region { region: dst.0.clone(), offset: dst.1, len };
+        let result = BoardEntry { region: dst.0.clone(), offset: dst.1, len };
         group.board.post(seq, SLOT_RESULT, result);
     }
     local_barrier(geom, ctx);
@@ -483,7 +483,7 @@ pub fn broadcast_with(
         let root_task = geom.topology().task_at(root_rank);
         let on_root_node = ctx.machine().task_node(root_task) == ctx.node();
         if me == root_task && me != group.leader {
-            let root = BoardEntry::Region { region: region.clone(), offset, len };
+            let root = BoardEntry { region: region.clone(), offset, len };
             group.board.post(seq, SLOT_ROOT, root);
         }
         local_barrier(geom, ctx);
@@ -688,10 +688,10 @@ fn hw_allreduce(
 
     // Every member publishes its input; the leader publishes the node
     // accumulation buffer.
-    group.board.post(seq, slot, BoardEntry::Region { region: src.0.clone(), offset: src.1, len });
+    group.board.post(seq, slot, BoardEntry { region: src.0.clone(), offset: src.1, len });
     if is_leader && ppn > 1 {
         let nodebuf = MemRegion::zeroed(len);
-        group.board.post(seq, SLOT_NODEBUF, BoardEntry::Region { region: nodebuf, offset: 0, len });
+        group.board.post(seq, SLOT_NODEBUF, BoardEntry { region: nodebuf, offset: 0, len });
     }
     local_barrier(geom, ctx);
 

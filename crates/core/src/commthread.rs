@@ -138,15 +138,9 @@ impl CommThreadPool {
         self.shared.parked_threads.load(Ordering::Relaxed)
     }
 
-    /// Stop and join all commthreads.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for ctx in &self.contexts {
-            ctx.wakeup_region().touch();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Stop and join all commthreads (what dropping the pool does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 

@@ -33,12 +33,11 @@ use parking_lot::{Mutex, RwLock};
 use crate::aggr::{Aggregator, Frame};
 use crate::endpoint::Endpoint;
 use crate::error::{PamiError, PamiResult};
-use crate::geometry::CollRecvs;
 use crate::machine::{EndpointAddr, EndpointTable, Machine};
 use crate::policy::{Protocol, StaticPolicy};
 use crate::proto::{
-    wire, RzvEntry, RzvSources, SendArgs, ShmMailbox, ShmMsg, DISPATCH_AGGR, DISPATCH_CHAN_REQ,
-    DISPATCH_INTERNAL_BASE, DISPATCH_RZV_RTS,
+    wire, RzvEntry, RzvSources, SendArgs, ShmMailbox, ShmMsg, DISPATCH_AGGR,
+    DISPATCH_INTERNAL_BASE, DISPATCH_RZV_RTS, DISPATCH_TAGGED,
 };
 
 thread_local! {
@@ -263,8 +262,8 @@ pub struct Context {
     /// Sources of this context's rendezvous sends, parked until the target
     /// takes them ([`RzvSources`]).
     pub(crate) rzv: Arc<RzvSources>,
-    /// This context's software-collective receives ([`CollRecvs`]).
-    pub(crate) coll_recvs: Mutex<CollRecvs>,
+    /// This context's tagged receives and early arrivals ([`TaggedRecvs`]).
+    tagged: Mutex<TaggedRecvs>,
     wakeup: WakeupRegion,
     /// Posted work plus its post-time stamp for handoff-latency telemetry
     /// (the stamp is zero-sized with telemetry off).
@@ -283,10 +282,6 @@ pub struct Context {
     /// channel this context opens to a peer pairs with the n-th channel the
     /// peer opens back (see [`crate::channel::PersistentChannel`]).
     chan_ordinals: Mutex<HashMap<Endpoint, u64>>,
-    /// Buffer offers received from peers ([`DISPATCH_CHAN_REQ`] arrivals),
-    /// keyed by (peer endpoint, ordinal), waiting for the local side to
-    /// bind its channel.
-    chan_offers: Mutex<HashMap<(Endpoint, u64), crate::channel::ChanOffer>>,
     /// Small-message coalescing buckets (`pami::aggr`), present when the
     /// machine was built with [`crate::MachineBuilder::aggregation`].
     /// Appends run lock-free of the advance state; the age-bound flush
@@ -326,10 +321,10 @@ impl Context {
             lane,
             mailbox,
             rzv: Arc::default(),
-            coll_recvs: Mutex::default(),
+            tagged: Mutex::default(),
             wakeup,
             work: WorkQueue::with_capacity(256),
-            dispatch: RwLock::new(HashMap::new()),
+            dispatch: RwLock::new(HashMap::from([(DISPATCH_TAGGED, Arc::new(route_tagged) as _)])),
             dispatch_gen: AtomicU64::new(0),
             advance_state: Mutex::new(AdvanceState {
                 reassembly: HashMap::new(),
@@ -339,7 +334,6 @@ impl Context {
             }),
             pending_internal: AtomicUsize::new(0),
             chan_ordinals: Mutex::new(HashMap::new()),
-            chan_offers: Mutex::new(HashMap::new()),
             aggr: machine.aggregation().map(|cfg| Aggregator::new(*cfg, machine.telemetry())),
             user_lock: L2TicketMutex::new(),
             policy: *machine.policy(),
@@ -528,6 +522,7 @@ impl Context {
     ///
     /// # Errors
     /// As for [`Context::send`].
+    #[inline]
     pub fn send_with(
         &self,
         dest: Endpoint,
@@ -539,6 +534,20 @@ impl Context {
         if dispatch >= DISPATCH_INTERNAL_BASE {
             return Err(PamiError::Invalid("dispatch id in the reserved range"));
         }
+        self.send_any(dest, dispatch, metadata, payload, local_done)
+    }
+
+    /// The routing body of every two-sided send, a user's or a tagged
+    /// one ([`Context::send_tagged`]): the mailbox on-node, the protocol
+    /// ladder off-node.
+    fn send_any(
+        &self,
+        dest: Endpoint,
+        dispatch: u16,
+        metadata: &[u8],
+        payload: PayloadSource,
+        local_done: Option<Counter>,
+    ) -> PamiResult<()> {
         source_within(&payload)?;
         let dest_node = self.machine.task_node(dest.task);
         if dest_node == self.node {
@@ -1114,11 +1123,6 @@ impl Context {
                 bc.dispatched += 1;
                 return;
             }
-            if pkt.dispatch == DISPATCH_CHAN_REQ {
-                self.handle_chan_req(src, &pkt.metadata);
-                bc.dispatched += 1;
-                return;
-            }
             if pkt.dispatch == DISPATCH_AGGR {
                 // A frame is always one packet (`MachineBuilder::aggregation`
                 // enforces it): unbatch and dispatch every record straight
@@ -1266,7 +1270,6 @@ impl Context {
     fn handle_shm(&self, st: &mut AdvanceState, msg: ShmMsg) {
         match msg.dispatch {
             DISPATCH_RZV_RTS => self.handle_rts(st, msg.src, &msg.metadata),
-            DISPATCH_CHAN_REQ => self.handle_chan_req(msg.src, &msg.metadata),
             dispatch => {
                 let info = IncomingMsg {
                     src: msg.src,
@@ -1284,6 +1287,60 @@ impl Context {
                 }
             }
         }
+    }
+
+    // ---- tagged messages ---------------------------------------------------
+
+    /// Send `payload` to `dest` as the message `tag` of `space`. `dest`
+    /// receives it with a [`Context::post_tagged`] of the same space and
+    /// tag that names this context's endpoint, posted before or after it
+    /// arrives. `local_done` credits as for [`Context::send`].
+    pub(crate) fn send_tagged(
+        &self,
+        dest: Endpoint,
+        space: u32,
+        tag: u64,
+        payload: PayloadSource,
+        local_done: Option<Counter>,
+    ) -> PamiResult<()> {
+        let metadata = wire::tagged(space, tag);
+        self.send_any(dest, DISPATCH_TAGGED, &metadata, payload, local_done)
+    }
+
+    /// Post the receive of the `len`-byte message `tag` of `space` from
+    /// `src` into (`region`, `offset`), arming `done` with the
+    /// `len.max(1)` its landing credits. A message that arrived first is
+    /// copied off this context's early list now.
+    ///
+    /// # Panics
+    /// When the key is already posted; on the advancing thread, when the
+    /// message is not `len` bytes or its delivery failed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn post_tagged(
+        &self,
+        space: u32,
+        tag: u64,
+        src: Endpoint,
+        region: &MemRegion,
+        offset: usize,
+        len: usize,
+        done: &Counter,
+    ) {
+        done.add_expected(len.max(1) as u64);
+        let key = (space, tag, src);
+        let post = Posted { region: region.clone(), offset, len, done: done.clone() };
+        let mut table = self.tagged.lock();
+        match table.early.remove(&key) {
+            Some(early) => post.land(&early),
+            None => assert!(table.posted.insert(key, post).is_none(), "a receive posted twice"),
+        }
+    }
+
+    /// (posted receives, early arrivals) in this context's table.
+    #[cfg(test)]
+    pub(crate) fn tagged_table(&self) -> (usize, usize) {
+        let table = self.tagged.lock();
+        (table.posted.len(), table.early.len())
     }
 
     // ---- persistent channels ----------------------------------------------
@@ -1315,45 +1372,6 @@ impl Context {
         ordinal
     }
 
-    /// Send a persistent-channel buffer offer to `dest` on the internal
-    /// dispatch lane (mailbox on-node, an internal-dispatch memory-FIFO
-    /// message off-node).
-    pub(crate) fn send_chan_offer(&self, dest: Endpoint, body: Bytes) -> PamiResult<()> {
-        let dest_node = self.machine.task_node(dest.task);
-        let addr = self.endpoints.get(dest)?;
-        if dest_node == self.node {
-            addr.mailbox.deliver(ShmMsg {
-                src: self.endpoint(),
-                dispatch: DISPATCH_CHAN_REQ,
-                metadata: body,
-                payload: Bytes::new(),
-            });
-            return Ok(());
-        }
-        let hdr = self.fifo_header(dest_node, addr.rec_fifo, DISPATCH_CHAN_REQ, body);
-        let empty = PayloadSource::Immediate(Bytes::new());
-        self.inject(Descriptor::fifo(hdr, empty, None));
-        Ok(())
-    }
-
-    fn handle_chan_req(&self, src: Endpoint, body: &Bytes) {
-        let (ordinal, size, mem_key) = wire::open_chan_req(body);
-        self.chan_offers.lock().insert(
-            (src, ordinal),
-            crate::channel::ChanOffer { size, mem_key: crate::machine::MemKey(mem_key) },
-        );
-    }
-
-    /// Claim the peer's buffer offer for (peer, ordinal), if it has
-    /// arrived.
-    pub(crate) fn take_chan_offer(
-        &self,
-        peer: Endpoint,
-        ordinal: u64,
-    ) -> Option<crate::channel::ChanOffer> {
-        self.chan_offers.lock().remove(&(peer, ordinal))
-    }
-
     // ---- statistics --------------------------------------------------------
 
     /// Messages dispatched (first packets seen) by this context
@@ -1377,4 +1395,71 @@ impl Context {
     pub fn mailbox(&self) -> &Arc<ShmMailbox> {
         &self.mailbox
     }
+}
+
+/// A posted receive: where its message's bytes go, and what they credit.
+struct Posted {
+    region: MemRegion,
+    offset: usize,
+    len: usize,
+    done: Counter,
+}
+
+impl Posted {
+    /// Take the message's bytes from `early`, the region it arrived in.
+    fn land(self, early: &MemRegion) {
+        assert_eq!(early.len(), self.len, "tagged message of the wrong length");
+        self.region.copy_from(self.offset, early, 0, self.len);
+        self.done.delivered(self.len.max(1) as u64);
+    }
+}
+
+/// A tagged message's key: (space, tag, source endpoint).
+type TagKey = (u32, u64, Endpoint);
+
+/// One context's tagged receives: what it posted, and what arrived first
+/// (MPI's unexpected queue). Only the owning context touches it — its
+/// router on the advancing thread and its own [`Context::post_tagged`]s —
+/// so no tagged message takes a lock wider than its receiving context.
+#[derive(Default)]
+struct TaggedRecvs {
+    posted: HashMap<TagKey, Posted>,
+    early: HashMap<TagKey, MemRegion>,
+}
+
+/// The tagged-message router, in every context's dispatch table under
+/// [`DISPATCH_TAGGED`]. A message that finds its post is copied from the
+/// packet or deposited (a rendezvous: pulled) straight into the posted
+/// region. One that finds none is deposited into a region of its own,
+/// which a post made meanwhile takes when it completes, and the early
+/// list holds otherwise.
+fn route_tagged(ctx: &Context, msg: &IncomingMsg, first: &[u8]) -> Recv {
+    let (space, tag) = wire::open_tagged(&msg.metadata);
+    let key = (space, tag, msg.src);
+    let len = msg.len as usize;
+    let posted = ctx.tagged.lock().posted.remove(&key);
+    if let Some(Posted { region, offset, len: want, done }) = posted {
+        assert_eq!(len, want, "tagged message of the wrong length");
+        if first.len() == len {
+            region.write(offset, first);
+            done.delivered(len.max(1) as u64);
+            return Recv::Done;
+        }
+        let on_complete = Box::new(move |_: &Context, result: PamiResult<()>| {
+            result.expect("tagged message failed delivery");
+            done.delivered(len.max(1) as u64);
+        });
+        return Recv::Into { region, offset, on_complete };
+    }
+    let early = MemRegion::zeroed(len);
+    let region = early.clone();
+    let on_complete = Box::new(move |ctx: &Context, result: PamiResult<()>| {
+        result.expect("tagged message failed delivery");
+        let mut table = ctx.tagged.lock();
+        match table.posted.remove(&key) {
+            Some(post) => post.land(&early),
+            None => assert!(table.early.insert(key, early).is_none(), "a message arrived twice"),
+        }
+    });
+    Recv::Into { region, offset: 0, on_complete }
 }

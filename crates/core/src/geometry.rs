@@ -16,20 +16,13 @@ use bgq_collnet::{ClassRoute, ClassRouteError};
 use bgq_hw::{Counter, L2Counter, MemRegion};
 use bgq_mu::PayloadSource;
 use bgq_torus::Rectangle;
-use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::context::{Context, IncomingMsg, Recv};
+use crate::channel::CHANNEL_SPACE;
+use crate::context::Context;
 use crate::endpoint::Endpoint;
-use crate::error::PamiResult;
 use crate::machine::Machine;
-use crate::proto::SendArgs;
 use crate::topology::Topology;
-
-/// Dispatch id geometries claim on every context that participates in
-/// collectives (reserved by convention; do not register user handlers on
-/// it).
-pub const DISPATCH_GEOMETRY: u16 = 0xFE00;
 
 /// A sense-reversing barrier over the tasks of one node, built on a single
 /// L2 load-increment counter — "the local barrier is implemented via the
@@ -58,21 +51,16 @@ impl LocalBarrier {
     }
 }
 
-/// A value posted on a node board.
+/// A value posted on a node board: a reference to a member's buffer,
+/// readable by peers through the global virtual address space.
 #[derive(Clone)]
-pub enum BoardEntry {
-    /// A reference to a member's buffer, readable by peers through the
-    /// global virtual address space.
-    Region {
-        /// The buffer.
-        region: MemRegion,
-        /// Payload offset.
-        offset: usize,
-        /// Payload length.
-        len: usize,
-    },
-    /// Immediate bytes.
-    Data(Arc<Vec<u8>>),
+pub struct BoardEntry {
+    /// The buffer.
+    pub region: MemRegion,
+    /// Payload offset.
+    pub offset: usize,
+    /// Payload length.
+    pub len: usize,
 }
 
 /// The per-node coordination board for shared-address collectives: members
@@ -99,16 +87,6 @@ impl Board {
     /// barrier).
     pub fn clear_seq(&self, seq: u64) {
         self.slots.lock().retain(|(s, _), _| *s != seq);
-    }
-
-    /// Entries currently held (diagnostics).
-    pub fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// Whether the board is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
     }
 }
 
@@ -153,12 +131,16 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    /// Create (or look up) geometry `id` over `topology`, attaching the
-    /// collective dispatch to `ctx`. Collective: every member task calls
-    /// this with the same id and an equivalent topology before using the
-    /// geometry, and runs its collectives on a context of `ctx`'s offset
-    /// ([`Geometry::post_recv`]).
+    /// Create (or look up) geometry `id` over `topology` on `ctx`'s
+    /// machine. Collective: every member task calls this with the same id
+    /// and an equivalent topology before using the geometry, and runs its
+    /// collectives on contexts of one offset ([`Geometry::post_recv`]).
+    ///
+    /// # Panics
+    /// For id `u32::MAX`, the tag space persistent channels' offers are
+    /// matched in, and when a live geometry `id` has another size.
     pub fn create(ctx: &Context, id: u32, topology: Topology) -> Arc<Geometry> {
+        assert_ne!(id, CHANNEL_SPACE, "geometry id {id:#x} is reserved for persistent channels");
         let machine = ctx.machine();
         let size = topology.size();
         let geometry = {
@@ -176,7 +158,6 @@ impl Geometry {
             }
         };
         assert_eq!(geometry.size(), size, "geometry {id} re-created with a different topology");
-        ctx.set_dispatch(DISPATCH_GEOMETRY, Arc::new(route));
         geometry
     }
 
@@ -326,7 +307,8 @@ impl Geometry {
     /// collective's bytes move between tasks. `done` is armed with the
     /// `len.max(1)` the send's local completion credits; wait on it with
     /// [`Context::advance_until`] before reusing the bytes. The message
-    /// goes to the member's context of `ctx`'s offset.
+    /// goes to the member's context of `ctx`'s offset, as a tagged message
+    /// in this geometry's id space.
     #[allow(clippy::too_many_arguments)]
     pub fn send_sw(
         &self,
@@ -339,14 +321,10 @@ impl Geometry {
         done: &Counter,
     ) {
         done.add_expected(len.max(1) as u64);
-        ctx.send(SendArgs {
-            dest: Endpoint { task: self.topology.task_at(dst_rank), context: ctx.offset() },
-            dispatch: DISPATCH_GEOMETRY,
-            metadata: wire_make(self.id, tag),
-            payload: PayloadSource::Region { region: region.clone(), offset, len },
-            local_done: Some(done.clone()),
-        })
-        .expect("software-collective send to a geometry member");
+        let dest = Endpoint { task: self.topology.task_at(dst_rank), context: ctx.offset() };
+        let payload = PayloadSource::Region { region: region.clone(), offset, len };
+        ctx.send_tagged(dest, self.id, tag, payload, Some(done.clone()))
+            .expect("software-collective send to a geometry member");
     }
 
     /// Post the receive of the `len`-byte message tagged `tag` from member
@@ -356,8 +334,7 @@ impl Geometry {
     ///
     /// The post lives on `ctx`, and [`Geometry::send_sw`] addresses the
     /// destination's context of the sender's offset, so every member runs
-    /// a geometry's collectives on contexts of one offset — the one
-    /// [`Geometry::create`] attached the router to (MPI: context 0).
+    /// a geometry's collectives on contexts of one offset (MPI: context 0).
     ///
     /// # Panics
     /// On `ctx`'s advancing thread, when the message is not `len` bytes
@@ -373,96 +350,9 @@ impl Geometry {
         len: usize,
         done: &Counter,
     ) {
-        done.add_expected(len.max(1) as u64);
-        let key = (self.id, tag, self.topology.task_at(src_rank));
-        let post = Posted { region: region.clone(), offset, len, done: done.clone() };
-        let mut recvs = ctx.coll_recvs.lock();
-        match recvs.early.remove(&key) {
-            Some(early) => post.land(&early),
-            None => assert!(recvs.posted.insert(key, post).is_none(), "a receive posted twice"),
-        }
+        let src = Endpoint { task: self.topology.task_at(src_rank), context: ctx.offset() };
+        ctx.post_tagged(self.id, tag, src, region, offset, len, done);
     }
-}
-
-/// A posted receive: where its message's bytes go, and what they credit.
-struct Posted {
-    region: MemRegion,
-    offset: usize,
-    len: usize,
-    done: Counter,
-}
-
-impl Posted {
-    /// Take the message's bytes from `early`, the region it arrived in.
-    fn land(self, early: &MemRegion) {
-        assert_eq!(early.len(), self.len, "software-collective message of the wrong length");
-        self.region.copy_from(self.offset, early, 0, self.len);
-        self.done.delivered(self.len.max(1) as u64);
-    }
-}
-
-/// One context's software-collective receives, keyed by (geometry id,
-/// tag, source task): what it posted, and what arrived first (MPI's
-/// unexpected queue). Only the owning context touches it — its router on
-/// the advancing thread and its own [`Geometry::post_recv`]s — the owner
-/// rule of its rendezvous sources, so no software-collective message
-/// takes a lock wider than its receiving context.
-#[derive(Default)]
-pub(crate) struct CollRecvs {
-    posted: HashMap<(u32, u64, u32), Posted>,
-    early: HashMap<(u32, u64, u32), MemRegion>,
-}
-
-/// The geometry message router ([`DISPATCH_GEOMETRY`]). It resolves no
-/// geometry: it matches the arrival in the receiving context's own
-/// [`CollRecvs`]. A message that finds its post is copied from the packet
-/// or deposited (a rendezvous: pulled) straight into the posted region.
-/// One that finds none is deposited into a region of its own, which a
-/// post made meanwhile takes when it completes, and the early list holds
-/// otherwise.
-fn route(ctx: &Context, msg: &IncomingMsg, first: &[u8]) -> Recv {
-    let (geom_id, tag) = wire_open(&msg.metadata);
-    let key = (geom_id, tag, msg.src.task);
-    let len = msg.len as usize;
-    let posted = ctx.coll_recvs.lock().posted.remove(&key);
-    if let Some(Posted { region, offset, len: want, done }) = posted {
-        assert_eq!(len, want, "software-collective message of the wrong length");
-        if first.len() == len {
-            region.write(offset, first);
-            done.delivered(len.max(1) as u64);
-            return Recv::Done;
-        }
-        let on_complete = Box::new(move |_: &Context, result: PamiResult<()>| {
-            result.expect("software-collective message failed delivery");
-            done.delivered(len.max(1) as u64);
-        });
-        return Recv::Into { region, offset, on_complete };
-    }
-    let early = MemRegion::zeroed(len);
-    let region = early.clone();
-    let on_complete = Box::new(move |ctx: &Context, result: PamiResult<()>| {
-        result.expect("software-collective message failed delivery");
-        let mut recvs = ctx.coll_recvs.lock();
-        match recvs.posted.remove(&key) {
-            Some(post) => post.land(&early),
-            None => assert!(recvs.early.insert(key, early).is_none(), "a message arrived twice"),
-        }
-    });
-    Recv::Into { region, offset: 0, on_complete }
-}
-
-fn wire_make(geom_id: u32, tag: u64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(12);
-    v.extend_from_slice(&geom_id.to_le_bytes());
-    v.extend_from_slice(&tag.to_le_bytes());
-    v
-}
-
-fn wire_open(metadata: &Bytes) -> (u32, u64) {
-    assert!(metadata.len() >= 12, "malformed geometry metadata");
-    let id = u32::from_le_bytes(metadata[..4].try_into().unwrap());
-    let tag = u64::from_le_bytes(metadata[4..12].try_into().unwrap());
-    (id, tag)
 }
 
 #[cfg(test)]
@@ -507,8 +397,7 @@ mod tests {
 
         /// (posted receives, early arrivals) on the receiving context.
         fn table(&self) -> (usize, usize) {
-            let recvs = self.receiver().coll_recvs.lock();
-            (recvs.posted.len(), recvs.early.len())
+            self.receiver().tagged_table()
         }
 
         /// `done` is credited exactly once (a second credit would wrap its
@@ -579,6 +468,30 @@ mod tests {
         }
     }
 
+    /// 0xFE00 is a user id like any other. A handler registered on it
+    /// after the geometry exists gets the user's message only, and the
+    /// collective's message still lands in its post.
+    #[test]
+    fn a_user_handler_on_0xfe00_and_a_collective_do_not_collide() {
+        let pair = Pair::new(4096);
+        let user = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&user);
+        pair.receiver().set_dispatch(
+            0xFE00,
+            Arc::new(move |_: &Context, _: &crate::IncomingMsg, payload: &[u8]| {
+                seen.lock().push(payload.to_vec());
+                crate::Recv::Done
+            }),
+        );
+        let (payload, region, done) = (pattern(100), MemRegion::zeroed(100), Counter::new());
+        pair.post(&region, &done);
+        pair.send(&payload);
+        let sender = pair.clients[0].context(0);
+        sender.send_immediate(Endpoint::of_task(1), 0xFE00, &[], b"user").unwrap();
+        pair.check("a user handler on 0xFE00", &region, &done, &payload);
+        assert_eq!(*user.lock(), [b"user".to_vec()], "the user handler gets the user's message");
+    }
+
     #[test]
     fn local_barrier_generations() {
         let b = LocalBarrier::new(2);
@@ -596,16 +509,14 @@ mod tests {
     #[test]
     fn board_post_get_clear() {
         let board = Board::default();
-        board.post(3, 1, BoardEntry::Data(Arc::new(vec![1, 2, 3])));
+        let region = MemRegion::from_vec(vec![1, 2, 3]);
+        board.post(3, 1, BoardEntry { region: region.clone(), offset: 1, len: 2 });
         assert!(board.get(3, 0).is_none());
-        match board.get(3, 1) {
-            Some(BoardEntry::Data(d)) => assert_eq!(*d, vec![1, 2, 3]),
-            _ => panic!("expected data entry"),
-        }
-        board.post(4, 1, BoardEntry::Data(Arc::new(vec![9])));
+        let entry = board.get(3, 1).expect("posted entry");
+        assert_eq!((entry.region.to_vec(), entry.offset, entry.len), (vec![1, 2, 3], 1, 2));
+        board.post(4, 1, BoardEntry { region, offset: 0, len: 3 });
         board.clear_seq(3);
         assert!(board.get(3, 1).is_none());
         assert!(board.get(4, 1).is_some());
-        assert_eq!(board.len(), 1);
     }
 }

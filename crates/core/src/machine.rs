@@ -18,7 +18,7 @@
 //! rank `t % ppn` — the default BG/Q mapping.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use bgq_collnet::{ClassRouteManager, CollNet};
@@ -336,6 +336,7 @@ impl MachineBuilder {
             clients: Mutex::new(Vec::new()),
             windows: WindowTable::new(),
             geometries: Mutex::new(HashMap::new()),
+            next_geometry_id: AtomicU32::new(1),
             init_fence: (Mutex::new((0, 0)), parking_lot::Condvar::new()),
         })
     }
@@ -376,6 +377,9 @@ pub struct Machine {
     /// per member and never by a message. The members' handles own each
     /// geometry; `create` forgets the dead ones.
     pub(crate) geometries: Mutex<HashMap<u32, Weak<crate::Geometry>>>,
+    /// The next id [`Machine::fresh_geometry_id`] hands out; 0 is left to
+    /// the world geometry a library creates first.
+    next_geometry_id: AtomicU32,
     /// Blocking all-task rendezvous used as an initialization fence.
     init_fence: (Mutex<(usize, u64)>, parking_lot::Condvar),
 }
@@ -574,6 +578,19 @@ impl Machine {
     #[doc(hidden)]
     pub fn geometry_entries(&self) -> usize {
         self.geometries.lock().len()
+    }
+
+    /// A geometry id no earlier call returned, and never 0: a layer that
+    /// creates geometries at run time (MPI's `comm_split`) draws its ids
+    /// here, so two live geometries can never share one.
+    ///
+    /// # Panics
+    /// When the ids are exhausted: they stop short of `u32::MAX`, the one
+    /// id [`crate::Geometry::create`] refuses.
+    pub fn fresh_geometry_id(&self) -> u32 {
+        let next = |id: u32| id.checked_add(1).filter(|next| *next < u32::MAX);
+        let id = self.next_geometry_id.fetch_update(Ordering::Relaxed, Ordering::Relaxed, next);
+        id.expect("geometry ids exhausted")
     }
 
     /// Register a one-sided window; remote tasks address it by the returned

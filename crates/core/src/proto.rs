@@ -23,10 +23,11 @@ use crate::endpoint::Endpoint;
 /// Internal dispatch id: rendezvous request-to-send.
 pub(crate) const DISPATCH_RZV_RTS: u16 = 0xFF00;
 
-/// Internal dispatch id: persistent-channel buffer offer (each side
-/// advertises its pre-registered receive window once; all subsequent
-/// traffic is fixed-descriptor direct puts with no per-message protocol).
-pub(crate) const DISPATCH_CHAN_REQ: u16 = 0xFF01;
+/// Internal dispatch id: a tagged message — one that can arrive before
+/// its receive is posted (a software collective's step, a channel's
+/// offer). Every context routes it into its own table of posted receives
+/// and early arrivals (`Context::post_tagged`).
+pub(crate) const DISPATCH_TAGGED: u16 = 0xFF01;
 
 /// Internal dispatch id: an aggregated frame — one packet carrying a train
 /// of coalesced small active messages ([`crate::aggr`]); the receive path
@@ -218,8 +219,8 @@ pub struct ShmMsg {
     /// User metadata (the source endpoint rides beside it in `src`).
     pub metadata: Bytes,
     /// Payload, copied in by the sender (the L2-cache bounce the paper's
-    /// intra-node eager path takes). Empty for an RTS or a channel offer,
-    /// whose body rides in `metadata`.
+    /// intra-node eager path takes). Empty for an RTS, whose body rides in
+    /// `metadata`.
     pub payload: Bytes,
 }
 
@@ -246,8 +247,8 @@ impl ShmMailbox {
     }
 }
 
-/// RTS and channel-offer wire helpers. Each body is written once, in
-/// place, into the buffer the packet carries.
+/// RTS and tagged-message wire helpers. Each is written once, in place:
+/// the RTS into the buffer the packet carries, a tag on the stack.
 pub(crate) mod wire {
     use super::*;
 
@@ -271,23 +272,20 @@ pub(crate) mod wire {
         (dispatch, len, key, body.slice(18..))
     }
 
-    /// Persistent-channel offer body: pairing ordinal, slot size, and the
-    /// offering side's receive-window key.
-    pub fn chan_req(ordinal: u64, size: u64, mem_key: u64) -> Bytes {
-        Bytes::init_with(24, |buf| {
-            buf[..8].copy_from_slice(&ordinal.to_le_bytes());
-            buf[8..16].copy_from_slice(&size.to_le_bytes());
-            buf[16..].copy_from_slice(&mem_key.to_le_bytes());
-        })
+    /// Tagged-message metadata: the tag's space (a geometry id, or the
+    /// channels' space), then the tag.
+    pub fn tagged(space: u32, tag: u64) -> [u8; 12] {
+        let mut meta = [0; 12];
+        meta[..4].copy_from_slice(&space.to_le_bytes());
+        meta[4..].copy_from_slice(&tag.to_le_bytes());
+        meta
     }
 
-    /// Parse a persistent-channel offer body into (ordinal, size, mem_key).
-    pub fn open_chan_req(body: &Bytes) -> (u64, u64, u64) {
-        assert!(body.len() >= 24, "malformed persistent-channel offer");
-        let ordinal = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let size = u64::from_le_bytes(body[8..16].try_into().unwrap());
-        let mem_key = u64::from_le_bytes(body[16..24].try_into().unwrap());
-        (ordinal, size, mem_key)
+    /// Parse tagged-message metadata into (space, tag).
+    pub fn open_tagged(meta: &[u8]) -> (u32, u64) {
+        assert!(meta.len() >= 12, "malformed tagged-message metadata");
+        let space = u32::from_le_bytes(meta[..4].try_into().unwrap());
+        (space, u64::from_le_bytes(meta[4..12].try_into().unwrap()))
     }
 }
 
@@ -303,12 +301,6 @@ mod tests {
         assert_eq!(len, 1 << 33);
         assert_eq!(key, 0xABCD);
         assert_eq!(&meta[..], b"user");
-    }
-
-    #[test]
-    fn chan_req_round_trips() {
-        let body = wire::chan_req(3, 4096, 0x55AA);
-        assert_eq!(wire::open_chan_req(&body), (3, 4096, 0x55AA));
     }
 
     #[test]

@@ -78,8 +78,6 @@ pub struct Mpi {
     /// The classic build's global lock.
     global_lock: L2TicketMutex,
     world: Comm,
-    /// Per-communicator ids this rank has created (split bookkeeping).
-    next_user_comm: Mutex<u32>,
 }
 
 /// RAII over the classic global lock; a no-op for configurations that elide
@@ -141,7 +139,6 @@ impl Mpi {
             thread_level: config.thread_level,
             global_lock: L2TicketMutex::new(),
             world,
-            next_user_comm: Mutex::new(1),
         }
     }
 
@@ -447,38 +444,35 @@ impl Mpi {
     /// `MPI_Comm_split`: collective over `comm`; returns this rank's new
     /// communicator (or `None` for color < 0, the `MPI_UNDEFINED` case).
     pub fn comm_split(&self, comm: &Comm, color: i32, key: i32) -> Option<Comm> {
-        let seq = comm.geometry().next_seq(self.task());
-        // Every member's (color, key), by rank: the allgather MPICH does
-        // here.
-        let mine = MemRegion::from_vec([color.to_le_bytes(), key.to_le_bytes()].concat());
-        let all = MemRegion::zeroed(comm.size() * 8);
-        coll::allgather(comm.geometry(), self.coll_context(), (&mine, 0), (&all, 0), 8);
+        // Every member's (color, key, id candidate), by rank: the
+        // allgather MPICH does here. A candidate is unique on the machine,
+        // and each new communicator takes its first member's, so no two
+        // live communicators share an id.
+        let candidate = self.env.machine.fresh_geometry_id();
+        let mine = [color.to_le_bytes(), key.to_le_bytes(), candidate.to_le_bytes()].concat();
+        let (mine, all) = (MemRegion::from_vec(mine), MemRegion::zeroed(comm.size() * 12));
+        coll::allgather(comm.geometry(), self.coll_context(), (&mine, 0), (&all, 0), 12);
         let all = all.to_vec();
-        let word = |at: usize| i32::from_le_bytes(all[at..at + 4].try_into().expect("4 bytes"));
-        let members = (0..comm.size()).map(|rank| (rank, word(8 * rank), word(8 * rank + 4)));
+        let word = |rank: usize, at: usize| {
+            let at = 12 * rank + at;
+            i32::from_le_bytes(all[at..at + 4].try_into().expect("4 bytes"))
+        };
         if color < 0 {
             comm.barrier_ctx(self.client.context(0));
             return None;
         }
         // Members of my color, ordered by (key, old rank).
-        let mut mine: Vec<(i32, usize)> =
-            members.clone().filter(|&(_, c, _)| c == color).map(|(rank, _, k)| (k, rank)).collect();
+        let mut mine: Vec<(i32, usize)> = (0..comm.size())
+            .filter(|&rank| word(rank, 0) == color)
+            .map(|rank| (word(rank, 4), rank))
+            .collect();
         mine.sort_unstable();
         let tasks: Vec<u32> = mine.iter().map(|(_, r)| comm.task_of(*r)).collect();
-        // Distinct colors in ascending order give a deterministic id.
-        let mut colors: Vec<i32> = members.map(|(_, c, _)| c).filter(|c| *c >= 0).collect();
-        colors.sort_unstable();
-        colors.dedup();
-        let color_idx = colors.iter().position(|c| *c == color).unwrap() as u32;
-        let new_id = ((comm.id() + 1) << 20) | ((seq as u32 & 0xFFF) << 8) | color_idx;
+        let new_id = word(mine[0].1, 8) as u32;
         let topology = contiguous_or_list(&tasks);
         let geometry = Geometry::create(self.client.context(0), new_id, topology);
         let new_comm = Comm::new(new_id, geometry, self.task());
         comm.barrier_ctx(self.client.context(0));
-        {
-            let mut next = self.next_user_comm.lock();
-            *next = (*next).max(new_id + 1);
-        }
         Some(new_comm)
     }
 

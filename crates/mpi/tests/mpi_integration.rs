@@ -461,6 +461,34 @@ fn comm_split_undefined_color() {
     });
 }
 
+/// A split of a split gets ids of its own. Packed from the parent's id,
+/// half 0's quarters took the two halves' ids, and `Geometry::create`
+/// panicked on tasks 0 and 2. No barrier follows the splits, so such a
+/// collision fails by that panic instead of hanging tasks 1 and 3.
+#[test]
+fn nested_splits_never_share_a_live_id() {
+    let machine = Machine::with_nodes(4).build();
+    let ids = std::sync::Mutex::new(Vec::new());
+    machine.run(|env| {
+        let mpi = Mpi::init(&env.machine, env.task, MpiConfig::default());
+        env.machine.task_barrier();
+        let world = mpi.world().clone();
+        let half = mpi.comm_split(&world, (world.rank() % 2) as i32, 0).expect("defined color");
+        let quarter = mpi.comm_split(&half, half.rank() as i32, 0).expect("defined color");
+        assert_eq!((half.size(), quarter.size()), (2, 1));
+        ids.lock().unwrap().push((env.task, half.id(), quarter.id()));
+    });
+    let mut ids = ids.into_inner().unwrap();
+    ids.sort_unstable();
+    let half = |task: usize| ids[task].1;
+    assert_eq!((half(0), half(1)), (half(2), half(3)), "a half's members share its id");
+    let mut live: Vec<u32> = vec![0, half(0), half(1)];
+    live.extend(ids.iter().map(|&(_, _, quarter)| quarter));
+    live.sort_unstable();
+    live.dedup();
+    assert_eq!(live.len(), 7, "world, two halves and four quarters: {ids:?}");
+}
+
 #[test]
 fn classroute_rotation_between_communicators() {
     run_mpi(2, 1, MpiConfig::default(), |mpi| {
