@@ -19,6 +19,8 @@ fn bench(c: &mut Criterion) {
     // Ticket mutex vs parking_lot.
     let ticket = bgq_hw::L2TicketMutex::new();
     g.bench_function("l2_ticket_mutex_lock_unlock", |b| b.iter(|| drop(ticket.lock())));
+    // The advance state's pattern: take the lock only if it is free.
+    g.bench_function("l2_ticket_mutex_try_lock_unlock", |b| b.iter(|| drop(ticket.try_lock())));
     let pl = parking_lot::Mutex::new(());
     g.bench_function("parking_lot_mutex_lock_unlock", |b| b.iter(|| drop(pl.lock())));
 

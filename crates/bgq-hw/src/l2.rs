@@ -58,7 +58,9 @@ impl L2Counter {
 ///
 /// `bounded_increment` atomically performs "if `counter < bound { counter +=
 /// 1; return old }` else fail" as one operation. The bound itself is a second
-/// L2 word that the (single) consumer advances as it frees slots.
+/// L2 word that the (single) consumer raises as it frees slots. It is that
+/// word's only writer, so it publishes each new bound with a release store:
+/// the producers' claims are the only read-modify-writes a queue slot costs.
 #[derive(Debug)]
 pub struct BoundedCounter {
     value: CachePadded<AtomicU64>,
@@ -135,10 +137,13 @@ impl BoundedCounter {
         self.bound.load(Ordering::Acquire)
     }
 
-    /// Raise the bound by `delta` slots (consumer side, after freeing slots).
+    /// Raise the bound to `to` (consumer side, after freeing slots). The
+    /// consumer is the bound's only writer, so this is a plain release
+    /// store, which the producers' acquire loads of the bound pair with.
     #[inline]
-    pub(crate) fn advance_bound(&self, delta: u64) {
-        self.bound.fetch_add(delta, Ordering::AcqRel);
+    pub(crate) fn advance_bound(&self, to: u64) {
+        debug_assert!(to >= self.bound.load(Ordering::Relaxed), "the bound never falls");
+        self.bound.store(to, Ordering::Release);
     }
 }
 
@@ -161,7 +166,7 @@ mod tests {
         assert_eq!(b.bounded_increment(), Some(1));
         assert_eq!(b.bounded_increment(), Some(2));
         assert_eq!(b.bounded_increment(), None);
-        b.advance_bound(1);
+        b.advance_bound(4);
         assert_eq!(b.bounded_increment(), Some(3));
         assert_eq!(b.bounded_increment(), None);
     }
@@ -174,7 +179,7 @@ mod tests {
         assert_eq!(b.bounded_add(4), Some(3..5));
         assert_eq!(b.bounded_add(1), None);
         assert_eq!(b.bounded_add(0), None);
-        b.advance_bound(2);
+        b.advance_bound(7);
         assert_eq!(b.bounded_add(10), Some(5..7));
         assert_eq!(b.value(), 7);
     }

@@ -16,6 +16,11 @@ use crossbeam::utils::CachePadded;
 
 /// A fair ticket lock built from two (simulated) L2 atomic words.
 ///
+/// Taking it is the one read-modify-write: `lock` draws a ticket with an
+/// L2 `load-increment`, `try_lock` claims the ticket being served with one
+/// compare-and-swap. Releasing it is a plain release store of the next
+/// ticket to serve, because only the holder ever writes `now_serving`.
+///
 /// The plain `L2TicketMutex` (`T = ()`) brackets short critical sections
 /// over structures the lock does not own (a context's user lock, the
 /// classic MPI library's global lock). [`L2TicketMutex::with`] puts the
@@ -33,10 +38,11 @@ pub struct L2TicketMutex<T = ()> {
 // only when `now_serving` reaches the caller's own ticket; `try_lock` only
 // by taking the ticket being served), and `data` is reachable solely
 // through that holder's guard, whose borrows of it end before the guard's
-// drop passes the lock on with a release increment the next holder's
-// acquire load pairs with. So `&L2TicketMutex<T>` shared between threads
-// hands `T` from one thread to the next, never to two at once: `T: Send`
-// is what that needs, exactly as for `std::sync::Mutex`.
+// drop passes the lock on with a release store of `now_serving + 1` (only
+// the holder writes that word, so a store loses no update) that the next
+// holder's acquire load pairs with. So `&L2TicketMutex<T>` shared between
+// threads hands `T` from one thread to the next, never to two at once:
+// `T: Send` is what that needs, exactly as for `std::sync::Mutex`.
 unsafe impl<T: Send> Sync for L2TicketMutex<T> {}
 
 /// RAII guard returned by [`L2TicketMutex::lock`]; releases on drop and
@@ -119,7 +125,10 @@ impl<T> DerefMut for L2TicketGuard<'_, T> {
 
 impl<T> Drop for L2TicketGuard<'_, T> {
     fn drop(&mut self) {
-        self.mutex.now_serving.fetch_add(1, Ordering::AcqRel);
+        // The holder is `now_serving`'s only writer: a load and a release
+        // store pass the lock on without a locked instruction.
+        let serving = self.mutex.now_serving.load(Ordering::Relaxed);
+        self.mutex.now_serving.store(serving + 1, Ordering::Release);
     }
 }
 
@@ -168,6 +177,37 @@ mod tests {
             *g += 1;
             *g == (THREADS * ITERS) as u64 + 1
         }));
+    }
+
+    #[test]
+    fn try_lock_and_lock_exclude_each_other() {
+        const ITERS: u64 = 20_000;
+        // Two threads only ever `try_lock` (the advance state's pattern:
+        // give up and come back) and two queue with `lock`; the store that
+        // releases the lock must hand it on to both kinds.
+        let m = L2TicketMutex::with(0u64);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let m = &m;
+                s.spawn(move || {
+                    for _ in 0..ITERS {
+                        if t % 2 == 0 {
+                            let mut g = loop {
+                                match m.try_lock() {
+                                    Some(g) => break g,
+                                    None => std::thread::yield_now(),
+                                }
+                            };
+                            *g += 1;
+                        } else {
+                            *m.lock() += 1;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(*m.lock(), 4 * ITERS);
+        assert!(m.try_lock().is_some(), "every guard released the lock");
     }
 
     #[test]

@@ -55,7 +55,7 @@ struct Slot<T> {
 pub struct WorkQueue<T> {
     slots: Box<[Slot<T>]>,
     capacity: u64,
-    /// Producer cursor: claimed via bounded increment, bound maintained at
+    /// Producer cursor: claimed via bounded increment, bound stored at
     /// `head + capacity` by the consumer.
     tail: BoundedCounter,
     /// Consumer cursor; written only by the consumer.
@@ -190,7 +190,7 @@ impl<T> WorkQueue<T> {
             slot.seq.store(head + self.capacity, Ordering::Release);
             self.head.store(head + 1, Ordering::Release);
             // Free the slot for producers `capacity` ahead.
-            self.tail.advance_bound(1);
+            self.tail.advance_bound(head + 1 + self.capacity);
             return Some(value);
         }
         if self.tail.value() > head {
@@ -218,7 +218,7 @@ impl<T> WorkQueue<T> {
 
     /// Pop up to `max` items into `out` (single consumer only). All
     /// consecutive ready ring slots are consumed with one head store and one
-    /// bound advance, then the overflow list is drained (under its mutex) if
+    /// bound store, then the overflow list is drained (under its mutex) if
     /// the ring is exhausted. Returns the number of items appended to `out`.
     pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> usize {
         if max == 0 {
@@ -238,7 +238,7 @@ impl<T> WorkQueue<T> {
         }
         if k > 0 {
             self.head.store(head + k, Ordering::Release);
-            self.tail.advance_bound(k);
+            self.tail.advance_bound(head + k + self.capacity);
         }
         let mut popped = k as usize;
         if popped < max {
@@ -553,6 +553,79 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.overflow_pushes(), 0, "SPSC fast path must never take the mutex");
         assert_eq!(q.total_pushes(), ITEMS);
+    }
+
+    /// A two-slot ring under four producers and a `pop_batch` consumer:
+    /// every lap of the ring waits on the bound the consumer stores, so a
+    /// store that published a wrong bound would lose or repeat an item, or
+    /// hand a producer a slot still in use, and one that lagged would stop
+    /// reopening the ring. Producers push until the ring has taken 10 000
+    /// laps; the overflow takes the rest.
+    #[test]
+    fn tiny_ring_under_four_producers_laps_the_stored_bound() {
+        const PRODUCERS: u64 = 4;
+        const LAPS: u64 = 10_000;
+        let q = WorkQueue::with_capacity(2);
+        let ring_claims = |q: &WorkQueue<(u64, u64)>| q.tail.value();
+        let (pushed, finished) = (AtomicU64::new(0), AtomicU64::new(0));
+        let failed = AtomicBool::new(false);
+        /// Counts its producer out, and flags a panic, so that neither the
+        /// other producers nor the consumer wait for a producer that died.
+        struct Exit<'a>(&'a AtomicU64, &'a AtomicBool);
+        impl Drop for Exit<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.1.store(true, Ordering::Release);
+                }
+                self.0.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+        let mut next = [0u64; PRODUCERS as usize];
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (q, pushed, finished, failed) = (&q, &pushed, &finished, &failed);
+                s.spawn(move || {
+                    let _exit = Exit(finished, failed);
+                    let mut i = 0;
+                    // A producer gives up after 20 pushes a lap (about ten
+                    // times what one needs), so a ring that stops
+                    // reopening fails the lap count instead of hanging.
+                    while ring_claims(q) < LAPS * 2
+                        && i < 20 * LAPS
+                        && !failed.load(Ordering::Acquire)
+                    {
+                        if !q.push((p, i)) {
+                            // Diverted: let the consumer drain before the
+                            // next push, or the overflow takes every lap.
+                            std::thread::yield_now();
+                        }
+                        i += 1;
+                    }
+                    pushed.fetch_add(i, Ordering::AcqRel);
+                });
+            }
+            let mut received = 0u64;
+            let mut out = Vec::new();
+            while !failed.load(Ordering::Acquire) {
+                out.clear();
+                if q.pop_batch(4, &mut out) == 0 {
+                    if finished.load(Ordering::Acquire) == PRODUCERS
+                        && received == pushed.load(Ordering::Acquire)
+                    {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                for &(p, i) in &out {
+                    assert_eq!(next[p as usize], i, "producer {p}: item {i} out of order");
+                    next[p as usize] += 1;
+                    received += 1;
+                }
+            }
+        });
+        assert!(q.is_empty());
+        assert!(ring_claims(&q) >= LAPS * 2, "the ring took {} laps", ring_claims(&q) / 2);
+        assert_eq!(next.iter().sum::<u64>(), q.total_pushes(), "every item arrived once");
     }
 
     #[test]

@@ -86,6 +86,11 @@ pub struct PersistentChannel {
     send_counter: Counter,
     /// Peer half; `None` until the peer's offer has landed.
     bound: Option<Bound>,
+    /// Whether the receive for the peer's offer under `ordinal` is still
+    /// to be posted: a channel that is dropped or renegotiated first posts
+    /// it into a throwaway region, so the offer cannot stay on the
+    /// context's early list.
+    offer_unclaimed: bool,
     /// Next step to post / wait (independent cursors).
     post_step: u64,
     wait_step: u64,
@@ -119,6 +124,7 @@ impl PersistentChannel {
             recv_key,
             send_counter: Counter::new(),
             bound: None,
+            offer_unclaimed: true,
             post_step: 0,
             wait_step: 0,
         };
@@ -149,7 +155,7 @@ impl PersistentChannel {
             return Ok(());
         }
         let (offer, landed) = (MemRegion::zeroed(OFFER_LEN), Counter::new());
-        self.ctx.post_tagged(CHANNEL_SPACE, self.ordinal, self.peer, &offer, 0, OFFER_LEN, &landed);
+        self.claim_offer(&offer, &landed);
         self.ctx.advance_until(|| landed.is_complete());
         let mut body = [0; OFFER_LEN];
         offer.read(0, &mut body);
@@ -178,6 +184,22 @@ impl PersistentChannel {
         });
         self.bound = Some(Bound { slots, send_region });
         Ok(())
+    }
+
+    /// Post the receive for the peer's offer under the current ordinal
+    /// into `offer`.
+    fn claim_offer(&mut self, offer: &MemRegion, landed: &Counter) {
+        self.offer_unclaimed = false;
+        self.ctx.post_tagged(CHANNEL_SPACE, self.ordinal, self.peer, offer, 0, OFFER_LEN, landed);
+    }
+
+    /// Let go of an offer this channel never bound to: its receive goes
+    /// into a throwaway region, which takes the offer off the early list
+    /// now if it has arrived, and as it lands if it has not.
+    fn discard_offer(&mut self) {
+        if self.offer_unclaimed {
+            self.claim_offer(&MemRegion::zeroed(OFFER_LEN), &Counter::new());
+        }
     }
 
     /// Surface a channel fault as the typed error it carries.
@@ -255,6 +277,7 @@ impl PersistentChannel {
     /// pairing ordinal. Both sides must renegotiate (in the same relative
     /// order) for the new ordinals to pair.
     pub fn renegotiate(&mut self) -> PamiResult<()> {
+        self.discard_offer();
         let machine = self.ctx.machine();
         let peer_node = machine.task_node(self.peer.task);
         // Idempotent: false just means the channel was never (or is no
@@ -269,6 +292,7 @@ impl PersistentChannel {
             machine.create_window(self.recv_region.clone(), Some(self.recv_counter.clone()));
         self.send_counter = Counter::new();
         self.bound = None;
+        self.offer_unclaimed = true;
         self.post_step = 0;
         self.wait_step = 0;
         self.offer()
@@ -278,6 +302,7 @@ impl PersistentChannel {
 impl Drop for PersistentChannel {
     fn drop(&mut self) {
         self.ctx.machine().destroy_window(self.recv_key);
+        self.discard_offer();
     }
 }
 
@@ -326,6 +351,38 @@ mod tests {
             a.ensure_bound().unwrap();
             assert_eq!(ctx_a.tagged_table(), (0, 0), "{nodes}x{ppn}: a rebound from early");
             step(&mut a, &mut b, 2);
+        }
+    }
+
+    /// A channel let go before it binds takes its peer's offer with it:
+    /// dropped after the offer landed early, and renegotiated before the
+    /// offer of its first ordinal arrived, off-node and on-node.
+    #[test]
+    fn an_unbound_channel_leaves_no_offer_behind() {
+        for (nodes, ppn) in [(2, 1), (1, 2)] {
+            let machine = Machine::with_nodes(nodes).ppn(ppn).build();
+            let clients: Vec<_> = (0..2).map(|t| Client::create(&machine, t, "chan", 1)).collect();
+            let (ctx_a, ctx_b) = (clients[0].context(0), clients[1].context(0));
+            let a = ctx_a.channel(Endpoint::of_task(1), 8).unwrap();
+            let b = ctx_b.channel(Endpoint::of_task(0), 8).unwrap();
+            ctx_b.advance();
+            assert_eq!(ctx_b.tagged_table(), (0, 1), "{nodes}x{ppn}: a's offer waits early");
+            drop(b);
+            ctx_b.advance();
+            assert_eq!(ctx_b.tagged_table(), (0, 0), "{nodes}x{ppn}: dropped with b");
+            drop(a);
+            ctx_a.advance();
+            assert_eq!(ctx_a.tagged_table(), (0, 0), "{nodes}x{ppn}: dropped with a");
+
+            let mut a = ctx_a.channel(Endpoint::of_task(1), 8).unwrap();
+            a.renegotiate().unwrap();
+            assert_eq!(ctx_a.tagged_table(), (1, 0), "{nodes}x{ppn}: waits for b's first offer");
+            let mut b = ctx_b.channel(Endpoint::of_task(0), 8).unwrap();
+            ctx_a.advance();
+            assert_eq!(ctx_a.tagged_table(), (0, 0), "{nodes}x{ppn}: b's first offer discarded");
+            b.renegotiate().unwrap();
+            step(&mut a, &mut b, 3);
+            assert_eq!((ctx_a.tagged_table(), ctx_b.tagged_table()), ((0, 0), (0, 0)));
         }
     }
 }

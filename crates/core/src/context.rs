@@ -272,11 +272,16 @@ pub struct Context {
     /// Bumped by [`Context::set_dispatch`]; invalidates the advance-side
     /// handler memo without the receive path ever taking the dispatch lock.
     dispatch_gen: AtomicU64,
-    advance_state: Mutex<AdvanceState>,
+    /// What only the advancing thread touches, behind the L2 ticket lock.
+    /// `advance` only ever `try_lock`s it — a loser returns at once — so
+    /// the ticket queue never forms and the lock cannot convoy.
+    advance_state: L2TicketMutex<AdvanceState>,
     /// Number of in-flight internal obligations (reassembly entries plus
-    /// pending rendezvous receives). Written only under `advance_state`;
-    /// read lock-free by [`Context::is_quiescent`] and the empty-fast-path
-    /// in [`Context::advance`].
+    /// pending rendezvous receives). Stored once per `advance`, from those
+    /// two lengths, before the advance lock is released: the advancing
+    /// thread is its only writer. Read lock-free by
+    /// [`Context::is_quiescent`] and the empty fast path in
+    /// [`Context::advance`].
     pending_internal: AtomicUsize,
     /// Persistent-channel pairing ordinals, per peer endpoint: the n-th
     /// channel this context opens to a peer pairs with the n-th channel the
@@ -326,7 +331,7 @@ impl Context {
             work: WorkQueue::with_capacity(256),
             dispatch: RwLock::new(HashMap::from([(DISPATCH_TAGGED, Arc::new(route_tagged) as _)])),
             dispatch_gen: AtomicU64::new(0),
-            advance_state: Mutex::new(AdvanceState {
+            advance_state: L2TicketMutex::with(AdvanceState {
                 reassembly: HashMap::new(),
                 rzv_pending: Vec::new(),
                 handler_memo: None,
@@ -960,8 +965,12 @@ impl Context {
     /// and shared-memory messages, and fire completed rendezvous callbacks.
     /// There is no injection to pump: every descriptor moved inside the
     /// call that injected it. Returns the number of events processed.
-    /// Concurrent calls are safe; the loser makes no progress and
-    /// returns 0.
+    /// Concurrent calls are safe: the advance state sits behind an L2
+    /// ticket lock that `advance` only `try_lock`s (one compare-and-swap
+    /// to take, one store to release), so the loser makes no progress and
+    /// returns 0. The count of open reassemblies and rendezvous pulls the
+    /// idle fast path reads is stored once, at the end of the winner's
+    /// pass.
     pub fn advance(&self) -> usize {
         // Empty fast path: when every queue this context drains is
         // observably empty, return without taking the advance lock at all —
@@ -1092,7 +1101,6 @@ impl Context {
             while i < st.rzv_pending.len() {
                 if st.rzv_pending[i].done.is_complete() {
                     let pending = st.rzv_pending.swap_remove(i);
-                    self.pending_internal.fetch_sub(1, Ordering::AcqRel);
                     if let Some(cb) = pending.on_complete {
                         cb(self, pull_result(&pending.done));
                     }
@@ -1111,6 +1119,10 @@ impl Context {
         if bc.copies > 0 {
             self.machine.fabric().note_payload_copies(self.node, bc.copies);
         }
+        // The one write of the obligation count this advance makes, while
+        // the lock still excludes every other writer.
+        self.pending_internal
+            .store(st.reassembly.len() + st.rzv_pending.len(), Ordering::Release);
 
         events
     }
@@ -1180,7 +1192,6 @@ impl Context {
                                 on_complete: Some(on_complete),
                             },
                         );
-                        self.pending_internal.fetch_add(1, Ordering::AcqRel);
                     }
                 }
             }
@@ -1197,7 +1208,6 @@ impl Context {
             entry.remaining -= pkt_len;
             if entry.remaining == 0 {
                 let mut entry = st.reassembly.remove(&key).expect("entry present");
-                self.pending_internal.fetch_sub(1, Ordering::AcqRel);
                 if let Some(cb) = entry.on_complete.take() {
                     cb(self, Ok(()));
                 }
@@ -1261,7 +1271,6 @@ impl Context {
             return;
         }
         rzv_pending.push(RzvPending { done, on_complete: Some(on_complete) });
-        self.pending_internal.fetch_add(1, Ordering::AcqRel);
     }
 
     /// One mailbox message. Internal dispatch ids carry their body in the

@@ -10,6 +10,7 @@
 //! [`Geometry::deoptimize`]s — exactly the MPIX scheme of section III.D.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use bgq_collnet::{ClassRoute, ClassRouteError};
@@ -126,8 +127,10 @@ pub struct Geometry {
     /// The exact node rectangle, when the member nodes form one.
     node_rect: Option<Rectangle>,
     route: Mutex<Option<Arc<ClassRoute>>>,
-    /// Per-task next collective sequence number.
-    seqs: Mutex<HashMap<u32, u64>>,
+    /// Each member's next collective sequence number, by member rank. A
+    /// member bumps only its own word, so no collective call takes a lock
+    /// wider than its context to number itself.
+    seqs: Box<[AtomicU64]>,
 }
 
 impl Geometry {
@@ -162,6 +165,7 @@ impl Geometry {
     }
 
     fn build(machine: &Arc<Machine>, id: u32, topology: Topology) -> Geometry {
+        let size = topology.size();
         let mut node_tasks: HashMap<u32, Vec<u32>> = HashMap::new();
         for task in topology.iter() {
             node_tasks.entry(machine.task_node(task)).or_default().push(task);
@@ -192,7 +196,7 @@ impl Geometry {
             gi,
             node_rect,
             route: Mutex::new(None),
-            seqs: Mutex::new(HashMap::new()),
+            seqs: (0..size).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -292,12 +296,12 @@ impl Geometry {
     /// Next collective sequence number for `task`. Every member consumes
     /// sequence numbers in the same (program) order, which is what matches
     /// their contributions up.
+    ///
+    /// # Panics
+    /// If `task` is not a member.
     pub fn next_seq(&self, task: u32) -> u64 {
-        let mut seqs = self.seqs.lock();
-        let s = seqs.entry(task).or_insert(0);
-        let v = *s;
-        *s += 1;
-        v
+        let rank = self.rank_of(task).expect("next_seq of a task outside the geometry");
+        self.seqs[rank].fetch_add(1, Ordering::Relaxed)
     }
 
     // ---- software-collective point-to-point ------------------------------
@@ -490,6 +494,29 @@ mod tests {
         sender.send_immediate(Endpoint::of_task(1), 0xFE00, &[], b"user").unwrap();
         pair.check("a user handler on 0xFE00", &region, &done, &payload);
         assert_eq!(*user.lock(), [b"user".to_vec()], "the user handler gets the user's message");
+    }
+
+    /// Each member numbers its own calls: one member's collectives never
+    /// move another's sequence, whichever thread makes them, and a member
+    /// is found by its rank in an irregular task list.
+    #[test]
+    fn members_sequences_advance_independently() {
+        let machine = Machine::with_nodes(2).ppn(2).build();
+        let client = Client::create(&machine, 0, "seq", 1);
+        let geom = Geometry::create(client.context(0), 5, Topology::List(Arc::from([3, 0])));
+        assert_eq!((geom.next_seq(3), geom.next_seq(3), geom.next_seq(0)), (0, 1, 0));
+        std::thread::scope(|s| {
+            for task in [0, 3] {
+                let geom = &geom;
+                s.spawn(move || {
+                    let first = geom.next_seq(task);
+                    for i in 1..1000 {
+                        assert_eq!(geom.next_seq(task), first + i, "task {task}'s own order");
+                    }
+                });
+            }
+        });
+        assert_eq!((geom.next_seq(3), geom.next_seq(0)), (1002, 1001));
     }
 
     #[test]

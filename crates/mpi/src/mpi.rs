@@ -280,8 +280,8 @@ impl Mpi {
         let _g = self.call_guard();
         let my_rank = comm.rank();
         let dest_task = comm.task_of(dest);
-        let (handle, request) = self.shared.allocator.insert(len.max(1) as u64);
-        let counter = request.counter().clone();
+        let (handle, counter) =
+            self.shared.allocator.insert_with(len.max(1) as u64, |r| r.counter().clone());
         let ctx = self.context_for(dest, comm.id());
         let dest_ep = Endpoint {
             task: dest_task,
@@ -602,6 +602,29 @@ mod tests {
         let next = mpi.isend(&buf, 0, 64, 1, 1, world);
         let inner = mpi.shared.allocator.resolve(next).expect("live");
         assert_eq!(inner.counter().fault(), None);
+    }
+
+    /// A steady `isend` / `test` loop serves every send from one pooled
+    /// request object: the send hands PAMI only the request's counter,
+    /// whose clone is gone once the payload has left, so `test` finds the
+    /// object recyclable every round.
+    #[test]
+    fn a_steady_isend_test_loop_reuses_one_request_object() {
+        let mpis = two_ranks();
+        let (mpi, world) = (&mpis[0], mpis[0].world());
+        let buf = MemRegion::zeroed(32);
+        let mut object = None;
+        for round in 0..100 {
+            let req = mpi.isend(&buf, 0, buf.len(), 1, round, world);
+            let inner = mpi.shared.allocator.resolve(req).expect("live");
+            let at = Arc::as_ptr(&inner);
+            drop(inner);
+            assert_eq!(*object.get_or_insert(at), at, "round {round}: a fresh object");
+            while mpi.test(req).is_none() {
+                mpi.advance();
+            }
+            assert_eq!(mpi.shared.allocator.live(), 0, "round {round}: released");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   [`RequestAllocator`] either has one shared (locked) slab or a sharded
 //!   set of slabs indexed by thread, and a slab *is* a pool: a released
 //!   request object goes back on its free list, counter and all, so a
-//!   steady-state `isend`/`irecv` allocates nothing.
+//!   steady-state `isend`/`irecv` allocates nothing. Each slab sits behind
+//!   the paper's L2 atomic mutex ([`bgq_hw::L2TicketMutex`]): one
+//!   read-modify-write to take it, one store to release it.
 //! * **The two-phase waitall** — phase one converts handles to objects
 //!   ("tens of processor cycles per request": here an index and a
 //!   generation compare, overlapped with the completion-counter loads);
@@ -20,8 +22,7 @@ use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::Poll;
 
-use bgq_hw::Counter;
-use parking_lot::Mutex;
+use bgq_hw::{Counter, L2TicketMutex};
 
 use crate::types::Status;
 
@@ -182,7 +183,7 @@ impl Slab {
 pub struct RequestAllocator {
     /// One shared slab behind its lock (classic), or several picked by
     /// thread id (thread-optimized thread-private pools).
-    shards: Vec<Mutex<Slab>>,
+    shards: Vec<L2TicketMutex<Slab>>,
 }
 
 impl RequestAllocator {
@@ -195,7 +196,9 @@ impl RequestAllocator {
     /// its own shard, so concurrent allocation rarely contends.
     pub fn sharded(shards: usize) -> RequestAllocator {
         assert!(shards <= 1 << SHARD_BITS, "a handle has {SHARD_BITS} shard bits");
-        RequestAllocator { shards: (0..shards.max(1)).map(|_| Mutex::default()).collect() }
+        RequestAllocator {
+            shards: (0..shards.max(1)).map(|_| L2TicketMutex::default()).collect(),
+        }
     }
 
     fn shard_for_thread(&self) -> usize {
@@ -215,6 +218,19 @@ impl RequestAllocator {
     /// pooled one when the calling thread's shard has one. The shard and
     /// slot are encoded in the handle so resolution does not search.
     pub fn insert(&self, credit: u64) -> (Request, Arc<RequestInner>) {
+        self.insert_with(credit, Arc::clone)
+    }
+
+    /// Claim a slot for a request armed with `credit` and `take` what the
+    /// caller keeps of its object, all under the shard's lock. A send keeps
+    /// only the counter it hands PAMI: no reference to the object is taken
+    /// and dropped around it, and the recycle rule sees the counter's clone
+    /// for as long as PAMI holds it.
+    pub(crate) fn insert_with<R>(
+        &self,
+        credit: u64,
+        take: impl FnOnce(&Arc<RequestInner>) -> R,
+    ) -> (Request, R) {
         let shard = self.shard_for_thread();
         let mut slab = self.shards[shard].lock();
         let index = match slab.free.pop() {
@@ -226,14 +242,14 @@ impl RequestAllocator {
             }
         };
         let slot = &mut slab.slots[index];
-        let inner = match &slot.inner {
+        let kept = match &slot.inner {
             Some(pooled) => {
                 pooled.arm(credit);
-                Arc::clone(pooled)
+                take(pooled)
             }
-            None => Arc::clone(slot.inner.insert(RequestInner::armed(credit))),
+            None => take(slot.inner.insert(RequestInner::armed(credit))),
         };
-        (Request::new(slot.generation, index, shard), inner)
+        (Request::new(slot.generation, index, shard), kept)
     }
 
     /// Resolve a handle ("the hash function that converts request IDs to

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # A/B pairs of pamibench runs between two commits, both built at one path.
 #
-#   bash scripts/ab.sh <parent> <change> <workload|all> <pairs>
+#   bash scripts/ab.sh <parent> <change> <workload|all> <pairs> [ledger-row ...]
 #
 # Code layout follows where a package is built (its path feeds cargo's
 # metadata hash), so each commit is exported in turn with `git archive` into
@@ -15,28 +15,38 @@
 #
 # Output: each pair's `pamibench diff <parent> <change>`, then per workload
 # and end-to-end metric the median and quartiles of each side, and the
-# median's ratio. Result files stay under target/ab/pairs/.
+# median's ratio. Each ledger row named after <pairs> (a `per_layer` name
+# of BENCHMARK.json, e.g. pami-mpi.isend_ns) gets the same summary over the
+# traced runs, per selected workload that runs that layer. Result files stay
+# under target/ab/pairs/.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 
 usage() {
-    echo "usage: bash scripts/ab.sh <parent> <change> <workload|all> <pairs>" >&2
+    echo "usage: bash scripts/ab.sh <parent> <change> <workload|all> <pairs> [ledger-row ...]" >&2
     echo "  workloads: $(echo "$workloads" | tr '\n' ' ')" >&2
+    echo "  ledger rows: the per_layer names of BENCHMARK.json" >&2
     exit 2
 }
 
-# The contract's workloads and end-to-end metrics, in its order.
+# The contract's workloads, end-to-end metrics and ledger rows, in its order.
 block_names() { sed -n "/\"$1\": \[/,/\]/p" BENCHMARK.json | grep -o '"name": "[^"]*"' | cut -d'"' -f4; }
 workloads="$(block_names workloads)"
 metrics="$(block_names end_to_end)"
+ledger="$(block_names per_layer)"
 seconds="$(grep -o '"run_seconds": [0-9]*' BENCHMARK.json | grep -o '[0-9]*$')"
 
 # Every argument is checked before anything is built.
-[ $# -eq 4 ] || usage
+[ $# -ge 4 ] || usage
 parent="$1" change="$2" which="$3" pairs="$4"
+shift 4
+rows="$*"
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
+for row in $rows; do
+    grep -qx -- "$row" <<<"$ledger" || usage
+done
 if [ "$which" = all ]; then
     selected="$workloads"
 else
@@ -128,6 +138,16 @@ value() {
         fi | sed 's/.*: //'
 }
 
+# The value of ledger row `row` in the traced run of `workload` in `file`;
+# nothing when that run does not report it. The traced run is the line after
+# the one that names the workload.
+layer_value() {
+    local file="$1" workload="$2" row="$3"
+    grep -A 1 "^\"$workload\": " "$file" | grep '^  "per_layer": ' |
+        grep -o "\"${row//./\\.}\": {\"value\": [^,]*" | head -n 1 |
+        sed -n 's/.*: \([-+0-9.eE]*\)$/\1/p' || true
+}
+
 # Median and quartiles (linear interpolation) of the numbers on stdin.
 quartiles() {
     sort -g | awk '{ v[NR] = $1 }
@@ -144,5 +164,20 @@ for w in $selected; do
         ratio="$(awk -v a="$pm" -v b="$cm" 'BEGIN { if (a + 0 == 0) print "-"; else printf "%.3f", b / a }')"
         printf '%-15s %-16s %12s [%9s, %9s] %12s [%9s, %9s] %8s\n' \
             "$w" "$m" "$pm" "$pq1" "$pq3" "$cm" "$cq1" "$cq3" "$ratio"
+    done
+done
+
+[ -n "$rows" ] || exit 0
+echo "=== ledger rows over the traced runs: median [q1, q3] per side, ratio of medians"
+printf '%-15s %-32s %30s %30s %8s\n' workload row parent change ratio
+for row in $rows; do
+    for w in $selected; do
+        read -r pm pq1 pq3 < <(for f in "$ab"/pairs/*-parent.json; do layer_value "$f" "$w" "$row"; done | quartiles)
+        read -r cm cq1 cq3 < <(for f in "$ab"/pairs/*-change.json; do layer_value "$f" "$w" "$row"; done | quartiles)
+        # A workload that does not run the layer reads 0 or nothing on both sides.
+        case "$pm$cm" in --|00) continue ;; esac
+        ratio="$(awk -v a="$pm" -v b="$cm" 'BEGIN { if (a + 0 == 0) print "-"; else printf "%.3f", b / a }')"
+        printf '%-15s %-32s %9s [%8s, %8s] %9s [%8s, %8s] %8s\n' \
+            "$w" "$row" "$pm" "$pq1" "$pq3" "$cm" "$cq1" "$cq3" "$ratio"
     done
 done
